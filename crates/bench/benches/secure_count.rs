@@ -4,12 +4,14 @@
 //! of the thread/batch sweep is the `bench_secure_count` binary, which
 //! persists `BENCH_secure_count.json` for the `bench_compare` gate.
 
-use cargo_core::{
-    secure_triangle_count, secure_triangle_count_batched, secure_triangle_count_sampled,
-};
+use cargo_core::{count_local, count_sampled, CountJob};
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::{count_triangles, count_triangles_matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+
+fn job(threads: usize, batch: usize) -> CountJob {
+    CountJob { threads, batch, ..CountJob::new(1) }
+}
 
 fn bench_secure_count_scaling(c: &mut Criterion) {
     let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 0);
@@ -18,7 +20,7 @@ fn bench_secure_count_scaling(c: &mut Criterion) {
     for n in [100usize, 200, 400] {
         let m = full.induced_prefix(n).to_bit_matrix();
         g.bench_with_input(BenchmarkId::new("n", n), &m, |b, m| {
-            b.iter(|| black_box(secure_triangle_count(m, 1, 0)))
+            b.iter(|| black_box(count_local(m, &job(0, 0))))
         });
     }
     g.finish();
@@ -31,7 +33,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| black_box(secure_triangle_count(&m, 1, t)))
+            b.iter(|| black_box(count_local(&m, &job(t, 0))))
         });
     }
     g.finish();
@@ -47,7 +49,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
     g.sample_size(10);
     for batch in [1usize, 8, 64, 512] {
         g.bench_with_input(BenchmarkId::new("batch", batch), &batch, |b, &batch| {
-            b.iter(|| black_box(secure_triangle_count_batched(&m, 1, 1, batch)))
+            b.iter(|| black_box(count_local(&m, &job(1, batch))))
         });
     }
     g.finish();
@@ -64,7 +66,7 @@ fn bench_thread_batch_grid(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new("threads_batch", format!("{threads}x{batch}")),
                 &(threads, batch),
-                |b, &(t, batch)| b.iter(|| black_box(secure_triangle_count_batched(&m, 1, t, batch))),
+                |b, &(t, batch)| b.iter(|| black_box(count_local(&m, &job(t, batch)))),
             );
         }
     }
@@ -96,7 +98,7 @@ fn bench_sampled_count(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("rate", format!("{rate}")),
             &rate,
-            |b, &rate| b.iter(|| black_box(secure_triangle_count_sampled(&m, 1, rate, 0))),
+            |b, &rate| b.iter(|| black_box(count_sampled(&m, rate, &job(0, 0)))),
         );
     }
     g.finish();

@@ -21,7 +21,7 @@
 //! ```
 
 use cargo_bench::baseline::{BenchReport, BenchRow};
-use cargo_core::{secure_triangle_count_kernel, CountKernel, OfflineMode};
+use cargo_core::{count_local, CountJob, CountKernel};
 use cargo_graph::generators::presets::SnapDataset;
 use criterion::{black_box, measure_median_iqr_ns};
 use std::path::PathBuf;
@@ -102,22 +102,9 @@ fn main() {
         for &batch in &args.batches {
             // Equivalence gate before any timing: both kernels, same
             // shares, same online ledger.
-            let probe_scalar = secure_triangle_count_kernel(
-                &m,
-                1,
-                1,
-                batch,
-                OfflineMode::TrustedDealer,
-                CountKernel::Scalar,
-            );
-            let probe_batch = secure_triangle_count_kernel(
-                &m,
-                1,
-                1,
-                batch,
-                OfflineMode::TrustedDealer,
-                CountKernel::Bitsliced,
-            );
+            let job = |kernel| CountJob { batch, kernel, ..CountJob::new(1) };
+            let probe_scalar = count_local(&m, &job(CountKernel::Scalar));
+            let probe_batch = count_local(&m, &job(CountKernel::Bitsliced));
             assert_eq!(
                 probe_scalar, probe_batch,
                 "kernels must be bit-identical before being compared"
@@ -130,14 +117,7 @@ fn main() {
             {
                 let (median_ns, iqr_ns) =
                     measure_median_iqr_ns(8, Duration::from_millis(args.measure_ms), || {
-                        black_box(secure_triangle_count_kernel(
-                            &m,
-                            1,
-                            1,
-                            batch,
-                            OfflineMode::TrustedDealer,
-                            kernel,
-                        ))
+                        black_box(count_local(&m, &job(kernel)))
                     });
                 let row = BenchRow {
                     n,

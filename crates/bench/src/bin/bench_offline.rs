@@ -29,8 +29,7 @@
 //! ```
 
 use cargo_bench::baseline::{BenchReport, BenchRow};
-use cargo_core::{secure_triangle_count_pooled, secure_triangle_count_with};
-use cargo_core::CountKernel;
+use cargo_core::{count_local, CountJob, CountKernel};
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy};
 use criterion::{black_box, measure_median_iqr_ns};
@@ -139,8 +138,9 @@ fn main() {
         let m = full.induced_prefix(n).to_bit_matrix();
         for &batch in &args.batches {
             // One untimed run pins the deterministic offline cost model.
-            let probe = secure_triangle_count_with(&m, 1, 1, batch, OfflineMode::OtExtension);
-            let dealer = secure_triangle_count_with(&m, 1, 1, batch, OfflineMode::TrustedDealer);
+            let job = |offline, pool| CountJob { batch, offline, pool, ..CountJob::new(1) };
+            let probe = count_local(&m, &job(OfflineMode::OtExtension, PoolPolicy::INLINE));
+            let dealer = count_local(&m, &job(OfflineMode::TrustedDealer, PoolPolicy::INLINE));
             assert_eq!(
                 (probe.share1, probe.share2),
                 (dealer.share1, dealer.share2),
@@ -160,26 +160,8 @@ fn main() {
                     let (median_ns, iqr_ns) = measure_median_iqr_ns(
                         args.repeat,
                         Duration::from_millis(args.measure_ms),
-                        || {
-                            if f == 0 {
-                                black_box(secure_triangle_count_with(
-                                    &m,
-                                    1,
-                                    1,
-                                    batch,
-                                    OfflineMode::OtExtension,
-                                ))
-                            } else {
-                                black_box(secure_triangle_count_pooled(
-                                    &m,
-                                    1,
-                                    1,
-                                    batch,
-                                    CountKernel::default(),
-                                    policy,
-                                ))
-                            }
-                        },
+                        // f = 0 is the disabled policy: inline preprocessing.
+                        || black_box(count_local(&m, &job(OfflineMode::OtExtension, policy))),
                     );
                     let row = BenchRow {
                         n,

@@ -26,13 +26,12 @@
 use cargo_bench::baseline::{BenchReport, BenchRow};
 use cargo_bench::experiments::sparse::power_law;
 use cargo_core::{
-    peak_rss_bytes, secure_triangle_count_planned, secure_triangle_count_streamed,
-    threaded_secure_count_tcp_planned, CandidateSet, CountKernel, OfflineMode, ScheduleKind,
+    count_local, count_two_party, peak_rss_bytes, CountJob, CountKernel, ScheduleKind,
     SchedulePlan, SecureCountResult, TransportKind, DEFAULT_TILE_THRESHOLD,
 };
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::CsrGraph;
-use cargo_mpc::PoolPolicy;
+use cargo_mpc::{TcpConfig, TcpTransport};
 use criterion::{black_box, measure_median_iqr_ns};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -181,9 +180,14 @@ fn main() {
             drop(g);
             for &threads in &args.threads {
                 for &batch in &args.batches {
-                    let run = || {
-                        secure_triangle_count_streamed(&csr, 1, threads, batch, args.tile_threshold)
+                    let job = CountJob {
+                        threads,
+                        batch,
+                        plan: SchedulePlan::CsrStream(Arc::clone(&csr)),
+                        tile_threshold: args.tile_threshold,
+                        ..CountJob::new(1)
                     };
+                    let run = || count_local(&*csr, &job);
                     let t0 = std::time::Instant::now();
                     let probe = run();
                     let probe_ns = t0.elapsed().as_nanos() as f64;
@@ -226,39 +230,24 @@ fn main() {
         // Both parties derive the same plan from the public matrix; the
         // sweep builds it once per n, outside the timed loop (real
         // deployments amortise it the same way).
-        let plan = match args.schedule {
-            ScheduleKind::Dense => SchedulePlan::DenseCube,
-            ScheduleKind::Sparse => {
-                SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_support(&m)))
-            }
-            ScheduleKind::SparseStream => unreachable!("handled by the CSR-native branch"),
-        };
+        let plan = SchedulePlan::for_support(args.schedule, &m);
         for &threads in &args.threads {
             for &batch in &args.batches {
                 // One untimed run pins the deterministic cost model —
                 // and, for TCP, gates the transport equivalence before
                 // any timing is trusted.
-                let memory_run = || {
-                    secure_triangle_count_planned(
-                        &m,
-                        1,
-                        threads,
-                        batch,
-                        OfflineMode::TrustedDealer,
-                        CountKernel::default(),
-                        plan.clone(),
-                    )
+                let job = CountJob {
+                    threads,
+                    batch,
+                    plan: plan.clone(),
+                    tile_threshold: args.tile_threshold,
+                    ..CountJob::new(1)
                 };
+                let memory_run = || count_local(&m, &job);
                 let tcp_run = || {
-                    threaded_secure_count_tcp_planned(
-                        &m,
-                        1,
-                        threads,
-                        batch,
-                        OfflineMode::TrustedDealer,
-                        PoolPolicy::INLINE,
-                        plan.clone(),
-                    )
+                    let (end1, end2, _) = TcpTransport::loopback_pair(&TcpConfig::default())
+                        .expect("loopback socket pair");
+                    count_two_party(&m, &job, &Arc::new(end1), &Arc::new(end2))
                 };
                 let run: &dyn Fn() -> SecureCountResult = match args.transport {
                     TransportKind::Memory => &memory_run,

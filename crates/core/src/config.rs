@@ -192,7 +192,7 @@ pub struct CargoConfig {
     /// noise) — fixed seed ⇒ bit-identical run.
     pub seed: u64,
     /// Worker threads for the `O(n³)` secure count (0 = all cores).
-    /// Governs every Count entry point: the fast kernel, the sharded
+    /// Governs every Count executor: the fast kernel, the sharded
     /// message-passing runtime, and the sampled estimator.
     pub threads: usize,
     /// Triples per Count communication round / PRG block
@@ -235,15 +235,16 @@ pub struct CargoConfig {
     /// the public support. Shares of surviving triples are
     /// bit-identical either way.
     pub schedule: ScheduleKind,
-    /// Density threshold θ of the hybrid tile kernel on the
-    /// [`ScheduleKind::SparseStream`] schedule: candidate runs of at
-    /// least θ triples stream through the fused kernel, shorter runs
-    /// are gathered across pairs into full-width SIMD tiles. Public,
-    /// and **never** changes shares, triples, or the wire ledger —
-    /// only kernel evaluation order (`0` streams everything,
-    /// `u32::MAX` gathers everything). Defaults to
-    /// [`crate::count::DEFAULT_TILE_THRESHOLD`]. Ignored by the other
-    /// schedules.
+    /// Density threshold θ of the hybrid tile kernel (the in-process
+    /// dealer-mode bitsliced worker, on every schedule): candidate
+    /// runs of at least θ triples stream through the fused kernel,
+    /// shorter runs are gathered across pairs into full-width SIMD
+    /// tiles. Public, and **never** changes shares, triples, or the
+    /// wire ledger — only kernel evaluation order (`0` streams
+    /// everything, `u32::MAX` gathers everything). Defaults to
+    /// [`crate::count::DEFAULT_TILE_THRESHOLD`]. Inert for the scalar
+    /// kernel, OT mode and the wire runtime
+    /// ([`crate::CountJob::tile_threshold`]).
     pub tile_threshold: u32,
     /// Continuous-release horizon: how many delta epochs `--mode
     /// serve` budgets for. Ignored by the one-shot pipeline.
@@ -441,10 +442,9 @@ impl CargoConfig {
         self
     }
 
-    /// Sets the hybrid tile kernel's density threshold θ
-    /// ([`ScheduleKind::SparseStream`] only; `0` is meaningful — it
-    /// streams every run — so there is no zero-means-default sentinel
-    /// here).
+    /// Sets the hybrid tile kernel's density threshold θ (`0` is
+    /// meaningful — it streams every run — so there is no
+    /// zero-means-default sentinel here).
     ///
     /// ```
     /// use cargo_core::{CargoConfig, DEFAULT_TILE_THRESHOLD};

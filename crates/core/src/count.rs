@@ -2,11 +2,28 @@
 //!
 //! Every user secret-shares each bit of her (projected) adjacent bit
 //! vector to the two servers; the servers then evaluate, for every
-//! triple `i < j < k`, the three-value product
+//! scheduled triple `i < j < k`, the three-value product
 //! `u = a_ij · a_ik · a_jk` with the Multiplication-Group protocol of
 //! [`cargo_mpc::triple_mul`] and accumulate `⟨T⟩₁, ⟨T⟩₂`. Neither
 //! server learns anything: every opened value is one-time-padded, and
 //! the accumulated shares are uniform.
+//!
+//! ## One request, one function per execution model
+//!
+//! A [`CountJob`] names every knob of a Count run; the executors differ
+//! only in *where* the two servers live:
+//!
+//! | Executor | Shape |
+//! |---|---|
+//! | [`count_local`] | both servers' arithmetic in one loop (this module) — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
+//! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
+//! | [`crate::count_runtime::count_two_party`] | both server pools (+ dealer thread) over a caller-made link pair |
+//! | [`crate::count_sampled::count_sampled`] | the triple-sampling estimator |
+//!
+//! All of them produce **bit-identical** share pairs and ledgers for
+//! the same job (the equivalence suites under `crates/core/tests/` pin
+//! this); [`secure_count_reference`] is the un-inlined protocol object
+//! they are anchored to.
 //!
 //! ## Engineering notes
 //!
@@ -22,25 +39,23 @@
 //! * **The hot kernel** comes in two bit-identical flavours behind
 //!   [`CountKernel`]: the scalar per-triple transcription of
 //!   [`cargo_mpc::mul3`], and the default structure-of-arrays batch
-//!   kernel ([`cargo_mpc::mul3_batch`]) that evaluates a whole
-//!   scheduler block per call over block-expanded dealer words
-//!   ([`cargo_mpc::PairDealer::fill_words`]) and word-widened
-//!   adjacency bits. [`secure_count_reference`] runs the un-inlined
-//!   protocol object, and `kernel_equivalence.rs` pins all of them to
-//!   each other on every input class.
+//!   kernel that evaluates a whole scheduler block per call over
+//!   block-expanded dealer words ([`cargo_mpc::PairDealer::fill_words`])
+//!   and word-widened adjacency bits, gathering short runs across pairs
+//!   into full-width tiles ([`CountJob::tile_threshold`]).
 //! * **Communication accounting.** The `e, f, g` openings of one
 //!   `k`-batch (up to [`crate::count_sched::DEFAULT_COUNT_BATCH`]
 //!   triples of an `(i, j)` pair) travel in one round — `3·batch`
 //!   elements each way — which is how any sane deployment would
 //!   schedule them; element/byte counts are per-triple exact.
 
-use crate::config::CountKernel;
+use crate::config::{CargoConfig, CountKernel};
 use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
     mul3, mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, mul3_tile_batch,
-    ot_setup_ledger, Dealer, MgChunkMaterial, MgDraw, Mul3Opening, NetStats, OfflineMode,
-    OtMgEngine, PairDealer, PoolPolicy, PoolStats, Ring64, ServerId, TriplePool, LANES, MG_WORDS,
+    ot_setup_ledger, Dealer, Mul3Opening, NetStats, OfflineMode, OtMgEngine, PairDealer,
+    PoolPolicy, PoolStats, Ring64, ServerId, TriplePool, LANES, MG_WORDS,
 };
 use std::sync::Arc;
 
@@ -53,6 +68,11 @@ use std::sync::Arc;
 /// shares (`0` streams everything, `u32::MAX` gathers everything; the
 /// tile equivalence tests pin both degenerate ends).
 pub const DEFAULT_TILE_THRESHOLD: u32 = LANES as u32;
+
+/// Tweak XORed into the root seed to derive the Count phase's seed —
+/// read only by [`CountJob::from_config`], so the monolithic system,
+/// the party pipeline and the serve sessions can never desynchronise.
+const COUNT_SEED_TWEAK: u64 = 0xC0DE;
 
 /// Result of the secure count: the two servers' shares of the exact
 /// triangle count plus cost accounting.
@@ -67,11 +87,11 @@ pub struct SecureCountResult {
     /// Ring elements uploaded by users when input-sharing their bit
     /// vectors (`2n²`: each of `n` users shares `n` bits to 2 servers).
     pub upload_elements: u64,
-    /// Number of triples evaluated (`C(n, 3)`).
+    /// Number of triples evaluated (`C(n, 3)` on the dense cube).
     pub triples: u64,
-    /// Triple-pool counters (all zero on the inline paths; see
-    /// [`cargo_mpc::PoolStats`] for why `peak_depth` is excluded from
-    /// equality).
+    /// Triple-pool counters (all zero when preprocessing ran inline;
+    /// see [`cargo_mpc::PoolStats`] for why `peak_depth` is excluded
+    /// from equality).
     pub pool: PoolStats,
 }
 
@@ -84,181 +104,195 @@ impl SecureCountResult {
     }
 }
 
-/// Runs the secure count over the (projected, possibly asymmetric)
-/// adjacency matrix with the default batch size.
+/// One Count request: everything that decides *what* is computed and
+/// how it is scheduled, independent of *where* the two servers run.
+/// Hand the same job to [`count_local`],
+/// [`count_party`](crate::count_runtime::count_party) or
+/// [`count_two_party`](crate::count_runtime::count_two_party) and the
+/// share pair, the triple count and the modeled [`NetStats`] are
+/// bit-identical. Build one with struct-update syntax:
 ///
-/// * `seed` keys every random choice (input shares + dealer streams).
-/// * `threads` — worker threads (0 ⇒ all cores). The result is
-///   identical for every thread count.
-pub fn secure_triangle_count(matrix: &BitMatrix, seed: u64, threads: usize) -> SecureCountResult {
-    secure_triangle_count_batched(matrix, seed, threads, 0)
+/// ```
+/// use cargo_core::{count_local, CountJob, OfflineMode};
+/// use cargo_graph::generators::erdos_renyi;
+/// let m = erdos_renyi(30, 0.3, 1).to_bit_matrix();
+/// let dealer = count_local(&m, &CountJob::new(7));
+/// let ot = count_local(&m, &CountJob { offline: OfflineMode::OtExtension, ..CountJob::new(7) });
+/// assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CountJob {
+    /// Keys every random choice (input shares + dealer streams).
+    pub seed: u64,
+    /// Worker threads (per server on the wire executors); `0` ⇒ all
+    /// cores. The result is identical for every thread count.
+    pub threads: usize,
+    /// Triples per communication round / PRG block; `0` ⇒
+    /// [`crate::count_sched::DEFAULT_COUNT_BATCH`]. Shares and element
+    /// counts are identical for every batch; only wall-clock and round
+    /// granularity change.
+    pub batch: usize,
+    /// Where the Multiplication Groups come from: the seeded trusted
+    /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
+    /// phase ([`cargo_mpc::OtMgEngine`]) — one extension session per
+    /// scheduler chunk, its cost in [`NetStats::offline`] (per-flight
+    /// traffic plus one global base-OT setup). Shares and the online
+    /// ledger are bit-identical either way.
+    pub offline: OfflineMode,
+    /// Inner kernel of [`count_local`] (bit-identical either way; the
+    /// wire executors' slab rounds *are* the batched kernel and ignore
+    /// this).
+    pub kernel: CountKernel,
+    /// Background triple factory for the OT offline phase: when
+    /// enabled, chunk material is drawn from a [`TriplePool`] keyed by
+    /// chunk id instead of being preprocessed on the query path.
+    /// Material is a pure function of `(seed, chunk, plan)`, so shares
+    /// and the modeled ledger equal the inline run's at every
+    /// `factory_threads × depth`; a drained fail-fast pool panics
+    /// loudly instead of deadlocking. Ignored under
+    /// [`OfflineMode::TrustedDealer`], which has no offline phase to
+    /// pool.
+    pub pool: PoolPolicy,
+    /// Which triples are evaluated. Every surviving triple's
+    /// Multiplication Group is drawn at its **canonical** dealer-stream
+    /// position, so its share pair is the one the dense cube produces
+    /// for that triple; the execution's shape (chunking, rounds,
+    /// offline ledger) is a pure function of the public plan. Both
+    /// wire parties must be handed the same plan.
+    pub plan: SchedulePlan,
+    /// Density threshold θ of the dealer-mode bitsliced worker: runs
+    /// of at least θ triples stream through the fused kernel, shorter
+    /// ones are gathered across pairs into shared lanes. Applies on
+    /// every plan and either input kind; regroups kernel evaluation
+    /// only (never shares, triples or the ledger). Inert for the scalar
+    /// kernel, the OT workers, the wire executors and the sampled
+    /// estimator.
+    pub tile_threshold: u32,
 }
 
-/// [`secure_triangle_count`] with an explicit `k`-batch size
-/// (0 ⇒ [`crate::count_sched::DEFAULT_COUNT_BATCH`]). Shares and
-/// element counts are identical for every `(threads, batch)`; only
-/// wall-clock and round granularity change.
-pub fn secure_triangle_count_batched(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-) -> SecureCountResult {
-    secure_triangle_count_with(matrix, seed, threads, batch, OfflineMode::TrustedDealer)
-}
-
-/// [`secure_triangle_count_batched`] with an explicit offline mode.
-///
-/// Under [`OfflineMode::OtExtension`] the Multiplication Groups are
-/// generated by the chunk-amortised IKNP/Gilboa offline engine
-/// ([`cargo_mpc::OtMgEngine`]) instead of the trusted dealer — one
-/// extension session per scheduler chunk; the resulting shares (and
-/// the online [`NetStats`]) are **bit-identical** to dealer mode, and
-/// the preprocessing cost lands in [`NetStats::offline`] (per-flight
-/// extension traffic plus one global base-OT setup).
-pub fn secure_triangle_count_with(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-) -> SecureCountResult {
-    secure_triangle_count_kernel(matrix, seed, threads, batch, mode, CountKernel::default())
-}
-
-/// [`secure_triangle_count_with`] with an explicit Count kernel
-/// ([`CargoConfig::kernel`](crate::CargoConfig)).
-///
-/// [`CountKernel::Bitsliced`] (the default) evaluates whole scheduler
-/// blocks per call through the structure-of-arrays
-/// [`cargo_mpc::mul3_batch`] kernel; [`CountKernel::Scalar`] is the
-/// per-triple transcription retained for A/B benching. Shares,
-/// openings, and the online [`NetStats`] ledger are **bit-identical**
-/// across kernels (pinned by `crates/core/tests/
-/// kernel_equivalence.rs`).
-pub fn secure_triangle_count_kernel(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-) -> SecureCountResult {
-    secure_triangle_count_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        kernel,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`secure_triangle_count_kernel`] with an explicit [`SchedulePlan`].
-///
-/// Under [`SchedulePlan::CandidatePairs`] only the triples the public
-/// candidate structure admits are evaluated; each surviving triple's
-/// Multiplication Group is drawn at its **canonical** dealer-stream
-/// position, so its share pair — and hence the reconstructed count
-/// whenever the candidate set covers the matrix's edge support — is
-/// bit-identical to what the dense cube produces for that triple
-/// (pinned by `crates/core/tests/sparse_equivalence.rs`). The
-/// execution's shape (chunking, rounds, offline ledger) is a pure
-/// function of the candidate list, i.e. of public information.
-#[allow(clippy::too_many_arguments)]
-pub fn secure_triangle_count_planned(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-    plan: SchedulePlan,
-) -> SecureCountResult {
-    let n = matrix.n();
-    // Spawning workers for sub-millisecond inputs costs more than it
-    // saves; randomness is per-pair, so clamping cannot change shares.
-    let threads = if n < 64 { 1 } else { threads };
-    let sched = CountScheduler::with_plan(n, threads, batch, plan);
-    let results = sched.run_chunks(|chunk| match (mode, kernel) {
-        (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
-            count_chunk(matrix, seed, &sched, chunk)
+impl CountJob {
+    /// The default job under `seed`: one worker, default batch, trusted
+    /// dealer, bitsliced kernel, inline preprocessing, dense cube,
+    /// [`DEFAULT_TILE_THRESHOLD`].
+    pub fn new(seed: u64) -> Self {
+        CountJob {
+            seed,
+            threads: 1,
+            batch: 0,
+            offline: OfflineMode::TrustedDealer,
+            kernel: CountKernel::default(),
+            pool: PoolPolicy::INLINE,
+            plan: SchedulePlan::DenseCube,
+            tile_threshold: DEFAULT_TILE_THRESHOLD,
         }
-        (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => match sched.plan() {
-            // Streamed sparse plans are where ragged pair lists starve
-            // the SoA kernel, so they route through the hybrid tile
-            // path (bit-identical; see `count_chunk_tiled`).
-            SchedulePlan::CsrStream(_) => {
-                count_chunk_tiled(&MatrixBits(matrix), seed, &sched, chunk, DEFAULT_TILE_THRESHOLD)
-            }
-            _ => count_chunk_batch(matrix, seed, &sched, chunk),
-        },
-        (OfflineMode::OtExtension, _) => count_chunk_ot(matrix, seed, &sched, chunk, kernel),
-    });
+    }
 
-    let mut share1 = Ring64::ZERO;
-    let mut share2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    for (s1, s2, stats, t) in results {
-        share1 += s1;
-        share2 += s2;
-        net.merge(&stats);
-        triples += t;
+    /// The job a pipeline configuration describes, over `plan` — the
+    /// one place the Count seed is derived from the root seed and the
+    /// config's `0 ⇒ default` knobs are resolved.
+    pub fn from_config(cfg: &CargoConfig, plan: SchedulePlan) -> Self {
+        CountJob {
+            seed: cfg.seed ^ COUNT_SEED_TWEAK,
+            threads: cfg.effective_threads(),
+            batch: cfg.effective_batch(),
+            offline: cfg.offline,
+            kernel: cfg.kernel,
+            pool: cfg.pool_policy(),
+            plan,
+            tile_threshold: cfg.tile_threshold,
+        }
     }
-    if mode == OfflineMode::OtExtension && !sched.chunks().is_empty() {
-        // One base-OT setup per protocol execution (per-chunk
-        // extension sessions are derived locally from it).
-        net.offline.merge(&ot_setup_ledger());
+
+    /// The job's scheduler over an `n × n` input.
+    pub(crate) fn scheduler(&self, n: usize) -> CountScheduler {
+        CountScheduler::with_plan(n, self.threads, self.batch, self.plan.clone())
     }
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples,
-        pool: PoolStats::default(),
+
+    /// [`CountJob::scheduler`] for the in-process executors: spawning
+    /// workers for sub-millisecond inputs costs more than it saves, and
+    /// randomness is per-pair, so clamping cannot change shares.
+    pub(crate) fn local_scheduler(&self, n: usize) -> CountScheduler {
+        let threads = if n < 64 { 1 } else { self.threads };
+        CountScheduler::with_plan(n, threads, self.batch, self.plan.clone())
+    }
+
+    /// Starts the background triple factory when the job asks for one
+    /// and there is an offline phase to pool.
+    pub(crate) fn spawn_pool(&self, sched: &CountScheduler) -> Option<TriplePool> {
+        if !self.pool.enabled()
+            || self.offline != OfflineMode::OtExtension
+            || sched.chunks().is_empty()
+        {
+            return None;
+        }
+        let plans = sched.chunks().iter().map(|c| sched.chunk_plan(c)).collect();
+        Some(TriplePool::new(self.seed, plans, self.pool))
     }
 }
 
-/// The trusted-dealer batched count with an explicit [`SchedulePlan`]
-/// **and tile threshold** — the hybrid-kernel entry point the tile
-/// equivalence suite sweeps. Every threshold produces the same shares,
-/// triples, and [`NetStats`] as [`secure_triangle_count_planned`] with
-/// the same plan (tiling regroups kernel evaluation order only); the
-/// threshold trades fused-stream width against gather width.
-pub fn secure_triangle_count_tiled(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    plan: SchedulePlan,
-    tile_threshold: u32,
-) -> SecureCountResult {
-    let n = matrix.n();
-    let threads = if n < 64 { 1 } else { threads };
-    let sched = CountScheduler::with_plan(n, threads, batch, plan);
-    let results = sched
-        .run_chunks(|chunk| count_chunk_tiled(&MatrixBits(matrix), seed, &sched, chunk, tile_threshold));
-    collect_tiled(results, n)
+/// What [`count_local`] counts over: the dense bit matrix, or CSR
+/// neighbor slices with no `n × n` storage anywhere (at n = 10⁶ a
+/// [`BitMatrix`] would be 125 GB; a CSR run peaks at the CSR arrays
+/// plus O(chunk) scratch per worker).
+#[derive(Debug, Clone, Copy)]
+pub enum CountInput<'a> {
+    /// The (projected, possibly asymmetric) adjacency matrix.
+    Matrix(&'a BitMatrix),
+    /// A graph that is both the data and — under
+    /// [`SchedulePlan::CsrStream`] of the same graph — the candidate
+    /// structure: every scheduled adjacency bit is then 1 by
+    /// construction, while the MPC evaluation runs unchanged.
+    Csr(&'a CsrGraph),
 }
 
-/// The million-node entry point: a secure count over a [`CsrGraph`]
-/// **with no `n × n` bit matrix anywhere** — the adjacency bits the
-/// kernel consumes are read straight from the CSR neighbor slices, and
-/// the schedule is the lazy [`SchedulePlan::CsrStream`] plan. At
-/// n = 10⁶ a [`BitMatrix`] would be 125 GB; here peak memory is the
-/// CSR arrays plus O(chunk) scratch per worker.
+impl<'a> From<&'a BitMatrix> for CountInput<'a> {
+    fn from(m: &'a BitMatrix) -> Self {
+        CountInput::Matrix(m)
+    }
+}
+
+impl<'a> From<&'a CsrGraph> for CountInput<'a> {
+    fn from(g: &'a CsrGraph) -> Self {
+        CountInput::Csr(g)
+    }
+}
+
+/// Runs `job` in-process, both servers' arithmetic in one loop — the
+/// fast simulation every other executor is pinned to. Input kind,
+/// plan, offline mode, kernel and pool are orthogonal: a CSR input in
+/// OT mode over the eager sparse plan is as valid as the dense matrix
+/// cube.
 ///
-/// Semantics: the graph is both the candidate structure and the data —
-/// the support-projection stance of the sparse schedule, in which all
-/// evaluated adjacency bits are 1 by construction but the MPC
-/// evaluation (uniform shares, openings, dealer streams) runs
-/// unchanged. Shares are **bit-identical** to
-/// [`secure_triangle_count_planned`] over `g.to_bit_matrix()` with the
-/// eager sparse plan of the same graph, at every `threads × batch`
-/// (pinned by the stream equivalence suite on overlapping sizes).
+/// # Panics
+/// Panics if a fail-fast pool is drained.
+pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
+    match input.into() {
+        CountInput::Matrix(m) => run_local(m, job),
+        CountInput::Csr(g) => run_local(g, job),
+    }
+}
+
+fn run_local<B: AdjacencyBits>(bits: &B, job: &CountJob) -> SecureCountResult {
+    let sched = job.local_scheduler(bits.n());
+    let pool = job.spawn_pool(&sched);
+    let parts = sched.run_chunks(|chunk| match (job.offline, job.kernel) {
+        (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
+            count_chunk(bits, job.seed, &sched, chunk)
+        }
+        (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => {
+            count_chunk_tiled(bits, job.seed, &sched, chunk, job.tile_threshold)
+        }
+        (OfflineMode::OtExtension, kernel) => {
+            count_chunk_ot(bits, job.seed, &sched, chunk, kernel, pool.as_ref())
+        }
+    });
+    let pool = pool.map(|p| p.stats()).unwrap_or_default();
+    finish(&sched, job.offline, parts, pool)
+}
+
+/// Pinned by `benchmark/src/sut.rs` and
+/// `benchmark/src/bin/trace/streamed.rs`, which call it positionally.
+#[doc(hidden)]
 pub fn secure_triangle_count_streamed(
     csr: &Arc<CsrGraph>,
     seed: u64,
@@ -266,127 +300,101 @@ pub fn secure_triangle_count_streamed(
     batch: usize,
     tile_threshold: u32,
 ) -> SecureCountResult {
-    let n = csr.n();
-    let threads = if n < 64 { 1 } else { threads };
-    let sched =
-        CountScheduler::with_plan(n, threads, batch, SchedulePlan::CsrStream(Arc::clone(csr)));
-    let results = sched
-        .run_chunks(|chunk| count_chunk_tiled(&CsrBits(csr), seed, &sched, chunk, tile_threshold));
-    collect_tiled(results, n)
+    let plan = SchedulePlan::CsrStream(Arc::clone(csr));
+    count_local(&**csr, &CountJob { threads, batch, plan, tile_threshold, ..CountJob::new(seed) })
 }
 
-/// Shared result assembly of the dealer-mode tiled entry points.
-fn collect_tiled(results: Vec<(Ring64, Ring64, NetStats, u64)>, n: usize) -> SecureCountResult {
+/// One worker's (or one chunk's) contribution to a run:
+/// `(⟨T⟩₁ part, ⟨T⟩₂ part, ledger part, triples evaluated)`.
+pub(crate) type CountPart = (Ring64, Ring64, NetStats, u64);
+
+/// Sums the parts of a run over `sched` into its result — the one
+/// reduction every executor ends with. In OT mode a non-empty run also
+/// pays the single base-OT setup (per-chunk extension sessions are
+/// derived locally from it).
+pub(crate) fn finish(
+    sched: &CountScheduler,
+    offline: OfflineMode,
+    parts: impl IntoIterator<Item = CountPart>,
+    pool: PoolStats,
+) -> SecureCountResult {
     let mut share1 = Ring64::ZERO;
     let mut share2 = Ring64::ZERO;
     let mut net = NetStats::new();
     let mut triples = 0u64;
-    for (s1, s2, stats, t) in results {
+    for (s1, s2, stats, t) in parts {
         share1 += s1;
         share2 += s2;
         net.merge(&stats);
         triples += t;
     }
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples,
-        pool: PoolStats::default(),
-    }
-}
-
-/// The pooled variant of the OT path: preprocessing runs on a
-/// background [`TriplePool`] (the offline *triple factory*) while the
-/// online workers draw material keyed by chunk id — the production
-/// amortisation stance where triples are manufactured off the query
-/// path.
-///
-/// Shares, online traffic, and the modeled offline ledger are
-/// **bit-identical** to inline [`OfflineMode::OtExtension`] (and
-/// therefore to dealer mode) at every
-/// `factory_threads × pool_depth × backpressure`: material is a pure
-/// function of `(seed, chunk, plan)` and draws are keyed, never
-/// racing. Pool fill/drain counters land in
-/// [`SecureCountResult::pool`].
-///
-/// A drained pool fails loudly ([`cargo_mpc::PoolError`]-style panic)
-/// under fail-fast backpressure instead of deadlocking.
-///
-/// # Panics
-/// Panics if `policy` has `factory_threads == 0` (use the inline
-/// entry points) or if a pool draw fails.
-pub fn secure_triangle_count_pooled(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    kernel: CountKernel,
-    policy: PoolPolicy,
-) -> SecureCountResult {
-    secure_triangle_count_pooled_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        kernel,
-        policy,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`secure_triangle_count_pooled`] with an explicit [`SchedulePlan`]
-/// — the factory's per-chunk plans (and hence the material it
-/// manufactures) are the schedule's canonical-offset draws, so the
-/// pooled sparse path consumes exactly the bits the inline sparse
-/// session would have.
-#[allow(clippy::too_many_arguments)]
-pub fn secure_triangle_count_pooled_planned(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    kernel: CountKernel,
-    policy: PoolPolicy,
-    plan: SchedulePlan,
-) -> SecureCountResult {
-    assert!(
-        policy.enabled(),
-        "pooled count requires factory_threads >= 1"
-    );
-    let n = matrix.n();
-    let threads = if n < 64 { 1 } else { threads };
-    let sched = CountScheduler::with_plan(n, threads, batch, plan);
-    let plans = sched
-        .chunks()
-        .iter()
-        .map(|c| sched.chunk_plan(c))
-        .collect();
-    let pool = TriplePool::new(seed, plans, policy);
-    let results =
-        sched.run_chunks(|chunk| count_chunk_pooled(matrix, seed, &sched, chunk, kernel, &pool));
-
-    let mut share1 = Ring64::ZERO;
-    let mut share2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    for (s1, s2, stats, t) in results {
-        share1 += s1;
-        share2 += s2;
-        net.merge(&stats);
-        triples += t;
-    }
-    if !sched.chunks().is_empty() {
+    if offline == OfflineMode::OtExtension && !sched.chunks().is_empty() {
         net.offline.merge(&ot_setup_ledger());
     }
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples,
-        pool: pool.stats(),
+    let n = sched.n() as u64;
+    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples, pool }
+}
+
+/// Adjacency-bit source of the chunk workers: the one interface that
+/// lets the same worker read a dense [`BitMatrix`] or a [`CsrGraph`]
+/// with no `n × n` storage. Both report `{0, 1}` as `u64` words, the
+/// shape [`mul3_tile_batch`] and [`PairDealer::count_block`] consume.
+trait AdjacencyBits: Sync {
+    /// Matrix dimension.
+    fn n(&self) -> usize;
+    /// The adjacency bit `A[u][v]`.
+    fn bit(&self, u: usize, v: usize) -> u64;
+    /// Fills `out[t] = A[u][k0 + t]` for every `t`.
+    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]);
+}
+
+impl AdjacencyBits for BitMatrix {
+    #[inline]
+    fn n(&self) -> usize {
+        BitMatrix::n(self)
+    }
+
+    #[inline]
+    fn bit(&self, u: usize, v: usize) -> u64 {
+        self.row(u).get(v) as u64
+    }
+
+    #[inline]
+    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
+        self.row(u).fill_bits_u64(k0, out);
+    }
+}
+
+/// The million-node source. `fill_bits` scatters the (sorted)
+/// neighbors that land in `[k0, k0 + out.len())` into an all-zero
+/// window; on sparse-schedule candidate runs every bit is 1 by
+/// construction, so this agrees with the dense matrix wherever the
+/// schedule actually looks.
+impl AdjacencyBits for CsrGraph {
+    #[inline]
+    fn n(&self) -> usize {
+        CsrGraph::n(self)
+    }
+
+    #[inline]
+    fn bit(&self, u: usize, v: usize) -> u64 {
+        self.has_edge(u, v) as u64
+    }
+
+    #[inline]
+    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
+        out.fill(0);
+        let nei = self.neighbors(u);
+        let lo = k0 as u32;
+        let mut at = nei.partition_point(|&x| x < lo);
+        while at < nei.len() {
+            let rel = (nei[at] as usize) - k0;
+            if rel >= out.len() {
+                break;
+            }
+            out[rel] = 1;
+            at += 1;
+        }
     }
 }
 
@@ -394,43 +402,44 @@ pub fn secure_triangle_count_pooled_planned(
 /// Group at a time ([`CountKernel::Scalar`]): the inlined per-triple
 /// transcription of the MG protocol over block-expanded dealer words.
 /// Retained as the A/B baseline of `bench_mg_kernel` and as the
-/// readable reference of what [`count_chunk_batch`] computes.
+/// readable reference of what [`count_chunk_tiled`] computes.
 ///
 /// Like every worker below, it walks the chunk's **draw plan** — one
-/// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream
-/// offset. For the dense cube that is exactly the old per-pair walk
-/// (one full-range draw per pair, offset 0); a sparse plan visits only
-/// the admitted runs and seeks the dealer past the gaps.
-fn count_chunk(
-    matrix: &BitMatrix,
+/// `(pair, k-run)` per [`cargo_mpc::MgDraw`], at the run's canonical
+/// stream offset. For the dense cube that is one full-range draw per
+/// pair at offset 0; a sparse plan visits only the admitted runs and
+/// seeks the dealer past the gaps.
+fn count_chunk<B: AdjacencyBits>(
+    bits: &B,
     seed: u64,
     sched: &CountScheduler,
     chunk: &PairChunk,
-) -> (Ring64, Ring64, NetStats, u64) {
+) -> CountPart {
     let batch = sched.batch();
     let mut t1 = 0u64; // ⟨T⟩₁ accumulator (wrapping u64 = Ring64)
     let mut t2 = 0u64;
     let mut net = NetStats::new();
     let mut triples = 0u64;
-    // One block of dealer words, reused across batches.
+    // One block of dealer words and adjacency bits, reused across batches.
     let mut words = vec![0u64; MG_WORDS * batch];
+    let mut b_bits = vec![0u64; batch];
+    let mut c_bits = vec![0u64; batch];
 
     for d in sched.chunk_plan(chunk) {
         let (i, j) = (d.i as usize, d.j as usize);
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
         // User i's shares of a_ij — fixed across the k loop.
-        let aij = row_i.get(j) as u64;
+        let aij = bits.bit(i, j);
         let aij1 = share_prf(seed, d.i, d.j);
         let aij2 = aij.wrapping_sub(aij1);
-        let mut dealer = PairDealer::for_pair(seed, d.i, d.j);
-        dealer.skip_groups(d.start as usize);
+        let mut dealer = PairDealer::for_draw(seed, &d);
         let mut k = j + 1 + d.start as usize;
         let end = k + d.groups as usize;
         while k < end {
             let block = (end - k).min(batch);
             // Offline: block-expand the batch's Multiplication Groups.
             dealer.fill_words(&mut words[..MG_WORDS * block]);
+            bits.fill_bits(i, k, &mut b_bits[..block]);
+            bits.fill_bits(j, k, &mut c_bits[..block]);
             // One communication round opens e,f,g for the whole batch.
             net.exchange(3 * block as u64);
             for (b, kk) in (k..k + block).enumerate() {
@@ -458,12 +467,10 @@ fn count_chunk(
                 let w2 = wv.wrapping_sub(w1);
 
                 // User shares of a_ik (row i) and a_jk (row j).
-                let aik = row_i.get(kk) as u64;
                 let aik1 = share_prf(seed, i as u32, kk as u32);
-                let aik2 = aik.wrapping_sub(aik1);
-                let ajk = row_j.get(kk) as u64;
+                let aik2 = b_bits[b].wrapping_sub(aik1);
                 let ajk1 = share_prf(seed, j as u32, kk as u32);
-                let ajk2 = ajk.wrapping_sub(ajk1);
+                let ajk2 = c_bits[b].wrapping_sub(ajk1);
 
                 // Online step 1: local maskings.
                 let e1 = aij1.wrapping_sub(x1);
@@ -505,122 +512,15 @@ fn count_chunk(
     (Ring64(t1), Ring64(t2), net, triples)
 }
 
-/// [`CountKernel::Bitsliced`]: evaluates every triple of one chunk in
-/// structure-of-arrays batches. Per `k`-block: one
-/// [`PairDealer::fill_words`] expansion, one word-level bit-slab
-/// extraction per row, one [`mul3_batch`] call; per pair: two bulk
-/// [`NetStats`] updates (full rounds + tail) instead of one per block.
-/// Bit-identical to [`count_chunk`] — wrapping sums are
-/// order-independent and the opened maskings collapse to the same
-/// values the scalar path reconstructs share by share.
-fn count_chunk_batch(
-    matrix: &BitMatrix,
-    seed: u64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-) -> (Ring64, Ring64, NetStats, u64) {
-    let batch = sched.batch();
-    let mut t1 = 0u64;
-    let mut t2 = 0u64;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    let mut b_bits = vec![0u64; batch];
-    let mut c_bits = vec![0u64; batch];
-
-    for d in sched.chunk_plan(chunk) {
-        let (i, j) = (d.i as usize, d.j as usize);
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
-        let aij = row_i.get(j) as u64;
-        let mut dealer = PairDealer::for_pair(seed, d.i, d.j);
-        dealer.skip_groups(d.start as usize);
-        // Bulk communication tally: ⌊len/batch⌋ full rounds + tail.
-        let len = d.groups as usize;
-        net.exchange_rounds((len / batch) as u64, 3 * batch as u64);
-        if !len.is_multiple_of(batch) {
-            net.exchange(3 * (len % batch) as u64);
-        }
-        let mut k = j + 1 + d.start as usize;
-        let end = k + len;
-        while k < end {
-            let block = (end - k).min(batch);
-            row_i.fill_bits_u64(k, &mut b_bits[..block]);
-            row_j.fill_bits_u64(k, &mut c_bits[..block]);
-            // Fused PRG expansion + SoA MG arithmetic in one pass.
-            let (u1, u2) = dealer.count_block(aij, &b_bits[..block], &c_bits[..block]);
-            t1 = t1.wrapping_add(u1);
-            t2 = t2.wrapping_add(u2);
-            triples += block as u64;
-            k += block;
-        }
-    }
-    (Ring64(t1), Ring64(t2), net, triples)
-}
-
-/// Adjacency-bit source for the tiled kernel: the one interface that
-/// lets the same worker read a dense [`BitMatrix`] or a [`CsrGraph`]
-/// with no `n × n` storage. Both report `{0, 1}` as `u64` words, the
-/// shape [`mul3_tile_batch`] and [`PairDealer::count_block`] consume.
-trait AdjacencyBits: Sync {
-    /// The adjacency bit `A[u][v]`.
-    fn bit(&self, u: usize, v: usize) -> u64;
-    /// Fills `out[t] = A[u][k0 + t]` for every `t`.
-    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]);
-}
-
-/// [`AdjacencyBits`] over the dense bit matrix.
-struct MatrixBits<'a>(&'a BitMatrix);
-
-impl AdjacencyBits for MatrixBits<'_> {
-    #[inline]
-    fn bit(&self, u: usize, v: usize) -> u64 {
-        self.0.row(u).get(v) as u64
-    }
-
-    #[inline]
-    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
-        self.0.row(u).fill_bits_u64(k0, out);
-    }
-}
-
-/// [`AdjacencyBits`] over CSR neighbor slices — the million-node
-/// source. `fill_bits` scatters the (sorted) neighbors that land in
-/// `[k0, k0 + out.len())` into an all-zero window; on sparse-schedule
-/// candidate runs every bit is 1 by construction, so this agrees with
-/// the dense matrix wherever the schedule actually looks.
-struct CsrBits<'a>(&'a CsrGraph);
-
-impl AdjacencyBits for CsrBits<'_> {
-    #[inline]
-    fn bit(&self, u: usize, v: usize) -> u64 {
-        self.0.has_edge(u, v) as u64
-    }
-
-    #[inline]
-    fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
-        out.fill(0);
-        let nei = self.0.neighbors(u);
-        let lo = k0 as u32;
-        let mut at = nei.partition_point(|&x| x < lo);
-        while at < nei.len() {
-            let rel = (nei[at] as usize) - k0;
-            if rel >= out.len() {
-                break;
-            }
-            out[rel] = 1;
-            at += 1;
-        }
-    }
-}
-
-/// The hybrid dense-block/tile worker behind the streamed sparse
-/// schedule. Each candidate run (one [`MgDraw`]) is routed by its
-/// length against the public `tile_threshold` θ:
+/// [`CountKernel::Bitsliced`] in dealer mode: the hybrid
+/// dense-block/tile worker. Each candidate run (one
+/// [`cargo_mpc::MgDraw`]) is routed by its length against the public
+/// `tile_threshold` θ:
 ///
 /// * `groups ≥ θ` — **streamed**: the run is long enough to fill SIMD
-///   lanes on its own, so it goes through the fused
-///   [`PairDealer::count_block`] path exactly like
-///   [`count_chunk_batch`].
+///   lanes on its own, so each `k`-block is one word-level bit-slab
+///   extraction per row and one fused PRG-expansion + SoA arithmetic
+///   pass ([`PairDealer::count_block`]).
 /// * `groups < θ` — **gathered**: short straggler runs are packed
 ///   across pairs into a pair-block × k-range tile (an AoS word slab
 ///   plus per-lane `a/b/c` bits) and flushed through
@@ -629,20 +529,20 @@ impl AdjacencyBits for CsrBits<'_> {
 ///   degenerating to scalar tails.
 ///
 /// θ = 0 streams everything; θ = `u32::MAX` gathers everything. Every
-/// θ produces bit-identical shares: each lane's MG words come from the
-/// same canonical dealer offset either way, and the wrapping share
-/// sums are order-independent. The [`NetStats`] ledger stays exactly
-/// [`count_chunk_batch`]'s per-draw form — tiling regroups *kernel
-/// evaluation*, not wire rounds.
-///
-/// [`MgDraw`]: cargo_mpc::MgDraw
+/// θ produces shares bit-identical to each other and to
+/// [`count_chunk`]: each lane's MG words come from the same canonical
+/// dealer offset either way, wrapping sums are order-independent, and
+/// the opened maskings collapse to the values the scalar path
+/// reconstructs share by share. The [`NetStats`] ledger is tallied per
+/// draw (two bulk updates: full rounds + tail) — tiling regroups
+/// *kernel evaluation*, not wire rounds.
 fn count_chunk_tiled<B: AdjacencyBits>(
     bits: &B,
     seed: u64,
     sched: &CountScheduler,
     chunk: &PairChunk,
     tile_threshold: u32,
-) -> (Ring64, Ring64, NetStats, u64) {
+) -> CountPart {
     let batch = sched.batch();
     let mut t1 = 0u64;
     let mut t2 = 0u64;
@@ -661,8 +561,8 @@ fn count_chunk_tiled<B: AdjacencyBits>(
         let (i, j) = (d.i as usize, d.j as usize);
         let aij = bits.bit(i, j);
         let len = d.groups as usize;
-        // Identical ledger to `count_chunk_batch`: ⌊len/batch⌋ full
-        // rounds + tail, regardless of how the kernel tiles the run.
+        // ⌊len/batch⌋ full rounds + tail, regardless of how the kernel
+        // tiles the run.
         net.exchange_rounds((len / batch) as u64, 3 * batch as u64);
         if !len.is_multiple_of(batch) {
             net.exchange(3 * (len % batch) as u64);
@@ -710,63 +610,40 @@ fn count_chunk_tiled<B: AdjacencyBits>(
     (Ring64(t1), Ring64(t2), net, triples)
 }
 
-/// The OT-extension variant: the same online rounds, but the chunk's
-/// Multiplication Groups come out of one chunk-amortised
-/// [`OtMgEngine`] session (both servers' share structs, S₂'s built
-/// from OT outputs + derandomisation offsets) rather than from raw
-/// dealer words. Offline traffic accumulates in the chunk's
-/// [`NetStats::offline`] ledger — one extension session, one flight
-/// structure, one digest pair per flight for the whole chunk.
-fn count_chunk_ot(
-    matrix: &BitMatrix,
+/// The OT-extension worker: the same online rounds, but the chunk's
+/// Multiplication Groups (both servers' share structs, S₂'s built from
+/// OT outputs + derandomisation offsets) come out of one
+/// chunk-amortised [`OtMgEngine`] session — run inline here, or drawn
+/// from the background `pool` keyed by `chunk.id`, so the consumed
+/// bits are exactly the ones the inline session would have produced.
+/// Offline traffic accumulates in the chunk's [`NetStats::offline`]
+/// ledger — one extension session, one flight structure, one digest
+/// pair per flight for the whole chunk (inline or in a factory thread;
+/// same modeled cost).
+///
+/// NOTE on memory: the material is held for the chunk (~1/64 of the
+/// run), which is the *streaming* shape relative to a real offline
+/// phase that stores all C(n,3) groups; OT mode is only practical at
+/// small n anyway.
+fn count_chunk_ot<B: AdjacencyBits>(
+    bits: &B,
     seed: u64,
     sched: &CountScheduler,
     chunk: &PairChunk,
     kernel: CountKernel,
-) -> (Ring64, Ring64, NetStats, u64) {
-    // Offline: preprocess the whole chunk in one amortised session.
-    // NOTE on memory: the material is held for the chunk (~1/64 of the
-    // run), which is the *streaming* shape relative to a real offline
-    // phase that stores all C(n,3) groups; OT mode is only practical
-    // at small n anyway.
+    pool: Option<&TriplePool>,
+) -> CountPart {
     let plan = sched.chunk_plan(chunk);
-    let mut engine = OtMgEngine::for_chunk(seed, chunk.id as u64);
-    let material = engine.preprocess(&plan);
-    count_chunk_with_material(matrix, seed, sched, &plan, kernel, &material, engine.ledger())
-}
-
-/// The pooled sibling of [`count_chunk_ot`]: draw the chunk's material
-/// (and its per-session offline ledger) from the factory instead of
-/// preprocessing inline. Keyed by `chunk.id`, so the consumed bits are
-/// exactly the ones the inline session would have produced.
-fn count_chunk_pooled(
-    matrix: &BitMatrix,
-    seed: u64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-    kernel: CountKernel,
-    pool: &TriplePool,
-) -> (Ring64, Ring64, NetStats, u64) {
-    let (material, ledger) = pool
-        .take(chunk.id)
-        .unwrap_or_else(|e| panic!("offline triple pool failed on chunk {}: {e}", chunk.id));
-    let plan = sched.chunk_plan(chunk);
-    count_chunk_with_material(matrix, seed, sched, &plan, kernel, &material, ledger)
-}
-
-/// Online consumption of one chunk's preprocessed MG material — shared
-/// by the inline OT path and the pooled path, which therefore cannot
-/// diverge. `offline` is the ledger of the engine session that made
-/// `material` (inline or in a factory thread; same modeled cost).
-fn count_chunk_with_material(
-    matrix: &BitMatrix,
-    seed: u64,
-    sched: &CountScheduler,
-    plan: &[MgDraw],
-    kernel: CountKernel,
-    material: &MgChunkMaterial,
-    offline: cargo_mpc::OfflineLedger,
-) -> (Ring64, Ring64, NetStats, u64) {
+    let (material, offline) = match pool {
+        Some(pool) => pool
+            .take(chunk.id)
+            .unwrap_or_else(|e| panic!("offline triple pool failed on chunk {}: {e}", chunk.id)),
+        None => {
+            let mut engine = OtMgEngine::for_chunk(seed, chunk.id as u64);
+            let material = engine.preprocess(&plan);
+            (material, engine.ledger())
+        }
+    };
     let batch = sched.batch();
     let mut t1 = Ring64::ZERO;
     let mut t2 = Ring64::ZERO;
@@ -774,7 +651,10 @@ fn count_chunk_with_material(
     let mut triples = 0u64;
     net.offline.merge(&offline);
 
-    // Batch-kernel scratch (slab layouts of the per-server helpers).
+    // Adjacency bits of one block, then the batch kernel's scratch
+    // (slab layouts of the per-server helpers).
+    let mut b_bits = vec![0u64; batch];
+    let mut c_bits = vec![0u64; batch];
     let mut b1 = vec![Ring64::ZERO; batch];
     let mut b2 = vec![Ring64::ZERO; batch];
     let mut c1 = vec![Ring64::ZERO; batch];
@@ -786,11 +666,8 @@ fn count_chunk_with_material(
     for (idx, d) in plan.iter().enumerate() {
         let (i, j) = (d.i as usize, d.j as usize);
         let (g1s, g2s) = material.pair(idx);
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
-        let aij = Ring64::from_bit(row_i.get(j));
         let aij1 = Ring64(share_prf(seed, d.i, d.j));
-        let aij2 = aij - aij1;
+        let aij2 = Ring64(bits.bit(i, j)) - aij1;
         let mut k = j + 1 + d.start as usize;
         let end = k + d.groups as usize;
         let mut off = 0usize;
@@ -799,39 +676,30 @@ fn count_chunk_with_material(
             let g1b = &g1s[off..off + block];
             let g2b = &g2s[off..off + block];
             net.exchange(3 * block as u64);
+            bits.fill_bits(i, k, &mut b_bits[..block]);
+            bits.fill_bits(j, k, &mut c_bits[..block]);
+            for (l, kk) in (k..k + block).enumerate() {
+                b1[l] = Ring64(share_prf(seed, i as u32, kk as u32));
+                b2[l] = Ring64(b_bits[l]) - b1[l];
+                c1[l] = Ring64(share_prf(seed, j as u32, kk as u32));
+                c2[l] = Ring64(c_bits[l]) - c1[l];
+            }
             match kernel {
                 CountKernel::Scalar => {
-                    for (idx, (g1, g2)) in g1b.iter().zip(g2b).enumerate() {
-                        let kk = k + idx;
-                        let aik = Ring64::from_bit(row_i.get(kk));
-                        let aik1 = Ring64(share_prf(seed, i as u32, kk as u32));
-                        let aik2 = aik - aik1;
-                        let ajk = Ring64::from_bit(row_j.get(kk));
-                        let ajk1 = Ring64(share_prf(seed, j as u32, kk as u32));
-                        let ajk2 = ajk - ajk1;
+                    for (l, (g1, g2)) in g1b.iter().zip(g2b).enumerate() {
                         // Online steps 1–3 of the MG protocol on share
                         // structs, via the protocol-object combination.
                         let opening = Mul3Opening {
                             e: (aij1 - g1.x) + (aij2 - g2.x),
-                            f: (aik1 - g1.y) + (aik2 - g2.y),
-                            g: (ajk1 - g1.z) + (ajk2 - g2.z),
+                            f: (b1[l] - g1.y) + (b2[l] - g2.y),
+                            g: (c1[l] - g1.z) + (c2[l] - g2.z),
                         };
                         let efg = opening.e * opening.f * opening.g;
-                        t1 += mul3_combine((aij1, aik1, ajk1), g1, opening, Ring64::ZERO);
-                        t2 += mul3_combine((aij2, aik2, ajk2), g2, opening, efg);
+                        t1 += mul3_combine((aij1, b1[l], c1[l]), g1, opening, Ring64::ZERO);
+                        t2 += mul3_combine((aij2, b2[l], c2[l]), g2, opening, efg);
                     }
                 }
                 CountKernel::Bitsliced => {
-                    for (l, kk) in (k..k + block).enumerate() {
-                        let aik = Ring64::from_bit(row_i.get(kk));
-                        let aik1 = Ring64(share_prf(seed, i as u32, kk as u32));
-                        b1[l] = aik1;
-                        b2[l] = aik - aik1;
-                        let ajk = Ring64::from_bit(row_j.get(kk));
-                        let ajk1 = Ring64(share_prf(seed, j as u32, kk as u32));
-                        c1[l] = ajk1;
-                        c2[l] = ajk - ajk1;
-                    }
                     let slab = 3 * block;
                     mul3_mask_batch(aij1, &b1[..block], &c1[..block], g1b, &mut mine[..slab]);
                     mul3_mask_batch(aij2, &b2[..block], &c2[..block], g2b, &mut theirs[..slab]);
@@ -903,13 +771,21 @@ mod tests {
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
     use cargo_graph::{count_triangles_matrix, Graph};
 
+    fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
+        CountJob { threads, batch, ..CountJob::new(seed) }
+    }
+
+    fn ot_job(seed: u64, threads: usize, batch: usize) -> CountJob {
+        CountJob { offline: OfflineMode::OtExtension, ..job(seed, threads, batch) }
+    }
+
     #[test]
     fn secure_count_matches_plaintext_on_random_graphs() {
         for seed in 0..3u64 {
             let g = erdos_renyi(80, 0.2, seed);
             let m = g.to_bit_matrix();
             let want = count_triangles_matrix(&m);
-            let res = secure_triangle_count(&m, seed, 1);
+            let res = count_local(&m, &CountJob::new(seed));
             assert_eq!(res.reconstruct(), Ring64(want), "seed {seed}");
         }
     }
@@ -918,7 +794,7 @@ mod tests {
     fn secure_count_matches_reference_protocol() {
         let g = erdos_renyi(24, 0.3, 5);
         let m = g.to_bit_matrix();
-        let fast = secure_triangle_count(&m, 7, 1);
+        let fast = count_local(&m, &CountJob::new(7));
         let slow = secure_count_reference(&m, 7);
         // Different randomness ⇒ different shares, same reconstruction.
         assert_eq!(fast.reconstruct(), slow.reconstruct());
@@ -929,9 +805,9 @@ mod tests {
     fn thread_count_does_not_change_result() {
         let g = barabasi_albert(120, 5, 1);
         let m = g.to_bit_matrix();
-        let one = secure_triangle_count(&m, 3, 1);
-        let four = secure_triangle_count(&m, 3, 4);
-        let many = secure_triangle_count(&m, 3, 16);
+        let one = count_local(&m, &job(3, 1, 0));
+        let four = count_local(&m, &job(3, 4, 0));
+        let many = count_local(&m, &job(3, 16, 0));
         assert_eq!(one, four, "full result equality, NetStats included");
         assert_eq!(four.reconstruct(), many.reconstruct());
         assert_eq!(four.share1, many.share1);
@@ -942,9 +818,9 @@ mod tests {
     fn batch_size_does_not_change_shares() {
         let g = erdos_renyi(90, 0.25, 4);
         let m = g.to_bit_matrix();
-        let base = secure_triangle_count_batched(&m, 9, 2, 0);
+        let base = count_local(&m, &job(9, 2, 0));
         for batch in [1usize, 7, 64, 1000] {
-            let r = secure_triangle_count_batched(&m, 9, 2, batch);
+            let r = count_local(&m, &job(9, 2, batch));
             assert_eq!(r.share1, base.share1, "batch {batch}");
             assert_eq!(r.share2, base.share2, "batch {batch}");
             assert_eq!(r.triples, base.triples, "batch {batch}");
@@ -953,8 +829,8 @@ mod tests {
             assert_eq!(r.net.elements, base.net.elements, "batch {batch}");
             assert_eq!(r.net.bytes, base.net.bytes, "batch {batch}");
         }
-        let fine = secure_triangle_count_batched(&m, 9, 1, 1);
-        let coarse = secure_triangle_count_batched(&m, 9, 1, 1000);
+        let fine = count_local(&m, &job(9, 1, 1));
+        let coarse = count_local(&m, &job(9, 1, 1000));
         assert!(fine.net.rounds > coarse.net.rounds, "batching buys rounds");
         assert_eq!(fine.net.peak_batch, 3, "batch=1 opens one triple/round");
     }
@@ -966,8 +842,8 @@ mod tests {
         let g = erdos_renyi(40, 0.3, 2);
         let m = g.to_bit_matrix();
         for batch in [1usize, 7, 0] {
-            let dealer = secure_triangle_count_with(&m, 5, 1, batch, OfflineMode::TrustedDealer);
-            let ot = secure_triangle_count_with(&m, 5, 1, batch, OfflineMode::OtExtension);
+            let dealer = count_local(&m, &job(5, 1, batch));
+            let ot = count_local(&m, &ot_job(5, 1, batch));
             assert_eq!(ot.share1, dealer.share1, "batch {batch}");
             assert_eq!(ot.share2, dealer.share2, "batch {batch}");
             assert_eq!(ot.triples, dealer.triples);
@@ -990,8 +866,8 @@ mod tests {
         // threads = 4 genuinely shards the OT preprocessing.
         let g = erdos_renyi(64, 0.2, 8);
         let m = g.to_bit_matrix();
-        let one = secure_triangle_count_with(&m, 3, 1, 64, OfflineMode::OtExtension);
-        let four = secure_triangle_count_with(&m, 3, 4, 64, OfflineMode::OtExtension);
+        let one = count_local(&m, &ot_job(3, 1, 64));
+        let four = count_local(&m, &ot_job(3, 4, 64));
         assert_eq!(one, four, "full equality including the offline ledger");
     }
 
@@ -1000,16 +876,13 @@ mod tests {
         // Triangle 0-1-2; user 1 deleted a_12 → no triangle counted.
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap();
         let mut m = g.to_bit_matrix();
-        assert_eq!(
-            secure_triangle_count(&m, 1, 1).reconstruct(),
-            Ring64(1)
-        );
+        assert_eq!(count_local(&m, &CountJob::new(1)).reconstruct(), Ring64(1));
         m.set(1, 2, false);
         assert_eq!(
-            secure_triangle_count(&m, 1, 1).reconstruct(),
+            count_local(&m, &CountJob::new(1)).reconstruct(),
             Ring64(count_triangles_matrix(&m))
         );
-        assert_eq!(secure_triangle_count(&m, 1, 1).reconstruct(), Ring64(0));
+        assert_eq!(count_local(&m, &CountJob::new(1)).reconstruct(), Ring64(0));
     }
 
     #[test]
@@ -1017,7 +890,7 @@ mod tests {
         // A share alone reveals nothing: on a graph with T = 4 the
         // share should (overwhelmingly) not equal 4.
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
-        let res = secure_triangle_count(&g.to_bit_matrix(), 99, 1);
+        let res = count_local(&g.to_bit_matrix(), &CountJob::new(99));
         assert_eq!(res.reconstruct(), Ring64(4));
         assert_ne!(res.share1, Ring64(4));
         assert_ne!(res.share2, Ring64(4));
@@ -1029,7 +902,7 @@ mod tests {
     fn communication_matches_triple_count() {
         let n = 20;
         let g = erdos_renyi(n, 0.5, 2);
-        let res = secure_triangle_count(&g.to_bit_matrix(), 1, 1);
+        let res = count_local(&g.to_bit_matrix(), &CountJob::new(1));
         let c3 = (n * (n - 1) * (n - 2) / 6) as u64;
         assert_eq!(res.triples, c3);
         // 3 openings each way per triple.
@@ -1042,7 +915,7 @@ mod tests {
         assert_eq!(res.net.batches, pairs_with_k as u64);
         // At any batch size b, a pair contributes ceil(len/b) rounds.
         let b = 5usize;
-        let batched = secure_triangle_count_batched(&g.to_bit_matrix(), 1, 1, b);
+        let batched = count_local(&g.to_bit_matrix(), &job(1, 1, b));
         let want_rounds: u64 = (0..n)
             .flat_map(|i| (i + 1..n).map(move |j| (n - j - 1).div_ceil(b) as u64))
             .sum();
@@ -1053,7 +926,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_graphs() {
         let m = Graph::empty(2).to_bit_matrix();
-        let res = secure_triangle_count(&m, 1, 1);
+        let res = count_local(&m, &CountJob::new(1));
         assert_eq!(res.reconstruct(), Ring64::ZERO);
         assert_eq!(res.triples, 0);
     }
@@ -1062,10 +935,10 @@ mod tests {
     fn deterministic_under_seed() {
         let g = erdos_renyi(50, 0.2, 3);
         let m = g.to_bit_matrix();
-        let a = secure_triangle_count(&m, 11, 2);
-        let b = secure_triangle_count(&m, 11, 2);
+        let a = count_local(&m, &job(11, 2, 0));
+        let b = count_local(&m, &job(11, 2, 0));
         assert_eq!(a, b);
-        let c = secure_triangle_count(&m, 12, 2);
+        let c = count_local(&m, &job(12, 2, 0));
         assert_eq!(a.reconstruct(), c.reconstruct());
         assert_ne!(a.share1, c.share1, "different seed, different shares");
     }

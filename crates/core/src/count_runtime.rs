@@ -1,20 +1,21 @@
 //! A *distributed-systems-faithful* runtime for Algorithm 4.
 //!
-//! [`crate::count::secure_triangle_count`] is the fast simulation: it
-//! evaluates both servers' arithmetic in one loop. This module runs the
-//! same protocol the way a deployment would be shaped:
+//! [`crate::count::count_local`] is the fast simulation: it evaluates
+//! both servers' arithmetic in one loop. This module runs the same
+//! [`CountJob`] the way a deployment would be shaped:
 //!
-//! * **separate OS threads (or processes)** — a worker pool per server
-//!   S₁/S₂ plus the offline dealer (playing the OT preprocessing), or —
-//!   via [`run_party_count`] and the `party` binary — two genuinely
-//!   separate OS processes;
+//! * **separate OS threads (or processes)** — [`count_two_party`] runs
+//!   a worker pool per server S₁/S₂ plus the offline dealer (playing
+//!   the OT preprocessing) in one process; [`count_party`] runs exactly
+//!   one server, which is what the `party` binary's two genuinely
+//!   separate OS processes execute;
 //! * **real bytes on a real wire** — servers exchange masked openings
-//!   as encoded [`cargo_mpc::wire`] frames over a pluggable
-//!   [`Transport`]: the in-memory byte transport by default, loopback
-//!   (or cross-machine) TCP via [`threaded_secure_count_tcp`]. Neither
-//!   party can read the other's state, and neither ever holds a
-//!   plaintext adjacency bit (each receives only its own share matrix,
-//!   as uploaded by the users);
+//!   as encoded [`cargo_mpc::wire`] frames over whatever [`Transport`]
+//!   the caller hands in: `cargo_mpc::memory_pair()` for the in-memory
+//!   byte transport, `TcpTransport::loopback_pair(..)` (or a
+//!   cross-machine socket) for TCP. Neither party can read the other's
+//!   state, and neither ever uses a plaintext adjacency bit other than
+//!   to expand its own share matrix, as uploaded by the users;
 //! * **sharded, batched rounds** — the shared [`CountScheduler`]
 //!   partitions the `(i, j)` pair space into chunks; each server
 //!   worker owns the chunks congruent to its index, every `k`-batch of
@@ -40,58 +41,65 @@
 //! size, and transport backend, because both key their randomness per
 //! `(i, j)` pair.
 
-use crate::count::SecureCountResult;
+use crate::count::{finish, CountJob, CountPart, SecureCountResult};
 use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, ot_setup_ledger,
     plan_offsets, recv_msg, send_msg, split_mg_words, DealerMsg, InMemoryTransport, MulGroupShare,
-    NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, ServerId, TcpConfig,
-    TcpTransport, Transport, TriplePool, MG_WORDS,
+    NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, ServerId, Transport,
+    TriplePool, MG_WORDS,
 };
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
-/// Where a server worker's Multiplication-Group shares come from in
-/// trusted-dealer mode (OT-extension mode always runs the peer
-/// dialogue instead).
-enum DealerSource<D: Transport> {
-    /// A dealer process/thread streams [`DealerMsg`] frames over its
-    /// own link — the three-party shape of the in-process runtime.
-    Link(Arc<D>),
-    /// The worker expands its *own* share column of the seeded pair
-    /// streams locally — the two-process `party` shape, equivalent to
-    /// the dealer having predistributed the material before the run
-    /// (dealer traffic is a simulation device either way and is not
-    /// part of the modeled server↔server ledger).
-    Local,
-}
-
-impl<D: Transport> Clone for DealerSource<D> {
-    fn clone(&self) -> Self {
-        match self {
-            DealerSource::Link(link) => DealerSource::Link(Arc::clone(link)),
-            DealerSource::Local => DealerSource::Local,
-        }
-    }
-}
-
-/// One server's input share matrix, expanded **lazily** from the
-/// users' PRF: `⟨a_ij⟩₁ = PRF(seed, i, j)` and `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁`,
-/// recomputed on demand instead of materialised up front. An n×n
-/// `Ring64` table is ~3.2 GB at n = 20 000 — the scale the sparse
-/// schedule exists to reach — while the packed [`BitMatrix`] it
-/// expands from is n²/8 bytes (50 MB).
-#[derive(Clone)]
-struct ShareView {
-    matrix: Arc<BitMatrix>,
-    seed: u64,
+/// One server of the sharded runtime — the state its worker pool
+/// shares. Worker `w` of `workers` owns the chunks with
+/// `id ≡ w (mod workers)`.
+struct Server<'a, T: Transport> {
     id: ServerId,
+    job: &'a CountJob,
+    sched: &'a CountScheduler,
+    /// The users' plaintext rows, touched only to expand **this
+    /// server's** input shares lazily: `⟨a_ij⟩₁ = PRF(seed, i, j)` and
+    /// `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁`, recomputed on demand instead of
+    /// materialised up front. An n×n `Ring64` table is ~3.2 GB at
+    /// n = 20 000 — the scale the sparse schedule exists to reach —
+    /// while the packed [`BitMatrix`] it expands from is n²/8 bytes.
+    matrix: &'a BitMatrix,
+    /// Record the modeled [`NetStats`] and triple count.
+    /// [`count_two_party`] sets this on S₁ only (its merged stats then
+    /// count each bidirectional exchange once); a standalone party sets
+    /// it on its own side, so its ledger is the full bidirectional
+    /// model.
+    tally: bool,
+    /// The server↔server wire (openings + offline dialogue).
+    peer: &'a T,
+    /// Where Multiplication-Group shares come from in trusted-dealer
+    /// mode (OT mode always runs the peer dialogue or the pool
+    /// instead): `Some` — a dealer thread streams [`DealerMsg`] frames
+    /// over its own link, the three-party shape of
+    /// [`count_two_party`]; `None` — the worker expands its *own* share
+    /// column of the seeded pair streams locally, the two-process
+    /// `party` shape, equivalent to the dealer having predistributed
+    /// the material before the run (dealer traffic is a simulation
+    /// device either way and is not part of the modeled server↔server
+    /// ledger).
+    dealer: Option<&'a InMemoryTransport>,
+    /// Background triple factory (OT mode only): when set, chunk
+    /// material is *drawn* from this server's private pool keyed by the
+    /// chunk id instead of being preprocessed inline on the peer link —
+    /// the predistribution stance of the local dealer, but with the
+    /// generation cost still modeled via the pooled per-chunk ledger.
+    /// The factory derives both share columns of each chunk locally
+    /// and the worker keeps only its own side.
+    pool: Option<&'a TriplePool>,
 }
 
-impl ShareView {
+impl<'env, T: Transport> Server<'env, T> {
     /// This server's share of the single bit `a_ij`.
-    fn at(&self, i: usize, j: usize) -> Ring64 {
-        let s1 = Ring64(share_prf(self.seed, i as u32, j as u32));
+    fn share(&self, i: usize, j: usize) -> Ring64 {
+        let s1 = Ring64(share_prf(self.job.seed, i as u32, j as u32));
         match self.id {
             ServerId::S1 => s1,
             ServerId::S2 => Ring64::from_bit(self.matrix.get(i, j)) - s1,
@@ -101,61 +109,40 @@ impl ShareView {
     /// Expands the row-`i` shares `⟨a_i,k0⟩ .. ⟨a_i,k0+len⟩` into `out`.
     fn fill_row(&self, i: usize, k0: usize, out: &mut [Ring64]) {
         for (o, slot) in out.iter_mut().enumerate() {
-            *slot = self.at(i, k0 + o);
+            *slot = self.share(i, k0 + o);
         }
     }
-}
 
-/// The state one server worker runs with. A server is a *pool* of
-/// these: worker `w` owns the chunks with `id ≡ w (mod workers)` and
-/// shares the peer/dealer links with its siblings.
-struct ServerWorker<T: Transport, D: Transport> {
-    id: ServerId,
-    worker: usize,
-    workers: usize,
-    mode: OfflineMode,
-    seed: u64,
-    /// Record the modeled [`NetStats`]. The in-process runtime sets
-    /// this on S₁ only (its merged stats then count each bidirectional
-    /// exchange once); a standalone party process sets it on its own
-    /// side, so its ledger is the full bidirectional model.
-    tally: bool,
-    sched: Arc<CountScheduler>,
-    /// This server's input shares, expanded lazily per block.
-    shares: ShareView,
-    /// The server↔server wire (openings + offline dialogue).
-    peer: Arc<T>,
-    /// MG share source in trusted-dealer mode.
-    dealer: DealerSource<D>,
-    /// Background triple factory (OT mode only): when set, chunk
-    /// material is *drawn* from this server's pool keyed by the chunk
-    /// id instead of being preprocessed inline on the peer link — the
-    /// predistribution stance of [`DealerSource::Local`], but with the
-    /// generation cost still modeled via the pooled per-chunk ledger.
-    pool: Option<Arc<TriplePool>>,
-}
+    /// Starts this server's worker pool: no more workers than there
+    /// are chunks to own.
+    fn spawn<'scope>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+    ) -> Vec<ScopedJoinHandle<'scope, CountPart>> {
+        let workers = self.sched.workers().min(self.sched.chunks().len()).max(1);
+        (0..workers)
+            .map(|w| scope.spawn(move || self.run(w, workers)))
+            .collect()
+    }
 
-impl<T: Transport, D: Transport> ServerWorker<T, D> {
-    /// Runs this worker's share of the protocol, returning its partial
-    /// `⟨T⟩` and traffic tally.
-    fn run(self) -> (Ring64, NetStats) {
+    /// Runs worker `w`'s share of the protocol: its partial `⟨T⟩` (in
+    /// this server's slot), traffic tally and triple count.
+    fn run(&self, w: usize, workers: usize) -> CountPart {
         let mut t_share = Ring64::ZERO;
         let mut net = NetStats::new();
-        let my_chunks: Vec<PairChunk> = self
-            .sched
-            .chunks()
-            .iter()
-            .filter(|c| c.id as usize % self.workers == self.worker)
-            .copied()
-            .collect();
-        for chunk in my_chunks {
-            t_share += self.run_chunk(&chunk, &mut net);
+        let mut triples = 0u64;
+        for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
+            t_share += self.run_chunk(chunk, &mut net, &mut triples);
         }
-        (t_share, net)
+        match self.id {
+            ServerId::S1 => (t_share, Ring64::ZERO, net, triples),
+            ServerId::S2 => (Ring64::ZERO, t_share, net, triples),
+        }
     }
 
-    fn run_chunk(&self, chunk: &PairChunk, net: &mut NetStats) -> Ring64 {
+    fn run_chunk(&self, chunk: &PairChunk, net: &mut NetStats, triples: &mut u64) -> Ring64 {
         let batch = self.sched.batch();
+        let seed = self.job.seed;
         let mut t_share = Ring64::ZERO;
         // The chunk's draw plan — a pure function of the chunk id and
         // the public schedule: one full-range draw per pair on the
@@ -167,9 +154,8 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
         // one amortised session over the peer link, or by drawing the
         // chunk's entry from the background pool; the dealer (link or
         // local stream) provides material per block below.
-        let material = match (&self.pool, self.mode) {
+        let material = match (self.pool, self.job.offline) {
             (Some(pool), _) => {
-                let offsets = plan_offsets(&plan);
                 let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
                     panic!("offline triple pool failed on chunk {}: {e}", chunk.id)
                 });
@@ -184,21 +170,20 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
                         ServerId::S2 => g2,
                     });
                 }
-                Some((groups, offsets))
+                Some((groups, plan_offsets(&plan)))
             }
             (None, OfflineMode::TrustedDealer) => None,
             (None, OfflineMode::OtExtension) => {
-                let offsets = plan_offsets(&plan);
                 let groups = mg_offline_over_wire(
-                    &*self.peer,
+                    self.peer,
                     self.id,
-                    self.seed,
+                    seed,
                     chunk.id,
                     &plan,
                     self.tally,
                     &mut net.offline,
                 );
-                Some((groups, offsets))
+                Some((groups, plan_offsets(&plan)))
             }
         };
         let mut mine = vec![0u64; 3 * batch];
@@ -209,15 +194,11 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
         let mut c_blk = vec![Ring64::ZERO; batch];
         for (draw_idx, d) in plan.iter().enumerate() {
             let (i, j) = (d.i as usize, d.j as usize);
-            let aij = self.shares.at(i, j);
+            let aij = self.share(i, j);
             // The local dealer stream of this draw (party shape only),
             // sought to the draw's canonical offset in the pair stream.
-            let mut stream = match (&material, &self.dealer) {
-                (None, DealerSource::Local) => {
-                    let mut s = PairDealer::for_pair(self.seed, d.i, d.j);
-                    s.skip_groups(d.start as usize);
-                    Some(s)
-                }
+            let mut stream = match (&material, self.dealer) {
+                (None, None) => Some(PairDealer::for_draw(seed, d)),
                 _ => None,
             };
             let mut k = j + 1 + d.start as usize;
@@ -227,52 +208,50 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
                 let block = (end - k).min(batch);
                 let pair = (d.i, d.j);
                 let dealer_groups;
-                let groups: &[MulGroupShare] = match &material {
-                    Some((groups, offsets)) => {
+                let groups: &[MulGroupShare] = match (&material, self.dealer) {
+                    (Some((groups, offsets)), _) => {
                         let base = offsets[draw_idx] + off;
                         &groups[base..base + block]
                     }
-                    None => match &self.dealer {
-                        DealerSource::Link(link) => {
-                            let msg: DealerMsg =
-                                recv_msg(&**link, chunk.id, Some(link.recv_timeout()))
-                                    .unwrap_or_else(|e| panic!("dealer lost: {e}"));
-                            assert_eq!(msg.chunk, chunk.id, "demux routed a foreign chunk");
-                            assert_eq!(msg.pair, pair, "dealer out of lockstep");
-                            assert_eq!(msg.k0 as usize, k, "dealer batch out of lockstep");
-                            dealer_groups = msg.groups;
-                            &dealer_groups
-                        }
-                        DealerSource::Local => {
-                            let stream = stream.as_mut().expect("local stream set per draw");
-                            stream.fill_words(&mut words[..MG_WORDS * block]);
-                            local_groups.clear();
-                            local_groups.extend((0..block).map(|g| {
-                                let w = &words[MG_WORDS * g..MG_WORDS * (g + 1)];
-                                let (s1, s2) = split_mg_words(w);
-                                match self.id {
-                                    ServerId::S1 => s1,
-                                    ServerId::S2 => s2,
-                                }
-                            }));
-                            &local_groups
-                        }
-                    },
+                    (None, Some(link)) => {
+                        let msg: DealerMsg = recv_msg(link, chunk.id, Some(link.recv_timeout()))
+                            .unwrap_or_else(|e| panic!("dealer lost: {e}"));
+                        assert_eq!(msg.chunk, chunk.id, "demux routed a foreign chunk");
+                        assert_eq!(msg.pair, pair, "dealer out of lockstep");
+                        assert_eq!(msg.k0 as usize, k, "dealer batch out of lockstep");
+                        dealer_groups = msg.groups;
+                        &dealer_groups
+                    }
+                    (None, None) => {
+                        let stream = stream.as_mut().expect("local stream set per draw");
+                        stream.fill_words(&mut words[..MG_WORDS * block]);
+                        local_groups.clear();
+                        local_groups.extend((0..block).map(|g| {
+                            let w = &words[MG_WORDS * g..MG_WORDS * (g + 1)];
+                            let (s1, s2) = split_mg_words(w);
+                            match self.id {
+                                ServerId::S1 => s1,
+                                ServerId::S2 => s2,
+                            }
+                        }));
+                        &local_groups
+                    }
                 };
                 assert_eq!(groups.len(), block, "offline batch size mismatch");
                 // Step 1: local maskings for the whole k batch, as one
                 // [e|f|g] slab (the batch kernel's layout — and the
                 // payload of the opening frame).
                 let slab = 3 * block;
-                self.shares.fill_row(i, k, &mut b_blk[..block]);
-                self.shares.fill_row(j, k, &mut c_blk[..block]);
+                self.fill_row(i, k, &mut b_blk[..block]);
+                self.fill_row(j, k, &mut c_blk[..block]);
                 mul3_mask_batch(aij, &b_blk[..block], &c_blk[..block], groups, &mut mine[..slab]);
                 // Step 2: one round — send mine, receive the peer's.
                 if self.tally {
                     net.exchange(3 * block as u64);
+                    *triples += block as u64;
                 }
                 send_msg(
-                    &*self.peer,
+                    self.peer,
                     &OpeningMsg {
                         chunk: chunk.id,
                         pair,
@@ -281,8 +260,9 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
                     },
                 )
                 .expect("peer hung up");
-                let theirs: OpeningMsg = recv_msg(&*self.peer, chunk.id, Some(self.peer.recv_timeout()))
-                    .unwrap_or_else(|e| panic!("peer lost during online round: {e}"));
+                let theirs: OpeningMsg =
+                    recv_msg(self.peer, chunk.id, Some(self.peer.recv_timeout()))
+                        .unwrap_or_else(|e| panic!("peer lost during online round: {e}"));
                 assert_eq!(theirs.chunk, chunk.id, "demux routed a foreign chunk");
                 assert_eq!(theirs.pair, pair, "peer out of lockstep");
                 assert_eq!(theirs.k0 as usize, k, "peer batch out of lockstep");
@@ -298,21 +278,32 @@ impl<T: Transport, D: Transport> ServerWorker<T, D> {
     }
 }
 
+/// Joins one server's worker pool.
+fn join_server(id: ServerId, pool: Vec<ScopedJoinHandle<'_, CountPart>>) -> Vec<CountPart> {
+    pool.into_iter()
+        .map(|h| h.join().unwrap_or_else(|_| panic!("{id:?} worker panicked")))
+        .collect()
+}
+
 /// The dealer thread body: streams MG share batches to both servers,
 /// chunk by chunk, drawing each `(i, j)` pair's groups from the same
 /// [`PairDealer`] stream the fast kernel block-expands — so both
 /// runtimes produce identical shares. Frames are tagged with the
 /// chunk id; the servers' transports deliver each to whichever worker
 /// owns that shard.
-fn dealer_thread<D: Transport>(sched: &CountScheduler, seed: u64, tx1: &D, tx2: &D) {
+fn dealer_thread(
+    sched: &CountScheduler,
+    seed: u64,
+    tx1: &InMemoryTransport,
+    tx2: &InMemoryTransport,
+) {
     let batch = sched.batch();
     for chunk in sched.chunks() {
         for d in sched.chunk_plan(chunk) {
             // Seek the pair stream to this draw's canonical offset —
             // the same position every other MG source uses for the
             // same `(i, j, k)` triple, on any schedule.
-            let mut stream = PairDealer::for_pair(seed, d.i, d.j);
-            stream.skip_groups(d.start as usize);
+            let mut stream = PairDealer::for_draw(seed, &d);
             let mut k = d.j as usize + 1 + d.start as usize;
             let end = k + d.groups as usize;
             while k < end {
@@ -362,477 +353,143 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
     shares
 }
 
-/// Runs ONE server's worker pool of the sharded Count against a live
-/// peer on the other end of `link` — the entry point of the `party`
-/// binaries (via [`crate::party`]).
+/// Runs ONE server's worker pool of `job` against a live peer on the
+/// other end of `link` — the executor of the `party` binaries (via
+/// [`crate::party`]) and of the serve sessions.
 ///
 /// The party tallies the full bidirectional modeled ledger itself
 /// (both processes report identical `NetStats`), expands dealer
-/// material locally in trusted-dealer mode, runs the OT dialogue over
-/// `link` in OT mode, and finally overwrites
-/// [`NetStats::wire_bytes`] with the online payload bytes the
-/// transport measured — which the equivalence suites pin equal to the
-/// modeled `bytes`.
-pub fn run_party_count<T: Transport>(
+/// material locally in trusted-dealer mode, and in OT mode either runs
+/// the preprocessing dialogue over `link` or — with [`CountJob::pool`]
+/// enabled — draws chunk material from a private background
+/// [`TriplePool`], the generation cost still tallied from the pooled
+/// per-chunk ledgers (so the modeled [`NetStats`] equals the inline OT
+/// party's; fill/drain counters land in [`SecureCountResult::pool`]).
+/// Finally it overwrites [`NetStats::wire_bytes`] with the online
+/// payload bytes the transport measured — which the equivalence suites
+/// pin equal to the modeled `bytes`.
+///
+/// Both parties must be handed the same job (or the lockstep asserts
+/// fire). The other share lives in the peer process: the result
+/// carries ours in the slot matching `id` and zero in the other.
+pub fn count_party<T: Transport>(
     matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
+    job: &CountJob,
     id: ServerId,
     link: &Arc<T>,
 ) -> SecureCountResult {
-    run_party_count_pooled(matrix, seed, threads, batch, mode, id, link, PoolPolicy::INLINE)
-}
-
-/// [`run_party_count`] with an explicit [`PoolPolicy`]: when the
-/// policy is enabled **and** `mode` is OT extension, this party's
-/// workers draw chunk material from a local background [`TriplePool`]
-/// instead of running the preprocessing dialogue over `link` — the
-/// predistribution stance of trusted-dealer mode, with the generation
-/// cost still tallied from the pooled per-chunk ledgers (so the
-/// modeled [`NetStats`] equals the inline OT party's). The pool knob
-/// is ignored in trusted-dealer mode, which has no offline phase to
-/// pool. Pool fill/drain counters are surfaced on
-/// [`SecureCountResult::pool`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_party_count_pooled<T: Transport>(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    id: ServerId,
-    link: &Arc<T>,
-    policy: PoolPolicy,
-) -> SecureCountResult {
-    run_party_count_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
+    let sched = job.scheduler(matrix.n());
+    let pool = job.spawn_pool(&sched);
+    let server = Server {
         id,
-        link,
-        policy,
-        SchedulePlan::DenseCube,
-    )
+        job,
+        sched: &sched,
+        matrix,
+        tally: true,
+        peer: &**link,
+        dealer: None,
+        pool: pool.as_ref(),
+    };
+    let parts = std::thread::scope(|scope| join_server(id, server.spawn(scope)));
+    let pool = pool.map(|p| p.stats()).unwrap_or_default();
+    let mut result = finish(&sched, job.offline, parts, pool);
+    result.net.wire_bytes = link.stats().online_payload_both();
+    result
 }
 
-/// [`run_party_count_pooled`] with an explicit [`SchedulePlan`]: on
-/// [`SchedulePlan::CandidatePairs`] this party's workers walk only the
-/// sparse candidate draw list (both parties must be handed the same
-/// public plan, or the lockstep asserts fire). Shares of every
-/// surviving triple are bit-identical to the dense schedule's because
-/// all MG material is drawn at its canonical pair-stream offset.
+/// Pinned by `benchmark/src/bin/trace/pipeline.rs`, which calls it
+/// positionally.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn run_party_count_planned<T: Transport>(
     matrix: &BitMatrix,
     seed: u64,
     threads: usize,
     batch: usize,
-    mode: OfflineMode,
+    offline: OfflineMode,
     id: ServerId,
     link: &Arc<T>,
-    policy: PoolPolicy,
+    pool: PoolPolicy,
     plan: SchedulePlan,
 ) -> SecureCountResult {
-    let n = matrix.n();
-    let sched = Arc::new(CountScheduler::with_plan(n, threads.max(1), batch, plan));
-    let shares = ShareView { matrix: Arc::new(matrix.clone()), seed, id };
-    let workers = sched.workers().min(sched.chunks().len()).max(1);
-    let triple_pool = spawn_triple_pool(&sched, seed, mode, policy);
-    let (share, mut net) = std::thread::scope(|scope| {
-        let pool: Vec<_> = (0..workers)
-            .map(|w| {
-                let worker = ServerWorker::<T, InMemoryTransport> {
-                    id,
-                    worker: w,
-                    workers,
-                    mode,
-                    seed,
-                    tally: true,
-                    sched: Arc::clone(&sched),
-                    shares: shares.clone(),
-                    peer: Arc::clone(link),
-                    dealer: DealerSource::Local,
-                    pool: triple_pool.clone(),
-                };
-                scope.spawn(move || worker.run())
-            })
-            .collect();
-        let mut t = Ring64::ZERO;
-        let mut net = NetStats::new();
-        for h in pool {
-            let (share, stats) = h.join().expect("party worker panicked");
-            t += share;
-            net.merge(&stats);
-        }
-        (t, net)
-    });
-    if mode == OfflineMode::OtExtension && !sched.chunks().is_empty() {
-        net.offline.merge(&ot_setup_ledger());
-    }
-    net.wire_bytes = link.stats().online_payload_both();
-    let pool = triple_pool.map(|p| p.stats()).unwrap_or_default();
-    // The other share lives in the peer process; this result carries
-    // ours in the slot matching our role and zero in the other.
-    let (share1, share2) = match id {
-        ServerId::S1 => (share, Ring64::ZERO),
-        ServerId::S2 => (Ring64::ZERO, share),
-    };
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples: sched.total_triples(),
-        pool,
-    }
+    let job = CountJob { threads, batch, offline, pool, plan, ..CountJob::new(seed) };
+    count_party(matrix, &job, id, link)
 }
 
-/// Starts one server's background triple factory when the policy asks
-/// for one and the run is in OT mode (the only mode with an offline
-/// phase to pool). Each server owns a private pool — like
-/// [`DealerSource::Local`], the factory derives both share columns of
-/// each chunk locally and the worker keeps only its own side.
-fn spawn_triple_pool(
-    sched: &CountScheduler,
-    seed: u64,
-    mode: OfflineMode,
-    policy: PoolPolicy,
-) -> Option<Arc<TriplePool>> {
-    if !policy.enabled() || mode != OfflineMode::OtExtension || sched.chunks().is_empty() {
-        return None;
-    }
-    let plans: Vec<_> = sched.chunks().iter().map(|c| sched.chunk_plan(c)).collect();
-    Some(Arc::new(TriplePool::new(seed, plans, policy)))
-}
-
-/// Runs Algorithm 4 on the sharded message-passing runtime with one
-/// worker per server (plus the dealer) and the default batch size —
-/// the paper-faithful three-thread deployment shape — over the
-/// in-memory byte transport.
+/// Runs `job` with **both** server pools in this process, over the two
+/// ends of a link pair the caller made (`memory_pair()`, a
+/// `TcpTransport::loopback_pair` with whatever recv timeout the caller
+/// wants, a fault-injecting decorator, …) — every opening crosses that
+/// link as encoded frames.
 ///
-/// Produces byte-identical shares to
-/// [`crate::count::secure_triangle_count`] with the same seed (both
-/// expand users' input shares and the dealer's randomness from the
-/// same per-pair PRF streams).
-pub fn threaded_secure_count(matrix: &BitMatrix, seed: u64) -> SecureCountResult {
-    threaded_secure_count_sharded(matrix, seed, 1, 0)
-}
-
-/// [`threaded_secure_count`] with `threads` workers **per server** and
-/// an explicit batch size (0 ⇒ default). Shares equal the fast path's
-/// for every `(threads, batch)` — the scheduler keys randomness per
-/// `(i, j)` pair, so sharding changes only who computes what.
-pub fn threaded_secure_count_sharded(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-) -> SecureCountResult {
-    threaded_secure_count_offline(matrix, seed, threads, batch, OfflineMode::TrustedDealer)
-}
-
-/// [`threaded_secure_count_sharded`] with an explicit offline mode,
-/// over the default in-memory byte transport.
+/// In trusted-dealer mode a dealer thread streams [`DealerMsg`] frames
+/// to each server over dedicated in-memory links (encoded and counted
+/// too, but never sharing the server↔server wire). Under
+/// [`OfflineMode::OtExtension`] there is **no dealer thread**: the two
+/// pools run the IKNP/Gilboa preprocessing dialogue against each other
+/// over the same link — one chunk-amortised extension session (flights
+/// of five messages) per pair-space chunk, before that chunk's online
+/// rounds — or, with [`CountJob::pool`] enabled, each server draws from
+/// a private background factory and no offline bytes cross the link
+/// while the modeled ledger is unchanged.
 ///
-/// Under [`OfflineMode::OtExtension`] there is **no dealer thread**:
-/// the two server pools run the IKNP/Gilboa preprocessing dialogue
-/// against each other over the same server↔server link — one
-/// chunk-amortised extension session (flights of five messages) per
-/// pair-space chunk, before that chunk's online rounds — which is the
-/// paper-faithful deployment shape of the offline phase. Shares,
-/// online [`NetStats`] and the offline ledger are bit-identical to
-/// [`crate::count::secure_triangle_count_with`] in the same mode.
-pub fn threaded_secure_count_offline(
+/// Shares, the online [`NetStats`] and the offline ledger are
+/// bit-identical to [`crate::count::count_local`] on the same job;
+/// `wire_bytes` is what `end1` actually measured.
+pub fn count_two_party<T: Transport>(
     matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
+    job: &CountJob,
+    end1: &Arc<T>,
+    end2: &Arc<T>,
 ) -> SecureCountResult {
-    threaded_secure_count_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        PoolPolicy::INLINE,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`threaded_secure_count_offline`] with an explicit [`PoolPolicy`]
-/// and [`SchedulePlan`], over the in-memory byte transport — the fully
-/// general in-process entry point. On
-/// [`SchedulePlan::CandidatePairs`] both server pools (and the dealer,
-/// in trusted-dealer mode) walk only the public candidate draw list;
-/// shares of every surviving triple are bit-identical to the dense
-/// cube's because MG material always sits at its canonical pair-stream
-/// offset.
-pub fn threaded_secure_count_planned(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    policy: PoolPolicy,
-    plan: SchedulePlan,
-) -> SecureCountResult {
-    let (end1, end2) = cargo_mpc::memory_pair();
-    threaded_secure_count_over(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        Arc::new(end1),
-        Arc::new(end2),
-        policy,
-        plan,
-    )
-}
-
-/// [`threaded_secure_count_offline`] in OT mode with each server
-/// drawing its chunk material from a private background
-/// [`TriplePool`] (`policy` must be enabled): the offline triple
-/// factory runs ahead of — and concurrently with — the online rounds,
-/// while shares, online `NetStats` and the modeled offline ledger stay
-/// bit-identical to the inline OT runtime at every
-/// `factory_threads × pool_depth`.
-pub fn threaded_secure_count_pooled(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    policy: PoolPolicy,
-) -> SecureCountResult {
-    assert!(policy.enabled(), "pooled runtime requires factory_threads >= 1");
-    threaded_secure_count_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        OfflineMode::OtExtension,
-        policy,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`threaded_secure_count_offline`] over **real loopback TCP
-/// sockets**: the two server pools still live in one process, but
-/// every opening (and, in OT mode, every offline flight) crosses the
-/// kernel's network stack as encoded frames. Results and `NetStats`
-/// are bit-identical to the in-memory and fast paths; only the
-/// transport changes. (The two-OS-process shape is the `party`
-/// binary.)
-pub fn threaded_secure_count_tcp(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-) -> SecureCountResult {
-    threaded_secure_count_tcp_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        PoolPolicy::INLINE,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`threaded_secure_count_tcp`] with an explicit [`PoolPolicy`] and
-/// [`SchedulePlan`] — the loopback-socket twin of
-/// [`threaded_secure_count_planned`].
-pub fn threaded_secure_count_tcp_planned(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    policy: PoolPolicy,
-    plan: SchedulePlan,
-) -> SecureCountResult {
-    let (end1, end2, _) = TcpTransport::loopback_pair(&TcpConfig::default())
-        .expect("loopback socket pair");
-    threaded_secure_count_over(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        Arc::new(end1),
-        Arc::new(end2),
-        policy,
-        plan,
-    )
-}
-
-/// [`threaded_secure_count_tcp`] in OT mode with per-server background
-/// triple pools (see [`threaded_secure_count_pooled`]): the factories
-/// preprocess locally while only the online openings cross the
-/// sockets.
-pub fn threaded_secure_count_tcp_pooled(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    policy: PoolPolicy,
-) -> SecureCountResult {
-    assert!(policy.enabled(), "pooled runtime requires factory_threads >= 1");
-    threaded_secure_count_tcp_planned(
-        matrix,
-        seed,
-        threads,
-        batch,
-        OfflineMode::OtExtension,
-        policy,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`threaded_secure_count_tcp_planned`] with an explicit wire recv
-/// timeout (threaded from [`crate::CargoConfig::recv_timeout`] by the
-/// pipeline and the experiments CLI): how long either loopback end
-/// waits on a silent peer before the run fails typed instead of
-/// hanging.
-#[allow(clippy::too_many_arguments)]
-pub fn threaded_secure_count_tcp_timed(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    policy: PoolPolicy,
-    plan: SchedulePlan,
-    recv_timeout: std::time::Duration,
-) -> SecureCountResult {
-    let tcp_cfg = TcpConfig {
-        recv_timeout,
-        ..TcpConfig::default()
-    };
-    let (end1, end2, _) = TcpTransport::loopback_pair(&tcp_cfg)
-        .expect("loopback socket pair");
-    threaded_secure_count_over(
-        matrix,
-        seed,
-        threads,
-        batch,
-        mode,
-        Arc::new(end1),
-        Arc::new(end2),
-        policy,
-        plan,
-    )
-}
-
-/// The transport-generic core of the in-process runtime: both server
-/// pools over the two ends of one [`Transport`] link, plus (in
-/// trusted-dealer mode) a dealer thread streaming [`DealerMsg`] frames
-/// over dedicated in-memory links.
-#[allow(clippy::too_many_arguments)]
-fn threaded_secure_count_over<T: Transport>(
-    matrix: &BitMatrix,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    end1: Arc<T>,
-    end2: Arc<T>,
-    policy: PoolPolicy,
-    plan: SchedulePlan,
-) -> SecureCountResult {
-    let n = matrix.n();
-    let sched = Arc::new(CountScheduler::with_plan(n, threads.max(1), batch, plan));
-    // Pooled OT mode: each server owns a private triple factory, the
-    // way each party process expands dealer material locally — no
-    // offline bytes cross the server↔server link, but the modeled
-    // ledger (pooled per-chunk entries) is unchanged.
-    let pool1 = spawn_triple_pool(&sched, seed, mode, policy);
-    let pool2 = spawn_triple_pool(&sched, seed, mode, policy);
-    // Users upload input shares: each server receives ONLY its own
-    // (lazily expanded) matrix.
-    let matrix = Arc::new(matrix.clone());
-    let shares1 = ShareView { matrix: Arc::clone(&matrix), seed, id: ServerId::S1 };
-    let shares2 = ShareView { matrix: Arc::clone(&matrix), seed, id: ServerId::S2 };
-    // Workers per server: no more than there are chunks to own.
-    let workers = sched.workers().min(sched.chunks().len()).max(1);
-
-    // Dealer links (trusted-dealer mode only): the dealer keeps its
-    // own in-memory byte links to each server — its frames are encoded
-    // and counted too, but never share the server↔server wire.
+    let sched = job.scheduler(matrix.n());
+    let pool1 = job.spawn_pool(&sched);
+    let pool2 = job.spawn_pool(&sched);
     let (d1tx, d1rx) = cargo_mpc::memory_pair();
     let (d2tx, d2rx) = cargo_mpc::memory_pair();
-    let (d1rx, d2rx) = (Arc::new(d1rx), Arc::new(d2rx));
-
-    let (share1, share2, mut net) = std::thread::scope(|scope| {
-        let dealer = match mode {
-            OfflineMode::TrustedDealer => Some({
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || dealer_thread(&sched, seed, &d1tx, &d2tx))
-            }),
-            OfflineMode::OtExtension => {
-                drop((d1tx, d2tx));
-                None
-            }
-        };
-        let spawn_pool = |id: ServerId,
-                          shares: &ShareView,
-                          peer: &Arc<T>,
-                          dealer_rx: &Arc<InMemoryTransport>,
-                          triple_pool: &Option<Arc<TriplePool>>,
-                          tally: bool| {
-            (0..workers)
-                .map(|w| {
-                    let worker = ServerWorker {
-                        id,
-                        worker: w,
-                        workers,
-                        mode,
-                        seed,
-                        tally,
-                        sched: Arc::clone(&sched),
-                        shares: shares.clone(),
-                        peer: Arc::clone(peer),
-                        dealer: match mode {
-                            OfflineMode::TrustedDealer => {
-                                DealerSource::Link(Arc::clone(dealer_rx))
-                            }
-                            OfflineMode::OtExtension => DealerSource::Local,
-                        },
-                        pool: triple_pool.clone(),
-                    };
-                    scope.spawn(move || worker.run())
-                })
-                .collect::<Vec<_>>()
-        };
+    let dealt = job.offline == OfflineMode::TrustedDealer;
+    let s1 = Server {
+        id: ServerId::S1,
+        job,
+        sched: &sched,
+        matrix,
         // S₁ tallies the full bidirectional exchanges so the merged
         // stats equal one exchange per batch.
-        let pool1 = spawn_pool(ServerId::S1, &shares1, &end1, &d1rx, &pool1, true);
-        let pool2 = spawn_pool(ServerId::S2, &shares2, &end2, &d2rx, &pool2, false);
+        tally: true,
+        peer: &**end1,
+        dealer: dealt.then_some(&d1rx),
+        pool: pool1.as_ref(),
+    };
+    let s2 = Server {
+        id: ServerId::S2,
+        tally: false,
+        peer: &**end2,
+        dealer: dealt.then_some(&d2rx),
+        pool: pool2.as_ref(),
+        ..s1
+    };
+
+    let parts = std::thread::scope(|scope| {
+        let dealer = if dealt {
+            let sched = &sched;
+            Some(scope.spawn(move || dealer_thread(sched, job.seed, &d1tx, &d2tx)))
+        } else {
+            drop((d1tx, d2tx));
+            None
+        };
+        let (h1, h2) = (s1.spawn(scope), s2.spawn(scope));
         if let Some(dealer) = dealer {
             dealer.join().expect("dealer panicked");
         }
-        let mut t1 = Ring64::ZERO;
-        let mut t2 = Ring64::ZERO;
-        let mut net = NetStats::new();
-        for h in pool1 {
-            let (t, stats) = h.join().expect("S1 worker panicked");
-            t1 += t;
-            net.merge(&stats);
-        }
-        for h in pool2 {
-            let (t, stats) = h.join().expect("S2 worker panicked");
-            t2 += t;
-            net.merge(&stats);
-        }
-        (t1, t2, net)
+        let mut parts = join_server(ServerId::S1, h1);
+        parts.extend(join_server(ServerId::S2, h2));
+        parts
     });
+    // Report S₁'s factory counters (the tallying side); S₂'s pool saw
+    // the same fills and drains by construction.
+    let pooled = pool1.is_some();
+    let pool = pool1.map(|p| p.stats()).unwrap_or_default();
+    let mut result = finish(&sched, job.offline, parts, pool);
 
     // Measured-vs-modeled: the offline payload that actually crossed
     // the wire must equal the modeled flight ledger (the base-OT setup
@@ -840,46 +497,54 @@ fn threaded_secure_count_over<T: Transport>(
     // mode the material is predistributed locally: zero offline bytes
     // cross the link while the modeled ledger still carries the
     // generation cost, so the pin only applies inline.
-    if pool1.is_none() {
-        debug_assert_eq!(end1.stats().offline_payload_both(), net.offline.bytes);
+    let flights = if pooled || result.net.offline.is_empty() {
+        0
     } else {
-        debug_assert_eq!(end1.stats().offline_payload_both(), 0);
-    }
-    if mode == OfflineMode::OtExtension && !sched.chunks().is_empty() {
-        net.offline.merge(&ot_setup_ledger());
-    }
+        result.net.offline.bytes - ot_setup_ledger().bytes
+    };
+    debug_assert_eq!(end1.stats().offline_payload_both(), flights);
     // The headline measurement: replace the modeled wire_bytes with
     // what the transport actually carried for the online openings.
     // Every `net == fast.net` equality downstream now pins
     // measured == modeled exactly.
-    net.wire_bytes = end1.stats().online_payload_both();
-    // Report S₁'s factory counters (the tallying side); S₂'s pool saw
-    // the same fills and drains by construction.
-    let pool = pool1.map(|p| p.stats()).unwrap_or_default();
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples: sched.total_triples(),
-        pool,
-    }
+    result.net.wire_bytes = end1.stats().online_payload_both();
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::{secure_triangle_count, secure_triangle_count_batched};
+    use crate::count::count_local;
     use cargo_graph::count_triangles_matrix;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
+    use cargo_mpc::{TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
+
+    fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
+        CountJob { threads, batch, ..CountJob::new(seed) }
+    }
+
+    fn ot_job(seed: u64, threads: usize, batch: usize) -> CountJob {
+        CountJob { offline: OfflineMode::OtExtension, ..job(seed, threads, batch) }
+    }
+
+    fn over_memory(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        let (end1, end2) = cargo_mpc::memory_pair();
+        count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+    }
+
+    fn over_tcp(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        let (end1, end2, _) =
+            TcpTransport::loopback_pair(&TcpConfig::default()).expect("loopback socket pair");
+        count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+    }
 
     #[test]
     fn threaded_runtime_matches_plaintext() {
         for seed in 0..3u64 {
             let g = erdos_renyi(50, 0.25, seed);
             let m = g.to_bit_matrix();
-            let res = threaded_secure_count(&m, seed);
+            let res = over_memory(&m, &CountJob::new(seed));
             assert_eq!(
                 res.reconstruct(),
                 Ring64(count_triangles_matrix(&m)),
@@ -897,8 +562,8 @@ mod tests {
         // online payload vs the fast path's modeled bytes.
         let g = barabasi_albert(60, 4, 7);
         let m = g.to_bit_matrix();
-        let fast = secure_triangle_count(&m, 99, 1);
-        let threaded = threaded_secure_count(&m, 99);
+        let fast = count_local(&m, &CountJob::new(99));
+        let threaded = over_memory(&m, &CountJob::new(99));
         assert_eq!(fast.share1, threaded.share1);
         assert_eq!(fast.share2, threaded.share2);
         assert_eq!(fast.triples, threaded.triples);
@@ -918,10 +583,10 @@ mod tests {
         // golden fixture, across batch sizes.
         for f in golden_fixtures() {
             let m = f.graph.to_bit_matrix();
-            let fast = secure_triangle_count(&m, 0xCA60, 1);
+            let fast = count_local(&m, &CountJob::new(0xCA60));
             assert_eq!(fast.reconstruct(), Ring64(f.triangles), "{}", f.name);
             for (workers, batch) in [(2usize, 0usize), (2, 7), (3, 16)] {
-                let sharded = threaded_secure_count_sharded(&m, 0xCA60, workers, batch);
+                let sharded = over_memory(&m, &job(0xCA60, workers, batch));
                 assert_eq!(
                     sharded.share1, fast.share1,
                     "{} workers={workers} batch={batch}",
@@ -942,8 +607,8 @@ mod tests {
         let g = erdos_renyi(40, 0.3, 9);
         let m = g.to_bit_matrix();
         for batch in [1usize, 5, 64] {
-            let fast = secure_triangle_count_batched(&m, 4, 1, batch);
-            let sharded = threaded_secure_count_sharded(&m, 4, 2, batch);
+            let fast = count_local(&m, &job(4, 1, batch));
+            let sharded = over_memory(&m, &job(4, 2, batch));
             assert_eq!(sharded.share1, fast.share1, "batch {batch}");
             assert_eq!(sharded.share2, fast.share2, "batch {batch}");
             assert_eq!(sharded.net, fast.net, "batch {batch}");
@@ -958,14 +623,8 @@ mod tests {
         let g = erdos_renyi(36, 0.3, 6);
         let m = g.to_bit_matrix();
         for (workers, batch) in [(1usize, 0usize), (2, 7)] {
-            let fast = secure_triangle_count_batched(&m, 13, 1, batch);
-            let tcp = threaded_secure_count_tcp(
-                &m,
-                13,
-                workers,
-                batch,
-                OfflineMode::TrustedDealer,
-            );
+            let fast = count_local(&m, &job(13, 1, batch));
+            let tcp = over_tcp(&m, &job(13, workers, batch));
             assert_eq!(tcp.share1, fast.share1, "w={workers} b={batch}");
             assert_eq!(tcp.share2, fast.share2, "w={workers} b={batch}");
             assert_eq!(tcp.net, fast.net, "w={workers} b={batch}");
@@ -975,11 +634,10 @@ mod tests {
 
     #[test]
     fn tcp_runtime_runs_the_ot_offline_dialogue_over_sockets() {
-        use crate::count::secure_triangle_count_with;
         let g = erdos_renyi(24, 0.3, 3);
         let m = g.to_bit_matrix();
-        let fast = secure_triangle_count_with(&m, 8, 1, 16, OfflineMode::OtExtension);
-        let tcp = threaded_secure_count_tcp(&m, 8, 2, 16, OfflineMode::OtExtension);
+        let fast = count_local(&m, &ot_job(8, 1, 16));
+        let tcp = over_tcp(&m, &ot_job(8, 2, 16));
         assert_eq!(tcp.share1, fast.share1);
         assert_eq!(tcp.share2, fast.share2);
         assert_eq!(tcp.net, fast.net, "full NetStats incl. offline ledger");
@@ -987,25 +645,19 @@ mod tests {
 
     #[test]
     fn party_pools_over_an_explicit_pair_match_the_runtime() {
-        // The two-process shape, in miniature: each party builds ONLY
-        // its own share matrix and runs run_party_count over one end
-        // of a link; shares and ledgers reassemble to the fast path.
+        // The two-process shape, in miniature: each party runs
+        // count_party over one end of a link; shares and ledgers
+        // reassemble to the fast path.
         let g = erdos_renyi(40, 0.3, 21);
         let m = g.to_bit_matrix();
         for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
-            let fast =
-                crate::count::secure_triangle_count_with(&m, 17, 1, 16, mode);
+            let fast = count_local(&m, &CountJob { offline: mode, ..job(17, 1, 16) });
+            let party = CountJob { offline: mode, ..job(17, 2, 16) };
             let (end1, end2) = cargo_mpc::memory_pair();
             let (end1, end2) = (Arc::new(end1), Arc::new(end2));
             let (r1, r2) = std::thread::scope(|scope| {
-                let m1 = &m;
-                let e1 = &end1;
-                let h1 = scope
-                    .spawn(move || run_party_count(m1, 17, 2, 16, mode, ServerId::S1, e1));
-                let m2 = &m;
-                let e2 = &end2;
-                let h2 = scope
-                    .spawn(move || run_party_count(m2, 17, 2, 16, mode, ServerId::S2, e2));
+                let h1 = scope.spawn(|| count_party(&m, &party, ServerId::S1, &end1));
+                let h2 = scope.spawn(|| count_party(&m, &party, ServerId::S2, &end2));
                 (h1.join().unwrap(), h2.join().unwrap())
             });
             assert_eq!(r1.share1, fast.share1, "{mode:?}");
@@ -1020,6 +672,7 @@ mod tests {
             // model and measures the full bidirectional wire.
             assert_eq!(r1.net, r2.net, "{mode:?}: identical party ledgers");
             assert_eq!(r1.net, fast.net, "{mode:?}: party ledger == fast path");
+            assert_eq!(r1.triples, fast.triples, "{mode:?}");
             assert_eq!(r1.net.wire_bytes, r1.net.online().bytes, "{mode:?}");
         }
     }
@@ -1033,11 +686,8 @@ mod tests {
             m.set(i, j, false);
         }
         let want = count_triangles_matrix(&m);
-        assert_eq!(threaded_secure_count(&m, 3).reconstruct(), Ring64(want));
-        assert_eq!(
-            threaded_secure_count_sharded(&m, 3, 4, 3).reconstruct(),
-            Ring64(want)
-        );
+        assert_eq!(over_memory(&m, &CountJob::new(3)).reconstruct(), Ring64(want));
+        assert_eq!(over_memory(&m, &job(3, 4, 3)).reconstruct(), Ring64(want));
     }
 
     #[test]
@@ -1045,15 +695,9 @@ mod tests {
         for n in [0usize, 1, 2, 3] {
             let m = BitMatrix::zeros(n);
             for workers in [1usize, 2, 4] {
-                let res = threaded_secure_count_sharded(&m, 1, workers, 2);
+                let res = over_memory(&m, &job(1, workers, 2));
                 assert_eq!(res.reconstruct(), Ring64::ZERO, "n = {n}, w = {workers}");
-                let ot = threaded_secure_count_offline(
-                    &m,
-                    1,
-                    workers,
-                    2,
-                    cargo_mpc::OfflineMode::OtExtension,
-                );
+                let ot = over_memory(&m, &ot_job(1, workers, 2));
                 assert_eq!(ot.reconstruct(), Ring64::ZERO, "OT n = {n}, w = {workers}");
             }
         }
@@ -1064,13 +708,11 @@ mod tests {
         // The two-party preprocessing dialogue over the multiplexed
         // links must reproduce the in-process engine exactly: shares,
         // online ledger, AND the offline ledger.
-        use crate::count::secure_triangle_count_with;
-        use cargo_mpc::OfflineMode;
         let g = erdos_renyi(28, 0.3, 11);
         let m = g.to_bit_matrix();
         for (workers, batch) in [(1usize, 0usize), (2, 7), (3, 16)] {
-            let fast = secure_triangle_count_with(&m, 21, 1, batch, OfflineMode::OtExtension);
-            let rt = threaded_secure_count_offline(&m, 21, workers, batch, OfflineMode::OtExtension);
+            let fast = count_local(&m, &ot_job(21, 1, batch));
+            let rt = over_memory(&m, &ot_job(21, workers, batch));
             assert_eq!(rt.share1, fast.share1, "w={workers} b={batch}");
             assert_eq!(rt.share2, fast.share2, "w={workers} b={batch}");
             assert_eq!(rt.net, fast.net, "full NetStats incl. offline ledger");
@@ -1086,8 +728,8 @@ mod tests {
     fn ot_runtime_matches_dealer_runtime_shares() {
         let g = erdos_renyi(30, 0.25, 4);
         let m = g.to_bit_matrix();
-        let dealer = threaded_secure_count_sharded(&m, 9, 2, 8);
-        let ot = threaded_secure_count_offline(&m, 9, 2, 8, cargo_mpc::OfflineMode::OtExtension);
+        let dealer = over_memory(&m, &job(9, 2, 8));
+        let ot = over_memory(&m, &ot_job(9, 2, 8));
         assert_eq!(ot.share1, dealer.share1);
         assert_eq!(ot.share2, dealer.share2);
         assert_eq!(ot.net.online(), dealer.net, "online ledgers coincide");

@@ -28,12 +28,13 @@
 //! extension benchmarks sweep.
 
 use crate::config::CountKernel;
-use crate::count_sched::{push_runs, share_prf, CountScheduler, PairChunk, SchedulePlan};
+use crate::count::{finish, CountJob};
+use crate::count_sched::{push_runs, share_prf, CountScheduler, PairChunk};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, ot_setup_ledger,
-    split_mg_words, MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine,
-    PairDealer, Ring64, ServerId, SplitMix64, MG_WORDS,
+    mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, split_mg_words, MgDraw,
+    Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer, PoolStats, Ring64,
+    ServerId, SplitMix64, MG_WORDS,
 };
 
 /// Result of the sampled secure count.
@@ -88,143 +89,50 @@ fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
     SplitMix64::new(seed ^ pair.wrapping_mul(0xEB44ACCAB455D165) ^ 0x5851F42D4C957F2D)
 }
 
-/// Runs the sampled variant of Algorithm 4 with the default batch
-/// size: every triple `i<j<k` is included with independent public
-/// probability `rate` (derived from `seed`, known to both servers).
-pub fn secure_triangle_count_sampled(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-) -> SampledCountResult {
-    secure_triangle_count_sampled_batched(matrix, seed, rate, threads, 0)
-}
-
-/// [`secure_triangle_count_sampled`] with an explicit batch size
-/// (0 ⇒ default). Like the exact count, the estimate and element
-/// counts are invariant across `(threads, batch)`.
-pub fn secure_triangle_count_sampled_batched(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-    batch: usize,
-) -> SampledCountResult {
-    secure_triangle_count_sampled_with(
-        matrix,
-        seed,
-        rate,
-        threads,
-        batch,
-        OfflineMode::TrustedDealer,
-    )
-}
-
-/// [`secure_triangle_count_sampled_batched`] with an explicit offline
-/// mode. Under [`OfflineMode::OtExtension`] the sampling coins are
-/// public, so both servers can derive each pair's sampled count ahead
-/// of time and preprocess a whole chunk's sampled Multiplication
-/// Groups in one amortised extension session — exactly like the exact
-/// count, just with a sparser plan. Shares stay bit-identical to
-/// dealer mode.
-pub fn secure_triangle_count_sampled_with(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-) -> SampledCountResult {
-    secure_triangle_count_sampled_kernel(
-        matrix,
-        seed,
-        rate,
-        threads,
-        batch,
-        mode,
-        CountKernel::default(),
-    )
-}
-
-/// [`secure_triangle_count_sampled_with`] with an explicit Count
-/// kernel — estimates (and share pairs) are bit-identical across
-/// kernels, like the exact count's.
-pub fn secure_triangle_count_sampled_kernel(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-) -> SampledCountResult {
-    secure_triangle_count_sampled_planned(
-        matrix,
-        seed,
-        rate,
-        threads,
-        batch,
-        mode,
-        kernel,
-        SchedulePlan::DenseCube,
-    )
-}
-
-/// [`secure_triangle_count_sampled_kernel`] with an explicit
-/// [`SchedulePlan`]: sampling composes with the sparse candidate
-/// schedule by intersecting each pair's sampled `k` set with its
-/// public candidate `k`-list. The per-`(i, j, k)` coin is drawn at the
-/// same stream position under either schedule, and every evaluated
-/// triple's Multiplication Group comes from its canonical dealer
-/// offset, so a triple surviving both filters contributes the same
-/// share pair it would under dense sampling.
-#[allow(clippy::too_many_arguments)]
-pub fn secure_triangle_count_sampled_planned(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-    plan: SchedulePlan,
-) -> SampledCountResult {
+/// Runs the sampled variant of Algorithm 4 under `job`: every triple
+/// the job's plan schedules is included with independent public
+/// probability `rate` (derived from `job.seed`, known to both
+/// servers). Like the exact count, the estimate, the share pair and
+/// the element counts are invariant across `threads × batch`, kernels
+/// and offline modes.
+///
+/// * **OT mode** — the sampling coins are public, so both servers can
+///   derive each pair's sampled count ahead of time and preprocess a
+///   whole chunk's sampled Multiplication Groups in one amortised
+///   extension session, exactly like the exact count with a sparser
+///   plan.
+/// * **Sparse plans** — sampling composes with a candidate schedule by
+///   intersecting each pair's sampled `k` set with its public
+///   candidate `k`-list. The per-`(i, j, k)` coin is drawn at the same
+///   stream position under every plan, and every evaluated triple's
+///   Multiplication Group comes from its canonical dealer offset, so a
+///   triple surviving both filters contributes the same share pair it
+///   would under dense sampling.
+///
+/// [`CountJob::pool`] and [`CountJob::tile_threshold`] are inert here.
+pub fn count_sampled(matrix: &BitMatrix, rate: f64, job: &CountJob) -> SampledCountResult {
     assert!((0.0..=1.0).contains(&rate) && rate > 0.0, "rate in (0,1]");
-    let n = matrix.n();
-    let threads = if n < 64 { 1 } else { threads };
-    let sched = CountScheduler::with_plan(n, threads, batch, plan);
-    let results = sched.run_chunks(|chunk| match (mode, kernel) {
+    let seed = job.seed;
+    let sched = job.local_scheduler(matrix.n());
+    let parts = sched.run_chunks(|chunk| match (job.offline, job.kernel) {
         (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
             sampled_chunk(matrix, seed, rate, &sched, chunk)
         }
         (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => {
             sampled_chunk_batch(matrix, seed, rate, &sched, chunk)
         }
-        (OfflineMode::OtExtension, _) => {
+        (OfflineMode::OtExtension, kernel) => {
             sampled_chunk_ot(matrix, seed, rate, &sched, chunk, kernel)
         }
     });
-
-    let mut share1 = Ring64::ZERO;
-    let mut share2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut evaluated = 0;
-    for (s1, s2, stats, ev) in results {
-        share1 += s1;
-        share2 += s2;
-        net.merge(&stats);
-        evaluated += ev;
-    }
-    if mode == OfflineMode::OtExtension && !sched.chunks().is_empty() {
-        net.offline.merge(&ot_setup_ledger());
-    }
+    let sum = finish(&sched, job.offline, parts, PoolStats::default());
     SampledCountResult {
-        share1,
-        share2,
+        share1: sum.share1,
+        share2: sum.share2,
         rate,
-        evaluated,
+        evaluated: sum.triples,
         total_triples: sched.total_triples(),
-        net,
+        net: sum.net,
     }
 }
 
@@ -611,15 +519,19 @@ fn sampled_chunk_ot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::secure_triangle_count;
+    use crate::count::count_local;
     use cargo_graph::count_triangles_matrix;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
+
+    fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
+        CountJob { threads, batch, ..CountJob::new(seed) }
+    }
 
     #[test]
     fn rate_one_is_exact() {
         let g = erdos_renyi(60, 0.2, 1);
         let m = g.to_bit_matrix();
-        let res = secure_triangle_count_sampled(&m, 3, 1.0, 2);
+        let res = count_sampled(&m, 1.0, &job(3, 2, 0));
         assert_eq!(
             res.reconstruct_raw(),
             Ring64(count_triangles_matrix(&m))
@@ -629,7 +541,7 @@ mod tests {
         // At rate 1 the streams are consumed exactly as the exact
         // kernel consumes them: the share PAIRS coincide, not just the
         // reconstruction.
-        let exact = secure_triangle_count(&m, 3, 2);
+        let exact = count_local(&m, &job(3, 2, 0));
         assert_eq!(res.share1, exact.share1);
         assert_eq!(res.share2, exact.share2);
         assert_eq!(res.net, exact.net);
@@ -643,7 +555,7 @@ mod tests {
         let rate = 0.2;
         let trials = 40;
         let mean: f64 = (0..trials)
-            .map(|s| secure_triangle_count_sampled(&m, 1000 + s, rate, 4).estimate())
+            .map(|s| count_sampled(&m, rate, &job(1000 + s, 4, 0)).estimate())
             .sum::<f64>()
             / trials as f64;
         // sd of the mean ≈ sqrt(T(1-q)/q / trials) ≈ sqrt(4T/40).
@@ -657,7 +569,7 @@ mod tests {
     #[test]
     fn evaluated_fraction_matches_rate() {
         let g = erdos_renyi(100, 0.1, 3);
-        let res = secure_triangle_count_sampled(&g.to_bit_matrix(), 7, 0.25, 2);
+        let res = count_sampled(&g.to_bit_matrix(), 0.25, &job(7, 2, 0));
         let frac = res.evaluated as f64 / res.total_triples as f64;
         assert!((frac - 0.25).abs() < 0.01, "sampled fraction {frac}");
         // Communication shrinks proportionally.
@@ -668,9 +580,9 @@ mod tests {
     fn threads_and_batch_do_not_change_the_estimate() {
         let g = erdos_renyi(80, 0.15, 11);
         let m = g.to_bit_matrix();
-        let base = secure_triangle_count_sampled_batched(&m, 5, 0.3, 1, 1);
+        let base = count_sampled(&m, 0.3, &job(5, 1, 1));
         for (threads, batch) in [(1usize, 64usize), (2, 7), (4, 1), (4, 64)] {
-            let r = secure_triangle_count_sampled_batched(&m, 5, 0.3, threads, batch);
+            let r = count_sampled(&m, 0.3, &job(5, threads, batch));
             assert_eq!(r.share1, base.share1, "t={threads} b={batch}");
             assert_eq!(r.share2, base.share2, "t={threads} b={batch}");
             assert_eq!(r.evaluated, base.evaluated, "t={threads} b={batch}");
@@ -693,16 +605,12 @@ mod tests {
         let g = erdos_renyi(40, 0.2, 6);
         let m = g.to_bit_matrix();
         for rate in [0.3, 1.0] {
-            let dealer = secure_triangle_count_sampled_with(
+            let dealer = count_sampled(&m, rate, &job(7, 1, 8));
+            let ot = count_sampled(
                 &m,
-                7,
                 rate,
-                1,
-                8,
-                OfflineMode::TrustedDealer,
+                &CountJob { offline: OfflineMode::OtExtension, ..job(7, 1, 8) },
             );
-            let ot =
-                secure_triangle_count_sampled_with(&m, 7, rate, 1, 8, OfflineMode::OtExtension);
             assert_eq!(ot.share1, dealer.share1, "rate {rate}");
             assert_eq!(ot.share2, dealer.share2, "rate {rate}");
             assert_eq!(ot.evaluated, dealer.evaluated);
@@ -720,14 +628,14 @@ mod tests {
     fn deterministic_given_seed() {
         let g = erdos_renyi(80, 0.15, 5);
         let m = g.to_bit_matrix();
-        let a = secure_triangle_count_sampled(&m, 11, 0.3, 3);
-        let b = secure_triangle_count_sampled(&m, 11, 0.3, 3);
+        let a = count_sampled(&m, 0.3, &job(11, 3, 0));
+        let b = count_sampled(&m, 0.3, &job(11, 3, 0));
         assert_eq!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "rate")]
     fn zero_rate_panics() {
-        secure_triangle_count_sampled(&BitMatrix::zeros(4), 1, 0.0, 1);
+        count_sampled(&BitMatrix::zeros(4), 0.0, &CountJob::new(1));
     }
 }

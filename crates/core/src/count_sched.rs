@@ -4,7 +4,7 @@
 //! `i < j < k`. All three implementations in this crate — the fast
 //! kernel ([`crate::count`]), the message-passing runtime
 //! ([`crate::count_runtime`]), and the sampled estimator
-//! ([`crate::count_sampled`]) — iterate the same space: an outer walk
+//! ([`mod@crate::count_sampled`]) — iterate the same space: an outer walk
 //! over the `(i, j)` pairs with a non-empty `k` range, an inner batched
 //! `k` loop per pair. This module owns that shape once:
 //!
@@ -35,6 +35,7 @@
 //!   *who* consumes a stream. The scheduler-invariance property suite
 //!   (`crates/core/tests/scheduler_invariance.rs`) pins this.
 
+use crate::config::ScheduleKind;
 use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder};
 use cargo_mpc::MgDraw;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -284,6 +285,25 @@ pub enum SchedulePlan {
     /// stream-equivalence suite pins this plan's chunks, pair walk,
     /// and draws equal to the eager plan's.
     CsrStream(Arc<CsrGraph>),
+}
+
+impl SchedulePlan {
+    /// The plan a configured [`ScheduleKind`] denotes over the
+    /// (projected) matrix `m` — the oblivious cube, or the candidate
+    /// structure of `m`'s upper-triangle support, eager or streamed.
+    /// A pure function of public state: both wire parties derive the
+    /// identical plan locally, it is never a message.
+    pub fn for_support(kind: ScheduleKind, m: &BitMatrix) -> Self {
+        match kind {
+            ScheduleKind::Dense => SchedulePlan::DenseCube,
+            ScheduleKind::Sparse => {
+                SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_support(m)))
+            }
+            ScheduleKind::SparseStream => {
+                SchedulePlan::CsrStream(Arc::new(CsrGraph::from_support(m)))
+            }
+        }
+    }
 }
 
 /// A contiguous run of `(i, j)` pairs in schedule order.

@@ -27,7 +27,7 @@
 //! a closure so the same engine drives both the in-process kernels and
 //! the two-party wire runtime — see [`crate::session`].
 
-use crate::count::SecureCountResult;
+use crate::count::{count_local, CountJob, SecureCountResult};
 use crate::count_sched::{CandidateSet, SchedulePlan};
 use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{NetStats, Ring64};
@@ -317,9 +317,9 @@ pub struct EpochCount {
 /// Generic over the **evaluator** — any `FnMut(&BitMatrix,
 /// SchedulePlan) -> SecureCountResult` whose per-triple contributions
 /// follow the canonical seed/offset derivation. In-process callers
-/// pass a [`crate::count::secure_triangle_count_planned`] closure; the
-/// two-party session passes [`crate::count_runtime::run_party_count_planned`],
-/// in which case only the own-role share slot is live (the other stays
+/// pass a [`crate::count::count_local`] closure ([`inline_evaluator`]);
+/// the two-party session passes [`crate::count_runtime::count_party`], in
+/// which case only the own-role share slot is live (the other stays
 /// zero through every fold, so the same arithmetic serves both).
 #[derive(Debug)]
 pub struct IncrementalCounter {
@@ -436,19 +436,11 @@ impl IncrementalCounter {
     }
 }
 
-/// Convenience evaluator over the in-process planned kernels — the
-/// closure shape [`IncrementalCounter`] expects, capturing the Count
-/// knobs once.
-pub fn inline_evaluator(
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: cargo_mpc::OfflineMode,
-    kernel: crate::config::CountKernel,
-) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult {
-    move |matrix, plan| {
-        crate::count::secure_triangle_count_planned(matrix, seed, threads, batch, mode, kernel, plan)
-    }
+/// Convenience evaluator over [`count_local`] — the closure shape
+/// [`IncrementalCounter`] expects, capturing the Count knobs once
+/// (`job.plan` is replaced by each call's delta plan).
+pub fn inline_evaluator(job: CountJob) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult {
+    move |matrix, plan| count_local(matrix, &CountJob { plan, ..job.clone() })
 }
 
 #[cfg(test)]
@@ -528,11 +520,8 @@ mod tests {
 
     #[test]
     fn incremental_counter_matches_scratch_and_true_count() {
-        use crate::config::CountKernel;
-        use cargo_mpc::OfflineMode;
         let g = generators::erdos_renyi(30, 0.3, 7);
-        let seed = 0xFEED;
-        let mut eval = inline_evaluator(seed, 1, 0, OfflineMode::TrustedDealer, CountKernel::default());
+        let mut eval = inline_evaluator(CountJob::new(0xFEED));
         let mut counter = IncrementalCounter::new_with(g, &mut eval);
         let epoch = counter
             .apply_with(

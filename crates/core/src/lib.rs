@@ -13,10 +13,10 @@
 //! | Algorithm 1 | [`protocol`] | End-to-end orchestration ([`CargoSystem`]) |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
-//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count |
+//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (both pools over a link pair) or [`count_sampled()`] |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
 //! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation |
-//! | Deployment shape | [`party`] + [`count_runtime`] | One server per process over a real [`cargo_mpc::transport::Transport`] |
+//! | Deployment shape | [`party`] + [`count_runtime`] | The wire executors: one server per process over a real [`cargo_mpc::transport::Transport`] |
 //! | Continuous release | [`delta`] + [`session`] | Edge-delta epochs, incremental Count, per-epoch DP budgeting |
 //! | Crash recovery | [`recovery`] | Committed-epoch journal, deterministic replay, resumable serve |
 //! | Section III-B ext. | [`node_dp`] | Node-DP variant (sensitivity updates) |
@@ -64,30 +64,17 @@ pub mod theory;
 pub use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy, PoolStats};
 pub use config::{CargoConfig, CountKernel, ScheduleKind, TransportKind};
 pub use count::{
-    secure_triangle_count, secure_triangle_count_batched, secure_triangle_count_kernel,
-    secure_triangle_count_planned, secure_triangle_count_pooled,
-    secure_triangle_count_pooled_planned, secure_triangle_count_streamed,
-    secure_triangle_count_tiled, secure_triangle_count_with, SecureCountResult,
-    DEFAULT_TILE_THRESHOLD,
+    count_local, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
+    SecureCountResult, DEFAULT_TILE_THRESHOLD,
 };
-pub use count_runtime::{
-    party_input_shares, run_party_count, run_party_count_planned, run_party_count_pooled,
-    threaded_secure_count, threaded_secure_count_offline, threaded_secure_count_planned,
-    threaded_secure_count_pooled, threaded_secure_count_sharded, threaded_secure_count_tcp,
-    threaded_secure_count_tcp_planned, threaded_secure_count_tcp_pooled,
-    threaded_secure_count_tcp_timed,
-};
+pub use count_runtime::{count_party, count_two_party, party_input_shares, run_party_count_planned};
 pub use delta::{inline_evaluator, DeltaPlan, EdgeDelta, EpochCount, IncrementalCounter};
 pub use party::{run_party, run_party_local, PartyReport};
 pub use session::{
     classify_delta_line, parse_delta_script, DeltaLine, EpochOutcome, PartySession, Session,
     SessionError,
 };
-pub use count_sampled::{
-    secure_triangle_count_sampled, secure_triangle_count_sampled_batched,
-    secure_triangle_count_sampled_kernel, secure_triangle_count_sampled_planned,
-    secure_triangle_count_sampled_with, SampledCountResult,
-};
+pub use count_sampled::{count_sampled, SampledCountResult};
 pub use count_sched::{
     CandidateSet, CountScheduler, PairChunk, SchedulePlan, DEFAULT_COUNT_BATCH,
 };

@@ -16,10 +16,9 @@
 //! exactly what these functions let the benchmarks demonstrate.
 
 use crate::config::CargoConfig;
-use crate::count::secure_triangle_count_kernel;
 use crate::perturb::{perturb, PerturbInputs};
 use crate::projection::project_matrix;
-use crate::protocol::{CargoOutput, StepTimings};
+use crate::protocol::{count_projected, CargoOutput, StepTimings, NOISE_SEED_TWEAK};
 use cargo_dp::{sample_laplace, FixedPointCodec, PrivacyAccountant, PrivacyBudget};
 use cargo_graph::{count_triangles_matrix, Graph};
 use rand::rngs::StdRng;
@@ -81,14 +80,7 @@ pub fn run_node_dp(config: &CargoConfig, graph: &Graph) -> CargoOutput {
     let t_project = t0.elapsed();
 
     let t0 = Instant::now();
-    let count = secure_triangle_count_kernel(
-        &projected,
-        config.seed ^ 0xC0DE,
-        config.effective_threads(),
-        config.effective_batch(),
-        config.offline,
-        config.kernel,
-    );
+    let count = count_projected(config, &projected);
     let t_count = t0.elapsed();
 
     let t0 = Instant::now();
@@ -107,7 +99,7 @@ pub fn run_node_dp(config: &CargoConfig, graph: &Graph) -> CargoOutput {
         epsilon2: split.epsilon2,
         codec: FixedPointCodec::new(config.frac_bits),
         noise_rng: &mut rng,
-        share_seed: config.seed ^ 0xD00F,
+        share_seed: config.seed ^ NOISE_SEED_TWEAK,
     });
     accountant
         .spend("Perturb (Node DP)", split.epsilon2)

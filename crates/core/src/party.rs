@@ -34,13 +34,14 @@
 //! diffs the two processes' transcripts against an in-memory
 //! reference run ([`run_party_local`]) line by line.
 
-use crate::config::{CargoConfig, ScheduleKind};
-use crate::count_runtime::run_party_count_planned;
-use crate::count_sched::{CandidateSet, SchedulePlan};
+use crate::config::CargoConfig;
+use crate::count::CountJob;
+use crate::count_runtime::count_party;
+use crate::count_sched::SchedulePlan;
 use crate::perturb::aggregate_noise_shares;
-use crate::protocol::{count_sensitivity, max_and_project, COUNT_SEED_TWEAK, NOISE_SEED_TWEAK};
+use crate::protocol::{count_sensitivity, max_and_project, NOISE_SEED_TWEAK};
 use cargo_dp::FixedPointCodec;
-use cargo_graph::{count_triangles_matrix, CsrGraph, Graph};
+use cargo_graph::{count_triangles_matrix, Graph};
 use cargo_mpc::{
     memory_pair, recv_msg, send_msg, FinalOpeningMsg, NetStats, Ring64, ServerId, Transport,
 };
@@ -107,29 +108,8 @@ pub fn run_party<T: Transport>(
     // derive the projected matrix from the same public seed, so each
     // builds the identical sparse candidate plan locally — the plan is
     // a pure function of shared public state, never a message. ----
-    let plan = match cfg.schedule {
-        ScheduleKind::Dense => SchedulePlan::DenseCube,
-        ScheduleKind::Sparse => {
-            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_support(&projected)))
-        }
-        // Same chunks and shares as Sparse, streamed lazily from CSR
-        // prefix sums; the wire runtime consumes chunk plans through
-        // the same interface, so nothing else changes.
-        ScheduleKind::SparseStream => {
-            SchedulePlan::CsrStream(Arc::new(CsrGraph::from_support(&projected)))
-        }
-    };
-    let count = run_party_count_planned(
-        &projected,
-        cfg.seed ^ COUNT_SEED_TWEAK,
-        cfg.effective_threads(),
-        cfg.effective_batch(),
-        cfg.offline,
-        role,
-        link,
-        cfg.pool_policy(),
-        plan,
-    );
+    let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &projected));
+    let count = count_party(&projected, &job, role, link);
     let count_share = match role {
         ServerId::S1 => count.share1,
         ServerId::S2 => count.share2,

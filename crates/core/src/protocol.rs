@@ -14,30 +14,21 @@
 //! because this is a reproduction and the experiments must decompose
 //! the error into projection loss vs perturbation error (Theorems 5/6).
 
-use crate::config::{CargoConfig, CountKernel, ScheduleKind, TransportKind};
-use crate::count::{
-    secure_triangle_count_planned, secure_triangle_count_pooled_planned,
-    secure_triangle_count_tiled,
-};
-use crate::count_runtime::threaded_secure_count_tcp_timed;
-use crate::count_sched::{CandidateSet, SchedulePlan};
-use cargo_mpc::OfflineMode;
-use std::sync::Arc;
+use crate::config::{CargoConfig, CountKernel, TransportKind};
+use crate::count::{count_local, CountJob, SecureCountResult};
+use crate::count_runtime::count_two_party;
+use crate::count_sched::SchedulePlan;
 use crate::max_degree::{estimate_max_degree, MaxDegreeEstimate};
 use crate::perturb::{perturb, PerturbInputs};
 use crate::projection::project_matrix;
 use cargo_dp::{FixedPointCodec, PrivacyAccountant, PrivacyBudget};
-use cargo_graph::{count_triangles_matrix, BitMatrix, CsrGraph, Graph};
-use cargo_mpc::NetStats;
+use cargo_graph::{count_triangles_matrix, BitMatrix, Graph};
+use cargo_mpc::{NetStats, OfflineMode, TcpConfig, TcpTransport};
+use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-
-/// Tweak XORed into the root seed to derive the Count phase's seed —
-/// one definition shared by the monolithic system and the party
-/// pipeline so the two deployment shapes can never desynchronise.
-pub(crate) const COUNT_SEED_TWEAK: u64 = 0xC0DE;
 
 /// Tweak XORed into the root seed to derive the users'
 /// noise-share-splitting seed (Algorithm 5).
@@ -97,6 +88,52 @@ pub(crate) fn count_sensitivity(cfg: &CargoConfig, max_est: &MaxDegreeEstimate, 
         max_est.as_sensitivity()
     } else {
         n as f64
+    }
+}
+
+/// Step 2 of Algorithm 1 for the in-process pipelines
+/// ([`CargoSystem::run`], [`crate::node_dp::run_node_dp`]): `Count`
+/// over the projected matrix, preceded by the offline phase (trusted
+/// dealer or OT extension per `cfg.offline` — shares are identical
+/// either way, the offline ledger in `net.offline` differs).
+///
+/// `cfg.schedule` selects the fully-oblivious dense cube or the
+/// candidate-driven sparse walk over the projected support (modeling a
+/// deployment where the candidate structure is public — see
+/// PROTOCOL.md § "Sparse Count schedule" for the leakage analysis);
+/// surviving-triple shares are bit-identical either way, so the
+/// reconstructed count — and hence the noisy release — does not depend
+/// on this choice. `cfg.transport` selects the wire: the in-process
+/// fast kernel, or both server pools over real loopback TCP sockets —
+/// shares and ledgers are bit-identical across transports, but TCP
+/// *measures* the byte ledger.
+pub(crate) fn count_projected(cfg: &CargoConfig, projected: &BitMatrix) -> SecureCountResult {
+    let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, projected));
+    if job.pool.enabled() && job.offline != OfflineMode::OtExtension {
+        eprintln!(
+            "warning: --factory-threads only applies to --offline-mode ot \
+             (the trusted dealer has no offline phase to pool); running inline"
+        );
+    }
+    match cfg.transport {
+        TransportKind::Memory => count_local(projected, &job),
+        TransportKind::Tcp => {
+            // The TCP runtime's slab rounds ARE the batched kernel;
+            // there is no scalar variant of the wire protocol. Say so
+            // instead of silently ignoring the A/B knob (results are
+            // bit-identical either way).
+            if job.kernel != CountKernel::default() {
+                eprintln!(
+                    "warning: --transport tcp always runs the batched runtime; \
+                     --kernel {} has no effect there (shares are bit-identical \
+                     across kernels)",
+                    job.kernel
+                );
+            }
+            let tcp = TcpConfig { recv_timeout: cfg.recv_timeout, ..TcpConfig::default() };
+            let (end1, end2, _) = TcpTransport::loopback_pair(&tcp).expect("loopback socket pair");
+            count_two_party(projected, &job, &Arc::new(end1), &Arc::new(end2))
+        }
     }
 }
 
@@ -201,107 +238,8 @@ impl CargoSystem {
         } = input;
 
         // ---- Step 2: ASS-based triangle counting ----
-        // (Preceded by the offline phase: trusted dealer or OT
-        // extension per cfg.offline — shares are identical either way,
-        // the offline ledger in `net.offline` differs. cfg.transport
-        // selects the wire: the in-process fast kernel, or the sharded
-        // message-passing runtime over real loopback TCP sockets —
-        // shares and ledgers are bit-identical across transports, but
-        // TCP *measures* the byte ledger.)
         let t0 = Instant::now();
-        let pool_policy = cfg.pool_policy();
-        if pool_policy.enabled() && cfg.offline != OfflineMode::OtExtension {
-            eprintln!(
-                "warning: --factory-threads only applies to --offline-mode ot \
-                 (the trusted dealer has no offline phase to pool); running inline"
-            );
-        }
-        // The Count schedule: the fully-oblivious dense cube, or the
-        // candidate-driven sparse walk over the projected support
-        // (modeling a deployment where the candidate structure is
-        // public — see PROTOCOL.md § "Sparse Count schedule" for the
-        // leakage analysis). Surviving-triple shares are bit-identical
-        // either way, so the reconstructed count — and hence the noisy
-        // release — does not depend on this choice.
-        let plan = match cfg.schedule {
-            ScheduleKind::Dense => SchedulePlan::DenseCube,
-            ScheduleKind::Sparse => {
-                SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_support(&projected)))
-            }
-            // Same candidate triples and chunks as Sparse (pinned by
-            // the scheduler equivalence tests), generated lazily from
-            // CSR prefix sums: peak memory O(chunk), not
-            // O(#candidates).
-            ScheduleKind::SparseStream => {
-                SchedulePlan::CsrStream(Arc::new(CsrGraph::from_support(&projected)))
-            }
-        };
-        let count = match cfg.transport {
-            TransportKind::Memory => {
-                if matches!(plan, SchedulePlan::CsrStream(_))
-                    && cfg.offline == OfflineMode::TrustedDealer
-                    && !pool_policy.enabled()
-                    && cfg.kernel == CountKernel::Bitsliced
-                {
-                    // The hybrid tile kernel with the configured
-                    // density threshold (bit-identical at every θ).
-                    secure_triangle_count_tiled(
-                        &projected,
-                        cfg.seed ^ COUNT_SEED_TWEAK,
-                        cfg.effective_threads(),
-                        cfg.effective_batch(),
-                        plan,
-                        cfg.tile_threshold,
-                    )
-                } else if pool_policy.enabled() && cfg.offline == OfflineMode::OtExtension {
-                    secure_triangle_count_pooled_planned(
-                        &projected,
-                        cfg.seed ^ COUNT_SEED_TWEAK,
-                        cfg.effective_threads(),
-                        cfg.effective_batch(),
-                        cfg.kernel,
-                        pool_policy,
-                        plan,
-                    )
-                } else {
-                    secure_triangle_count_planned(
-                        &projected,
-                        cfg.seed ^ COUNT_SEED_TWEAK,
-                        cfg.effective_threads(),
-                        cfg.effective_batch(),
-                        cfg.offline,
-                        cfg.kernel,
-                        plan,
-                    )
-                }
-            }
-            TransportKind::Tcp => {
-                // The TCP runtime's slab rounds ARE the batched
-                // kernel; there is no scalar variant of the wire
-                // protocol. Say so instead of silently ignoring the
-                // A/B knob (results are bit-identical either way).
-                if cfg.kernel != CountKernel::default() {
-                    eprintln!(
-                        "warning: --transport tcp always runs the batched runtime; \
-                         --kernel {} has no effect there (shares are bit-identical \
-                         across kernels)",
-                        cfg.kernel
-                    );
-                }
-                // The runtime ignores the pool knob outside OT mode,
-                // matching the warning above.
-                threaded_secure_count_tcp_timed(
-                    &projected,
-                    cfg.seed ^ COUNT_SEED_TWEAK,
-                    cfg.effective_threads(),
-                    cfg.effective_batch(),
-                    cfg.offline,
-                    pool_policy,
-                    plan,
-                    cfg.recv_timeout,
-                )
-            }
-        };
+        let count = count_projected(cfg, &projected);
         let t_count = t0.elapsed();
 
         // ---- Step 3: distributed perturbation ----

@@ -34,13 +34,15 @@
 //! two-process TCP serve transcript against the local one.
 
 use crate::config::CargoConfig;
-use crate::count_runtime::run_party_count_planned;
+use crate::count::{CountJob, SecureCountResult};
+use crate::count_runtime::count_party;
+use crate::count_sched::SchedulePlan;
 use crate::delta::{inline_evaluator, EdgeDelta, EpochCount, IncrementalCounter};
-use crate::protocol::{COUNT_SEED_TWEAK, NOISE_SEED_TWEAK};
+use crate::protocol::NOISE_SEED_TWEAK;
 use crate::perturb::aggregate_noise_shares;
 use crate::recovery::state_digest;
 use cargo_dp::{Composition, FixedPointCodec, ReleaseGrant, ReleaseRefused, ReleaseSchedule, TreeNode};
-use cargo_graph::{Graph, GraphError};
+use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{
     recv_msg, send_msg, CommitMsg, FinalOpeningMsg, NetStats, Ring64, ServerId, Transport,
 };
@@ -246,14 +248,7 @@ impl Session {
     /// Counts the base graph (baseline share state; nothing released)
     /// and arms the release schedule.
     pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
-        let mut eval = inline_evaluator(
-            cfg.seed ^ COUNT_SEED_TWEAK,
-            cfg.effective_threads(),
-            cfg.effective_batch(),
-            cfg.offline,
-            cfg.kernel,
-        );
-        let counter = IncrementalCounter::new_with(graph, &mut eval);
+        let counter = IncrementalCounter::new_with(graph, local_evaluator(cfg));
         let n = counter.graph().n();
         Session {
             cfg: *cfg,
@@ -276,14 +271,7 @@ impl Session {
     /// not the shares, not the ledger.
     pub fn step(&mut self, batch: &[EdgeDelta]) -> Result<EpochOutcome, SessionError> {
         let grant = self.release.schedule.next_release()?;
-        let mut eval = inline_evaluator(
-            self.cfg.seed ^ COUNT_SEED_TWEAK,
-            self.cfg.effective_threads(),
-            self.cfg.effective_batch(),
-            self.cfg.offline,
-            self.cfg.kernel,
-        );
-        let ec = self.counter.apply_with(batch, &mut eval)?;
+        let ec = self.counter.apply_with(batch, local_evaluator(&self.cfg))?;
         let (g1, g2) = self.release.gammas(&grant);
         let codec = self.release.codec;
         let f1 = codec.lift_integer(ec.share1) + g1;
@@ -546,26 +534,24 @@ fn s_released(s: &Session) -> u64 {
     s.release.schedule.released()
 }
 
-/// The wire evaluator: planned party counts whose `wire_bytes` are
-/// restored to the modeled invariant (`run_party_count_planned`
-/// reports the link's cumulative payload; per-epoch measurement
-/// happens at the session layer instead).
+/// The in-process evaluator of a session's config (each call's delta
+/// plan replaces the placeholder).
+fn local_evaluator(cfg: &CargoConfig) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult {
+    inline_evaluator(CountJob::from_config(cfg, SchedulePlan::DenseCube))
+}
+
+/// The wire evaluator: party counts whose `wire_bytes` are restored to
+/// the modeled invariant ([`count_party`] reports the link's
+/// cumulative payload; per-epoch measurement happens at the session
+/// layer instead).
 fn party_evaluator<'a, T: Transport>(
     cfg: &CargoConfig,
     role: ServerId,
     link: &'a Arc<T>,
-) -> impl FnMut(&cargo_graph::BitMatrix, crate::count_sched::SchedulePlan) -> crate::count::SecureCountResult + 'a
-{
-    let (seed, threads, batch, mode, policy) = (
-        cfg.seed ^ COUNT_SEED_TWEAK,
-        cfg.effective_threads(),
-        cfg.effective_batch(),
-        cfg.offline,
-        cfg.pool_policy(),
-    );
+) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult + 'a {
+    let job = CountJob::from_config(cfg, SchedulePlan::DenseCube);
     move |matrix, plan| {
-        let mut r =
-            run_party_count_planned(matrix, seed, threads, batch, mode, role, link, policy, plan);
+        let mut r = count_party(matrix, &CountJob { plan, ..job.clone() }, role, link);
         r.net.wire_bytes = r.net.bytes;
         r
     }

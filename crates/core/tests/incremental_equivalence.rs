@@ -22,8 +22,8 @@
 //!    accountant (an error value, nothing mutated).
 
 use cargo_core::{
-    inline_evaluator, secure_triangle_count_planned, CandidateSet, CargoConfig, CountKernel,
-    EdgeDelta, EpochCount, IncrementalCounter, SchedulePlan, Session, SessionError,
+    count_local, inline_evaluator, CandidateSet, CargoConfig, CountJob, CountKernel, EdgeDelta,
+    EpochCount, IncrementalCounter, SchedulePlan, Session, SessionError,
 };
 use cargo_graph::{count_triangles, Graph, GraphBuilder};
 use cargo_mpc::{OfflineMode, Ring64, SplitMix64};
@@ -67,42 +67,20 @@ fn random_epochs(n: u32, seed: u64, epochs: usize, batch: usize) -> Vec<Vec<Edge
 }
 
 /// From-scratch sparse shares of `g` under the same seed and knobs.
-fn scratch(
-    g: &Graph,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-) -> (Ring64, Ring64) {
+fn scratch(g: &Graph, job: &CountJob) -> (Ring64, Ring64) {
     let cs = CandidateSet::from_graph(g);
     if cs.is_empty() {
         return (Ring64::ZERO, Ring64::ZERO);
     }
-    let r = secure_triangle_count_planned(
-        &g.to_bit_matrix(),
-        seed,
-        threads,
-        batch,
-        mode,
-        kernel,
-        SchedulePlan::CandidatePairs(Arc::new(cs)),
-    );
+    let plan = SchedulePlan::CandidatePairs(Arc::new(cs));
+    let r = count_local(&g.to_bit_matrix(), &CountJob { plan, ..job.clone() });
     (r.share1, r.share2)
 }
 
 /// Replays `epochs` through a fresh incremental counter under the
 /// given knobs, returning the per-epoch outcomes.
-fn replay(
-    g: &Graph,
-    epochs: &[Vec<EdgeDelta>],
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    mode: OfflineMode,
-    kernel: CountKernel,
-) -> Vec<EpochCount> {
-    let mut eval = inline_evaluator(seed, threads, batch, mode, kernel);
+fn replay(g: &Graph, epochs: &[Vec<EdgeDelta>], job: CountJob) -> Vec<EpochCount> {
+    let mut eval = inline_evaluator(job);
     let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
     epochs
         .iter()
@@ -121,20 +99,12 @@ proptest! {
     ) {
         let g = random_graph(n, tenths, seed);
         let epochs = random_epochs(n as u32, seed, 3, 6);
-        let count_seed = seed ^ 0xC0DE;
-        let mut eval =
-            inline_evaluator(count_seed, 1, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+        let job = CountJob::new(seed ^ 0xC0DE);
+        let mut eval = inline_evaluator(job.clone());
         let mut counter = IncrementalCounter::new_with(g, &mut eval);
         for batch in &epochs {
             let ec = counter.apply_with(batch, &mut eval).unwrap();
-            let (s1, s2) = scratch(
-                counter.graph(),
-                count_seed,
-                1,
-                0,
-                OfflineMode::TrustedDealer,
-                CountKernel::Bitsliced,
-            );
+            let (s1, s2) = scratch(counter.graph(), &job);
             prop_assert_eq!(ec.share1, s1);
             prop_assert_eq!(ec.share2, s2);
             prop_assert_eq!(
@@ -152,16 +122,17 @@ proptest! {
     ) {
         let g = random_graph(n, tenths, seed);
         let epochs = random_epochs(n as u32, seed, 2, 5);
-        let count_seed = seed ^ 0xC0DE;
-        let base = replay(&g, &epochs, count_seed, 1, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+        let job = CountJob::new(seed ^ 0xC0DE);
+        let base = replay(&g, &epochs, job.clone());
 
         // Same batch: the whole online NetStats must match, along with
         // the shares, for every thread count, kernel, and offline mode.
-        for (threads, mode, kernel) in [
+        for (threads, offline, kernel) in [
             (2usize, OfflineMode::TrustedDealer, CountKernel::Scalar),
             (3, OfflineMode::OtExtension, CountKernel::Bitsliced),
         ] {
-            let other = replay(&g, &epochs, count_seed, threads, 0, mode, kernel);
+            let other =
+                replay(&g, &epochs, CountJob { threads, offline, kernel, ..job.clone() });
             for (b, o) in base.iter().zip(&other) {
                 prop_assert_eq!(b.share1, o.share1);
                 prop_assert_eq!(b.share2, o.share2);
@@ -172,7 +143,7 @@ proptest! {
 
         // Different batch: rounds regroup but the element/byte totals
         // and the shares cannot move.
-        let other = replay(&g, &epochs, count_seed, 1, 7, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+        let other = replay(&g, &epochs, CountJob { batch: 7, ..job });
         for (b, o) in base.iter().zip(&other) {
             prop_assert_eq!(b.share1, o.share1);
             prop_assert_eq!(b.share2, o.share2);
@@ -196,8 +167,7 @@ proptest! {
         }
         prop_assume!(!edges.is_empty());
         edges.truncate(5);
-        let mut eval =
-            inline_evaluator(seed ^ 0xC0DE, 1, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+        let mut eval = inline_evaluator(CountJob::new(seed ^ 0xC0DE));
         let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
         let baseline = counter.shares();
         let removes: Vec<_> = edges.iter().map(|&(u, v)| EdgeDelta::Remove(u, v)).collect();
@@ -215,9 +185,9 @@ proptest! {
 fn thread_counts_do_not_change_epoch_outcomes_at_scale() {
     let g = random_graph(80, 2, 0xBEEF);
     let epochs = random_epochs(80, 0xBEEF, 2, 12);
-    let base = replay(&g, &epochs, 7, 1, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+    let base = replay(&g, &epochs, CountJob::new(7));
     for threads in [2usize, 4] {
-        let other = replay(&g, &epochs, 7, threads, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+        let other = replay(&g, &epochs, CountJob { threads, ..CountJob::new(7) });
         for (b, o) in base.iter().zip(&other) {
             assert_eq!(b.share1, o.share1, "threads={threads}");
             assert_eq!(b.share2, o.share2);

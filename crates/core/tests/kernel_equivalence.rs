@@ -10,15 +10,23 @@
 //! identical online `NetStats` ledgers — across `threads × batch ×
 //! offline-mode`, on the exact count and on the sampled estimator.
 
-use cargo_core::{
-    secure_triangle_count_kernel, secure_triangle_count_sampled_kernel, CountKernel, OfflineMode,
-};
+use cargo_core::{count_local, count_sampled, CountJob, CountKernel, OfflineMode};
 use cargo_graph::BitMatrix;
 use cargo_mpc::SplitMix64;
 use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
 const BATCHES: [usize; 3] = [1, 7, 64];
+
+fn job(
+    seed: u64,
+    threads: usize,
+    batch: usize,
+    offline: OfflineMode,
+    kernel: CountKernel,
+) -> CountJob {
+    CountJob { threads, batch, offline, kernel, ..CountJob::new(seed) }
+}
 
 /// Strategy: an arbitrary n×n bit matrix (not necessarily symmetric —
 /// projection produces one-directional deletions) with a seeded
@@ -49,12 +57,10 @@ proptest! {
     ) {
         for threads in THREADS {
             for batch in BATCHES {
-                let scalar = secure_triangle_count_kernel(
-                    &m, seed, threads, batch, OfflineMode::TrustedDealer,
-                    CountKernel::Scalar);
-                let batched = secure_triangle_count_kernel(
-                    &m, seed, threads, batch, OfflineMode::TrustedDealer,
-                    CountKernel::Bitsliced);
+                let scalar = count_local(&m, &job(
+                    seed, threads, batch, OfflineMode::TrustedDealer, CountKernel::Scalar));
+                let batched = count_local(&m, &job(
+                    seed, threads, batch, OfflineMode::TrustedDealer, CountKernel::Bitsliced));
                 // Bit-identical shares — not merely equal
                 // reconstructions — and the full online ledger:
                 // elements, bytes, rounds, batches, peak batch.
@@ -72,10 +78,10 @@ proptest! {
         // Small n: OT mode pays 512 extended OTs per triple. The
         // offline ledger must also coincide — both kernels drive the
         // same chunk-amortised sessions.
-        let scalar = secure_triangle_count_kernel(
-            &m, seed, 1, batch, OfflineMode::OtExtension, CountKernel::Scalar);
-        let batched = secure_triangle_count_kernel(
-            &m, seed, 1, batch, OfflineMode::OtExtension, CountKernel::Bitsliced);
+        let scalar = count_local(
+            &m, &job(seed, 1, batch, OfflineMode::OtExtension, CountKernel::Scalar));
+        let batched = count_local(
+            &m, &job(seed, 1, batch, OfflineMode::OtExtension, CountKernel::Bitsliced));
         prop_assert_eq!(scalar, batched);
     }
 
@@ -88,10 +94,10 @@ proptest! {
     ) {
         let rate = rate_tenths as f64 / 10.0;
         for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
-            let scalar = secure_triangle_count_sampled_kernel(
-                &m, seed, rate, 1, batch, mode, CountKernel::Scalar);
-            let batched = secure_triangle_count_sampled_kernel(
-                &m, seed, rate, 1, batch, mode, CountKernel::Bitsliced);
+            let scalar = count_sampled(
+                &m, rate, &job(seed, 1, batch, mode, CountKernel::Scalar));
+            let batched = count_sampled(
+                &m, rate, &job(seed, 1, batch, mode, CountKernel::Bitsliced));
             prop_assert_eq!(scalar, batched);
         }
     }
@@ -103,22 +109,10 @@ fn kernels_agree_on_golden_fixtures() {
     // graph, both kernels, exact equality of the full result struct.
     for f in cargo_testutil::golden_fixtures() {
         let m = f.graph.to_bit_matrix();
-        let scalar = secure_triangle_count_kernel(
-            &m,
-            0xCA60,
-            2,
-            0,
-            OfflineMode::TrustedDealer,
-            CountKernel::Scalar,
-        );
-        let batched = secure_triangle_count_kernel(
-            &m,
-            0xCA60,
-            2,
-            0,
-            OfflineMode::TrustedDealer,
-            CountKernel::Bitsliced,
-        );
+        let scalar =
+            count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer, CountKernel::Scalar));
+        let batched =
+            count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced));
         assert_eq!(scalar, batched, "{}", f.name);
         assert_eq!(
             batched.reconstruct(),

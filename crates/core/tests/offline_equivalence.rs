@@ -15,13 +15,17 @@
 //! tautology.
 
 use cargo_core::{
-    secure_triangle_count_sampled_with, secure_triangle_count_with, threaded_secure_count_offline,
-    CountScheduler, OfflineMode,
+    count_local, count_sampled, count_two_party, CountJob, CountScheduler, OfflineMode,
 };
 use cargo_graph::BitMatrix;
 use cargo_mpc::offline::{MG_EXT_OTS_PER_GROUP, MG_OFFLINE_BYTES_PER_GROUP};
-use cargo_mpc::{chunk_offline_ledger, OfflineLedger, SplitMix64};
+use cargo_mpc::{chunk_offline_ledger, memory_pair, OfflineLedger, SplitMix64};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+fn job(seed: u64, threads: usize, batch: usize, offline: OfflineMode) -> CountJob {
+    CountJob { threads, batch, offline, ..CountJob::new(seed) }
+}
 
 /// Strategy: an arbitrary n×n bit matrix (not necessarily symmetric)
 /// with a seeded density in (0, 1). Kept small: OT mode pays 512
@@ -70,7 +74,7 @@ fn offline_cost_formula_is_pinned() {
     // k-block: 232 rounds and 1 495 520 bytes on the same input.)
     let m = BitMatrix::zeros(10);
     for batch in [1usize, 4, 0] {
-        let res = secure_triangle_count_with(&m, 1, 1, batch, OfflineMode::OtExtension);
+        let res = count_local(&m, &job(1, 1, batch, OfflineMode::OtExtension));
         assert_eq!(res.triples, 120);
         let off = res.net.offline;
         assert_eq!(off.base_ots, 256);
@@ -89,7 +93,7 @@ fn offline_rounds_follow_the_chunk_flight_structure() {
     // chunks — the rounds/digest terms must follow the scheduler's
     // chunk × flight structure exactly, and nothing else.
     let m = BitMatrix::zeros(30);
-    let res = secure_triangle_count_with(&m, 3, 1, 0, OfflineMode::OtExtension);
+    let res = count_local(&m, &job(3, 1, 0, OfflineMode::OtExtension));
     assert_eq!(res.triples, 4060);
     let off = res.net.offline;
     assert_eq!(off, expected_offline(30));
@@ -117,7 +121,7 @@ fn offline_rounds_follow_the_chunk_flight_structure() {
 fn empty_and_tiny_matrices_cost_nothing_offline() {
     for n in [0usize, 1, 2] {
         let m = BitMatrix::zeros(n);
-        let res = secure_triangle_count_with(&m, 1, 1, 0, OfflineMode::OtExtension);
+        let res = count_local(&m, &job(1, 1, 0, OfflineMode::OtExtension));
         assert!(res.net.offline.is_empty(), "n = {n}: no pairs, no setup");
     }
 }
@@ -131,8 +135,8 @@ proptest! {
         seed: u64,
         batch in 1usize..10,
     ) {
-        let dealer = secure_triangle_count_with(&m, seed, 1, batch, OfflineMode::TrustedDealer);
-        let ot = secure_triangle_count_with(&m, seed, 1, batch, OfflineMode::OtExtension);
+        let dealer = count_local(&m, &job(seed, 1, batch, OfflineMode::TrustedDealer));
+        let ot = count_local(&m, &job(seed, 1, batch, OfflineMode::OtExtension));
         // Identical openings: the share pair itself, not just the sum.
         prop_assert_eq!(ot.share1, dealer.share1);
         prop_assert_eq!(ot.share2, dealer.share2);
@@ -151,8 +155,10 @@ proptest! {
         m in arb_bit_matrix(12),
         seed: u64,
     ) {
-        let fast = secure_triangle_count_with(&m, seed, 1, 4, OfflineMode::OtExtension);
-        let rt = threaded_secure_count_offline(&m, seed, 2, 4, OfflineMode::OtExtension);
+        let fast = count_local(&m, &job(seed, 1, 4, OfflineMode::OtExtension));
+        let (end1, end2) = memory_pair();
+        let rt = count_two_party(
+            &m, &job(seed, 2, 4, OfflineMode::OtExtension), &Arc::new(end1), &Arc::new(end2));
         prop_assert_eq!(rt.share1, fast.share1);
         prop_assert_eq!(rt.share2, fast.share2);
         // Full NetStats equality, offline ledger included.
@@ -166,10 +172,8 @@ proptest! {
         rate_tenths in 1u32..=10,
     ) {
         let rate = rate_tenths as f64 / 10.0;
-        let dealer = secure_triangle_count_sampled_with(
-            &m, seed, rate, 1, 6, OfflineMode::TrustedDealer);
-        let ot = secure_triangle_count_sampled_with(
-            &m, seed, rate, 1, 6, OfflineMode::OtExtension);
+        let dealer = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::TrustedDealer));
+        let ot = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::OtExtension));
         prop_assert_eq!(ot.share1, dealer.share1);
         prop_assert_eq!(ot.share2, dealer.share2);
         prop_assert_eq!(ot.evaluated, dealer.evaluated);

@@ -10,13 +10,12 @@
 //! backpressure discipline must surface a drained pool as a loud
 //! `RecvError`-style error, never a deadlock.
 
-use cargo_core::{
-    secure_triangle_count_batched, secure_triangle_count_pooled, secure_triangle_count_with,
-    threaded_secure_count_offline, threaded_secure_count_pooled, threaded_secure_count_tcp_pooled,
-    CountKernel, CountScheduler, OfflineMode,
-};
-use cargo_mpc::{Backpressure, PoolError, PoolPolicy, TriplePool};
+use cargo_core::{count_local, count_two_party, CountJob, CountScheduler, OfflineMode};
 use cargo_graph::generators::erdos_renyi;
+use cargo_mpc::{
+    memory_pair, Backpressure, PoolError, PoolPolicy, TcpConfig, TcpTransport, TriplePool,
+};
+use std::sync::Arc;
 
 fn block_policy(factory_threads: usize, depth: usize) -> PoolPolicy {
     PoolPolicy {
@@ -26,24 +25,26 @@ fn block_policy(factory_threads: usize, depth: usize) -> PoolPolicy {
     }
 }
 
+/// The OT-mode job under `pool` (`PoolPolicy::INLINE` preprocesses on
+/// the query path).
+fn ot_job(seed: u64, threads: usize, batch: usize, pool: PoolPolicy) -> CountJob {
+    CountJob { threads, batch, offline: OfflineMode::OtExtension, pool, ..CountJob::new(seed) }
+}
+
 #[test]
 fn pooled_kernel_matches_dealer_and_inline_ot_at_every_grid_point() {
     let m = erdos_renyi(26, 0.3, 9).to_bit_matrix();
     let (seed, threads, batch) = (17u64, 2usize, 8usize);
-    let dealer = secure_triangle_count_batched(&m, seed, threads, batch);
-    let inline_ot = secure_triangle_count_with(&m, seed, threads, batch, OfflineMode::OtExtension);
+    let dealer = count_local(&m, &CountJob { threads, batch, ..CountJob::new(seed) });
+    let inline_ot = count_local(&m, &ot_job(seed, threads, batch, PoolPolicy::INLINE));
     assert_eq!(inline_ot.share1, dealer.share1);
     assert_eq!(inline_ot.share2, dealer.share2);
     let chunks = CountScheduler::new(m.n(), threads, batch).chunks().len() as u64;
     for factory_threads in [1usize, 2, 4] {
         for depth in [1usize, chunks as usize] {
-            let pooled = secure_triangle_count_pooled(
+            let pooled = count_local(
                 &m,
-                seed,
-                threads,
-                batch,
-                CountKernel::Bitsliced,
-                block_policy(factory_threads, depth),
+                &ot_job(seed, threads, batch, block_policy(factory_threads, depth)),
             );
             let tag = format!("t{factory_threads} d{depth}");
             assert_eq!(pooled.share1, dealer.share1, "{tag}: share1 == dealer");
@@ -63,11 +64,14 @@ fn pooled_runtime_matches_the_inline_ot_runtime() {
     // inline OT dialogue (no offline bytes cross the link, but the
     // generation cost is still costed identically).
     let m = erdos_renyi(24, 0.3, 4).to_bit_matrix();
-    let inline = threaded_secure_count_offline(&m, 7, 2, 8, OfflineMode::OtExtension);
+    let over_memory = |pool| {
+        let (end1, end2) = memory_pair();
+        count_two_party(&m, &ot_job(7, 2, 8, pool), &Arc::new(end1), &Arc::new(end2))
+    };
+    let inline = over_memory(PoolPolicy::INLINE);
     for factory_threads in [1usize, 2] {
         for depth in [1usize, 16] {
-            let pooled =
-                threaded_secure_count_pooled(&m, 7, 2, 8, block_policy(factory_threads, depth));
+            let pooled = over_memory(block_policy(factory_threads, depth));
             let tag = format!("t{factory_threads} d{depth}");
             assert_eq!(pooled.share1, inline.share1, "{tag}");
             assert_eq!(pooled.share2, inline.share2, "{tag}");
@@ -83,8 +87,10 @@ fn pooled_tcp_runtime_matches_the_fast_pooled_path() {
     // openings cross the wire, and the result is still bit-identical
     // to the fast path in OT mode.
     let m = erdos_renyi(20, 0.3, 2).to_bit_matrix();
-    let fast = secure_triangle_count_with(&m, 3, 1, 16, OfflineMode::OtExtension);
-    let tcp = threaded_secure_count_tcp_pooled(&m, 3, 2, 16, block_policy(2, 2));
+    let fast = count_local(&m, &ot_job(3, 1, 16, PoolPolicy::INLINE));
+    let (end1, end2, _) = TcpTransport::loopback_pair(&TcpConfig::default()).unwrap();
+    let tcp =
+        count_two_party(&m, &ot_job(3, 2, 16, block_policy(2, 2)), &Arc::new(end1), &Arc::new(end2));
     assert_eq!(tcp.share1, fast.share1);
     assert_eq!(tcp.share2, fast.share2);
     assert_eq!(tcp.net, fast.net, "full NetStats incl. offline ledger");

@@ -8,12 +8,16 @@
 //! assertions budget `z = 6` standard errors (spurious failure
 //! probability < 1e-8 under fixed seeds).
 
-use cargo_core::{secure_triangle_count, secure_triangle_count_sampled, SampledCountResult};
+use cargo_core::{count_local, count_sampled, CountJob, SampledCountResult};
 use cargo_mpc::Ring64;
 use cargo_testutil::golden_fixtures;
 use cargo_testutil::stats::{assert_mean_close, variance, DEFAULT_Z};
 
 const TRIALS: u64 = 60;
+
+fn job(seed: u64, threads: usize) -> CountJob {
+    CountJob { threads, ..CountJob::new(seed) }
+}
 
 #[test]
 fn sampled_estimate_is_unbiased_against_the_exact_secure_count() {
@@ -22,14 +26,12 @@ fn sampled_estimate_is_unbiased_against_the_exact_secure_count() {
         // The reference value is the secure protocol's own exact count,
         // not the plaintext counter (they must agree, and do — pinned
         // elsewhere — but this suite targets the sampled variant).
-        let exact = secure_triangle_count(&m, 0xCA60, 2);
+        let exact = count_local(&m, &job(0xCA60, 2));
         assert_eq!(exact.reconstruct(), Ring64(f.triangles), "{}", f.name);
         let t = f.triangles as f64;
         for rate in [0.5f64, 0.25] {
             let estimates: Vec<f64> = (0..TRIALS)
-                .map(|s| {
-                    secure_triangle_count_sampled(&m, 0xBEEF + s * 7919, rate, 2).estimate()
-                })
+                .map(|s| count_sampled(&m, rate, &job(0xBEEF + s * 7919, 2)).estimate())
                 .collect();
             assert_mean_close(
                 &format!("{} sampled q={rate}", f.name),
@@ -55,7 +57,7 @@ fn sampled_estimator_variance_tracks_the_formula() {
     let t = f.triangles as f64;
     let rate = 0.5;
     let estimates: Vec<f64> = (0..200u64)
-        .map(|s| secure_triangle_count_sampled(&m, 0x5EED + s * 104729, rate, 2).estimate())
+        .map(|s| count_sampled(&m, rate, &job(0x5EED + s * 104729, 2)).estimate())
         .collect();
     let want = SampledCountResult::sampling_variance(t, rate);
     let got = variance(&estimates);
@@ -74,7 +76,7 @@ fn zero_triangle_fixtures_always_estimate_zero() {
     for f in golden_fixtures().iter().filter(|f| f.triangles == 0) {
         let m = f.graph.to_bit_matrix();
         for s in 0..10u64 {
-            let est = secure_triangle_count_sampled(&m, s, 0.3, 1).estimate();
+            let est = count_sampled(&m, 0.3, &CountJob::new(s)).estimate();
             assert_eq!(est, 0.0, "{} seed {s}", f.name);
         }
     }

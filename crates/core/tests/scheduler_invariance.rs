@@ -9,13 +9,15 @@
 //! adjacency-dependent scheduling, no randomness keyed by worker or
 //! chunk.
 
-use cargo_core::{
-    secure_triangle_count_batched, secure_triangle_count_sampled_batched,
-    threaded_secure_count_sharded, CountScheduler,
-};
+use cargo_core::{count_local, count_sampled, count_two_party, CountJob, CountScheduler};
 use cargo_graph::BitMatrix;
-use cargo_mpc::SplitMix64;
+use cargo_mpc::{memory_pair, SplitMix64};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
+    CountJob { threads, batch, ..CountJob::new(seed) }
+}
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const BATCHES: [usize; 3] = [1, 7, 64];
@@ -47,10 +49,10 @@ proptest! {
         m in arb_bit_matrix(24),
         seed: u64,
     ) {
-        let base = secure_triangle_count_batched(&m, seed, 1, 1);
+        let base = count_local(&m, &job(seed, 1, 1));
         for threads in THREADS {
             for batch in BATCHES {
-                let r = secure_triangle_count_batched(&m, seed, threads, batch);
+                let r = count_local(&m, &job(seed, threads, batch));
                 prop_assert_eq!(r.share1, base.share1);
                 prop_assert_eq!(r.share2, base.share2);
                 prop_assert_eq!(r.triples, base.triples);
@@ -68,9 +70,11 @@ proptest! {
         m in arb_bit_matrix(16),
         seed: u64,
     ) {
-        let fast = secure_triangle_count_batched(&m, seed, 1, 0);
+        let fast = count_local(&m, &job(seed, 1, 0));
         for (threads, batch) in [(1usize, 0usize), (2, 7), (2, 1), (4, 64)] {
-            let rt = threaded_secure_count_sharded(&m, seed, threads, batch);
+            let (end1, end2) = memory_pair();
+            let rt =
+                count_two_party(&m, &job(seed, threads, batch), &Arc::new(end1), &Arc::new(end2));
             prop_assert_eq!(rt.share1, fast.share1);
             prop_assert_eq!(rt.share2, fast.share2);
             prop_assert_eq!(rt.triples, fast.triples);
@@ -85,10 +89,10 @@ proptest! {
         rate_tenths in 1u32..=10,
     ) {
         let rate = rate_tenths as f64 / 10.0;
-        let base = secure_triangle_count_sampled_batched(&m, seed, rate, 1, 1);
+        let base = count_sampled(&m, rate, &job(seed, 1, 1));
         for threads in THREADS {
             for batch in BATCHES {
-                let r = secure_triangle_count_sampled_batched(&m, seed, rate, threads, batch);
+                let r = count_sampled(&m, rate, &job(seed, threads, batch));
                 prop_assert_eq!(r.share1, base.share1);
                 prop_assert_eq!(r.share2, base.share2);
                 prop_assert_eq!(r.evaluated, base.evaluated);

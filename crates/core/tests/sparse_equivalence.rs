@@ -19,12 +19,13 @@
 //!    `Σ_chunks chunk_offline_ledger(chunk_plan) + ot_setup_ledger`.
 
 use cargo_core::{
-    secure_triangle_count_planned, secure_triangle_count_pooled_planned,
-    secure_triangle_count_with, threaded_secure_count_planned, CandidateSet, CountKernel,
-    CountScheduler, OfflineMode, SchedulePlan,
+    count_local, count_two_party, CandidateSet, CountJob, CountKernel, CountScheduler,
+    OfflineMode, SchedulePlan,
 };
 use cargo_graph::BitMatrix;
-use cargo_mpc::{chunk_offline_ledger, Backpressure, OfflineLedger, PoolPolicy, SplitMix64};
+use cargo_mpc::{
+    chunk_offline_ledger, memory_pair, Backpressure, OfflineLedger, PoolPolicy, SplitMix64,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -67,6 +68,10 @@ fn support_triples(m: &BitMatrix) -> Vec<(u32, u32, u32)> {
 
 fn sparse_plan(m: &BitMatrix) -> SchedulePlan {
     SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_support(m)))
+}
+
+fn job(seed: u64, threads: usize, batch: usize, plan: SchedulePlan) -> CountJob {
+    CountJob { threads, batch, plan, ..CountJob::new(seed) }
 }
 
 /// The chunk-amortised offline closed form for an arbitrary schedule
@@ -117,12 +122,9 @@ proptest! {
         threads in 1usize..4,
         batch in 1usize..16,
     ) {
-        let dense = secure_triangle_count_with(
-            &m, seed, threads, batch, OfflineMode::TrustedDealer);
+        let dense = count_local(&m, &job(seed, threads, batch, SchedulePlan::DenseCube));
         let plan = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::complete(m.n())));
-        let sparse = secure_triangle_count_planned(
-            &m, seed, threads, batch, OfflineMode::TrustedDealer,
-            CountKernel::default(), plan);
+        let sparse = count_local(&m, &job(seed, threads, batch, plan));
         // The complete candidate set degenerates to the dense cube —
         // not just the same opening: the same share pair, the same
         // chunk structure, the same ledger.
@@ -139,9 +141,7 @@ proptest! {
         threads in 1usize..4,
         batch in 1usize..16,
     ) {
-        let sparse = secure_triangle_count_planned(
-            &m, seed, threads, batch, OfflineMode::TrustedDealer,
-            CountKernel::default(), sparse_plan(&m));
+        let sparse = count_local(&m, &job(seed, threads, batch, sparse_plan(&m)));
         let want = support_triples(&m).len() as u64;
         prop_assert_eq!(sparse.reconstruct().0, want);
         // from_support admits exactly the support's triangles.
@@ -149,8 +149,7 @@ proptest! {
         // Skipped triples contribute 0 to the sum of shares, so the
         // dense cube opens to the same count (its individual shares
         // differ: they sum masks over all C(n,3) triples).
-        let dense = secure_triangle_count_with(
-            &m, seed, threads, batch, OfflineMode::TrustedDealer);
+        let dense = count_local(&m, &job(seed, threads, batch, SchedulePlan::DenseCube));
         prop_assert_eq!(dense.reconstruct().0, want);
     }
 
@@ -160,14 +159,11 @@ proptest! {
         seed: u64,
     ) {
         let plan = sparse_plan(&m);
-        let base = secure_triangle_count_planned(
-            &m, seed, 1, 1, OfflineMode::TrustedDealer,
-            CountKernel::default(), plan.clone());
+        let base = count_local(&m, &job(seed, 1, 1, plan.clone()));
         for (threads, batch) in [(1usize, 7usize), (2, 1), (3, 64)] {
             for kernel in [CountKernel::Scalar, CountKernel::Bitsliced] {
-                let r = secure_triangle_count_planned(
-                    &m, seed, threads, batch, OfflineMode::TrustedDealer,
-                    kernel, plan.clone());
+                let r = count_local(
+                    &m, &CountJob { kernel, ..job(seed, threads, batch, plan.clone()) });
                 prop_assert_eq!(r.share1, base.share1);
                 prop_assert_eq!(r.share2, base.share2);
                 prop_assert_eq!(r.net.elements, base.net.elements);
@@ -175,9 +171,9 @@ proptest! {
             }
             // The message-passing runtime must stay pinned to the fast
             // path share for share, NetStats included.
-            let rt = threaded_secure_count_planned(
-                &m, seed, threads, batch, OfflineMode::TrustedDealer,
-                PoolPolicy::INLINE, plan.clone());
+            let (end1, end2) = memory_pair();
+            let rt = count_two_party(
+                &m, &job(seed, threads, batch, plan.clone()), &Arc::new(end1), &Arc::new(end2));
             prop_assert_eq!(rt.share1, base.share1);
             prop_assert_eq!(rt.share2, base.share2);
             prop_assert_eq!(rt.net.elements, base.net.elements);
@@ -197,12 +193,9 @@ proptest! {
         batch in 1usize..8,
     ) {
         let plan = sparse_plan(&m);
-        let dealer = secure_triangle_count_planned(
-            &m, seed, 1, batch, OfflineMode::TrustedDealer,
-            CountKernel::default(), plan.clone());
-        let ot = secure_triangle_count_planned(
-            &m, seed, 1, batch, OfflineMode::OtExtension,
-            CountKernel::default(), plan.clone());
+        let dealer = count_local(&m, &job(seed, 1, batch, plan.clone()));
+        let ot_job = CountJob { offline: OfflineMode::OtExtension, ..job(seed, 1, batch, plan.clone()) };
+        let ot = count_local(&m, &ot_job);
         prop_assert_eq!(ot.share1, dealer.share1);
         prop_assert_eq!(ot.share2, dealer.share2);
         prop_assert_eq!(ot.net.online(), dealer.net.online());
@@ -214,10 +207,8 @@ proptest! {
         // Payload OTs are per admitted triple, not per cube triple.
         prop_assert_eq!(ot.net.offline.extended_ots, 512 * sched.total_triples());
         // Background triple pool: a scheduling change only.
-        let pooled = secure_triangle_count_pooled_planned(
-            &m, seed, 1, batch, CountKernel::default(),
-            PoolPolicy { factory_threads: 1, depth: 2, backpressure: Backpressure::Block },
-            plan.clone());
+        let pool = PoolPolicy { factory_threads: 1, depth: 2, backpressure: Backpressure::Block };
+        let pooled = count_local(&m, &CountJob { pool, ..ot_job });
         prop_assert_eq!(pooled.share1, dealer.share1);
         prop_assert_eq!(pooled.share2, dealer.share2);
         prop_assert_eq!(pooled.net, ot.net);

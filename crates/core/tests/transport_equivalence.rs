@@ -19,12 +19,23 @@
 //!    sampled estimator.
 
 use cargo_core::{
-    secure_triangle_count_kernel, secure_triangle_count_sampled_with, threaded_secure_count_offline,
-    threaded_secure_count_tcp, CountKernel, OfflineMode,
+    count_local, count_sampled, count_two_party, CountJob, CountKernel, OfflineMode,
+    SecureCountResult,
 };
 use cargo_graph::BitMatrix;
-use cargo_mpc::SplitMix64;
+use cargo_mpc::{memory_pair, SplitMix64, TcpConfig, TcpTransport};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+fn job(seed: u64, threads: usize, batch: usize, offline: OfflineMode) -> CountJob {
+    CountJob { threads, batch, offline, ..CountJob::new(seed) }
+}
+
+/// Both server pools over the in-memory byte transport.
+fn over_memory(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
+    let (end1, end2) = memory_pair();
+    count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+}
 
 /// An arbitrary (possibly asymmetric) bit matrix, sized for the OT
 /// grid (512 extended OTs per triple).
@@ -57,9 +68,8 @@ proptest! {
         for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
             for kernel in [CountKernel::Bitsliced, CountKernel::Scalar] {
                 for (threads, batch) in [(1usize, 1usize), (2, 7), (3, 0)] {
-                    let fast =
-                        secure_triangle_count_kernel(&m, seed, 1, batch, mode, kernel);
-                    let rt = threaded_secure_count_offline(&m, seed, threads, batch, mode);
+                    let fast = count_local(&m, &CountJob { kernel, ..job(seed, 1, batch, mode) });
+                    let rt = over_memory(&m, &job(seed, threads, batch, mode));
                     prop_assert_eq!(rt.share1, fast.share1);
                     prop_assert_eq!(rt.share2, fast.share2);
                     prop_assert_eq!(rt.net, fast.net);
@@ -79,17 +89,15 @@ proptest! {
     ) {
         for batch in [1usize, 5, 0] {
             // Path 1: the exact fast kernel (modeled wire).
-            let fast = secure_triangle_count_kernel(
-                &m, seed, 1, batch, OfflineMode::TrustedDealer, CountKernel::Bitsliced);
+            let fast = count_local(&m, &job(seed, 1, batch, OfflineMode::TrustedDealer));
             prop_assert_eq!(fast.net.wire_bytes, fast.net.online().bytes);
             // Path 2: the message-passing runtime (measured wire).
-            let rt = threaded_secure_count_offline(
-                &m, seed, 2, batch, OfflineMode::TrustedDealer);
+            let rt = over_memory(&m, &job(seed, 2, batch, OfflineMode::TrustedDealer));
             prop_assert_eq!(rt.net.wire_bytes, rt.net.online().bytes);
             prop_assert_eq!(rt.net.wire_bytes, fast.net.wire_bytes);
             // Path 3: the sampled estimator (modeled wire).
-            let sampled = secure_triangle_count_sampled_with(
-                &m, seed, 0.5, 1, batch, OfflineMode::TrustedDealer);
+            let sampled =
+                count_sampled(&m, 0.5, &job(seed, 1, batch, OfflineMode::TrustedDealer));
             prop_assert_eq!(sampled.net.wire_bytes, sampled.net.online().bytes);
         }
     }
@@ -115,15 +123,14 @@ fn tcp_transport_runtime_equals_fast_path_on_the_grid() {
             (2, 16, OfflineMode::TrustedDealer),
             (2, 0, OfflineMode::OtExtension),
         ] {
-            let fast = secure_triangle_count_kernel(
+            let fast = count_local(&m, &job(n as u64, 1, batch, mode));
+            let (end1, end2, _) = TcpTransport::loopback_pair(&TcpConfig::default()).unwrap();
+            let tcp = count_two_party(
                 &m,
-                n as u64,
-                1,
-                batch,
-                mode,
-                CountKernel::Bitsliced,
+                &job(n as u64, threads, batch, mode),
+                &Arc::new(end1),
+                &Arc::new(end2),
             );
-            let tcp = threaded_secure_count_tcp(&m, n as u64, threads, batch, mode);
             assert_eq!(tcp.share1, fast.share1, "n={n} t={threads} b={batch}");
             assert_eq!(tcp.share2, fast.share2, "n={n} t={threads} b={batch}");
             assert_eq!(tcp.net, fast.net, "n={n} {mode:?}: measured == modeled");

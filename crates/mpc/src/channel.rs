@@ -1,5 +1,5 @@
-//! Communication accounting and channels for the simulated two-server
-//! protocols.
+//! Communication accounting for the two-server protocols, plus the
+//! demultiplexer the byte transports share.
 //!
 //! The experiments report protocol *cost*; since both servers run
 //! in-process, an explicit [`NetStats`] tally stands in for the wire.
@@ -11,24 +11,23 @@
 //! The sharded Count runtime additionally needs *multiplexed*
 //! connections: many workers per server share one logical link, and
 //! rounds belonging to different pair-space chunks interleave on it.
-//! [`tagged_channel`] provides that: every message carries a `u32` tag
-//! (the chunk id) and the receiving side demultiplexes by tag, so a
-//! worker blocked on chunk 7's round is unaffected by chunk 3's
-//! messages arriving first.
+//! The [`crate::transport`] backends provide that on top of the
+//! crate-private `KeyedDemux` defined here: every frame carries a
+//! `u32` tag (the chunk id) and the receiving side demultiplexes by
+//! `(message type, tag)`, so a worker blocked on chunk 7's round is
+//! unaffected by chunk 3's messages arriving first.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a blocking receive came back without a message.
 ///
-/// Both the legacy typed [`tagged_channel`] and the byte-level
-/// [`crate::transport::Transport`] backends surface the same failure
-/// modes, so a dropped peer fails the protocol *loudly* (workers
-/// `expect` on this) instead of deadlocking a worker on a channel that
-/// will never deliver.
+/// Every [`crate::transport::Transport`] backend surfaces the same
+/// failure modes, so a dropped peer fails the protocol *loudly*
+/// (workers `expect` on this) instead of deadlocking a worker on a
+/// link that will never deliver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
     /// Every sending handle is gone and the queue for the requested
@@ -232,42 +231,6 @@ impl std::fmt::Display for NetStats {
     }
 }
 
-/// Creates a multiplexed channel: an unbounded queue whose messages
-/// carry a `u32` tag, with a receiver that hands each message only to
-/// the worker asking for that tag.
-pub fn tagged_channel<T>() -> (TaggedSender<T>, TaggedDemux<T>) {
-    let (tx, rx) = mpsc::channel();
-    (
-        TaggedSender { tx },
-        TaggedDemux {
-            rx: Mutex::new(rx),
-            demux: KeyedDemux::new(),
-        },
-    )
-}
-
-/// Sending half of a [`tagged_channel`]; clone one per worker.
-#[derive(Debug)]
-pub struct TaggedSender<T> {
-    tx: mpsc::Sender<(u32, T)>,
-}
-
-impl<T> Clone for TaggedSender<T> {
-    fn clone(&self) -> Self {
-        TaggedSender {
-            tx: self.tx.clone(),
-        }
-    }
-}
-
-impl<T> TaggedSender<T> {
-    /// Sends `msg` under `tag`. Errors only if every demux handle is
-    /// gone (the peer hung up).
-    pub fn send(&self, tag: u32, msg: T) -> Result<(), mpsc::SendError<(u32, T)>> {
-        self.tx.send((tag, msg))
-    }
-}
-
 struct DemuxState<K, T> {
     queues: HashMap<K, VecDeque<T>>,
     /// Whether some worker currently owns the underlying source.
@@ -279,8 +242,8 @@ struct DemuxState<K, T> {
 }
 
 /// The cooperative demultiplexer shared by every multiplexed link in
-/// the crate: the legacy typed [`TaggedDemux`] and both byte
-/// transports ([`crate::transport::InMemoryTransport`],
+/// the crate: both byte transports
+/// ([`crate::transport::InMemoryTransport`],
 /// [`crate::transport::TcpTransport`]) route through this one state
 /// machine, differing only in the `pull` closure that drains their
 /// underlying source (an `mpsc` receiver or a TCP socket).
@@ -379,46 +342,6 @@ impl<K: Eq + Hash + Copy, T> KeyedDemux<K, T> {
     }
 }
 
-/// Receiving half of a [`tagged_channel`]: shared by all of one
-/// server's workers (via `Arc`), each blocking on its own tag.
-///
-/// Demultiplexing is cooperative — see the crate-private `KeyedDemux`
-/// this wraps (shared with both byte transports).
-pub struct TaggedDemux<T> {
-    rx: Mutex<mpsc::Receiver<(u32, T)>>,
-    demux: KeyedDemux<u32, T>,
-}
-
-impl<T> TaggedDemux<T> {
-    /// Blocks until a message tagged `tag` is available and returns
-    /// it; [`RecvError::Disconnected`] once the channel is closed and
-    /// drained of that tag.
-    pub fn recv(&self, tag: u32) -> Result<T, RecvError> {
-        self.demux.recv_with(tag, None, || self.pull(None))
-    }
-
-    /// [`Self::recv`] with a deadline: [`RecvError::Timeout`] if no
-    /// message for `tag` arrives within `timeout` — so a wedged (but
-    /// not yet disconnected) peer fails the protocol loudly instead of
-    /// deadlocking the worker.
-    pub fn recv_timeout(&self, tag: u32, timeout: Duration) -> Result<T, RecvError> {
-        let deadline = Instant::now() + timeout;
-        self.demux
-            .recv_with(tag, Some(deadline), || self.pull(Some(DEMUX_POLL)))
-    }
-
-    fn pull(&self, slice: Option<Duration>) -> Result<(u32, T), RecvError> {
-        let rx = self.rx.lock().expect("demux poisoned");
-        match slice {
-            None => rx.recv().map_err(|_| RecvError::Disconnected),
-            Some(d) => rx.recv_timeout(d).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvError::Disconnected,
-            }),
-        }
-    }
-}
-
 /// Poll slice a pump blocks for when some waiter carries a deadline:
 /// long enough to cost nothing, short enough that deadlines are
 /// honoured promptly.
@@ -427,7 +350,6 @@ pub(crate) const DEMUX_POLL: Duration = Duration::from_millis(200);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn exchange_counts_both_directions() {
@@ -533,80 +455,5 @@ mod tests {
         assert_eq!(c.offline.rounds, 10);
         assert!(OfflineLedger::new().is_empty());
         assert!(!a.offline.is_empty());
-    }
-
-    #[test]
-    fn tagged_channel_routes_by_tag_in_fifo_order() {
-        let (tx, demux) = tagged_channel::<u32>();
-        tx.send(2, 20).unwrap();
-        tx.send(1, 10).unwrap();
-        tx.send(2, 21).unwrap();
-        // Tag 1's message is reachable although tag 2's arrived first.
-        assert_eq!(demux.recv(1), Ok(10));
-        assert_eq!(demux.recv(2), Ok(20));
-        assert_eq!(demux.recv(2), Ok(21));
-        drop(tx);
-        assert_eq!(
-            demux.recv(1),
-            Err(RecvError::Disconnected),
-            "closed and drained"
-        );
-    }
-
-    #[test]
-    fn recv_timeout_fails_loudly_instead_of_deadlocking() {
-        let (tx, demux) = tagged_channel::<u32>();
-        tx.send(5, 50).unwrap();
-        // A message for another tag must not satisfy tag 9's wait …
-        assert_eq!(
-            demux.recv_timeout(9, Duration::from_millis(50)),
-            Err(RecvError::Timeout)
-        );
-        // … and the sender being alive keeps this Timeout, not
-        // Disconnected (the deadlock the runtime used to risk).
-        assert_eq!(demux.recv_timeout(5, Duration::from_millis(50)), Ok(50));
-        drop(tx);
-        assert_eq!(
-            demux.recv_timeout(5, Duration::from_secs(5)),
-            Err(RecvError::Disconnected),
-            "hang-up beats the deadline"
-        );
-    }
-
-    #[test]
-    fn tagged_channel_across_interleaved_workers() {
-        // Two consumer workers on one demux, a producer interleaving
-        // their tags out of order: each worker must see exactly its own
-        // stream, in order, with no deadlock.
-        const PER_TAG: u32 = 200;
-        let (tx, demux) = tagged_channel::<u32>();
-        let demux = Arc::new(demux);
-        std::thread::scope(|scope| {
-            for tag in [0u32, 1] {
-                let demux = Arc::clone(&demux);
-                scope.spawn(move || {
-                    for expect in 0..PER_TAG {
-                        assert_eq!(demux.recv(tag), Ok(expect), "tag {tag}");
-                    }
-                });
-            }
-            scope.spawn(move || {
-                for v in 0..PER_TAG {
-                    // Worst-case interleave: always the other tag first.
-                    tx.send(1, v).unwrap();
-                    tx.send(0, v).unwrap();
-                }
-            });
-        });
-    }
-
-    #[test]
-    fn sender_clones_feed_one_demux() {
-        let (tx, demux) = tagged_channel::<&'static str>();
-        let tx2 = tx.clone();
-        tx.send(7, "a").unwrap();
-        tx2.send(7, "b").unwrap();
-        assert_eq!(demux.recv(7), Ok("a"));
-        assert_eq!(demux.recv(7), Ok("b"));
     }
 }

@@ -69,7 +69,7 @@ pub mod view;
 pub mod wire;
 
 pub use beaver::{beaver_mul, BeaverShare};
-pub use channel::{tagged_channel, NetStats, OfflineLedger, RecvError, TaggedDemux, TaggedSender};
+pub use channel::{NetStats, OfflineLedger, RecvError};
 pub use dealer::{
     split_beaver_words, split_mg_words, Dealer, PairDealer, BEAVER_WORDS, MG_WORDS,
 };

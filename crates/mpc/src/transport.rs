@@ -4,8 +4,7 @@
 //! link between two parties. It carries [`crate::wire`] frames —
 //! nothing else — and demultiplexes received frames by
 //! `(msg_type, tag)`, so many workers can share one link and rounds
-//! belonging to different pair-space chunks interleave safely, exactly
-//! as the legacy typed [`crate::tagged_channel`] allowed, but with
+//! belonging to different pair-space chunks interleave safely, with
 //! every message serialised to explicit bytes and **byte-counted**.
 //!
 //! Two backends:
@@ -870,7 +869,7 @@ mod tests {
 
     fn exercise_pair<T: Transport>(a: &T, b: &T) {
         // Frames for different (type, tag) keys interleave arbitrarily
-        // and are routed to the right waiters, like tagged_channel.
+        // and are routed to the right waiters.
         send_msg(a, &opening(2, 0, vec![20, 21, 22])).unwrap();
         send_msg(
             a,

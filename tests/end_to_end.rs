@@ -2,7 +2,7 @@
 //! truth, across graph families and against the paper's claims.
 
 use cargo_repro::baselines::{central_lap_triangles, local2rounds_triangles, Local2RoundsConfig};
-use cargo_repro::core::{theory, CargoConfig, CargoSystem};
+use cargo_repro::core::{theory, CargoConfig, CargoSystem, ScheduleKind};
 use cargo_repro::graph::generators::presets::SnapDataset;
 use cargo_repro::graph::generators::{barabasi_albert, erdos_renyi, watts_strogatz};
 use cargo_repro::graph::{count_triangles, Graph};
@@ -20,6 +20,16 @@ fn pipeline_ground_truth_matches_golden_fixtures() {
         assert!(out.noisy_count.is_finite(), "{}", f.name);
         assert!(out.projected_count <= out.true_count, "{}", f.name);
     }
+}
+
+/// The config of the statistical trials below: the noisy release is
+/// bit-identical across Count schedules (pinned by
+/// `protocol::tests::sparse_schedule_releases_the_same_noisy_count…`
+/// and `sparse_equivalence.rs`), so the sparse walk samples exactly the
+/// values the dense cube would while evaluating orders of magnitude
+/// fewer triples in this debug build.
+fn trial_config(epsilon: f64, seed: u64) -> CargoConfig {
+    CargoConfig::new(epsilon).with_seed(seed).with_schedule(ScheduleKind::Sparse)
 }
 
 fn mean_l2<F: FnMut(u64) -> f64>(t_true: f64, trials: u64, mut f: F) -> f64 {
@@ -58,7 +68,7 @@ fn utility_ordering_on_calibrated_dataset() {
     let t = count_triangles(&g) as f64;
     let trials = 6;
     let l2_cargo = mean_l2(t, trials, |s| {
-        CargoSystem::new(CargoConfig::new(2.0).with_seed(0x1000 + s * 7919))
+        CargoSystem::new(trial_config(2.0, 0x1000 + s * 7919))
             .run(&g)
             .noisy_count
     });
@@ -90,7 +100,7 @@ fn measured_error_matches_theory_bound() {
     let eps = 2.0;
     let trials = 30;
     let measured = mean_l2(t, trials, |s| {
-        CargoSystem::new(CargoConfig::new(eps).with_seed(0xAA00 + s * 6151))
+        CargoSystem::new(trial_config(eps, 0xAA00 + s * 6151))
             .run(&g)
             .noisy_count
     });
@@ -110,7 +120,7 @@ fn epsilon_monotonicity_end_to_end() {
     let trials = 20;
     let l2_at = |eps: f64| {
         mean_l2(t, trials, |s| {
-            CargoSystem::new(CargoConfig::new(eps).with_seed(0xBB00 + s * 3571))
+            CargoSystem::new(trial_config(eps, 0xBB00 + s * 3571))
                 .run(&g)
                 .noisy_count
         })
@@ -141,16 +151,13 @@ fn node_dp_extension_is_strictly_noisier() {
     let t = count_triangles(&g) as f64;
     let trials = 10;
     let edge = mean_l2(t, trials, |s| {
-        CargoSystem::new(CargoConfig::new(2.0).with_seed(0xCC00 + s * 2903))
+        CargoSystem::new(trial_config(2.0, 0xCC00 + s * 2903))
             .run(&g)
             .noisy_count
     });
     let node = mean_l2(t, trials, |s| {
-        cargo_repro::core::node_dp::run_node_dp(
-            &CargoConfig::new(2.0).with_seed(0xCC00 + s * 2903),
-            &g,
-        )
-        .noisy_count
+        cargo_repro::core::node_dp::run_node_dp(&trial_config(2.0, 0xCC00 + s * 2903), &g)
+            .noisy_count
     });
     assert!(
         node > 10.0 * edge,

@@ -1,7 +1,7 @@
 //! Property-based integration tests: invariants that must hold for
 //! arbitrary graphs, budgets, and seeds.
 
-use cargo_repro::core::{project_matrix, secure_triangle_count, CargoConfig, CargoSystem};
+use cargo_repro::core::{count_local, project_matrix, CargoConfig, CargoSystem, CountJob};
 use cargo_repro::graph::{count_triangles_matrix, Graph};
 use cargo_repro::mpc::Ring64;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ proptest! {
     ) {
         let m = g.to_bit_matrix();
         let want = count_triangles_matrix(&m);
-        let res = secure_triangle_count(&m, seed, 2);
+        let res = count_local(&m, &CountJob { threads: 2, ..CountJob::new(seed) });
         prop_assert_eq!(res.reconstruct(), Ring64(want));
     }
 
@@ -107,7 +107,7 @@ proptest! {
         // every sharing seed.
         let fixtures = cargo_testutil::golden_fixtures();
         let f = &fixtures[idx];
-        let res = secure_triangle_count(&f.graph.to_bit_matrix(), seed, 2);
+        let res = count_local(&f.graph.to_bit_matrix(), &CountJob { threads: 2, ..CountJob::new(seed) });
         prop_assert_eq!(res.reconstruct(), Ring64(f.triangles));
     }
 }

@@ -2,7 +2,7 @@
 //! must compute exactly the plaintext triple-product count on every
 //! input class, and shares must never leak structure.
 
-use cargo_repro::core::{secure_triangle_count, CargoConfig, CargoSystem};
+use cargo_repro::core::{count_local, CargoConfig, CargoSystem, CountJob};
 use cargo_repro::graph::generators::presets::SnapDataset;
 use cargo_repro::graph::generators::{chung_lu, erdos_renyi};
 use cargo_repro::graph::{count_triangles_matrix, BitMatrix, Graph};
@@ -17,7 +17,7 @@ fn secure_count_matches_golden_fixtures() {
     // golden value exactly (it is an exact protocol — all the noise
     // lives in Perturb).
     for f in golden_fixtures() {
-        let res = secure_triangle_count(&f.graph.to_bit_matrix(), 0xF00D, 1);
+        let res = count_local(&f.graph.to_bit_matrix(), &CountJob::new(0xF00D));
         assert_eq!(res.reconstruct(), Ring64(f.triangles), "{}", f.name);
     }
 }
@@ -29,7 +29,7 @@ fn secure_count_exact_on_dataset_subsamples() {
         let g = full.induced_prefix(250);
         let m = g.to_bit_matrix();
         let want = count_triangles_matrix(&m);
-        let res = secure_triangle_count(&m, 0xFEED, 0);
+        let res = count_local(&m, &CountJob { threads: 0, ..CountJob::new(0xFEED) });
         assert_eq!(res.reconstruct(), Ring64(want), "{}", ds.name());
     }
 }
@@ -42,7 +42,7 @@ fn secure_count_exact_on_projected_asymmetric_matrices() {
     for theta in [5usize, 15, 40] {
         let proj = cargo_repro::core::project_matrix(&g.to_bit_matrix(), &degrees, &noisy, theta);
         let want = count_triangles_matrix(&proj.matrix);
-        let res = secure_triangle_count(&proj.matrix, theta as u64, 4);
+        let res = count_local(&proj.matrix, &CountJob { threads: 4, ..CountJob::new(theta as u64) });
         assert_eq!(res.reconstruct(), Ring64(want), "theta {theta}");
     }
 }
@@ -74,7 +74,7 @@ fn secure_count_exact_on_adversarial_matrices() {
     ];
     for (name, m) in cases {
         let want = count_triangles_matrix(&m);
-        let res = secure_triangle_count(&m, 11, 3);
+        let res = count_local(&m, &CountJob { threads: 3, ..CountJob::new(11) });
         assert_eq!(res.reconstruct(), Ring64(want), "{name}");
     }
 }
@@ -89,7 +89,7 @@ fn accumulated_shares_look_uniform_across_seeds() {
     let mut pop = 0u32;
     const RUNS: u32 = 256;
     for seed in 0..RUNS {
-        pop += secure_triangle_count(&m, seed as u64, 2)
+        pop += count_local(&m, &CountJob { threads: 2, ..CountJob::new(seed as u64) })
             .share1
             .to_u64()
             .count_ones();
@@ -105,7 +105,7 @@ fn accumulated_shares_look_uniform_across_seeds() {
 fn upload_and_communication_scale_as_documented() {
     let n = 30;
     let g = erdos_renyi(n, 0.3, 2);
-    let res = secure_triangle_count(&g.to_bit_matrix(), 5, 1);
+    let res = count_local(&g.to_bit_matrix(), &CountJob::new(5));
     let triples = (n * (n - 1) * (n - 2) / 6) as u64;
     assert_eq!(res.triples, triples);
     assert_eq!(res.net.elements, 6 * triples);
