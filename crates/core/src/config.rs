@@ -143,10 +143,11 @@ pub enum ScheduleKind {
     /// proportional to the graph's wedge mass instead of `n³`.
     Sparse,
     /// The same triples as [`ScheduleKind::Sparse`] — same chunks, same
-    /// shares, bit for bit — but streamed from CSR prefix sums instead
-    /// of materialising every candidate pair and `k`-list up front:
-    /// peak memory O(chunk) instead of O(#candidates), which is what
-    /// makes million-node graphs fit. Evaluated by the hybrid
+    /// shares, bit for bit — but streamed from the CSR adjacency (plus
+    /// a 4-byte-per-edge index) instead of materialising every
+    /// candidate pair and `k`-list up front: peak memory O(n + m +
+    /// chunk) instead of O(#candidates), which is what makes
+    /// million-node graphs fit. Evaluated by the hybrid
     /// dense-block tile kernel (see
     /// [`crate::count::DEFAULT_TILE_THRESHOLD`]).
     SparseStream,

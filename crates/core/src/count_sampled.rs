@@ -136,56 +136,6 @@ pub fn count_sampled(matrix: &BitMatrix, rate: f64, job: &CountJob) -> SampledCo
     }
 }
 
-/// A pair's public candidate `k`-list in whichever form the schedule
-/// holds it: absent (dense cube), borrowed from the eager
-/// [`crate::count_sched::CandidateSet`], or recomputed on the fly from
-/// the streamed CSR plan (same intersection, never materialised
-/// whole-graph).
-enum PairKs<'a> {
-    /// Dense cube — every `k > j` is a candidate.
-    All,
-    /// Eager sparse schedule — the precomputed list.
-    Listed(&'a [u32]),
-    /// Streamed schedule — the list recomputed for this pair only.
-    Streamed(Vec<u32>),
-}
-
-impl PairKs<'_> {
-    /// The `Option<&[u32]>` shape [`sampled_ks`] consumes.
-    fn as_opt(&self) -> Option<&[u32]> {
-        match self {
-            PairKs::All => None,
-            PairKs::Listed(ks) => Some(ks),
-            PairKs::Streamed(ks) => Some(ks),
-        }
-    }
-}
-
-/// Iterates `chunk`'s pairs together with their public candidate
-/// `k`-lists ([`PairKs::All`] for every pair on the dense cube).
-fn pair_cands<'a>(
-    sched: &'a CountScheduler,
-    chunk: &PairChunk,
-) -> impl Iterator<Item = ((usize, usize), PairKs<'a>)> + 'a {
-    let cands = sched.candidates();
-    let stream = sched.stream_graph();
-    sched
-        .chunk_pair_range(chunk)
-        .zip(sched.pair_iter(chunk))
-        .map(move |(ord, ij)| {
-            let ks = if let Some(cs) = cands {
-                PairKs::Listed(cs.ks(ord))
-            } else if let Some(csr) = stream {
-                let mut v = Vec::new();
-                csr.common_neighbors_above(ij.0, ij.1, ij.1, &mut v);
-                PairKs::Streamed(v)
-            } else {
-                PairKs::All
-            };
-            (ij, ks)
-        })
-}
-
 fn sampled_chunk(
     matrix: &BitMatrix,
     seed: u64,
@@ -203,15 +153,15 @@ fn sampled_chunk(
     let threshold = (rate * u64::MAX as f64) as u64;
     let mut words = [0u64; MG_WORDS];
     let mut ks: Vec<u32> = Vec::new();
-    for ((i, j), cand) in pair_cands(sched, chunk) {
+    sched.for_each_pair(chunk, |i, j, cand| {
         let row_i = matrix.row(i);
         let row_j = matrix.row(j);
         let aij = row_i.get(j) as u64;
         let aij1 = share_prf(seed, i as u32, j as u32);
         let aij2 = aij.wrapping_sub(aij1);
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand.as_opt(), &mut ks);
+        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
         if ks.is_empty() {
-            continue;
+            return;
         }
         evaluated += ks.len() as u64;
         net.exchange_rounds((ks.len() / batch) as u64, 3 * batch as u64);
@@ -268,7 +218,7 @@ fn sampled_chunk(
                 .wrapping_add(z2.wrapping_mul(ef))
                 .wrapping_add(ef.wrapping_mul(g));
         }
-    }
+    });
     (Ring64(t1), Ring64(t2), net, evaluated)
 }
 
@@ -345,15 +295,15 @@ fn sampled_chunk_batch(
     let mut mine = vec![0u64; 3 * batch];
     let mut theirs = vec![0u64; 3 * batch];
     let mut opened = vec![0u64; 3 * batch];
-    for ((i, j), cand) in pair_cands(sched, chunk) {
+    sched.for_each_pair(chunk, |i, j, cand| {
         let row_i = matrix.row(i);
         let row_j = matrix.row(j);
         let aij = Ring64::from_bit(row_i.get(j));
         let aij1 = Ring64(share_prf(seed, i as u32, j as u32));
         let aij2 = aij - aij1;
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand.as_opt(), &mut ks);
+        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
         if ks.is_empty() {
-            continue;
+            return;
         }
         evaluated += ks.len() as u64;
         let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
@@ -394,7 +344,7 @@ fn sampled_chunk_batch(
             t1 += mul3_combine_batch(&g1v, &opened[..slab], ServerId::S1);
             t2 += mul3_combine_batch(&g2v, &opened[..slab], ServerId::S2);
         }
-    }
+    });
     (t1, t2, net, evaluated)
 }
 
@@ -428,14 +378,14 @@ fn sampled_chunk_ot(
     // the groups the dealer paths consume.
     let mut plan: Vec<MgDraw> = Vec::new();
     let mut entries: Vec<(u32, u32, Vec<u32>, std::ops::Range<usize>)> = Vec::new();
-    for ((i, j), cand) in pair_cands(sched, chunk) {
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand.as_opt(), &mut ks);
+    sched.for_each_pair(chunk, |i, j, cand| {
+        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
         if !ks.is_empty() {
             let d0 = plan.len();
             push_runs(&mut plan, i as u32, j as u32, &ks);
             entries.push((i as u32, j as u32, ks.clone(), d0..plan.len()));
         }
-    }
+    });
     if plan.is_empty() {
         return (t1, t2, net, evaluated);
     }

@@ -36,7 +36,7 @@
 //!   (`crates/core/tests/scheduler_invariance.rs`) pins this.
 
 use crate::config::ScheduleKind;
-use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder};
+use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder, NeighborMarks};
 use cargo_mpc::MgDraw;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -271,19 +271,25 @@ pub enum SchedulePlan {
     /// The same candidate triples as
     /// `CandidatePairs(CandidateSet::from_graph(g))` — same pairs, same
     /// `k`-lists, same chunk partition, bit-identical shares — but
-    /// generated **lazily from the CSR prefix sums** instead of being
+    /// generated **lazily from the CSR adjacency** instead of being
     /// materialised up front. [`CountScheduler::chunk_plan`] walks the
-    /// chunk's pairs through [`CsrGraph::common_neighbors_above`] into
-    /// a reusable scratch on demand, so a planned run's peak memory is
-    /// O(chunk), never O(#candidate pairs) — the difference between a
-    /// flat `Vec<(u32,u32)>` + concatenated `k`-lists and nothing at
-    /// all when n ≈ 10⁶.
+    /// chunk's pairs through [`CsrGraph::walk_upper_edges`] into a
+    /// reusable scratch on demand, so a planned run's peak memory is
+    /// O(n + m + chunk), never O(#candidate triples).
     ///
-    /// The price is CPU, not memory: candidate generation (the sorted
-    /// intersections) runs once per chunk-plan request instead of once
-    /// total, plus twice at construction for the chunk partition. The
+    /// What the scheduler does remember is one `u32` per edge — the
+    /// length of that edge's `k`-list, a pure function of the public
+    /// CSR — computed in a single marked-intersection pass at
+    /// construction. Total, chunk cut and each chunk's resume point all
+    /// come from that array, and a chunk-plan request re-intersects
+    /// only the chunk's own candidate edges (the ones with a non-zero
+    /// entry), so every candidate's `k`-list is computed exactly twice
+    /// per Count and every non-candidate edge once. The
     /// stream-equivalence suite pins this plan's chunks, pair walk,
     /// and draws equal to the eager plan's.
+    ///
+    /// Edges are numbered with `u32` ordinals: a graph with more than
+    /// `u32::MAX` edges is rejected at construction.
     CsrStream(Arc<CsrGraph>),
 }
 
@@ -343,13 +349,15 @@ enum PairIterInner {
         end: usize,
     },
     /// Lazy candidate-pair walk over the CSR adjacency: resumes at
-    /// `(i, pos)` (vertex, index into its neighbor slice) and yields
-    /// pairs whose `k`-list is non-empty, tested by the early-exit
-    /// intersection — no `k`-list is ever materialised here.
+    /// upper edge `edge` = `(i, upper_neighbors(i)[pos])` and yields
+    /// the edges the index weighs non-zero — no intersection, no
+    /// `k`-list.
     Csr {
         csr: Arc<CsrGraph>,
+        index: Arc<StreamIndex>,
         i: usize,
         pos: usize,
+        edge: usize,
         remaining: u32,
     },
 }
@@ -390,19 +398,23 @@ impl Iterator for PairIter {
             }
             PairIterInner::Csr {
                 csr,
+                index,
                 i,
                 pos,
+                edge,
                 remaining,
             } => {
                 if *remaining == 0 {
                     return None;
                 }
                 while *i < csr.n() {
-                    let nei = csr.neighbors(*i);
-                    while *pos < nei.len() {
-                        let j = nei[*pos] as usize;
+                    let up = csr.upper_neighbors(*i);
+                    while *pos < up.len() {
+                        let j = up[*pos] as usize;
+                        let candidate = index.weights[*edge] > 0;
                         *pos += 1;
-                        if j > *i && csr.has_common_neighbor_above(*i, j, j) {
+                        *edge += 1;
+                        if candidate {
                             *remaining -= 1;
                             return Some((*i, j));
                         }
@@ -425,6 +437,23 @@ pub struct CountScheduler {
     plan: SchedulePlan,
     chunks: Vec<PairChunk>,
     total_triples: u64,
+    /// Empty unless the plan is [`SchedulePlan::CsrStream`].
+    stream: Arc<StreamIndex>,
+}
+
+/// What a [`SchedulePlan::CsrStream`] schedule remembers of its one
+/// intersection pass — 4 bytes per edge, a pure function of the public
+/// CSR. Lives beside the chunk list rather than in [`PairChunk`], which
+/// stays field-for-field equal to the eager plan's.
+#[derive(Debug, Default)]
+struct StreamIndex {
+    /// `weights[e]` is the `k`-list length of upper edge `e` (edges
+    /// numbered in [`CsrGraph::walk_upper_edges`] order); non-zero
+    /// exactly on the candidate pairs.
+    weights: Vec<u32>,
+    /// `chunk_edge[chunk.id]` is the edge ordinal of the chunk's first
+    /// pair — where its walk resumes.
+    chunk_edge: Vec<u32>,
 }
 
 impl CountScheduler {
@@ -470,17 +499,17 @@ impl CountScheduler {
         // drive a multi-gigabyte allocation.
         let batch =
             if batch == 0 { DEFAULT_COUNT_BATCH } else { batch }.min(n.saturating_sub(2).max(1));
-        let (total_triples, chunks) = match &plan {
+        let (total_triples, chunks, stream) = match &plan {
             SchedulePlan::DenseCube => {
                 let total = if n < 3 {
                     0
                 } else {
                     (n as u64) * (n as u64 - 1) * (n as u64 - 2) / 6
                 };
-                (total, build_chunks(n, total))
+                (total, build_chunks(n, total), StreamIndex::default())
             }
             SchedulePlan::CandidatePairs(cs) => {
-                (cs.total_triples(), build_sparse_chunks(cs))
+                (cs.total_triples(), build_sparse_chunks(cs), StreamIndex::default())
             }
             SchedulePlan::CsrStream(csr) => build_csr_chunks(csr),
         };
@@ -491,6 +520,7 @@ impl CountScheduler {
             plan,
             chunks,
             total_triples,
+            stream: Arc::new(stream),
         }
     }
 
@@ -526,26 +556,6 @@ impl CountScheduler {
         &self.plan
     }
 
-    /// The candidate structure, when this is an **eager** sparse
-    /// schedule. A [`SchedulePlan::CsrStream`] schedule is sparse too
-    /// but deliberately never materialises one — use
-    /// [`Self::stream_graph`] and compute per-pair `k`-lists on
-    /// demand.
-    pub fn candidates(&self) -> Option<&Arc<CandidateSet>> {
-        match &self.plan {
-            SchedulePlan::DenseCube | SchedulePlan::CsrStream(_) => None,
-            SchedulePlan::CandidatePairs(cs) => Some(cs),
-        }
-    }
-
-    /// The CSR adjacency backing a streamed sparse schedule.
-    pub fn stream_graph(&self) -> Option<&Arc<CsrGraph>> {
-        match &self.plan {
-            SchedulePlan::CsrStream(csr) => Some(csr),
-            _ => None,
-        }
-    }
-
     /// The chunk's offline preprocessing plan: one [`MgDraw`] per pair
     /// and maximal contiguous `k`-run, **at the run's canonical stream
     /// offset** (`k₀ − j − 1`). For the dense cube every pair is one
@@ -557,39 +567,50 @@ impl CountScheduler {
     /// sampled estimator builds its sparser plan from the public coins
     /// instead.
     pub fn chunk_plan(&self, chunk: &PairChunk) -> Vec<MgDraw> {
-        match &self.plan {
-            SchedulePlan::DenseCube => self
-                .pair_iter(chunk)
-                .map(|(i, j)| MgDraw::dense(i as u32, j as u32, (self.n - j - 1) as u32))
-                .collect(),
-            SchedulePlan::CandidatePairs(cs) => {
-                let mut draws = Vec::new();
-                for idx in self.chunk_pair_range(chunk) {
-                    let (i, j) = cs.pair(idx);
-                    push_runs(&mut draws, i, j, cs.ks(idx));
-                }
-                draws
-            }
-            SchedulePlan::CsrStream(csr) => {
-                // Regenerate exactly this chunk's candidates from the
-                // prefix sums: the walk resumes at `chunk.start` and
-                // the `k`-lists live only in the walker's scratch.
-                let mut draws = Vec::new();
-                let mut left = chunk.pairs;
-                walk_csr_pairs(csr, chunk.start, |i, j, ks| {
-                    push_runs(&mut draws, i, j, ks);
-                    left -= 1;
-                    left > 0
-                });
-                draws
-            }
-        }
+        let mut draws = Vec::new();
+        self.for_each_pair(chunk, |i, j, ks| match ks {
+            None => draws.push(MgDraw::dense(i as u32, j as u32, (self.n - j - 1) as u32)),
+            Some(ks) => push_runs(&mut draws, i as u32, j as u32, ks),
+        });
+        draws
     }
 
-    /// Ordinals of `chunk`'s pairs within the schedule's pair list
-    /// (indices into the [`CandidateSet`] for sparse plans).
-    pub fn chunk_pair_range(&self, chunk: &PairChunk) -> std::ops::Range<usize> {
-        chunk.first as usize..chunk.first as usize + chunk.pairs as usize
+    /// Calls `f(i, j, ks)` for each of `chunk`'s pairs in schedule
+    /// order with the pair's public ascending `k`-list — `None` on the
+    /// dense cube, where every `k > j` is scheduled. A streamed plan
+    /// regenerates exactly this chunk's lists: the walk resumes at the
+    /// chunk's edge ordinal, re-intersects only the edges the index
+    /// weighs non-zero, and the lists live only in the walker's
+    /// scratch.
+    pub(crate) fn for_each_pair(
+        &self,
+        chunk: &PairChunk,
+        mut f: impl FnMut(usize, usize, Option<&[u32]>),
+    ) {
+        match &self.plan {
+            SchedulePlan::DenseCube => self.pair_iter(chunk).for_each(|(i, j)| f(i, j, None)),
+            SchedulePlan::CandidatePairs(cs) => {
+                for idx in chunk.first as usize..chunk.first as usize + chunk.pairs as usize {
+                    let (i, j) = cs.pair(idx);
+                    f(i as usize, j as usize, Some(cs.ks(idx)));
+                }
+            }
+            SchedulePlan::CsrStream(csr) => {
+                let weights = &self.stream.weights;
+                let mut left = chunk.pairs;
+                csr.walk_upper_edges(
+                    chunk.start,
+                    self.stream.chunk_edge[chunk.id as usize] as usize,
+                    &mut NeighborMarks::new(csr.n()),
+                    |e| weights[e] > 0,
+                    |_, i, j, ks| {
+                        f(i, j, Some(ks));
+                        left -= 1;
+                        left > 0
+                    },
+                );
+            }
+        }
     }
 
     /// Iterates `chunk`'s pairs in schedule order.
@@ -609,15 +630,12 @@ impl CountScheduler {
                 },
                 SchedulePlan::CsrStream(csr) => {
                     let i = chunk.start.0 as usize;
-                    let pos = if i < csr.n() {
-                        csr.neighbors(i).partition_point(|&x| x < chunk.start.1)
-                    } else {
-                        0
-                    };
                     PairIterInner::Csr {
                         csr: Arc::clone(csr),
+                        index: Arc::clone(&self.stream),
                         i,
-                        pos,
+                        pos: csr.upper_neighbors(i).partition_point(|&x| x < chunk.start.1),
+                        edge: self.stream.chunk_edge[chunk.id as usize] as usize,
                         remaining: chunk.pairs,
                     }
                 }
@@ -686,183 +704,123 @@ pub(crate) fn push_runs(draws: &mut Vec<MgDraw>, i: u32, j: u32, ks: &[u32]) {
     }
 }
 
-/// Cuts the lexicographic pair walk into chunks of roughly
-/// `total / CHUNK_PARTS` triples each (floored at
-/// [`MIN_CHUNK_TRIPLES`]). Depends only on `n` — see [`CHUNK_PARTS`]
-/// for why worker count must not leak in.
+/// The one cut rule of every plan: packs pairs, in schedule order, into
+/// chunks of roughly `total / CHUNK_PARTS` triples each (floored at
+/// [`MIN_CHUNK_TRIPLES`]). The cut depends only on the pushed
+/// `(pair, weight)` sequence — see [`CHUNK_PARTS`] for why worker count
+/// must not leak in — so plans that list the same pairs with the same
+/// weights get the identical chunk list.
+struct ChunkCutter {
+    target: u64,
+    chunks: Vec<PairChunk>,
+    /// Pairs pushed so far — the next pair's ordinal.
+    ordinal: u32,
+    /// The chunk still filling, if a pair was pushed since the last cut.
+    open: Option<PairChunk>,
+}
+
+impl ChunkCutter {
+    fn new(total_triples: u64) -> Self {
+        ChunkCutter {
+            target: (total_triples / CHUNK_PARTS).max(MIN_CHUNK_TRIPLES),
+            chunks: Vec::new(),
+            ordinal: 0,
+            open: None,
+        }
+    }
+
+    /// Appends the next pair and its triple weight; `true` when the
+    /// pair opened a new chunk.
+    fn push(&mut self, pair: (u32, u32), triples: u64) -> bool {
+        let opened = self.open.is_none();
+        let chunk = self.open.get_or_insert(PairChunk {
+            id: self.chunks.len() as u32,
+            start: pair,
+            first: self.ordinal,
+            pairs: 0,
+            triples: 0,
+        });
+        chunk.pairs += 1;
+        chunk.triples += triples;
+        self.ordinal += 1;
+        if chunk.triples >= self.target {
+            self.chunks.extend(self.open.take());
+        }
+        opened
+    }
+
+    fn finish(mut self) -> Vec<PairChunk> {
+        self.chunks.extend(self.open.take());
+        self.chunks
+    }
+}
+
+/// The dense cube's chunk list: every pair `(i, j)` with a non-empty
+/// `k` range, weighing `n − j − 1` triples. Depends only on `n`.
 fn build_chunks(n: usize, total_triples: u64) -> Vec<PairChunk> {
-    if n < 3 {
-        return Vec::new();
-    }
-    let target = (total_triples / CHUNK_PARTS).max(MIN_CHUNK_TRIPLES);
-    let mut chunks = Vec::new();
-    let mut start: Option<(u32, u32)> = None;
-    let mut first = 0u32;
-    let mut ordinal = 0u32;
-    let mut pairs = 0u32;
-    let mut triples = 0u64;
-    for i in 0..=(n - 3) {
-        for j in (i + 1)..=(n - 2) {
-            if start.is_none() {
-                start = Some((i as u32, j as u32));
-                first = ordinal;
-            }
-            ordinal += 1;
-            pairs += 1;
-            triples += (n - j - 1) as u64;
-            if triples >= target {
-                chunks.push(PairChunk {
-                    id: chunks.len() as u32,
-                    start: start.take().expect("chunk start set"),
-                    first,
-                    pairs,
-                    triples,
-                });
-                pairs = 0;
-                triples = 0;
-            }
+    let mut cut = ChunkCutter::new(total_triples);
+    for i in 0..n.saturating_sub(2) {
+        for j in (i + 1)..(n - 1) {
+            cut.push((i as u32, j as u32), (n - j - 1) as u64);
         }
     }
-    if let Some(start) = start {
-        chunks.push(PairChunk {
-            id: chunks.len() as u32,
-            start,
-            first,
-            pairs,
-            triples,
-        });
-    }
-    chunks
+    cut.finish()
 }
 
-/// The sparse analogue of [`build_chunks`]: packs candidate pairs, in
-/// order, into chunks of roughly `total / CHUNK_PARTS` triples
-/// (floored at [`MIN_CHUNK_TRIPLES`]). A pure function of the
-/// candidate list, for the same reason the dense partition is a pure
-/// function of `n`.
+/// The eager sparse plan's chunk list: a pure function of the candidate
+/// list, for the same reason the dense partition is a pure function of
+/// `n`.
 fn build_sparse_chunks(cs: &CandidateSet) -> Vec<PairChunk> {
-    if cs.is_empty() {
-        return Vec::new();
-    }
-    let target = (cs.total_triples() / CHUNK_PARTS).max(MIN_CHUNK_TRIPLES);
-    let mut chunks = Vec::new();
-    let mut first: Option<usize> = None;
-    let mut pairs = 0u32;
-    let mut triples = 0u64;
+    let mut cut = ChunkCutter::new(cs.total_triples());
     for idx in 0..cs.len() {
-        if first.is_none() {
-            first = Some(idx);
-        }
-        pairs += 1;
-        triples += cs.ks(idx).len() as u64;
-        if triples >= target {
-            let f = first.take().expect("chunk start set");
-            chunks.push(PairChunk {
-                id: chunks.len() as u32,
-                start: cs.pair(f),
-                first: f as u32,
-                pairs,
-                triples,
-            });
-            pairs = 0;
-            triples = 0;
-        }
+        cut.push(cs.pair(idx), cs.ks(idx).len() as u64);
     }
-    if let Some(f) = first {
-        chunks.push(PairChunk {
-            id: chunks.len() as u32,
-            start: cs.pair(f),
-            first: f as u32,
-            pairs,
-            triples,
-        });
-    }
-    chunks
+    cut.finish()
 }
 
-/// Streams the candidate pairs of `csr` — in exactly the order
-/// [`CandidateSet::from_graph`] would list them — starting at pair
-/// `from` (inclusive), calling `f(i, j, ks)` with each pair's
-/// non-empty ascending `k`-list. The list lives in one reusable
-/// scratch buffer; `f` returning `false` stops the walk. This is the
-/// whole streaming machinery: chunk construction, chunk plans, and
-/// the sampled path's per-pair candidates all reduce to it.
-fn walk_csr_pairs(csr: &CsrGraph, from: (u32, u32), mut f: impl FnMut(u32, u32, &[u32]) -> bool) {
-    let n = csr.n();
-    let mut ks: Vec<u32> = Vec::new();
-    let (i0, j0) = (from.0 as usize, from.1);
-    for i in i0..n {
-        let nei = csr.neighbors(i);
-        // Candidate pairs need j > i; the resume point additionally
-        // clips the first vertex's neighbor slice at j₀.
-        let floor = if i == i0 { j0.max(i as u32 + 1) } else { i as u32 + 1 };
-        let at = nei.partition_point(|&x| x < floor);
-        for &j in &nei[at..] {
-            ks.clear();
-            csr.common_neighbors_above(i, j as usize, j as usize, &mut ks);
-            if !ks.is_empty() && !f(i as u32, j, &ks) {
-                return;
-            }
-        }
-    }
+/// Edge ordinals (and with them [`PairChunk`]'s pair ordinals) are
+/// `u32`: refuses a graph whose edges would not fit, naming the limit.
+fn stream_edge_count(edges: usize) -> u32 {
+    u32::try_from(edges).unwrap_or_else(|_| {
+        panic!("CsrStream plans number edges in u32: {edges} edges exceed the limit of {}", u32::MAX)
+    })
 }
 
-/// The streaming analogue of [`build_sparse_chunks`]: two passes over
-/// the lazy candidate walk — one to total the triples (the cut target
-/// needs it), one to cut — instead of one pass over a materialised
-/// [`CandidateSet`]. Costs a second round of sorted intersections;
-/// buys never holding the pair list. Produces the **identical** chunk
-/// list (same cut logic, same candidate order), which the
+/// The streaming analogue of [`build_sparse_chunks`]: **one** pass of
+/// marked intersections over the upper edges fills the per-edge weight
+/// index; total, cut and resume ordinals then come from an
+/// intersection-free sweep over that array. Produces the **identical**
+/// chunk list (same cut rule, same candidate order), which the
 /// stream-equivalence tests pin — chunk ids key the amortised OT
 /// offline sessions, so the two sparse plans must agree chunk for
 /// chunk.
-fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>) {
-    let mut total = 0u64;
-    walk_csr_pairs(csr, (0, 0), |_, _, ks| {
-        total += ks.len() as u64;
-        true
-    });
-    if total == 0 {
-        return (0, Vec::new());
-    }
-    let target = (total / CHUNK_PARTS).max(MIN_CHUNK_TRIPLES);
-    let mut chunks = Vec::new();
-    let mut start: Option<(u32, u32)> = None;
-    let mut first = 0u32;
-    let mut ordinal = 0u32;
-    let mut pairs = 0u32;
-    let mut triples = 0u64;
-    walk_csr_pairs(csr, (0, 0), |i, j, ks| {
-        if start.is_none() {
-            start = Some((i, j));
-            first = ordinal;
+fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>, StreamIndex) {
+    let mut weights = vec![0u32; stream_edge_count(csr.edge_count()) as usize];
+    csr.walk_upper_edges(
+        (0, 0),
+        0,
+        &mut NeighborMarks::new(csr.n()),
+        |_| true,
+        // A k-list is a set of vertex ids, so its length fits u32.
+        |e, _, _, ks| {
+            weights[e] = ks.len() as u32;
+            true
+        },
+    );
+    let total = weights.iter().map(|&w| w as u64).sum();
+    let mut cut = ChunkCutter::new(total);
+    let mut chunk_edge = Vec::new();
+    let mut e = 0u32;
+    for i in 0..csr.n() {
+        for &j in csr.upper_neighbors(i) {
+            let w = weights[e as usize];
+            if w > 0 && cut.push((i as u32, j), w as u64) {
+                chunk_edge.push(e);
+            }
+            e += 1;
         }
-        ordinal += 1;
-        pairs += 1;
-        triples += ks.len() as u64;
-        if triples >= target {
-            chunks.push(PairChunk {
-                id: chunks.len() as u32,
-                start: start.take().expect("chunk start set"),
-                first,
-                pairs,
-                triples,
-            });
-            pairs = 0;
-            triples = 0;
-        }
-        true
-    });
-    if let Some(start) = start {
-        chunks.push(PairChunk {
-            id: chunks.len() as u32,
-            start,
-            first,
-            pairs,
-            triples,
-        });
     }
-    (total, chunks)
+    (total, cut.finish(), StreamIndex { weights, chunk_edge })
 }
 
 #[cfg(test)]
@@ -1092,37 +1050,64 @@ mod tests {
         }
     }
 
+    /// Graph families the streamed plan is held to the eager one on:
+    /// random, power-law, a mid-id hub under low-degree sources,
+    /// complete (chunks cut mid-vertex), triangle-free and empty.
+    fn stream_families() -> Vec<(&'static str, Graph)> {
+        let mut star_of_stars: Vec<(usize, usize)> =
+            (0..200).filter(|&v| v != 100).map(|v| (100, v)).collect();
+        star_of_stars.extend((0..60).map(|i| (i, 199 - i)));
+        star_of_stars.extend((0..40).chain(160..199).map(|v| (150, v)));
+        let bipartite: Vec<(usize, usize)> =
+            (0..12).flat_map(|u| (12..24).map(move |v| (u, v))).collect();
+        let complete: Vec<(usize, usize)> =
+            (0..40).flat_map(|u| (u + 1..40).map(move |v| (u, v))).collect();
+        vec![
+            ("gnp-3", generators::erdos_renyi(3, 0.9, 1)),
+            ("gnp-30", generators::erdos_renyi(30, 0.05, 2)),
+            ("gnp-80", generators::erdos_renyi(80, 0.15, 11)),
+            ("gnp-60", generators::erdos_renyi(60, 0.4, 5)),
+            ("power-law", generators::chung_lu(400, 1600, 90, 2.2, 7)),
+            ("star-of-stars", Graph::from_edges(200, &star_of_stars).unwrap()),
+            ("complete", Graph::from_edges(40, &complete).unwrap()),
+            ("bipartite", Graph::from_edges(24, &bipartite).unwrap()),
+            ("edgeless", Graph::empty(7)),
+            ("null", Graph::empty(0)),
+        ]
+    }
+
     #[test]
     fn csr_stream_schedule_equals_the_eager_sparse_schedule() {
         // The streamed plan must be indistinguishable from the eager
         // one at the scheduler level: same chunk list (ids key OT
         // sessions), same pair walk, same draws at the same canonical
         // offsets — lazily regenerated instead of stored.
-        for (n, p, seed) in [(3usize, 0.9, 1u64), (30, 0.05, 2), (80, 0.15, 11), (60, 0.4, 5)] {
-            let g = generators::erdos_renyi(n, p, seed);
+        let mut mid_vertex_starts = 0;
+        for (name, g) in stream_families() {
+            let n = g.n();
             let cs = Arc::new(CandidateSet::from_graph(&g));
             let csr = Arc::new(CsrGraph::from_graph(&g));
             let eager =
                 CountScheduler::with_plan(n, 3, 0, SchedulePlan::CandidatePairs(cs));
             let streamed =
-                CountScheduler::with_plan(n, 3, 0, SchedulePlan::CsrStream(csr));
-            assert_eq!(streamed.chunks(), eager.chunks(), "n={n} seed={seed}");
-            assert_eq!(streamed.total_triples(), eager.total_triples());
+                CountScheduler::with_plan(n, 3, 0, SchedulePlan::CsrStream(Arc::clone(&csr)));
+            assert_eq!(streamed.chunks(), eager.chunks(), "{name}");
+            assert_eq!(streamed.total_triples(), eager.total_triples(), "{name}");
             for (sc, ec) in streamed.chunks().iter().zip(eager.chunks()) {
+                // Each chunk resumes on its own: the eager draws are the
+                // matching slice of a from-zero walk by construction.
                 assert_eq!(
                     streamed.pair_iter(sc).collect::<Vec<_>>(),
                     eager.pair_iter(ec).collect::<Vec<_>>(),
-                    "n={n} chunk={}",
+                    "{name} chunk={}",
                     sc.id
                 );
-                assert_eq!(
-                    streamed.chunk_plan(sc),
-                    eager.chunk_plan(ec),
-                    "n={n} chunk={}",
-                    sc.id
-                );
+                assert_eq!(streamed.chunk_plan(sc), eager.chunk_plan(ec), "{name} chunk={}", sc.id);
+                let (i, j) = sc.start;
+                mid_vertex_starts += (csr.upper_neighbors(i as usize)[0] != j) as usize;
             }
         }
+        assert!(mid_vertex_starts > 0, "no chunk resumed inside a vertex's edge run");
     }
 
     #[test]
@@ -1139,6 +1124,62 @@ mod tests {
         );
         assert!(sched.chunks().is_empty());
         assert_eq!(sched.total_triples(), 0);
+    }
+
+    #[test]
+    fn stream_index_weighs_each_edge_by_its_k_list() {
+        for (name, g) in stream_families() {
+            let cs = CandidateSet::from_graph(&g);
+            let csr = Arc::new(CsrGraph::from_graph(&g));
+            let sched =
+                CountScheduler::with_plan(g.n(), 1, 0, SchedulePlan::CsrStream(Arc::clone(&csr)));
+            // Walk order = lexicographic upper edges; the eager list is
+            // its non-zero subsequence.
+            let mut want = Vec::new();
+            let mut idx = 0;
+            for i in 0..g.n() {
+                for &j in csr.upper_neighbors(i) {
+                    if idx < cs.len() && cs.pair(idx) == (i as u32, j) {
+                        want.push(cs.ks(idx).len() as u32);
+                        idx += 1;
+                    } else {
+                        want.push(0);
+                    }
+                }
+            }
+            assert_eq!(idx, cs.len(), "{name}: every eager pair is an upper edge");
+            assert_eq!(sched.stream.weights, want, "{name}");
+            assert_eq!(sched.stream.chunk_edge.len(), sched.chunks().len(), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_million_leaf_star_is_indexed_in_linear_time() {
+        // Leaves have at most one upper neighbor (no marking, O(1));
+        // the hub marks once and meets an empty window per leaf. A
+        // per-vertex O(n) anywhere would take minutes here.
+        let n = 1_000_001usize;
+        for hub in [0u32, 500_000] {
+            let pairs: Vec<(u32, u32)> = (0..n as u32)
+                .filter(|&v| v != hub)
+                .map(|v| (v.min(hub), v.max(hub)))
+                .collect();
+            let csr = Arc::new(CsrGraph::from_pairs(n, &pairs));
+            let t = std::time::Instant::now();
+            let sched = CountScheduler::with_plan(n, 1, 0, SchedulePlan::CsrStream(csr));
+            let took = t.elapsed();
+            assert!(sched.chunks().is_empty() && sched.total_triples() == 0);
+            // ≈ 0.2 s in a debug build, ≈ 10 ms optimised; the slack
+            // is for a loaded test host.
+            assert!(took.as_secs_f64() < 2.0, "index pass took {took:?} (hub {hub})");
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceed the limit of 4294967295")]
+    fn stream_plans_refuse_more_edges_than_u32_ordinals() {
+        stream_edge_count(u32::MAX as usize + 1);
     }
 
     #[test]

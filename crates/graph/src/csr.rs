@@ -17,9 +17,14 @@
 //!   candidate spot for one triangle.
 //!
 //! [`CsrGraph::count_triangles`] closes the wedges and cross-checks the
-//! crate's other counters; `common_neighbors_above` is the
-//! sorted-intersection primitive the candidate-pair scheduler builds
-//! its public `k`-lists from.
+//! crate's other counters. The candidate-pair schedulers build their
+//! public `k`-lists from two equivalent primitives:
+//! `common_neighbors_above` intersects one pair by a sorted merge (the
+//! eager plan, and the reference the tests compare against), and
+//! [`CsrGraph::walk_upper_edges`] streams every upper edge's list by
+//! *marking* the source's neighborhood once and validating the other
+//! side against it (the streamed plan) — the smaller relation proposes,
+//! the index validates, nothing merges through a hub's tail.
 
 use crate::bitvec::BitMatrix;
 use crate::graph::Graph;
@@ -213,25 +218,87 @@ impl CsrGraph {
         }
     }
 
-    /// Whether `u` and `v` share at least one common neighbor
-    /// `k > floor` — [`Self::common_neighbors_above`] with an early
-    /// exit on the first hit and no output allocation. The streaming
-    /// scheduler uses this to test pair candidacy without
-    /// materialising the `k`-list.
-    pub fn has_common_neighbor_above(&self, u: usize, v: usize, floor: usize) -> bool {
-        let mut a = self.neighbors(u);
-        let mut b = self.neighbors(v);
-        let fl = floor as u32;
-        a = &a[a.partition_point(|&x| x <= fl)..];
-        b = &b[b.partition_point(|&x| x <= fl)..];
-        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-            match x.cmp(&y) {
-                std::cmp::Ordering::Less => a = &a[1..],
-                std::cmp::Ordering::Greater => b = &b[1..],
-                std::cmp::Ordering::Equal => return true,
+    /// `v`'s neighbors above it **by id** (`j > v`), ascending — the
+    /// upper edges `(v, j)` of the lexicographic pair walk.
+    pub fn upper_neighbors(&self, v: usize) -> &[u32] {
+        let nei = self.neighbors(v);
+        &nei[nei.partition_point(|&x| x as usize <= v)..]
+    }
+
+    /// Streams the upper edges `(i, j > i)` in lexicographic order —
+    /// edge `from` (inclusive) onwards — and calls
+    /// `f(ordinal, i, j, ks)` for every edge that `want(ordinal)` and
+    /// whose `k`-list `ks = {k > j : k ∈ N(i) ∩ N(j)}` is **non-empty**,
+    /// ascending exactly as [`Self::common_neighbors_above`]`(i, j, j)`
+    /// lists it. `ordinal` numbers the upper edges in walk order
+    /// (`from_ordinal` is `from`'s own); `f` returning `false` stops
+    /// the walk. An unwanted edge costs one `want` call — `N(j)` is
+    /// never touched.
+    ///
+    /// Per source vertex `i` the upper neighborhood is marked in
+    /// `marks` once and each `N(j)` is validated against it, so a pair
+    /// costs `O(|N(j) ∩ [lo, hi]|)` bit tests instead of a merge
+    /// through both tails; a vertex with fewer than two upper neighbors
+    /// closes nothing and costs `O(1)`. `marks` must span
+    /// [`Self::n`] bits and is all-zero again when this returns.
+    pub fn walk_upper_edges(
+        &self,
+        from: (u32, u32),
+        from_ordinal: usize,
+        marks: &mut NeighborMarks,
+        mut want: impl FnMut(usize) -> bool,
+        mut f: impl FnMut(usize, usize, usize, &[u32]) -> bool,
+    ) {
+        assert!(marks.words.len() * 64 >= self.n, "mark scratch narrower than the graph");
+        let mut ks = Vec::new();
+        let mut ordinal = from_ordinal;
+        for i in from.0 as usize..self.n {
+            let mut up = self.upper_neighbors(i);
+            if i == from.0 as usize {
+                up = &up[up.partition_point(|&x| x < from.1)..];
             }
+            // `ks ⊆ N(i)` above `j`: the last upper neighbor has none.
+            let mut marked = false;
+            for p in 0..up.len().saturating_sub(1) {
+                if !want(ordinal + p) {
+                    continue;
+                }
+                if !marked {
+                    marks.set(up);
+                    marked = true;
+                }
+                ks.clear();
+                self.closing_above(up[p], &up[p + 1..], marks, &mut ks);
+                if !ks.is_empty() && !f(ordinal + p, i, up[p] as usize, &ks) {
+                    marks.clear(up);
+                    return;
+                }
+            }
+            if marked {
+                marks.clear(up);
+            }
+            ordinal += up.len();
         }
-        false
+    }
+
+    /// Appends `N(j) ∩ above`, ascending, where `above` (non-empty,
+    /// ascending) is marked in `marks`. Only the window of `N(j)`
+    /// inside `[above.first, above.last]` is looked at; when even that
+    /// window dwarfs `above` (a hub `j` under a low-degree source) the
+    /// short side probes it by binary search instead.
+    fn closing_above(&self, j: u32, above: &[u32], marks: &NeighborMarks, out: &mut Vec<u32>) {
+        let (lo, hi) = (above[0], above[above.len() - 1]);
+        let b = self.neighbors(j as usize);
+        let b = &b[b.partition_point(|&x| x < lo)..];
+        let b = &b[..b.partition_point(|&x| x <= hi)];
+        if b.is_empty() {
+            return;
+        }
+        if above.len() * (b.len().ilog2() as usize + 1) < b.len() {
+            out.extend(above.iter().filter(|k| b.binary_search(k).is_ok()));
+        } else {
+            out.extend(b.iter().filter(|&&k| marks.has(k)));
+        }
     }
 
     /// Iterates the degree-ordered wedges `(v, u, w)`:
@@ -268,6 +335,45 @@ impl CsrGraph {
             }
         }
         t
+    }
+}
+
+/// Reusable `n`-bit membership scratch of
+/// [`CsrGraph::walk_upper_edges`]: all-zero between source vertices, so
+/// one allocation (`n / 8` bytes — 125 kB at `n = 10⁶`) serves a whole
+/// walk and any number of walks after it.
+#[derive(Debug, Clone)]
+pub struct NeighborMarks {
+    words: Vec<u64>,
+}
+
+impl NeighborMarks {
+    /// An all-zero scratch for graphs of up to `n` vertices.
+    pub fn new(n: usize) -> Self {
+        NeighborMarks { words: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Whether no bit is set — the state every walk leaves behind.
+    pub fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn set(&mut self, ks: &[u32]) {
+        for &k in ks {
+            self.words[k as usize >> 6] |= 1 << (k & 63);
+        }
+    }
+
+    /// Zeroes every word `set(ks)` touched.
+    fn clear(&mut self, ks: &[u32]) {
+        for &k in ks {
+            self.words[k as usize >> 6] = 0;
+        }
+    }
+
+    #[inline]
+    fn has(&self, k: u32) -> bool {
+        self.words[k as usize >> 6] >> (k & 63) & 1 == 1
     }
 }
 
@@ -309,6 +415,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::triangles::count_triangles;
+    use proptest::prelude::*;
 
     fn diamond() -> Graph {
         // 0-1-2-0 and 1-2-3-1: two triangles sharing edge (1,2).
@@ -392,23 +499,102 @@ mod tests {
         assert!(out.is_empty(), "floor excludes everything");
     }
 
-    #[test]
-    fn has_common_neighbor_above_agrees_with_the_list() {
-        let g = generators::erdos_renyi(50, 0.15, 9);
-        let c = CsrGraph::from_graph(&g);
-        let mut out = Vec::new();
-        for u in 0..50 {
-            for v in 0..50 {
-                for floor in [0usize, u, v, 25, 49] {
-                    out.clear();
-                    c.common_neighbors_above(u, v, floor, &mut out);
-                    assert_eq!(
-                        c.has_common_neighbor_above(u, v, floor),
-                        !out.is_empty(),
-                        "u={u} v={v} floor={floor}"
-                    );
+    /// Every upper edge's non-empty `k`-list by the reference merge:
+    /// `(ordinal, i, j, ks)` in walk order.
+    fn merged_lists(c: &CsrGraph) -> Vec<(usize, usize, usize, Vec<u32>)> {
+        let mut lists = Vec::new();
+        let mut ordinal = 0;
+        for i in 0..c.n() {
+            for &j in c.upper_neighbors(i) {
+                let mut ks = Vec::new();
+                c.common_neighbors_above(i, j as usize, j as usize, &mut ks);
+                if !ks.is_empty() {
+                    lists.push((ordinal, i, j as usize, ks));
                 }
+                ordinal += 1;
             }
+        }
+        lists
+    }
+
+    /// What the marked walk reports from edge `from` on, stopping after
+    /// `stop_after` reports; asserts the scratch comes back all-zero.
+    fn walked_lists(
+        c: &CsrGraph,
+        marks: &mut NeighborMarks,
+        from: (u32, u32),
+        from_ordinal: usize,
+        want: impl FnMut(usize) -> bool,
+        stop_after: usize,
+    ) -> Vec<(usize, usize, usize, Vec<u32>)> {
+        let mut lists = Vec::new();
+        c.walk_upper_edges(from, from_ordinal, marks, want, |e, i, j, ks| {
+            lists.push((e, i, j, ks.to_vec()));
+            lists.len() < stop_after
+        });
+        assert!(marks.is_clear(), "scratch dirty after a walk from {from:?}");
+        lists
+    }
+
+    #[test]
+    fn upper_neighbors_are_the_ids_above() {
+        let c = CsrGraph::from_graph(&diamond());
+        assert_eq!(c.upper_neighbors(0), &[1, 2]);
+        assert_eq!(c.upper_neighbors(1), &[2, 3]);
+        assert_eq!(c.upper_neighbors(2), &[3]);
+        assert!(c.upper_neighbors(3).is_empty());
+    }
+
+    #[test]
+    fn a_hub_under_a_short_source_is_probed_not_scanned() {
+        // Hub 10 with neighbors 11..=60; source 0 sees {10, 11, 60}, so
+        // pair (0, 10) validates a 2-element list against a 50-element
+        // window of N(10) — the binary-search side of `closing_above`.
+        // Source 1 sees {10, 20, 61}: 61 is not the hub's.
+        let mut edges: Vec<(usize, usize)> = (11..=60).map(|k| (10, k)).collect();
+        edges.extend([(0, 10), (0, 11), (0, 60), (1, 10), (1, 20), (1, 61)]);
+        let c = CsrGraph::from_graph(&Graph::from_edges(62, &edges).unwrap());
+        let mut marks = NeighborMarks::new(c.n());
+        let got = walked_lists(&c, &mut marks, (0, 0), 0, |_| true, usize::MAX);
+        assert_eq!(got, merged_lists(&c));
+        assert_eq!(got[0], (0, 0, 10, vec![11, 60]));
+        assert_eq!(got[1], (3, 1, 10, vec![20]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn marked_walk_equals_the_merged_intersection(
+            n in 1usize..70,
+            p in 0.0f64..0.6,
+            seed: u64,
+            hubs: bool,
+        ) {
+            let g = if hubs {
+                generators::chung_lu(n + 30, 4 * n, n / 2 + 2, 2.2, seed)
+            } else {
+                generators::erdos_renyi(n, p, seed)
+            };
+            let c = CsrGraph::from_graph(&g);
+            let want = merged_lists(&c);
+            // One scratch across every walk below: reuse safety.
+            let mut marks = NeighborMarks::new(c.n());
+            let all = walked_lists(&c, &mut marks, (0, 0), 0, |_| true, usize::MAX);
+            prop_assert_eq!(&all, &want);
+            // Resuming at any reported edge replays the tail, and an
+            // early `false` leaves a prefix (and a clean scratch).
+            for (at, (e, i, j, _)) in want.iter().enumerate() {
+                let from = (*i as u32, *j as u32);
+                let tail = walked_lists(&c, &mut marks, from, *e, |_| true, usize::MAX);
+                prop_assert_eq!(&tail[..], &want[at..]);
+                let head = walked_lists(&c, &mut marks, (0, 0), 0, |_| true, at + 1);
+                prop_assert_eq!(&head[..], &want[..=at]);
+            }
+            // Unwanted edges are skipped, wanted ones unaffected.
+            let odd = walked_lists(&c, &mut marks, (0, 0), 0, |e| e % 2 == 1, usize::MAX);
+            let want_odd: Vec<_> = want.iter().filter(|l| l.0 % 2 == 1).cloned().collect();
+            prop_assert_eq!(odd, want_odd);
         }
     }
 

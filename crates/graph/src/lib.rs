@@ -38,7 +38,7 @@ pub mod triangles;
 
 pub use bitvec::{BitMatrix, BitVec};
 pub use components::{connected_components, largest_component, random_induced_subgraph};
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, NeighborMarks};
 pub use degree::{degree_sequence, DegreeStats};
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder};
