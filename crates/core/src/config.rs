@@ -196,9 +196,12 @@ pub struct CargoConfig {
     /// Governs every Count executor: the fast kernel, the sharded
     /// message-passing runtime, and the sampled estimator.
     pub threads: usize,
-    /// Triples per Count communication round / PRG block
-    /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). Shares are
-    /// identical for every batch size; only rounds and wall-clock
+    /// Triples per Count communication round
+    /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). A round is
+    /// filled across `k`-runs and pairs of a scheduler chunk — it is
+    /// not capped by run length — so a chunk of `W` triples costs
+    /// `⌈W/batch⌉` rounds; also the most one PRG block expands. Shares
+    /// are identical for every batch size; only rounds and wall-clock
     /// change.
     pub batch: usize,
     /// Whether to run the similarity-based projection (disable only for

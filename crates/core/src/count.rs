@@ -43,11 +43,16 @@
 //!   block-expanded dealer words ([`cargo_mpc::PairDealer::fill_words`])
 //!   and word-widened adjacency bits, gathering short runs across pairs
 //!   into full-width tiles ([`CountJob::tile_threshold`]).
-//! * **Communication accounting.** The `e, f, g` openings of one
-//!   `k`-batch (up to [`crate::count_sched::DEFAULT_COUNT_BATCH`]
-//!   triples of an `(i, j)` pair) travel in one round — `3·batch`
-//!   elements each way — which is how any sane deployment would
-//!   schedule them; element/byte counts are per-triple exact.
+//! * **Communication accounting.** Algorithm 4's multiplications are
+//!   mutually independent, so the `e, f, g` openings of a scheduler
+//!   chunk travel `batch` triples a round
+//!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) **across
+//!   `k`-run and pair boundaries** — `3·batch` elements each way, one
+//!   short round at the chunk's end — which is how any sane deployment
+//!   would schedule them. The workers here tally that in closed form
+//!   ([`NetStats::exchange_triples`], once per chunk); the wire
+//!   executors cut the very same rounds with [`cargo_mpc::plan_rounds`].
+//!   Element/byte counts are per-triple exact.
 
 use crate::config::{CargoConfig, CountKernel};
 use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
@@ -127,10 +132,12 @@ pub struct CountJob {
     /// Worker threads (per server on the wire executors); `0` ⇒ all
     /// cores. The result is identical for every thread count.
     pub threads: usize,
-    /// Triples per communication round / PRG block; `0` ⇒
-    /// [`crate::count_sched::DEFAULT_COUNT_BATCH`]. Shares and element
-    /// counts are identical for every batch; only wall-clock and round
-    /// granularity change.
+    /// Triples per communication round (and the most one PRG block
+    /// expands); `0` ⇒ [`crate::count_sched::DEFAULT_COUNT_BATCH`]. A
+    /// round is filled across `k`-runs and pairs, so a chunk of `W`
+    /// triples costs `⌈W/batch⌉` rounds. Shares and element counts are
+    /// identical for every batch; only wall-clock and round granularity
+    /// change.
     pub batch: usize,
     /// Where the Multiplication Groups come from: the seeded trusted
     /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
@@ -440,8 +447,6 @@ fn count_chunk<B: AdjacencyBits>(
             dealer.fill_words(&mut words[..MG_WORDS * block]);
             bits.fill_bits(i, k, &mut b_bits[..block]);
             bits.fill_bits(j, k, &mut c_bits[..block]);
-            // One communication round opens e,f,g for the whole batch.
-            net.exchange(3 * block as u64);
             for (b, kk) in (k..k + block).enumerate() {
                 let w = &words[MG_WORDS * b..MG_WORDS * (b + 1)];
                 let x1 = w[0];
@@ -479,7 +484,7 @@ fn count_chunk<B: AdjacencyBits>(
                 let f2 = aik2.wrapping_sub(y2);
                 let g1 = ajk1.wrapping_sub(z1);
                 let g2 = ajk2.wrapping_sub(z2);
-                // Step 2: openings (batched above in `net`).
+                // Step 2: openings (tallied per chunk below).
                 let e = e1.wrapping_add(e2);
                 let f = f1.wrapping_add(f2);
                 let g = g1.wrapping_add(g2);
@@ -509,6 +514,7 @@ fn count_chunk<B: AdjacencyBits>(
             k += block;
         }
     }
+    net.exchange_triples(triples, batch as u64);
     (Ring64(t1), Ring64(t2), net, triples)
 }
 
@@ -533,9 +539,10 @@ fn count_chunk<B: AdjacencyBits>(
 /// [`count_chunk`]: each lane's MG words come from the same canonical
 /// dealer offset either way, wrapping sums are order-independent, and
 /// the opened maskings collapse to the values the scalar path
-/// reconstructs share by share. The [`NetStats`] ledger is tallied per
-/// draw (two bulk updates: full rounds + tail) — tiling regroups
-/// *kernel evaluation*, not wire rounds.
+/// reconstructs share by share. The [`NetStats`] ledger is the chunk's
+/// closed form ([`NetStats::exchange_triples`]): wire rounds are cut
+/// from the plan and `batch` alone, so neither θ nor how the kernel
+/// groups lanes can move them.
 fn count_chunk_tiled<B: AdjacencyBits>(
     bits: &B,
     seed: u64,
@@ -561,12 +568,6 @@ fn count_chunk_tiled<B: AdjacencyBits>(
         let (i, j) = (d.i as usize, d.j as usize);
         let aij = bits.bit(i, j);
         let len = d.groups as usize;
-        // ⌊len/batch⌋ full rounds + tail, regardless of how the kernel
-        // tiles the run.
-        net.exchange_rounds((len / batch) as u64, 3 * batch as u64);
-        if !len.is_multiple_of(batch) {
-            net.exchange(3 * (len % batch) as u64);
-        }
         triples += len as u64;
         let mut dealer = PairDealer::for_draw(seed, &d);
         let mut k = j + 1 + d.start as usize;
@@ -607,10 +608,11 @@ fn count_chunk_tiled<B: AdjacencyBits>(
         t1 = t1.wrapping_add(u1);
         t2 = t2.wrapping_add(u2);
     }
+    net.exchange_triples(triples, batch as u64);
     (Ring64(t1), Ring64(t2), net, triples)
 }
 
-/// The OT-extension worker: the same online rounds, but the chunk's
+/// The OT-extension worker: the same online ledger, but the chunk's
 /// Multiplication Groups (both servers' share structs, S₂'s built from
 /// OT outputs + derandomisation offsets) come out of one
 /// chunk-amortised [`OtMgEngine`] session — run inline here, or drawn
@@ -675,7 +677,6 @@ fn count_chunk_ot<B: AdjacencyBits>(
             let block = (end - k).min(batch);
             let g1b = &g1s[off..off + block];
             let g2b = &g2s[off..off + block];
-            net.exchange(3 * block as u64);
             bits.fill_bits(i, k, &mut b_bits[..block]);
             bits.fill_bits(j, k, &mut c_bits[..block]);
             for (l, kk) in (k..k + block).enumerate() {
@@ -713,6 +714,7 @@ fn count_chunk_ot<B: AdjacencyBits>(
             k += block;
         }
     }
+    net.exchange_triples(triples, batch as u64);
     (t1, t2, net, triples)
 }
 
@@ -908,19 +910,19 @@ mod tests {
         // 3 openings each way per triple.
         assert_eq!(res.net.elements, 6 * c3);
         assert_eq!(res.upload_elements, 2 * (n * n) as u64);
-        // Rounds: every (i,j) pair's k range fits in one default batch
-        // at this n, so one round per pair with a non-empty k range.
-        let pairs_with_k = (n - 2) * (n - 1) / 2;
-        assert_eq!(res.net.rounds, pairs_with_k as u64);
-        assert_eq!(res.net.batches, pairs_with_k as u64);
-        // At any batch size b, a pair contributes ceil(len/b) rounds.
-        let b = 5usize;
-        let batched = count_local(&g.to_bit_matrix(), &job(1, 1, b));
-        let want_rounds: u64 = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (n - j - 1).div_ceil(b) as u64))
-            .sum();
-        assert_eq!(batched.net.rounds, want_rounds);
-        assert_eq!(batched.net.peak_batch, 3 * b as u64);
+        // Rounds: a chunk of W triples is opened b at a time across
+        // pair boundaries — rounds == batches == Σ_chunks ⌈W_c/b⌉.
+        for b in [5usize, 64, 1_000_000] {
+            let batched = count_local(&g.to_bit_matrix(), &job(1, 1, b));
+            let sched = job(1, 1, b).local_scheduler(n);
+            assert!(sched.chunks().len() > 1, "C(20, 3) spans chunks");
+            let want_rounds: u64 =
+                sched.chunks().iter().map(|c| c.triples.div_ceil(sched.batch() as u64)).sum();
+            assert_eq!(batched.net.rounds, want_rounds, "batch {b}");
+            assert_eq!(batched.net.batches, want_rounds, "batch {b}");
+            assert_eq!(batched.net.peak_batch, 3 * sched.batch() as u64, "batch {b}");
+            assert_eq!(batched.net.elements, 6 * c3, "batch {b}");
+        }
     }
 
     #[test]

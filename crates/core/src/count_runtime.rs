@@ -18,14 +18,22 @@
 //!   to expand its own share matrix, as uploaded by the users;
 //! * **sharded, batched rounds** — the shared [`CountScheduler`]
 //!   partitions the `(i, j)` pair space into chunks; each server
-//!   worker owns the chunks congruent to its index, every `k`-batch of
-//!   a pair travels as **one flat `[e|f|g]` slab frame**
-//!   ([`cargo_mpc::OpeningMsg`], computed and consumed by the batched
-//!   kernel helpers [`mul3_mask_batch`]/[`mul3_combine_batch`]), and
-//!   all workers of a server share one multiplexed link whose frames
-//!   carry the chunk id, so rounds from different shards interleave
-//!   safely on the same wire. In OT mode each chunk is preceded by its
-//!   amortised offline session on the same link
+//!   worker owns the chunks congruent to its index. A chunk's draw
+//!   plan is cut by [`cargo_mpc::plan_rounds`] into rounds of exactly
+//!   `batch` triples **in plan order, across `k`-run and pair
+//!   boundaries** (only the chunk's last round is short), and every
+//!   round travels as **one frame** ([`cargo_mpc::OpeningMsg`]): each
+//!   segment `(draw, offset, len)` of the round masked into its own
+//!   `[e|f|g]` sub-slab by [`mul3_mask_batch`], the slab opened
+//!   element-wise, each segment combined by [`mul3_combine_batch`].
+//!   The header names the round's first `(pair, k)`; S₁, S₂ and the
+//!   dealer thread derive the cut from the public plan and `batch`
+//!   alone, and four lockstep checks (chunk, pair, first `k`, slab
+//!   length) stop a peer that cut differently inside the first
+//!   disagreeing round. All workers of a server share one multiplexed
+//!   link whose frames carry the chunk id, so rounds from different
+//!   shards interleave safely on the same wire. In OT mode each chunk
+//!   is preceded by its amortised offline session on the same link
 //!   ([`cargo_mpc::mg_offline_over_wire`]).
 //!
 //! Every frame is byte-counted by the transport, and the runtime
@@ -46,9 +54,9 @@ use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, ot_setup_ledger,
-    plan_offsets, recv_msg, send_msg, split_mg_words, DealerMsg, InMemoryTransport, MulGroupShare,
-    NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, ServerId, Transport,
-    TriplePool, MG_WORDS,
+    plan_rounds, recv_msg, send_msg, split_mg_words, DealerMsg, InMemoryTransport, MgDraw,
+    MulGroupShare, NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment,
+    ServerId, Transport, TriplePool, MG_WORDS,
 };
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -152,8 +160,9 @@ impl<'env, T: Transport> Server<'env, T> {
         let plan = self.sched.chunk_plan(chunk);
         // OT mode preprocesses the whole chunk up front — inline in
         // one amortised session over the peer link, or by drawing the
-        // chunk's entry from the background pool; the dealer (link or
-        // local stream) provides material per block below.
+        // chunk's entry from the background pool — into one slab of
+        // this server's groups in plan order; the dealer (link or
+        // local stream) provides material per round below.
         let material = match (self.pool, self.job.offline) {
             (Some(pool), _) => {
                 let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
@@ -170,127 +179,161 @@ impl<'env, T: Transport> Server<'env, T> {
                         ServerId::S2 => g2,
                     });
                 }
-                Some((groups, plan_offsets(&plan)))
+                Some(groups)
             }
             (None, OfflineMode::TrustedDealer) => None,
-            (None, OfflineMode::OtExtension) => {
-                let groups = mg_offline_over_wire(
-                    self.peer,
-                    self.id,
-                    seed,
-                    chunk.id,
-                    &plan,
-                    self.tally,
-                    &mut net.offline,
-                );
-                Some((groups, plan_offsets(&plan)))
-            }
+            (None, OfflineMode::OtExtension) => Some(mg_offline_over_wire(
+                self.peer,
+                self.id,
+                seed,
+                chunk.id,
+                &plan,
+                self.tally,
+                &mut net.offline,
+            )),
         };
-        let mut mine = vec![0u64; 3 * batch];
+        // One opening message per worker: each round masks straight
+        // into its slab and sends it by reference.
+        let mut mine =
+            OpeningMsg { chunk: chunk.id, pair: (0, 0), k0: 0, efg: Vec::with_capacity(3 * batch) };
         let mut opened = vec![0u64; 3 * batch];
         let mut words = vec![0u64; MG_WORDS * batch];
         let mut local_groups: Vec<MulGroupShare> = Vec::with_capacity(batch);
         let mut b_blk = vec![Ring64::ZERO; batch];
         let mut c_blk = vec![Ring64::ZERO; batch];
-        for (draw_idx, d) in plan.iter().enumerate() {
-            let (i, j) = (d.i as usize, d.j as usize);
-            let aij = self.share(i, j);
-            // The local dealer stream of this draw (party shape only),
-            // sought to the draw's canonical offset in the pair stream.
-            let mut stream = match (&material, self.dealer) {
-                (None, None) => Some(PairDealer::for_draw(seed, d)),
-                _ => None,
-            };
-            let mut k = j + 1 + d.start as usize;
-            let end = k + d.groups as usize;
-            let mut off = 0usize;
-            while k < end {
-                let block = (end - k).min(batch);
-                let pair = (d.i, d.j);
-                let dealer_groups;
-                let groups: &[MulGroupShare] = match (&material, self.dealer) {
-                    (Some((groups, offsets)), _) => {
-                        let base = offsets[draw_idx] + off;
-                        &groups[base..base + block]
-                    }
-                    (None, Some(link)) => {
-                        let msg: DealerMsg = recv_msg(link, chunk.id, Some(link.recv_timeout()))
-                            .unwrap_or_else(|e| panic!("dealer lost: {e}"));
-                        assert_eq!(msg.chunk, chunk.id, "demux routed a foreign chunk");
-                        assert_eq!(msg.pair, pair, "dealer out of lockstep");
-                        assert_eq!(msg.k0 as usize, k, "dealer batch out of lockstep");
-                        dealer_groups = msg.groups;
-                        &dealer_groups
-                    }
-                    (None, None) => {
-                        let stream = stream.as_mut().expect("local stream set per draw");
-                        stream.fill_words(&mut words[..MG_WORDS * block]);
-                        local_groups.clear();
-                        local_groups.extend((0..block).map(|g| {
-                            let w = &words[MG_WORDS * g..MG_WORDS * (g + 1)];
-                            let (s1, s2) = split_mg_words(w);
-                            match self.id {
-                                ServerId::S1 => s1,
-                                ServerId::S2 => s2,
-                            }
-                        }));
-                        &local_groups
-                    }
-                };
-                assert_eq!(groups.len(), block, "offline batch size mismatch");
-                // Step 1: local maskings for the whole k batch, as one
-                // [e|f|g] slab (the batch kernel's layout — and the
-                // payload of the opening frame).
-                let slab = 3 * block;
-                self.fill_row(i, k, &mut b_blk[..block]);
-                self.fill_row(j, k, &mut c_blk[..block]);
-                mul3_mask_batch(aij, &b_blk[..block], &c_blk[..block], groups, &mut mine[..slab]);
-                // Step 2: one round — send mine, receive the peer's.
-                if self.tally {
-                    net.exchange(3 * block as u64);
-                    *triples += block as u64;
+        // The local dealer stream of the draw being consumed (party
+        // shape only).
+        let mut stream: Option<PairDealer> = None;
+        // Groups of the chunk already opened — a round's material is
+        // the next `len` groups of the plan-ordered slab.
+        let mut done = 0usize;
+        let mut rounds = plan_rounds(&plan, batch);
+        while let Some(round) = rounds.next_round() {
+            let (pair, k0) = round_header(&plan, round);
+            let len: usize = round.iter().map(|seg| seg.len).sum();
+            let at = format_args!("chunk {}, first pair {pair:?}, first k {k0}", chunk.id);
+            let dealt;
+            let groups: &[MulGroupShare] = match (&material, self.dealer) {
+                (Some(groups), _) => &groups[done..done + len],
+                (None, Some(link)) => {
+                    let msg: DealerMsg = recv_msg(link, chunk.id, Some(link.recv_timeout()))
+                        .unwrap_or_else(|e| panic!("dealer lost in the round at {at}: {e}"));
+                    assert_eq!(msg.chunk, chunk.id, "demux routed a foreign chunk ({at})");
+                    assert_eq!(msg.pair, pair, "dealer out of lockstep in the round at {at}");
+                    assert_eq!(msg.k0, k0, "dealer batch out of lockstep in the round at {at}");
+                    dealt = msg.groups;
+                    &dealt
                 }
-                send_msg(
-                    self.peer,
-                    &OpeningMsg {
-                        chunk: chunk.id,
-                        pair,
-                        k0: k as u32,
-                        efg: mine[..slab].to_vec(),
-                    },
-                )
-                .expect("peer hung up");
-                let theirs: OpeningMsg =
-                    recv_msg(self.peer, chunk.id, Some(self.peer.recv_timeout()))
-                        .unwrap_or_else(|e| panic!("peer lost during online round: {e}"));
-                assert_eq!(theirs.chunk, chunk.id, "demux routed a foreign chunk");
-                assert_eq!(theirs.pair, pair, "peer out of lockstep");
-                assert_eq!(theirs.k0 as usize, k, "peer batch out of lockstep");
-                assert_eq!(theirs.efg.len(), slab, "peer slab size mismatch");
-                // Step 3: batched reconstruction + local combination.
-                mul3_open_batch(&mine[..slab], &theirs.efg, &mut opened[..slab]);
-                t_share += mul3_combine_batch(groups, &opened[..slab], self.id);
-                off += block;
-                k += block;
+                (None, None) => {
+                    local_groups.clear();
+                    for seg in round {
+                        segment_stream(&mut stream, seed, &plan, seg)
+                            .fill_words(&mut words[..MG_WORDS * seg.len]);
+                        local_groups.extend(words[..MG_WORDS * seg.len].chunks_exact(MG_WORDS).map(
+                            |w| {
+                                let (s1, s2) = split_mg_words(w);
+                                match self.id {
+                                    ServerId::S1 => s1,
+                                    ServerId::S2 => s2,
+                                }
+                            },
+                        ));
+                    }
+                    &local_groups
+                }
+            };
+            assert_eq!(groups.len(), len, "offline batch size mismatch in the round at {at}");
+            // Step 1: local maskings — each segment of the round into
+            // its own [e|f|g] sub-slab (the batch kernel's layout) of
+            // the one opening frame.
+            let slab = 3 * len;
+            (mine.pair, mine.k0) = (pair, k0);
+            mine.efg.resize(slab, 0);
+            let mut lane = 0usize;
+            for seg in round {
+                let d = &plan[seg.draw];
+                let (i, j, k) = (d.i as usize, d.j as usize, d.k_at(seg.offset));
+                self.fill_row(i, k, &mut b_blk[..seg.len]);
+                self.fill_row(j, k, &mut c_blk[..seg.len]);
+                mul3_mask_batch(
+                    self.share(i, j),
+                    &b_blk[..seg.len],
+                    &c_blk[..seg.len],
+                    &groups[lane..lane + seg.len],
+                    &mut mine.efg[3 * lane..3 * (lane + seg.len)],
+                );
+                lane += seg.len;
             }
+            // Step 2: one round — send mine, receive the peer's.
+            if self.tally {
+                net.exchange(slab as u64);
+                *triples += len as u64;
+            }
+            send_msg(self.peer, &mine).expect("peer hung up");
+            let theirs: OpeningMsg = recv_msg(self.peer, chunk.id, Some(self.peer.recv_timeout()))
+                .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
+            assert_eq!(theirs.chunk, chunk.id, "demux routed a foreign chunk ({at})");
+            assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
+            assert_eq!(theirs.k0, k0, "peer batch out of lockstep in the round at {at}");
+            assert_eq!(theirs.efg.len(), slab, "peer slab size mismatch in the round at {at}");
+            // Step 3: reconstruction of the whole slab, then each
+            // segment's local combination.
+            mul3_open_batch(&mine.efg, &theirs.efg, &mut opened[..slab]);
+            let mut lane = 0usize;
+            for seg in round {
+                t_share += mul3_combine_batch(
+                    &groups[lane..lane + seg.len],
+                    &opened[3 * lane..3 * (lane + seg.len)],
+                    self.id,
+                );
+                lane += seg.len;
+            }
+            done += len;
         }
         t_share
     }
 }
 
-/// Joins one server's worker pool.
-fn join_server(id: ServerId, pool: Vec<ScopedJoinHandle<'_, CountPart>>) -> Vec<CountPart> {
+/// A round's identity on the wire — the `(pair, k)` of its first triple,
+/// the header of its [`OpeningMsg`] and [`DealerMsg`].
+fn round_header(plan: &[MgDraw], round: &[RoundSegment]) -> ((u32, u32), u32) {
+    let first = &plan[round[0].draw];
+    ((first.i, first.j), first.k_at(round[0].offset) as u32)
+}
+
+/// The dealer stream positioned at `seg`'s first group: sought to the
+/// draw's canonical offset — the same position every other MG source
+/// uses for the same `(i, j, k)` triple, on any schedule — when the
+/// segment opens its draw, resumed where the previous round cut the
+/// draw otherwise (segments arrive in plan order).
+fn segment_stream<'s>(
+    stream: &'s mut Option<PairDealer>,
+    seed: u64,
+    plan: &[MgDraw],
+    seg: &RoundSegment,
+) -> &'s mut PairDealer {
+    if seg.offset == 0 {
+        *stream = Some(PairDealer::for_draw(seed, &plan[seg.draw]));
+    }
+    stream.as_mut().expect("a draw's first segment has offset 0")
+}
+
+/// Joins one server's worker pool. A worker's panic — a lost peer, a
+/// lockstep check — is re-raised as is, so whoever catches it reads
+/// which round diverged rather than "a worker panicked".
+fn join_server(pool: Vec<ScopedJoinHandle<'_, CountPart>>) -> Vec<CountPart> {
     pool.into_iter()
-        .map(|h| h.join().unwrap_or_else(|_| panic!("{id:?} worker panicked")))
+        .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         .collect()
 }
 
 /// The dealer thread body: streams MG share batches to both servers,
-/// chunk by chunk, drawing each `(i, j)` pair's groups from the same
-/// [`PairDealer`] stream the fast kernel block-expands — so both
-/// runtimes produce identical shares. Frames are tagged with the
-/// chunk id; the servers' transports deliver each to whichever worker
-/// owns that shard.
+/// chunk by chunk and — cut by the same [`plan_rounds`] the servers
+/// use — one [`DealerMsg`] per online round, drawing each `(i, j)`
+/// pair's groups from the same [`PairDealer`] stream the fast kernel
+/// block-expands, so both runtimes produce identical shares. Frames
+/// are tagged with the chunk id; the servers' transports deliver each
+/// to whichever worker owns that shard.
 fn dealer_thread(
     sched: &CountScheduler,
     seed: u64,
@@ -298,36 +341,29 @@ fn dealer_thread(
     tx2: &InMemoryTransport,
 ) {
     let batch = sched.batch();
+    // One message per server, refilled round by round.
+    let msg = || DealerMsg { chunk: 0, pair: (0, 0), k0: 0, groups: Vec::with_capacity(batch) };
+    let (mut m1, mut m2) = (msg(), msg());
     for chunk in sched.chunks() {
-        for d in sched.chunk_plan(chunk) {
-            // Seek the pair stream to this draw's canonical offset —
-            // the same position every other MG source uses for the
-            // same `(i, j, k)` triple, on any schedule.
-            let mut stream = PairDealer::for_draw(seed, &d);
-            let mut k = d.j as usize + 1 + d.start as usize;
-            let end = k + d.groups as usize;
-            while k < end {
-                let block = (end - k).min(batch);
-                let mut g1 = Vec::with_capacity(block);
-                let mut g2 = Vec::with_capacity(block);
-                for _ in 0..block {
+        let plan = sched.chunk_plan(chunk);
+        (m1.chunk, m2.chunk) = (chunk.id, chunk.id);
+        let mut stream: Option<PairDealer> = None;
+        let mut rounds = plan_rounds(&plan, batch);
+        while let Some(round) = rounds.next_round() {
+            (m1.pair, m1.k0) = round_header(&plan, round);
+            (m2.pair, m2.k0) = (m1.pair, m1.k0);
+            m1.groups.clear();
+            m2.groups.clear();
+            for seg in round {
+                let stream = segment_stream(&mut stream, seed, &plan, seg);
+                for _ in 0..seg.len {
                     let (s1, s2) = stream.next_group_pair();
-                    g1.push(s1);
-                    g2.push(s2);
+                    m1.groups.push(s1);
+                    m2.groups.push(s2);
                 }
-                let msg = |groups| DealerMsg {
-                    chunk: chunk.id,
-                    pair: (d.i, d.j),
-                    k0: k as u32,
-                    groups,
-                };
-                if send_msg(tx1, &msg(g1)).is_err() {
-                    return;
-                }
-                if send_msg(tx2, &msg(g2)).is_err() {
-                    return;
-                }
-                k += block;
+            }
+            if send_msg(tx1, &m1).is_err() || send_msg(tx2, &m2).is_err() {
+                return;
             }
         }
     }
@@ -390,7 +426,7 @@ pub fn count_party<T: Transport>(
         dealer: None,
         pool: pool.as_ref(),
     };
-    let parts = std::thread::scope(|scope| join_server(id, server.spawn(scope)));
+    let parts = std::thread::scope(|scope| join_server(server.spawn(scope)));
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let mut result = finish(&sched, job.offline, parts, pool);
     result.net.wire_bytes = link.stats().online_payload_both();
@@ -481,8 +517,8 @@ pub fn count_two_party<T: Transport>(
         if let Some(dealer) = dealer {
             dealer.join().expect("dealer panicked");
         }
-        let mut parts = join_server(ServerId::S1, h1);
-        parts.extend(join_server(ServerId::S2, h2));
+        let mut parts = join_server(h1);
+        parts.extend(join_server(h2));
         parts
     });
     // Report S₁'s factory counters (the tallying side); S₂'s pool saw
@@ -528,15 +564,27 @@ mod tests {
         CountJob { offline: OfflineMode::OtExtension, ..job(seed, threads, batch) }
     }
 
+    /// Runs both pools over a link pair. In dealer mode nothing but
+    /// openings crosses it, so measured == modeled extends from bytes
+    /// to rounds: S₁ sent exactly one frame per modeled round.
+    fn over_pair<T: Transport>(m: &BitMatrix, job: &CountJob, ends: (T, T)) -> SecureCountResult {
+        let (end1, end2) = (Arc::new(ends.0), Arc::new(ends.1));
+        let res = count_two_party(m, job, &end1, &end2);
+        if job.offline == OfflineMode::TrustedDealer {
+            assert_eq!(end1.stats().frames_sent, res.net.rounds, "one opening frame per round");
+            assert_eq!(end1.stats().frames_recv, res.net.rounds, "and one back");
+        }
+        res
+    }
+
     fn over_memory(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        let (end1, end2) = cargo_mpc::memory_pair();
-        count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+        over_pair(m, job, cargo_mpc::memory_pair())
     }
 
     fn over_tcp(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
         let (end1, end2, _) =
             TcpTransport::loopback_pair(&TcpConfig::default()).expect("loopback socket pair");
-        count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+        over_pair(m, job, (end1, end2))
     }
 
     #[test]
@@ -674,6 +722,81 @@ mod tests {
             assert_eq!(r1.net, fast.net, "{mode:?}: party ledger == fast path");
             assert_eq!(r1.triples, fast.triples, "{mode:?}");
             assert_eq!(r1.net.wire_bytes, r1.net.online().bytes, "{mode:?}");
+        }
+    }
+
+    /// The panic message of a party that must not have returned a
+    /// count.
+    fn panic_text(outcome: std::thread::Result<SecureCountResult>) -> String {
+        let payload = outcome.expect_err("a diverged party must fail, not return a count");
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload.downcast::<&str>().map(|t| t.to_string()).unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn parties_with_different_batches_fail_in_the_first_round() {
+        // The round cut is a function of (plan, batch): two parties
+        // handed different batches disagree from the chunk's first
+        // round on, and its slab-length check must stop both at once —
+        // long before the link's stall bound, and with no count.
+        let m = erdos_renyi(30, 0.3, 21).to_bit_matrix();
+        let stall = std::time::Duration::from_secs(60);
+        let (end1, end2) = cargo_mpc::memory_pair_with_timeout(stall);
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        let started = std::time::Instant::now();
+        let (r1, r2) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| count_party(&m, &job(17, 1, 16), ServerId::S1, &end1));
+            let h2 = scope.spawn(|| count_party(&m, &job(17, 1, 24), ServerId::S2, &end2));
+            (h1.join(), h2.join())
+        });
+        assert!(started.elapsed() < stall / 2, "failed on a check, not on the timeout");
+        for text in [panic_text(r1), panic_text(r2)] {
+            assert!(text.contains("peer slab size mismatch"), "{text}");
+            assert!(text.contains("chunk 0, first pair (0, 1), first k 2"), "{text}");
+        }
+        assert_eq!(end1.stats().frames_sent, 1, "S1 stopped inside the first round");
+        assert_eq!(end2.stats().frames_sent, 1, "S2 stopped inside the first round");
+    }
+
+    #[test]
+    fn a_peer_off_the_round_cut_trips_the_lockstep_checks() {
+        // A scripted S₂ answers the first round with a frame that is
+        // off the cut in one way at a time: a slab one segment short, a
+        // later k, another pair. S₁ must stop on the matching check,
+        // naming the round.
+        let m = erdos_renyi(12, 0.5, 3).to_bit_matrix();
+        let s1_job = job(5, 1, 16);
+        let sched = s1_job.scheduler(m.n());
+        let plan = sched.chunk_plan(&sched.chunks()[0]);
+        let mut rounds = plan_rounds(&plan, sched.batch());
+        let round = rounds.next_round().expect("C(12, 3) triples").to_vec();
+        assert!(round.len() > 1, "batch 16 spans pairs at n = 12");
+        let full: usize = round.iter().map(|seg| seg.len).sum();
+        let short = full - round.last().expect("non-empty").len;
+        let (pair, k0) = round_header(&plan, &round);
+        assert_eq!((pair, k0), ((0, 1), 2), "the dense cube starts at triple (0, 1, 2)");
+        let honest = OpeningMsg { chunk: 0, pair, k0, efg: vec![0; 3 * full] };
+        let cases = [
+            (OpeningMsg { efg: vec![0; 3 * short], ..honest.clone() }, "peer slab size mismatch"),
+            (OpeningMsg { k0: 3, ..honest.clone() }, "peer batch out of lockstep"),
+            (OpeningMsg { pair: (0, 2), ..honest.clone() }, "peer out of lockstep"),
+        ];
+        for (frame, check) in cases {
+            let stall = std::time::Duration::from_secs(60);
+            let (end1, end2) = cargo_mpc::memory_pair_with_timeout(stall);
+            let end1 = Arc::new(end1);
+            let started = std::time::Instant::now();
+            let r1 = std::thread::scope(|scope| {
+                let h1 = scope.spawn(|| count_party(&m, &s1_job, ServerId::S1, &end1));
+                send_msg(&end2, &frame).expect("S1 is listening");
+                h1.join()
+            });
+            assert!(started.elapsed() < stall / 2, "{check}: stopped by the timeout");
+            let text = panic_text(r1);
+            assert!(text.contains(check), "{check}: {text}");
+            assert!(text.contains("chunk 0, first pair (0, 1), first k 2"), "{check}: {text}");
         }
     }
 

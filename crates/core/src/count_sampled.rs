@@ -164,10 +164,6 @@ fn sampled_chunk(
             return;
         }
         evaluated += ks.len() as u64;
-        net.exchange_rounds((ks.len() / batch) as u64, 3 * batch as u64);
-        if !ks.len().is_multiple_of(batch) {
-            net.exchange(3 * (ks.len() % batch) as u64);
-        }
         let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
         // Canonical stream consumption: each sampled triple's group is
         // drawn at offset k − j − 1, skipping the unsampled gaps in
@@ -219,6 +215,8 @@ fn sampled_chunk(
                 .wrapping_add(ef.wrapping_mul(g));
         }
     });
+    // The chunk's *sampled* triples are opened `batch` a round.
+    net.exchange_triples(evaluated, batch as u64);
     (Ring64(t1), Ring64(t2), net, evaluated)
 }
 
@@ -268,7 +266,7 @@ fn sampled_ks(
 /// block's Multiplication Groups are *gathered* from their canonical
 /// dealer offsets, and the block is evaluated through the
 /// structure-of-arrays [`mul3_mask_batch`]/[`mul3_combine_batch`]
-/// kernels — identical stream positions, rounds, and shares to
+/// kernels — identical stream positions, ledger, and shares to
 /// [`sampled_chunk`].
 fn sampled_chunk_batch(
     matrix: &BitMatrix,
@@ -307,10 +305,6 @@ fn sampled_chunk_batch(
         }
         evaluated += ks.len() as u64;
         let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
-        net.exchange_rounds((ks.len() / batch) as u64, 3 * batch as u64);
-        if !ks.len().is_multiple_of(batch) {
-            net.exchange(3 * (ks.len() % batch) as u64);
-        }
         let mut pos = 0usize;
         for blk in ks.chunks(batch) {
             let block = blk.len();
@@ -345,6 +339,7 @@ fn sampled_chunk_batch(
             t2 += mul3_combine_batch(&g2v, &opened[..slab], ServerId::S2);
         }
     });
+    net.exchange_triples(evaluated, batch as u64);
     (t1, t2, net, evaluated)
 }
 
@@ -412,10 +407,6 @@ fn sampled_chunk_ot(
         // One pair's runs are consecutive plan entries, so its groups
         // are one contiguous material slice.
         let (g1s, g2s) = material.draws(drange.clone());
-        net.exchange_rounds((ks.len() / batch) as u64, 3 * batch as u64);
-        if !ks.len().is_multiple_of(batch) {
-            net.exchange(3 * (ks.len() % batch) as u64);
-        }
         let mut off = 0usize;
         for blk in ks.chunks(batch) {
             let block = blk.len();
@@ -463,6 +454,7 @@ fn sampled_chunk_ot(
             off += block;
         }
     }
+    net.exchange_triples(evaluated, batch as u64);
     (t1, t2, net, evaluated)
 }
 

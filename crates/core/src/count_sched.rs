@@ -24,10 +24,15 @@
 //!   worker count or machine, because chunk ids key the amortised OT
 //!   offline sessions and the offline ledger must stay
 //!   schedule-invariant. Workers pull chunks from an atomic queue.
-//! * **Batched rounds.** The `k` loop advances in blocks of
-//!   [`CountScheduler::batch`] triples; each block is one
-//!   communication round (`3·block` elements each way) and one block
-//!   PRG expansion.
+//! * **Batched rounds.** A chunk's triples are opened
+//!   [`CountScheduler::batch`] at a time **in plan order, across draw
+//!   and pair boundaries** ([`cargo_mpc::plan_rounds`]): every round
+//!   but a chunk's last carries exactly `3·batch` elements each way, so
+//!   a chunk of `W` triples costs `⌈W/batch⌉` rounds however short its
+//!   `k`-runs are. The cut is a pure function of the chunk's public
+//!   plan and `batch`. (Kernel evaluation inside a party still walks
+//!   the plan run by run, in blocks of at most `batch` — that grouping
+//!   never reaches the wire.)
 //! * **Determinism by construction.** Randomness is keyed per pair
 //!   ([`cargo_mpc::PairDealer`], the crate-private `share_prf`), never
 //!   per worker or per chunk, so the servers' share pairs are bit-identical for
@@ -41,11 +46,19 @@ use cargo_mpc::MgDraw;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default `k`-loop batch: 64 triples per round, the sweet spot the
+/// Default batch: 64 triples per round, the sweet spot the
 /// secure-count bench sweep settled on (large enough to amortise the
 /// block PRG expansion and message overhead, small enough to keep
 /// per-message buffers tiny — 192 ring elements each way).
 pub const DEFAULT_COUNT_BATCH: usize = 64;
+
+/// Ceiling on the batch. A round is one frame each way — 24 B of
+/// opening slab and, in the three-party shape, 56 B of dealer shares
+/// per triple — and every executor sizes its per-chunk scratch by the
+/// batch, so an unchecked `--batch` must neither approach
+/// [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor drive a
+/// multi-gigabyte allocation: 2¹⁶ triples are a 3.5 MB dealer frame.
+const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
 /// deliberately **not** scaled by the worker count — so the chunk list
@@ -460,8 +473,9 @@ impl CountScheduler {
     /// Builds the dense-cube schedule for an `n × n` matrix.
     ///
     /// * `threads` — worker threads; `0` means all cores.
-    /// * `batch` — triples per round/block; `0` means
-    ///   [`DEFAULT_COUNT_BATCH`].
+    /// * `batch` — triples per round; `0` means
+    ///   [`DEFAULT_COUNT_BATCH`]. Clamped to the heaviest chunk (no
+    ///   round can be fuller than that) and to 2¹⁶.
     ///
     /// The share pairs produced under this schedule are identical for
     /// every `(threads, batch)` choice; only wall-clock and round
@@ -492,13 +506,6 @@ impl CountScheduler {
             threads
         }
         .max(1);
-        // Clamp to the longest possible k range (n − 2 triples, for
-        // pair (0, 1)): blocks are already `min(range, batch)`, so
-        // larger values change nothing except the size of the
-        // per-chunk word buffer — and an unchecked `--batch` must not
-        // drive a multi-gigabyte allocation.
-        let batch =
-            if batch == 0 { DEFAULT_COUNT_BATCH } else { batch }.min(n.saturating_sub(2).max(1));
         let (total_triples, chunks, stream) = match &plan {
             SchedulePlan::DenseCube => {
                 let total = if n < 3 {
@@ -513,6 +520,13 @@ impl CountScheduler {
             }
             SchedulePlan::CsrStream(csr) => build_csr_chunks(csr),
         };
+        // Rounds never span chunks, so a batch above the heaviest
+        // chunk's weight changes nothing but scratch sizes.
+        let heaviest = chunks.iter().map(|c| c.triples).max().unwrap_or(0);
+        let batch = if batch == 0 { DEFAULT_COUNT_BATCH } else { batch }
+            .min(MAX_COUNT_BATCH)
+            .min(usize::try_from(heaviest).unwrap_or(usize::MAX))
+            .max(1);
         CountScheduler {
             n,
             workers,
@@ -900,18 +914,19 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_is_clamped_to_the_longest_k_range() {
-        // The longest k range belongs to pair (0, 1): n − 2 triples.
-        // Blocks are min(range, batch), so anything larger only
-        // inflates the word buffer; usize::MAX must not drive the
-        // allocation. (This clamp used to be n, two blocks too wide —
-        // pinned here so it stays the documented n − 2.)
-        let sched = CountScheduler::new(10, 1, usize::MAX);
-        assert_eq!(sched.batch(), 8);
-        assert_eq!(CountScheduler::new(10, 1, usize::MAX).batch(), 8);
+    fn oversized_batch_is_clamped_to_the_heaviest_chunk() {
+        // A round never spans chunks, so nothing above the heaviest
+        // chunk's weight changes the rounds — it would only inflate the
+        // per-chunk scratch, and usize::MAX must not drive that
+        // allocation. C(10, 3) = 120 triples are one chunk.
+        assert_eq!(CountScheduler::new(10, 1, usize::MAX).batch(), 120);
         assert_eq!(CountScheduler::new(10, 1, 4).batch(), 4);
         assert_eq!(CountScheduler::new(0, 1, 0).batch(), 1);
         assert_eq!(CountScheduler::new(2, 1, 64).batch(), 1);
+        // Heavy chunks: the frame-size ceiling takes over.
+        let big = CountScheduler::new(400, 1, usize::MAX);
+        assert!(big.chunks().iter().any(|c| c.triples > MAX_COUNT_BATCH as u64));
+        assert_eq!(big.batch(), MAX_COUNT_BATCH);
     }
 
     #[test]

@@ -8,10 +8,18 @@
 //! share. This is the contract that makes sharding a pure speedup: no
 //! adjacency-dependent scheduling, no randomness keyed by worker or
 //! chunk.
+//!
+//! The one thing `batch` does decide is the round structure, and that
+//! is pinned here too: on every plan kind the shared cutter fills each
+//! round of a chunk to exactly `batch` triples across draws and pairs,
+//! and the in-process ledger is that cut in closed form.
 
-use cargo_core::{count_local, count_sampled, count_two_party, CountJob, CountScheduler};
-use cargo_graph::BitMatrix;
-use cargo_mpc::{memory_pair, SplitMix64};
+use cargo_core::{
+    count_local, count_sampled, count_two_party, CandidateSet, CountJob, CountScheduler,
+    SchedulePlan,
+};
+use cargo_graph::{generators::erdos_renyi, BitMatrix, CsrGraph};
+use cargo_mpc::{memory_pair, plan_rounds, NetStats, SplitMix64};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -97,6 +105,82 @@ proptest! {
                 prop_assert_eq!(r.share2, base.share2);
                 prop_assert_eq!(r.evaluated, base.evaluated);
                 prop_assert_eq!(r.net.elements, base.net.elements);
+            }
+        }
+    }
+
+    #[test]
+    fn online_rounds_cut_every_plan_into_full_batches(
+        n in 3usize..28,
+        tenths in 1u32..10,
+        seed: u64,
+    ) {
+        let g = erdos_renyi(n, tenths as f64 / 10.0, seed);
+        let m = g.to_bit_matrix();
+        let eager = CandidateSet::from_graph(&g);
+        // Every other triangle: gappy k-lists, so runs of length one.
+        let every_other: Vec<(u32, u32, u32)> = (0..eager.len())
+            .flat_map(|p| {
+                let (i, j) = eager.pair(p);
+                eager.ks(p).iter().map(move |&k| (i, j, k)).collect::<Vec<_>>()
+            })
+            .step_by(2)
+            .collect();
+        let plans = [
+            SchedulePlan::DenseCube,
+            SchedulePlan::CandidatePairs(Arc::new(eager)),
+            SchedulePlan::CsrStream(Arc::new(CsrGraph::from_graph(&g))),
+            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(n, &every_other))),
+        ];
+        for plan in plans {
+            for batch in [1usize, 7, 64, usize::MAX] {
+                let sched = CountScheduler::with_plan(n, 1, batch, plan.clone());
+                let b = sched.batch();
+                let mut cut = NetStats::new();
+                let mut closed = NetStats::new();
+                for chunk in sched.chunks() {
+                    let draws = sched.chunk_plan(chunk);
+                    // Expanding the rounds' segments group by group
+                    // must give back the plan, in order.
+                    let mut rebuilt = Vec::new();
+                    let mut sizes = Vec::new();
+                    let mut pieces = vec![0usize; draws.len()];
+                    let mut rounds = plan_rounds(&draws, b);
+                    while let Some(round) = rounds.next_round() {
+                        for seg in round {
+                            prop_assert!(seg.len > 0);
+                            rebuilt.extend((seg.offset..seg.offset + seg.len).map(|g| (seg.draw, g)));
+                            pieces[seg.draw] += 1;
+                        }
+                        sizes.push(round.iter().map(|seg| seg.len).sum::<usize>());
+                        cut.exchange(3 * *sizes.last().expect("just pushed") as u64);
+                    }
+                    let want: Vec<(usize, usize)> = draws
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(idx, d)| (0..d.groups as usize).map(move |g| (idx, g)))
+                        .collect();
+                    prop_assert_eq!(&rebuilt, &want);
+                    prop_assert_eq!(want.len() as u64, chunk.triples);
+                    // Every round but the chunk's last is exactly full.
+                    let (last, full) = sizes.split_last().expect("chunks are non-empty");
+                    prop_assert!(full.iter().all(|&len| len == b));
+                    prop_assert!((1..=b).contains(last));
+                    // A draw longer than a round is split mid-draw.
+                    for (d, &count) in draws.iter().zip(&pieces) {
+                        prop_assert!(count >= (d.groups as usize).div_ceil(b));
+                    }
+                    closed.exchange_triples(chunk.triples, b as u64);
+                }
+                // rounds == batches == Σ_chunks ⌈W_c/b⌉, on the cutter,
+                // the closed form and the executor alike.
+                let want_rounds: u64 =
+                    sched.chunks().iter().map(|c| c.triples.div_ceil(b as u64)).sum();
+                prop_assert_eq!(cut, closed);
+                prop_assert_eq!(cut.rounds, want_rounds);
+                prop_assert_eq!(cut.batches, want_rounds);
+                let job = CountJob { plan: plan.clone(), ..job(seed, 1, batch) };
+                prop_assert_eq!(count_local(&m, &job).net, closed);
             }
         }
     }

@@ -105,14 +105,21 @@ pub struct NetStats {
     /// Bytes on the wire (8 bytes per ring element).
     pub bytes: u64,
     /// Communication rounds (a batch of parallel exchanges = 1 round).
+    /// The Count phase opens `b` triples a round across draw and pair
+    /// boundaries, so a scheduler chunk of `W` triples costs `⌈W/b⌉`
+    /// rounds and a run `Σ_chunks ⌈W_c/b⌉` — on the wire executors,
+    /// exactly the opening frames each server sends.
     pub rounds: u64,
     /// Element-carrying messages per direction (one per batch flush).
-    /// `rounds` counts latency; `batches` counts scheduling granularity
-    /// — at batch size `b`, a pair's `k`-loop of length `L` costs
-    /// `ceil(L/b)` rounds and as many batches.
+    /// `rounds` counts latency; `batches` counts scheduling
+    /// granularity. The Count phase flushes once a round, so there
+    /// `batches == rounds`; they differ only where extra openings ride
+    /// an existing round ([`Self::batched_elements`]).
     pub batches: u64,
     /// Largest single batch (elements each way) seen so far — the peak
-    /// per-message buffer a deployment would need.
+    /// per-message buffer a deployment would need: `3·b` for a Count
+    /// with a chunk of at least `b` triples, `3·W` for one whose
+    /// heaviest chunk is lighter.
     pub peak_batch: u64,
     /// Bytes a byte transport carries for the online openings, both
     /// directions. On purely modeled paths (the fast kernel, the
@@ -149,10 +156,7 @@ impl NetStats {
     }
 
     /// Records `rounds` identical rounds of `elements_each_way` in one
-    /// tally update — the batch kernel's bulk form of
-    /// [`Self::exchange`]: a pair's `k`-loop of `L` triples at batch
-    /// `b` is `⌊L/b⌋` full rounds plus one tail, so the whole loop
-    /// costs two ledger updates instead of one per block. Field totals
+    /// tally update — the bulk form of [`Self::exchange`]. Field totals
     /// are identical to the per-round calls.
     #[inline]
     pub fn exchange_rounds(&mut self, rounds: u64, elements_each_way: u64) {
@@ -165,6 +169,24 @@ impl NetStats {
         self.rounds += rounds;
         self.batches += rounds;
         self.peak_batch = self.peak_batch.max(elements_each_way);
+    }
+
+    /// Records the online rounds of a scheduler chunk in closed form:
+    /// `triples` three-value multiplications (three openings each way
+    /// per triple) opened `batch` at a time are `⌊triples/batch⌋` full
+    /// rounds of `3·batch` elements plus one tail round for the rest —
+    /// the cut [`crate::plan_rounds`] makes on the wire, which is why
+    /// the in-process executors' ledgers equal the wire executors'
+    /// field for field.
+    ///
+    /// # Panics
+    /// Panics if `batch` is zero.
+    #[inline]
+    pub fn exchange_triples(&mut self, triples: u64, batch: u64) {
+        self.exchange_rounds(triples / batch, 3 * batch);
+        if !triples.is_multiple_of(batch) {
+            self.exchange(3 * (triples % batch));
+        }
     }
 
     /// Records extra elements inside the *current* round (batched
@@ -388,6 +410,22 @@ mod tests {
         }
         scalar.exchange(7);
         assert_eq!(bulk, scalar);
+    }
+
+    #[test]
+    fn exchange_triples_is_full_rounds_plus_one_tail() {
+        for (triples, batch) in [(0u64, 64u64), (1, 64), (64, 64), (130, 64), (130, 1), (5, 7)] {
+            let mut closed = NetStats::new();
+            closed.exchange_triples(triples, batch);
+            let mut scalar = NetStats::new();
+            let mut left = triples;
+            while left > 0 {
+                scalar.exchange(3 * left.min(batch));
+                left -= left.min(batch);
+            }
+            assert_eq!(closed, scalar, "{triples} triples at batch {batch}");
+            assert_eq!(closed.rounds, triples.div_ceil(batch));
+        }
     }
 
     #[test]

@@ -75,9 +75,8 @@ pub use dealer::{
 };
 pub use offline::{
     chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
-    plan_offsets, MgChunkMaterial,
-    MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtBeaverEngine, OtMgEngine,
-    MAX_FLIGHT_GROUPS,
+    plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode,
+    OtBeaverEngine, OtMgEngine, PlanRounds, RoundSegment, MAX_FLIGHT_GROUPS,
 };
 pub use transport::{
     memory_pair, memory_pair_with_timeout, recv_msg, send_msg, FaultKind, FaultPlan,

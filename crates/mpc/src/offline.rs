@@ -244,6 +244,13 @@ impl MgDraw {
             groups,
         }
     }
+
+    /// The `k` of the draw's group number `offset`: canonical stream
+    /// position `start + offset` of pair `(i, j)` is triple
+    /// `(i, j, j + 1 + start + offset)`.
+    pub fn k_at(&self, offset: usize) -> usize {
+        self.j as usize + 1 + self.start as usize + offset
+    }
 }
 
 /// Splits a chunk plan into flights of at most [`MAX_FLIGHT_GROUPS`]
@@ -275,9 +282,10 @@ pub fn plan_flights(plan: &[MgDraw]) -> Vec<std::ops::Range<usize>> {
 
 /// Prefix offsets of a chunk plan: draw `idx` owns groups
 /// `offsets[idx]..offsets[idx+1]` of the material produced in plan
-/// order. Shared by [`OtMgEngine::preprocess`] and the sharded
-/// runtime's offline dialogue so their indexing cannot drift.
-pub fn plan_offsets(plan: &[MgDraw]) -> Vec<usize> {
+/// order — how [`MgChunkMaterial`] finds a draw's slice. (The wire
+/// runtime needs no offsets: an online round is the next `batch` groups
+/// of that same plan-ordered material.)
+fn plan_offsets(plan: &[MgDraw]) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(plan.len() + 1);
     let mut acc = 0usize;
     offsets.push(0);
@@ -286,6 +294,74 @@ pub fn plan_offsets(plan: &[MgDraw]) -> Vec<usize> {
         offsets.push(acc);
     }
     offsets
+}
+
+/// One piece of an online round: `len` consecutive groups of plan draw
+/// `draw`, starting `offset` groups into it — i.e. the triples
+/// `k = j + 1 + start + offset ..` of that draw's pair `(i, j)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundSegment {
+    /// Index of the draw in the chunk plan.
+    pub draw: usize,
+    /// Groups of the draw that earlier rounds already opened.
+    pub offset: usize,
+    /// Groups of the draw this round opens (≥ 1).
+    pub len: usize,
+}
+
+/// Cuts a chunk plan into **online rounds**: every round takes the
+/// next `batch` groups in plan order, across draw and pair boundaries,
+/// so only the chunk's last round is short and a chunk of `W` groups
+/// costs exactly `⌈W/batch⌉` rounds ([`crate::NetStats::exchange_triples`]
+/// is the same cut in closed form). A pure function of `(plan, batch)`
+/// — both public — which is what lets S₁, S₂ and the dealer derive
+/// identical rounds with no negotiation.
+///
+/// The rounds are lent one at a time ([`PlanRounds::next_round`]) out
+/// of a buffer the cutter reuses.
+///
+/// # Panics
+/// Panics if `batch` is zero.
+pub fn plan_rounds(plan: &[MgDraw], batch: usize) -> PlanRounds<'_> {
+    assert!(batch > 0, "a round opens at least one triple");
+    PlanRounds { plan, batch, draw: 0, offset: 0, round: Vec::new() }
+}
+
+/// The round cutter [`plan_rounds`] returns.
+#[derive(Debug)]
+pub struct PlanRounds<'a> {
+    plan: &'a [MgDraw],
+    batch: usize,
+    /// The first draw with groups no round has taken yet …
+    draw: usize,
+    /// … and how many of its groups are taken.
+    offset: usize,
+    round: Vec<RoundSegment>,
+}
+
+impl PlanRounds<'_> {
+    /// The next round's segments in plan order (their `len`s sum to
+    /// `batch`, or to what is left of the plan), or `None` once the
+    /// plan is exhausted.
+    pub fn next_round(&mut self) -> Option<&[RoundSegment]> {
+        self.round.clear();
+        let mut room = self.batch;
+        while room > 0 && self.draw < self.plan.len() {
+            let left = self.plan[self.draw].groups as usize - self.offset;
+            let len = left.min(room);
+            if len > 0 {
+                self.round.push(RoundSegment { draw: self.draw, offset: self.offset, len });
+            }
+            room -= len;
+            if len == left {
+                self.draw += 1;
+                self.offset = 0;
+            } else {
+                self.offset += len;
+            }
+        }
+        (!self.round.is_empty()).then_some(&self.round[..])
+    }
 }
 
 /// The closed-form offline cost of preprocessing one chunk plan:
@@ -1310,6 +1386,40 @@ mod tests {
     #[should_panic(expected = "empty draw")]
     fn zero_group_draws_are_rejected() {
         plan_flights(&[MgDraw::dense(0, 1, 0)]);
+    }
+
+    #[test]
+    fn rounds_fill_across_draws_and_split_long_ones() {
+        // Runs of 3, 1, 9 and 2 groups at batch 4: the second round
+        // starts mid-pair, the 9-run is split twice, the last is short.
+        let plan = [
+            MgDraw { i: 0, j: 1, start: 0, groups: 3 },
+            MgDraw { i: 0, j: 1, start: 5, groups: 1 },
+            MgDraw { i: 0, j: 2, start: 0, groups: 9 },
+            MgDraw { i: 1, j: 2, start: 4, groups: 2 },
+        ];
+        let seg = |draw, offset, len| RoundSegment { draw, offset, len };
+        let mut rounds = plan_rounds(&plan, 4);
+        let mut got = Vec::new();
+        while let Some(round) = rounds.next_round() {
+            got.push(round.to_vec());
+        }
+        assert_eq!(
+            got,
+            vec![
+                vec![seg(0, 0, 3), seg(1, 0, 1)],
+                vec![seg(2, 0, 4)],
+                vec![seg(2, 4, 4)],
+                vec![seg(2, 8, 1), seg(3, 0, 2)],
+            ]
+        );
+        assert_eq!(plan[2].k_at(8), 11, "triple (0, 2, 11)");
+        assert_eq!(plan[3].k_at(0), 7, "runs start at their canonical offset");
+        // A batch above the plan's weight is one round; no plan, none.
+        let mut one = plan_rounds(&plan, 1000);
+        assert_eq!(one.next_round().map(<[_]>::len), Some(4));
+        assert!(one.next_round().is_none());
+        assert!(plan_rounds(&[], 4).next_round().is_none());
     }
 
     #[test]

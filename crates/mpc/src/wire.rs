@@ -297,19 +297,20 @@ pub trait WireMessage: Sized {
 }
 
 /// One online round's message between the servers: this side's
-/// `⟨e⟩, ⟨f⟩, ⟨g⟩` maskings for one `k`-batch of an `(i, j)` pair, as
-/// one flat slab `[e.. | f.. | g..]` ([`crate::mul3_mask_batch`]'s
-/// layout) — a single contiguous buffer per round. The payload is
-/// exactly the `3·block` slab words, so its byte length is the modeled
-/// per-round cost (`8 · 3·block` per direction).
+/// `⟨e⟩, ⟨f⟩, ⟨g⟩` maskings for the round's `block` triples — one
+/// `[e.. | f.. | g..]` sub-slab ([`crate::mul3_mask_batch`]'s layout)
+/// per segment of the round ([`crate::plan_rounds`]), back to back in a
+/// single contiguous buffer. The payload is exactly the `3·block` slab
+/// words, so its byte length is the modeled per-round cost
+/// (`8 · 3·block` per direction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningMsg {
     /// Which pair-space shard this round belongs to — the tag the
     /// multiplexed link routes by.
     pub chunk: u32,
-    /// Outer pair identifier, for lockstep sanity checking.
+    /// Pair of the round's first triple, for lockstep sanity checking.
     pub pair: (u32, u32),
-    /// First `k` of the batch (lockstep sanity checking).
+    /// `k` of the round's first triple (lockstep sanity checking).
     pub k0: u32,
     /// The `3·block` slab of this server's maskings.
     pub efg: Vec<u64>,
@@ -354,7 +355,7 @@ impl WireMessage for OpeningMsg {
 }
 
 /// The trusted dealer's preprocessing message: one server's
-/// Multiplication-Group shares for one `k`-batch of an `(i, j)` pair.
+/// Multiplication-Group shares for one online round, in plan order.
 /// Payload: 7 words per group (`x, y, z, w, o, p, q`). Dealer traffic
 /// is a simulation device (DESIGN.md §4.6) and is deliberately *not*
 /// part of the modeled server↔server ledger; its frames are still
@@ -363,11 +364,11 @@ impl WireMessage for OpeningMsg {
 pub struct DealerMsg {
     /// Pair-space shard the batch belongs to.
     pub chunk: u32,
-    /// Outer pair identifier (lockstep sanity checking).
+    /// Pair of the round's first triple (lockstep sanity checking).
     pub pair: (u32, u32),
-    /// First `k` of the batch (lockstep sanity checking).
+    /// `k` of the round's first triple (lockstep sanity checking).
     pub k0: u32,
-    /// This server's group shares for the batch.
+    /// This server's group shares for the round.
     pub groups: Vec<MulGroupShare>,
 }
 
