@@ -21,10 +21,11 @@ use cargo_bench::baseline::{BenchReport, BenchRow};
 use cargo_core::{estimate_max_degree, project_matrix};
 use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::presets::SnapDataset;
-use cargo_mpc::ot::OT_KAPPA;
+use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
+use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch, cr_hash_scalar, mul3,
-    Dealer, NetStats, Ring64, SimdTier,
+    Dealer, NetStats, Ring64, SimdTier, SplitMix64,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -234,6 +235,27 @@ fn main() {
             black_box(out[rows - 1])
         });
         push(&format!("ot_hash_simd/{tier}"), rows, rows as u64, ns, 0.0);
+    }
+
+    // frame_checksum / transcript_digest: the two integrity hashes on
+    // every offline byte (DESIGN.md §8). The checksum at an online
+    // round's frame size (1.5 kB) and an offline flight's (2 MB), in
+    // ns per byte; the digest over one flight's `u` message (512 MGs ×
+    // 512 words), in ns per word.
+    {
+        let mut prg = SplitMix64::new(1);
+        let header = [3u8; 24];
+        for bytes in [1536usize, 2 << 20] {
+            let payload: Vec<u8> = (0..bytes / 8).flat_map(|_| prg.next_u64().to_le_bytes()).collect();
+            let ns = measure_median_iqr_ns(12, budget, || {
+                black_box(frame_checksum(black_box(&header), black_box(&payload)))
+            });
+            push("frame_checksum", bytes, bytes as u64, ns, 0.0);
+        }
+        let mut u_msg = vec![0u64; 512 * 512];
+        prg.fill_block(&mut u_msg);
+        let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(black_box(&u_msg))));
+        push("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
     }
 
     if let Err(e) = report.write(&args.out) {

@@ -21,20 +21,33 @@
 //! The committed baseline lives at
 //! `crates/bench/baselines/BENCH_offline.json`.
 //!
+//! `--breakdown` answers "where does a Multiplication Group's time
+//! go" instead of sweeping: it drives the public step machines
+//! ([`MgOfflineS1`]/[`MgOfflineS2`]) over the dense cube of each `--n`
+//! as the wire dialogue would — every message through the
+//! [`OfflineMsg`] codec — with a clock around each step, and prints
+//! µs per MG, both parties summed (on a one-core host that sum *is*
+//! the wall time). No report is written. DESIGN.md §8 carries the
+//! table.
+//!
 //! ```text
 //! usage: bench_offline [--n 40,60,80] [--batch 1,64]
 //!                      [--factory-threads 0,2] [--pool-depth 4]
 //!                      [--repeat 5] [--out BENCH_offline.json]
-//!                      [--measure-ms 400] [--quick]
+//!                      [--measure-ms 400] [--quick] [--breakdown]
 //! ```
 
 use cargo_bench::baseline::{BenchReport, BenchRow};
 use cargo_core::{count_local, CountJob, CountKernel};
 use cargo_graph::generators::presets::SnapDataset;
-use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy};
+use cargo_mpc::ot::{simulated_base_ots, transcript_digest};
+use cargo_mpc::{
+    plan_flights, Backpressure, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OfflineMsg,
+    PoolPolicy, WireMessage,
+};
 use criterion::{black_box, measure_median_iqr_ns};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     ns: Vec<usize>,
@@ -44,12 +57,13 @@ struct Args {
     repeat: usize,
     out: PathBuf,
     measure_ms: u64,
+    breakdown: bool,
 }
 
 fn usage() -> String {
     "usage: bench_offline [--n 40,60,80] [--batch 1,64]\n\
      \x20      [--factory-threads 0,2] [--pool-depth 4] [--repeat 5]\n\
-     \x20      [--out BENCH_offline.json] [--measure-ms 400] [--quick]"
+     \x20      [--out BENCH_offline.json] [--measure-ms 400] [--quick] [--breakdown]"
         .to_string()
 }
 
@@ -68,6 +82,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         repeat: 5,
         out: PathBuf::from("BENCH_offline.json"),
         measure_ms: 400,
+        breakdown: false,
     };
     let mut i = 0;
     while i < argv.len() {
@@ -100,6 +115,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.measure_ms = 200;
                 args.repeat = 3;
             }
+            "--breakdown" => args.breakdown = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
@@ -120,6 +136,95 @@ fn pool_label(factory_threads: usize, depth: usize) -> String {
     }
 }
 
+/// The rows of the `--breakdown` table, in the order the dialogue
+/// runs them; the last is every message's encode + decode.
+const STEPS: [&str; 7] = [
+    "ucols",
+    "corrections",
+    "derand_opq",
+    "absorb_corrections",
+    "corrections_w",
+    "derand_w",
+    "codec",
+];
+const CODEC: usize = 6;
+
+/// Runs `f` and adds its wall time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *slot += t0.elapsed();
+    out
+}
+
+/// One pass of the offline dialogue over `plan` with a clock around
+/// each step of both machines; every message crosses the codec exactly
+/// as `mg_offline_over_wire` sends it (typed message → frame → bytes →
+/// frame → typed message).
+fn timed_dialogue(plan: &[MgDraw]) -> [Duration; STEPS.len()] {
+    let mut all = [Duration::ZERO; STEPS.len()];
+    let (t, codec) = all.split_at_mut(CODEC);
+    let mut s1 = MgOfflineS1::for_chunk(1, 0);
+    let mut s2 = MgOfflineS2::for_chunk(1, 0);
+    for (f, range) in plan_flights(plan).into_iter().enumerate() {
+        let flight = &plan[range];
+        let mut wire = |step: u8, words: Vec<u64>| {
+            timed(&mut codec[0], || {
+                let msg = OfflineMsg { chunk: 0, flight: f as u32, step, words };
+                OfflineMsg::decode(&msg.encode()).expect("round trip").words
+            })
+        };
+        let u1 = wire(1, timed(&mut t[0], || s1.ucols(flight)));
+        let u2 = wire(1, timed(&mut t[0], || s2.ucols(flight)));
+        let d_a = wire(2, timed(&mut t[1], || s1.corrections(&u2)));
+        let d_b = wire(2, timed(&mut t[1], || s2.corrections(&u1)));
+        let c_opq = wire(3, timed(&mut t[2], || s1.derand_opq(&d_b)));
+        timed(&mut t[3], || s2.absorb_corrections(&d_a));
+        let d_b4 = wire(3, timed(&mut t[4], || s2.corrections_w(&c_opq)));
+        let c_w = wire(4, timed(&mut t[5], || s1.derand_w(&d_b4)));
+        black_box((s1.groups(), s2.groups(&c_w)));
+    }
+    all
+}
+
+/// Prints the per-step cost of one Multiplication Group on the dense
+/// cube of `n` users (median of `repeat` passes), then the three
+/// kernels inside the steps measured on their own over a full flight.
+fn breakdown(n: usize, repeat: usize) {
+    let plan: Vec<MgDraw> = (0..n as u32)
+        .flat_map(|i| (i + 1..n as u32 - 1).map(move |j| MgDraw::dense(i, j, n as u32 - 1 - j)))
+        .collect();
+    let groups: u64 = plan.iter().map(|d| d.groups as u64).sum();
+    let mut passes: Vec<_> = (0..repeat).map(|_| timed_dialogue(&plan)).collect();
+    let us_per_mg = |d: Duration| d.as_secs_f64() * 1e6 / groups as f64;
+    println!("n={n}: {groups} MGs, µs per MG (both parties), median of {repeat}");
+    let mut total = 0.0;
+    for (s, name) in STEPS.iter().enumerate() {
+        passes.sort_unstable_by_key(|p| p[s]);
+        let us = us_per_mg(passes[repeat / 2][s]);
+        total += us;
+        println!("  {name:<20} {us:>8.2}");
+    }
+    println!("  {:<20} {total:>8.2}", "sum");
+
+    // Inside the steps: one flight's worth of extension in each role
+    // and its digest. A MG costs 2 extends, 2 absorbs (one per
+    // direction) and 4 digests (each party digests both `u` messages).
+    let flight_groups = (cargo_mpc::MAX_FLIGHT_GROUPS).min(groups) as usize;
+    let choice: Vec<u64> = (0..4 * flight_groups as u64)
+        .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let (mut sender, mut receiver) = simulated_base_ots(1);
+    let u = receiver.extend(&choice).1;
+    let budget = Duration::from_millis(200);
+    let kernel = |name: &str, per_mg: f64, ns: f64| {
+        println!("  of which {name:<11} {:>8.2}", per_mg * ns / 1e3 / flight_groups as f64);
+    };
+    kernel("extend", 2.0, measure_median_iqr_ns(repeat, budget, || black_box(receiver.extend(&choice))).0);
+    kernel("absorb", 2.0, measure_median_iqr_ns(repeat, budget, || black_box(sender.absorb(&u))).0);
+    kernel("digest", 4.0, measure_median_iqr_ns(repeat, budget, || black_box(transcript_digest(&u))).0);
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -129,6 +234,12 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.breakdown {
+        for &n in &args.ns {
+            breakdown(n, args.repeat);
+        }
+        return;
+    }
     let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 0);
     let mut report = BenchReport {
         bench: "offline".into(),

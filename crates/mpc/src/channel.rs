@@ -38,8 +38,10 @@ pub enum RecvError {
     Timeout,
     /// The link delivered bytes that do not decode to a valid frame:
     /// a bit-flip, truncation, or desync caught by the wire codec
-    /// (version 2's checksum makes this detection exhaustive). The
+    /// (the frame checksum makes this detection exhaustive). The
     /// link is poisoned — subsequent receives return the same error.
+    /// A *send* returns it, without touching the link, for a frame
+    /// the peer's decoder would refuse.
     Corrupt(crate::wire::WireError),
 }
 

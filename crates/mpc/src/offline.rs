@@ -461,6 +461,9 @@ pub struct MgOfflineS1 {
     stage: Stage,
     block: usize,
     words: Vec<u64>,
+    /// The flight's packed choice bits (scratch of [`Self::ucols`],
+    /// kept across flights like `words` and `s_a`).
+    choice: Vec<u64>,
     recv_batch: Option<RecvBatch>,
     sent_ucols_digest: u64,
     /// `−Σ m⁰` per (g, mult) of direction A (S₁'s sender shares).
@@ -483,6 +486,7 @@ impl MgOfflineS1 {
             stage: Stage::Idle,
             block: 0,
             words: Vec::new(),
+            choice: Vec::new(),
             recv_batch: None,
             sent_ucols_digest: 0,
             s_a: Vec::new(),
@@ -496,12 +500,11 @@ impl MgOfflineS1 {
     pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
         advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
         self.block = draw_flight_words(self.root, flight, &mut self.words);
-        let mut choice = Vec::with_capacity(MG_MULTS_PER_DIR * self.block);
-        for g in 0..self.block {
-            let w = &self.words[MG_WORDS * g..];
-            choice.extend_from_slice(&[w[Y1], w[Z1], w[Z1], w[Z1]]);
+        self.choice.clear();
+        for w in self.words.chunks_exact(MG_WORDS) {
+            self.choice.extend_from_slice(&[w[Y1], w[Z1], w[Z1], w[Z1]]);
         }
-        let (batch, u) = self.receiver.extend(&choice);
+        let (batch, u) = self.receiver.extend(&self.choice);
         self.recv_batch = Some(batch);
         self.sent_ucols_digest = transcript_digest(&u);
         u
@@ -515,7 +518,8 @@ impl MgOfflineS1 {
         let sb = self.sender.absorb(u_from_s2);
         let block = self.block;
         let mut msg = Vec::with_capacity(MG_MULTS_PER_DIR * 64 * block + 1);
-        self.s_a = vec![0u64; MG_MULTS_PER_DIR * block];
+        self.s_a.clear();
+        self.s_a.resize(MG_MULTS_PER_DIR * block, 0);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
             let a_vals = [w[X1], w[X1], w[Y1], w[O1]];
@@ -628,6 +632,8 @@ pub struct MgOfflineS2 {
     stage: Stage,
     block: usize,
     words: Vec<u64>,
+    /// The flight's packed choice bits (scratch of [`Self::ucols`]).
+    choice: Vec<u64>,
     recv_batch: Option<RecvBatch>,
     send_batch: Option<SendBatch>,
     sent_ucols_digest: u64,
@@ -655,6 +661,7 @@ impl MgOfflineS2 {
             stage: Stage::Idle,
             block: 0,
             words: Vec::new(),
+            choice: Vec::new(),
             recv_batch: None,
             send_batch: None,
             sent_ucols_digest: 0,
@@ -671,12 +678,11 @@ impl MgOfflineS2 {
     pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
         advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
         self.block = draw_flight_words(self.root, flight, &mut self.words);
-        let mut choice = Vec::with_capacity(MG_MULTS_PER_DIR * self.block);
-        for g in 0..self.block {
-            let w = &self.words[MG_WORDS * g..];
-            choice.extend_from_slice(&[w[Y2], w[Z2], w[Z2], w[Z2]]);
+        self.choice.clear();
+        for w in self.words.chunks_exact(MG_WORDS) {
+            self.choice.extend_from_slice(&[w[Y2], w[Z2], w[Z2], w[Z2]]);
         }
-        let (batch, u) = self.receiver.extend(&choice);
+        let (batch, u) = self.receiver.extend(&self.choice);
         self.recv_batch = Some(batch);
         self.sent_ucols_digest = transcript_digest(&u);
         u
@@ -690,7 +696,8 @@ impl MgOfflineS2 {
         let sb = self.sender.absorb(u_from_s1);
         let block = self.block;
         let mut msg = Vec::with_capacity(3 * 64 * block + 1);
-        self.s_b = vec![0u64; MG_MULTS_PER_DIR * block];
+        self.s_b.clear();
+        self.s_b.resize(MG_MULTS_PER_DIR * block, 0);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
             let a_vals = [w[X2], w[X2], w[Y2]];
@@ -734,7 +741,8 @@ impl MgOfflineS2 {
             "offline transcript diverged (consistency hash mismatch)"
         );
         let rb = self.recv_batch.as_ref().expect("columns sent");
-        self.r_a = vec![0u64; MG_MULTS_PER_DIR * block];
+        self.r_a.clear();
+        self.r_a.resize(MG_MULTS_PER_DIR * block, 0);
         for (gm, slot) in self.r_a.iter_mut().enumerate() {
             let mut sum = 0u64;
             for bit in 0..64 {
@@ -753,8 +761,8 @@ impl MgOfflineS2 {
         let block = self.block;
         assert_eq!(c_opq.len(), 3 * block, "c_o, c_p, c_q per MG");
         let sb = self.send_batch.as_ref().expect("corrections sent");
-        self.opq2 = Vec::with_capacity(3 * block);
-        self.w_raw2 = Vec::with_capacity(block);
+        self.opq2.clear();
+        self.w_raw2.clear();
         let mut msg = Vec::with_capacity(64 * block);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
@@ -1380,6 +1388,43 @@ mod tests {
         tampered[0] ^= 1;
         let db = s2.corrections(&tampered);
         let _ = s1.derand_opq(&db); // digest of tampered ≠ digest of sent
+    }
+
+    #[test]
+    fn a_bit_flipped_in_transit_anywhere_in_a_u_message_kills_the_flight() {
+        // The lane digest end to end: whichever direction's columns
+        // lose a bit on the way — first word, a lane deep inside a
+        // later row, last word — the party that sent them sees its
+        // peer's digest disagree when the corrections come back.
+        let flight = [MgDraw::dense(0, 1, 2), MgDraw::dense(0, 2, 1)];
+        let u_words = OT_KAPPA * MG_MULTS_PER_DIR * 3;
+        for tamper_s1 in [true, false] {
+            for (word, bit) in [(0, 0), (5 * 32 + 17, 63), (u_words - 1, 31)] {
+                let died = std::panic::catch_unwind(|| {
+                    let mut s1 = MgOfflineS1::for_chunk(3, 0);
+                    let mut s2 = MgOfflineS2::for_chunk(3, 0);
+                    let mut u1 = s1.ucols(&flight);
+                    let mut u2 = s2.ucols(&flight);
+                    assert_eq!(u1.len(), u_words);
+                    let hit = if tamper_s1 { &mut u1 } else { &mut u2 };
+                    hit[word] ^= 1 << bit;
+                    let d_a = s1.corrections(&u2);
+                    let d_b = s2.corrections(&u1);
+                    if tamper_s1 {
+                        s1.derand_opq(&d_b);
+                    } else {
+                        s2.absorb_corrections(&d_a);
+                    }
+                })
+                .expect_err("a corrupted transcript must not be absorbed");
+                let msg = died.downcast_ref::<String>().expect("assert message");
+                assert!(
+                    msg.contains("offline transcript diverged (consistency hash mismatch)"),
+                    "S{} word {word} bit {bit}: {msg}",
+                    if tamper_s1 { 1 } else { 2 }
+                );
+            }
+        }
     }
 
     #[test]

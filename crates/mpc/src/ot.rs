@@ -34,11 +34,13 @@
 //!    ([`crate::offline`]).
 //! 4. **Consistency hashing** ([`transcript_digest`]): each
 //!    correction message carries a digest of the extension columns it
-//!    answers; both parties recompute and compare, so a desynchronised
-//!    or corrupted transcript fails loudly instead of silently
-//!    producing garbage shares. (This is an engineering integrity
-//!    check, *not* the malicious-security consistency check of
-//!    KOS15 — the threat model stays semi-honest, Definition 6.)
+//!    answers — 32 position-tweaked chains of the modeled hash run
+//!    side by side, so the check costs multiplier throughput rather
+//!    than multiply latency — and both parties recompute and compare,
+//!    so a desynchronised or corrupted transcript fails loudly instead
+//!    of silently producing garbage shares. (This is an engineering
+//!    integrity check, *not* the malicious-security consistency check
+//!    of KOS15 — the threat model stays semi-honest, Definition 6.)
 //!
 //! Like [`crate::prg`], the hash here ([`cr_hash_scalar`]) is a
 //! statistical stand-in, NOT cryptographic — the simulation models
@@ -60,6 +62,13 @@
 //! [`cr_hash_scalar`]) are retained as A/B references; the
 //! `ot_simd_equivalence` proptest suite pins every dispatch tier
 //! bit-exactly against them.
+//!
+//! The two terms left after that — expanding the base seeds into
+//! columns (6 PRG words per extended OT across both roles) and
+//! digesting every `u` message twice — take the same dispatch:
+//! [`SplitMix64::fill_block_tier`] and [`transcript_digest_tier`]. Each
+//! role keeps its slab working set across batches, so a flight
+//! allocates only what it returns.
 
 use crate::prg::SplitMix64;
 use crate::simd::{SimdTier, U64xN, LANES};
@@ -213,15 +222,88 @@ pub fn cr_hash_batch(
     }
 }
 
-/// Digest of one protocol message (a word slice) for the transcript-
-/// consistency check: a running fold of the modeled
-/// correlation-robust hash.
-pub fn transcript_digest(words: &[u64]) -> u64 {
-    let mut acc = 0x243F6A8885A308D3u64; // domain constant
-    for (i, &w) in words.iter().enumerate() {
-        acc = cr_hash(acc ^ i as u64, [w, acc.rotate_left(17)]);
+/// Independent hash chains of [`transcript_digest`]: four `u64x8`
+/// vectors' worth, because one chain step is ~50 cycles of *vector*
+/// multiply latency and only independent vectors hide it (8 lanes on
+/// AVX-512 measure 3.8 ns/word, 32 measure 0.8; scalar code is
+/// multiplier-bound at ≈ 1.8 either way).
+pub const DIGEST_LANES: usize = 32;
+
+/// Body of [`transcript_digest`], compiled once per dispatch tier.
+#[inline(always)]
+fn transcript_digest_body(words: &[u64]) -> u64 {
+    const N: usize = DIGEST_LANES;
+    const DOMAIN: u64 = 0x243F6A8885A308D3;
+    let step = |acc: u64, tweak: u64, w: u64| cr_hash(acc ^ tweak, [w, acc.rotate_left(17)]);
+    let mut lanes = [0u64; N];
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        *lane = DOMAIN.wrapping_add((l as u64).wrapping_mul(CRH_GAMMA));
+    }
+    let mut rows = words.chunks_exact(N);
+    let mut at = 0u64;
+    for row in &mut rows {
+        for l in 0..N {
+            lanes[l] = step(lanes[l], at + l as u64, row[l]);
+        }
+        at += N as u64;
+    }
+    for (l, &w) in rows.remainder().iter().enumerate() {
+        lanes[l] = step(lanes[l], at + l as u64, w);
+    }
+    let mut acc = DOMAIN ^ words.len() as u64;
+    for (l, &lane) in lanes.iter().enumerate() {
+        acc = step(acc, l as u64, lane);
     }
     acc
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn transcript_digest_avx512(words: &[u64]) -> u64 {
+    transcript_digest_body(words)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transcript_digest_avx2(words: &[u64]) -> u64 {
+    transcript_digest_body(words)
+}
+
+/// [`transcript_digest`] on an explicit [`SimdTier`] — bit-identical
+/// at every tier (the equivalence the unit tests sweep).
+///
+/// # Panics
+/// Panics if the tier is unsupported on this CPU.
+pub fn transcript_digest_tier(tier: SimdTier, words: &[u64]) -> u64 {
+    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { transcript_digest_avx512(words) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { transcript_digest_avx2(words) },
+        _ => transcript_digest_body(words),
+    }
+}
+
+/// Digest of one protocol message (a word slice) for the transcript-
+/// consistency check: [`DIGEST_LANES`] running folds of the modeled
+/// correlation-robust hash, word `i` going to lane `i mod 32` under the
+/// position tweak `i`, folded in lane order with the message length.
+///
+/// One chain would serialise ~17 cycles of multiply latency per word
+/// (6.4 ns); seeded-apart chains run at multiplier throughput instead
+/// and hash every word exactly as hard. A changed word changes its
+/// lane (the hash is a bijection of the row word), and a moved word
+/// meets a different tweak, lane seed or fold position.
+pub fn transcript_digest(words: &[u64]) -> u64 {
+    transcript_digest_tier(SimdTier::detect(), words)
 }
 
 /// Transposes a 64×64 bit matrix in place: output word `j` holds, at
@@ -412,6 +494,33 @@ pub struct CotSender {
     seeds: Vec<SplitMix64>,
     /// Monotone per-OT hash tweak, kept in lockstep with the receiver.
     tweak: u64,
+    scratch: SlabScratch,
+}
+
+/// The per-slab working set of one extension role, kept across batches
+/// (a chunk session runs one batch per flight; re-allocating and
+/// zero-filling ~130 KB per call was pure overhead). Sized on first
+/// use, so the half of [`simulated_base_ots`] a party drops costs
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct SlabScratch {
+    /// κ expanded columns of one slab (`t` on the receiver, `q` on the
+    /// sender), column-major.
+    cols: Vec<u64>,
+    /// The slab's transposed rows, structure-of-arrays.
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    /// The receiver's `G(k¹_i)` column.
+    g1: Vec<u64>,
+}
+
+impl SlabScratch {
+    fn ensure(&mut self) {
+        self.cols.resize(OT_KAPPA * EXT_SLAB_WORDS, 0);
+        self.lo.resize(64 * EXT_SLAB_WORDS, 0);
+        self.hi.resize(64 * EXT_SLAB_WORDS, 0);
+        self.g1.resize(EXT_SLAB_WORDS, 0);
+    }
 }
 
 /// The extension receiver's long-lived state: both base-OT seeds per
@@ -421,6 +530,7 @@ pub struct CotReceiver {
     seeds0: Vec<SplitMix64>,
     seeds1: Vec<SplitMix64>,
     tweak: u64,
+    scratch: SlabScratch,
 }
 
 /// Simulates the κ base OTs of one extension direction from a seed:
@@ -449,11 +559,13 @@ pub fn simulated_base_ots(seed: u64) -> (CotSender, CotReceiver) {
             delta,
             seeds: chosen,
             tweak: 0,
+            scratch: SlabScratch::default(),
         },
         CotReceiver {
             seeds0,
             seeds1,
             tweak: 0,
+            scratch: SlabScratch::default(),
         },
     )
 }
@@ -525,10 +637,8 @@ impl CotReceiver {
         let words = choice.len();
         let mut u_cols = vec![0u64; OT_KAPPA * words];
         let mut hashed = vec![0u64; 64 * words];
-        let mut t_slab = vec![0u64; OT_KAPPA * EXT_SLAB_WORDS];
-        let mut lo = vec![0u64; 64 * EXT_SLAB_WORDS];
-        let mut hi = vec![0u64; 64 * EXT_SLAB_WORDS];
-        let mut g1 = vec![0u64; EXT_SLAB_WORDS];
+        self.scratch.ensure();
+        let SlabScratch { cols: t_slab, lo, hi, g1 } = &mut self.scratch;
         let base = self.tweak;
         self.tweak += (64 * words) as u64;
         for (s, chunk) in choice.chunks(EXT_SLAB_WORDS).enumerate() {
@@ -536,10 +646,12 @@ impl CotReceiver {
             let w = chunk.len();
             for i in 0..OT_KAPPA {
                 let t = &mut t_slab[i * w..(i + 1) * w];
-                self.seeds0[i].fill_block(t);
-                self.seeds1[i].fill_block(&mut g1[..w]);
+                let g1 = &mut g1[..w];
+                self.seeds0[i].fill_block_tier(tier, t);
+                self.seeds1[i].fill_block_tier(tier, g1);
+                let u = &mut u_cols[i * words + off..][..w];
                 for b in 0..w {
-                    u_cols[i * words + off + b] = t[b] ^ g1[b] ^ chunk[b];
+                    u[b] = t[b] ^ g1[b] ^ chunk[b];
                 }
             }
             cols_to_rows_simd_into(tier, &t_slab[..OT_KAPPA * w], w, &mut lo[..64 * w], &mut hi[..64 * w]);
@@ -611,9 +723,8 @@ impl CotSender {
         let words = u_cols.len() / OT_KAPPA;
         let mut m0 = vec![0u64; 64 * words];
         let mut pad1 = vec![0u64; 64 * words];
-        let mut q_slab = vec![0u64; OT_KAPPA * EXT_SLAB_WORDS];
-        let mut lo = vec![0u64; 64 * EXT_SLAB_WORDS];
-        let mut hi = vec![0u64; 64 * EXT_SLAB_WORDS];
+        self.scratch.ensure();
+        let SlabScratch { cols: q_slab, lo, hi, .. } = &mut self.scratch;
         let base = self.tweak;
         self.tweak += (64 * words) as u64;
         let mut off = 0usize;
@@ -621,10 +732,11 @@ impl CotSender {
             let w = (words - off).min(EXT_SLAB_WORDS);
             for i in 0..OT_KAPPA {
                 let q = &mut q_slab[i * w..(i + 1) * w];
-                self.seeds[i].fill_block(q);
+                self.seeds[i].fill_block_tier(tier, q);
                 if (self.delta[i / 64] >> (i % 64)) & 1 == 1 {
+                    let u = &u_cols[i * words + off..][..w];
                     for b in 0..w {
-                        q[b] ^= u_cols[i * words + off + b];
+                        q[b] ^= u[b];
                     }
                 }
             }
@@ -814,16 +926,76 @@ mod tests {
         assert_ne!(b1.m0(0), b2.m0(0));
     }
 
+    /// Distinct, non-zero message words.
+    fn digest_words(len: usize) -> Vec<u64> {
+        (1..=len as u64).map(|w| w.wrapping_mul(CRH_GAMMA)).collect()
+    }
+
     #[test]
-    fn transcript_digest_detects_any_flip() {
-        let words: Vec<u64> = (0..50).collect();
-        let base = transcript_digest(&words);
-        for flip in [0usize, 17, 49] {
-            let mut tampered = words.clone();
-            tampered[flip] ^= 1 << (flip % 64);
-            assert_ne!(transcript_digest(&tampered), base, "flip at {flip}");
+    fn transcript_digest_detects_a_flip_at_every_word() {
+        // Short messages never fill a row; 31..=33 straddle one; 100
+        // is several rows deep with a ragged last one.
+        for len in (1..=17).chain([31, 32, 33, 50, 100]) {
+            let words = digest_words(len);
+            let base = transcript_digest(&words);
+            assert_eq!(transcript_digest(&words), base, "deterministic");
+            for flip in 0..len {
+                for bit in [0, 17, 63] {
+                    let mut tampered = words.clone();
+                    tampered[flip] ^= 1 << bit;
+                    assert_ne!(transcript_digest(&tampered), base, "len {len}: word {flip} bit {bit}");
+                }
+            }
         }
-        assert_eq!(transcript_digest(&words), base, "deterministic");
+    }
+
+    #[test]
+    fn transcript_digest_is_the_same_function_at_every_tier() {
+        for len in [0usize, 1, 31, 32, 33, 64, 100, 1000] {
+            let words = digest_words(len);
+            let want = transcript_digest_tier(SimdTier::Portable, &words);
+            for tier in SimdTier::available() {
+                assert_eq!(transcript_digest_tier(tier, &words), want, "tier {tier}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn transcript_digest_detects_moved_words() {
+        for len in [2usize, 9, 16, 17, 50, 100] {
+            let words = digest_words(len);
+            let base = transcript_digest(&words);
+            // Adjacent words (and words 8 apart) sit in different
+            // lanes; words a lane stride apart are consecutive inputs
+            // of one lane.
+            for stride in [1, 8, DIGEST_LANES] {
+                for at in 0..len.saturating_sub(stride) {
+                    let mut swapped = words.clone();
+                    swapped.swap(at, at + stride);
+                    assert_ne!(transcript_digest(&swapped), base, "len {len}: {at} <-> {}", at + stride);
+                }
+            }
+            let mut rotated = words.clone();
+            rotated.rotate_left(1);
+            assert_ne!(transcript_digest(&rotated), base, "len {len}: rotated");
+        }
+    }
+
+    #[test]
+    fn transcript_digest_binds_the_length() {
+        // Zero words appended (or a message of nothing but zeros grown)
+        // are not absorbed silently.
+        for len in [0usize, 1, 31, 32, 33, 50] {
+            let words = digest_words(len);
+            let mut seen = vec![transcript_digest(&words)];
+            let mut longer = words.clone();
+            for _ in 0..=DIGEST_LANES {
+                longer.push(0);
+                let d = transcript_digest(&longer);
+                assert!(!seen.contains(&d), "len {len} + {} zeros collides", longer.len() - len);
+                seen.push(d);
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! utility and correctness experiments depend on.
 
 use crate::ring::Ring64;
+use crate::simd::SimdTier;
 
 /// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the fused
 /// batch kernel ([`crate::triple_mul::mul3_batch_stream`]) re-derives
@@ -58,8 +59,10 @@ impl SplitMix64 {
     /// `state + (k+1)·gamma`). The batched Count kernel expands a whole
     /// Multiplication-Group block this way instead of making
     /// 10-per-triple scalar calls, which lets the compiler unroll and
-    /// vectorise the mixing function.
-    #[inline]
+    /// vectorise the mixing function — properly so inside a
+    /// `target_feature` caller ([`Self::fill_block_tier`]), where the
+    /// 64-bit multiplies are one vector instruction each.
+    #[inline(always)]
     pub fn fill_block(&mut self, out: &mut [u64]) {
         let base = self.state;
         for (k, slot) in out.iter_mut().enumerate() {
@@ -68,7 +71,30 @@ impl SplitMix64 {
             z = (z ^ (z >> 27)).wrapping_mul(SM_M2);
             *slot = z ^ (z >> 31);
         }
-        self.state = base.wrapping_add(SM_GAMMA.wrapping_mul(out.len() as u64));
+        self.skip(out.len());
+    }
+
+    /// [`Self::fill_block`] compiled for `tier` — the form the OT
+    /// column expansion calls once per 64-word slab column, where the
+    /// PRG was the largest single term (6 words per extended OT at
+    /// 2 ns/word: without wide multiplies LLVM emulates them on 32-bit
+    /// SSE2 lanes; under AVX-512 the same loop runs at ≈ 0.4).
+    /// Bit-identical at every tier.
+    ///
+    /// # Panics
+    /// Panics if the tier is unsupported on this CPU.
+    pub fn fill_block_tier(&mut self, tier: SimdTier, out: &mut [u64]) {
+        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+        match tier {
+            // SAFETY: `supported()` just confirmed the CPU features the
+            // callee is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => unsafe { fill_block_avx512(self, out) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe { fill_block_avx2(self, out) },
+            _ => self.fill_block(out),
+        }
     }
 
     /// The raw counter state, for kernels that expand the stream in
@@ -96,6 +122,22 @@ impl SplitMix64 {
         let mut mixer = SplitMix64::new(self.next_u64() ^ stream.wrapping_mul(0xA24BAED4963EE407));
         SplitMix64::new(mixer.next_u64())
     }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn fill_block_avx512(g: &mut SplitMix64, out: &mut [u64]) {
+    g.fill_block(out)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_block_avx2(g: &mut SplitMix64, out: &mut [u64]) {
+    g.fill_block(out)
 }
 
 #[cfg(test)]
@@ -160,6 +202,23 @@ mod tests {
             got.push(blocked.next_u64());
         }
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fill_block_matches_scalar_stream_at_every_tier() {
+        // Lengths around the lane width: pure tail, exact rows, rows
+        // plus a tail — interleaved on one stream per tier.
+        for tier in SimdTier::available() {
+            let mut scalar = SplitMix64::new(0x51AB);
+            let mut blocked = SplitMix64::new(0x51AB);
+            for len in [0usize, 1, 7, 8, 9, 16, 64, 67] {
+                let want: Vec<u64> = (0..len).map(|_| scalar.next_u64()).collect();
+                let mut got = vec![0u64; len];
+                blocked.fill_block_tier(tier, &mut got);
+                assert_eq!(got, want, "tier {tier}, len {len}");
+            }
+            assert_eq!(blocked, scalar, "tier {tier}: stream position");
+        }
     }
 
     #[test]

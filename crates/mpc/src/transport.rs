@@ -162,7 +162,9 @@ impl Counters {
 /// `(msg_type, tag)` and fails loudly on disconnect or deadline.
 pub trait Transport: Send + Sync {
     /// Serialises and sends one frame. `Err(Disconnected)` once the
-    /// peer endpoint is gone.
+    /// peer endpoint is gone; `Err(Corrupt(BadLength))` — with nothing
+    /// written to the link — for a frame the peer's decoder would
+    /// refuse ([`Frame::try_encode`]).
     fn send(&self, frame: &Frame) -> Result<(), RecvError>;
 
     /// Blocks until the next frame of `msg_type` under `tag` arrives
@@ -269,7 +271,7 @@ impl InMemoryTransport {
         };
         drop(rx);
         let wire_len = bytes.len();
-        let frame = Frame::decode(&bytes).map_err(RecvError::Corrupt)?;
+        let frame = Frame::decode_owned(bytes).map_err(RecvError::Corrupt)?;
         self.counters
             .record(frame.msg_type, wire_len, frame.payload.len(), false);
         Ok(((frame.msg_type, frame.tag), frame))
@@ -281,7 +283,7 @@ impl Transport for InMemoryTransport {
         if self.closed.load(Ordering::Acquire) {
             return Err(RecvError::Disconnected);
         }
-        let bytes = frame.encode();
+        let bytes = frame.try_encode().map_err(RecvError::Corrupt)?;
         match &*self.tx.lock().expect("transport poisoned") {
             Some(tx) => {
                 self.counters
@@ -533,16 +535,17 @@ impl TcpTransport {
             started,
             self.recv_timeout,
         )?;
-        let frame = Frame::decode(&bytes).map_err(RecvError::Corrupt)?;
+        let wire_len = bytes.len();
+        let frame = Frame::decode_owned(bytes).map_err(RecvError::Corrupt)?;
         self.counters
-            .record(frame.msg_type, bytes.len(), frame.payload.len(), false);
+            .record(frame.msg_type, wire_len, frame.payload.len(), false);
         Ok(((frame.msg_type, frame.tag), frame))
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&self, frame: &Frame) -> Result<(), RecvError> {
-        let bytes = frame.encode();
+        let bytes = frame.try_encode().map_err(RecvError::Corrupt)?;
         self.counters
             .record(frame.msg_type, bytes.len(), frame.payload.len(), true);
         match &*self.writer_tx.lock().expect("transport poisoned") {
@@ -794,8 +797,9 @@ impl<T: Transport> FaultyTransport<T> {
         }
         match Frame::decode(&bytes) {
             Err(e) => RecvError::Corrupt(e),
-            // Unreachable with the v2 checksum: every single-bit flip
-            // and every truncation is detected. Fail typed regardless.
+            // Unreachable: the frame checksum detects every single-bit
+            // flip and the length checks every truncation (wire module
+            // docs). Fail typed regardless.
             Ok(_) => RecvError::Corrupt(WireError::BadChecksum {
                 announced: 0,
                 computed: r,
@@ -919,6 +923,48 @@ mod tests {
         exercise_pair(&a, &b);
         assert_eq!(a.stats().bytes_sent, b.stats().bytes_recv);
         assert_eq!(a.stats().online_payload_sent, 48);
+    }
+
+    /// A frame one word past the decoder's bound: what a single-pair
+    /// offline flight of > 16 384 groups would lower to.
+    fn oversized_frame() -> Frame {
+        Frame {
+            payload: vec![0; crate::wire::MAX_FRAME_PAYLOAD_BYTES + 8],
+            ..FinalOpeningMsg { share: Ring64(0) }.to_frame()
+        }
+    }
+
+    fn assert_oversized_send_is_refused<T: Transport>(a: &T, b: &T) {
+        let err = a.send(&oversized_frame()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecvError::Corrupt(WireError::BadLength {
+                    what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        assert_eq!(a.stats(), WireStats::default(), "nothing counted as sent");
+        // Nothing reached the link either: the next frame the peer sees
+        // is the next one sent.
+        send_msg(a, &FinalOpeningMsg { share: Ring64(6) }).unwrap();
+        let m: FinalOpeningMsg = recv_msg(b, 0, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(m.share, Ring64(6));
+        assert_eq!(b.stats().frames_recv, 1);
+    }
+
+    #[test]
+    fn memory_send_refuses_what_the_decoder_would_reject() {
+        let (a, b) = memory_pair();
+        assert_oversized_send_is_refused(&a, &b);
+    }
+
+    #[test]
+    fn tcp_send_refuses_what_the_decoder_would_reject() {
+        let (a, b, _) = TcpTransport::loopback_pair(&TcpConfig::default()).unwrap();
+        assert_oversized_send_is_refused(&a, &b);
     }
 
     #[test]

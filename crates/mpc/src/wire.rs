@@ -23,7 +23,8 @@
 //! 12     4    b              (pair.j | 0)
 //! 16     4    c              (k0 | 0)
 //! 20     4    payload_len    (bytes; always a multiple of 8)
-//! 24     8    checksum       (FNV-1a 64 over bytes 0..24 ‖ payload)
+//! 24     8    checksum       (8-lane xor-multiply fold over the words of
+//!                             bytes 0..24 ‖ payload — see below)
 //! 32     …    payload        (payload_len bytes of u64 LE words)
 //! ```
 //!
@@ -35,13 +36,33 @@
 //! is reported separately ([`crate::transport::WireStats`]) and never
 //! muddies the measured-vs-modeled equivalence (DESIGN.md §8).
 //!
-//! The checksum (version 2) makes link corruption *loud*: every FNV-1a
-//! step xors a byte into the state and multiplies by an odd prime —
-//! both invertible maps — so any single flipped bit anywhere in the
-//! covered bytes propagates to a different final hash and the frame
-//! decodes to [`WireError::BadChecksum`] instead of garbage ring words.
-//! Truncation is caught by the explicit length checks before the
-//! checksum is even consulted.
+//! The checksum makes link corruption *loud*. The covered bytes — the
+//! 24 header bytes before the checksum field, then the payload — are
+//! read as little-endian `u64` words and dealt round-robin onto
+//! [`CHECKSUM_LANES`] independent lanes with distinct seeds (header
+//! word `i` → lane `i`, payload word `j` → lane `j mod 8`). A lane
+//! absorbs a word as `s ← rotl((s ⊕ w) · P, 29)`: xor with a constant,
+//! multiplication by an odd constant and a rotation are each
+//! invertible, so the step is a bijection of the lane state for a fixed
+//! word *and* of the word for a fixed state. The lanes are then folded
+//! **in lane order** into one accumulator seeded with the payload
+//! length, by the same step, and finished with `h ⊕ (h ≫ 32)` (also
+//! invertible). A single flipped bit anywhere in
+//! the covered bytes changes exactly one word, hence exactly one lane's
+//! final state, hence — every later step being a bijection — the
+//! checksum: the frame decodes to [`WireError::BadChecksum`] instead of
+//! garbage ring words, always, not with high probability. Anything
+//! wider (several words, permuted words, words moved between lanes) is
+//! caught with probability ≈ 1 − 2⁻⁶⁴: the distinct seeds and the
+//! ordered fold make the lanes non-interchangeable. Truncation is
+//! caught by the explicit length checks before the checksum is even
+//! consulted.
+//!
+//! Version 2 computed the same field as a byte-serial FNV-1a chain —
+//! one dependent multiply per *byte*, 1.4 ns/B, which made the
+//! checksum > 90 % of the codec and the codec half of a release
+//! (DESIGN.md §8). The lanes absorb eight *words* per five-cycle step;
+//! the field, its offset and its guarantee are unchanged.
 //!
 //! The format is pinned by a byte-level fixture in
 //! `crates/mpc/tests/wire_format.rs`, so it cannot drift silently;
@@ -52,8 +73,10 @@ use crate::triple_mul::MulGroupShare;
 
 /// Version byte every frame starts with; receivers reject anything
 /// else ([`WireError::BadVersion`]). Version 2 added the header
-/// checksum field.
-pub const WIRE_VERSION: u8 = 2;
+/// checksum field; version 3 computes it word-parallel (same field,
+/// different function — a v2 peer's frames could only ever fail the
+/// checksum, so they are refused by version instead).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Fixed frame header size in bytes (see the module-level layout).
 pub const FRAME_HEADER_BYTES: usize = 32;
@@ -145,26 +168,98 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// FNV-1a 64-bit over the checksummed portion of a frame: the header
-/// bytes *before* the checksum field, then the payload. Every step is
-/// an invertible state update (xor, multiply by an odd prime), so two
-/// inputs differing in any bit hash differently with probability
-/// 1 for single-bit flips and ~1 − 2⁻⁶⁴ in general.
-fn frame_checksum(header_prefix: &[u8], payload: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    for &b in header_prefix.iter().chain(payload) {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// Independent lanes of the frame checksum (see the module docs).
+pub const CHECKSUM_LANES: usize = 8;
+
+/// Per-lane initial states: distinct, so moving a run of words from one
+/// lane to another changes what they hash to.
+const LANE_SEEDS: [u64; CHECKSUM_LANES] = [
+    0x6A09_E667_F3BC_C908,
+    0xBB67_AE85_84CA_A73B,
+    0x3C6E_F372_FE94_F82B,
+    0xA54F_F53A_5F1D_36F1,
+    0x510E_527F_ADE6_82D1,
+    0x9B05_688C_2B3E_6C1F,
+    0x1F83_D9AB_FB41_BD6B,
+    0x5BE0_CD19_137E_2179,
+];
+
+/// Initial state of the fold over the lanes (the payload length is
+/// xored in).
+const FOLD_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// The odd multiplier of every absorb step.
+const ABSORB_MUL: u64 = 0x9E37_79B1_85EB_CA87;
+
+/// One absorb step, shared by the lanes and the final fold: a bijection
+/// of `state` for a fixed `word` and of `word` for a fixed `state`
+/// (xor, odd multiply and rotate are each invertible). The rotation
+/// carries the well-mixed high product bits down, where the next
+/// multiply spreads them again.
+#[inline(always)]
+fn absorb(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(ABSORB_MUL).rotate_left(29)
+}
+
+/// The little-endian `u64` words of `bytes` (whole words only).
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+}
+
+/// Checksum over the covered portion of a frame: the 24 header bytes
+/// *before* the checksum field, then the payload, both whole words
+/// (trailing bytes short of a word are not covered — [`Frame`] never
+/// has any). Eight independent multiply chains run side by side, so
+/// the cost is one multiply per word *per lane in flight* instead of
+/// one dependent multiply per byte. Detects any single flipped bit
+/// with certainty and anything else with probability ~1 − 2⁻⁶⁴ (module
+/// docs). Public for the microbench and for anyone writing a v3 peer;
+/// the codec calls it on every encode and every decode.
+pub fn frame_checksum(header_prefix: &[u8], payload: &[u8]) -> u64 {
+    debug_assert_eq!(header_prefix.len(), CHECKSUM_OFFSET);
+    debug_assert!(payload.len().is_multiple_of(8));
+    let mut lanes = LANE_SEEDS;
+    let absorb_row = |lanes: &mut [u64; CHECKSUM_LANES], row: &[u8]| {
+        for (lane, word) in lanes.iter_mut().zip(le_words(row)) {
+            *lane = absorb(*lane, word);
+        }
+    };
+    absorb_row(&mut lanes, header_prefix);
+    let mut rows = payload.chunks_exact(8 * CHECKSUM_LANES);
+    for row in &mut rows {
+        absorb_row(&mut lanes, row);
     }
-    h
+    absorb_row(&mut lanes, rows.remainder());
+    let folded = lanes
+        .into_iter()
+        .fold(FOLD_SEED ^ payload.len() as u64, absorb);
+    folded ^ (folded >> 32)
 }
 
 impl Frame {
-    /// Serialises the frame (header + payload) into wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
+    /// Serialises the frame (header + payload) into wire bytes, or
+    /// refuses a payload the peer's [`Frame::decode`] would reject:
+    /// longer than [`MAX_FRAME_PAYLOAD_BYTES`] (which also keeps the
+    /// 4-byte length field from wrapping) or not whole words. The
+    /// transports send through this, so an oversized message fails on
+    /// the sending side, typed, with nothing on the link.
+    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+        let len = self.payload.len();
+        if !len.is_multiple_of(8) {
+            return Err(WireError::BadLength {
+                what: "payload not a multiple of 8",
+                len,
+            });
+        }
+        if len > MAX_FRAME_PAYLOAD_BYTES {
+            return Err(WireError::BadLength {
+                what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES",
+                len,
+            });
+        }
+        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + len);
         out.push(WIRE_VERSION);
         out.push(self.msg_type);
         out.extend_from_slice(&self.step.to_le_bytes());
@@ -172,11 +267,23 @@ impl Frame {
         out.extend_from_slice(&self.a.to_le_bytes());
         out.extend_from_slice(&self.b.to_le_bytes());
         out.extend_from_slice(&self.c.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(len as u32).to_le_bytes());
         let sum = frame_checksum(&out[..CHECKSUM_OFFSET], &self.payload);
         out.extend_from_slice(&sum.to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out
+        Ok(out)
+    }
+
+    /// [`Frame::try_encode`] for frames built by this crate's
+    /// [`WireMessage::to_frame`]s, whose payloads are whole words by
+    /// construction.
+    ///
+    /// # Panics
+    /// Panics if the payload is not whole words or exceeds
+    /// [`MAX_FRAME_PAYLOAD_BYTES`].
+    pub fn encode(&self) -> Vec<u8> {
+        self.try_encode()
+            .unwrap_or_else(|e| panic!("unencodable frame: {e}"))
     }
 
     /// Parses a complete frame from `bytes`. Strict: the slice must
@@ -185,6 +292,25 @@ impl Frame {
     /// multiple of 8, and the checksum must verify — any drift is an
     /// error, never a guess.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+        let mut frame = Self::decode_header(bytes)?;
+        frame.payload = bytes[FRAME_HEADER_BYTES..].to_vec();
+        Ok(frame)
+    }
+
+    /// [`Frame::decode`] for a receiver that owns the buffer the frame
+    /// arrived in: the verified bytes *become* the payload (the header
+    /// is shifted off the front in place), sparing the transports a
+    /// payload-sized allocation, its page faults and a copy per frame.
+    pub fn decode_owned(mut bytes: Vec<u8>) -> Result<Frame, WireError> {
+        let mut frame = Self::decode_header(&bytes)?;
+        bytes.drain(..FRAME_HEADER_BYTES);
+        frame.payload = bytes;
+        Ok(frame)
+    }
+
+    /// Every check of [`Frame::decode`] — lengths, version, checksum —
+    /// returning the parsed header with an empty payload.
+    fn decode_header(bytes: &[u8]) -> Result<Frame, WireError> {
         if bytes.len() < FRAME_HEADER_BYTES {
             return Err(WireError::Truncated {
                 needed: FRAME_HEADER_BYTES,
@@ -242,25 +368,23 @@ impl Frame {
             a: u32le(8),
             b: u32le(12),
             c: u32le(16),
-            payload: bytes[FRAME_HEADER_BYTES..total].to_vec(),
+            payload: Vec::new(),
         })
     }
 
-    /// The payload parsed back into `u64` little-endian words.
+    /// The payload parsed back into `u64` little-endian words — one
+    /// exact-size pass (`chunks_exact` is `TrustedLen`, so `collect`
+    /// allocates once and the loop vectorises to a plain copy).
     pub fn payload_words(&self) -> Vec<u64> {
-        self.payload
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect()
+        le_words(&self.payload).collect()
     }
 }
 
-/// Appends `words` to `out` as little-endian bytes.
+/// Appends `words` to `out` as little-endian bytes in one exact-size
+/// pass (`flat_map` over fixed arrays is `TrustedLen`: one reserve, then
+/// a loop that compiles to a plain copy on little-endian targets).
 fn push_words(out: &mut Vec<u8>, words: &[u64]) {
-    out.reserve(8 * words.len());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+    out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
 }
 
 /// A protocol message with a wire form: a frame type byte plus lossless
@@ -671,23 +795,45 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_caught() {
-        let bytes = OpeningMsg {
-            chunk: 3,
-            pair: (1, 4),
-            k0: 0,
-            efg: vec![5, 6, 7],
-        }
-        .encode();
-        for pos in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut mutated = bytes.clone();
-                mutated[pos] ^= 1 << bit;
-                assert!(
-                    Frame::decode(&mutated).is_err(),
-                    "flip at byte {pos} bit {bit} went undetected"
-                );
+        // 0..=9 payload words: no payload at all, lanes 0..=7 one by
+        // one, the wrap back to lane 0, and a remainder row after a
+        // full one.
+        for words in 0..=9u64 {
+            let bytes = OfflineMsg {
+                chunk: 3,
+                flight: 1,
+                step: 4,
+                words: (0..words).map(|w| w.wrapping_mul(0x0101_0101_0101_0101)).collect(),
             }
+            .encode();
+            for pos in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut mutated = bytes.clone();
+                    mutated[pos] ^= 1 << bit;
+                    let decoded = Frame::decode(&mutated);
+                    assert!(
+                        decoded.is_err(),
+                        "{words} words: flip at byte {pos} bit {bit} went undetected"
+                    );
+                    assert_eq!(Frame::decode_owned(mutated), decoded, "one set of checks");
+                }
+            }
+            assert_eq!(Frame::decode_owned(bytes.clone()), Frame::decode(&bytes));
         }
+    }
+
+    #[test]
+    fn unencodable_payloads_are_refused_on_the_sending_side() {
+        let frame = |payload| Frame { payload, ..FinalOpeningMsg { share: Ring64(1) }.to_frame() };
+        assert_eq!(
+            frame(vec![0; 12]).try_encode(),
+            Err(WireError::BadLength { what: "payload not a multiple of 8", len: 12 })
+        );
+        let over = MAX_FRAME_PAYLOAD_BYTES + 8;
+        assert_eq!(
+            frame(vec![0; over]).try_encode(),
+            Err(WireError::BadLength { what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES", len: over })
+        );
     }
 
     #[test]
