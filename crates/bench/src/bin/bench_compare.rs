@@ -35,11 +35,7 @@ fn usage() -> String {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
+    let argv = cargo_bench::cli::argv_or_help(&usage());
     let mut tolerance = 0.20f64;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut i = 0;

@@ -116,7 +116,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.repeat = 3;
             }
             "--breakdown" => args.breakdown = true,
-            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
         i += 1;
@@ -226,7 +225,7 @@ fn breakdown(n: usize, repeat: usize) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = cargo_bench::cli::argv_or_help(&usage());
     let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {

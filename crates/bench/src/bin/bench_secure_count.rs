@@ -118,7 +118,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.ns = vec![100, 200];
                 args.measure_ms = 300;
             }
-            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
         i += 1;
@@ -127,7 +126,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = cargo_bench::cli::argv_or_help(&usage());
     let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {

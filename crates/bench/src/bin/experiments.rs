@@ -23,13 +23,7 @@ fn usage() -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --help wins over everything else, even invalid flags (same
-    // semantics as dp_triangles).
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
+    let args = cargo_bench::cli::argv_or_help(&usage());
     let (opts, cmds) = match Options::parse(&args) {
         Ok(x) => x,
         Err(e) => {
@@ -37,10 +31,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if opts.help {
-        println!("{}", usage());
-        return;
-    }
     if cmds.is_empty() {
         eprintln!("{}", usage());
         std::process::exit(2);

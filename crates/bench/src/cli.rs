@@ -1,10 +1,25 @@
 //! Hand-rolled flag parsing for the `experiments` binary (no external
-//! CLI dependency in the approved set).
+//! CLI dependency in the approved set), and the `--help` convention
+//! every binary of this package shares.
 
-use cargo_core::{CountKernel, ScheduleKind, TransportKind};
-use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy, DEFAULT_POOL_DEPTH, DEFAULT_RECV_TIMEOUT};
+use cargo_core::{CargoConfig, CountKernel, ScheduleKind, TransportKind};
+use cargo_mpc::{Backpressure, OfflineMode, DEFAULT_RECV_TIMEOUT};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The process's arguments — unless `--help`/`-h` is among them, in
+/// which case `usage` goes to **stdout** and the process exits 0. Help
+/// wins over everything else on the line, invalid flags included (the
+/// semantics of `dp_triangles` and `party`); usage on *stderr* with
+/// exit code 2 is reserved for actual parse errors.
+pub fn argv_or_help(usage: &str) -> Vec<String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    argv
+}
 
 /// Parsed command-line options with the paper's defaults.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +65,6 @@ pub struct Options {
     pub recv_timeout: Duration,
     /// Quick mode: shrink n and trials for smoke runs.
     pub quick: bool,
-    /// `--help`/`-h` was given: print usage and exit successfully.
-    pub help: bool,
 }
 
 impl Default for Options {
@@ -73,25 +86,29 @@ impl Default for Options {
             schedule: ScheduleKind::Dense,
             recv_timeout: DEFAULT_RECV_TIMEOUT,
             quick: false,
-            help: false,
         }
     }
 }
 
 impl Options {
-    /// The triple-pool policy the CLI knobs describe (`--pool-depth 0`
-    /// resolves to [`DEFAULT_POOL_DEPTH`], mirroring
-    /// `CargoConfig::pool_policy`).
-    pub fn pool_policy(&self) -> PoolPolicy {
-        PoolPolicy {
-            factory_threads: self.factory_threads,
-            depth: if self.pool_depth == 0 {
-                DEFAULT_POOL_DEPTH
-            } else {
-                self.pool_depth
-            },
-            backpressure: self.pool_backpressure,
-        }
+    /// The pipeline configuration these options describe at budget
+    /// `epsilon` — the one place a flag becomes a [`CargoConfig`]
+    /// field, so a knob cannot reach some experiments and miss others.
+    /// `0` knobs (`--threads`, `--batch`, `--pool-depth`) stay `0`: the
+    /// config resolves them.
+    pub fn config(&self, epsilon: f64) -> CargoConfig {
+        CargoConfig::new(epsilon)
+            .with_seed(self.seed)
+            .with_threads(self.threads)
+            .with_batch(self.batch)
+            .with_offline(self.offline)
+            .with_kernel(self.kernel)
+            .with_transport(self.transport)
+            .with_factory_threads(self.factory_threads)
+            .with_pool_depth(self.pool_depth)
+            .with_pool_backpressure(self.pool_backpressure)
+            .with_schedule(self.schedule)
+            .with_recv_timeout(self.recv_timeout)
     }
 }
 
@@ -183,7 +200,6 @@ impl Options {
                 "--out-dir" => opts.out_dir = PathBuf::from(take_value(&mut i)?),
                 "--data-dir" => opts.data_dir = Some(PathBuf::from(take_value(&mut i)?)),
                 "--quick" => opts.quick = true,
-                "--help" | "-h" => opts.help = true,
                 _ if arg.starts_with("--") => return Err(format!("unknown flag {arg}")),
                 _ => positional.push(arg.clone()),
             }
@@ -200,6 +216,7 @@ impl Options {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cargo_mpc::DEFAULT_POOL_DEPTH;
 
     fn parse(v: &[&str]) -> Result<(Options, Vec<String>), String> {
         let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
@@ -279,11 +296,11 @@ mod tests {
         assert_eq!(o.factory_threads, 2);
         assert_eq!(o.pool_depth, 8);
         assert_eq!(o.pool_backpressure, Backpressure::FailFast);
-        assert_eq!(o.pool_policy().depth, 8);
+        assert_eq!(o.config(2.0).pool_policy().depth, 8);
         let (o, _) = parse(&["table2"]).unwrap();
         assert_eq!(o.factory_threads, 0, "inline by default");
-        assert!(!o.pool_policy().enabled());
-        assert_eq!(o.pool_policy().depth, DEFAULT_POOL_DEPTH, "0 = default");
+        assert!(!o.config(2.0).pool_policy().enabled());
+        assert_eq!(o.config(2.0).pool_policy().depth, DEFAULT_POOL_DEPTH, "0 = default");
         assert!(parse(&["--pool-backpressure", "wat"]).is_err());
     }
 
@@ -317,14 +334,6 @@ mod tests {
     fn data_dir_is_optional_path() {
         let (o, _) = parse(&["--data-dir", "/tmp/snap", "table4"]).unwrap();
         assert_eq!(o.data_dir.unwrap(), PathBuf::from("/tmp/snap"));
-    }
-
-    #[test]
-    fn help_flag_is_recognised() {
-        let (o, _) = parse(&["--help"]).unwrap();
-        assert!(o.help);
-        let (o, _) = parse(&["-h"]).unwrap();
-        assert!(o.help);
     }
 
     #[test]

@@ -53,20 +53,7 @@ pub fn fig11_or_12(opts: &Options, which: RuntimeGraph) -> Vec<Table> {
         let sub = eg.prefix(n);
         let central = run_central(&sub, 2.0, trials, opts.seed);
         let local = run_local2rounds(&sub, 2.0, trials, opts.seed);
-        let cargo = run_cargo_with(
-            &sub,
-            2.0,
-            trials,
-            opts.seed,
-            opts.threads,
-            opts.batch,
-            opts.offline,
-            opts.kernel,
-            opts.transport,
-            opts.pool_policy(),
-            opts.schedule,
-            opts.recv_timeout,
-        );
+        let cargo = run_cargo_with(&sub, trials, &opts.config(2.0));
         let share = if cargo.time.as_secs_f64() > 0.0 {
             cargo.count_time.as_secs_f64() / cargo.time.as_secs_f64()
         } else {

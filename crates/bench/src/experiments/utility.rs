@@ -92,7 +92,7 @@ pub fn fig5_and_6(opts: &Options) -> Vec<Table> {
             .map(|&eps| SweepPoint {
                 x: format!("{eps}"),
                 local: run_local2rounds(&sub, eps, cheap_trials, opts.seed),
-                cargo: run_cargo_with(&sub, eps, opts.trials, opts.seed, opts.threads, opts.batch, opts.offline, opts.kernel, opts.transport, opts.pool_policy(), opts.schedule, opts.recv_timeout),
+                cargo: run_cargo_with(&sub, opts.trials, &opts.config(eps)),
                 central: run_central(&sub, eps, cheap_trials, opts.seed),
             })
             .collect();
@@ -143,7 +143,7 @@ pub fn fig7_and_8(opts: &Options) -> Vec<Table> {
                 SweepPoint {
                     x: n.to_string(),
                     local: run_local2rounds(&sub, eps, cheap_trials, opts.seed),
-                    cargo: run_cargo_with(&sub, eps, opts.trials, opts.seed, opts.threads, opts.batch, opts.offline, opts.kernel, opts.transport, opts.pool_policy(), opts.schedule, opts.recv_timeout),
+                    cargo: run_cargo_with(&sub, opts.trials, &opts.config(eps)),
                     central: run_central(&sub, eps, cheap_trials, opts.seed),
                 }
             })

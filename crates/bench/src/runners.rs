@@ -4,12 +4,9 @@
 use cargo_baselines::{
     central_lap_triangles, local2rounds_triangles, Local2RoundsConfig,
 };
-use cargo_core::{
-    l2_loss, relative_error, CargoConfig, CargoSystem, CountKernel, OfflineMode, ScheduleKind,
-    TransportKind,
-};
+use cargo_core::{l2_loss, relative_error, CargoConfig, CargoSystem};
 use cargo_graph::Graph;
-use cargo_mpc::{NetStats, PoolPolicy};
+use cargo_mpc::NetStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -78,63 +75,20 @@ fn aggregate(
 /// Runs CARGO `trials` times and aggregates (secure count on the
 /// config's default thread/batch/kernel knobs).
 pub fn run_cargo(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> UtilityPoint {
-    run_cargo_with(
-        g,
-        epsilon,
-        trials,
-        seed,
-        0,
-        0,
-        OfflineMode::TrustedDealer,
-        CountKernel::default(),
-        TransportKind::Memory,
-        PoolPolicy::INLINE,
-        ScheduleKind::Dense,
-        cargo_mpc::DEFAULT_RECV_TIMEOUT,
-    )
+    run_cargo_with(g, trials, &CargoConfig::new(epsilon).with_seed(seed))
 }
 
-/// [`run_cargo`] with explicit Count knobs: `threads` workers
-/// (0 = all cores), `batch` triples per round (0 = default), the
-/// offline-phase mode, the Count kernel, the Count wire, the
-/// triple-factory policy, and the Count schedule — the CLI's
-/// `--threads`/`--batch`/`--offline-mode`/`--kernel`/`--transport`/
-/// `--factory-threads`/`--pool-depth`/`--pool-backpressure`/
-/// `--schedule`/`--recv-timeout` land here so the knobs govern every
-/// Count entry the experiments exercise.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cargo_with(
-    g: &Graph,
-    epsilon: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    offline: OfflineMode,
-    kernel: CountKernel,
-    transport: TransportKind,
-    pool: PoolPolicy,
-    schedule: ScheduleKind,
-    recv_timeout: Duration,
-) -> UtilityPoint {
+/// [`run_cargo`] under an explicit pipeline configuration (the CLI's
+/// is [`crate::cli::Options::config`]). `cfg.seed` is the root seed:
+/// each trial runs under its own [`trial_seed`] derived from it.
+pub fn run_cargo_with(g: &Graph, trials: usize, cfg: &CargoConfig) -> UtilityPoint {
     let t_true = cargo_graph::count_triangles(g) as f64;
     let mut estimates = Vec::with_capacity(trials);
     let mut times = Vec::with_capacity(trials);
     let mut count_times = Vec::with_capacity(trials);
     let mut net = NetStats::new();
     for t in 0..trials {
-        let cfg = CargoConfig::new(epsilon)
-            .with_seed(trial_seed(seed, t, epsilon, fingerprint(g)))
-            .with_threads(threads)
-            .with_batch(batch)
-            .with_offline(offline)
-            .with_kernel(kernel)
-            .with_transport(transport)
-            .with_factory_threads(pool.factory_threads)
-            .with_pool_depth(pool.depth)
-            .with_pool_backpressure(pool.backpressure)
-            .with_schedule(schedule)
-            .with_recv_timeout(recv_timeout);
+        let cfg = cfg.with_seed(trial_seed(cfg.seed, t, cfg.epsilon, fingerprint(g)));
         let start = Instant::now();
         let out = CargoSystem::new(cfg).run(g);
         times.push(start.elapsed());
@@ -178,6 +132,7 @@ pub fn run_local2rounds(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> Ut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cargo_core::{CountKernel, OfflineMode, ScheduleKind, TransportKind};
     use cargo_graph::generators::barabasi_albert;
 
     #[test]
@@ -187,12 +142,18 @@ mod tests {
         // point uses a small graph (equivalence to dealer mode is
         // pinned exhaustively in crates/core).
         let small = barabasi_albert(30, 3, 1);
+        let cfg = CargoConfig::new(2.0).with_seed(1);
+        let sharded = cfg.with_threads(2).with_batch(16);
         for point in [
             run_cargo(&g, 2.0, 2, 1),
-            run_cargo_with(&g, 2.0, 2, 1, 2, 16, OfflineMode::TrustedDealer, CountKernel::Bitsliced, TransportKind::Memory, PoolPolicy::INLINE, ScheduleKind::Dense, cargo_mpc::DEFAULT_RECV_TIMEOUT),
-            run_cargo_with(&small, 2.0, 1, 1, 1, 0, OfflineMode::OtExtension, CountKernel::Scalar, TransportKind::Memory, PoolPolicy::INLINE, ScheduleKind::Dense, cargo_mpc::DEFAULT_RECV_TIMEOUT),
-            run_cargo_with(&small, 2.0, 1, 1, 1, 0, OfflineMode::TrustedDealer, CountKernel::default(), TransportKind::Tcp, PoolPolicy::INLINE, ScheduleKind::Dense, cargo_mpc::DEFAULT_RECV_TIMEOUT),
-            run_cargo_with(&g, 2.0, 2, 1, 2, 16, OfflineMode::TrustedDealer, CountKernel::Bitsliced, TransportKind::Memory, PoolPolicy::INLINE, ScheduleKind::Sparse, cargo_mpc::DEFAULT_RECV_TIMEOUT),
+            run_cargo_with(&g, 2, &sharded),
+            run_cargo_with(
+                &small,
+                1,
+                &cfg.with_threads(1).with_offline(OfflineMode::OtExtension).with_kernel(CountKernel::Scalar),
+            ),
+            run_cargo_with(&small, 1, &cfg.with_threads(1).with_transport(TransportKind::Tcp)),
+            run_cargo_with(&g, 2, &sharded.with_schedule(ScheduleKind::Sparse)),
             run_central(&g, 2.0, 2, 1),
             run_local2rounds(&g, 2.0, 2, 1),
         ] {
@@ -204,8 +165,9 @@ mod tests {
     #[test]
     fn ot_mode_surfaces_an_offline_ledger_through_the_runner() {
         let g = barabasi_albert(30, 3, 2);
-        let dealer = run_cargo_with(&g, 2.0, 1, 1, 1, 0, OfflineMode::TrustedDealer, CountKernel::default(), TransportKind::Memory, PoolPolicy::INLINE, ScheduleKind::Dense, cargo_mpc::DEFAULT_RECV_TIMEOUT);
-        let ot = run_cargo_with(&g, 2.0, 1, 1, 1, 0, OfflineMode::OtExtension, CountKernel::default(), TransportKind::Memory, PoolPolicy::INLINE, ScheduleKind::Dense, cargo_mpc::DEFAULT_RECV_TIMEOUT);
+        let cfg = CargoConfig::new(2.0).with_seed(1).with_threads(1);
+        let dealer = run_cargo_with(&g, 1, &cfg);
+        let ot = run_cargo_with(&g, 1, &cfg.with_offline(OfflineMode::OtExtension));
         assert!(dealer.net.offline.is_empty());
         assert!(ot.net.offline.bytes > 0);
         assert_eq!(ot.net.online(), dealer.net.online());

@@ -18,7 +18,7 @@
 //! | [`count_local`] | both servers' arithmetic in one loop (this module) — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
 //! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
 //! | [`crate::count_runtime::count_two_party`] | both server pools (+ dealer thread) over a caller-made link pair |
-//! | [`crate::count_sampled::count_sampled`] | the triple-sampling estimator |
+//! | [`crate::count_sampled::count_sampled`] | [`count_local`] over a plan thinned by a public coin — the triple-sampling estimator |
 //!
 //! All of them produce **bit-identical** share pairs and ledgers for
 //! the same job (the equivalence suites under `crates/core/tests/` pin
@@ -172,8 +172,7 @@ pub struct CountJob {
     /// ones are gathered across pairs into shared lanes. Applies on
     /// every plan and either input kind; regroups kernel evaluation
     /// only (never shares, triples or the ledger). Inert for the scalar
-    /// kernel, the OT workers, the wire executors and the sampled
-    /// estimator.
+    /// kernel, the OT workers and the wire executors.
     pub tile_threshold: u32,
 }
 
@@ -274,27 +273,34 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 /// Panics if a fail-fast pool is drained.
 pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
     match input.into() {
-        CountInput::Matrix(m) => run_local(m, job),
-        CountInput::Csr(g) => run_local(g, job),
+        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n())),
+        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n())),
     }
 }
 
-fn run_local<B: AdjacencyBits>(bits: &B, job: &CountJob) -> SecureCountResult {
-    let sched = job.local_scheduler(bits.n());
-    let pool = job.spawn_pool(&sched);
+/// [`count_local`] past scheduler construction: runs `job`'s workers
+/// over `sched`'s chunks and sums the parts. `sched` is the job's own
+/// [`CountJob::local_scheduler`], or that scheduler under the sampled
+/// estimator's plan filter — the workers only ever see a draw plan.
+pub(crate) fn run_scheduled<B: AdjacencyBits>(
+    bits: &B,
+    job: &CountJob,
+    sched: &CountScheduler,
+) -> SecureCountResult {
+    let pool = job.spawn_pool(sched);
     let parts = sched.run_chunks(|chunk| match (job.offline, job.kernel) {
         (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
-            count_chunk(bits, job.seed, &sched, chunk)
+            count_chunk(bits, job.seed, sched, chunk)
         }
         (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => {
-            count_chunk_tiled(bits, job.seed, &sched, chunk, job.tile_threshold)
+            count_chunk_tiled(bits, job.seed, sched, chunk, job.tile_threshold)
         }
         (OfflineMode::OtExtension, kernel) => {
-            count_chunk_ot(bits, job.seed, &sched, chunk, kernel, pool.as_ref())
+            count_chunk_ot(bits, job.seed, sched, chunk, kernel, pool.as_ref())
         }
     });
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
-    finish(&sched, job.offline, parts, pool)
+    finish(sched, job.offline, parts, pool)
 }
 
 /// Pinned by `benchmark/src/sut.rs` and
@@ -346,9 +352,7 @@ pub(crate) fn finish(
 /// lets the same worker read a dense [`BitMatrix`] or a [`CsrGraph`]
 /// with no `n × n` storage. Both report `{0, 1}` as `u64` words, the
 /// shape [`mul3_tile_batch`] and [`PairDealer::count_block`] consume.
-trait AdjacencyBits: Sync {
-    /// Matrix dimension.
-    fn n(&self) -> usize;
+pub(crate) trait AdjacencyBits: Sync {
     /// The adjacency bit `A[u][v]`.
     fn bit(&self, u: usize, v: usize) -> u64;
     /// Fills `out[t] = A[u][k0 + t]` for every `t`.
@@ -356,11 +360,6 @@ trait AdjacencyBits: Sync {
 }
 
 impl AdjacencyBits for BitMatrix {
-    #[inline]
-    fn n(&self) -> usize {
-        BitMatrix::n(self)
-    }
-
     #[inline]
     fn bit(&self, u: usize, v: usize) -> u64 {
         self.row(u).get(v) as u64
@@ -378,11 +377,6 @@ impl AdjacencyBits for BitMatrix {
 /// construction, so this agrees with the dense matrix wherever the
 /// schedule actually looks.
 impl AdjacencyBits for CsrGraph {
-    #[inline]
-    fn n(&self) -> usize {
-        CsrGraph::n(self)
-    }
-
     #[inline]
     fn bit(&self, u: usize, v: usize) -> u64 {
         self.has_edge(u, v) as u64

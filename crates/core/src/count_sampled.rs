@@ -12,30 +12,29 @@
 //! `q = 0.1`, ~9·T, which is far below the DP noise variance
 //! `2(d'_max/ε₂)²` whenever `T ≪ (d'_max/ε₂)²`/5 — while cutting the
 //! online multiplications, dealer material, and communication by
-//! `1/q`. This module implements the sampled variant of Algorithm 4
-//! over the same per-pair share/dealer streams as the exact count
-//! (routed through the shared [`CountScheduler`], so thread count and
-//! batch size never change the estimate) and quantifies the trade-off
-//! in tests and benches. At `rate = 1` it consumes the streams exactly
-//! as the exact kernel does and reproduces its share pair bit for bit.
+//! `1/q`.
+//!
+//! There is no sampled executor. The coin is a **filter on the
+//! scheduler's pair walk** (the crate-private `TripleSampler`,
+//! installed by [`count_sampled`] and reachable no other way): each
+//! pair's public `k`-list is thinned by the pair's coin stream, the
+//! survivors keep their canonical dealer offsets `k − j − 1`, and the
+//! very workers of [`crate::count::count_local`] run over the thinned
+//! plan. Thread count, batch, kernel, offline mode, pool and tile
+//! threshold therefore behave exactly as they do for the exact count,
+//! and at `rate = 1` the plan — hence the share pair and the ledger —
+//! *is* the exact count's.
 //!
 //! Privacy note: the *sensitivity* of the scaled estimator grows to
 //! `d'_max/q` in the worst case (an edge's triangles could all be
-//! sampled), so the perturbation scale must use `Δ = d'_max · s/q`
-//! where `s` is... — conservatively, callers keep ε-DDP by scaling the
-//! noise with `1/q`. [`sampled_sensitivity`] returns that adjusted
+//! sampled), so callers keep ε-DDP by scaling the perturbation noise
+//! with `1/q`. [`sampled_sensitivity`] returns that adjusted
 //! sensitivity; the net effect (noise ×1/q vs time ×q) is the knob the
 //! extension benchmarks sweep.
 
-use crate::config::CountKernel;
-use crate::count::{finish, CountJob};
-use crate::count_sched::{push_runs, share_prf, CountScheduler, PairChunk};
+use crate::count::{run_scheduled, CountJob};
 use cargo_graph::BitMatrix;
-use cargo_mpc::{
-    mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, split_mg_words, MgDraw,
-    Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer, PoolStats, Ring64,
-    ServerId, SplitMix64, MG_WORDS,
-};
+use cargo_mpc::{NetStats, Ring64, SplitMix64};
 
 /// Result of the sampled secure count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,52 +79,89 @@ pub fn sampled_sensitivity(d_max_noisy: f64, rate: f64) -> f64 {
     d_max_noisy.max(1.0) / rate
 }
 
-/// The public sampling coin for pair `(i, j)`: both servers derive the
-/// same stream (the coin is data-independent, so it consumes no
-/// privacy budget). Domain-separated from the dealer and share PRFs.
+/// The public sampling coin as a filter on the scheduler's pair walk:
+/// triple `(i, j, k)` is kept iff the `(k − j − 1)`-th output of pair
+/// `(i, j)`'s coin stream is at most `rate · 2⁶⁴`. Both servers derive
+/// the same streams from the job seed; the coin is data-independent, so
+/// it consumes no privacy budget and a sampled plan leaks nothing the
+/// unsampled plan does not.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TripleSampler {
+    seed: u64,
+    /// Public threshold on the coin PRG's `u64` output.
+    threshold: u64,
+}
+
+impl TripleSampler {
+    pub(crate) fn new(seed: u64, rate: f64) -> Self {
+        assert!(rate > 0.0 && rate <= 1.0, "rate in (0,1]");
+        TripleSampler { seed, threshold: (rate * u64::MAX as f64) as u64 }
+    }
+
+    /// The sampled subset of pair `(i, j)`'s scheduled `k`s — `cand`,
+    /// or every `k` in `j+1..n` on the dense cube — compacted into the
+    /// front of `scratch`. Every coin is drawn at its dense stream
+    /// position whatever the plan, so the per-triple decision is
+    /// schedule-invariant: a sparse plan's sample is *dense sample ∩
+    /// candidate list*.
+    pub(crate) fn sample<'a>(
+        &self,
+        i: u32,
+        j: u32,
+        n: usize,
+        cand: Option<&[u32]>,
+        scratch: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        let mut coin = pair_coin(self.seed, i, j);
+        let mut sampled = || (coin.next_u64() <= self.threshold) as usize;
+        let span = n - j as usize - 1;
+        if scratch.len() < span {
+            scratch.resize(span, 0);
+        }
+        // Branch-free compaction — every k is written, the length moves
+        // only past a keeper: a fair coin would mispredict every other k.
+        let (mut len, mut c) = (0, 0);
+        for k in (j + 1)..(n as u32) {
+            scratch[len] = k;
+            len += match cand {
+                None => sampled(),
+                Some(cand) => {
+                    // The coin advances for unscheduled k too.
+                    let scheduled = (cand.get(c) == Some(&k)) as usize;
+                    c += scheduled;
+                    sampled() & scheduled
+                }
+            };
+        }
+        &scratch[..len]
+    }
+}
+
+/// The coin stream of pair `(i, j)`, domain-separated from the dealer
+/// and share PRFs.
 #[inline]
-fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
+pub(crate) fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
     let pair = ((i as u64) << 32) | j as u64;
     SplitMix64::new(seed ^ pair.wrapping_mul(0xEB44ACCAB455D165) ^ 0x5851F42D4C957F2D)
 }
 
 /// Runs the sampled variant of Algorithm 4 under `job`: every triple
 /// the job's plan schedules is included with independent public
-/// probability `rate` (derived from `job.seed`, known to both
-/// servers). Like the exact count, the estimate, the share pair and
-/// the element counts are invariant across `threads × batch`, kernels
-/// and offline modes.
+/// probability `rate` (coins derived from `job.seed`, known to both
+/// servers). It is [`crate::count::count_local`] over the filtered
+/// plan: a triple surviving the coin contributes the same share pair
+/// it would in the exact count under any plan that schedules it, OT
+/// mode preprocesses exactly the sampled Multiplication Groups in the
+/// chunk-amortised sessions, and the estimate, the share pair and the
+/// ledger are invariant across `threads × batch`, kernels, offline
+/// modes, pool policies and tile thresholds.
 ///
-/// * **OT mode** — the sampling coins are public, so both servers can
-///   derive each pair's sampled count ahead of time and preprocess a
-///   whole chunk's sampled Multiplication Groups in one amortised
-///   extension session, exactly like the exact count with a sparser
-///   plan.
-/// * **Sparse plans** — sampling composes with a candidate schedule by
-///   intersecting each pair's sampled `k` set with its public
-///   candidate `k`-list. The per-`(i, j, k)` coin is drawn at the same
-///   stream position under every plan, and every evaluated triple's
-///   Multiplication Group comes from its canonical dealer offset, so a
-///   triple surviving both filters contributes the same share pair it
-///   would under dense sampling.
-///
-/// [`CountJob::pool`] and [`CountJob::tile_threshold`] are inert here.
+/// `evaluated` counts the triples that survived; `total_triples` is
+/// the unfiltered schedule's.
 pub fn count_sampled(matrix: &BitMatrix, rate: f64, job: &CountJob) -> SampledCountResult {
-    assert!((0.0..=1.0).contains(&rate) && rate > 0.0, "rate in (0,1]");
-    let seed = job.seed;
-    let sched = job.local_scheduler(matrix.n());
-    let parts = sched.run_chunks(|chunk| match (job.offline, job.kernel) {
-        (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
-            sampled_chunk(matrix, seed, rate, &sched, chunk)
-        }
-        (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => {
-            sampled_chunk_batch(matrix, seed, rate, &sched, chunk)
-        }
-        (OfflineMode::OtExtension, kernel) => {
-            sampled_chunk_ot(matrix, seed, rate, &sched, chunk, kernel)
-        }
-    });
-    let sum = finish(&sched, job.offline, parts, PoolStats::default());
+    let sampler = TripleSampler::new(job.seed, rate);
+    let sched = job.local_scheduler(matrix.n()).sampled(sampler);
+    let sum = run_scheduled(matrix, job, &sched);
     SampledCountResult {
         share1: sum.share1,
         share2: sum.share2,
@@ -136,334 +172,13 @@ pub fn count_sampled(matrix: &BitMatrix, rate: f64, job: &CountJob) -> SampledCo
     }
 }
 
-fn sampled_chunk(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-) -> (Ring64, Ring64, NetStats, u64) {
-    let n = sched.n();
-    let batch = sched.batch();
-    let mut t1 = 0u64;
-    let mut t2 = 0u64;
-    let mut net = NetStats::new();
-    let mut evaluated = 0u64;
-    // Public sampling threshold on the PRG's u64 output.
-    let threshold = (rate * u64::MAX as f64) as u64;
-    let mut words = [0u64; MG_WORDS];
-    let mut ks: Vec<u32> = Vec::new();
-    sched.for_each_pair(chunk, |i, j, cand| {
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
-        let aij = row_i.get(j) as u64;
-        let aij1 = share_prf(seed, i as u32, j as u32);
-        let aij2 = aij.wrapping_sub(aij1);
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
-        if ks.is_empty() {
-            return;
-        }
-        evaluated += ks.len() as u64;
-        let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
-        // Canonical stream consumption: each sampled triple's group is
-        // drawn at offset k − j − 1, skipping the unsampled gaps in
-        // O(1) — so the same (i, j, k) yields the same group under
-        // every sampling rate and schedule.
-        let mut pos = 0usize;
-        for &kk in &ks {
-            let k = kk as usize;
-            let off = k - j - 1;
-            dealer.skip_groups(off - pos);
-            pos = off + 1;
-            dealer.fill_words(&mut words);
-            let [x1, x2, y1, y2, z1, z2, o1, p1, q1, w1] = words;
-            let x = x1.wrapping_add(x2);
-            let y = y1.wrapping_add(y2);
-            let z = z1.wrapping_add(z2);
-            let o = x.wrapping_mul(y);
-            let p = x.wrapping_mul(z);
-            let q = y.wrapping_mul(z);
-            let w = o.wrapping_mul(z);
-            let aik = row_i.get(k) as u64;
-            let aik1 = share_prf(seed, i as u32, k as u32);
-            let aik2 = aik.wrapping_sub(aik1);
-            let ajk = row_j.get(k) as u64;
-            let ajk1 = share_prf(seed, j as u32, k as u32);
-            let ajk2 = ajk.wrapping_sub(ajk1);
-            let e = aij1.wrapping_sub(x1).wrapping_add(aij2.wrapping_sub(x2));
-            let f = aik1.wrapping_sub(y1).wrapping_add(aik2.wrapping_sub(y2));
-            let g = ajk1.wrapping_sub(z1).wrapping_add(ajk2.wrapping_sub(z2));
-            let fg = f.wrapping_mul(g);
-            let eg = e.wrapping_mul(g);
-            let ef = e.wrapping_mul(f);
-            t1 = t1
-                .wrapping_add(w1)
-                .wrapping_add(o1.wrapping_mul(g))
-                .wrapping_add(p1.wrapping_mul(f))
-                .wrapping_add(q1.wrapping_mul(e))
-                .wrapping_add(x1.wrapping_mul(fg))
-                .wrapping_add(y1.wrapping_mul(eg))
-                .wrapping_add(z1.wrapping_mul(ef));
-            t2 = t2
-                .wrapping_add(w.wrapping_sub(w1))
-                .wrapping_add(o.wrapping_sub(o1).wrapping_mul(g))
-                .wrapping_add(p.wrapping_sub(p1).wrapping_mul(f))
-                .wrapping_add(q.wrapping_sub(q1).wrapping_mul(e))
-                .wrapping_add(x2.wrapping_mul(fg))
-                .wrapping_add(y2.wrapping_mul(eg))
-                .wrapping_add(z2.wrapping_mul(ef))
-                .wrapping_add(ef.wrapping_mul(g));
-        }
-    });
-    // The chunk's *sampled* triples are opened `batch` a round.
-    net.exchange_triples(evaluated, batch as u64);
-    (Ring64(t1), Ring64(t2), net, evaluated)
-}
-
-/// Draws pair `(i, j)`'s public sampling coins and collects the
-/// sampled `k` indices — shared by every sampled path so the sample
-/// set is identical across kernels and offline modes. When a public
-/// candidate `k`-list is supplied (sparse schedule), the result is the
-/// intersection *sampled ∩ candidate*: every coin is still drawn at
-/// its dense stream position, so the per-triple decision is
-/// schedule-invariant.
-fn sampled_ks(
-    seed: u64,
-    i: u32,
-    j: u32,
-    n: usize,
-    threshold: u64,
-    cand: Option<&[u32]>,
-    ks: &mut Vec<u32>,
-) {
-    ks.clear();
-    let mut coin = pair_coin(seed, i, j);
-    match cand {
-        None => {
-            for k in (j as usize + 1)..n {
-                if coin.next_u64() <= threshold {
-                    ks.push(k as u32);
-                }
-            }
-        }
-        Some(cks) => {
-            let mut c = 0usize;
-            for k in (j as usize + 1)..n {
-                let sampled = coin.next_u64() <= threshold;
-                if c < cks.len() && cks[c] as usize == k {
-                    if sampled {
-                        ks.push(k as u32);
-                    }
-                    c += 1;
-                }
-            }
-        }
-    }
-}
-
-/// [`CountKernel::Bitsliced`] sampled variant: the sampled `k` set of
-/// each pair is collected first (the coin is public and cheap), each
-/// block's Multiplication Groups are *gathered* from their canonical
-/// dealer offsets, and the block is evaluated through the
-/// structure-of-arrays [`mul3_mask_batch`]/[`mul3_combine_batch`]
-/// kernels — identical stream positions, ledger, and shares to
-/// [`sampled_chunk`].
-fn sampled_chunk_batch(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-) -> (Ring64, Ring64, NetStats, u64) {
-    let n = sched.n();
-    let batch = sched.batch();
-    let mut t1 = Ring64::ZERO;
-    let mut t2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut evaluated = 0u64;
-    let threshold = (rate * u64::MAX as f64) as u64;
-    let mut ks: Vec<u32> = Vec::new();
-    let mut words = [0u64; MG_WORDS];
-    let mut g1v: Vec<MulGroupShare> = Vec::with_capacity(batch);
-    let mut g2v: Vec<MulGroupShare> = Vec::with_capacity(batch);
-    let mut b1 = vec![Ring64::ZERO; batch];
-    let mut b2 = vec![Ring64::ZERO; batch];
-    let mut c1 = vec![Ring64::ZERO; batch];
-    let mut c2 = vec![Ring64::ZERO; batch];
-    let mut mine = vec![0u64; 3 * batch];
-    let mut theirs = vec![0u64; 3 * batch];
-    let mut opened = vec![0u64; 3 * batch];
-    sched.for_each_pair(chunk, |i, j, cand| {
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
-        let aij = Ring64::from_bit(row_i.get(j));
-        let aij1 = Ring64(share_prf(seed, i as u32, j as u32));
-        let aij2 = aij - aij1;
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
-        if ks.is_empty() {
-            return;
-        }
-        evaluated += ks.len() as u64;
-        let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
-        let mut pos = 0usize;
-        for blk in ks.chunks(batch) {
-            let block = blk.len();
-            // Gather the block's groups from their canonical offsets
-            // (skipping unsampled gaps for free).
-            g1v.clear();
-            g2v.clear();
-            for &kk in blk {
-                let off = kk as usize - j - 1;
-                dealer.skip_groups(off - pos);
-                pos = off + 1;
-                dealer.fill_words(&mut words);
-                let (g1, g2) = split_mg_words(&words);
-                g1v.push(g1);
-                g2v.push(g2);
-            }
-            for (l, &kk) in blk.iter().enumerate() {
-                let aik = Ring64::from_bit(row_i.get(kk as usize));
-                let aik1 = Ring64(share_prf(seed, i as u32, kk));
-                b1[l] = aik1;
-                b2[l] = aik - aik1;
-                let ajk = Ring64::from_bit(row_j.get(kk as usize));
-                let ajk1 = Ring64(share_prf(seed, j as u32, kk));
-                c1[l] = ajk1;
-                c2[l] = ajk - ajk1;
-            }
-            let slab = 3 * block;
-            mul3_mask_batch(aij1, &b1[..block], &c1[..block], &g1v, &mut mine[..slab]);
-            mul3_mask_batch(aij2, &b2[..block], &c2[..block], &g2v, &mut theirs[..slab]);
-            mul3_open_batch(&mine[..slab], &theirs[..slab], &mut opened[..slab]);
-            t1 += mul3_combine_batch(&g1v, &opened[..slab], ServerId::S1);
-            t2 += mul3_combine_batch(&g2v, &opened[..slab], ServerId::S2);
-        }
-    });
-    net.exchange_triples(evaluated, batch as u64);
-    (t1, t2, net, evaluated)
-}
-
-/// The OT-extension variant: identical sampling decisions and online
-/// arithmetic, with the chunk's sampled Multiplication Groups
-/// preprocessed by one chunk-amortised [`OtMgEngine`] session (the
-/// plan lists each pair's sampled count, derivable by both servers
-/// from the public coins).
-fn sampled_chunk_ot(
-    matrix: &BitMatrix,
-    seed: u64,
-    rate: f64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-    kernel: CountKernel,
-) -> (Ring64, Ring64, NetStats, u64) {
-    let n = sched.n();
-    let batch = sched.batch();
-    let mut t1 = Ring64::ZERO;
-    let mut t2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut evaluated = 0u64;
-    let threshold = (rate * u64::MAX as f64) as u64;
-    let mut ks: Vec<u32> = Vec::new();
-
-    // Offline: derive the sampled plan from the public coins — keeping
-    // each pair's sampled `k` set, so the coins are drawn once — and
-    // preprocess the whole chunk in one amortised session. The plan
-    // lists one draw per maximal contiguous sampled run, at its
-    // canonical stream offset, so the engine derandomises onto exactly
-    // the groups the dealer paths consume.
-    let mut plan: Vec<MgDraw> = Vec::new();
-    let mut entries: Vec<(u32, u32, Vec<u32>, std::ops::Range<usize>)> = Vec::new();
-    sched.for_each_pair(chunk, |i, j, cand| {
-        sampled_ks(seed, i as u32, j as u32, n, threshold, cand, &mut ks);
-        if !ks.is_empty() {
-            let d0 = plan.len();
-            push_runs(&mut plan, i as u32, j as u32, &ks);
-            entries.push((i as u32, j as u32, ks.clone(), d0..plan.len()));
-        }
-    });
-    if plan.is_empty() {
-        return (t1, t2, net, evaluated);
-    }
-    let mut engine = OtMgEngine::for_chunk(seed, chunk.id as u64);
-    let material = engine.preprocess(&plan);
-    net.offline.merge(&engine.ledger());
-
-    let mut b1 = vec![Ring64::ZERO; batch];
-    let mut b2 = vec![Ring64::ZERO; batch];
-    let mut c1 = vec![Ring64::ZERO; batch];
-    let mut c2 = vec![Ring64::ZERO; batch];
-    let mut mine = vec![0u64; 3 * batch];
-    let mut theirs = vec![0u64; 3 * batch];
-    let mut opened = vec![0u64; 3 * batch];
-
-    for (iu, ju, ks, drange) in &entries {
-        let (i, j) = (*iu as usize, *ju as usize);
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
-        evaluated += ks.len() as u64;
-        let aij = Ring64::from_bit(row_i.get(j));
-        let aij1 = Ring64(share_prf(seed, i as u32, j as u32));
-        let aij2 = aij - aij1;
-        // One pair's runs are consecutive plan entries, so its groups
-        // are one contiguous material slice.
-        let (g1s, g2s) = material.draws(drange.clone());
-        let mut off = 0usize;
-        for blk in ks.chunks(batch) {
-            let block = blk.len();
-            let g1b = &g1s[off..off + block];
-            let g2b = &g2s[off..off + block];
-            match kernel {
-                CountKernel::Scalar => {
-                    for (l, &kk) in blk.iter().enumerate() {
-                        let (g1, g2) = (&g1b[l], &g2b[l]);
-                        let aik = Ring64::from_bit(row_i.get(kk as usize));
-                        let aik1 = Ring64(share_prf(seed, i as u32, kk));
-                        let aik2 = aik - aik1;
-                        let ajk = Ring64::from_bit(row_j.get(kk as usize));
-                        let ajk1 = Ring64(share_prf(seed, j as u32, kk));
-                        let ajk2 = ajk - ajk1;
-                        let opening = Mul3Opening {
-                            e: (aij1 - g1.x) + (aij2 - g2.x),
-                            f: (aik1 - g1.y) + (aik2 - g2.y),
-                            g: (ajk1 - g1.z) + (ajk2 - g2.z),
-                        };
-                        let efg = opening.e * opening.f * opening.g;
-                        t1 += mul3_combine((aij1, aik1, ajk1), g1, opening, Ring64::ZERO);
-                        t2 += mul3_combine((aij2, aik2, ajk2), g2, opening, efg);
-                    }
-                }
-                CountKernel::Bitsliced => {
-                    for (l, &kk) in blk.iter().enumerate() {
-                        let aik = Ring64::from_bit(row_i.get(kk as usize));
-                        let aik1 = Ring64(share_prf(seed, i as u32, kk));
-                        b1[l] = aik1;
-                        b2[l] = aik - aik1;
-                        let ajk = Ring64::from_bit(row_j.get(kk as usize));
-                        let ajk1 = Ring64(share_prf(seed, j as u32, kk));
-                        c1[l] = ajk1;
-                        c2[l] = ajk - ajk1;
-                    }
-                    let slab = 3 * block;
-                    mul3_mask_batch(aij1, &b1[..block], &c1[..block], g1b, &mut mine[..slab]);
-                    mul3_mask_batch(aij2, &b2[..block], &c2[..block], g2b, &mut theirs[..slab]);
-                    mul3_open_batch(&mine[..slab], &theirs[..slab], &mut opened[..slab]);
-                    t1 += mul3_combine_batch(g1b, &opened[..slab], ServerId::S1);
-                    t2 += mul3_combine_batch(g2b, &opened[..slab], ServerId::S2);
-                }
-            }
-            off += block;
-        }
-    }
-    net.exchange_triples(evaluated, batch as u64);
-    (t1, t2, net, evaluated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count::count_local;
     use cargo_graph::count_triangles_matrix;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
+    use cargo_mpc::OfflineMode;
 
     fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
         CountJob { threads, batch, ..CountJob::new(seed) }
@@ -564,6 +279,26 @@ mod tests {
             );
             assert_eq!(ot.net.offline.base_ots, 256);
         }
+    }
+
+    #[test]
+    fn pool_and_tile_threshold_do_not_change_the_estimate() {
+        // Neither knob reached the estimator while it had workers of
+        // its own; under the plan filter both mean what they mean for
+        // the exact count — scheduling only.
+        let m = erdos_renyi(40, 0.2, 6).to_bit_matrix();
+        let base = count_sampled(&m, 0.3, &job(7, 1, 8));
+        for tile_threshold in [0, 3, u32::MAX] {
+            let r = count_sampled(&m, 0.3, &CountJob { tile_threshold, ..job(7, 1, 8) });
+            assert_eq!(r, base, "θ={tile_threshold}");
+        }
+        let ot = CountJob { offline: OfflineMode::OtExtension, ..job(7, 1, 8) };
+        let pool = cargo_mpc::PoolPolicy { factory_threads: 2, depth: 2, ..Default::default() };
+        assert_eq!(
+            count_sampled(&m, 0.3, &CountJob { pool, ..ot.clone() }),
+            count_sampled(&m, 0.3, &ot),
+            "pooled sessions preprocess the filtered chunk plans"
+        );
     }
 
     #[test]

@@ -1,26 +1,39 @@
 //! The shared scheduler behind every Count implementation.
 //!
 //! Algorithm 4 evaluates one Multiplication Group per triple
-//! `i < j < k`. All three implementations in this crate — the fast
-//! kernel ([`crate::count`]), the message-passing runtime
-//! ([`crate::count_runtime`]), and the sampled estimator
-//! ([`mod@crate::count_sampled`]) — iterate the same space: an outer walk
-//! over the `(i, j)` pairs with a non-empty `k` range, an inner batched
-//! `k` loop per pair. This module owns that shape once:
+//! `i < j < k`. Every executor in this crate — the fast kernel
+//! ([`crate::count`], which the sampled estimator of
+//! [`mod@crate::count_sampled`] also runs) and the message-passing
+//! runtime ([`crate::count_runtime`]) — iterates the same space: an
+//! outer walk over the `(i, j)` pairs with a non-empty `k` range, an
+//! inner batched `k` loop per pair. This module owns that shape once:
 //!
-//! * **Two schedules, one triple space.** [`SchedulePlan::DenseCube`]
-//!   walks every pair — the fully oblivious default. A
-//!   [`SchedulePlan::CandidatePairs`] schedule walks only the pairs
-//!   and `k`-lists of a *public* [`CandidateSet`]; the secret stays
-//!   what it always was (edge existence between candidate pairs), and
-//!   every surviving triple's Multiplication Group is drawn at its
+//! * **Three plan meanings, one walk.** A [`SchedulePlan`] says *which*
+//!   triples are scheduled, in one of three ways that mean different
+//!   things: [`SchedulePlan::DenseCube`] is the whole cube in closed
+//!   form — the fully oblivious default; [`SchedulePlan::CandidatePairs`]
+//!   is an explicit public triple list (a [`CandidateSet`]: a graph's
+//!   triangles, a delta epoch's created/destroyed triples, …);
+//!   [`SchedulePlan::CsrStream`] is the triangle closure of a public
+//!   graph, regenerated chunk by chunk instead of stored. The secret
+//!   stays what it always was (edge existence between scheduled pairs).
+//!   All three are walked in exactly one place — the pair + `k`-list
+//!   walk under [`CountScheduler::chunk_plan`] — and every
+//!   scheduled triple's Multiplication Group is drawn at its
 //!   **canonical** stream position (`k − j − 1` into pair `(i, j)`'s
-//!   dealer stream), so its share pair is bit-identical under either
-//!   schedule.
+//!   dealer stream), so its share pair is bit-identical under every
+//!   plan that schedules it.
+//! * **One filter seam.** That walk optionally passes each pair's
+//!   `k`-list through a crate-private public-coin filter (the
+//!   triple-sampling estimator's [`mod@crate::count_sampled`] coin): pairs
+//!   whose filtered list is empty are dropped and the survivors keep
+//!   their canonical offsets, so a sampled run is an ordinary run over
+//!   a sparser plan. Chunk list, chunk ids and batch stay those of the
+//!   unfiltered schedule.
 //! * **Pair-space partitioning.** The pair list is cut into contiguous
 //!   [`PairChunk`]s of roughly equal *triple* weight. The partition
 //!   depends on the schedule's public inputs **only** — `n` for the
-//!   dense cube, the candidate list for the sparse schedule — never on
+//!   dense cube, the candidate list for a sparse plan — never on
 //!   worker count or machine, because chunk ids key the amortised OT
 //!   offline sessions and the offline ledger must stay
 //!   schedule-invariant. Workers pull chunks from an atomic queue.
@@ -41,6 +54,7 @@
 //!   (`crates/core/tests/scheduler_invariance.rs`) pins this.
 
 use crate::config::ScheduleKind;
+use crate::count_sampled::TripleSampler;
 use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder, NeighborMarks};
 use cargo_mpc::MgDraw;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -270,16 +284,24 @@ impl CandidateSet {
     }
 }
 
-/// Which region of the `i < j < k` cube a [`CountScheduler`] covers.
+/// Which region of the `i < j < k` cube a [`CountScheduler`] covers —
+/// three *meanings*, not three implementations of one: the cube in
+/// closed form, an explicit triple list, and a graph's triangle closure
+/// streamed from its adjacency. The scheduler walks all of them in one
+/// place.
 #[derive(Debug, Clone, Default)]
 pub enum SchedulePlan {
-    /// Every triple — the fully oblivious default: the execution's
-    /// shape reveals nothing but `n`.
+    /// Every triple, in closed form — the fully oblivious default: the
+    /// execution's shape reveals nothing but `n`.
     #[default]
     DenseCube,
-    /// Only the triples a public [`CandidateSet`] admits. Reveals the
-    /// candidate structure (and nothing else); turns the `O(n³)` cube
-    /// into work linear in the candidate triple count.
+    /// An explicit public triple list: only the triples a
+    /// [`CandidateSet`] admits — a graph's triangles
+    /// ([`CandidateSet::from_graph`]) or any sorted list, such as a
+    /// delta epoch's created/destroyed triples
+    /// ([`CandidateSet::from_triples`]). Reveals the candidate
+    /// structure (and nothing else); turns the `O(n³)` cube into work
+    /// linear in the candidate triple count.
     CandidatePairs(Arc<CandidateSet>),
     /// The same candidate triples as
     /// `CandidatePairs(CandidateSet::from_graph(g))` — same pairs, same
@@ -298,8 +320,8 @@ pub enum SchedulePlan {
     /// only the chunk's own candidate edges (the ones with a non-zero
     /// entry), so every candidate's `k`-list is computed exactly twice
     /// per Count and every non-candidate edge once. The
-    /// stream-equivalence suite pins this plan's chunks, pair walk,
-    /// and draws equal to the eager plan's.
+    /// stream-equivalence suite pins this plan's chunks and draws equal
+    /// to the eager plan's.
     ///
     /// Edges are numbered with `u32` ordinals: a graph with more than
     /// `u32::MAX` edges is rejected at construction.
@@ -342,105 +364,6 @@ pub struct PairChunk {
     pub triples: u64,
 }
 
-/// Iterator over one chunk's pairs in schedule order.
-#[derive(Debug, Clone)]
-pub struct PairIter {
-    inner: PairIterInner,
-}
-
-#[derive(Debug, Clone)]
-enum PairIterInner {
-    Dense {
-        n: usize,
-        i: usize,
-        j: usize,
-        remaining: u32,
-    },
-    Sparse {
-        cs: Arc<CandidateSet>,
-        at: usize,
-        end: usize,
-    },
-    /// Lazy candidate-pair walk over the CSR adjacency: resumes at
-    /// upper edge `edge` = `(i, upper_neighbors(i)[pos])` and yields
-    /// the edges the index weighs non-zero — no intersection, no
-    /// `k`-list.
-    Csr {
-        csr: Arc<CsrGraph>,
-        index: Arc<StreamIndex>,
-        i: usize,
-        pos: usize,
-        edge: usize,
-        remaining: u32,
-    },
-}
-
-impl Iterator for PairIter {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        match &mut self.inner {
-            PairIterInner::Dense {
-                n,
-                i,
-                j,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                let out = (*i, *j);
-                // Advance to the next pair with a non-empty k range
-                // (j ≤ n − 2 so that k = j + 1 exists).
-                if *j < *n - 2 {
-                    *j += 1;
-                } else {
-                    *i += 1;
-                    *j = *i + 1;
-                }
-                Some(out)
-            }
-            PairIterInner::Sparse { cs, at, end } => {
-                if at >= end {
-                    return None;
-                }
-                let (i, j) = cs.pair(*at);
-                *at += 1;
-                Some((i as usize, j as usize))
-            }
-            PairIterInner::Csr {
-                csr,
-                index,
-                i,
-                pos,
-                edge,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                while *i < csr.n() {
-                    let up = csr.upper_neighbors(*i);
-                    while *pos < up.len() {
-                        let j = up[*pos] as usize;
-                        let candidate = index.weights[*edge] > 0;
-                        *pos += 1;
-                        *edge += 1;
-                        if candidate {
-                            *remaining -= 1;
-                            return Some((*i, j));
-                        }
-                    }
-                    *i += 1;
-                    *pos = 0;
-                }
-                None
-            }
-        }
-    }
-}
-
 /// Deterministic partition of the Count phase's `(i, j)` pair space.
 #[derive(Debug, Clone)]
 pub struct CountScheduler {
@@ -451,14 +374,17 @@ pub struct CountScheduler {
     chunks: Vec<PairChunk>,
     total_triples: u64,
     /// Empty unless the plan is [`SchedulePlan::CsrStream`].
-    stream: Arc<StreamIndex>,
+    stream: StreamIndex,
+    /// The public-coin filter on the pair walk, if this is a sampled
+    /// run's schedule.
+    sampler: Option<TripleSampler>,
 }
 
 /// What a [`SchedulePlan::CsrStream`] schedule remembers of its one
 /// intersection pass — 4 bytes per edge, a pure function of the public
 /// CSR. Lives beside the chunk list rather than in [`PairChunk`], which
 /// stays field-for-field equal to the eager plan's.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct StreamIndex {
     /// `weights[e]` is the `k`-list length of upper edge `e` (edges
     /// numbered in [`CsrGraph::walk_upper_edges`] order); non-zero
@@ -508,6 +434,7 @@ impl CountScheduler {
         .max(1);
         let (total_triples, chunks, stream) = match &plan {
             SchedulePlan::DenseCube => {
+                pair_ordinals("dense-cube pairs", dense_pair_count(n));
                 let total = if n < 3 {
                     0
                 } else {
@@ -534,8 +461,16 @@ impl CountScheduler {
             plan,
             chunks,
             total_triples,
-            stream: Arc::new(stream),
+            stream,
+            sampler: None,
         }
+    }
+
+    /// The same schedule — chunk list, chunk ids, batch — with every
+    /// pair's `k`-list passed through `sampler`'s public coins.
+    pub(crate) fn sampled(mut self, sampler: TripleSampler) -> Self {
+        self.sampler = Some(sampler);
+        self
     }
 
     /// Matrix dimension.
@@ -577,9 +512,8 @@ impl CountScheduler {
     /// surviving run exactly where the dense cube would have, skipping
     /// (for free — the dealer PRG seeks in `O(1)`) everything between.
     /// Single source of truth for every consumer of the chunk-keyed OT
-    /// sessions (fast kernel, sharded runtime, ledger fixtures) — the
-    /// sampled estimator builds its sparser plan from the public coins
-    /// instead.
+    /// sessions (fast kernel, sharded runtime, ledger fixtures) — and,
+    /// under a sampler, the sampled estimator's sparser plan.
     pub fn chunk_plan(&self, chunk: &PairChunk) -> Vec<MgDraw> {
         let mut draws = Vec::new();
         self.for_each_pair(chunk, |i, j, ks| match ks {
@@ -591,22 +525,48 @@ impl CountScheduler {
 
     /// Calls `f(i, j, ks)` for each of `chunk`'s pairs in schedule
     /// order with the pair's public ascending `k`-list — `None` on the
-    /// dense cube, where every `k > j` is scheduled. A streamed plan
-    /// regenerates exactly this chunk's lists: the walk resumes at the
-    /// chunk's edge ordinal, re-intersects only the edges the index
-    /// weighs non-zero, and the lists live only in the walker's
-    /// scratch.
+    /// unfiltered dense cube, where every `k > j` is scheduled. The one
+    /// place a plan kind is walked. A streamed plan regenerates exactly
+    /// this chunk's lists: the walk resumes at the chunk's edge ordinal,
+    /// re-intersects only the edges the index weighs non-zero, and the
+    /// lists live only in the walker's scratch.
+    ///
+    /// Under a sampler each list is first thinned by the pair's public
+    /// coins and pairs left with nothing are skipped; without one the
+    /// seam costs an untaken branch per pair.
     pub(crate) fn for_each_pair(
         &self,
         chunk: &PairChunk,
         mut f: impl FnMut(usize, usize, Option<&[u32]>),
     ) {
+        let mut scratch = Vec::new();
+        let mut emit = |i: usize, j: usize, ks: Option<&[u32]>| match &self.sampler {
+            None => f(i, j, ks),
+            Some(sampler) => {
+                let kept = sampler.sample(i as u32, j as u32, self.n, ks, &mut scratch);
+                if !kept.is_empty() {
+                    f(i, j, Some(kept));
+                }
+            }
+        };
         match &self.plan {
-            SchedulePlan::DenseCube => self.pair_iter(chunk).for_each(|(i, j)| f(i, j, None)),
+            SchedulePlan::DenseCube => {
+                let (mut i, mut j) = (chunk.start.0 as usize, chunk.start.1 as usize);
+                for _ in 0..chunk.pairs {
+                    emit(i, j, None);
+                    // Next pair with a non-empty k range (j ≤ n − 2).
+                    if j + 2 < self.n {
+                        j += 1;
+                    } else {
+                        i += 1;
+                        j = i + 1;
+                    }
+                }
+            }
             SchedulePlan::CandidatePairs(cs) => {
                 for idx in chunk.first as usize..chunk.first as usize + chunk.pairs as usize {
                     let (i, j) = cs.pair(idx);
-                    f(i as usize, j as usize, Some(cs.ks(idx)));
+                    emit(i as usize, j as usize, Some(cs.ks(idx)));
                 }
             }
             SchedulePlan::CsrStream(csr) => {
@@ -618,42 +578,12 @@ impl CountScheduler {
                     &mut NeighborMarks::new(csr.n()),
                     |e| weights[e] > 0,
                     |_, i, j, ks| {
-                        f(i, j, Some(ks));
+                        emit(i, j, Some(ks));
                         left -= 1;
                         left > 0
                     },
                 );
             }
-        }
-    }
-
-    /// Iterates `chunk`'s pairs in schedule order.
-    pub fn pair_iter(&self, chunk: &PairChunk) -> PairIter {
-        PairIter {
-            inner: match &self.plan {
-                SchedulePlan::DenseCube => PairIterInner::Dense {
-                    n: self.n,
-                    i: chunk.start.0 as usize,
-                    j: chunk.start.1 as usize,
-                    remaining: chunk.pairs,
-                },
-                SchedulePlan::CandidatePairs(cs) => PairIterInner::Sparse {
-                    cs: Arc::clone(cs),
-                    at: chunk.first as usize,
-                    end: chunk.first as usize + chunk.pairs as usize,
-                },
-                SchedulePlan::CsrStream(csr) => {
-                    let i = chunk.start.0 as usize;
-                    PairIterInner::Csr {
-                        csr: Arc::clone(csr),
-                        index: Arc::clone(&self.stream),
-                        i,
-                        pos: csr.upper_neighbors(i).partition_point(|&x| x < chunk.start.1),
-                        edge: self.stream.chunk_edge[chunk.id as usize] as usize,
-                        remaining: chunk.pairs,
-                    }
-                }
-            },
         }
     }
 
@@ -785,6 +715,7 @@ fn build_chunks(n: usize, total_triples: u64) -> Vec<PairChunk> {
 /// list, for the same reason the dense partition is a pure function of
 /// `n`.
 fn build_sparse_chunks(cs: &CandidateSet) -> Vec<PairChunk> {
+    pair_ordinals("candidate pairs", cs.len() as u64);
     let mut cut = ChunkCutter::new(cs.total_triples());
     for idx in 0..cs.len() {
         cut.push(cs.pair(idx), cs.ks(idx).len() as u64);
@@ -792,12 +723,21 @@ fn build_sparse_chunks(cs: &CandidateSet) -> Vec<PairChunk> {
     cut.finish()
 }
 
-/// Edge ordinals (and with them [`PairChunk`]'s pair ordinals) are
-/// `u32`: refuses a graph whose edges would not fit, naming the limit.
-fn stream_edge_count(edges: usize) -> u32 {
-    u32::try_from(edges).unwrap_or_else(|_| {
-        panic!("CsrStream plans number edges in u32: {edges} edges exceed the limit of {}", u32::MAX)
+/// [`PairChunk`] numbers a schedule's pairs — and a streamed plan its
+/// edges — in `u32`, and [`ChunkCutter`] counts them unchecked: refuses,
+/// before anything is walked, a plan whose ordinals would wrap, naming
+/// the limit.
+fn pair_ordinals(what: &str, count: u64) -> u32 {
+    u32::try_from(count).unwrap_or_else(|_| {
+        panic!("pair ordinals are u32: {count} {what} exceed the limit of {}", u32::MAX)
     })
+}
+
+/// Pairs of the dense cube with a non-empty `k` range, `C(n − 1, 2)` —
+/// in closed form, so an oversized `n` fails before the 4·10⁹-pair cut.
+fn dense_pair_count(n: usize) -> u64 {
+    let n = n as u64;
+    n.saturating_sub(1).saturating_mul(n.saturating_sub(2)) / 2
 }
 
 /// The streaming analogue of [`build_sparse_chunks`]: **one** pass of
@@ -809,7 +749,7 @@ fn stream_edge_count(edges: usize) -> u32 {
 /// offline sessions, so the two sparse plans must agree chunk for
 /// chunk.
 fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>, StreamIndex) {
-    let mut weights = vec![0u32; stream_edge_count(csr.edge_count()) as usize];
+    let mut weights = vec![0u32; pair_ordinals("CSR edges", csr.edge_count() as u64) as usize];
     csr.walk_upper_edges(
         (0, 0),
         0,
@@ -840,39 +780,8 @@ fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>, StreamIndex) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count_sampled::pair_coin;
     use cargo_graph::generators;
-
-    /// Every pair exactly once, in order, with the right weights.
-    fn check_cover(n: usize, workers: usize) {
-        let sched = CountScheduler::new(n, workers, 0);
-        let mut seen = Vec::new();
-        let mut triples = 0u64;
-        for c in sched.chunks() {
-            let got: Vec<_> = sched.pair_iter(c).collect();
-            assert_eq!(got.len(), c.pairs as usize, "pair count of chunk {}", c.id);
-            triples += c.triples;
-            seen.extend(got);
-        }
-        let mut want = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if j + 1 < n {
-                    want.push((i, j));
-                }
-            }
-        }
-        assert_eq!(seen, want, "n={n} workers={workers}");
-        assert_eq!(triples, sched.total_triples());
-    }
-
-    #[test]
-    fn chunks_cover_the_pair_space_exactly_once() {
-        for n in [0usize, 1, 2, 3, 4, 5, 17, 64, 101] {
-            for workers in [1usize, 2, 4, 7] {
-                check_cover(n, workers);
-            }
-        }
-    }
 
     #[test]
     fn chunk_weights_are_balanced() {
@@ -974,18 +883,7 @@ mod tests {
             let sparse =
                 CountScheduler::with_plan(n, 1, 0, SchedulePlan::CandidatePairs(Arc::new(cs)));
             assert_eq!(sparse.total_triples(), dense.total_triples(), "n={n}");
-            let dense_pairs: Vec<_> = dense
-                .chunks()
-                .iter()
-                .flat_map(|c| dense.pair_iter(c))
-                .collect();
-            let sparse_pairs: Vec<_> = sparse
-                .chunks()
-                .iter()
-                .flat_map(|c| sparse.pair_iter(c))
-                .collect();
-            assert_eq!(sparse_pairs, dense_pairs, "n={n}");
-            // Same plans per chunk too: one full-range draw per pair.
+            // Same plans per chunk: one full-range draw per pair.
             let dense_plan: Vec<_> = dense
                 .chunks()
                 .iter()
@@ -1013,39 +911,6 @@ mod tests {
                 MgDraw { i: 2, j: 5, start: 6, groups: 2 },
             ]
         );
-    }
-
-    #[test]
-    fn sparse_chunks_cover_the_candidate_list_exactly_once() {
-        let g = generators::erdos_renyi(80, 0.15, 11);
-        let cs = Arc::new(CandidateSet::from_graph(&g));
-        let sched =
-            CountScheduler::with_plan(80, 3, 0, SchedulePlan::CandidatePairs(Arc::clone(&cs)));
-        let mut seen = Vec::new();
-        let mut triples = 0u64;
-        for c in sched.chunks() {
-            let got: Vec<_> = sched.pair_iter(c).collect();
-            assert_eq!(got.len(), c.pairs as usize);
-            assert_eq!(
-                got.first().copied(),
-                Some((cs.pair(c.first as usize).0 as usize, cs.pair(c.first as usize).1 as usize))
-            );
-            triples += c.triples;
-            seen.extend(got);
-        }
-        let want: Vec<_> = (0..cs.len())
-            .map(|p| (cs.pair(p).0 as usize, cs.pair(p).1 as usize))
-            .collect();
-        assert_eq!(seen, want);
-        assert_eq!(triples, cs.total_triples());
-        // Plans cover each admitted triple exactly once, in order.
-        let mut plan_triples = 0u64;
-        for c in sched.chunks() {
-            for d in sched.chunk_plan(c) {
-                plan_triples += d.groups as u64;
-            }
-        }
-        assert_eq!(plan_triples, cs.total_triples());
     }
 
     #[test]
@@ -1091,12 +956,141 @@ mod tests {
         ]
     }
 
+    /// `sched`'s whole schedule as `(i, j, canonical offset)`, one entry
+    /// per scheduled triple: `chunk_plan` concatenated over the chunks
+    /// and expanded draw by draw.
+    fn expand(sched: &CountScheduler) -> Vec<(u32, u32, u32)> {
+        let mut out = Vec::new();
+        for c in sched.chunks() {
+            for d in sched.chunk_plan(c) {
+                out.extend((d.start..d.start + d.groups).map(|off| (d.i, d.j, off)));
+            }
+        }
+        out
+    }
+
+    /// The one plan-level property: whatever the plan kind, the
+    /// schedule is the brute-force list of admitted triples in
+    /// lexicographic order, each at its canonical offset `k − j − 1` —
+    /// and under the sampling filter, exactly the sub-sequence a
+    /// brute-force replay of the public coins selects.
+    fn check_plan(name: &str, n: usize, plan: SchedulePlan, admitted: &[(u32, u32, u32)]) {
+        let want: Vec<_> = admitted.iter().map(|&(i, j, k)| (i, j, k - j - 1)).collect();
+        // The coin of (i, j, k) is output k − j − 1 of the pair's
+        // stream, thresholded — a function of the triple alone, so the
+        // same `keeps` set serves every plan kind that admits it.
+        let (seed, rate) = (0xC01A, 0.3);
+        let threshold = (rate * u64::MAX as f64) as u64;
+        let want_sampled: Vec<_> = want
+            .iter()
+            .copied()
+            .filter(|&(i, j, off)| {
+                let mut coin = pair_coin(seed, i, j);
+                (0..=off).map(|_| coin.next_u64()).last() <= Some(threshold)
+            })
+            .collect();
+        // Workers and batch never move the schedule (the proptest this
+        // replaces drew them at random).
+        for (workers, batch) in [(1usize, 0usize), (2, 1), (4, 7), (7, 79)] {
+            let sched = CountScheduler::with_plan(n, workers, batch, plan.clone());
+            // Every admitted triple exactly once, in order, at its
+            // canonical offset — hence every pair with a non-empty k
+            // range exactly once, in order.
+            assert_eq!(expand(&sched), want, "{name} w={workers} b={batch}");
+            assert_eq!(sched.total_triples(), want.len() as u64, "{name}");
+            for c in sched.chunks() {
+                // A chunk resumes on its own, at its recorded first
+                // pair, and its header counts what its walk yields.
+                let draws = sched.chunk_plan(c);
+                assert_eq!((draws[0].i, draws[0].j), c.start, "{name} chunk {}", c.id);
+                let mut pairs: Vec<_> = draws.iter().map(|d| (d.i, d.j)).collect();
+                pairs.dedup();
+                assert_eq!(pairs.len(), c.pairs as usize, "{name} chunk {}", c.id);
+                let groups: u64 = draws.iter().map(|d| d.groups as u64).sum();
+                assert_eq!(groups, c.triples, "{name} chunk {}", c.id);
+                // One draw per *maximal* run: same-pair neighbours gap.
+                for w in draws.windows(2) {
+                    let (a, b) = (&w[0], &w[1]);
+                    assert!((a.i, a.j) != (b.i, b.j) || a.start + a.groups < b.start, "{name}");
+                }
+            }
+            // Rate 1 keeps every coin: the plan is unchanged, draw for
+            // draw (the dense cube's full ranges included).
+            let all = sched.clone().sampled(TripleSampler::new(seed, 1.0));
+            for c in sched.chunks() {
+                assert_eq!(all.chunk_plan(c), sched.chunk_plan(c), "{name} chunk {}", c.id);
+            }
+            // Rate q: the replayed sub-sequence, over the unfiltered
+            // chunk list.
+            let some = sched.clone().sampled(TripleSampler::new(seed, rate));
+            assert_eq!(some.chunks(), sched.chunks(), "{name}");
+            assert_eq!(some.total_triples(), sched.total_triples(), "{name}");
+            assert_eq!(expand(&some), want_sampled, "{name} w={workers} b={batch} q={rate}");
+        }
+    }
+
+    fn cube_triples(n: usize) -> Vec<(u32, u32, u32)> {
+        let n = n as u32;
+        (0..n)
+            .flat_map(|i| (i + 1..n).flat_map(move |j| (j + 1..n).map(move |k| (i, j, k))))
+            .collect()
+    }
+
+    #[test]
+    fn every_plan_kind_schedules_exactly_its_admitted_triples_filtered_or_not() {
+        // Replaces the four tests that compared the deleted per-chunk
+        // pair iterator to a pair list — `chunks_cover_the_pair_space_exactly_once`
+        // (cube, n and workers below), the proptest
+        // `schedule_covers_every_pair_exactly_once` (cube, arbitrary
+        // workers × batch), `sparse_chunks_cover_the_candidate_list_exactly_once`
+        // (eager list: per-chunk pair counts, first pair, Σ weights,
+        // Σ plan groups) and the pair-walk half of
+        // `csr_stream_schedule_equals_the_eager_sparse_schedule` — by
+        // checking the triples themselves, which subsumes the pairs.
+        for n in [0usize, 1, 2, 3, 4, 5, 17, 64, 101] {
+            let cube = cube_triples(n);
+            check_plan(&format!("cube-{n}"), n, SchedulePlan::DenseCube, &cube);
+            if n <= 17 {
+                let complete = Arc::new(CandidateSet::complete(n));
+                check_plan(
+                    &format!("complete-{n}"),
+                    n,
+                    SchedulePlan::CandidatePairs(complete),
+                    &cube,
+                );
+            }
+        }
+        for (name, g) in stream_families() {
+            let n = g.n();
+            // Brute force: the support's triangles, lexicographic.
+            let mut triangles = Vec::new();
+            for (i, j) in g.edges() {
+                for k in j + 1..n {
+                    if g.has_edge(i, k) && g.has_edge(j, k) {
+                        triangles.push((i as u32, j as u32, k as u32));
+                    }
+                }
+            }
+            triangles.sort_unstable();
+            let eager = Arc::new(CandidateSet::from_graph(&g));
+            check_plan(&format!("{name}/eager"), n, SchedulePlan::CandidatePairs(eager), &triangles);
+            let csr = Arc::new(CsrGraph::from_graph(&g));
+            check_plan(&format!("{name}/stream"), n, SchedulePlan::CsrStream(csr), &triangles);
+            // An explicit list with holes punched into the k-runs (a
+            // delta epoch's shape): admitted means listed, nothing more.
+            let gappy: Vec<_> =
+                triangles.iter().copied().filter(|&(i, j, k)| (i + 2 * j + k) % 3 != 0).collect();
+            let listed = Arc::new(CandidateSet::from_triples(n, &gappy));
+            check_plan(&format!("{name}/listed"), n, SchedulePlan::CandidatePairs(listed), &gappy);
+        }
+    }
+
     #[test]
     fn csr_stream_schedule_equals_the_eager_sparse_schedule() {
         // The streamed plan must be indistinguishable from the eager
         // one at the scheduler level: same chunk list (ids key OT
-        // sessions), same pair walk, same draws at the same canonical
-        // offsets — lazily regenerated instead of stored.
+        // sessions), same draws at the same canonical offsets — lazily
+        // regenerated instead of stored.
         let mut mid_vertex_starts = 0;
         for (name, g) in stream_families() {
             let n = g.n();
@@ -1111,12 +1105,6 @@ mod tests {
             for (sc, ec) in streamed.chunks().iter().zip(eager.chunks()) {
                 // Each chunk resumes on its own: the eager draws are the
                 // matching slice of a from-zero walk by construction.
-                assert_eq!(
-                    streamed.pair_iter(sc).collect::<Vec<_>>(),
-                    eager.pair_iter(ec).collect::<Vec<_>>(),
-                    "{name} chunk={}",
-                    sc.id
-                );
                 assert_eq!(streamed.chunk_plan(sc), eager.chunk_plan(ec), "{name} chunk={}", sc.id);
                 let (i, j) = sc.start;
                 mid_vertex_starts += (csr.upper_neighbors(i as usize)[0] != j) as usize;
@@ -1191,10 +1179,22 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_pointer_width = "64")]
     #[should_panic(expected = "exceed the limit of 4294967295")]
     fn stream_plans_refuse_more_edges_than_u32_ordinals() {
-        stream_edge_count(u32::MAX as usize + 1);
+        pair_ordinals("CSR edges", u32::MAX as u64 + 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "pair ordinals are u32: 4295022903 dense-cube pairs exceed the limit of 4294967295"
+    )]
+    fn dense_cube_refuses_more_pairs_than_u32_ordinals() {
+        // n = 92 683 is the last cube whose C(n − 1, 2) pairs fit; one
+        // more used to cut chunks with wrapped `first`/`pairs`. The
+        // refusal is closed-form, so this returns at once.
+        assert_eq!(pair_ordinals("dense-cube pairs", dense_pair_count(92_683)), 4_294_930_221);
+        assert!(dense_pair_count(usize::MAX) > u32::MAX as u64, "saturates, never wraps");
+        CountScheduler::new(92_684, 1, 0);
     }
 
     #[test]

@@ -184,28 +184,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn schedule_covers_every_pair_exactly_once(
-        n in 0usize..40,
-        threads in 1usize..6,
-        batch in 1usize..80,
-    ) {
-        let sched = CountScheduler::new(n, threads, batch);
-        let mut seen = Vec::new();
-        for c in sched.chunks() {
-            seen.extend(sched.pair_iter(c));
-        }
-        let mut want = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if j + 1 < n {
-                    want.push((i, j));
-                }
-            }
-        }
-        prop_assert_eq!(seen, want);
-        let triples: u64 = sched.chunks().iter().map(|c| c.triples).sum();
-        prop_assert_eq!(triples, sched.total_triples());
-    }
 }

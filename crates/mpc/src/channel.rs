@@ -124,11 +124,10 @@ pub struct NetStats {
     /// heaviest chunk is lighter.
     pub peak_batch: u64,
     /// Bytes a byte transport carries for the online openings, both
-    /// directions. On purely modeled paths (the fast kernel, the
-    /// sampled estimator) this tracks `bytes` in lockstep by
-    /// construction; transport-backed runtimes **overwrite** it with
-    /// the counter measured by [`crate::transport::Transport`] while
-    /// serialising every frame. Measured == modeled is therefore an
+    /// directions. On the purely modeled path (the fast kernel) this
+    /// tracks `bytes` in lockstep by construction; transport-backed
+    /// runtimes **overwrite** it with the counter measured by
+    /// [`crate::transport::Transport`] while serialising every frame. Measured == modeled is therefore an
     /// *invariant*, not a tolerance: every cross-path equality test
     /// that compares whole `NetStats` structs pins the transport's
     /// real byte count to the cost model exactly (DESIGN.md §8).

@@ -131,9 +131,8 @@ pub const MG_WORDS: usize = 10;
 /// itself (rather than by worker or chunk) makes the servers' share
 /// pairs bit-identical for **every** thread count and batch size — the
 /// partition only decides *who* consumes a stream, never *what* the
-/// stream contains. All three Count implementations (fast kernel,
-/// message-passing runtime, sampled estimator) draw from these
-/// streams.
+/// stream contains. Every Count executor (fast kernel — sampled or
+/// not — and message-passing runtime) draws from these streams.
 #[derive(Debug, Clone)]
 pub struct PairDealer {
     rng: SplitMix64,

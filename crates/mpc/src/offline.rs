@@ -931,23 +931,13 @@ impl MgChunkMaterial {
         let range = self.offsets[idx]..self.offsets[idx + 1];
         (&self.g1[range.clone()], &self.g2[range])
     }
-
-    /// Both servers' group slices spanning the plan entries `range` —
-    /// contiguous because material is laid out in plan order. Sparse
-    /// schedules use this to view all of one pair's `k`-runs (which
-    /// are consecutive plan entries) as a single slice.
-    pub fn draws(&self, range: std::ops::Range<usize>) -> (&[MulGroupShare], &[MulGroupShare]) {
-        let span = self.offsets[range.start]..self.offsets[range.end];
-        (&self.g1[span.clone()], &self.g2[span])
-    }
 }
 
 /// In-process driver of the chunk-amortised MG offline session: runs
 /// both party machines back to back flight by flight, checks the
 /// transcript digests, and tallies the offline ledger. The fast Count
-/// kernel and the sampled estimator use this; the message-passing
-/// runtime drives the same machines over its multiplexed links
-/// instead.
+/// kernel uses this; the message-passing runtime drives the same
+/// machines over its multiplexed links instead.
 #[derive(Debug, Clone)]
 pub struct OtMgEngine {
     s1: MgOfflineS1,

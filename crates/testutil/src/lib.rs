@@ -12,10 +12,13 @@
 //!   for unbiasedness.
 //! * [`sharing`] — secret-sharing round-trip helpers: share/reconstruct
 //!   identity over adversarially chosen and random ring values.
+//! * [`cli`] — the `--help` contract all eight binaries hold, checked
+//!   on the built executables.
 //!
 //! Everything here is deterministic: fixtures take explicit seeds and
 //! all helpers are pure functions of their inputs.
 
+pub mod cli;
 pub mod graphs;
 pub mod sharing;
 pub mod stats;

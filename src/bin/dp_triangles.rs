@@ -9,7 +9,7 @@
 //! flags:
 //!   --input <path>       SNAP edge list (whitespace-separated, # comments)
 //!   --epsilon <e=2.0>    total privacy budget
-//!   --protocol <p=cargo> cargo | central | local2rounds | localrr | exact
+//!   --protocol <p=cargo> cargo | central | local2rounds | localrr | exact | replay
 //!   --n <k>              subsample to the first k users
 //!   --seed <s=0>         RNG seed (fixed seed = reproducible run)
 //!   --threads <t=0>      secure-count workers (0 = all cores)
@@ -41,7 +41,7 @@ const USAGE: &str = "usage: dp_triangles --input <edge-list> [flags]
 flags:
   --input <path>       SNAP edge list (whitespace-separated, # comments)
   --epsilon <e=2.0>    total privacy budget
-  --protocol <p=cargo> cargo | central | local2rounds | localrr | exact
+  --protocol <p=cargo> cargo | central | local2rounds | localrr | exact | replay
   --n <k>              subsample to the first k users
   --seed <s=0>         RNG seed (fixed seed = reproducible run)
   --threads <t=0>      secure-count workers (0 = all cores)

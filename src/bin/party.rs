@@ -162,7 +162,17 @@ fn parse_dataset(s: &str) -> Result<GraphSource, String> {
     }
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// `Ok(None)` means `--help`/`-h` was given — anywhere, even beside
+/// invalid flags: print [`usage`] to stdout, exit 0 (as `dp_triangles`
+/// and the bench binaries do).
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    parse_flags(argv).map(Some)
+}
+
+fn parse_flags(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         role: Role::Local,
         listen: None,
@@ -295,7 +305,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--journal" => args.journal = Some(PathBuf::from(take(&mut i)?)),
             "--resume" => args.resume = true,
-            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
         i += 1;
@@ -817,7 +826,11 @@ fn run_serve(args: &Args, graph: Graph, cfg: &CargoConfig) -> i32 {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", usage());
+            return;
+        }
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
@@ -893,6 +906,70 @@ fn main() {
             print_pool(&report);
             print_peak_rss();
             print_result(&report);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(v: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn refusal(v: &[&str]) -> String {
+        parse(v).err().unwrap_or_else(|| panic!("{v:?} must be refused"))
+    }
+
+    #[test]
+    fn help_short_circuits_parsing() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        // --help wins beside an unknown flag, a missing value, no role.
+        assert!(matches!(parse(&["--wat", "-h"]), Ok(None)));
+        assert!(matches!(parse(&["-h", "--n"]), Ok(None)));
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_refused() {
+        assert!(refusal(&["--role", "local", "--wat"]).starts_with("unknown flag --wat\nusage: party"));
+        assert_eq!(refusal(&["--role", "local", "--n"]), "flag needs a value");
+        assert!(refusal(&["--role", "local", "--n", "many"]).starts_with("--n: "));
+        assert!(refusal(&["--role", "s3"]).starts_with("unknown role"));
+        assert!(refusal(&["--n", "60"]).starts_with("--role is required"));
+    }
+
+    #[test]
+    fn serve_only_flags_are_refused_in_pipeline_mode_and_resume_needs_its_inputs() {
+        let serve = ["--role", "local", "--mode", "serve"];
+        let with = |extra: &[&'static str]| [&serve[..], extra].concat();
+        assert!(refusal(&["--role", "local", "--deltas", "d.txt"]).starts_with("--deltas only"));
+        assert!(refusal(&["--role", "local", "--journal", "j"]).starts_with("--journal/--resume"));
+        assert!(refusal(&["--role", "local", "--resume"]).starts_with("--journal/--resume"));
+        assert_eq!(refusal(&with(&["--resume"])), "--resume requires --journal");
+        // The script is replayed from the start: stdin cannot be.
+        assert!(refusal(&with(&["--resume", "--journal", "j"])).starts_with("--resume requires --deltas"));
+        assert!(refusal(&with(&["--resume", "--journal", "j", "--deltas", "-"]))
+            .starts_with("--resume requires --deltas"));
+        assert!(refusal(&with(&["--horizon", "0"])).starts_with("--horizon"));
+        let a = parse(&with(&["--resume", "--journal", "j", "--deltas", "d.txt"])).unwrap().unwrap();
+        assert!(a.resume && a.mode == Mode::Serve);
+        assert_eq!((a.journal, a.deltas), (Some("j".into()), Some("d.txt".into())));
+    }
+
+    #[test]
+    fn wire_roles_need_an_endpoint_and_local_takes_none() {
+        assert!(refusal(&["--role", "s1"]).starts_with("role S1 needs --listen or --connect"));
+        assert!(refusal(&["--role", "s2"]).starts_with("role S2 needs --listen or --connect"));
+        assert!(refusal(&["--role", "local", "--listen", "127.0.0.1:1"]).contains("neither"));
+        assert!(refusal(&["--role", "local", "--connect", "127.0.0.1:1"]).contains("neither"));
+        assert!(refusal(&["--role", "local", "--fault-plan", "seed=1,corrupt@3"])
+            .starts_with("--fault-plan"));
+        // Either wire role may take either end of the connection.
+        for (role, end) in [("s1", "--listen"), ("s1", "--connect"), ("s2", "--listen")] {
+            let a = parse(&["--role", role, end, "127.0.0.1:1"]).unwrap().unwrap();
+            assert_eq!(a.listen.is_some(), end == "--listen");
+            assert_eq!(a.connect.is_some(), end == "--connect");
         }
     }
 }
