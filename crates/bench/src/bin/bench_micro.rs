@@ -20,7 +20,10 @@
 use cargo_bench::baseline::{BenchReport, BenchRow};
 use cargo_core::{estimate_max_degree, project_matrix};
 use cargo_dp::DistributedLaplace;
+use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
+use cargo_graph::io::scan_edge_list;
+use cargo_graph::CsrGraph;
 use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
@@ -30,6 +33,7 @@ use cargo_mpc::{
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -255,6 +259,35 @@ fn main() {
         prg.fill_block(&mut u_msg);
         let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(black_box(&u_msg))));
         push("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
+    }
+
+    // edge_list_parse / csr_build: the two halves of
+    // `read_edge_list_csr` (DESIGN.md §9), in ns per edge, on a
+    // 2¹⁸-edge power-law list at `stream-1m`'s density, written the way
+    // `write_edge_list` writes it and parsed from memory. The first is
+    // the tokenizer and the relabeller filling the pair list; the
+    // second turns that list, as parsed, into the adjacency.
+    {
+        let n = 1usize << 17;
+        let g = chung_lu(n, 2 * n, 724, 2.5, 1);
+        let edges = g.edge_count();
+        let mut text = String::from("# FromNodeId\tToNodeId\n");
+        for (u, v) in g.edges() {
+            writeln!(text, "{u}\t{v}").expect("write to a String");
+        }
+        let parse = || {
+            let mut pairs = Vec::new();
+            let scan = scan_edge_list(black_box(text.as_bytes()), |u, v| pairs.push((u, v)))
+                .expect("a generated list parses");
+            (scan.nodes, pairs)
+        };
+        let ns = measure_median_iqr_ns(12, budget, parse);
+        push("edge_list_parse", edges, edges as u64, ns, 0.0);
+        let (nodes, pairs) = parse();
+        let ns = measure_median_iqr_ns(12, budget, || {
+            black_box(CsrGraph::from_unsorted_pairs(nodes, black_box(&pairs)))
+        });
+        push("csr_build", edges, edges as u64, ns, 0.0);
     }
 
     if let Err(e) = report.write(&args.out) {

@@ -17,8 +17,13 @@
 //!   candidate spot for one triangle.
 //!
 //! [`CsrGraph::count_triangles`] closes the wedges and cross-checks the
-//! crate's other counters. The candidate-pair schedulers build their
-//! public `k`-lists from two equivalent primitives:
+//! crate's other counters. It is the orientation's only consumer — the
+//! secure Count reads `neighbors` / `upper_neighbors` / `edge_count` —
+//! so a [`CsrGraph`] is its adjacency (copied from a [`Graph`], or
+//! counting-sorted from a sorted pair list or the loader's unsorted
+//! one), and the orientation is derived from it by whoever first asks
+//! for a rank, a forward list or a wedge. The candidate-pair schedulers
+//! build their public `k`-lists from two equivalent primitives:
 //! `common_neighbors_above` intersects one pair by a sorted merge (the
 //! eager plan, and the reference the tests compare against), and
 //! [`CsrGraph::walk_upper_edges`] streams every upper edge's list by
@@ -28,17 +33,31 @@
 
 use crate::bitvec::BitMatrix;
 use crate::graph::Graph;
+use std::sync::OnceLock;
 
-/// Compressed-sparse-row adjacency with a degree-ordered forward
-/// orientation, built once from a [`Graph`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Compressed-sparse-row adjacency, plus a degree-ordered forward
+/// orientation that is **built on first use**: only the plaintext
+/// reference ([`Self::count_triangles`], through [`Self::rank`],
+/// [`Self::forward_neighbors`] and [`Self::wedges`]) reads it, so the
+/// secure Count's ingest and planning never pay for it.
+///
+/// Equality is over the adjacency `(n, offsets, targets)`, of which the
+/// orientation is a pure function — a graph whose orientation has been
+/// forced equals one whose has not.
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     n: usize,
     /// Full adjacency: `targets[offsets[v]..offsets[v + 1]]` are `v`'s
     /// neighbors, ascending by id.
     offsets: Vec<usize>,
     targets: Vec<u32>,
-    /// Forward (oriented) adjacency: only neighbors *above* `v` in the
+    orientation: OnceLock<Orientation>,
+}
+
+/// The `(degree, id)` orientation of a [`CsrGraph`].
+#[derive(Debug, Clone)]
+struct Orientation {
+    /// Forward adjacency: only neighbors *above* `v` in the
     /// `(degree, id)` order, sorted ascending by **rank**.
     fwd_offsets: Vec<usize>,
     fwd_targets: Vec<u32>,
@@ -46,8 +65,16 @@ pub struct CsrGraph {
     rank: Vec<u32>,
 }
 
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, &self.offsets, &self.targets) == (other.n, &other.offsets, &other.targets)
+    }
+}
+
+impl Eq for CsrGraph {}
+
 impl CsrGraph {
-    /// Builds the CSR view (one `O(n + m log m)` pass).
+    /// Builds the CSR view (one `O(n + m)` copy of the sorted lists).
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.n();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -61,43 +88,61 @@ impl CsrGraph {
     }
 
     /// Builds the CSR view directly from a **normalized pair list**:
-    /// `(u, v)` with `u < v`, sorted lexicographically, deduplicated.
-    /// This is the streaming-ingest constructor — no intermediate
-    /// [`Graph`] adjacency (`Vec<Vec<u32>>`) is ever materialised, so
-    /// the peak footprint of loading a million-node edge list is the
-    /// pair list plus the CSR arrays themselves.
+    /// `(u, v)` with `u < v`, sorted lexicographically, deduplicated —
+    /// `O(n + m)`, no intermediate [`Graph`] adjacency
+    /// (`Vec<Vec<u32>>`). The edge-list loader, whose pairs arrive in
+    /// file order with repeats, goes through
+    /// [`Self::from_unsorted_pairs`] instead; both share one fill.
     ///
     /// Panics if the list is unsorted, contains duplicates, self-loops,
-    /// or ids `≥ n` — callers (the edge-list loader) normalize first.
+    /// or ids `≥ n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut deg = vec![0usize; n];
         let mut prev: Option<(u32, u32)> = None;
         for &(u, v) in pairs {
             assert!(u < v && (v as usize) < n, "pair ({u},{v}) not normalized for n={n}");
             assert!(prev < Some((u, v)), "pair list must be sorted and unique");
             prev = Some((u, v));
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + deg[v]);
-        }
-        // Fill with a per-vertex cursor. Iterating the sorted pair list
-        // appends, for each vertex `x`, first its below-`x` neighbors
-        // `w` (from pairs `(w, x)`, ascending in `w`) and then its
-        // above-`x` neighbors `v` (from pairs `(x, v)`, ascending in
-        // `v`) — so every adjacency slice comes out ascending by id.
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; offsets[n]];
-        for &(u, v) in pairs {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
+        // Scattering a sorted pair list appends, for each vertex `x`,
+        // first its below-`x` neighbors `w` (from pairs `(w, x)`,
+        // ascending in `w`) and then its above-`x` neighbors `v` (from
+        // pairs `(x, v)`, ascending in `v`) — so every adjacency slice
+        // comes out ascending by id.
+        let (offsets, targets) = scatter_pairs(n, pairs);
         Self::from_adjacency(n, offsets, targets)
+    }
+
+    /// Builds the CSR view from the pairs of an edge multiset — **any
+    /// order, either orientation, repeats allowed** — and returns it
+    /// with the number of pairs it collapsed as repeats of an earlier
+    /// one. This is the streaming-ingest constructor: the pairs are
+    /// scattered into their rows as they come (`O(n + m)`), then each
+    /// row is sorted and deduplicated in place and the rows are
+    /// compacted — no global sort of the pair list, and the peak
+    /// footprint of loading a million-node edge list is the pair list
+    /// plus the CSR arrays themselves.
+    ///
+    /// Panics on a self-loop or an id `≥ n`.
+    pub fn from_unsorted_pairs(n: usize, pairs: &[(u32, u32)]) -> (Self, usize) {
+        let (mut offsets, mut targets) = scatter_pairs(n, pairs);
+        let mut kept = 0;
+        for v in 0..n {
+            let (from, to) = (offsets[v], offsets[v + 1]);
+            targets[from..to].sort_unstable();
+            offsets[v] = kept;
+            for at in from..to {
+                if at == from || targets[at] != targets[at - 1] {
+                    targets[kept] = targets[at];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept;
+        // Every repeated pair left one extra entry in both its rows.
+        let duplicates = (targets.len() - kept) / 2;
+        targets.truncate(kept);
+        targets.shrink_to_fit();
+        (Self::from_adjacency(n, offsets, targets), duplicates)
     }
 
     /// Builds the CSR view of a (possibly asymmetric, e.g. θ-projected)
@@ -114,38 +159,38 @@ impl CsrGraph {
         Self::from_pairs(n, &pairs)
     }
 
-    /// Shared tail of the constructors: derives the degree-ordered
-    /// forward orientation and rank from a finished full adjacency.
     fn from_adjacency(n: usize, offsets: Vec<usize>, targets: Vec<u32>) -> Self {
-        // Total order: by degree, ties by id. `rank[v]` is v's position.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&v| (offsets[v as usize + 1] - offsets[v as usize], v));
-        let mut rank = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v as usize] = r as u32;
-        }
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        fwd_offsets.push(0usize);
-        let mut fwd_targets = Vec::with_capacity(targets.len() / 2);
-        for v in 0..n {
-            let from = fwd_targets.len();
-            fwd_targets.extend(
-                targets[offsets[v]..offsets[v + 1]]
-                    .iter()
-                    .copied()
-                    .filter(|&u| rank[u as usize] > rank[v]),
-            );
-            fwd_targets[from..].sort_by_key(|&u| rank[u as usize]);
-            fwd_offsets.push(fwd_targets.len());
-        }
-        CsrGraph {
-            n,
-            offsets,
-            targets,
-            fwd_offsets,
-            fwd_targets,
-            rank,
-        }
+        CsrGraph { n, offsets, targets, orientation: OnceLock::new() }
+    }
+
+    /// The degree-ordered forward orientation and rank, derived from
+    /// the adjacency by the first caller that asks.
+    fn orientation(&self) -> &Orientation {
+        self.orientation.get_or_init(|| {
+            let (n, offsets, targets) = (self.n, &self.offsets, &self.targets);
+            // Total order: by degree, ties by id. `rank[v]` is v's position.
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_by_key(|&v| (offsets[v as usize + 1] - offsets[v as usize], v));
+            let mut rank = vec![0u32; n];
+            for (r, &v) in order.iter().enumerate() {
+                rank[v as usize] = r as u32;
+            }
+            let mut fwd_offsets = Vec::with_capacity(n + 1);
+            fwd_offsets.push(0usize);
+            let mut fwd_targets = Vec::with_capacity(targets.len() / 2);
+            for v in 0..n {
+                let from = fwd_targets.len();
+                fwd_targets.extend(
+                    targets[offsets[v]..offsets[v + 1]]
+                        .iter()
+                        .copied()
+                        .filter(|&u| rank[u as usize] > rank[v]),
+                );
+                fwd_targets[from..].sort_by_key(|&u| rank[u as usize]);
+                fwd_offsets.push(fwd_targets.len());
+            }
+            Orientation { fwd_offsets, fwd_targets, rank }
+        })
     }
 
     /// Number of vertices.
@@ -153,10 +198,11 @@ impl CsrGraph {
         self.n
     }
 
-    /// Number of undirected edges (each stored once in the forward
-    /// orientation).
+    /// Number of undirected edges (each stored in both its endpoints'
+    /// rows). Reads the adjacency only: the release path sizes its
+    /// weight index with it and must not force the orientation.
     pub fn edge_count(&self) -> usize {
-        self.fwd_targets.len()
+        self.targets.len() / 2
     }
 
     /// `v`'s neighbors, ascending by id.
@@ -171,14 +217,15 @@ impl CsrGraph {
 
     /// `v`'s position in the `(degree, id)` total order.
     pub fn rank(&self, v: usize) -> u32 {
-        self.rank[v]
+        self.orientation().rank[v]
     }
 
     /// `v`'s neighbors above it in the `(degree, id)` order, ascending
     /// by rank. Its length is `v`'s *forward degree* — `O(√m)` on any
     /// graph, which is what tames wedge enumeration.
     pub fn forward_neighbors(&self, v: usize) -> &[u32] {
-        &self.fwd_targets[self.fwd_offsets[v]..self.fwd_offsets[v + 1]]
+        let o = self.orientation();
+        &o.fwd_targets[o.fwd_offsets[v]..o.fwd_offsets[v + 1]]
     }
 
     /// Whether `{u, v}` is an edge (binary search on the shorter list).
@@ -320,15 +367,16 @@ impl CsrGraph {
     /// dense counters and as the plaintext reference on graphs too
     /// large for an `n × n` bit matrix.
     pub fn count_triangles(&self) -> u64 {
+        let rank = &self.orientation().rank;
         let mut t = 0u64;
         for (_, u, w) in self.wedges() {
             // Closing edge check: w must be a forward neighbor of u
             // (rank(u) < rank(w), so if {u, w} is an edge it is stored
             // forward from u). Forward lists are rank-sorted.
-            let rw = self.rank[w as usize];
+            let rw = rank[w as usize];
             if self
                 .forward_neighbors(u as usize)
-                .binary_search_by_key(&rw, |&x| self.rank[x as usize])
+                .binary_search_by_key(&rw, |&x| rank[x as usize])
                 .is_ok()
             {
                 t += 1;
@@ -336,6 +384,38 @@ impl CsrGraph {
         }
         t
     }
+}
+
+/// The fill shared by the pair constructors: scatters pairs (`u ≠ v`,
+/// both `< n`; panics otherwise) into CSR rows by counting sort —
+/// degree count, prefix sum, one write per direction — and returns
+/// `(offsets, targets)`. Each row keeps its pairs' input order.
+fn scatter_pairs(n: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
+    // Degrees are counted two slots up, so after the prefix sum
+    // `offsets[x + 1]` is row `x`'s *start*; it then serves as the
+    // row's write cursor and ends on the row's end — the next row's
+    // start, which is what that slot must hold.
+    let mut offsets = vec![0usize; n + 2];
+    for &(u, v) in pairs {
+        assert!(
+            u != v && (u as usize) < n && (v as usize) < n,
+            "pair ({u},{v}) is a self-loop or out of range for n={n}"
+        );
+        offsets[u as usize + 2] += 1;
+        offsets[v as usize + 2] += 1;
+    }
+    for x in 2..n + 2 {
+        offsets[x] += offsets[x - 1];
+    }
+    let mut targets = vec![0u32; 2 * pairs.len()];
+    for &(u, v) in pairs {
+        targets[offsets[u as usize + 1]] = v;
+        offsets[u as usize + 1] += 1;
+        targets[offsets[v as usize + 1]] = u;
+        offsets[v as usize + 1] += 1;
+    }
+    offsets.pop();
+    (offsets, targets)
 }
 
 /// Reusable `n`-bit membership scratch of
@@ -416,6 +496,9 @@ mod tests {
     use crate::generators;
     use crate::triangles::count_triangles;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn diamond() -> Graph {
         // 0-1-2-0 and 1-2-3-1: two triangles sharing edge (1,2).
@@ -439,7 +522,7 @@ mod tests {
     fn orientation_is_a_total_order_covering_each_edge_once() {
         let g = generators::erdos_renyi(60, 0.2, 7);
         let c = CsrGraph::from_graph(&g);
-        let mut ranks_seen = c.rank.clone();
+        let mut ranks_seen: Vec<u32> = (0..c.n()).map(|v| c.rank(v)).collect();
         ranks_seen.sort_unstable();
         assert_eq!(ranks_seen, (0..60).collect::<Vec<u32>>(), "rank is a permutation");
         let mut fwd_edges = 0;
@@ -612,6 +695,104 @@ mod tests {
             assert_eq!(CsrGraph::from_pairs(n, &pairs), CsrGraph::from_graph(&g), "n={n}");
         }
         assert_eq!(CsrGraph::from_pairs(0, &[]), CsrGraph::from_graph(&Graph::empty(0)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The three constructors agree on an edge multiset, and the
+        /// orientation nobody built yet is the `(degree, id)` one.
+        #[test]
+        fn unsorted_build_and_lazy_orientation_match_brute_force(
+            n in 1usize..60,
+            p in 0.0f64..0.5,
+            tail in 0usize..4,
+            seed: u64,
+            hubs: bool,
+        ) {
+            let g = if hubs {
+                generators::chung_lu(n + 30, 4 * n, n / 2 + 2, 2.2, seed)
+            } else {
+                generators::erdos_renyi(n, p, seed)
+            };
+            // The multiset: every edge 1–3 times, each copy in either
+            // orientation, shuffled; `tail` isolated ids past the last.
+            let total = g.n() + tail;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut list = Vec::new();
+            for (u, v) in g.edges() {
+                for _ in 0..rng.gen_range(1usize..=3) {
+                    let (u, v) = if rng.gen_bool(0.5) { (u, v) } else { (v, u) };
+                    list.push((u as u32, v as u32));
+                }
+            }
+            list.shuffle(&mut rng);
+            let (built, duplicates) = CsrGraph::from_unsorted_pairs(total, &list);
+
+            let mut sorted: Vec<_> = list.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            prop_assert_eq!(duplicates, list.len() - sorted.len());
+            prop_assert_eq!(&built, &CsrGraph::from_pairs(total, &sorted));
+            let padded = Graph::from_edges(total, &g.edges().collect::<Vec<_>>()).unwrap();
+            prop_assert_eq!(&built, &CsrGraph::from_graph(&padded));
+            for v in 0..total {
+                prop_assert_eq!(built.neighbors(v), padded.neighbors(v));
+            }
+
+            // Nothing so far needed the orientation — `edge_count` and
+            // `==` included.
+            prop_assert_eq!(built.edge_count(), g.edge_count());
+            prop_assert!(built.orientation.get().is_none());
+
+            let mut order: Vec<usize> = (0..total).collect();
+            order.sort_by_key(|&v| (padded.degree(v), v));
+            let mut position = vec![0u32; total];
+            for (at, &v) in order.iter().enumerate() {
+                position[v] = at as u32;
+            }
+            for v in 0..total {
+                prop_assert_eq!(built.rank(v), position[v]);
+                let mut forward: Vec<u32> = padded.neighbors(v).to_vec();
+                forward.retain(|&u| position[u as usize] > position[v]);
+                forward.sort_by_key(|&u| position[u as usize]);
+                prop_assert_eq!(built.forward_neighbors(v), &forward[..]);
+            }
+            prop_assert_eq!(built.count_triangles(), count_triangles(&padded));
+
+            // A forced orientation does not make the graph a different one.
+            let unforced = CsrGraph::from_graph(&padded);
+            prop_assert!(built.orientation.get().is_some() && unforced.orientation.get().is_none());
+            prop_assert_eq!(&built, &unforced);
+            prop_assert_eq!(&built.clone(), &unforced);
+        }
+    }
+
+    #[test]
+    fn racing_first_uses_build_one_orientation() {
+        let g = generators::chung_lu(400, 1600, 60, 2.2, 9);
+        let want = count_triangles(&g);
+        let c = std::sync::Arc::new(CsrGraph::from_graph(&g));
+        let start = std::sync::Barrier::new(2);
+        let counts: Vec<u64> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        c.count_triangles()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(counts, [want, want]);
+        assert_eq!(c.count_triangles(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop or out of range")]
+    fn unsorted_build_rejects_self_loops() {
+        CsrGraph::from_unsorted_pairs(3, &[(0, 1), (2, 2)]);
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum GraphError {
         /// Description of what failed to parse.
         message: String,
     },
+    /// An edge list named more distinct node ids than the `u32` node
+    /// labels of [`crate::Graph`] / [`crate::CsrGraph`] can tell apart.
+    TooManyNodes {
+        /// The most distinct node ids a graph can hold.
+        limit: u64,
+    },
     /// A generator was given parameters it cannot satisfy
     /// (e.g. Barabási–Albert with `m >= n`).
     InvalidParameter(String),
@@ -43,6 +49,9 @@ impl fmt::Display for GraphError {
             GraphError::Io(e) => write!(f, "io error: {e}"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
+            }
+            GraphError::TooManyNodes { limit } => {
+                write!(f, "more than {limit} distinct node ids; node labels are 32-bit")
             }
             GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
@@ -82,6 +91,9 @@ mod tests {
             message: "bad token".into(),
         };
         assert!(e.to_string().contains("line 12"));
+
+        let e = GraphError::TooManyNodes { limit: 4_294_967_295 };
+        assert!(e.to_string().contains("4294967295"));
 
         let e = GraphError::InvalidParameter("m >= n".into());
         assert!(e.to_string().contains("m >= n"));
