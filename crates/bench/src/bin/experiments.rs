@@ -15,9 +15,10 @@ fn usage() -> String {
          \x20      --offline-mode <dealer|ot (default dealer)>\n\
          \x20      --kernel <scalar|bitsliced (default bitsliced)>\n\
          \x20      --transport <memory|tcp (default memory)>\n\
+         \x20      --recv-timeout <seconds=120 (tcp only)>\n\
          \x20      --factory-threads <f=0 (inline)> --pool-depth <d=0 (default 4)>\n\
          \x20      --pool-backpressure <block|fail-fast (default block)>\n\
-         \x20      --schedule <dense|sparse (default dense)> --quick",
+         \x20      --schedule <dense|sparse|sparse-stream (default dense)> --quick",
         experiments::ALL.join(" | ")
     )
 }

@@ -55,9 +55,10 @@ pub struct Options {
     pub pool_depth: usize,
     /// Pool backpressure (`--pool-backpressure block|fail-fast`).
     pub pool_backpressure: Backpressure,
-    /// Count schedule (`--schedule dense|sparse`): the fully-oblivious
-    /// cube (default) or the candidate-driven sparse walk that makes
-    /// large power-law graphs tractable.
+    /// Count schedule (`--schedule dense|sparse|sparse-stream`): the
+    /// fully-oblivious cube (default) or the candidate-driven sparse
+    /// walk (eager or streamed) that makes large power-law graphs
+    /// tractable.
     pub schedule: ScheduleKind,
     /// Wire recv timeout in seconds (`--recv-timeout`): how long a
     /// TCP count waits on a silent peer before failing typed instead

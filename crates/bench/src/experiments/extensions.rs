@@ -16,8 +16,7 @@ use crate::datasets::ExperimentGraph;
 use crate::output::{sci, Table};
 use crate::runners::trial_seed;
 use cargo_core::{
-    node_dp::run_node_dp, smooth_sensitivity, smooth_sensitivity_mechanism, CargoConfig,
-    CargoSystem,
+    node_dp::run_node_dp, smooth_sensitivity, smooth_sensitivity_mechanism, CargoSystem,
 };
 use cargo_graph::generators::presets::SnapDataset;
 use rand::rngs::StdRng;
@@ -54,16 +53,8 @@ pub fn ext_sensitivity(opts: &Options) -> Vec<Table> {
         let mut cargo_err = Vec::with_capacity(trials);
         let mut ss_err = Vec::with_capacity(trials);
         for trial in 0..trials {
-            let out = CargoSystem::new(
-                CargoConfig::new(eps)
-                .with_seed(trial_seed(opts.seed, trial, eps, g.n()))
-                .with_offline(opts.offline)
-                .with_kernel(opts.kernel)
-                .with_factory_threads(opts.factory_threads)
-                .with_pool_depth(opts.pool_depth)
-                .with_pool_backpressure(opts.pool_backpressure),
-            )
-            .run(&g);
+            let cfg = opts.config(eps).with_seed(trial_seed(opts.seed, trial, eps, g.n()));
+            let out = CargoSystem::new(cfg).run(&g);
             cargo_err.push((out.noisy_count - t_true).abs());
             let mut rng =
                 StdRng::seed_from_u64(trial_seed(opts.seed ^ 0x55, trial, eps, g.n()));
@@ -110,13 +101,7 @@ pub fn ext_node_dp(opts: &Options) -> Vec<Table> {
         let mut edge_rel = 0.0;
         let mut node_rel = 0.0;
         for trial in 0..trials {
-            let cfg = CargoConfig::new(eps)
-                .with_seed(trial_seed(opts.seed, trial, eps, g.n()))
-                .with_offline(opts.offline)
-                .with_kernel(opts.kernel)
-                .with_factory_threads(opts.factory_threads)
-                .with_pool_depth(opts.pool_depth)
-                .with_pool_backpressure(opts.pool_backpressure);
+            let cfg = opts.config(eps).with_seed(trial_seed(opts.seed, trial, eps, g.n()));
             let e = CargoSystem::new(cfg).run(&g);
             let n_out = run_node_dp(&cfg, &g);
             edge_l2 += (e.noisy_count - t_true).powi(2);
@@ -201,13 +186,7 @@ pub fn ext_projection_ablation(opts: &Options) -> Vec<Table> {
         let mut with = (0.0f64, 0.0f64); // (sum rel, sum l2)
         let mut without = (0.0f64, 0.0f64);
         for trial in 0..trials {
-            let cfg = CargoConfig::new(eps)
-                .with_seed(trial_seed(opts.seed, trial, eps, g.n()))
-                .with_offline(opts.offline)
-                .with_kernel(opts.kernel)
-                .with_factory_threads(opts.factory_threads)
-                .with_pool_depth(opts.pool_depth)
-                .with_pool_backpressure(opts.pool_backpressure);
+            let cfg = opts.config(eps).with_seed(trial_seed(opts.seed, trial, eps, g.n()));
             let a = CargoSystem::new(cfg).run(&g);
             let b = CargoSystem::new(cfg.without_projection()).run(&g);
             with.0 += (a.noisy_count - t_true).abs() / t_true;
@@ -237,6 +216,9 @@ mod tests {
             n: 120,
             trials: 1,
             out_dir: std::env::temp_dir().join("cargo_bench_ext_test"),
+            // The release is schedule-invariant; the dense cube in a
+            // debug build is what these tests would otherwise wait on.
+            schedule: cargo_core::ScheduleKind::Sparse,
             ..Options::default()
         }
     }

@@ -93,6 +93,9 @@ mod tests {
             trials: 1,
             quick: true,
             out_dir: std::env::temp_dir().join("cargo_bench_runtime_test"),
+            // The release is schedule-invariant; the dense cube in a
+            // debug build is what this test would otherwise wait on.
+            schedule: cargo_core::ScheduleKind::Sparse,
             ..Options::default()
         };
         let tables = fig11_or_12(&opts, RuntimeGraph::Facebook);

@@ -18,7 +18,7 @@
 use crate::cli::Options;
 use crate::output::Table;
 use crate::runners::trial_seed;
-use cargo_core::{CargoConfig, CargoSystem, ScheduleKind};
+use cargo_core::{CargoSystem, ScheduleKind};
 use cargo_graph::generators::chung_lu;
 use cargo_graph::Graph;
 use std::time::Instant;
@@ -63,11 +63,7 @@ pub fn sparse_large(opts: &Options) -> Vec<Table> {
         ],
     );
     let mut row = |schedule: ScheduleKind, g: &Graph, seed: u64| {
-        let cfg = CargoConfig::new(2.0)
-            .with_seed(seed)
-            .with_threads(opts.threads)
-            .with_batch(opts.batch)
-            .with_schedule(schedule);
+        let cfg = opts.config(2.0).with_seed(seed).with_schedule(schedule);
         let start = Instant::now();
         let out = CargoSystem::new(cfg).run(g);
         let _ = start;

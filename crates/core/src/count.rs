@@ -17,7 +17,7 @@
 //! |---|---|
 //! | [`count_local`] | both servers' arithmetic in one loop (this module) — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
 //! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
-//! | [`crate::count_runtime::count_two_party`] | both server pools (+ dealer thread) over a caller-made link pair |
+//! | [`crate::count_runtime::count_two_party`] | two [`count_party`](crate::count_runtime::count_party)s, one per end of a caller-made link pair |
 //! | [`crate::count_sampled::count_sampled`] | [`count_local`] over a plan thinned by a public coin — the triple-sampling estimator |
 //!
 //! All of them produce **bit-identical** share pairs and ledgers for

@@ -4,11 +4,12 @@
 //! both servers' arithmetic in one loop. This module runs the same
 //! [`CountJob`] the way a deployment would be shaped:
 //!
-//! * **separate OS threads (or processes)** — [`count_two_party`] runs
-//!   a worker pool per server S₁/S₂ plus the offline dealer (playing
-//!   the OT preprocessing) in one process; [`count_party`] runs exactly
-//!   one server, which is what the `party` binary's two genuinely
-//!   separate OS processes execute;
+//! * **separate OS threads (or processes)** — [`count_party`] runs
+//!   exactly one server, which is what the `party` binary's two
+//!   genuinely separate OS processes execute; [`count_two_party`] is
+//!   two of them in one process, one per end of a link pair. There is
+//!   no third role: trusted-dealer material is a seeded stream each
+//!   party expands its own column of, as if predistributed;
 //! * **real bytes on a real wire** — servers exchange masked openings
 //!   as encoded [`cargo_mpc::wire`] frames over whatever [`Transport`]
 //!   the caller hands in: `cargo_mpc::memory_pair()` for the in-memory
@@ -26,15 +27,14 @@
 //!   segment `(draw, offset, len)` of the round masked into its own
 //!   `[e|f|g]` sub-slab by [`mul3_mask_batch`], the slab opened
 //!   element-wise, each segment combined by [`mul3_combine_batch`].
-//!   The header names the round's first `(pair, k)`; S₁, S₂ and the
-//!   dealer thread derive the cut from the public plan and `batch`
-//!   alone, and four lockstep checks (chunk, pair, first `k`, slab
-//!   length) stop a peer that cut differently inside the first
-//!   disagreeing round. All workers of a server share one multiplexed
-//!   link whose frames carry the chunk id, so rounds from different
-//!   shards interleave safely on the same wire. In OT mode each chunk
-//!   is preceded by its amortised offline session on the same link
-//!   ([`cargo_mpc::mg_offline_over_wire`]).
+//!   The header names the round's first `(pair, k)`; S₁ and S₂ derive
+//!   the cut from the public plan and `batch` alone, and four lockstep
+//!   checks (chunk, pair, first `k`, slab length) stop a peer that cut
+//!   differently inside the first disagreeing round. All workers of a
+//!   server share one multiplexed link whose frames carry the chunk
+//!   id, so rounds from different shards interleave safely on the same
+//!   wire. In OT mode each chunk is preceded by its amortised offline
+//!   session on the same link ([`cargo_mpc::mg_offline_over_wire`]).
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -54,9 +54,9 @@ use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, ot_setup_ledger,
-    plan_rounds, recv_msg, send_msg, split_mg_words, DealerMsg, InMemoryTransport, MgDraw,
-    MulGroupShare, NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment,
-    ServerId, Transport, TriplePool, MG_WORDS,
+    plan_rounds, recv_msg, send_msg, split_mg_words, MgDraw, MulGroupShare, NetStats, OfflineMode,
+    OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment, ServerId, Transport, TriplePool,
+    MG_WORDS,
 };
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -75,25 +75,8 @@ struct Server<'a, T: Transport> {
     /// n = 20 000 — the scale the sparse schedule exists to reach —
     /// while the packed [`BitMatrix`] it expands from is n²/8 bytes.
     matrix: &'a BitMatrix,
-    /// Record the modeled [`NetStats`] and triple count.
-    /// [`count_two_party`] sets this on S₁ only (its merged stats then
-    /// count each bidirectional exchange once); a standalone party sets
-    /// it on its own side, so its ledger is the full bidirectional
-    /// model.
-    tally: bool,
     /// The server↔server wire (openings + offline dialogue).
     peer: &'a T,
-    /// Where Multiplication-Group shares come from in trusted-dealer
-    /// mode (OT mode always runs the peer dialogue or the pool
-    /// instead): `Some` — a dealer thread streams [`DealerMsg`] frames
-    /// over its own link, the three-party shape of
-    /// [`count_two_party`]; `None` — the worker expands its *own* share
-    /// column of the seeded pair streams locally, the two-process
-    /// `party` shape, equivalent to the dealer having predistributed
-    /// the material before the run (dealer traffic is a simulation
-    /// device either way and is not part of the modeled server↔server
-    /// ledger).
-    dealer: Option<&'a InMemoryTransport>,
     /// Background triple factory (OT mode only): when set, chunk
     /// material is *drawn* from this server's private pool keyed by the
     /// chunk id instead of being preprocessed inline on the peer link —
@@ -155,22 +138,21 @@ impl<'env, T: Transport> Server<'env, T> {
         // The chunk's draw plan — a pure function of the chunk id and
         // the public schedule: one full-range draw per pair on the
         // dense cube, one draw per surviving k-run on a sparse
-        // candidate schedule. Both servers, the dealer and every
-        // offline source walk this same list in the same order.
+        // candidate schedule. Both servers and every offline source
+        // walk this same list in the same order.
         let plan = self.sched.chunk_plan(chunk);
         // OT mode preprocesses the whole chunk up front — inline in
         // one amortised session over the peer link, or by drawing the
         // chunk's entry from the background pool — into one slab of
-        // this server's groups in plan order; the dealer (link or
-        // local stream) provides material per round below.
+        // this server's groups in plan order; in dealer mode the
+        // server expands its own column of the seeded pair streams
+        // round by round below, as if predistributed.
         let material = match (self.pool, self.job.offline) {
             (Some(pool), _) => {
                 let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
                     panic!("offline triple pool failed on chunk {}: {e}", chunk.id)
                 });
-                if self.tally {
-                    net.offline.merge(&ledger);
-                }
+                net.offline.merge(&ledger);
                 let mut groups = Vec::with_capacity(mat.len());
                 for idx in 0..plan.len() {
                     let (g1, g2) = mat.pair(idx);
@@ -188,7 +170,6 @@ impl<'env, T: Transport> Server<'env, T> {
                 seed,
                 chunk.id,
                 &plan,
-                self.tally,
                 &mut net.offline,
             )),
         };
@@ -201,8 +182,7 @@ impl<'env, T: Transport> Server<'env, T> {
         let mut local_groups: Vec<MulGroupShare> = Vec::with_capacity(batch);
         let mut b_blk = vec![Ring64::ZERO; batch];
         let mut c_blk = vec![Ring64::ZERO; batch];
-        // The local dealer stream of the draw being consumed (party
-        // shape only).
+        // The dealer stream of the draw being consumed (dealer mode).
         let mut stream: Option<PairDealer> = None;
         // Groups of the chunk already opened — a round's material is
         // the next `len` groups of the plan-ordered slab.
@@ -212,19 +192,9 @@ impl<'env, T: Transport> Server<'env, T> {
             let (pair, k0) = round_header(&plan, round);
             let len: usize = round.iter().map(|seg| seg.len).sum();
             let at = format_args!("chunk {}, first pair {pair:?}, first k {k0}", chunk.id);
-            let dealt;
-            let groups: &[MulGroupShare] = match (&material, self.dealer) {
-                (Some(groups), _) => &groups[done..done + len],
-                (None, Some(link)) => {
-                    let msg: DealerMsg = recv_msg(link, chunk.id, Some(link.recv_timeout()))
-                        .unwrap_or_else(|e| panic!("dealer lost in the round at {at}: {e}"));
-                    assert_eq!(msg.chunk, chunk.id, "demux routed a foreign chunk ({at})");
-                    assert_eq!(msg.pair, pair, "dealer out of lockstep in the round at {at}");
-                    assert_eq!(msg.k0, k0, "dealer batch out of lockstep in the round at {at}");
-                    dealt = msg.groups;
-                    &dealt
-                }
-                (None, None) => {
+            let groups: &[MulGroupShare] = match &material {
+                Some(groups) => &groups[done..done + len],
+                None => {
                     local_groups.clear();
                     for seg in round {
                         segment_stream(&mut stream, seed, &plan, seg)
@@ -265,10 +235,8 @@ impl<'env, T: Transport> Server<'env, T> {
                 lane += seg.len;
             }
             // Step 2: one round — send mine, receive the peer's.
-            if self.tally {
-                net.exchange(slab as u64);
-                *triples += len as u64;
-            }
+            net.exchange(slab as u64);
+            *triples += len as u64;
             send_msg(self.peer, &mine).expect("peer hung up");
             let theirs: OpeningMsg = recv_msg(self.peer, chunk.id, Some(self.peer.recv_timeout()))
                 .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
@@ -295,7 +263,7 @@ impl<'env, T: Transport> Server<'env, T> {
 }
 
 /// A round's identity on the wire — the `(pair, k)` of its first triple,
-/// the header of its [`OpeningMsg`] and [`DealerMsg`].
+/// the header of its [`OpeningMsg`].
 fn round_header(plan: &[MgDraw], round: &[RoundSegment]) -> ((u32, u32), u32) {
     let first = &plan[round[0].draw];
     ((first.i, first.j), first.k_at(round[0].offset) as u32)
@@ -318,55 +286,11 @@ fn segment_stream<'s>(
     stream.as_mut().expect("a draw's first segment has offset 0")
 }
 
-/// Joins one server's worker pool. A worker's panic — a lost peer, a
+/// Joins a worker (or a whole party). Its panic — a lost peer, a
 /// lockstep check — is re-raised as is, so whoever catches it reads
 /// which round diverged rather than "a worker panicked".
-fn join_server(pool: Vec<ScopedJoinHandle<'_, CountPart>>) -> Vec<CountPart> {
-    pool.into_iter()
-        .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-        .collect()
-}
-
-/// The dealer thread body: streams MG share batches to both servers,
-/// chunk by chunk and — cut by the same [`plan_rounds`] the servers
-/// use — one [`DealerMsg`] per online round, drawing each `(i, j)`
-/// pair's groups from the same [`PairDealer`] stream the fast kernel
-/// block-expands, so both runtimes produce identical shares. Frames
-/// are tagged with the chunk id; the servers' transports deliver each
-/// to whichever worker owns that shard.
-fn dealer_thread(
-    sched: &CountScheduler,
-    seed: u64,
-    tx1: &InMemoryTransport,
-    tx2: &InMemoryTransport,
-) {
-    let batch = sched.batch();
-    // One message per server, refilled round by round.
-    let msg = || DealerMsg { chunk: 0, pair: (0, 0), k0: 0, groups: Vec::with_capacity(batch) };
-    let (mut m1, mut m2) = (msg(), msg());
-    for chunk in sched.chunks() {
-        let plan = sched.chunk_plan(chunk);
-        (m1.chunk, m2.chunk) = (chunk.id, chunk.id);
-        let mut stream: Option<PairDealer> = None;
-        let mut rounds = plan_rounds(&plan, batch);
-        while let Some(round) = rounds.next_round() {
-            (m1.pair, m1.k0) = round_header(&plan, round);
-            (m2.pair, m2.k0) = (m1.pair, m1.k0);
-            m1.groups.clear();
-            m2.groups.clear();
-            for seg in round {
-                let stream = segment_stream(&mut stream, seed, &plan, seg);
-                for _ in 0..seg.len {
-                    let (s1, s2) = stream.next_group_pair();
-                    m1.groups.push(s1);
-                    m2.groups.push(s2);
-                }
-            }
-            if send_msg(tx1, &m1).is_err() || send_msg(tx2, &m2).is_err() {
-                return;
-            }
-        }
-    }
+fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
+    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Expands the input share matrix one party holds: S₁'s shares come
@@ -421,12 +345,11 @@ pub fn count_party<T: Transport>(
         job,
         sched: &sched,
         matrix,
-        tally: true,
         peer: &**link,
-        dealer: None,
         pool: pool.as_ref(),
     };
-    let parts = std::thread::scope(|scope| join_server(server.spawn(scope)));
+    let parts: Vec<CountPart> =
+        std::thread::scope(|scope| server.spawn(scope).into_iter().map(join).collect());
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let mut result = finish(&sched, job.offline, parts, pool);
     result.net.wire_bytes = link.stats().online_payload_both();
@@ -452,99 +375,46 @@ pub fn run_party_count_planned<T: Transport>(
     count_party(matrix, &job, id, link)
 }
 
-/// Runs `job` with **both** server pools in this process, over the two
-/// ends of a link pair the caller made (`memory_pair()`, a
-/// `TcpTransport::loopback_pair` with whatever recv timeout the caller
-/// wants, a fault-injecting decorator, …) — every opening crosses that
-/// link as encoded frames.
-///
-/// In trusted-dealer mode a dealer thread streams [`DealerMsg`] frames
-/// to each server over dedicated in-memory links (encoded and counted
-/// too, but never sharing the server↔server wire). Under
-/// [`OfflineMode::OtExtension`] there is **no dealer thread**: the two
-/// pools run the IKNP/Gilboa preprocessing dialogue against each other
-/// over the same link — one chunk-amortised extension session (flights
-/// of five messages) per pair-space chunk, before that chunk's online
-/// rounds — or, with [`CountJob::pool`] enabled, each server draws from
-/// a private background factory and no offline bytes cross the link
-/// while the modeled ledger is unchanged.
+/// Runs `job` with **both** parties in this process: [`count_party`]
+/// as S₁ on `end1` and as S₂ on `end2`, the two ends of a link pair the
+/// caller made (`memory_pair()`, a `TcpTransport::loopback_pair` with
+/// whatever recv timeout the caller wants, a fault-injecting decorator,
+/// …). Nothing but what two `party` processes exchange crosses it.
 ///
 /// Shares, the online [`NetStats`] and the offline ledger are
 /// bit-identical to [`crate::count::count_local`] on the same job;
-/// `wire_bytes` is what `end1` actually measured.
+/// `wire_bytes` is what `end1` actually measured, and the factory
+/// counters are S₁'s (S₂'s pool saw the same fills and drains).
+///
+/// # Panics
+/// Re-raises a party's panic as is; panics if the two parties' ledgers
+/// or triple counts disagree.
 pub fn count_two_party<T: Transport>(
     matrix: &BitMatrix,
     job: &CountJob,
     end1: &Arc<T>,
     end2: &Arc<T>,
 ) -> SecureCountResult {
-    let sched = job.scheduler(matrix.n());
-    let pool1 = job.spawn_pool(&sched);
-    let pool2 = job.spawn_pool(&sched);
-    let (d1tx, d1rx) = cargo_mpc::memory_pair();
-    let (d2tx, d2rx) = cargo_mpc::memory_pair();
-    let dealt = job.offline == OfflineMode::TrustedDealer;
-    let s1 = Server {
-        id: ServerId::S1,
-        job,
-        sched: &sched,
-        matrix,
-        // S₁ tallies the full bidirectional exchanges so the merged
-        // stats equal one exchange per batch.
-        tally: true,
-        peer: &**end1,
-        dealer: dealt.then_some(&d1rx),
-        pool: pool1.as_ref(),
-    };
-    let s2 = Server {
-        id: ServerId::S2,
-        tally: false,
-        peer: &**end2,
-        dealer: dealt.then_some(&d2rx),
-        pool: pool2.as_ref(),
-        ..s1
-    };
-
-    let parts = std::thread::scope(|scope| {
-        let dealer = if dealt {
-            let sched = &sched;
-            Some(scope.spawn(move || dealer_thread(sched, job.seed, &d1tx, &d2tx)))
-        } else {
-            drop((d1tx, d2tx));
-            None
-        };
-        let (h1, h2) = (s1.spawn(scope), s2.spawn(scope));
-        if let Some(dealer) = dealer {
-            dealer.join().expect("dealer panicked");
-        }
-        let mut parts = join_server(h1);
-        parts.extend(join_server(h2));
-        parts
+    let (r1, r2) = std::thread::scope(|scope| {
+        let h1 = scope.spawn(|| count_party(matrix, job, ServerId::S1, end1));
+        let h2 = scope.spawn(|| count_party(matrix, job, ServerId::S2, end2));
+        (join(h1), join(h2))
     });
-    // Report S₁'s factory counters (the tallying side); S₂'s pool saw
-    // the same fills and drains by construction.
-    let pooled = pool1.is_some();
-    let pool = pool1.map(|p| p.stats()).unwrap_or_default();
-    let mut result = finish(&sched, job.offline, parts, pool);
-
+    assert_eq!(r1.net, r2.net, "the parties' ledgers (modeled and measured) disagree");
+    assert_eq!(r1.triples, r2.triples, "the parties evaluated different triple counts");
     // Measured-vs-modeled: the offline payload that actually crossed
     // the wire must equal the modeled flight ledger (the base-OT setup
     // is a per-run constant that never crosses this link). In pooled
     // mode the material is predistributed locally: zero offline bytes
     // cross the link while the modeled ledger still carries the
     // generation cost, so the pin only applies inline.
-    let flights = if pooled || result.net.offline.is_empty() {
+    let flights = if job.pool.enabled() || r1.net.offline.is_empty() {
         0
     } else {
-        result.net.offline.bytes - ot_setup_ledger().bytes
+        r1.net.offline.bytes - ot_setup_ledger().bytes
     };
     debug_assert_eq!(end1.stats().offline_payload_both(), flights);
-    // The headline measurement: replace the modeled wire_bytes with
-    // what the transport actually carried for the online openings.
-    // Every `net == fast.net` equality downstream now pins
-    // measured == modeled exactly.
-    result.net.wire_bytes = end1.stats().online_payload_both();
-    result
+    SecureCountResult { share2: r2.share2, ..r1 }
 }
 
 #[cfg(test)]
@@ -564,15 +434,17 @@ mod tests {
         CountJob { offline: OfflineMode::OtExtension, ..job(seed, threads, batch) }
     }
 
-    /// Runs both pools over a link pair. In dealer mode nothing but
+    /// Runs both parties over a link pair. In dealer mode nothing but
     /// openings crosses it, so measured == modeled extends from bytes
-    /// to rounds: S₁ sent exactly one frame per modeled round.
+    /// to rounds: each party sent exactly one frame per modeled round.
     fn over_pair<T: Transport>(m: &BitMatrix, job: &CountJob, ends: (T, T)) -> SecureCountResult {
         let (end1, end2) = (Arc::new(ends.0), Arc::new(ends.1));
         let res = count_two_party(m, job, &end1, &end2);
         if job.offline == OfflineMode::TrustedDealer {
             assert_eq!(end1.stats().frames_sent, res.net.rounds, "one opening frame per round");
             assert_eq!(end1.stats().frames_recv, res.net.rounds, "and one back");
+            assert_eq!(end2.stats().frames_sent, end1.stats().frames_recv, "S2 mirrors S1");
+            assert_eq!(end2.stats().frames_recv, end1.stats().frames_sent, "S2 mirrors S1");
         }
         res
     }
@@ -723,6 +595,27 @@ mod tests {
             assert_eq!(r1.triples, fast.triples, "{mode:?}");
             assert_eq!(r1.net.wire_bytes, r1.net.online().bytes, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn two_party_report_is_party_one_with_party_two_s_share() {
+        // Pooled OT mode, where the report carries factory counters:
+        // count_two_party is S₁'s count_party result plus S₂'s share.
+        let m = erdos_renyi(24, 0.3, 5).to_bit_matrix();
+        let pool = PoolPolicy { factory_threads: 2, ..PoolPolicy::INLINE };
+        let pooled = CountJob { pool, ..ot_job(8, 2, 16) };
+        let both = over_memory(&m, &pooled);
+        let (end1, end2) = cargo_mpc::memory_pair();
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        let (r1, r2) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| count_party(&m, &pooled, ServerId::S1, &end1));
+            let h2 = scope.spawn(|| count_party(&m, &pooled, ServerId::S2, &end2));
+            (h1.join().unwrap(), h2.join().unwrap())
+        });
+        assert!(r1.pool.fills > 0, "the factory ran");
+        assert_eq!(both.pool, r1.pool);
+        assert_eq!((both.share1, both.share2), (r1.share1, r2.share2));
+        assert_eq!((both.net, both.triples), (r1.net, r1.triples));
     }
 
     /// The panic message of a party that must not have returned a

@@ -67,11 +67,11 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_COUNT_BATCH: usize = 64;
 
 /// Ceiling on the batch. A round is one frame each way — 24 B of
-/// opening slab and, in the three-party shape, 56 B of dealer shares
-/// per triple — and every executor sizes its per-chunk scratch by the
-/// batch, so an unchecked `--batch` must neither approach
+/// opening slab per triple — and every executor sizes its per-chunk
+/// scratch by the batch (80 B of dealer words per triple on the wire
+/// executors), so an unchecked `--batch` must neither approach
 /// [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor drive a
-/// multi-gigabyte allocation: 2¹⁶ triples are a 3.5 MB dealer frame.
+/// multi-gigabyte allocation: 2¹⁶ triples are a 1.5 MB frame.
 const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —

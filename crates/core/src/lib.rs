@@ -13,7 +13,7 @@
 //! | Algorithm 1 | [`protocol`] | End-to-end orchestration ([`CargoSystem`]) |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
-//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (both pools over a link pair) or [`count_sampled()`] |
+//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (two of those over a link pair) or [`count_sampled()`] |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
 //! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation |
 //! | Deployment shape | [`party`] + [`count_runtime`] | The wire executors: one server per process over a real [`cargo_mpc::transport::Transport`] |

@@ -114,9 +114,8 @@ pub struct NetStats {
     pub rounds: u64,
     /// Element-carrying messages per direction (one per batch flush).
     /// `rounds` counts latency; `batches` counts scheduling
-    /// granularity. The Count phase flushes once a round, so there
-    /// `batches == rounds`; they differ only where extra openings ride
-    /// an existing round ([`Self::batched_elements`]).
+    /// granularity. Every recorded exchange flushes once a round, so
+    /// `batches == rounds`.
     pub batches: u64,
     /// Largest single batch (elements each way) seen so far — the peak
     /// per-message buffer a deployment would need: `3·b` for a Count
@@ -188,17 +187,6 @@ impl NetStats {
         if !triples.is_multiple_of(batch) {
             self.exchange(3 * (triples % batch));
         }
-    }
-
-    /// Records extra elements inside the *current* round (batched
-    /// openings that do not add latency).
-    #[inline]
-    pub fn batched_elements(&mut self, elements_each_way: u64) {
-        self.elements += 2 * elements_each_way;
-        self.bytes += 2 * elements_each_way * 8;
-        self.wire_bytes += 2 * elements_each_way * 8;
-        self.batches += 1;
-        self.peak_batch = self.peak_batch.max(elements_each_way);
     }
 
     /// Mean elements per round each way — the effective batching the
@@ -391,7 +379,6 @@ mod tests {
         let mut s = NetStats::new();
         s.exchange(3);
         s.exchange_rounds(4, 192);
-        s.batched_elements(10);
         assert_eq!(s.wire_bytes, s.bytes);
         let mut other = NetStats::new();
         other.exchange(1);
@@ -427,17 +414,6 @@ mod tests {
             assert_eq!(closed, scalar, "{triples} triples at batch {batch}");
             assert_eq!(closed.rounds, triples.div_ceil(batch));
         }
-    }
-
-    #[test]
-    fn batched_elements_do_not_add_rounds() {
-        let mut s = NetStats::new();
-        s.exchange(1);
-        s.batched_elements(10);
-        assert_eq!(s.rounds, 1);
-        assert_eq!(s.elements, 22);
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.peak_batch, 10);
     }
 
     #[test]

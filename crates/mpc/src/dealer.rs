@@ -41,14 +41,6 @@ impl Dealer {
         &mut self.rng
     }
 
-    /// Derives an independent dealer for a parallel worker (`stream`
-    /// disambiguates workers).
-    pub fn fork(&mut self, stream: u64) -> Dealer {
-        Dealer {
-            rng: self.rng.split(stream),
-        }
-    }
-
     /// Splits a value into the two servers' shares.
     #[inline]
     pub fn share(&mut self, v: Ring64) -> SharePair {
@@ -140,8 +132,7 @@ pub struct PairDealer {
 
 impl PairDealer {
     /// Creates the stream for pair `(i, j)` under `root` (the Count
-    /// phase's seed). Domain-separated from the input-share PRF and
-    /// from [`Dealer::fork`] streams.
+    /// phase's seed). Domain-separated from the input-share PRF.
     ///
     /// ```
     /// use cargo_mpc::{reconstruct, PairDealer};
@@ -218,16 +209,6 @@ impl PairDealer {
         let (g1, g2) = split_mg_words(&w);
         (g1, g2)
     }
-
-    /// Draws one Beaver triple `(a, b, c = ab)` from the stream —
-    /// consumes exactly [`BEAVER_WORDS`] words in the canonical order
-    /// (see [`split_beaver_words`]). The OT-extension offline engine
-    /// reproduces these bit for bit.
-    pub fn next_beaver_pair(&mut self) -> (BeaverShare, BeaverShare) {
-        let mut w = [0u64; BEAVER_WORDS];
-        self.fill_words(&mut w);
-        split_beaver_words(&w)
-    }
 }
 
 /// Expands [`MG_WORDS`] raw dealer words into the two servers'
@@ -263,34 +244,6 @@ pub fn split_mg_words(w: &[u64]) -> (MulGroupShare, MulGroupShare) {
             o: Ring64(o.wrapping_sub(o1)),
             p: Ring64(p.wrapping_sub(p1)),
             q: Ring64(q.wrapping_sub(q1)),
-        },
-    )
-}
-
-/// Dealer words consumed per Beaver triple by the streaming form:
-/// `a₁ a₂ b₁ b₂ c₁` (S₂'s `c` share is the difference `ab − c₁`, not a
-/// fresh draw).
-pub const BEAVER_WORDS: usize = 5;
-
-/// Expands [`BEAVER_WORDS`] raw dealer words into the two servers'
-/// Beaver-triple shares — the canonical layout both the trusted dealer
-/// and the OT-extension offline engine target.
-#[inline]
-pub fn split_beaver_words(w: &[u64]) -> (BeaverShare, BeaverShare) {
-    let &[a1, a2, b1, b2, c1] = &w[..BEAVER_WORDS] else {
-        panic!("split_beaver_words needs {BEAVER_WORDS} words");
-    };
-    let c = a1.wrapping_add(a2).wrapping_mul(b1.wrapping_add(b2));
-    (
-        BeaverShare {
-            a: Ring64(a1),
-            b: Ring64(b1),
-            c: Ring64(c1),
-        },
-        BeaverShare {
-            a: Ring64(a2),
-            b: Ring64(b2),
-            c: Ring64(c.wrapping_sub(c1)),
         },
     )
 }
@@ -336,16 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn forked_dealers_are_decorrelated() {
-        let mut root = Dealer::new(9);
-        let mut w0 = root.fork(0);
-        let mut w1 = root.fork(1);
-        let (a1, _) = w0.mul_group();
-        let (b1, _) = w1.mul_group();
-        assert_ne!(a1, b1);
-    }
-
-    #[test]
     fn pair_streams_are_independent_and_deterministic() {
         let mut a = PairDealer::for_pair(7, 1, 2);
         let mut b = PairDealer::for_pair(7, 1, 2);
@@ -384,28 +327,6 @@ mod tests {
         assert_eq!(g, split_mg_words(&w));
         // Both streams are now at the same offset.
         assert_eq!(via_groups.next_group_pair(), via_words.next_group_pair());
-    }
-
-    #[test]
-    fn pair_stream_beaver_triples_satisfy_c_eq_ab() {
-        let mut d = PairDealer::for_pair(17, 2, 4);
-        for _ in 0..32 {
-            let (t1, t2) = d.next_beaver_pair();
-            let a = reconstruct(t1.a, t2.a);
-            let b = reconstruct(t1.b, t2.b);
-            assert_eq!(reconstruct(t1.c, t2.c), a * b);
-        }
-    }
-
-    #[test]
-    fn beaver_pair_consumes_exactly_beaver_words() {
-        let mut via_triples = PairDealer::for_pair(19, 1, 3);
-        let mut via_words = PairDealer::for_pair(19, 1, 3);
-        let t = via_triples.next_beaver_pair();
-        let mut w = [0u64; BEAVER_WORDS];
-        via_words.fill_words(&mut w);
-        assert_eq!(t, split_beaver_words(&w));
-        assert_eq!(via_triples.next_group_pair(), via_words.next_group_pair());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   need to be materialised. The paper precomputes MGs with oblivious
 //!   transfer \[42, 43\]; both options exist here behind
 //!   [`OfflineMode`] — the dealer as the zero-cost baseline
-//!   (DESIGN.md §4.6), the OT extension below as the costed real
+//!   (DESIGN.md §4 item 6), the OT extension below as the costed real
 //!   thing, emitting bit-identical shares.
 //! * [`ot`] — IKNP-style correlated-OT extension (simulated base OTs,
 //!   column-wise extension, correlation-robust hashing, transcript
@@ -26,7 +26,7 @@
 //!   \[42, 43\] is built from.
 //! * [`offline`] — the offline phase itself: [`OfflineMode`] selects
 //!   the trusted dealer or the OT-extension engines that generate the
-//!   same MG/Beaver material bit for bit while paying (and recording)
+//!   same MG material bit for bit while paying (and recording)
 //!   the real preprocessing cost.
 //! * [`pool`] — the offline *triple factory*: a bounded, background
 //!   [`TriplePool`] whose factory threads run [`OtMgEngine`] chunk
@@ -40,8 +40,8 @@
 //!   carries the bytes a real transport measured.
 //! * [`wire`] — the wire codec: a versioned, length-prefixed frame
 //!   format with explicit little-endian serialization for every
-//!   protocol message ([`OpeningMsg`], [`DealerMsg`], the offline
-//!   flight dialogue, the final noisy-count opening).
+//!   party↔party message ([`OpeningMsg`], the offline flight dialogue,
+//!   the final noisy-count opening, the serve-mode commit).
 //! * [`transport`] — pluggable byte transports carrying those frames:
 //!   the [`Transport`] trait with in-memory ([`InMemoryTransport`])
 //!   and TCP ([`TcpTransport`]) backends, both byte-counting every
@@ -70,13 +70,11 @@ pub mod wire;
 
 pub use beaver::{beaver_mul, BeaverShare};
 pub use channel::{NetStats, OfflineLedger, RecvError};
-pub use dealer::{
-    split_beaver_words, split_mg_words, Dealer, PairDealer, BEAVER_WORDS, MG_WORDS,
-};
+pub use dealer::{split_mg_words, Dealer, PairDealer, MG_WORDS};
 pub use offline::{
     chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
-    plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode,
-    OtBeaverEngine, OtMgEngine, PlanRounds, RoundSegment, MAX_FLIGHT_GROUPS,
+    plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine,
+    PlanRounds, RoundSegment, MAX_FLIGHT_GROUPS,
 };
 pub use transport::{
     memory_pair, memory_pair_with_timeout, recv_msg, send_msg, FaultKind, FaultPlan,
@@ -84,7 +82,7 @@ pub use transport::{
     DEFAULT_RECV_TIMEOUT,
 };
 pub use wire::{
-    CommitMsg, DealerMsg, FinalOpeningMsg, Frame, OfflineMsg, OpeningMsg, WireError, WireMessage,
+    CommitMsg, FinalOpeningMsg, Frame, OfflineMsg, OpeningMsg, WireError, WireMessage,
     FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 pub use ot::{

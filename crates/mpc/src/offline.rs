@@ -1,5 +1,5 @@
 //! The offline (preprocessing) phase: OT-extension generation of
-//! Multiplication-Group and Beaver material.
+//! Multiplication-Group material.
 //!
 //! The paper's protocol splits into an offline phase that precomputes
 //! correlated randomness via oblivious transfer \[42, 43\] and an
@@ -9,7 +9,7 @@
 //!
 //! * **[`OfflineMode::TrustedDealer`]** — the seeded streaming dealer
 //!   ([`crate::dealer`]): zero offline traffic, the modeling shortcut
-//!   documented in DESIGN.md §4.6.
+//!   documented in DESIGN.md §4 item 6.
 //! * **[`OfflineMode::OtExtension`]** — the two servers run IKNP
 //!   correlated-OT extension and Gilboa share multiplication to build
 //!   the same material, paying (and recording, via
@@ -74,9 +74,8 @@
 //! [`MG_FLIGHT_DIGEST_BYTES`] digest bytes and [`MG_FLIGHT_ROUNDS`]
 //! rounds; plus one global base-OT setup ([`ot_setup_ledger`]).
 
-use crate::beaver::BeaverShare;
 use crate::channel::OfflineLedger;
-use crate::dealer::{split_beaver_words, split_mg_words, PairDealer, BEAVER_WORDS, MG_WORDS};
+use crate::dealer::{split_mg_words, PairDealer, MG_WORDS};
 use crate::ot::{
     simulated_base_ots, transcript_digest, CotReceiver, CotSender, RecvBatch, SendBatch,
     BASE_OT_BYTES, BASE_OT_ROUNDS, OT_KAPPA,
@@ -101,7 +100,7 @@ use crate::ServerId;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OfflineMode {
-    /// Seeded streaming dealer (DESIGN.md §4.6): no offline cost is
+    /// Seeded streaming dealer (DESIGN.md §4 item 6): no offline cost is
     /// modelled. The default, and the fastest way to run experiments
     /// that only study the online phase.
     #[default]
@@ -163,17 +162,6 @@ pub const MG_FLIGHT_ROUNDS: u64 = 5;
 /// one oversized flight of its own.
 pub const MAX_FLIGHT_GROUPS: u64 = 512;
 
-/// Extended OTs per Beaver triple (2 directions × 64 bits).
-pub const BEAVER_EXT_OTS_PER_TRIPLE: u64 = 128;
-
-/// Offline wire bytes per Beaver triple: 128 OTs × 24 B + one
-/// derandomisation word.
-pub const BEAVER_OFFLINE_BYTES_PER_TRIPLE: u64 = BEAVER_EXT_OTS_PER_TRIPLE * (16 + 8) + 8;
-
-/// Offline rounds per Beaver block (columns, corrections,
-/// derandomise).
-pub const BEAVER_BLOCK_ROUNDS: u64 = 3;
-
 /// The one-time setup cost of OT-extension mode: κ base OTs per
 /// extension direction, paid once per protocol execution (per-chunk
 /// session keys are then derived locally, as real deployments derive
@@ -196,16 +184,6 @@ pub fn mg_flight_ledger(groups: u64) -> OfflineLedger {
         extended_ots: MG_EXT_OTS_PER_GROUP * groups,
         bytes: MG_OFFLINE_BYTES_PER_GROUP * groups + MG_FLIGHT_DIGEST_BYTES,
         rounds: MG_FLIGHT_ROUNDS,
-    }
-}
-
-/// The offline cost of one block of `block` Beaver triples.
-pub fn beaver_block_ledger(block: u64) -> OfflineLedger {
-    OfflineLedger {
-        base_ots: 0,
-        extended_ots: BEAVER_EXT_OTS_PER_TRIPLE * block,
-        bytes: BEAVER_OFFLINE_BYTES_PER_TRIPLE * block + MG_FLIGHT_DIGEST_BYTES,
-        rounds: BEAVER_BLOCK_ROUNDS,
     }
 }
 
@@ -381,19 +359,10 @@ pub fn chunk_offline_ledger(plan: &[MgDraw]) -> OfflineLedger {
 /// Derives the two per-chunk extension session seeds (direction A:
 /// S₁ sends, S₂ receives; direction B: the reverse) from the global
 /// base-OT setup. Both servers derive the same seeds, domain-separated
-/// from every pair stream and from the Beaver sessions.
+/// from every pair stream.
 fn chunk_ot_seeds(root: u64, session: u64) -> (u64, u64) {
     let mut mixer =
         SplitMix64::new(root ^ session.wrapping_mul(0x9FB21C651E98DF25) ^ 0x165667B19E3779F9);
-    (mixer.next_u64(), mixer.next_u64())
-}
-
-/// Per-pair session seeds for the Beaver engine (Beaver triples are
-/// consumed pair-locally, so their sessions stay pair-keyed).
-fn pair_ot_seeds(root: u64, i: u32, j: u32) -> (u64, u64) {
-    let pair = ((i as u64) << 32) | j as u64;
-    let mut mixer =
-        SplitMix64::new(root ^ pair.wrapping_mul(0xC2B2AE3D27D4EB4F) ^ 0x165667B19E3779F9);
     (mixer.next_u64(), mixer.next_u64())
 }
 
@@ -843,20 +812,15 @@ fn recv_off<T: Transport>(link: &T, chunk: u32, flight: u32, step: u8) -> Vec<u6
 /// against the peer over `link` — the five-message dialogue per
 /// flight ([`plan_flights`]) documented at the top of this module —
 /// and returns this server's Multiplication-Group shares in plan
-/// order.
-///
-/// When `tally` is set, the per-flight [`mg_flight_ledger`] is merged
-/// into `ledger`. The in-process runtime tallies on S₁ only (its
-/// merged stats then cover both directions, mirroring the online
-/// convention); a standalone party process tallies on both sides, so
-/// each process's ledger is the full bidirectional cost.
+/// order. Each flight's [`mg_flight_ledger`] — the full bidirectional
+/// cost — is merged into `ledger` on either side, so both parties
+/// report the same ledger.
 pub fn mg_offline_over_wire<T: Transport>(
     link: &T,
     id: ServerId,
     root: u64,
     chunk: u32,
     plan: &[MgDraw],
-    tally: bool,
     ledger: &mut OfflineLedger,
 ) -> Vec<MulGroupShare> {
     let total: usize = plan.iter().map(|d| d.groups as usize).sum();
@@ -875,9 +839,7 @@ pub fn mg_offline_over_wire<T: Transport>(
                 send_off(link, chunk, f, 3, s1.derand_opq(&d_b));
                 let d_b4 = recv_off(link, chunk, f, 3);
                 send_off(link, chunk, f, 4, s1.derand_w(&d_b4));
-                if tally {
-                    ledger.merge(&mg_flight_ledger(weight));
-                }
+                ledger.merge(&mg_flight_ledger(weight));
                 groups.extend(s1.groups());
             }
         }
@@ -895,9 +857,7 @@ pub fn mg_offline_over_wire<T: Transport>(
                 let c_opq = recv_off(link, chunk, f, 3);
                 send_off(link, chunk, f, 3, s2.corrections_w(&c_opq));
                 let c_w = recv_off(link, chunk, f, 4);
-                if tally {
-                    ledger.merge(&mg_flight_ledger(weight));
-                }
+                ledger.merge(&mg_flight_ledger(weight));
                 groups.extend(s2.groups(&c_w));
             }
         }
@@ -995,95 +955,6 @@ impl OtMgEngine {
 
     /// The offline traffic this engine has generated so far (excludes
     /// the global base-OT setup, which is tallied once per run).
-    pub fn ledger(&self) -> OfflineLedger {
-        self.ledger
-    }
-}
-
-/// In-process OT generation of Beaver triples, derandomised onto the
-/// canonical [`PairDealer::next_beaver_pair`] stream — the two cross
-/// terms `a₁b₂`, `a₂b₁` of `c = ab` via one Gilboa multiplication per
-/// direction.
-#[derive(Debug, Clone)]
-pub struct OtBeaverEngine {
-    stream: PairDealer,
-    sender_a: CotSender,
-    receiver_a: CotReceiver,
-    sender_b: CotSender,
-    receiver_b: CotReceiver,
-    ledger: OfflineLedger,
-}
-
-impl OtBeaverEngine {
-    /// Creates the engine for pair `(i, j)` under `root`.
-    pub fn for_pair(root: u64, i: u32, j: u32) -> Self {
-        let (seed_a, seed_b) = pair_ot_seeds(root ^ 0xBEA7E12, i, j);
-        let (sender_a, receiver_a) = simulated_base_ots(seed_a);
-        let (sender_b, receiver_b) = simulated_base_ots(seed_b);
-        OtBeaverEngine {
-            stream: PairDealer::for_pair(root, i, j),
-            sender_a,
-            receiver_a,
-            sender_b,
-            receiver_b,
-            ledger: OfflineLedger::new(),
-        }
-    }
-
-    /// Produces the next `block` Beaver triples as the two servers'
-    /// share vectors — bit-identical to `block` consecutive
-    /// [`PairDealer::next_beaver_pair`] draws on the same stream.
-    pub fn next_triples(&mut self, block: usize) -> (Vec<BeaverShare>, Vec<BeaverShare>) {
-        assert!(block > 0, "empty offline block");
-        let mut words = vec![0u64; BEAVER_WORDS * block];
-        self.stream.fill_words(&mut words);
-        // Direction A: S₁ holds a₁, S₂'s choice bits are b₂.
-        let choice_a: Vec<u64> = (0..block).map(|g| words[BEAVER_WORDS * g + 3]).collect();
-        // Direction B: S₂ holds a₂, S₁'s choice bits are b₁.
-        let choice_b: Vec<u64> = (0..block).map(|g| words[BEAVER_WORDS * g + 2]).collect();
-        let (batch_a, u_a) = self.receiver_a.extend(&choice_a);
-        let (batch_b, u_b) = self.receiver_b.extend(&choice_b);
-        let sb_a = self.sender_a.absorb(&u_a);
-        let sb_b = self.sender_b.absorb(&u_b);
-        let mut out1 = Vec::with_capacity(block);
-        let mut out2 = Vec::with_capacity(block);
-        for g in 0..block {
-            let w = &words[BEAVER_WORDS * g..BEAVER_WORDS * (g + 1)];
-            let (a1, a2, b1, b2, c1) = (w[0], w[1], w[2], w[3], w[4]);
-            let mut s_a = 0u64; // S₁ sender share (−Σ m⁰, dir A)
-            let mut r_a = 0u64; // S₂ receiver share (dir A)
-            let mut s_b = 0u64; // S₂ sender share (dir B)
-            let mut r_b = 0u64; // S₁ receiver share (dir B)
-            for bit in 0..64 {
-                let j = g * 64 + bit;
-                s_a = s_a.wrapping_sub(sb_a.m0(j));
-                r_a = r_a.wrapping_add(
-                    batch_a.output_at(j, sb_a.correction(j, a1.wrapping_shl(bit as u32))),
-                );
-                s_b = s_b.wrapping_sub(sb_b.m0(j));
-                r_b = r_b.wrapping_add(
-                    batch_b.output_at(j, sb_b.correction(j, a2.wrapping_shl(bit as u32))),
-                );
-            }
-            let c_raw1 = a1.wrapping_mul(b1).wrapping_add(s_a).wrapping_add(r_b);
-            let c_raw2 = a2.wrapping_mul(b2).wrapping_add(r_a).wrapping_add(s_b);
-            // Derandomise onto the canonical c₁ word (one offset on
-            // the wire, tallied in the ledger formula).
-            let offset = c_raw1.wrapping_sub(c1);
-            let (t1, t2) = split_beaver_words(w);
-            debug_assert_eq!(c_raw2.wrapping_add(offset), t2.c.0, "OT product drifted");
-            out1.push(t1);
-            out2.push(BeaverShare {
-                a: crate::Ring64(a2),
-                b: crate::Ring64(b2),
-                c: crate::Ring64(c_raw2.wrapping_add(offset)),
-            });
-        }
-        self.ledger.merge(&beaver_block_ledger(block as u64));
-        (out1, out2)
-    }
-
-    /// The offline traffic this engine has generated so far.
     pub fn ledger(&self) -> OfflineLedger {
         self.ledger
     }
@@ -1251,26 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn ot_beaver_triples_match_the_dealer_stream() {
-        let mut dealer = PairDealer::for_pair(9, 4, 5);
-        let mut engine = OtBeaverEngine::for_pair(9, 4, 5);
-        let (t1s, t2s) = engine.next_triples(8);
-        for (t1, t2) in t1s.iter().zip(&t2s) {
-            let (d1, d2) = dealer.next_beaver_pair();
-            assert_eq!(*t1, d1);
-            assert_eq!(*t2, d2);
-            let a = reconstruct(t1.a, t2.a);
-            let b = reconstruct(t1.b, t2.b);
-            assert_eq!(reconstruct(t1.c, t2.c), a * b, "c = ab");
-        }
-        assert_eq!(engine.ledger().extended_ots, 128 * 8);
-        assert_eq!(
-            engine.ledger().bytes,
-            BEAVER_OFFLINE_BYTES_PER_TRIPLE * 8 + MG_FLIGHT_DIGEST_BYTES
-        );
-    }
-
-    #[test]
     fn party_machines_over_an_explicit_wire_match_the_dealer() {
         // Simulate the runtime's message-passing shape: every value
         // that crosses between the machines goes through an explicit
@@ -1324,20 +1175,12 @@ mod tests {
         let (g1, g2, l1) = std::thread::scope(|scope| {
             let h1 = scope.spawn(|| {
                 let mut ledger = OfflineLedger::new();
-                let g = mg_offline_over_wire(
-                    &end1,
-                    ServerId::S1,
-                    11,
-                    5,
-                    &plan,
-                    true,
-                    &mut ledger,
-                );
+                let g = mg_offline_over_wire(&end1, ServerId::S1, 11, 5, &plan, &mut ledger);
                 (g, ledger)
             });
             let h2 = scope.spawn(|| {
                 let mut ledger = OfflineLedger::new();
-                mg_offline_over_wire(&end2, ServerId::S2, 11, 5, &plan, false, &mut ledger)
+                mg_offline_over_wire(&end2, ServerId::S2, 11, 5, &plan, &mut ledger)
             });
             let (g1, l1) = h1.join().unwrap();
             (g1, h2.join().unwrap(), l1)

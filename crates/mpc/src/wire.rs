@@ -14,9 +14,9 @@
 //! ```text
 //! offset size field
 //! 0      1    version        (= WIRE_VERSION)
-//! 1      1    msg_type       (OpeningMsg = 1, DealerMsg = 2,
-//!                             OfflineMsg = 3, FinalOpeningMsg = 4,
-//!                             CommitMsg = 5)
+//! 1      1    msg_type       (OpeningMsg = 1, OfflineMsg = 3,
+//!                             FinalOpeningMsg = 4, CommitMsg = 5;
+//!                             2 is retired — see below)
 //! 2      2    step           (OfflineMsg step; 0 otherwise)
 //! 4      4    tag            (chunk id — the demux key)
 //! 8      4    a              (pair.i | flight | 0)
@@ -64,12 +64,17 @@
 //! (DESIGN.md §8). The lanes absorb eight *words* per five-cycle step;
 //! the field, its offset and its guarantee are unchanged.
 //!
+//! Type id 2 was the trusted dealer's per-round material message,
+//! which only ever travelled on in-process dealer links, never
+//! party↔party. It is retired and reserved: no message decodes from it
+//! and it is never reused, which is why dropping it did not bump
+//! [`WIRE_VERSION`].
+//!
 //! The format is pinned by a byte-level fixture in
 //! `crates/mpc/tests/wire_format.rs`, so it cannot drift silently;
 //! bump [`WIRE_VERSION`] on any layout change.
 
 use crate::ring::Ring64;
-use crate::triple_mul::MulGroupShare;
 
 /// Version byte every frame starts with; receivers reject anything
 /// else ([`WireError::BadVersion`]). Version 2 added the header
@@ -478,79 +483,6 @@ impl WireMessage for OpeningMsg {
     }
 }
 
-/// The trusted dealer's preprocessing message: one server's
-/// Multiplication-Group shares for one online round, in plan order.
-/// Payload: 7 words per group (`x, y, z, w, o, p, q`). Dealer traffic
-/// is a simulation device (DESIGN.md §4.6) and is deliberately *not*
-/// part of the modeled server↔server ledger; its frames are still
-/// byte-counted by the transports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DealerMsg {
-    /// Pair-space shard the batch belongs to.
-    pub chunk: u32,
-    /// Pair of the round's first triple (lockstep sanity checking).
-    pub pair: (u32, u32),
-    /// `k` of the round's first triple (lockstep sanity checking).
-    pub k0: u32,
-    /// This server's group shares for the round.
-    pub groups: Vec<MulGroupShare>,
-}
-
-impl WireMessage for DealerMsg {
-    const MSG_TYPE: u8 = 2;
-
-    fn tag(&self) -> u32 {
-        self.chunk
-    }
-
-    fn to_frame(&self) -> Frame {
-        let mut payload = Vec::with_capacity(8 * 7 * self.groups.len());
-        for g in &self.groups {
-            push_words(
-                &mut payload,
-                &[g.x.0, g.y.0, g.z.0, g.w.0, g.o.0, g.p.0, g.q.0],
-            );
-        }
-        Frame {
-            msg_type: Self::MSG_TYPE,
-            step: 0,
-            tag: self.chunk,
-            a: self.pair.0,
-            b: self.pair.1,
-            c: self.k0,
-            payload,
-        }
-    }
-
-    fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let words = frame.payload_words();
-        if !words.len().is_multiple_of(7) {
-            return Err(WireError::BadLength {
-                what: "dealer payload not a multiple of 7 words",
-                len: frame.payload.len(),
-            });
-        }
-        let groups = words
-            .chunks_exact(7)
-            .map(|w| MulGroupShare {
-                x: Ring64(w[0]),
-                y: Ring64(w[1]),
-                z: Ring64(w[2]),
-                w: Ring64(w[3]),
-                o: Ring64(w[4]),
-                p: Ring64(w[5]),
-                q: Ring64(w[6]),
-            })
-            .collect();
-        Ok(DealerMsg {
-            chunk: frame.tag,
-            pair: (frame.a, frame.b),
-            k0: frame.c,
-            groups,
-        })
-    }
-}
-
 /// One message of the OT-extension offline dialogue (the five-message
 /// flight flow documented in [`crate::offline`]): extension columns,
 /// correction words, or derandomisation offsets, with lockstep
@@ -728,26 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn dealer_round_trips() {
-        let g = MulGroupShare {
-            x: Ring64(1),
-            y: Ring64(2),
-            z: Ring64(3),
-            w: Ring64(4),
-            o: Ring64(5),
-            p: Ring64(6),
-            q: Ring64(7),
-        };
-        let m = DealerMsg {
-            chunk: 1,
-            pair: (0, 2),
-            k0: 3,
-            groups: vec![g, g],
-        };
-        assert_eq!(DealerMsg::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
     fn offline_round_trips() {
         let m = OfflineMsg {
             chunk: 63,
@@ -870,12 +782,29 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_type_id_is_refused_by_every_message() {
+        // Well-formed in every other respect — version, lengths,
+        // checksum — with a payload every message's length rule admits
+        // at some size, so only the type byte can refuse it.
+        for words in [1usize, 2, 3, 7] {
+            let payload = vec![0; 8 * words];
+            let frame = Frame { msg_type: 2, step: 0, tag: 0, a: 0, b: 0, c: 0, payload };
+            let bytes = frame.encode();
+            assert_eq!(Frame::decode(&bytes), Ok(frame), "the frame layer carries any type");
+            let refused = Err(WireError::BadMsgType(2));
+            assert_eq!(OpeningMsg::decode(&bytes).map(|_| ()), refused);
+            assert_eq!(OfflineMsg::decode(&bytes).map(|_| ()), refused);
+            assert_eq!(FinalOpeningMsg::decode(&bytes).map(|_| ()), refused);
+            assert_eq!(CommitMsg::decode(&bytes).map(|_| ()), refused);
+        }
+        assert!(!is_online_msg(2) && !is_offline_msg(2), "in neither cost class");
+    }
+
+    #[test]
     fn message_class_split_is_total_over_known_types() {
         assert!(is_online_msg(OpeningMsg::MSG_TYPE));
         assert!(is_online_msg(FinalOpeningMsg::MSG_TYPE));
         assert!(is_offline_msg(OfflineMsg::MSG_TYPE));
-        assert!(!is_online_msg(DealerMsg::MSG_TYPE));
-        assert!(!is_offline_msg(DealerMsg::MSG_TYPE));
         // Control-plane commits are in *neither* cost class: they must
         // never perturb the measured-vs-modeled ledger equivalence.
         assert!(!is_online_msg(CommitMsg::MSG_TYPE));

@@ -11,8 +11,8 @@
 
 use cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES;
 use cargo_mpc::{
-    CommitMsg, DealerMsg, FinalOpeningMsg, Frame, MulGroupShare, OfflineMsg, OpeningMsg, Ring64,
-    WireError, WireMessage, FRAME_HEADER_BYTES, WIRE_VERSION,
+    CommitMsg, FinalOpeningMsg, Frame, OfflineMsg, OpeningMsg, Ring64, WireError, WireMessage,
+    FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -37,28 +37,6 @@ proptest! {
         let bytes = msg.encode();
         prop_assert_eq!(bytes.len(), FRAME_HEADER_BYTES + 8 * 3 * blocks);
         prop_assert_eq!(OpeningMsg::decode(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn dealer_round_trips(
-        chunk in any::<u32>(),
-        k0 in any::<u32>(),
-        words in arb_words(7 * 12),
-    ) {
-        let groups: Vec<MulGroupShare> = words
-            .chunks_exact(7)
-            .map(|w| MulGroupShare {
-                x: Ring64(w[0]),
-                y: Ring64(w[1]),
-                z: Ring64(w[2]),
-                w: Ring64(w[3]),
-                o: Ring64(w[4]),
-                p: Ring64(w[5]),
-                q: Ring64(w[6]),
-            })
-            .collect();
-        let msg = DealerMsg { chunk, pair: (chunk ^ 1, chunk ^ 2), k0, groups };
-        prop_assert_eq!(DealerMsg::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
@@ -309,14 +287,6 @@ fn oversized_announced_payloads_are_rejected() {
 /// The other message types' headers, pinned at the byte level.
 #[test]
 fn header_bytes_of_every_type_are_pinned() {
-    let dealer = DealerMsg {
-        chunk: 1,
-        pair: (0, 3),
-        k0: 4,
-        groups: vec![],
-    }
-    .encode();
-    assert_eq!(&dealer[..2], &[0x03, 0x02], "version, DealerMsg type");
     let offline = OfflineMsg {
         chunk: 9,
         flight: 2,

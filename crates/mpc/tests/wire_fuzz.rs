@@ -7,10 +7,7 @@
 //! bit-flip property exhaustive: flips the structural checks cannot
 //! see (payload words, metadata fields) fail the checksum instead.
 
-use cargo_mpc::{
-    CommitMsg, DealerMsg, FinalOpeningMsg, Frame, MulGroupShare, OfflineMsg, OpeningMsg, Ring64,
-    WireMessage,
-};
+use cargo_mpc::{CommitMsg, FinalOpeningMsg, Frame, OfflineMsg, OpeningMsg, Ring64, WireMessage};
 use proptest::prelude::*;
 
 /// Asserts that no mutation of `bytes` — any single bit flipped, or
@@ -36,7 +33,7 @@ fn assert_all_mutations_rejected(bytes: &[u8], label: &str) {
 }
 
 /// A typed decode of mutated bytes never "succeeds as another type":
-/// exhaustively check all five message decoders against every single-
+/// exhaustively check all four message decoders against every single-
 /// bit mutation.
 fn assert_no_type_accepts(bytes: &[u8], label: &str) {
     for pos in 0..bytes.len() {
@@ -44,7 +41,6 @@ fn assert_no_type_accepts(bytes: &[u8], label: &str) {
             let mut mutated = bytes.to_vec();
             mutated[pos] ^= 1 << bit;
             assert!(OpeningMsg::decode(&mutated).is_err(), "{label} @{pos}.{bit}");
-            assert!(DealerMsg::decode(&mutated).is_err(), "{label} @{pos}.{bit}");
             assert!(OfflineMsg::decode(&mutated).is_err(), "{label} @{pos}.{bit}");
             assert!(
                 FinalOpeningMsg::decode(&mutated).is_err(),
@@ -70,16 +66,6 @@ proptest! {
             .collect();
         let bytes = OpeningMsg { chunk, pair: (1, 2), k0, efg }.encode();
         assert_all_mutations_rejected(&bytes, "OpeningMsg");
-    }
-
-    #[test]
-    fn dealer_mutations_are_rejected(chunk in any::<u32>(), seed in any::<u64>()) {
-        let w = |i: u64| Ring64(seed.wrapping_mul(i | 1));
-        let g = MulGroupShare {
-            x: w(1), y: w(2), z: w(3), w: w(4), o: w(5), p: w(6), q: w(7),
-        };
-        let bytes = DealerMsg { chunk, pair: (0, 1), k0: 2, groups: vec![g] }.encode();
-        assert_all_mutations_rejected(&bytes, "DealerMsg");
     }
 
     #[test]

@@ -207,7 +207,7 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
             *i += 1;
             argv.get(*i)
                 .cloned()
-                .ok_or_else(|| "flag needs a value".to_string())
+                .ok_or_else(|| format!("flag {} needs a value", argv[*i - 1]))
         };
         match argv[i].as_str() {
             "--role" => {
@@ -311,6 +311,12 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
     }
     if !role_given {
         return Err(format!("--role is required\n{}", usage()));
+    }
+    if !(args.epsilon > 0.0 && args.epsilon.is_finite()) {
+        return Err("--epsilon must be finite and > 0".into());
+    }
+    if args.n == 0 {
+        return Err("--n must be >= 1".into());
     }
     if args.mode == Mode::Pipeline && args.deltas.is_some() {
         return Err("--deltas only makes sense with --mode serve".into());
@@ -933,10 +939,21 @@ mod tests {
     #[test]
     fn unknown_flags_and_missing_values_are_refused() {
         assert!(refusal(&["--role", "local", "--wat"]).starts_with("unknown flag --wat\nusage: party"));
-        assert_eq!(refusal(&["--role", "local", "--n"]), "flag needs a value");
+        assert_eq!(refusal(&["--role", "local", "--n"]), "flag --n needs a value");
         assert!(refusal(&["--role", "local", "--n", "many"]).starts_with("--n: "));
         assert!(refusal(&["--role", "s3"]).starts_with("unknown role"));
         assert!(refusal(&["--n", "60"]).starts_with("--role is required"));
+    }
+
+    #[test]
+    fn numeric_flags_out_of_range_are_refused_at_parse_time() {
+        for eps in ["0", "-1", "nan", "inf"] {
+            let msg = refusal(&["--role", "local", "--epsilon", eps]);
+            assert_eq!(msg, "--epsilon must be finite and > 0", "--epsilon {eps}");
+        }
+        assert_eq!(refusal(&["--role", "local", "--n", "0"]), "--n must be >= 1");
+        let a = parse(&["--role", "local", "--epsilon", "0.5", "--n", "1"]).unwrap().unwrap();
+        assert_eq!((a.epsilon, a.n), (0.5, 1));
     }
 
     #[test]
