@@ -1,8 +1,7 @@
 //! The O(n³) secure count: scaling in n, thread count, and batch size
 //! (the `CountScheduler` sweep axes), plus the plaintext counters for
-//! reference (the "crypto markup"). The machine-readable counterpart
-//! of the thread/batch sweep is the `bench_secure_count` binary, which
-//! persists `BENCH_secure_count.json` for the `bench_compare` gate.
+//! reference (the "crypto markup"). Trend-only timings: end-to-end
+//! numbers come from the `benchmark/` package at the repo root.
 
 use cargo_core::{count_local, count_sampled, CountJob};
 use cargo_graph::generators::presets::SnapDataset;
@@ -13,7 +12,7 @@ fn job(threads: usize, batch: usize) -> CountJob {
     CountJob { threads, batch, ..CountJob::new(1) }
 }
 
-fn bench_secure_count_scaling(c: &mut Criterion) {
+fn bench_n_scaling(c: &mut Criterion) {
     let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 0);
     let mut g = c.benchmark_group("secure_count");
     g.sample_size(10);
@@ -56,7 +55,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
 }
 
 fn bench_thread_batch_grid(c: &mut Criterion) {
-    // The joint grid the JSON baseline records: threads × batch at one n.
+    // The joint grid: threads × batch at one n.
     let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 0);
     let m = full.induced_prefix(200).to_bit_matrix();
     let mut g = c.benchmark_group("secure_count_grid_n200");
@@ -106,7 +105,7 @@ fn bench_sampled_count(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_secure_count_scaling,
+    bench_n_scaling,
     bench_thread_scaling,
     bench_batch_scaling,
     bench_thread_batch_grid,

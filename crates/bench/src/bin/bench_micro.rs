@@ -1,115 +1,180 @@
-//! Micro-benchmark sweep of the non-Count hot paths →
-//! `BENCH_micro.json`.
+//! Micro-benchmarks of the hot paths below the Count, one table row
+//! per operation on stdout: median and interquartile range in ns per
+//! operation, and the deterministic wire bytes per operation (zero for
+//! the local-only ones). `n` is the input size.
 //!
-//! The criterion-shim benches (`mul3`, `perturb`, `projection`, …)
-//! print trend-only timings; this binary measures the same operations
-//! through the shim's measurement loop into the machine-readable
-//! baseline schema so `bench_compare` can gate them like the Count
-//! sweeps — every committed baseline under `crates/bench/baselines/`
-//! is enforced, not just the secure-count ones.
-//!
-//! Rows reuse the shared schema with the `kernel` column carrying the
-//! operation name; `n` is the input size, `triples` the operations per
-//! measured iteration, and `bytes_per_triple` the deterministic wire
-//! bytes per operation (zero for the local-only ones).
+//! The `mg/*` rows answer where an OT-mode Multiplication Group's time
+//! goes (DESIGN.md §8.1): an operation there is one MG, both parties
+//! summed — on a one-core host that sum *is* the wall time.
 //!
 //! ```text
-//! usage: bench_micro [--out BENCH_micro.json] [--measure-ms 400] [--quick]
+//! usage: bench_micro [--measure-ms 400] [--quick]
 //! ```
 
-use cargo_bench::baseline::{BenchReport, BenchRow};
 use cargo_core::{estimate_max_degree, project_matrix};
 use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::io::scan_edge_list;
 use cargo_graph::CsrGraph;
-use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
+use cargo_mpc::ot::{simulated_base_ots, transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
-    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch, cr_hash_scalar, mul3,
-    Dealer, NetStats, Ring64, SimdTier, SplitMix64,
+    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
+    cr_hash_scalar, mul3, plan_flights, Dealer, MgDraw, MgOfflineS1, MgOfflineS2, NetStats,
+    OfflineMsg, Ring64, SimdTier, SplitMix64, WireMessage, MAX_FLIGHT_GROUPS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Duration;
-
-struct Args {
-    out: PathBuf,
-    measure_ms: u64,
-}
+use std::time::{Duration, Instant};
 
 fn usage() -> String {
-    "usage: bench_micro [--out BENCH_micro.json] [--measure-ms 400] [--quick]".to_string()
+    "usage: bench_micro [--measure-ms 400] [--quick]".to_string()
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        out: PathBuf::from("BENCH_micro.json"),
-        measure_ms: 400,
-    };
+/// Parses the flags into the per-row measurement budget in ms.
+fn parse_args(argv: &[String]) -> Result<u64, String> {
+    let mut measure_ms = 400;
     let mut i = 0;
     while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| "flag needs a value".to_string())
-        };
         match argv[i].as_str() {
-            "--out" => args.out = PathBuf::from(take(&mut i)?),
             "--measure-ms" => {
-                args.measure_ms = take(&mut i)?
+                i += 1;
+                measure_ms = argv
+                    .get(i)
+                    .ok_or_else(|| "flag needs a value".to_string())?
                     .parse()
                     .map_err(|e| format!("--measure-ms: {e}"))?
             }
-            "--quick" => args.measure_ms = 150,
+            "--quick" => measure_ms = 150,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
         i += 1;
     }
-    Ok(args)
+    Ok(measure_ms)
+}
+
+/// Prints one table row; `timing` is the (median, IQR) of one sample
+/// of `ops` operations.
+fn row(name: &str, n: usize, ops: u64, timing: (f64, f64), bytes_per_op: f64) {
+    let (median_ns, iqr_ns) = timing;
+    println!(
+        "{name:<24} n={n:<7} {:>10.2} ns/op  iqr {:>8.2}  {bytes_per_op:>5.1} B/op",
+        median_ns / ops as f64,
+        iqr_ns / ops as f64
+    );
+}
+
+/// The steps of the OT offline dialogue, in the order it runs them;
+/// the last is every message's encode + decode.
+const STEPS: [&str; 7] = [
+    "ucols",
+    "corrections",
+    "derand_opq",
+    "absorb_corrections",
+    "corrections_w",
+    "derand_w",
+    "codec",
+];
+const CODEC: usize = 6;
+/// Passes of the whole dialogue the `mg/*` step rows take the median of.
+const MG_PASSES: usize = 9;
+
+/// Runs `f` and adds its wall time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *slot += t0.elapsed();
+    out
+}
+
+/// One pass of the offline dialogue over `plan` with a clock around
+/// each step of both machines; every message crosses the codec exactly
+/// as `mg_offline_over_wire` sends it (typed message → frame → bytes →
+/// frame → typed message).
+fn timed_dialogue(plan: &[MgDraw]) -> [Duration; STEPS.len()] {
+    let mut all = [Duration::ZERO; STEPS.len()];
+    let (t, codec) = all.split_at_mut(CODEC);
+    let mut s1 = MgOfflineS1::for_chunk(1, 0);
+    let mut s2 = MgOfflineS2::for_chunk(1, 0);
+    for (f, range) in plan_flights(plan).into_iter().enumerate() {
+        let flight = &plan[range];
+        let mut wire = |step: u8, words: Vec<u64>| {
+            timed(&mut codec[0], || {
+                let msg = OfflineMsg { chunk: 0, flight: f as u32, step, words };
+                OfflineMsg::decode(&msg.encode()).expect("round trip").words
+            })
+        };
+        let u1 = wire(1, timed(&mut t[0], || s1.ucols(flight)));
+        let u2 = wire(1, timed(&mut t[0], || s2.ucols(flight)));
+        let d_a = wire(2, timed(&mut t[1], || s1.corrections(&u2)));
+        let d_b = wire(2, timed(&mut t[1], || s2.corrections(&u1)));
+        let c_opq = wire(3, timed(&mut t[2], || s1.derand_opq(&d_b)));
+        timed(&mut t[3], || s2.absorb_corrections(&d_a));
+        let d_b4 = wire(3, timed(&mut t[4], || s2.corrections_w(&c_opq)));
+        let c_w = wire(4, timed(&mut t[5], || s1.derand_w(&d_b4)));
+        black_box((s1.groups(), s2.groups(&c_w)));
+    }
+    all
+}
+
+/// Median and interquartile range in ns, taken as the criterion shim
+/// takes them.
+fn median_iqr(mut samples: Vec<Duration>) -> (f64, f64) {
+    samples.sort_unstable();
+    let ns = |i: usize| samples[i].as_nanos() as f64;
+    let len = samples.len();
+    (ns(len / 2), ns(3 * len / 4) - ns(len / 4))
 }
 
 fn main() {
     let argv = cargo_bench::cli::argv_or_help(&usage());
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
+    let measure_ms = match parse_args(&argv) {
+        Ok(ms) => ms,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    let budget = Duration::from_millis(args.measure_ms);
-    let mut report = BenchReport {
-        bench: "micro".into(),
-        rows: Vec::new(),
-    };
-    let mut push = |kernel: &str, n: usize, ops: u64, timing: (f64, f64), bytes_per_op: f64| {
-        let (median_ns, iqr_ns) = timing;
-        let row = BenchRow {
-            n,
-            threads: 1,
-            batch: 1,
-            kernel: kernel.into(),
-            transport: "memory".into(),
-            pool: "inline".into(),
-            schedule: "dense".into(),
-            triples: ops,
-            ns_per_triple: median_ns / ops as f64,
-            bytes_per_triple: bytes_per_op,
-            iqr_ns: iqr_ns / ops as f64,
-            peak_rss_mb: 0.0,
-        };
-        println!(
-            "{kernel:<18} n={n:<5} {:>10.2} ns/op  {:>5.1} B/op",
-            row.ns_per_triple, row.bytes_per_triple
-        );
-        report.rows.push(row);
-    };
+    let budget = Duration::from_millis(measure_ms);
+
+    // mg/*: the public step machines run the offline dialogue over the
+    // dense cube of n = 32 users (the `ot-mem` plan), then the three
+    // kernels inside the steps run on their own over one flight: an MG
+    // costs 2 extends, 2 absorbs (one per direction) and 4 digests
+    // (each party digests both `u` messages). These rows come first so
+    // the codec's megabyte messages meet the fresh heap a party meets;
+    // after the rows below the allocator recycles them and the codec
+    // reads ≈ 15 % cheaper than in a real run.
+    {
+        let n = 32u32;
+        let plan: Vec<MgDraw> = (0..n)
+            .flat_map(|i| (i + 1..n - 1).map(move |j| MgDraw::dense(i, j, n - 1 - j)))
+            .collect();
+        let groups: u64 = plan.iter().map(|d| d.groups as u64).sum();
+        let passes: Vec<_> = (0..MG_PASSES).map(|_| timed_dialogue(&plan)).collect();
+        for (s, name) in STEPS.iter().enumerate() {
+            let step = median_iqr(passes.iter().map(|p| p[s]).collect());
+            row(&format!("mg/{name}"), n as usize, groups, step, 0.0);
+        }
+        let total = median_iqr(passes.iter().map(|p| p.iter().sum()).collect());
+        row("mg/sum", n as usize, groups, total, 0.0);
+
+        let flight_groups = MAX_FLIGHT_GROUPS.min(groups);
+        let choice: Vec<u64> = (0..4 * flight_groups)
+            .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let (mut sender, mut receiver) = simulated_base_ots(1);
+        let u = receiver.extend(&choice).1;
+        let ns = measure_median_iqr_ns(12, budget, || black_box(receiver.extend(&choice)));
+        row("mg/extend", n as usize, flight_groups / 2, ns, 0.0);
+        let ns = measure_median_iqr_ns(12, budget, || black_box(sender.absorb(&u)));
+        row("mg/absorb", n as usize, flight_groups / 2, ns, 0.0);
+        let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(&u)));
+        row("mg/digest", n as usize, flight_groups / 4, ns, 0.0);
+    }
 
     // mul3: the protocol-object three-value multiplication, including
     // the streaming dealer draw (the shape the mul3 criterion bench
@@ -138,7 +203,7 @@ fn main() {
                 &mut net,
             ))
         });
-        push("mul3", 1, 1, ns, probe_net.bytes as f64);
+        row("mul3", 1, 1, ns, probe_net.bytes as f64);
     }
 
     // beaver_mul: the classic two-value multiplication it improves on.
@@ -153,7 +218,7 @@ fn main() {
             let mut net = NetStats::new();
             black_box(beaver_mul((sa.s1, sa.s2), (sb.s1, sb.s2), t, &mut net))
         });
-        push("beaver_mul", 1, 1, ns, probe_net.bytes as f64);
+        row("beaver_mul", 1, 1, ns, probe_net.bytes as f64);
     }
 
     // projection: Algorithm 3 over the Facebook preset (ns per user
@@ -169,7 +234,7 @@ fn main() {
         let ns = measure_median_iqr_ns(6, budget, || {
             black_box(project_matrix(&matrix, &degrees, &noisy, 100))
         });
-        push("projection", n, n as u64, ns, 0.0);
+        row("projection", n, n as u64, ns, 0.0);
     }
 
     // perturb_noise: Algorithm 5's distributed Gamma noise, all users
@@ -180,7 +245,7 @@ fn main() {
         let dist = DistributedLaplace::new(n, 1000.0, 1.8);
         let mut rng = StdRng::seed_from_u64(5);
         let ns = measure_median_iqr_ns(6, budget, || black_box(dist.sample_all(&mut rng)));
-        push("perturb_noise", n, n as u64, ns, 0.0);
+        row("perturb_noise", n, n as u64, ns, 0.0);
     }
 
     // max_degree: Algorithm 2 over all users (ns per user).
@@ -191,7 +256,7 @@ fn main() {
         let ns = measure_median_iqr_ns(6, budget, || {
             black_box(estimate_max_degree(&degrees, 0.2, &mut rng))
         });
-        push("max_degree", n, n as u64, ns, 0.0);
+        row("max_degree", n, n as u64, ns, 0.0);
     }
 
     // ot_transpose / ot_hash: the two OT-extension inner loops, scalar
@@ -214,7 +279,7 @@ fn main() {
             .collect();
 
         let ns = measure_median_iqr_ns(12, budget, || black_box(cols_to_rows_scalar(&cols, words)));
-        push("ot_transpose", rows, rows as u64, ns, 0.0);
+        row("ot_transpose", rows, rows as u64, ns, 0.0);
         // The engine runs the into-form, reusing one buffer pair per
         // chunk — time that, not the allocating wrapper.
         let (mut lo, mut hi) = (vec![0u64; rows], vec![0u64; rows]);
@@ -222,7 +287,7 @@ fn main() {
             cols_to_rows_simd_into(tier, &cols, words, &mut lo, &mut hi);
             black_box(lo[rows - 1])
         });
-        push(&format!("ot_transpose_simd/{tier}"), rows, rows as u64, ns, 0.0);
+        row(&format!("ot_transpose_simd/{tier}"), rows, rows as u64, ns, 0.0);
 
         let (lo, hi) = cols_to_rows_simd(tier, &cols, words);
         let mut out = vec![0u64; rows];
@@ -232,12 +297,12 @@ fn main() {
             }
             black_box(out[rows - 1])
         });
-        push("ot_hash", rows, rows as u64, ns, 0.0);
+        row("ot_hash", rows, rows as u64, ns, 0.0);
         let ns = measure_median_iqr_ns(12, budget, || {
             cr_hash_batch(tier, 0, &lo, &hi, [0, 0], &mut out);
             black_box(out[rows - 1])
         });
-        push(&format!("ot_hash_simd/{tier}"), rows, rows as u64, ns, 0.0);
+        row(&format!("ot_hash_simd/{tier}"), rows, rows as u64, ns, 0.0);
     }
 
     // frame_checksum / transcript_digest: the two integrity hashes on
@@ -253,12 +318,12 @@ fn main() {
             let ns = measure_median_iqr_ns(12, budget, || {
                 black_box(frame_checksum(black_box(&header), black_box(&payload)))
             });
-            push("frame_checksum", bytes, bytes as u64, ns, 0.0);
+            row("frame_checksum", bytes, bytes as u64, ns, 0.0);
         }
         let mut u_msg = vec![0u64; 512 * 512];
         prg.fill_block(&mut u_msg);
         let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(black_box(&u_msg))));
-        push("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
+        row("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
     }
 
     // edge_list_parse / csr_build: the two halves of
@@ -282,17 +347,11 @@ fn main() {
             (scan.nodes, pairs)
         };
         let ns = measure_median_iqr_ns(12, budget, parse);
-        push("edge_list_parse", edges, edges as u64, ns, 0.0);
+        row("edge_list_parse", edges, edges as u64, ns, 0.0);
         let (nodes, pairs) = parse();
         let ns = measure_median_iqr_ns(12, budget, || {
             black_box(CsrGraph::from_unsorted_pairs(nodes, black_box(&pairs)))
         });
-        push("csr_build", edges, edges as u64, ns, 0.0);
+        row("csr_build", edges, edges as u64, ns, 0.0);
     }
-
-    if let Err(e) = report.write(&args.out) {
-        eprintln!("error writing {}: {e}", args.out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {} ({} rows)", args.out.display(), report.rows.len());
 }

@@ -13,7 +13,6 @@ fn usage() -> String {
          \x20      --out-dir <dir=results> --data-dir <snap-dir>\n\
          \x20      --threads <w=0 (all cores)> --batch <b=0 (default 64)>\n\
          \x20      --offline-mode <dealer|ot (default dealer)>\n\
-         \x20      --kernel <scalar|bitsliced (default bitsliced)>\n\
          \x20      --transport <memory|tcp (default memory)>\n\
          \x20      --recv-timeout <seconds=120 (tcp only)>\n\
          \x20      --factory-threads <f=0 (inline)> --pool-depth <d=0 (default 4)>\n\

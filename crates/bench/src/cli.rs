@@ -2,7 +2,7 @@
 //! CLI dependency in the approved set), and the `--help` convention
 //! every binary of this package shares.
 
-use cargo_core::{CargoConfig, CountKernel, ScheduleKind, TransportKind};
+use cargo_core::{CargoConfig, ScheduleKind, TransportKind};
 use cargo_mpc::{Backpressure, OfflineMode, DEFAULT_RECV_TIMEOUT};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -41,8 +41,6 @@ pub struct Options {
     /// Offline-phase implementation for the secure count
     /// (`--offline-mode dealer|ot`).
     pub offline: OfflineMode,
-    /// Count kernel (`--kernel scalar|bitsliced`).
-    pub kernel: CountKernel,
     /// Count wire (`--transport memory|tcp`): in-process memory
     /// (default) or the message-passing runtime over real loopback
     /// sockets. Results are bit-identical; TCP measures the ledger.
@@ -79,7 +77,6 @@ impl Default for Options {
             threads: 0,
             batch: 0,
             offline: OfflineMode::TrustedDealer,
-            kernel: CountKernel::Bitsliced,
             transport: TransportKind::Memory,
             factory_threads: 0,
             pool_depth: 0,
@@ -103,7 +100,6 @@ impl Options {
             .with_threads(self.threads)
             .with_batch(self.batch)
             .with_offline(self.offline)
-            .with_kernel(self.kernel)
             .with_transport(self.transport)
             .with_factory_threads(self.factory_threads)
             .with_pool_depth(self.pool_depth)
@@ -158,11 +154,6 @@ impl Options {
                     opts.offline = take_value(&mut i)?
                         .parse()
                         .map_err(|e: String| format!("--offline-mode: {e}"))?
-                }
-                "--kernel" => {
-                    opts.kernel = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--kernel: {e}"))?
                 }
                 "--transport" => {
                     opts.transport = take_value(&mut i)?
@@ -263,17 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parses() {
-        let (o, _) = parse(&["--kernel", "scalar", "table2"]).unwrap();
-        assert_eq!(o.kernel, CountKernel::Scalar);
-        let (o, _) = parse(&["--kernel", "bitsliced", "table2"]).unwrap();
-        assert_eq!(o.kernel, CountKernel::Bitsliced);
-        let (o, _) = parse(&["table2"]).unwrap();
-        assert_eq!(o.kernel, CountKernel::Bitsliced, "bitsliced is default");
-        assert!(parse(&["--kernel", "wat"]).is_err());
-    }
-
-    #[test]
     fn transport_parses() {
         let (o, _) = parse(&["--transport", "tcp", "table2"]).unwrap();
         assert_eq!(o.transport, TransportKind::Tcp);
@@ -340,6 +320,10 @@ mod tests {
     #[test]
     fn unknown_flag_errors() {
         assert!(parse(&["--wat"]).is_err());
+        assert!(
+            parse(&["--kernel", "scalar", "table2"]).is_err(),
+            "retired knob"
+        );
         assert!(parse(&["--n"]).is_err(), "missing value");
     }
 }

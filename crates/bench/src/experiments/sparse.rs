@@ -38,10 +38,7 @@ fn dense_cube(n: u64) -> u128 {
 
 /// A power-law test graph in the shape the paper's datasets share:
 /// heavy-tailed Chung–Lu with ~4 edges per node and a `√n`-scale hub.
-/// Public because the large-graph secure-count sweep
-/// (`bench_secure_count --powerlaw`) scales the same shape to
-/// million-node sizes.
-pub fn power_law(n: usize, seed: u64) -> Graph {
+fn power_law(n: usize, seed: u64) -> Graph {
     let d_max = ((n as f64).sqrt() * 2.0) as usize;
     chung_lu(n, 4 * n, d_max.max(8), 2.5, seed)
 }

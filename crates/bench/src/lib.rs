@@ -24,15 +24,6 @@
 //! Flags: --n <users> --trials <t> --seed <s> --out-dir <dir>
 //!        --data-dir <dir> --threads <w> --batch <b>
 //!        --offline-mode <dealer|ot> --quick
-//!
-//! Three further binaries serve the perf-regression harness:
-//! `bench_secure_count` sweeps the online secure count over
-//! `n × threads × batch` and writes `BENCH_secure_count.json`;
-//! `bench_offline` sweeps the OT-extension offline phase and writes
-//! `BENCH_offline.json` (offline bytes/MG are gated exactly);
-//! `bench_compare` diffs such a report against the committed baseline
-//! (`crates/bench/baselines/`) with a ±20% wall-clock gate and an
-//! exact bytes/triple gate.
 //! ```
 //!
 //! Each experiment prints a Markdown table (the same rows/series the
@@ -40,8 +31,12 @@
 //! `results/`). With `--data-dir` pointing at real SNAP edge lists the
 //! harness uses them; otherwise it uses the calibrated synthetic
 //! presets (DESIGN.md §4).
+//!
+//! The one other binary, `bench_micro`, prints a table of the hot paths
+//! below the Count (MPC primitives, OT kernels, hashes, graph ingest and
+//! the per-step cost of an OT-mode Multiplication Group). End-to-end
+//! performance is measured by the `benchmark/` package at the repo root.
 
-pub mod baseline;
 pub mod cli;
 pub mod datasets;
 pub mod experiments;

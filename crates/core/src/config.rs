@@ -3,20 +3,18 @@
 use cargo_dp::{Composition, EpsilonSplit, PrivacyBudget};
 use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy};
 
-/// Selects the inner evaluation kernel of the Count phase.
+/// Selects the inner evaluation kernel of the in-process Count
+/// ([`crate::CountJob::kernel`]).
 ///
 /// Both kernels produce **bit-identical** shares, openings, and online
 /// `NetStats` ledgers (pinned by `crates/core/tests/
 /// kernel_equivalence.rs`); they differ only in wall-clock. The scalar
-/// kernel is retained for A/B benchmarking (`bench_mg_kernel`) and as
-/// the readable reference of the batched arithmetic.
+/// kernel is retained as the test oracle and the readable reference of
+/// the batched arithmetic.
 ///
 /// ```
 /// use cargo_core::CountKernel;
-/// assert_eq!("scalar".parse::<CountKernel>(), Ok(CountKernel::Scalar));
-/// assert_eq!("batch".parse::<CountKernel>(), Ok(CountKernel::Bitsliced));
 /// assert_eq!(CountKernel::default(), CountKernel::Bitsliced);
-/// assert_eq!(CountKernel::Bitsliced.to_string(), "bitsliced");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CountKernel {
@@ -28,29 +26,6 @@ pub enum CountKernel {
     /// one slab opening per round.
     #[default]
     Bitsliced,
-}
-
-impl std::str::FromStr for CountKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(CountKernel::Scalar),
-            "bitsliced" | "batch" => Ok(CountKernel::Bitsliced),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected \"scalar\" or \"bitsliced\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for CountKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CountKernel::Scalar => "scalar",
-            CountKernel::Bitsliced => "bitsliced",
-        })
-    }
 }
 
 /// Selects the wire the Count phase's openings travel over.
@@ -213,10 +188,6 @@ pub struct CargoConfig {
     /// reported in [`cargo_mpc::NetStats::offline`]). Shares are
     /// bit-identical either way.
     pub offline: OfflineMode,
-    /// Inner Count kernel: the batched structure-of-arrays evaluation
-    /// (default) or the scalar per-triple transcription, retained for
-    /// A/B benching. Shares are bit-identical either way.
-    pub kernel: CountKernel,
     /// Wire the Count openings travel over: in-process memory
     /// (default) or real loopback TCP sockets. Results are
     /// bit-identical either way; TCP additionally *measures* the byte
@@ -239,17 +210,6 @@ pub struct CargoConfig {
     /// the public support. Shares of surviving triples are
     /// bit-identical either way.
     pub schedule: ScheduleKind,
-    /// Density threshold θ of the hybrid tile kernel (the in-process
-    /// dealer-mode bitsliced worker, on every schedule): candidate
-    /// runs of at least θ triples stream through the fused kernel,
-    /// shorter runs are gathered across pairs into full-width SIMD
-    /// tiles. Public, and **never** changes shares, triples, or the
-    /// wire ledger — only kernel evaluation order (`0` streams
-    /// everything, `u32::MAX` gathers everything). Defaults to
-    /// [`crate::count::DEFAULT_TILE_THRESHOLD`]. Inert for the scalar
-    /// kernel, OT mode and the wire runtime
-    /// ([`crate::CountJob::tile_threshold`]).
-    pub tile_threshold: u32,
     /// Continuous-release horizon: how many delta epochs `--mode
     /// serve` budgets for. Ignored by the one-shot pipeline.
     pub horizon: u64,
@@ -276,13 +236,11 @@ impl CargoConfig {
             batch: 0,
             projection: true,
             offline: OfflineMode::TrustedDealer,
-            kernel: CountKernel::Bitsliced,
             transport: TransportKind::Memory,
             factory_threads: 0,
             pool_depth: 0,
             pool_backpressure: Backpressure::Block,
             schedule: ScheduleKind::Dense,
-            tile_threshold: crate::count::DEFAULT_TILE_THRESHOLD,
             horizon: 16,
             composition: Composition::Fixed,
             recv_timeout: cargo_mpc::DEFAULT_RECV_TIMEOUT,
@@ -371,18 +329,6 @@ impl CargoConfig {
         self
     }
 
-    /// Selects the Count kernel.
-    ///
-    /// ```
-    /// use cargo_core::{CargoConfig, CountKernel};
-    /// let cfg = CargoConfig::new(2.0).with_kernel(CountKernel::Scalar);
-    /// assert_eq!(cfg.kernel, CountKernel::Scalar);
-    /// ```
-    pub fn with_kernel(mut self, kernel: CountKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Selects the Count wire.
     ///
     /// ```
@@ -443,21 +389,6 @@ impl CargoConfig {
     /// ```
     pub fn with_schedule(mut self, schedule: ScheduleKind) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Sets the hybrid tile kernel's density threshold θ (`0` is
-    /// meaningful — it streams every run — so there is no
-    /// zero-means-default sentinel here).
-    ///
-    /// ```
-    /// use cargo_core::{CargoConfig, DEFAULT_TILE_THRESHOLD};
-    /// let cfg = CargoConfig::new(2.0).with_tile_threshold(32);
-    /// assert_eq!(cfg.tile_threshold, 32);
-    /// assert_eq!(CargoConfig::new(2.0).tile_threshold, DEFAULT_TILE_THRESHOLD);
-    /// ```
-    pub fn with_tile_threshold(mut self, tile_threshold: u32) -> Self {
-        self.tile_threshold = tile_threshold;
         self
     }
 
@@ -540,18 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_defaults_to_bitsliced_and_parses() {
-        assert_eq!(CargoConfig::new(1.0).kernel, CountKernel::Bitsliced);
-        assert_eq!(
-            CargoConfig::new(1.0).with_kernel(CountKernel::Scalar).kernel,
-            CountKernel::Scalar
-        );
-        assert_eq!("bitsliced".parse::<CountKernel>(), Ok(CountKernel::Bitsliced));
-        assert!("quantum".parse::<CountKernel>().is_err());
-        assert_eq!(CountKernel::Scalar.to_string(), "scalar");
-    }
-
-    #[test]
     fn effective_threads_is_positive() {
         assert!(CargoConfig::new(1.0).effective_threads() >= 1);
         assert_eq!(CargoConfig::new(1.0).with_threads(3).effective_threads(), 3);
@@ -582,21 +501,6 @@ mod tests {
         );
         assert!("hexagonal".parse::<ScheduleKind>().is_err());
         assert_eq!(ScheduleKind::Dense.to_string(), "dense");
-    }
-
-    #[test]
-    fn tile_threshold_defaults_and_overrides() {
-        assert_eq!(
-            CargoConfig::new(1.0).tile_threshold,
-            crate::count::DEFAULT_TILE_THRESHOLD
-        );
-        assert_eq!(CargoConfig::new(1.0).with_tile_threshold(0).tile_threshold, 0);
-        assert_eq!(
-            CargoConfig::new(1.0)
-                .with_tile_threshold(u32::MAX)
-                .tile_threshold,
-            u32::MAX
-        );
     }
 
     #[test]

@@ -148,7 +148,8 @@ pub struct CountJob {
     pub offline: OfflineMode,
     /// Inner kernel of [`count_local`] (bit-identical either way; the
     /// wire executors' slab rounds *are* the batched kernel and ignore
-    /// this).
+    /// this). No configuration sets it: the scalar kernel is the
+    /// equivalence suites' oracle.
     pub kernel: CountKernel,
     /// Background triple factory for the OT offline phase: when
     /// enabled, chunk material is drawn from a [`TriplePool`] keyed by
@@ -172,7 +173,8 @@ pub struct CountJob {
     /// ones are gathered across pairs into shared lanes. Applies on
     /// every plan and either input kind; regroups kernel evaluation
     /// only (never shares, triples or the ledger). Inert for the scalar
-    /// kernel, the OT workers and the wire executors.
+    /// kernel, the OT workers and the wire executors. No configuration
+    /// sets it; the equivalence suites drive it to both extremes.
     pub tile_threshold: u32,
 }
 
@@ -195,17 +197,16 @@ impl CountJob {
 
     /// The job a pipeline configuration describes, over `plan` — the
     /// one place the Count seed is derived from the root seed and the
-    /// config's `0 ⇒ default` knobs are resolved.
+    /// config's `0 ⇒ default` knobs are resolved. Kernel and θ keep
+    /// [`CountJob::new`]'s defaults: no configuration changes them.
     pub fn from_config(cfg: &CargoConfig, plan: SchedulePlan) -> Self {
         CountJob {
-            seed: cfg.seed ^ COUNT_SEED_TWEAK,
             threads: cfg.effective_threads(),
             batch: cfg.effective_batch(),
             offline: cfg.offline,
-            kernel: cfg.kernel,
             pool: cfg.pool_policy(),
             plan,
-            tile_threshold: cfg.tile_threshold,
+            ..CountJob::new(cfg.seed ^ COUNT_SEED_TWEAK)
         }
     }
 
@@ -402,8 +403,8 @@ impl AdjacencyBits for CsrGraph {
 /// Evaluates every triple of one pair-space chunk, one Multiplication
 /// Group at a time ([`CountKernel::Scalar`]): the inlined per-triple
 /// transcription of the MG protocol over block-expanded dealer words.
-/// Retained as the A/B baseline of `bench_mg_kernel` and as the
-/// readable reference of what [`count_chunk_tiled`] computes.
+/// Retained as the equivalence suites' oracle and as the readable
+/// reference of what [`count_chunk_tiled`] computes.
 ///
 /// Like every worker below, it walks the chunk's **draw plan** — one
 /// `(pair, k-run)` per [`cargo_mpc::MgDraw`], at the run's canonical
@@ -905,7 +906,7 @@ mod tests {
         assert_eq!(res.net.elements, 6 * c3);
         assert_eq!(res.upload_elements, 2 * (n * n) as u64);
         // Rounds: a chunk of W triples is opened b at a time across
-        // pair boundaries — rounds == batches == Σ_chunks ⌈W_c/b⌉.
+        // pair boundaries — rounds == Σ_chunks ⌈W_c/b⌉.
         for b in [5usize, 64, 1_000_000] {
             let batched = count_local(&g.to_bit_matrix(), &job(1, 1, b));
             let sched = job(1, 1, b).local_scheduler(n);
@@ -913,7 +914,6 @@ mod tests {
             let want_rounds: u64 =
                 sched.chunks().iter().map(|c| c.triples.div_ceil(sched.batch() as u64)).sum();
             assert_eq!(batched.net.rounds, want_rounds, "batch {b}");
-            assert_eq!(batched.net.batches, want_rounds, "batch {b}");
             assert_eq!(batched.net.peak_batch, 3 * sched.batch() as u64, "batch {b}");
             assert_eq!(batched.net.elements, 6 * c3, "batch {b}");
         }

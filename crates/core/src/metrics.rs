@@ -46,10 +46,9 @@ pub fn median(xs: &[f64]) -> f64 {
 /// read from Linux's `VmHWM` line in `/proc/self/status`. Returns
 /// `None` on platforms without that interface (or if the kernel ever
 /// drops the line) — callers report the number as *unavailable*, never
-/// as zero. This is the probe the large-graph benches use to certify
-/// that the streamed sparse schedule's peak memory stays O(chunk):
-/// VmHWM is a true high-water mark, so it catches any transient
-/// materialisation the instantaneous RSS would miss.
+/// as zero. `party` reports it (`STAT peak_rss_mb`): VmHWM is a true
+/// high-water mark, so it catches any transient materialisation the
+/// instantaneous RSS would miss.
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {

@@ -14,7 +14,7 @@
 //! because this is a reproduction and the experiments must decompose
 //! the error into projection loss vs perturbation error (Theorems 5/6).
 
-use crate::config::{CargoConfig, CountKernel, TransportKind};
+use crate::config::{CargoConfig, TransportKind};
 use crate::count::{count_local, CountJob, SecureCountResult};
 use crate::count_runtime::count_two_party;
 use crate::count_sched::SchedulePlan;
@@ -118,18 +118,6 @@ pub(crate) fn count_projected(cfg: &CargoConfig, projected: &BitMatrix) -> Secur
     match cfg.transport {
         TransportKind::Memory => count_local(projected, &job),
         TransportKind::Tcp => {
-            // The TCP runtime's slab rounds ARE the batched kernel;
-            // there is no scalar variant of the wire protocol. Say so
-            // instead of silently ignoring the A/B knob (results are
-            // bit-identical either way).
-            if job.kernel != CountKernel::default() {
-                eprintln!(
-                    "warning: --transport tcp always runs the batched runtime; \
-                     --kernel {} has no effect there (shares are bit-identical \
-                     across kernels)",
-                    job.kernel
-                );
-            }
             let tcp = TcpConfig { recv_timeout: cfg.recv_timeout, ..TcpConfig::default() };
             let (end1, end2, _) = TcpTransport::loopback_pair(&tcp).expect("loopback socket pair");
             count_two_party(projected, &job, &Arc::new(end1), &Arc::new(end2))

@@ -172,13 +172,12 @@ proptest! {
                     }
                     closed.exchange_triples(chunk.triples, b as u64);
                 }
-                // rounds == batches == Σ_chunks ⌈W_c/b⌉, on the cutter,
+                // rounds == Σ_chunks ⌈W_c/b⌉, on the cutter,
                 // the closed form and the executor alike.
                 let want_rounds: u64 =
                     sched.chunks().iter().map(|c| c.triples.div_ceil(b as u64)).sum();
                 prop_assert_eq!(cut, closed);
                 prop_assert_eq!(cut.rounds, want_rounds);
-                prop_assert_eq!(cut.batches, want_rounds);
                 let job = CountJob { plan: plan.clone(), ..job(seed, 1, batch) };
                 prop_assert_eq!(count_local(&m, &job).net, closed);
             }

@@ -112,11 +112,6 @@ pub struct NetStats {
     /// rounds and a run `Σ_chunks ⌈W_c/b⌉` — on the wire executors,
     /// exactly the opening frames each server sends.
     pub rounds: u64,
-    /// Element-carrying messages per direction (one per batch flush).
-    /// `rounds` counts latency; `batches` counts scheduling
-    /// granularity. Every recorded exchange flushes once a round, so
-    /// `batches == rounds`.
-    pub batches: u64,
     /// Largest single batch (elements each way) seen so far — the peak
     /// per-message buffer a deployment would need: `3·b` for a Count
     /// with a chunk of at least `b` triples, `3·W` for one whose
@@ -151,7 +146,6 @@ impl NetStats {
         self.bytes += 2 * elements_each_way * 8;
         self.wire_bytes += 2 * elements_each_way * 8;
         self.rounds += 1;
-        self.batches += 1;
         self.peak_batch = self.peak_batch.max(elements_each_way);
     }
 
@@ -167,7 +161,6 @@ impl NetStats {
         self.bytes += 2 * elements_each_way * 8 * rounds;
         self.wire_bytes += 2 * elements_each_way * 8 * rounds;
         self.rounds += rounds;
-        self.batches += rounds;
         self.peak_batch = self.peak_batch.max(elements_each_way);
     }
 
@@ -208,7 +201,6 @@ impl NetStats {
         self.bytes += other.bytes;
         self.wire_bytes += other.wire_bytes;
         self.rounds += other.rounds;
-        self.batches += other.batches;
         self.peak_batch = self.peak_batch.max(other.peak_batch);
         self.offline.merge(&other.offline);
     }
@@ -370,7 +362,6 @@ mod tests {
         assert_eq!(s.bytes, 48);
         assert_eq!(s.wire_bytes, 48, "modeled paths keep wire_bytes == bytes");
         assert_eq!(s.rounds, 1);
-        assert_eq!(s.batches, 1);
         assert_eq!(s.peak_batch, 3);
     }
 
@@ -425,7 +416,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.elements, 14);
         assert_eq!(a.rounds, 2);
-        assert_eq!(a.batches, 2);
         assert_eq!(a.peak_batch, 5);
     }
 

@@ -68,8 +68,8 @@
 //!   ── derandomise c_w ───────────────────────▶     round 5
 //! ```
 //!
-//! Cost per MG (formula pinned by `ledger` tests and the committed
-//! `BENCH_offline.json` baseline): 512 extended OTs,
+//! Cost per MG (formula pinned by `ledger` tests and the golden fixture
+//! of `crates/core/tests/offline_equivalence.rs`): 512 extended OTs,
 //! [`MG_OFFLINE_BYTES_PER_GROUP`] bytes; per flight,
 //! [`MG_FLIGHT_DIGEST_BYTES`] digest bytes and [`MG_FLIGHT_ROUNDS`]
 //! rounds; plus one global base-OT setup ([`ot_setup_ledger`]).

@@ -1,9 +1,9 @@
 //! The offline **triple factory**: a bounded, background pool of
 //! preprocessed MG material.
 //!
-//! The paper's cost split (measured in `BENCH_offline.json`) makes the
-//! offline phase the wall: ~3 orders of magnitude more time per
-//! Multiplication Group than the online evaluation. Production
+//! The paper's cost split (measured by the repo benchmark's `ot-mem`
+//! workload) makes the offline phase the wall: ~3 orders of magnitude
+//! more time per Multiplication Group than the online evaluation. Production
 //! deployments amortise that by running preprocessing *off the query
 //! path* — triples are manufactured ahead of time and queries only
 //! draw from a pool. [`TriplePool`] reproduces that shape:

@@ -113,15 +113,6 @@ impl SplitMix64 {
     pub(crate) fn skip(&mut self, words: usize) {
         self.state = self.state.wrapping_add(SM_GAMMA.wrapping_mul(words as u64));
     }
-
-    /// Derives an independent child generator (seed-splitting for the
-    /// per-thread dealer streams in the parallel secure count).
-    pub fn split(&mut self, stream: u64) -> SplitMix64 {
-        // Mix the stream id through one round so children with adjacent
-        // ids are decorrelated.
-        let mut mixer = SplitMix64::new(self.next_u64() ^ stream.wrapping_mul(0xA24BAED4963EE407));
-        SplitMix64::new(mixer.next_u64())
-    }
 }
 
 /// # Safety
@@ -227,14 +218,5 @@ mod tests {
         let mut b = SplitMix64::new(5);
         a.fill_block(&mut []);
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn split_streams_are_decorrelated() {
-        let mut root = SplitMix64::new(7);
-        let mut c1 = root.split(0);
-        let mut c2 = root.split(1);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -74,7 +74,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
 
 fn parse_args_inner(argv: &[String]) -> Result<Args, String> {
     let mut input = None;
-    let mut epsilon = 2.0;
+    let mut epsilon = 2.0f64;
     let mut protocol = "cargo".to_string();
     let mut n = None;
     let mut seed = 0u64;
@@ -109,8 +109,8 @@ fn parse_args_inner(argv: &[String]) -> Result<Args, String> {
         i += 1;
     }
     let input = input.ok_or("missing required flag --input")?;
-    if epsilon <= 0.0 {
-        return Err("--epsilon must be positive".into());
+    if !(epsilon > 0.0 && epsilon.is_finite()) {
+        return Err("--epsilon must be finite and > 0".into());
     }
     let known = ["cargo", "central", "local2rounds", "localrr", "exact", "replay"];
     if !known.contains(&protocol.as_str()) {
@@ -305,7 +305,14 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse(&[]).is_err(), "missing --input");
-        assert!(parse(&["--input", "g", "--epsilon", "-1"]).is_err());
+        for eps in ["0", "-1", "nan", "inf", "-inf"] {
+            let msg = parse(&["--input", "g", "--epsilon", eps]).err();
+            assert_eq!(
+                msg.as_deref(),
+                Some("--epsilon must be finite and > 0"),
+                "--epsilon {eps}"
+            );
+        }
         assert!(parse(&["--input", "g", "--protocol", "wat"]).is_err());
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--input"]).is_err(), "missing value");

@@ -100,7 +100,6 @@ struct Args {
     pool_depth: usize,
     pool_backpressure: cargo_mpc::Backpressure,
     schedule: ScheduleKind,
-    tile_threshold: Option<u32>,
     data_dir: Option<PathBuf>,
     no_projection: bool,
     mode: Mode,
@@ -122,7 +121,6 @@ fn usage() -> String {
      \x20      [--factory-threads <f=0 (inline)>] [--pool-depth <d=0 (default 4)>]\n\
      \x20      [--pool-backpressure block|fail-fast]\n\
      \x20      [--schedule dense|sparse|sparse-stream (default dense)]\n\
-     \x20      [--tile-threshold <runs (sparse-stream hybrid kernel; default 8)>]\n\
      \x20      [--mode pipeline|serve (default pipeline)]\n\
      \x20      [--deltas FILE|- (serve: edge-delta script; default stdin)]\n\
      \x20      [--horizon <epochs=16>] [--composition fixed|tree]\n\
@@ -188,7 +186,6 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
         pool_depth: 0,
         pool_backpressure: cargo_mpc::Backpressure::Block,
         schedule: ScheduleKind::Dense,
-        tile_threshold: None,
         data_dir: None,
         no_projection: false,
         mode: Mode::Pipeline,
@@ -259,13 +256,6 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
                 args.schedule = take(&mut i)?
                     .parse()
                     .map_err(|e: String| format!("--schedule: {e}"))?
-            }
-            "--tile-threshold" => {
-                args.tile_threshold = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--tile-threshold: {e}"))?,
-                )
             }
             "--data-dir" => args.data_dir = Some(PathBuf::from(take(&mut i)?)),
             "--no-projection" => args.no_projection = true,
@@ -366,10 +356,18 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
 /// Prints the role-independent transcript both parties must agree on.
 /// `{}` on f64 prints the shortest round-tripping decimal, so two
 /// bit-identical noisy counts print identically.
-fn print_result(report: &PartyReport) {
+fn print_result(report: &PartyReport, schedule: ScheduleKind) {
     println!("RESULT noisy_count={}", report.noisy_count);
+    // A sparse schedule's candidates are the projected edge set itself:
+    // every scheduled bit is 1, so the count is public to both servers
+    // (PROTOCOL.md §6.1).
+    let candidates = if schedule == ScheduleKind::Dense {
+        ""
+    } else {
+        " candidates=support"
+    };
     println!(
-        "RESULT d_max_noisy={} truncated_users={} projected_count={} triples={}",
+        "RESULT d_max_noisy={} truncated_users={} projected_count={} triples={}{candidates}",
         report.d_max_noisy, report.truncated_users, report.projected_count, report.triples
     );
     let net = &report.net;
@@ -871,9 +869,6 @@ fn main() {
         .with_horizon(args.horizon)
         .with_composition(args.composition)
         .with_recv_timeout(args.recv_timeout);
-    if let Some(theta) = args.tile_threshold {
-        cfg = cfg.with_tile_threshold(theta);
-    }
     if args.no_projection {
         cfg = cfg.without_projection();
     }
@@ -890,7 +885,7 @@ fn main() {
             eprintln!("[party local] both in-process parties agree");
             print_pool(&r1);
             print_peak_rss();
-            print_result(&r1);
+            print_result(&r1, args.schedule);
         }
         role @ (Role::S1 | Role::S2) => {
             let id = match role {
@@ -911,7 +906,7 @@ fn main() {
             );
             print_pool(&report);
             print_peak_rss();
-            print_result(&report);
+            print_result(&report, args.schedule);
         }
     }
 }
@@ -939,6 +934,7 @@ mod tests {
     #[test]
     fn unknown_flags_and_missing_values_are_refused() {
         assert!(refusal(&["--role", "local", "--wat"]).starts_with("unknown flag --wat\nusage: party"));
+        assert!(refusal(&["--role", "local", "--tile-threshold", "8"]).starts_with("unknown flag"));
         assert_eq!(refusal(&["--role", "local", "--n"]), "flag --n needs a value");
         assert!(refusal(&["--role", "local", "--n", "many"]).starts_with("--n: "));
         assert!(refusal(&["--role", "s3"]).starts_with("unknown role"));
