@@ -5,13 +5,15 @@
 //!
 //! The `mg/*` rows answer where an OT-mode Multiplication Group's time
 //! goes (DESIGN.md §8.1): an operation there is one MG, both parties
-//! summed — on a one-core host that sum *is* the wall time.
+//! summed — on a one-core host that sum *is* the wall time. The
+//! `wire/*` rows attribute a wire party's Count the same way, per
+//! triple and per server.
 //!
 //! ```text
 //! usage: bench_micro [--measure-ms 400] [--quick]
 //! ```
 
-use cargo_core::{estimate_max_degree, project_matrix};
+use cargo_core::{estimate_max_degree, project_matrix, DEFAULT_COUNT_BATCH};
 use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
@@ -21,8 +23,9 @@ use cargo_mpc::ot::{simulated_base_ots, transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
-    cr_hash_scalar, mul3, plan_flights, Dealer, MgDraw, MgOfflineS1, MgOfflineS2, NetStats,
-    OfflineMsg, Ring64, SimdTier, SplitMix64, WireMessage, MAX_FLIGHT_GROUPS,
+    cr_hash_scalar, expand_input_shares, mul3, plan_flights, Dealer, MgDraw, MgOfflineS1,
+    MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, ServerId, SimdTier, SplitMix64,
+    WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -204,6 +207,52 @@ fn main() {
             ))
         });
         row("mul3", 1, 1, ns, probe_net.bytes as f64);
+    }
+
+    // wire/*: one party of the wire Count, per triple, over one default
+    // round of a single draw — its input shares of rows i and j, its
+    // masking (the dealer words it needs drawn inside the lane loop)
+    // and its opening + combination; then fill_words, the AoS
+    // expansion of both parties' ten words, per group. DESIGN.md §8.1
+    // reads these beside the fused two-party kernel.
+    {
+        let len = DEFAULT_COUNT_BATCH;
+        let bits: Vec<u64> = (0..len as u64)
+            .map(|k| (k.wrapping_mul(0x9E37_79B9) >> 7) & 1)
+            .collect();
+        let mut efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
+        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
+            let (mut b, mut c) = (bits.clone(), bits.clone());
+            let ns = measure_median_iqr_ns(12, budget, || {
+                b.copy_from_slice(&bits);
+                c.copy_from_slice(&bits);
+                expand_input_shares(7, server, 3, 9, &mut b);
+                expand_input_shares(7, server, 5, 9, &mut c);
+                black_box(b[len - 1] ^ c[len - 1])
+            });
+            row(&format!("wire/shares/{server:?}"), len, len as u64, ns, 0.0);
+            let dealer = PairDealer::for_pair(7, 3, 5);
+            let ns = measure_median_iqr_ns(12, budget, || {
+                dealer.clone().mask_block(server, 1, &b, &c, &mut efg[s]);
+                black_box(efg[s][3 * len - 1])
+            });
+            row(&format!("wire/mask/{server:?}"), len, len as u64, ns, 24.0);
+        }
+        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
+            let dealer = PairDealer::for_pair(7, 3, 5);
+            let ns = measure_median_iqr_ns(12, budget, || {
+                black_box(dealer.clone().combine_block(server, &efg[s], &efg[1 - s]))
+            });
+            let name = format!("wire/combine/{server:?}");
+            row(&name, len, len as u64, ns, 0.0);
+        }
+        let mut words = vec![0u64; MG_WORDS * len];
+        let mut dealer = PairDealer::for_pair(7, 3, 5);
+        let ns = measure_median_iqr_ns(12, budget, || {
+            dealer.fill_words(&mut words);
+            black_box(words[MG_WORDS * len - 1])
+        });
+        row("dealer/fill_words", len, len as u64, ns, 0.0);
     }
 
     // beaver_mul: the classic two-value multiplication it improves on.

@@ -4,6 +4,7 @@
 
 use cargo_bench::experiments;
 use cargo_bench::Options;
+use cargo_core::DEFAULT_COUNT_BATCH;
 
 fn usage() -> String {
     format!(
@@ -11,14 +12,15 @@ fn usage() -> String {
          commands: {} | all | sparse\n\
          flags: --n <users=2000> --trials <t=5> --seed <s=0>\n\
          \x20      --out-dir <dir=results> --data-dir <snap-dir>\n\
-         \x20      --threads <w=0 (all cores)> --batch <b=0 (default 64)>\n\
+         \x20      --threads <w=0 (all cores)> --batch <b=0 (default {})>\n\
          \x20      --offline-mode <dealer|ot (default dealer)>\n\
          \x20      --transport <memory|tcp (default memory)>\n\
          \x20      --recv-timeout <seconds=120 (tcp only)>\n\
          \x20      --factory-threads <f=0 (inline)> --pool-depth <d=0 (default 4)>\n\
          \x20      --pool-backpressure <block|fail-fast (default block)>\n\
          \x20      --schedule <dense|sparse|sparse-stream (default dense)> --quick",
-        experiments::ALL.join(" | ")
+        experiments::ALL.join(" | "),
+        DEFAULT_COUNT_BATCH
     )
 }
 

@@ -55,12 +55,12 @@
 //!   Element/byte counts are per-triple exact.
 
 use crate::config::{CargoConfig, CountKernel};
-use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
+use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    mul3, mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, mul3_tile_batch,
-    ot_setup_ledger, Dealer, Mul3Opening, NetStats, OfflineMode, OtMgEngine, PairDealer,
-    PoolPolicy, PoolStats, Ring64, ServerId, TriplePool, LANES, MG_WORDS,
+    expand_input_shares, mul3, mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch,
+    mul3_tile_batch, ot_setup_ledger, share_prf, Dealer, Mul3Opening, NetStats, OfflineMode, OtMgEngine,
+    PairDealer, PoolPolicy, PoolStats, Ring64, ServerId, TriplePool, LANES, MG_WORDS,
 };
 use std::sync::Arc;
 
@@ -648,14 +648,12 @@ fn count_chunk_ot<B: AdjacencyBits>(
     let mut triples = 0u64;
     net.offline.merge(&offline);
 
-    // Adjacency bits of one block, then the batch kernel's scratch
-    // (slab layouts of the per-server helpers).
-    let mut b_bits = vec![0u64; batch];
-    let mut c_bits = vec![0u64; batch];
-    let mut b1 = vec![Ring64::ZERO; batch];
-    let mut b2 = vec![Ring64::ZERO; batch];
-    let mut c1 = vec![Ring64::ZERO; batch];
-    let mut c2 = vec![Ring64::ZERO; batch];
+    // Both servers' input shares of one block, then the batch kernel's
+    // scratch (slab layouts of the per-server helpers).
+    let mut b1 = vec![0u64; batch];
+    let mut b2 = vec![0u64; batch];
+    let mut c1 = vec![0u64; batch];
+    let mut c2 = vec![0u64; batch];
     let mut mine = vec![0u64; 3 * batch];
     let mut theirs = vec![0u64; 3 * batch];
     let mut opened = vec![0u64; 3 * batch];
@@ -663,8 +661,8 @@ fn count_chunk_ot<B: AdjacencyBits>(
     for (idx, d) in plan.iter().enumerate() {
         let (i, j) = (d.i as usize, d.j as usize);
         let (g1s, g2s) = material.pair(idx);
-        let aij1 = Ring64(share_prf(seed, d.i, d.j));
-        let aij2 = Ring64(bits.bit(i, j)) - aij1;
+        let aij1 = share_prf(seed, d.i, d.j);
+        let aij2 = bits.bit(i, j).wrapping_sub(aij1);
         let mut k = j + 1 + d.start as usize;
         let end = k + d.groups as usize;
         let mut off = 0usize;
@@ -672,27 +670,27 @@ fn count_chunk_ot<B: AdjacencyBits>(
             let block = (end - k).min(batch);
             let g1b = &g1s[off..off + block];
             let g2b = &g2s[off..off + block];
-            bits.fill_bits(i, k, &mut b_bits[..block]);
-            bits.fill_bits(j, k, &mut c_bits[..block]);
-            for (l, kk) in (k..k + block).enumerate() {
-                b1[l] = Ring64(share_prf(seed, i as u32, kk as u32));
-                b2[l] = Ring64(b_bits[l]) - b1[l];
-                c1[l] = Ring64(share_prf(seed, j as u32, kk as u32));
-                c2[l] = Ring64(c_bits[l]) - c1[l];
+            for (row, s1, s2) in [(d.i, &mut b1, &mut b2), (d.j, &mut c1, &mut c2)] {
+                expand_input_shares(seed, ServerId::S1, row, k as u32, &mut s1[..block]);
+                bits.fill_bits(row as usize, k, &mut s2[..block]);
+                expand_input_shares(seed, ServerId::S2, row, k as u32, &mut s2[..block]);
             }
             match kernel {
                 CountKernel::Scalar => {
+                    let (a1, a2) = (Ring64(aij1), Ring64(aij2));
                     for (l, (g1, g2)) in g1b.iter().zip(g2b).enumerate() {
+                        let (b1, b2) = (Ring64(b1[l]), Ring64(b2[l]));
+                        let (c1, c2) = (Ring64(c1[l]), Ring64(c2[l]));
                         // Online steps 1–3 of the MG protocol on share
                         // structs, via the protocol-object combination.
                         let opening = Mul3Opening {
-                            e: (aij1 - g1.x) + (aij2 - g2.x),
-                            f: (b1[l] - g1.y) + (b2[l] - g2.y),
-                            g: (c1[l] - g1.z) + (c2[l] - g2.z),
+                            e: (a1 - g1.x) + (a2 - g2.x),
+                            f: (b1 - g1.y) + (b2 - g2.y),
+                            g: (c1 - g1.z) + (c2 - g2.z),
                         };
                         let efg = opening.e * opening.f * opening.g;
-                        t1 += mul3_combine((aij1, b1[l], c1[l]), g1, opening, Ring64::ZERO);
-                        t2 += mul3_combine((aij2, b2[l], c2[l]), g2, opening, efg);
+                        t1 += mul3_combine((a1, b1, c1), g1, opening, Ring64::ZERO);
+                        t2 += mul3_combine((a2, b2, c2), g2, opening, efg);
                     }
                 }
                 CountKernel::Bitsliced => {

@@ -21,12 +21,12 @@
 //!   partitions the `(i, j)` pair space into chunks; each server
 //!   worker owns the chunks congruent to its index. A chunk's draw
 //!   plan is cut by [`cargo_mpc::plan_rounds`] into rounds of exactly
-//!   `batch` triples **in plan order, across `k`-run and pair
-//!   boundaries** (only the chunk's last round is short), and every
-//!   round travels as **one frame** ([`cargo_mpc::OpeningMsg`]): each
-//!   segment `(draw, offset, len)` of the round masked into its own
-//!   `[e|f|g]` sub-slab by [`mul3_mask_batch`], the slab opened
-//!   element-wise, each segment combined by [`mul3_combine_batch`].
+//!   `batch` triples ([`crate::DEFAULT_COUNT_BATCH`] = 1 024 by
+//!   default) **in plan order, across `k`-run and pair boundaries**
+//!   (only the chunk's last round is short), and every round travels as
+//!   **one frame** ([`cargo_mpc::OpeningMsg`]): each segment
+//!   `(draw, offset, len)` of the round masked into its own `[e|f|g]`
+//!   sub-slab, the slab opened element-wise, each segment combined.
 //!   The header names the round's first `(pair, k)`; S₁ and S₂ derive
 //!   the cut from the public plan and `batch` alone, and four lockstep
 //!   checks (chunk, pair, first `k`, slab length) stop a peer that cut
@@ -34,7 +34,18 @@
 //!   server share one multiplexed link whose frames carry the chunk
 //!   id, so rounds from different shards interleave safely on the same
 //!   wire. In OT mode each chunk is preceded by its amortised offline
-//!   session on the same link ([`cargo_mpc::mg_offline_over_wire`]).
+//!   session on the same link ([`cargo_mpc::mg_offline_over_wire`]);
+//! * **one server's arithmetic at kernel speed** — in dealer mode a
+//!   segment is three lane-parallel passes: the server's input shares
+//!   of rows `i` and `j` ([`expand_input_shares`]; S₁ never reads the
+//!   matrix), its masking with its own `x, y, z` words drawn straight
+//!   from the pair stream's counter ([`PairDealer::mask_block`]), and,
+//!   once the peer's slab is in, the opening and combination from a
+//!   copy of the same stream position ([`PairDealer::combine_block`]:
+//!   S₁ re-derives seven words, S₂ all ten). No dealer word is buffered
+//!   and the other server's column is never expanded. OT and pool mode
+//!   mask and combine their preprocessed share structs with
+//!   [`mul3_mask_batch`] / [`mul3_combine_batch`].
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -49,17 +60,17 @@
 //! size, and transport backend, because both key their randomness per
 //! `(i, j)` pair.
 
-use crate::count::{finish, CountJob, CountPart, SecureCountResult};
-use crate::count_sched::{share_prf, CountScheduler, PairChunk, SchedulePlan};
+use crate::count::{finish, AdjacencyBits, CountJob, CountPart, SecureCountResult};
+use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch, mul3_open_batch, ot_setup_ledger,
-    plan_rounds, recv_msg, send_msg, split_mg_words, MgDraw, MulGroupShare, NetStats, OfflineMode,
-    OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment, ServerId, Transport, TriplePool,
-    MG_WORDS,
+    expand_input_shares, mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch,
+    mul3_open_batch, ot_setup_ledger, plan_rounds, recv_msg, send_msg, MgDraw,
+    NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment, ServerId,
+    Transport, TriplePool,
 };
 use std::sync::Arc;
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::ScopedJoinHandle;
 
 /// One server of the sharded runtime — the state its worker pool
 /// shares. Worker `w` of `workers` owns the chunks with
@@ -70,10 +81,11 @@ struct Server<'a, T: Transport> {
     sched: &'a CountScheduler,
     /// The users' plaintext rows, touched only to expand **this
     /// server's** input shares lazily: `⟨a_ij⟩₁ = PRF(seed, i, j)` and
-    /// `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁`, recomputed on demand instead of
-    /// materialised up front. An n×n `Ring64` table is ~3.2 GB at
-    /// n = 20 000 — the scale the sparse schedule exists to reach —
-    /// while the packed [`BitMatrix`] it expands from is n²/8 bytes.
+    /// `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁` (so only S₂ reads it), recomputed on
+    /// demand instead of materialised up front. An n×n `Ring64` table
+    /// is ~3.2 GB at n = 20 000 — the scale the sparse schedule exists
+    /// to reach — while the packed [`BitMatrix`] it expands from is
+    /// n²/8 bytes.
     matrix: &'a BitMatrix,
     /// The server↔server wire (openings + offline dialogue).
     peer: &'a T,
@@ -88,32 +100,31 @@ struct Server<'a, T: Transport> {
 }
 
 impl<'env, T: Transport> Server<'env, T> {
-    /// This server's share of the single bit `a_ij`.
-    fn share(&self, i: usize, j: usize) -> Ring64 {
-        let s1 = Ring64(share_prf(self.job.seed, i as u32, j as u32));
-        match self.id {
-            ServerId::S1 => s1,
-            ServerId::S2 => Ring64::from_bit(self.matrix.get(i, j)) - s1,
+    /// This server's shares of row `row`, columns
+    /// `k0 .. k0 + out.len()`, expanded lane-parallel from the users'
+    /// PRF ([`expand_input_shares`]): S₂ reads the plaintext bits to
+    /// subtract them, S₁'s shares are the PRF alone.
+    fn input_shares(&self, row: usize, k0: usize, out: &mut [u64]) {
+        if self.id == ServerId::S2 {
+            self.matrix.fill_bits(row, k0, out);
         }
+        expand_input_shares(self.job.seed, self.id, row as u32, k0 as u32, out);
     }
 
-    /// Expands the row-`i` shares `⟨a_i,k0⟩ .. ⟨a_i,k0+len⟩` into `out`.
-    fn fill_row(&self, i: usize, k0: usize, out: &mut [Ring64]) {
-        for (o, slot) in out.iter_mut().enumerate() {
-            *slot = self.share(i, k0 + o);
-        }
-    }
-
-    /// Starts this server's worker pool: no more workers than there
-    /// are chunks to own.
-    fn spawn<'scope>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-    ) -> Vec<ScopedJoinHandle<'scope, CountPart>> {
+    /// Runs this server's worker pool — no more workers than there are
+    /// chunks to own — and returns each worker's part. Worker 0 runs on
+    /// the calling thread, so a pool of one starts no thread: a Count
+    /// per serve epoch would otherwise start a thread per party per
+    /// epoch, and every fresh thread may land its round buffers in
+    /// another malloc arena.
+    fn run_workers(&self) -> Vec<CountPart> {
         let workers = self.sched.workers().min(self.sched.chunks().len()).max(1);
-        (0..workers)
-            .map(|w| scope.spawn(move || self.run(w, workers)))
-            .collect()
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (1..workers).map(|w| scope.spawn(move || self.run(w, workers))).collect();
+            let first = self.run(0, workers);
+            std::iter::once(first).chain(handles.into_iter().map(join)).collect()
+        })
     }
 
     /// Runs worker `w`'s share of the protocol: its partial `⟨T⟩` (in
@@ -173,65 +184,65 @@ impl<'env, T: Transport> Server<'env, T> {
                 &mut net.offline,
             )),
         };
+        if let Some(groups) = &material {
+            let want: usize = plan.iter().map(|d| d.groups as usize).sum();
+            assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
+        }
         // One opening message per worker: each round masks straight
         // into its slab and sends it by reference.
         let mut mine =
             OpeningMsg { chunk: chunk.id, pair: (0, 0), k0: 0, efg: Vec::with_capacity(3 * batch) };
-        let mut opened = vec![0u64; 3 * batch];
-        let mut words = vec![0u64; MG_WORDS * batch];
-        let mut local_groups: Vec<MulGroupShare> = Vec::with_capacity(batch);
-        let mut b_blk = vec![Ring64::ZERO; batch];
-        let mut c_blk = vec![Ring64::ZERO; batch];
-        // The dealer stream of the draw being consumed (dealer mode).
+        // This server's shares of a segment's a_ik and a_jk, grown to
+        // the longest segment met (a k-run rarely fills a round).
+        let (mut b_blk, mut c_blk) = (Vec::new(), Vec::new());
+        // Dealer mode: the stream of the draw being consumed, and each
+        // segment's stream at its first group — where the round's
+        // combine re-derives the words its mask drew.
         let mut stream: Option<PairDealer> = None;
-        // Groups of the chunk already opened — a round's material is
-        // the next `len` groups of the plan-ordered slab.
+        let mut starts: Vec<PairDealer> = Vec::new();
+        // OT mode: the opened slab of one segment, for the share-struct
+        // helpers.
+        let mut opened = Vec::new();
+        // Groups of the chunk already opened — in OT mode a round's
+        // material is the next `len` groups of the plan-ordered slab.
         let mut done = 0usize;
         let mut rounds = plan_rounds(&plan, batch);
         while let Some(round) = rounds.next_round() {
             let (pair, k0) = round_header(&plan, round);
             let len: usize = round.iter().map(|seg| seg.len).sum();
             let at = format_args!("chunk {}, first pair {pair:?}, first k {k0}", chunk.id);
-            let groups: &[MulGroupShare] = match &material {
-                Some(groups) => &groups[done..done + len],
-                None => {
-                    local_groups.clear();
-                    for seg in round {
-                        segment_stream(&mut stream, seed, &plan, seg)
-                            .fill_words(&mut words[..MG_WORDS * seg.len]);
-                        local_groups.extend(words[..MG_WORDS * seg.len].chunks_exact(MG_WORDS).map(
-                            |w| {
-                                let (s1, s2) = split_mg_words(w);
-                                match self.id {
-                                    ServerId::S1 => s1,
-                                    ServerId::S2 => s2,
-                                }
-                            },
-                        ));
-                    }
-                    &local_groups
-                }
-            };
-            assert_eq!(groups.len(), len, "offline batch size mismatch in the round at {at}");
             // Step 1: local maskings — each segment of the round into
             // its own [e|f|g] sub-slab (the batch kernel's layout) of
             // the one opening frame.
             let slab = 3 * len;
             (mine.pair, mine.k0) = (pair, k0);
             mine.efg.resize(slab, 0);
+            starts.clear();
             let mut lane = 0usize;
             for seg in round {
                 let d = &plan[seg.draw];
                 let (i, j, k) = (d.i as usize, d.j as usize, d.k_at(seg.offset));
-                self.fill_row(i, k, &mut b_blk[..seg.len]);
-                self.fill_row(j, k, &mut c_blk[..seg.len]);
-                mul3_mask_batch(
-                    self.share(i, j),
-                    &b_blk[..seg.len],
-                    &c_blk[..seg.len],
-                    &groups[lane..lane + seg.len],
-                    &mut mine.efg[3 * lane..3 * (lane + seg.len)],
-                );
+                if b_blk.len() < seg.len {
+                    b_blk.resize(seg.len, 0);
+                    c_blk.resize(seg.len, 0);
+                }
+                let (b, c) = (&mut b_blk[..seg.len], &mut c_blk[..seg.len]);
+                self.input_shares(i, k, b);
+                self.input_shares(j, k, c);
+                let mut a = [0u64];
+                self.input_shares(i, j, &mut a);
+                let out = &mut mine.efg[3 * lane..3 * (lane + seg.len)];
+                match &material {
+                    None => {
+                        let s = segment_stream(&mut stream, seed, &plan, seg);
+                        starts.push(s.clone());
+                        s.mask_block(self.id, a[0], b, c, out);
+                    }
+                    Some(groups) => {
+                        let groups = &groups[done + lane..done + lane + seg.len];
+                        mul3_mask_batch(a[0], b, c, groups, out);
+                    }
+                }
                 lane += seg.len;
             }
             // Step 2: one round — send mine, receive the peer's.
@@ -244,16 +255,21 @@ impl<'env, T: Transport> Server<'env, T> {
             assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
             assert_eq!(theirs.k0, k0, "peer batch out of lockstep in the round at {at}");
             assert_eq!(theirs.efg.len(), slab, "peer slab size mismatch in the round at {at}");
-            // Step 3: reconstruction of the whole slab, then each
-            // segment's local combination.
-            mul3_open_batch(&mine.efg, &theirs.efg, &mut opened[..slab]);
+            // Step 3: each segment's reconstruction and local
+            // combination.
             let mut lane = 0usize;
-            for seg in round {
-                t_share += mul3_combine_batch(
-                    &groups[lane..lane + seg.len],
-                    &opened[3 * lane..3 * (lane + seg.len)],
-                    self.id,
-                );
+            for (s, seg) in round.iter().enumerate() {
+                let span = 3 * lane..3 * (lane + seg.len);
+                let (mine, theirs) = (&mine.efg[span.clone()], &theirs.efg[span]);
+                t_share += match &material {
+                    None => Ring64(starts[s].combine_block(self.id, mine, theirs)),
+                    Some(groups) => {
+                        opened.resize(3 * seg.len, 0);
+                        mul3_open_batch(mine, theirs, &mut opened);
+                        let groups = &groups[done + lane..done + lane + seg.len];
+                        mul3_combine_batch(groups, &opened, self.id)
+                    }
+                };
                 lane += seg.len;
             }
             done += len;
@@ -300,17 +316,16 @@ fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
 /// its own users.
 pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Vec<Ring64>> {
     let n = matrix.n();
-    let mut shares = vec![vec![Ring64::ZERO; n]; n];
-    for (i, row) in shares.iter_mut().enumerate() {
-        for (j, slot) in row.iter_mut().enumerate() {
-            let s1 = Ring64(share_prf(seed, i as u32, j as u32));
-            *slot = match id {
-                ServerId::S1 => s1,
-                ServerId::S2 => Ring64::from_bit(matrix.get(i, j)) - s1,
-            };
-        }
-    }
-    shares
+    let mut row = vec![0u64; n];
+    (0..n)
+        .map(|i| {
+            if id == ServerId::S2 {
+                matrix.fill_bits(i, 0, &mut row);
+            }
+            expand_input_shares(seed, id, i as u32, 0, &mut row);
+            row.iter().map(|&w| Ring64(w)).collect()
+        })
+        .collect()
 }
 
 /// Runs ONE server's worker pool of `job` against a live peer on the
@@ -348,8 +363,7 @@ pub fn count_party<T: Transport>(
         peer: &**link,
         pool: pool.as_ref(),
     };
-    let parts: Vec<CountPart> =
-        std::thread::scope(|scope| server.spawn(scope).into_iter().map(join).collect());
+    let parts = server.run_workers();
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let mut result = finish(&sched, job.offline, parts, pool);
     result.net.wire_bytes = link.stats().online_payload_both();
@@ -421,6 +435,7 @@ pub fn count_two_party<T: Transport>(
 mod tests {
     use super::*;
     use crate::count::count_local;
+    use crate::DEFAULT_COUNT_BATCH;
     use cargo_graph::count_triangles_matrix;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
     use cargo_mpc::{TcpConfig, TcpTransport};
@@ -549,6 +564,40 @@ mod tests {
             assert_eq!(tcp.share2, fast.share2, "w={workers} b={batch}");
             assert_eq!(tcp.net, fast.net, "w={workers} b={batch}");
             assert_eq!(tcp.net.wire_bytes, tcp.net.online().bytes);
+        }
+    }
+
+    #[test]
+    fn rounds_that_cut_a_draw_mid_run_match_the_fast_path_over_memory_and_tcp() {
+        // A round that ends inside a draw leaves the rest of its k-run
+        // to the next round, which resumes the draw's stream where the
+        // mask stopped; each segment's combine re-derives its words from
+        // the stream position its own mask started at. Batches 1 and 7
+        // cut almost every draw of n = 30; at n = 120 the dense cube's
+        // chunks (≈ 4 400 triples) take several rounds of the default
+        // batch.
+        for (n, batch) in [(30usize, 1usize), (30, 7), (120, DEFAULT_COUNT_BATCH)] {
+            let m = erdos_renyi(n, 0.3, 12).to_bit_matrix();
+            let wire = job(31, 2, batch);
+            let sched = wire.scheduler(n);
+            assert_eq!(sched.batch(), batch, "n = {n}: a chunk outweighs the batch");
+            let resumes_a_draw = sched.chunks().iter().any(|chunk| {
+                let plan = sched.chunk_plan(chunk);
+                let mut rounds = plan_rounds(&plan, batch);
+                let mut resumed = false;
+                while let Some(round) = rounds.next_round() {
+                    resumed |= round.iter().any(|seg| seg.offset > 0);
+                }
+                resumed
+            });
+            assert!(resumes_a_draw, "n = {n}, batch {batch}: no round starts mid-draw");
+            let fast = count_local(&m, &job(31, 1, batch));
+            for (link, res) in [("memory", over_memory(&m, &wire)), ("tcp", over_tcp(&m, &wire))] {
+                let at = format!("{link}, n = {n}, batch {batch}");
+                assert_eq!((res.share1, res.share2), (fast.share1, fast.share2), "{at}");
+                assert_eq!(res.net, fast.net, "{at}");
+                assert_eq!(res.triples, fast.triples, "{at}");
+            }
         }
     }
 

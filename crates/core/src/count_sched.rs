@@ -47,7 +47,7 @@
 //!   the plan run by run, in blocks of at most `batch` — that grouping
 //!   never reaches the wire.)
 //! * **Determinism by construction.** Randomness is keyed per pair
-//!   ([`cargo_mpc::PairDealer`], the crate-private `share_prf`), never
+//!   ([`cargo_mpc::PairDealer`], [`cargo_mpc::share_prf`]), never
 //!   per worker or per chunk, so the servers' share pairs are bit-identical for
 //!   every thread count and batch size — the partition only decides
 //!   *who* consumes a stream. The scheduler-invariance property suite
@@ -60,18 +60,22 @@ use cargo_mpc::MgDraw;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default batch: 64 triples per round, the sweet spot the
-/// secure-count bench sweep settled on (large enough to amortise the
-/// block PRG expansion and message overhead, small enough to keep
-/// per-message buffers tiny — 192 ring elements each way).
-pub const DEFAULT_COUNT_BATCH: usize = 64;
+/// Default batch: 1 024 triples per round — a 24 kB opening frame each
+/// way. Chosen by sweeping {256, 512, 1 024, 2 048} on the repo
+/// benchmark's five workloads (`CHANGES.md`): on one core a round costs
+/// a fixed hand-off (≈ 12 µs on the reference box) on top of its
+/// arithmetic, so `release_s` falls with the round count up to 1 024
+/// and no further, while `peak_rss_mb` stays within +10 % of the
+/// previous default of 64.
+pub const DEFAULT_COUNT_BATCH: usize = 1024;
 
 /// Ceiling on the batch. A round is one frame each way — 24 B of
 /// opening slab per triple — and every executor sizes its per-chunk
-/// scratch by the batch (80 B of dealer words per triple on the wire
-/// executors), so an unchecked `--batch` must neither approach
-/// [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor drive a
-/// multi-gigabyte allocation: 2¹⁶ triples are a 1.5 MB frame.
+/// scratch by the batch (the in-process tile worker gathers 80 B of
+/// dealer words per lane; a wire party holds its 24 B slab, the peer's
+/// and 16 B of input shares per triple), so an unchecked `--batch` must
+/// neither approach [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor
+/// drive a multi-gigabyte allocation: 2¹⁶ triples are a 1.5 MB frame.
 const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
@@ -90,20 +94,6 @@ const CHUNK_PARTS: u64 = 64;
 /// therefore collapse to a handful of chunks instead of shattering
 /// into near-per-pair ones.
 const MIN_CHUNK_TRIPLES: u64 = 512;
-
-/// PRF expanding user bit-shares: uniform in `Z_{2^64}`, keyed by
-/// `(seed, i, j)`. Server S₁'s share of bit `a_ij` is
-/// `share_prf(seed, i, j)`; S₂'s is `a_ij − ⟨a_ij⟩₁`. Shared by every
-/// Count implementation so their executions are comparable
-/// share-for-share.
-#[inline(always)]
-pub(crate) fn share_prf(seed: u64, i: u32, j: u32) -> u64 {
-    let mut z = seed ^ (((i as u64) << 32) | j as u64).wrapping_mul(0x9E3779B97F4A7C15);
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// A **public** candidate structure for the sparse Count schedule: the
 /// `(i, j)` pairs that may host an edge, with, per pair, the sorted

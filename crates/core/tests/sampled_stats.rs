@@ -92,9 +92,11 @@ fn zero_triangle_fixtures_always_estimate_zero() {
 type Anchor = (&'static str, f64, &'static str, bool, u64, u64, u64, u64, u64);
 
 /// What
-/// `count_sampled(m, rate, &CountJob { plan, offline, threads: 2, ..CountJob::new(0xA11C0) })`
+/// `count_sampled(m, rate, &CountJob { plan, offline, threads: 2, batch: 64, ..CountJob::new(0xA11C0) })`
 /// returned on the last commit that evaluated sampled chunks with their
-/// own hand-written workers (PR 16, `0a16d4e`).
+/// own hand-written workers (PR 16, `0a16d4e`). The anchors were
+/// recorded when 64 was the default batch, so the job names it: the
+/// `net.rounds` column is `Σ_chunks ⌈W_c/64⌉`.
 #[rustfmt::skip]
 const GOLDEN_SAMPLED: [Anchor; 24] = [
     ("er_64", 0.25, "dense", false, 0x439ddc4bcc7b8b58, 0xbc6223b4338474ba, 10330, 188, 0),
@@ -142,7 +144,7 @@ fn sampled_shares_reproduce_the_recorded_anchors_word_for_word() {
             other => unreachable!("plan {other}"),
         };
         let offline = if ot { OfflineMode::OtExtension } else { OfflineMode::TrustedDealer };
-        let r = count_sampled(&m, rate, &CountJob { plan, offline, ..job(0xA11C0, 2) });
+        let r = count_sampled(&m, rate, &CountJob { plan, offline, batch: 64, ..job(0xA11C0, 2) });
         assert_eq!(
             (r.share1.to_u64(), r.share2.to_u64(), r.evaluated, r.net.rounds, r.net.offline.bytes),
             (share1, share2, evaluated, rounds, offline_bytes),

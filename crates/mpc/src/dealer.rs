@@ -19,7 +19,9 @@ use crate::beaver::BeaverShare;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
 use crate::share::{share_with, SharePair};
+use crate::simd::SimdTier;
 use crate::triple_mul::MulGroupShare;
+use crate::ServerId;
 
 /// A trusted dealer producing correlated randomness for the two servers.
 #[derive(Debug, Clone)]
@@ -166,11 +168,13 @@ impl PairDealer {
     }
 
     /// Block-expands the next `out.len()` raw dealer words (see
-    /// [`MG_WORDS`] for the per-group layout). Stream-equivalent to
-    /// scalar draws; the hot kernel fills one batch at a time.
+    /// [`MG_WORDS`] for the per-group layout) at the best
+    /// [`SimdTier`] of this CPU ([`SplitMix64::fill_block_tier`]).
+    /// Stream-equivalent to scalar draws at every tier; the gathered-tile
+    /// worker and the OT flights fill one slab at a time.
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
-        self.rng.fill_block(out);
+        self.rng.fill_block_tier(SimdTier::detect(), out);
     }
 
     /// Advances the stream past `groups` Multiplication Groups without
@@ -196,6 +200,25 @@ impl PairDealer {
     #[inline]
     pub fn count_block(&mut self, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
         crate::triple_mul::mul3_batch_stream(&mut self.rng, a, b, c)
+    }
+
+    /// One server's half of [`Self::count_block`], step 1: masks a
+    /// block of `b.len()` triples with this server's column of the
+    /// stream, drawn inside the lane loop
+    /// ([`crate::triple_mul::mul3_mask_stream`]), into `out`'s
+    /// `[e.. | f.. | g..]` slab. Consumes exactly the words
+    /// [`Self::fill_words`] would for the block.
+    #[inline]
+    pub fn mask_block(&mut self, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
+        crate::triple_mul::mul3_mask_stream(&mut self.rng, server, a, b, c, out)
+    }
+
+    /// Steps 2–3 of the same block, from a copy of the stream taken
+    /// before [`Self::mask_block`]: opens `mine + theirs` and returns
+    /// this server's `Σ⟨d⟩` ([`crate::triple_mul::mul3_combine_stream`]).
+    #[inline]
+    pub fn combine_block(&mut self, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
+        crate::triple_mul::mul3_combine_stream(&mut self.rng, server, mine, theirs)
     }
 
     /// Draws one Multiplication Group as the two servers' share
@@ -327,6 +350,31 @@ mod tests {
         assert_eq!(g, split_mg_words(&w));
         // Both streams are now at the same offset.
         assert_eq!(via_groups.next_group_pair(), via_words.next_group_pair());
+    }
+
+    #[test]
+    fn fill_words_matches_every_tier_and_the_scalar_stream() {
+        // fill_words dispatches to the best tier; every tier, and the
+        // scalar draws, must produce the same words and leave the stream
+        // at the same position — for lengths around the lane width and
+        // a whole round.
+        let lens = [0usize, 1, 7, 8, 9, MG_WORDS, 63, 64, 65, MG_WORDS * 1024 + 3];
+        for len in lens {
+            let mut dealer = PairDealer::for_pair(5, 2, 9);
+            let mut got = vec![0u64; len];
+            dealer.fill_words(&mut got);
+            let mut scalar = PairDealer::for_pair(5, 2, 9).rng;
+            let want: Vec<u64> = (0..len).map(|_| scalar.next_u64()).collect();
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(dealer.rng, scalar, "len {len}: stream position");
+            for tier in SimdTier::available() {
+                let mut rng = PairDealer::for_pair(5, 2, 9).rng;
+                let mut words = vec![0u64; len];
+                rng.fill_block_tier(tier, &mut words);
+                assert_eq!(words, want, "tier {tier}, len {len}");
+                assert_eq!(rng, scalar, "tier {tier}, len {len}: stream position");
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,21 @@ pub fn share_vec_with(xs: &[Ring64], rng: &mut SplitMix64) -> (Vec<Ring64>, Vec<
     (v1, v2)
 }
 
+/// PRF expanding the users' adjacency-bit shares of the Count phase:
+/// uniform in `Z_{2^64}`, keyed by `(seed, i, j)`. Server S₁'s share of
+/// bit `a_ij` is `share_prf(seed, i, j)`; S₂'s is `a_ij − ⟨a_ij⟩₁`.
+/// Shared by every Count implementation so their executions are
+/// comparable share-for-share; [`crate::triple_mul::expand_input_shares`]
+/// evaluates it lane-parallel along a row.
+#[inline(always)]
+pub fn share_prf(seed: u64, i: u32, j: u32) -> u64 {
+    let mut z = seed ^ (((i as u64) << 32) | j as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    z = z.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Reconstructs a vector of secrets from the two share vectors.
 ///
 /// # Panics

@@ -22,7 +22,7 @@ use crate::channel::NetStats;
 use crate::dealer::MG_WORDS;
 use crate::prg::{SplitMix64, SM_GAMMA, SM_M1, SM_M2};
 use crate::ring::Ring64;
-use crate::simd::{U64x8, LANES};
+use crate::simd::{SimdTier, U64x8, U64xN, LANES};
 use crate::ServerId;
 
 /// One server's share of a Multiplication Group.
@@ -353,12 +353,12 @@ pub fn mul3_tile_batch(words: &[u64], a: &[u64], b: &[u64], c: &[u64]) -> (u64, 
     mul3_tile_body(words, a, b, c)
 }
 
-/// Lane-wise SplitMix64 finaliser: `mix8(s)` equals
+/// Lane-wise SplitMix64 finaliser: `mix(s)` equals
 /// [`SplitMix64::next_u64`]'s output for counter value `s`, per lane.
 #[inline(always)]
-fn mix8(s: U64x8) -> U64x8 {
-    let z = (s ^ (s >> 30)) * U64x8::splat(SM_M1);
-    let z = (z ^ (z >> 27)) * U64x8::splat(SM_M2);
+fn mix<const N: usize>(s: U64xN<N>) -> U64xN<N> {
+    let z = (s ^ (s >> 30)) * U64xN::splat(SM_M1);
+    let z = (z ^ (z >> 27)) * U64xN::splat(SM_M2);
     z ^ (z >> 31)
 }
 
@@ -370,6 +370,36 @@ fn sm_word(state: u64, k: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(SM_M1);
     z = (z ^ (z >> 27)).wrapping_mul(SM_M2);
     z ^ (z >> 31)
+}
+
+/// `[0, step, 2·step, …]` — lane `t`'s offset from lane 0 (wrapping).
+const fn lane_steps<const N: usize>(step: u64) -> U64xN<N> {
+    let mut out = [0u64; N];
+    let mut t = 0;
+    while t < N {
+        out[t] = step.wrapping_mul(t as u64);
+        t += 1;
+    }
+    U64xN(out)
+}
+
+/// A dealer stream in structure-of-arrays form, each word computed in
+/// closed counter form.
+#[derive(Clone, Copy)]
+struct MgLanes {
+    state: u64,
+}
+
+impl MgLanes {
+    /// Field `f` (see [`MG_WORDS`] for the order) of the `N`
+    /// consecutive groups starting `lane0` groups past `state`, one
+    /// group per lane; groups are [`MG_WORDS`] words apart.
+    #[inline(always)]
+    fn field<const N: usize>(self, lane0: usize, f: u64) -> U64xN<N> {
+        let step = const { lane_steps::<N>(SM_GAMMA.wrapping_mul(MG_WORDS as u64)) };
+        let k = (MG_WORDS * lane0) as u64 + f + 1;
+        mix(U64xN::splat(self.state.wrapping_add(SM_GAMMA.wrapping_mul(k))) + step)
+    }
 }
 
 /// The fused kernel body: expands the dealer words *inside* the SoA
@@ -386,31 +416,19 @@ fn mul3_batch_prg_body(state: u64, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
     let mut acc1 = U64x8::ZERO;
     let mut acc2 = U64x8::ZERO;
     let full = l / LANES;
-    // Lane `i` of a group starting at `lane0` draws its field-`f`
-    // word at stream offset `MG_WORDS·(lane0 + i) + f`.
-    let lane_off = {
-        let mut o = [0u64; LANES];
-        for (i, slot) in o.iter_mut().enumerate() {
-            *slot = SM_GAMMA.wrapping_mul((MG_WORDS * i) as u64);
-        }
-        crate::simd::U64xN(o)
-    };
+    let mg = MgLanes { state };
     for g in 0..full {
         let lane0 = g * LANES;
-        let base = state.wrapping_add(SM_GAMMA.wrapping_mul((MG_WORDS * lane0) as u64));
-        let field = |f: u64| -> U64x8 {
-            mix8(U64x8::splat(base.wrapping_add(SM_GAMMA.wrapping_mul(f + 1))) + lane_off)
-        };
-        let x1 = field(0);
-        let x2 = field(1);
-        let y1 = field(2);
-        let y2 = field(3);
-        let z1 = field(4);
-        let z2 = field(5);
-        let o1 = field(6);
-        let p1 = field(7);
-        let q1 = field(8);
-        let w1 = field(9);
+        let x1 = mg.field::<LANES>(lane0, 0);
+        let x2 = mg.field(lane0, 1);
+        let y1 = mg.field(lane0, 2);
+        let y2 = mg.field(lane0, 3);
+        let z1 = mg.field(lane0, 4);
+        let z2 = mg.field(lane0, 5);
+        let o1 = mg.field(lane0, 6);
+        let p1 = mg.field(lane0, 7);
+        let q1 = mg.field(lane0, 8);
+        let w1 = mg.field(lane0, 9);
         let x = x1 + x2;
         let y = y1 + y2;
         let z = z1 + z2;
@@ -533,34 +551,370 @@ pub fn mul3_batch_stream(rng: &mut SplitMix64, a: u64, b: &[u64], c: &[u64]) -> 
     mul3_batch_prg_body(state, a, b, c)
 }
 
+/// Lane `t` is [`share_prf`](crate::share_prf)`(seed, row, k + t)`:
+/// consecutive columns of a row are consecutive PRF keys.
+#[inline(always)]
+fn prf<const N: usize>(seed: u64, row: u32, k: u64) -> U64xN<N> {
+    let step = const { lane_steps::<N>(SM_GAMMA) };
+    let key = (((row as u64) << 32) | k).wrapping_mul(SM_GAMMA);
+    mix(((U64xN::splat(key) + step) ^ U64xN::splat(seed)) + U64xN::splat(SM_GAMMA))
+}
+
+// The per-party kernels below write each step once, generic over the
+// lane count: `N = LANES` for the vector loop, `N = 1` for the scalar
+// tail, so both run the same formula. Every step is an
+// `#[inline(always)]` function, never a closure with a body of its
+// own: a tier's wrapper vectorises only what is inlined into it, and
+// LLVM may leave a large closure out-of-line (and scalar).
+
+/// `N` lanes from column `k` of one server's input shares along
+/// `row`: S₁'s are the PRF, S₂'s the plaintext `bits` minus it.
+#[inline(always)]
+fn input_share_lanes<const N: usize>(
+    seed: u64,
+    server: ServerId,
+    row: u32,
+    k: u64,
+    bits: U64xN<N>,
+) -> U64xN<N> {
+    let s1 = prf(seed, row, k);
+    match server {
+        ServerId::S1 => s1,
+        ServerId::S2 => bits - s1,
+    }
+}
+
+/// [`expand_input_shares`]' body, compiled once per ISA tier.
+#[inline(always)]
+fn input_shares_body(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut [u64]) {
+    let full = words.len() / LANES * LANES;
+    for lane0 in (0..full).step_by(LANES) {
+        let k = k0 as u64 + lane0 as u64;
+        input_share_lanes::<LANES>(seed, server, row, k, U64x8::load(&words[lane0..]))
+            .store(&mut words[lane0..]);
+    }
+    for (t, word) in words.iter_mut().enumerate().skip(full) {
+        let k = k0 as u64 + t as u64;
+        *word = input_share_lanes(seed, server, row, k, U64xN([*word])).0[0];
+    }
+}
+
+/// `N` lanes of server `s`'s (0 or 1) maskings: its words
+/// `x_s, y_s, z_s` are fields `s`, `2 + s`, `4 + s` of each group.
+#[inline(always)]
+fn mask_lanes<const N: usize>(
+    mg: MgLanes,
+    s: u64,
+    lane0: usize,
+    [a, b, c]: [U64xN<N>; 3],
+) -> [U64xN<N>; 3] {
+    [
+        a - mg.field(lane0, s),
+        b - mg.field(lane0, 2 + s),
+        c - mg.field(lane0, 4 + s),
+    ]
+}
+
+/// [`mul3_mask_stream`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn mask_body(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
+    let l = b.len();
+    let mg = MgLanes { state };
+    let s = server.index();
+    let full = l / LANES * LANES;
+    for lane0 in (0..full).step_by(LANES) {
+        let abc = [
+            U64x8::splat(a),
+            U64x8::load(&b[lane0..]),
+            U64x8::load(&c[lane0..]),
+        ];
+        for (slab, v) in mask_lanes(mg, s, lane0, abc).into_iter().enumerate() {
+            v.store(&mut out[slab * l + lane0..]);
+        }
+    }
+    for t in full..l {
+        let abc = [U64xN([a]), U64xN([b[t]]), U64xN([c[t]])];
+        for (slab, v) in mask_lanes(mg, s, t, abc).into_iter().enumerate() {
+            out[slab * l + t] = v.0[0];
+        }
+    }
+}
+
+/// `N` lanes of one server's `⟨d⟩` shares from the opened `e, f, g`.
+/// S₁ re-derives its seven words `x₁ y₁ z₁ o₁ p₁ q₁ w₁` and forms no
+/// mask products; S₂ re-derives all ten and forms `o, p, q, w` to
+/// difference its shares out of them, exactly as
+/// [`crate::split_mg_words`] does.
+#[inline(always)]
+fn combine_lanes<const S2: bool, const N: usize>(
+    mg: MgLanes,
+    lane0: usize,
+    [e, f, g]: [U64xN<N>; 3],
+) -> U64xN<N> {
+    let (fg, eg, ef) = (f * g, e * g, e * f);
+    let (x1, y1, z1) = (mg.field(lane0, 0), mg.field(lane0, 2), mg.field(lane0, 4));
+    let (o1, p1, q1) = (mg.field(lane0, 6), mg.field(lane0, 7), mg.field(lane0, 8));
+    let w1 = mg.field(lane0, 9);
+    if S2 {
+        let (x2, y2, z2) = (mg.field(lane0, 1), mg.field(lane0, 3), mg.field(lane0, 5));
+        let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
+        let o = x * y;
+        (o * z - w1)
+            + (o - o1) * g
+            + (x * z - p1) * f
+            + (y * z - q1) * e
+            + x2 * fg
+            + y2 * eg
+            + z2 * ef
+            + ef * g
+    } else {
+        w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
+    }
+}
+
+/// [`mul3_combine_stream`]'s body for one server.
+#[inline(always)]
+fn combine_server<const S2: bool>(state: u64, mine: &[u64], theirs: &[u64]) -> u64 {
+    let l = mine.len() / 3;
+    let mg = MgLanes { state };
+    let full = l / LANES * LANES;
+    let mut acc = U64x8::ZERO;
+    for lane0 in (0..full).step_by(LANES) {
+        let efg = [lane0, l + lane0, 2 * l + lane0].map(|at| open_lanes::<LANES>(mine, theirs, at));
+        acc = acc + combine_lanes::<S2, LANES>(mg, lane0, efg);
+    }
+    let mut total = acc.hsum();
+    for t in full..l {
+        let efg = [t, l + t, 2 * l + t].map(|at| open_lanes::<1>(mine, theirs, at));
+        total = total.wrapping_add(combine_lanes::<S2, 1>(mg, t, efg).0[0]);
+    }
+    total
+}
+
+/// Lanes `at .. at + N` of the opened slab `mine + theirs`.
+#[inline(always)]
+fn open_lanes<const N: usize>(mine: &[u64], theirs: &[u64], at: usize) -> U64xN<N> {
+    U64xN::load(&mine[at..]) + U64xN::load(&theirs[at..])
+}
+
+/// [`mul3_combine_stream`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn combine_body(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
+    match server {
+        ServerId::S1 => combine_server::<false>(state, mine, theirs),
+        ServerId::S2 => combine_server::<true>(state, mine, theirs),
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn input_shares_avx512(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut [u64]) {
+    input_shares_body(seed, server, row, k0, words)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn input_shares_avx2(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut [u64]) {
+    input_shares_body(seed, server, row, k0, words)
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mask_avx512(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
+    mask_body(state, server, a, b, c, out)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mask_avx2(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
+    mask_body(state, server, a, b, c, out)
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn combine_avx512(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
+    combine_body(state, server, mine, theirs)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn combine_avx2(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
+    combine_body(state, server, mine, theirs)
+}
+
+/// One server's input shares along row `row`, columns
+/// `k0 .. k0 + words.len()`, lane-parallel: S₁'s are
+/// [`share_prf`](crate::share_prf)`(seed, row, k)`, S₂'s
+/// `a_row,k − share_prf(seed, row, k)`. `words` holds the plaintext
+/// bits on entry — S₂ reads them, S₁'s shares do not depend on them —
+/// and the shares on return. Bit-identical to the scalar `share_prf`
+/// at every tier.
+pub fn expand_input_shares(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut [u64]) {
+    expand_input_shares_tier(SimdTier::detect(), seed, server, row, k0, words)
+}
+
+fn expand_input_shares_tier(
+    tier: SimdTier,
+    seed: u64,
+    server: ServerId,
+    row: u32,
+    k0: u32,
+    words: &mut [u64],
+) {
+    assert!(
+        tier.supported(),
+        "SIMD tier {tier} not supported on this CPU"
+    );
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { input_shares_avx512(seed, server, row, k0, words) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { input_shares_avx2(seed, server, row, k0, words) },
+        _ => input_shares_body(seed, server, row, k0, words),
+    }
+}
+
+/// One server's step 1 over `L` triples with its dealer words drawn
+/// straight from `rng`'s counter inside the lane loop: writes
+/// `⟨e⟩ = a − ⟨x⟩, ⟨f⟩ = b − ⟨y⟩, ⟨g⟩ = c − ⟨z⟩` into `out` in
+/// [`mul3_mask_batch`]'s `[e.. | f.. | g..]` layout and advances `rng`
+/// past the `L` groups. `a` is this server's share of the fixed first
+/// secret, `b`/`c` its per-triple shares of the other two
+/// ([`expand_input_shares`]). Bit-identical to
+/// [`crate::PairDealer::fill_words`] + [`crate::split_mg_words`] +
+/// [`mul3_mask_batch`] on the server's column, which the per-party
+/// proptests pin at every tier — without expanding, and then
+/// discarding, the other server's column.
+///
+/// # Panics
+/// Panics if the slab lengths disagree (`c.len() ≠ L` or
+/// `out.len() ≠ 3·L`).
+pub fn mul3_mask_stream(
+    rng: &mut SplitMix64,
+    server: ServerId,
+    a: u64,
+    b: &[u64],
+    c: &[u64],
+    out: &mut [u64],
+) {
+    mul3_mask_stream_tier(SimdTier::detect(), rng, server, a, b, c, out)
+}
+
+fn mul3_mask_stream_tier(
+    tier: SimdTier,
+    rng: &mut SplitMix64,
+    server: ServerId,
+    a: u64,
+    b: &[u64],
+    c: &[u64],
+    out: &mut [u64],
+) {
+    let l = b.len();
+    assert!(c.len() == l && out.len() == 3 * l, "b/c/efg slab lengths");
+    assert!(
+        tier.supported(),
+        "SIMD tier {tier} not supported on this CPU"
+    );
+    let state = rng.state_raw();
+    rng.skip(MG_WORDS * l);
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { mask_avx512(state, server, a, b, c, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { mask_avx2(state, server, a, b, c, out) },
+        _ => mask_body(state, server, a, b, c, out),
+    }
+}
+
+/// One server's steps 2–3 over the `L` triples [`mul3_mask_stream`]
+/// masked from the same stream position: opens `mine + theirs` lane
+/// by lane and returns the wrapping sum of this server's `⟨d⟩` shares,
+/// re-deriving the dealer words it needs from `rng`'s counter (and
+/// advancing `rng` past the `L` groups). Bit-identical to
+/// [`mul3_open_batch`] + [`mul3_combine_batch`] over
+/// [`crate::split_mg_words`]'s column for `server`.
+///
+/// # Panics
+/// Panics if `mine` and `theirs` differ in length or are not `3·L`.
+pub fn mul3_combine_stream(
+    rng: &mut SplitMix64,
+    server: ServerId,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    mul3_combine_stream_tier(SimdTier::detect(), rng, server, mine, theirs)
+}
+
+fn mul3_combine_stream_tier(
+    tier: SimdTier,
+    rng: &mut SplitMix64,
+    server: ServerId,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    assert!(
+        mine.len() == theirs.len() && mine.len().is_multiple_of(3),
+        "opened efg slab lengths"
+    );
+    assert!(
+        tier.supported(),
+        "SIMD tier {tier} not supported on this CPU"
+    );
+    let state = rng.state_raw();
+    rng.skip(MG_WORDS * (mine.len() / 3));
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { combine_avx512(state, server, mine, theirs) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { combine_avx2(state, server, mine, theirs) },
+        _ => combine_body(state, server, mine, theirs),
+    }
+}
+
 /// One server's batched step 1 (local maskings) over `L` triples:
 /// writes its `⟨e⟩, ⟨f⟩, ⟨g⟩` shares into `out` as three contiguous
 /// slabs `[e₀..e_{L−1} | f₀.. | g₀..]` — the flat layout the sharded
 /// runtime ships as one slab-opening message per round.
 ///
-/// `a_share` is this server's share of the fixed first secret;
-/// `b_shares`/`c_shares` its per-triple shares of the second/third.
+/// `a` is this server's share of the fixed first secret; `b`/`c` its
+/// per-triple shares of the second/third, as [`expand_input_shares`]
+/// writes them.
 ///
 /// # Panics
 /// Panics if the slab lengths disagree (`out.len() ≠ 3·L`).
-pub fn mul3_mask_batch(
-    a_share: Ring64,
-    b_shares: &[Ring64],
-    c_shares: &[Ring64],
-    groups: &[MulGroupShare],
-    out: &mut [u64],
-) {
+pub fn mul3_mask_batch(a: u64, b: &[u64], c: &[u64], groups: &[MulGroupShare], out: &mut [u64]) {
     let l = groups.len();
-    assert_eq!(b_shares.len(), l, "b slab length");
-    assert_eq!(c_shares.len(), l, "c slab length");
+    assert_eq!(b.len(), l, "b slab length");
+    assert_eq!(c.len(), l, "c slab length");
     assert_eq!(out.len(), 3 * l, "efg slab length");
     let (e_out, rest) = out.split_at_mut(l);
     let (f_out, g_out) = rest.split_at_mut(l);
     for lane in 0..l {
         let mg = &groups[lane];
-        e_out[lane] = (a_share - mg.x).0;
-        f_out[lane] = (b_shares[lane] - mg.y).0;
-        g_out[lane] = (c_shares[lane] - mg.z).0;
+        e_out[lane] = a.wrapping_sub(mg.x.0);
+        f_out[lane] = b[lane].wrapping_sub(mg.y.0);
+        g_out[lane] = c[lane].wrapping_sub(mg.z.0);
     }
 }
 
@@ -682,6 +1036,7 @@ mod tests {
 
     use crate::dealer::{split_mg_words, PairDealer};
     use crate::prg::SplitMix64;
+    use crate::share::share_prf;
 
     /// Scalar reference for the batch kernels: per triple, drive the
     /// protocol objects ([`mul3`]) on arbitrary share splits of the
@@ -798,17 +1153,15 @@ mod tests {
                 g2s.push(g2);
             }
             let a = rng.next_u64();
-            let a1 = Ring64(rng.next_u64());
-            let a2 = Ring64(a) - a1;
+            let a1 = rng.next_u64();
+            let a2 = a.wrapping_sub(a1);
             let secrets: Vec<(u64, u64)> = (0..len)
                 .map(|_| (rng.next_u64(), rng.next_u64()))
                 .collect();
-            let b1: Vec<Ring64> = (0..len).map(|_| Ring64(rng.next_u64())).collect();
-            let c1: Vec<Ring64> = (0..len).map(|_| Ring64(rng.next_u64())).collect();
-            let b2: Vec<Ring64> =
-                (0..len).map(|l| Ring64(secrets[l].0) - b1[l]).collect();
-            let c2: Vec<Ring64> =
-                (0..len).map(|l| Ring64(secrets[l].1) - c1[l]).collect();
+            let b1: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let c1: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let b2: Vec<u64> = (0..len).map(|l| secrets[l].0.wrapping_sub(b1[l])).collect();
+            let c2: Vec<u64> = (0..len).map(|l| secrets[l].1.wrapping_sub(c1[l])).collect();
             let mut mine = vec![0u64; 3 * len];
             let mut theirs = vec![0u64; 3 * len];
             let mut opened = vec![0u64; 3 * len];
@@ -823,9 +1176,9 @@ mod tests {
             let mut net = NetStats::new();
             for l in 0..len {
                 let (d1, d2) = mul3(
-                    (a1, a2),
-                    (b1[l], b2[l]),
-                    (c1[l], c2[l]),
+                    (Ring64(a1), Ring64(a2)),
+                    (Ring64(b1[l]), Ring64(b2[l])),
+                    (Ring64(c1[l]), Ring64(c2[l])),
                     (g1s[l], g2s[l]),
                     &mut net,
                 );
@@ -834,6 +1187,84 @@ mod tests {
             }
             prop_assert_eq!(t1, r1);
             prop_assert_eq!(t2, r2);
+        }
+
+        #[test]
+        fn per_party_kernels_match_split_words_at_every_tier(
+            state: u64,
+            seed: u64,
+            a: u64,
+            i in 0u32..1 << 20,
+            j in 0u32..1 << 20,
+            k0 in 0u32..1 << 20,
+        ) {
+            // One server's fused mask/combine, fed its own lane-parallel
+            // input shares, against the protocol-object path: AoS words,
+            // split_mg_words, the per-server slab helpers — per server,
+            // per tier, at lengths around the lane width and a full round.
+            let servers = [ServerId::S1, ServerId::S2];
+            let mut secrets = SplitMix64::new(state ^ seed);
+            let a1 = secrets.next_u64();
+            let a_share = [a1, a.wrapping_sub(a1)];
+            for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1024] {
+                let b: Vec<u64> = (0..len).map(|_| secrets.next_u64()).collect();
+                let c: Vec<u64> = (0..len).map(|_| secrets.next_u64()).collect();
+                let mut after = SplitMix64::new(state);
+                let mut words = vec![0u64; MG_WORDS * len];
+                after.fill_block(&mut words);
+                let groups: Vec<_> = words.chunks_exact(MG_WORDS).map(split_mg_words).collect();
+                let input = |server: ServerId, row: u32, v: &[u64]| -> Vec<u64> {
+                    (0..len)
+                        .map(|t| {
+                            let s1 = share_prf(seed, row, k0 + t as u32);
+                            if server == ServerId::S1 { s1 } else { v[t].wrapping_sub(s1) }
+                        })
+                        .collect()
+                };
+                let mut want_efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
+                let mut columns = [Vec::new(), Vec::new()];
+                for (s, &server) in servers.iter().enumerate() {
+                    columns[s] = groups.iter().map(|g| if s == 0 { g.0 } else { g.1 }).collect();
+                    mul3_mask_batch(
+                        a_share[s],
+                        &input(server, i, &b),
+                        &input(server, j, &c),
+                        &columns[s],
+                        &mut want_efg[s],
+                    );
+                }
+                let mut opened = vec![0u64; 3 * len];
+                mul3_open_batch(&want_efg[0], &want_efg[1], &mut opened);
+                let want_d = [
+                    mul3_combine_batch(&columns[0], &opened, ServerId::S1).0,
+                    mul3_combine_batch(&columns[1], &opened, ServerId::S2).0,
+                ];
+                let both = mul3_batch_stream(&mut SplitMix64::new(state), a, &b, &c);
+                // S₁ + S₂, share for share, is the in-process kernel.
+                prop_assert_eq!(want_d, [both.0, both.1]);
+                for tier in SimdTier::available() {
+                    let mut efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
+                    for (s, &server) in servers.iter().enumerate() {
+                        let (mut bs, mut cs) = (b.clone(), c.clone());
+                        expand_input_shares_tier(tier, seed, server, i, k0, &mut bs);
+                        expand_input_shares_tier(tier, seed, server, j, k0, &mut cs);
+                        let at = format!("{tier} {server:?} len {len}");
+                        prop_assert!(bs == input(server, i, &b), "{at}: b shares");
+                        prop_assert!(cs == input(server, j, &c), "{at}: c shares");
+                        let mut rng = SplitMix64::new(state);
+                        mul3_mask_stream_tier(tier, &mut rng, server, a_share[s], &bs, &cs, &mut efg[s]);
+                        prop_assert!(efg[s] == want_efg[s], "{at}: mask");
+                        prop_assert!(rng == after, "{at}: stream position after mask");
+                    }
+                    for (s, &server) in servers.iter().enumerate() {
+                        let mut rng = SplitMix64::new(state);
+                        let d = mul3_combine_stream_tier(tier, &mut rng, server, &efg[s], &efg[1 - s]);
+                        let at = format!("{tier} {server:?} len {len}");
+                        prop_assert!(d == want_d[s], "{at}: combine");
+                        prop_assert!(rng == after, "{at}: stream position after combine");
+                    }
+                }
+            }
         }
     }
 }

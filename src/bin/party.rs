@@ -24,7 +24,7 @@ use cargo_core::session::{classify_delta_line, parse_delta_script, DeltaLine};
 use cargo_core::{
     replay_committed_on, run_party, run_party_local, state_digest, CargoConfig, EdgeDelta,
     EpochJournal, EpochOutcome, EpochRecord, IncrementalCounter, PartyReport, PartySession,
-    ScheduleKind, Session, SessionError,
+    ScheduleKind, Session, SessionError, DEFAULT_COUNT_BATCH,
 };
 use cargo_dp::Composition;
 use cargo_graph::generators::chung_lu;
@@ -113,10 +113,11 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: party --role s1|s2|local [--listen ADDR | --connect ADDR]\n\
+    format!(
+        "usage: party --role s1|s2|local [--listen ADDR | --connect ADDR]\n\
      \x20      [--dataset facebook|wiki|hepph|enron|powerlaw (default facebook)]\n\
      \x20      [--n <users=200>] [--epsilon <e=2.0>] [--seed <s=0>]\n\
-     \x20      [--threads <w=1>] [--batch <b=0 (default 64)>]\n\
+     \x20      [--threads <w=1>] [--batch <b=0 (default {DEFAULT_COUNT_BATCH})>]\n\
      \x20      [--offline-mode dealer|ot] [--data-dir <snap-dir>] [--no-projection]\n\
      \x20      [--factory-threads <f=0 (inline)>] [--pool-depth <d=0 (default 4)>]\n\
      \x20      [--pool-backpressure block|fail-fast]\n\
@@ -144,7 +145,7 @@ fn usage() -> String {
      reconnects with backoff, and continues without double-spending\n\
      epsilon. --fault-plan injects deterministic link faults at frame\n\
      indices (testing; wire roles only)."
-        .to_string()
+    )
 }
 
 fn parse_dataset(s: &str) -> Result<GraphSource, String> {
@@ -843,20 +844,6 @@ fn main() {
     let (graph, dataset_label) = args
         .dataset
         .build(args.n, args.seed, args.data_dir.as_deref());
-    eprintln!(
-        "[party] dataset={dataset_label} n={} edges={} seed={} threads={} batch={} offline={} \
-         factory_threads={} pool_depth={} pool_backpressure={} schedule={}",
-        graph.n(),
-        graph.edge_count(),
-        args.seed,
-        args.threads,
-        args.batch,
-        args.offline,
-        args.factory_threads,
-        args.pool_depth,
-        args.pool_backpressure,
-        args.schedule,
-    );
     let mut cfg = CargoConfig::new(args.epsilon)
         .with_seed(args.seed)
         .with_threads(args.threads)
@@ -872,6 +859,20 @@ fn main() {
     if args.no_projection {
         cfg = cfg.without_projection();
     }
+    eprintln!(
+        "[party] dataset={dataset_label} n={} edges={} seed={} threads={} batch={} offline={} \
+         factory_threads={} pool_depth={} pool_backpressure={} schedule={}",
+        graph.n(),
+        graph.edge_count(),
+        args.seed,
+        args.threads,
+        cfg.effective_batch(),
+        args.offline,
+        args.factory_threads,
+        args.pool_depth,
+        args.pool_backpressure,
+        args.schedule,
+    );
 
     if args.mode == Mode::Serve {
         let code = run_serve(&args, graph, &cfg);
@@ -929,6 +930,12 @@ mod tests {
         // --help wins beside an unknown flag, a missing value, no role.
         assert!(matches!(parse(&["--wat", "-h"]), Ok(None)));
         assert!(matches!(parse(&["-h", "--n"]), Ok(None)));
+    }
+
+    #[test]
+    fn usage_names_the_default_batch() {
+        let default = format!("--batch <b=0 (default {DEFAULT_COUNT_BATCH})>");
+        assert!(usage().contains(&default), "{}", usage());
     }
 
     #[test]
