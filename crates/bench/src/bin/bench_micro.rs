@@ -5,8 +5,10 @@
 //!
 //! The `mg/*` rows answer where an OT-mode Multiplication Group's time
 //! goes (DESIGN.md §8.1): an operation there is one MG, both parties
-//! summed — on a one-core host that sum *is* the wall time. The
-//! `wire/*` rows attribute a wire party's Count the same way, per
+//! summed — on a one-core host that sum *is* the wall time;
+//! `wire/byte_codec` beside them is the byte codec (`encode` /
+//! `decode`, which no transport takes) on the same messages. The
+//! other `wire/*` rows attribute a wire party's Count the same way, per
 //! triple and per server.
 //!
 //! ```text
@@ -25,7 +27,7 @@ use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
     cr_hash_scalar, expand_input_shares, mul3, plan_flights, Dealer, MgDraw, MgOfflineS1,
     MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, ServerId, SimdTier, SplitMix64,
-    WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
+    Frame, IntoFrame, WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -71,7 +73,8 @@ fn row(name: &str, n: usize, ops: u64, timing: (f64, f64), bytes_per_op: f64) {
 }
 
 /// The steps of the OT offline dialogue, in the order it runs them;
-/// the last is every message's encode + decode.
+/// the last is every message's trip through the codec as a party makes
+/// it: `into_frame` → `header` → `from_parts` → `from_frame`.
 const STEPS: [&str; 7] = [
     "ucols",
     "corrections",
@@ -95,19 +98,29 @@ fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
 
 /// One pass of the offline dialogue over `plan` with a clock around
 /// each step of both machines; every message crosses the codec exactly
-/// as `mg_offline_over_wire` sends it (typed message → frame → bytes →
-/// frame → typed message).
-fn timed_dialogue(plan: &[MgDraw]) -> [Duration; STEPS.len()] {
+/// as `mg_offline_over_wire` sends and receives it (typed message →
+/// header + payload → checked frame → typed message). The second value
+/// is the byte codec (`encode` / `decode`, header ‖ payload bytes) on a
+/// copy of the same messages, timed apart and not part of the dialogue.
+fn timed_dialogue(plan: &[MgDraw]) -> ([Duration; STEPS.len()], Duration) {
     let mut all = [Duration::ZERO; STEPS.len()];
+    let mut byte_codec = Duration::ZERO;
     let (t, codec) = all.split_at_mut(CODEC);
     let mut s1 = MgOfflineS1::for_chunk(1, 0);
     let mut s2 = MgOfflineS2::for_chunk(1, 0);
     for (f, range) in plan_flights(plan).into_iter().enumerate() {
         let flight = &plan[range];
         let mut wire = |step: u8, words: Vec<u64>| {
+            let msg = OfflineMsg { chunk: 0, flight: f as u32, step, words };
+            let copy = msg.clone();
+            timed(&mut byte_codec, || {
+                black_box(OfflineMsg::decode(&copy.encode()).expect("round trip"))
+            });
             timed(&mut codec[0], || {
-                let msg = OfflineMsg { chunk: 0, flight: f as u32, step, words };
-                OfflineMsg::decode(&msg.encode()).expect("round trip").words
+                let frame = msg.into_frame();
+                let header = frame.header().expect("a flight fits a frame");
+                let frame = Frame::from_parts(&header, frame.payload).expect("intact");
+                OfflineMsg::from_frame(frame).expect("an offline frame").words
             })
         };
         let u1 = wire(1, timed(&mut t[0], || s1.ucols(flight)));
@@ -120,7 +133,7 @@ fn timed_dialogue(plan: &[MgDraw]) -> [Duration; STEPS.len()] {
         let c_w = wire(4, timed(&mut t[5], || s1.derand_w(&d_b4)));
         black_box((s1.groups(), s2.groups(&c_w)));
     }
-    all
+    (all, byte_codec)
 }
 
 /// Median and interquartile range in ns, taken as the criterion shim
@@ -148,9 +161,9 @@ fn main() {
     // kernels inside the steps run on their own over one flight: an MG
     // costs 2 extends, 2 absorbs (one per direction) and 4 digests
     // (each party digests both `u` messages). These rows come first so
-    // the codec's megabyte messages meet the fresh heap a party meets;
-    // after the rows below the allocator recycles them and the codec
-    // reads ≈ 15 % cheaper than in a real run.
+    // the dialogue's megabyte messages meet the fresh heap a party
+    // meets; after the rows below the allocator recycles them and the
+    // steps read cheaper than in a real run.
     {
         let n = 32u32;
         let plan: Vec<MgDraw> = (0..n)
@@ -159,11 +172,13 @@ fn main() {
         let groups: u64 = plan.iter().map(|d| d.groups as u64).sum();
         let passes: Vec<_> = (0..MG_PASSES).map(|_| timed_dialogue(&plan)).collect();
         for (s, name) in STEPS.iter().enumerate() {
-            let step = median_iqr(passes.iter().map(|p| p[s]).collect());
+            let step = median_iqr(passes.iter().map(|p| p.0[s]).collect());
             row(&format!("mg/{name}"), n as usize, groups, step, 0.0);
         }
-        let total = median_iqr(passes.iter().map(|p| p.iter().sum()).collect());
+        let total = median_iqr(passes.iter().map(|p| p.0.iter().sum()).collect());
         row("mg/sum", n as usize, groups, total, 0.0);
+        let bytes = median_iqr(passes.iter().map(|p| p.1).collect());
+        row("wire/byte_codec", n as usize, groups, bytes, 0.0);
 
         let flight_groups = MAX_FLIGHT_GROUPS.min(groups);
         let choice: Vec<u64> = (0..4 * flight_groups)
@@ -363,7 +378,7 @@ fn main() {
         let mut prg = SplitMix64::new(1);
         let header = [3u8; 24];
         for bytes in [1536usize, 2 << 20] {
-            let payload: Vec<u8> = (0..bytes / 8).flat_map(|_| prg.next_u64().to_le_bytes()).collect();
+            let payload: Vec<u64> = (0..bytes / 8).map(|_| prg.next_u64()).collect();
             let ns = measure_median_iqr_ns(12, budget, || {
                 black_box(frame_checksum(black_box(&header), black_box(&payload)))
             });

@@ -11,7 +11,7 @@
 //!   no third role: trusted-dealer material is a seeded stream each
 //!   party expands its own column of, as if predistributed;
 //! * **real bytes on a real wire** — servers exchange masked openings
-//!   as encoded [`cargo_mpc::wire`] frames over whatever [`Transport`]
+//!   as [`cargo_mpc::wire`] frames over whatever [`Transport`]
 //!   the caller hands in: `cargo_mpc::memory_pair()` for the in-memory
 //!   byte transport, `TcpTransport::loopback_pair(..)` (or a
 //!   cross-machine socket) for TCP. Neither party can read the other's
@@ -67,7 +67,7 @@ use cargo_mpc::{
     expand_input_shares, mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch,
     mul3_open_batch, ot_setup_ledger, plan_rounds, recv_msg, send_msg, MgDraw,
     NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment, ServerId,
-    Transport, TriplePool,
+    Transport, TriplePool, WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -133,8 +133,11 @@ impl<'env, T: Transport> Server<'env, T> {
         let mut t_share = Ring64::ZERO;
         let mut net = NetStats::new();
         let mut triples = 0u64;
+        // OT mode: the offline dialogue's message buffers, circulating
+        // between the parties across all of this worker's chunks.
+        let mut spare = WordBuffers::default();
         for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
-            t_share += self.run_chunk(chunk, &mut net, &mut triples);
+            t_share += self.run_chunk(chunk, &mut net, &mut triples, &mut spare);
         }
         match self.id {
             ServerId::S1 => (t_share, Ring64::ZERO, net, triples),
@@ -142,7 +145,13 @@ impl<'env, T: Transport> Server<'env, T> {
         }
     }
 
-    fn run_chunk(&self, chunk: &PairChunk, net: &mut NetStats, triples: &mut u64) -> Ring64 {
+    fn run_chunk(
+        &self,
+        chunk: &PairChunk,
+        net: &mut NetStats,
+        triples: &mut u64,
+        spare: &mut WordBuffers,
+    ) -> Ring64 {
         let batch = self.sched.batch();
         let seed = self.job.seed;
         let mut t_share = Ring64::ZERO;
@@ -182,6 +191,7 @@ impl<'env, T: Transport> Server<'env, T> {
                 chunk.id,
                 &plan,
                 &mut net.offline,
+                spare,
             )),
         };
         if let Some(groups) = &material {
@@ -189,7 +199,8 @@ impl<'env, T: Transport> Server<'env, T> {
             assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
         }
         // One opening message per worker: each round masks straight
-        // into its slab and sends it by reference.
+        // into its slab and sends a copy of it by reference (step 3
+        // still reads the slab).
         let mut mine =
             OpeningMsg { chunk: chunk.id, pair: (0, 0), k0: 0, efg: Vec::with_capacity(3 * batch) };
         // This server's shares of a segment's a_ik and a_jk, grown to

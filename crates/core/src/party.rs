@@ -19,8 +19,8 @@
 //!   drawn from the seeded public coin), so both parties compute them
 //!   identically with no communication, as both servers of the paper
 //!   hold `d'_max` and the users project their own rows.
-//! * **Count** — every `e, f, g` opening crosses the wire as an
-//!   encoded [`cargo_mpc::OpeningMsg`] frame; in OT mode the whole
+//! * **Count** — every `e, f, g` opening crosses the wire as a
+//!   [`cargo_mpc::OpeningMsg`] frame; in OT mode the whole
 //!   preprocessing dialogue does too.
 //! * **Perturb** — the users' noise-share uploads are replayed
 //!   deterministically ([`aggregate_noise_shares`]); the final noisy
@@ -132,7 +132,7 @@ pub fn run_party<T: Transport>(
         ServerId::S2 => gamma2,
     };
     let my_final = codec.lift_integer(count_share) + my_gamma;
-    send_msg(&**link, &FinalOpeningMsg { share: my_final })
+    send_msg(&**link, FinalOpeningMsg { share: my_final })
         .expect("peer hung up before the final opening");
     let theirs: FinalOpeningMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
         .unwrap_or_else(|e| panic!("peer lost at the final opening: {e}"));

@@ -372,7 +372,7 @@ impl<T: Transport> PartySession<T> {
                 // outside both cost classes, so the measured online
                 // payload still equals the modeled ledger.
                 let digest = state_digest(counter.epochs(), counter.graph());
-                send_msg(&**link, &CommitMsg { epoch: grant.epoch, digest })
+                send_msg(&**link, CommitMsg { epoch: grant.epoch, digest })
                     .map_err(|e| SessionError::Peer(format!("epoch commit send: {e}")))?;
                 let peer: CommitMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
                     .map_err(|e| SessionError::Peer(format!("epoch commit recv: {e}")))?;
@@ -400,7 +400,7 @@ impl<T: Transport> PartySession<T> {
                     ServerId::S2 => ec.share2,
                 };
                 let my_final = release.codec.lift_integer(my_share) + my_gamma;
-                send_msg(&**link, &FinalOpeningMsg { share: my_final })
+                send_msg(&**link, FinalOpeningMsg { share: my_final })
                     .map_err(|e| SessionError::Peer(format!("final opening send: {e}")))?;
                 let theirs: FinalOpeningMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
                     .map_err(|e| SessionError::Peer(format!("final opening recv: {e}")))?;
@@ -471,7 +471,7 @@ impl<T: Transport> PartySession<T> {
         let mut catchup = Vec::new();
         send_msg(
             &*link,
-            &CommitMsg { epoch: my_next, digest: digest_of(&session) },
+            CommitMsg { epoch: my_next, digest: digest_of(&session) },
         )
         .map_err(|e| SessionError::Peer(format!("resume handshake send: {e}")))?;
         let mut theirs: CommitMsg = recv_msg(&*link, 0, Some(link.recv_timeout()))
@@ -492,7 +492,7 @@ impl<T: Transport> PartySession<T> {
                 my_next += 1;
                 send_msg(
                     &*link,
-                    &CommitMsg { epoch: my_next, digest: digest_of(&session) },
+                    CommitMsg { epoch: my_next, digest: digest_of(&session) },
                 )
                 .map_err(|e| SessionError::Peer(format!("resume handshake send: {e}")))?;
             } else if theirs.epoch < my_next {

@@ -121,7 +121,7 @@ pub struct NetStats {
     /// directions. On the purely modeled path (the fast kernel) this
     /// tracks `bytes` in lockstep by construction; transport-backed
     /// runtimes **overwrite** it with the counter measured by
-    /// [`crate::transport::Transport`] while serialising every frame. Measured == modeled is therefore an
+    /// [`crate::transport::Transport`] on every frame it carries. Measured == modeled is therefore an
     /// *invariant*, not a tolerance: every cross-path equality test
     /// that compares whole `NetStats` structs pins the transport's
     /// real byte count to the cost model exactly (DESIGN.md §8).

@@ -74,7 +74,7 @@ pub use dealer::{split_mg_words, Dealer, PairDealer, MG_WORDS};
 pub use offline::{
     chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
     plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine,
-    PlanRounds, RoundSegment, MAX_FLIGHT_GROUPS,
+    PlanRounds, RoundSegment, WordBuffers, MAX_FLIGHT_GROUPS,
 };
 pub use transport::{
     memory_pair, memory_pair_with_timeout, recv_msg, send_msg, FaultKind, FaultPlan,
@@ -82,8 +82,8 @@ pub use transport::{
     DEFAULT_RECV_TIMEOUT,
 };
 pub use wire::{
-    CommitMsg, FinalOpeningMsg, Frame, OfflineMsg, OpeningMsg, WireError, WireMessage,
-    FRAME_HEADER_BYTES, WIRE_VERSION,
+    CommitMsg, FinalOpeningMsg, Frame, IntoFrame, OfflineMsg, OpeningMsg, Payload, WireError,
+    WireMessage, FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 pub use ot::{
     cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch, cr_hash_scalar,

@@ -437,6 +437,8 @@ pub struct MgOfflineS1 {
     sent_ucols_digest: u64,
     /// `−Σ m⁰` per (g, mult) of direction A (S₁'s sender shares).
     s_a: Vec<u64>,
+    /// Buffers for the messages this machine builds.
+    spare: WordBuffers,
 }
 
 impl MgOfflineS1 {
@@ -459,6 +461,7 @@ impl MgOfflineS1 {
             recv_batch: None,
             sent_ucols_digest: 0,
             s_a: Vec::new(),
+            spare: WordBuffers::default(),
         }
     }
 
@@ -473,7 +476,8 @@ impl MgOfflineS1 {
         for w in self.words.chunks_exact(MG_WORDS) {
             self.choice.extend_from_slice(&[w[Y1], w[Z1], w[Z1], w[Z1]]);
         }
-        let (batch, u) = self.receiver.extend(&self.choice);
+        let u = self.spare.take(1, OT_KAPPA * self.choice.len());
+        let (batch, u) = self.receiver.extend_into(&self.choice, u);
         self.recv_batch = Some(batch);
         self.sent_ucols_digest = transcript_digest(&u);
         u
@@ -486,7 +490,7 @@ impl MgOfflineS1 {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
         let sb = self.sender.absorb(u_from_s2);
         let block = self.block;
-        let mut msg = Vec::with_capacity(MG_MULTS_PER_DIR * 64 * block + 1);
+        let mut msg = self.spare.take(2, MG_MULTS_PER_DIR * 64 * block + 1);
         self.s_a.clear();
         self.s_a.resize(MG_MULTS_PER_DIR * block, 0);
         for g in 0..block {
@@ -522,7 +526,7 @@ impl MgOfflineS1 {
             "offline transcript diverged (consistency hash mismatch)"
         );
         let rb = self.recv_batch.as_ref().expect("columns sent");
-        let mut msg = Vec::with_capacity(3 * block);
+        let mut msg = self.spare.take(3, 3 * block);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
             let mut raw = [0u64; 3];
@@ -556,7 +560,7 @@ impl MgOfflineS1 {
         let block = self.block;
         assert_eq!(d_b4.len(), 64 * block, "B₄ corrections");
         let rb = self.recv_batch.as_ref().expect("columns sent");
-        let mut msg = Vec::with_capacity(block);
+        let mut msg = self.spare.take(4, block);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
             let mut sum = 0u64;
@@ -614,6 +618,8 @@ pub struct MgOfflineS2 {
     opq2: Vec<u64>,
     /// `w` raw share per MG (awaiting `c_w`).
     w_raw2: Vec<u64>,
+    /// Buffers for the messages this machine builds.
+    spare: WordBuffers,
 }
 
 impl MgOfflineS2 {
@@ -638,6 +644,7 @@ impl MgOfflineS2 {
             r_a: Vec::new(),
             opq2: Vec::new(),
             w_raw2: Vec::new(),
+            spare: WordBuffers::default(),
         }
     }
 
@@ -651,7 +658,8 @@ impl MgOfflineS2 {
         for w in self.words.chunks_exact(MG_WORDS) {
             self.choice.extend_from_slice(&[w[Y2], w[Z2], w[Z2], w[Z2]]);
         }
-        let (batch, u) = self.receiver.extend(&self.choice);
+        let u = self.spare.take(1, OT_KAPPA * self.choice.len());
+        let (batch, u) = self.receiver.extend_into(&self.choice, u);
         self.recv_batch = Some(batch);
         self.sent_ucols_digest = transcript_digest(&u);
         u
@@ -664,7 +672,7 @@ impl MgOfflineS2 {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
         let sb = self.sender.absorb(u_from_s1);
         let block = self.block;
-        let mut msg = Vec::with_capacity(3 * 64 * block + 1);
+        let mut msg = self.spare.take(2, 3 * 64 * block + 1);
         self.s_b.clear();
         self.s_b.resize(MG_MULTS_PER_DIR * block, 0);
         for g in 0..block {
@@ -732,7 +740,7 @@ impl MgOfflineS2 {
         let sb = self.send_batch.as_ref().expect("corrections sent");
         self.opq2.clear();
         self.w_raw2.clear();
-        let mut msg = Vec::with_capacity(64 * block);
+        let mut msg = self.spare.take(3, 64 * block);
         for g in 0..block {
             let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
             let local = [
@@ -783,11 +791,44 @@ impl MgOfflineS2 {
     }
 }
 
-/// Sends one offline-phase message under the chunk's tag.
+/// The buffers one party of the offline dialogue builds its messages
+/// in, one per dialogue step, kept for a worker's whole session (pass
+/// the same value to every [`mg_offline_over_wire`] call of a worker).
+///
+/// The wire moves a payload's vector to the receiver, so once a party
+/// has consumed the peer's step-`s` message it owns that buffer, and it
+/// builds its own next step-`s` message in it. Both directions of a step
+/// carry messages of about one size, so after a flight or two every
+/// buffer fits both and the dialogue's megabyte payloads circulate
+/// between the parties with no allocation at all — instead of being
+/// allocated, page-faulted and freed once per message, churn that let
+/// the allocator hand tens of megabytes a release back to the kernel,
+/// to be faulted in again, on some runs and not others.
+#[derive(Debug, Clone, Default)]
+pub struct WordBuffers([Vec<u64>; 4]);
+
+impl WordBuffers {
+    /// The step-`step` buffer, emptied, with room for `len` words.
+    fn take(&mut self, step: u8, len: usize) -> Vec<u64> {
+        let mut words = std::mem::take(&mut self.0[usize::from(step) - 1]);
+        words.clear();
+        words.reserve(len);
+        words
+    }
+
+    /// Keeps a consumed step-`step` message's vector for this party's
+    /// next step-`step` message.
+    fn give(&mut self, step: u8, words: Vec<u64>) {
+        self.0[usize::from(step) - 1] = words;
+    }
+}
+
+/// Sends one offline-phase message under the chunk's tag; `words` move
+/// into the frame uncopied.
 fn send_off<T: Transport>(link: &T, chunk: u32, flight: u32, step: u8, words: Vec<u64>) {
     send_msg(
         link,
-        &OfflineMsg {
+        OfflineMsg {
             chunk,
             flight,
             step,
@@ -814,7 +855,8 @@ fn recv_off<T: Transport>(link: &T, chunk: u32, flight: u32, step: u8) -> Vec<u6
 /// and returns this server's Multiplication-Group shares in plan
 /// order. Each flight's [`mg_flight_ledger`] — the full bidirectional
 /// cost — is merged into `ledger` on either side, so both parties
-/// report the same ledger.
+/// report the same ledger. Messages are built in, and consumed ones
+/// returned to, `spare`.
 pub fn mg_offline_over_wire<T: Transport>(
     link: &T,
     id: ServerId,
@@ -822,12 +864,14 @@ pub fn mg_offline_over_wire<T: Transport>(
     chunk: u32,
     plan: &[MgDraw],
     ledger: &mut OfflineLedger,
+    spare: &mut WordBuffers,
 ) -> Vec<MulGroupShare> {
     let total: usize = plan.iter().map(|d| d.groups as usize).sum();
     let mut groups = Vec::with_capacity(total);
     match id {
         ServerId::S1 => {
             let mut s1 = MgOfflineS1::for_chunk(root, chunk as u64);
+            s1.spare = std::mem::take(spare);
             for (f, range) in plan_flights(plan).into_iter().enumerate() {
                 let flight = &plan[range];
                 let weight: u64 = flight.iter().map(|d| d.groups as u64).sum();
@@ -835,16 +879,21 @@ pub fn mg_offline_over_wire<T: Transport>(
                 send_off(link, chunk, f, 1, s1.ucols(flight));
                 let u2 = recv_off(link, chunk, f, 1);
                 send_off(link, chunk, f, 2, s1.corrections(&u2));
+                s1.spare.give(1, u2);
                 let d_b = recv_off(link, chunk, f, 2);
                 send_off(link, chunk, f, 3, s1.derand_opq(&d_b));
+                s1.spare.give(2, d_b);
                 let d_b4 = recv_off(link, chunk, f, 3);
                 send_off(link, chunk, f, 4, s1.derand_w(&d_b4));
+                s1.spare.give(3, d_b4);
                 ledger.merge(&mg_flight_ledger(weight));
                 groups.extend(s1.groups());
             }
+            *spare = s1.spare;
         }
         ServerId::S2 => {
             let mut s2 = MgOfflineS2::for_chunk(root, chunk as u64);
+            s2.spare = std::mem::take(spare);
             for (f, range) in plan_flights(plan).into_iter().enumerate() {
                 let flight = &plan[range];
                 let weight: u64 = flight.iter().map(|d| d.groups as u64).sum();
@@ -852,14 +901,18 @@ pub fn mg_offline_over_wire<T: Transport>(
                 send_off(link, chunk, f, 1, s2.ucols(flight));
                 let u1 = recv_off(link, chunk, f, 1);
                 send_off(link, chunk, f, 2, s2.corrections(&u1));
+                s2.spare.give(1, u1);
                 let d_a = recv_off(link, chunk, f, 2);
                 s2.absorb_corrections(&d_a);
+                s2.spare.give(2, d_a);
                 let c_opq = recv_off(link, chunk, f, 3);
                 send_off(link, chunk, f, 3, s2.corrections_w(&c_opq));
+                s2.spare.give(3, c_opq);
                 let c_w = recv_off(link, chunk, f, 4);
                 ledger.merge(&mg_flight_ledger(weight));
                 groups.extend(s2.groups(&c_w));
             }
+            *spare = s2.spare;
         }
     }
     groups
@@ -1175,12 +1228,28 @@ mod tests {
         let (g1, g2, l1) = std::thread::scope(|scope| {
             let h1 = scope.spawn(|| {
                 let mut ledger = OfflineLedger::new();
-                let g = mg_offline_over_wire(&end1, ServerId::S1, 11, 5, &plan, &mut ledger);
+                let g = mg_offline_over_wire(
+                    &end1,
+                    ServerId::S1,
+                    11,
+                    5,
+                    &plan,
+                    &mut ledger,
+                    &mut WordBuffers::default(),
+                );
                 (g, ledger)
             });
             let h2 = scope.spawn(|| {
                 let mut ledger = OfflineLedger::new();
-                mg_offline_over_wire(&end2, ServerId::S2, 11, 5, &plan, &mut ledger)
+                mg_offline_over_wire(
+                    &end2,
+                    ServerId::S2,
+                    11,
+                    5,
+                    &plan,
+                    &mut ledger,
+                    &mut WordBuffers::default(),
+                )
             });
             let (g1, l1) = h1.join().unwrap();
             (g1, h2.join().unwrap(), l1)
@@ -1258,6 +1327,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_consumed_message_carries_the_next_one_of_its_step() {
+        let mut spare = WordBuffers::default();
+        let received = vec![7u64; 64];
+        let at = received.as_ptr();
+        spare.give(2, received);
+        assert!(spare.take(3, 8).is_empty(), "another step's buffer");
+        let next = spare.take(2, 48);
+        assert_eq!(next.as_ptr(), at, "the peer's allocation, reused");
+        assert!(next.is_empty() && next.capacity() >= 48);
+        let grown = spare.take(2, 100);
+        assert!(grown.is_empty() && grown.capacity() >= 100, "taken twice: a fresh buffer");
     }
 
     #[test]

@@ -633,9 +633,21 @@ impl CotReceiver {
     /// state and the column message `u` to send (column-major,
     /// `OT_KAPPA · choice.len()` words).
     pub fn extend(&mut self, choice: &[u64]) -> (RecvBatch, Vec<u64>) {
+        self.extend_into(choice, Vec::new())
+    }
+
+    /// [`CotReceiver::extend`] writing the column message into the
+    /// allocation of `u_cols` (whose contents are discarded), so a
+    /// caller can recycle a spent message's buffer.
+    pub(crate) fn extend_into(
+        &mut self,
+        choice: &[u64],
+        mut u_cols: Vec<u64>,
+    ) -> (RecvBatch, Vec<u64>) {
         let tier = SimdTier::detect();
         let words = choice.len();
-        let mut u_cols = vec![0u64; OT_KAPPA * words];
+        u_cols.clear();
+        u_cols.resize(OT_KAPPA * words, 0);
         let mut hashed = vec![0u64; 64 * words];
         self.scratch.ensure();
         let SlabScratch { cols: t_slab, lo, hi, g1 } = &mut self.scratch;

@@ -5,21 +5,30 @@
 //! nothing else — and demultiplexes received frames by
 //! `(msg_type, tag)`, so many workers can share one link and rounds
 //! belonging to different pair-space chunks interleave safely, with
-//! every message serialised to explicit bytes and **byte-counted**.
+//! every frame **byte-counted** exactly as its wire form.
+//!
+//! A frame crosses a link as its two parts: the 32-byte header the
+//! sender computes ([`Frame::header`], checksum included) and the
+//! payload words, which are never copied into a byte buffer. The
+//! receiver checks both ([`Frame::from_parts`] — every check of
+//! [`Frame::decode`]) before the demux sees the frame.
 //!
 //! Two backends:
 //!
-//! * [`InMemoryTransport`] — an unbounded in-process queue of encoded
-//!   frames; the default wire of the message-passing runtime. Frames
-//!   are genuinely encoded on send and decoded on receive, so the
-//!   codec round-trips under the full protocol load of every runtime
-//!   test.
+//! * [`InMemoryTransport`] — an unbounded in-process queue of
+//!   `(header, payload)` parts; the default wire of the message-passing
+//!   runtime. The payload's word vector moves from sender to receiver,
+//!   and the header and checksum are computed on send and verified on
+//!   receive, so the codec's checks run under the full protocol load
+//!   of every runtime test.
 //! * [`TcpTransport`] — `std::net` sockets (no new dependencies):
 //!   length-prefixed frames over one TCP connection, with configurable
-//!   `TCP_NODELAY` and buffer sizes ([`TcpConfig`]). A dedicated
+//!   `TCP_NODELAY` and read buffer size ([`TcpConfig`]). A dedicated
 //!   writer thread drains an unbounded queue so that two parties
 //!   simultaneously sending multi-megabyte offline flights can never
-//!   deadlock on full kernel socket buffers.
+//!   deadlock on full kernel socket buffers. Header and payload go to
+//!   the socket in one vectored write and the payload is read straight
+//!   into its words.
 //!
 //! Both endpoints keep [`WireStats`] counters. Payload bytes are
 //! bucketed by protocol phase ([`crate::wire::is_online_msg`]): the
@@ -39,9 +48,12 @@
 //! `party --fault-plan` knob share.
 
 use crate::channel::{KeyedDemux, RecvError, DEMUX_POLL};
-use crate::wire::{is_offline_msg, is_online_msg, Frame, WireError, WireMessage, FRAME_HEADER_BYTES};
+use crate::wire::{
+    is_offline_msg, is_online_msg, Frame, IntoFrame, Payload, WireError, WireMessage,
+    FRAME_HEADER_BYTES,
+};
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -117,7 +129,7 @@ struct Counters {
 }
 
 impl Counters {
-    fn record(&self, msg_type: u8, wire_len: usize, payload_len: usize, sent: bool) {
+    fn record(&self, msg_type: u8, payload_len: usize, sent: bool) {
         let (frames, bytes, online, offline) = if sent {
             (
                 &self.frames_sent,
@@ -134,7 +146,7 @@ impl Counters {
             )
         };
         frames.fetch_add(1, Ordering::Relaxed);
-        bytes.fetch_add(wire_len as u64, Ordering::Relaxed);
+        bytes.fetch_add((FRAME_HEADER_BYTES + payload_len) as u64, Ordering::Relaxed);
         if is_online_msg(msg_type) {
             online.fetch_add(payload_len as u64, Ordering::Relaxed);
         } else if is_offline_msg(msg_type) {
@@ -161,11 +173,21 @@ impl Counters {
 /// `Arc`; `send` never blocks on the peer, `recv` demultiplexes by
 /// `(msg_type, tag)` and fails loudly on disconnect or deadline.
 pub trait Transport: Send + Sync {
-    /// Serialises and sends one frame. `Err(Disconnected)` once the
-    /// peer endpoint is gone; `Err(Corrupt(BadLength))` — with nothing
-    /// written to the link — for a frame the peer's decoder would
-    /// refuse ([`Frame::try_encode`]).
+    /// Sends a copy of one frame. `Err(Disconnected)` once the peer
+    /// endpoint is gone; `Err(Corrupt(BadLength))` — with nothing
+    /// written to the link — for a frame the peer's receive would
+    /// refuse ([`Frame::header`]). The backends implement it as
+    /// `self.send_owned(frame.clone())`; a wrapper implements it by
+    /// forwarding and takes the default [`Transport::send_owned`].
     fn send(&self, frame: &Frame) -> Result<(), RecvError>;
+
+    /// Sends one frame by value, so its payload can cross the link with
+    /// no copy; the errors of [`Transport::send`]. The default sends
+    /// through `send`, which copies. Every backend overrides this as
+    /// its one send path — it must, since its `send` forwards here.
+    fn send_owned(&self, frame: Frame) -> Result<(), RecvError> {
+        self.send(&frame)
+    }
 
     /// Blocks until the next frame of `msg_type` under `tag` arrives
     /// (at most `timeout`; `None` blocks until disconnect).
@@ -191,9 +213,11 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// Sends a typed message over `link` (via its wire frame).
-pub fn send_msg<T: Transport + ?Sized, M: WireMessage>(link: &T, msg: &M) -> Result<(), RecvError> {
-    link.send(&msg.to_frame())
+/// Sends a typed message over `link` (via its wire frame). By value,
+/// the message's words move into the frame and across the link; by
+/// reference (`&msg`), a copy of them is sent ([`IntoFrame`]).
+pub fn send_msg<T: Transport + ?Sized, M: IntoFrame>(link: &T, msg: M) -> Result<(), RecvError> {
+    link.send_owned(msg.into_frame())
 }
 
 /// Receives and decodes the next `M` under `tag`. A frame whose bytes
@@ -206,25 +230,30 @@ pub fn recv_msg<T: Transport + ?Sized, M: WireMessage>(
     timeout: Option<Duration>,
 ) -> Result<M, RecvError> {
     let frame = link.recv(M::MSG_TYPE, tag, timeout)?;
-    M::from_frame(&frame).map_err(RecvError::Corrupt)
+    M::from_frame(frame).map_err(RecvError::Corrupt)
 }
 
 // ---------------------------------------------------------------------------
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The in-process byte transport: an unbounded queue of **encoded**
-/// frames between the two endpoints of [`memory_pair`]. Every frame is
-/// serialised on send and parsed on receive — the codec is on the hot
-/// path, not beside it — and byte-counted exactly like the TCP
-/// backend, so in-memory runs measure the same wire the deployment
-/// would.
+/// One frame in flight: its header as sent (checksum included) and
+/// its payload words.
+type FrameParts = ([u8; FRAME_HEADER_BYTES], Payload);
+
+/// The in-process transport: an unbounded queue of frame parts between
+/// the two endpoints of [`memory_pair`]. Each frame's header and
+/// checksum are computed on send and verified on receive — the codec's
+/// checks are on the hot path, not beside it — while the payload's
+/// word vector itself moves to the receiver, uncopied. Frames are
+/// byte-counted exactly like the TCP backend's, so in-memory runs
+/// measure the same wire the deployment would.
 pub struct InMemoryTransport {
     /// `None` once this endpoint was explicitly [`Transport::close`]d:
     /// dropping the sender wakes the peer's blocked receive with a
     /// disconnect, with no reliance on the whole endpoint `Arc` dying.
-    tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
-    rx: Mutex<mpsc::Receiver<Vec<u8>>>,
+    tx: Mutex<Option<mpsc::Sender<FrameParts>>>,
+    rx: Mutex<mpsc::Receiver<FrameParts>>,
     /// Shared by both endpoints of the pair and set by either's
     /// [`Transport::close`]: the *link* is down, not one direction —
     /// the peer's sends fail too, matching `TcpTransport::close`'s
@@ -262,7 +291,7 @@ pub fn memory_pair_with_timeout(
 impl InMemoryTransport {
     fn pull(&self, slice: Option<Duration>) -> Result<((u8, u32), Frame), RecvError> {
         let rx = self.rx.lock().expect("transport poisoned");
-        let bytes = match slice {
+        let (header, payload) = match slice {
             None => rx.recv().map_err(|_| RecvError::Disconnected)?,
             Some(d) => rx.recv_timeout(d).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => RecvError::Timeout,
@@ -270,25 +299,27 @@ impl InMemoryTransport {
             })?,
         };
         drop(rx);
-        let wire_len = bytes.len();
-        let frame = Frame::decode_owned(bytes).map_err(RecvError::Corrupt)?;
-        self.counters
-            .record(frame.msg_type, wire_len, frame.payload.len(), false);
+        let frame = Frame::from_parts(&header, payload).map_err(RecvError::Corrupt)?;
+        self.counters.record(frame.msg_type, frame.payload.len(), false);
         Ok(((frame.msg_type, frame.tag), frame))
     }
 }
 
 impl Transport for InMemoryTransport {
     fn send(&self, frame: &Frame) -> Result<(), RecvError> {
+        self.send_owned(frame.clone())
+    }
+
+    fn send_owned(&self, frame: Frame) -> Result<(), RecvError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(RecvError::Disconnected);
         }
-        let bytes = frame.try_encode().map_err(RecvError::Corrupt)?;
+        let header = frame.header().map_err(RecvError::Corrupt)?;
         match &*self.tx.lock().expect("transport poisoned") {
             Some(tx) => {
-                self.counters
-                    .record(frame.msg_type, bytes.len(), frame.payload.len(), true);
-                tx.send(bytes).map_err(|_| RecvError::Disconnected)
+                self.counters.record(frame.msg_type, frame.payload.len(), true);
+                tx.send((header, frame.payload))
+                    .map_err(|_| RecvError::Disconnected)
             }
             None => Err(RecvError::Disconnected),
         }
@@ -330,7 +361,8 @@ pub struct TcpConfig {
     /// protocol's rounds are latency-bound request/response slabs, the
     /// classic case Nagle hurts.
     pub nodelay: bool,
-    /// Userspace read/write buffer capacity in bytes.
+    /// Userspace read buffer capacity in bytes. Writes are unbuffered:
+    /// each frame goes to the socket in one vectored write.
     pub buffer: usize,
     /// How long [`TcpTransport::connect`] keeps retrying before giving
     /// up (the peer's listener may come up a moment later).
@@ -356,14 +388,14 @@ impl Default for TcpConfig {
 /// A [`Transport`] over one `std::net` TCP connection.
 ///
 /// Writes go through a dedicated writer thread draining an unbounded
-/// queue: `send` enqueues the encoded frame and returns, so two
+/// queue: `send` enqueues the frame's parts and returns, so two
 /// parties pushing large offline flights at each other can never
 /// deadlock on full kernel socket buffers (each side keeps reading
 /// while its writer drains). Dropping the endpoint joins the writer,
 /// which guarantees every queued frame is flushed before the process
 /// exits.
 pub struct TcpTransport {
-    writer_tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
+    writer_tx: Mutex<Option<mpsc::Sender<FrameParts>>>,
     writer: Mutex<Option<std::thread::JoinHandle<()>>>,
     reader: Mutex<BufReader<TcpStream>>,
     /// A clone of the socket kept aside so [`Transport::close`] can
@@ -376,7 +408,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    fn from_stream(stream: TcpStream, cfg: &TcpConfig) -> std::io::Result<Self> {
+    fn from_stream(mut stream: TcpStream, cfg: &TcpConfig) -> std::io::Result<Self> {
         stream.set_nodelay(cfg.nodelay)?;
         // The read half always polls in DEMUX_POLL slices; frame reads
         // keep their own progress across poll expiries (read_full), so
@@ -386,14 +418,13 @@ impl TcpTransport {
         stream.set_read_timeout(Some(DEMUX_POLL))?;
         let read_half = stream.try_clone()?;
         let close_handle = stream.try_clone()?;
-        let mut writer = BufWriter::with_capacity(cfg.buffer, stream);
-        let (writer_tx, writer_rx) = mpsc::channel::<Vec<u8>>();
+        let (writer_tx, writer_rx) = mpsc::channel::<FrameParts>();
         let writer = std::thread::spawn(move || {
             // Drain until every sender handle is gone; a write error
             // means the peer vanished — stop, the reader side will
             // surface Disconnected.
-            while let Ok(bytes) = writer_rx.recv() {
-                if writer.write_all(&bytes).and_then(|()| writer.flush()).is_err() {
+            while let Ok((header, payload)) = writer_rx.recv() {
+                if write_parts(&mut stream, &header, &payload.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -515,41 +546,48 @@ impl TcpTransport {
         let started = Instant::now();
         let mut header = [0u8; FRAME_HEADER_BYTES];
         Self::read_full(&mut reader, &mut header, started, self.recv_timeout)?;
-        let payload_len =
-            u32::from_le_bytes([header[20], header[21], header[22], header[23]]) as usize;
         // Validate the untrusted length BEFORE allocating: a desynced
         // or hostile stream must fail loudly, not drive a multi-GB
         // zero-fill.
-        if payload_len > crate::wire::MAX_FRAME_PAYLOAD_BYTES {
-            return Err(RecvError::Corrupt(WireError::BadLength {
-                what: "TCP peer announced a payload exceeding MAX_FRAME_PAYLOAD_BYTES",
-                len: payload_len,
-            }));
-        }
-        let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + payload_len);
-        bytes.extend_from_slice(&header);
-        bytes.resize(FRAME_HEADER_BYTES + payload_len, 0);
-        Self::read_full(
-            &mut reader,
-            &mut bytes[FRAME_HEADER_BYTES..],
-            started,
-            self.recv_timeout,
-        )?;
-        let wire_len = bytes.len();
-        let frame = Frame::decode_owned(bytes).map_err(RecvError::Corrupt)?;
-        self.counters
-            .record(frame.msg_type, wire_len, frame.payload.len(), false);
+        let len = Frame::announced_len(&header).map_err(RecvError::Corrupt)?;
+        let payload = Payload::read_with(len, |bytes| {
+            Self::read_full(&mut reader, bytes, started, self.recv_timeout)
+        })?;
+        drop(reader);
+        let frame = Frame::from_parts(&header, payload).map_err(RecvError::Corrupt)?;
+        self.counters.record(frame.msg_type, frame.payload.len(), false);
         Ok(((frame.msg_type, frame.tag), frame))
     }
 }
 
+/// Writes a frame's two parts with vectored writes until both are on
+/// the socket — no concatenation into one buffer.
+fn write_parts(w: &mut impl Write, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
+    let mut parts = [IoSlice::new(header), IoSlice::new(payload)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 impl Transport for TcpTransport {
     fn send(&self, frame: &Frame) -> Result<(), RecvError> {
-        let bytes = frame.try_encode().map_err(RecvError::Corrupt)?;
-        self.counters
-            .record(frame.msg_type, bytes.len(), frame.payload.len(), true);
+        self.send_owned(frame.clone())
+    }
+
+    fn send_owned(&self, frame: Frame) -> Result<(), RecvError> {
+        let header = frame.header().map_err(RecvError::Corrupt)?;
+        self.counters.record(frame.msg_type, frame.payload.len(), true);
         match &*self.writer_tx.lock().expect("transport poisoned") {
-            Some(tx) => tx.send(bytes).map_err(|_| RecvError::Disconnected),
+            Some(tx) => tx
+                .send((header, frame.payload))
+                .map_err(|_| RecvError::Disconnected),
             None => Err(RecvError::Disconnected),
         }
     }
@@ -874,10 +912,10 @@ mod tests {
     fn exercise_pair<T: Transport>(a: &T, b: &T) {
         // Frames for different (type, tag) keys interleave arbitrarily
         // and are routed to the right waiters.
-        send_msg(a, &opening(2, 0, vec![20, 21, 22])).unwrap();
+        send_msg(a, opening(2, 0, vec![20, 21, 22])).unwrap();
         send_msg(
             a,
-            &OfflineMsg {
+            OfflineMsg {
                 chunk: 2,
                 flight: 0,
                 step: 1,
@@ -885,7 +923,7 @@ mod tests {
             },
         )
         .unwrap();
-        send_msg(a, &opening(1, 0, vec![10, 11, 12])).unwrap();
+        send_msg(a, opening(1, 0, vec![10, 11, 12])).unwrap();
         let m: OpeningMsg = recv_msg(b, 1, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(m.efg, vec![10, 11, 12]);
         let m: OpeningMsg = recv_msg(b, 2, Some(Duration::from_secs(5))).unwrap();
@@ -893,7 +931,7 @@ mod tests {
         let m: OfflineMsg = recv_msg(b, 2, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(m.words, vec![5; 4]);
         // And the reverse direction works on the same link.
-        send_msg(b, &FinalOpeningMsg { share: Ring64(9) }).unwrap();
+        send_msg(b, FinalOpeningMsg { share: Ring64(9) }).unwrap();
         let m: FinalOpeningMsg = recv_msg(a, 0, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(m.share, Ring64(9));
     }
@@ -929,7 +967,7 @@ mod tests {
     /// offline flight of > 16 384 groups would lower to.
     fn oversized_frame() -> Frame {
         Frame {
-            payload: vec![0; crate::wire::MAX_FRAME_PAYLOAD_BYTES + 8],
+            payload: Payload::from_words(vec![0; crate::wire::MAX_FRAME_PAYLOAD_BYTES / 8 + 1]),
             ..FinalOpeningMsg { share: Ring64(0) }.to_frame()
         }
     }
@@ -949,7 +987,7 @@ mod tests {
         assert_eq!(a.stats(), WireStats::default(), "nothing counted as sent");
         // Nothing reached the link either: the next frame the peer sees
         // is the next one sent.
-        send_msg(a, &FinalOpeningMsg { share: Ring64(6) }).unwrap();
+        send_msg(a, FinalOpeningMsg { share: Ring64(6) }).unwrap();
         let m: FinalOpeningMsg = recv_msg(b, 0, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(m.share, Ring64(6));
         assert_eq!(b.stats().frames_recv, 1);
@@ -970,7 +1008,7 @@ mod tests {
     #[test]
     fn memory_disconnect_is_loud() {
         let (a, b) = memory_pair();
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(1) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap();
         drop(a);
         let m: FinalOpeningMsg = recv_msg(&b, 0, None).unwrap();
         assert_eq!(m.share, Ring64(1));
@@ -983,7 +1021,7 @@ mod tests {
     #[test]
     fn tcp_disconnect_is_loud() {
         let (a, b, _) = TcpTransport::loopback_pair(&TcpConfig::default()).unwrap();
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(7) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(7) }).unwrap();
         drop(a); // joins the writer: the queued frame still arrives
         let m: FinalOpeningMsg = recv_msg(&b, 0, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(m.share, Ring64(7));
@@ -1020,7 +1058,7 @@ mod tests {
         let (a, b) = memory_pair();
         let (a, b) = (Arc::new(a), Arc::new(b));
         let _extra_handle = Arc::clone(&b); // alive — and irrelevant
-        send_msg(&*b, &FinalOpeningMsg { share: Ring64(3) }).unwrap();
+        send_msg(&*b, FinalOpeningMsg { share: Ring64(3) }).unwrap();
         b.close();
         // Pending frames still drain, then the disconnect lands.
         let m: FinalOpeningMsg = recv_msg(&*a, 0, Some(Duration::from_secs(5))).unwrap();
@@ -1032,13 +1070,13 @@ mod tests {
         );
         // The closed endpoint can no longer send.
         assert_eq!(
-            send_msg(&*b, &FinalOpeningMsg { share: Ring64(4) }).unwrap_err(),
+            send_msg(&*b, FinalOpeningMsg { share: Ring64(4) }).unwrap_err(),
             RecvError::Disconnected
         );
         // And neither can the peer: close downs the *link*, both
         // directions, matching TcpTransport's Shutdown::Both.
         assert_eq!(
-            send_msg(&*a, &FinalOpeningMsg { share: Ring64(5) }).unwrap_err(),
+            send_msg(&*a, FinalOpeningMsg { share: Ring64(5) }).unwrap_err(),
             RecvError::Disconnected
         );
     }
@@ -1053,7 +1091,7 @@ mod tests {
             RecvError::Disconnected
         );
         assert_eq!(
-            send_msg(&a, &FinalOpeningMsg { share: Ring64(1) }).unwrap_err(),
+            send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap_err(),
             RecvError::Disconnected
         );
     }
@@ -1103,10 +1141,10 @@ mod tests {
         // the peer sees a disconnect after draining the first two.
         let (a, b) = memory_pair();
         let a = FaultyTransport::new(a, &FaultPlan::disconnect_at(2));
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(1) }).unwrap();
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(2) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(2) }).unwrap();
         assert_eq!(
-            send_msg(&a, &FinalOpeningMsg { share: Ring64(3) }).unwrap_err(),
+            send_msg(&a, FinalOpeningMsg { share: Ring64(3) }).unwrap_err(),
             RecvError::Disconnected
         );
         for want in [1u64, 2] {
@@ -1133,9 +1171,9 @@ mod tests {
             .with(0, FaultKind::Corrupt)
             .with(1, FaultKind::Truncate);
         let b = FaultyTransport::new(b, &plan);
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(1) }).unwrap();
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(2) }).unwrap();
-        send_msg(&a, &FinalOpeningMsg { share: Ring64(3) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(2) }).unwrap();
+        send_msg(&a, FinalOpeningMsg { share: Ring64(3) }).unwrap();
         let e = b
             .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
             .unwrap_err();
@@ -1160,11 +1198,12 @@ mod tests {
         // queue (not via the wrapper): the decode failure must surface
         // as RecvError::Corrupt and poison the link, never a panic.
         let (a, b) = memory_pair();
-        let mut bytes = FinalOpeningMsg { share: Ring64(5) }.to_frame().encode();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x80;
+        let frame = FinalOpeningMsg { share: Ring64(5) }.to_frame();
+        let header = frame.header().unwrap();
+        let mut words = frame.payload.into_words();
+        words[0] ^= 1 << 63; // the top bit of the frame's last byte
         match &*a.tx.lock().unwrap() {
-            Some(tx) => tx.send(bytes).unwrap(),
+            Some(tx) => tx.send((header, Payload::from_words(words))).unwrap(),
             None => unreachable!(),
         }
         let e = b
@@ -1176,6 +1215,44 @@ mod tests {
             .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
             .unwrap_err();
         assert_eq!(e, e2);
+    }
+
+    #[test]
+    fn memory_link_moves_the_payload_allocation() {
+        let (a, b) = memory_pair();
+        let words: Vec<u64> = (0..1024).collect();
+        let sent_at = words.as_ptr();
+        send_msg(&a, OfflineMsg { chunk: 4, flight: 0, step: 1, words }).unwrap();
+        let m: OfflineMsg = recv_msg(&b, 4, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(m.words.as_ptr(), sent_at, "the receiver holds the sender's vector");
+        assert!(m.words.iter().copied().eq(0..1024));
+        assert_eq!(b.stats().offline_payload_recv, 8 * 1024);
+    }
+
+    #[test]
+    fn tcp_reader_refuses_a_bad_announced_length_before_reading_the_payload() {
+        // A raw peer sends only a header announcing an impossible
+        // payload. The reader must refuse it from the header alone: one
+        // that allocated and waited for the payload would stall into
+        // the receive bound instead, and surface Disconnected.
+        let cfg = TcpConfig { recv_timeout: Duration::from_secs(2), ..TcpConfig::default() };
+        let over = crate::wire::MAX_FRAME_PAYLOAD_BYTES + 8;
+        for (len, what) in [
+            (12, "payload not a multiple of 8"),
+            (over, "payload exceeds MAX_FRAME_PAYLOAD_BYTES"),
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let end = TcpTransport::accept_on(&listener, &cfg).unwrap();
+            let mut header = FinalOpeningMsg { share: Ring64(1) }.to_frame().header().unwrap();
+            header[20..24].copy_from_slice(&(len as u32).to_le_bytes());
+            raw.write_all(&header).unwrap();
+            let e = end
+                .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
+                .unwrap_err();
+            assert_eq!(e, RecvError::Corrupt(WireError::BadLength { what, len }));
+            assert_eq!(end.stats().frames_recv, 0);
+        }
     }
 
     #[test]
@@ -1200,8 +1277,8 @@ mod tests {
             }
             scope.spawn(move || {
                 for v in 0..PER_TAG {
-                    send_msg(&*a, &opening(1, v, vec![v as u64; 3])).unwrap();
-                    send_msg(&*a, &opening(0, v, vec![v as u64; 3])).unwrap();
+                    send_msg(&*a, opening(1, v, vec![v as u64; 3])).unwrap();
+                    send_msg(&*a, opening(0, v, vec![v as u64; 3])).unwrap();
                 }
             });
         });

@@ -73,8 +73,22 @@
 //! The format is pinned by a byte-level fixture in
 //! `crates/mpc/tests/wire_format.rs`, so it cannot drift silently;
 //! bump [`WIRE_VERSION`] on any layout change.
+//!
+//! ## Two parts, no byte buffer
+//!
+//! A [`Frame`]'s payload is a [`Payload`]: the message's words
+//! themselves, which already *are* the wire bytes on a little-endian
+//! host. So the transports never build a frame's bytes. A sender
+//! computes the 32-byte [`Frame::header`] and hands the link the header
+//! and the payload as two parts; a receiver checks both with
+//! [`Frame::from_parts`], which makes every check [`Frame::decode`]
+//! makes. The in-memory link moves the word vector from sender to
+//! receiver; the TCP link writes and reads its bytes in place.
+//! [`Frame::encode`] / [`Frame::decode`] (header ‖ payload bytes) remain
+//! for tests, fault injection and fixtures.
 
 use crate::ring::Ring64;
+use std::borrow::Cow;
 
 /// Version byte every frame starts with; receivers reject anything
 /// else ([`WireError::BadVersion`]). Version 2 added the header
@@ -152,9 +166,98 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// One decoded frame: the parsed header plus the raw payload bytes.
-/// The typed layer above ([`WireMessage`]) converts to/from the
-/// concrete message structs.
+/// A frame's payload: the ring-element words it carries.
+///
+/// On the wire the words are little-endian `u64`s, so crossing a link
+/// needs no conversion: the in-memory link moves the vector and the TCP
+/// link writes and reads its bytes in place ([`Payload::as_bytes`]).
+/// Lengths are in **bytes**, as on the wire and in every byte counter;
+/// a payload is whole words by construction.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Payload(Vec<u64>);
+
+impl Payload {
+    /// The payload carrying `words` (moved, not copied).
+    pub fn from_words(words: Vec<u64>) -> Self {
+        Payload(words)
+    }
+
+    /// The payload of `bytes`, read as little-endian words (whole words
+    /// only; a trailing partial word is dropped).
+    fn from_le_bytes(bytes: &[u8]) -> Self {
+        Payload(le_words(bytes).collect())
+    }
+
+    /// A `len`-byte payload (`len` a multiple of 8, checked by the
+    /// caller) read straight into its words: `fill` gets the words'
+    /// memory as bytes and must fill all of it with wire bytes. No
+    /// staging buffer, so a socket read lands in the payload itself.
+    pub(crate) fn read_with<E>(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Payload, E> {
+        let mut words = vec![0u64; len / 8];
+        // SAFETY: the slice covers exactly the `8 * words.len()`
+        // initialised bytes of `words`' allocation; `u8` has alignment 1
+        // and no invalid values, so every write through it leaves valid
+        // `u64`s; and it is the only access to `words` until `fill`
+        // returns and the borrow ends.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), 8 * words.len())
+        };
+        fill(bytes)?;
+        // Memory order → value: the identity on little-endian targets.
+        for w in &mut words {
+            *w = u64::from_le(*w);
+        }
+        Ok(Payload(words))
+    }
+
+    /// The words.
+    pub fn words(&self) -> &[u64] {
+        &self.0
+    }
+
+    /// The words, moved out.
+    pub fn into_words(self) -> Vec<u64> {
+        self.0
+    }
+
+    /// Length in **bytes** (8 per word).
+    pub fn len(&self) -> usize {
+        8 * self.0.len()
+    }
+
+    /// True for a payload of no words.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The payload's wire bytes: a view of the words' memory on a
+    /// little-endian target, a little-endian copy elsewhere.
+    pub fn as_bytes(&self) -> Cow<'_, [u8]> {
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: the slice covers exactly the `8 * self.0.len()`
+            // initialised bytes of the vector's allocation, `u8` has
+            // alignment 1, and the shared borrow of `self` keeps the
+            // words alive and unmodified for the slice's lifetime. On a
+            // little-endian target those bytes are the wire's
+            // little-endian words.
+            Cow::Borrowed(unsafe {
+                std::slice::from_raw_parts(self.0.as_ptr().cast::<u8>(), 8 * self.0.len())
+            })
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            Cow::Owned(self.0.iter().flat_map(|w| w.to_le_bytes()).collect())
+        }
+    }
+}
+
+/// One frame: the parsed header plus the payload words. The typed
+/// layer above ([`WireMessage`]) converts to/from the concrete message
+/// structs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Message type byte (a `MSG_TYPE` constant).
@@ -169,8 +272,8 @@ pub struct Frame {
     pub b: u32,
     /// Third metadata word (`k0` or 0).
     pub c: u32,
-    /// Raw payload: the message's ring-element words, little-endian.
-    pub payload: Vec<u8>,
+    /// The message's ring-element words.
+    pub payload: Payload,
 }
 
 /// Independent lanes of the frame checksum (see the module docs).
@@ -214,44 +317,122 @@ fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// Checksum over the covered portion of a frame: the 24 header bytes
-/// *before* the checksum field, then the payload, both whole words
-/// (trailing bytes short of a word are not covered — [`Frame`] never
-/// has any). Eight independent multiply chains run side by side, so
-/// the cost is one multiply per word *per lane in flight* instead of
-/// one dependent multiply per byte. Detects any single flipped bit
-/// with certainty and anything else with probability ~1 − 2⁻⁶⁴ (module
-/// docs). Public for the microbench and for anyone writing a v3 peer;
-/// the codec calls it on every encode and every decode.
-pub fn frame_checksum(header_prefix: &[u8], payload: &[u8]) -> u64 {
+/// *before* the checksum field, read as little-endian words, then the
+/// payload words. It is defined over word *values*, so no target needs
+/// a byte view of the payload to compute it. Eight independent
+/// multiply chains run side by side, so the cost is one multiply per
+/// word *per lane in flight* instead of one dependent multiply per
+/// byte. Detects any single flipped bit with certainty and anything
+/// else with probability ~1 − 2⁻⁶⁴ (module docs). Public for the
+/// microbench and for anyone writing a v3 peer; the codec calls it on
+/// every send and every receive.
+pub fn frame_checksum(header_prefix: &[u8], payload: &[u64]) -> u64 {
     debug_assert_eq!(header_prefix.len(), CHECKSUM_OFFSET);
-    debug_assert!(payload.len().is_multiple_of(8));
     let mut lanes = LANE_SEEDS;
-    let absorb_row = |lanes: &mut [u64; CHECKSUM_LANES], row: &[u8]| {
-        for (lane, word) in lanes.iter_mut().zip(le_words(row)) {
+    for (lane, word) in lanes.iter_mut().zip(le_words(header_prefix)) {
+        *lane = absorb(*lane, word);
+    }
+    let absorb_row = |lanes: &mut [u64; CHECKSUM_LANES], row: &[u64]| {
+        for (lane, &word) in lanes.iter_mut().zip(row) {
             *lane = absorb(*lane, word);
         }
     };
-    absorb_row(&mut lanes, header_prefix);
-    let mut rows = payload.chunks_exact(8 * CHECKSUM_LANES);
+    let mut rows = payload.chunks_exact(CHECKSUM_LANES);
     for row in &mut rows {
         absorb_row(&mut lanes, row);
     }
     absorb_row(&mut lanes, rows.remainder());
     let folded = lanes
         .into_iter()
-        .fold(FOLD_SEED ^ payload.len() as u64, absorb);
+        .fold(FOLD_SEED ^ (8 * payload.len()) as u64, absorb);
     folded ^ (folded >> 32)
 }
 
 impl Frame {
-    /// Serialises the frame (header + payload) into wire bytes, or
-    /// refuses a payload the peer's [`Frame::decode`] would reject:
-    /// longer than [`MAX_FRAME_PAYLOAD_BYTES`] (which also keeps the
-    /// 4-byte length field from wrapping) or not whole words. The
-    /// transports send through this, so an oversized message fails on
-    /// the sending side, typed, with nothing on the link.
-    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+    /// The frame's 32-byte header, checksum included, or a refusal of
+    /// a payload the peer's receive would reject: longer than
+    /// [`MAX_FRAME_PAYLOAD_BYTES`] (which also keeps the 4-byte length
+    /// field from wrapping). The transports send through this, so an
+    /// oversized message fails on the sending side, typed, with nothing
+    /// on the link.
+    pub fn header(&self) -> Result<[u8; FRAME_HEADER_BYTES], WireError> {
         let len = self.payload.len();
+        if len > MAX_FRAME_PAYLOAD_BYTES {
+            return Err(WireError::BadLength {
+                what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES",
+                len,
+            });
+        }
+        let mut header = [0u8; FRAME_HEADER_BYTES];
+        header[0] = WIRE_VERSION;
+        header[1] = self.msg_type;
+        header[2..4].copy_from_slice(&self.step.to_le_bytes());
+        let fields = [(4, self.tag), (8, self.a), (12, self.b), (16, self.c), (20, len as u32)];
+        for (at, field) in fields {
+            header[at..at + 4].copy_from_slice(&field.to_le_bytes());
+        }
+        let sum = frame_checksum(&header[..CHECKSUM_OFFSET], self.payload.words());
+        header[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_le_bytes());
+        Ok(header)
+    }
+
+    /// Serialises the frame into one buffer, header ‖ payload bytes —
+    /// the wire bytes, for tests, fault injection and fixtures (the
+    /// transports send the two parts as they are). Refuses what
+    /// [`Frame::header`] refuses.
+    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+        let header = self.header()?;
+        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&self.payload.as_bytes());
+        Ok(out)
+    }
+
+    /// [`Frame::try_encode`] for frames within the size cap.
+    ///
+    /// # Panics
+    /// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD_BYTES`].
+    pub fn encode(&self) -> Vec<u8> {
+        self.try_encode()
+            .unwrap_or_else(|e| panic!("unencodable frame: {e}"))
+    }
+
+    /// Parses a complete frame from `bytes`. Strict: the slice must
+    /// hold exactly one frame (header + announced payload, nothing
+    /// more), the version must match, the payload length must be a
+    /// multiple of 8, and the checksum must verify — any drift is an
+    /// error, never a guess.
+    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+        let Some((header, payload)) = bytes.split_first_chunk::<FRAME_HEADER_BYTES>() else {
+            return Err(WireError::Truncated {
+                needed: FRAME_HEADER_BYTES,
+                got: bytes.len(),
+            });
+        };
+        Self::check_lengths(header, payload.len())?;
+        Self::verify(header, Payload::from_le_bytes(payload))
+    }
+
+    /// Checks a frame that arrived as its two parts, header and payload
+    /// words — every check [`Frame::decode`] makes on `header ‖ bytes`,
+    /// with the same error for the same bytes.
+    pub fn from_parts(
+        header: &[u8; FRAME_HEADER_BYTES],
+        payload: Payload,
+    ) -> Result<Frame, WireError> {
+        Self::check_lengths(header, payload.len())?;
+        Self::verify(header, payload)
+    }
+
+    /// The payload length a received header announces, after the checks
+    /// that need no payload: the version, whole words and the cap. A
+    /// receiver calls this before it allocates for the payload, so a
+    /// desynced or hostile length can never drive a huge allocation.
+    pub(crate) fn announced_len(header: &[u8; FRAME_HEADER_BYTES]) -> Result<usize, WireError> {
+        if header[0] != WIRE_VERSION {
+            return Err(WireError::BadVersion(header[0]));
+        }
+        let len = u32::from_le_bytes([header[20], header[21], header[22], header[23]]) as usize;
         if !len.is_multiple_of(8) {
             return Err(WireError::BadLength {
                 what: "payload not a multiple of 8",
@@ -264,102 +445,37 @@ impl Frame {
                 len,
             });
         }
-        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + len);
-        out.push(WIRE_VERSION);
-        out.push(self.msg_type);
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.a.to_le_bytes());
-        out.extend_from_slice(&self.b.to_le_bytes());
-        out.extend_from_slice(&self.c.to_le_bytes());
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        let sum = frame_checksum(&out[..CHECKSUM_OFFSET], &self.payload);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        Ok(out)
+        Ok(len)
     }
 
-    /// [`Frame::try_encode`] for frames built by this crate's
-    /// [`WireMessage::to_frame`]s, whose payloads are whole words by
-    /// construction.
-    ///
-    /// # Panics
-    /// Panics if the payload is not whole words or exceeds
-    /// [`MAX_FRAME_PAYLOAD_BYTES`].
-    pub fn encode(&self) -> Vec<u8> {
-        self.try_encode()
-            .unwrap_or_else(|e| panic!("unencodable frame: {e}"))
-    }
-
-    /// Parses a complete frame from `bytes`. Strict: the slice must
-    /// hold exactly one frame (header + announced payload, nothing
-    /// more), the version must match, the payload length must be a
-    /// multiple of 8, and the checksum must verify — any drift is an
-    /// error, never a guess.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let mut frame = Self::decode_header(bytes)?;
-        frame.payload = bytes[FRAME_HEADER_BYTES..].to_vec();
-        Ok(frame)
-    }
-
-    /// [`Frame::decode`] for a receiver that owns the buffer the frame
-    /// arrived in: the verified bytes *become* the payload (the header
-    /// is shifted off the front in place), sparing the transports a
-    /// payload-sized allocation, its page faults and a copy per frame.
-    pub fn decode_owned(mut bytes: Vec<u8>) -> Result<Frame, WireError> {
-        let mut frame = Self::decode_header(&bytes)?;
-        bytes.drain(..FRAME_HEADER_BYTES);
-        frame.payload = bytes;
-        Ok(frame)
-    }
-
-    /// Every check of [`Frame::decode`] — lengths, version, checksum —
-    /// returning the parsed header with an empty payload.
-    fn decode_header(bytes: &[u8]) -> Result<Frame, WireError> {
-        if bytes.len() < FRAME_HEADER_BYTES {
-            return Err(WireError::Truncated {
-                needed: FRAME_HEADER_BYTES,
-                got: bytes.len(),
-            });
+    /// [`Frame::announced_len`], then the announced length against the
+    /// `got` payload bytes that came with the header.
+    fn check_lengths(header: &[u8; FRAME_HEADER_BYTES], got: usize) -> Result<(), WireError> {
+        let total = FRAME_HEADER_BYTES + Self::announced_len(header)?;
+        let got = FRAME_HEADER_BYTES + got;
+        if got < total {
+            return Err(WireError::Truncated { needed: total, got });
         }
-        if bytes[0] != WIRE_VERSION {
-            return Err(WireError::BadVersion(bytes[0]));
-        }
-        let u16le = |at: usize| u16::from_le_bytes([bytes[at], bytes[at + 1]]);
-        let u32le = |at: usize| {
-            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
-        };
-        let payload_len = u32le(20) as usize;
-        if !payload_len.is_multiple_of(8) {
-            return Err(WireError::BadLength {
-                what: "payload not a multiple of 8",
-                len: payload_len,
-            });
-        }
-        if payload_len > MAX_FRAME_PAYLOAD_BYTES {
-            return Err(WireError::BadLength {
-                what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES",
-                len: payload_len,
-            });
-        }
-        let total = FRAME_HEADER_BYTES + payload_len;
-        if bytes.len() < total {
-            return Err(WireError::Truncated {
-                needed: total,
-                got: bytes.len(),
-            });
-        }
-        if bytes.len() > total {
+        if got > total {
             return Err(WireError::BadLength {
                 what: "trailing bytes after the announced payload",
-                len: bytes.len(),
+                len: got,
             });
         }
-        let u64le = |at: usize| {
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+        Ok(())
+    }
+
+    /// The checksum, then the header fields, of a frame whose lengths
+    /// [`Frame::check_lengths`] accepted.
+    fn verify(header: &[u8; FRAME_HEADER_BYTES], payload: Payload) -> Result<Frame, WireError> {
+        let u16le = |at: usize| u16::from_le_bytes([header[at], header[at + 1]]);
+        let u32le = |at: usize| {
+            u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
         };
-        let announced = u64le(CHECKSUM_OFFSET);
-        let computed = frame_checksum(&bytes[..CHECKSUM_OFFSET], &bytes[FRAME_HEADER_BYTES..total]);
+        let announced = u64::from_le_bytes(
+            header[CHECKSUM_OFFSET..].try_into().expect("8-byte checksum field"),
+        );
+        let computed = frame_checksum(&header[..CHECKSUM_OFFSET], payload.words());
         if announced != computed {
             return Err(WireError::BadChecksum {
                 announced,
@@ -367,35 +483,36 @@ impl Frame {
             });
         }
         Ok(Frame {
-            msg_type: bytes[1],
+            msg_type: header[1],
             step: u16le(2),
             tag: u32le(4),
             a: u32le(8),
             b: u32le(12),
             c: u32le(16),
-            payload: Vec::new(),
+            payload,
         })
-    }
-
-    /// The payload parsed back into `u64` little-endian words — one
-    /// exact-size pass (`chunks_exact` is `TrustedLen`, so `collect`
-    /// allocates once and the loop vectorises to a plain copy).
-    pub fn payload_words(&self) -> Vec<u64> {
-        le_words(&self.payload).collect()
     }
 }
 
-/// Appends `words` to `out` as little-endian bytes in one exact-size
-/// pass (`flat_map` over fixed arrays is `TrustedLen`: one reserve, then
-/// a loop that compiles to a plain copy on little-endian targets).
-fn push_words(out: &mut Vec<u8>, words: &[u64]) {
-    out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+/// Lowers a message to the frame it travels as, by value — what
+/// [`crate::send_msg`] takes. An owned message moves its words into the
+/// frame's [`Payload`]; a borrowed one (`&M`) copies them
+/// ([`WireMessage::to_frame`]), for a sender that keeps its message.
+pub trait IntoFrame {
+    /// The frame this message travels as.
+    fn into_frame(self) -> Frame;
+}
+
+impl<M: WireMessage> IntoFrame for &M {
+    fn into_frame(self) -> Frame {
+        self.to_frame()
+    }
 }
 
 /// A protocol message with a wire form: a frame type byte plus lossless
 /// encode/decode (round trips are property-tested in
 /// `crates/mpc/tests/wire_format.rs`).
-pub trait WireMessage: Sized {
+pub trait WireMessage: IntoFrame + Clone {
     /// The frame type byte identifying this message on the wire.
     const MSG_TYPE: u8;
 
@@ -403,12 +520,15 @@ pub trait WireMessage: Sized {
     /// 0 for the final opening).
     fn tag(&self) -> u32;
 
-    /// Lowers the message to its frame.
-    fn to_frame(&self) -> Frame;
+    /// Lowers a copy of the message to its frame
+    /// ([`IntoFrame::into_frame`] moves the words instead).
+    fn to_frame(&self) -> Frame {
+        self.clone().into_frame()
+    }
 
-    /// Raises a frame (already version-checked by [`Frame::decode`])
-    /// back to the message.
-    fn from_frame(frame: &Frame) -> Result<Self, WireError>;
+    /// Raises a checked frame ([`Frame::from_parts`] /
+    /// [`Frame::decode`]) back to the message, taking its words.
+    fn from_frame(frame: Frame) -> Result<Self, WireError>;
 
     /// Serialises straight to wire bytes.
     fn encode(&self) -> Vec<u8> {
@@ -421,7 +541,7 @@ pub trait WireMessage: Sized {
         if frame.msg_type != Self::MSG_TYPE {
             return Err(WireError::BadMsgType(frame.msg_type));
         }
-        Self::from_frame(&frame)
+        Self::from_frame(frame)
     }
 }
 
@@ -445,16 +565,8 @@ pub struct OpeningMsg {
     pub efg: Vec<u64>,
 }
 
-impl WireMessage for OpeningMsg {
-    const MSG_TYPE: u8 = 1;
-
-    fn tag(&self) -> u32 {
-        self.chunk
-    }
-
-    fn to_frame(&self) -> Frame {
-        let mut payload = Vec::new();
-        push_words(&mut payload, &self.efg);
+impl IntoFrame for OpeningMsg {
+    fn into_frame(self) -> Frame {
         Frame {
             msg_type: Self::MSG_TYPE,
             step: 0,
@@ -462,13 +574,20 @@ impl WireMessage for OpeningMsg {
             a: self.pair.0,
             b: self.pair.1,
             c: self.k0,
-            payload,
+            payload: Payload::from_words(self.efg),
         }
     }
+}
 
-    fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let efg = frame.payload_words();
-        if !efg.len().is_multiple_of(3) {
+impl WireMessage for OpeningMsg {
+    const MSG_TYPE: u8 = 1;
+
+    fn tag(&self) -> u32 {
+        self.chunk
+    }
+
+    fn from_frame(frame: Frame) -> Result<Self, WireError> {
+        if !frame.payload.words().len().is_multiple_of(3) {
             return Err(WireError::BadLength {
                 what: "opening slab not a multiple of 3 words",
                 len: frame.payload.len(),
@@ -478,7 +597,7 @@ impl WireMessage for OpeningMsg {
             chunk: frame.tag,
             pair: (frame.a, frame.b),
             k0: frame.c,
-            efg,
+            efg: frame.payload.into_words(),
         })
     }
 }
@@ -503,16 +622,8 @@ pub struct OfflineMsg {
     pub words: Vec<u64>,
 }
 
-impl WireMessage for OfflineMsg {
-    const MSG_TYPE: u8 = 3;
-
-    fn tag(&self) -> u32 {
-        self.chunk
-    }
-
-    fn to_frame(&self) -> Frame {
-        let mut payload = Vec::new();
-        push_words(&mut payload, &self.words);
+impl IntoFrame for OfflineMsg {
+    fn into_frame(self) -> Frame {
         Frame {
             msg_type: Self::MSG_TYPE,
             step: self.step as u16,
@@ -520,11 +631,19 @@ impl WireMessage for OfflineMsg {
             a: self.flight,
             b: 0,
             c: 0,
-            payload,
+            payload: Payload::from_words(self.words),
         }
     }
+}
 
-    fn from_frame(frame: &Frame) -> Result<Self, WireError> {
+impl WireMessage for OfflineMsg {
+    const MSG_TYPE: u8 = 3;
+
+    fn tag(&self) -> u32 {
+        self.chunk
+    }
+
+    fn from_frame(frame: Frame) -> Result<Self, WireError> {
         if frame.step > u8::MAX as u16 {
             return Err(WireError::BadLength {
                 what: "offline step out of range",
@@ -535,7 +654,7 @@ impl WireMessage for OfflineMsg {
             chunk: frame.tag,
             flight: frame.a,
             step: frame.step as u8,
-            words: frame.payload_words(),
+            words: frame.payload.into_words(),
         })
     }
 }
@@ -549,14 +668,8 @@ pub struct FinalOpeningMsg {
     pub share: Ring64,
 }
 
-impl WireMessage for FinalOpeningMsg {
-    const MSG_TYPE: u8 = 4;
-
-    fn tag(&self) -> u32 {
-        0
-    }
-
-    fn to_frame(&self) -> Frame {
+impl IntoFrame for FinalOpeningMsg {
+    fn into_frame(self) -> Frame {
         Frame {
             msg_type: Self::MSG_TYPE,
             step: 0,
@@ -564,13 +677,20 @@ impl WireMessage for FinalOpeningMsg {
             a: 0,
             b: 0,
             c: 0,
-            payload: self.share.0.to_le_bytes().to_vec(),
+            payload: Payload::from_words(vec![self.share.0]),
         }
     }
+}
 
-    fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let words = frame.payload_words();
-        let [share] = words[..] else {
+impl WireMessage for FinalOpeningMsg {
+    const MSG_TYPE: u8 = 4;
+
+    fn tag(&self) -> u32 {
+        0
+    }
+
+    fn from_frame(frame: Frame) -> Result<Self, WireError> {
+        let [share] = frame.payload.words()[..] else {
             return Err(WireError::BadLength {
                 what: "final opening must be exactly one word",
                 len: frame.payload.len(),
@@ -597,16 +717,8 @@ pub struct CommitMsg {
     pub digest: u64,
 }
 
-impl WireMessage for CommitMsg {
-    const MSG_TYPE: u8 = 5;
-
-    fn tag(&self) -> u32 {
-        0
-    }
-
-    fn to_frame(&self) -> Frame {
-        let mut payload = Vec::with_capacity(16);
-        push_words(&mut payload, &[self.epoch, self.digest]);
+impl IntoFrame for CommitMsg {
+    fn into_frame(self) -> Frame {
         Frame {
             msg_type: Self::MSG_TYPE,
             step: 0,
@@ -614,13 +726,20 @@ impl WireMessage for CommitMsg {
             a: 0,
             b: 0,
             c: 0,
-            payload,
+            payload: Payload::from_words(vec![self.epoch, self.digest]),
         }
     }
+}
 
-    fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        let words = frame.payload_words();
-        let [epoch, digest] = words[..] else {
+impl WireMessage for CommitMsg {
+    const MSG_TYPE: u8 = 5;
+
+    fn tag(&self) -> u32 {
+        0
+    }
+
+    fn from_frame(frame: Frame) -> Result<Self, WireError> {
+        let [epoch, digest] = frame.payload.words()[..] else {
             return Err(WireError::BadLength {
                 what: "commit must be exactly two words",
                 len: frame.payload.len(),
@@ -705,6 +824,12 @@ mod tests {
         );
     }
 
+    /// [`Frame::from_parts`] on the two parts of whole-word wire bytes.
+    fn from_parts(bytes: &[u8]) -> Result<Frame, WireError> {
+        let (header, payload) = bytes.split_first_chunk().expect("a whole header");
+        Frame::from_parts(header, Payload::from_le_bytes(payload))
+    }
+
     #[test]
     fn every_bit_flip_is_caught() {
         // 0..=9 payload words: no payload at all, lanes 0..=7 one by
@@ -727,23 +852,19 @@ mod tests {
                         decoded.is_err(),
                         "{words} words: flip at byte {pos} bit {bit} went undetected"
                     );
-                    assert_eq!(Frame::decode_owned(mutated), decoded, "one set of checks");
+                    assert_eq!(from_parts(&mutated), decoded, "one set of checks");
                 }
             }
-            assert_eq!(Frame::decode_owned(bytes.clone()), Frame::decode(&bytes));
+            assert_eq!(from_parts(&bytes), Frame::decode(&bytes));
         }
     }
 
     #[test]
     fn unencodable_payloads_are_refused_on_the_sending_side() {
         let frame = |payload| Frame { payload, ..FinalOpeningMsg { share: Ring64(1) }.to_frame() };
-        assert_eq!(
-            frame(vec![0; 12]).try_encode(),
-            Err(WireError::BadLength { what: "payload not a multiple of 8", len: 12 })
-        );
         let over = MAX_FRAME_PAYLOAD_BYTES + 8;
         assert_eq!(
-            frame(vec![0; over]).try_encode(),
+            frame(Payload::from_words(vec![0; over / 8])).try_encode(),
             Err(WireError::BadLength { what: "payload exceeds MAX_FRAME_PAYLOAD_BYTES", len: over })
         );
     }
@@ -787,7 +908,7 @@ mod tests {
         // checksum — with a payload every message's length rule admits
         // at some size, so only the type byte can refuse it.
         for words in [1usize, 2, 3, 7] {
-            let payload = vec![0; 8 * words];
+            let payload = Payload::from_words(vec![0; words]);
             let frame = Frame { msg_type: 2, step: 0, tag: 0, a: 0, b: 0, c: 0, payload };
             let bytes = frame.encode();
             assert_eq!(Frame::decode(&bytes), Ok(frame), "the frame layer carries any type");
