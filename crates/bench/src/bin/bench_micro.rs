@@ -15,7 +15,9 @@
 //! usage: bench_micro [--measure-ms 400] [--quick]
 //! ```
 
-use cargo_core::{estimate_max_degree, project_matrix, DEFAULT_COUNT_BATCH};
+use cargo_core::{
+    estimate_max_degree, project_matrix, CountScheduler, SchedulePlan, DEFAULT_COUNT_BATCH,
+};
 use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
@@ -24,15 +26,16 @@ use cargo_graph::CsrGraph;
 use cargo_mpc::ot::{simulated_base_ots, transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
-    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
-    cr_hash_scalar, expand_input_shares, mul3, plan_flights, Dealer, MgDraw, MgOfflineS1,
-    MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, ServerId, SimdTier, SplitMix64,
-    Frame, IntoFrame, WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
+    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
+    cr_hash_batch, cr_hash_scalar, mask_round, mul3, plan_flights, plan_rounds, Dealer, MgDraw,
+    MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, RoundLanes, RoundSegment,
+    ServerId, SimdTier, SplitMix64, Frame, IntoFrame, WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn usage() -> String {
@@ -225,41 +228,67 @@ fn main() {
     }
 
     // wire/*: one party of the wire Count, per triple, over one default
-    // round of a single draw — its input shares of rows i and j, its
-    // masking (the dealer words it needs drawn inside the lane loop)
-    // and its opening + combination; then fill_words, the AoS
-    // expansion of both parties' ten words, per group. DESIGN.md §8.1
-    // reads these beside the fused two-party kernel.
+    // round in two shapes: `run`, one k-run of 1 024 triples, and `mix`,
+    // the round with the median number of runs of `sparse-tcp`'s plan
+    // (the Facebook preset's 120-user prefix at seed 1 on the streamed
+    // sparse schedule: 271 runs, 3.8 triples each; the whole plan
+    // averages 3.65). Each in the round's three steps: its lane table
+    // (S₂ writing its bits as a memset), the mask pass (input shares
+    // and the dealer words drawn in-lane) and the open + combine pass.
+    // Then fill_words, the AoS expansion of both parties' ten words,
+    // per group. DESIGN.md §8.1 reads these beside the fused two-party
+    // kernel.
     {
         let len = DEFAULT_COUNT_BATCH;
-        let bits: Vec<u64> = (0..len as u64)
-            .map(|k| (k.wrapping_mul(0x9E37_79B9) >> 7) & 1)
-            .collect();
-        let mut efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
-        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-            let (mut b, mut c) = (bits.clone(), bits.clone());
-            let ns = measure_median_iqr_ns(12, budget, || {
-                b.copy_from_slice(&bits);
-                c.copy_from_slice(&bits);
-                expand_input_shares(7, server, 3, 9, &mut b);
-                expand_input_shares(7, server, 5, 9, &mut c);
-                black_box(b[len - 1] ^ c[len - 1])
-            });
-            row(&format!("wire/shares/{server:?}"), len, len as u64, ns, 0.0);
-            let dealer = PairDealer::for_pair(7, 3, 5);
-            let ns = measure_median_iqr_ns(12, budget, || {
-                dealer.clone().mask_block(server, 1, &b, &c, &mut efg[s]);
-                black_box(efg[s][3 * len - 1])
-            });
-            row(&format!("wire/mask/{server:?}"), len, len as u64, ns, 24.0);
+        let run = vec![RoundSegment { draw: 0, offset: 0, len }];
+        let run_plan = vec![MgDraw::dense(3, 5, len as u32)];
+        let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 1);
+        let csr = Arc::new(CsrGraph::from_graph(&full.induced_prefix(120)));
+        let sched = CountScheduler::with_plan(120, 1, len, SchedulePlan::CsrStream(csr));
+        let mix_plan: Vec<MgDraw> =
+            sched.chunks().iter().flat_map(|c| sched.chunk_plan(c)).collect();
+        // The full round with the median number of runs.
+        let mut rounds = Vec::new();
+        let mut cut = plan_rounds(&mix_plan, len);
+        while let Some(round) = cut.next_round() {
+            if round.iter().map(|seg| seg.len).sum::<usize>() == len {
+                rounds.push(round.to_vec());
+            }
         }
-        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-            let dealer = PairDealer::for_pair(7, 3, 5);
-            let ns = measure_median_iqr_ns(12, budget, || {
-                black_box(dealer.clone().combine_block(server, &efg[s], &efg[1 - s]))
-            });
-            let name = format!("wire/combine/{server:?}");
-            row(&name, len, len as u64, ns, 0.0);
+        rounds.sort_by_key(|round| round.len());
+        let mix = rounds.swap_remove(rounds.len() / 2);
+        for (shape, plan, round) in [("run", &run_plan, run), ("mix", &mix_plan, mix)] {
+            let triples: usize = round.iter().map(|seg| seg.len).sum();
+            let mut efg = [vec![0u64; 3 * triples], vec![0u64; 3 * triples]];
+            let mut tables = Vec::new();
+            for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
+                let mut lanes = RoundLanes::new(7, server);
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    lanes.clear();
+                    for seg in &round {
+                        let draw = &plan[seg.draw];
+                        if let Some([b, c]) = lanes.push_run(draw, seg.offset, seg.len, 1) {
+                            b.fill(1);
+                            c.fill(1);
+                        }
+                    }
+                    black_box(lanes.len())
+                });
+                row(&format!("wire/lanes/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    mask_round(&lanes, None, &mut efg[s]);
+                    black_box(efg[s][3 * triples - 1])
+                });
+                row(&format!("wire/mask/{shape}/{server:?}"), triples, triples as u64, ns, 24.0);
+                tables.push(lanes);
+            }
+            let servers = [ServerId::S1, ServerId::S2];
+            for (s, (lanes, server)) in tables.iter().zip(servers).enumerate() {
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    black_box(combine_round(lanes, None, &efg[s], &efg[1 - s]))
+                });
+                row(&format!("wire/combine/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
+            }
         }
         let mut words = vec![0u64; MG_WORDS * len];
         let mut dealer = PairDealer::for_pair(7, 3, 5);

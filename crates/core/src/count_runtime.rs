@@ -24,28 +24,30 @@
 //!   `batch` triples ([`crate::DEFAULT_COUNT_BATCH`] = 1 024 by
 //!   default) **in plan order, across `k`-run and pair boundaries**
 //!   (only the chunk's last round is short), and every round travels as
-//!   **one frame** ([`cargo_mpc::OpeningMsg`]): each segment
-//!   `(draw, offset, len)` of the round masked into its own `[e|f|g]`
-//!   sub-slab, the slab opened element-wise, each segment combined.
-//!   The header names the round's first `(pair, k)`; S₁ and S₂ derive
-//!   the cut from the public plan and `batch` alone, and four lockstep
-//!   checks (chunk, pair, first `k`, slab length) stop a peer that cut
-//!   differently inside the first disagreeing round. All workers of a
+//!   **one frame** ([`cargo_mpc::OpeningMsg`]): the round's triples,
+//!   whatever segments `(draw, offset, len)` they are cut from, masked
+//!   into one round-wide `[e | f | g]` slab, opened element-wise and
+//!   combined. The header names the round's first `(pair, k)`; S₁ and
+//!   S₂ derive the cut — and so the slab's word order — from the public
+//!   plan and `batch` alone, and four lockstep checks (chunk, pair,
+//!   first `k`, slab length) stop a peer that cut differently inside
+//!   the first disagreeing round. All workers of a
 //!   server share one multiplexed link whose frames carry the chunk
 //!   id, so rounds from different shards interleave safely on the same
 //!   wire. In OT mode each chunk is preceded by its amortised offline
 //!   session on the same link ([`cargo_mpc::mg_offline_over_wire`]);
-//! * **one server's arithmetic at kernel speed** — in dealer mode a
-//!   segment is three lane-parallel passes: the server's input shares
-//!   of rows `i` and `j` ([`expand_input_shares`]; S₁ never reads the
-//!   matrix), its masking with its own `x, y, z` words drawn straight
-//!   from the pair stream's counter ([`PairDealer::mask_block`]), and,
-//!   once the peer's slab is in, the opening and combination from a
-//!   copy of the same stream position ([`PairDealer::combine_block`]:
-//!   S₁ re-derives seven words, S₂ all ten). No dealer word is buffered
-//!   and the other server's column is never expanded. OT and pool mode
-//!   mask and combine their preprocessed share structs with
-//!   [`mul3_mask_batch`] / [`mul3_combine_batch`].
+//! * **one server's arithmetic at kernel speed** — a round is a table
+//!   of lanes, one per triple ([`RoundLanes`]: the PRF keys of its
+//!   `(i, k)` and `(j, k)`, this server's share of `a_ij`, the
+//!   dealer-stream counter of its group and, on S₂ only, its plaintext
+//!   bits), and two lane-parallel passes over it, however short the
+//!   round's `k`-runs: the input shares and maskings ([`mask_round`];
+//!   S₁ never reads the matrix) and, once the peer's slab is in, the
+//!   opening and combination ([`combine_round`]: in dealer mode S₁
+//!   re-derives seven words of each lane's group, S₂ all ten). No
+//!   dealer word is buffered and the other server's column is never
+//!   expanded. OT and pool mode run the same passes over the round's
+//!   next `len` preprocessed groups instead of the counters.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -64,10 +66,9 @@ use crate::count::{finish, AdjacencyBits, CountJob, CountPart, SecureCountResult
 use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    expand_input_shares, mg_offline_over_wire, mul3_combine_batch, mul3_mask_batch,
-    mul3_open_batch, ot_setup_ledger, plan_rounds, recv_msg, send_msg, MgDraw,
-    NetStats, OfflineMode, OpeningMsg, PairDealer, PoolPolicy, Ring64, RoundSegment, ServerId,
-    Transport, TriplePool, WordBuffers,
+    combine_round, expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger,
+    plan_rounds, recv_msg, send_msg, share_prf, MgDraw, NetStats, OfflineMode, OpeningMsg,
+    PoolPolicy, Ring64, RoundLanes, RoundSegment, ServerId, Transport, TriplePool, WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -100,15 +101,14 @@ struct Server<'a, T: Transport> {
 }
 
 impl<'env, T: Transport> Server<'env, T> {
-    /// This server's shares of row `row`, columns
-    /// `k0 .. k0 + out.len()`, expanded lane-parallel from the users'
-    /// PRF ([`expand_input_shares`]): S₂ reads the plaintext bits to
-    /// subtract them, S₁'s shares are the PRF alone.
-    fn input_shares(&self, row: usize, k0: usize, out: &mut [u64]) {
-        if self.id == ServerId::S2 {
-            self.matrix.fill_bits(row, k0, out);
+    /// This server's share of `a_ij` from the users' PRF: S₁'s is the
+    /// PRF alone, S₂ reads the plaintext bit to subtract it.
+    fn a_share(&self, i: usize, j: usize) -> u64 {
+        let prf = share_prf(self.job.seed, i as u32, j as u32);
+        match self.id {
+            ServerId::S1 => prf,
+            ServerId::S2 => self.matrix.bit(i, j).wrapping_sub(prf),
         }
-        expand_input_shares(self.job.seed, self.id, row as u32, k0 as u32, out);
     }
 
     /// Runs this server's worker pool — no more workers than there are
@@ -203,59 +203,34 @@ impl<'env, T: Transport> Server<'env, T> {
         // still reads the slab).
         let mut mine =
             OpeningMsg { chunk: chunk.id, pair: (0, 0), k0: 0, efg: Vec::with_capacity(3 * batch) };
-        // This server's shares of a segment's a_ik and a_jk, grown to
-        // the longest segment met (a k-run rarely fills a round).
-        let (mut b_blk, mut c_blk) = (Vec::new(), Vec::new());
-        // Dealer mode: the stream of the draw being consumed, and each
-        // segment's stream at its first group — where the round's
-        // combine re-derives the words its mask drew.
-        let mut stream: Option<PairDealer> = None;
-        let mut starts: Vec<PairDealer> = Vec::new();
-        // OT mode: the opened slab of one segment, for the share-struct
-        // helpers.
-        let mut opened = Vec::new();
+        // The round's lanes, one per triple, rebuilt every round in the
+        // same buffers.
+        let mut lanes = RoundLanes::new(seed, self.id);
         // Groups of the chunk already opened — in OT mode a round's
         // material is the next `len` groups of the plan-ordered slab.
         let mut done = 0usize;
         let mut rounds = plan_rounds(&plan, batch);
         while let Some(round) = rounds.next_round() {
             let (pair, k0) = round_header(&plan, round);
-            let len: usize = round.iter().map(|seg| seg.len).sum();
             let at = format_args!("chunk {}, first pair {pair:?}, first k {k0}", chunk.id);
-            // Step 1: local maskings — each segment of the round into
-            // its own [e|f|g] sub-slab (the batch kernel's layout) of
-            // the one opening frame.
-            let slab = 3 * len;
-            (mine.pair, mine.k0) = (pair, k0);
-            mine.efg.resize(slab, 0);
-            starts.clear();
-            let mut lane = 0usize;
+            // Step 1: local maskings — the round's lanes, segment by
+            // segment, then one pass over all of them into the round's
+            // [e|f|g] slab, the one opening frame.
+            lanes.clear();
             for seg in round {
                 let d = &plan[seg.draw];
                 let (i, j, k) = (d.i as usize, d.j as usize, d.k_at(seg.offset));
-                if b_blk.len() < seg.len {
-                    b_blk.resize(seg.len, 0);
-                    c_blk.resize(seg.len, 0);
+                if let Some([b, c]) = lanes.push_run(d, seg.offset, seg.len, self.a_share(i, j)) {
+                    self.matrix.fill_bits(i, k, b);
+                    self.matrix.fill_bits(j, k, c);
                 }
-                let (b, c) = (&mut b_blk[..seg.len], &mut c_blk[..seg.len]);
-                self.input_shares(i, k, b);
-                self.input_shares(j, k, c);
-                let mut a = [0u64];
-                self.input_shares(i, j, &mut a);
-                let out = &mut mine.efg[3 * lane..3 * (lane + seg.len)];
-                match &material {
-                    None => {
-                        let s = segment_stream(&mut stream, seed, &plan, seg);
-                        starts.push(s.clone());
-                        s.mask_block(self.id, a[0], b, c, out);
-                    }
-                    Some(groups) => {
-                        let groups = &groups[done + lane..done + lane + seg.len];
-                        mul3_mask_batch(a[0], b, c, groups, out);
-                    }
-                }
-                lane += seg.len;
             }
+            let len = lanes.len();
+            let groups = material.as_deref().map(|groups| &groups[done..done + len]);
+            let slab = 3 * len;
+            (mine.pair, mine.k0) = (pair, k0);
+            mine.efg.resize(slab, 0);
+            mask_round(&lanes, groups, &mut mine.efg);
             // Step 2: one round — send mine, receive the peer's.
             net.exchange(slab as u64);
             *triples += len as u64;
@@ -266,23 +241,9 @@ impl<'env, T: Transport> Server<'env, T> {
             assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
             assert_eq!(theirs.k0, k0, "peer batch out of lockstep in the round at {at}");
             assert_eq!(theirs.efg.len(), slab, "peer slab size mismatch in the round at {at}");
-            // Step 3: each segment's reconstruction and local
-            // combination.
-            let mut lane = 0usize;
-            for (s, seg) in round.iter().enumerate() {
-                let span = 3 * lane..3 * (lane + seg.len);
-                let (mine, theirs) = (&mine.efg[span.clone()], &theirs.efg[span]);
-                t_share += match &material {
-                    None => Ring64(starts[s].combine_block(self.id, mine, theirs)),
-                    Some(groups) => {
-                        opened.resize(3 * seg.len, 0);
-                        mul3_open_batch(mine, theirs, &mut opened);
-                        let groups = &groups[done + lane..done + lane + seg.len];
-                        mul3_combine_batch(groups, &opened, self.id)
-                    }
-                };
-                lane += seg.len;
-            }
+            // Step 3: the round's reconstruction and local combination,
+            // one pass.
+            t_share += Ring64(combine_round(&lanes, groups, &mine.efg, &theirs.efg));
             done += len;
         }
         t_share
@@ -294,23 +255,6 @@ impl<'env, T: Transport> Server<'env, T> {
 fn round_header(plan: &[MgDraw], round: &[RoundSegment]) -> ((u32, u32), u32) {
     let first = &plan[round[0].draw];
     ((first.i, first.j), first.k_at(round[0].offset) as u32)
-}
-
-/// The dealer stream positioned at `seg`'s first group: sought to the
-/// draw's canonical offset — the same position every other MG source
-/// uses for the same `(i, j, k)` triple, on any schedule — when the
-/// segment opens its draw, resumed where the previous round cut the
-/// draw otherwise (segments arrive in plan order).
-fn segment_stream<'s>(
-    stream: &'s mut Option<PairDealer>,
-    seed: u64,
-    plan: &[MgDraw],
-    seg: &RoundSegment,
-) -> &'s mut PairDealer {
-    if seg.offset == 0 {
-        *stream = Some(PairDealer::for_draw(seed, &plan[seg.draw]));
-    }
-    stream.as_mut().expect("a draw's first segment has offset 0")
 }
 
 /// Joins a worker (or a whole party). Its panic — a lost peer, a
@@ -447,8 +391,8 @@ mod tests {
     use super::*;
     use crate::count::count_local;
     use crate::DEFAULT_COUNT_BATCH;
-    use cargo_graph::count_triangles_matrix;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
+    use cargo_graph::{count_triangles_matrix, CsrGraph};
     use cargo_mpc::{TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
 
@@ -610,6 +554,50 @@ mod tests {
                 assert_eq!(res.triples, fast.triples, "{at}");
             }
         }
+    }
+
+    #[test]
+    fn sparse_rounds_of_short_runs_match_the_fast_path_in_every_mode() {
+        // On a sparse candidate schedule a round's lanes come from many
+        // draws, most of them k-runs shorter than a vector, and a round
+        // may resume a draw the previous round cut. Dealer, inline-OT
+        // and pool material, over memory and TCP, must reproduce the
+        // fast path share for share.
+        let g = erdos_renyi(90, 0.15, 4);
+        let m = g.to_bit_matrix();
+        let plan = SchedulePlan::CsrStream(Arc::new(CsrGraph::from_graph(&g)));
+        let ot = CountJob { offline: OfflineMode::OtExtension, ..job(23, 2, 0) };
+        let pool = PoolPolicy { factory_threads: 1, ..PoolPolicy::INLINE };
+        let modes = [job(23, 2, 0), ot.clone(), CountJob { pool, ..ot }];
+        let mut resumes_a_draw = false;
+        for batch in [7usize, DEFAULT_COUNT_BATCH] {
+            let sched = CountJob { plan: plan.clone(), ..job(23, 2, batch) }.scheduler(m.n());
+            let (mut draws, mut short) = (0usize, 0usize);
+            for chunk in sched.chunks() {
+                let plan = sched.chunk_plan(chunk);
+                draws += plan.len();
+                short += plan.iter().filter(|d| d.groups < 8).count();
+                let mut rounds = plan_rounds(&plan, sched.batch());
+                while let Some(round) = rounds.next_round() {
+                    resumes_a_draw |= round.iter().any(|seg| seg.offset > 0);
+                }
+            }
+            assert!(4 * short > 3 * draws, "batch {batch}: {short} of {draws} runs are short");
+            for mode in &modes {
+                let wire = CountJob { plan: plan.clone(), batch, ..mode.clone() };
+                let fast = count_local(&m, &CountJob { threads: 1, ..wire.clone() });
+                assert!(fast.triples > 0);
+                let runs = [("memory", over_memory(&m, &wire)), ("tcp", over_tcp(&m, &wire))];
+                for (link, res) in runs {
+                    let (mode, pooled) = (wire.offline, wire.pool.enabled());
+                    let at = format!("{link}, batch {batch}, {mode:?}, pool {pooled}");
+                    assert_eq!((res.share1, res.share2), (fast.share1, fast.share2), "{at}");
+                    assert_eq!(res.net, fast.net, "{at}");
+                    assert_eq!(res.triples, fast.triples, "{at}");
+                }
+            }
+        }
+        assert!(resumes_a_draw, "no round starts mid-draw");
     }
 
     #[test]

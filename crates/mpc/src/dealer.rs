@@ -21,7 +21,6 @@ use crate::ring::Ring64;
 use crate::share::{share_with, SharePair};
 use crate::simd::SimdTier;
 use crate::triple_mul::MulGroupShare;
-use crate::ServerId;
 
 /// A trusted dealer producing correlated randomness for the two servers.
 #[derive(Debug, Clone)]
@@ -202,23 +201,15 @@ impl PairDealer {
         crate::triple_mul::mul3_batch_stream(&mut self.rng, a, b, c)
     }
 
-    /// One server's half of [`Self::count_block`], step 1: masks a
-    /// block of `b.len()` triples with this server's column of the
-    /// stream, drawn inside the lane loop
-    /// ([`crate::triple_mul::mul3_mask_stream`]), into `out`'s
-    /// `[e.. | f.. | g..]` slab. Consumes exactly the words
-    /// [`Self::fill_words`] would for the block.
-    #[inline]
-    pub fn mask_block(&mut self, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
-        crate::triple_mul::mul3_mask_stream(&mut self.rng, server, a, b, c, out)
-    }
-
-    /// Steps 2–3 of the same block, from a copy of the stream taken
-    /// before [`Self::mask_block`]: opens `mine + theirs` and returns
-    /// this server's `Σ⟨d⟩` ([`crate::triple_mul::mul3_combine_stream`]).
-    #[inline]
-    pub fn combine_block(&mut self, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
-        crate::triple_mul::mul3_combine_stream(&mut self.rng, server, mine, theirs)
+    /// The counter state at which group `offset` of `draw` starts —
+    /// [`Self::for_draw`] + [`Self::skip_groups`] in closed form. A
+    /// round's lane table ([`crate::RoundLanes`]) keys each lane's
+    /// group by it, its words being this state's next [`MG_WORDS`]
+    /// outputs.
+    pub(crate) fn group_state(root: u64, draw: &crate::MgDraw, offset: usize) -> u64 {
+        let mut d = Self::for_draw(root, draw);
+        d.skip_groups(offset);
+        d.rng.state_raw()
     }
 
     /// Draws one Multiplication Group as the two servers' share

@@ -19,7 +19,8 @@
 //! `w + xyg + xzf + yze + xfg + yeg + zef + efg = (x+e)(y+f)(z+g) = abc`.
 
 use crate::channel::NetStats;
-use crate::dealer::MG_WORDS;
+use crate::dealer::{PairDealer, MG_WORDS};
+use crate::offline::MgDraw;
 use crate::prg::{SplitMix64, SM_GAMMA, SM_M1, SM_M2};
 use crate::ring::Ring64;
 use crate::simd::{SimdTier, U64x8, U64xN, LANES};
@@ -551,13 +552,24 @@ pub fn mul3_batch_stream(rng: &mut SplitMix64, a: u64, b: &[u64], c: &[u64]) -> 
     mul3_batch_prg_body(state, a, b, c)
 }
 
-/// Lane `t` is [`share_prf`](crate::share_prf)`(seed, row, k + t)`:
-/// consecutive columns of a row are consecutive PRF keys.
+/// The key [`share_prf`](crate::share_prf) mixes for entry
+/// `(row, k)`: consecutive columns of a row are keys [`SM_GAMMA`] apart.
+#[inline(always)]
+fn prf_key(row: u32, k: u64) -> u64 {
+    (((row as u64) << 32) | k).wrapping_mul(SM_GAMMA)
+}
+
+/// [`share_prf`](crate::share_prf) of each lane's key ([`prf_key`]).
+#[inline(always)]
+fn prf_keyed<const N: usize>(seed: u64, keys: U64xN<N>) -> U64xN<N> {
+    mix((keys ^ U64xN::splat(seed)) + U64xN::splat(SM_GAMMA))
+}
+
+/// Lane `t` is [`share_prf`](crate::share_prf)`(seed, row, k + t)`.
 #[inline(always)]
 fn prf<const N: usize>(seed: u64, row: u32, k: u64) -> U64xN<N> {
     let step = const { lane_steps::<N>(SM_GAMMA) };
-    let key = (((row as u64) << 32) | k).wrapping_mul(SM_GAMMA);
-    mix(((U64xN::splat(key) + step) ^ U64xN::splat(seed)) + U64xN::splat(SM_GAMMA))
+    prf_keyed(seed, U64xN::splat(prf_key(row, k)) + step)
 }
 
 // The per-party kernels below write each step once, generic over the
@@ -599,113 +611,6 @@ fn input_shares_body(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut
     }
 }
 
-/// `N` lanes of server `s`'s (0 or 1) maskings: its words
-/// `x_s, y_s, z_s` are fields `s`, `2 + s`, `4 + s` of each group.
-#[inline(always)]
-fn mask_lanes<const N: usize>(
-    mg: MgLanes,
-    s: u64,
-    lane0: usize,
-    [a, b, c]: [U64xN<N>; 3],
-) -> [U64xN<N>; 3] {
-    [
-        a - mg.field(lane0, s),
-        b - mg.field(lane0, 2 + s),
-        c - mg.field(lane0, 4 + s),
-    ]
-}
-
-/// [`mul3_mask_stream`]'s body, compiled once per ISA tier.
-#[inline(always)]
-fn mask_body(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
-    let l = b.len();
-    let mg = MgLanes { state };
-    let s = server.index();
-    let full = l / LANES * LANES;
-    for lane0 in (0..full).step_by(LANES) {
-        let abc = [
-            U64x8::splat(a),
-            U64x8::load(&b[lane0..]),
-            U64x8::load(&c[lane0..]),
-        ];
-        for (slab, v) in mask_lanes(mg, s, lane0, abc).into_iter().enumerate() {
-            v.store(&mut out[slab * l + lane0..]);
-        }
-    }
-    for t in full..l {
-        let abc = [U64xN([a]), U64xN([b[t]]), U64xN([c[t]])];
-        for (slab, v) in mask_lanes(mg, s, t, abc).into_iter().enumerate() {
-            out[slab * l + t] = v.0[0];
-        }
-    }
-}
-
-/// `N` lanes of one server's `⟨d⟩` shares from the opened `e, f, g`.
-/// S₁ re-derives its seven words `x₁ y₁ z₁ o₁ p₁ q₁ w₁` and forms no
-/// mask products; S₂ re-derives all ten and forms `o, p, q, w` to
-/// difference its shares out of them, exactly as
-/// [`crate::split_mg_words`] does.
-#[inline(always)]
-fn combine_lanes<const S2: bool, const N: usize>(
-    mg: MgLanes,
-    lane0: usize,
-    [e, f, g]: [U64xN<N>; 3],
-) -> U64xN<N> {
-    let (fg, eg, ef) = (f * g, e * g, e * f);
-    let (x1, y1, z1) = (mg.field(lane0, 0), mg.field(lane0, 2), mg.field(lane0, 4));
-    let (o1, p1, q1) = (mg.field(lane0, 6), mg.field(lane0, 7), mg.field(lane0, 8));
-    let w1 = mg.field(lane0, 9);
-    if S2 {
-        let (x2, y2, z2) = (mg.field(lane0, 1), mg.field(lane0, 3), mg.field(lane0, 5));
-        let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
-        let o = x * y;
-        (o * z - w1)
-            + (o - o1) * g
-            + (x * z - p1) * f
-            + (y * z - q1) * e
-            + x2 * fg
-            + y2 * eg
-            + z2 * ef
-            + ef * g
-    } else {
-        w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
-    }
-}
-
-/// [`mul3_combine_stream`]'s body for one server.
-#[inline(always)]
-fn combine_server<const S2: bool>(state: u64, mine: &[u64], theirs: &[u64]) -> u64 {
-    let l = mine.len() / 3;
-    let mg = MgLanes { state };
-    let full = l / LANES * LANES;
-    let mut acc = U64x8::ZERO;
-    for lane0 in (0..full).step_by(LANES) {
-        let efg = [lane0, l + lane0, 2 * l + lane0].map(|at| open_lanes::<LANES>(mine, theirs, at));
-        acc = acc + combine_lanes::<S2, LANES>(mg, lane0, efg);
-    }
-    let mut total = acc.hsum();
-    for t in full..l {
-        let efg = [t, l + t, 2 * l + t].map(|at| open_lanes::<1>(mine, theirs, at));
-        total = total.wrapping_add(combine_lanes::<S2, 1>(mg, t, efg).0[0]);
-    }
-    total
-}
-
-/// Lanes `at .. at + N` of the opened slab `mine + theirs`.
-#[inline(always)]
-fn open_lanes<const N: usize>(mine: &[u64], theirs: &[u64], at: usize) -> U64xN<N> {
-    U64xN::load(&mine[at..]) + U64xN::load(&theirs[at..])
-}
-
-/// [`mul3_combine_stream`]'s body, compiled once per ISA tier.
-#[inline(always)]
-fn combine_body(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
-    match server {
-        ServerId::S1 => combine_server::<false>(state, mine, theirs),
-        ServerId::S2 => combine_server::<true>(state, mine, theirs),
-    }
-}
-
 /// # Safety
 /// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
@@ -720,38 +625,6 @@ unsafe fn input_shares_avx512(seed: u64, server: ServerId, row: u32, k0: u32, wo
 #[target_feature(enable = "avx2")]
 unsafe fn input_shares_avx2(seed: u64, server: ServerId, row: u32, k0: u32, words: &mut [u64]) {
     input_shares_body(seed, server, row, k0, words)
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mask_avx512(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
-    mask_body(state, server, a, b, c, out)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mask_avx2(state: u64, server: ServerId, a: u64, b: &[u64], c: &[u64], out: &mut [u64]) {
-    mask_body(state, server, a, b, c, out)
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn combine_avx512(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
-    combine_body(state, server, mine, theirs)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn combine_avx2(state: u64, server: ServerId, mine: &[u64], theirs: &[u64]) -> u64 {
-    combine_body(state, server, mine, theirs)
 }
 
 /// One server's input shares along row `row`, columns
@@ -789,106 +662,492 @@ fn expand_input_shares_tier(
     }
 }
 
-/// One server's step 1 over `L` triples with its dealer words drawn
-/// straight from `rng`'s counter inside the lane loop: writes
-/// `⟨e⟩ = a − ⟨x⟩, ⟨f⟩ = b − ⟨y⟩, ⟨g⟩ = c − ⟨z⟩` into `out` in
-/// [`mul3_mask_batch`]'s `[e.. | f.. | g..]` layout and advances `rng`
-/// past the `L` groups. `a` is this server's share of the fixed first
-/// secret, `b`/`c` its per-triple shares of the other two
-/// ([`expand_input_shares`]). Bit-identical to
-/// [`crate::PairDealer::fill_words`] + [`crate::split_mg_words`] +
-/// [`mul3_mask_batch`] on the server's column, which the per-party
-/// proptests pin at every tier — without expanding, and then
-/// discarding, the other server's column.
+/// One online round of one server, cut into lanes — one lane per
+/// triple, in structure-of-arrays form — which [`mask_round`] and
+/// [`combine_round`] each evaluate in one pass, whatever `k`-runs the
+/// round is cut from.
 ///
-/// # Panics
-/// Panics if the slab lengths disagree (`c.len() ≠ L` or
-/// `out.len() ≠ 3·L`).
-pub fn mul3_mask_stream(
-    rng: &mut SplitMix64,
+/// A segment `(draw, offset, len)` of the round ([`crate::plan_rounds`])
+/// adds `len` lanes ([`RoundLanes::push_run`]). Lane `t` of it, triple
+/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the
+/// [`share_prf`](crate::share_prf) keys of `(i, k)` and `(j, k)`, this
+/// server's share of `a_ij`, and the dealer-stream counter its group
+/// starts at (the draw's [`crate::PairDealer`] sought `offset + t` groups
+/// on); on S₂ also the plaintext bits of `(i, k)` and `(j, k)`. Lanes
+/// are in plan order, so a round's lanes also line up with the next
+/// `len` groups of a plan-ordered slab of preprocessed material.
+///
+/// ```
+/// use cargo_mpc::{combine_round, mask_round, share_prf, MgDraw, RoundLanes, ServerId};
+/// // One round of five triples cut from two k-runs, (0, 1, k) for
+/// // k = 2, 3, 4 and (0, 2, k) for k = 3, 4, every adjacency bit 1.
+/// let seed = 7;
+/// let runs = [MgDraw::dense(0, 1, 3), MgDraw::dense(0, 2, 2)];
+/// let (mut tables, mut slabs) = (Vec::new(), Vec::new());
+/// for server in [ServerId::S1, ServerId::S2] {
+///     let mut lanes = RoundLanes::new(seed, server);
+///     for run in &runs {
+///         let prf = share_prf(seed, run.i, run.j);
+///         let a = if server == ServerId::S1 { prf } else { 1u64.wrapping_sub(prf) };
+///         if let Some([b, c]) = lanes.push_run(run, 0, run.groups as usize, a) {
+///             b.fill(1);
+///             c.fill(1);
+///         }
+///     }
+///     let mut efg = vec![0; 3 * lanes.len()];
+///     mask_round(&lanes, None, &mut efg);
+///     tables.push(lanes);
+///     slabs.push(efg);
+/// }
+/// let d1 = combine_round(&tables[0], None, &slabs[0], &slabs[1]);
+/// let d2 = combine_round(&tables[1], None, &slabs[1], &slabs[0]);
+/// assert_eq!(d1.wrapping_add(d2), 5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RoundLanes {
+    seed: u64,
     server: ServerId,
-    a: u64,
-    b: &[u64],
-    c: &[u64],
-    out: &mut [u64],
-) {
-    mul3_mask_stream_tier(SimdTier::detect(), rng, server, a, b, c, out)
+    /// Lanes in the round. The columns below keep the length of the
+    /// longest round met, so a round writes them in place.
+    len: usize,
+    /// This server's share of each lane's `a_ij`.
+    a: Vec<u64>,
+    /// Each lane's [`prf_key`]s of `(i, k)` and `(j, k)`.
+    keys: [Vec<u64>; 2],
+    /// The dealer-stream counter each lane's group starts at.
+    state: Vec<u64>,
+    /// S₂ only: each lane's plaintext bits of `(i, k)` and `(j, k)`.
+    bits: [Vec<u64>; 2],
 }
 
-fn mul3_mask_stream_tier(
-    tier: SimdTier,
-    rng: &mut SplitMix64,
-    server: ServerId,
-    a: u64,
-    b: &[u64],
-    c: &[u64],
-    out: &mut [u64],
-) {
-    let l = b.len();
-    assert!(c.len() == l && out.len() == 3 * l, "b/c/efg slab lengths");
-    assert!(
-        tier.supported(),
-        "SIMD tier {tier} not supported on this CPU"
-    );
-    let state = rng.state_raw();
-    rng.skip(MG_WORDS * l);
-    match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { mask_avx512(state, server, a, b, c, out) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { mask_avx2(state, server, a, b, c, out) },
-        _ => mask_body(state, server, a, b, c, out),
+impl RoundLanes {
+    /// An empty table for `server` under the Count seed `seed`, which
+    /// keys both the input-share PRF and the dealer streams.
+    pub fn new(seed: u64, server: ServerId) -> Self {
+        RoundLanes {
+            seed,
+            server,
+            len: 0,
+            a: Vec::new(),
+            keys: [Vec::new(), Vec::new()],
+            state: Vec::new(),
+            bits: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Empties the table for the next round, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Lanes (triples) in the round so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the round has no lane yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends the round segment `(draw, offset, len)`: `len` lanes, the
+    /// triples `(i, j, draw.k_at(offset) + t)`, whose first secret is
+    /// `a_ij` and `a` this server's share of it. On S₂ returns the new
+    /// lanes' bit slices of rows `i` and `j`, columns
+    /// `draw.k_at(offset) ..`, for the caller to overwrite with the
+    /// users' plaintext bits; S₁ reads no bit and gets `None`.
+    pub fn push_run(
+        &mut self,
+        draw: &MgDraw,
+        offset: usize,
+        len: usize,
+        a: u64,
+    ) -> Option<[&mut [u64]; 2]> {
+        let (at, end) = (self.len, self.len + len);
+        if self.a.len() < end + FILL_BLOCK {
+            let bits = self.bits.iter_mut().filter(|_| self.server == ServerId::S2);
+            let columns = [&mut self.a, &mut self.state].into_iter().chain(&mut self.keys);
+            for column in columns.chain(bits) {
+                column.resize(end + FILL_BLOCK, 0);
+            }
+        }
+        self.len = end;
+        let k = draw.k_at(offset) as u64;
+        fill_steps(&mut self.a, at..end, a, 0);
+        for (keys, row) in self.keys.iter_mut().zip([draw.i, draw.j]) {
+            fill_steps(keys, at..end, prf_key(row, k), SM_GAMMA);
+        }
+        let state = PairDealer::group_state(self.seed, draw, offset);
+        fill_steps(&mut self.state, at..end, state, SM_GAMMA.wrapping_mul(MG_WORDS as u64));
+        match self.server {
+            ServerId::S1 => None,
+            ServerId::S2 => Some(self.bits.each_mut().map(|bits| &mut bits[at..end])),
+        }
     }
 }
 
-/// One server's steps 2–3 over the `L` triples [`mul3_mask_stream`]
-/// masked from the same stream position: opens `mine + theirs` lane
-/// by lane and returns the wrapping sum of this server's `⟨d⟩` shares,
-/// re-deriving the dealer words it needs from `rng`'s counter (and
-/// advancing `rng` past the `L` groups). Bit-identical to
-/// [`mul3_open_batch`] + [`mul3_combine_batch`] over
-/// [`crate::split_mg_words`]'s column for `server`.
-///
-/// # Panics
-/// Panics if `mine` and `theirs` differ in length or are not `3·L`.
-pub fn mul3_combine_stream(
-    rng: &mut SplitMix64,
-    server: ServerId,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    mul3_combine_stream_tier(SimdTier::detect(), rng, server, mine, theirs)
+/// Lanes of a [`RoundLanes`] column written at a time: the last block
+/// of a segment runs past it into lanes the next segment overwrites (a
+/// column keeps `FILL_BLOCK` lanes of slack), so each short `k`-run of
+/// a sparse round costs one block store per column, not a loop's set-up.
+const FILL_BLOCK: usize = 4;
+
+/// `column[at + t] = first + t·step` (wrapping) for each lane `at + t`
+/// of `lanes`, written in blocks of [`FILL_BLOCK`].
+#[inline(always)]
+fn fill_steps(column: &mut [u64], lanes: std::ops::Range<usize>, first: u64, step: u64) {
+    let mut v = U64xN::<FILL_BLOCK>::splat(first) + lane_steps(step);
+    let jump = U64xN::splat(step.wrapping_mul(FILL_BLOCK as u64));
+    for block in lanes.step_by(FILL_BLOCK) {
+        v.store(&mut column[block..]);
+        v = v + jump;
+    }
 }
 
-fn mul3_combine_stream_tier(
-    tier: SimdTier,
-    rng: &mut SplitMix64,
-    server: ServerId,
+// The round kernels below are written like the input-share kernel
+// above — generic over the lane count, so a round's scalar tail (at
+// most `LANES − 1` lanes) runs the vector loop's formula — and also
+// generic over where the round's groups come from.
+
+/// Where a round's Multiplication Groups come from, lane by lane.
+trait LaneGroups: Copy {
+    /// `N` lanes from `lane0` of this server's mask shares `x, y, z`.
+    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3];
+    /// `N` lanes from `lane0` of this server's `⟨d⟩` shares from the
+    /// opened `e, f, g`.
+    fn d<const S2: bool, const N: usize>(self, lane0: usize, efg: [U64xN<N>; 3]) -> U64xN<N>;
+}
+
+/// Dealer material: each lane's group drawn from its own counter
+/// ([`RoundLanes`]' `state`), in closed form.
+#[derive(Clone, Copy)]
+struct DealerLanes<'a>(&'a [u64]);
+
+impl DealerLanes<'_> {
+    /// Field `f` (see [`MG_WORDS`] for the order) of the groups of
+    /// lanes `lane0 .. lane0 + N`.
+    #[inline(always)]
+    fn field<const N: usize>(self, lane0: usize, f: u64) -> U64xN<N> {
+        mix(U64xN::load(&self.0[lane0..]) + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
+    }
+}
+
+impl LaneGroups for DealerLanes<'_> {
+    /// Server `s`'s (0 or 1) words `x_s, y_s, z_s` are fields `s`,
+    /// `2 + s`, `4 + s` of each group.
+    #[inline(always)]
+    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3] {
+        let s = S2 as u64;
+        [self.field(lane0, s), self.field(lane0, 2 + s), self.field(lane0, 4 + s)]
+    }
+
+    /// S₁ re-derives its seven words `x₁ y₁ z₁ o₁ p₁ q₁ w₁` and forms no
+    /// mask products; S₂ re-derives all ten and forms `o, p, q, w` to
+    /// difference its shares out of them, exactly as
+    /// [`crate::split_mg_words`] does.
+    #[inline(always)]
+    fn d<const S2: bool, const N: usize>(self, lane0: usize, [e, f, g]: [U64xN<N>; 3]) -> U64xN<N> {
+        let (fg, eg, ef) = (f * g, e * g, e * f);
+        let (x1, y1, z1) = (self.field(lane0, 0), self.field(lane0, 2), self.field(lane0, 4));
+        let (o1, p1, q1) = (self.field(lane0, 6), self.field(lane0, 7), self.field(lane0, 8));
+        let w1 = self.field(lane0, 9);
+        if S2 {
+            let (x2, y2, z2) = (self.field(lane0, 1), self.field(lane0, 3), self.field(lane0, 5));
+            let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
+            let o = x * y;
+            (o * z - w1)
+                + (o - o1) * g
+                + (x * z - p1) * f
+                + (y * z - q1) * e
+                + x2 * fg
+                + y2 * eg
+                + z2 * ef
+                + ef * g
+        } else {
+            w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
+        }
+    }
+}
+
+/// Preprocessed material (OT extension or the pool): this server's
+/// share structs, one per lane.
+#[derive(Clone, Copy)]
+struct ShareLanes<'a>(&'a [MulGroupShare]);
+
+impl ShareLanes<'_> {
+    /// Lanes `lane0 .. lane0 + N` of the seven shares, in
+    /// `x y z w o p q` order.
+    #[inline(always)]
+    fn fields<const N: usize>(self, lane0: usize) -> [U64xN<N>; 7] {
+        let mut out = [U64xN::ZERO; 7];
+        for (t, mg) in self.0[lane0..lane0 + N].iter().enumerate() {
+            for (field, share) in out.iter_mut().zip([mg.x, mg.y, mg.z, mg.w, mg.o, mg.p, mg.q]) {
+                field.0[t] = share.0;
+            }
+        }
+        out
+    }
+}
+
+impl LaneGroups for ShareLanes<'_> {
+    #[inline(always)]
+    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3] {
+        let [x, y, z, ..] = self.fields(lane0);
+        [x, y, z]
+    }
+
+    /// [`mul3_combine_batch`]'s term, lane-wise.
+    #[inline(always)]
+    fn d<const S2: bool, const N: usize>(self, lane0: usize, [e, f, g]: [U64xN<N>; 3]) -> U64xN<N> {
+        let [x, y, z, w, o, p, q] = self.fields(lane0);
+        let (fg, eg, ef) = (f * g, e * g, e * f);
+        let d = w + o * g + p * f + q * e + x * fg + y * eg + z * ef;
+        if S2 {
+            d + ef * g
+        } else {
+            d
+        }
+    }
+}
+
+/// `N` lanes from `lane0` of one server's input shares of entry `r`
+/// (0: `(i, k)`, 1: `(j, k)`): S₁'s are the PRF, S₂'s the plaintext
+/// bits minus it.
+#[inline(always)]
+fn lane_inputs<const S2: bool, const N: usize>(
+    lanes: &RoundLanes,
+    r: usize,
+    lane0: usize,
+) -> U64xN<N> {
+    let s1 = prf_keyed(lanes.seed, U64xN::load(&lanes.keys[r][lane0..]));
+    if S2 {
+        U64xN::load(&lanes.bits[r][lane0..]) - s1
+    } else {
+        s1
+    }
+}
+
+/// `N` lanes from `lane0` of one server's maskings
+/// `⟨e⟩ = a − x, ⟨f⟩ = b − y, ⟨g⟩ = c − z`.
+#[inline(always)]
+fn mask_lanes<const S2: bool, const N: usize, G: LaneGroups>(
+    lanes: &RoundLanes,
+    groups: G,
+    lane0: usize,
+) -> [U64xN<N>; 3] {
+    let [x, y, z] = groups.xyz::<S2, N>(lane0);
+    [
+        U64xN::load(&lanes.a[lane0..]) - x,
+        lane_inputs::<S2, N>(lanes, 0, lane0) - y,
+        lane_inputs::<S2, N>(lanes, 1, lane0) - z,
+    ]
+}
+
+/// [`mask_round`]'s pass for one server and one material source.
+#[inline(always)]
+fn mask_pass<const S2: bool, G: LaneGroups>(lanes: &RoundLanes, groups: G, out: &mut [u64]) {
+    let l = lanes.len();
+    let full = l / LANES * LANES;
+    for lane0 in (0..full).step_by(LANES) {
+        for (slab, v) in mask_lanes::<S2, LANES, G>(lanes, groups, lane0).into_iter().enumerate() {
+            v.store(&mut out[slab * l + lane0..]);
+        }
+    }
+    for t in full..l {
+        for (slab, v) in mask_lanes::<S2, 1, G>(lanes, groups, t).into_iter().enumerate() {
+            out[slab * l + t] = v.0[0];
+        }
+    }
+}
+
+/// Lanes `at .. at + N` of the opened slab `mine + theirs`.
+#[inline(always)]
+fn open_lanes<const N: usize>(mine: &[u64], theirs: &[u64], at: usize) -> U64xN<N> {
+    U64xN::load(&mine[at..]) + U64xN::load(&theirs[at..])
+}
+
+/// [`combine_round`]'s pass for one server and one material source.
+#[inline(always)]
+fn combine_pass<const S2: bool, G: LaneGroups>(groups: G, mine: &[u64], theirs: &[u64]) -> u64 {
+    let l = mine.len() / 3;
+    let full = l / LANES * LANES;
+    let mut acc = U64x8::ZERO;
+    for lane0 in (0..full).step_by(LANES) {
+        let efg = [lane0, l + lane0, 2 * l + lane0].map(|at| open_lanes::<LANES>(mine, theirs, at));
+        acc = acc + groups.d::<S2, LANES>(lane0, efg);
+    }
+    let mut total = acc.hsum();
+    for t in full..l {
+        let efg = [t, l + t, 2 * l + t].map(|at| open_lanes::<1>(mine, theirs, at));
+        total = total.wrapping_add(groups.d::<S2, 1>(t, efg).0[0]);
+    }
+    total
+}
+
+/// [`mask_round`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn mask_body(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
+    let dealer = DealerLanes(&lanes.state);
+    match (lanes.server, groups) {
+        (ServerId::S1, None) => mask_pass::<false, _>(lanes, dealer, out),
+        (ServerId::S2, None) => mask_pass::<true, _>(lanes, dealer, out),
+        (ServerId::S1, Some(g)) => mask_pass::<false, _>(lanes, ShareLanes(g), out),
+        (ServerId::S2, Some(g)) => mask_pass::<true, _>(lanes, ShareLanes(g), out),
+    }
+}
+
+/// [`combine_round`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn combine_body(
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
     mine: &[u64],
     theirs: &[u64],
 ) -> u64 {
-    assert!(
-        mine.len() == theirs.len() && mine.len().is_multiple_of(3),
-        "opened efg slab lengths"
-    );
+    let dealer = DealerLanes(&lanes.state);
+    match (lanes.server, groups) {
+        (ServerId::S1, None) => combine_pass::<false, _>(dealer, mine, theirs),
+        (ServerId::S2, None) => combine_pass::<true, _>(dealer, mine, theirs),
+        (ServerId::S1, Some(g)) => combine_pass::<false, _>(ShareLanes(g), mine, theirs),
+        (ServerId::S2, Some(g)) => combine_pass::<true, _>(ShareLanes(g), mine, theirs),
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mask_avx512(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
+    mask_body(lanes, groups, out)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mask_avx2(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
+    mask_body(lanes, groups, out)
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn combine_avx512(
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    combine_body(lanes, groups, mine, theirs)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn combine_avx2(
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    combine_body(lanes, groups, mine, theirs)
+}
+
+/// One server's step 1 over a whole round, in one pass over its
+/// [`RoundLanes`]: each lane's input shares of `(i, k)` and `(j, k)`
+/// (the PRF, minus S₂'s plaintext bits) and its maskings
+/// `⟨e⟩ = a − ⟨x⟩, ⟨f⟩ = b − ⟨y⟩, ⟨g⟩ = c − ⟨z⟩`, written into `out`
+/// as the round-wide slab `[e(L) | f(L) | g(L)]` — [`mul3_mask_batch`]'s
+/// layout over all `L` lanes, whatever segments they come from.
+///
+/// `groups` is the round's material: `None` draws this server's words
+/// from each lane's dealer counter inside the lane loop (the other
+/// server's column is never expanded); `Some` reads this server's
+/// preprocessed groups, one per lane in lane order. Bit-identical, lane
+/// for lane, to [`crate::share_prf`] and, per segment,
+/// `PairDealer::for_draw` + [`crate::PairDealer::fill_words`] +
+/// [`crate::split_mg_words`] + [`mul3_mask_batch`] on the server's
+/// column, at every [`SimdTier`] — which the per-party proptests pin.
+///
+/// # Panics
+/// Panics if `out.len() ≠ 3·L` or `groups` does not hold `L` groups.
+pub fn mask_round(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
+    mask_round_tier(SimdTier::detect(), lanes, groups, out)
+}
+
+fn mask_round_tier(
+    tier: SimdTier,
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    out: &mut [u64],
+) {
+    let l = lanes.len();
+    assert_eq!(out.len(), 3 * l, "efg slab length");
+    assert!(groups.is_none_or(|g| g.len() == l), "one preprocessed group per lane");
     assert!(
         tier.supported(),
         "SIMD tier {tier} not supported on this CPU"
     );
-    let state = rng.state_raw();
-    rng.skip(MG_WORDS * (mine.len() / 3));
     match tier {
         // SAFETY: `supported()` just confirmed the CPU features the
         // callee is compiled for.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { combine_avx512(state, server, mine, theirs) },
+        SimdTier::Avx512 => unsafe { mask_avx512(lanes, groups, out) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { combine_avx2(state, server, mine, theirs) },
-        _ => combine_body(state, server, mine, theirs),
+        SimdTier::Avx2 => unsafe { mask_avx2(lanes, groups, out) },
+        _ => mask_body(lanes, groups, out),
+    }
+}
+
+/// One server's steps 2–3 over the round [`mask_round`] masked from
+/// the same lanes and material: opens `mine + theirs` lane by lane and
+/// returns the wrapping sum of this server's `⟨d⟩` shares — in dealer
+/// mode re-deriving the words it needs from each lane's counter (S₁
+/// seven, S₂ all ten). Bit-identical to [`mul3_open_batch`] +
+/// [`mul3_combine_batch`] over the round's groups of this server's
+/// column.
+///
+/// # Panics
+/// Panics if `mine` or `theirs` is not `3·L` long, or `groups` does not
+/// hold `L` groups.
+pub fn combine_round(
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    combine_round_tier(SimdTier::detect(), lanes, groups, mine, theirs)
+}
+
+fn combine_round_tier(
+    tier: SimdTier,
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
+    let l = lanes.len();
+    assert!(
+        mine.len() == 3 * l && theirs.len() == 3 * l,
+        "opened efg slab lengths"
+    );
+    assert!(groups.is_none_or(|g| g.len() == l), "one preprocessed group per lane");
+    assert!(
+        tier.supported(),
+        "SIMD tier {tier} not supported on this CPU"
+    );
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { combine_avx512(lanes, groups, mine, theirs) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { combine_avx2(lanes, groups, mine, theirs) },
+        _ => combine_body(lanes, groups, mine, theirs),
     }
 }
 
@@ -1191,78 +1450,131 @@ mod tests {
 
         #[test]
         fn per_party_kernels_match_split_words_at_every_tier(
-            state: u64,
             seed: u64,
-            a: u64,
-            i in 0u32..1 << 20,
-            j in 0u32..1 << 20,
-            k0 in 0u32..1 << 20,
+            mix: u64,
+            runs in 1usize..8,
         ) {
-            // One server's fused mask/combine, fed its own lane-parallel
-            // input shares, against the protocol-object path: AoS words,
-            // split_mg_words, the per-server slab helpers — per server,
-            // per tier, at lengths around the lane width and a full round.
+            // One server's round-wide mask and combine over lanes cut
+            // from a random mix of segments — k-runs of lengths around
+            // the lane width and a full round, some resuming their draw
+            // (offset > 0) — against the protocol-object path, segment by
+            // segment: the draw's stream sought to the segment, AoS words,
+            // split_mg_words, the per-server slab helpers. Per server, per
+            // tier, from the dealer counters and from the same groups
+            // preprocessed.
             let servers = [ServerId::S1, ServerId::S2];
-            let mut secrets = SplitMix64::new(state ^ seed);
-            let a1 = secrets.next_u64();
-            let a_share = [a1, a.wrapping_sub(a1)];
-            for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1024] {
-                let b: Vec<u64> = (0..len).map(|_| secrets.next_u64()).collect();
-                let c: Vec<u64> = (0..len).map(|_| secrets.next_u64()).collect();
-                let mut after = SplitMix64::new(state);
+            let mut rng = SplitMix64::new(mix);
+            let mut below = |bound: u64| rng.next_u64() % bound;
+            let lens = [1usize, 3, 7, 8, 9, 64, 1024];
+            let segs: Vec<(MgDraw, usize, usize)> = (0..runs)
+                .map(|_| {
+                    let len = lens[below(lens.len() as u64) as usize];
+                    let offset = if below(2) == 0 { 0 } else { 1 + below(100) as usize };
+                    let i = below(1 << 20) as u32;
+                    let j = i + 1 + below(1 << 20) as u32;
+                    let groups = (offset + len) as u32 + below(4) as u32;
+                    (MgDraw { i, j, start: below(1 << 10) as u32, groups }, offset, len)
+                })
+                .collect();
+            let total: usize = segs.iter().map(|seg| seg.2).sum();
+            let mut secrets = SplitMix64::new(seed ^ mix);
+            let a: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
+            let a1: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
+            let a2 = a.iter().zip(&a1).map(|(a, a1)| a.wrapping_sub(*a1)).collect();
+            let a_share = [a1, a2];
+            let b: Vec<u64> = (0..total).map(|_| secrets.next_u64()).collect();
+            let c: Vec<u64> = (0..total).map(|_| secrets.next_u64()).collect();
+            let input = |server: ServerId, row: u32, k: u32, v: &[u64]| -> Vec<u64> {
+                v.iter()
+                    .enumerate()
+                    .map(|(t, &bit)| {
+                        let s1 = share_prf(seed, row, k + t as u32);
+                        if server == ServerId::S1 { s1 } else { bit.wrapping_sub(s1) }
+                    })
+                    .collect()
+            };
+            let mut want_efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
+            let mut columns: [Vec<MulGroupShare>; 2] = [Vec::new(), Vec::new()];
+            let mut fused = [0u64; 2];
+            let mut lane = 0usize;
+            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
+                let k = draw.k_at(offset) as u32;
+                let mut dealer = PairDealer::for_draw(seed, &draw);
+                dealer.skip_groups(offset);
+                let (bv, cv) = (&b[lane..lane + len], &c[lane..lane + len]);
+                let both = dealer.clone().count_block(a[n], bv, cv);
+                fused = [fused[0].wrapping_add(both.0), fused[1].wrapping_add(both.1)];
                 let mut words = vec![0u64; MG_WORDS * len];
-                after.fill_block(&mut words);
+                dealer.fill_words(&mut words);
                 let groups: Vec<_> = words.chunks_exact(MG_WORDS).map(split_mg_words).collect();
-                let input = |server: ServerId, row: u32, v: &[u64]| -> Vec<u64> {
-                    (0..len)
-                        .map(|t| {
-                            let s1 = share_prf(seed, row, k0 + t as u32);
-                            if server == ServerId::S1 { s1 } else { v[t].wrapping_sub(s1) }
-                        })
-                        .collect()
-                };
-                let mut want_efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
-                let mut columns = [Vec::new(), Vec::new()];
                 for (s, &server) in servers.iter().enumerate() {
-                    columns[s] = groups.iter().map(|g| if s == 0 { g.0 } else { g.1 }).collect();
+                    let column: Vec<_> =
+                        groups.iter().map(|g| if s == 0 { g.0 } else { g.1 }).collect();
+                    let mut seg_efg = vec![0u64; 3 * len];
                     mul3_mask_batch(
-                        a_share[s],
-                        &input(server, i, &b),
-                        &input(server, j, &c),
-                        &columns[s],
-                        &mut want_efg[s],
+                        a_share[s][n],
+                        &input(server, draw.i, k, bv),
+                        &input(server, draw.j, k, cv),
+                        &column,
+                        &mut seg_efg,
                     );
+                    // The segment's [e|f|g] lands in the round-wide slab.
+                    for (part, words) in seg_efg.chunks_exact(len).enumerate() {
+                        want_efg[s][part * total + lane..][..len].copy_from_slice(words);
+                    }
+                    columns[s].extend(column);
                 }
-                let mut opened = vec![0u64; 3 * len];
-                mul3_open_batch(&want_efg[0], &want_efg[1], &mut opened);
-                let want_d = [
-                    mul3_combine_batch(&columns[0], &opened, ServerId::S1).0,
-                    mul3_combine_batch(&columns[1], &opened, ServerId::S2).0,
-                ];
-                let both = mul3_batch_stream(&mut SplitMix64::new(state), a, &b, &c);
-                // S₁ + S₂, share for share, is the in-process kernel.
-                prop_assert_eq!(want_d, [both.0, both.1]);
-                for tier in SimdTier::available() {
-                    let mut efg = [vec![0u64; 3 * len], vec![0u64; 3 * len]];
-                    for (s, &server) in servers.iter().enumerate() {
-                        let (mut bs, mut cs) = (b.clone(), c.clone());
-                        expand_input_shares_tier(tier, seed, server, i, k0, &mut bs);
-                        expand_input_shares_tier(tier, seed, server, j, k0, &mut cs);
-                        let at = format!("{tier} {server:?} len {len}");
-                        prop_assert!(bs == input(server, i, &b), "{at}: b shares");
-                        prop_assert!(cs == input(server, j, &c), "{at}: c shares");
-                        let mut rng = SplitMix64::new(state);
-                        mul3_mask_stream_tier(tier, &mut rng, server, a_share[s], &bs, &cs, &mut efg[s]);
-                        prop_assert!(efg[s] == want_efg[s], "{at}: mask");
-                        prop_assert!(rng == after, "{at}: stream position after mask");
+                lane += len;
+            }
+            let mut opened = vec![0u64; 3 * total];
+            mul3_open_batch(&want_efg[0], &want_efg[1], &mut opened);
+            let want_d = [
+                mul3_combine_batch(&columns[0], &opened, ServerId::S1).0,
+                mul3_combine_batch(&columns[1], &opened, ServerId::S2).0,
+            ];
+            // S₁ + S₂, share for share, is the in-process kernel.
+            prop_assert_eq!(want_d, fused);
+            for tier in SimdTier::available() {
+                let mut tables = Vec::new();
+                for (s, &server) in servers.iter().enumerate() {
+                    let mut lanes = RoundLanes::new(seed, server);
+                    let mut lane = 0usize;
+                    for (n, &(draw, offset, len)) in segs.iter().enumerate() {
+                        // count_local's row-wise input shares agree too.
+                        let k = draw.k_at(offset) as u32;
+                        let (bv, cv) = (&b[lane..lane + len], &c[lane..lane + len]);
+                        for (row, v) in [(draw.i, bv), (draw.j, cv)] {
+                            let mut shares = v.to_vec();
+                            expand_input_shares_tier(tier, seed, server, row, k, &mut shares);
+                            let want = input(server, row, k, v);
+                            prop_assert!(shares == want, "{tier} {server:?}: shares");
+                        }
+                        let a = a_share[s][n];
+                        if let Some([bits_b, bits_c]) = lanes.push_run(&draw, offset, len, a) {
+                            bits_b.copy_from_slice(&b[lane..lane + len]);
+                            bits_c.copy_from_slice(&c[lane..lane + len]);
+                        }
+                        lane += len;
                     }
-                    for (s, &server) in servers.iter().enumerate() {
-                        let mut rng = SplitMix64::new(state);
-                        let d = mul3_combine_stream_tier(tier, &mut rng, server, &efg[s], &efg[1 - s]);
-                        let at = format!("{tier} {server:?} len {len}");
-                        prop_assert!(d == want_d[s], "{at}: combine");
-                        prop_assert!(rng == after, "{at}: stream position after combine");
-                    }
+                    prop_assert_eq!(lanes.len(), total);
+                    tables.push(lanes);
+                }
+                let mut efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
+                for (s, &server) in servers.iter().enumerate() {
+                    let at = format!("{tier} {server:?} lanes {total}");
+                    mask_round_tier(tier, &tables[s], None, &mut efg[s]);
+                    prop_assert!(efg[s] == want_efg[s], "{at}: dealer mask");
+                    let mut pre = vec![0u64; 3 * total];
+                    mask_round_tier(tier, &tables[s], Some(&columns[s]), &mut pre);
+                    prop_assert!(pre == want_efg[s], "{at}: preprocessed mask");
+                }
+                for (s, &server) in servers.iter().enumerate() {
+                    let at = format!("{tier} {server:?} lanes {total}");
+                    let (mine, theirs) = (&efg[s], &efg[1 - s]);
+                    let d = combine_round_tier(tier, &tables[s], None, mine, theirs);
+                    prop_assert!(d == want_d[s], "{at}: dealer combine");
+                    let d = combine_round_tier(tier, &tables[s], Some(&columns[s]), mine, theirs);
+                    prop_assert!(d == want_d[s], "{at}: preprocessed combine");
                 }
             }
         }

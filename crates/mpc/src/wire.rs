@@ -546,12 +546,13 @@ pub trait WireMessage: IntoFrame + Clone {
 }
 
 /// One online round's message between the servers: this side's
-/// `⟨e⟩, ⟨f⟩, ⟨g⟩` maskings for the round's `block` triples — one
-/// `[e.. | f.. | g..]` sub-slab ([`crate::mul3_mask_batch`]'s layout)
-/// per segment of the round ([`crate::plan_rounds`]), back to back in a
-/// single contiguous buffer. The payload is exactly the `3·block` slab
-/// words, so its byte length is the modeled per-round cost
-/// (`8 · 3·block` per direction).
+/// `⟨e⟩, ⟨f⟩, ⟨g⟩` maskings for the round's `block` triples as one
+/// round-wide `[e(block) | f(block) | g(block)]` slab
+/// ([`crate::mask_round`]), each third in the round's triple order —
+/// plan order across the segments of the round ([`crate::plan_rounds`]),
+/// which both servers derive from the public plan. The payload is
+/// exactly the `3·block` slab words, so its byte length is the modeled
+/// per-round cost (`8 · 3·block` per direction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningMsg {
     /// Which pair-space shard this round belongs to — the tag the
