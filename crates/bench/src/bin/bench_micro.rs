@@ -9,7 +9,8 @@
 //! `wire/byte_codec` beside them is the byte codec (`encode` /
 //! `decode`, which no transport takes) on the same messages. The
 //! other `wire/*` rows attribute a wire party's Count the same way, per
-//! triple and per server.
+//! triple and per server, and the `local/*` rows the in-process Count
+//! on the same rounds, per triple for both servers.
 //!
 //! ```text
 //! usage: bench_micro [--measure-ms 400] [--quick]
@@ -27,7 +28,7 @@ use cargo_mpc::ot::{simulated_base_ots, transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
-    cr_hash_batch, cr_hash_scalar, mask_round, mul3, plan_flights, plan_rounds, Dealer, MgDraw,
+    count_round, cr_hash_batch, cr_hash_scalar, mask_round, mul3, plan_flights, plan_rounds, Dealer, MgDraw,
     MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, RoundLanes, RoundSegment,
     ServerId, SimdTier, SplitMix64, Frame, IntoFrame, WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
 };
@@ -235,9 +236,10 @@ fn main() {
     // averages 3.65). Each in the round's three steps: its lane table
     // (S₂ writing its bits as a memset), the mask pass (input shares
     // and the dealer words drawn in-lane) and the open + combine pass.
-    // Then fill_words, the AoS expansion of both parties' ten words,
-    // per group. DESIGN.md §8.1 reads these beside the fused two-party
-    // kernel.
+    // Then `local/*`, the same round as `count_local` evaluates it:
+    // one fused table and one count_round pass for both servers. Last
+    // fill_words, the AoS expansion of both parties' ten words, per
+    // group. DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
         let run = vec![RoundSegment { draw: 0, offset: 0, len }];
@@ -289,6 +291,19 @@ fn main() {
                 });
                 row(&format!("wire/combine/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
             }
+            let mut fused = RoundLanes::fused(7);
+            let ns = measure_median_iqr_ns(12, budget, || {
+                fused.clear();
+                for seg in &round {
+                    let draw = &plan[seg.draw];
+                    if let Some([b, c]) = fused.push_run(draw, seg.offset, seg.len, 1) {
+                        b.fill(1);
+                        c.fill(1);
+                    }
+                }
+                black_box(count_round(&fused, None))
+            });
+            row(&format!("local/{shape}"), triples, triples as u64, ns, 0.0);
         }
         let mut words = vec![0u64; MG_WORDS * len];
         let mut dealer = PairDealer::for_pair(7, 3, 5);

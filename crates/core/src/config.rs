@@ -3,31 +3,6 @@
 use cargo_dp::{Composition, EpsilonSplit, PrivacyBudget};
 use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy};
 
-/// Selects the inner evaluation kernel of the in-process Count
-/// ([`crate::CountJob::kernel`]).
-///
-/// Both kernels produce **bit-identical** shares, openings, and online
-/// `NetStats` ledgers (pinned by `crates/core/tests/
-/// kernel_equivalence.rs`); they differ only in wall-clock. The scalar
-/// kernel is retained as the test oracle and the readable reference of
-/// the batched arithmetic.
-///
-/// ```
-/// use cargo_core::CountKernel;
-/// assert_eq!(CountKernel::default(), CountKernel::Bitsliced);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CountKernel {
-    /// One Multiplication Group at a time: the direct transcription of
-    /// the protocol arithmetic.
-    Scalar,
-    /// The default: structure-of-arrays batches over `u64xN` lanes
-    /// ([`cargo_mpc::mul3_batch`]) — whole scheduler blocks per call,
-    /// one slab opening per round.
-    #[default]
-    Bitsliced,
-}
-
 /// Selects the wire the Count phase's openings travel over.
 ///
 /// Results are **bit-identical** across transports (pinned by
@@ -122,9 +97,8 @@ pub enum ScheduleKind {
     /// a 4-byte-per-edge index) instead of materialising every
     /// candidate pair and `k`-list up front: peak memory O(n + m +
     /// chunk) instead of O(#candidates), which is what makes
-    /// million-node graphs fit. Evaluated by the hybrid
-    /// dense-block tile kernel (see
-    /// [`crate::count::DEFAULT_TILE_THRESHOLD`]).
+    /// million-node graphs fit. Evaluated by the same round kernel as
+    /// every other schedule.
     SparseStream,
 }
 

@@ -36,13 +36,14 @@
 //!   shared [`CountScheduler`]; dealer randomness is keyed *per pair*
 //!   ([`cargo_mpc::PairDealer`]), so the share pairs are bit-identical
 //!   for every thread count and batch size.
-//! * **The hot kernel** comes in two bit-identical flavours behind
-//!   [`CountKernel`]: the scalar per-triple transcription of
-//!   [`cargo_mpc::mul3`], and the default structure-of-arrays batch
-//!   kernel that evaluates a whole scheduler block per call over
-//!   block-expanded dealer words ([`cargo_mpc::PairDealer::fill_words`])
-//!   and word-widened adjacency bits, gathering short runs across pairs
-//!   into full-width tiles ([`CountJob::tile_threshold`]).
+//! * **One kernel.** A chunk's draw plan is cut into the rounds the wire
+//!   parties cut ([`cargo_mpc::plan_rounds`]), each round becomes one
+//!   lane table, one lane per triple ([`RoundLanes`]), and one
+//!   lane-parallel pass evaluates it, whatever `k`-runs the round is cut
+//!   from and whatever the material source: [`cargo_mpc::count_round`]
+//!   here, both servers at once; [`cargo_mpc::mask_round`] and
+//!   [`cargo_mpc::combine_round`] on either side of the exchange on the
+//!   wire. The segments become lanes in one place (`push_round`).
 //! * **Communication accounting.** Algorithm 4's multiplications are
 //!   mutually independent, so the `e, f, g` openings of a scheduler
 //!   chunk travel `batch` triples a round
@@ -54,24 +55,19 @@
 //!   executors cut the very same rounds with [`cargo_mpc::plan_rounds`].
 //!   Element/byte counts are per-triple exact.
 
-use crate::config::{CargoConfig, CountKernel};
+use crate::config::CargoConfig;
 use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    expand_input_shares, mul3, mul3_combine, mul3_combine_batch, mul3_mask_batch, mul3_open_batch,
-    mul3_tile_batch, ot_setup_ledger, share_prf, Dealer, Mul3Opening, NetStats, OfflineMode, OtMgEngine,
-    PairDealer, PoolPolicy, PoolStats, Ring64, ServerId, TriplePool, LANES, MG_WORDS,
+    count_round, mul3, ot_setup_ledger, plan_rounds, share_prf, MgDraw, NetStats, OfflineMode,
+    OtMgEngine, PairDealer, PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, TriplePool,
+    LANES,
 };
 use std::sync::Arc;
 
-/// Default density threshold of the hybrid tile kernel: runs of at
-/// least one full SIMD register ([`cargo_mpc::LANES`] triples) stream
-/// through the fused kernel; shorter straggler runs are gathered
-/// across pairs into full-width tiles. A **public** parameter — it
-/// regroups kernel evaluation order, never which triples are evaluated
-/// or what travels on the wire — so any value yields bit-identical
-/// shares (`0` streams everything, `u32::MAX` gathers everything; the
-/// tile equivalence tests pin both degenerate ends).
+/// Pinned by the benchmark harness, which passes it to
+/// [`secure_triangle_count_streamed`]; that function ignores it.
+#[doc(hidden)]
 pub const DEFAULT_TILE_THRESHOLD: u32 = LANES as u32;
 
 /// Tweak XORed into the root seed to derive the Count phase's seed —
@@ -146,11 +142,6 @@ pub struct CountJob {
     /// traffic plus one global base-OT setup). Shares and the online
     /// ledger are bit-identical either way.
     pub offline: OfflineMode,
-    /// Inner kernel of [`count_local`] (bit-identical either way; the
-    /// wire executors' slab rounds *are* the batched kernel and ignore
-    /// this). No configuration sets it: the scalar kernel is the
-    /// equivalence suites' oracle.
-    pub kernel: CountKernel,
     /// Background triple factory for the OT offline phase: when
     /// enabled, chunk material is drawn from a [`TriplePool`] keyed by
     /// chunk id instead of being preprocessed on the query path.
@@ -168,37 +159,25 @@ pub struct CountJob {
     /// offline ledger) is a pure function of the public plan. Both
     /// wire parties must be handed the same plan.
     pub plan: SchedulePlan,
-    /// Density threshold θ of the dealer-mode bitsliced worker: runs
-    /// of at least θ triples stream through the fused kernel, shorter
-    /// ones are gathered across pairs into shared lanes. Applies on
-    /// every plan and either input kind; regroups kernel evaluation
-    /// only (never shares, triples or the ledger). Inert for the scalar
-    /// kernel, the OT workers and the wire executors. No configuration
-    /// sets it; the equivalence suites drive it to both extremes.
-    pub tile_threshold: u32,
 }
 
 impl CountJob {
     /// The default job under `seed`: one worker, default batch, trusted
-    /// dealer, bitsliced kernel, inline preprocessing, dense cube,
-    /// [`DEFAULT_TILE_THRESHOLD`].
+    /// dealer, inline preprocessing, dense cube.
     pub fn new(seed: u64) -> Self {
         CountJob {
             seed,
             threads: 1,
             batch: 0,
             offline: OfflineMode::TrustedDealer,
-            kernel: CountKernel::default(),
             pool: PoolPolicy::INLINE,
             plan: SchedulePlan::DenseCube,
-            tile_threshold: DEFAULT_TILE_THRESHOLD,
         }
     }
 
     /// The job a pipeline configuration describes, over `plan` — the
     /// one place the Count seed is derived from the root seed and the
-    /// config's `0 ⇒ default` knobs are resolved. Kernel and θ keep
-    /// [`CountJob::new`]'s defaults: no configuration changes them.
+    /// config's `0 ⇒ default` knobs are resolved.
     pub fn from_config(cfg: &CargoConfig, plan: SchedulePlan) -> Self {
         CountJob {
             threads: cfg.effective_threads(),
@@ -264,11 +243,15 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
     }
 }
 
-/// Runs `job` in-process, both servers' arithmetic in one loop — the
-/// fast simulation every other executor is pinned to. Input kind,
-/// plan, offline mode, kernel and pool are orthogonal: a CSR input in
-/// OT mode over the eager sparse plan is as valid as the dense matrix
-/// cube.
+/// Runs `job` in-process, both servers' arithmetic in one pass per
+/// round — the fast simulation every other executor is pinned to, and
+/// itself pinned share for share to [`secure_count_reference`]. It cuts
+/// the rounds the wire parties cut and evaluates each with
+/// [`count_round`], so it differs from
+/// [`count_two_party`](crate::count_runtime::count_two_party) in the
+/// link only. Input kind, plan, offline mode and pool are orthogonal: a
+/// CSR input in OT mode over the eager sparse plan is as valid as the
+/// dense matrix cube.
 ///
 /// # Panics
 /// Panics if a fail-fast pool is drained.
@@ -289,33 +272,24 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     sched: &CountScheduler,
 ) -> SecureCountResult {
     let pool = job.spawn_pool(sched);
-    let parts = sched.run_chunks(|chunk| match (job.offline, job.kernel) {
-        (OfflineMode::TrustedDealer, CountKernel::Scalar) => {
-            count_chunk(bits, job.seed, sched, chunk)
-        }
-        (OfflineMode::TrustedDealer, CountKernel::Bitsliced) => {
-            count_chunk_tiled(bits, job.seed, sched, chunk, job.tile_threshold)
-        }
-        (OfflineMode::OtExtension, kernel) => {
-            count_chunk_ot(bits, job.seed, sched, chunk, kernel, pool.as_ref())
-        }
-    });
+    let parts = sched.run_chunks(|chunk| chunk_part(bits, job, sched, chunk, pool.as_ref()));
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     finish(sched, job.offline, parts, pool)
 }
 
 /// Pinned by `benchmark/src/sut.rs` and
-/// `benchmark/src/bin/trace/streamed.rs`, which call it positionally.
+/// `benchmark/src/bin/trace/streamed.rs`, which call it positionally;
+/// `_tile_threshold` is ignored.
 #[doc(hidden)]
 pub fn secure_triangle_count_streamed(
     csr: &Arc<CsrGraph>,
     seed: u64,
     threads: usize,
     batch: usize,
-    tile_threshold: u32,
+    _tile_threshold: u32,
 ) -> SecureCountResult {
     let plan = SchedulePlan::CsrStream(Arc::clone(csr));
-    count_local(&**csr, &CountJob { threads, batch, plan, tile_threshold, ..CountJob::new(seed) })
+    count_local(&**csr, &CountJob { threads, batch, plan, ..CountJob::new(seed) })
 }
 
 /// One worker's (or one chunk's) contribution to a run:
@@ -352,7 +326,7 @@ pub(crate) fn finish(
 /// Adjacency-bit source of the chunk workers: the one interface that
 /// lets the same worker read a dense [`BitMatrix`] or a [`CsrGraph`]
 /// with no `n × n` storage. Both report `{0, 1}` as `u64` words, the
-/// shape [`mul3_tile_batch`] and [`PairDealer::count_block`] consume.
+/// shape a [`RoundLanes`] bit column holds.
 pub(crate) trait AdjacencyBits: Sync {
     /// The adjacency bit `A[u][v]`.
     fn bit(&self, u: usize, v: usize) -> u64;
@@ -400,350 +374,112 @@ impl AdjacencyBits for CsrGraph {
     }
 }
 
-/// Evaluates every triple of one pair-space chunk, one Multiplication
-/// Group at a time ([`CountKernel::Scalar`]): the inlined per-triple
-/// transcription of the MG protocol over block-expanded dealer words.
-/// Retained as the equivalence suites' oracle and as the readable
-/// reference of what [`count_chunk_tiled`] computes.
-///
-/// Like every worker below, it walks the chunk's **draw plan** — one
-/// `(pair, k-run)` per [`cargo_mpc::MgDraw`], at the run's canonical
-/// stream offset. For the dense cube that is one full-range draw per
-/// pair at offset 0; a sparse plan visits only the admitted runs and
-/// seeks the dealer past the gaps.
-fn count_chunk<B: AdjacencyBits>(
+/// Appends `round`, a cut of `plan`, to the emptied `lanes`: one
+/// [`RoundLanes::push_run`] per segment, its first secret `a(draw)`,
+/// and — where the table holds plaintext bits (S₂'s, or a fused
+/// table's) — rows `i` and `j` of `bits` over the segment's columns.
+/// The one place a round's segments become lanes, for [`count_local`]
+/// and the wire party alike.
+pub(crate) fn push_round<B: AdjacencyBits>(
+    lanes: &mut RoundLanes,
     bits: &B,
-    seed: u64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-) -> CountPart {
-    let batch = sched.batch();
-    let mut t1 = 0u64; // ⟨T⟩₁ accumulator (wrapping u64 = Ring64)
-    let mut t2 = 0u64;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    // One block of dealer words and adjacency bits, reused across batches.
-    let mut words = vec![0u64; MG_WORDS * batch];
-    let mut b_bits = vec![0u64; batch];
-    let mut c_bits = vec![0u64; batch];
-
-    for d in sched.chunk_plan(chunk) {
-        let (i, j) = (d.i as usize, d.j as usize);
-        // User i's shares of a_ij — fixed across the k loop.
-        let aij = bits.bit(i, j);
-        let aij1 = share_prf(seed, d.i, d.j);
-        let aij2 = aij.wrapping_sub(aij1);
-        let mut dealer = PairDealer::for_draw(seed, &d);
-        let mut k = j + 1 + d.start as usize;
-        let end = k + d.groups as usize;
-        while k < end {
-            let block = (end - k).min(batch);
-            // Offline: block-expand the batch's Multiplication Groups.
-            dealer.fill_words(&mut words[..MG_WORDS * block]);
-            bits.fill_bits(i, k, &mut b_bits[..block]);
-            bits.fill_bits(j, k, &mut c_bits[..block]);
-            for (b, kk) in (k..k + block).enumerate() {
-                let w = &words[MG_WORDS * b..MG_WORDS * (b + 1)];
-                let x1 = w[0];
-                let x2 = w[1];
-                let y1 = w[2];
-                let y2 = w[3];
-                let z1 = w[4];
-                let z2 = w[5];
-                let o1 = w[6];
-                let p1 = w[7];
-                let q1 = w[8];
-                let w1 = w[9];
-                let x = x1.wrapping_add(x2);
-                let y = y1.wrapping_add(y2);
-                let z = z1.wrapping_add(z2);
-                let o = x.wrapping_mul(y);
-                let p = x.wrapping_mul(z);
-                let q = y.wrapping_mul(z);
-                let wv = o.wrapping_mul(z);
-                let o2 = o.wrapping_sub(o1);
-                let p2 = p.wrapping_sub(p1);
-                let q2 = q.wrapping_sub(q1);
-                let w2 = wv.wrapping_sub(w1);
-
-                // User shares of a_ik (row i) and a_jk (row j).
-                let aik1 = share_prf(seed, i as u32, kk as u32);
-                let aik2 = b_bits[b].wrapping_sub(aik1);
-                let ajk1 = share_prf(seed, j as u32, kk as u32);
-                let ajk2 = c_bits[b].wrapping_sub(ajk1);
-
-                // Online step 1: local maskings.
-                let e1 = aij1.wrapping_sub(x1);
-                let e2 = aij2.wrapping_sub(x2);
-                let f1 = aik1.wrapping_sub(y1);
-                let f2 = aik2.wrapping_sub(y2);
-                let g1 = ajk1.wrapping_sub(z1);
-                let g2 = ajk2.wrapping_sub(z2);
-                // Step 2: openings (tallied per chunk below).
-                let e = e1.wrapping_add(e2);
-                let f = f1.wrapping_add(f2);
-                let g = g1.wrapping_add(g2);
-                // Step 3: local combination (Theorem 1's formula).
-                let fg = f.wrapping_mul(g);
-                let eg = e.wrapping_mul(g);
-                let ef = e.wrapping_mul(f);
-                let u1 = w1
-                    .wrapping_add(o1.wrapping_mul(g))
-                    .wrapping_add(p1.wrapping_mul(f))
-                    .wrapping_add(q1.wrapping_mul(e))
-                    .wrapping_add(x1.wrapping_mul(fg))
-                    .wrapping_add(y1.wrapping_mul(eg))
-                    .wrapping_add(z1.wrapping_mul(ef));
-                let u2 = w2
-                    .wrapping_add(o2.wrapping_mul(g))
-                    .wrapping_add(p2.wrapping_mul(f))
-                    .wrapping_add(q2.wrapping_mul(e))
-                    .wrapping_add(x2.wrapping_mul(fg))
-                    .wrapping_add(y2.wrapping_mul(eg))
-                    .wrapping_add(z2.wrapping_mul(ef))
-                    .wrapping_add(ef.wrapping_mul(g));
-                t1 = t1.wrapping_add(u1);
-                t2 = t2.wrapping_add(u2);
-            }
-            triples += block as u64;
-            k += block;
+    plan: &[MgDraw],
+    round: &[RoundSegment],
+    a: impl Fn(&MgDraw) -> u64,
+) {
+    lanes.clear();
+    for seg in round {
+        let d = &plan[seg.draw];
+        let k = d.k_at(seg.offset);
+        if let Some([b, c]) = lanes.push_run(d, seg.offset, seg.len, a(d)) {
+            bits.fill_bits(d.i as usize, k, b);
+            bits.fill_bits(d.j as usize, k, c);
         }
     }
-    net.exchange_triples(triples, batch as u64);
-    (Ring64(t1), Ring64(t2), net, triples)
 }
 
-/// [`CountKernel::Bitsliced`] in dealer mode: the hybrid
-/// dense-block/tile worker. Each candidate run (one
-/// [`cargo_mpc::MgDraw`]) is routed by its length against the public
-/// `tile_threshold` θ:
+/// Evaluates every triple of one pair-space chunk, both servers at
+/// once. The chunk's **draw plan** — one `(pair, k-run)` per
+/// [`MgDraw`], at the run's canonical stream offset — is cut into the
+/// rounds [`plan_rounds`] cuts for the wire, each round filled into one
+/// fused [`RoundLanes`] table ([`push_round`]) and evaluated by one
+/// [`count_round`] pass.
 ///
-/// * `groups ≥ θ` — **streamed**: the run is long enough to fill SIMD
-///   lanes on its own, so each `k`-block is one word-level bit-slab
-///   extraction per row and one fused PRG-expansion + SoA arithmetic
-///   pass ([`PairDealer::count_block`]).
-/// * `groups < θ` — **gathered**: short straggler runs are packed
-///   across pairs into a pair-block × k-range tile (an AoS word slab
-///   plus per-lane `a/b/c` bits) and flushed through
-///   [`mul3_tile_batch`] whenever `batch` lanes fill, so locally dense
-///   regions of many short runs still run full-width lanes instead of
-///   degenerating to scalar tails.
-///
-/// θ = 0 streams everything; θ = `u32::MAX` gathers everything. Every
-/// θ produces shares bit-identical to each other and to
-/// [`count_chunk`]: each lane's MG words come from the same canonical
-/// dealer offset either way, wrapping sums are order-independent, and
-/// the opened maskings collapse to the values the scalar path
-/// reconstructs share by share. The [`NetStats`] ledger is the chunk's
-/// closed form ([`NetStats::exchange_triples`]): wire rounds are cut
-/// from the plan and `batch` alone, so neither θ nor how the kernel
-/// groups lanes can move them.
-fn count_chunk_tiled<B: AdjacencyBits>(
+/// The round's groups come from each lane's dealer counter, or in OT
+/// mode from the chunk's slab of both servers' preprocessed groups, the
+/// round's `len` of them at the groups already opened: one
+/// chunk-amortised [`OtMgEngine`] session run inline, or the background
+/// `pool`'s entry for `chunk.id`, which holds the bits the inline
+/// session would have produced. Its ledger lands in the chunk's
+/// [`NetStats::offline`]. The online ledger is the chunk's closed form
+/// ([`NetStats::exchange_triples`]).
+fn chunk_part<B: AdjacencyBits>(
     bits: &B,
-    seed: u64,
+    job: &CountJob,
     sched: &CountScheduler,
     chunk: &PairChunk,
-    tile_threshold: u32,
-) -> CountPart {
-    let batch = sched.batch();
-    let mut t1 = 0u64;
-    let mut t2 = 0u64;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    let mut b_bits = vec![0u64; batch];
-    let mut c_bits = vec![0u64; batch];
-    // Gather tile: AoS MG words plus per-lane a/b/c bit arrays.
-    let mut slab = vec![0u64; MG_WORDS * batch];
-    let mut ga = vec![0u64; batch];
-    let mut gb = vec![0u64; batch];
-    let mut gc = vec![0u64; batch];
-    let mut lanes = 0usize;
-
-    for d in sched.chunk_plan(chunk) {
-        let (i, j) = (d.i as usize, d.j as usize);
-        let aij = bits.bit(i, j);
-        let len = d.groups as usize;
-        triples += len as u64;
-        let mut dealer = PairDealer::for_draw(seed, &d);
-        let mut k = j + 1 + d.start as usize;
-        if d.groups >= tile_threshold {
-            let end = k + len;
-            while k < end {
-                let block = (end - k).min(batch);
-                bits.fill_bits(i, k, &mut b_bits[..block]);
-                bits.fill_bits(j, k, &mut c_bits[..block]);
-                let (u1, u2) = dealer.count_block(aij, &b_bits[..block], &c_bits[..block]);
-                t1 = t1.wrapping_add(u1);
-                t2 = t2.wrapping_add(u2);
-                k += block;
-            }
-        } else {
-            let mut left = len;
-            while left > 0 {
-                let take = left.min(batch - lanes);
-                dealer.fill_words(&mut slab[MG_WORDS * lanes..MG_WORDS * (lanes + take)]);
-                ga[lanes..lanes + take].fill(aij);
-                bits.fill_bits(i, k, &mut gb[lanes..lanes + take]);
-                bits.fill_bits(j, k, &mut gc[lanes..lanes + take]);
-                lanes += take;
-                k += take;
-                left -= take;
-                if lanes == batch {
-                    let (u1, u2) = mul3_tile_batch(&slab, &ga, &gb, &gc);
-                    t1 = t1.wrapping_add(u1);
-                    t2 = t2.wrapping_add(u2);
-                    lanes = 0;
-                }
-            }
-        }
-    }
-    if lanes > 0 {
-        let (u1, u2) =
-            mul3_tile_batch(&slab[..MG_WORDS * lanes], &ga[..lanes], &gb[..lanes], &gc[..lanes]);
-        t1 = t1.wrapping_add(u1);
-        t2 = t2.wrapping_add(u2);
-    }
-    net.exchange_triples(triples, batch as u64);
-    (Ring64(t1), Ring64(t2), net, triples)
-}
-
-/// The OT-extension worker: the same online ledger, but the chunk's
-/// Multiplication Groups (both servers' share structs, S₂'s built from
-/// OT outputs + derandomisation offsets) come out of one
-/// chunk-amortised [`OtMgEngine`] session — run inline here, or drawn
-/// from the background `pool` keyed by `chunk.id`, so the consumed
-/// bits are exactly the ones the inline session would have produced.
-/// Offline traffic accumulates in the chunk's [`NetStats::offline`]
-/// ledger — one extension session, one flight structure, one digest
-/// pair per flight for the whole chunk (inline or in a factory thread;
-/// same modeled cost).
-///
-/// NOTE on memory: the material is held for the chunk (~1/64 of the
-/// run), which is the *streaming* shape relative to a real offline
-/// phase that stores all C(n,3) groups; OT mode is only practical at
-/// small n anyway.
-fn count_chunk_ot<B: AdjacencyBits>(
-    bits: &B,
-    seed: u64,
-    sched: &CountScheduler,
-    chunk: &PairChunk,
-    kernel: CountKernel,
     pool: Option<&TriplePool>,
 ) -> CountPart {
     let plan = sched.chunk_plan(chunk);
-    let (material, offline) = match pool {
-        Some(pool) => pool
-            .take(chunk.id)
-            .unwrap_or_else(|e| panic!("offline triple pool failed on chunk {}: {e}", chunk.id)),
-        None => {
-            let mut engine = OtMgEngine::for_chunk(seed, chunk.id as u64);
+    let mut net = NetStats::new();
+    let material = match (pool, job.offline) {
+        (Some(pool), _) => {
+            let (material, ledger) = pool
+                .take(chunk.id)
+                .unwrap_or_else(|e| panic!("offline triple pool failed on chunk {}: {e}", chunk.id));
+            net.offline.merge(&ledger);
+            Some(material)
+        }
+        (None, OfflineMode::TrustedDealer) => None,
+        (None, OfflineMode::OtExtension) => {
+            let mut engine = OtMgEngine::for_chunk(job.seed, chunk.id as u64);
             let material = engine.preprocess(&plan);
-            (material, engine.ledger())
+            net.offline.merge(&engine.ledger());
+            Some(material)
         }
     };
-    let batch = sched.batch();
-    let mut t1 = Ring64::ZERO;
-    let mut t2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    net.offline.merge(&offline);
-
-    // Both servers' input shares of one block, then the batch kernel's
-    // scratch (slab layouts of the per-server helpers).
-    let mut b1 = vec![0u64; batch];
-    let mut b2 = vec![0u64; batch];
-    let mut c1 = vec![0u64; batch];
-    let mut c2 = vec![0u64; batch];
-    let mut mine = vec![0u64; 3 * batch];
-    let mut theirs = vec![0u64; 3 * batch];
-    let mut opened = vec![0u64; 3 * batch];
-
-    for (idx, d) in plan.iter().enumerate() {
-        let (i, j) = (d.i as usize, d.j as usize);
-        let (g1s, g2s) = material.pair(idx);
-        let aij1 = share_prf(seed, d.i, d.j);
-        let aij2 = bits.bit(i, j).wrapping_sub(aij1);
-        let mut k = j + 1 + d.start as usize;
-        let end = k + d.groups as usize;
-        let mut off = 0usize;
-        while k < end {
-            let block = (end - k).min(batch);
-            let g1b = &g1s[off..off + block];
-            let g2b = &g2s[off..off + block];
-            for (row, s1, s2) in [(d.i, &mut b1, &mut b2), (d.j, &mut c1, &mut c2)] {
-                expand_input_shares(seed, ServerId::S1, row, k as u32, &mut s1[..block]);
-                bits.fill_bits(row as usize, k, &mut s2[..block]);
-                expand_input_shares(seed, ServerId::S2, row, k as u32, &mut s2[..block]);
-            }
-            match kernel {
-                CountKernel::Scalar => {
-                    let (a1, a2) = (Ring64(aij1), Ring64(aij2));
-                    for (l, (g1, g2)) in g1b.iter().zip(g2b).enumerate() {
-                        let (b1, b2) = (Ring64(b1[l]), Ring64(b2[l]));
-                        let (c1, c2) = (Ring64(c1[l]), Ring64(c2[l]));
-                        // Online steps 1–3 of the MG protocol on share
-                        // structs, via the protocol-object combination.
-                        let opening = Mul3Opening {
-                            e: (a1 - g1.x) + (a2 - g2.x),
-                            f: (b1 - g1.y) + (b2 - g2.y),
-                            g: (c1 - g1.z) + (c2 - g2.z),
-                        };
-                        let efg = opening.e * opening.f * opening.g;
-                        t1 += mul3_combine((a1, b1, c1), g1, opening, Ring64::ZERO);
-                        t2 += mul3_combine((a2, b2, c2), g2, opening, efg);
-                    }
-                }
-                CountKernel::Bitsliced => {
-                    let slab = 3 * block;
-                    mul3_mask_batch(aij1, &b1[..block], &c1[..block], g1b, &mut mine[..slab]);
-                    mul3_mask_batch(aij2, &b2[..block], &c2[..block], g2b, &mut theirs[..slab]);
-                    mul3_open_batch(&mine[..slab], &theirs[..slab], &mut opened[..slab]);
-                    t1 += mul3_combine_batch(g1b, &opened[..slab], ServerId::S1);
-                    t2 += mul3_combine_batch(g2b, &opened[..slab], ServerId::S2);
-                }
-            }
-            triples += block as u64;
-            off += block;
-            k += block;
-        }
+    let (mut t1, mut t2) = (0u64, 0u64);
+    let mut lanes = RoundLanes::fused(job.seed);
+    let mut done = 0usize;
+    let mut rounds = plan_rounds(&plan, sched.batch());
+    while let Some(round) = rounds.next_round() {
+        push_round(&mut lanes, bits, &plan, round, |d| bits.bit(d.i as usize, d.j as usize));
+        let len = lanes.len();
+        let groups = material.as_ref().map(|m| m.columns().map(|c| &c[done..done + len]));
+        let (u1, u2) = count_round(&lanes, groups);
+        (t1, t2) = (t1.wrapping_add(u1), t2.wrapping_add(u2));
+        done += len;
     }
-    net.exchange_triples(triples, batch as u64);
-    (t1, t2, net, triples)
+    let triples = done as u64;
+    net.exchange_triples(triples, sched.batch() as u64);
+    (Ring64(t1), Ring64(t2), net, triples)
 }
 
-/// Reference implementation: drives the *protocol objects* from
-/// `cargo-mpc` (one [`mul3`] call per triple, shares via
-/// [`Dealer::share`]) with no batching or inlining. Quadratically
-/// slower; exists so tests can pin the optimised kernel to the
-/// protocol's semantics.
+/// Reference implementation: drives the *protocol objects* of
+/// `cargo-mpc` with no rounds, lanes or inlining — one [`mul3`] call
+/// per triple of the dense cube, on input shares from [`share_prf`]
+/// (`⟨a⟩₁ = PRF`, `⟨a⟩₂ = a − PRF`) and the Multiplication Group at the
+/// triple's canonical position of its pair's stream
+/// ([`PairDealer::for_pair`], [`PairDealer::next_group_pair`]). It is
+/// the share-level oracle: [`count_local`] reproduces its share pair,
+/// triple count and element and byte ledger exactly, for every plan
+/// that schedules the cube (its rounds differ: the reference opens one
+/// triple a round).
 pub fn secure_count_reference(matrix: &BitMatrix, seed: u64) -> SecureCountResult {
     let n = matrix.n();
-    let mut dealer = Dealer::new(seed);
+    let shares = |i: usize, j: usize| {
+        let s1 = Ring64(share_prf(seed, i as u32, j as u32));
+        (s1, Ring64::from_bit(matrix.get(i, j)) - s1)
+    };
     let mut net = NetStats::new();
-    let mut share1 = Ring64::ZERO;
-    let mut share2 = Ring64::ZERO;
+    let (mut share1, mut share2) = (Ring64::ZERO, Ring64::ZERO);
     let mut triples = 0u64;
-    // Input sharing: each user's row, bit by bit.
-    let mut s1 = vec![vec![Ring64::ZERO; n]; n];
-    let mut s2 = vec![vec![Ring64::ZERO; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            let p = dealer.share(Ring64::from_bit(matrix.get(i, j)));
-            s1[i][j] = p.s1;
-            s2[i][j] = p.s2;
-        }
-    }
     for i in 0..n {
         for j in (i + 1)..n {
+            let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
             for k in (j + 1)..n {
-                let mg = dealer.mul_group();
-                let (u1, u2) = mul3(
-                    (s1[i][j], s2[i][j]),
-                    (s1[i][k], s2[i][k]),
-                    (s1[j][k], s2[j][k]),
-                    mg,
-                    &mut net,
-                );
+                let mg = dealer.next_group_pair();
+                let (u1, u2) = mul3(shares(i, j), shares(i, k), shares(j, k), mg, &mut net);
                 share1 += u1;
                 share2 += u2;
                 triples += 1;
@@ -791,9 +527,12 @@ mod tests {
         let m = g.to_bit_matrix();
         let fast = count_local(&m, &CountJob::new(7));
         let slow = secure_count_reference(&m, 7);
-        // Different randomness ⇒ different shares, same reconstruction.
-        assert_eq!(fast.reconstruct(), slow.reconstruct());
+        // The same canonical streams ⇒ the same shares, not just the
+        // same reconstruction.
+        assert_eq!((fast.share1, fast.share2), (slow.share1, slow.share2));
+        assert_eq!(fast.reconstruct(), Ring64(count_triangles_matrix(&m)));
         assert_eq!(fast.triples, slow.triples);
+        assert_eq!((fast.net.elements, fast.net.bytes), (slow.net.elements, slow.net.bytes));
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! size, and transport backend, because both key their randomness per
 //! `(i, j)` pair.
 
-use crate::count::{finish, AdjacencyBits, CountJob, CountPart, SecureCountResult};
+use crate::count::{finish, push_round, AdjacencyBits, CountJob, CountPart, SecureCountResult};
 use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
@@ -173,15 +173,7 @@ impl<'env, T: Transport> Server<'env, T> {
                     panic!("offline triple pool failed on chunk {}: {e}", chunk.id)
                 });
                 net.offline.merge(&ledger);
-                let mut groups = Vec::with_capacity(mat.len());
-                for idx in 0..plan.len() {
-                    let (g1, g2) = mat.pair(idx);
-                    groups.extend_from_slice(match self.id {
-                        ServerId::S1 => g1,
-                        ServerId::S2 => g2,
-                    });
-                }
-                Some(groups)
+                Some(mat.columns()[self.id.index() as usize].to_vec())
             }
             (None, OfflineMode::TrustedDealer) => None,
             (None, OfflineMode::OtExtension) => Some(mg_offline_over_wire(
@@ -216,15 +208,9 @@ impl<'env, T: Transport> Server<'env, T> {
             // Step 1: local maskings — the round's lanes, segment by
             // segment, then one pass over all of them into the round's
             // [e|f|g] slab, the one opening frame.
-            lanes.clear();
-            for seg in round {
-                let d = &plan[seg.draw];
-                let (i, j, k) = (d.i as usize, d.j as usize, d.k_at(seg.offset));
-                if let Some([b, c]) = lanes.push_run(d, seg.offset, seg.len, self.a_share(i, j)) {
-                    self.matrix.fill_bits(i, k, b);
-                    self.matrix.fill_bits(j, k, c);
-                }
-            }
+            push_round(&mut lanes, self.matrix, &plan, round, |d| {
+                self.a_share(d.i as usize, d.j as usize)
+            });
             let len = lanes.len();
             let groups = material.as_deref().map(|groups| &groups[done..done + len]);
             let slab = 3 * len;

@@ -20,10 +20,9 @@
 //! pair's public `k`-list is thinned by the pair's coin stream, the
 //! survivors keep their canonical dealer offsets `k − j − 1`, and the
 //! very workers of [`crate::count::count_local`] run over the thinned
-//! plan. Thread count, batch, kernel, offline mode, pool and tile
-//! threshold therefore behave exactly as they do for the exact count,
-//! and at `rate = 1` the plan — hence the share pair and the ledger —
-//! *is* the exact count's.
+//! plan. Thread count, batch, offline mode and pool therefore behave
+//! exactly as they do for the exact count, and at `rate = 1` the plan —
+//! hence the share pair and the ledger — *is* the exact count's.
 //!
 //! Privacy note: the *sensitivity* of the scaled estimator grows to
 //! `d'_max/q` in the worst case (an edge's triangles could all be
@@ -153,8 +152,8 @@ pub(crate) fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
 /// it would in the exact count under any plan that schedules it, OT
 /// mode preprocesses exactly the sampled Multiplication Groups in the
 /// chunk-amortised sessions, and the estimate, the share pair and the
-/// ledger are invariant across `threads × batch`, kernels, offline
-/// modes, pool policies and tile thresholds.
+/// ledger are invariant across `threads × batch`, offline modes and
+/// pool policies.
 ///
 /// `evaluated` counts the triples that survived; `total_triples` is
 /// the unfiltered schedule's.
@@ -282,16 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_tile_threshold_do_not_change_the_estimate() {
-        // Neither knob reached the estimator while it had workers of
-        // its own; under the plan filter both mean what they mean for
-        // the exact count — scheduling only.
+    fn pool_does_not_change_the_estimate() {
+        // The pool never reached the estimator while it had workers of
+        // its own; under the plan filter it means what it means for the
+        // exact count — scheduling only.
         let m = erdos_renyi(40, 0.2, 6).to_bit_matrix();
-        let base = count_sampled(&m, 0.3, &job(7, 1, 8));
-        for tile_threshold in [0, 3, u32::MAX] {
-            let r = count_sampled(&m, 0.3, &CountJob { tile_threshold, ..job(7, 1, 8) });
-            assert_eq!(r, base, "θ={tile_threshold}");
-        }
         let ot = CountJob { offline: OfflineMode::OtExtension, ..job(7, 1, 8) };
         let pool = cargo_mpc::PoolPolicy { factory_threads: 2, depth: 2, ..Default::default() };
         assert_eq!(

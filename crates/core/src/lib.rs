@@ -62,7 +62,7 @@ pub mod protocol;
 pub mod theory;
 
 pub use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy, PoolStats};
-pub use config::{CargoConfig, CountKernel, ScheduleKind, TransportKind};
+pub use config::{CargoConfig, ScheduleKind, TransportKind};
 pub use count::{
     count_local, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
     SecureCountResult, DEFAULT_TILE_THRESHOLD,

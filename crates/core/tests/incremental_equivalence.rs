@@ -11,7 +11,7 @@
 //!    canonical dealer-stream offset, so the share sum decomposes
 //!    over the triangle set no matter which schedule produced it.
 //! 2. **Knob invariance.** Epoch outcomes don't change across
-//!    `threads × batch × kernel × offline-mode`: shares are identical
+//!    `threads × batch × offline-mode`: shares are identical
 //!    everywhere; the online `NetStats` is identical at fixed batch
 //!    and keeps identical element/byte totals when the batch changes.
 //! 3. **Reversibility.** Removing edges and re-adding them restores
@@ -22,7 +22,7 @@
 //!    accountant (an error value, nothing mutated).
 
 use cargo_core::{
-    count_local, inline_evaluator, CandidateSet, CargoConfig, CountJob, CountKernel, EdgeDelta,
+    count_local, inline_evaluator, CandidateSet, CargoConfig, CountJob, EdgeDelta,
     EpochCount, IncrementalCounter, SchedulePlan, Session, SessionError,
 };
 use cargo_graph::{count_triangles, Graph, GraphBuilder};
@@ -126,13 +126,9 @@ proptest! {
         let base = replay(&g, &epochs, job.clone());
 
         // Same batch: the whole online NetStats must match, along with
-        // the shares, for every thread count, kernel, and offline mode.
-        for (threads, offline, kernel) in [
-            (2usize, OfflineMode::TrustedDealer, CountKernel::Scalar),
-            (3, OfflineMode::OtExtension, CountKernel::Bitsliced),
-        ] {
-            let other =
-                replay(&g, &epochs, CountJob { threads, offline, kernel, ..job.clone() });
+        // the shares, for every thread count and offline mode.
+        for (threads, offline) in [(2usize, OfflineMode::TrustedDealer), (3, OfflineMode::OtExtension)] {
+            let other = replay(&g, &epochs, CountJob { threads, offline, ..job.clone() });
             for (b, o) in base.iter().zip(&other) {
                 prop_assert_eq!(b.share1, o.share1);
                 prop_assert_eq!(b.share2, o.share2);

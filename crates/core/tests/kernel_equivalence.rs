@@ -1,16 +1,22 @@
-//! Kernel-equivalence property suite: the batched structure-of-arrays
-//! kernel ([`cargo_core::CountKernel::Bitsliced`]) may change *how*
-//! the Multiplication-Group arithmetic is scheduled — lanes, slabs,
-//! fused servers, bulk ledger updates — but never *what* it computes.
+//! Kernel-equivalence property suite: `count_local` — rounds cut into
+//! lane tables, each evaluated by one fused pass — may change *how*
+//! the Multiplication-Group arithmetic is scheduled, but never *what*
+//! it computes.
 //!
-//! For arbitrary (asymmetric!) bit matrices, the scalar and bitsliced
-//! kernels must produce identical share pairs (hence identical
-//! openings: every opened value is a deterministic function of the
-//! shares both kernels already agree on), identical triple counts, and
-//! identical online `NetStats` ledgers — across `threads × batch ×
-//! offline-mode`, on the exact count and on the sampled estimator.
+//! The oracle is `secure_count_reference`, which drives the protocol
+//! objects one `mul3` call per triple on the same canonical streams
+//! (input shares from `share_prf`, groups from each pair's dealer
+//! stream). For arbitrary (asymmetric!) bit matrices, `count_local`
+//! must reproduce its share pair, triple count and element/byte ledger
+//! exactly — across `threads × batch`, with dealer, inline-OT and pooled
+//! material, on the exact count, on the sampled estimator at rate 1,
+//! and on the golden fixtures. Rounds are not compared: the reference
+//! opens one triple a round.
 
-use cargo_core::{count_local, count_sampled, CountJob, CountKernel, OfflineMode};
+use cargo_core::{
+    count_local, count_sampled, secure_count_reference, CountJob, OfflineMode, PoolPolicy,
+    SecureCountResult,
+};
 use cargo_graph::BitMatrix;
 use cargo_mpc::SplitMix64;
 use proptest::prelude::*;
@@ -18,14 +24,14 @@ use proptest::prelude::*;
 const THREADS: [usize; 2] = [1, 4];
 const BATCHES: [usize; 3] = [1, 7, 64];
 
-fn job(
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    offline: OfflineMode,
-    kernel: CountKernel,
-) -> CountJob {
-    CountJob { threads, batch, offline, kernel, ..CountJob::new(seed) }
+fn job(seed: u64, threads: usize, batch: usize, offline: OfflineMode) -> CountJob {
+    CountJob { threads, batch, offline, ..CountJob::new(seed) }
+}
+
+/// What `count_local` shares with the reference: both shares, the
+/// triple count, and the elements and bytes the openings move.
+fn oracle_view(r: &SecureCountResult) -> (u64, u64, u64, u64, u64) {
+    (r.share1.0, r.share2.0, r.triples, r.net.elements, r.net.bytes)
 }
 
 /// Strategy: an arbitrary n×n bit matrix (not necessarily symmetric —
@@ -55,16 +61,14 @@ proptest! {
         m in arb_bit_matrix(40),
         seed: u64,
     ) {
+        let want = oracle_view(&secure_count_reference(&m, seed));
         for threads in THREADS {
             for batch in BATCHES {
-                let scalar = count_local(&m, &job(
-                    seed, threads, batch, OfflineMode::TrustedDealer, CountKernel::Scalar));
-                let batched = count_local(&m, &job(
-                    seed, threads, batch, OfflineMode::TrustedDealer, CountKernel::Bitsliced));
+                let local = count_local(&m, &job(seed, threads, batch, OfflineMode::TrustedDealer));
                 // Bit-identical shares — not merely equal
-                // reconstructions — and the full online ledger:
-                // elements, bytes, rounds, batches, peak batch.
-                prop_assert_eq!(scalar, batched);
+                // reconstructions — and the element/byte ledger.
+                let got = oracle_view(&local);
+                prop_assert!(got == want, "threads {threads} batch {batch}: {got:?} ≠ {want:?}");
             }
         }
     }
@@ -75,30 +79,45 @@ proptest! {
         seed: u64,
         batch in 1usize..10,
     ) {
-        // Small n: OT mode pays 512 extended OTs per triple. The
-        // offline ledger must also coincide — both kernels drive the
-        // same chunk-amortised sessions.
-        let scalar = count_local(
-            &m, &job(seed, 1, batch, OfflineMode::OtExtension, CountKernel::Scalar));
-        let batched = count_local(
-            &m, &job(seed, 1, batch, OfflineMode::OtExtension, CountKernel::Bitsliced));
-        prop_assert_eq!(scalar, batched);
+        // Small n: OT mode pays 512 extended OTs per triple. Inline and
+        // pooled sessions preprocess the groups the dealer streams hold.
+        let want = oracle_view(&secure_count_reference(&m, seed));
+        let ot = job(seed, 1, batch, OfflineMode::OtExtension);
+        let pool = PoolPolicy { factory_threads: 2, ..PoolPolicy::INLINE };
+        let pooled = CountJob { pool, ..ot.clone() };
+        for material in [ot, pooled] {
+            let local = count_local(&m, &material);
+            let (got, pooled) = (oracle_view(&local), material.pool.enabled());
+            prop_assert!(got == want, "pool {pooled}: {got:?} ≠ {want:?}");
+            prop_assert!(!local.net.offline.is_empty());
+        }
     }
 
     #[test]
     fn kernels_agree_on_the_sampled_estimator(
         m in arb_bit_matrix(30),
         seed: u64,
-        rate_tenths in 1u32..=10,
+        rate_tenths in 1u32..10,
         batch in 1usize..12,
     ) {
+        // At rate 1 the sampled plan is the cube, so the estimator is
+        // the reference's share pair; at any rate the material source
+        // cannot move a share or the online ledger.
+        let want = oracle_view(&secure_count_reference(&m, seed));
         let rate = rate_tenths as f64 / 10.0;
-        for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
-            let scalar = count_sampled(
-                &m, rate, &job(seed, 1, batch, mode, CountKernel::Scalar));
-            let batched = count_sampled(
-                &m, rate, &job(seed, 1, batch, mode, CountKernel::Bitsliced));
-            prop_assert_eq!(scalar, batched);
+        let dealer = job(seed, 1, batch, OfflineMode::TrustedDealer);
+        let ot = job(seed, 1, batch, OfflineMode::OtExtension);
+        for r in [1.0, rate] {
+            let by_dealer = count_sampled(&m, r, &dealer);
+            let by_ot = count_sampled(&m, r, &ot);
+            prop_assert_eq!((by_ot.share1, by_ot.share2), (by_dealer.share1, by_dealer.share2));
+            prop_assert_eq!(by_ot.evaluated, by_dealer.evaluated);
+            prop_assert_eq!(by_ot.net.online(), by_dealer.net);
+            if r == 1.0 {
+                let got = (by_dealer.share1.0, by_dealer.share2.0, by_dealer.evaluated);
+                prop_assert_eq!(got, (want.0, want.1, want.2));
+                prop_assert_eq!((by_dealer.net.elements, by_dealer.net.bytes), (want.3, want.4));
+            }
         }
     }
 }
@@ -106,19 +125,12 @@ proptest! {
 #[test]
 fn kernels_agree_on_golden_fixtures() {
     // Deterministic anchor alongside the property tests: every golden
-    // graph, both kernels, exact equality of the full result struct.
+    // graph, share for share against the reference.
     for f in cargo_testutil::golden_fixtures() {
         let m = f.graph.to_bit_matrix();
-        let scalar =
-            count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer, CountKernel::Scalar));
-        let batched =
-            count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer, CountKernel::Bitsliced));
-        assert_eq!(scalar, batched, "{}", f.name);
-        assert_eq!(
-            batched.reconstruct(),
-            cargo_mpc::Ring64(f.triangles),
-            "{}",
-            f.name
-        );
+        let local = count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer));
+        let reference = secure_count_reference(&m, 0xCA60);
+        assert_eq!(oracle_view(&local), oracle_view(&reference), "{}", f.name);
+        assert_eq!(local.reconstruct(), cargo_mpc::Ring64(f.triangles), "{}", f.name);
     }
 }

@@ -19,7 +19,7 @@
 //!    `Σ_chunks chunk_offline_ledger(chunk_plan) + ot_setup_ledger`.
 
 use cargo_core::{
-    count_local, count_two_party, CandidateSet, CountJob, CountKernel, CountScheduler,
+    count_local, count_two_party, CandidateSet, CountJob, CountScheduler,
     OfflineMode, SchedulePlan,
 };
 use cargo_graph::BitMatrix;
@@ -161,14 +161,11 @@ proptest! {
         let plan = sparse_plan(&m);
         let base = count_local(&m, &job(seed, 1, 1, plan.clone()));
         for (threads, batch) in [(1usize, 7usize), (2, 1), (3, 64)] {
-            for kernel in [CountKernel::Scalar, CountKernel::Bitsliced] {
-                let r = count_local(
-                    &m, &CountJob { kernel, ..job(seed, threads, batch, plan.clone()) });
-                prop_assert_eq!(r.share1, base.share1);
-                prop_assert_eq!(r.share2, base.share2);
-                prop_assert_eq!(r.net.elements, base.net.elements);
-                prop_assert_eq!(r.net.bytes, base.net.bytes);
-            }
+            let r = count_local(&m, &job(seed, threads, batch, plan.clone()));
+            prop_assert_eq!(r.share1, base.share1);
+            prop_assert_eq!(r.share2, base.share2);
+            prop_assert_eq!(r.net.elements, base.net.elements);
+            prop_assert_eq!(r.net.bytes, base.net.bytes);
             // The message-passing runtime must stay pinned to the fast
             // path share for share, NetStats included.
             let (end1, end2) = memory_pair();

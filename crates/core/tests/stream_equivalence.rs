@@ -1,7 +1,6 @@
 //! Streamed-schedule equivalence suite: the CSR-streamed Count plan
-//! and the hybrid tile kernel may change *when* candidates are
-//! generated and *how* the kernel groups lanes — never the triples,
-//! the shares, or the wire ledger.
+//! may change *when* candidates are generated — never the triples, the
+//! shares, or the wire ledger.
 //!
 //! Contracts, pinned against the eager sparse schedule
 //! (`SchedulePlan::CandidatePairs`, itself pinned to the dense cube by
@@ -10,22 +9,21 @@
 //! 1. **Plan bit-identity** — `SchedulePlan::CsrStream` produces the
 //!    same `SecureCountResult` (both shares, triples, and the full
 //!    `NetStats`) as the eager plan built from the same support, at
-//!    every `threads × batch`, on the batched, scalar, and
-//!    OT-extension paths.
-//! 2. **Tile-threshold invariance** — the hybrid kernel's density
-//!    threshold θ regroups kernel evaluation only: θ = 0 (everything
-//!    streamed), θ = `u32::MAX` (everything gathered), and values
-//!    between all reproduce the eager run bit for bit — and θ is inert
-//!    on the scalar and OT workers.
+//!    every `threads × batch`, with dealer and OT-extension material.
+//! 2. **Round boundaries** — no chunk, a single one-triple run, and
+//!    one-triple rounds all reproduce the eager run.
 //! 3. **CSR-native input** — `count_local` over a `CsrGraph`, which
 //!    never materialises an `n × n` matrix, equals the matrix-shaped
 //!    run over `g.to_bit_matrix()` exactly, in dealer and OT mode.
 //! 4. **Sampled composition** — sampling over the streamed plan picks
 //!    the same coins and draws as over the eager plan.
+//!
+//! And the benchmark's entry point, `secure_triangle_count_streamed`,
+//! equals the eager run whatever tile threshold it is handed.
 
 use cargo_core::{
-    count_local, count_sampled, CandidateSet, CountJob, CountKernel, OfflineMode, SchedulePlan,
-    DEFAULT_TILE_THRESHOLD,
+    count_local, count_sampled, secure_triangle_count_streamed, CandidateSet, CountJob,
+    OfflineMode, SchedulePlan, DEFAULT_TILE_THRESHOLD,
 };
 use cargo_graph::{generators, BitMatrix, CsrGraph, Graph};
 use cargo_mpc::SplitMix64;
@@ -68,8 +66,8 @@ fn job(seed: u64, threads: usize, batch: usize, plan: SchedulePlan) -> CountJob 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Contract 1 on the default (batched) kernel: full
-    /// `SecureCountResult` equality across a threads × batch grid.
+    /// Contract 1 in dealer mode: full `SecureCountResult` equality
+    /// across a threads × batch grid.
     #[test]
     fn streamed_plan_equals_eager_sparse_on_the_batched_kernel(
         m in arb_bit_matrix(28),
@@ -85,21 +83,25 @@ proptest! {
         }
     }
 
-    /// Contract 2: every tile threshold reproduces the eager run bit
-    /// for bit — the θ ends (all-streamed, all-gathered) and values
-    /// that split a chunk's runs across both kernel paths.
+    /// The benchmark's entry point, `secure_triangle_count_streamed`,
+    /// keeps the positional tile threshold θ of the retired tiled
+    /// kernel and ignores it: at every θ it reproduces the eager matrix
+    /// run bit for bit.
     #[test]
     fn tile_threshold_never_changes_the_result(
-        m in arb_bit_matrix(24),
+        n in 3usize..24,
+        tenths in 1u32..6,
         seed in any::<u64>(),
     ) {
-        let (eager_plan, stream_plan) = both_plans(&m);
+        let g = generators::erdos_renyi(n, tenths as f64 / 10.0, seed);
+        let m = g.to_bit_matrix();
+        let csr = Arc::new(CsrGraph::from_graph(&g));
+        let (eager_plan, _) = both_plans(&m);
         for batch in [1usize, 5, 64] {
             let eager = count_local(&m, &job(seed, 2, batch, eager_plan.clone()));
             for tile_threshold in [0u32, 1, 3, DEFAULT_TILE_THRESHOLD, u32::MAX] {
-                let tiled = count_local(
-                    &m, &CountJob { tile_threshold, ..job(seed, 2, batch, stream_plan.clone()) });
-                prop_assert_eq!(eager, tiled);
+                let streamed = secure_triangle_count_streamed(&csr, seed, 2, batch, tile_threshold);
+                prop_assert_eq!(eager, streamed);
             }
         }
     }
@@ -121,13 +123,11 @@ proptest! {
     }
 }
 
-/// Contracts 1 and 2 on every worker: the scalar kernel and the
-/// OT-extension offline phase consume the plan through the same
-/// `chunk_plan` interface, so the streamed plan must be invisible to
-/// them too (offline ledger included — chunk ids, which key the
-/// amortised OT sessions, are pinned equal by the scheduler suite), at
-/// every θ — which regroups the dealer-mode bitsliced worker and is
-/// inert everywhere else.
+/// Contract 1 in both offline modes: the OT-extension offline phase
+/// consumes the plan through the same `chunk_plan` interface, so the
+/// streamed plan must be invisible to it too (offline ledger included
+/// — chunk ids, which key the amortised OT sessions, are pinned equal
+/// by the scheduler suite).
 #[test]
 fn scalar_and_ot_paths_accept_streamed_plans() {
     for (n, p, seed) in [(20usize, 0.3, 7u64), (36, 0.15, 3)] {
@@ -135,33 +135,17 @@ fn scalar_and_ot_paths_accept_streamed_plans() {
         let m = g.to_bit_matrix();
         let (eager_plan, stream_plan) = both_plans(&m);
         for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
-            for kernel in [CountKernel::Scalar, CountKernel::Bitsliced] {
-                let eager =
-                    count_local(&m, &CountJob { offline, kernel, ..job(seed, 2, 8, eager_plan.clone()) });
-                for tile_threshold in [0u32, DEFAULT_TILE_THRESHOLD, u32::MAX] {
-                    let streamed = count_local(
-                        &m,
-                        &CountJob {
-                            offline,
-                            kernel,
-                            tile_threshold,
-                            ..job(seed, 2, 8, stream_plan.clone())
-                        },
-                    );
-                    assert_eq!(
-                        eager, streamed,
-                        "n={n} mode={offline:?} kernel={kernel:?} θ={tile_threshold}"
-                    );
-                }
-            }
+            let eager = count_local(&m, &CountJob { offline, ..job(seed, 2, 8, eager_plan.clone()) });
+            let streamed =
+                count_local(&m, &CountJob { offline, ..job(seed, 2, 8, stream_plan.clone()) });
+            assert_eq!(eager, streamed, "n={n} mode={offline:?}");
         }
     }
 }
 
 /// Contract 3: a CSR input — no `n × n` matrix anywhere — equals the
-/// matrix-shaped eager run on the same graph, across threads × batch ×
-/// θ, and in OT mode (where the CSR bits feed the share-struct
-/// workers instead of the tile kernel).
+/// matrix-shaped eager run on the same graph, across threads × batch,
+/// and in OT mode.
 #[test]
 fn csr_native_streamed_count_equals_the_matrix_run() {
     for (n, p, seed) in [(30usize, 0.2, 1u64), (80, 0.1, 5), (60, 0.35, 9)] {
@@ -173,74 +157,51 @@ fn csr_native_streamed_count_equals_the_matrix_run() {
         for threads in [1usize, 3] {
             for batch in [1usize, 16] {
                 let eager = count_local(&m, &job(seed, threads, batch, eager_plan.clone()));
-                for tile_threshold in [0u32, DEFAULT_TILE_THRESHOLD, u32::MAX] {
-                    let streamed = count_local(
-                        &*csr,
-                        &CountJob { tile_threshold, ..job(seed, threads, batch, stream_plan.clone()) },
-                    );
-                    assert_eq!(
-                        eager, streamed,
-                        "n={n} threads={threads} batch={batch} θ={tile_threshold}"
-                    );
-                }
+                let streamed = count_local(&*csr, &job(seed, threads, batch, stream_plan.clone()));
+                assert_eq!(eager, streamed, "n={n} threads={threads} batch={batch}");
             }
         }
         if n <= 30 {
             // OT mode pays 512 extended OTs per triple: smallest graph only.
-            for kernel in [CountKernel::Scalar, CountKernel::Bitsliced] {
-                let ot = |plan| CountJob {
-                    offline: OfflineMode::OtExtension,
-                    kernel,
-                    ..job(seed, 2, 8, plan)
-                };
-                let eager = count_local(&m, &ot(eager_plan.clone()));
-                let streamed = count_local(&*csr, &ot(stream_plan.clone()));
-                assert_eq!(eager, streamed, "n={n} OT kernel={kernel:?}");
-            }
+            let ot = |plan| CountJob { offline: OfflineMode::OtExtension, ..job(seed, 2, 8, plan) };
+            let eager = count_local(&m, &ot(eager_plan.clone()));
+            let streamed = count_local(&*csr, &ot(stream_plan.clone()));
+            assert_eq!(eager, streamed, "n={n} OT");
         }
     }
 }
 
-/// Tile boundaries the sweep can miss: a triangle-free support (zero
-/// chunks), a single triangle (one short run smaller than every
-/// positive θ), and batch = 1 (every tile flushes at one lane).
+/// Contract 2, the boundaries the sweep can miss: a triangle-free
+/// support (zero chunks), a single triangle (one run of one group),
+/// and batch = 1 (every round is one lane).
 #[test]
 fn tile_boundary_cases() {
     // Triangle-free: candidate pairs exist but no run survives.
     let path = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
     let csr = Arc::new(CsrGraph::from_graph(&path));
-    let streamed = |csr: &Arc<CsrGraph>, seed, threads, batch, tile_threshold| {
+    let streamed = |csr: &Arc<CsrGraph>, seed, threads, batch| {
         let plan = SchedulePlan::CsrStream(Arc::clone(csr));
-        count_local(&**csr, &CountJob { tile_threshold, ..job(seed, threads, batch, plan) })
+        count_local(&**csr, &job(seed, threads, batch, plan))
     };
-    for theta in [0u32, 1, u32::MAX] {
-        let r = streamed(&csr, 42, 2, 8, theta);
-        assert_eq!(r.triples, 0);
-        assert_eq!(r.reconstruct().to_u64(), 0);
-        assert_eq!(r.net.elements, 0);
-    }
+    let r = streamed(&csr, 42, 2, 8);
+    assert_eq!(r.triples, 0);
+    assert_eq!(r.reconstruct().to_u64(), 0);
+    assert_eq!(r.net.elements, 0);
 
-    // One triangle: a single run of one group, gathered for θ > 1 and
-    // streamed for θ <= 1 — both must open to 1.
+    // One triangle: a single run of one group must open to 1.
     let tri = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2)]).unwrap();
     let csr = Arc::new(CsrGraph::from_graph(&tri));
-    for theta in [0u32, 1, 2, u32::MAX] {
-        for batch in [1usize, 4, 64] {
-            let r = streamed(&csr, 7, 1, batch, theta);
-            assert_eq!(r.triples, 1, "θ={theta} batch={batch}");
-            assert_eq!(r.reconstruct().to_u64(), 1, "θ={theta} batch={batch}");
-        }
+    for batch in [1usize, 4, 64] {
+        let r = streamed(&csr, 7, 1, batch);
+        assert_eq!(r.triples, 1, "batch={batch}");
+        assert_eq!(r.reconstruct().to_u64(), 1, "batch={batch}");
     }
 
-    // batch = 1 with a mixed-run graph: gather tiles flush on every
-    // lane, straggler carry-over across pairs cannot hide.
+    // batch = 1 with a mixed-run graph: every round is one lane, and
+    // carry-over across pairs cannot hide.
     let g = generators::erdos_renyi(25, 0.4, 13);
     let m = g.to_bit_matrix();
     let (eager_plan, stream_plan) = both_plans(&m);
     let eager = count_local(&m, &job(13, 1, 1, eager_plan));
-    for tile_threshold in [0u32, 2, u32::MAX] {
-        let tiled =
-            count_local(&m, &CountJob { tile_threshold, ..job(13, 1, 1, stream_plan.clone()) });
-        assert_eq!(eager, tiled, "θ={tile_threshold}");
-    }
+    assert_eq!(eager, count_local(&m, &job(13, 1, 1, stream_plan)));
 }

@@ -4,7 +4,7 @@
 //! Two families of pins:
 //!
 //! 1. **Bit-identical results across transports.** For an `n × batch`
-//!    grid across `threads × kernel × offline-mode`, the fast
+//!    grid across `threads × offline-mode`, the fast
 //!    in-process kernel, the message-passing runtime over the
 //!    in-memory byte transport, and the same runtime over real
 //!    loopback TCP sockets produce identical shares and identical
@@ -19,8 +19,7 @@
 //!    sampled estimator.
 
 use cargo_core::{
-    count_local, count_sampled, count_two_party, CountJob, CountKernel, OfflineMode,
-    SecureCountResult,
+    count_local, count_sampled, count_two_party, CountJob, OfflineMode, SecureCountResult,
 };
 use cargo_graph::BitMatrix;
 use cargo_mpc::{memory_pair, SplitMix64, TcpConfig, TcpTransport};
@@ -59,22 +58,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Pin family 1 for the in-memory byte transport, on the full
-    /// threads × batch × kernel × offline-mode grid.
+    /// threads × batch × offline-mode grid.
     #[test]
     fn memory_transport_runtime_equals_fast_path_on_the_grid(
         m in arb_bit_matrix(28),
         seed in any::<u64>(),
     ) {
         for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
-            for kernel in [CountKernel::Bitsliced, CountKernel::Scalar] {
-                for (threads, batch) in [(1usize, 1usize), (2, 7), (3, 0)] {
-                    let fast = count_local(&m, &CountJob { kernel, ..job(seed, 1, batch, mode) });
-                    let rt = over_memory(&m, &job(seed, threads, batch, mode));
-                    prop_assert_eq!(rt.share1, fast.share1);
-                    prop_assert_eq!(rt.share2, fast.share2);
-                    prop_assert_eq!(rt.net, fast.net);
-                    prop_assert_eq!(rt.net.wire_bytes, rt.net.online().bytes);
-                }
+            for (threads, batch) in [(1usize, 1usize), (2, 7), (3, 0)] {
+                let fast = count_local(&m, &job(seed, 1, batch, mode));
+                let rt = over_memory(&m, &job(seed, threads, batch, mode));
+                prop_assert_eq!(rt.share1, fast.share1);
+                prop_assert_eq!(rt.share2, fast.share2);
+                prop_assert_eq!(rt.net, fast.net);
+                prop_assert_eq!(rt.net.wire_bytes, rt.net.online().bytes);
             }
         }
     }

@@ -20,7 +20,7 @@ use crate::prg::SplitMix64;
 use crate::ring::Ring64;
 use crate::share::{share_with, SharePair};
 use crate::simd::SimdTier;
-use crate::triple_mul::MulGroupShare;
+use crate::triple_mul::{count_round, MulGroupShare, RoundLanes};
 
 /// A trusted dealer producing correlated randomness for the two servers.
 #[derive(Debug, Clone)]
@@ -156,10 +156,7 @@ impl PairDealer {
     }
 
     /// Creates the stream for `draw`'s pair, already sought to the
-    /// draw's canonical group offset — the tile entry point: a hybrid
-    /// kernel gathering straggler runs from many pairs into one batch
-    /// opens each run's stream with this and [`Self::fill_words`]s it
-    /// straight into the gather slab.
+    /// draw's canonical group offset.
     pub fn for_draw(root: u64, draw: &crate::MgDraw) -> Self {
         let mut d = Self::for_pair(root, draw.i, draw.j);
         d.skip_groups(draw.start as usize);
@@ -169,8 +166,8 @@ impl PairDealer {
     /// Block-expands the next `out.len()` raw dealer words (see
     /// [`MG_WORDS`] for the per-group layout) at the best
     /// [`SimdTier`] of this CPU ([`SplitMix64::fill_block_tier`]).
-    /// Stream-equivalent to scalar draws at every tier; the gathered-tile
-    /// worker and the OT flights fill one slab at a time.
+    /// Stream-equivalent to scalar draws at every tier; the OT flights
+    /// fill one slab at a time.
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
         self.rng.fill_block_tier(SimdTier::detect(), out);
@@ -189,16 +186,26 @@ impl PairDealer {
         self.rng.skip(MG_WORDS * groups);
     }
 
-    /// The fused hot kernel of the batched Count: evaluates one
-    /// `k`-block of Multiplication-Group protocols directly against
-    /// this stream ([`crate::triple_mul::mul3_batch_stream`]), drawing
-    /// and mixing the block's [`MG_WORDS`]`·L` words inside the lane
-    /// loop. Consumes exactly the words [`Self::fill_words`] would for
-    /// the same block, and returns the wrapping partial sums
-    /// `(Σ⟨d⟩₁, Σ⟨d⟩₂)` — bit-identical to the scalar transcription.
-    #[inline]
+    /// Evaluates one `k`-block of Multiplication-Group protocols, both
+    /// servers at once, against this stream's next `L = b.len()` groups
+    /// — one segment through [`crate::count_round`] — and advances the
+    /// stream past them. `a` is the plaintext first secret of every
+    /// lane, `b` and `c` the second and third per lane. Returns the
+    /// wrapping partial sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)`, bit-identical to
+    /// [`Self::fill_words`] + [`crate::mul3_batch`].
+    ///
+    /// # Panics
+    /// Panics if `b` and `c` differ in length.
     pub fn count_block(&mut self, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-        crate::triple_mul::mul3_batch_stream(&mut self.rng, a, b, c)
+        assert_eq!(b.len(), c.len(), "b/c slab lengths");
+        let mut lanes = RoundLanes::fused(0);
+        if let Some([lane_b, lane_c]) = lanes.push_lanes(self.rng.state_raw(), [0; 2], b.len(), a)
+        {
+            lane_b.copy_from_slice(b);
+            lane_c.copy_from_slice(c);
+        }
+        self.skip_groups(b.len());
+        count_round(&lanes, None)
     }
 
     /// The counter state at which group `offset` of `draw` starts —

@@ -95,9 +95,8 @@ pub use ring::Ring64;
 pub use share::{reconstruct, reconstruct_vec, share_prf, share_with, share_vec_with, SharePair};
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
-    combine_round, expand_input_shares, mask_round, mul3, mul3_batch, mul3_combine,
-    mul3_combine_batch, mul3_mask_batch, mul3_open_batch, mul3_tile_batch, Mul3Opening,
-    MulGroupShare, RoundLanes,
+    combine_round, count_round, expand_input_shares, mask_round, mul3, mul3_batch, mul3_combine,
+    mul3_combine_batch, mul3_mask_batch, mul3_open_batch, Mul3Opening, MulGroupShare, RoundLanes,
 };
 
 /// Identifies one of the two non-colluding servers.

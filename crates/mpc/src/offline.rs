@@ -939,6 +939,12 @@ impl MgChunkMaterial {
         self.g1.is_empty()
     }
 
+    /// Both servers' groups of the whole chunk in plan order, S₁'s
+    /// column first.
+    pub fn columns(&self) -> [&[MulGroupShare]; 2] {
+        [&self.g1, &self.g2]
+    }
+
     /// Both servers' group slices for plan entry `idx`.
     pub fn pair(&self, idx: usize) -> (&[MulGroupShare], &[MulGroupShare]) {
         let range = self.offsets[idx]..self.offsets[idx + 1];

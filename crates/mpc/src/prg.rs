@@ -14,8 +14,8 @@
 use crate::ring::Ring64;
 use crate::simd::SimdTier;
 
-/// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the fused
-/// batch kernel ([`crate::triple_mul::mul3_batch_stream`]) re-derives
+/// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the round
+/// kernels ([`crate::count_round`] and the per-server passes) re-derive
 /// this stream in closed counter form and must share these exact
 /// constants.
 pub(crate) const SM_GAMMA: u64 = 0x9E3779B97F4A7C15;

@@ -21,7 +21,7 @@
 use crate::channel::NetStats;
 use crate::dealer::{PairDealer, MG_WORDS};
 use crate::offline::MgDraw;
-use crate::prg::{SplitMix64, SM_GAMMA, SM_M1, SM_M2};
+use crate::prg::{SM_GAMMA, SM_M1, SM_M2};
 use crate::ring::Ring64;
 use crate::simd::{SimdTier, U64x8, U64xN, LANES};
 use crate::ServerId;
@@ -108,8 +108,8 @@ pub fn mul3(
     (d1, d2)
 }
 
-/// Batched, fused form of [`mul3`] over raw dealer words — the hot
-/// kernel of the fast secure count (`CountKernel::Bitsliced`).
+/// Batched, fused form of [`mul3`] over raw dealer words — the
+/// array-of-structures reference of [`count_round`].
 ///
 /// Evaluates `L` consecutive Multiplication-Group protocols in
 /// structure-of-arrays passes of [`LANES`] lanes: `words` holds the
@@ -120,13 +120,12 @@ pub fn mul3(
 /// secrets per lane. Returns the wrapping partial sums
 /// `(Σ⟨d⟩₁, Σ⟨d⟩₂)` over the batch.
 ///
-/// This is the *simulation-fused* kernel: like the scalar fast path it
-/// evaluates both servers' arithmetic in one loop, so the opened
-/// maskings collapse algebraically (`f = ⟨f⟩₁+⟨f⟩₂ = b − y`) and the
-/// per-share PRF terms cancel — which is precisely why it is faster,
-/// while every produced share stays **bit-identical** to the scalar
-/// transcription (wrapping sums are order-independent). The kernel
-/// equivalence suite pins this against [`mul3`] per triple.
+/// Like [`count_round`] it evaluates both servers' arithmetic in one
+/// loop, so the opened maskings collapse algebraically
+/// (`f = ⟨f⟩₁+⟨f⟩₂ = b − y`) and the per-share PRF terms cancel, while
+/// every produced share stays **bit-identical** to the two-party
+/// transcription (wrapping sums are order-independent). The proptests
+/// pin it against [`mul3`] per triple.
 ///
 /// # Panics
 /// Panics if the slab lengths disagree (`words.len() ≠ MG_WORDS·L`).
@@ -215,161 +214,12 @@ pub fn mul3_batch(words: &[u64], a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
     (t1, t2)
 }
 
-/// The gathered-tile body — [`mul3_batch`] with a **per-lane** first
-/// secret. `#[inline(always)]` so each ISA-dispatch wrapper compiles
-/// its own copy with its vector features enabled.
-#[inline(always)]
-fn mul3_tile_body(words: &[u64], a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
-    let l = a.len();
-    assert_eq!(words.len(), MG_WORDS * l, "AoS word slab length");
-    assert!(b.len() == l && c.len() == l, "a/b/c slab lengths");
-    let mut acc1 = U64x8::ZERO;
-    let mut acc2 = U64x8::ZERO;
-    let full = l / LANES;
-    for lane0 in (0..full * LANES).step_by(LANES) {
-        let base = MG_WORDS * lane0;
-        let x1 = U64x8::gather::<MG_WORDS>(words, base);
-        let x2 = U64x8::gather::<MG_WORDS>(words, base + 1);
-        let y1 = U64x8::gather::<MG_WORDS>(words, base + 2);
-        let y2 = U64x8::gather::<MG_WORDS>(words, base + 3);
-        let z1 = U64x8::gather::<MG_WORDS>(words, base + 4);
-        let z2 = U64x8::gather::<MG_WORDS>(words, base + 5);
-        let o1 = U64x8::gather::<MG_WORDS>(words, base + 6);
-        let p1 = U64x8::gather::<MG_WORDS>(words, base + 7);
-        let q1 = U64x8::gather::<MG_WORDS>(words, base + 8);
-        let w1 = U64x8::gather::<MG_WORDS>(words, base + 9);
-        let x = x1 + x2;
-        let y = y1 + y2;
-        let z = z1 + z2;
-        let o = x * y;
-        let p = x * z;
-        let q = y * z;
-        let wv = o * z;
-        let e = U64x8::load(&a[lane0..]) - x;
-        let f = U64x8::load(&b[lane0..]) - y;
-        let g = U64x8::load(&c[lane0..]) - z;
-        let fg = f * g;
-        let eg = e * g;
-        let ef = e * f;
-        acc1 = acc1 + w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef;
-        acc2 = acc2
-            + (wv - w1)
-            + (o - o1) * g
-            + (p - p1) * f
-            + (q - q1) * e
-            + x2 * fg
-            + y2 * eg
-            + z2 * ef
-            + ef * g;
-    }
-    let mut t1 = acc1.hsum();
-    let mut t2 = acc2.hsum();
-    // Scalar tail (< LANES lanes), same formulas.
-    for lane in full * LANES..l {
-        let w = &words[MG_WORDS * lane..MG_WORDS * (lane + 1)];
-        let (x1, x2, y1, y2, z1, z2, o1, p1, q1, w1) =
-            (w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8], w[9]);
-        let x = x1.wrapping_add(x2);
-        let y = y1.wrapping_add(y2);
-        let z = z1.wrapping_add(z2);
-        let o = x.wrapping_mul(y);
-        let p = x.wrapping_mul(z);
-        let q = y.wrapping_mul(z);
-        let wv = o.wrapping_mul(z);
-        let e = a[lane].wrapping_sub(x);
-        let f = b[lane].wrapping_sub(y);
-        let g = c[lane].wrapping_sub(z);
-        let fg = f.wrapping_mul(g);
-        let eg = e.wrapping_mul(g);
-        let ef = e.wrapping_mul(f);
-        t1 = t1
-            .wrapping_add(w1)
-            .wrapping_add(o1.wrapping_mul(g))
-            .wrapping_add(p1.wrapping_mul(f))
-            .wrapping_add(q1.wrapping_mul(e))
-            .wrapping_add(x1.wrapping_mul(fg))
-            .wrapping_add(y1.wrapping_mul(eg))
-            .wrapping_add(z1.wrapping_mul(ef));
-        t2 = t2
-            .wrapping_add(wv.wrapping_sub(w1))
-            .wrapping_add(o.wrapping_sub(o1).wrapping_mul(g))
-            .wrapping_add(p.wrapping_sub(p1).wrapping_mul(f))
-            .wrapping_add(q.wrapping_sub(q1).wrapping_mul(e))
-            .wrapping_add(x2.wrapping_mul(fg))
-            .wrapping_add(y2.wrapping_mul(eg))
-            .wrapping_add(z2.wrapping_mul(ef))
-            .wrapping_add(ef.wrapping_mul(g));
-    }
-    (t1, t2)
-}
-
-/// AVX-512 compilation of the gathered-tile body; selected at runtime
-/// when the CPU supports it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mul3_tile_avx512(words: &[u64], a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
-    mul3_tile_body(words, a, b, c)
-}
-
-/// AVX2 compilation of the gathered-tile body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul3_tile_avx2(words: &[u64], a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
-    mul3_tile_body(words, a, b, c)
-}
-
-/// [`mul3_batch`] with a **per-lane** first secret — the gathered-tile
-/// entry point of the hybrid sparse kernel.
-///
-/// A ragged sparse plan leaves the fused stream kernel
-/// ([`mul3_batch_stream`]) running short blocks: a pair whose
-/// surviving `k`-run is 2 triples long fills 2 of 8 lanes. The hybrid
-/// path instead *gathers* many such straggler runs — from different
-/// `(i, j)` pairs, hence different `a_ij` — into one AoS slab (each
-/// run's words drawn from its own [`crate::PairDealer`] at its
-/// canonical offset) and evaluates them here at full width, with `a`
-/// varying per lane. Bit-identity with per-run [`mul3_batch`] calls
-/// follows from the wrapping sums being order-independent; the tile
-/// equivalence proptests pin it.
-///
-/// Dispatched like the stream kernel: AVX-512, AVX2, portable — one
-/// generic body, so the paths cannot diverge.
-///
-/// # Panics
-/// Panics if the slab lengths disagree (`words.len() ≠ MG_WORDS·L` or
-/// `a/b/c` differing).
-pub fn mul3_tile_batch(words: &[u64], a: &[u64], b: &[u64], c: &[u64]) -> (u64, u64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512dq") {
-            // SAFETY: the target features the callee enables were just
-            // verified present on the running CPU.
-            return unsafe { mul3_tile_avx512(words, a, b, c) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { mul3_tile_avx2(words, a, b, c) };
-        }
-    }
-    mul3_tile_body(words, a, b, c)
-}
-
 /// Lane-wise SplitMix64 finaliser: `mix(s)` equals
 /// [`SplitMix64::next_u64`]'s output for counter value `s`, per lane.
 #[inline(always)]
 fn mix<const N: usize>(s: U64xN<N>) -> U64xN<N> {
     let z = (s ^ (s >> 30)) * U64xN::splat(SM_M1);
     let z = (z ^ (z >> 27)) * U64xN::splat(SM_M2);
-    z ^ (z >> 31)
-}
-
-/// Scalar SplitMix64 word at counter offset `k` from `state` — the
-/// closed form of [`SplitMix64::fill_block`]'s `k`-th output.
-#[inline(always)]
-fn sm_word(state: u64, k: u64) -> u64 {
-    let mut z = state.wrapping_add(SM_GAMMA.wrapping_mul(k + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(SM_M1);
-    z = (z ^ (z >> 27)).wrapping_mul(SM_M2);
     z ^ (z >> 31)
 }
 
@@ -382,174 +232,6 @@ const fn lane_steps<const N: usize>(step: u64) -> U64xN<N> {
         t += 1;
     }
     U64xN(out)
-}
-
-/// A dealer stream in structure-of-arrays form, each word computed in
-/// closed counter form.
-#[derive(Clone, Copy)]
-struct MgLanes {
-    state: u64,
-}
-
-impl MgLanes {
-    /// Field `f` (see [`MG_WORDS`] for the order) of the `N`
-    /// consecutive groups starting `lane0` groups past `state`, one
-    /// group per lane; groups are [`MG_WORDS`] words apart.
-    #[inline(always)]
-    fn field<const N: usize>(self, lane0: usize, f: u64) -> U64xN<N> {
-        let step = const { lane_steps::<N>(SM_GAMMA.wrapping_mul(MG_WORDS as u64)) };
-        let k = (MG_WORDS * lane0) as u64 + f + 1;
-        mix(U64xN::splat(self.state.wrapping_add(SM_GAMMA.wrapping_mul(k))) + step)
-    }
-}
-
-/// The fused kernel body: expands the dealer words *inside* the SoA
-/// loop (SplitMix64 is counter-based, so every word is an independent
-/// function of `state`) and runs the MG arithmetic on them in
-/// registers — no AoS buffer, no strided re-loads. `#[inline(always)]`
-/// so each ISA-dispatch wrapper compiles its own copy with its vector
-/// features enabled.
-#[inline(always)]
-fn mul3_batch_prg_body(state: u64, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-    let l = b.len();
-    assert_eq!(c.len(), l, "b/c slab lengths");
-    let av = U64x8::splat(a);
-    let mut acc1 = U64x8::ZERO;
-    let mut acc2 = U64x8::ZERO;
-    let full = l / LANES;
-    let mg = MgLanes { state };
-    for g in 0..full {
-        let lane0 = g * LANES;
-        let x1 = mg.field::<LANES>(lane0, 0);
-        let x2 = mg.field(lane0, 1);
-        let y1 = mg.field(lane0, 2);
-        let y2 = mg.field(lane0, 3);
-        let z1 = mg.field(lane0, 4);
-        let z2 = mg.field(lane0, 5);
-        let o1 = mg.field(lane0, 6);
-        let p1 = mg.field(lane0, 7);
-        let q1 = mg.field(lane0, 8);
-        let w1 = mg.field(lane0, 9);
-        let x = x1 + x2;
-        let y = y1 + y2;
-        let z = z1 + z2;
-        let o = x * y;
-        let p = x * z;
-        let q = y * z;
-        let wv = o * z;
-        let e = av - x;
-        let f = U64x8::load(&b[lane0..]) - y;
-        let gg = U64x8::load(&c[lane0..]) - z;
-        let fg = f * gg;
-        let eg = e * gg;
-        let ef = e * f;
-        acc1 = acc1 + w1 + o1 * gg + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef;
-        acc2 = acc2
-            + (wv - w1)
-            + (o - o1) * gg
-            + (p - p1) * f
-            + (q - q1) * e
-            + x2 * fg
-            + y2 * eg
-            + z2 * ef
-            + ef * gg;
-    }
-    let mut t1 = acc1.hsum();
-    let mut t2 = acc2.hsum();
-    // Scalar tail (< LANES lanes), same closed-form words.
-    for lane in full * LANES..l {
-        let base_k = (MG_WORDS * lane) as u64;
-        let x1 = sm_word(state, base_k);
-        let x2 = sm_word(state, base_k + 1);
-        let y1 = sm_word(state, base_k + 2);
-        let y2 = sm_word(state, base_k + 3);
-        let z1 = sm_word(state, base_k + 4);
-        let z2 = sm_word(state, base_k + 5);
-        let o1 = sm_word(state, base_k + 6);
-        let p1 = sm_word(state, base_k + 7);
-        let q1 = sm_word(state, base_k + 8);
-        let w1 = sm_word(state, base_k + 9);
-        let x = x1.wrapping_add(x2);
-        let y = y1.wrapping_add(y2);
-        let z = z1.wrapping_add(z2);
-        let o = x.wrapping_mul(y);
-        let p = x.wrapping_mul(z);
-        let q = y.wrapping_mul(z);
-        let wv = o.wrapping_mul(z);
-        let e = a.wrapping_sub(x);
-        let f = b[lane].wrapping_sub(y);
-        let g = c[lane].wrapping_sub(z);
-        let fg = f.wrapping_mul(g);
-        let eg = e.wrapping_mul(g);
-        let ef = e.wrapping_mul(f);
-        t1 = t1
-            .wrapping_add(w1)
-            .wrapping_add(o1.wrapping_mul(g))
-            .wrapping_add(p1.wrapping_mul(f))
-            .wrapping_add(q1.wrapping_mul(e))
-            .wrapping_add(x1.wrapping_mul(fg))
-            .wrapping_add(y1.wrapping_mul(eg))
-            .wrapping_add(z1.wrapping_mul(ef));
-        t2 = t2
-            .wrapping_add(wv.wrapping_sub(w1))
-            .wrapping_add(o.wrapping_sub(o1).wrapping_mul(g))
-            .wrapping_add(p.wrapping_sub(p1).wrapping_mul(f))
-            .wrapping_add(q.wrapping_sub(q1).wrapping_mul(e))
-            .wrapping_add(x2.wrapping_mul(fg))
-            .wrapping_add(y2.wrapping_mul(eg))
-            .wrapping_add(z2.wrapping_mul(ef))
-            .wrapping_add(ef.wrapping_mul(g));
-    }
-    (t1, t2)
-}
-
-/// AVX-512 compilation of the fused body (native 8×64-bit lane
-/// multiplies via `vpmullq`); selected at runtime when the CPU
-/// supports it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mul3_batch_prg_avx512(state: u64, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-    mul3_batch_prg_body(state, a, b, c)
-}
-
-/// AVX2 compilation of the fused body (4-lane 64-bit multiplies via
-/// the `vpmuludq` decomposition — still well ahead of scalar `imul`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul3_batch_prg_avx2(state: u64, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-    mul3_batch_prg_body(state, a, b, c)
-}
-
-/// [`mul3_batch`] with the dealer-word expansion fused in: draws the
-/// batch's `MG_WORDS·L` words straight from `rng`'s counter stream
-/// inside the lane loop (bit-identical to
-/// [`SplitMix64::fill_block`] + [`mul3_batch`], which the proptests
-/// pin) and advances `rng` past them. This is the Count phase's hot
-/// kernel proper: the PRG mixing is ~70% of the per-triple work, and
-/// fusing it removes the AoS buffer round-trip and lets the whole
-/// body — mixing and MG arithmetic — vectorise as one loop.
-///
-/// On x86-64 the body is compiled three times and dispatched by
-/// runtime feature detection: AVX-512 (`vpmullq`), AVX2, and the
-/// portable baseline. All paths share one generic implementation, so
-/// they cannot diverge.
-pub fn mul3_batch_stream(rng: &mut SplitMix64, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-    assert_eq!(b.len(), c.len(), "b/c slab lengths");
-    let state = rng.state_raw();
-    rng.skip(MG_WORDS * b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512dq") {
-            // SAFETY: the target features the callee enables were just
-            // verified present on the running CPU.
-            return unsafe { mul3_batch_prg_avx512(state, a, b, c) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { mul3_batch_prg_avx2(state, a, b, c) };
-        }
-    }
-    mul3_batch_prg_body(state, a, b, c)
 }
 
 /// The key [`share_prf`](crate::share_prf) mixes for entry
@@ -662,23 +344,29 @@ fn expand_input_shares_tier(
     }
 }
 
-/// One online round of one server, cut into lanes — one lane per
-/// triple, in structure-of-arrays form — which [`mask_round`] and
-/// [`combine_round`] each evaluate in one pass, whatever `k`-runs the
-/// round is cut from.
+/// One online round cut into lanes — one lane per triple, in
+/// structure-of-arrays form. A server's table ([`RoundLanes::new`]) is
+/// what [`mask_round`] and [`combine_round`] each evaluate in one pass;
+/// a fused table ([`RoundLanes::fused`]) holds both servers' round for
+/// [`count_round`]. Either way one pass covers the round, whatever
+/// `k`-runs it is cut from.
 ///
 /// A segment `(draw, offset, len)` of the round ([`crate::plan_rounds`])
 /// adds `len` lanes ([`RoundLanes::push_run`]). Lane `t` of it, triple
-/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the
-/// [`share_prf`](crate::share_prf) keys of `(i, k)` and `(j, k)`, this
-/// server's share of `a_ij`, and the dealer-stream counter its group
-/// starts at (the draw's [`crate::PairDealer`] sought `offset + t` groups
-/// on); on S₂ also the plaintext bits of `(i, k)` and `(j, k)`. Lanes
-/// are in plan order, so a round's lanes also line up with the next
-/// `len` groups of a plan-ordered slab of preprocessed material.
+/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the first secret
+/// `a_ij` (a server's share of it, or the plaintext bit in a fused
+/// table) and the dealer-stream counter its group starts at (the draw's
+/// [`crate::PairDealer`] sought `offset + t` groups on). A server's
+/// table adds the [`share_prf`](crate::share_prf) keys of `(i, k)` and
+/// `(j, k)`; S₂'s and a fused table add the plaintext bits of `(i, k)`
+/// and `(j, k)`. Lanes are in plan order, so a round's lanes also line
+/// up with the next `len` groups of a plan-ordered slab of preprocessed
+/// material.
 ///
 /// ```
-/// use cargo_mpc::{combine_round, mask_round, share_prf, MgDraw, RoundLanes, ServerId};
+/// use cargo_mpc::{
+///     combine_round, count_round, mask_round, share_prf, MgDraw, RoundLanes, ServerId,
+/// };
 /// // One round of five triples cut from two k-runs, (0, 1, k) for
 /// // k = 2, 3, 4 and (0, 2, k) for k = 3, 4, every adjacency bit 1.
 /// let seed = 7;
@@ -702,21 +390,34 @@ fn expand_input_shares_tier(
 /// let d1 = combine_round(&tables[0], None, &slabs[0], &slabs[1]);
 /// let d2 = combine_round(&tables[1], None, &slabs[1], &slabs[0]);
 /// assert_eq!(d1.wrapping_add(d2), 5);
+/// // Both servers in one pass: the same two shares.
+/// let mut fused = RoundLanes::fused(seed);
+/// for run in &runs {
+///     if let Some([b, c]) = fused.push_run(run, 0, run.groups as usize, 1) {
+///         b.fill(1);
+///         c.fill(1);
+///     }
+/// }
+/// assert_eq!(count_round(&fused, None), (d1, d2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoundLanes {
     seed: u64,
-    server: ServerId,
+    /// Whose round: one server's, or both servers' (`None`).
+    server: Option<ServerId>,
     /// Lanes in the round. The columns below keep the length of the
     /// longest round met, so a round writes them in place.
     len: usize,
-    /// This server's share of each lane's `a_ij`.
+    /// Each lane's `a_ij`: this server's share of it, or in a fused
+    /// table the plaintext bit.
     a: Vec<u64>,
-    /// Each lane's [`prf_key`]s of `(i, k)` and `(j, k)`.
+    /// A server's table only: each lane's [`prf_key`]s of `(i, k)` and
+    /// `(j, k)`.
     keys: [Vec<u64>; 2],
     /// The dealer-stream counter each lane's group starts at.
     state: Vec<u64>,
-    /// S₂ only: each lane's plaintext bits of `(i, k)` and `(j, k)`.
+    /// S₂'s and a fused table only: each lane's plaintext bits of
+    /// `(i, k)` and `(j, k)`.
     bits: [Vec<u64>; 2],
 }
 
@@ -724,6 +425,18 @@ impl RoundLanes {
     /// An empty table for `server` under the Count seed `seed`, which
     /// keys both the input-share PRF and the dealer streams.
     pub fn new(seed: u64, server: ServerId) -> Self {
+        Self::holding(seed, Some(server))
+    }
+
+    /// An empty table of both servers' round under the Count seed
+    /// `seed`, for [`count_round`]: it holds the plaintext inputs of
+    /// each lane and no PRF key, since the input shares cancel in the
+    /// openings.
+    pub fn fused(seed: u64) -> Self {
+        Self::holding(seed, None)
+    }
+
+    fn holding(seed: u64, server: Option<ServerId>) -> Self {
         RoundLanes {
             seed,
             server,
@@ -752,10 +465,11 @@ impl RoundLanes {
 
     /// Appends the round segment `(draw, offset, len)`: `len` lanes, the
     /// triples `(i, j, draw.k_at(offset) + t)`, whose first secret is
-    /// `a_ij` and `a` this server's share of it. On S₂ returns the new
-    /// lanes' bit slices of rows `i` and `j`, columns
-    /// `draw.k_at(offset) ..`, for the caller to overwrite with the
-    /// users' plaintext bits; S₁ reads no bit and gets `None`.
+    /// `a_ij` and `a` this server's share of it (in a fused table,
+    /// `a_ij` itself). On S₂ and in a fused table returns the new lanes'
+    /// bit slices of rows `i` and `j`, columns `draw.k_at(offset) ..`,
+    /// for the caller to overwrite with the users' plaintext bits; S₁
+    /// reads no bit and gets `None`.
     pub fn push_run(
         &mut self,
         draw: &MgDraw,
@@ -763,26 +477,39 @@ impl RoundLanes {
         len: usize,
         a: u64,
     ) -> Option<[&mut [u64]; 2]> {
+        let k = draw.k_at(offset) as u64;
+        let keys = [prf_key(draw.i, k), prf_key(draw.j, k)];
+        self.push_lanes(PairDealer::group_state(self.seed, draw, offset), keys, len, a)
+    }
+
+    /// [`Self::push_run`] from the dealer-stream counter `state` of the
+    /// segment's first group and the PRF `keys` of its first lane.
+    pub(crate) fn push_lanes(
+        &mut self,
+        state: u64,
+        keys: [u64; 2],
+        len: usize,
+        a: u64,
+    ) -> Option<[&mut [u64]; 2]> {
+        let (keyed, with_bits) = (self.server.is_some(), self.server != Some(ServerId::S1));
         let (at, end) = (self.len, self.len + len);
         if self.a.len() < end + FILL_BLOCK {
-            let bits = self.bits.iter_mut().filter(|_| self.server == ServerId::S2);
-            let columns = [&mut self.a, &mut self.state].into_iter().chain(&mut self.keys);
-            for column in columns.chain(bits) {
+            let key_columns = self.keys.iter_mut().filter(|_| keyed);
+            let bit_columns = self.bits.iter_mut().filter(|_| with_bits);
+            let columns = [&mut self.a, &mut self.state].into_iter().chain(key_columns);
+            for column in columns.chain(bit_columns) {
                 column.resize(end + FILL_BLOCK, 0);
             }
         }
         self.len = end;
-        let k = draw.k_at(offset) as u64;
         fill_steps(&mut self.a, at..end, a, 0);
-        for (keys, row) in self.keys.iter_mut().zip([draw.i, draw.j]) {
-            fill_steps(keys, at..end, prf_key(row, k), SM_GAMMA);
+        if keyed {
+            for (column, key) in self.keys.iter_mut().zip(keys) {
+                fill_steps(column, at..end, key, SM_GAMMA);
+            }
         }
-        let state = PairDealer::group_state(self.seed, draw, offset);
         fill_steps(&mut self.state, at..end, state, SM_GAMMA.wrapping_mul(MG_WORDS as u64));
-        match self.server {
-            ServerId::S1 => None,
-            ServerId::S2 => Some(self.bits.each_mut().map(|bits| &mut bits[at..end])),
-        }
+        with_bits.then(|| self.bits.each_mut().map(|bits| &mut bits[at..end]))
     }
 }
 
@@ -910,6 +637,50 @@ impl LaneGroups for ShareLanes<'_> {
     }
 }
 
+/// Where both servers' Multiplication Groups of a fused round come
+/// from, lane by lane.
+trait BothGroups: Copy {
+    /// `N` lanes from `lane0` of both servers' `⟨d⟩` shares of the
+    /// triples whose plaintext inputs are `a, b, c`: opens
+    /// `e = a − x, f = b − y, g = c − z` directly, the two servers'
+    /// maskings summed.
+    fn d_both<const N: usize>(self, lane0: usize, abc: [U64xN<N>; 3]) -> [U64xN<N>; 2];
+}
+
+impl BothGroups for DealerLanes<'_> {
+    /// Each of the group's ten words is mixed once. S₂'s share is the
+    /// product less S₁'s: the dealer differences S₂'s `o, p, q, w`
+    /// shares out of the products ([`crate::split_mg_words`]), so the
+    /// group is consistent by construction and Theorem 1 gives
+    /// `⟨d⟩₂ = abc − ⟨d⟩₁` exactly — the value S₂'s own combination
+    /// yields, for 14 multiplications fewer. Preprocessed material gets
+    /// no such shortcut: there S₂'s arithmetic is what checks S₂'s
+    /// groups.
+    #[inline(always)]
+    fn d_both<const N: usize>(self, lane0: usize, [a, b, c]: [U64xN<N>; 3]) -> [U64xN<N>; 2] {
+        let (x1, x2, y1) = (self.field(lane0, 0), self.field(lane0, 1), self.field(lane0, 2));
+        let (y2, z1, z2) = (self.field(lane0, 3), self.field(lane0, 4), self.field(lane0, 5));
+        let (o1, p1, q1) = (self.field(lane0, 6), self.field(lane0, 7), self.field(lane0, 8));
+        let w1 = self.field(lane0, 9);
+        let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
+        let (e, f, g) = (a - x, b - y, c - z);
+        let (fg, eg, ef) = (f * g, e * g, e * f);
+        let d1 = w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef;
+        [d1, a * b * c - d1]
+    }
+}
+
+/// Both servers' columns of one material source, S₁'s first.
+impl<G: LaneGroups> BothGroups for [G; 2] {
+    #[inline(always)]
+    fn d_both<const N: usize>(self, lane0: usize, [a, b, c]: [U64xN<N>; 3]) -> [U64xN<N>; 2] {
+        let [x1, y1, z1] = self[0].xyz::<false, N>(lane0);
+        let [x2, y2, z2] = self[1].xyz::<true, N>(lane0);
+        let efg = [a - (x1 + x2), b - (y1 + y2), c - (z1 + z2)];
+        [self[0].d::<false, N>(lane0, efg), self[1].d::<true, N>(lane0, efg)]
+    }
+}
+
 /// `N` lanes from `lane0` of one server's input shares of entry `r`
 /// (0: `(i, k)`, 1: `(j, k)`): S₁'s are the PRF, S₂'s the plaintext
 /// bits minus it.
@@ -984,15 +755,40 @@ fn combine_pass<const S2: bool, G: LaneGroups>(groups: G, mine: &[u64], theirs: 
     total
 }
 
+/// `N` lanes from `lane0` of a fused table's plaintext inputs
+/// `a_ij, a_ik, a_jk`.
+#[inline(always)]
+fn plain_lanes<const N: usize>(lanes: &RoundLanes, lane0: usize) -> [U64xN<N>; 3] {
+    [&lanes.a, &lanes.bits[0], &lanes.bits[1]].map(|column| U64xN::load(&column[lane0..]))
+}
+
+/// [`count_round`]'s pass for one material source.
+#[inline(always)]
+fn count_pass<G: BothGroups>(lanes: &RoundLanes, groups: G) -> (u64, u64) {
+    let l = lanes.len();
+    let full = l / LANES * LANES;
+    let (mut acc1, mut acc2) = (U64x8::ZERO, U64x8::ZERO);
+    for lane0 in (0..full).step_by(LANES) {
+        let [d1, d2] = groups.d_both::<LANES>(lane0, plain_lanes(lanes, lane0));
+        (acc1, acc2) = (acc1 + d1, acc2 + d2);
+    }
+    let (mut t1, mut t2) = (acc1.hsum(), acc2.hsum());
+    for t in full..l {
+        let [d1, d2] = groups.d_both::<1>(t, plain_lanes(lanes, t));
+        (t1, t2) = (t1.wrapping_add(d1.0[0]), t2.wrapping_add(d2.0[0]));
+    }
+    (t1, t2)
+}
+
 /// [`mask_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
 fn mask_body(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
     let dealer = DealerLanes(&lanes.state);
-    match (lanes.server, groups) {
-        (ServerId::S1, None) => mask_pass::<false, _>(lanes, dealer, out),
-        (ServerId::S2, None) => mask_pass::<true, _>(lanes, dealer, out),
-        (ServerId::S1, Some(g)) => mask_pass::<false, _>(lanes, ShareLanes(g), out),
-        (ServerId::S2, Some(g)) => mask_pass::<true, _>(lanes, ShareLanes(g), out),
+    match (lanes.server == Some(ServerId::S2), groups) {
+        (false, None) => mask_pass::<false, _>(lanes, dealer, out),
+        (true, None) => mask_pass::<true, _>(lanes, dealer, out),
+        (false, Some(g)) => mask_pass::<false, _>(lanes, ShareLanes(g), out),
+        (true, Some(g)) => mask_pass::<true, _>(lanes, ShareLanes(g), out),
     }
 }
 
@@ -1005,11 +801,20 @@ fn combine_body(
     theirs: &[u64],
 ) -> u64 {
     let dealer = DealerLanes(&lanes.state);
-    match (lanes.server, groups) {
-        (ServerId::S1, None) => combine_pass::<false, _>(dealer, mine, theirs),
-        (ServerId::S2, None) => combine_pass::<true, _>(dealer, mine, theirs),
-        (ServerId::S1, Some(g)) => combine_pass::<false, _>(ShareLanes(g), mine, theirs),
-        (ServerId::S2, Some(g)) => combine_pass::<true, _>(ShareLanes(g), mine, theirs),
+    match (lanes.server == Some(ServerId::S2), groups) {
+        (false, None) => combine_pass::<false, _>(dealer, mine, theirs),
+        (true, None) => combine_pass::<true, _>(dealer, mine, theirs),
+        (false, Some(g)) => combine_pass::<false, _>(ShareLanes(g), mine, theirs),
+        (true, Some(g)) => combine_pass::<true, _>(ShareLanes(g), mine, theirs),
+    }
+}
+
+/// [`count_round`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn count_body(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
+    match groups {
+        None => count_pass(lanes, DealerLanes(&lanes.state)),
+        Some(columns) => count_pass(lanes, columns.map(ShareLanes)),
     }
 }
 
@@ -1084,6 +889,7 @@ fn mask_round_tier(
     out: &mut [u64],
 ) {
     let l = lanes.len();
+    assert!(lanes.server.is_some(), "mask_round takes one server's table");
     assert_eq!(out.len(), 3 * l, "efg slab length");
     assert!(groups.is_none_or(|g| g.len() == l), "one preprocessed group per lane");
     assert!(
@@ -1130,6 +936,7 @@ fn combine_round_tier(
     theirs: &[u64],
 ) -> u64 {
     let l = lanes.len();
+    assert!(lanes.server.is_some(), "combine_round takes one server's table");
     assert!(
         mine.len() == 3 * l && theirs.len() == 3 * l,
         "opened efg slab lengths"
@@ -1148,6 +955,69 @@ fn combine_round_tier(
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe { combine_avx2(lanes, groups, mine, theirs) },
         _ => combine_body(lanes, groups, mine, theirs),
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn count_avx512(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
+    count_body(lanes, groups)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn count_avx2(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
+    count_body(lanes, groups)
+}
+
+/// Both servers' steps 1–3 over a whole round, in one pass over a fused
+/// [`RoundLanes`] table ([`RoundLanes::fused`]): returns the wrapping
+/// sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)` of the round's triples. Each lane opens
+/// `e = a − x, f = b − y, g = c − z` from its plaintext inputs directly
+/// — the two servers' input shares cancel in the openings, so the
+/// input-share PRF is never evaluated. In dealer mode it mixes each of
+/// its group's ten words once and takes S₂'s share as `abc − ⟨d⟩₁`,
+/// exact for the dealer's consistent groups (Theorem 1).
+///
+/// `groups` is the round's material: `None` draws each lane's group
+/// from its dealer counter; `Some([s1, s2])` reads both servers'
+/// preprocessed groups, one per lane in lane order. Bit-identical,
+/// share for share, to the two servers' [`mask_round`]s followed by
+/// their [`combine_round`]s over the same round and material, at every
+/// [`SimdTier`] — which the per-party proptests pin.
+///
+/// # Panics
+/// Panics if `lanes` is one server's table, or a column of `groups`
+/// does not hold `L` groups.
+pub fn count_round(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
+    count_round_tier(SimdTier::detect(), lanes, groups)
+}
+
+fn count_round_tier(
+    tier: SimdTier,
+    lanes: &RoundLanes,
+    groups: Option<[&[MulGroupShare]; 2]>,
+) -> (u64, u64) {
+    let l = lanes.len();
+    assert!(lanes.server.is_none(), "count_round takes a fused table");
+    assert!(
+        groups.is_none_or(|g| g.iter().all(|g| g.len() == l)),
+        "one preprocessed group per lane"
+    );
+    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { count_avx512(lanes, groups) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { count_avx2(lanes, groups) },
+        _ => count_body(lanes, groups),
     }
 }
 
@@ -1366,39 +1236,6 @@ mod tests {
         }
 
         #[test]
-        fn tile_kernel_matches_per_run_batches(seed: u64, len in 0usize..40) {
-            // The gathered-tile kernel evaluates lanes whose first
-            // secrets differ (straggler runs from many pairs packed
-            // into one slab). Splitting the same slab at every point
-            // into two splatted-`a` batches with a[..] constant is not
-            // possible — instead pin against the scalar tail itself:
-            // a length-1 mul3_batch per lane, each with its own a.
-            let mut rng = SplitMix64::new(seed ^ 0x7E57);
-            let a: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let b: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let mut words = vec![0u64; MG_WORDS * len];
-            PairDealer::for_pair(seed, 2, 6).fill_words(&mut words);
-            let got = mul3_tile_batch(&words, &a, &b, &c);
-            let (mut r1, mut r2) = (0u64, 0u64);
-            for lane in 0..len {
-                let w = &words[MG_WORDS * lane..MG_WORDS * (lane + 1)];
-                let (u1, u2) = mul3_batch(w, a[lane], &b[lane..=lane], &c[lane..=lane]);
-                r1 = r1.wrapping_add(u1);
-                r2 = r2.wrapping_add(u2);
-            }
-            prop_assert_eq!(got, (r1, r2));
-            // Constant-a slabs degenerate to the splatted kernel.
-            if len > 0 {
-                let av = vec![a[0]; len];
-                prop_assert_eq!(
-                    mul3_tile_batch(&words, &av, &b, &c),
-                    mul3_batch(&words, a[0], &b, &c)
-                );
-            }
-        }
-
-        #[test]
         fn mask_open_combine_batch_matches_mul3(seed: u64, len in 1usize..24) {
             // The per-server slab helpers, driven like the sharded
             // runtime drives them, must reproduce mul3 exactly.
@@ -1461,7 +1298,8 @@ mod tests {
             // segment: the draw's stream sought to the segment, AoS words,
             // split_mg_words, the per-server slab helpers. Per server, per
             // tier, from the dealer counters and from the same groups
-            // preprocessed.
+            // preprocessed; and both servers' fused pass over the same
+            // round, which must equal the two combines share for share.
             let servers = [ServerId::S1, ServerId::S2];
             let mut rng = SplitMix64::new(mix);
             let mut below = |bound: u64| rng.next_u64() % bound;
@@ -1506,6 +1344,8 @@ mod tests {
                 fused = [fused[0].wrapping_add(both.0), fused[1].wrapping_add(both.1)];
                 let mut words = vec![0u64; MG_WORDS * len];
                 dealer.fill_words(&mut words);
+                // The count_block shim is fill_words + mul3_batch.
+                prop_assert_eq!(both, mul3_batch(&words, a[n], bv, cv));
                 let groups: Vec<_> = words.chunks_exact(MG_WORDS).map(split_mg_words).collect();
                 for (s, &server) in servers.iter().enumerate() {
                     let column: Vec<_> =
@@ -1534,6 +1374,17 @@ mod tests {
             ];
             // S₁ + S₂, share for share, is the in-process kernel.
             prop_assert_eq!(want_d, fused);
+            // The fused table: plaintext a_ij, both rows' bits.
+            let mut both = RoundLanes::fused(seed);
+            let mut lane = 0usize;
+            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
+                if let Some([bits_b, bits_c]) = both.push_run(&draw, offset, len, a[n]) {
+                    bits_b.copy_from_slice(&b[lane..lane + len]);
+                    bits_c.copy_from_slice(&c[lane..lane + len]);
+                }
+                lane += len;
+            }
+            prop_assert_eq!(both.len(), total);
             for tier in SimdTier::available() {
                 let mut tables = Vec::new();
                 for (s, &server) in servers.iter().enumerate() {
@@ -1576,6 +1427,11 @@ mod tests {
                     let d = combine_round_tier(tier, &tables[s], Some(&columns[s]), mine, theirs);
                     prop_assert!(d == want_d[s], "{at}: preprocessed combine");
                 }
+                let at = format!("{tier} fused lanes {total}");
+                let d = count_round_tier(tier, &both, None);
+                prop_assert!(d == (want_d[0], want_d[1]), "{at}: dealer count");
+                let d = count_round_tier(tier, &both, Some([&columns[0], &columns[1]]));
+                prop_assert!(d == (want_d[0], want_d[1]), "{at}: preprocessed count");
             }
         }
     }
