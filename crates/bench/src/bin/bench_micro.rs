@@ -16,8 +16,10 @@
 //! usage: bench_micro [--measure-ms 400] [--quick]
 //! ```
 
+use cargo_core::config::{self, parse_argv, parse_value, Flag};
 use cargo_core::{
-    estimate_max_degree, project_matrix, CountScheduler, SchedulePlan, DEFAULT_COUNT_BATCH,
+    estimate_max_degree, project_matrix, CargoConfig, CountScheduler, SchedulePlan,
+    DEFAULT_COUNT_BATCH,
 };
 use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::chung_lu;
@@ -39,30 +41,34 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// bench_micro takes no config flags, only these.
+const FLAGS: [Flag; 2] = [
+    "--measure-ms <ms=400>  measurement budget per row",
+    "--quick  a 150 ms budget per row",
+];
+
 fn usage() -> String {
-    "usage: bench_micro [--measure-ms 400] [--quick]".to_string()
+    let head = "usage: bench_micro [flags]";
+    config::usage(head, &FLAGS, &[], &CargoConfig::new(2.0))
 }
 
-/// Parses the flags into the per-row measurement budget in ms.
-fn parse_args(argv: &[String]) -> Result<u64, String> {
-    let mut measure_ms = 400;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--measure-ms" => {
-                i += 1;
-                measure_ms = argv
-                    .get(i)
-                    .ok_or_else(|| "flag needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--measure-ms: {e}"))?
-            }
-            "--quick" => measure_ms = 150,
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-        i += 1;
+/// The per-row measurement budget in ms; `Ok(None)` means `--help`.
+fn parse_args(argv: &[String]) -> Result<Option<u64>, String> {
+    let walked = parse_argv(argv, &FLAGS, &[], &mut CargoConfig::new(2.0));
+    let Some(walked) = walked.map_err(|e| e.to_string())? else {
+        return Ok(None);
+    };
+    if let Some(arg) = walked.positional.first() {
+        return Err(format!("unexpected argument {arg:?}"));
     }
-    Ok(measure_ms)
+    let mut measure_ms = 400;
+    for (flag, v) in walked.own {
+        measure_ms = match flag.as_str() {
+            "--quick" => 150,
+            _ => parse_value(&flag, &v)?,
+        };
+    }
+    Ok(Some(measure_ms))
 }
 
 /// Prints one table row; `timing` is the (median, IQR) of one sample
@@ -150,11 +156,15 @@ fn median_iqr(mut samples: Vec<Duration>) -> (f64, f64) {
 }
 
 fn main() {
-    let argv = cargo_bench::cli::argv_or_help(&usage());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let measure_ms = match parse_args(&argv) {
-        Ok(ms) => ms,
+        Ok(Some(ms)) => ms,
+        Ok(None) => {
+            println!("{}", usage());
+            return;
+        }
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("error: {e}\n{}", usage());
             std::process::exit(2);
         }
     };

@@ -4,30 +4,23 @@
 
 use cargo_bench::experiments;
 use cargo_bench::Options;
-use cargo_core::DEFAULT_COUNT_BATCH;
 
 fn usage() -> String {
-    format!(
+    Options::usage(&format!(
         "usage: experiments [flags] <cmd> [<cmd> ...]\n\
-         commands: {} | all | sparse\n\
-         flags: --n <users=2000> --trials <t=5> --seed <s=0>\n\
-         \x20      --out-dir <dir=results> --data-dir <snap-dir>\n\
-         \x20      --threads <w=0 (all cores)> --batch <b=0 (default {})>\n\
-         \x20      --offline-mode <dealer|ot (default dealer)>\n\
-         \x20      --transport <memory|tcp (default memory)>\n\
-         \x20      --recv-timeout <seconds=120 (tcp only)>\n\
-         \x20      --factory-threads <f=0 (inline)> --pool-depth <d=0 (default 4)>\n\
-         \x20      --pool-backpressure <block|fail-fast (default block)>\n\
-         \x20      --schedule <dense|sparse|sparse-stream (default dense)> --quick",
-        experiments::ALL.join(" | "),
-        DEFAULT_COUNT_BATCH
-    )
+         commands: {} | all | sparse",
+        experiments::ALL.join(" | ")
+    ))
 }
 
 fn main() {
-    let args = cargo_bench::cli::argv_or_help(&usage());
-    let (opts, cmds) = match Options::parse(&args) {
-        Ok(x) => x,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, cmds) = match Options::parse(&argv) {
+        Ok(Some(x)) => x,
+        Ok(None) => {
+            println!("{}", usage());
+            return;
+        }
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
             std::process::exit(2);

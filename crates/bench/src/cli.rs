@@ -1,69 +1,28 @@
-//! Hand-rolled flag parsing for the `experiments` binary (no external
-//! CLI dependency in the approved set), and the `--help` convention
-//! every binary of this package shares.
+//! The `experiments` binary's flags: its own, over the config of the
+//! runs (`cargo_core::config` declares the config flags).
 
-use cargo_core::{CargoConfig, ScheduleKind, TransportKind};
-use cargo_mpc::{Backpressure, OfflineMode, DEFAULT_RECV_TIMEOUT};
+use cargo_core::config::{self, parse_argv, parse_value, ConfigFlag, Flag};
+use cargo_core::CargoConfig;
+use std::ops::Deref;
 use std::path::PathBuf;
-use std::time::Duration;
 
-/// The process's arguments — unless `--help`/`-h` is among them, in
-/// which case `usage` goes to **stdout** and the process exits 0. Help
-/// wins over everything else on the line, invalid flags included (the
-/// semantics of `dp_triangles` and `party`); usage on *stderr* with
-/// exit code 2 is reserved for actual parse errors.
-pub fn argv_or_help(usage: &str) -> Vec<String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{usage}");
-        std::process::exit(0);
-    }
-    argv
-}
-
-/// Parsed command-line options with the paper's defaults.
+/// Parsed command-line options with the paper's defaults: the bench's
+/// own, over the config of the runs (read through `Deref`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Default number of users (the paper's default is 2000).
     pub n: usize,
     /// Trials to average per data point.
     pub trials: usize,
-    /// Root seed.
-    pub seed: u64,
     /// Directory for CSV outputs.
     pub out_dir: PathBuf,
     /// Optional directory with real SNAP edge lists.
     pub data_dir: Option<PathBuf>,
-    /// Secure-count worker threads (0 = all cores).
-    pub threads: usize,
-    /// Secure-count batch size (0 = default).
-    pub batch: usize,
-    /// Offline-phase implementation for the secure count
-    /// (`--offline-mode dealer|ot`).
-    pub offline: OfflineMode,
-    /// Count wire (`--transport memory|tcp`): in-process memory
-    /// (default) or the message-passing runtime over real loopback
-    /// sockets. Results are bit-identical; TCP measures the ledger.
-    pub transport: TransportKind,
-    /// Background triple-factory threads (`--factory-threads`;
-    /// 0 = preprocessing stays inline on the query path). Only takes
-    /// effect together with `--offline-mode ot`.
-    pub factory_threads: usize,
-    /// Triple-pool depth in chunks (`--pool-depth`; 0 = default).
-    pub pool_depth: usize,
-    /// Pool backpressure (`--pool-backpressure block|fail-fast`).
-    pub pool_backpressure: Backpressure,
-    /// Count schedule (`--schedule dense|sparse|sparse-stream`): the
-    /// fully-oblivious cube (default) or the candidate-driven sparse
-    /// walk (eager or streamed) that makes large power-law graphs
-    /// tractable.
-    pub schedule: ScheduleKind,
-    /// Wire recv timeout in seconds (`--recv-timeout`): how long a
-    /// TCP count waits on a silent peer before failing typed instead
-    /// of hanging. Only meaningful with `--transport tcp`.
-    pub recv_timeout: Duration,
     /// Quick mode: shrink n and trials for smoke runs.
     pub quick: bool,
+    /// What the config flags set: the root seed and the Count's knobs.
+    /// [`Options::config`] gives it an experiment's ε.
+    pub cfg: CargoConfig,
 }
 
 impl Default for Options {
@@ -71,148 +30,93 @@ impl Default for Options {
         Options {
             n: 2000,
             trials: 5,
-            seed: 0,
             out_dir: PathBuf::from("results"),
             data_dir: None,
-            threads: 0,
-            batch: 0,
-            offline: OfflineMode::TrustedDealer,
-            transport: TransportKind::Memory,
-            factory_threads: 0,
-            pool_depth: 0,
-            pool_backpressure: Backpressure::Block,
-            schedule: ScheduleKind::Dense,
-            recv_timeout: DEFAULT_RECV_TIMEOUT,
             quick: false,
+            cfg: CargoConfig::new(2.0),
         }
     }
 }
 
-impl Options {
-    /// The pipeline configuration these options describe at budget
-    /// `epsilon` — the one place a flag becomes a [`CargoConfig`]
-    /// field, so a knob cannot reach some experiments and miss others.
-    /// `0` knobs (`--threads`, `--batch`, `--pool-depth`) stay `0`: the
-    /// config resolves them.
-    pub fn config(&self, epsilon: f64) -> CargoConfig {
-        CargoConfig::new(epsilon)
-            .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_batch(self.batch)
-            .with_offline(self.offline)
-            .with_transport(self.transport)
-            .with_factory_threads(self.factory_threads)
-            .with_pool_depth(self.pool_depth)
-            .with_pool_backpressure(self.pool_backpressure)
-            .with_schedule(self.schedule)
-            .with_recv_timeout(self.recv_timeout)
+impl Deref for Options {
+    type Target = CargoConfig;
+    fn deref(&self) -> &CargoConfig {
+        &self.cfg
     }
 }
 
+/// The seed and the Count's knobs: ε, projection and the serve knobs
+/// are each experiment's to set.
+fn config_flags() -> Vec<ConfigFlag> {
+    use ConfigFlag::{Composition, Epsilon, Horizon, NoProjection};
+    let mut flags = ConfigFlag::ALL.to_vec();
+    flags.retain(|c| ![Epsilon, NoProjection, Horizon, Composition].contains(c));
+    flags
+}
+
+const OWN: [Flag; 5] = [
+    "--n <users=2000>  number of users",
+    "--trials <t=5>  trials averaged per data point",
+    "--out-dir <dir=results>  where the CSVs go",
+    "--data-dir <snap-dir>  directory of real SNAP edge lists",
+    "--quick  smoke run: at most 500 users and 2 trials",
+];
+
 impl Options {
-    /// Parses `--flag value` pairs, returning the options and the
-    /// positional arguments (subcommands).
-    pub fn parse(args: &[String]) -> Result<(Options, Vec<String>), String> {
+    /// The pipeline configuration of an experiment at budget
+    /// `epsilon`: the command line's config with that ε. `0` knobs
+    /// (`--threads`, `--batch`, `--pool-depth`) stay `0`: the config
+    /// resolves them.
+    pub fn config(&self, epsilon: f64) -> CargoConfig {
+        CargoConfig {
+            epsilon,
+            ..self.cfg
+        }
+    }
+
+    /// The usage text: `head`, then every flag with its default.
+    pub fn usage(head: &str) -> String {
+        config::usage(head, &OWN, &config_flags(), &Options::default().cfg)
+    }
+
+    /// Parses the flags, returning the options and the positional
+    /// arguments (subcommands); `Ok(None)` means `--help`/`-h` was
+    /// given, anywhere on the line.
+    pub fn parse(args: &[String]) -> Result<Option<(Options, Vec<String>)>, String> {
         let mut opts = Options::default();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            let take_value = |i: &mut usize| -> Result<String, String> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| format!("flag {arg} needs a value"))
-            };
-            match arg.as_str() {
-                "--n" => {
-                    opts.n = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--n: {e}"))?
-                }
-                "--trials" => {
-                    opts.trials = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?
-                }
-                "--seed" => {
-                    opts.seed = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--threads" => {
-                    opts.threads = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--batch" => {
-                    opts.batch = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?
-                }
-                "--offline-mode" => {
-                    opts.offline = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--offline-mode: {e}"))?
-                }
-                "--transport" => {
-                    opts.transport = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--transport: {e}"))?
-                }
-                "--factory-threads" => {
-                    opts.factory_threads = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--factory-threads: {e}"))?
-                }
-                "--pool-depth" => {
-                    opts.pool_depth = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--pool-depth: {e}"))?
-                }
-                "--pool-backpressure" => {
-                    opts.pool_backpressure = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--pool-backpressure: {e}"))?
-                }
-                "--schedule" => {
-                    opts.schedule = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--schedule: {e}"))?
-                }
-                "--recv-timeout" => {
-                    let secs: f64 = take_value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--recv-timeout: {e}"))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err("--recv-timeout: must be a positive number of seconds".into());
-                    }
-                    opts.recv_timeout = Duration::from_secs_f64(secs);
-                }
-                "--out-dir" => opts.out_dir = PathBuf::from(take_value(&mut i)?),
-                "--data-dir" => opts.data_dir = Some(PathBuf::from(take_value(&mut i)?)),
+        let walked =
+            parse_argv(args, &OWN, &config_flags(), &mut opts.cfg).map_err(|e| e.to_string())?;
+        let Some(walked) = walked else {
+            return Ok(None);
+        };
+        for (flag, v) in walked.own {
+            match flag.as_str() {
+                "--n" => opts.n = parse_value(&flag, &v)?,
+                "--trials" => opts.trials = parse_value(&flag, &v)?,
+                "--out-dir" => opts.out_dir = PathBuf::from(v),
+                "--data-dir" => opts.data_dir = Some(PathBuf::from(v)),
                 "--quick" => opts.quick = true,
-                _ if arg.starts_with("--") => return Err(format!("unknown flag {arg}")),
-                _ => positional.push(arg.clone()),
+                other => unreachable!("{other} is not one of the bench's flags"),
             }
-            i += 1;
         }
         if opts.quick {
             opts.n = opts.n.min(500);
             opts.trials = opts.trials.min(2);
         }
-        Ok((opts, positional))
+        Ok(Some((opts, walked.positional)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cargo_mpc::DEFAULT_POOL_DEPTH;
+    use cargo_core::{ScheduleKind, TransportKind};
+    use cargo_mpc::{Backpressure, OfflineMode, DEFAULT_POOL_DEPTH, DEFAULT_RECV_TIMEOUT};
+    use std::time::Duration;
 
     fn parse(v: &[&str]) -> Result<(Options, Vec<String>), String> {
         let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-        Options::parse(&args)
+        Options::parse(&args).map(|parsed| parsed.expect("no --help in the argv"))
     }
 
     #[test]
@@ -325,5 +229,22 @@ mod tests {
             "retired knob"
         );
         assert!(parse(&["--n"]).is_err(), "missing value");
+    }
+
+    #[test]
+    fn takes_the_flags_it_always_took() {
+        let own = OWN.map(|f| f.split(' ').next().unwrap());
+        let config = config_flags().into_iter().map(|c| c.spec().0);
+        let names: Vec<&str> = own.into_iter().chain(config).collect();
+        assert_eq!(
+            names.join(" "),
+            "--n --trials --out-dir --data-dir --quick --seed --threads --batch --offline-mode \
+             --transport --factory-threads --pool-depth --pool-backpressure --schedule \
+             --recv-timeout"
+        );
+        let (o, _) = parse(&["--out-dir", "o", "table2"]).unwrap();
+        assert_eq!(o.out_dir, PathBuf::from("o"));
+        assert_eq!(o.config(1.5), CargoConfig::new(1.5));
+        assert_eq!(Options::default().out_dir, PathBuf::from("results"));
     }
 }

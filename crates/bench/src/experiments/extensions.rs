@@ -188,7 +188,9 @@ pub fn ext_projection_ablation(opts: &Options) -> Vec<Table> {
         for trial in 0..trials {
             let cfg = opts.config(eps).with_seed(trial_seed(opts.seed, trial, eps, g.n()));
             let a = CargoSystem::new(cfg).run(&g);
-            let b = CargoSystem::new(cfg.without_projection()).run(&g);
+            let mut ablated = cfg;
+            ablated.projection = false;
+            let b = CargoSystem::new(ablated).run(&g);
             with.0 += (a.noisy_count - t_true).abs() / t_true;
             with.1 += (a.noisy_count - t_true).powi(2);
             without.0 += (b.noisy_count - t_true).abs() / t_true;
@@ -218,7 +220,10 @@ mod tests {
             out_dir: std::env::temp_dir().join("cargo_bench_ext_test"),
             // The release is schedule-invariant; the dense cube in a
             // debug build is what these tests would otherwise wait on.
-            schedule: cargo_core::ScheduleKind::Sparse,
+            cfg: cargo_core::CargoConfig {
+                schedule: cargo_core::ScheduleKind::Sparse,
+                ..Options::default().cfg
+            },
             ..Options::default()
         }
     }

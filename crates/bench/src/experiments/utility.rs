@@ -187,7 +187,10 @@ mod tests {
             out_dir: std::env::temp_dir().join("cargo_bench_utility_test"),
             // The release is schedule-invariant; the dense cube in a
             // debug build is what this test would otherwise wait on.
-            schedule: cargo_core::ScheduleKind::Sparse,
+            cfg: cargo_core::CargoConfig {
+                schedule: cargo_core::ScheduleKind::Sparse,
+                ..Options::default().cfg
+            },
             ..Options::default()
         }
     }

@@ -21,9 +21,7 @@
 //!
 //! (`fig5`…`fig10` also work individually as aliases.)
 //!
-//! Flags: --n <users> --trials <t> --seed <s> --out-dir <dir>
-//!        --data-dir <dir> --threads <w> --batch <b>
-//!        --offline-mode <dealer|ot> --quick
+//! (`--help` lists every flag with its default.)
 //! ```
 //!
 //! Each experiment prints a Markdown table (the same rows/series the

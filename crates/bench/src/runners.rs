@@ -72,15 +72,10 @@ fn aggregate(
     }
 }
 
-/// Runs CARGO `trials` times and aggregates (secure count on the
-/// config's default thread/batch knobs).
-pub fn run_cargo(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> UtilityPoint {
-    run_cargo_with(g, trials, &CargoConfig::new(epsilon).with_seed(seed))
-}
-
-/// [`run_cargo`] under an explicit pipeline configuration (the CLI's
-/// is [`crate::cli::Options::config`]). `cfg.seed` is the root seed:
-/// each trial runs under its own [`trial_seed`] derived from it.
+/// Runs CARGO `trials` times under a pipeline configuration (the
+/// CLI's is [`crate::cli::Options::config`]) and aggregates. `cfg.seed`
+/// is the root seed: each trial runs under its own [`trial_seed`]
+/// derived from it.
 pub fn run_cargo_with(g: &Graph, trials: usize, cfg: &CargoConfig) -> UtilityPoint {
     let t_true = cargo_graph::count_triangles(g) as f64;
     let mut estimates = Vec::with_capacity(trials);
@@ -143,12 +138,19 @@ mod tests {
         // pinned exhaustively in crates/core).
         let small = barabasi_albert(30, 3, 1);
         let cfg = CargoConfig::new(2.0).with_seed(1);
-        let sharded = cfg.with_threads(2).with_batch(16);
+        let sharded = CargoConfig {
+            batch: 16,
+            ..cfg.with_threads(2)
+        };
+        let tcp = CargoConfig {
+            transport: TransportKind::Tcp,
+            ..cfg.with_threads(1)
+        };
         for point in [
-            run_cargo(&g, 2.0, 2, 1),
+            run_cargo_with(&g, 2, &cfg),
             run_cargo_with(&g, 2, &sharded),
             run_cargo_with(&small, 1, &cfg.with_threads(1).with_offline(OfflineMode::OtExtension)),
-            run_cargo_with(&small, 1, &cfg.with_threads(1).with_transport(TransportKind::Tcp)),
+            run_cargo_with(&small, 1, &tcp),
             run_cargo_with(&g, 2, &sharded.with_schedule(ScheduleKind::Sparse)),
             run_central(&g, 2.0, 2, 1),
             run_local2rounds(&g, 2.0, 2, 1),

@@ -76,7 +76,7 @@ pub const DEFAULT_COUNT_BATCH: usize = 1024;
 /// and 16 B of input shares per triple), so an unchecked `--batch` must
 /// neither approach [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor
 /// drive a multi-gigabyte allocation: 2¹⁶ triples are a 1.5 MB frame.
-const MAX_COUNT_BATCH: usize = 1 << 16;
+pub(crate) const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
 /// deliberately **not** scaled by the worker count — so the chunk list

@@ -174,7 +174,10 @@ mod tests {
     #[test]
     fn node_dp_without_projection_uses_quadratic_n_sensitivity() {
         let g = barabasi_albert(60, 3, 5);
-        let cfg = CargoConfig::new(4.0).with_seed(11).without_projection();
+        let cfg = CargoConfig {
+            projection: false,
+            ..CargoConfig::new(4.0).with_seed(11)
+        };
         let out = run_node_dp(&cfg, &g);
         // Sanity: pipeline completes, count diagnostics intact.
         assert_eq!(out.projected_count, out.true_count);

@@ -201,10 +201,10 @@ mod tests {
         // same online ledger, and the measured wire equals the model.
         let g = barabasi_albert(80, 4, 3);
         for (threads, batch) in [(1usize, 0usize), (2, 16)] {
-            let cfg = CargoConfig::new(2.0)
-                .with_seed(11)
-                .with_threads(threads)
-                .with_batch(batch);
+            let cfg = CargoConfig {
+                batch,
+                ..CargoConfig::new(2.0).with_seed(11).with_threads(threads)
+            };
             let mono = CargoSystem::new(cfg).run(&g);
             let (r1, r2) = run_party_local(&g, &cfg);
             assert_eq!(r1.noisy_count, mono.noisy_count, "t={threads} b={batch}");
@@ -242,7 +242,11 @@ mod tests {
             .with_threads(2)
             .with_offline(OfflineMode::OtExtension);
         let (i1, _) = run_party_local(&g, &base);
-        let pooled_cfg = base.with_factory_threads(2).with_pool_depth(1);
+        let pooled_cfg = CargoConfig {
+            factory_threads: 2,
+            pool_depth: 1,
+            ..base
+        };
         let (p1, p2) = run_party_local(&g, &pooled_cfg);
         assert_eq!(p1.noisy_count, i1.noisy_count);
         assert_eq!(p1.count_share, i1.count_share, "bit-identical shares");

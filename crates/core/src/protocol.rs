@@ -330,9 +330,10 @@ mod tests {
     fn disabling_projection_keeps_all_triangles_but_more_noise() {
         let g = barabasi_albert(150, 5, 11);
         let t = cargo_graph::count_triangles(&g);
-        let out = CargoSystem::new(
-            CargoConfig::new(2.0).with_seed(4).without_projection(),
-        )
+        let out = CargoSystem::new(CargoConfig {
+            projection: false,
+            ..CargoConfig::new(2.0).with_seed(4)
+        })
         .run(&g);
         assert_eq!(out.projected_count, t, "no projection ⇒ no loss");
         assert_eq!(out.truncated_users, 0);
@@ -363,7 +364,12 @@ mod tests {
             .with_seed(13)
             .with_offline(OfflineMode::OtExtension);
         let inline = CargoSystem::new(base).run(&g);
-        let pooled = CargoSystem::new(base.with_factory_threads(2).with_pool_depth(2)).run(&g);
+        let pooled = CargoSystem::new(CargoConfig {
+            factory_threads: 2,
+            pool_depth: 2,
+            ..base
+        })
+        .run(&g);
         // Same output, same full ledger (offline included) — the pool
         // only moves *where* preprocessing runs.
         assert_eq!(pooled.noisy_count, inline.noisy_count);
@@ -377,7 +383,11 @@ mod tests {
         let g = erdos_renyi(50, 0.25, 6);
         let base = CargoConfig::new(2.0).with_seed(3).with_threads(2);
         let mem = CargoSystem::new(base).run(&g);
-        let tcp = CargoSystem::new(base.with_transport(TransportKind::Tcp)).run(&g);
+        let tcp = CargoSystem::new(CargoConfig {
+            transport: TransportKind::Tcp,
+            ..base
+        })
+        .run(&g);
         assert_eq!(tcp.noisy_count, mem.noisy_count, "bit-identical output");
         assert_eq!(tcp.projected_count, mem.projected_count);
         assert_eq!(tcp.net, mem.net, "measured wire == modeled ledger");

@@ -410,6 +410,17 @@ mod tests {
         ]
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn journal_records_never_panic_on_hostile_text(
+            text in cargo_testutil::text::operator_text(&["epoch=", "spent=0x", "digest=0x", "="])
+        ) {
+            let _ = parse_record(&text);
+        }
+    }
+
     #[test]
     fn journal_round_trips_and_replay_matches() {
         let dir = std::env::temp_dir().join(format!("cargo-journal-test-{}", std::process::id()));

@@ -645,6 +645,18 @@ mod tests {
         ));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn delta_lines_never_panic_on_hostile_text(
+            text in cargo_testutil::text::operator_text(&["+", "-", "commit", "#", "\n"])
+        ) {
+            let _ = classify_delta_line(&text);
+            let _ = text.parse::<EdgeDelta>();
+        }
+    }
+
     #[test]
     fn local_session_releases_and_then_refuses() {
         let g = generators::erdos_renyi(24, 0.25, 5);
@@ -673,7 +685,10 @@ mod tests {
     #[test]
     fn party_sessions_match_the_local_reference_bit_for_bit() {
         let g = generators::erdos_renyi(20, 0.3, 9);
-        let cfg = serve_cfg().with_composition(Composition::BinaryTree);
+        let cfg = CargoConfig {
+            composition: Composition::BinaryTree,
+            ..serve_cfg()
+        };
         let epochs: Vec<Vec<EdgeDelta>> = vec![
             vec![EdgeDelta::Add(0, 1), EdgeDelta::Add(1, 2), EdgeDelta::Add(0, 2)],
             vec![EdgeDelta::Remove(0, 1)],

@@ -1135,6 +1135,19 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn fault_plans_never_panic_on_hostile_text(
+            text in cargo_testutil::text::operator_text(&[
+                "seed=", "disconnect@", "delay@", "corrupt@", "truncate@", ":",
+            ])
+        ) {
+            let _ = text.parse::<FaultPlan>();
+        }
+    }
+
     #[test]
     fn faulty_transport_disconnects_at_the_planned_frame() {
         // Disconnect at event 2: two sends pass, the third fails, and

@@ -7,7 +7,9 @@ use std::process::Command;
 /// `--help`/`-h` as a successful request — usage on **stdout**, exit 0,
 /// nothing on stderr, even beside an unknown flag or a flag missing its
 /// value (`valued_flag`) — while an unknown flag alone stays a parse
-/// error: usage on stderr, exit 2, nothing on stdout.
+/// error: usage on stderr, exit 2, nothing on stdout. A refused flag
+/// value is a parse error too (exit 2, nothing on stdout), never a
+/// panic, and stderr names the flag.
 pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     for argv in [&["--help"][..], &["-h"], &["--wat", "--help"], &[valued_flag, "-h"]] {
         let out = Command::new(exe).args(argv).output().expect("spawn");
@@ -21,4 +23,18 @@ pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     assert!(out.stdout.is_empty(), "{name} --wat");
     let stderr = String::from_utf8(out.stderr).expect("utf-8 error");
     assert!(stderr.contains("usage: "), "{name} --wat: {stderr}");
+    // The refused value comes last, after the flag it belongs to.
+    let refused = match name {
+        "party" => "--role local --recv-timeout 1e20",
+        "experiments" => "table2 --recv-timeout 1e20",
+        "dp_triangles" => "--input toy.txt --epsilon nan",
+        _ => "--measure-ms soon",
+    };
+    let argv: Vec<&str> = refused.split(' ').collect();
+    let flag = argv[argv.len() - 2];
+    let out = Command::new(exe).args(&argv).output().expect("spawn");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 error");
+    assert_eq!(out.status.code(), Some(2), "{name} {refused}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} {refused}");
+    assert!(stderr.contains(flag), "{name} {refused}: {stderr}");
 }

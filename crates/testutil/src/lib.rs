@@ -12,8 +12,10 @@
 //!   for unbiasedness.
 //! * [`sharing`] — secret-sharing round-trip helpers: share/reconstruct
 //!   identity over adversarially chosen and random ring values.
-//! * [`cli`] — the `--help` contract all eight binaries hold, checked
+//! * [`cli`] — the `--help` contract all four binaries hold, checked
 //!   on the built executables.
+//! * [`text`] — hostile operator text for the never-panic properties of
+//!   every parser of outside input.
 //!
 //! Everything here is deterministic: fixtures take explicit seeds and
 //! all helpers are pure functions of their inputs.
@@ -22,6 +24,7 @@ pub mod cli;
 pub mod graphs;
 pub mod sharing;
 pub mod stats;
+pub mod text;
 
 pub use graphs::{
     golden_fixtures, k4, path4, triangle, two_triangles_sharing_an_edge, GraphFixture,

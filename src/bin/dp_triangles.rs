@@ -5,19 +5,9 @@
 //!
 //! ```text
 //! cargo run --release --bin dp_triangles -- --input graph.txt --epsilon 2
-//!
-//! flags:
-//!   --input <path>       SNAP edge list (whitespace-separated, # comments)
-//!   --epsilon <e=2.0>    total privacy budget
-//!   --protocol <p=cargo> cargo | central | local2rounds | localrr | exact | replay
-//!   --n <k>              subsample to the first k users
-//!   --seed <s=0>         RNG seed (fixed seed = reproducible run)
-//!   --threads <t=0>      secure-count workers (0 = all cores)
-//!   --lcc                restrict to the largest connected component
-//!   --deltas <path>      delta script for --protocol replay
-//!   --horizon <k=16>     release horizon for --protocol replay
-//!   --composition <c>    fixed | tree  (replay budget composition)
 //! ```
+//!
+//! `--help` prints every flag with its default.
 //!
 //! `exact` prints the non-private count (for offline validation only —
 //! it obviously provides no privacy). `replay` replays a delta script
@@ -28,92 +18,82 @@
 use cargo_repro::baselines::{
     central_lap_triangles, local2rounds_triangles, local_rr_triangles, Local2RoundsConfig,
 };
+use cargo_repro::core::config::{self, parse_argv, parse_value, ConfigFlag, Flag};
 use cargo_repro::core::{parse_delta_script, CargoConfig, CargoSystem, Session, SessionError};
-use cargo_repro::dp::Composition;
 use cargo_repro::graph::{count_triangles, io::read_edge_list, largest_component, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dp_triangles --input <edge-list> [flags]
-
-flags:
-  --input <path>       SNAP edge list (whitespace-separated, # comments)
-  --epsilon <e=2.0>    total privacy budget
-  --protocol <p=cargo> cargo | central | local2rounds | localrr | exact | replay
-  --n <k>              subsample to the first k users
-  --seed <s=0>         RNG seed (fixed seed = reproducible run)
-  --threads <t=0>      secure-count workers (0 = all cores)
-  --lcc                restrict to the largest connected component
-  --deltas <path>      delta script for --protocol replay
-  --horizon <k=16>     release horizon for --protocol replay
-  --composition <c>    fixed | tree  (replay budget composition)";
-
+/// `dp_triangles`' parsed flags: its own, over the config of the run
+/// (read through `Deref`).
 #[derive(Debug, Clone, PartialEq)]
 struct Args {
     input: PathBuf,
-    epsilon: f64,
     protocol: String,
     n: Option<usize>,
-    seed: u64,
-    threads: usize,
     lcc: bool,
     deltas: Option<PathBuf>,
-    horizon: u64,
-    composition: Composition,
+    cfg: CargoConfig,
 }
 
-/// `Ok(None)` means `--help` was requested: print [`USAGE`], exit 0.
-fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(None);
+impl Deref for Args {
+    type Target = CargoConfig;
+    fn deref(&self) -> &CargoConfig {
+        &self.cfg
     }
-    parse_args_inner(argv).map(Some)
 }
 
-fn parse_args_inner(argv: &[String]) -> Result<Args, String> {
-    let mut input = None;
-    let mut epsilon = 2.0f64;
-    let mut protocol = "cargo".to_string();
-    let mut n = None;
-    let mut seed = 0u64;
-    let mut threads = 0usize;
-    let mut lcc = false;
-    let mut deltas = None;
-    let mut horizon = 16u64;
-    let mut composition = Composition::Fixed;
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("flag {} needs a value", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--input" => input = Some(PathBuf::from(value(&mut i)?)),
-            "--epsilon" => epsilon = value(&mut i)?.parse().map_err(|e| format!("--epsilon: {e}"))?,
-            "--protocol" => protocol = value(&mut i)?,
-            "--n" => n = Some(value(&mut i)?.parse().map_err(|e| format!("--n: {e}"))?),
-            "--seed" => seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--threads" => threads = value(&mut i)?.parse().map_err(|e| format!("--threads: {e}"))?,
+const CONFIG: [ConfigFlag; 5] = [
+    ConfigFlag::Epsilon,
+    ConfigFlag::Seed,
+    ConfigFlag::Threads,
+    ConfigFlag::Horizon,
+    ConfigFlag::Composition,
+];
+
+const OWN: [Flag; 5] = [
+    "--input <path>  SNAP edge list (whitespace-separated, # comments)",
+    "--protocol <p=cargo>  cargo | central | local2rounds | localrr | exact | replay",
+    "--n <k>  subsample to the first k users",
+    "--lcc  restrict to the largest connected component",
+    "--deltas <path>  delta script for --protocol replay",
+];
+
+fn base_config() -> CargoConfig {
+    CargoConfig::new(2.0)
+}
+
+fn usage() -> String {
+    let head = "usage: dp_triangles --input <edge-list> [flags]";
+    config::usage(head, &OWN, &CONFIG, &base_config())
+}
+
+/// `Ok(None)` means `--help` was requested: print [`usage`], exit 0.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut cfg = base_config();
+    let Some(walked) = parse_argv(argv, &OWN, &CONFIG, &mut cfg).map_err(|e| e.to_string())? else {
+        return Ok(None);
+    };
+    if let Some(arg) = walked.positional.first() {
+        return Err(format!("unexpected argument {arg:?}"));
+    }
+    let (mut input, mut protocol, mut n, mut lcc, mut deltas) = (None, "cargo", None, false, None);
+    for (flag, v) in &walked.own {
+        match flag.as_str() {
+            "--input" => input = Some(PathBuf::from(v)),
+            "--protocol" => protocol = v.as_str(),
+            "--n" => n = Some(parse_value(flag, v)?),
             "--lcc" => lcc = true,
-            "--deltas" => deltas = Some(PathBuf::from(value(&mut i)?)),
-            "--horizon" => horizon = value(&mut i)?.parse().map_err(|e| format!("--horizon: {e}"))?,
-            "--composition" => {
-                composition = value(&mut i)?.parse().map_err(|e| format!("--composition: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            "--deltas" => deltas = Some(PathBuf::from(v)),
+            other => unreachable!("{other} is not one of dp_triangles' flags"),
         }
-        i += 1;
     }
     let input = input.ok_or("missing required flag --input")?;
-    if !(epsilon > 0.0 && epsilon.is_finite()) {
-        return Err("--epsilon must be finite and > 0".into());
-    }
     let known = ["cargo", "central", "local2rounds", "localrr", "exact", "replay"];
-    if !known.contains(&protocol.as_str()) {
+    if !known.contains(&protocol) {
         return Err(format!("--protocol must be one of {known:?}"));
     }
     if protocol == "replay" && deltas.is_none() {
@@ -122,21 +102,18 @@ fn parse_args_inner(argv: &[String]) -> Result<Args, String> {
     if deltas.is_some() && protocol != "replay" {
         return Err("--deltas only applies to --protocol replay".into());
     }
-    if horizon == 0 {
+    if cfg.horizon == 0 {
         return Err("--horizon must be at least 1".into());
     }
-    Ok(Args {
+    let protocol = protocol.to_string();
+    Ok(Some(Args {
         input,
-        epsilon,
         protocol,
         n,
-        seed,
-        threads,
         lcc,
         deltas,
-        horizon,
-        composition,
-    })
+        cfg,
+    }))
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -158,10 +135,7 @@ fn run(args: &Args) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(args.seed);
     match args.protocol.as_str() {
         "cargo" => {
-            let cfg = CargoConfig::new(args.epsilon)
-                .with_seed(args.seed)
-                .with_threads(args.threads);
-            let out = CargoSystem::new(cfg).run(&graph);
+            let out = CargoSystem::new(args.cfg).run(&graph);
             eprintln!(
                 "d'_max = {:.1}; Count took {:?} ({}% of pipeline); privacy: ({:.3} + {:.3})-Edge DDP",
                 out.d_max_noisy,
@@ -200,12 +174,7 @@ fn run(args: &Args) -> Result<(), String> {
             let file = std::fs::File::open(path).map_err(|e| format!("opening {path:?}: {e}"))?;
             let epochs = parse_delta_script(std::io::BufReader::new(file))
                 .map_err(|e| format!("parsing {path:?}: {e}"))?;
-            let cfg = CargoConfig::new(args.epsilon)
-                .with_seed(args.seed)
-                .with_threads(args.threads)
-                .with_horizon(args.horizon)
-                .with_composition(args.composition);
-            let mut session = Session::new(graph, &cfg);
+            let mut session = Session::new(graph, &args.cfg);
             eprintln!(
                 "replay: {} epoch(s), horizon {}, {} composition",
                 epochs.len(),
@@ -244,21 +213,30 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&argv) {
         Ok(None) => {
-            println!("{USAGE}");
+            println!("{}", usage());
             ExitCode::SUCCESS
         }
         Ok(Some(args)) => match run(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
+                eprintln!("error: {e}\n{}", usage());
                 ExitCode::from(2)
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
+            eprintln!("error: {e}\n{}", usage());
             ExitCode::from(2)
         }
     }
+}
+
+#[cfg(test)]
+use cargo_repro::dp::Composition;
+
+/// [`parse_args`] of an argv without `--help`.
+#[cfg(test)]
+fn parse_args_inner(argv: &[String]) -> Result<Args, String> {
+    parse_args(argv).map(|args| args.expect("no --help in the argv"))
 }
 
 #[cfg(test)]
@@ -346,15 +324,11 @@ mod tests {
         for proto in ["cargo", "central", "local2rounds", "localrr", "exact"] {
             let args = Args {
                 input: path.clone(),
-                epsilon: 2.0,
                 protocol: proto.into(),
                 n: None,
-                seed: 1,
-                threads: 2,
                 lcc: true,
                 deltas: None,
-                horizon: 16,
-                composition: Composition::Fixed,
+                cfg: CargoConfig::new(2.0).with_seed(1).with_threads(2),
             };
             run(&args).unwrap_or_else(|e| panic!("{proto}: {e}"));
         }
@@ -373,18 +347,33 @@ mod tests {
         std::fs::write(&deltas_path, "+0 1\n+1 2\n+0 2\ncommit\n-0 1\ncommit\ncommit\n").unwrap();
         let args = Args {
             input: graph_path.clone(),
-            epsilon: 2.0,
             protocol: "replay".into(),
             n: None,
-            seed: 1,
-            threads: 1,
             lcc: false,
             deltas: Some(deltas_path.clone()),
-            horizon: 2,
-            composition: Composition::BinaryTree,
+            cfg: CargoConfig {
+                composition: Composition::BinaryTree,
+                horizon: 2,
+                ..CargoConfig::new(2.0).with_seed(1).with_threads(1)
+            },
         };
         run(&args).unwrap();
         std::fs::remove_file(&graph_path).ok();
         std::fs::remove_file(&deltas_path).ok();
+    }
+
+    #[test]
+    fn takes_the_flags_it_always_took() {
+        let own = OWN.map(|f| f.split(' ').next().unwrap());
+        let names: Vec<&str> = own.into_iter().chain(CONFIG.map(|c| c.spec().0)).collect();
+        assert_eq!(
+            names.join(" "),
+            "--input --protocol --n --lcc --deltas --epsilon --seed --threads --horizon \
+             --composition"
+        );
+        let a = parse(&["--input", "g.txt"]).unwrap();
+        assert_eq!(a.cfg, CargoConfig::new(2.0), "seed 0, all cores, fixed, 16");
+        let a = parse(&["--input", "g", "--deltas", "d", "--protocol", "replay"]).unwrap();
+        assert_eq!(a.deltas, Some(PathBuf::from("d")));
     }
 }

@@ -14,29 +14,27 @@
 //! ```
 //!
 //! Both processes must agree on the graph flags (`--dataset`, `--n`,
-//! `--seed`, `--data-dir`) and protocol knobs — each party derives its
-//! own input shares from them, playing its users. `RESULT` lines are
-//! role-independent (the noisy count, the modeled ledger, and the
-//! measured `wire_bytes` are identical on both sides by construction);
-//! everything else goes to stderr.
+//! `--data-dir`) and the config flags (`cargo_core::config`) — each
+//! party derives its own input shares from them, playing its users.
+//! `RESULT` lines are role-independent (the noisy count, the modeled
+//! ledger, and the measured `wire_bytes` are identical on both sides by
+//! construction); everything else goes to stderr.
 
+use cargo_core::config::{self, parse_argv, parse_value, ArgvError, ConfigFlag, Flag};
 use cargo_core::session::{classify_delta_line, parse_delta_script, DeltaLine};
 use cargo_core::{
     replay_committed_on, run_party, run_party_local, state_digest, CargoConfig, EdgeDelta,
     EpochJournal, EpochOutcome, EpochRecord, IncrementalCounter, PartyReport, PartySession,
-    ScheduleKind, Session, SessionError, DEFAULT_COUNT_BATCH,
+    ScheduleKind, Session, SessionError,
 };
-use cargo_dp::Composition;
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::Graph;
-use cargo_mpc::{
-    FaultPlan, FaultyTransport, ServerId, TcpConfig, TcpTransport, Transport,
-    DEFAULT_RECV_TIMEOUT,
-};
+use cargo_mpc::{FaultPlan, FaultyTransport, ServerId, TcpConfig, TcpTransport, Transport};
 use cargo_repro as _;
 use std::io::BufRead;
 use std::net::TcpListener;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,66 +83,75 @@ impl GraphSource {
     }
 }
 
+/// `party`'s parsed flags: its own, over the config both servers must
+/// agree on (read through `Deref`).
 struct Args {
     role: Role,
     listen: Option<String>,
     connect: Option<String>,
     dataset: GraphSource,
     n: usize,
-    epsilon: f64,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-    offline: cargo_mpc::OfflineMode,
-    factory_threads: usize,
-    pool_depth: usize,
-    pool_backpressure: cargo_mpc::Backpressure,
-    schedule: ScheduleKind,
     data_dir: Option<PathBuf>,
-    no_projection: bool,
     mode: Mode,
     deltas: Option<PathBuf>,
-    horizon: u64,
-    composition: Composition,
-    recv_timeout: Duration,
     fault_plan: Option<FaultPlan>,
     journal: Option<PathBuf>,
     resume: bool,
+    cfg: CargoConfig,
+}
+
+impl Deref for Args {
+    type Target = CargoConfig;
+    fn deref(&self) -> &CargoConfig {
+        &self.cfg
+    }
+}
+
+/// Every config flag but `--transport`: a party's wire is its role's.
+fn config_flags() -> Vec<ConfigFlag> {
+    let mut flags = ConfigFlag::ALL.to_vec();
+    flags.retain(|&c| c != ConfigFlag::Transport);
+    flags
+}
+
+const OWN: [Flag; 11] = [
+    "--role <s1|s2|local>  which server this process plays (required)",
+    "--listen <ADDR>  take the peer's connection on ADDR",
+    "--connect <ADDR>  connect to the peer at ADDR",
+    "--dataset <facebook|wiki|hepph|enron|powerlaw=facebook>  the input graph",
+    "--n <users=200>  number of users",
+    "--data-dir <snap-dir>  directory of real SNAP edge lists",
+    "--mode <pipeline|serve=pipeline>  one release, or one per delta epoch",
+    "--deltas <FILE|->  serve: the edge-delta script (default stdin)",
+    "--journal <FILE>  serve: the committed-epoch journal",
+    "--resume  serve: replay the journal, reconnect, continue",
+    "--fault-plan <seed=N,disconnect@F,delay@F:MS,corrupt@F,truncate@F>  testing",
+];
+
+fn base_config() -> CargoConfig {
+    CargoConfig::new(2.0).with_threads(1)
 }
 
 fn usage() -> String {
+    let head = "usage: party --role s1|s2|local [--listen ADDR | --connect ADDR] [flags]";
+    let flags = config::usage(head, &OWN, &config_flags(), &base_config());
     format!(
-        "usage: party --role s1|s2|local [--listen ADDR | --connect ADDR]\n\
-     \x20      [--dataset facebook|wiki|hepph|enron|powerlaw (default facebook)]\n\
-     \x20      [--n <users=200>] [--epsilon <e=2.0>] [--seed <s=0>]\n\
-     \x20      [--threads <w=1>] [--batch <b=0 (default {DEFAULT_COUNT_BATCH})>]\n\
-     \x20      [--offline-mode dealer|ot] [--data-dir <snap-dir>] [--no-projection]\n\
-     \x20      [--factory-threads <f=0 (inline)>] [--pool-depth <d=0 (default 4)>]\n\
-     \x20      [--pool-backpressure block|fail-fast]\n\
-     \x20      [--schedule dense|sparse|sparse-stream (default dense)]\n\
-     \x20      [--mode pipeline|serve (default pipeline)]\n\
-     \x20      [--deltas FILE|- (serve: edge-delta script; default stdin)]\n\
-     \x20      [--horizon <epochs=16>] [--composition fixed|tree]\n\
-     \x20      [--recv-timeout <seconds=120>]\n\
-     \x20      [--journal FILE (serve: committed-epoch journal)]\n\
-     \x20      [--resume (serve: replay the journal, reconnect, continue)]\n\
-     \x20      [--fault-plan seed=N,disconnect@F,delay@F:MS,corrupt@F,truncate@F]\n\
-     \n\
-     s1 listens, s2 connects (either may take --listen or --connect);\n\
-     local runs both parties in-process over the in-memory transport\n\
-     and prints the identical RESULT transcript.\n\
-     \n\
-     serve mode reads `+u v` / `-u v` lines, `commit` ends an epoch\n\
-     (incremental secure recount + one DP release); the schedule\n\
-     refuses releases once epsilon or the horizon is exhausted.\n\
-     \n\
-     --journal appends each committed epoch (id, epsilon spent, state\n\
-     digest) durably BEFORE its RESULT lines print; after a crash,\n\
-     --resume (requires --deltas FILE) replays the script to the last\n\
-     committed epoch bit-identically, re-prints its transcript,\n\
-     reconnects with backoff, and continues without double-spending\n\
-     epsilon. --fault-plan injects deterministic link faults at frame\n\
-     indices (testing; wire roles only)."
+        "{flags}\n\n\
+         s1 listens, s2 connects (either may take --listen or --connect);\n\
+         local runs both parties in-process over the in-memory transport\n\
+         and prints the identical RESULT transcript.\n\
+         \n\
+         serve mode reads `+u v` / `-u v` lines, `commit` ends an epoch\n\
+         (incremental secure recount + one DP release); the schedule\n\
+         refuses releases once epsilon or the horizon is exhausted.\n\
+         \n\
+         --journal appends each committed epoch (id, epsilon spent, state\n\
+         digest) durably BEFORE its RESULT lines print; after a crash,\n\
+         --resume (requires --deltas FILE) replays the script to the last\n\
+         committed epoch bit-identically, re-prints its transcript,\n\
+         reconnects with backoff, and continues without double-spending\n\
+         epsilon. --fault-plan injects deterministic link faults at frame\n\
+         indices (testing; wire roles only)."
     )
 }
 
@@ -162,149 +169,66 @@ fn parse_dataset(s: &str) -> Result<GraphSource, String> {
 }
 
 /// `Ok(None)` means `--help`/`-h` was given — anywhere, even beside
-/// invalid flags: print [`usage`] to stdout, exit 0 (as `dp_triangles`
-/// and the bench binaries do).
+/// invalid flags: print [`usage`] to stdout, exit 0 (as every binary
+/// of the workspace does).
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(None);
-    }
-    parse_flags(argv).map(Some)
-}
-
-fn parse_flags(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         role: Role::Local,
         listen: None,
         connect: None,
         dataset: GraphSource::Snap(SnapDataset::Facebook),
         n: 200,
-        epsilon: 2.0,
-        seed: 0,
-        threads: 1,
-        batch: 0,
-        offline: cargo_mpc::OfflineMode::TrustedDealer,
-        factory_threads: 0,
-        pool_depth: 0,
-        pool_backpressure: cargo_mpc::Backpressure::Block,
-        schedule: ScheduleKind::Dense,
         data_dir: None,
-        no_projection: false,
         mode: Mode::Pipeline,
         deltas: None,
-        horizon: 16,
-        composition: Composition::Fixed,
-        recv_timeout: DEFAULT_RECV_TIMEOUT,
         fault_plan: None,
         journal: None,
         resume: false,
+        cfg: base_config(),
     };
+    let unknown = |flag: &str| format!("unknown flag {flag}\n{}", usage());
+    let walked = match parse_argv(argv, &OWN, &config_flags(), &mut args.cfg) {
+        Ok(None) => return Ok(None),
+        Ok(Some(walked)) => walked,
+        Err(ArgvError::Unknown(flag)) => return Err(unknown(&flag)),
+        Err(ArgvError::Refused(message)) => return Err(message),
+    };
+    if let Some(arg) = walked.positional.first() {
+        return Err(unknown(arg));
+    }
     let mut role_given = false;
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("flag {} needs a value", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
+    for (flag, v) in walked.own {
+        match flag.as_str() {
             "--role" => {
                 role_given = true;
-                args.role = match take(&mut i)?.as_str() {
+                args.role = match v.as_str() {
                     "s1" => Role::S1,
                     "s2" => Role::S2,
                     "local" => Role::Local,
                     other => return Err(format!("unknown role {other:?}")),
                 };
             }
-            "--listen" => args.listen = Some(take(&mut i)?),
-            "--connect" => args.connect = Some(take(&mut i)?),
-            "--dataset" => args.dataset = parse_dataset(&take(&mut i)?)?,
-            "--n" => args.n = take(&mut i)?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--epsilon" => {
-                args.epsilon = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?
-            }
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--threads" => {
-                args.threads = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--batch" => args.batch = take(&mut i)?.parse().map_err(|e| format!("--batch: {e}"))?,
-            "--offline-mode" => {
-                args.offline = take(&mut i)?
-                    .parse()
-                    .map_err(|e: String| format!("--offline-mode: {e}"))?
-            }
-            "--factory-threads" => {
-                args.factory_threads = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--factory-threads: {e}"))?
-            }
-            "--pool-depth" => {
-                args.pool_depth = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--pool-depth: {e}"))?
-            }
-            "--pool-backpressure" => {
-                args.pool_backpressure = take(&mut i)?
-                    .parse()
-                    .map_err(|e: String| format!("--pool-backpressure: {e}"))?
-            }
-            "--schedule" => {
-                args.schedule = take(&mut i)?
-                    .parse()
-                    .map_err(|e: String| format!("--schedule: {e}"))?
-            }
-            "--data-dir" => args.data_dir = Some(PathBuf::from(take(&mut i)?)),
-            "--no-projection" => args.no_projection = true,
+            "--listen" => args.listen = Some(v),
+            "--connect" => args.connect = Some(v),
+            "--dataset" => args.dataset = parse_dataset(&v)?,
+            "--n" => args.n = parse_value(&flag, &v)?,
+            "--data-dir" => args.data_dir = Some(PathBuf::from(v)),
             "--mode" => {
-                args.mode = match take(&mut i)?.as_str() {
+                args.mode = match v.as_str() {
                     "pipeline" => Mode::Pipeline,
                     "serve" => Mode::Serve,
                     other => return Err(format!("unknown mode {other:?}")),
                 }
             }
-            "--deltas" => args.deltas = Some(PathBuf::from(take(&mut i)?)),
-            "--horizon" => {
-                args.horizon = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--horizon: {e}"))?
-            }
-            "--composition" => {
-                args.composition = take(&mut i)?
-                    .parse()
-                    .map_err(|e: String| format!("--composition: {e}"))?
-            }
-            "--recv-timeout" => {
-                let secs: f64 = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--recv-timeout: {e}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--recv-timeout: must be a positive number of seconds".into());
-                }
-                args.recv_timeout = Duration::from_secs_f64(secs);
-            }
-            "--fault-plan" => {
-                args.fault_plan = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e: String| format!("--fault-plan: {e}"))?,
-                )
-            }
-            "--journal" => args.journal = Some(PathBuf::from(take(&mut i)?)),
+            "--deltas" => args.deltas = Some(PathBuf::from(v)),
+            "--journal" => args.journal = Some(PathBuf::from(v)),
             "--resume" => args.resume = true,
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
+            "--fault-plan" => args.fault_plan = Some(parse_value(&flag, &v)?),
+            other => unreachable!("{other} is not one of party's flags"),
         }
-        i += 1;
     }
     if !role_given {
         return Err(format!("--role is required\n{}", usage()));
-    }
-    if !(args.epsilon > 0.0 && args.epsilon.is_finite()) {
-        return Err("--epsilon must be finite and > 0".into());
     }
     if args.n == 0 {
         return Err("--n must be >= 1".into());
@@ -351,7 +275,7 @@ fn parse_flags(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Prints the role-independent transcript both parties must agree on.
@@ -844,34 +768,16 @@ fn main() {
     let (graph, dataset_label) = args
         .dataset
         .build(args.n, args.seed, args.data_dir.as_deref());
-    let mut cfg = CargoConfig::new(args.epsilon)
-        .with_seed(args.seed)
-        .with_threads(args.threads)
-        .with_batch(args.batch)
-        .with_offline(args.offline)
-        .with_factory_threads(args.factory_threads)
-        .with_pool_depth(args.pool_depth)
-        .with_pool_backpressure(args.pool_backpressure)
-        .with_schedule(args.schedule)
-        .with_horizon(args.horizon)
-        .with_composition(args.composition)
-        .with_recv_timeout(args.recv_timeout);
-    if args.no_projection {
-        cfg = cfg.without_projection();
-    }
+    let cfg = args.cfg;
+    let settings: Vec<String> = config_flags()
+        .iter()
+        .map(|c| format!("{}={}", &c.spec().0[2..], c.show(&cfg)))
+        .collect();
     eprintln!(
-        "[party] dataset={dataset_label} n={} edges={} seed={} threads={} batch={} offline={} \
-         factory_threads={} pool_depth={} pool_backpressure={} schedule={}",
+        "[party] dataset={dataset_label} n={} edges={} {}",
         graph.n(),
         graph.edge_count(),
-        args.seed,
-        args.threads,
-        cfg.effective_batch(),
-        args.offline,
-        args.factory_threads,
-        args.pool_depth,
-        args.pool_backpressure,
-        args.schedule,
+        settings.join(" "),
     );
 
     if args.mode == Mode::Serve {
@@ -911,6 +817,9 @@ fn main() {
         }
     }
 }
+
+#[cfg(test)]
+use cargo_core::DEFAULT_COUNT_BATCH;
 
 #[cfg(test)]
 mod tests {
@@ -991,5 +900,28 @@ mod tests {
             assert_eq!(a.listen.is_some(), end == "--listen");
             assert_eq!(a.connect.is_some(), end == "--connect");
         }
+    }
+
+    #[test]
+    fn takes_the_flags_it_always_took() {
+        let own = OWN.map(|f| f.split(' ').next().unwrap());
+        let config = config_flags().into_iter().map(|c| c.spec().0);
+        let names: Vec<&str> = own.into_iter().chain(config).collect();
+        assert_eq!(
+            names.join(" "),
+            "--role --listen --connect --dataset --n --data-dir --mode --deltas --journal \
+             --resume --fault-plan --epsilon --seed --threads --batch --offline-mode \
+             --factory-threads --pool-depth --pool-backpressure --schedule --no-projection \
+             --horizon --composition --recv-timeout"
+        );
+        // Every own flag is handled; the config keeps party's defaults.
+        let every = "--role s1 --listen a --connect b --dataset wiki --n 7 --data-dir d --mode \
+                     serve --deltas x --journal j --resume --fault-plan seed=1";
+        let every: Vec<&str> = every.split_whitespace().collect();
+        let a = parse(&every).unwrap().unwrap();
+        assert_eq!((a.role, a.n), (Role::S1, 7));
+        assert_eq!(a.dataset, GraphSource::Snap(SnapDataset::Wiki));
+        assert!(a.resume && a.fault_plan.is_some() && a.data_dir.is_some());
+        assert_eq!(a.cfg, CargoConfig::new(2.0).with_threads(1));
     }
 }

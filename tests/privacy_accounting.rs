@@ -26,9 +26,10 @@ fn every_run_spends_exactly_the_declared_budget() {
 #[test]
 fn split_fraction_controls_the_ledger() {
     let g = barabasi_albert(100, 4, 2);
-    let out = CargoSystem::new(
-        CargoConfig::new(2.0).with_seed(1).with_split_fraction(0.25),
-    )
+    let out = CargoSystem::new(CargoConfig {
+        split_fraction: 0.25,
+        ..CargoConfig::new(2.0).with_seed(1)
+    })
     .run(&g);
     assert!((out.ledger[0].1 - 0.5).abs() < 1e-9, "Max gets 0.25*2");
     assert!((out.ledger[1].1 - 1.5).abs() < 1e-9, "Perturb gets 0.75*2");
