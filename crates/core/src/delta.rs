@@ -109,15 +109,21 @@ impl FromStr for EdgeDelta {
     }
 }
 
-fn check_endpoints(n: usize, u: usize, v: usize) -> Result<(), GraphError> {
-    if u >= n {
-        return Err(GraphError::NodeOutOfRange { node: u, n });
-    }
-    if v >= n {
-        return Err(GraphError::NodeOutOfRange { node: v, n });
-    }
-    if u == v {
-        return Err(GraphError::SelfLoop { node: u });
+/// Checks every delta of `batch` against an `n`-node graph: the first
+/// out-of-range endpoint or self-loop, in batch order, is the error.
+pub(crate) fn check_batch(n: usize, batch: &[EdgeDelta]) -> Result<(), GraphError> {
+    for d in batch {
+        let (u, v) = d.endpoints();
+        let (u, v) = (u as usize, v as usize);
+        if u >= n {
+            return Err(GraphError::NodeOutOfRange { node: u, n });
+        }
+        if v >= n {
+            return Err(GraphError::NodeOutOfRange { node: v, n });
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u });
+        }
     }
     Ok(())
 }
@@ -165,12 +171,12 @@ pub struct DeltaPlan {
 
 impl DeltaPlan {
     /// Applies `batch` to `graph` **in order** and returns the net
-    /// plan. Deltas referencing out-of-range nodes or self-loops abort
-    /// with an error before any later delta is applied (earlier deltas
-    /// of the batch stay applied — the session layer treats a failed
-    /// batch as fatal, so partial application is never observed).
+    /// plan. Every delta is checked before the first edit: a batch
+    /// referencing an out-of-range node or a self-loop is an error that
+    /// leaves `graph` untouched, never partly applied.
     pub fn apply(graph: &mut Graph, batch: &[EdgeDelta]) -> Result<DeltaPlan, GraphError> {
         let n = graph.n();
+        check_batch(n, batch)?;
         let mut tri_net: HashMap<(u32, u32, u32), i32> = HashMap::new();
         let mut edge_tally: HashMap<(u32, u32), i32> = HashMap::new();
         let mut common = Vec::new();
@@ -179,7 +185,6 @@ impl DeltaPlan {
         for d in batch {
             let (du, dv) = d.endpoints();
             let (u, v) = (du as usize, dv as usize);
-            check_endpoints(n, u, v)?;
             let present = graph.has_edge(u, v);
             let key = (du.min(dv), du.max(dv));
             match d {
@@ -330,6 +335,7 @@ pub struct IncrementalCounter {
     epochs: u64,
     triples: u64,
     net: NetStats,
+    baseline: (u64, NetStats),
 }
 
 impl IncrementalCounter {
@@ -349,6 +355,7 @@ impl IncrementalCounter {
             epochs: 0,
             triples: 0,
             net: NetStats::default(),
+            baseline: (0, NetStats::default()),
         };
         if !cs.is_empty() {
             let r = eval(&c.matrix, SchedulePlan::CandidatePairs(Arc::new(cs)));
@@ -356,6 +363,7 @@ impl IncrementalCounter {
             c.share2 = r.share2;
             c.triples = r.triples;
             c.net.merge(&r.net);
+            c.baseline = (r.triples, c.net);
         }
         c
     }
@@ -433,6 +441,11 @@ impl IncrementalCounter {
     /// Cumulative modeled traffic (baseline + all epochs).
     pub fn net(&self) -> &NetStats {
         &self.net
+    }
+
+    /// Triples evaluated and modeled traffic of the baseline count alone.
+    pub fn baseline(&self) -> (u64, &NetStats) {
+        (self.baseline.0, &self.baseline.1)
     }
 }
 
@@ -516,6 +529,10 @@ mod tests {
             DeltaPlan::apply(&mut g, &[EdgeDelta::Remove(2, 2)]),
             Err(GraphError::SelfLoop { node: 2 })
         ));
+        // The whole batch is checked before its first edit.
+        let half_bad = [EdgeDelta::Remove(0, 1), EdgeDelta::Add(1, 9)];
+        assert!(DeltaPlan::apply(&mut g, &half_bad).is_err());
+        assert_eq!(g, k4(), "a refused batch is never partly applied");
     }
 
     #[test]

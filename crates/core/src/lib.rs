@@ -71,8 +71,8 @@ pub use count_runtime::{count_party, count_two_party, party_input_shares, run_pa
 pub use delta::{inline_evaluator, DeltaPlan, EdgeDelta, EpochCount, IncrementalCounter};
 pub use party::{run_party, run_party_local, PartyReport};
 pub use session::{
-    classify_delta_line, parse_delta_script, DeltaLine, EpochOutcome, PartySession, Session,
-    SessionError,
+    parse_delta_script, DeltaBatches, EpochOutcome, EpochParty, PartySession, ServeSession,
+    Session, SessionError,
 };
 pub use count_sampled::{count_sampled, SampledCountResult};
 pub use count_sched::{
@@ -83,7 +83,7 @@ pub use metrics::{l2_loss, peak_rss_bytes, relative_error};
 pub use perturb::{aggregate_noise_shares, perturb, PerturbResult};
 pub use projection::{project_matrix, project_user_row, ProjectionResult};
 pub use recovery::{
-    replay_committed, replay_committed_on, state_digest, EpochJournal, EpochRecord, RecoveryError,
+    replay_committed, state_digest, EpochJournal, EpochRecord, RecoveryError,
 };
 pub use sensitivity::{local_sensitivity, smooth_sensitivity, smooth_sensitivity_mechanism};
 pub use protocol::{CargoOutput, CargoSystem, StepTimings};

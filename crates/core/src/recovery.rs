@@ -72,6 +72,29 @@ pub struct EpochRecord {
     pub digest: u64,
 }
 
+impl From<&EpochOutcome> for EpochRecord {
+    fn from(out: &EpochOutcome) -> Self {
+        EpochRecord {
+            epoch: out.epoch,
+            spent: out.spent,
+            digest: out.digest,
+        }
+    }
+}
+
+/// The journal line of a record (ε as its exact bit pattern).
+impl fmt::Display for EpochRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "epoch={} spent={:#018x} digest={:#018x}",
+            self.epoch,
+            self.spent.to_bits(),
+            self.digest
+        )
+    }
+}
+
 /// Why journaling or recovery failed.
 #[derive(Debug)]
 pub enum RecoveryError {
@@ -263,13 +286,7 @@ impl EpochJournal {
                 message: format!("append out of sequence (journal is at {want})"),
             });
         }
-        let line = format!(
-            "epoch={} spent={:#018x} digest={:#018x}\n",
-            record.epoch,
-            record.spent.to_bits(),
-            record.digest
-        );
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(format!("{record}\n").as_bytes())?;
         self.file.sync_all()?;
         self.records.push(record);
         Ok(())
@@ -336,20 +353,6 @@ pub fn replay_committed(
     script: &[Vec<EdgeDelta>],
     journal: &EpochJournal,
 ) -> Result<(Session, Vec<EpochOutcome>), RecoveryError> {
-    let mut session = Session::new(graph, cfg);
-    let outcomes = replay_committed_on(&mut session, script, journal)?;
-    Ok((session, outcomes))
-}
-
-/// [`replay_committed`] over a caller-built fresh [`Session`] — for
-/// callers that need the pristine baseline state (e.g. to print the
-/// baseline transcript line) before any committed epoch is replayed.
-/// `session` must not have stepped yet.
-pub fn replay_committed_on(
-    session: &mut Session,
-    script: &[Vec<EdgeDelta>],
-    journal: &EpochJournal,
-) -> Result<Vec<EpochOutcome>, RecoveryError> {
     let committed = journal.committed();
     if (script.len() as u64) < committed {
         return Err(RecoveryError::ScriptTooShort {
@@ -357,39 +360,26 @@ pub fn replay_committed_on(
             epochs: script.len(),
         });
     }
+    let mut session = Session::new(graph, cfg);
     let mut outcomes = Vec::with_capacity(committed as usize);
-    for record in journal.records() {
-        let batch = &script[(record.epoch - 1) as usize];
-        let out = session.step(batch).map_err(|e| RecoveryError::Mismatch {
+    for (record, batch) in journal.records().iter().zip(script) {
+        let mismatch = |message| RecoveryError::Mismatch {
             epoch: record.epoch,
-            message: format!("replay failed: {e}"),
-        })?;
-        if out.epoch != record.epoch {
-            return Err(RecoveryError::Mismatch {
-                epoch: record.epoch,
-                message: format!("replay produced epoch {}", out.epoch),
-            });
-        }
-        if out.spent.to_bits() != record.spent.to_bits() {
-            return Err(RecoveryError::Mismatch {
-                epoch: record.epoch,
-                message: format!(
-                    "ε spent {:#018x} != journal {:#018x}",
-                    out.spent.to_bits(),
-                    record.spent.to_bits()
-                ),
-            });
-        }
-        let digest = state_digest(session.counter().epochs(), session.counter().graph());
-        if digest != record.digest {
-            return Err(RecoveryError::Mismatch {
-                epoch: record.epoch,
-                message: format!("state digest {digest:#018x} != journal {:#018x}", record.digest),
-            });
+            message,
+        };
+        let out = session
+            .step(batch)
+            .map_err(|e| mismatch(format!("replay failed: {e}")))?;
+        let replayed = EpochRecord::from(&out);
+        // Bit-level: ε spent must match exactly, not just compare equal.
+        if (replayed.epoch, replayed.spent.to_bits(), replayed.digest)
+            != (record.epoch, record.spent.to_bits(), record.digest)
+        {
+            return Err(mismatch(format!("replay wrote {replayed}, journal holds {record}")));
         }
         outcomes.push(out);
     }
-    Ok(outcomes)
+    Ok((session, outcomes))
 }
 
 #[cfg(test)]

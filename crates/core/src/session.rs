@@ -3,11 +3,13 @@
 //!
 //! A serve session starts from a base graph, runs a baseline sparse
 //! count of it (share state only — nothing is published), and then
-//! consumes delta batches. Each committed batch is one **epoch**:
+//! consumes delta batches. Each committed batch is one **epoch**, and
+//! [`ServeSession::step`] is its one implementation:
 //!
-//! 1. ask the [`ReleaseSchedule`] for a grant — a refusal (budget or
-//!    horizon exhausted) stops the session *before* any graph
-//!    mutation or wire traffic for that epoch;
+//! 1. check every delta's endpoints against the graph, then ask the
+//!    [`ReleaseSchedule`] for a grant — a malformed batch or a refusal
+//!    (budget or horizon exhausted) stops the epoch *before* any ε is
+//!    charged, any graph mutation, or any wire traffic;
 //! 2. apply the batch through [`IncrementalCounter`], which securely
 //!    evaluates only the created/destroyed triangles at their
 //!    canonical dealer offsets;
@@ -27,33 +29,35 @@
 //! no-projection bound `Δ = n` and the whole ε is metered by the
 //! schedule. A projected/padded continuous mode is a ROADMAP item.
 //!
-//! Two flavors share all of the above: [`Session`] (in-process, owns
-//! both shares — the `--role local` reference) and [`PartySession`]
-//! (one role over a real [`Transport`] link). Their per-epoch
-//! [`EpochOutcome`]s are bit-identical, which is what lets CI diff a
-//! two-process TCP serve transcript against the local one.
+//! What differs between deployments is only how an epoch's Count runs
+//! and how its release opens — the [`EpochParty`] a session is built
+//! over. [`Session`] plays both servers in process ([`InProcess`]: the
+//! `--role local` reference); [`PartySession`] is one role over a real
+//! [`Transport`] link ([`Wire`]). Their per-epoch [`EpochOutcome`]s are
+//! bit-identical, which is what lets CI diff a two-process TCP serve
+//! transcript against the local one.
 
 use crate::config::CargoConfig;
-use crate::count::{CountJob, SecureCountResult};
+use crate::count::{count_local, CountJob, SecureCountResult};
 use crate::count_runtime::count_party;
 use crate::count_sched::SchedulePlan;
-use crate::delta::{inline_evaluator, EdgeDelta, EpochCount, IncrementalCounter};
+use crate::delta::{check_batch, EdgeDelta, IncrementalCounter};
 use crate::protocol::NOISE_SEED_TWEAK;
 use crate::perturb::aggregate_noise_shares;
 use crate::recovery::state_digest;
 use cargo_dp::{Composition, FixedPointCodec, ReleaseGrant, ReleaseRefused, ReleaseSchedule, TreeNode};
 use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{
-    recv_msg, send_msg, CommitMsg, FinalOpeningMsg, NetStats, Ring64, ServerId, Transport,
+    recv_msg, send_msg, CommitMsg, FinalOpeningMsg, IntoFrame, NetStats, Ring64, ServerId,
+    Transport, WireMessage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Lines};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
 /// Everything one epoch publishes. Role-independent: both wire
 /// parties and the in-process reference produce identical outcomes
 /// (the transcript CI diffs them byte for byte).
@@ -80,6 +84,9 @@ pub struct EpochOutcome {
     pub node_epsilon: f64,
     /// Cumulative ε spent after this release.
     pub spent: f64,
+    /// [`state_digest`] of the post-epoch state: what the commit
+    /// handshake agrees on and the journal records.
+    pub digest: u64,
     /// This epoch's server↔server traffic (sub-counts + the final
     /// opening). `wire_bytes` is measured on wire sessions and always
     /// equals the modeled `bytes`.
@@ -158,7 +165,7 @@ fn node_tweak(node: TreeNode) -> u64 {
     node.id().wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Schedule + per-node noise cache, shared by both session flavors.
+/// Schedule + per-node noise cache.
 struct ReleaseState {
     schedule: ReleaseSchedule,
     codec: FixedPointCodec,
@@ -212,49 +219,144 @@ impl ReleaseState {
     }
 }
 
-fn outcome(
-    grant: &ReleaseGrant,
-    ec: &EpochCount,
-    noisy_count: f64,
-    spent: f64,
-    net: NetStats,
-) -> EpochOutcome {
-    EpochOutcome {
-        epoch: grant.epoch,
-        noisy_count,
-        applied: ec.applied,
-        redundant: ec.redundant,
-        created: ec.created,
-        destroyed: ec.destroyed,
-        triples: ec.triples,
-        charged: grant.charged,
-        node_epsilon: grant.node_epsilon,
-        spent,
-        net,
+/// How a [`ServeSession`]'s epochs run their Count and open their
+/// release — the one thing the in-process reference and a wire role
+/// do differently.
+pub trait EpochParty {
+    /// One Count of `job` over `matrix`: the session's
+    /// [`IncrementalCounter`] evaluator. Its `wire_bytes` are the
+    /// modeled bytes; the session measures the wire per epoch.
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult;
+
+    /// Opens an epoch's release from the fixed-point final shares
+    /// `(f₁, f₂)` — both live in process, only the own role's on the
+    /// wire — once the parties agree on `commit` (the epoch and its
+    /// post-apply state digest). Returns the opened ring value.
+    fn open(&self, commit: CommitMsg, finals: (Ring64, Ring64)) -> Result<Ring64, SessionError>;
+
+    /// Online payload moved over the link so far, both directions;
+    /// `None` without a link (the modeled bytes stand).
+    fn payload(&self) -> Option<u64>;
+}
+
+/// Both servers in one process: [`count_local`] fills both share
+/// slots and the release opens locally.
+#[derive(Debug)]
+pub struct InProcess;
+
+impl EpochParty for InProcess {
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        count_local(matrix, job)
+    }
+
+    fn open(&self, _: CommitMsg, (f1, f2): (Ring64, Ring64)) -> Result<Ring64, SessionError> {
+        Ok(f1 + f2)
+    }
+
+    fn payload(&self) -> Option<u64> {
+        None
     }
 }
 
-/// The in-process continuous-release session: owns both share slots
-/// and opens releases locally. This is the `--role local` reference
-/// the wire transcripts are diffed against, and the cheap harness for
-/// the equivalence suites.
-pub struct Session {
-    cfg: CargoConfig,
-    counter: IncrementalCounter,
-    release: ReleaseState,
+/// One server over a [`Transport`] link: [`count_party`] fills the own
+/// role's share slot (the other stays zero), and the release opens
+/// with one [`FinalOpeningMsg`] each way after the [`CommitMsg`]
+/// handshake.
+pub struct Wire<T> {
+    role: ServerId,
+    link: Arc<T>,
 }
 
-impl Session {
+impl<T: Transport> Wire<T> {
+    fn send(&self, what: &str, msg: impl IntoFrame) -> Result<(), SessionError> {
+        send_msg(&*self.link, msg).map_err(|e| SessionError::Peer(format!("{what} send: {e}")))
+    }
+
+    fn recv<M: WireMessage>(&self, what: &str) -> Result<M, SessionError> {
+        recv_msg(&*self.link, 0, Some(self.link.recv_timeout()))
+            .map_err(|e| SessionError::Peer(format!("{what} recv: {e}")))
+    }
+}
+
+impl<T: Transport> EpochParty for Wire<T> {
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        // `count_party` reports the link's cumulative payload; restore
+        // the modeled invariant (the session measures per epoch).
+        let mut r = count_party(matrix, job, self.role, &self.link);
+        r.net.wire_bytes = r.net.bytes;
+        r
+    }
+
+    fn open(&self, commit: CommitMsg, (f1, f2): (Ring64, Ring64)) -> Result<Ring64, SessionError> {
+        // Idempotent epoch-commit handshake: agree on the epoch id and
+        // post-apply state digest *before* any noise share crosses the
+        // wire. A desynced pair (one party replayed a different script,
+        // resumed from a stale journal, …) stops typed here instead of
+        // publishing forked releases. CommitMsg payload rides outside
+        // both cost classes, so the measured online payload still
+        // equals the modeled ledger.
+        self.send("epoch commit", commit)?;
+        let peer: CommitMsg = self.recv("epoch commit")?;
+        agree("committed epoch", commit.epoch, peer.epoch)?;
+        agree("state digest", commit.digest, peer.digest)?;
+        let mine = match self.role {
+            ServerId::S1 => f1,
+            ServerId::S2 => f2,
+        };
+        self.send("final opening", FinalOpeningMsg { share: mine })?;
+        let theirs: FinalOpeningMsg = self.recv("final opening")?;
+        Ok(mine + theirs.share)
+    }
+
+    fn payload(&self) -> Option<u64> {
+        Some(self.link.stats().online_payload_both())
+    }
+}
+
+fn agree(what: &'static str, ours: u64, theirs: u64) -> Result<(), SessionError> {
+    if ours == theirs {
+        Ok(())
+    } else {
+        Err(SessionError::Desync { what, ours, theirs })
+    }
+}
+
+/// A continuous-release session over an [`EpochParty`]: the baseline
+/// count, the release schedule and the one epoch [`step`](Self::step).
+/// Used as [`Session`] or [`PartySession`].
+///
+/// A failure after an epoch's grant — a peer lost mid-epoch (the worker
+/// `RecvError` path: disconnect immediately, timeout after the link's
+/// [`Transport::recv_timeout`]) or a commit handshake that finds the
+/// pair desynced ([`SessionError::Desync`]) — emits **no** release for
+/// the epoch, keeps its grant spent, and poisons the session.
+pub struct ServeSession<P> {
+    party: P,
+    job: CountJob,
+    counter: IncrementalCounter,
+    release: ReleaseState,
+    poisoned: bool,
+}
+
+/// The in-process session: owns both share slots and opens releases
+/// locally. This is the `--role local` reference the wire transcripts
+/// are diffed against, and the cheap harness for the equivalence
+/// suites.
+pub type Session = ServeSession<InProcess>;
+
+/// One wire party's session: bit-identical [`EpochOutcome`]s to
+/// [`Session`] under the same config.
+pub type PartySession<T> = ServeSession<Wire<T>>;
+
+impl<P: EpochParty> ServeSession<P> {
     /// Counts the base graph (baseline share state; nothing released)
     /// and arms the release schedule.
-    pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
-        let counter = IncrementalCounter::new_with(graph, local_evaluator(cfg));
-        let n = counter.graph().n();
-        Session {
-            cfg: *cfg,
-            counter,
-            release: ReleaseState::new(cfg, n),
-        }
+    fn start(graph: Graph, cfg: &CargoConfig, party: P) -> Result<Self, SessionError> {
+        let job = CountJob::from_config(cfg, SchedulePlan::DenseCube);
+        let counter =
+            unwinding(|| Ok(IncrementalCounter::new_with(graph, evaluator(&party, &job))))?;
+        let release = ReleaseState::new(cfg, counter.graph().n());
+        Ok(ServeSession { party, job, counter, release, poisoned: false })
     }
 
     /// The incremental engine (graph, shares, cumulative stats).
@@ -267,44 +369,67 @@ impl Session {
         &self.release.schedule
     }
 
-    /// Runs one epoch. On refusal, nothing changed — not the graph,
-    /// not the shares, not the ledger.
+    /// Runs one epoch. A batch with a bad endpoint and a refused grant
+    /// change nothing — not the graph, the shares, the ledger or the
+    /// link; a later failure poisons the session.
     pub fn step(&mut self, batch: &[EdgeDelta]) -> Result<EpochOutcome, SessionError> {
+        if self.poisoned {
+            return Err(SessionError::Peer(
+                "session poisoned by an earlier peer failure".into(),
+            ));
+        }
+        check_batch(self.counter.graph().n(), batch)?;
         let grant = self.release.schedule.next_release()?;
-        let ec = self.counter.apply_with(batch, local_evaluator(&self.cfg))?;
-        let (g1, g2) = self.release.gammas(&grant);
-        let codec = self.release.codec;
-        let f1 = codec.lift_integer(ec.share1) + g1;
-        let f2 = codec.lift_integer(ec.share2) + g2;
-        let noisy = codec.decode(f1 + f2);
+        let before = self.party.payload();
+        let ServeSession { party, job, counter, release, .. } = self;
+        let stepped = unwinding(|| {
+            let ec = counter.apply_with(batch, evaluator(party, job))?;
+            let digest = state_digest(counter.epochs(), counter.graph());
+            let (g1, g2) = release.gammas(&grant);
+            let codec = release.codec;
+            let finals = (codec.lift_integer(ec.share1) + g1, codec.lift_integer(ec.share2) + g2);
+            let opened = party.open(CommitMsg { epoch: grant.epoch, digest }, finals)?;
+            Ok((ec, digest, codec.decode(opened)))
+        });
+        let (ec, digest, noisy_count) = stepped.inspect_err(|_| self.poisoned = true)?;
         let mut net = ec.net;
         net.exchange(1); // the final opening
-        let spent = self.release.schedule.accountant().spent();
-        Ok(outcome(&grant, &ec, noisy, spent, net))
+        if let (Some(before), Some(now)) = (before, self.party.payload()) {
+            // Measured on the wire: the epoch's counts + final opening,
+            // which must land on the modeled bytes.
+            net.wire_bytes = now - before;
+        }
+        Ok(EpochOutcome {
+            epoch: grant.epoch,
+            noisy_count,
+            applied: ec.applied,
+            redundant: ec.redundant,
+            created: ec.created,
+            destroyed: ec.destroyed,
+            triples: ec.triples,
+            charged: grant.charged,
+            node_epsilon: grant.node_epsilon,
+            spent: self.release.schedule.accountant().spent(),
+            digest,
+            net,
+        })
+    }
+
+    /// The session's next epoch and current [`state_digest`].
+    fn announce(&self) -> CommitMsg {
+        CommitMsg {
+            epoch: self.release.schedule.released() + 1,
+            digest: state_digest(self.counter.epochs(), self.counter.graph()),
+        }
     }
 }
 
-/// One wire party's continuous-release session. Bit-identical
-/// [`EpochOutcome`]s to [`Session`] under the same config; only the
-/// role-local share slot is live internally.
-///
-/// A peer failure mid-epoch surfaces as [`SessionError::Peer`] (the
-/// worker `RecvError` path — disconnect immediately, timeout after
-/// the link's [`Transport::recv_timeout`]), emits **no** release for
-/// the incomplete epoch, and poisons the session. Before the final
-/// opening, the parties run an idempotent epoch-commit handshake
-/// (exchange of [`CommitMsg`]) so a divergent pair stops with
-/// [`SessionError::Desync`] instead of publishing forked releases.
-pub struct PartySession<T: Transport> {
-    cfg: CargoConfig,
-    role: ServerId,
-    link: Arc<T>,
-    counter: IncrementalCounter,
-    release: ReleaseState,
-    /// Link payload watermark at the last epoch boundary — measured
-    /// per-epoch `wire_bytes` is the delta across it.
-    wire_mark: u64,
-    poisoned: bool,
+impl Session {
+    /// Counts the base graph (baseline share state; nothing released)
+    /// and arms the release schedule.
+    pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
+        Self::start(graph, cfg, InProcess).unwrap_or_else(|e| panic!("baseline count: {e}"))
+    }
 }
 
 impl<T: Transport> PartySession<T> {
@@ -317,117 +442,7 @@ impl<T: Transport> PartySession<T> {
         role: ServerId,
         link: Arc<T>,
     ) -> Result<Self, SessionError> {
-        let counter = {
-            let link = &link;
-            catch_unwind(AssertUnwindSafe(|| {
-                IncrementalCounter::new_with(graph, party_evaluator(cfg, role, link))
-            }))
-            .map_err(|p| SessionError::Peer(panic_message(&*p)))?
-        };
-        let n = counter.graph().n();
-        let wire_mark = link.stats().online_payload_both();
-        Ok(PartySession {
-            cfg: *cfg,
-            role,
-            link,
-            counter,
-            release: ReleaseState::new(cfg, n),
-            wire_mark,
-            poisoned: false,
-        })
-    }
-
-    /// The incremental engine (graph, shares, cumulative stats).
-    pub fn counter(&self) -> &IncrementalCounter {
-        &self.counter
-    }
-
-    /// The release schedule's accountant view.
-    pub fn schedule(&self) -> &ReleaseSchedule {
-        &self.release.schedule
-    }
-
-    /// Runs one epoch against the peer. Refusals are clean (no wire
-    /// traffic, nothing mutated); peer failures poison the session.
-    pub fn step(&mut self, batch: &[EdgeDelta]) -> Result<EpochOutcome, SessionError> {
-        if self.poisoned {
-            return Err(SessionError::Peer(
-                "session poisoned by an earlier peer failure".into(),
-            ));
-        }
-        let grant = self.release.schedule.next_release()?;
-        let (cfg, role) = (self.cfg, self.role);
-        let counter = &mut self.counter;
-        let release = &mut self.release;
-        let link = &self.link;
-        let stepped = catch_unwind(AssertUnwindSafe(
-            || -> Result<(EpochCount, f64), SessionError> {
-                let ec = counter.apply_with(batch, party_evaluator(&cfg, role, link))?;
-                // Idempotent epoch-commit handshake: agree on the
-                // epoch id and post-apply state digest *before* any
-                // noise share crosses the wire. A desynced pair (one
-                // party replayed a different script, resumed from a
-                // stale journal, …) stops typed here instead of
-                // publishing forked releases. CommitMsg payload rides
-                // outside both cost classes, so the measured online
-                // payload still equals the modeled ledger.
-                let digest = state_digest(counter.epochs(), counter.graph());
-                send_msg(&**link, CommitMsg { epoch: grant.epoch, digest })
-                    .map_err(|e| SessionError::Peer(format!("epoch commit send: {e}")))?;
-                let peer: CommitMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
-                    .map_err(|e| SessionError::Peer(format!("epoch commit recv: {e}")))?;
-                if peer.epoch != grant.epoch {
-                    return Err(SessionError::Desync {
-                        what: "committed epoch",
-                        ours: grant.epoch,
-                        theirs: peer.epoch,
-                    });
-                }
-                if peer.digest != digest {
-                    return Err(SessionError::Desync {
-                        what: "state digest",
-                        ours: digest,
-                        theirs: peer.digest,
-                    });
-                }
-                let (g1, g2) = release.gammas(&grant);
-                let my_gamma = match role {
-                    ServerId::S1 => g1,
-                    ServerId::S2 => g2,
-                };
-                let my_share = match role {
-                    ServerId::S1 => ec.share1,
-                    ServerId::S2 => ec.share2,
-                };
-                let my_final = release.codec.lift_integer(my_share) + my_gamma;
-                send_msg(&**link, FinalOpeningMsg { share: my_final })
-                    .map_err(|e| SessionError::Peer(format!("final opening send: {e}")))?;
-                let theirs: FinalOpeningMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
-                    .map_err(|e| SessionError::Peer(format!("final opening recv: {e}")))?;
-                Ok((ec, release.codec.decode(my_final + theirs.share)))
-            },
-        ));
-        let (ec, noisy) = match stepped {
-            Ok(Ok(pair)) => pair,
-            Ok(Err(e)) => {
-                self.poisoned = true;
-                return Err(e);
-            }
-            Err(p) => {
-                self.poisoned = true;
-                return Err(SessionError::Peer(panic_message(&*p)));
-            }
-        };
-        let mut net = ec.net;
-        net.exchange(1); // the final opening
-        // Measured wire bytes for the epoch: counts + final opening.
-        // The modeled paths keep `wire_bytes == bytes`; the wire
-        // session *measures* and must land on the same number.
-        let now = self.link.stats().online_payload_both();
-        net.wire_bytes = now - self.wire_mark;
-        self.wire_mark = now;
-        let spent = self.release.schedule.accountant().spent();
-        Ok(outcome(&grant, &ec, noisy, spent, net))
+        Self::start(graph, cfg, Wire { role, link })
     }
 
     /// Reconnects a crashed party to its peer and synchronises the
@@ -454,167 +469,117 @@ impl<T: Transport> PartySession<T> {
     ///
     /// Returns the live session plus the outcomes of the epochs caught
     /// up during the handshake (bit-identical to what an uninterrupted
-    /// run would have published), each paired with its post-epoch
-    /// [`state_digest`] so the caller can journal them before
-    /// publishing; the caller continues stepping from
+    /// run would have published; the caller journals them before
+    /// publishing); the caller continues stepping from
     /// `pending[caught_up.len()..]`.
     pub fn resume(
         replayed: Session,
         role: ServerId,
         link: Arc<T>,
         pending: &[Vec<EdgeDelta>],
-    ) -> Result<(Self, Vec<(EpochOutcome, u64)>), SessionError> {
+    ) -> Result<(Self, Vec<EpochOutcome>), SessionError> {
         let mut session = replayed;
-        let digest_of =
-            |s: &Session| state_digest(s.counter.epochs(), s.counter.graph());
-        let mut my_next = s_released(&session) + 1;
-        let mut catchup = Vec::new();
-        send_msg(
-            &*link,
-            CommitMsg { epoch: my_next, digest: digest_of(&session) },
-        )
-        .map_err(|e| SessionError::Peer(format!("resume handshake send: {e}")))?;
-        let mut theirs: CommitMsg = recv_msg(&*link, 0, Some(link.recv_timeout()))
-            .map_err(|e| SessionError::Peer(format!("resume handshake recv: {e}")))?;
+        let wire = Wire { role, link };
+        let mut caught_up = Vec::new();
+        wire.send("resume handshake", session.announce())?;
+        let mut theirs: CommitMsg = wire.recv("resume handshake")?;
         loop {
-            if theirs.epoch > my_next {
+            let ours = session.announce();
+            if theirs.epoch > ours.epoch {
                 // The peer committed epochs we crashed out of: replay
                 // them locally and announce each catch-up step.
-                let batch = pending.get(catchup.len()).ok_or_else(|| {
+                let batch = pending.get(caught_up.len()).ok_or_else(|| {
                     SessionError::Peer(format!(
                         "peer committed epoch {} past our delta script",
-                        theirs.epoch.saturating_sub(1)
+                        theirs.epoch - 1
                     ))
                 })?;
-                let out = session.step(batch)?;
-                let digest = digest_of(&session);
-                catchup.push((out, digest));
-                my_next += 1;
-                send_msg(
-                    &*link,
-                    CommitMsg { epoch: my_next, digest: digest_of(&session) },
-                )
-                .map_err(|e| SessionError::Peer(format!("resume handshake send: {e}")))?;
-            } else if theirs.epoch < my_next {
+                caught_up.push(session.step(batch)?);
+                wire.send("resume handshake", session.announce())?;
+            } else if theirs.epoch < ours.epoch {
                 // The peer is catching up; wait for its announcements.
-                theirs = recv_msg(&*link, 0, Some(link.recv_timeout()))
-                    .map_err(|e| SessionError::Peer(format!("resume handshake recv: {e}")))?;
+                theirs = wire.recv("resume handshake")?;
             } else {
-                let ours = digest_of(&session);
-                if theirs.digest != ours {
-                    return Err(SessionError::Desync {
-                        what: "resume state digest",
-                        ours,
-                        theirs: theirs.digest,
-                    });
-                }
+                agree("resume state digest", ours.digest, theirs.digest)?;
                 break;
             }
         }
-        let Session { cfg, counter, release } = session;
-        let wire_mark = link.stats().online_payload_both();
-        Ok((
-            PartySession {
-                cfg,
-                role,
-                link,
-                counter,
-                release,
-                wire_mark,
-                poisoned: false,
-            },
-            catchup,
-        ))
+        let ServeSession { job, counter, release, poisoned, .. } = session;
+        Ok((ServeSession { party: wire, job, counter, release, poisoned }, caught_up))
     }
 }
 
-/// The session's committed-release frontier (how many epochs its
-/// schedule has granted).
-fn s_released(s: &Session) -> u64 {
-    s.release.schedule.released()
-}
-
-/// The in-process evaluator of a session's config (each call's delta
-/// plan replaces the placeholder).
-fn local_evaluator(cfg: &CargoConfig) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult {
-    inline_evaluator(CountJob::from_config(cfg, SchedulePlan::DenseCube))
-}
-
-/// The wire evaluator: party counts whose `wire_bytes` are restored to
-/// the modeled invariant ([`count_party`] reports the link's
-/// cumulative payload; per-epoch measurement happens at the session
-/// layer instead).
-fn party_evaluator<'a, T: Transport>(
-    cfg: &CargoConfig,
-    role: ServerId,
-    link: &'a Arc<T>,
+/// `party`'s Count as the [`IncrementalCounter`] evaluator (each call's
+/// delta plan replaces the job's placeholder).
+fn evaluator<'a, P: EpochParty>(
+    party: &'a P,
+    job: &'a CountJob,
 ) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult + 'a {
-    let job = CountJob::from_config(cfg, SchedulePlan::DenseCube);
-    move |matrix, plan| {
-        let mut r = count_party(matrix, &CountJob { plan, ..job.clone() }, role, link);
-        r.net.wire_bytes = r.net.bytes;
-        r
-    }
+    move |matrix, plan| party.count(matrix, &CountJob { plan, ..job.clone() })
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque worker panic".into())
+/// Runs `f`, turning a worker panic — how a Count reports its peer
+/// lost — into [`SessionError::Peer`].
+fn unwinding<R>(f: impl FnOnce() -> Result<R, SessionError>) -> Result<R, SessionError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(SessionError::Peer(
+            p.downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque worker panic".into()),
+        ))
+    })
 }
 
-/// Parses a whole delta script into per-epoch batches.
+/// Reads the serve wire syntax one epoch batch at a time — lazily, so
+/// a live stream (stdin) steps each epoch as its `commit` arrives.
 ///
 /// Line syntax: `+u v` / `-u v` deltas, `commit` ends an epoch (an
-/// empty epoch is legal — it re-releases the current count under
-/// fresh schedule noise), `#`-prefixed and blank lines are ignored.
-/// Trailing deltas without a final `commit` form a last epoch.
-pub fn parse_delta_script<R: BufRead>(reader: R) -> Result<Vec<Vec<EdgeDelta>>, SessionError> {
-    let mut epochs = Vec::new();
-    let mut batch = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| SessionError::Script {
-            line: idx + 1,
-            message: format!("io error: {e}"),
-        })?;
-        match classify_delta_line(&line).map_err(|message| SessionError::Script {
-            line: idx + 1,
-            message,
-        })? {
-            DeltaLine::Blank => {}
-            DeltaLine::Commit => epochs.push(std::mem::take(&mut batch)),
-            DeltaLine::Delta(d) => batch.push(d),
+/// empty epoch is legal — it re-releases the current count under fresh
+/// schedule noise), `#`-prefixed and blank lines are ignored. Trailing
+/// deltas without a final `commit` form a last epoch. A malformed line
+/// yields [`SessionError::Script`].
+pub struct DeltaBatches<R> {
+    lines: Lines<R>,
+    line: usize,
+}
+
+impl<R: BufRead> DeltaBatches<R> {
+    /// Batches the lines of `reader`.
+    pub fn new(reader: R) -> Self {
+        DeltaBatches { lines: reader.lines(), line: 0 }
+    }
+}
+
+impl<R: BufRead> Iterator for DeltaBatches<R> {
+    type Item = Result<Vec<EdgeDelta>, SessionError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut batch = Vec::new();
+        for line in self.lines.by_ref() {
+            self.line += 1;
+            let script = |message| Some(Err(SessionError::Script { line: self.line, message }));
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => return script(format!("io error: {e}")),
+            };
+            match line.trim() {
+                "commit" => return Some(Ok(batch)),
+                t if t.is_empty() || t.starts_with('#') => {}
+                t => match t.parse() {
+                    Ok(delta) => batch.push(delta),
+                    Err(message) => return script(message),
+                },
+            }
         }
+        (!batch.is_empty()).then_some(Ok(batch))
     }
-    if !batch.is_empty() {
-        epochs.push(batch);
-    }
-    Ok(epochs)
 }
 
-/// One classified line of a delta script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaLine {
-    /// Comment or whitespace.
-    Blank,
-    /// End of the current epoch's batch.
-    Commit,
-    /// An edge mutation.
-    Delta(EdgeDelta),
-}
-
-/// Classifies one line of the serve wire syntax (shared by the script
-/// parser and the binaries' streaming stdin loop).
-pub fn classify_delta_line(line: &str) -> Result<DeltaLine, String> {
-    let t = line.trim();
-    if t.is_empty() || t.starts_with('#') {
-        Ok(DeltaLine::Blank)
-    } else if t == "commit" {
-        Ok(DeltaLine::Commit)
-    } else {
-        t.parse::<EdgeDelta>().map(DeltaLine::Delta)
-    }
+/// Parses a whole delta script into per-epoch batches ([`DeltaBatches`]
+/// collected).
+pub fn parse_delta_script<R: BufRead>(reader: R) -> Result<Vec<Vec<EdgeDelta>>, SessionError> {
+    DeltaBatches::new(reader).collect()
 }
 
 #[cfg(test)]
@@ -652,7 +617,7 @@ mod tests {
         fn delta_lines_never_panic_on_hostile_text(
             text in cargo_testutil::text::operator_text(&["+", "-", "commit", "#", "\n"])
         ) {
-            let _ = classify_delta_line(&text);
+            let _ = parse_delta_script(text.as_bytes());
             let _ = text.parse::<EdgeDelta>();
         }
     }
@@ -680,6 +645,22 @@ mod tests {
         assert!(matches!(err, SessionError::Refused(_)), "{err}");
         assert_eq!(s.counter().graph(), &graph_before, "refusal mutates nothing");
         assert_eq!(s.counter().epochs(), 4);
+    }
+
+    #[test]
+    fn a_bad_delta_is_refused_before_the_grant() {
+        let g = generators::erdos_renyi(20, 0.3, 3);
+        let mut s = Session::new(g.clone(), &CargoConfig::new(2.0).with_seed(5).with_horizon(4));
+        let err = s.step(&[EdgeDelta::Add(0, 2), EdgeDelta::Add(0, 99)]).unwrap_err();
+        assert!(matches!(err, SessionError::Graph(_)), "{err}");
+        // Refused like a budget refusal: no ε, no release, no edit.
+        assert_eq!(s.schedule().accountant().spent(), 0.0);
+        assert_eq!(s.schedule().released(), 0);
+        assert_eq!(s.counter().graph(), &g);
+        let out = s.step(&[EdgeDelta::Add(0, 2)]).unwrap();
+        assert_eq!(out.epoch, 1);
+        let (s1, s2) = s.counter().shares();
+        assert_eq!((s1 + s2).to_u64(), count_triangles(s.counter().graph()) as u64);
     }
 
     #[test]

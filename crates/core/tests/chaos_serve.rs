@@ -67,7 +67,7 @@ fn resume_party_over<T: Transport + 'static>(
     let (mut s, catchup) =
         PartySession::resume(replayed, role, link, pending).expect("resume handshake");
     let caught_up = catchup.len();
-    outs.extend(catchup.into_iter().map(|(out, _digest)| out));
+    outs.extend(catchup);
     for batch in &pending[caught_up..] {
         outs.push(s.step(batch).expect("post-resume epoch"));
     }

@@ -176,9 +176,10 @@ pub trait Transport: Send + Sync {
     /// Sends a copy of one frame. `Err(Disconnected)` once the peer
     /// endpoint is gone; `Err(Corrupt(BadLength))` — with nothing
     /// written to the link — for a frame the peer's receive would
-    /// refuse ([`Frame::header`]). The backends implement it as
-    /// `self.send_owned(frame.clone())`; a wrapper implements it by
-    /// forwarding and takes the default [`Transport::send_owned`].
+    /// refuse ([`Frame::header`]). The backends and [`FaultyTransport`]
+    /// implement it as `self.send_owned(frame.clone())`; a wrapper may
+    /// instead forward it and take the default [`Transport::send_owned`]
+    /// (which then copies every frame).
     fn send(&self, frame: &Frame) -> Result<(), RecvError>;
 
     /// Sends one frame by value, so its payload can cross the link with
@@ -848,17 +849,19 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&self, frame: &Frame) -> Result<(), RecvError> {
+        self.send_owned(frame.clone())
+    }
+
+    fn send_owned(&self, frame: Frame) -> Result<(), RecvError> {
         if self.dead.load(Ordering::Relaxed) {
             return Err(RecvError::Disconnected);
         }
         match self.next_event() {
-            (_, Some(FaultKind::Disconnect)) => Err(self.kill()),
-            (_, Some(FaultKind::Delay(d))) => {
-                std::thread::sleep(d);
-                self.inner.send(frame)
-            }
-            _ => self.inner.send(frame),
+            (_, Some(FaultKind::Disconnect)) => return Err(self.kill()),
+            (_, Some(FaultKind::Delay(d))) => std::thread::sleep(d),
+            _ => {}
         }
+        self.inner.send_owned(frame)
     }
 
     fn recv(&self, msg_type: u8, tag: u32, timeout: Option<Duration>) -> Result<Frame, RecvError> {
@@ -1148,61 +1151,78 @@ mod tests {
         }
     }
 
+    /// Sends `share` over `link` by value (`send_msg`: `send_owned`) or
+    /// by reference (`send`) — the two paths a fault plan must count
+    /// alike.
+    fn send_share<T: Transport>(link: &T, share: u64, by_ref: bool) -> Result<(), RecvError> {
+        let msg = FinalOpeningMsg { share: Ring64(share) };
+        if by_ref {
+            link.send(&msg.to_frame())
+        } else {
+            send_msg(link, msg)
+        }
+    }
+
     #[test]
     fn faulty_transport_disconnects_at_the_planned_frame() {
-        // Disconnect at event 2: two sends pass, the third fails, and
-        // the peer sees a disconnect after draining the first two.
-        let (a, b) = memory_pair();
-        let a = FaultyTransport::new(a, &FaultPlan::disconnect_at(2));
-        send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap();
-        send_msg(&a, FinalOpeningMsg { share: Ring64(2) }).unwrap();
-        assert_eq!(
-            send_msg(&a, FinalOpeningMsg { share: Ring64(3) }).unwrap_err(),
-            RecvError::Disconnected
-        );
-        for want in [1u64, 2] {
-            let m: FinalOpeningMsg = recv_msg(&b, 0, Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(m.share, Ring64(want));
+        for by_ref in [false, true] {
+            // Disconnect at event 2: two sends pass, the third fails,
+            // and the peer sees a disconnect after draining the first two.
+            let (a, b) = memory_pair();
+            let a = FaultyTransport::new(a, &FaultPlan::disconnect_at(2));
+            send_share(&a, 1, by_ref).unwrap();
+            send_share(&a, 2, by_ref).unwrap();
+            assert_eq!(send_share(&a, 3, by_ref).unwrap_err(), RecvError::Disconnected);
+            for want in [1u64, 2] {
+                let m: FinalOpeningMsg = recv_msg(&b, 0, Some(Duration::from_secs(5))).unwrap();
+                assert_eq!(m.share, Ring64(want));
+            }
+            assert_eq!(
+                b.recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
+                    .unwrap_err(),
+                RecvError::Disconnected
+            );
+            // Dead stays dead.
+            assert_eq!(
+                a.recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
+                    .unwrap_err(),
+                RecvError::Disconnected
+            );
+            assert_eq!(a.events(), 3, "by_ref={by_ref}");
         }
-        assert_eq!(
-            b.recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
-                .unwrap_err(),
-            RecvError::Disconnected
-        );
-        // Dead stays dead.
-        assert_eq!(
-            a.recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
-                .unwrap_err(),
-            RecvError::Disconnected
-        );
     }
 
     #[test]
     fn faulty_transport_corrupts_and_truncates_deliveries() {
-        let (a, b) = memory_pair();
-        let plan = FaultPlan::new(0xC0FFEE)
-            .with(0, FaultKind::Corrupt)
-            .with(1, FaultKind::Truncate);
-        let b = FaultyTransport::new(b, &plan);
-        send_msg(&a, FinalOpeningMsg { share: Ring64(1) }).unwrap();
-        send_msg(&a, FinalOpeningMsg { share: Ring64(2) }).unwrap();
-        send_msg(&a, FinalOpeningMsg { share: Ring64(3) }).unwrap();
-        let e = b
-            .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
-            .unwrap_err();
-        assert!(matches!(e, RecvError::Corrupt(_)), "bit flip: {e}");
-        let e = b
-            .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
-            .unwrap_err();
-        assert!(
-            matches!(e, RecvError::Corrupt(WireError::Truncated { .. })),
-            "truncation: {e}"
-        );
-        // The link survives corruption faults (the wrapper, not the
-        // stream, mangled them): the third frame is intact.
-        let m: FinalOpeningMsg = recv_msg(&b, 0, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(m.share, Ring64(3));
-        assert_eq!(b.events(), 3);
+        for by_ref in [false, true] {
+            let (a, b) = memory_pair();
+            let plan = FaultPlan::new(0xC0FFEE)
+                .with(0, FaultKind::Corrupt)
+                .with(1, FaultKind::Truncate);
+            // Corruption is modeled at the receiver: on the sending
+            // wrapper, events 0 and 1 pass unharmed.
+            let a = FaultyTransport::new(a, &plan);
+            let b = FaultyTransport::new(b, &plan);
+            for share in 1..=3 {
+                send_share(&a, share, by_ref).unwrap();
+            }
+            let e = b
+                .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
+                .unwrap_err();
+            assert!(matches!(e, RecvError::Corrupt(_)), "bit flip: {e}");
+            let e = b
+                .recv(FinalOpeningMsg::MSG_TYPE, 0, Some(Duration::from_secs(5)))
+                .unwrap_err();
+            assert!(
+                matches!(e, RecvError::Corrupt(WireError::Truncated { .. })),
+                "truncation: {e}"
+            );
+            // The link survives corruption faults (the wrapper, not the
+            // stream, mangled them): the third frame is intact.
+            let m: FinalOpeningMsg = recv_msg(&b, 0, Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(m.share, Ring64(3));
+            assert_eq!((a.events(), b.events()), (3, 3), "by_ref={by_ref}");
+        }
     }
 
     #[test]

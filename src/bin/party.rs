@@ -21,11 +21,10 @@
 //! construction); everything else goes to stderr.
 
 use cargo_core::config::{self, parse_argv, parse_value, ArgvError, ConfigFlag, Flag};
-use cargo_core::session::{classify_delta_line, parse_delta_script, DeltaLine};
 use cargo_core::{
-    replay_committed_on, run_party, run_party_local, state_digest, CargoConfig, EdgeDelta,
-    EpochJournal, EpochOutcome, EpochRecord, IncrementalCounter, PartyReport, PartySession,
-    ScheduleKind, Session, SessionError,
+    replay_committed, run_party, run_party_local, CargoConfig, DeltaBatches, EdgeDelta,
+    EpochJournal, EpochOutcome, EpochParty, EpochRecord, IncrementalCounter, PartyReport,
+    PartySession, ScheduleKind, ServeSession, Session, SessionError,
 };
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
@@ -44,6 +43,17 @@ enum Role {
     S1,
     S2,
     Local,
+}
+
+impl Role {
+    /// The server a wire role plays; `None` for `local`.
+    fn server(self) -> Option<ServerId> {
+        match self {
+            Role::S1 => Some(ServerId::S1),
+            Role::S2 => Some(ServerId::S2),
+            Role::Local => None,
+        }
+    }
 }
 
 /// One-shot pipeline (the default) or the continuous-release epoch
@@ -336,10 +346,10 @@ fn print_pool(report: &PartyReport) {
 /// Serve-mode transcript: the baseline count of the starting graph
 /// (share state only — nothing is released for it).
 fn print_baseline(counter: &IncrementalCounter) {
-    let net = counter.net();
+    let (triples, net) = counter.baseline();
     println!(
         "RESULT baseline triples={} online_elements={} online_bytes={} online_rounds={} wire_bytes={}",
-        counter.triples(),
+        triples,
         net.elements,
         net.bytes,
         net.rounds,
@@ -375,74 +385,18 @@ fn print_epoch(out: &EpochOutcome) {
     );
 }
 
-/// Streams delta lines, stepping one epoch per `commit` (EOF flushes a
-/// trailing non-empty batch). Returns the process exit code: a refused
-/// release is the clean end of the schedule (0); a peer loss, bad
-/// delta, or parse error aborts without emitting a release (1).
-fn serve_loop(
-    reader: impl BufRead,
-    mut step: impl FnMut(&[EdgeDelta]) -> Result<EpochOutcome, SessionError>,
-) -> i32 {
-    let mut batch: Vec<EdgeDelta> = Vec::new();
-    let mut run_epoch = |batch: &mut Vec<EdgeDelta>| -> Option<i32> {
-        match step(batch) {
-            Ok(out) => {
-                print_epoch(&out);
-                batch.clear();
-                None
-            }
-            Err(SessionError::Refused(r)) => {
-                println!("RESULT refused reason=\"{r}\"");
-                eprintln!("[party serve] schedule exhausted; stopping cleanly");
-                Some(0)
-            }
-            Err(e) => {
-                eprintln!("[party serve] epoch failed, no release emitted: {e}");
-                Some(1)
-            }
-        }
-    };
-    for (idx, line) in reader.lines().enumerate() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("[party serve] delta stream line {}: {e}", idx + 1);
-                return 1;
-            }
-        };
-        match classify_delta_line(&line) {
-            Ok(DeltaLine::Blank) => {}
-            Ok(DeltaLine::Delta(d)) => batch.push(d),
-            Ok(DeltaLine::Commit) => {
-                if let Some(code) = run_epoch(&mut batch) {
-                    return code;
-                }
-            }
-            Err(msg) => {
-                eprintln!("[party serve] delta stream line {}: {msg}", idx + 1);
-                return 1;
-            }
-        }
-    }
-    if !batch.is_empty() {
-        if let Some(code) = run_epoch(&mut batch) {
-            return code;
-        }
-    }
-    0
-}
-
-/// Opens the party link per the `--listen`/`--connect` flags.
+/// Opens the party link per the `--listen`/`--connect` flags, under the
+/// `--fault-plan` (the empty plan when none is given).
 /// `TcpTransport::connect` already retries with exponential backoff
 /// until its connect timeout; the listen side additionally retries the
 /// bind, because a restarted (`--resume`) party may race the kernel's
 /// `TIME_WAIT` hold on its old port.
-fn open_tcp_link(args: &Args, id: ServerId) -> TcpTransport {
+fn open_link(args: &Args, id: ServerId) -> Arc<FaultyTransport<TcpTransport>> {
     let tcp_cfg = TcpConfig {
         recv_timeout: args.recv_timeout,
         ..TcpConfig::default()
     };
-    if let Some(addr) = &args.listen {
+    let tcp = if let Some(addr) = &args.listen {
         let listener = {
             let mut attempt = 0u32;
             loop {
@@ -475,42 +429,31 @@ fn open_tcp_link(args: &Args, id: ServerId) -> TcpTransport {
             eprintln!("error: cannot connect to {addr}: {e}");
             std::process::exit(1);
         })
-    }
+    };
+    eprintln!("[party {id:?}] connected");
+    let plan = args.fault_plan.clone().unwrap_or_default();
+    Arc::new(FaultyTransport::new(tcp, &plan))
 }
 
-/// Commit-then-publish: appends the epoch to the journal (flushed and
-/// fsynced) *before* its RESULT lines print. A journal write failure
-/// is fatal — continuing would publish releases the journal cannot
-/// vouch for after a crash.
-fn journal_commit(
-    journal: Option<&mut EpochJournal>,
-    out: &EpochOutcome,
-    counter: &IncrementalCounter,
-) {
-    if let Some(j) = journal {
-        let digest = state_digest(counter.epochs(), counter.graph());
-        let record = EpochRecord {
-            epoch: out.epoch,
-            spent: out.spent,
-            digest,
-        };
-        if let Err(e) = j.append(record) {
-            eprintln!("[party serve] journal append failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Steps the already-parsed remaining epoch batches — the resume
-/// path's twin of [`serve_loop`], with identical refusal/error exit
-/// semantics.
-fn serve_batches(
-    batches: &[Vec<EdgeDelta>],
-    mut step: impl FnMut(&[EdgeDelta]) -> Result<EpochOutcome, SessionError>,
+/// The one serve driver, for every role, fresh or resumed: prints the
+/// baseline, publishes `done` (a resume's replayed and caught-up
+/// epochs), then steps one epoch per batch. Commit-then-publish: an
+/// epoch the journal does not hold yet is appended (flushed and
+/// fsynced) *before* its RESULT lines print. Returns the exit code: a
+/// refused release is the clean end of the schedule (0); a peer loss,
+/// bad delta, parse error or journal failure aborts without emitting a
+/// release (1).
+fn serve<P: EpochParty>(
+    mut session: ServeSession<P>,
+    mut journal: Option<EpochJournal>,
+    done: Vec<EpochOutcome>,
+    batches: impl IntoIterator<Item = Result<Vec<EdgeDelta>, SessionError>>,
 ) -> i32 {
-    for batch in batches {
-        match step(batch) {
-            Ok(out) => print_epoch(&out),
+    print_baseline(session.counter());
+    let stepped = batches.into_iter().map(|batch| session.step(&batch?));
+    for epoch in done.into_iter().map(Ok).chain(stepped) {
+        let out = match epoch {
+            Ok(out) => out,
             Err(SessionError::Refused(r)) => {
                 println!("RESULT refused reason=\"{r}\"");
                 eprintln!("[party serve] schedule exhausted; stopping cleanly");
@@ -520,173 +463,25 @@ fn serve_batches(
                 eprintln!("[party serve] epoch failed, no release emitted: {e}");
                 return 1;
             }
+        };
+        if let Some(j) = journal.as_mut().filter(|j| out.epoch > j.committed()) {
+            if let Err(e) = j.append(EpochRecord::from(&out)) {
+                eprintln!("[party serve] journal append failed: {e}");
+                return 1;
+            }
         }
+        print_epoch(&out);
     }
     0
 }
 
-/// The fresh (non-resume) wire serve, generic over the link so the
-/// `--fault-plan` wrapper and the bare TCP transport share one body.
-fn serve_wire_fresh<T: Transport>(
-    args: &Args,
-    graph: Graph,
-    cfg: &CargoConfig,
-    id: ServerId,
-    link: Arc<T>,
-    reader: Box<dyn BufRead>,
-) -> i32 {
-    eprintln!("[party {id:?}] connected; serving");
-    let session = match PartySession::new(graph, cfg, id, link) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[party serve] baseline count failed: {e}");
-            return 1;
-        }
-    };
-    print_baseline(session.counter());
-    let mut journal = match &args.journal {
-        Some(path) => match EpochJournal::create(path, cfg, session.counter().graph().n()) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("error: cannot create journal {}: {e}", path.display());
-                return 1;
-            }
-        },
-        None => None,
-    };
-    let mut session = session;
-    serve_loop(reader, move |batch| {
-        let out = session.step(batch)?;
-        journal_commit(journal.as_mut(), &out, session.counter());
-        Ok(out)
-    })
-}
-
-/// The wire half of `--resume`: reconnect, run the resume handshake
-/// (catching up any epochs the peer committed past our journal), then
-/// continue stepping the rest of the script with journaling.
-fn serve_wire_resume<T: Transport>(
-    id: ServerId,
-    link: Arc<T>,
-    replayed: Session,
-    mut journal: EpochJournal,
-    pending: &[Vec<EdgeDelta>],
-) -> i32 {
-    eprintln!("[party {id:?}] reconnected; running the resume handshake");
-    let (mut session, catchup) = match PartySession::resume(replayed, id, link, pending) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("[party serve] resume handshake failed: {e}");
-            return 1;
-        }
-    };
-    if !catchup.is_empty() {
-        eprintln!(
-            "[party serve] caught up {} epoch(s) the peer had already committed",
-            catchup.len()
-        );
-    }
-    for (out, digest) in &catchup {
-        let record = EpochRecord {
-            epoch: out.epoch,
-            spent: out.spent,
-            digest: *digest,
-        };
-        if let Err(e) = journal.append(record) {
-            eprintln!("[party serve] journal append failed: {e}");
-            return 1;
-        }
-        print_epoch(out);
-    }
-    let remaining = &pending[catchup.len()..];
-    let mut journal = Some(journal);
-    serve_batches(remaining, move |batch| {
-        let out = session.step(batch)?;
-        journal_commit(journal.as_mut(), &out, session.counter());
-        Ok(out)
-    })
-}
-
-/// Runs `--mode serve --resume`: validate the journal against this
-/// run's config, replay the script's committed prefix locally (bit
-/// identically, zero wire traffic), re-print its transcript, then —
-/// for wire roles — reconnect and continue live.
-fn run_serve_resume(args: &Args, graph: Graph, cfg: &CargoConfig) -> i32 {
-    let journal_path = args.journal.as_deref().expect("checked in parse_args");
-    let deltas_path = args.deltas.as_deref().expect("checked in parse_args");
-    let script = match std::fs::File::open(deltas_path) {
-        Ok(f) => match parse_delta_script(std::io::BufReader::new(f)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot open {}: {e}", deltas_path.display());
-            return 1;
-        }
-    };
-    let journal = match EpochJournal::resume(journal_path, cfg, graph.n()) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: cannot resume journal {}: {e}", journal_path.display());
-            return 1;
-        }
-    };
-    let committed = journal.committed() as usize;
-    eprintln!(
-        "[party serve] resuming: journal {} holds {committed} committed epoch(s); replaying",
-        journal_path.display()
-    );
-    let mut session = Session::new(graph, cfg);
-    // Re-print the committed prefix (baseline first, from the pristine
-    // pre-replay state): a resumed transcript alone diffs clean against
-    // an uninterrupted reference run.
-    print_baseline(session.counter());
-    let replayed = match replay_committed_on(&mut session, &script, &journal) {
-        Ok(outs) => outs,
-        Err(e) => {
-            eprintln!("error: replay disagrees with the journal: {e}");
-            return 1;
-        }
-    };
-    for out in &replayed {
-        print_epoch(out);
-    }
-    let pending = &script[committed..];
-    match args.role {
-        Role::Local => {
-            let mut session = session;
-            let mut journal = Some(journal);
-            serve_batches(pending, move |batch| {
-                let out = session.step(batch)?;
-                journal_commit(journal.as_mut(), &out, session.counter());
-                Ok(out)
-            })
-        }
-        role @ (Role::S1 | Role::S2) => {
-            let id = match role {
-                Role::S1 => ServerId::S1,
-                _ => ServerId::S2,
-            };
-            let tcp = open_tcp_link(args, id);
-            match &args.fault_plan {
-                Some(plan) => serve_wire_resume(
-                    id,
-                    Arc::new(FaultyTransport::new(tcp, plan)),
-                    session,
-                    journal,
-                    pending,
-                ),
-                None => serve_wire_resume(id, Arc::new(tcp), session, journal, pending),
-            }
-        }
-    }
-}
-
-/// Runs `--mode serve` for whichever role, returning the exit code.
-fn run_serve(args: &Args, graph: Graph, cfg: &CargoConfig) -> i32 {
+/// Runs `--mode serve` for whichever role, returning the exit code (an
+/// `Err` is a run refused before its first epoch). `--resume`
+/// validates the journal against this run's config and replays the
+/// script's committed prefix locally (bit-identically, zero wire
+/// traffic); a wire role then reconnects and runs the resume handshake
+/// before continuing live.
+fn run_serve(args: &Args, graph: Graph, cfg: &CargoConfig) -> Result<i32, String> {
     eprintln!(
         "[party serve] horizon={} composition={} sensitivity=n={} \
          (serve runs without projection; the whole epsilon is metered per epoch)",
@@ -694,62 +489,56 @@ fn run_serve(args: &Args, graph: Graph, cfg: &CargoConfig) -> i32 {
         cfg.composition,
         graph.n()
     );
-    if args.resume {
-        return run_serve_resume(args, graph, cfg);
-    }
     let reader: Box<dyn BufRead> = match args.deltas.as_deref() {
-        None => Box::new(std::io::stdin().lock()),
-        Some(p) if p.as_os_str() == "-" => Box::new(std::io::stdin().lock()),
-        Some(p) => match std::fs::File::open(p) {
-            Ok(f) => Box::new(std::io::BufReader::new(f)),
-            Err(e) => {
-                eprintln!("error: cannot open {}: {e}", p.display());
-                return 1;
-            }
-        },
+        Some(p) if p.as_os_str() != "-" => Box::new(std::io::BufReader::new(
+            std::fs::File::open(p).map_err(|e| format!("cannot open {}: {e}", p.display()))?,
+        )),
+        _ => Box::new(std::io::stdin().lock()),
     };
-    match args.role {
-        Role::Local => {
-            let session = Session::new(graph, cfg);
-            print_baseline(session.counter());
-            let mut journal = match &args.journal {
-                Some(path) => {
-                    match EpochJournal::create(path, cfg, session.counter().graph().n()) {
-                        Ok(j) => Some(j),
-                        Err(e) => {
-                            eprintln!("error: cannot create journal {}: {e}", path.display());
-                            return 1;
-                        }
-                    }
-                }
-                None => None,
-            };
-            let mut session = session;
-            serve_loop(reader, move |batch| {
-                let out = session.step(batch)?;
-                journal_commit(journal.as_mut(), &out, session.counter());
-                Ok(out)
+    let batches = DeltaBatches::new(reader);
+    if !args.resume {
+        let journal = args
+            .journal
+            .as_deref()
+            .map(|path| {
+                EpochJournal::create(path, cfg, graph.n())
+                    .map_err(|e| format!("cannot create journal {}: {e}", path.display()))
             })
-        }
-        role @ (Role::S1 | Role::S2) => {
-            let id = match role {
-                Role::S1 => ServerId::S1,
-                _ => ServerId::S2,
-            };
-            let tcp = open_tcp_link(args, id);
-            match &args.fault_plan {
-                Some(plan) => serve_wire_fresh(
-                    args,
-                    graph,
-                    cfg,
-                    id,
-                    Arc::new(FaultyTransport::new(tcp, plan)),
-                    reader,
-                ),
-                None => serve_wire_fresh(args, graph, cfg, id, Arc::new(tcp), reader),
+            .transpose()?;
+        return Ok(match args.role.server() {
+            None => serve(Session::new(graph, cfg), journal, Vec::new(), batches),
+            Some(id) => {
+                let session = PartySession::new(graph, cfg, id, open_link(args, id))
+                    .map_err(|e| format!("baseline count failed: {e}"))?;
+                serve(session, journal, Vec::new(), batches)
             }
-        }
+        });
     }
+    let journal_path = args.journal.as_deref().expect("checked in parse_args");
+    let script = batches.collect::<Result<Vec<_>, _>>().map_err(|e| e.to_string())?;
+    let journal = EpochJournal::resume(journal_path, cfg, graph.n())
+        .map_err(|e| format!("cannot resume journal {}: {e}", journal_path.display()))?;
+    eprintln!(
+        "[party serve] resuming: journal {} holds {} committed epoch(s); replaying",
+        journal_path.display(),
+        journal.committed()
+    );
+    let (session, mut done) = replay_committed(graph, cfg, &script, &journal)
+        .map_err(|e| format!("replay disagrees with the journal: {e}"))?;
+    let pending = &script[done.len()..];
+    let rest = |from: usize| pending[from..].iter().cloned().map(Ok);
+    Ok(match args.role.server() {
+        None => serve(session, Some(journal), done, rest(0)),
+        Some(id) => {
+            let (session, caught_up) =
+                PartySession::resume(session, id, open_link(args, id), pending)
+                    .map_err(|e| format!("resume handshake failed: {e}"))?;
+            let from = caught_up.len();
+            eprintln!("[party serve] caught up {from} epoch(s) the peer had already committed");
+            done.extend(caught_up);
+            serve(session, Some(journal), done, rest(from))
+        }
+    })
 }
 
 fn main() {
@@ -781,35 +570,31 @@ fn main() {
     );
 
     if args.mode == Mode::Serve {
-        let code = run_serve(&args, graph, &cfg);
+        let code = run_serve(&args, graph, &cfg).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            1
+        });
         print_peak_rss();
         std::process::exit(code);
     }
 
-    match args.role {
-        Role::Local => {
+    match args.role.server() {
+        None => {
             let (r1, _r2) = run_party_local(&graph, &cfg);
             eprintln!("[party local] both in-process parties agree");
             print_pool(&r1);
             print_peak_rss();
             print_result(&r1, args.schedule);
         }
-        role @ (Role::S1 | Role::S2) => {
-            let id = match role {
-                Role::S1 => ServerId::S1,
-                _ => ServerId::S2,
-            };
-            let link = open_tcp_link(&args, id);
-            eprintln!("[party {id:?}] connected; running the pipeline");
-            let link = Arc::new(link);
+        Some(id) => {
+            let link = open_link(&args, id);
             let report = run_party(&graph, &cfg, id, &link);
-            let stats = cargo_mpc::Transport::stats(&*link);
             eprintln!(
                 "[party {id:?}] done: T' = {} ({} online payload bytes measured, \
                  {} total on the socket incl. headers)",
                 report.noisy_count,
                 report.net.wire_bytes,
-                stats.total_bytes(),
+                link.stats().total_bytes(),
             );
             print_pool(&report);
             print_peak_rss();
