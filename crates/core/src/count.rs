@@ -378,13 +378,16 @@ impl AdjacencyBits for CsrGraph {
 /// [`RoundLanes::push_run`] per segment, its first secret `a(draw)`,
 /// and — where the table holds plaintext bits (S₂'s, or a fused
 /// table's) — rows `i` and `j` of `bits` over the segment's columns.
-/// The one place a round's segments become lanes, for [`count_local`]
-/// and the wire party alike.
+/// A signed plan's `signs` are the sign masks of the chunk's triples
+/// from the round's first on ([`CountScheduler::chunk_signs`]). The one
+/// place a round's segments become lanes, for [`count_local`] and the
+/// wire party alike.
 pub(crate) fn push_round<B: AdjacencyBits>(
     lanes: &mut RoundLanes,
     bits: &B,
     plan: &[MgDraw],
     round: &[RoundSegment],
+    signs: Option<&[u64]>,
     a: impl Fn(&MgDraw) -> u64,
 ) {
     lanes.clear();
@@ -395,6 +398,9 @@ pub(crate) fn push_round<B: AdjacencyBits>(
             bits.fill_bits(d.i as usize, k, b);
             bits.fill_bits(d.j as usize, k, c);
         }
+    }
+    if let Some(signs) = signs {
+        lanes.set_signs(&signs[..lanes.len()]);
     }
 }
 
@@ -440,10 +446,12 @@ fn chunk_part<B: AdjacencyBits>(
     };
     let (mut t1, mut t2) = (0u64, 0u64);
     let mut lanes = RoundLanes::fused(job.seed);
+    let signs = sched.chunk_signs(chunk);
     let mut done = 0usize;
     let mut rounds = plan_rounds(&plan, sched.batch());
     while let Some(round) = rounds.next_round() {
-        push_round(&mut lanes, bits, &plan, round, |d| bits.bit(d.i as usize, d.j as usize));
+        let signs = signs.map(|s| &s[done..]);
+        push_round(&mut lanes, bits, &plan, round, signs, |d| bits.bit(d.i as usize, d.j as usize));
         let len = lanes.len();
         let groups = material.as_ref().map(|m| m.columns().map(|c| &c[done..done + len]));
         let (u1, u2) = count_round(&lanes, groups);

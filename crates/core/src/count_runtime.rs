@@ -198,6 +198,7 @@ impl<'env, T: Transport> Server<'env, T> {
         // The round's lanes, one per triple, rebuilt every round in the
         // same buffers.
         let mut lanes = RoundLanes::new(seed, self.id);
+        let signs = self.sched.chunk_signs(chunk);
         // Groups of the chunk already opened — in OT mode a round's
         // material is the next `len` groups of the plan-ordered slab.
         let mut done = 0usize;
@@ -208,7 +209,8 @@ impl<'env, T: Transport> Server<'env, T> {
             // Step 1: local maskings — the round's lanes, segment by
             // segment, then one pass over all of them into the round's
             // [e|f|g] slab, the one opening frame.
-            push_round(&mut lanes, self.matrix, &plan, round, |d| {
+            let signs = signs.map(|s| &s[done..]);
+            push_round(&mut lanes, self.matrix, &plan, round, signs, |d| {
                 self.a_share(d.i as usize, d.j as usize)
             });
             let len = lanes.len();

@@ -13,7 +13,7 @@
 //!   things: [`SchedulePlan::DenseCube`] is the whole cube in closed
 //!   form — the fully oblivious default; [`SchedulePlan::CandidatePairs`]
 //!   is an explicit public triple list (a [`CandidateSet`]: a graph's
-//!   triangles, a delta epoch's created/destroyed triples, …);
+//!   triangles, a delta epoch's signed created and destroyed triples, …);
 //!   [`SchedulePlan::CsrStream`] is the triangle closure of a public
 //!   graph, regenerated chunk by chunk instead of stored. The secret
 //!   stays what it always was (edge existence between scheduled pairs).
@@ -124,6 +124,10 @@ pub struct CandidateSet {
     k_offsets: Vec<usize>,
     /// Concatenated ascending `k`-lists.
     ks: Vec<u32>,
+    /// Each admitted triple's public sign, parallel to `ks`: `0` adds
+    /// its product to the count, `!0` subtracts it. Empty when every
+    /// triple adds ([`CandidateSet::signed`] is the only signer).
+    negate: Vec<u64>,
 }
 
 impl CandidateSet {
@@ -156,6 +160,7 @@ impl CandidateSet {
             pairs,
             k_offsets,
             ks,
+            negate: Vec::new(),
         }
     }
 
@@ -196,6 +201,7 @@ impl CandidateSet {
             pairs,
             k_offsets,
             ks,
+            negate: Vec::new(),
         }
     }
 
@@ -205,8 +211,7 @@ impl CandidateSet {
     /// each at its canonical dealer-stream offset (`k − j − 1` within
     /// pair `(i, j)`'s stream), so a planned count over it draws the
     /// very same MG words a full sparse run would for those triples.
-    /// This is the incremental engine's entry point: the created- and
-    /// destroyed-triangle sets of a delta batch become plans here.
+    /// Every triple adds; [`Self::signed`] lists triples that subtract.
     ///
     /// Panics on unsorted, duplicate, degenerate, or out-of-range
     /// input — the delta layer produces canonical lists by
@@ -239,7 +244,36 @@ impl CandidateSet {
             pairs,
             k_offsets,
             ks,
+            negate: Vec::new(),
         }
+    }
+
+    /// [`Self::from_triples`] over the union of two disjoint sorted
+    /// triple lists, each triple carrying the public sign of its list: a
+    /// Count over the set adds the products of `plus` and subtracts those
+    /// of `minus`. This is the incremental engine's entry point: a delta
+    /// epoch's created triangles add and its destroyed ones subtract, in
+    /// one Count.
+    ///
+    /// Panics as [`Self::from_triples`] does, and on a triple in both
+    /// lists.
+    pub fn signed(n: usize, plus: &[(u32, u32, u32)], minus: &[(u32, u32, u32)]) -> Self {
+        let (mut triples, mut negate) = (Vec::with_capacity(plus.len() + minus.len()), Vec::new());
+        let (mut p, mut m) = (plus.iter().peekable(), minus.iter().peekable());
+        // Merge the two sorted lists; `from_triples` checks the result.
+        while let Some(&&t) = p.peek().into_iter().chain(m.peek()).min() {
+            let from_plus = p.next_if_eq(&&t).is_some();
+            if !from_plus {
+                m.next();
+            }
+            triples.push(t);
+            negate.push(if from_plus { 0 } else { !0 });
+        }
+        let mut cs = Self::from_triples(n, &triples);
+        if !minus.is_empty() {
+            cs.negate = negate;
+        }
+        cs
     }
 
     /// Vertex-space dimension the candidate pairs live in.
@@ -288,8 +322,8 @@ pub enum SchedulePlan {
     /// An explicit public triple list: only the triples a
     /// [`CandidateSet`] admits — a graph's triangles
     /// ([`CandidateSet::from_graph`]) or any sorted list, such as a
-    /// delta epoch's created/destroyed triples
-    /// ([`CandidateSet::from_triples`]). Reveals the candidate
+    /// delta epoch's created and destroyed triples, signed
+    /// ([`CandidateSet::signed`]). Reveals the candidate
     /// structure (and nothing else); turns the `O(n³)` cube into work
     /// linear in the candidate triple count.
     CandidatePairs(Arc<CandidateSet>),
@@ -458,7 +492,14 @@ impl CountScheduler {
 
     /// The same schedule — chunk list, chunk ids, batch — with every
     /// pair's `k`-list passed through `sampler`'s public coins.
+    ///
+    /// # Panics
+    /// Panics on a signed plan, whose signs follow the unfiltered lists.
     pub(crate) fn sampled(mut self, sampler: TripleSampler) -> Self {
+        assert!(
+            !matches!(&self.plan, SchedulePlan::CandidatePairs(cs) if !cs.negate.is_empty()),
+            "a signed plan cannot be sampled"
+        );
         self.sampler = Some(sampler);
         self
     }
@@ -511,6 +552,19 @@ impl CountScheduler {
             Some(ks) => push_runs(&mut draws, i as u32, j as u32, ks),
         });
         draws
+    }
+
+    /// The sign masks of `chunk`'s triples in plan order — lane `t` of the
+    /// chunk's rounds is triple `t` ([`CandidateSet::signed`]) — or `None`
+    /// when every triple of the plan adds.
+    pub(crate) fn chunk_signs(&self, chunk: &PairChunk) -> Option<&[u64]> {
+        match &self.plan {
+            SchedulePlan::CandidatePairs(cs) if !cs.negate.is_empty() => {
+                let (first, end) = (chunk.first as usize, (chunk.first + chunk.pairs) as usize);
+                Some(&cs.negate[cs.k_offsets[first]..cs.k_offsets[end]])
+            }
+            _ => None,
+        }
     }
 
     /// Calls `f(i, j, ks)` for each of `chunk`'s pairs in schedule
@@ -1224,5 +1278,31 @@ mod tests {
     #[should_panic(expected = "sorted and unique")]
     fn from_triples_rejects_duplicates() {
         CandidateSet::from_triples(5, &[(0, 1, 2), (0, 1, 2)]);
+    }
+
+    #[test]
+    fn signed_sets_sign_each_triple_and_chunks_slice_the_signs() {
+        let plus = [(0, 1, 2), (0, 1, 5), (1, 2, 3)];
+        let minus = [(0, 1, 3), (0, 2, 4)];
+        let cs = CandidateSet::signed(6, &plus, &minus);
+        let mut all = [plus.as_slice(), minus.as_slice()].concat();
+        all.sort_unstable();
+        let want = CandidateSet { negate: vec![0, !0, 0, !0, 0], ..CandidateSet::from_triples(6, &all) };
+        assert_eq!(cs, want);
+        // Unsigned: no sign column, whatever the constructor.
+        assert_eq!(CandidateSet::signed(6, &plus, &[]), CandidateSet::from_triples(6, &plus));
+        let signed = CountScheduler::with_plan(6, 1, 2, SchedulePlan::CandidatePairs(Arc::new(cs)));
+        let signs: Vec<u64> =
+            signed.chunks().iter().flat_map(|c| signed.chunk_signs(c).unwrap().to_vec()).collect();
+        assert_eq!(signs, [0, !0, 0, !0, 0]);
+        let unsigned = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(6, &plus)));
+        let plain = CountScheduler::with_plan(6, 1, 2, unsigned);
+        assert!(plain.chunks().iter().all(|c| plain.chunk_signs(c).is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and unique")]
+    fn a_triple_cannot_both_add_and_subtract() {
+        CandidateSet::signed(5, &[(0, 1, 2)], &[(0, 1, 2)]);
     }
 }

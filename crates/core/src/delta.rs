@@ -15,23 +15,31 @@
 //! share(G ∪ Δ) = share(G) + Σ_{T created} u(T) − Σ_{T destroyed} u(T)
 //! ```
 //!
-//! bit-for-bit in `Z_{2^64}`, where the created triangles are counted
-//! over the **post**-batch matrix and the destroyed ones over the
-//! **pre**-batch matrix (in both, the triple's three edges are all
-//! present, just as they are in a from-scratch run that admits it).
+//! bit-for-bit in `Z_{2^64}`, where each triple's three bits are read
+//! from a matrix holding all three edges, as a from-scratch run that
+//! admits it reads them.
 //!
 //! [`DeltaPlan::apply`] turns a delta batch into exactly those two
-//! triple sets (with cancellation: an edge removed and re-added inside
-//! one batch contributes nothing), and [`IncrementalCounter`] folds
-//! their planned counts into the running share state. The evaluator is
-//! a closure so the same engine drives both the in-process kernels and
-//! the two-party wire runtime — see [`crate::session`].
+//! triple sets by **ordered derivatives**: each edge's deltas are netted
+//! in batch order (an edge removed and re-added inside one batch
+//! contributes nothing), and only the net-changed edges are walked, so
+//! a triangle with several changed edges comes out once, from its first
+//! removed or last added edge — no per-delta replay and no triangle
+//! tally. [`IncrementalCounter`] then folds **one signed Count** an
+//! epoch into the running share state: over the matrix raised to
+//! pre ∪ post (every bit either set reads is 1 there), a plan whose
+//! created triples add and destroyed ones subtract
+//! ([`DeltaPlan::count_plan`]). It also keeps the edge term of the
+//! state digest from each epoch's changed edges, so
+//! [`IncrementalCounter::digest`] costs O(Δ), not O(m). The evaluator
+//! is a closure so the same engine drives both the in-process kernels
+//! and the two-party wire runtime — see [`crate::session`].
 
 use crate::count::{count_local, CountJob, SecureCountResult};
 use crate::count_sched::{CandidateSet, SchedulePlan};
+use crate::recovery::{digest_of, edge_sum, edge_word};
 use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{NetStats, Ring64};
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -136,20 +144,29 @@ fn ordered(a: u32, b: u32, c: u32) -> (u32, u32, u32) {
 
 /// Ascending intersection of two sorted neighbor lists — the common
 /// neighborhood `N(u) ∩ N(v)`, i.e. the third vertices of every
-/// triangle through edge `{u, v}`.
-fn common_neighbors(mut a: &[u32], mut b: &[u32], out: &mut Vec<u32>) {
+/// triangle through edge `{u, v}`. Branch-free: each step writes `a`'s
+/// head and keeps it only on a match, so no data-dependent comparison
+/// can mispredict.
+fn common_neighbors(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => a = &a[1..],
-            std::cmp::Ordering::Greater => b = &b[1..],
-            std::cmp::Ordering::Equal => {
-                out.push(x);
-                a = &a[1..];
-                b = &b[1..];
-            }
-        }
+    out.resize(a.len().min(b.len()), 0);
+    let (mut i, mut j, mut len) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out[len] = x;
+        len += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.truncate(len);
+}
+
+/// Sorts triples lexicographically, by one `u128` comparison each — the
+/// whole `u32` id space, at half the cost of comparing tuples.
+fn sort_triples(triples: &mut [(u32, u32, u32)]) {
+    triples.sort_unstable_by_key(|&(i, j, k)| {
+        (u128::from(i) << 64) | (u128::from(j) << 32) | u128::from(k)
+    });
 }
 
 /// The net effect of one delta batch on a graph: which triangles were
@@ -174,60 +191,63 @@ impl DeltaPlan {
     /// plan. Every delta is checked before the first edit: a batch
     /// referencing an out-of-range node or a self-loop is an error that
     /// leaves `graph` untouched, never partly applied.
+    ///
+    /// Planned by ordered derivatives, not by replay. The batch is
+    /// sorted by edge key (stably, so each key keeps its deltas in batch
+    /// order) and each key's run is netted against the edge's pre-batch
+    /// state: that decides its applied and redundant deltas and whether
+    /// the edge changed at all. Only the changed edges are then walked,
+    /// in key order: each net-removed edge on the pre-batch graph less
+    /// the removed edges before it, then each net-added edge on the
+    /// post-batch graph less the added edges after it. A destroyed
+    /// triangle is emitted by its first removed edge and a created one
+    /// by its last added edge — once each, with no triangle tally.
     pub fn apply(graph: &mut Graph, batch: &[EdgeDelta]) -> Result<DeltaPlan, GraphError> {
         let n = graph.n();
         check_batch(n, batch)?;
-        let mut tri_net: HashMap<(u32, u32, u32), i32> = HashMap::new();
-        let mut edge_tally: HashMap<(u32, u32), i32> = HashMap::new();
-        let mut common = Vec::new();
-        let mut applied = 0usize;
-        let mut redundant = 0usize;
-        for d in batch {
-            let (du, dv) = d.endpoints();
-            let (u, v) = (du as usize, dv as usize);
-            let present = graph.has_edge(u, v);
-            let key = (du.min(dv), du.max(dv));
-            match d {
-                EdgeDelta::Add(..) if present => redundant += 1,
-                EdgeDelta::Remove(..) if !present => redundant += 1,
-                EdgeDelta::Add(..) => {
-                    common_neighbors(graph.neighbors(u), graph.neighbors(v), &mut common);
-                    for &w in &common {
-                        *tri_net.entry(ordered(du, dv, w)).or_insert(0) += 1;
-                    }
-                    graph.add_edge(u, v)?;
-                    *edge_tally.entry(key).or_insert(0) += 1;
+        let mut keyed: Vec<((u32, u32), bool)> = batch
+            .iter()
+            .map(|d| {
+                let (u, v) = d.endpoints();
+                ((u.min(v), u.max(v)), d.is_add())
+            })
+            .collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        let (mut applied, mut redundant) = (0usize, 0usize);
+        let mut edge_net = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let (u, v) = run[0].0;
+            let before = graph.has_edge(u as usize, v as usize);
+            let mut present = before;
+            for &(_, add) in run {
+                if add == present {
+                    redundant += 1;
+                } else {
                     applied += 1;
-                }
-                EdgeDelta::Remove(..) => {
-                    common_neighbors(graph.neighbors(u), graph.neighbors(v), &mut common);
-                    for &w in &common {
-                        *tri_net.entry(ordered(du, dv, w)).or_insert(0) -= 1;
-                    }
-                    graph.remove_edge(u, v)?;
-                    *edge_tally.entry(key).or_insert(0) -= 1;
-                    applied += 1;
+                    present = add;
                 }
             }
+            if present != before {
+                edge_net.push(((u, v), present));
+            }
+        }
+        let mut common = Vec::new();
+        let mut walk = |graph: &Graph, (u, v): (u32, u32), out: &mut Vec<(u32, u32, u32)>| {
+            common_neighbors(graph.neighbors(u as usize), graph.neighbors(v as usize), &mut common);
+            out.extend(common.iter().map(|&w| ordered(u, v, w)));
+        };
+        let mut destroyed = Vec::new();
+        for &(e, _) in edge_net.iter().filter(|(_, present)| !present) {
+            walk(graph, e, &mut destroyed);
+            graph.remove_edge(e.0 as usize, e.1 as usize)?;
         }
         let mut created = Vec::new();
-        let mut destroyed = Vec::new();
-        for (t, net) in tri_net {
-            debug_assert!((-1..=1).contains(&net), "triangle {t:?} net {net}");
-            match net.cmp(&0) {
-                std::cmp::Ordering::Greater => created.push(t),
-                std::cmp::Ordering::Less => destroyed.push(t),
-                std::cmp::Ordering::Equal => {}
-            }
+        for &(e, _) in edge_net.iter().filter(|(_, present)| *present) {
+            walk(graph, e, &mut created);
+            graph.add_edge(e.0 as usize, e.1 as usize)?;
         }
-        created.sort_unstable();
-        destroyed.sort_unstable();
-        let mut edge_net: Vec<((u32, u32), bool)> = edge_tally
-            .into_iter()
-            .filter(|&(_, net)| net != 0)
-            .map(|(e, net)| (e, net > 0))
-            .collect();
-        edge_net.sort_unstable();
+        sort_triples(&mut created);
+        sort_triples(&mut destroyed);
         Ok(DeltaPlan {
             n,
             created,
@@ -265,25 +285,17 @@ impl DeltaPlan {
         self.redundant
     }
 
-    /// Plan admitting exactly the created triangles, each at its
-    /// canonical dealer-stream offset; `None` when no triangle was
-    /// born (an empty plan would exchange no messages, but skipping it
+    /// The epoch's one signed Count plan: the created and destroyed
+    /// triangles, each at its canonical dealer-stream offset, created
+    /// ones adding and destroyed ones subtracting
+    /// ([`CandidateSet::signed`]); `None` when no triangle was born or
+    /// died (an empty plan would exchange no messages, but skipping it
     /// keeps the in-process and two-party paths trivially symmetric).
-    pub fn created_plan(&self) -> Option<SchedulePlan> {
-        (!self.created.is_empty()).then(|| {
-            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(
+    pub fn count_plan(&self) -> Option<SchedulePlan> {
+        (!self.created.is_empty() || !self.destroyed.is_empty()).then(|| {
+            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::signed(
                 self.n,
                 &self.created,
-            )))
-        })
-    }
-
-    /// Plan admitting exactly the destroyed triangles; `None` when no
-    /// triangle died.
-    pub fn destroyed_plan(&self) -> Option<SchedulePlan> {
-        (!self.destroyed.is_empty()).then(|| {
-            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(
-                self.n,
                 &self.destroyed,
             )))
         })
@@ -308,7 +320,8 @@ pub struct EpochCount {
     /// the incremental saving vs. the updated graph's full triangle
     /// count).
     pub triples: u64,
-    /// Modeled server↔server traffic of this epoch's two sub-counts.
+    /// Modeled server↔server traffic of this epoch's one signed Count:
+    /// `Σ ⌈triples ÷ batch⌉` rounds over its plan's chunks.
     pub net: NetStats,
     /// Cumulative share `⟨T⟩₁` after the epoch.
     pub share1: Ring64,
@@ -330,6 +343,9 @@ pub struct EpochCount {
 pub struct IncrementalCounter {
     graph: Graph,
     matrix: BitMatrix,
+    /// The live graph's [`edge_word`] sum, kept from each epoch's
+    /// changed edges: the edge term of [`Self::digest`].
+    edge_sum: u64,
     share1: Ring64,
     share2: Ring64,
     epochs: u64,
@@ -347,9 +363,11 @@ impl IncrementalCounter {
     ) -> Self {
         let matrix = graph.to_bit_matrix();
         let cs = CandidateSet::from_graph(&graph);
+        let edge_sum = edge_sum(&graph);
         let mut c = IncrementalCounter {
             graph,
             matrix,
+            edge_sum,
             share1: Ring64::ZERO,
             share2: Ring64::ZERO,
             epochs: 0,
@@ -368,35 +386,41 @@ impl IncrementalCounter {
         c
     }
 
-    /// Applies one delta batch and folds the created/destroyed
-    /// triangle counts into the share state: destroyed triangles are
-    /// counted over the **pre**-batch matrix and subtracted, created
-    /// ones over the **post**-batch matrix and added (always in that
-    /// order — both parties of a wire session must agree on it).
+    /// Applies one delta batch and folds its one signed Count into the
+    /// share state. The matrix is first raised to pre ∪ post: every bit a
+    /// destroyed triangle's product reads is 1 before the batch and every
+    /// bit a created one's reads is 1 after it, so over the union each
+    /// contributes exactly what it would over its own matrix. One Count
+    /// of the [`DeltaPlan::count_plan`] then adds the created triangles
+    /// and subtracts the destroyed ones, and the matrix settles on the
+    /// post-batch graph. `eval` runs at most once: not at all when no
+    /// triangle was born or died.
     pub fn apply_with(
         &mut self,
         batch: &[EdgeDelta],
         mut eval: impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult,
     ) -> Result<EpochCount, GraphError> {
         let plan = DeltaPlan::apply(&mut self.graph, batch)?;
+        for &((u, v), present) in plan.edge_net() {
+            let word = edge_word(u, v);
+            if present {
+                self.matrix.set_symmetric(u as usize, v as usize, true);
+                self.edge_sum = self.edge_sum.wrapping_add(word);
+            } else {
+                self.edge_sum = self.edge_sum.wrapping_sub(word);
+            }
+        }
         let mut net = NetStats::default();
         let mut triples = 0u64;
-        if let Some(p) = plan.destroyed_plan() {
-            let r = eval(&self.matrix, p);
-            self.share1 -= r.share1;
-            self.share2 -= r.share2;
-            triples += r.triples;
-            net.merge(&r.net);
-        }
-        for &((u, v), present) in plan.edge_net() {
-            self.matrix.set_symmetric(u as usize, v as usize, present);
-        }
-        if let Some(p) = plan.created_plan() {
+        if let Some(p) = plan.count_plan() {
             let r = eval(&self.matrix, p);
             self.share1 += r.share1;
             self.share2 += r.share2;
-            triples += r.triples;
-            net.merge(&r.net);
+            triples = r.triples;
+            net = r.net;
+        }
+        for &((u, v), _) in plan.edge_net().iter().filter(|(_, present)| !present) {
+            self.matrix.set_symmetric(u as usize, v as usize, false);
         }
         self.epochs += 1;
         self.triples += triples;
@@ -411,6 +435,12 @@ impl IncrementalCounter {
             share1: self.share1,
             share2: self.share2,
         })
+    }
+
+    /// [`crate::state_digest`] of the live state, from the edge sum kept
+    /// since the baseline: O(1), where `state_digest` walks every edge.
+    pub fn digest(&self) -> u64 {
+        digest_of(self.epochs, self.graph.n(), self.edge_sum)
     }
 
     /// The live graph.
@@ -459,6 +489,7 @@ pub fn inline_evaluator(job: CountJob) -> impl FnMut(&BitMatrix, SchedulePlan) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count_sched::CountScheduler;
     use cargo_graph::{count_triangles, generators, GraphBuilder};
 
     fn k4() -> Graph {
@@ -560,5 +591,42 @@ mod tests {
         assert_eq!(epoch.share2, scratch.share2);
         // The matrix was maintained in lock-step.
         assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix());
+    }
+
+    #[test]
+    fn one_signed_count_an_epoch_and_its_closed_form_ledger() {
+        // The batch destroys (0, 1, 2) and (0, 2, 3) and creates
+        // (0, 1, 4) and (0, 1, 5): pair (0, 1) holds triples of both
+        // signs, and its first round of two mixes them.
+        let mut b = GraphBuilder::new(7);
+        for (u, v) in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 3), (5, 6)] {
+            b.add_edge(u, v).unwrap();
+        }
+        let g = b.build();
+        use EdgeDelta::{Add, Remove};
+        let batch = [Remove(0, 2), Add(1, 4), Add(0, 5), Add(1, 5)];
+        let job = CountJob { batch: 2, ..CountJob::new(0x5EED) };
+        let calls = std::cell::Cell::new(0);
+        let mut eval = |m: &BitMatrix, plan: SchedulePlan| {
+            calls.set(calls.get() + 1);
+            count_local(m, &CountJob { plan, ..job.clone() })
+        };
+        let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+        let mut planned = g.clone();
+        let plan = DeltaPlan::apply(&mut planned, &batch).unwrap();
+        assert!(!plan.created().is_empty() && !plan.destroyed().is_empty());
+        let calls_before = calls.get();
+        let epoch = counter.apply_with(&batch, &mut eval).unwrap();
+        assert_eq!(calls.get(), calls_before + 1, "one Count an epoch");
+        // Σ over the union plan's chunks of ⌈triples ÷ batch⌉ rounds.
+        let sched = CountScheduler::with_plan(7, 1, 2, plan.count_plan().unwrap());
+        let rounds: u64 = sched.chunks().iter().map(|c| c.triples.div_ceil(2)).sum();
+        assert_eq!(epoch.net.rounds, rounds);
+        assert_eq!(epoch.triples, (plan.created().len() + plan.destroyed().len()) as u64);
+        assert_eq!((epoch.share1 + epoch.share2).to_u64(), count_triangles(counter.graph()) as u64);
+        assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix(), "settled on post");
+        // An epoch with no triangle born or dead runs no Count.
+        let quiet = counter.apply_with(&[Add(5, 6)], &mut eval).unwrap();
+        assert_eq!((calls.get(), quiet.triples, quiet.net.rounds), (calls_before + 1, 0, 0));
     }
 }

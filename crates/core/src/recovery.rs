@@ -36,29 +36,56 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic + version of the journal file format.
-const JOURNAL_MAGIC: &str = "cargo-journal v1";
+/// Magic + version of the journal file format. v2 changed the
+/// [`state_digest`] its records hold, so a v1 journal is refused at its
+/// header.
+const JOURNAL_MAGIC: &str = "cargo-journal v2";
+
+/// splitmix64's finaliser over `h ^ w`: every input bit diffuses
+/// through the whole word.
+fn mix(h: u64, w: u64) -> u64 {
+    let mut z = (h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Edge `{u, v}`'s term of the [`state_digest`] edge sum, for `u < v`.
+pub(crate) fn edge_word(u: u32, v: u32) -> u64 {
+    mix(0x6A09_E667_F3BC_C908, (u64::from(u) << 32) | u64::from(v))
+}
+
+/// The [`state_digest`] of `epochs` committed epochs over an `n`-node
+/// graph whose [`edge_word`]s sum (wrapping) to `edge_sum`.
+pub(crate) fn digest_of(epochs: u64, n: usize, edge_sum: u64) -> u64 {
+    mix(mix(mix(0x43A5_2D0A_8E5D_9B11, epochs), n as u64), edge_sum)
+}
 
 /// Digest of a session's public post-epoch state: the committed epoch
-/// count and the live edge set. Role-independent (both parties build
+/// count, `n` and the live edge set, the last as the wrapping sum of a
+/// hash of each edge. The sum does not depend on edge order, so
+/// [`crate::IncrementalCounter::digest`] keeps it current from each
+/// epoch's changed edges alone, in O(Δ); this function recomputes it
+/// from the whole graph, in O(m). Role-independent (both parties build
 /// the same graph from the public deltas), so it doubles as the
 /// epoch-commit handshake's agreement check and the journal's replay
 /// verification.
 pub fn state_digest(epochs: u64, graph: &Graph) -> u64 {
-    fn mix(h: u64, w: u64) -> u64 {
-        // splitmix64 over a running fold — every input word diffuses
-        // through the whole state.
-        let mut z = (h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    digest_of(epochs, graph.n(), edge_sum(graph))
+}
+
+/// The wrapping sum of `graph`'s [`edge_word`]s: each vertex's sorted
+/// neighbours above it, one independent hash each.
+pub(crate) fn edge_sum(graph: &Graph) -> u64 {
+    let mut sum = 0u64;
+    for u in 0..graph.n() {
+        let nbrs = graph.neighbors(u);
+        let above = &nbrs[nbrs.partition_point(|&v| v as usize <= u)..];
+        for &v in above {
+            sum = sum.wrapping_add(edge_word(u as u32, v));
+        }
     }
-    let mut h = mix(0x43A5_2D0A_8E5D_9B11, epochs);
-    h = mix(h, graph.n() as u64);
-    for (u, v) in graph.edges() {
-        h = mix(h, ((u as u64) << 32) | v as u64);
-    }
-    h
+    sum
 }
 
 /// One committed-epoch record of an [`EpochJournal`].
@@ -232,6 +259,13 @@ impl EpochJournal {
         let mut records = Vec::new();
         for (idx, line) in lines.iter().enumerate() {
             if idx == 0 {
+                let format = line.split(' ').take(2).collect::<Vec<_>>().join(" ");
+                if format.starts_with("cargo-journal ") && format != JOURNAL_MAGIC {
+                    return Err(RecoveryError::Header(format!(
+                        "journal format {format:?} is not this binary's {JOURNAL_MAGIC:?}: \
+                         its state digests are defined differently, so it cannot be resumed"
+                    )));
+                }
                 if *line != want_header.trim_end_matches('\n') {
                     return Err(RecoveryError::Header(format!(
                         "journal pins {line:?}, this run is {:?}",
@@ -487,6 +521,32 @@ mod tests {
             EpochJournal::resume(&path, &other, g.n()),
             Err(RecoveryError::Header(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_journal_is_refused_at_its_header() {
+        let dir = std::env::temp_dir().join(format!("cargo-journal-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j3.journal");
+        let g = generators::erdos_renyi(18, 0.3, 7);
+        let cfg = cfg();
+        let mut journal = EpochJournal::create(&path, &cfg, g.n()).unwrap();
+        let mut session = Session::new(g.clone(), &cfg);
+        journal.append(EpochRecord::from(&session.step(&script()[0]).unwrap())).unwrap();
+        drop(journal);
+        // The same journal as the v1 format wrote it: only its magic
+        // differs, and its digests would not verify.
+        let v2 = std::fs::read_to_string(&path).unwrap();
+        assert!(v2.starts_with("cargo-journal v2 "), "{v2}");
+        std::fs::write(&path, v2.replacen("cargo-journal v2", "cargo-journal v1", 1)).unwrap();
+        match EpochJournal::resume(&path, &cfg, g.n()) {
+            Err(RecoveryError::Header(message)) => {
+                assert!(message.contains("cargo-journal v1"), "{message}");
+                assert!(message.contains("cargo-journal v2"), "{message}");
+            }
+            other => panic!("a v1 journal must be refused at its header: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

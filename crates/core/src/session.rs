@@ -11,8 +11,8 @@
 //!    (budget or horizon exhausted) stops the epoch *before* any ε is
 //!    charged, any graph mutation, or any wire traffic;
 //! 2. apply the batch through [`IncrementalCounter`], which securely
-//!    evaluates only the created/destroyed triangles at their
-//!    canonical dealer offsets;
+//!    evaluates only the created and destroyed triangles, at their
+//!    canonical dealer offsets, in one signed Count;
 //! 3. add the grant's node noises to the cumulative shares and open
 //!    one noisy total count.
 //!
@@ -44,7 +44,6 @@ use crate::count_sched::SchedulePlan;
 use crate::delta::{check_batch, EdgeDelta, IncrementalCounter};
 use crate::protocol::NOISE_SEED_TWEAK;
 use crate::perturb::aggregate_noise_shares;
-use crate::recovery::state_digest;
 use cargo_dp::{Composition, FixedPointCodec, ReleaseGrant, ReleaseRefused, ReleaseSchedule, TreeNode};
 use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{
@@ -84,11 +83,11 @@ pub struct EpochOutcome {
     pub node_epsilon: f64,
     /// Cumulative ε spent after this release.
     pub spent: f64,
-    /// [`state_digest`] of the post-epoch state: what the commit
+    /// [`crate::state_digest`] of the post-epoch state: what the commit
     /// handshake agrees on and the journal records.
     pub digest: u64,
-    /// This epoch's server↔server traffic (sub-counts + the final
-    /// opening). `wire_bytes` is measured on wire sessions and always
+    /// This epoch's server↔server traffic (its one signed Count + the
+    /// final opening). `wire_bytes` is measured on wire sessions and always
     /// equals the modeled `bytes`.
     pub net: NetStats,
 }
@@ -384,7 +383,7 @@ impl<P: EpochParty> ServeSession<P> {
         let ServeSession { party, job, counter, release, .. } = self;
         let stepped = unwinding(|| {
             let ec = counter.apply_with(batch, evaluator(party, job))?;
-            let digest = state_digest(counter.epochs(), counter.graph());
+            let digest = counter.digest();
             let (g1, g2) = release.gammas(&grant);
             let codec = release.codec;
             let finals = (codec.lift_integer(ec.share1) + g1, codec.lift_integer(ec.share2) + g2);
@@ -415,11 +414,11 @@ impl<P: EpochParty> ServeSession<P> {
         })
     }
 
-    /// The session's next epoch and current [`state_digest`].
+    /// The session's next epoch and current [`crate::state_digest`].
     fn announce(&self) -> CommitMsg {
         CommitMsg {
             epoch: self.release.schedule.released() + 1,
-            digest: state_digest(self.counter.epochs(), self.counter.graph()),
+            digest: self.counter.digest(),
         }
     }
 }

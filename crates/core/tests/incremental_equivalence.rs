@@ -22,12 +22,14 @@
 //!    accountant (an error value, nothing mutated).
 
 use cargo_core::{
-    count_local, inline_evaluator, CandidateSet, CargoConfig, CountJob, EdgeDelta,
-    EpochCount, IncrementalCounter, SchedulePlan, Session, SessionError,
+    count_local, inline_evaluator, replay_committed, state_digest, CandidateSet, CargoConfig,
+    CountJob, DeltaPlan, EdgeDelta, EpochCount, EpochJournal, EpochRecord, IncrementalCounter,
+    SchedulePlan, Session, SessionError,
 };
-use cargo_graph::{count_triangles, Graph, GraphBuilder};
+use cargo_graph::{count_triangles, Graph, GraphBuilder, GraphError};
 use cargo_mpc::{OfflineMode, Ring64, SplitMix64};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn random_graph(n: usize, density_tenths: u64, seed: u64) -> Graph {
@@ -209,5 +211,234 @@ fn session_refuses_the_k_plus_first_release() {
         let err = s.step(&[]).unwrap_err();
         assert!(matches!(err, SessionError::Refused(_)), "k={k}: {err}");
         assert_eq!(s.schedule().released(), k);
+    }
+}
+
+/// What a delta plan reports: created and destroyed triangles,
+/// `edge_net`, applied and redundant deltas.
+type PlanView = (Vec<(u32, u32, u32)>, Vec<(u32, u32, u32)>, Vec<((u32, u32), bool)>, usize, usize);
+
+fn view(plan: &DeltaPlan) -> PlanView {
+    (
+        plan.created().to_vec(),
+        plan.destroyed().to_vec(),
+        plan.edge_net().to_vec(),
+        plan.applied(),
+        plan.redundant(),
+    )
+}
+
+/// The planner's oracle: the batch replayed one delta at a time into a
+/// signed triangle tally, as the first incremental engine planned it.
+fn replay_plan(graph: &mut Graph, batch: &[EdgeDelta]) -> Result<PlanView, GraphError> {
+    let n = graph.n();
+    for d in batch {
+        let (u, v) = d.endpoints();
+        for w in [u, v] {
+            if w as usize >= n {
+                return Err(GraphError::NodeOutOfRange { node: w as usize, n });
+            }
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u as usize });
+        }
+    }
+    let ordered = |a: u32, b: u32, c: u32| {
+        let mut t = [a, b, c];
+        t.sort_unstable();
+        (t[0], t[1], t[2])
+    };
+    let mut tri_net: HashMap<(u32, u32, u32), i32> = HashMap::new();
+    let mut edge_tally: HashMap<(u32, u32), i32> = HashMap::new();
+    let (mut applied, mut redundant) = (0usize, 0usize);
+    for d in batch {
+        let (du, dv) = d.endpoints();
+        let (u, v) = (du as usize, dv as usize);
+        if graph.has_edge(u, v) == d.is_add() {
+            redundant += 1;
+            continue;
+        }
+        let step = if d.is_add() { 1 } else { -1 };
+        for &w in graph.neighbors(u) {
+            if graph.has_edge(v, w as usize) {
+                *tri_net.entry(ordered(du, dv, w)).or_insert(0) += step;
+            }
+        }
+        if d.is_add() {
+            graph.add_edge(u, v)?;
+        } else {
+            graph.remove_edge(u, v)?;
+        }
+        *edge_tally.entry((du.min(dv), du.max(dv))).or_insert(0) += step;
+        applied += 1;
+    }
+    let pick = |sign: i32| {
+        let mut ts: Vec<_> = tri_net.iter().filter(|&(_, &c)| c == sign).map(|(&t, _)| t).collect();
+        ts.sort_unstable();
+        ts
+    };
+    let mut edge_net: Vec<_> =
+        edge_tally.iter().filter(|&(_, &c)| c != 0).map(|(&e, &c)| (e, c > 0)).collect();
+    edge_net.sort_unstable();
+    Ok((pick(1), pick(-1), edge_net, applied, redundant))
+}
+
+/// Plans every batch of `script` from `g` both ways and asserts the
+/// two plans, and the graphs they leave, agree batch by batch.
+fn assert_planner_matches_replay(g: &Graph, script: &[Vec<EdgeDelta>]) {
+    let (mut planned, mut replayed) = (g.clone(), g.clone());
+    for (e, batch) in script.iter().enumerate() {
+        let want = replay_plan(&mut replayed, batch);
+        let got = DeltaPlan::apply(&mut planned, batch);
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(view(&got), want, "batch {e}"),
+            (got, want) => assert_eq!(
+                format!("{:?}", got.err()),
+                format!("{:?}", want.err()),
+                "batch {e}"
+            ),
+        }
+        assert_eq!(planned, replayed, "graph after batch {e}");
+    }
+}
+
+/// A script that hammers a few hot vertices, so batches touch one
+/// triangle through several edges, re-touch edges and repeat deltas.
+fn hot_script(n: u32, seed: u64, epochs: usize, batch: usize) -> Vec<Vec<EdgeDelta>> {
+    let mut rng = SplitMix64::new(seed ^ 0x0A7C1E);
+    let hot = n.min(6);
+    (0..epochs)
+        .map(|_| {
+            (0..batch)
+                .map(|_| {
+                    let pool = if rng.next_u64().is_multiple_of(4) { n } else { hot };
+                    let u = (rng.next_u64() % pool as u64) as u32;
+                    let v = (u + 1 + (rng.next_u64() % (pool as u64 - 1)) as u32) % pool;
+                    if rng.next_u64() & 1 == 0 {
+                        EdgeDelta::Add(u, v)
+                    } else {
+                        EdgeDelta::Remove(v, u)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn delta_plans_equal_the_sequential_replay(
+        n in 4usize..40,
+        tenths in 0u64..9,
+        seed in any::<u64>(),
+        batch in 1usize..40,
+    ) {
+        let g = random_graph(n, tenths, seed);
+        let mut script = hot_script(n as u32, seed, 4, batch);
+        script.extend(random_epochs(n as u32, seed, 2, batch));
+        assert_planner_matches_replay(&g, &script);
+    }
+}
+
+/// The shapes the ordered derivatives must get right, on purpose: a
+/// triangle whose three edges all change in one batch, both ways; one
+/// edge added while another of the same triangle is removed;
+/// remove-then-re-add and add-then-remove; redundant and repeated
+/// deltas; and one 10⁴-delta batch at n = 400.
+#[test]
+fn delta_plans_equal_the_sequential_replay_on_named_shapes() {
+    use EdgeDelta::{Add, Remove};
+    // K5 on 0..5 plus a pendant path 5-6-7.
+    let mut b = GraphBuilder::new(9);
+    for u in 0..5 {
+        for v in (u + 1)..5 {
+            b.add_edge(u, v).unwrap();
+        }
+    }
+    b.add_edge(5, 6).unwrap();
+    b.add_edge(6, 7).unwrap();
+    let g = b.build();
+    let script = vec![
+        // The whole triangle (0, 1, 2) dies in one batch...
+        vec![Remove(0, 1), Remove(2, 1), Remove(0, 2)],
+        // ...and is born again in one batch, edges in another order.
+        vec![Add(2, 0), Add(0, 1), Add(1, 2)],
+        // (5, 6, 7) closes while (0, 1, 3) loses an edge and (0, 3, 4)
+        // gains none: one add, one remove in different triangles.
+        vec![Add(5, 7), Remove(1, 3)],
+        // Triangle (1, 3, 4): one edge added, another removed.
+        vec![Add(3, 1), Remove(1, 4)],
+        // Remove-then-re-add, add-then-remove, both netting nothing.
+        vec![Remove(2, 3), Add(3, 2), Add(1, 4), Remove(4, 1)],
+        // Redundant and repeated deltas around real changes.
+        vec![Add(0, 1), Add(0, 1), Remove(6, 8), Remove(0, 4), Remove(4, 0), Add(8, 0), Add(0, 8)],
+        // Toggles an odd and an even number of times.
+        vec![
+            Remove(0, 2), Add(0, 2), Remove(0, 2),
+            Add(1, 2), Remove(1, 2), Add(1, 2), Remove(1, 2),
+        ],
+        // A bad endpoint refuses the whole batch.
+        vec![Add(0, 3), Add(0, 9)],
+        vec![],
+    ];
+    assert_planner_matches_replay(&g, &script);
+
+    let g = random_graph(400, 1, 0x10_000);
+    let big = hot_script(400, 0x10_000, 1, 10_000);
+    let mut wide = random_epochs(400, 0x10_001, 1, 10_000);
+    wide.extend(big);
+    assert_planner_matches_replay(&g, &wide);
+}
+
+/// The O(Δ) digest a counter keeps equals the O(m) one recomputed from
+/// its graph.
+fn assert_digest_is_current(session: &Session, at: &str) {
+    let counter = session.counter();
+    assert_eq!(counter.digest(), state_digest(counter.epochs(), counter.graph()), "{at}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn kept_digests_equal_recomputed_ones_fresh_replayed_and_resumed(
+        n in 6usize..24,
+        tenths in 1u64..6,
+        seed in any::<u64>(),
+    ) {
+        let g = random_graph(n, tenths, seed);
+        let mut script = hot_script(n as u32, seed, 3, 8);
+        script.extend(random_epochs(n as u32, seed, 2, 8));
+        let cfg = CargoConfig::new(2.0).with_seed(seed).with_horizon(script.len() as u64);
+        let mut fresh = Session::new(g.clone(), &cfg);
+        assert_digest_is_current(&fresh, "baseline");
+        let mut records = Vec::new();
+        for (e, batch) in script.iter().enumerate() {
+            let out = fresh.step(batch).unwrap();
+            assert_digest_is_current(&fresh, &format!("fresh epoch {}", e + 1));
+            prop_assert_eq!(out.digest, fresh.counter().digest());
+            records.push(EpochRecord::from(&out));
+        }
+        let dir = std::env::temp_dir()
+            .join(format!("cargo-digest-{}-{seed:x}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for cut in 0..=records.len() {
+            let path = dir.join(format!("cut{cut}.journal"));
+            let _ = std::fs::remove_file(&path);
+            let mut journal = EpochJournal::create(&path, &cfg, n).unwrap();
+            for record in &records[..cut] {
+                journal.append(*record).unwrap();
+            }
+            let (mut resumed, _) = replay_committed(g.clone(), &cfg, &script, &journal).unwrap();
+            assert_digest_is_current(&resumed, &format!("replayed to epoch {cut}"));
+            for (e, batch) in script.iter().enumerate().skip(cut) {
+                let out = resumed.step(batch).unwrap();
+                assert_digest_is_current(&resumed, &format!("cut {cut}, resumed epoch {}", e + 1));
+                prop_assert_eq!(EpochRecord::from(&out), records[e]);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

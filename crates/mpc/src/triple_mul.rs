@@ -363,6 +363,12 @@ fn expand_input_shares_tier(
 /// up with the next `len` groups of a plan-ordered slab of preprocessed
 /// material.
 ///
+/// A lane's product enters the round's sum with a public sign, `+` unless
+/// [`RoundLanes::set_signs`] marks it `−`: a signed plan subtracts some
+/// triples in the same round that adds others. [`combine_round`] and
+/// [`count_round`] apply the sign as a conditional negate of each lane's
+/// `⟨d⟩` share; [`mask_round`] never reads it.
+///
 /// ```
 /// use cargo_mpc::{
 ///     combine_round, count_round, mask_round, share_prf, MgDraw, RoundLanes, ServerId,
@@ -419,6 +425,11 @@ pub struct RoundLanes {
     /// S₂'s and a fused table only: each lane's plaintext bits of
     /// `(i, k)` and `(j, k)`.
     bits: [Vec<u64>; 2],
+    /// Each lane's sign mask, `0` (add) or `!0` (subtract); read only
+    /// while `signed`.
+    negate: Vec<u64>,
+    /// Whether [`RoundLanes::set_signs`] gave this round signs.
+    signed: bool,
 }
 
 impl RoundLanes {
@@ -445,12 +456,35 @@ impl RoundLanes {
             keys: [Vec::new(), Vec::new()],
             state: Vec::new(),
             bits: [Vec::new(), Vec::new()],
+            negate: Vec::new(),
+            signed: false,
         }
     }
 
-    /// Empties the table for the next round, keeping its buffers.
+    /// Empties the table for the next round, keeping its buffers; the
+    /// next round's lanes are all `+` until [`Self::set_signs`].
     pub fn clear(&mut self) {
         self.len = 0;
+        self.signed = false;
+    }
+
+    /// Signs the round's lanes: lane `t`'s product is subtracted from
+    /// the round's sum where `negate[t]` is `!0` and added where it is
+    /// `0`. Call once the round's segments are pushed.
+    ///
+    /// # Panics
+    /// Panics unless `negate` holds one mask per lane, each `0` or `!0`.
+    pub fn set_signs(&mut self, negate: &[u64]) {
+        assert_eq!(negate.len(), self.len, "one sign mask per lane");
+        assert!(negate.iter().all(|&m| m == 0 || m == !0), "sign masks are 0 or !0");
+        self.negate.clear();
+        self.negate.extend_from_slice(negate);
+        self.signed = true;
+    }
+
+    /// The round's sign masks, if it has any `−` lane to apply.
+    fn signs(&self) -> Option<&[u64]> {
+        self.signed.then(|| &self.negate[..self.len])
     }
 
     /// Lanes (triples) in the round so far.
@@ -737,20 +771,43 @@ fn open_lanes<const N: usize>(mine: &[u64], theirs: &[u64], at: usize) -> U64xN<
     U64xN::load(&mine[at..]) + U64xN::load(&theirs[at..])
 }
 
+/// `N` lanes from `lane0` of `d` under the round's signs: `(d ^ m) − m`
+/// is `d` where the mask `m` is `0` and `−d` where it is `!0`. A pass
+/// over an unsigned round is compiled with `SIGNED = false`, so it reads
+/// no sign and runs exactly the unsigned code.
+#[inline(always)]
+fn signed<const SIGNED: bool, const N: usize>(
+    signs: &[u64],
+    lane0: usize,
+    d: U64xN<N>,
+) -> U64xN<N> {
+    if SIGNED {
+        let m = U64xN::load(&signs[lane0..]);
+        (d ^ m) - m
+    } else {
+        d
+    }
+}
+
 /// [`combine_round`]'s pass for one server and one material source.
 #[inline(always)]
-fn combine_pass<const S2: bool, G: LaneGroups>(groups: G, mine: &[u64], theirs: &[u64]) -> u64 {
+fn combine_pass<const S2: bool, const SIGNED: bool, G: LaneGroups>(
+    groups: G,
+    signs: &[u64],
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
     let l = mine.len() / 3;
     let full = l / LANES * LANES;
     let mut acc = U64x8::ZERO;
     for lane0 in (0..full).step_by(LANES) {
         let efg = [lane0, l + lane0, 2 * l + lane0].map(|at| open_lanes::<LANES>(mine, theirs, at));
-        acc = acc + groups.d::<S2, LANES>(lane0, efg);
+        acc = acc + signed::<SIGNED, LANES>(signs, lane0, groups.d::<S2, LANES>(lane0, efg));
     }
     let mut total = acc.hsum();
     for t in full..l {
         let efg = [t, l + t, 2 * l + t].map(|at| open_lanes::<1>(mine, theirs, at));
-        total = total.wrapping_add(groups.d::<S2, 1>(t, efg).0[0]);
+        total = total.wrapping_add(signed::<SIGNED, 1>(signs, t, groups.d::<S2, 1>(t, efg)).0[0]);
     }
     total
 }
@@ -764,17 +821,23 @@ fn plain_lanes<const N: usize>(lanes: &RoundLanes, lane0: usize) -> [U64xN<N>; 3
 
 /// [`count_round`]'s pass for one material source.
 #[inline(always)]
-fn count_pass<G: BothGroups>(lanes: &RoundLanes, groups: G) -> (u64, u64) {
+fn count_pass<const SIGNED: bool, G: BothGroups>(
+    lanes: &RoundLanes,
+    signs: &[u64],
+    groups: G,
+) -> (u64, u64) {
     let l = lanes.len();
     let full = l / LANES * LANES;
     let (mut acc1, mut acc2) = (U64x8::ZERO, U64x8::ZERO);
     for lane0 in (0..full).step_by(LANES) {
         let [d1, d2] = groups.d_both::<LANES>(lane0, plain_lanes(lanes, lane0));
-        (acc1, acc2) = (acc1 + d1, acc2 + d2);
+        acc1 = acc1 + signed::<SIGNED, LANES>(signs, lane0, d1);
+        acc2 = acc2 + signed::<SIGNED, LANES>(signs, lane0, d2);
     }
     let (mut t1, mut t2) = (acc1.hsum(), acc2.hsum());
     for t in full..l {
         let [d1, d2] = groups.d_both::<1>(t, plain_lanes(lanes, t));
+        let (d1, d2) = (signed::<SIGNED, 1>(signs, t, d1), signed::<SIGNED, 1>(signs, t, d2));
         (t1, t2) = (t1.wrapping_add(d1.0[0]), t2.wrapping_add(d2.0[0]));
     }
     (t1, t2)
@@ -800,21 +863,39 @@ fn combine_body(
     mine: &[u64],
     theirs: &[u64],
 ) -> u64 {
+    match lanes.signs() {
+        None => combine_material::<false>(lanes, groups, &[], mine, theirs),
+        Some(signs) => combine_material::<true>(lanes, groups, signs, mine, theirs),
+    }
+}
+
+/// [`combine_body`] for signed or unsigned rounds.
+#[inline(always)]
+fn combine_material<const SIGNED: bool>(
+    lanes: &RoundLanes,
+    groups: Option<&[MulGroupShare]>,
+    signs: &[u64],
+    mine: &[u64],
+    theirs: &[u64],
+) -> u64 {
     let dealer = DealerLanes(&lanes.state);
     match (lanes.server == Some(ServerId::S2), groups) {
-        (false, None) => combine_pass::<false, _>(dealer, mine, theirs),
-        (true, None) => combine_pass::<true, _>(dealer, mine, theirs),
-        (false, Some(g)) => combine_pass::<false, _>(ShareLanes(g), mine, theirs),
-        (true, Some(g)) => combine_pass::<true, _>(ShareLanes(g), mine, theirs),
+        (false, None) => combine_pass::<false, SIGNED, _>(dealer, signs, mine, theirs),
+        (true, None) => combine_pass::<true, SIGNED, _>(dealer, signs, mine, theirs),
+        (false, Some(g)) => combine_pass::<false, SIGNED, _>(ShareLanes(g), signs, mine, theirs),
+        (true, Some(g)) => combine_pass::<true, SIGNED, _>(ShareLanes(g), signs, mine, theirs),
     }
 }
 
 /// [`count_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
 fn count_body(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
-    match groups {
-        None => count_pass(lanes, DealerLanes(&lanes.state)),
-        Some(columns) => count_pass(lanes, columns.map(ShareLanes)),
+    let dealer = DealerLanes(&lanes.state);
+    match (lanes.signs(), groups) {
+        (None, None) => count_pass::<false, _>(lanes, &[], dealer),
+        (Some(signs), None) => count_pass::<true, _>(lanes, signs, dealer),
+        (None, Some(c)) => count_pass::<false, _>(lanes, &[], c.map(ShareLanes)),
+        (Some(signs), Some(c)) => count_pass::<true, _>(lanes, signs, c.map(ShareLanes)),
     }
 }
 
@@ -910,11 +991,12 @@ fn mask_round_tier(
 
 /// One server's steps 2–3 over the round [`mask_round`] masked from
 /// the same lanes and material: opens `mine + theirs` lane by lane and
-/// returns the wrapping sum of this server's `⟨d⟩` shares — in dealer
-/// mode re-deriving the words it needs from each lane's counter (S₁
-/// seven, S₂ all ten). Bit-identical to [`mul3_open_batch`] +
-/// [`mul3_combine_batch`] over the round's groups of this server's
-/// column.
+/// returns the wrapping sum `Σ sₜ·⟨d⟩ₜ` of this server's `⟨d⟩` shares
+/// under the lanes' signs ([`RoundLanes::set_signs`]; all `+` by
+/// default) — in dealer mode re-deriving the words it needs from each
+/// lane's counter (S₁ seven, S₂ all ten). On an all-`+` round,
+/// bit-identical to [`mul3_open_batch`] + [`mul3_combine_batch`] over
+/// the round's groups of this server's column.
 ///
 /// # Panics
 /// Panics if `mine` or `theirs` is not `3·L` long, or `groups` does not
@@ -976,7 +1058,8 @@ unsafe fn count_avx2(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) 
 
 /// Both servers' steps 1–3 over a whole round, in one pass over a fused
 /// [`RoundLanes`] table ([`RoundLanes::fused`]): returns the wrapping
-/// sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)` of the round's triples. Each lane opens
+/// sums `(Σ sₜ·⟨d⟩₁, Σ sₜ·⟨d⟩₂)` of the round's triples under the lanes'
+/// signs ([`RoundLanes::set_signs`]; all `+` by default). Each lane opens
 /// `e = a − x, f = b − y, g = c − z` from its plaintext inputs directly
 /// — the two servers' input shares cancel in the openings, so the
 /// input-share PRF is never evaluated. In dealer mode it mixes each of
@@ -1432,6 +1515,124 @@ mod tests {
                 prop_assert!(d == (want_d[0], want_d[1]), "{at}: dealer count");
                 let d = count_round_tier(tier, &both, Some([&columns[0], &columns[1]]));
                 prop_assert!(d == (want_d[0], want_d[1]), "{at}: preprocessed count");
+            }
+        }
+
+        #[test]
+        fn signed_rounds_match_the_scalar_reference_at_every_tier(
+            seed: u64,
+            mix: u64,
+            runs in 1usize..6,
+        ) {
+            // A round whose lanes carry random public signs: at every
+            // tier, both servers' combines and the fused count return
+            // Σ sₜ·⟨d⟩ₜ of the protocol objects' per-triple shares (one
+            // mul3 per lane, the group at the lane's stream position),
+            // from dealer counters and from the same groups
+            // preprocessed; and all-`+` signs change no bit of the
+            // unsigned round.
+            let servers = [ServerId::S1, ServerId::S2];
+            let mut rng = SplitMix64::new(mix);
+            let mut below = |bound: u64| rng.next_u64() % bound;
+            let lens = [1usize, 3, 7, 8, 9, 64, 1024];
+            let segs: Vec<(MgDraw, usize, usize)> = (0..runs)
+                .map(|_| {
+                    let len = lens[below(lens.len() as u64) as usize];
+                    let offset = below(3) as usize;
+                    let i = below(1 << 20) as u32;
+                    let j = i + 1 + below(1 << 20) as u32;
+                    let groups = (offset + len) as u32;
+                    (MgDraw { i, j, start: below(1 << 10) as u32, groups }, offset, len)
+                })
+                .collect();
+            let total: usize = segs.iter().map(|seg| seg.2).sum();
+            let negate: Vec<u64> = (0..total).map(|_| 0u64.wrapping_sub(below(2))).collect();
+            let mut secrets = SplitMix64::new(seed ^ mix);
+            let a: Vec<u64> = segs.iter().map(|_| secrets.next_u64() & 1).collect();
+            let a1: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
+            let bc: Vec<[u64; 2]> =
+                (0..total).map(|_| [secrets.next_u64() & 1, secrets.next_u64() & 1]).collect();
+            // The scalar reference, lane by lane.
+            let share = |row: u32, k: u32, bit: u64| {
+                let s1 = share_prf(seed, row, k);
+                (Ring64(s1), Ring64(bit.wrapping_sub(s1)))
+            };
+            let mut columns: [Vec<MulGroupShare>; 2] = [Vec::new(), Vec::new()];
+            let (mut want, mut unsigned) = ([Ring64::ZERO; 2], [Ring64::ZERO; 2]);
+            let mut lane = 0usize;
+            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
+                let mut dealer = PairDealer::for_draw(seed, &draw);
+                dealer.skip_groups(offset);
+                for t in 0..len {
+                    let k = draw.k_at(offset + t) as u32;
+                    let mg = dealer.next_group_pair();
+                    columns[0].push(mg.0);
+                    columns[1].push(mg.1);
+                    let a_ij = (Ring64(a1[n]), Ring64(a[n].wrapping_sub(a1[n])));
+                    let [b, c] = bc[lane + t];
+                    let (b, c) = (share(draw.i, k, b), share(draw.j, k, c));
+                    let d = mul3(a_ij, b, c, mg, &mut NetStats::new());
+                    for (s, d) in [d.0, d.1].into_iter().enumerate() {
+                        unsigned[s] += d;
+                        want[s] += if negate[lane + t] == 0 { d } else { -d };
+                    }
+                }
+                lane += len;
+            }
+            let want = (want[0].0, want[1].0);
+            let unsigned = (unsigned[0].0, unsigned[1].0);
+            // The tables: each server's, and the fused one.
+            let table = |server: Option<ServerId>| {
+                let mut lanes = match server {
+                    Some(server) => RoundLanes::new(seed, server),
+                    None => RoundLanes::fused(seed),
+                };
+                let mut lane = 0usize;
+                for (n, &(draw, offset, len)) in segs.iter().enumerate() {
+                    let a = match server {
+                        Some(ServerId::S1) => a1[n],
+                        Some(ServerId::S2) => a[n].wrapping_sub(a1[n]),
+                        None => a[n],
+                    };
+                    if let Some([b, c]) = lanes.push_run(&draw, offset, len, a) {
+                        for (t, [bit_b, bit_c]) in bc[lane..lane + len].iter().enumerate() {
+                            (b[t], c[t]) = (*bit_b, *bit_c);
+                        }
+                    }
+                    lane += len;
+                }
+                lanes
+            };
+            let plus = vec![0u64; total];
+            for tier in SimdTier::available() {
+                for (signs, want, what) in [(&negate, want, "signed"), (&plus, unsigned, "all +")] {
+                    let at = format!("{tier} {what} lanes {total}");
+                    let mut tables = servers.map(|server| table(Some(server)));
+                    let mut efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
+                    for s in 0..2 {
+                        mask_round_tier(tier, &tables[s], None, &mut efg[s]);
+                        tables[s].set_signs(signs);
+                    }
+                    for material in [None, Some(&columns)] {
+                        let d: Vec<u64> = (0..2)
+                            .map(|s| {
+                                let groups = material.map(|c| c[s].as_slice());
+                                combine_round_tier(tier, &tables[s], groups, &efg[s], &efg[1 - s])
+                            })
+                            .collect();
+                        let preprocessed = material.is_some();
+                        prop_assert!((d[0], d[1]) == want, "{at}: combine, {preprocessed}");
+                    }
+                    let mut fused = table(None);
+                    fused.set_signs(signs);
+                    let d = count_round_tier(tier, &fused, None);
+                    prop_assert!(d == want, "{at}: dealer count");
+                    let d = count_round_tier(tier, &fused, Some([&columns[0], &columns[1]]));
+                    prop_assert!(d == want, "{at}: preprocessed count");
+                    // A cleared table forgets its signs.
+                    fused.clear();
+                    prop_assert!(fused.signs().is_none(), "{at}: clear resets the signs");
+                }
             }
         }
     }

@@ -153,3 +153,24 @@ fn fixed_serve_transcripts_agree_across_roles_and_resumes() {
 fn tree_serve_transcripts_agree_across_roles_and_resumes() {
     serve_transcripts_agree("tree");
 }
+
+#[test]
+fn resume_refuses_a_v1_journal_naming_both_versions() {
+    let dir = std::env::temp_dir().join(format!("party-serve-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("deltas.txt"), SCRIPT).unwrap();
+    let run = Run { dir, composition: "fixed" };
+    run.local("old.journal", false);
+    let journal = std::fs::read_to_string(run.path("old.journal")).unwrap();
+    assert!(journal.starts_with("cargo-journal v2 "), "{journal}");
+    let v1 = journal.replacen("cargo-journal v2", "cargo-journal v1", 1);
+    std::fs::write(run.path("old.journal"), v1).unwrap();
+
+    let out = run.party(&["--role", "local"], "old.journal", true).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a v1 journal must not resume: {stderr}");
+    assert!(stderr.contains("cargo-journal v1"), "{stderr}");
+    assert!(stderr.contains("cargo-journal v2"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing is published");
+}
