@@ -26,7 +26,7 @@ use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::io::scan_edge_list;
 use cargo_graph::CsrGraph;
-use cargo_mpc::ot::{simulated_base_ots, transcript_digest, OT_KAPPA};
+use cargo_mpc::ot::{simulated_base_ots, transcript_digest, UnitSplit, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
@@ -173,7 +173,8 @@ fn main() {
     // mg/*: the public step machines run the offline dialogue over the
     // dense cube of n = 32 users (the `ot-mem` plan), then the three
     // kernels inside the steps run on their own over one flight: an MG
-    // costs 2 extends, 2 absorbs (one per direction) and 4 digests
+    // costs 2 extends, 2 absorbs (one per direction: the one-pass
+    // extension kernels, sums and corrections included) and 4 digests
     // (each party digests both `u` messages). These rows come first so
     // the dialogue's megabyte messages meet the fresh heap a party
     // meets; after the rows below the allocator recycles them and the
@@ -198,11 +199,21 @@ fn main() {
         let choice: Vec<u64> = (0..4 * flight_groups)
             .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
+        let a: Vec<u64> = choice.iter().map(|w| w.rotate_left(17)).collect();
+        let words = choice.len();
+        let tier = SimdTier::detect();
         let (mut sender, mut receiver) = simulated_base_ots(1);
-        let u = receiver.extend(&choice).1;
-        let ns = measure_median_iqr_ns(12, budget, || black_box(receiver.extend(&choice)));
+        let (mut u, mut sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
+        let ns = measure_median_iqr_ns(12, budget, || {
+            receiver.extend(tier, &choice, &mut u, &mut sums);
+            black_box(sums[words - 1])
+        });
         row("mg/extend", n as usize, flight_groups / 2, ns, 0.0);
-        let ns = measure_median_iqr_ns(12, budget, || black_box(sender.absorb(&u)));
+        let mut d = vec![0u64; 64 * words];
+        let ns = measure_median_iqr_ns(12, budget, || {
+            sender.absorb(tier, &u, &a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut sums);
+            black_box(sums[words - 1])
+        });
         row("mg/absorb", n as usize, flight_groups / 2, ns, 0.0);
         let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(&u)));
         row("mg/digest", n as usize, flight_groups / 4, ns, 0.0);
@@ -377,13 +388,12 @@ fn main() {
         row("max_degree", n, n as u64, ns, 0.0);
     }
 
-    // ot_transpose / ot_hash: the two OT-extension inner loops, scalar
-    // reference vs the runtime-dispatched SIMD kernels, over one
-    // extension slab (64 words = 4096 rows — exactly what
-    // `OtMgEngine` transposes and hashes per batch). The `_simd` rows
-    // are the microbench evidence for the vectorisation speedup;
-    // bit-equality across tiers is pinned by the
-    // `ot_simd_equivalence` proptest suite.
+    // ot_transpose / ot_hash: the standalone OT-extension kernels,
+    // scalar reference vs the runtime-dispatched SIMD kernels, over
+    // 64 words = 4096 rows (the extension passes run the same transpose
+    // and hash in-lane, eight words at a time, and store no rows: the
+    // mg/extend and mg/absorb rows time them). Bit-equality across
+    // tiers is pinned by the `ot_simd_equivalence` proptest suite.
     {
         let words = 64usize;
         let rows = 64 * words;

@@ -68,6 +68,28 @@
 //!   ── derandomise c_w ───────────────────────▶     round 5
 //! ```
 //!
+//! ## What a machine keeps between steps
+//!
+//! Every Gilboa multiplication is one *unit* of 64 correlated OTs (one
+//! choice word), and the one-pass extension ([`crate::ot`]) reduces
+//! each unit to sums as it goes, so no per-OT hash, row or pad
+//! outlives the step that computed it. Per flight of `g` groups a
+//! machine keeps, besides its `10g` canonical stream words and the
+//! messages it builds (in [`WordBuffers`]):
+//!
+//! * its receiver direction's `4g` choice words and one
+//!   `Σ_j H(j, t_j)` per choice word (from `ucols` until the
+//!   corrections are finished);
+//! * its sender direction's `4g` correlations and one `Σ m⁰` per unit
+//!   (from `corrections` to the derandomisation);
+//! * S₂ only: B₄'s `64g` words `m⁰_j − H(j, q_j ⊕ s)`, a quarter of a
+//!   direction, held from `corrections` until `o₂` is known in
+//!   `corrections_w`; then its finished direction-A sums and
+//!   `o₂, p₂, q₂, w` raw shares (`4g` + `3g` + `g` words) until `groups`.
+//!
+//! These vectors live in the machine and are resized, not reallocated,
+//! from flight to flight.
+//!
 //! Cost per MG (formula pinned by `ledger` tests and the golden fixture
 //! of `crates/core/tests/offline_equivalence.rs`): 512 extended OTs,
 //! [`MG_OFFLINE_BYTES_PER_GROUP`] bytes; per flight,
@@ -77,10 +99,11 @@
 use crate::channel::OfflineLedger;
 use crate::dealer::{split_mg_words, PairDealer, MG_WORDS};
 use crate::ot::{
-    simulated_base_ots, transcript_digest, CotReceiver, CotSender, RecvBatch, SendBatch,
-    BASE_OT_BYTES, BASE_OT_ROUNDS, OT_KAPPA,
+    cot_correct_held, cot_finish, simulated_base_ots, transcript_digest, CotReceiver, CotSender,
+    UnitSplit, BASE_OT_BYTES, BASE_OT_ROUNDS, OT_KAPPA,
 };
 use crate::prg::SplitMix64;
+use crate::simd::SimdTier;
 use crate::transport::{recv_msg, send_msg, Transport};
 use crate::triple_mul::MulGroupShare;
 use crate::wire::OfflineMsg;
@@ -156,10 +179,10 @@ pub const MG_FLIGHT_ROUNDS: u64 = 5;
 /// Groups-per-flight cap of the chunk-amortised session: bounds the
 /// per-message buffers (a flight of `g` groups carries `4g` 64-bit
 /// choice words → `512·g` extension-column words per direction, ~2 MB
-/// at the cap) so the extension stays cache-friendly; the internal
-/// passes additionally slab at `ot::EXT_SLAB_WORDS`. Flights split
-/// only at pair boundaries; a single pair larger than the cap gets
-/// one oversized flight of its own.
+/// at the cap); the extension passes themselves work eight choice
+/// words at a time whatever the flight size. Flights split only at
+/// pair boundaries; a single pair larger than the cap gets one
+/// oversized flight of its own.
 pub const MAX_FLIGHT_GROUPS: u64 = 512;
 
 /// The one-time setup cost of OT-extension mode: κ base OTs per
@@ -430,13 +453,16 @@ pub struct MgOfflineS1 {
     stage: Stage,
     block: usize,
     words: Vec<u64>,
-    /// The flight's packed choice bits (scratch of [`Self::ucols`],
-    /// kept across flights like `words` and `s_a`).
+    /// Direction B's choice words, `y₁, z₁, z₁, z₁` per MG (one unit
+    /// of 64 OTs each).
     choice: Vec<u64>,
-    recv_batch: Option<RecvBatch>,
+    /// Direction B's receiver sums `Σ_j H(j, t_j)`, one per choice word.
+    recv_sums: Vec<u64>,
     sent_ucols_digest: u64,
-    /// `−Σ m⁰` per (g, mult) of direction A (S₁'s sender shares).
-    s_a: Vec<u64>,
+    /// Direction A's correlations, `x₁, x₁, y₁, o₁` per MG.
+    a: Vec<u64>,
+    /// Direction A's sender sums `Σ m⁰`, one per unit.
+    m0_sums: Vec<u64>,
     /// Buffers for the messages this machine builds.
     spare: WordBuffers,
 }
@@ -458,9 +484,10 @@ impl MgOfflineS1 {
             block: 0,
             words: Vec::new(),
             choice: Vec::new(),
-            recv_batch: None,
+            recv_sums: Vec::new(),
             sent_ucols_digest: 0,
-            s_a: Vec::new(),
+            a: Vec::new(),
+            m0_sums: Vec::new(),
             spare: WordBuffers::default(),
         }
     }
@@ -476,9 +503,9 @@ impl MgOfflineS1 {
         for w in self.words.chunks_exact(MG_WORDS) {
             self.choice.extend_from_slice(&[w[Y1], w[Z1], w[Z1], w[Z1]]);
         }
-        let u = self.spare.take(1, OT_KAPPA * self.choice.len());
-        let (batch, u) = self.receiver.extend_into(&self.choice, u);
-        self.recv_batch = Some(batch);
+        let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
+        resize(&mut self.recv_sums, self.choice.len());
+        self.receiver.extend(SimdTier::detect(), &self.choice, &mut u, &mut self.recv_sums);
         self.sent_ucols_digest = transcript_digest(&u);
         u
     }
@@ -488,25 +515,17 @@ impl MgOfflineS1 {
     /// with a transcript digest of the absorbed columns appended.
     pub fn corrections(&mut self, u_from_s2: &[u64]) -> Vec<u64> {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
-        let sb = self.sender.absorb(u_from_s2);
-        let block = self.block;
-        let mut msg = self.spare.take(2, MG_MULTS_PER_DIR * 64 * block + 1);
-        self.s_a.clear();
-        self.s_a.resize(MG_MULTS_PER_DIR * block, 0);
-        for g in 0..block {
-            let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-            let a_vals = [w[X1], w[X1], w[Y1], w[O1]];
-            for (mult, &a) in a_vals.iter().enumerate() {
-                let mut sum0 = 0u64;
-                for bit in 0..64 {
-                    let j = (g * MG_MULTS_PER_DIR + mult) * 64 + bit;
-                    sum0 = sum0.wrapping_add(sb.m0(j));
-                    msg.push(sb.correction(j, a.wrapping_shl(bit as u32)));
-                }
-                self.s_a[g * MG_MULTS_PER_DIR + mult] = 0u64.wrapping_sub(sum0);
-            }
+        let units = MG_MULTS_PER_DIR * self.block;
+        self.a.clear();
+        for w in self.words.chunks_exact(MG_WORDS) {
+            self.a.extend_from_slice(&[w[X1], w[X1], w[Y1], w[O1]]);
         }
-        msg.push(transcript_digest(u_from_s2));
+        let mut msg = self.spare.take_len(2, 64 * units + 1);
+        resize(&mut self.m0_sums, units);
+        let (d, digest) = msg.split_at_mut(64 * units);
+        let (tier, split) = (SimdTier::detect(), UnitSplit::ALL_SENT);
+        self.sender.absorb(tier, u_from_s2, &self.a, split, d, &mut [], &mut self.m0_sums);
+        digest[0] = transcript_digest(u_from_s2);
         msg
     }
 
@@ -525,30 +544,22 @@ impl MgOfflineS1 {
             *digest, self.sent_ucols_digest,
             "offline transcript diverged (consistency hash mismatch)"
         );
-        let rb = self.recv_batch.as_ref().expect("columns sent");
         let mut msg = self.spare.take(3, 3 * block);
-        for g in 0..block {
-            let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-            let mut raw = [0u64; 3];
+        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
             let local = [
                 w[X1].wrapping_mul(w[Y1]),
                 w[X1].wrapping_mul(w[Z1]),
                 w[Y1].wrapping_mul(w[Z1]),
             ];
-            for (mult, slot) in raw.iter_mut().enumerate() {
-                let mut sum = 0u64;
-                for bit in 0..64 {
-                    let j = (g * MG_MULTS_PER_DIR + mult) * 64 + bit;
-                    let d_idx = (g * 3 + mult) * 64 + bit;
-                    sum = sum.wrapping_add(rb.output_at(j, d[d_idx]));
-                }
-                *slot = local[mult]
-                    .wrapping_add(self.s_a[g * MG_MULTS_PER_DIR + mult])
-                    .wrapping_add(sum);
+            let canonical = [w[O1], w[P1], w[Q1]];
+            for (mult, (local, canonical)) in local.into_iter().zip(canonical).enumerate() {
+                let unit = g * MG_MULTS_PER_DIR + mult;
+                let d = &d[64 * (g * 3 + mult)..][..64];
+                let raw = local
+                    .wrapping_add(cot_finish(self.recv_sums[unit], self.choice[unit], d))
+                    .wrapping_sub(self.m0_sums[unit]);
+                msg.push(raw.wrapping_sub(canonical));
             }
-            msg.push(raw[0].wrapping_sub(w[O1]));
-            msg.push(raw[1].wrapping_sub(w[P1]));
-            msg.push(raw[2].wrapping_sub(w[Q1]));
         }
         msg
     }
@@ -559,19 +570,14 @@ impl MgOfflineS1 {
         advance(&mut self.stage, Stage::SentDerandOpq, Stage::Finishing);
         let block = self.block;
         assert_eq!(d_b4.len(), 64 * block, "B₄ corrections");
-        let rb = self.recv_batch.as_ref().expect("columns sent");
         let mut msg = self.spare.take(4, block);
-        for g in 0..block {
-            let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-            let mut sum = 0u64;
-            for bit in 0..64 {
-                let j = (g * MG_MULTS_PER_DIR + 3) * 64 + bit;
-                sum = sum.wrapping_add(rb.output_at(j, d_b4[g * 64 + bit]));
-            }
+        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
+            let unit = g * MG_MULTS_PER_DIR + 3;
+            let d = &d_b4[64 * g..][..64];
             let w_raw1 = w[O1]
                 .wrapping_mul(w[Z1])
-                .wrapping_add(self.s_a[g * MG_MULTS_PER_DIR + 3])
-                .wrapping_add(sum);
+                .wrapping_add(cot_finish(self.recv_sums[unit], self.choice[unit], d))
+                .wrapping_sub(self.m0_sums[unit]);
             msg.push(w_raw1.wrapping_sub(w[W1]));
         }
         msg
@@ -605,14 +611,19 @@ pub struct MgOfflineS2 {
     stage: Stage,
     block: usize,
     words: Vec<u64>,
-    /// The flight's packed choice bits (scratch of [`Self::ucols`]).
+    /// Direction A's choice words, `y₂, z₂, z₂, z₂` per MG.
     choice: Vec<u64>,
-    recv_batch: Option<RecvBatch>,
-    send_batch: Option<SendBatch>,
+    /// Direction A's receiver sums `Σ_j H(j, t_j)`, one per choice word.
+    recv_sums: Vec<u64>,
     sent_ucols_digest: u64,
-    /// `−Σ m⁰` per (g, mult) of direction B (S₂'s sender shares).
-    s_b: Vec<u64>,
-    /// Σ receiver outputs per (g, mult) of direction A.
+    /// Direction B's correlations, `x₂, x₂, y₂` and a held `0` per MG.
+    a: Vec<u64>,
+    /// Direction B's sender sums `Σ m⁰`, one per unit.
+    m0_sums: Vec<u64>,
+    /// B₄'s `m⁰_j − H(j, q_j ⊕ s)` per OT, 64 per MG, until `o₂` is
+    /// known.
+    held: Vec<u64>,
+    /// Direction A's finished receiver sums, one per unit.
     r_a: Vec<u64>,
     /// Derandomised `o₂, p₂, q₂` per MG.
     opq2: Vec<u64>,
@@ -637,10 +648,11 @@ impl MgOfflineS2 {
             block: 0,
             words: Vec::new(),
             choice: Vec::new(),
-            recv_batch: None,
-            send_batch: None,
+            recv_sums: Vec::new(),
             sent_ucols_digest: 0,
-            s_b: Vec::new(),
+            a: Vec::new(),
+            m0_sums: Vec::new(),
+            held: Vec::new(),
             r_a: Vec::new(),
             opq2: Vec::new(),
             w_raw2: Vec::new(),
@@ -658,43 +670,33 @@ impl MgOfflineS2 {
         for w in self.words.chunks_exact(MG_WORDS) {
             self.choice.extend_from_slice(&[w[Y2], w[Z2], w[Z2], w[Z2]]);
         }
-        let u = self.spare.take(1, OT_KAPPA * self.choice.len());
-        let (batch, u) = self.receiver.extend_into(&self.choice, u);
-        self.recv_batch = Some(batch);
+        let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
+        resize(&mut self.recv_sums, self.choice.len());
+        self.receiver.extend(SimdTier::detect(), &self.choice, &mut u, &mut self.recv_sums);
         self.sent_ucols_digest = transcript_digest(&u);
         u
     }
 
     /// Step 2: absorbs S₁'s columns and returns the corrections for
-    /// B₁..B₃ (`a = x₂, x₂, y₂`; B₄ waits for the derandomised `o₂`),
-    /// with a transcript digest of the absorbed columns appended.
+    /// B₁..B₃ (`a = x₂, x₂, y₂`), with a transcript digest of the
+    /// absorbed columns appended. B₄'s correlation (`a = o₂`) is not
+    /// known yet: its words are held for
+    /// [`corrections_w`](Self::corrections_w).
     pub fn corrections(&mut self, u_from_s1: &[u64]) -> Vec<u64> {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
-        let sb = self.sender.absorb(u_from_s1);
         let block = self.block;
-        let mut msg = self.spare.take(2, 3 * 64 * block + 1);
-        self.s_b.clear();
-        self.s_b.resize(MG_MULTS_PER_DIR * block, 0);
-        for g in 0..block {
-            let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-            let a_vals = [w[X2], w[X2], w[Y2]];
-            for mult in 0..MG_MULTS_PER_DIR {
-                // B₄'s correlation (a = o₂) is not known yet; its
-                // corrections go out in `corrections_w`.
-                let a = a_vals.get(mult).copied();
-                let mut sum0 = 0u64;
-                for bit in 0..64 {
-                    let j = (g * MG_MULTS_PER_DIR + mult) * 64 + bit;
-                    sum0 = sum0.wrapping_add(sb.m0(j));
-                    if let Some(a) = a {
-                        msg.push(sb.correction(j, a.wrapping_shl(bit as u32)));
-                    }
-                }
-                self.s_b[g * MG_MULTS_PER_DIR + mult] = 0u64.wrapping_sub(sum0);
-            }
+        self.a.clear();
+        for w in self.words.chunks_exact(MG_WORDS) {
+            self.a.extend_from_slice(&[w[X2], w[X2], w[Y2], 0]);
         }
-        msg.push(transcript_digest(u_from_s1));
-        self.send_batch = Some(sb);
+        let mut msg = self.spare.take_len(2, 3 * 64 * block + 1);
+        resize(&mut self.m0_sums, MG_MULTS_PER_DIR * block);
+        resize(&mut self.held, 64 * block);
+        let (d, digest) = msg.split_at_mut(3 * 64 * block);
+        let split = UnitSplit { period: MG_MULTS_PER_DIR, sent: 3 };
+        let tier = SimdTier::detect();
+        self.sender.absorb(tier, u_from_s1, &self.a, split, d, &mut self.held, &mut self.m0_sums);
+        digest[0] = transcript_digest(u_from_s1);
         msg
     }
 
@@ -717,16 +719,10 @@ impl MgOfflineS2 {
             *digest, self.sent_ucols_digest,
             "offline transcript diverged (consistency hash mismatch)"
         );
-        let rb = self.recv_batch.as_ref().expect("columns sent");
         self.r_a.clear();
-        self.r_a.resize(MG_MULTS_PER_DIR * block, 0);
-        for (gm, slot) in self.r_a.iter_mut().enumerate() {
-            let mut sum = 0u64;
-            for bit in 0..64 {
-                let j = gm * 64 + bit;
-                sum = sum.wrapping_add(rb.output_at(j, d[j]));
-            }
-            *slot = sum;
+        let units = self.recv_sums.iter().zip(&self.choice).zip(d.chunks_exact(64));
+        for ((&sum, &choice), d) in units {
+            self.r_a.push(cot_finish(sum, choice, d));
         }
     }
 
@@ -737,32 +733,27 @@ impl MgOfflineS2 {
         advance(&mut self.stage, Stage::SentDerandOpq, Stage::Finishing);
         let block = self.block;
         assert_eq!(c_opq.len(), 3 * block, "c_o, c_p, c_q per MG");
-        let sb = self.send_batch.as_ref().expect("corrections sent");
         self.opq2.clear();
         self.w_raw2.clear();
         let mut msg = self.spare.take(3, 64 * block);
-        for g in 0..block {
-            let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
+        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
             let local = [
                 w[X2].wrapping_mul(w[Y2]),
                 w[X2].wrapping_mul(w[Z2]),
                 w[Y2].wrapping_mul(w[Z2]),
             ];
-            for mult in 0..3 {
-                let raw = local[mult]
-                    .wrapping_add(self.r_a[g * MG_MULTS_PER_DIR + mult])
-                    .wrapping_add(self.s_b[g * MG_MULTS_PER_DIR + mult]);
+            for (mult, local) in local.into_iter().enumerate() {
+                let unit = g * MG_MULTS_PER_DIR + mult;
+                let raw = local.wrapping_add(self.r_a[unit]).wrapping_sub(self.m0_sums[unit]);
                 self.opq2.push(raw.wrapping_add(c_opq[g * 3 + mult]));
             }
             let o2 = self.opq2[g * 3];
-            for bit in 0..64 {
-                let j = (g * MG_MULTS_PER_DIR + 3) * 64 + bit;
-                msg.push(sb.correction(j, o2.wrapping_shl(bit as u32)));
-            }
+            cot_correct_held(&self.held[64 * g..][..64], o2, &mut msg);
+            let unit = g * MG_MULTS_PER_DIR + 3;
             self.w_raw2.push(
                 o2.wrapping_mul(w[Z2])
-                    .wrapping_add(self.r_a[g * MG_MULTS_PER_DIR + 3])
-                    .wrapping_add(self.s_b[g * MG_MULTS_PER_DIR + 3]),
+                    .wrapping_add(self.r_a[unit])
+                    .wrapping_sub(self.m0_sums[unit]),
             );
         }
         msg
@@ -791,6 +782,13 @@ impl MgOfflineS2 {
     }
 }
 
+/// Empties a per-flight vector and zero-fills it to `len` words (it is
+/// kept across flights, so only growth allocates).
+fn resize(words: &mut Vec<u64>, len: usize) {
+    words.clear();
+    words.resize(len, 0);
+}
+
 /// The buffers one party of the offline dialogue builds its messages
 /// in, one per dialogue step, kept for a worker's whole session (pass
 /// the same value to every [`mg_offline_over_wire`] call of a worker).
@@ -813,6 +811,16 @@ impl WordBuffers {
         let mut words = std::mem::take(&mut self.0[usize::from(step) - 1]);
         words.clear();
         words.reserve(len);
+        words
+    }
+
+    /// The step-`step` buffer holding `len` words, for a message whose
+    /// every word the caller overwrites: the recycled words are not
+    /// zeroed again, only growth is.
+    fn take_len(&mut self, step: u8, len: usize) -> Vec<u64> {
+        let mut words = std::mem::take(&mut self.0[usize::from(step) - 1]);
+        words.truncate(len);
+        words.resize(len, 0);
         words
     }
 

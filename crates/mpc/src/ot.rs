@@ -24,14 +24,22 @@
 //!    bits); the sender reconstructs `q^i = (s_i · u^i) ⊕ G(k_{s_i})`,
 //!    so row-wise `q_j = t_j ⊕ (r_j · s)`. The 128 × m bit matrix is
 //!    transposed with a word-level 64×64 kernel ([`transpose64`]).
-//! 3. **Correlation** ([`SendBatch::correction`] /
-//!    [`RecvBatch::outputs`]): hashing rows breaks the correlation —
-//!    the sender's OT-j messages are `m⁰_j = H(j, q_j)` and
-//!    `m¹_j = m⁰_j + c_j`; one correction word
+//! 3. **Correlation, summed per unit** ([`cot_finish`]): hashing rows
+//!    breaks the correlation — the sender's OT-j messages are
+//!    `m⁰_j = H(j, q_j)` and `m¹_j = m⁰_j + c_j`; one correction word
 //!    `d_j = m⁰_j + c_j − H(j, q_j ⊕ s)` per OT lets the receiver
-//!    finish with `m^{r_j}_j = H(j, t_j) + r_j·d_j`. This is exactly
-//!    the COT flavour Gilboa-style share multiplication consumes
-//!    ([`crate::offline`]).
+//!    finish with `m^{r_j}_j = H(j, t_j) + r_j·d_j`. Gilboa-style share
+//!    multiplication ([`crate::offline`]) consumes these 64 at a time:
+//!    one choice word `r` is one *unit*, correlated by
+//!    `c_j = a ≪ j`, and only the unit's sums matter — the sender's
+//!    `Σ_j m⁰_j` and the receiver's `Σ_j m^{r_j}_j`, which differ by
+//!    `a · r` in `Z_{2^64}`. So neither role keeps a per-OT value:
+//!    the receiver keeps `Σ_j H(j, t_j)` per unit and adds the
+//!    corrections its choice bits select when they arrive; the sender
+//!    writes each correction straight into its outgoing message and
+//!    keeps `Σ_j m⁰_j` per unit. A unit whose `a` is not yet known is
+//!    *held* as `m⁰_j − H(j, q_j ⊕ s)` and corrected later
+//!    ([`UnitSplit`], [`cot_correct_held`]).
 //! 4. **Consistency hashing** ([`transcript_digest`]): each
 //!    correction message carries a digest of the extension columns it
 //!    answers — 32 position-tweaked chains of the modeled hash run
@@ -49,29 +57,33 @@
 //!
 //! # Vectorisation
 //!
-//! The two inner loops that dominate extension — the 64×64 bit
-//! transpose and the correlation-robust hash — are routed through
-//! [`crate::simd`] `U64xN` lanes with the same runtime
-//! AVX-512/AVX2/portable dispatch as [`crate::triple_mul`]
-//! ([`SimdTier`]). The transpose is batched *across* [`LANES`]
-//! independent 64×64 blocks (one block per lane: column loads are
-//! contiguous because consecutive blocks of one column are adjacent in
-//! the column-major wire layout), and the hash runs lane-parallel over
-//! the transposed rows kept in structure-of-arrays form. The scalar
-//! kernels ([`transpose64`], [`cols_to_rows_scalar`],
-//! [`cr_hash_scalar`]) are retained as A/B references; the
-//! `ot_simd_equivalence` proptest suite pins every dispatch tier
-//! bit-exactly against them.
+//! Each role makes **one pass** over its batch, [`LANES`] choice words
+//! (512 OTs) at a time, one word per lane, compiled per [`SimdTier`]
+//! (AVX-512/AVX2/portable, like [`crate::triple_mul`]): it expands the
+//! 128 column words of those eight units in-lane from the seed
+//! streams' counter states (SplitMix64 output `k` is a pure function
+//! of `state + (k+1)·γ`), writes `u` (receiver) or xors it in
+//! (sender), runs the 64×64 transpose on all eight blocks at once
+//! (`transpose64_lanes`: one block per lane, so no lane
+//! de-interleave), hashes lane-wise with lane `l` at tweak
+//! `64(b+l) + j`, and reduces straight into the per-unit sums. A
+//! batch whose length is not a multiple of eight runs its last block
+//! with the missing lanes computed and dropped. What such a pass
+//! stores is the wire message, one sum per unit and (sender) the held
+//! units; the rows, hashes and pads live only in the block's working
+//! set.
 //!
-//! The two terms left after that — expanding the base seeds into
-//! columns (6 PRG words per extended OT across both roles) and
-//! digesting every `u` message twice — take the same dispatch:
-//! [`SplitMix64::fill_block_tier`] and [`transcript_digest_tier`]. Each
-//! role keeps its slab working set across batches, so a flight
-//! allocates only what it returns.
+//! The standalone kernels — the batched transpose
+//! ([`cols_to_rows_simd_into`]) and batch hash ([`cr_hash_batch`]) on
+//! the same dispatch, and the scalar references ([`transpose64`],
+//! [`cols_to_rows_scalar`], [`cr_hash_scalar`]) — are kept as A/B
+//! references and probes; the `ot_simd_equivalence` suite pins every
+//! tier bit-exactly against the references and the passes' Gilboa
+//! products at every tier. Digesting every `u` message twice takes the
+//! same dispatch ([`transcript_digest_tier`]).
 
-use crate::prg::SplitMix64;
-use crate::simd::{SimdTier, U64xN, LANES};
+use crate::prg::{mix_lanes, SplitMix64, SM_GAMMA};
+use crate::simd::{lane_steps, SimdTier, U64xN, LANES};
 
 /// OT-extension security parameter: base-OT count = column count.
 pub const OT_KAPPA: usize = 128;
@@ -143,55 +155,27 @@ fn cr_hash_lanes<const N: usize>(
     z ^ (z >> 31)
 }
 
-/// Generic body of the batch hash: vector main loop plus a scalar tail
-/// (`out.len() % N` rows). Compiled once per dispatch tier.
+/// Body of the batch hash, compiled once per dispatch tier: a plain row
+/// loop, which vectorises to contiguous loads and stores (written over
+/// `U64xN` lanes, LLVM compiles it to strided `vpgatherqq` loads and
+/// `vpscatterqq` stores).
 #[inline(always)]
-fn cr_hash_batch_body<const N: usize>(
-    tweak0: u64,
-    lo: &[u64],
-    hi: &[u64],
-    delta: [u64; 2],
-    out: &mut [u64],
-) {
-    let n = out.len();
-    debug_assert_eq!(lo.len(), n);
-    debug_assert_eq!(hi.len(), n);
-    let mut off = [0u64; N];
-    for (l, v) in off.iter_mut().enumerate() {
-        *v = l as u64;
-    }
-    let lane_off = U64xN(off);
-    let full = n - n % N;
-    let mut j = 0;
-    while j < full {
-        let z = cr_hash_lanes::<N>(
-            tweak0.wrapping_add(j as u64),
-            lane_off,
-            U64xN::load(&lo[j..]),
-            U64xN::load(&hi[j..]),
-            delta,
-        );
-        z.store(&mut out[j..]);
-        j += N;
-    }
-    for j in full..n {
-        out[j] = cr_hash(
-            tweak0.wrapping_add(j as u64),
-            [lo[j] ^ delta[0], hi[j] ^ delta[1]],
-        );
+fn cr_hash_batch_body(tweak0: u64, lo: &[u64], hi: &[u64], delta: [u64; 2], out: &mut [u64]) {
+    for (j, ((o, &l), &h)) in out.iter_mut().zip(lo).zip(hi).enumerate() {
+        *o = cr_hash(tweak0.wrapping_add(j as u64), [l ^ delta[0], h ^ delta[1]]);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn cr_hash_batch_avx512(tweak0: u64, lo: &[u64], hi: &[u64], delta: [u64; 2], out: &mut [u64]) {
-    cr_hash_batch_body::<LANES>(tweak0, lo, hi, delta, out)
+    cr_hash_batch_body(tweak0, lo, hi, delta, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn cr_hash_batch_avx2(tweak0: u64, lo: &[u64], hi: &[u64], delta: [u64; 2], out: &mut [u64]) {
-    cr_hash_batch_body::<LANES>(tweak0, lo, hi, delta, out)
+    cr_hash_batch_body(tweak0, lo, hi, delta, out)
 }
 
 /// Hashes a batch of 128-bit rows in structure-of-arrays form:
@@ -218,7 +202,7 @@ pub fn cr_hash_batch(
         SimdTier::Avx512 => unsafe { cr_hash_batch_avx512(tweak0, lo, hi, delta, out) },
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe { cr_hash_batch_avx2(tweak0, lo, hi, delta, out) },
-        _ => cr_hash_batch_body::<LANES>(tweak0, lo, hi, delta, out),
+        _ => cr_hash_batch_body(tweak0, lo, hi, delta, out),
     }
 }
 
@@ -350,26 +334,83 @@ pub fn cols_to_rows_scalar(cols: &[u64], words: usize) -> Vec<[u64; 2]> {
     rows
 }
 
+/// The keep masks of [`transpose64`]'s six butterfly stages, shift 32
+/// first: stage `s` swaps the `32 >> s`-bit sub-blocks these bits
+/// select.
+const STAGE_KEEP: [u64; 6] = [
+    0xFFFF_FFFF_0000_0000,
+    0xFFFF_0000_FFFF_0000,
+    0xFF00_FF00_FF00_FF00,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xAAAA_AAAA_AAAA_AAAA,
+];
+
+/// One butterfly of stage `stage` on words `a` and `b` of `v`.
+#[inline(always)]
+fn butterfly<const N: usize>(v: &mut [U64xN<N>; 8], a: usize, b: usize, stage: usize) {
+    let sh = 32u32 >> stage;
+    let t = (v[a] ^ (v[b] << sh)) & U64xN::splat(STAGE_KEEP[stage]);
+    v[a] = v[a] ^ t;
+    v[b] = v[b] ^ (t >> sh);
+}
+
+/// Stages `first .. first + 3` of [`transpose64`] on the eight words
+/// `m[base + q·stride]`, held in registers: they pair `q` with `q + 4`,
+/// `q + 2`, then `q + 1`. (Every index is below 64; the `& 63` lets the
+/// compiler see it and drop the bounds checks.)
+#[inline(always)]
+fn butterfly3<const N: usize>(m: &mut [U64xN<N>; 64], base: usize, stride: usize, first: usize) {
+    let mut v = [U64xN::ZERO; 8];
+    for (q, slot) in v.iter_mut().enumerate() {
+        *slot = m[(base + q * stride) & 63];
+    }
+    butterfly(&mut v, 0, 4, first);
+    butterfly(&mut v, 1, 5, first);
+    butterfly(&mut v, 2, 6, first);
+    butterfly(&mut v, 3, 7, first);
+    butterfly(&mut v, 0, 2, first + 1);
+    butterfly(&mut v, 1, 3, first + 1);
+    butterfly(&mut v, 4, 6, first + 1);
+    butterfly(&mut v, 5, 7, first + 1);
+    butterfly(&mut v, 0, 1, first + 2);
+    butterfly(&mut v, 2, 3, first + 2);
+    butterfly(&mut v, 4, 5, first + 2);
+    butterfly(&mut v, 6, 7, first + 2);
+    for (q, w) in v.into_iter().enumerate() {
+        m[(base + q * stride) & 63] = w;
+    }
+}
+
 /// The Hacker's-Delight butterfly of [`transpose64`] run lane-wise over
 /// `N` *independent* 64×64 blocks at once: `m[k]` holds word `k` of
 /// all `N` blocks, one block per lane. Identical op sequence per lane,
 /// so each lane is bit-identical to the scalar kernel.
+///
+/// Stages 0–2 (shifts 32, 16, 8) pair words 32, 16 and 8 apart, so
+/// they transpose each residue class mod 8 on its own; stages 3–5 pair
+/// words within each run of eight. So the six stages are two passes of
+/// eight register-resident [`butterfly3`]s, each word loaded and stored
+/// twice. The classes and runs are visited in the order
+/// `k ← (k + 5) mod 8`: LLVM cannot count that loop, and its loop
+/// vectorizer leaves an uncounted loop alone, where it turned a counted
+/// one inside out into strided gathers across the lanes (DESIGN.md §8.1).
 #[inline(always)]
 fn transpose64_lanes<const N: usize>(m: &mut [U64xN<N>; 64]) {
-    let mut j = 32usize;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let keep = U64xN::<N>::splat(!mask);
-        let sh = j as u32;
-        let mut k = 0;
-        while k < 64 {
-            let t = (m[k] ^ (m[k + j] << sh)) & keep;
-            m[k] = m[k] ^ t;
-            m[k + j] = m[k + j] ^ (t >> sh);
-            k = (k + j + 1) & !j;
+    let mut k = 0;
+    loop {
+        butterfly3(m, k, 8, 0);
+        k = (k + 5) & 7;
+        if k == 0 {
+            break;
         }
-        j >>= 1;
-        mask ^= mask << j;
+    }
+    loop {
+        butterfly3(m, 8 * k, 1, 3);
+        k = (k + 5) & 7;
+        if k == 0 {
+            break;
+        }
     }
 }
 
@@ -438,10 +479,10 @@ unsafe fn cols_to_rows_avx2(cols: &[u64], words: usize, lo: &mut [u64], hi: &mut
 /// Vectorised transpose of `OT_KAPPA` column-major columns into
 /// `64·words` rows written to caller-owned structure-of-arrays buffers
 /// (`lo[j]`/`hi[j]` = row `j`'s two words) — bit-identical to
-/// [`cols_to_rows_scalar`] at every [`SimdTier`]. This is the
-/// allocation-free form the extension engine runs per slab, reusing
-/// one pair of buffers across the whole chunk; [`cols_to_rows_simd`]
-/// is the allocating convenience wrapper.
+/// [`cols_to_rows_scalar`] at every [`SimdTier`]. The extension passes
+/// transpose in-lane instead and store no rows; this is the standalone
+/// form the microbenches and trace probes time, and
+/// [`cols_to_rows_simd`] its allocating convenience wrapper.
 ///
 /// # Panics
 /// Panics if the tier is unsupported on this CPU, `cols` is not
@@ -494,33 +535,6 @@ pub struct CotSender {
     seeds: Vec<SplitMix64>,
     /// Monotone per-OT hash tweak, kept in lockstep with the receiver.
     tweak: u64,
-    scratch: SlabScratch,
-}
-
-/// The per-slab working set of one extension role, kept across batches
-/// (a chunk session runs one batch per flight; re-allocating and
-/// zero-filling ~130 KB per call was pure overhead). Sized on first
-/// use, so the half of [`simulated_base_ots`] a party drops costs
-/// nothing.
-#[derive(Debug, Clone, Default)]
-struct SlabScratch {
-    /// κ expanded columns of one slab (`t` on the receiver, `q` on the
-    /// sender), column-major.
-    cols: Vec<u64>,
-    /// The slab's transposed rows, structure-of-arrays.
-    lo: Vec<u64>,
-    hi: Vec<u64>,
-    /// The receiver's `G(k¹_i)` column.
-    g1: Vec<u64>,
-}
-
-impl SlabScratch {
-    fn ensure(&mut self) {
-        self.cols.resize(OT_KAPPA * EXT_SLAB_WORDS, 0);
-        self.lo.resize(64 * EXT_SLAB_WORDS, 0);
-        self.hi.resize(64 * EXT_SLAB_WORDS, 0);
-        self.g1.resize(EXT_SLAB_WORDS, 0);
-    }
 }
 
 /// The extension receiver's long-lived state: both base-OT seeds per
@@ -530,7 +544,6 @@ pub struct CotReceiver {
     seeds0: Vec<SplitMix64>,
     seeds1: Vec<SplitMix64>,
     tweak: u64,
-    scratch: SlabScratch,
 }
 
 /// Simulates the κ base OTs of one extension direction from a seed:
@@ -555,218 +568,453 @@ pub fn simulated_base_ots(seed: u64) -> (CotSender, CotReceiver) {
         seeds1.push(SplitMix64::new(k1));
     }
     (
-        CotSender {
-            delta,
-            seeds: chosen,
-            tweak: 0,
-            scratch: SlabScratch::default(),
-        },
-        CotReceiver {
-            seeds0,
-            seeds1,
-            tweak: 0,
-            scratch: SlabScratch::default(),
-        },
+        CotSender { delta, seeds: chosen, tweak: 0 },
+        CotReceiver { seeds0, seeds1, tweak: 0 },
     )
 }
 
-/// One extension batch on the receiver side: the `t_j` rows plus the
-/// state needed to finish each OT once the corrections arrive.
-#[derive(Debug, Clone)]
-pub struct RecvBatch {
-    /// `H(j, t_j)` per extended OT (hashed eagerly).
-    hashed: Vec<u64>,
-    /// The batch's choice bits, packed.
-    choice: Vec<u64>,
+/// The counter states of κ seed streams, each then advanced past the
+/// `words` outputs a pass expands from it in closed counter form.
+fn take_states(seeds: &mut [SplitMix64], words: usize) -> [u64; OT_KAPPA] {
+    let mut states = [0u64; OT_KAPPA];
+    for (state, seed) in states.iter_mut().zip(seeds) {
+        *state = seed.state_raw();
+        seed.skip(words);
+    }
+    states
 }
 
-impl RecvBatch {
-    /// Number of extended OTs in the batch.
-    pub fn len(&self) -> usize {
-        self.hashed.len()
+/// The first `valid` lanes from the front of `src`, the rest zero — a
+/// block's load when fewer than `N` choice words are left.
+#[inline(always)]
+fn load_part<const N: usize>(src: &[u64], valid: usize) -> U64xN<N> {
+    if valid == N {
+        U64xN::load(src)
+    } else {
+        let mut out = [0u64; N];
+        out[..valid].copy_from_slice(&src[..valid]);
+        U64xN(out)
     }
+}
 
-    /// True when the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.hashed.is_empty()
+/// Stores the first `valid` lanes of `v` to the front of `dst`.
+#[inline(always)]
+fn store_part<const N: usize>(v: U64xN<N>, dst: &mut [u64], valid: usize) {
+    if valid == N {
+        v.store(dst)
+    } else {
+        dst[..valid].copy_from_slice(&v.0[..valid]);
     }
+}
 
-    /// Finishes OT `j` given its correction word:
-    /// `out_j = H(j, t_j) + r_j · d_j`, i.e. the receiver's chosen
-    /// message `m^{r_j}_j`. The offline engines apply corrections
-    /// mult-by-mult (they arrive in separate messages), hence the
-    /// per-OT form.
-    #[inline]
-    pub fn output_at(&self, j: usize, d_j: u64) -> u64 {
-        let h = self.hashed[j];
-        if (self.choice[j / 64] >> (j % 64)) & 1 == 1 {
-            h.wrapping_add(d_j)
-        } else {
-            h
+/// Column word `b + l` of the stream whose counter state is `state`,
+/// in lane `l`: `ctr` holds `(b + l + 1)·γ` per lane.
+#[inline(always)]
+fn column_lanes<const N: usize>(state: u64, ctr: U64xN<N>) -> U64xN<N> {
+    mix_lanes(U64xN::splat(state) + ctr)
+}
+
+/// `(b + l + 1)·γ` in lane `l`: the counter offsets of choice words
+/// `b .. b + N` in every seed stream.
+#[inline(always)]
+fn block_counters<const N: usize>(b: usize) -> U64xN<N> {
+    U64xN::splat(SM_GAMMA.wrapping_mul(b as u64 + 1)) + lane_steps(SM_GAMMA)
+}
+
+/// The receiver's pass over choice words `b .. b + valid` (lane `l` is
+/// word `b + l`): expands `t` and `G(k¹)` in-lane, writes
+/// `u = t ⊕ G(k¹) ⊕ r` to each column, transposes `t` into `rows` and
+/// returns `Σ_j H(64(b+l) + j, t_j)` per lane.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn extend_block<const N: usize>(
+    states0: &[u64; OT_KAPPA],
+    states1: &[u64; OT_KAPPA],
+    tweak: u64,
+    choice: &[u64],
+    b: usize,
+    valid: usize,
+    u_cols: &mut [u64],
+    rows: &mut [[U64xN<N>; 64]; 2],
+) -> U64xN<N> {
+    let words = choice.len();
+    let ctr = block_counters::<N>(b);
+    let r = load_part::<N>(&choice[b..], valid);
+    for (half, block) in rows.iter_mut().enumerate() {
+        for (c, slot) in block.iter_mut().enumerate() {
+            let i = half * 64 + c;
+            let t = column_lanes(states0[i], ctr);
+            let g1 = column_lanes(states1[i], ctr);
+            store_part(t ^ g1 ^ r, &mut u_cols[i * words + b..], valid);
+            *slot = t;
+        }
+        transpose64_lanes(block);
+    }
+    let lane_tweaks = lane_steps::<N>(64);
+    let first = tweak.wrapping_add(64 * b as u64);
+    let mut sum = U64xN::ZERO;
+    // Rows in the order j ← (j + 5) mod 64, uncounted like the
+    // transpose's passes, so the hash stays lane-parallel.
+    let mut j = 0;
+    loop {
+        let tw = first.wrapping_add(j as u64);
+        sum = sum + cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], [0, 0]);
+        j = (j + 5) & 63;
+        if j == 0 {
+            break;
         }
     }
+    sum
+}
 
-    /// Finishes the whole batch (see [`Self::output_at`]).
-    ///
-    /// # Panics
-    /// Panics if `d` does not hold one correction word per OT.
-    pub fn outputs(&self, d: &[u64]) -> Vec<u64> {
-        assert_eq!(d.len(), self.hashed.len(), "one correction per OT");
-        (0..self.hashed.len())
-            .map(|j| self.output_at(j, d[j]))
-            .collect()
+/// Body of [`CotReceiver::extend`], compiled once per dispatch tier:
+/// [`extend_block`] over every `N` choice words, the last block's
+/// missing lanes computed and dropped. (The full blocks pass `valid`
+/// as the constant `N`, so their loads and stores are whole vectors.)
+#[inline(always)]
+fn extend_body<const N: usize>(
+    states0: &[u64; OT_KAPPA],
+    states1: &[u64; OT_KAPPA],
+    tweak: u64,
+    choice: &[u64],
+    u_cols: &mut [u64],
+    sums: &mut [u64],
+) {
+    let words = choice.len();
+    let full = words - words % N;
+    let mut rows = [[U64xN::<N>::ZERO; 64]; 2];
+    for b in (0..full).step_by(N) {
+        let sum = extend_block::<N>(states0, states1, tweak, choice, b, N, u_cols, &mut rows);
+        sum.store(&mut sums[b..]);
+    }
+    if full < words {
+        let valid = words - full;
+        let sum =
+            extend_block::<N>(states0, states1, tweak, choice, full, valid, u_cols, &mut rows);
+        store_part(sum, &mut sums[full..], valid);
     }
 }
 
-/// Internal slab width (in 64-OT words) for the extension passes:
-/// batches are expanded, transposed, and hashed `EXT_SLAB_WORDS` words
-/// at a time so the working set (κ columns of a slab plus its
-/// transposed rows, ~200 KB) stays cache-resident however large the
-/// amortised flight is. Pure compute scheduling — the wire messages,
-/// per-seed streams, and hash tweaks are identical to a single pass
-/// over the whole batch.
-const EXT_SLAB_WORDS: usize = 64;
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn extend_avx512(
+    states0: &[u64; OT_KAPPA],
+    states1: &[u64; OT_KAPPA],
+    tweak: u64,
+    choice: &[u64],
+    u_cols: &mut [u64],
+    sums: &mut [u64],
+) {
+    extend_body::<LANES>(states0, states1, tweak, choice, u_cols, sums)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn extend_avx2(
+    states0: &[u64; OT_KAPPA],
+    states1: &[u64; OT_KAPPA],
+    tweak: u64,
+    choice: &[u64],
+    u_cols: &mut [u64],
+    sums: &mut [u64],
+) {
+    extend_body::<LANES>(states0, states1, tweak, choice, u_cols, sums)
+}
 
 impl CotReceiver {
-    /// Runs one extension batch over the packed `choice` bits
-    /// (`m = 64 · choice.len()` extended OTs): returns the local batch
-    /// state and the column message `u` to send (column-major,
-    /// `OT_KAPPA · choice.len()` words).
-    pub fn extend(&mut self, choice: &[u64]) -> (RecvBatch, Vec<u64>) {
-        self.extend_into(choice, Vec::new())
-    }
-
-    /// [`CotReceiver::extend`] writing the column message into the
-    /// allocation of `u_cols` (whose contents are discarded), so a
-    /// caller can recycle a spent message's buffer.
-    pub(crate) fn extend_into(
-        &mut self,
-        choice: &[u64],
-        mut u_cols: Vec<u64>,
-    ) -> (RecvBatch, Vec<u64>) {
-        let tier = SimdTier::detect();
+    /// Runs one extension batch over the packed `choice` bits in one
+    /// pass (`m = 64 · choice.len()` extended OTs, one *unit* of 64 per
+    /// choice word): writes the column message `u` to send into
+    /// `u_cols` (column-major, `OT_KAPPA · choice.len()` words) and,
+    /// per unit `b`, the sum of its 64 hashed rows
+    /// `Σ_j H(64b + j, t_j)` into `sums[b]` — all a Gilboa
+    /// multiplication needs of the receiver's side before the
+    /// corrections arrive ([`cot_finish`]). No row or hash is stored.
+    ///
+    /// # Panics
+    /// Panics if the tier is unsupported on this CPU, `u_cols` is not
+    /// `OT_KAPPA · choice.len()` words or `sums` not `choice.len()`.
+    pub fn extend(&mut self, tier: SimdTier, choice: &[u64], u_cols: &mut [u64], sums: &mut [u64]) {
+        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
         let words = choice.len();
-        u_cols.clear();
-        u_cols.resize(OT_KAPPA * words, 0);
-        let mut hashed = vec![0u64; 64 * words];
-        self.scratch.ensure();
-        let SlabScratch { cols: t_slab, lo, hi, g1 } = &mut self.scratch;
-        let base = self.tweak;
+        assert_eq!(u_cols.len(), OT_KAPPA * words, "κ columns of one word per unit");
+        assert_eq!(sums.len(), words, "one sum per unit");
+        let states0 = take_states(&mut self.seeds0, words);
+        let states1 = take_states(&mut self.seeds1, words);
+        let tweak = self.tweak;
         self.tweak += (64 * words) as u64;
-        for (s, chunk) in choice.chunks(EXT_SLAB_WORDS).enumerate() {
-            let off = s * EXT_SLAB_WORDS;
-            let w = chunk.len();
-            for i in 0..OT_KAPPA {
-                let t = &mut t_slab[i * w..(i + 1) * w];
-                let g1 = &mut g1[..w];
-                self.seeds0[i].fill_block_tier(tier, t);
-                self.seeds1[i].fill_block_tier(tier, g1);
-                let u = &mut u_cols[i * words + off..][..w];
-                for b in 0..w {
-                    u[b] = t[b] ^ g1[b] ^ chunk[b];
-                }
-            }
-            cols_to_rows_simd_into(tier, &t_slab[..OT_KAPPA * w], w, &mut lo[..64 * w], &mut hi[..64 * w]);
-            cr_hash_batch(
-                tier,
-                base + (64 * off) as u64,
-                &lo[..64 * w],
-                &hi[..64 * w],
-                [0, 0],
-                &mut hashed[64 * off..64 * (off + w)],
-            );
-        }
-        (
-            RecvBatch {
-                hashed,
-                choice: choice.to_vec(),
+        match tier {
+            // SAFETY: `supported()` just confirmed the CPU features the
+            // callee is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => unsafe {
+                extend_avx512(&states0, &states1, tweak, choice, u_cols, sums)
             },
-            u_cols,
-        )
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe { extend_avx2(&states0, &states1, tweak, choice, u_cols, sums) },
+            _ => extend_body::<LANES>(&states0, &states1, tweak, choice, u_cols, sums),
+        }
     }
 }
 
-/// One extension batch on the sender side: per-OT message pairs, ready
-/// to be correlated.
-#[derive(Debug, Clone)]
-pub struct SendBatch {
-    /// `m⁰_j = H(j, q_j)` per OT.
-    m0: Vec<u64>,
-    /// `H(j, q_j ⊕ s)` per OT (the pad under the receiver's `r_j = 1`
-    /// branch).
-    pad1: Vec<u64>,
+/// The receiver's finished Gilboa sum over one unit of 64 OTs with
+/// choice word `choice`: `Σ_j m^{r_j}_j = sum + Σ_{r_j = 1} d_j`, where
+/// `sum` is the unit's [`CotReceiver::extend`] output and `d` its 64
+/// correction words. Under corrections for correlation `a` (see
+/// [`CotSender::absorb`]) this is `Σ_j m⁰_j + a · choice` in `Z_{2^64}`.
+///
+/// # Panics
+/// Panics if `d` is not 64 words.
+#[inline]
+pub fn cot_finish(sum: u64, choice: u64, d: &[u64]) -> u64 {
+    assert_eq!(d.len(), 64, "one correction per OT of the unit");
+    let mut acc = sum;
+    for (j, &d_j) in d.iter().enumerate() {
+        acc = acc.wrapping_add(d_j & 0u64.wrapping_sub((choice >> j) & 1));
+    }
+    acc
 }
 
-impl SendBatch {
-    /// Number of extended OTs in the batch.
-    pub fn len(&self) -> usize {
-        self.m0.len()
-    }
+/// Where a sender pass puts each unit's 64 words: units come in
+/// periods of `period` (one Multiplication Group's multiplications of
+/// a direction); the first `sent` units of a period are corrections
+/// for the outgoing message, the rest are *held* as `m⁰_j − H(j, q_j ⊕ s)`
+/// until their correlation is known ([`cot_correct_held`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnitSplit {
+    /// Units per period (≥ 1).
+    pub period: usize,
+    /// Units per period that go to the message (≤ `period`).
+    pub sent: usize,
+}
 
-    /// True when the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.m0.is_empty()
-    }
+impl UnitSplit {
+    /// Every unit's corrections go to the message.
+    pub const ALL_SENT: UnitSplit = UnitSplit { period: 1, sent: 1 };
 
-    /// The sender's zero-message `m⁰_j` of OT `j` (uniform-looking; a
-    /// Gilboa multiplication sums these into its share).
-    pub fn m0(&self, j: usize) -> u64 {
-        self.m0[j]
+    /// Words of `units` units that go to the message, and that are held.
+    fn words(self, units: usize) -> (usize, usize) {
+        assert!(self.period > 0 && self.sent <= self.period, "invalid unit split {self:?}");
+        assert_eq!(units % self.period, 0, "whole periods of units");
+        let periods = units / self.period;
+        (64 * self.sent * periods, 64 * (self.period - self.sent) * periods)
     }
+}
 
-    /// Correction word for OT `j` under correlation `c_j`:
-    /// `d_j = m⁰_j + c_j − H(j, q_j ⊕ s)`, so the receiver's `r_j = 1`
-    /// branch evaluates to `m⁰_j + c_j`.
-    pub fn correction(&self, j: usize, c_j: u64) -> u64 {
-        self.m0[j].wrapping_add(c_j).wrapping_sub(self.pad1[j])
+/// The two output slices of a sender pass, routed per unit by a
+/// [`UnitSplit`].
+struct SenderOut<'a> {
+    split: UnitSplit,
+    sent: &'a mut [u64],
+    held: &'a mut [u64],
+}
+
+impl SenderOut<'_> {
+    /// The 64 output words of unit `v`.
+    #[inline(always)]
+    fn unit(&mut self, v: usize) -> &mut [u64] {
+        let UnitSplit { period, sent } = self.split;
+        let (p, m) = (v / period, v % period);
+        if m < sent {
+            &mut self.sent[64 * (p * sent + m)..][..64]
+        } else {
+            &mut self.held[64 * (p * (period - sent) + m - sent)..][..64]
+        }
     }
+}
+
+/// A sender block's working set: its transposed rows and its
+/// corrections, lane `l` being unit `b + l`.
+struct SenderBlock<const N: usize> {
+    rows: [[U64xN<N>; 64]; 2],
+    d: [U64xN<N>; 64],
+}
+
+/// The sender's pass over units `b .. b + valid` (lane `l` is unit
+/// `b + l`): rebuilds `q = G(k_s) ⊕ s·u` in-lane, transposes it into
+/// rows, hashes both branches, writes
+/// `d_j = m⁰_j + (a_l ≪ j) − H(j, q_j ⊕ s)` to each unit's slot in
+/// `out` and returns `Σ_j m⁰_j` per lane.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn absorb_block<const N: usize>(
+    states: &[u64; OT_KAPPA],
+    delta: [u64; 2],
+    tweak: u64,
+    u_cols: &[u64],
+    a: &[u64],
+    b: usize,
+    valid: usize,
+    out: &mut SenderOut<'_>,
+    work: &mut SenderBlock<N>,
+) -> U64xN<N> {
+    let words = a.len();
+    let ctr = block_counters::<N>(b);
+    let SenderBlock { rows, d } = work;
+    for (half, block) in rows.iter_mut().enumerate() {
+        for (c, slot) in block.iter_mut().enumerate() {
+            let i = half * 64 + c;
+            let s_i = U64xN::splat(0u64.wrapping_sub((delta[half] >> c) & 1));
+            let u = load_part::<N>(&u_cols[i * words + b..], valid);
+            *slot = column_lanes(states[i], ctr) ^ (u & s_i);
+        }
+        transpose64_lanes(block);
+    }
+    let a = load_part::<N>(&a[b..], valid);
+    let lane_tweaks = lane_steps::<N>(64);
+    let first = tweak.wrapping_add(64 * b as u64);
+    let mut sum = U64xN::ZERO;
+    // Rows in the uncounted order of `extend_block`.
+    let mut j = 0;
+    loop {
+        let tw = first.wrapping_add(j as u64);
+        let m0 = cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], [0, 0]);
+        let pad1 = cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], delta);
+        sum = sum + m0;
+        d[j] = m0 + (a << j as u32) - pad1;
+        j = (j + 5) & 63;
+        if j == 0 {
+            break;
+        }
+    }
+    for l in 0..valid {
+        for (slot, d_j) in out.unit(b + l).iter_mut().zip(d.iter()) {
+            *slot = d_j.0[l];
+        }
+    }
+    sum
+}
+
+/// Body of [`CotSender::absorb`], compiled once per dispatch tier.
+#[inline(always)]
+fn absorb_body<const N: usize>(
+    states: &[u64; OT_KAPPA],
+    delta: [u64; 2],
+    tweak: u64,
+    u_cols: &[u64],
+    a: &[u64],
+    out: &mut SenderOut<'_>,
+    sums: &mut [u64],
+) {
+    let words = a.len();
+    let full = words - words % N;
+    let mut work = SenderBlock { rows: [[U64xN::ZERO; 64]; 2], d: [U64xN::ZERO; 64] };
+    for b in (0..full).step_by(N) {
+        let sum = absorb_block::<N>(states, delta, tweak, u_cols, a, b, N, out, &mut work);
+        sum.store(&mut sums[b..]);
+    }
+    if full < words {
+        let valid = words - full;
+        let sum =
+            absorb_block::<N>(states, delta, tweak, u_cols, a, full, valid, out, &mut work);
+        store_part(sum, &mut sums[full..], valid);
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn absorb_avx512(
+    states: &[u64; OT_KAPPA],
+    delta: [u64; 2],
+    tweak: u64,
+    u_cols: &[u64],
+    a: &[u64],
+    out: &mut SenderOut<'_>,
+    sums: &mut [u64],
+) {
+    absorb_body::<LANES>(states, delta, tweak, u_cols, a, out, sums)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn absorb_avx2(
+    states: &[u64; OT_KAPPA],
+    delta: [u64; 2],
+    tweak: u64,
+    u_cols: &[u64],
+    a: &[u64],
+    out: &mut SenderOut<'_>,
+    sums: &mut [u64],
+) {
+    absorb_body::<LANES>(states, delta, tweak, u_cols, a, out, sums)
 }
 
 impl CotSender {
     /// Absorbs the receiver's column message for a batch of
-    /// `m = 64 · (u_cols.len() / OT_KAPPA)` extended OTs and returns
-    /// the sender-side batch state.
+    /// `m = 64 · a.len()` extended OTs in one pass, correlating unit
+    /// `b`'s OT `j` with `c_j = a[b] ≪ j` (a Gilboa multiplication by
+    /// `a[b]`): writes the correction words
+    /// `d_j = m⁰_j + c_j − H(j, q_j ⊕ s)` of each unit to `sent` or
+    /// `held` as `split` routes it (a held unit's `a` should be 0; see
+    /// [`cot_correct_held`]) and `Σ_j m⁰_j` per unit into `sums`. The
+    /// receiver's [`cot_finish`] of a unit minus this sum is
+    /// `a[b] · r_b`. No row, hash or pad is stored.
     ///
     /// # Panics
-    /// Panics if `u_cols` is not `OT_KAPPA` whole columns.
-    pub fn absorb(&mut self, u_cols: &[u64]) -> SendBatch {
-        assert_eq!(u_cols.len() % OT_KAPPA, 0, "u message must be κ columns");
-        let tier = SimdTier::detect();
-        let words = u_cols.len() / OT_KAPPA;
-        let mut m0 = vec![0u64; 64 * words];
-        let mut pad1 = vec![0u64; 64 * words];
-        self.scratch.ensure();
-        let SlabScratch { cols: q_slab, lo, hi, .. } = &mut self.scratch;
-        let base = self.tweak;
+    /// Panics if the tier is unsupported on this CPU, `u_cols` is not
+    /// `OT_KAPPA` columns of `a.len()` words, `sums` is not `a.len()`
+    /// words, `a.len()` is not whole periods of `split`, or `sent` /
+    /// `held` are not 64 words per sent / held unit.
+    #[allow(clippy::too_many_arguments)]
+    pub fn absorb(
+        &mut self,
+        tier: SimdTier,
+        u_cols: &[u64],
+        a: &[u64],
+        split: UnitSplit,
+        sent: &mut [u64],
+        held: &mut [u64],
+        sums: &mut [u64],
+    ) {
+        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+        let words = a.len();
+        assert_eq!(
+            u_cols.len(),
+            OT_KAPPA * words,
+            "u message must be κ columns of one word per unit"
+        );
+        assert_eq!(sums.len(), words, "one sum per unit");
+        let (sent_words, held_words) = split.words(words);
+        assert_eq!(sent.len(), sent_words, "sent corrections");
+        assert_eq!(held.len(), held_words, "held corrections");
+        let states = take_states(&mut self.seeds, words);
+        let tweak = self.tweak;
         self.tweak += (64 * words) as u64;
-        let mut off = 0usize;
-        while off < words {
-            let w = (words - off).min(EXT_SLAB_WORDS);
-            for i in 0..OT_KAPPA {
-                let q = &mut q_slab[i * w..(i + 1) * w];
-                self.seeds[i].fill_block_tier(tier, q);
-                if (self.delta[i / 64] >> (i % 64)) & 1 == 1 {
-                    let u = &u_cols[i * words + off..][..w];
-                    for b in 0..w {
-                        q[b] ^= u[b];
-                    }
-                }
-            }
-            cols_to_rows_simd_into(tier, &q_slab[..OT_KAPPA * w], w, &mut lo[..64 * w], &mut hi[..64 * w]);
-            let t0 = base + (64 * off) as u64;
-            cr_hash_batch(tier, t0, &lo[..64 * w], &hi[..64 * w], [0, 0], &mut m0[64 * off..64 * (off + w)]);
-            cr_hash_batch(
-                tier,
-                t0,
-                &lo[..64 * w],
-                &hi[..64 * w],
-                self.delta,
-                &mut pad1[64 * off..64 * (off + w)],
-            );
-            off += w;
+        let delta = self.delta;
+        let mut out = SenderOut { split, sent, held };
+        match tier {
+            // SAFETY: `supported()` just confirmed the CPU features the
+            // callee is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => unsafe {
+                absorb_avx512(&states, delta, tweak, u_cols, a, &mut out, sums)
+            },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe { absorb_avx2(&states, delta, tweak, u_cols, a, &mut out, sums) },
+            _ => absorb_body::<LANES>(&states, delta, tweak, u_cols, a, &mut out, sums),
         }
-        SendBatch { m0, pad1 }
     }
+}
+
+/// Finishes a held unit once its correlation `a` is known: appends
+/// `held_j + (a ≪ j)` — the unit's correction words — to `msg`.
+///
+/// # Panics
+/// Panics if `held` is not 64 words.
+#[inline]
+pub fn cot_correct_held(held: &[u64], a: u64, msg: &mut Vec<u64>) {
+    assert_eq!(held.len(), 64, "one held word per OT of the unit");
+    msg.extend(held.iter().enumerate().map(|(j, &h)| h.wrapping_add(a.wrapping_shl(j as u32))));
 }
 
 #[cfg(test)]
@@ -848,7 +1096,39 @@ mod tests {
         }
     }
 
-    /// The heart of IKNP: after extension, `q_j = t_j ⊕ (r_j · s)`.
+    /// One extension batch in both roles at `tier`, every unit's
+    /// corrections sent: the receiver's per-unit sums, the `u` message,
+    /// the corrections and the sender's per-unit `Σ m⁰`.
+    fn run_batch(
+        tier: SimdTier,
+        sender: &mut CotSender,
+        receiver: &mut CotReceiver,
+        choice: &[u64],
+        a: &[u64],
+    ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        let words = choice.len();
+        let (mut u, mut recv_sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
+        receiver.extend(tier, choice, &mut u, &mut recv_sums);
+        let (mut d, mut m0_sums) = (vec![0u64; 64 * words], vec![0u64; words]);
+        sender.absorb(tier, &u, a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut m0_sums);
+        (recv_sums, u, d, m0_sums)
+    }
+
+    /// The Gilboa product of every unit: the receiver's finished sum
+    /// minus the sender's `Σ m⁰`.
+    fn products(choice: &[u64], recv_sums: &[u64], d: &[u64], m0_sums: &[u64]) -> Vec<u64> {
+        (0..choice.len())
+            .map(|b| {
+                let finished = cot_finish(recv_sums[b], choice[b], &d[64 * b..][..64]);
+                finished.wrapping_sub(m0_sums[b])
+            })
+            .collect()
+    }
+
+    /// The heart of IKNP: after extension, `q_j = t_j ⊕ (r_j · s)`, so
+    /// under the zero correlation the receiver's outputs are the
+    /// sender's `m⁰_j` whatever its choice bits — per unit, its
+    /// finished sum is `Σ m⁰`.
     #[test]
     fn extension_rows_satisfy_the_iknp_invariant() {
         let (mut sender, mut receiver) = simulated_base_ots(7);
@@ -856,86 +1136,95 @@ mod tests {
             let mut g = SplitMix64::new(9);
             (0..3).map(|_| g.next_u64()).collect()
         };
-        // Drive the internals directly: recompute rows the long way.
-        let (batch, u_cols) = receiver.extend(&choice);
-        let send = sender.absorb(&u_cols);
-        // Correlate with c_j = 0: receiver output must equal m0_j for
-        // every OT regardless of its choice bit.
-        let d: Vec<u64> = (0..send.len()).map(|j| send.correction(j, 0)).collect();
-        let out = batch.outputs(&d);
-        for (j, &o) in out.iter().enumerate() {
-            assert_eq!(o, send.m0(j), "OT {j}");
-        }
+        let tier = SimdTier::detect();
+        let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 3]);
+        assert_eq!(products(&choice, &recv_sums, &d, &m0_sums), vec![0; 3]);
     }
 
     #[test]
     fn correlated_ot_delivers_m0_plus_c_on_one_branch() {
+        // One chosen OT per unit picks up exactly `a ≪ j`; the others
+        // deliver `m⁰` and add nothing.
         let (mut sender, mut receiver) = simulated_base_ots(13);
-        let choice = vec![0xF0F0_F0F0_F0F0_F0F0u64];
-        let (batch, u_cols) = receiver.extend(&choice);
-        let send = sender.absorb(&u_cols);
-        let c: Vec<u64> = (0..64).map(|j| 1000 + j as u64).collect();
-        let d: Vec<u64> = c.iter().enumerate().map(|(j, &cj)| send.correction(j, cj)).collect();
-        let out = batch.outputs(&d);
-        for j in 0..64usize {
-            let r_j = (choice[0] >> j) & 1;
-            let want = if r_j == 1 {
-                send.m0(j).wrapping_add(c[j])
-            } else {
-                send.m0(j)
-            };
-            assert_eq!(out[j], want, "OT {j} (r = {r_j})");
-        }
+        let choice = [1u64, 1 << 5, 1 << 63, 0xF0F0_F0F0_F0F0_F0F0, 0];
+        let a = [1000u64, 1001, 1002, 1003, 1004];
+        let tier = SimdTier::detect();
+        let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
+        assert_eq!(
+            products(&choice, &recv_sums, &d, &m0_sums),
+            vec![1000, 1001 << 5, 1002 << 63, 1003u64.wrapping_mul(0xF0F0_F0F0_F0F0_F0F0), 0]
+        );
     }
 
     #[test]
     fn batches_stay_in_lockstep_across_calls() {
-        // Two consecutive batches must keep the hash tweaks aligned:
-        // the second batch's outputs still satisfy the COT relation.
+        // Consecutive batches must keep the seed streams and hash
+        // tweaks aligned: every batch's products stay exact.
         let (mut sender, mut receiver) = simulated_base_ots(21);
         for round in 0..3u64 {
-            let choice = vec![round.wrapping_mul(0x9E3779B97F4A7C15); 2];
-            let (batch, u_cols) = receiver.extend(&choice);
-            let send = sender.absorb(&u_cols);
-            let d: Vec<u64> = (0..send.len()).map(|j| send.correction(j, 7)).collect();
-            let out = batch.outputs(&d);
-            for j in 0..batch.len() {
-                let r_j = (choice[j / 64] >> (j % 64)) & 1;
-                let want = if r_j == 1 {
-                    send.m0(j).wrapping_add(7)
-                } else {
-                    send.m0(j)
-                };
-                assert_eq!(out[j], want, "round {round}, OT {j}");
-            }
+            let choice = vec![round.wrapping_mul(0x9E3779B97F4A7C15); 2 + round as usize];
+            let a = vec![7u64; choice.len()];
+            let tier = SimdTier::detect();
+            let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
+            let want: Vec<u64> = choice.iter().map(|r| r.wrapping_mul(7)).collect();
+            assert_eq!(products(&choice, &recv_sums, &d, &m0_sums), want, "round {round}");
         }
     }
 
     #[test]
     fn sender_messages_look_uniform() {
+        // What the receiver sees of the sender: its corrections.
         let (mut sender, mut receiver) = simulated_base_ots(5);
         let choice = vec![0u64; 4];
-        let (_, u_cols) = receiver.extend(&choice);
-        let send = sender.absorb(&u_cols);
-        let mut pop = 0u32;
-        for j in 0..send.len() {
-            pop += send.m0(j).count_ones();
+        let tier = SimdTier::detect();
+        let (_, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 4]);
+        let pop: u32 = d.iter().map(|w| w.count_ones()).sum();
+        let mean = pop as f64 / d.len() as f64;
+        assert!((mean - 32.0).abs() < 2.0, "correction popcount mean {mean}");
+        assert!(m0_sums.iter().all(|&s| s != 0));
+    }
+
+    #[test]
+    fn held_units_finish_to_the_sent_corrections() {
+        // Routing a unit to the held buffer and correcting it later
+        // gives the words the pass would have sent.
+        let choice: Vec<u64> = (1..=12u64).map(|w| w.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+        let a: Vec<u64> = (0..12u64).map(|b| if b % 4 == 3 { 0 } else { b + 100 }).collect();
+        let late: Vec<u64> = (0..3u64).map(|p| p.wrapping_mul(0xDEAD_BEEF) + 1).collect();
+        let (mut sender, mut receiver) = simulated_base_ots(31);
+        let mut all_a = a.clone();
+        for (p, &o) in late.iter().enumerate() {
+            all_a[4 * p + 3] = o;
         }
-        let mean = pop as f64 / send.len() as f64;
-        assert!((mean - 32.0).abs() < 2.0, "m0 popcount mean {mean}");
+        let tier = SimdTier::detect();
+        let (_, u, d_all, sums_all) = run_batch(tier, &mut sender, &mut receiver, &choice, &all_a);
+        let (mut split_sender, _) = simulated_base_ots(31);
+        let split = UnitSplit { period: 4, sent: 3 };
+        let (mut sent, mut held) = (vec![0u64; 64 * 9], vec![0u64; 64 * 3]);
+        let mut sums = vec![0u64; 12];
+        split_sender.absorb(tier, &u, &a, split, &mut sent, &mut held, &mut sums);
+        assert_eq!(sums, sums_all);
+        for p in 0..3 {
+            for m in 0..3 {
+                assert_eq!(sent[64 * (3 * p + m)..][..64], d_all[64 * (4 * p + m)..][..64]);
+            }
+            let mut finished = Vec::new();
+            cot_correct_held(&held[64 * p..][..64], late[p], &mut finished);
+            assert_eq!(finished, d_all[64 * (4 * p + 3)..][..64], "period {p}");
+        }
     }
 
     #[test]
     fn different_base_seeds_give_unrelated_extensions() {
         let (mut s1, mut r1) = simulated_base_ots(1);
         let (mut s2, mut r2) = simulated_base_ots(2);
-        let choice = vec![0xABCDu64];
-        let (_, u1) = r1.extend(&choice);
-        let (_, u2) = r2.extend(&choice);
+        let choice = [0xABCDu64];
+        let tier = SimdTier::detect();
+        let (sums1, u1, _, m1) = run_batch(tier, &mut s1, &mut r1, &choice, &[0]);
+        let (sums2, u2, _, m2) = run_batch(tier, &mut s2, &mut r2, &choice, &[0]);
         assert_ne!(u1, u2, "column messages differ");
-        let b1 = s1.absorb(&u1);
-        let b2 = s2.absorb(&u2);
-        assert_ne!(b1.m0(0), b2.m0(0));
+        assert_ne!(sums1, sums2);
+        assert_ne!(m1, m2);
     }
 
     /// Distinct, non-zero message words.
@@ -1014,6 +1303,7 @@ mod tests {
     #[should_panic(expected = "κ columns")]
     fn absorb_rejects_ragged_messages() {
         let (mut sender, _) = simulated_base_ots(3);
-        sender.absorb(&[0u64; 100]);
+        let (mut d, split) = ([0u64; 64], UnitSplit::ALL_SENT);
+        sender.absorb(SimdTier::Portable, &[0u64; 100], &[0], split, &mut d, &mut [], &mut [0]);
     }
 }

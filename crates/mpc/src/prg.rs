@@ -12,7 +12,7 @@
 //! utility and correctness experiments depend on.
 
 use crate::ring::Ring64;
-use crate::simd::SimdTier;
+use crate::simd::{SimdTier, U64xN};
 
 /// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the round
 /// kernels ([`crate::count_round`] and the per-server passes) re-derive
@@ -113,6 +113,17 @@ impl SplitMix64 {
     pub(crate) fn skip(&mut self, words: usize) {
         self.state = self.state.wrapping_add(SM_GAMMA.wrapping_mul(words as u64));
     }
+}
+
+/// Lane-wise SplitMix64 finaliser: `mix_lanes(s)` equals
+/// [`SplitMix64::next_u64`]'s output for counter value `s`, per lane —
+/// how the round kernels and the OT extension passes expand a stream in
+/// closed counter form.
+#[inline(always)]
+pub(crate) fn mix_lanes<const N: usize>(s: U64xN<N>) -> U64xN<N> {
+    let z = (s ^ (s >> 30)) * U64xN::splat(SM_M1);
+    let z = (z ^ (z >> 27)) * U64xN::splat(SM_M2);
+    z ^ (z >> 31)
 }
 
 /// # Safety

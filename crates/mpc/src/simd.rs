@@ -181,6 +181,17 @@ impl<const N: usize> U64xN<N> {
 
 }
 
+/// `[0, step, 2·step, …]` — lane `t`'s offset from lane 0 (wrapping).
+pub(crate) const fn lane_steps<const N: usize>(step: u64) -> U64xN<N> {
+    let mut out = [0u64; N];
+    let mut t = 0;
+    while t < N {
+        out[t] = step.wrapping_mul(t as u64);
+        t += 1;
+    }
+    U64xN(out)
+}
+
 impl<const N: usize> Add for U64xN<N> {
     type Output = Self;
     #[inline(always)]

@@ -21,9 +21,9 @@
 use crate::channel::NetStats;
 use crate::dealer::{PairDealer, MG_WORDS};
 use crate::offline::MgDraw;
-use crate::prg::{SM_GAMMA, SM_M1, SM_M2};
+use crate::prg::{mix_lanes, SM_GAMMA};
 use crate::ring::Ring64;
-use crate::simd::{SimdTier, U64x8, U64xN, LANES};
+use crate::simd::{lane_steps, SimdTier, U64x8, U64xN, LANES};
 use crate::ServerId;
 
 /// One server's share of a Multiplication Group.
@@ -214,26 +214,6 @@ pub fn mul3_batch(words: &[u64], a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
     (t1, t2)
 }
 
-/// Lane-wise SplitMix64 finaliser: `mix(s)` equals
-/// [`SplitMix64::next_u64`]'s output for counter value `s`, per lane.
-#[inline(always)]
-fn mix<const N: usize>(s: U64xN<N>) -> U64xN<N> {
-    let z = (s ^ (s >> 30)) * U64xN::splat(SM_M1);
-    let z = (z ^ (z >> 27)) * U64xN::splat(SM_M2);
-    z ^ (z >> 31)
-}
-
-/// `[0, step, 2·step, …]` — lane `t`'s offset from lane 0 (wrapping).
-const fn lane_steps<const N: usize>(step: u64) -> U64xN<N> {
-    let mut out = [0u64; N];
-    let mut t = 0;
-    while t < N {
-        out[t] = step.wrapping_mul(t as u64);
-        t += 1;
-    }
-    U64xN(out)
-}
-
 /// The key [`share_prf`](crate::share_prf) mixes for entry
 /// `(row, k)`: consecutive columns of a row are keys [`SM_GAMMA`] apart.
 #[inline(always)]
@@ -244,7 +224,7 @@ fn prf_key(row: u32, k: u64) -> u64 {
 /// [`share_prf`](crate::share_prf) of each lane's key ([`prf_key`]).
 #[inline(always)]
 fn prf_keyed<const N: usize>(seed: u64, keys: U64xN<N>) -> U64xN<N> {
-    mix((keys ^ U64xN::splat(seed)) + U64xN::splat(SM_GAMMA))
+    mix_lanes((keys ^ U64xN::splat(seed)) + U64xN::splat(SM_GAMMA))
 }
 
 /// Lane `t` is [`share_prf`](crate::share_prf)`(seed, row, k + t)`.
@@ -589,7 +569,7 @@ impl DealerLanes<'_> {
     /// lanes `lane0 .. lane0 + N`.
     #[inline(always)]
     fn field<const N: usize>(self, lane0: usize, f: u64) -> U64xN<N> {
-        mix(U64xN::load(&self.0[lane0..]) + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
+        mix_lanes(U64xN::load(&self.0[lane0..]) + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
     }
 }
 

@@ -9,12 +9,11 @@
 //! force-portable generic body always included
 //! ([`SimdTier::available`] ends with [`SimdTier::Portable`]), so the
 //! property holds even on machines with no vector units at all. A
-//! final end-to-end property checks the full extension flow
-//! (`extend`/`absorb`), which now runs on the dispatched kernels,
-//! still satisfies the correlated-OT relation for arbitrary choice
-//! vectors.
+//! final end-to-end property checks the one-pass extension
+//! (`extend`/`absorb`) at every tier: each unit of 64 OTs yields the
+//! Gilboa product `a · r`, and every tier sends the same words.
 
-use cargo_mpc::ot::{simulated_base_ots, OT_KAPPA};
+use cargo_mpc::ot::{cot_finish, simulated_base_ots, UnitSplit, OT_KAPPA};
 use cargo_mpc::{
     cols_to_rows_scalar, cols_to_rows_simd, cr_hash_batch, cr_hash_scalar, SimdTier, SplitMix64,
 };
@@ -79,58 +78,56 @@ proptest! {
         }
     }
 
-    /// End to end: extension on the dispatched kernels still satisfies
-    /// the correlated-OT relation `out_j = m0_j + r_j·c` for arbitrary
-    /// seeds and choice vectors — i.e. the vectorisation did not skew
-    /// a single row/tweak pairing anywhere in `extend`/`absorb`.
+    /// End to end: the one-pass extension at every tier turns each
+    /// unit of 64 OTs into a Gilboa product — the sender's `−Σ m⁰`
+    /// plus the receiver's finished sum is `a · r` in `Z_{2^64}` — for
+    /// arbitrary seeds, correlations and choice words, over batch
+    /// lengths below, at and above the 8-word lane block (tail lanes),
+    /// and every tier produces the same `u`, corrections and sums.
     #[test]
     fn extension_flow_stays_correlated(
         seed in any::<u64>(),
-        c in any::<u64>(),
-        words in 1usize..6,
-        choice_seed in any::<u64>(),
+        words in 1usize..22,
+        value_seed in any::<u64>(),
     ) {
-        let mut g = SplitMix64::new(choice_seed);
+        let mut g = SplitMix64::new(value_seed);
         let choice: Vec<u64> = (0..words).map(|_| g.next_u64()).collect();
-        let (mut sender, mut receiver) = simulated_base_ots(seed);
-        let (batch, u_cols) = receiver.extend(&choice);
-        let send = sender.absorb(&u_cols);
-        let d: Vec<u64> = (0..send.len()).map(|j| send.correction(j, c)).collect();
-        let out = batch.outputs(&d);
-        for (j, &o) in out.iter().enumerate() {
-            let r_j = (choice[j / 64] >> (j % 64)) & 1;
-            let want = if r_j == 1 {
-                send.m0(j).wrapping_add(c)
-            } else {
-                send.m0(j)
-            };
-            prop_assert!(o == want, "OT {j}: {o:#x} != {want:#x}");
-        }
+        let a: Vec<u64> = (0..words).map(|_| g.next_u64()).collect();
+        check_gilboa_products(seed, &choice, &a)?;
     }
 }
 
-/// Non-property pin: a multi-slab extension (130 words > one 64-word
-/// slab, with a ragged tail) keeps the COT relation across slab
-/// boundaries — guards against per-slab tweak bases drifting in the
-/// dispatched pipeline.
+/// The property of `extension_flow_stays_correlated` for one batch.
+fn check_gilboa_products(seed: u64, choice: &[u64], a: &[u64]) -> Result<(), TestCaseError> {
+    let words = choice.len();
+    let mut first = None;
+    for tier in SimdTier::available() {
+        let (mut sender, mut receiver) = simulated_base_ots(seed);
+        let (mut u, mut recv_sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
+        receiver.extend(tier, choice, &mut u, &mut recv_sums);
+        let (mut d, mut m0_sums) = (vec![0u64; 64 * words], vec![0u64; words]);
+        sender.absorb(tier, &u, a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut m0_sums);
+        for b in 0..words {
+            let got = cot_finish(recv_sums[b], choice[b], &d[64 * b..][..64]).wrapping_sub(m0_sums[b]);
+            let want = a[b].wrapping_mul(choice[b]);
+            prop_assert!(got == want, "tier {tier}, unit {b}: {got:#x} != {want:#x}");
+        }
+        let words_sent = (u, d, recv_sums, m0_sums);
+        match &first {
+            None => first = Some(words_sent),
+            Some(want) => prop_assert!(*want == words_sent, "tier {tier} differs from the first tier"),
+        }
+    }
+    Ok(())
+}
+
+/// Non-property pin: a 130-word batch (sixteen full 8-word blocks and a
+/// ragged tail, more than the old 64-word slab) keeps every product
+/// exact at every tier — guards against per-block tweak or counter
+/// bases drifting.
 #[test]
 fn extension_spanning_multiple_slabs_stays_correlated() {
-    let (mut sender, mut receiver) = simulated_base_ots(0xA5A5_5A5A);
-    let choice: Vec<u64> = (0..130u64)
-        .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
-        .collect();
-    let (batch, u_cols) = receiver.extend(&choice);
-    let send = sender.absorb(&u_cols);
-    let d: Vec<u64> = (0..send.len()).map(|j| send.correction(j, 42)).collect();
-    let out = batch.outputs(&d);
-    assert_eq!(out.len(), 64 * choice.len());
-    for (j, &o) in out.iter().enumerate() {
-        let r_j = (choice[j / 64] >> (j % 64)) & 1;
-        let want = if r_j == 1 {
-            send.m0(j).wrapping_add(42)
-        } else {
-            send.m0(j)
-        };
-        assert_eq!(o, want, "OT {j}");
-    }
+    let choice: Vec<u64> = (0..130u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+    let a: Vec<u64> = (0..130u64).map(|i| 42 + i.wrapping_mul(0xBF58476D1CE4E5B9)).collect();
+    check_gilboa_products(0xA5A5_5A5A, &choice, &a).expect("products hold");
 }
