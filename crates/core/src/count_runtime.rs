@@ -248,7 +248,7 @@ fn round_header(plan: &[MgDraw], round: &[RoundSegment]) -> ((u32, u32), u32) {
 /// Joins a worker (or a whole party). Its panic — a lost peer, a
 /// lockstep check — is re-raised as is, so whoever catches it reads
 /// which round diverged rather than "a worker panicked".
-fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
+pub(crate) fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 

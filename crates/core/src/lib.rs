@@ -10,13 +10,13 @@
 //!
 //! | Paper | Module | What it does |
 //! |---|---|---|
-//! | Algorithm 1 | [`protocol`] | End-to-end orchestration ([`CargoSystem`]) |
+//! | Algorithm 1 | [`protocol`] | One step sequence (Max → Project → Count → Perturb) over the [`EpochParty`] seam, with the DP unit (edge / node) as a value; [`CargoSystem::run`], [`node_dp::run_node_dp`], [`run_party`] and [`run_party_local`] are adapters onto it |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
 //! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (two of those over a link pair) or [`count_sampled()`] |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
 //! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation |
-//! | Deployment shape | [`party`] + [`count_runtime`] | The wire executors: one server per process over a real [`cargo_mpc::transport::Transport`] |
+//! | Deployment shape | [`party`] + [`count_runtime`] | [`EpochParty`]: both servers in process ([`party::InProcess`]) or one per process over a real [`cargo_mpc::transport::Transport`] ([`party::Wire`]), for the one-shot pipeline and serve mode alike |
 //! | Continuous release | [`delta`] + [`session`] | Edge-delta epochs, incremental Count, per-epoch DP budgeting |
 //! | Crash recovery | [`recovery`] | Committed-epoch journal, deterministic replay, resumable serve |
 //! | Section III-B ext. | [`node_dp`] | Node-DP variant (sensitivity updates) |
@@ -69,10 +69,10 @@ pub use count::{
 };
 pub use count_runtime::{count_party, count_two_party, party_input_shares, run_party_count_planned};
 pub use delta::{inline_evaluator, DeltaPlan, EdgeDelta, EpochCount, IncrementalCounter};
-pub use party::{run_party, run_party_local, PartyReport};
+pub use party::{run_party, run_party_local, EpochParty, PartyReport};
 pub use session::{
-    parse_delta_script, DeltaBatches, EpochOutcome, EpochParty, PartySession, ServeSession,
-    Session, SessionError,
+    parse_delta_script, DeltaBatches, EpochOutcome, PartySession, ServeSession, Session,
+    SessionError,
 };
 pub use count_sampled::{count_sampled, SampledCountResult};
 pub use count_sched::{
@@ -80,7 +80,7 @@ pub use count_sched::{
 };
 pub use max_degree::{estimate_max_degree, MaxDegreeEstimate};
 pub use metrics::{l2_loss, peak_rss_bytes, relative_error};
-pub use perturb::{aggregate_noise_shares, perturb, PerturbResult};
+pub use perturb::aggregate_noise_shares;
 pub use projection::{project_matrix, project_user_row, ProjectionResult};
 pub use recovery::{
     replay_committed, state_digest, EpochJournal, EpochRecord, RecoveryError,

@@ -45,9 +45,19 @@ pub fn estimate_max_degree<R: Rng + ?Sized>(
     epsilon1: f64,
     rng: &mut R,
 ) -> MaxDegreeEstimate {
-    assert!(!degrees.is_empty(), "need at least one user");
     assert!(epsilon1 > 0.0, "epsilon1 must be positive, got {epsilon1}");
-    let scale = 1.0 / epsilon1;
+    noisy_max_degree(degrees, 1.0 / epsilon1, rng)
+}
+
+/// Algorithm 2 with each user adding `Lap(scale)`: `1/ε₁` under Edge
+/// DP ([`estimate_max_degree`]), `n/ε₁` under Node DP, where one user
+/// moves up to `n` degrees.
+pub(crate) fn noisy_max_degree<R: Rng + ?Sized>(
+    degrees: &[usize],
+    scale: f64,
+    rng: &mut R,
+) -> MaxDegreeEstimate {
+    assert!(!degrees.is_empty(), "need at least one user");
     let noisy_degrees: Vec<f64> = degrees
         .iter()
         .map(|&d| d as f64 + sample_laplace(rng, scale))

@@ -11,119 +11,27 @@
 //!   after projection, so the count sensitivity is `d'_max(d'_max−1)/2`
 //!   instead of `d'_max`.
 //!
-//! The pipeline is otherwise unchanged; the paper notes the residual
-//! utility loss is large and leaves tightening it to future work —
-//! exactly what these functions let the benchmarks demonstrate.
+//! The pipeline is otherwise unchanged — [`run_node_dp`] is Algorithm
+//! 1's one step sequence ([`crate::protocol`]) with the node as its DP
+//! unit. The paper notes the residual utility loss is large and leaves
+//! tightening it to future work — exactly what [`run_node_dp`] lets the
+//! benchmarks demonstrate.
 
 use crate::config::CargoConfig;
-use crate::perturb::{perturb, PerturbInputs};
-use crate::projection::project_matrix;
-use crate::protocol::{count_projected, CargoOutput, StepTimings, NOISE_SEED_TWEAK};
-use cargo_dp::{sample_laplace, FixedPointCodec, PrivacyAccountant, PrivacyBudget};
-use cargo_graph::{count_triangles_matrix, Graph};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use std::time::Instant;
+use crate::protocol::{run_in_process, CargoOutput, DpUnit};
+use cargo_graph::Graph;
 
 /// Node-DP sensitivity of the triangle count after projection to
 /// `d'_max`: `C(d'_max, 2)`.
-pub fn node_dp_count_sensitivity(d_max_noisy: f64) -> f64 {
+pub(crate) fn node_dp_count_sensitivity(d_max_noisy: f64) -> f64 {
     let d = d_max_noisy.max(1.0);
     d * (d - 1.0) / 2.0
-}
-
-/// Node-DP `Max`: each user perturbs her degree with `Lap(n/ε₁)`.
-pub fn estimate_max_degree_node_dp<R: Rng + ?Sized>(
-    degrees: &[usize],
-    epsilon1: f64,
-    rng: &mut R,
-) -> (Vec<f64>, f64) {
-    assert!(!degrees.is_empty());
-    assert!(epsilon1 > 0.0);
-    let scale = degrees.len() as f64 / epsilon1;
-    let noisy: Vec<f64> = degrees
-        .iter()
-        .map(|&d| d as f64 + sample_laplace(rng, scale))
-        .collect();
-    let max = noisy.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    (noisy, max)
 }
 
 /// Runs the CARGO pipeline under ε-Node DDP (sensitivity-updated
 /// variant). Interface mirrors [`crate::CargoSystem::run`].
 pub fn run_node_dp(config: &CargoConfig, graph: &Graph) -> CargoOutput {
-    let split = config.epsilon_split();
-    let mut accountant = PrivacyAccountant::new(PrivacyBudget::new(config.epsilon));
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let n = graph.n();
-    assert!(n > 0, "graph must have at least one user");
-
-    let t0 = Instant::now();
-    let degrees = graph.degrees();
-    let (noisy_degrees, d_max_noisy) =
-        estimate_max_degree_node_dp(&degrees, split.epsilon1, &mut rng);
-    accountant
-        .spend("Max (Node DP)", split.epsilon1)
-        .expect("split within cap");
-    let t_max = t0.elapsed();
-
-    let t0 = Instant::now();
-    let matrix = graph.to_bit_matrix();
-    let theta = d_max_noisy.round().max(1.0) as usize;
-    let (projected, truncated_users) = if config.projection {
-        let res = project_matrix(&matrix, &degrees, &noisy_degrees, theta);
-        (res.matrix, res.truncated_users)
-    } else {
-        (matrix, 0)
-    };
-    let t_project = t0.elapsed();
-
-    let t0 = Instant::now();
-    let count = count_projected(config, &projected);
-    let t_count = t0.elapsed();
-
-    let t0 = Instant::now();
-    let sensitivity = if config.projection {
-        node_dp_count_sensitivity(d_max_noisy)
-    } else {
-        // Without projection a node can close C(n-1, 2) triangles.
-        let m = (n as f64 - 1.0).max(1.0);
-        m * (m - 1.0) / 2.0
-    };
-    let perturbed = perturb(PerturbInputs {
-        share1: count.share1,
-        share2: count.share2,
-        n_users: n,
-        sensitivity,
-        epsilon2: split.epsilon2,
-        codec: FixedPointCodec::new(config.frac_bits),
-        noise_rng: &mut rng,
-        share_seed: config.seed ^ NOISE_SEED_TWEAK,
-    });
-    accountant
-        .spend("Perturb (Node DP)", split.epsilon2)
-        .expect("split within cap");
-    let t_perturb = t0.elapsed();
-
-    let mut net = count.net;
-    net.merge(&perturbed.net);
-    CargoOutput {
-        noisy_count: perturbed.noisy_count,
-        true_count: cargo_graph::count_triangles(graph),
-        projected_count: count_triangles_matrix(&projected),
-        d_max_noisy,
-        truncated_users,
-        timings: StepTimings {
-            max: t_max,
-            project: t_project,
-            count: t_count,
-            perturb: t_perturb,
-        },
-        net,
-        upload_elements: count.upload_elements + perturbed.upload_elements,
-        ledger: accountant.ledger().to_vec(),
-    }
+    run_in_process(graph, config, DpUnit::Node)
 }
 
 #[cfg(test)]
@@ -141,9 +49,13 @@ mod tests {
 
     #[test]
     fn node_dp_max_is_much_noisier_than_edge_dp() {
+        use crate::max_degree::noisy_max_degree;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
         let degrees: Vec<usize> = vec![50; 500];
         let mut rng = StdRng::seed_from_u64(1);
-        let (_, node_max) = estimate_max_degree_node_dp(&degrees, 1.0, &mut rng);
+        let scale = DpUnit::Node.max_scale(degrees.len(), 1.0);
+        let node_max = noisy_max_degree(&degrees, scale, &mut rng).d_max_noisy;
         // Scale n/ε = 500: the max of 500 such Laplaces overshoots wildly.
         assert!(
             (node_max - 50.0).abs() > 100.0,

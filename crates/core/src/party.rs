@@ -1,12 +1,19 @@
-//! One deployable party of the CARGO pipeline.
+//! One deployable party of the CARGO pipeline, and the seam every
+//! pipeline shape runs over.
 //!
-//! [`CargoSystem`](crate::CargoSystem) simulates both servers in one
-//! process; this module is the *deployment* shape: [`run_party`] plays
-//! exactly one of S₁/S₂ — max-degree estimation, projection, the
-//! sharded secure count, and the distributed perturbation — against a
-//! live peer on the other end of a [`Transport`]. The `party` binary
-//! wraps it so the full pipeline runs as **two real OS processes over
-//! loopback (or cross-machine) TCP**.
+//! [`EpochParty`] is the one place the deployments differ: how the
+//! Count runs and how a release opens. [`InProcess`] plays both servers
+//! in one process; [`Wire`] plays exactly one of S₁/S₂ against a live
+//! peer on the other end of a [`Transport`]. Algorithm 1's one step
+//! sequence ([`crate::protocol`]) runs over it for the one-shot
+//! pipeline, and [`crate::session::ServeSession`] for every serve
+//! epoch.
+//!
+//! [`run_party`] is that sequence over a [`Wire`] — max-degree
+//! estimation, projection, the sharded secure count and the distributed
+//! perturbation — and the `party` binary wraps it so the full pipeline
+//! runs as **two real OS processes over loopback (or cross-machine)
+//! TCP**.
 //!
 //! ## What is local, what crosses the wire
 //!
@@ -23,9 +30,10 @@
 //!   [`cargo_mpc::OpeningMsg`] frame; in OT mode the whole
 //!   preprocessing dialogue does too.
 //! * **Perturb** — the users' noise-share uploads are replayed
-//!   deterministically ([`aggregate_noise_shares`]); the final noisy
-//!   shares are opened over the wire ([`cargo_mpc::FinalOpeningMsg`]),
-//!   which is the pipeline's last modeled exchange.
+//!   deterministically ([`crate::aggregate_noise_shares`]); the final
+//!   noisy shares are opened with one [`FinalOpeningMsg`] each way,
+//!   the pipeline's last modeled exchange. Only a serve epoch runs the
+//!   [`CommitMsg`] handshake first.
 //!
 //! Both parties therefore compute **the same noisy count, the same
 //! full modeled [`NetStats`], and the same measured `wire_bytes`** —
@@ -34,22 +42,164 @@
 //! diffs the two processes' transcripts against an in-memory
 //! reference run ([`run_party_local`]) line by line.
 
-use crate::config::CargoConfig;
-use crate::count::CountJob;
-use crate::count_runtime::count_party;
-use crate::count_sched::SchedulePlan;
-use crate::perturb::aggregate_noise_shares;
-use crate::protocol::{count_sensitivity, max_and_project, NOISE_SEED_TWEAK};
-use cargo_dp::FixedPointCodec;
-use cargo_graph::{count_triangles_matrix, Graph};
+use crate::config::{CargoConfig, TransportKind};
+use crate::count::{count_local, CountJob, SecureCountResult};
+use crate::count_runtime::{count_party, count_two_party, join};
+use crate::protocol::{algorithm1, DpUnit};
+use crate::session::SessionError;
+use cargo_graph::{BitMatrix, Graph};
 use cargo_mpc::{
-    memory_pair, recv_msg, send_msg, FinalOpeningMsg, NetStats, Ring64, ServerId, Transport,
+    memory_pair, recv_msg, send_msg, CommitMsg, FinalOpeningMsg, IntoFrame, NetStats, Ring64,
+    ServerId, TcpConfig, TcpTransport, Transport, WireMessage,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 pub use crate::count_runtime::party_input_shares;
+
+/// How a pipeline runs its Count and opens its release — the one thing
+/// the in-process shapes and a wire role do differently.
+pub trait EpochParty {
+    /// One Count of `job` over `matrix`. Its `wire_bytes` are the
+    /// modeled bytes; the caller measures the wire through
+    /// [`payload`](Self::payload).
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult;
+
+    /// Agrees with the peer on `commit` (a serve epoch and its
+    /// post-apply state digest) before the epoch opens its release.
+    /// The one-shot pipeline has nothing to agree on and never calls it.
+    fn commit(&self, commit: CommitMsg) -> Result<(), SessionError>;
+
+    /// Opens a release from the fixed-point final shares `(f₁, f₂)` —
+    /// both live in process, only the own role's on the wire. Returns
+    /// the opened ring value.
+    fn open(&self, finals: (Ring64, Ring64)) -> Result<Ring64, SessionError>;
+
+    /// Online payload moved over the link so far, both directions;
+    /// `None` without a link (the modeled bytes stand).
+    fn payload(&self) -> Option<u64>;
+}
+
+/// Both servers in one process: the Count fills both share slots and
+/// the release opens locally. (Public because [`crate::Session`] names
+/// it; the default is serve's in-memory Count.)
+#[derive(Debug, Default)]
+pub struct InProcess {
+    /// Run the two server pools' Count over a fresh loopback TCP pair
+    /// instead of [`count_local`] (shares and ledgers are bit-identical;
+    /// TCP measures the bytes).
+    tcp: Option<TcpConfig>,
+}
+
+impl InProcess {
+    /// The one-shot pipeline's: `cfg.transport` picks the Count's wire.
+    /// (Serve's in-process reference counts in memory.)
+    pub(crate) fn new(cfg: &CargoConfig) -> Self {
+        let tcp = (cfg.transport == TransportKind::Tcp)
+            .then(|| TcpConfig { recv_timeout: cfg.recv_timeout, ..TcpConfig::default() });
+        InProcess { tcp }
+    }
+}
+
+impl EpochParty for InProcess {
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        match &self.tcp {
+            None => count_local(matrix, job),
+            Some(tcp) => {
+                let (end1, end2, _) =
+                    TcpTransport::loopback_pair(tcp).expect("loopback socket pair");
+                count_two_party(matrix, job, &Arc::new(end1), &Arc::new(end2))
+            }
+        }
+    }
+
+    fn commit(&self, _: CommitMsg) -> Result<(), SessionError> {
+        Ok(())
+    }
+
+    fn open(&self, (f1, f2): (Ring64, Ring64)) -> Result<Ring64, SessionError> {
+        Ok(f1 + f2)
+    }
+
+    fn payload(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// One server over a [`Transport`] link: [`count_party`] fills the own
+/// role's share slot (the other stays zero), and a release opens with
+/// one [`FinalOpeningMsg`] each way.
+pub struct Wire<T> {
+    role: ServerId,
+    link: Arc<T>,
+}
+
+impl<T: Transport> Wire<T> {
+    /// Server `role` on its end of `link`.
+    pub(crate) fn new(role: ServerId, link: Arc<T>) -> Self {
+        Wire { role, link }
+    }
+
+    pub(crate) fn send(&self, what: &str, msg: impl IntoFrame) -> Result<(), SessionError> {
+        send_msg(&*self.link, msg).map_err(|e| SessionError::Peer(format!("{what} send: {e}")))
+    }
+
+    pub(crate) fn recv<M: WireMessage>(&self, what: &str) -> Result<M, SessionError> {
+        recv_msg(&*self.link, 0, Some(self.link.recv_timeout()))
+            .map_err(|e| SessionError::Peer(format!("{what} recv: {e}")))
+    }
+}
+
+impl<T: Transport> EpochParty for Wire<T> {
+    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
+        // `count_party` reports the link's cumulative payload; restore
+        // the modeled invariant (the caller measures the wire).
+        let mut r = count_party(matrix, job, self.role, &self.link);
+        r.net.wire_bytes = r.net.bytes;
+        r
+    }
+
+    fn commit(&self, commit: CommitMsg) -> Result<(), SessionError> {
+        // Idempotent epoch-commit handshake: agree on the epoch id and
+        // post-apply state digest *before* any noise share crosses the
+        // wire. A desynced pair (one party replayed a different script,
+        // resumed from a stale journal, …) stops typed here instead of
+        // publishing forked releases. CommitMsg payload rides outside
+        // both cost classes, so the measured online payload still
+        // equals the modeled ledger.
+        self.send("epoch commit", commit)?;
+        let peer: CommitMsg = self.recv("epoch commit")?;
+        agree("committed epoch", commit.epoch, peer.epoch)?;
+        agree("state digest", commit.digest, peer.digest)
+    }
+
+    fn open(&self, finals: (Ring64, Ring64)) -> Result<Ring64, SessionError> {
+        let mine = own_slot(self.role, finals);
+        self.send("final opening", FinalOpeningMsg { share: mine })?;
+        let theirs: FinalOpeningMsg = self.recv("final opening")?;
+        Ok(mine + theirs.share)
+    }
+
+    fn payload(&self) -> Option<u64> {
+        Some(self.link.stats().online_payload_both())
+    }
+}
+
+/// `Ok` when the two parties' `what` agree, else [`SessionError::Desync`].
+pub(crate) fn agree(what: &'static str, ours: u64, theirs: u64) -> Result<(), SessionError> {
+    if ours == theirs {
+        Ok(())
+    } else {
+        Err(SessionError::Desync { what, ours, theirs })
+    }
+}
+
+/// `role`'s slot of a share pair.
+fn own_slot(role: ServerId, (s1, s2): (Ring64, Ring64)) -> Ring64 {
+    match role {
+        ServerId::S1 => s1,
+        ServerId::S2 => s2,
+    }
+}
 
 /// Everything one party's pipeline run produces. Both parties of a run
 /// produce identical reports except for [`PartyReport::count_share`]
@@ -91,94 +241,42 @@ pub fn run_party<T: Transport>(
     role: ServerId,
     link: &Arc<T>,
 ) -> PartyReport {
-    let split = cfg.epsilon_split();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = graph.n();
-    assert!(n > 0, "graph must have at least one user");
-
-    // ---- Step 1: similarity-based projection (local, seeded — the
-    // exact step CargoSystem::run executes, shared code) ----
-    let input = max_and_project(graph, cfg, &mut rng);
-    let (projected, max_est, truncated_users) =
-        (input.matrix, input.max_est, input.truncated_users);
-
-    // ---- Step 2: ASS-based triangle counting (over the wire; with
-    // --factory-threads in OT mode, preprocessing runs on this
-    // party's local background triple pool instead). Both parties
-    // derive the projected matrix from the same public seed, so each
-    // builds the identical sparse candidate plan locally — the plan is
-    // a pure function of shared public state, never a message. ----
-    let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &projected));
-    let count = count_party(&projected, &job, role, link);
-    let count_share = match role {
-        ServerId::S1 => count.share1,
-        ServerId::S2 => count.share2,
-    };
-    let mut net = count.net;
-
-    // ---- Step 3: distributed perturbation (opening over the wire) ----
-    let sensitivity = count_sensitivity(cfg, &max_est, n);
-    let codec = FixedPointCodec::new(cfg.frac_bits);
-    let (gamma1, gamma2) = aggregate_noise_shares(
-        n,
-        sensitivity,
-        split.epsilon2,
-        codec,
-        &mut rng,
-        cfg.seed ^ NOISE_SEED_TWEAK,
-    );
-    let my_gamma = match role {
-        ServerId::S1 => gamma1,
-        ServerId::S2 => gamma2,
-    };
-    let my_final = codec.lift_integer(count_share) + my_gamma;
-    send_msg(&**link, FinalOpeningMsg { share: my_final })
-        .expect("peer hung up before the final opening");
-    let theirs: FinalOpeningMsg = recv_msg(&**link, 0, Some(link.recv_timeout()))
-        .unwrap_or_else(|e| panic!("peer lost at the final opening: {e}"));
-    net.exchange(1);
-    let noisy_count = codec.decode(my_final + theirs.share);
-
-    // Measured == modeled, now including the final opening.
-    net.wire_bytes = link.stats().online_payload_both();
-
+    let run = algorithm1(graph, cfg, DpUnit::Edge, &Wire::new(role, Arc::clone(link)));
     PartyReport {
         role,
-        noisy_count,
-        count_share,
-        d_max_noisy: max_est.d_max_noisy,
-        truncated_users,
-        projected_count: count_triangles_matrix(&projected),
-        net,
-        triples: count.triples,
-        pool: count.pool,
+        noisy_count: run.noisy_count,
+        count_share: own_slot(role, (run.count.share1, run.count.share2)),
+        d_max_noisy: run.d_max_noisy,
+        truncated_users: run.truncated_users,
+        projected_count: run.projected_count,
+        net: run.net,
+        triples: run.count.triples,
+        pool: run.count.pool,
     }
 }
 
 /// The in-process reference run: both parties over the two ends of an
 /// in-memory byte link, via the *same* [`run_party`] code path the TCP
 /// processes execute. Returns `(S₁'s report, S₂'s report)` after
-/// asserting the two parties opened the same noisy count.
+/// asserting the two parties opened the same noisy count. A party's
+/// own panic — a lost peer, a round out of lockstep — is re-raised as
+/// is, naming the round.
 ///
 /// `party --role local` prints this run in the same transcript format
 /// as `--role s1`/`--role s2`, so the CI smoke can diff a two-process
 /// loopback run against it byte for byte.
 pub fn run_party_local(graph: &Graph, cfg: &CargoConfig) -> (PartyReport, PartyReport) {
+    run_pair(graph, [cfg, cfg])
+}
+
+/// [`run_party_local`] with a config per role (S₁'s, S₂'s).
+fn run_pair(graph: &Graph, [cfg1, cfg2]: [&CargoConfig; 2]) -> (PartyReport, PartyReport) {
     let (end1, end2) = memory_pair();
     let (end1, end2) = (Arc::new(end1), Arc::new(end2));
     let (r1, r2) = std::thread::scope(|scope| {
-        let h1 = {
-            let end1 = &end1;
-            scope.spawn(move || run_party(graph, cfg, ServerId::S1, end1))
-        };
-        let h2 = {
-            let end2 = &end2;
-            scope.spawn(move || run_party(graph, cfg, ServerId::S2, end2))
-        };
-        (
-            h1.join().expect("party S1 panicked"),
-            h2.join().expect("party S2 panicked"),
-        )
+        let h1 = scope.spawn(|| run_party(graph, cfg1, ServerId::S1, &end1));
+        let h2 = scope.spawn(|| run_party(graph, cfg2, ServerId::S2, &end2));
+        (join(h1), join(h2))
     });
     assert_eq!(
         r1.noisy_count, r2.noisy_count,
@@ -272,6 +370,24 @@ mod tests {
         assert_eq!(s2.net, mono.net);
         assert_eq!(s1.net.wire_bytes, s1.net.online().bytes, "measured == modeled");
         assert!(s1.triples < d1.triples / 10, "{} vs {}", s1.triples, d1.triples);
+    }
+
+    #[test]
+    fn a_diverged_peer_surfaces_its_round_through_the_local_run() {
+        // Two parties handed different batches disagree from the first
+        // round on. The local run must re-raise the party's own panic,
+        // naming the round, not a generic "party panicked".
+        let g = erdos_renyi(30, 0.3, 21);
+        let cfg = CargoConfig { batch: 16, ..CargoConfig::new(2.0).with_seed(17).with_threads(1) };
+        let peer = CargoConfig { batch: 24, ..cfg };
+        let panic = std::panic::catch_unwind(|| run_pair(&g, [&cfg, &peer]))
+            .expect_err("a diverged pair must not open a count");
+        let text = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(text.contains("peer slab size mismatch in the round at chunk 0"), "{text}");
     }
 
     #[test]

@@ -10,60 +10,20 @@
 //! ever sees an individual γᵢ or the un-noised count.
 
 use cargo_dp::{DistributedLaplace, FixedPointCodec};
-use cargo_mpc::{share_with, NetStats, Ring64, SplitMix64};
+use cargo_mpc::{share_with, Ring64, SplitMix64};
 use rand::Rng;
-
-/// Result of the perturbation step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerturbResult {
-    /// The reconstructed, differentially private triangle count.
-    pub noisy_count: f64,
-    /// Server↔server traffic (the single final exchange).
-    pub net: NetStats,
-    /// Ring elements uploaded by users (one noise share to each
-    /// server: `2n`).
-    pub upload_elements: u64,
-}
-
-/// Runs Algorithm 5 on the two servers' count shares.
-///
-/// * `share1`, `share2` — `⟨T⟩₁, ⟨T⟩₂` from the secure count (integer-
-///   valued secret).
-/// * `n_users` — number of users contributing partial noise.
-/// * `sensitivity` — Δ of the triangle query after projection
-///   (`d'_max`).
-/// * `epsilon2` — the perturbation budget.
-/// * `codec` — fixed-point encoding for the real-valued noise.
-/// * `noise_rng` — randomness for the users' Gamma draws.
-/// * `share_seed` — randomness for the users' secret-sharing of noise.
-pub struct PerturbInputs<'a, R: Rng + ?Sized> {
-    /// `⟨T⟩₁`.
-    pub share1: Ring64,
-    /// `⟨T⟩₂`.
-    pub share2: Ring64,
-    /// Number of users `n`.
-    pub n_users: usize,
-    /// Sensitivity Δ (= `d'_max` in CARGO).
-    pub sensitivity: f64,
-    /// Perturbation budget ε₂.
-    pub epsilon2: f64,
-    /// Fixed-point codec.
-    pub codec: FixedPointCodec,
-    /// Users' noise randomness.
-    pub noise_rng: &'a mut R,
-    /// Seed for the users' share-splitting PRG.
-    pub share_seed: u64,
-}
 
 /// Lines 1–8 of Algorithm 5 from the servers' viewpoint: every user
 /// samples her partial noise `γᵢ`, encodes it, splits it, and uploads
 /// one share to each server; the servers aggregate as shares arrive.
 /// Returns the two aggregated noise shares `(Σ⟨γ⟩₁, Σ⟨γ⟩₂)`.
 ///
-/// Exposed (beyond [`perturb`]) for the party pipeline
-/// ([`crate::party`]): the uploads are deterministic in the seeds, so
-/// each standalone party process replays them and keeps only its own
-/// aggregate — exactly what its users would have sent it.
+/// Lines 9–11 — lift the count shares to the fixed-point denominator,
+/// add these, exchange and decode — are Algorithm 1's last step
+/// ([`crate::protocol`]). The uploads are deterministic in the seeds,
+/// so each standalone party process ([`crate::party`]) replays them and
+/// keeps only its own aggregate — exactly what its users would have
+/// sent it.
 pub fn aggregate_noise_shares<R: Rng + ?Sized>(
     n_users: usize,
     sensitivity: f64,
@@ -86,38 +46,6 @@ pub fn aggregate_noise_shares<R: Rng + ?Sized>(
     (gamma1, gamma2)
 }
 
-/// Runs the distributed perturbation. See [`PerturbInputs`] for the
-/// parameters.
-pub fn perturb<R: Rng + ?Sized>(inputs: PerturbInputs<'_, R>) -> PerturbResult {
-    let PerturbInputs {
-        share1,
-        share2,
-        n_users,
-        sensitivity,
-        epsilon2,
-        codec,
-        noise_rng,
-        share_seed,
-    } = inputs;
-    // Users: sample γᵢ, encode, split, upload; servers aggregate
-    // (lines 1–8).
-    let (gamma1, gamma2) =
-        aggregate_noise_shares(n_users, sensitivity, epsilon2, codec, noise_rng, share_seed);
-    // Servers: align the count shares to the fixed-point denominator
-    // and add the aggregated noise shares (lines 9–10).
-    let t1 = codec.lift_integer(share1) + gamma1;
-    let t2 = codec.lift_integer(share2) + gamma2;
-    // Final exchange and reconstruction (line 11).
-    let mut net = NetStats::new();
-    net.exchange(1);
-    let noisy = codec.decode(t1 + t2);
-    PerturbResult {
-        noisy_count: noisy,
-        net,
-        upload_elements: 2 * n_users as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,17 +62,10 @@ mod tests {
     fn run_once(t: i64, n: usize, delta: f64, eps: f64, seed: u64) -> f64 {
         let (s1, s2) = shares_of(t, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let res = perturb(PerturbInputs {
-            share1: s1,
-            share2: s2,
-            n_users: n,
-            sensitivity: delta,
-            epsilon2: eps,
-            codec: FixedPointCodec::default(),
-            noise_rng: &mut rng,
-            share_seed: seed ^ 0x1234,
-        });
-        res.noisy_count
+        let codec = FixedPointCodec::default();
+        let (g1, g2) = aggregate_noise_shares(n, delta, eps, codec, &mut rng, seed ^ 0x1234);
+        // Lift, add the noise, exchange and decode (lines 9–11).
+        codec.decode(codec.lift_integer(s1) + g1 + codec.lift_integer(s2) + g2)
     }
 
     #[test]
@@ -195,21 +116,19 @@ mod tests {
 
     #[test]
     fn accounting_fields() {
-        let (s1, s2) = shares_of(5, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let res = perturb(PerturbInputs {
-            share1: s1,
-            share2: s2,
-            n_users: 33,
-            sensitivity: 4.0,
-            epsilon2: 1.0,
-            codec: FixedPointCodec::default(),
-            noise_rng: &mut rng,
-            share_seed: 3,
-        });
-        assert_eq!(res.upload_elements, 66);
-        assert_eq!(res.net.rounds, 1);
-        assert_eq!(res.net.elements, 2);
+        // Perturb's cost on top of the Count: each of 33 users uploads
+        // one noise share to each server, and the final opening is one
+        // round of one element each way.
+        use crate::{count_local, CargoConfig, CargoSystem, CountJob, SchedulePlan};
+        let g = cargo_graph::generators::erdos_renyi(33, 0.2, 1);
+        let cfg = CargoConfig { projection: false, ..CargoConfig::new(2.0).with_seed(3) };
+        let out = CargoSystem::new(cfg).run(&g);
+        let m = g.to_bit_matrix();
+        let job = CountJob::from_config(&cfg, SchedulePlan::for_support(cfg.schedule, &m));
+        let count = count_local(&m, &job);
+        assert_eq!(out.upload_elements - count.upload_elements, 66);
+        assert_eq!(out.net.rounds - count.net.rounds, 1);
+        assert_eq!(out.net.elements - count.net.elements, 2);
     }
 
     #[test]

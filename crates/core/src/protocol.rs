@@ -9,24 +9,29 @@
 //! 3. **Distributed perturbation** — `Perturb` (ε₂), yielding `T'`
 //!    under `(ε₁ + ε₂)`-Edge DDP (Theorem 4).
 //!
+//! The steps are written once: one private step sequence, generic over
+//! the party seam ([`EpochParty`]) and taking the DP unit (edge / node)
+//! as a value. [`CargoSystem::run`] and [`crate::node_dp::run_node_dp`]
+//! run it with both servers in this process, [`crate::party::run_party`]
+//! as one server over a link.
+//!
 //! [`CargoOutput`] also carries diagnostics a real deployment would
 //! never see (the exact count, the projected exact count): they exist
 //! because this is a reproduction and the experiments must decompose
 //! the error into projection loss vs perturbation error (Theorems 5/6).
 
-use crate::config::{CargoConfig, TransportKind};
-use crate::count::{count_local, CountJob, SecureCountResult};
-use crate::count_runtime::count_two_party;
+use crate::config::CargoConfig;
+use crate::count::{CountJob, SecureCountResult};
 use crate::count_sched::SchedulePlan;
-use crate::max_degree::{estimate_max_degree, MaxDegreeEstimate};
-use crate::perturb::{perturb, PerturbInputs};
+use crate::max_degree::{noisy_max_degree, MaxDegreeEstimate};
+use crate::node_dp::node_dp_count_sensitivity;
+use crate::party::{EpochParty, InProcess};
+use crate::perturb::aggregate_noise_shares;
 use crate::projection::project_matrix;
 use cargo_dp::{FixedPointCodec, PrivacyAccountant, PrivacyBudget};
-use cargo_graph::{count_triangles_matrix, BitMatrix, Graph};
-use cargo_mpc::{NetStats, OfflineMode, TcpConfig, TcpTransport};
-use std::sync::Arc;
+use cargo_graph::{count_triangles_matrix, Graph};
+use cargo_mpc::{NetStats, OfflineMode};
 use rand::rngs::StdRng;
-use rand::Rng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
@@ -34,94 +39,192 @@ use std::time::{Duration, Instant};
 /// noise-share-splitting seed (Algorithm 5).
 pub(crate) const NOISE_SEED_TWEAK: u64 = 0xD00F;
 
-/// Step 1 of Algorithm 1 (`Max` then `Project`), shared verbatim by
-/// [`CargoSystem::run`] and [`crate::party::run_party`]: both shapes
-/// must derive the identical projected matrix from the public seed.
-#[derive(Debug, Clone)]
-pub(crate) struct ProjectedInput {
-    /// The (possibly projected) adjacency matrix the Count runs on.
-    pub matrix: BitMatrix,
-    /// The noisy max-degree estimate (projection parameter Δ source).
-    pub max_est: MaxDegreeEstimate,
+/// The unit of adjacency the pipeline hides (Section III-B): one edge,
+/// or one user with all her edges. It decides Max's Laplace scale,
+/// Perturb's sensitivity and the two ledger labels; every other step of
+/// Algorithm 1 is the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DpUnit {
+    /// ε-Edge DDP ([`CargoSystem::run`], [`crate::party::run_party`]).
+    Edge,
+    /// ε-Node DDP ([`crate::node_dp::run_node_dp`]).
+    Node,
+}
+
+impl DpUnit {
+    /// Each user's `Lap` scale in `Max`: one edge moves one degree by
+    /// one, one node up to `n` degrees.
+    pub(crate) fn max_scale(self, n: usize, epsilon1: f64) -> f64 {
+        match self {
+            DpUnit::Edge => 1.0 / epsilon1,
+            DpUnit::Node => n as f64 / epsilon1,
+        }
+    }
+
+    /// Perturb's Δ: after projection to `d'_max` one edge closes at
+    /// most `d'_max` triangles and one node `C(d'_max, 2)`; without
+    /// projection, `n` and `C(n − 1, 2)`.
+    fn sensitivity(self, projection: bool, max_est: &MaxDegreeEstimate, n: usize) -> f64 {
+        match (self, projection) {
+            (DpUnit::Edge, true) => max_est.as_sensitivity(),
+            (DpUnit::Edge, false) => n as f64,
+            (DpUnit::Node, true) => node_dp_count_sensitivity(max_est.d_max_noisy),
+            (DpUnit::Node, false) => node_dp_count_sensitivity(n as f64 - 1.0),
+        }
+    }
+
+    /// The ε ledger's `(Max, Perturb)` labels.
+    fn labels(self) -> (&'static str, &'static str) {
+        match self {
+            DpUnit::Edge => ("Max (Algorithm 2)", "Perturb (Algorithm 5)"),
+            DpUnit::Node => ("Max (Node DP)", "Perturb (Node DP)"),
+        }
+    }
+}
+
+/// What one run of [`algorithm1`] computes, whichever [`EpochParty`]
+/// ran it.
+pub(crate) struct Run {
+    /// The Count: both share slots in process, the own role's on a wire.
+    pub count: SecureCountResult,
+    /// The opened release `T'`.
+    pub noisy_count: f64,
+    /// `d'_max`.
+    pub d_max_noisy: f64,
     /// Users whose rows projection truncated.
     pub truncated_users: usize,
-    /// Wall-clock of the `Max` round.
-    pub t_max: Duration,
-    /// Wall-clock of the `Project` round.
-    pub t_project: Duration,
+    /// Diagnostic: the exact count of the projected matrix.
+    pub projected_count: u64,
+    /// The Count's ledger plus the final opening; `wire_bytes` measured
+    /// when the party has a link.
+    pub net: NetStats,
+    /// Per-step wall-clock.
+    pub timings: StepTimings,
+    /// The ε ledger.
+    pub ledger: Vec<(String, f64)>,
 }
 
-/// Runs `Max` (ε₁) then `Project` on `graph` — see [`ProjectedInput`].
-pub(crate) fn max_and_project<R: Rng + ?Sized>(
-    graph: &Graph,
-    cfg: &CargoConfig,
-    rng: &mut R,
-) -> ProjectedInput {
-    let split = cfg.epsilon_split();
-    let t0 = Instant::now();
-    let degrees = graph.degrees();
-    let max_est = estimate_max_degree(&degrees, split.epsilon1, rng);
-    let t_max = t0.elapsed();
-    let t0 = Instant::now();
-    let matrix = graph.to_bit_matrix();
-    let theta = max_est.as_parameter();
-    let (matrix, truncated_users) = if cfg.projection {
-        let res = project_matrix(&matrix, &degrees, &max_est.noisy_degrees, theta);
-        (res.matrix, res.truncated_users)
-    } else {
-        (matrix, 0)
-    };
-    ProjectedInput {
-        matrix,
-        max_est,
-        truncated_users,
-        t_max,
-        t_project: t0.elapsed(),
-    }
-}
-
-/// The perturbation sensitivity Δ both deployment shapes use: one edge
-/// change affects at most `d'_max` triangles after projection (the
-/// paper's Δ; without projection it is `n`).
-pub(crate) fn count_sensitivity(cfg: &CargoConfig, max_est: &MaxDegreeEstimate, n: usize) -> f64 {
-    if cfg.projection {
-        max_est.as_sensitivity()
-    } else {
-        n as f64
-    }
-}
-
-/// Step 2 of Algorithm 1 for the in-process pipelines
-/// ([`CargoSystem::run`], [`crate::node_dp::run_node_dp`]): `Count`
-/// over the projected matrix, preceded by the offline phase (trusted
-/// dealer or OT extension per `cfg.offline` — shares are identical
-/// either way, the offline ledger in `net.offline` differs).
+/// Algorithm 1, the one step sequence of every one-shot shape: `Max`
+/// (ε₁) → `Project` → `Count` → `Perturb` (ε₂), over `party`.
+///
+/// Every random choice comes from the public seed in a fixed order —
+/// the `Max` noise, then the users' Gamma draws from the same rng, with
+/// their share splitting under `seed ^ NOISE_SEED_TWEAK` — so both wire
+/// parties derive the identical projected matrix, schedule plan and
+/// noise with no communication, and every shape opens the same `T'`.
 ///
 /// `cfg.schedule` selects the fully-oblivious dense cube or the
 /// candidate-driven sparse walk over the projected support (modeling a
 /// deployment where the candidate structure is public — see
 /// PROTOCOL.md § "Sparse Count schedule" for the leakage analysis);
-/// surviving-triple shares are bit-identical either way, so the
-/// reconstructed count — and hence the noisy release — does not depend
-/// on this choice. `cfg.transport` selects the wire: the in-process
-/// fast kernel, or both server pools over real loopback TCP sockets —
-/// shares and ledgers are bit-identical across transports, but TCP
-/// *measures* the byte ledger.
-pub(crate) fn count_projected(cfg: &CargoConfig, projected: &BitMatrix) -> SecureCountResult {
-    let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, projected));
+/// surviving-triple shares are bit-identical either way, so the release
+/// does not depend on this choice.
+///
+/// # Panics
+/// Panics if the graph has no nodes, the config is invalid, or the
+/// peer is lost.
+pub(crate) fn algorithm1<P: EpochParty>(
+    graph: &Graph,
+    cfg: &CargoConfig,
+    unit: DpUnit,
+    party: &P,
+) -> Run {
+    let split = cfg.epsilon_split();
+    let (max_label, perturb_label) = unit.labels();
+    let mut accountant = PrivacyAccountant::new(PrivacyBudget::new(cfg.epsilon));
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let n = graph.n();
+    assert!(n > 0, "graph must have at least one user");
+
+    // ---- Step 1: similarity-based projection ----
+    let t0 = Instant::now();
+    let degrees = graph.degrees();
+    let max_est = noisy_max_degree(&degrees, unit.max_scale(n, split.epsilon1), &mut rng);
+    accountant
+        .spend(max_label, split.epsilon1)
+        .expect("budget split cannot exceed the cap");
+    let t_max = t0.elapsed();
+    let t0 = Instant::now();
+    let mut matrix = graph.to_bit_matrix();
+    let mut truncated_users = 0;
+    if cfg.projection {
+        let res = project_matrix(&matrix, &degrees, &max_est.noisy_degrees, max_est.as_parameter());
+        (matrix, truncated_users) = (res.matrix, res.truncated_users);
+    }
+    let t_project = t0.elapsed();
+
+    // ---- Step 2: ASS-based triangle counting (the plan is a pure
+    // function of shared public state, never a message) ----
+    let t0 = Instant::now();
+    let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &matrix));
     if job.pool.enabled() && job.offline != OfflineMode::OtExtension {
         eprintln!(
             "warning: --factory-threads only applies to --offline-mode ot \
              (the trusted dealer has no offline phase to pool); running inline"
         );
     }
-    match cfg.transport {
-        TransportKind::Memory => count_local(projected, &job),
-        TransportKind::Tcp => {
-            let tcp = TcpConfig { recv_timeout: cfg.recv_timeout, ..TcpConfig::default() };
-            let (end1, end2, _) = TcpTransport::loopback_pair(&tcp).expect("loopback socket pair");
-            count_two_party(projected, &job, &Arc::new(end1), &Arc::new(end2))
-        }
+    let count = party.count(&matrix, &job);
+    let t_count = t0.elapsed();
+
+    // ---- Step 3: distributed perturbation ----
+    let t0 = Instant::now();
+    let codec = FixedPointCodec::new(cfg.frac_bits);
+    let (gamma1, gamma2) = aggregate_noise_shares(
+        n,
+        unit.sensitivity(cfg.projection, &max_est, n),
+        split.epsilon2,
+        codec,
+        &mut rng,
+        cfg.seed ^ NOISE_SEED_TWEAK,
+    );
+    let finals = (
+        codec.lift_integer(count.share1) + gamma1,
+        codec.lift_integer(count.share2) + gamma2,
+    );
+    let opened = party.open(finals).unwrap_or_else(|e| panic!("{e}"));
+    accountant
+        .spend(perturb_label, split.epsilon2)
+        .expect("budget split cannot exceed the cap");
+    let t_perturb = t0.elapsed();
+
+    let mut net = count.net;
+    net.exchange(1); // the final opening
+    if let Some(payload) = party.payload() {
+        // Measured == modeled, the final opening included.
+        net.wire_bytes = payload;
+    }
+    Run {
+        noisy_count: codec.decode(opened),
+        d_max_noisy: max_est.d_max_noisy,
+        truncated_users,
+        projected_count: count_triangles_matrix(&matrix),
+        net,
+        timings: StepTimings {
+            max: t_max,
+            project: t_project,
+            count: t_count,
+            perturb: t_perturb,
+        },
+        ledger: accountant.ledger().to_vec(),
+        count,
+    }
+}
+
+/// [`algorithm1`] with both servers in this process — the in-process
+/// Count, or both server pools over loopback TCP per `cfg.transport`.
+pub(crate) fn run_in_process(graph: &Graph, cfg: &CargoConfig, unit: DpUnit) -> CargoOutput {
+    let run = algorithm1(graph, cfg, unit, &InProcess::new(cfg));
+    CargoOutput {
+        noisy_count: run.noisy_count,
+        true_count: cargo_graph::count_triangles(graph),
+        projected_count: run.projected_count,
+        d_max_noisy: run.d_max_noisy,
+        truncated_users: run.truncated_users,
+        timings: run.timings,
+        net: run.net,
+        // Input shares plus one noise share to each server per user.
+        upload_elements: run.count.upload_elements + 2 * graph.n() as u64,
+        ledger: run.ledger,
     }
 }
 
@@ -205,68 +308,7 @@ impl CargoSystem {
     /// # Panics
     /// Panics if the graph has no nodes or the config is invalid.
     pub fn run(&self, graph: &Graph) -> CargoOutput {
-        let cfg = &self.config;
-        let split = cfg.epsilon_split();
-        let mut accountant = PrivacyAccountant::new(PrivacyBudget::new(cfg.epsilon));
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let n = graph.n();
-        assert!(n > 0, "graph must have at least one user");
-
-        // ---- Step 1: similarity-based projection ----
-        let input = max_and_project(graph, cfg, &mut rng);
-        accountant
-            .spend("Max (Algorithm 2)", split.epsilon1)
-            .expect("budget split cannot exceed the cap");
-        let ProjectedInput {
-            matrix: projected,
-            max_est,
-            truncated_users,
-            t_max,
-            t_project,
-        } = input;
-
-        // ---- Step 2: ASS-based triangle counting ----
-        let t0 = Instant::now();
-        let count = count_projected(cfg, &projected);
-        let t_count = t0.elapsed();
-
-        // ---- Step 3: distributed perturbation ----
-        let t0 = Instant::now();
-        let sensitivity = count_sensitivity(cfg, &max_est, n);
-        let perturbed = perturb(PerturbInputs {
-            share1: count.share1,
-            share2: count.share2,
-            n_users: n,
-            sensitivity,
-            epsilon2: split.epsilon2,
-            codec: FixedPointCodec::new(cfg.frac_bits),
-            noise_rng: &mut rng,
-            share_seed: cfg.seed ^ NOISE_SEED_TWEAK,
-        });
-        accountant
-            .spend("Perturb (Algorithm 5)", split.epsilon2)
-            .expect("budget split cannot exceed the cap");
-        let t_perturb = t0.elapsed();
-
-        let mut net = count.net;
-        net.merge(&perturbed.net);
-
-        CargoOutput {
-            noisy_count: perturbed.noisy_count,
-            true_count: cargo_graph::count_triangles(graph),
-            projected_count: count_triangles_matrix(&projected),
-            d_max_noisy: max_est.d_max_noisy,
-            truncated_users,
-            timings: StepTimings {
-                max: t_max,
-                project: t_project,
-                count: t_count,
-                perturb: t_perturb,
-            },
-            net,
-            upload_elements: count.upload_elements + perturbed.upload_elements,
-            ledger: accountant.ledger().to_vec(),
-        }
+        run_in_process(graph, &self.config, DpUnit::Edge)
     }
 }
 

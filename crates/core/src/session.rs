@@ -31,25 +31,24 @@
 //!
 //! What differs between deployments is only how an epoch's Count runs
 //! and how its release opens — the [`EpochParty`] a session is built
-//! over. [`Session`] plays both servers in process ([`InProcess`]: the
-//! `--role local` reference); [`PartySession`] is one role over a real
-//! [`Transport`] link ([`Wire`]). Their per-epoch [`EpochOutcome`]s are
+//! over, the same seam the one-shot pipeline runs over. [`Session`]
+//! plays both servers in process (the `--role local` reference; its
+//! Count is always in memory); [`PartySession`] is one role over a real
+//! [`Transport`] link ([`Wire`]), the only shape whose epochs run the
+//! [`CommitMsg`] handshake. Their per-epoch [`EpochOutcome`]s are
 //! bit-identical, which is what lets CI diff a two-process TCP serve
 //! transcript against the local one.
 
 use crate::config::CargoConfig;
-use crate::count::{count_local, CountJob, SecureCountResult};
-use crate::count_runtime::count_party;
+use crate::count::{CountJob, SecureCountResult};
 use crate::count_sched::SchedulePlan;
 use crate::delta::{check_batch, EdgeDelta, IncrementalCounter};
-use crate::protocol::NOISE_SEED_TWEAK;
+use crate::party::{agree, EpochParty, InProcess, Wire};
 use crate::perturb::aggregate_noise_shares;
+use crate::protocol::NOISE_SEED_TWEAK;
 use cargo_dp::{Composition, FixedPointCodec, ReleaseGrant, ReleaseRefused, ReleaseSchedule, TreeNode};
 use cargo_graph::{BitMatrix, Graph, GraphError};
-use cargo_mpc::{
-    recv_msg, send_msg, CommitMsg, FinalOpeningMsg, IntoFrame, NetStats, Ring64, ServerId,
-    Transport, WireMessage,
-};
+use cargo_mpc::{CommitMsg, NetStats, Ring64, ServerId, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -218,108 +217,6 @@ impl ReleaseState {
     }
 }
 
-/// How a [`ServeSession`]'s epochs run their Count and open their
-/// release — the one thing the in-process reference and a wire role
-/// do differently.
-pub trait EpochParty {
-    /// One Count of `job` over `matrix`: the session's
-    /// [`IncrementalCounter`] evaluator. Its `wire_bytes` are the
-    /// modeled bytes; the session measures the wire per epoch.
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult;
-
-    /// Opens an epoch's release from the fixed-point final shares
-    /// `(f₁, f₂)` — both live in process, only the own role's on the
-    /// wire — once the parties agree on `commit` (the epoch and its
-    /// post-apply state digest). Returns the opened ring value.
-    fn open(&self, commit: CommitMsg, finals: (Ring64, Ring64)) -> Result<Ring64, SessionError>;
-
-    /// Online payload moved over the link so far, both directions;
-    /// `None` without a link (the modeled bytes stand).
-    fn payload(&self) -> Option<u64>;
-}
-
-/// Both servers in one process: [`count_local`] fills both share
-/// slots and the release opens locally.
-#[derive(Debug)]
-pub struct InProcess;
-
-impl EpochParty for InProcess {
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        count_local(matrix, job)
-    }
-
-    fn open(&self, _: CommitMsg, (f1, f2): (Ring64, Ring64)) -> Result<Ring64, SessionError> {
-        Ok(f1 + f2)
-    }
-
-    fn payload(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// One server over a [`Transport`] link: [`count_party`] fills the own
-/// role's share slot (the other stays zero), and the release opens
-/// with one [`FinalOpeningMsg`] each way after the [`CommitMsg`]
-/// handshake.
-pub struct Wire<T> {
-    role: ServerId,
-    link: Arc<T>,
-}
-
-impl<T: Transport> Wire<T> {
-    fn send(&self, what: &str, msg: impl IntoFrame) -> Result<(), SessionError> {
-        send_msg(&*self.link, msg).map_err(|e| SessionError::Peer(format!("{what} send: {e}")))
-    }
-
-    fn recv<M: WireMessage>(&self, what: &str) -> Result<M, SessionError> {
-        recv_msg(&*self.link, 0, Some(self.link.recv_timeout()))
-            .map_err(|e| SessionError::Peer(format!("{what} recv: {e}")))
-    }
-}
-
-impl<T: Transport> EpochParty for Wire<T> {
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        // `count_party` reports the link's cumulative payload; restore
-        // the modeled invariant (the session measures per epoch).
-        let mut r = count_party(matrix, job, self.role, &self.link);
-        r.net.wire_bytes = r.net.bytes;
-        r
-    }
-
-    fn open(&self, commit: CommitMsg, (f1, f2): (Ring64, Ring64)) -> Result<Ring64, SessionError> {
-        // Idempotent epoch-commit handshake: agree on the epoch id and
-        // post-apply state digest *before* any noise share crosses the
-        // wire. A desynced pair (one party replayed a different script,
-        // resumed from a stale journal, …) stops typed here instead of
-        // publishing forked releases. CommitMsg payload rides outside
-        // both cost classes, so the measured online payload still
-        // equals the modeled ledger.
-        self.send("epoch commit", commit)?;
-        let peer: CommitMsg = self.recv("epoch commit")?;
-        agree("committed epoch", commit.epoch, peer.epoch)?;
-        agree("state digest", commit.digest, peer.digest)?;
-        let mine = match self.role {
-            ServerId::S1 => f1,
-            ServerId::S2 => f2,
-        };
-        self.send("final opening", FinalOpeningMsg { share: mine })?;
-        let theirs: FinalOpeningMsg = self.recv("final opening")?;
-        Ok(mine + theirs.share)
-    }
-
-    fn payload(&self) -> Option<u64> {
-        Some(self.link.stats().online_payload_both())
-    }
-}
-
-fn agree(what: &'static str, ours: u64, theirs: u64) -> Result<(), SessionError> {
-    if ours == theirs {
-        Ok(())
-    } else {
-        Err(SessionError::Desync { what, ours, theirs })
-    }
-}
-
 /// A continuous-release session over an [`EpochParty`]: the baseline
 /// count, the release schedule and the one epoch [`step`](Self::step).
 /// Used as [`Session`] or [`PartySession`].
@@ -387,7 +284,8 @@ impl<P: EpochParty> ServeSession<P> {
             let (g1, g2) = release.gammas(&grant);
             let codec = release.codec;
             let finals = (codec.lift_integer(ec.share1) + g1, codec.lift_integer(ec.share2) + g2);
-            let opened = party.open(CommitMsg { epoch: grant.epoch, digest }, finals)?;
+            party.commit(CommitMsg { epoch: grant.epoch, digest })?;
+            let opened = party.open(finals)?;
             Ok((ec, digest, codec.decode(opened)))
         });
         let (ec, digest, noisy_count) = stepped.inspect_err(|_| self.poisoned = true)?;
@@ -427,7 +325,8 @@ impl Session {
     /// Counts the base graph (baseline share state; nothing released)
     /// and arms the release schedule.
     pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
-        Self::start(graph, cfg, InProcess).unwrap_or_else(|e| panic!("baseline count: {e}"))
+        Self::start(graph, cfg, InProcess::default())
+            .unwrap_or_else(|e| panic!("baseline count: {e}"))
     }
 }
 
@@ -441,7 +340,7 @@ impl<T: Transport> PartySession<T> {
         role: ServerId,
         link: Arc<T>,
     ) -> Result<Self, SessionError> {
-        Self::start(graph, cfg, Wire { role, link })
+        Self::start(graph, cfg, Wire::new(role, link))
     }
 
     /// Reconnects a crashed party to its peer and synchronises the
@@ -478,7 +377,7 @@ impl<T: Transport> PartySession<T> {
         pending: &[Vec<EdgeDelta>],
     ) -> Result<(Self, Vec<EpochOutcome>), SessionError> {
         let mut session = replayed;
-        let wire = Wire { role, link };
+        let wire = Wire::new(role, link);
         let mut caught_up = Vec::new();
         wire.send("resume handshake", session.announce())?;
         let mut theirs: CommitMsg = wire.recv("resume handshake")?;
