@@ -9,8 +9,8 @@
 //! `wire/byte_codec` beside them is the byte codec (`encode` /
 //! `decode`, which no transport takes) on the same messages. The
 //! other `wire/*` rows attribute a wire party's Count the same way, per
-//! triple and per server, and the `local/*` rows the in-process Count
-//! on the same rounds, per triple for both servers.
+//! pair or triple and per server, and the `local/*` rows the in-process
+//! Count on the same rounds, per triple for both servers.
 //!
 //! ```text
 //! usage: bench_micro [--measure-ms 400] [--quick]
@@ -30,9 +30,10 @@ use cargo_mpc::ot::{simulated_base_ots, transcript_digest, UnitSplit, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
-    count_round, cr_hash_batch, cr_hash_scalar, mask_round, mul3, plan_flights, plan_rounds, Dealer, MgDraw,
-    MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg, PairDealer, Ring64, RoundLanes, RoundSegment,
-    ServerId, SimdTier, SplitMix64, Frame, IntoFrame, WireMessage, MAX_FLIGHT_GROUPS, MG_WORDS,
+    count_round, cr_hash_batch, cr_hash_scalar, mask_round, mul3, pair_key, plan_flights,
+    plan_rounds, Dealer, Frame, IntoFrame, MgDraw, MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg,
+    PairDealer, PairTable, Ring64, RoundLanes, RoundSegment, ServerId, SimdTier, SplitMix64,
+    WireMessage, GROUP_WORDS, MAX_FLIGHT_GROUPS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -249,22 +250,24 @@ fn main() {
         row("mul3", 1, 1, ns, probe_net.bytes as f64);
     }
 
-    // wire/*: one party of the wire Count, per triple, over one default
-    // round in two shapes: `run`, one k-run of 1 024 triples, and `mix`,
-    // the round with the median number of runs of `sparse-tcp`'s plan
-    // (the Facebook preset's 120-user prefix at seed 1 on the streamed
-    // sparse schedule: 271 runs, 3.8 triples each; the whole plan
-    // averages 3.65). Each in the round's three steps: its lane table
-    // (S₂ writing its bits as a memset), the mask pass (input shares
-    // and the dealer words drawn in-lane) and the open + combine pass.
-    // Then `local/*`, the same round as `count_local` evaluates it:
-    // one fused table and one count_round pass for both servers. Last
-    // fill_words, the AoS expansion of both parties' ten words, per
-    // group. DESIGN.md §8.1 reads these rows.
+    // wire/*: one party of the wire Count over one default round of
+    // triples in two shapes: `run`, one k-run of 1 024 triples, and
+    // `mix`, the round with the median number of runs of `sparse-tcp`'s
+    // plan (the Facebook preset's 120-user prefix at seed 1 on the
+    // streamed sparse schedule: 271 runs, 3.8 triples each; the whole
+    // plan averages 3.65). First the pair phase's mask pass over the
+    // shape's pair set, per pair; then the round's two local steps, per
+    // triple: its lane table (each lane's three pairs' columns copied
+    // from the pair table) and the combine pass (the dealer words and
+    // mask shares drawn in-lane; S₂ draws both servers' mask shares).
+    // Then `local/*`, the same round as `count_local` evaluates it: one
+    // fused table and one count_round pass for both servers. Last fill_words, the expansion of a group's four stream
+    // words, per group. DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
         let run = vec![RoundSegment { draw: 0, offset: 0, len }];
         let run_plan = vec![MgDraw::dense(3, 5, len as u32)];
+        let run_pairs = CountScheduler::new(len + 6, 1, len).pair_set();
         let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 1);
         let csr = Arc::new(CsrGraph::from_graph(&full.induced_prefix(120)));
         let sched = CountScheduler::with_plan(120, 1, len, SchedulePlan::CsrStream(csr));
@@ -280,57 +283,75 @@ fn main() {
         }
         rounds.sort_by_key(|round| round.len());
         let mix = rounds.swap_remove(rounds.len() / 2);
-        for (shape, plan, round) in [("run", &run_plan, run), ("mix", &mix_plan, mix)] {
+        let shapes = [("run", &run_plan, run, run_pairs), ("mix", &mix_plan, mix, sched.pair_set())];
+        for (shape, plan, round, pairs) in shapes {
             let triples: usize = round.iter().map(|seg| seg.len).sum();
-            let mut efg = [vec![0u64; 3 * triples], vec![0u64; 3 * triples]];
-            let mut tables = Vec::new();
-            for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-                let mut lanes = RoundLanes::new(7, server);
-                let ns = measure_median_iqr_ns(12, budget, || {
-                    lanes.clear();
-                    for seg in &round {
-                        let draw = &plan[seg.draw];
-                        if let Some([b, c]) = lanes.push_run(draw, seg.offset, seg.len, 1) {
-                            b.fill(1);
-                            c.fill(1);
-                        }
+            let mut keys = Vec::new();
+            pairs.for_each_run(0..pairs.len(), |_, i, j, run| {
+                keys.extend((0..run as u32).map(|t| pair_key(i, j + t)));
+            });
+            let bits = vec![1u64; keys.len()];
+            // The slots are looked up as the Count's rounds look them up:
+            // a pair's own once, its runs' pairs in rows i and j from where
+            // the last lookup in the row stopped. The fused table writes
+            // its bits as a memset.
+            let push = |lanes: &mut RoundLanes, table: &PairTable| {
+                lanes.clear();
+                let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
+                for seg in &round {
+                    let draw = &plan[seg.draw];
+                    if ij.0 != (draw.i, draw.j) {
+                        rows = [0, 0];
+                        ij = ((draw.i, draw.j), pairs.slot_near(draw.i, draw.j, &mut rows[0]));
                     }
+                    let k = draw.k_at(seg.offset) as u32;
+                    let (ik, jk) =
+                        (pairs.slot_near(draw.i, k, &mut rows[0]), pairs.slot_near(draw.j, k, &mut rows[1]));
+                    if let Some(abc) = lanes.push_run(table, draw, seg.offset, seg.len, [ij.1, ik, jk]) {
+                        abc.into_iter().for_each(|bits| bits.fill(1));
+                    }
+                }
+            };
+            let servers = [ServerId::S1, ServerId::S2];
+            let mut slabs = [vec![0u64; keys.len()], vec![0u64; keys.len()]];
+            for (s, server) in servers.into_iter().enumerate() {
+                let table = PairTable::new(7, Some(server), false);
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    mask_round(&table, &keys, &bits, &mut slabs[s]);
+                    black_box(slabs[s][keys.len() - 1])
+                });
+                row(&format!("wire/mask/{shape}/{server:?}"), keys.len(), keys.len() as u64, ns, 8.0);
+            }
+            let opened: Vec<u64> =
+                slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+            for server in servers {
+                let mut table = PairTable::new(7, Some(server), false);
+                table.push(&opened);
+                let mut lanes = RoundLanes::new(&table, triples);
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    push(&mut lanes, &table);
                     black_box(lanes.len())
                 });
                 row(&format!("wire/lanes/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
-                let ns = measure_median_iqr_ns(12, budget, || {
-                    mask_round(&lanes, None, &mut efg[s]);
-                    black_box(efg[s][3 * triples - 1])
-                });
-                row(&format!("wire/mask/{shape}/{server:?}"), triples, triples as u64, ns, 24.0);
-                tables.push(lanes);
-            }
-            let servers = [ServerId::S1, ServerId::S2];
-            for (s, (lanes, server)) in tables.iter().zip(servers).enumerate() {
-                let ns = measure_median_iqr_ns(12, budget, || {
-                    black_box(combine_round(lanes, None, &efg[s], &efg[1 - s]))
-                });
+                let ns = measure_median_iqr_ns(12, budget, || black_box(combine_round(&lanes)));
                 row(&format!("wire/combine/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
             }
-            let mut fused = RoundLanes::fused(7);
+            let mut fused = PairTable::new(7, None, false);
+            let mut e = vec![0u64; keys.len()];
+            mask_round(&fused, &keys, &bits, &mut e);
+            fused.push(&e);
+            let mut lanes = RoundLanes::new(&fused, triples);
             let ns = measure_median_iqr_ns(12, budget, || {
-                fused.clear();
-                for seg in &round {
-                    let draw = &plan[seg.draw];
-                    if let Some([b, c]) = fused.push_run(draw, seg.offset, seg.len, 1) {
-                        b.fill(1);
-                        c.fill(1);
-                    }
-                }
-                black_box(count_round(&fused, None))
+                push(&mut lanes, &fused);
+                black_box(count_round(&lanes))
             });
             row(&format!("local/{shape}"), triples, triples as u64, ns, 0.0);
         }
-        let mut words = vec![0u64; MG_WORDS * len];
+        let mut words = vec![0u64; GROUP_WORDS * len];
         let mut dealer = PairDealer::for_pair(7, 3, 5);
         let ns = measure_median_iqr_ns(12, budget, || {
             dealer.fill_words(&mut words);
-            black_box(words[MG_WORDS * len - 1])
+            black_box(words[GROUP_WORDS * len - 1])
         });
         row("dealer/fill_words", len, len as u64, ns, 0.0);
     }

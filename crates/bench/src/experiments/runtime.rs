@@ -5,12 +5,21 @@
 //! step alone, showing it dominates CARGO's runtime (≥ 90%). Absolute
 //! numbers differ from the paper's unspecified testbed; the reproduced
 //! claims are the growth shapes and the Count share (DESIGN.md §4).
+//!
+//! The Count opens each adjacency pair once (PROTOCOL.md §5), so its
+//! measured online bytes are `16·P` for the `P` pairs its plan reads.
+//! The paper's Algorithm 4 opens `e, f, g` per triple; its online cost,
+//! 48 B a triple, is reported beside the measured one in closed form.
 
 use crate::cli::Options;
 use crate::datasets::{ExperimentGraph, N_SWEEP};
 use crate::output::Table;
 use crate::runners::{run_cargo_with, run_central, run_local2rounds};
 use cargo_graph::generators::presets::SnapDataset;
+
+/// The paper's online cost of one triple: Algorithm 4 opens its masked
+/// `e, f, g`, three ring elements each way.
+const PAPER_BYTES_PER_TRIPLE: u64 = 48;
 
 /// Which dataset a runtime figure uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +47,7 @@ pub fn fig11_or_12(opts: &Options, which: RuntimeGraph) -> Vec<Table> {
             "Count",
             "Count share",
             "online MB",
+            "paper online MB",
             "offline MB",
         ],
     );
@@ -67,11 +77,12 @@ pub fn fig11_or_12(opts: &Options, which: RuntimeGraph) -> Vec<Table> {
             format!("{:.4}", cargo.count_time.as_secs_f64()),
             format!("{:.0}%", share * 100.0),
             format!("{:.2}", cargo.net.bytes as f64 / 1e6),
+            format!("{:.2}", (PAPER_BYTES_PER_TRIPLE * cargo.triples) as f64 / 1e6),
             format!("{:.2}", cargo.net.offline.bytes as f64 / 1e6),
         ]);
     }
     t.footnote(&format!(
-        "eps = 2; absolute times are this machine's ({} threads); offline MB is 0 under --offline-mode dealer and the OT-extension preprocessing cost under --offline-mode ot; the reproduced claims are the n^3 growth and the Count share.",
+        "eps = 2; absolute times are this machine's ({} threads); online MB is measured: the pair-keyed Count's 16 B per pair the plan reads, plus the final opening; paper online MB is the paper's per-triple Algorithm 4 in closed form, 48 B per triple evaluated; offline MB is 0 under --offline-mode dealer and the OT-extension preprocessing cost under --offline-mode ot; the reproduced claims are the n^3 growth and the Count share.",
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     ));
     let name = match which {

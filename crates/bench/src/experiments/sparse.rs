@@ -23,14 +23,6 @@ use cargo_graph::generators::chung_lu;
 use cargo_graph::Graph;
 use std::time::Instant;
 
-/// The number of triples a Count run evaluated, recovered from its
-/// modeled online ledger: every triple is one `[e|f|g]` exchange
-/// (6 elements counting both directions) and the pipeline's only other
-/// online exchange is the final noisy opening (2 elements).
-fn evaluated_triples(elements: u64) -> u64 {
-    elements.saturating_sub(2) / 6
-}
-
 /// `C(n, 3)` — the dense cube's triple count.
 fn dense_cube(n: u64) -> u128 {
     (n as u128) * (n as u128 - 1) * (n as u128 - 2) / 6
@@ -64,7 +56,7 @@ pub fn sparse_large(opts: &Options) -> Vec<Table> {
         let start = Instant::now();
         let out = CargoSystem::new(cfg).run(g);
         let _ = start;
-        let triples = evaluated_triples(out.net.elements);
+        let triples = out.triples;
         let cube = dense_cube(g.n() as u64);
         t.row(vec![
             schedule.to_string(),
@@ -103,7 +95,7 @@ pub fn sparse_large(opts: &Options) -> Vec<Table> {
     t.footnote(
         "eps = 2; the cross-check rows pin dense T' == sparse T' bit for bit; \
          the target row is sparse-only (the dense cube at that n is not \
-         attemptable). triples evaluated = (online elements - 2) / 6.",
+         attemptable).",
     );
     let _ = t.write_csv(&opts.out_dir, "sparse_schedule");
     vec![t]

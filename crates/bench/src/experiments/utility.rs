@@ -203,6 +203,7 @@ mod tests {
             time: std::time::Duration::ZERO,
             count_time: std::time::Duration::ZERO,
             net: cargo_mpc::NetStats::new(),
+            triples: 0,
         };
         assert_eq!(Metric::L2.of(&p), 4.0);
         assert_eq!(Metric::Rel.of(&p), 0.5);

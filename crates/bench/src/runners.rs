@@ -49,6 +49,8 @@ pub struct UtilityPoint {
     /// across trials up to the noisy projection's trims). Carries the
     /// offline ledger when the run used `OfflineMode::OtExtension`.
     pub net: NetStats,
+    /// Triples the last trial's Count evaluated (CARGO only).
+    pub triples: u64,
 }
 
 fn aggregate(
@@ -56,11 +58,12 @@ fn aggregate(
     estimates: &[f64],
     times: &[Duration],
     count_times: &[Duration],
-    net: NetStats,
+    (net, triples): (NetStats, u64),
 ) -> UtilityPoint {
     let n = estimates.len().max(1) as u32;
     UtilityPoint {
         net,
+        triples,
         l2: estimates.iter().map(|&e| l2_loss(t_true, e)).sum::<f64>() / n as f64,
         rel: estimates
             .iter()
@@ -81,7 +84,7 @@ pub fn run_cargo_with(g: &Graph, trials: usize, cfg: &CargoConfig) -> UtilityPoi
     let mut estimates = Vec::with_capacity(trials);
     let mut times = Vec::with_capacity(trials);
     let mut count_times = Vec::with_capacity(trials);
-    let mut net = NetStats::new();
+    let (mut net, mut triples) = (NetStats::new(), 0);
     for t in 0..trials {
         let cfg = cfg.with_seed(trial_seed(cfg.seed, t, cfg.epsilon, fingerprint(g)));
         let start = Instant::now();
@@ -89,9 +92,9 @@ pub fn run_cargo_with(g: &Graph, trials: usize, cfg: &CargoConfig) -> UtilityPoi
         times.push(start.elapsed());
         count_times.push(out.timings.count);
         estimates.push(out.noisy_count);
-        net = out.net;
+        (net, triples) = (out.net, out.triples);
     }
-    aggregate(t_true, &estimates, &times, &count_times, net)
+    aggregate(t_true, &estimates, &times, &count_times, (net, triples))
 }
 
 /// Runs CentralLap△ `trials` times and aggregates.
@@ -106,7 +109,7 @@ pub fn run_central(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> Utility
         times.push(start.elapsed());
         estimates.push(out.noisy_count);
     }
-    aggregate(t_true, &estimates, &times, &[Duration::ZERO], NetStats::new())
+    aggregate(t_true, &estimates, &times, &[Duration::ZERO], (NetStats::new(), 0))
 }
 
 /// Runs Local2Rounds△ `trials` times and aggregates.
@@ -121,7 +124,7 @@ pub fn run_local2rounds(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> Ut
         times.push(start.elapsed());
         estimates.push(out.noisy_count);
     }
-    aggregate(t_true, &estimates, &times, &[Duration::ZERO], NetStats::new())
+    aggregate(t_true, &estimates, &times, &[Duration::ZERO], (NetStats::new(), 0))
 }
 
 #[cfg(test)]

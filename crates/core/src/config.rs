@@ -155,12 +155,10 @@ pub struct CargoConfig {
     /// Governs every Count executor: the fast kernel, the sharded
     /// message-passing runtime, and the sampled estimator.
     pub threads: usize,
-    /// Triples per Count communication round
-    /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). A round is
-    /// filled across `k`-runs and pairs of a scheduler chunk — it is
-    /// not capped by run length — so a chunk of `W` triples costs
-    /// `⌈W/batch⌉` rounds; also the most one PRG block expands. Shares
-    /// are identical for every batch size; only rounds and wall-clock
+    /// Pairs per Count communication round, and triples per lane table
+    /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). A Count opens
+    /// the `P` pairs its plan reads in `⌈P/batch⌉` rounds. Shares are
+    /// identical for every batch size; only rounds and wall-clock
     /// change.
     pub batch: usize,
     /// Whether to run the similarity-based projection (disable only for
@@ -361,7 +359,7 @@ config_flags! {
     Epsilon => "--epsilon", "e", "total privacy budget ε = ε₁ + ε₂";
     Seed => "--seed", "s", "root seed of every random choice (fixed seed, same run)";
     Threads => "--threads", "w", "Count worker threads";
-    Batch => "--batch", "b", "triples per Count round (the shares never change)";
+    Batch => "--batch", "b", "pairs per Count round (the shares never change)";
     OfflineMode => "--offline-mode", "dealer|ot", "Count preprocessing: trusted dealer or OT";
     Transport => "--transport", "memory|tcp", "the Count's wire: in process or loopback TCP";
     FactoryThreads => "--factory-threads", "f", "background OT triple factories";

@@ -8,6 +8,13 @@
 //! server learns anything: every opened value is one-time-padded, and
 //! the accumulated shares are uniform.
 //!
+//! The Multiplication Groups' masks are keyed by **pair**
+//! (`x = λ_ij, y = λ_ik, z = λ_jk`), so a Count runs in two steps: it
+//! opens every pair its plan reads once — `e_ij = a_ij − λ_ij`, the
+//! plan's pair set ([`CountScheduler::pair_set`]) in canonical order,
+//! `batch` pairs a round — and then every chunk combines its triples
+//! locally from those openings, exchanging nothing.
+//!
 //! ## One request, one function per execution model
 //!
 //! A [`CountJob`] names every knob of a Count run; the executors differ
@@ -36,32 +43,34 @@
 //!   shared [`CountScheduler`]; dealer randomness is keyed *per pair*
 //!   ([`cargo_mpc::PairDealer`]), so the share pairs are bit-identical
 //!   for every thread count and batch size.
-//! * **One kernel.** A chunk's draw plan is cut into the rounds the wire
-//!   parties cut ([`cargo_mpc::plan_rounds`]), each round becomes one
-//!   lane table, one lane per triple ([`RoundLanes`]), and one
-//!   lane-parallel pass evaluates it, whatever `k`-runs the round is cut
-//!   from and whatever the material source: [`cargo_mpc::count_round`]
-//!   here, both servers at once; [`cargo_mpc::mask_round`] and
-//!   [`cargo_mpc::combine_round`] on either side of the exchange on the
-//!   wire. The segments become lanes in one place (`push_round`).
-//! * **Communication accounting.** Algorithm 4's multiplications are
-//!   mutually independent, so the `e, f, g` openings of a scheduler
-//!   chunk travel `batch` triples a round
-//!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) **across
-//!   `k`-run and pair boundaries** — `3·batch` elements each way, one
-//!   short round at the chunk's end — which is how any sane deployment
-//!   would schedule them. The workers here tally that in closed form
-//!   ([`NetStats::exchange_triples`], once per chunk); the wire
-//!   executors cut the very same rounds with [`cargo_mpc::plan_rounds`].
-//!   Element/byte counts are per-triple exact.
+//! * **One kernel.** The pair set is opened into a [`PairTable`]
+//!   ([`cargo_mpc::mask_round`]: here both servers' openings at once, on
+//!   the wire each server's masking, summed with the peer's). A chunk's
+//!   draw plan is then cut into blocks of `batch` triples
+//!   ([`cargo_mpc::plan_rounds`]), each block becomes one lane table,
+//!   one lane per triple ([`RoundLanes`], reading its three pairs'
+//!   columns of the table), and one lane-parallel pass evaluates it,
+//!   whatever `k`-runs it is cut from and whatever the material source:
+//!   [`cargo_mpc::count_round`] here, both servers at once;
+//!   [`cargo_mpc::combine_round`] per server on the wire. The segments
+//!   become lanes in one place (`push_round`).
+//! * **Communication accounting.** The pair openings are mutually
+//!   independent, so they travel `batch` pairs a round
+//!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
+//!   element each way per pair, one short round at the end: `16·P`
+//!   bytes in `⌈P/batch⌉` rounds for a plan reading `P` pairs. The
+//!   in-process executor tallies that in closed form
+//!   ([`NetStats::exchange_pairs`]); the wire executors send exactly
+//!   those rounds.
 
 use crate::config::CargoConfig;
-use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
+use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    count_round, mul3, ot_setup_ledger, plan_rounds, share_prf, MgDraw, NetStats, OfflineMode,
-    OtMgEngine, PairDealer, PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, TriplePool,
-    LANES,
+    count_round, mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, plan_rounds,
+    share_prf, MgDraw, Mul3Opening, NetStats, OfflineMode, OtMgEngine, PairDealer, PairTable,
+    PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, ServerId, TriplePool, LANES,
+    PAIR_KEY_STEP,
 };
 use std::sync::Arc;
 
@@ -128,12 +137,11 @@ pub struct CountJob {
     /// Worker threads (per server on the wire executors); `0` ⇒ all
     /// cores. The result is identical for every thread count.
     pub threads: usize,
-    /// Triples per communication round (and the most one PRG block
-    /// expands); `0` ⇒ [`crate::count_sched::DEFAULT_COUNT_BATCH`]. A
-    /// round is filled across `k`-runs and pairs, so a chunk of `W`
-    /// triples costs `⌈W/batch⌉` rounds. Shares and element counts are
-    /// identical for every batch; only wall-clock and round granularity
-    /// change.
+    /// Pairs per communication round, and triples per lane table;
+    /// `0` ⇒ [`crate::count_sched::DEFAULT_COUNT_BATCH`]. A Count over a
+    /// plan reading `P` pairs costs `⌈P/batch⌉` rounds. Shares and
+    /// element counts are identical for every batch; only wall-clock
+    /// and round granularity change.
     pub batch: usize,
     /// Where the Multiplication Groups come from: the seeded trusted
     /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
@@ -272,9 +280,63 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     sched: &CountScheduler,
 ) -> SecureCountResult {
     let pool = job.spawn_pool(sched);
-    let parts = sched.run_chunks(|chunk| chunk_part(bits, job, sched, chunk, pool.as_ref()));
+    let pairs = sched.pair_set();
+    let table = open_pairs(bits, job, sched, &pairs);
+    let opened = (&*pairs, &table);
+    let parts =
+        sched.run_chunks(|chunk| chunk_part(bits, job, sched, opened, chunk, pool.as_ref()));
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
-    finish(sched, job.offline, parts, pool)
+    let mut online = NetStats::new();
+    online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
+    let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
+    finish(sched, job.offline, parts.into_iter().chain([online]), pool)
+}
+
+/// The pair phase in-process: both servers' openings of `pairs` at
+/// once, `e = a − λ` ([`mask_round`] over a fused table), in rounds of
+/// the scheduler's batch — the rounds the wire parties exchange.
+fn open_pairs<B: AdjacencyBits>(
+    bits: &B,
+    job: &CountJob,
+    sched: &CountScheduler,
+    pairs: &PairSet,
+) -> PairTable {
+    let mut table = PairTable::new(job.seed, None, job.offline == OfflineMode::OtExtension);
+    let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
+    for start in (0..pairs.len()).step_by(sched.batch()) {
+        let range = start..(start + sched.batch()).min(pairs.len());
+        pair_round(pairs, range, Some(bits), &mut keys, &mut plain);
+        opened.resize(keys.len(), 0);
+        mask_round(&table, &keys, &plain, &mut opened);
+        table.push(&opened);
+    }
+    table
+}
+
+/// Fills `keys` with the [`pair_key`]s of `pairs`' slots `range` and,
+/// where `bits` is given, `plain` with their plaintext bits, row run by
+/// row run; returns the range's first pair — the round's header.
+pub(crate) fn pair_round<B: AdjacencyBits>(
+    pairs: &PairSet,
+    range: std::ops::Range<usize>,
+    bits: Option<&B>,
+    keys: &mut Vec<u64>,
+    plain: &mut Vec<u64>,
+) -> (u32, u32) {
+    keys.clear();
+    plain.clear();
+    let mut first = None;
+    pairs.for_each_run(range, |_, i, j, len| {
+        first.get_or_insert((i, j));
+        let key = pair_key(i, j);
+        keys.extend((0..len as u64).map(|t| key.wrapping_add(t.wrapping_mul(PAIR_KEY_STEP))));
+        if let Some(bits) = bits {
+            let at = plain.len();
+            plain.resize(at + len, 0);
+            bits.fill_bits(i as usize, j as usize, &mut plain[at..]);
+        }
+    });
+    first.expect("a pair round is not empty")
 }
 
 /// Pinned by `benchmark/src/sut.rs` and
@@ -323,26 +385,24 @@ pub(crate) fn finish(
     SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples, pool }
 }
 
-/// Adjacency-bit source of the chunk workers: the one interface that
-/// lets the same worker read a dense [`BitMatrix`] or a [`CsrGraph`]
-/// with no `n × n` storage. Both report `{0, 1}` as `u64` words, the
-/// shape a [`RoundLanes`] bit column holds.
+/// Adjacency-bit source of the pair phase and of the lane tables that
+/// combine the plaintext: the one interface that lets the same code read
+/// a dense [`BitMatrix`] or a [`CsrGraph`] with no `n × n` storage. Both
+/// report `{0, 1}` as `u64` words, the shape [`mask_round`] and a
+/// [`RoundLanes`] bit column read.
 pub(crate) trait AdjacencyBits: Sync {
-    /// The adjacency bit `A[u][v]`.
-    fn bit(&self, u: usize, v: usize) -> u64;
     /// Fills `out[t] = A[u][k0 + t]` for every `t`.
     fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]);
 }
 
 impl AdjacencyBits for BitMatrix {
     #[inline]
-    fn bit(&self, u: usize, v: usize) -> u64 {
-        self.row(u).get(v) as u64
-    }
-
-    #[inline]
     fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
-        self.row(u).fill_bits_u64(k0, out);
+        // A sparse plan's pairs and k-runs are mostly one long.
+        match out {
+            [bit] => *bit = self.row(u).get(k0) as u64,
+            _ => self.row(u).fill_bits_u64(k0, out),
+        }
     }
 }
 
@@ -352,11 +412,6 @@ impl AdjacencyBits for BitMatrix {
 /// construction, so this agrees with the dense matrix wherever the
 /// schedule actually looks.
 impl AdjacencyBits for CsrGraph {
-    #[inline]
-    fn bit(&self, u: usize, v: usize) -> u64 {
-        self.has_edge(u, v) as u64
-    }
-
     #[inline]
     fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]) {
         out.fill(0);
@@ -375,28 +430,43 @@ impl AdjacencyBits for CsrGraph {
 }
 
 /// Appends `round`, a cut of `plan`, to the emptied `lanes`: one
-/// [`RoundLanes::push_run`] per segment, its first secret `a(draw)`,
-/// and — where the table holds plaintext bits (S₂'s, or a fused
-/// table's) — rows `i` and `j` of `bits` over the segment's columns.
-/// A signed plan's `signs` are the sign masks of the chunk's triples
-/// from the round's first on ([`CountScheduler::chunk_signs`]). The one
-/// place a round's segments become lanes, for [`count_local`] and the
-/// wire party alike.
+/// [`RoundLanes::push_run`] per segment, reading its pairs' openings in
+/// `table` at their `pairs` slots and — where the table combines the
+/// plaintext (a fused table with dealer material, which [`count_local`]
+/// passes its `bits` for) — rows `i` and `j` of `bits` over the
+/// segment's columns. A wire party passes no bits. A signed plan's `signs`
+/// are the sign masks of the chunk's triples from the round's first on
+/// ([`CountScheduler::chunk_signs`]). The one place a round's segments
+/// become lanes, for [`count_local`] and the wire party alike.
 pub(crate) fn push_round<B: AdjacencyBits>(
     lanes: &mut RoundLanes,
-    bits: &B,
+    (pairs, table): (&PairSet, &PairTable),
+    bits: Option<&B>,
     plan: &[MgDraw],
     round: &[RoundSegment],
     signs: Option<&[u64]>,
-    a: impl Fn(&MgDraw) -> u64,
 ) {
     lanes.clear();
+    // A pair's k-runs are consecutive draws: its own slot is looked up
+    // once, and its runs' pairs in rows i and j from where the last
+    // lookup in the row stopped (their k ascend).
+    let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
     for seg in round {
         let d = &plan[seg.draw];
-        let k = d.k_at(seg.offset);
-        if let Some([b, c]) = lanes.push_run(d, seg.offset, seg.len, a(d)) {
-            bits.fill_bits(d.i as usize, k, b);
-            bits.fill_bits(d.j as usize, k, c);
+        if ij.0 != (d.i, d.j) {
+            rows = [0, 0];
+            ij = ((d.i, d.j), pairs.slot_near(d.i, d.j, &mut rows[0]));
+        }
+        let k = d.k_at(seg.offset) as u32;
+        let slots =
+            [ij.1, pairs.slot_near(d.i, k, &mut rows[0]), pairs.slot_near(d.j, k, &mut rows[1])];
+        if let Some([a, b, c]) = lanes.push_run(table, d, seg.offset, seg.len, slots) {
+            let bits = bits.expect("a fused dealer table combines the plaintext bits");
+            bits.fill_bits(d.i as usize, d.j as usize, &mut a[..1]);
+            let a_ij = a[0];
+            a.fill(a_ij);
+            bits.fill_bits(d.i as usize, k as usize, b);
+            bits.fill_bits(d.j as usize, k as usize, c);
         }
     }
     if let Some(signs) = signs {
@@ -405,24 +475,24 @@ pub(crate) fn push_round<B: AdjacencyBits>(
 }
 
 /// Evaluates every triple of one pair-space chunk, both servers at
-/// once. The chunk's **draw plan** — one `(pair, k-run)` per
-/// [`MgDraw`], at the run's canonical stream offset — is cut into the
-/// rounds [`plan_rounds`] cuts for the wire, each round filled into one
-/// fused [`RoundLanes`] table ([`push_round`]) and evaluated by one
-/// [`count_round`] pass.
+/// once, from the opened pair table. The chunk's **draw plan** — one
+/// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream offset
+/// — is cut into blocks of `batch` triples by [`plan_rounds`], each
+/// block filled into one fused [`RoundLanes`] table ([`push_round`])
+/// and evaluated by one [`count_round`] pass.
 ///
-/// The round's groups come from each lane's dealer counter, or in OT
+/// The block's groups come from each lane's dealer counter, or in OT
 /// mode from the chunk's slab of both servers' preprocessed groups, the
-/// round's `len` of them at the groups already opened: one
+/// block's `len` of them at the groups already evaluated: one
 /// chunk-amortised [`OtMgEngine`] session run inline, or the background
 /// `pool`'s entry for `chunk.id`, which holds the bits the inline
 /// session would have produced. Its ledger lands in the chunk's
-/// [`NetStats::offline`]. The online ledger is the chunk's closed form
-/// ([`NetStats::exchange_triples`]).
+/// [`NetStats::offline`]; a chunk has no online traffic.
 fn chunk_part<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,
     sched: &CountScheduler,
+    opened: (&PairSet, &PairTable),
     chunk: &PairChunk,
     pool: Option<&TriplePool>,
 ) -> CountPart {
@@ -445,34 +515,35 @@ fn chunk_part<B: AdjacencyBits>(
         }
     };
     let (mut t1, mut t2) = (0u64, 0u64);
-    let mut lanes = RoundLanes::fused(job.seed);
+    let mut lanes = RoundLanes::new(opened.1, sched.batch().min(chunk.triples as usize));
     let signs = sched.chunk_signs(chunk);
     let mut done = 0usize;
     let mut rounds = plan_rounds(&plan, sched.batch());
     while let Some(round) = rounds.next_round() {
-        let signs = signs.map(|s| &s[done..]);
-        push_round(&mut lanes, bits, &plan, round, signs, |d| bits.bit(d.i as usize, d.j as usize));
+        push_round(&mut lanes, opened, Some(bits), &plan, round, signs.map(|s| &s[done..]));
         let len = lanes.len();
-        let groups = material.as_ref().map(|m| m.columns().map(|c| &c[done..done + len]));
-        let (u1, u2) = count_round(&lanes, groups);
+        if let Some(material) = &material {
+            lanes.set_groups(&material.columns().map(|c| &c[done..done + len]));
+        }
+        let (u1, u2) = count_round(&lanes);
         (t1, t2) = (t1.wrapping_add(u1), t2.wrapping_add(u2));
         done += len;
     }
-    let triples = done as u64;
-    net.exchange_triples(triples, sched.batch() as u64);
-    (Ring64(t1), Ring64(t2), net, triples)
+    (Ring64(t1), Ring64(t2), net, done as u64)
 }
 
 /// Reference implementation: drives the *protocol objects* of
-/// `cargo-mpc` with no rounds, lanes or inlining — one [`mul3`] call
-/// per triple of the dense cube, on input shares from [`share_prf`]
-/// (`⟨a⟩₁ = PRF`, `⟨a⟩₂ = a − PRF`) and the Multiplication Group at the
-/// triple's canonical position of its pair's stream
-/// ([`PairDealer::for_pair`], [`PairDealer::next_group_pair`]). It is
-/// the share-level oracle: [`count_local`] reproduces its share pair,
-/// triple count and element and byte ledger exactly, for every plan
-/// that schedules the cube (its rounds differ: the reference opens one
-/// triple a round).
+/// `cargo-mpc` with no rounds, lanes or inlining over the dense cube.
+/// It opens each pair once, one opening a round — `e_ij = a_ij − λ_ij`
+/// from each server's input share ([`share_prf`]: `⟨a⟩₁ = PRF`,
+/// `⟨a⟩₂ = a − PRF`) less its mask share ([`mask_prf`]) — and then calls
+/// [`mul3_combine`] once per triple with its three pairs' openings and
+/// the Multiplication Group at the triple's canonical position of its
+/// pair's stream ([`PairDealer::for_pair`],
+/// [`PairDealer::next_group_pair`]). It is the share-level oracle:
+/// [`count_local`] reproduces its share pair, triple count and element
+/// and byte ledger exactly, for every plan that schedules the cube (its
+/// rounds differ: the reference opens one pair a round).
 pub fn secure_count_reference(matrix: &BitMatrix, seed: u64) -> SecureCountResult {
     let n = matrix.n();
     let shares = |i: usize, j: usize| {
@@ -480,16 +551,33 @@ pub fn secure_count_reference(matrix: &BitMatrix, seed: u64) -> SecureCountResul
         (s1, Ring64::from_bit(matrix.get(i, j)) - s1)
     };
     let mut net = NetStats::new();
+    // The pair phase: every pair of a cube with a triple, opened once.
+    let mut opened = vec![Ring64::ZERO; n * n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if n < 3 {
+                break;
+            }
+            let (a1, a2) = shares(i, j);
+            let (u, v) = (i as u32, j as u32);
+            let [l1, l2] = [ServerId::S1, ServerId::S2].map(|s| mask_prf(seed, s, u, v));
+            net.exchange(1);
+            opened[i * n + j] = (a1 - Ring64(l1)) + (a2 - Ring64(l2));
+        }
+    }
     let (mut share1, mut share2) = (Ring64::ZERO, Ring64::ZERO);
     let mut triples = 0u64;
     for i in 0..n {
         for j in (i + 1)..n {
             let mut dealer = PairDealer::for_pair(seed, i as u32, j as u32);
             for k in (j + 1)..n {
-                let mg = dealer.next_group_pair();
-                let (u1, u2) = mul3(shares(i, j), shares(i, k), shares(j, k), mg, &mut net);
-                share1 += u1;
-                share2 += u2;
+                let (g1, g2) = dealer.next_group_pair();
+                let pairs = [(i, j), (i, k), (j, k)];
+                let [(a1, a2), (b1, b2), (c1, c2)] = pairs.map(|(u, v)| shares(u, v));
+                let [e, f, g] = [(i, j), (i, k), (j, k)].map(|(u, v)| opened[u * n + v]);
+                let opening = Mul3Opening { e, f, g };
+                share1 += mul3_combine((a1, b1, c1), &g1, opening, Ring64::ZERO);
+                share2 += mul3_combine((a2, b2, c2), &g2, opening, e * f * g);
                 triples += 1;
             }
         }
@@ -566,7 +654,7 @@ mod tests {
             assert_eq!(r.share1, base.share1, "batch {batch}");
             assert_eq!(r.share2, base.share2, "batch {batch}");
             assert_eq!(r.triples, base.triples, "batch {batch}");
-            // Elements/bytes are per-triple exact regardless of the
+            // Elements/bytes are one opening a pair regardless of the
             // round structure; rounds shrink as the batch grows.
             assert_eq!(r.net.elements, base.net.elements, "batch {batch}");
             assert_eq!(r.net.bytes, base.net.bytes, "batch {batch}");
@@ -574,7 +662,7 @@ mod tests {
         let fine = count_local(&m, &job(9, 1, 1));
         let coarse = count_local(&m, &job(9, 1, 1000));
         assert!(fine.net.rounds > coarse.net.rounds, "batching buys rounds");
-        assert_eq!(fine.net.peak_batch, 3, "batch=1 opens one triple/round");
+        assert_eq!(fine.net.peak_batch, 1, "batch=1 opens one pair a round");
     }
 
     #[test]
@@ -641,26 +729,26 @@ mod tests {
     }
 
     #[test]
-    fn communication_matches_triple_count() {
+    fn communication_matches_pair_count() {
         let n = 20;
         let g = erdos_renyi(n, 0.5, 2);
         let res = count_local(&g.to_bit_matrix(), &CountJob::new(1));
-        let c3 = (n * (n - 1) * (n - 2) / 6) as u64;
+        let (c3, c2) = ((n * (n - 1) * (n - 2) / 6) as u64, (n * (n - 1) / 2) as u64);
         assert_eq!(res.triples, c3);
-        // 3 openings each way per triple.
-        assert_eq!(res.net.elements, 6 * c3);
+        // One opening each way per pair the cube reads — every pair —
+        // however many triples read it.
+        assert_eq!(res.net.elements, 2 * c2);
+        assert_eq!(res.net.bytes, 16 * c2);
         assert_eq!(res.upload_elements, 2 * (n * n) as u64);
-        // Rounds: a chunk of W triples is opened b at a time across
-        // pair boundaries — rounds == Σ_chunks ⌈W_c/b⌉.
+        // Rounds: the pairs are opened b at a time — rounds == ⌈P/b⌉.
         for b in [5usize, 64, 1_000_000] {
             let batched = count_local(&g.to_bit_matrix(), &job(1, 1, b));
             let sched = job(1, 1, b).local_scheduler(n);
-            assert!(sched.chunks().len() > 1, "C(20, 3) spans chunks");
-            let want_rounds: u64 =
-                sched.chunks().iter().map(|c| c.triples.div_ceil(sched.batch() as u64)).sum();
-            assert_eq!(batched.net.rounds, want_rounds, "batch {b}");
-            assert_eq!(batched.net.peak_batch, 3 * sched.batch() as u64, "batch {b}");
-            assert_eq!(batched.net.elements, 6 * c3, "batch {b}");
+            assert_eq!(sched.pair_set().len() as u64, c2);
+            let batch = sched.batch() as u64;
+            assert_eq!(batched.net.rounds, c2.div_ceil(batch), "batch {b}");
+            assert_eq!(batched.net.peak_batch, batch.min(c2), "batch {b}");
+            assert_eq!(batched.net.elements, 2 * c2, "batch {b}");
         }
     }
 

@@ -15,39 +15,41 @@
 //!   the caller hands in: `cargo_mpc::memory_pair()` for the in-memory
 //!   byte transport, `TcpTransport::loopback_pair(..)` (or a
 //!   cross-machine socket) for TCP. Neither party can read the other's
-//!   state, and neither ever uses a plaintext adjacency bit other than
-//!   to expand its own share matrix, as uploaded by the users;
-//! * **sharded, batched rounds** — the shared [`CountScheduler`]
-//!   partitions the `(i, j)` pair space into chunks; each server
-//!   worker owns the chunks congruent to its index. A chunk's draw
-//!   plan is cut by [`cargo_mpc::plan_rounds`] into rounds of exactly
-//!   `batch` triples ([`crate::DEFAULT_COUNT_BATCH`] = 1 024 by
-//!   default) **in plan order, across `k`-run and pair boundaries**
-//!   (only the chunk's last round is short), and every round travels as
-//!   **one frame** ([`cargo_mpc::OpeningMsg`]): the round's triples,
-//!   whatever segments `(draw, offset, len)` they are cut from, masked
-//!   into one round-wide `[e | f | g]` slab, opened element-wise and
-//!   combined. The header names the round's first `(pair, k)`; S₁ and
-//!   S₂ derive the cut — and so the slab's word order — from the public
-//!   plan and `batch` alone, and four lockstep checks (chunk, pair,
-//!   first `k`, slab length) stop a peer that cut differently inside
-//!   the first disagreeing round. All workers of a
-//!   server share one multiplexed link whose frames carry the chunk
-//!   id, so rounds from different shards interleave safely on the same
-//!   wire. In OT mode each chunk is preceded by its amortised offline
-//!   session on the same link ([`cargo_mpc::mg_offline_over_wire`]);
-//! * **one server's arithmetic at kernel speed** — a round is a table
-//!   of lanes, one per triple ([`RoundLanes`]: the PRF keys of its
-//!   `(i, k)` and `(j, k)`, this server's share of `a_ij`, the
-//!   dealer-stream counter of its group and, on S₂ only, its plaintext
-//!   bits), and two lane-parallel passes over it, however short the
-//!   round's `k`-runs: the input shares and maskings ([`mask_round`];
-//!   S₁ never reads the matrix) and, once the peer's slab is in, the
-//!   opening and combination ([`combine_round`]: in dealer mode S₁
-//!   re-derives seven words of each lane's group, S₂ all ten). No
-//!   dealer word is buffered and the other server's column is never
-//!   expanded. OT and pool mode run the same passes over the round's
-//!   next `len` preprocessed groups instead of the counters.
+//!   state, and S₁ never reads a plaintext adjacency bit; S₂ reads its
+//!   users' bits only to expand its own shares in the pair phase — its
+//!   chunks combine openings, masks and product shares alone
+//!   ([`PairTable`]);
+//! * **a pair phase, then local chunks** — a Count's masks are keyed
+//!   by pair, so its online phase opens the plan's pair set
+//!   ([`CountScheduler::pair_set`]) once, in canonical order, `batch`
+//!   pairs a round ([`crate::DEFAULT_COUNT_BATCH`] = 1 024 by default):
+//!   each round is **one frame** each way ([`cargo_mpc::PairOpeningMsg`],
+//!   one masking word per pair), summed into the party's
+//!   [`PairTable`]. The header names the round and its first pair; S₁
+//!   and S₂ derive the pair set — and so every round's word order —
+//!   from the public plan and `batch` alone, and three lockstep checks
+//!   (round, first pair, slab length) stop a peer that cut differently
+//!   inside the first disagreeing round. The pair phase runs before any
+//!   worker; then the shared [`CountScheduler`] partitions the `(i, j)`
+//!   pair space into chunks and each server worker owns the chunks
+//!   congruent to its index, combining them **locally**: no chunk
+//!   sends an online frame. In OT mode each chunk's amortised offline
+//!   session runs on the same link ([`cargo_mpc::mg_offline_over_wire`]),
+//!   its frames tagged by the chunk id;
+//! * **one server's arithmetic at kernel speed** — the pair phase masks
+//!   a round of pairs in one lane-parallel pass ([`mask_round`]; S₁
+//!   never reads the matrix), and a chunk's triples are evaluated in
+//!   blocks of `batch`, each a table of lanes, one per triple
+//!   ([`RoundLanes`]: its three pairs' openings, copied from the pair
+//!   table, the keys its mask shares are mixed from, and the
+//!   dealer-stream counter of its group), by one lane-parallel pass
+//!   ([`combine_round`]: in dealer mode each lane mixes four words of
+//!   its group and two mask shares, S₂ four — its own and S₁'s, which
+//!   the simulated dealer's predistribution hands it, as it does S₁'s
+//!   words). No dealer word is buffered and the
+//!   other server's column is never expanded. OT and pool mode run the
+//!   same pass over the block's next `len` preprocessed groups instead
+//!   of the counters.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -62,33 +64,76 @@
 //! size, and transport backend, because both key their randomness per
 //! `(i, j)` pair.
 
-use crate::count::{finish, push_round, AdjacencyBits, CountJob, CountPart, SecureCountResult};
-use crate::count_sched::{CountScheduler, PairChunk, SchedulePlan};
+use crate::count::{
+    finish, pair_round, push_round, AdjacencyBits, CountJob, CountPart, SecureCountResult,
+};
+use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     combine_round, expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger,
-    plan_rounds, recv_msg, send_msg, share_prf, MgDraw, NetStats, OfflineMode, OpeningMsg,
-    PoolPolicy, Ring64, RoundLanes, RoundSegment, ServerId, Transport, TriplePool, WordBuffers,
+    plan_rounds, recv_msg, send_msg, NetStats, OfflineMode, PairOpeningMsg, PairTable,
+    PoolPolicy, Ring64, RoundLanes, ServerId, Transport, TriplePool, WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
+/// Runs one server's pair phase of `sched`'s Count against the peer on
+/// `peer`: `pairs` in rounds of the batch, each round this server's
+/// maskings of the round's pairs ([`mask_round`]) sent as one
+/// [`PairOpeningMsg`], the peer's received, checked against this
+/// server's own cut and summed into the returned table. S₂ reads its
+/// users' bits of the round's pairs from `matrix`; S₁ reads none. Each
+/// round is tallied into `net`.
+///
+/// # Panics
+/// Panics if the peer hangs up, stalls past the link's receive
+/// timeout, or sends a round off this server's cut — naming the round.
+fn open_pairs<T: Transport>(
+    id: ServerId,
+    job: &CountJob,
+    sched: &CountScheduler,
+    pairs: &PairSet,
+    matrix: &BitMatrix,
+    peer: &T,
+    net: &mut NetStats,
+) -> PairTable {
+    let batch = sched.batch();
+    let mut table = PairTable::new(job.seed, Some(id), job.offline == OfflineMode::OtExtension);
+    let bits = (id == ServerId::S2).then_some(matrix);
+    let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
+    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::with_capacity(batch) };
+    for (round, start) in (0..pairs.len()).step_by(batch).enumerate() {
+        let range = start..(start + batch).min(pairs.len());
+        let len = range.len();
+        let pair = pair_round(pairs, range, bits, &mut keys, &mut plain);
+        let at = format_args!("pair round {round}, first pair {pair:?}");
+        (mine.round, mine.pair) = (round as u32, pair);
+        mine.words.resize(len, 0);
+        mask_round(&table, &keys, &plain, &mut mine.words);
+        net.exchange(len as u64);
+        send_msg(peer, &mine).expect("peer hung up");
+        let theirs: PairOpeningMsg = recv_msg(peer, mine.round, Some(peer.recv_timeout()))
+            .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
+        assert_eq!(theirs.round, mine.round, "demux routed a foreign round ({at})");
+        assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
+        assert_eq!(theirs.words.len(), len, "peer slab size mismatch in the round at {at}");
+        opened.clear();
+        opened.extend(mine.words.iter().zip(&theirs.words).map(|(a, b)| a.wrapping_add(*b)));
+        table.push(&opened);
+    }
+    table
+}
+
 /// One server of the sharded runtime — the state its worker pool
-/// shares. Worker `w` of `workers` owns the chunks with
-/// `id ≡ w (mod workers)`.
+/// shares once the pair phase is done. Worker `w` of `workers` owns the
+/// chunks with `id ≡ w (mod workers)`.
 struct Server<'a, T: Transport> {
     id: ServerId,
     job: &'a CountJob,
     sched: &'a CountScheduler,
-    /// The users' plaintext rows, touched only to expand **this
-    /// server's** input shares lazily: `⟨a_ij⟩₁ = PRF(seed, i, j)` and
-    /// `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁` (so only S₂ reads it), recomputed on
-    /// demand instead of materialised up front. An n×n `Ring64` table
-    /// is ~3.2 GB at n = 20 000 — the scale the sparse schedule exists
-    /// to reach — while the packed [`BitMatrix`] it expands from is
-    /// n²/8 bytes.
-    matrix: &'a BitMatrix,
-    /// The server↔server wire (openings + offline dialogue).
+    /// The plan's pair set and this server's table of its openings.
+    opened: (&'a PairSet, &'a PairTable),
+    /// The server↔server wire (the offline dialogue).
     peer: &'a T,
     /// Background triple factory (OT mode only): when set, chunk
     /// material is *drawn* from this server's private pool keyed by the
@@ -101,16 +146,6 @@ struct Server<'a, T: Transport> {
 }
 
 impl<'env, T: Transport> Server<'env, T> {
-    /// This server's share of `a_ij` from the users' PRF: S₁'s is the
-    /// PRF alone, S₂ reads the plaintext bit to subtract it.
-    fn a_share(&self, i: usize, j: usize) -> u64 {
-        let prf = share_prf(self.job.seed, i as u32, j as u32);
-        match self.id {
-            ServerId::S1 => prf,
-            ServerId::S2 => self.matrix.bit(i, j).wrapping_sub(prf),
-        }
-    }
-
     /// Runs this server's worker pool — no more workers than there are
     /// chunks to own — and returns each worker's part. Worker 0 runs on
     /// the calling thread, so a pool of one starts no thread: a Count
@@ -128,7 +163,7 @@ impl<'env, T: Transport> Server<'env, T> {
     }
 
     /// Runs worker `w`'s share of the protocol: its partial `⟨T⟩` (in
-    /// this server's slot), traffic tally and triple count.
+    /// this server's slot), offline tally and triple count.
     fn run(&self, w: usize, workers: usize) -> CountPart {
         let mut t_share = Ring64::ZERO;
         let mut net = NetStats::new();
@@ -136,8 +171,11 @@ impl<'env, T: Transport> Server<'env, T> {
         // OT mode: the offline dialogue's message buffers, circulating
         // between the parties across all of this worker's chunks.
         let mut spare = WordBuffers::default();
+        // The blocks' lanes, one per triple, rebuilt every block in the
+        // same buffers.
+        let mut lanes = RoundLanes::new(self.opened.1, self.sched.batch());
         for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
-            t_share += self.run_chunk(chunk, &mut net, &mut triples, &mut spare);
+            t_share += self.run_chunk(chunk, &mut lanes, &mut net, &mut triples, &mut spare);
         }
         match self.id {
             ServerId::S1 => (t_share, Ring64::ZERO, net, triples),
@@ -148,11 +186,11 @@ impl<'env, T: Transport> Server<'env, T> {
     fn run_chunk(
         &self,
         chunk: &PairChunk,
+        lanes: &mut RoundLanes,
         net: &mut NetStats,
         triples: &mut u64,
         spare: &mut WordBuffers,
     ) -> Ring64 {
-        let batch = self.sched.batch();
         let seed = self.job.seed;
         let mut t_share = Ring64::ZERO;
         // The chunk's draw plan — a pure function of the chunk id and
@@ -166,7 +204,7 @@ impl<'env, T: Transport> Server<'env, T> {
         // chunk's entry from the background pool — into one slab of
         // this server's groups in plan order; in dealer mode the
         // server expands its own column of the seeded pair streams
-        // round by round below, as if predistributed.
+        // block by block below, as if predistributed.
         let material = match (self.pool, self.job.offline) {
             (Some(pool), _) => {
                 let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
@@ -190,59 +228,24 @@ impl<'env, T: Transport> Server<'env, T> {
             let want: usize = plan.iter().map(|d| d.groups as usize).sum();
             assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
         }
-        // One opening message per worker: each round masks straight
-        // into its slab and sends a copy of it by reference (step 3
-        // still reads the slab).
-        let mut mine =
-            OpeningMsg { chunk: chunk.id, pair: (0, 0), k0: 0, efg: Vec::with_capacity(3 * batch) };
-        // The round's lanes, one per triple, rebuilt every round in the
-        // same buffers.
-        let mut lanes = RoundLanes::new(seed, self.id);
         let signs = self.sched.chunk_signs(chunk);
-        // Groups of the chunk already opened — in OT mode a round's
+        // Groups of the chunk already evaluated — in OT mode a block's
         // material is the next `len` groups of the plan-ordered slab.
         let mut done = 0usize;
-        let mut rounds = plan_rounds(&plan, batch);
+        let mut rounds = plan_rounds(&plan, self.sched.batch());
         while let Some(round) = rounds.next_round() {
-            let (pair, k0) = round_header(&plan, round);
-            let at = format_args!("chunk {}, first pair {pair:?}, first k {k0}", chunk.id);
-            // Step 1: local maskings — the round's lanes, segment by
-            // segment, then one pass over all of them into the round's
-            // [e|f|g] slab, the one opening frame.
             let signs = signs.map(|s| &s[done..]);
-            push_round(&mut lanes, self.matrix, &plan, round, signs, |d| {
-                self.a_share(d.i as usize, d.j as usize)
-            });
+            push_round::<BitMatrix>(lanes, self.opened, None, &plan, round, signs);
             let len = lanes.len();
-            let groups = material.as_deref().map(|groups| &groups[done..done + len]);
-            let slab = 3 * len;
-            (mine.pair, mine.k0) = (pair, k0);
-            mine.efg.resize(slab, 0);
-            mask_round(&lanes, groups, &mut mine.efg);
-            // Step 2: one round — send mine, receive the peer's.
-            net.exchange(slab as u64);
-            *triples += len as u64;
-            send_msg(self.peer, &mine).expect("peer hung up");
-            let theirs: OpeningMsg = recv_msg(self.peer, chunk.id, Some(self.peer.recv_timeout()))
-                .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
-            assert_eq!(theirs.chunk, chunk.id, "demux routed a foreign chunk ({at})");
-            assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
-            assert_eq!(theirs.k0, k0, "peer batch out of lockstep in the round at {at}");
-            assert_eq!(theirs.efg.len(), slab, "peer slab size mismatch in the round at {at}");
-            // Step 3: the round's reconstruction and local combination,
-            // one pass.
-            t_share += Ring64(combine_round(&lanes, groups, &mine.efg, &theirs.efg));
+            if let Some(groups) = &material {
+                lanes.set_groups(&[&groups[done..done + len]]);
+            }
+            t_share += Ring64(combine_round(lanes));
             done += len;
         }
+        *triples += done as u64;
         t_share
     }
-}
-
-/// A round's identity on the wire — the `(pair, k)` of its first triple,
-/// the header of its [`OpeningMsg`].
-fn round_header(plan: &[MgDraw], round: &[RoundSegment]) -> ((u32, u32), u32) {
-    let first = &plan[round[0].draw];
-    ((first.i, first.j), first.k_at(round[0].offset) as u32)
 }
 
 /// Joins a worker (or a whole party). Its panic — a lost peer, a
@@ -298,17 +301,21 @@ pub fn count_party<T: Transport>(
 ) -> SecureCountResult {
     let sched = job.scheduler(matrix.n());
     let pool = job.spawn_pool(&sched);
+    let pairs = sched.pair_set();
+    let mut online = NetStats::new();
+    let table = open_pairs(id, job, &sched, &pairs, matrix, &**link, &mut online);
     let server = Server {
         id,
         job,
         sched: &sched,
-        matrix,
+        opened: (&*pairs, &table),
         peer: &**link,
         pool: pool.as_ref(),
     };
     let parts = server.run_workers();
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
-    let mut result = finish(&sched, job.offline, parts, pool);
+    let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
+    let mut result = finish(&sched, job.offline, parts.into_iter().chain([online]), pool);
     result.net.wire_bytes = link.stats().online_payload_both();
     result
 }
@@ -380,7 +387,8 @@ mod tests {
     use crate::count::count_local;
     use crate::DEFAULT_COUNT_BATCH;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
-    use cargo_graph::{count_triangles_matrix, CsrGraph};
+    use crate::count_sched::CandidateSet;
+    use cargo_graph::{count_triangles_matrix, CsrGraph, Graph};
     use cargo_mpc::{TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
 
@@ -666,10 +674,10 @@ mod tests {
 
     #[test]
     fn parties_with_different_batches_fail_in_the_first_round() {
-        // The round cut is a function of (plan, batch): two parties
-        // handed different batches disagree from the chunk's first
-        // round on, and its slab-length check must stop both at once —
-        // long before the link's stall bound, and with no count.
+        // The pair rounds are a function of (plan, batch): two parties
+        // handed different batches disagree from the first round on, and
+        // its slab-length check must stop both at once — long before the
+        // link's stall bound, and with no count.
         let m = erdos_renyi(30, 0.3, 21).to_bit_matrix();
         let stall = std::time::Duration::from_secs(60);
         let (end1, end2) = cargo_mpc::memory_pair_with_timeout(stall);
@@ -683,7 +691,7 @@ mod tests {
         assert!(started.elapsed() < stall / 2, "failed on a check, not on the timeout");
         for text in [panic_text(r1), panic_text(r2)] {
             assert!(text.contains("peer slab size mismatch"), "{text}");
-            assert!(text.contains("chunk 0, first pair (0, 1), first k 2"), "{text}");
+            assert!(text.contains("pair round 0, first pair (0, 1)"), "{text}");
         }
         assert_eq!(end1.stats().frames_sent, 1, "S1 stopped inside the first round");
         assert_eq!(end2.stats().frames_sent, 1, "S2 stopped inside the first round");
@@ -691,26 +699,17 @@ mod tests {
 
     #[test]
     fn a_peer_off_the_round_cut_trips_the_lockstep_checks() {
-        // A scripted S₂ answers the first round with a frame that is
-        // off the cut in one way at a time: a slab one segment short, a
-        // later k, another pair. S₁ must stop on the matching check,
-        // naming the round.
+        // A scripted S₂ answers the first pair round with a frame that
+        // is off the cut in one way at a time: a slab one pair short,
+        // another first pair. S₁ must stop on the matching check, naming
+        // the round. (A frame of another round is never routed to this
+        // one: the demux keys by round.)
         let m = erdos_renyi(12, 0.5, 3).to_bit_matrix();
         let s1_job = job(5, 1, 16);
-        let sched = s1_job.scheduler(m.n());
-        let plan = sched.chunk_plan(&sched.chunks()[0]);
-        let mut rounds = plan_rounds(&plan, sched.batch());
-        let round = rounds.next_round().expect("C(12, 3) triples").to_vec();
-        assert!(round.len() > 1, "batch 16 spans pairs at n = 12");
-        let full: usize = round.iter().map(|seg| seg.len).sum();
-        let short = full - round.last().expect("non-empty").len;
-        let (pair, k0) = round_header(&plan, &round);
-        assert_eq!((pair, k0), ((0, 1), 2), "the dense cube starts at triple (0, 1, 2)");
-        let honest = OpeningMsg { chunk: 0, pair, k0, efg: vec![0; 3 * full] };
+        let honest = PairOpeningMsg { round: 0, pair: (0, 1), words: vec![0; 16] };
         let cases = [
-            (OpeningMsg { efg: vec![0; 3 * short], ..honest.clone() }, "peer slab size mismatch"),
-            (OpeningMsg { k0: 3, ..honest.clone() }, "peer batch out of lockstep"),
-            (OpeningMsg { pair: (0, 2), ..honest.clone() }, "peer out of lockstep"),
+            (PairOpeningMsg { words: vec![0; 15], ..honest.clone() }, "peer slab size mismatch"),
+            (PairOpeningMsg { pair: (0, 2), ..honest.clone() }, "peer out of lockstep"),
         ];
         for (frame, check) in cases {
             let stall = std::time::Duration::from_secs(60);
@@ -725,7 +724,43 @@ mod tests {
             assert!(started.elapsed() < stall / 2, "{check}: stopped by the timeout");
             let text = panic_text(r1);
             assert!(text.contains(check), "{check}: {text}");
-            assert!(text.contains("chunk 0, first pair (0, 1), first k 2"), "{check}: {text}");
+            assert!(text.contains("pair round 0, first pair (0, 1)"), "{check}: {text}");
+        }
+    }
+
+    #[test]
+    fn a_wire_count_opens_each_pair_once() {
+        // The cube of 30 users reads each of its 435 pairs from up to 28
+        // triples; a complete graph's support plan reads its 190 pairs
+        // from up to 18. Either way each party sends exactly one word a
+        // pair over ⌈P/batch⌉ frames and receives as many: 8·P bytes
+        // each way, however many triples read a pair.
+        let complete = Graph::from_edges(20, &(0..20).flat_map(|u| (u + 1..20).map(move |v| (u, v))).collect::<Vec<_>>()).unwrap();
+        let cases = [
+            (erdos_renyi(30, 0.3, 2).to_bit_matrix(), SchedulePlan::DenseCube, 435u64),
+            (
+                complete.to_bit_matrix(),
+                SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(&complete))),
+                190,
+            ),
+        ];
+        for (m, plan, pairs) in cases {
+            let batch = 64;
+            let wire = CountJob { plan, ..job(3, 2, batch) };
+            assert_eq!(wire.scheduler(m.n()).pair_set().len() as u64, pairs);
+            let (end1, end2) = cargo_mpc::memory_pair();
+            let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+            let res = count_two_party(&m, &wire, &end1, &end2);
+            assert!(res.triples > pairs, "pairs are read by many triples");
+            for end in [&end1, &end2] {
+                let stats = end.stats();
+                assert_eq!(stats.online_payload_sent, 8 * pairs, "one word a pair sent");
+                assert_eq!(stats.online_payload_recv, 8 * pairs, "one word a pair received");
+                assert_eq!(stats.frames_sent, pairs.div_ceil(batch as u64));
+            }
+            assert_eq!((res.net.elements, res.net.bytes), (2 * pairs, 16 * pairs));
+            assert_eq!(res.net.rounds, pairs.div_ceil(batch as u64));
+            assert_eq!(res.reconstruct(), Ring64(count_triangles_matrix(&m)));
         }
     }
 

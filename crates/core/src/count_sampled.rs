@@ -228,8 +228,10 @@ mod tests {
         let res = count_sampled(&g.to_bit_matrix(), 0.25, &job(7, 2, 0));
         let frac = res.evaluated as f64 / res.total_triples as f64;
         assert!((frac - 0.25).abs() < 0.01, "sampled fraction {frac}");
-        // Communication shrinks proportionally.
-        assert_eq!(res.net.elements, 6 * res.evaluated);
+        // Communication is one opening each way a pair the sampled
+        // triples read.
+        let sched = job(7, 2, 0).local_scheduler(100).sampled(TripleSampler::new(7, 0.25));
+        assert_eq!(res.net.elements, 2 * sched.pair_set().len() as u64);
     }
 
     #[test]

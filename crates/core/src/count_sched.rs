@@ -37,45 +37,50 @@
 //!   worker count or machine, because chunk ids key the amortised OT
 //!   offline sessions and the offline ledger must stay
 //!   schedule-invariant. Workers pull chunks from an atomic queue.
-//! * **Batched rounds.** A chunk's triples are opened
-//!   [`CountScheduler::batch`] at a time **in plan order, across draw
-//!   and pair boundaries** ([`cargo_mpc::plan_rounds`]): every round
-//!   but a chunk's last carries exactly `3·batch` elements each way, so
-//!   a chunk of `W` triples costs `⌈W/batch⌉` rounds however short its
-//!   `k`-runs are. The cut is a pure function of the chunk's public
-//!   plan and `batch`. (Kernel evaluation inside a party still walks
-//!   the plan run by run, in blocks of at most `batch` — that grouping
-//!   never reaches the wire.)
+//! * **One pair set, batched rounds.** The Count's masks are keyed by
+//!   pair, so its online phase opens the plan's **pair set**
+//!   ([`CountScheduler::pair_set`]: every pair a scheduled triple reads)
+//!   once, [`CountScheduler::batch`] pairs a round in canonical order:
+//!   a plan reading `P` pairs costs `⌈P/batch⌉` rounds, however many
+//!   triples read a pair. A chunk's triples are then evaluated locally,
+//!   `batch` at a time **in plan order, across draw and pair
+//!   boundaries** ([`cargo_mpc::plan_rounds`]), which never reaches the
+//!   wire. Both cuts are pure functions of the public plan and `batch`.
 //! * **Determinism by construction.** Randomness is keyed per pair
-//!   ([`cargo_mpc::PairDealer`], [`cargo_mpc::share_prf`]), never
-//!   per worker or per chunk, so the servers' share pairs are bit-identical for
-//!   every thread count and batch size — the partition only decides
-//!   *who* consumes a stream. The scheduler-invariance property suite
+//!   ([`cargo_mpc::PairDealer`], [`cargo_mpc::share_prf`],
+//!   [`cargo_mpc::mask_prf`]), never per worker or per chunk, so the
+//!   servers' share pairs are bit-identical for every thread count and
+//!   batch size — the partition only decides *who* consumes a stream.
+//!   The scheduler-invariance property suite
 //!   (`crates/core/tests/scheduler_invariance.rs`) pins this.
 
 use crate::config::ScheduleKind;
 use crate::count_sampled::TripleSampler;
 use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder, NeighborMarks};
 use cargo_mpc::MgDraw;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default batch: 1 024 triples per round — a 24 kB opening frame each
-/// way. Chosen by sweeping {256, 512, 1 024, 2 048} on the repo
-/// benchmark's five workloads (`CHANGES.md`): on one core a round costs
+/// Default batch: 1 024 pairs per online round — an 8 kB opening frame
+/// each way — and 1 024 triples per lane table. Chosen by sweeping
+/// {256, 512, 1 024, 2 048} on the repo benchmark's five workloads
+/// (`CHANGES.md`) when a round opened triples: on one core a round costs
 /// a fixed hand-off (≈ 12 µs on the reference box) on top of its
-/// arithmetic, so `release_s` falls with the round count up to 1 024
-/// and no further, while `peak_rss_mb` stays within +10 % of the
-/// previous default of 64.
+/// arithmetic, so `release_s` fell with the round count up to 1 024
+/// and no further. Swept again over {256 … 4 096} once rounds opened
+/// pairs: a Count is then a few rounds (21 on `dense-mem`), and no
+/// value's `release_s` separated from the box's drift — `ot-mem`, whose
+/// two rounds no batch changes, moved as much — so the value stayed;
+/// larger batches cut rounds further.
 pub const DEFAULT_COUNT_BATCH: usize = 1024;
 
-/// Ceiling on the batch. A round is one frame each way — 24 B of
-/// opening slab per triple — and every executor sizes its per-chunk
-/// scratch by the batch (the in-process tile worker gathers 80 B of
-/// dealer words per lane; a wire party holds its 24 B slab, the peer's
-/// and 16 B of input shares per triple), so an unchecked `--batch` must
-/// neither approach [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor
-/// drive a multi-gigabyte allocation: 2¹⁶ triples are a 1.5 MB frame.
+/// Ceiling on the batch. A pair round is one frame each way — 8 B a
+/// pair — and every executor sizes its scratch by the batch (a lane
+/// table holds about a dozen words a triple), so an unchecked `--batch`
+/// must neither approach [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`]
+/// nor drive a multi-gigabyte allocation: 2¹⁶ pairs are a 512 kB
+/// frame.
 pub(crate) const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
@@ -113,7 +118,9 @@ const MIN_CHUNK_TRIPLES: u64 = 512;
 /// is public structural knowledge such as the symmetrised edge
 /// *support* of the dataset; the protocol's secrets remain the actual
 /// edge bits between candidate pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality is over the admitted triples and their signs.
+#[derive(Debug, Clone)]
 pub struct CandidateSet {
     n: usize,
     /// Candidate pairs `(i, j)`, `i < j`, lexicographic, non-empty
@@ -128,7 +135,20 @@ pub struct CandidateSet {
     /// its product to the count, `!0` subtracts it. Empty when every
     /// triple adds ([`CandidateSet::signed`] is the only signer).
     negate: Vec<u64>,
+    /// The graph whose triangles the set lists, when it was built from
+    /// one: every pair a triple reads is one of its edges, so the plan's
+    /// pair set is marked over it ([`CountScheduler::pair_set`]).
+    graph: Option<Arc<CsrGraph>>,
 }
+
+impl PartialEq for CandidateSet {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, &self.pairs, &self.k_offsets, &self.ks, &self.negate)
+            == (other.n, &other.pairs, &other.k_offsets, &other.ks, &other.negate)
+    }
+}
+
+impl Eq for CandidateSet {}
 
 impl CandidateSet {
     /// Builds the candidate structure from a public graph: candidate
@@ -161,6 +181,7 @@ impl CandidateSet {
             k_offsets,
             ks,
             negate: Vec::new(),
+            graph: Some(Arc::new(csr)),
         }
     }
 
@@ -202,6 +223,7 @@ impl CandidateSet {
             k_offsets,
             ks,
             negate: Vec::new(),
+            graph: None,
         }
     }
 
@@ -245,6 +267,7 @@ impl CandidateSet {
             k_offsets,
             ks,
             negate: Vec::new(),
+            graph: None,
         }
     }
 
@@ -417,6 +440,9 @@ struct StreamIndex {
     /// `chunk_edge[chunk.id]` is the edge ordinal of the chunk's first
     /// pair — where its walk resumes.
     chunk_edge: Vec<u32>,
+    /// The plan's pair set ([`CountScheduler::pair_set`]), collected by
+    /// the same pass.
+    pairs: Option<Arc<PairSet>>,
 }
 
 impl CountScheduler {
@@ -471,12 +497,20 @@ impl CountScheduler {
             }
             SchedulePlan::CsrStream(csr) => build_csr_chunks(csr),
         };
-        // Rounds never span chunks, so a batch above the heaviest
-        // chunk's weight changes nothing but scratch sizes.
+        // A pair round opens at most the plan's pairs and a lane round
+        // evaluates at most one chunk's triples, so a batch above both
+        // changes nothing but scratch sizes. The pair count is bounded
+        // in closed form: every pair of the cube, at most three a triple
+        // otherwise.
         let heaviest = chunks.iter().map(|c| c.triples).max().unwrap_or(0);
+        let cube_pairs = if n < 3 { 0 } else { dense_pair_count(n) + n as u64 - 1 };
+        let pairs = match &plan {
+            SchedulePlan::DenseCube => cube_pairs,
+            _ => cube_pairs.min(total_triples.saturating_mul(3)),
+        };
         let batch = if batch == 0 { DEFAULT_COUNT_BATCH } else { batch }
             .min(MAX_COUNT_BATCH)
-            .min(usize::try_from(heaviest).unwrap_or(usize::MAX))
+            .min(usize::try_from(heaviest.max(pairs)).unwrap_or(usize::MAX))
             .max(1);
         CountScheduler {
             n,
@@ -501,6 +535,7 @@ impl CountScheduler {
             "a signed plan cannot be sampled"
         );
         self.sampler = Some(sampler);
+        self.stream.pairs = None;
         self
     }
 
@@ -631,6 +666,52 @@ impl CountScheduler {
         }
     }
 
+    /// The plan's **pair set**: every pair `(i, j)`, `i < j`, that some
+    /// scheduled triple reads as `(i, j)`, `(i, k)` or `(j, k)` — the
+    /// pairs a Count opens, each once, before any chunk is evaluated. A
+    /// pure function of the public plan, so both parties derive it
+    /// locally: in closed form on the (unsampled) cube, where every
+    /// pair is read, and otherwise by one walk of the chunks' plans
+    /// (marked in the `n × n` square, or at the pairs' positions in a graph
+    /// that holds them, whichever is smaller).
+    pub fn pair_set(&self) -> Arc<PairSet> {
+        match (&self.plan, &self.sampler, &self.stream.pairs) {
+            (SchedulePlan::DenseCube, None, _) => {
+                Arc::new(PairSet(PairIndex::Cube { n: if self.n < 3 { 0 } else { self.n } }))
+            }
+            // The streamed plan's pairs are marked by its index pass.
+            (SchedulePlan::CsrStream(_), None, Some(pairs)) => Arc::clone(pairs),
+            (plan, _, _) => {
+                let graph = match plan {
+                    SchedulePlan::DenseCube => None,
+                    SchedulePlan::CandidatePairs(cs) => cs.graph.as_ref(),
+                    SchedulePlan::CsrStream(csr) => Some(csr),
+                };
+                // Without a graph a plan reads at most three pairs a
+                // triple.
+                let reads = self.total_triples.saturating_mul(3);
+                let mut marks = PairPositions::choose(self.n, graph, reads).map(PairMarks::new);
+                let mut reads = Vec::new();
+                for chunk in &self.chunks {
+                    self.for_each_pair(chunk, |i, j, ks| {
+                        let ks = ks.expect("only the unsampled cube leaves its k ranges implicit");
+                        match &mut marks {
+                            Some(marks) => marks.triples(i, j, ks),
+                            None => {
+                                reads.push((i as u32, j as u32));
+                                reads.extend(ks.iter().flat_map(|&k| [(i as u32, k), (j as u32, k)]));
+                            }
+                        }
+                    });
+                }
+                Arc::new(match marks {
+                    Some(marks) => marks.finish(),
+                    None => PairSet::from_pairs(self.n, &reads),
+                })
+            }
+        }
+    }
+
     /// Runs `work` over every chunk on the scheduler's worker pool
     /// (scoped threads pulling chunk indices from an atomic queue) and
     /// returns the per-chunk results in chunk order. With one worker —
@@ -671,6 +752,309 @@ impl CountScheduler {
         collected.sort_by_key(|(idx, _)| *idx);
         collected.into_iter().map(|(_, r)| r).collect()
     }
+}
+
+/// The pairs a Count plan reads ([`CountScheduler::pair_set`]), in
+/// canonical order — lexicographic `(i, j)` — and each pair's **slot**,
+/// its ordinal in that order: where the pair phase opens it and where
+/// the chunk rounds read its opening. A `k`-run's pairs `(i, k₀ + t)`
+/// are consecutive slots, because the `k`s of a run are consecutive and
+/// every pair of the run is in the set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairSet(PairIndex);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PairIndex {
+    /// Every pair of `n` vertices (none below three): row `i` holds
+    /// `(i, i + 1) .. (i, n − 1)`, so `(i, j)` is at slot
+    /// `row(i) + j − i − 1`, `row(i) = i·(2n − i − 1)/2`.
+    Cube { n: usize },
+    /// The pairs' positions ([`PairPositions`]) marked in a bitmap:
+    /// `words[w]` holds positions `64·w ..` beside its rank, the set bits
+    /// before it, so a lookup reads one line for both; `len` is the
+    /// total. Positions ascend with the pairs, so a pair's slot is the
+    /// rank of its position.
+    Marked { at: PairPositions, words: Vec<[u64; 2]>, len: usize },
+}
+
+/// Where a [`PairSet`]'s bitmap puts pair `(i, j)`: at `i·n + j` in the
+/// `n × n` square, found in closed form, or at its adjacency position
+/// ([`CsrGraph::adjacency`]) in a graph that holds every pair of the
+/// plan, found by a search of row `i`. The square is faster to look up;
+/// it is chosen whenever its bitmap is no larger than the graph's
+/// adjacency array, which leaves the graph to plans over millions of
+/// vertices, where no square fits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PairPositions {
+    Square { n: usize },
+    Csr(Arc<CsrGraph>),
+}
+
+impl PairPositions {
+    /// The positions for a plan over `n` vertices whose pairs are edges
+    /// of `graph`, or, without one, number at most `reads`: `None` when
+    /// the square is too large and there is no graph — the plan then
+    /// builds the graph of its reads ([`PairSet::from_pairs`]).
+    fn choose(n: usize, graph: Option<&Arc<CsrGraph>>, reads: u64) -> Option<Self> {
+        // Bytes: the square's bitmap against a graph's `u32` adjacency,
+        // two entries an edge.
+        let adjacency = graph.map_or(reads.saturating_mul(2), |g| g.adjacency().1.len() as u64);
+        let square = (n as u64).saturating_mul(n as u64) / 8;
+        if square <= adjacency.saturating_mul(4) {
+            Some(PairPositions::Square { n })
+        } else {
+            graph.map(|g| PairPositions::Csr(Arc::clone(g)))
+        }
+    }
+
+    /// Positions in all.
+    fn count(&self) -> usize {
+        match self {
+            PairPositions::Square { n } => n * n,
+            PairPositions::Csr(csr) => csr.adjacency().1.len(),
+        }
+    }
+
+    /// The position of `(i, j)`, `i < j`, or `None` if it has none. A
+    /// graph's row `i` is searched from `hint`, the row index the last
+    /// lookup in the row left there, which this one updates — so
+    /// ascending lookups in one row cost the gaps between them.
+    #[inline(always)]
+    fn find(&self, i: u32, j: u32, hint: &mut usize) -> Option<usize> {
+        match self {
+            PairPositions::Square { n } => (i < j && (j as usize) < *n).then(|| i as usize * n + j as usize),
+            PairPositions::Csr(_) if i >= j => None,
+            PairPositions::Csr(csr) => {
+                let (offsets, targets) = csr.adjacency();
+                let row = &targets[offsets[i as usize]..offsets[i as usize + 1]];
+                *hint = gallop(row, (*hint).min(row.len()), j);
+                (row.get(*hint) == Some(&j)).then(|| offsets[i as usize] + *hint)
+            }
+        }
+    }
+
+    /// The pair at position `at`; `row` is the graph row the last call
+    /// found (positions are visited in ascending order).
+    #[inline]
+    fn pair_at(&self, at: usize, row: &mut usize) -> (u32, u32) {
+        match self {
+            PairPositions::Square { n } => ((at / n) as u32, (at % n) as u32),
+            PairPositions::Csr(csr) => {
+                let (offsets, targets) = csr.adjacency();
+                if offsets[*row + 1] <= at {
+                    *row = gallop(offsets, *row + 1, at + 1) - 1;
+                }
+                (*row as u32, targets[at])
+            }
+        }
+    }
+}
+
+impl PairSet {
+    /// The set of the pairs at the positions `bits` marks.
+    fn marked(at: PairPositions, bits: Vec<u64>) -> Self {
+        let mut total = 0u64;
+        let words = bits
+            .into_iter()
+            .map(|word| {
+                let rank = total;
+                total += u64::from(word.count_ones());
+                [word, rank]
+            })
+            .collect();
+        let len = pair_ordinals("pairs", total) as usize;
+        PairSet(PairIndex::Marked { at, words, len })
+    }
+
+    /// The set of `pairs` (any order, either orientation, repeats
+    /// allowed) over `n` vertices, at their positions in their own graph.
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        let csr = CsrGraph::from_unsorted_pairs(n, pairs).0;
+        let (offsets, targets) = csr.adjacency();
+        let mut bits = vec![0u64; targets.len().div_ceil(64)];
+        for u in 0..n {
+            let upper = csr.neighbors(u).partition_point(|&v| v as usize <= u);
+            for p in offsets[u] + upper..offsets[u + 1] {
+                bits[p / 64] |= 1 << (p % 64);
+            }
+        }
+        Self::marked(PairPositions::Csr(Arc::new(csr)), bits)
+    }
+
+    /// Pairs in the set — the Count's `P`.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            PairIndex::Cube { n } => n * n.saturating_sub(1) / 2,
+            PairIndex::Marked { len, .. } => *len,
+        }
+    }
+
+    /// Whether the plan reads no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slot of pair `(i, j)`, `i < j`.
+    ///
+    /// # Panics
+    /// Panics if the set does not hold the pair.
+    pub fn slot(&self, i: u32, j: u32) -> usize {
+        self.slot_near(i, j, &mut 0)
+    }
+
+    /// [`Self::slot`], searching row `i` from `hint` — the row index the
+    /// previous lookup in the row left there, which this one updates —
+    /// so ascending lookups in one row cost the gaps between them.
+    ///
+    /// # Panics
+    /// Panics if the set does not hold the pair.
+    #[inline]
+    pub fn slot_near(&self, i: u32, j: u32, hint: &mut usize) -> usize {
+        let missing = || panic!("pair ({i}, {j}) is not in the plan's pair set");
+        match &self.0 {
+            PairIndex::Cube { n } => {
+                assert!(i < j && (j as usize) < *n, "pair ({i}, {j}) is not in the cube");
+                cube_row(*n, i as usize) + (j - i - 1) as usize
+            }
+            PairIndex::Marked { at, words, .. } => {
+                let at = at.find(i, j, hint).unwrap_or_else(missing);
+                let ([word, rank], bit) = (words[at / 64], at % 64);
+                if word >> bit & 1 == 0 {
+                    missing();
+                }
+                rank as usize + (word & ((1 << bit) - 1)).count_ones() as usize
+            }
+        }
+    }
+
+    /// Calls `f(slot, i, j, len)` for each maximal run of the slots in
+    /// `range` that one row holds at consecutive columns: the pairs
+    /// `(i, j + t)` at slots `slot + t` for `t < len`. Runs come in slot
+    /// order and cover `range` exactly.
+    pub fn for_each_run(&self, range: Range<usize>, mut f: impl FnMut(usize, u32, u32, usize)) {
+        let mut slot = range.start;
+        match &self.0 {
+            PairIndex::Cube { n } => {
+                let n = *n;
+                // The row holding the range's first slot: the last row
+                // starting at or before it (rows start in ascending slot
+                // order, and only the last row, n − 1, is empty).
+                let (mut i, mut above) = (0, n);
+                while above - i > 1 {
+                    let mid = (i + above) / 2;
+                    if cube_row(n, mid) <= range.start {
+                        i = mid;
+                    } else {
+                        above = mid;
+                    }
+                }
+                while slot < range.end {
+                    let (row, row_end) = (cube_row(n, i), cube_row(n, i + 1));
+                    let len = row_end.min(range.end) - slot;
+                    f(slot, i as u32, (i + 1 + slot - row) as u32, len);
+                    slot += len;
+                    i += 1;
+                }
+            }
+            PairIndex::Marked { at: positions, words, len } => {
+                if range.is_empty() {
+                    return;
+                }
+                assert!(range.end <= *len, "slots {range:?} leave the pair set of {len}");
+                // The word holding the range's first slot, then its set
+                // bits from that slot on, in order.
+                let mut w = words.partition_point(|&[_, rank]| rank as usize <= range.start) - 1;
+                let [mut word, rank] = words[w];
+                for _ in rank as usize..range.start {
+                    word &= word - 1;
+                }
+                let mut row = 0;
+                let mut run: Option<(usize, u32, u32, usize)> = None;
+                while slot < range.end {
+                    while word == 0 {
+                        w += 1;
+                        word = words[w][0];
+                    }
+                    let at = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let (i, j) = positions.pair_at(at, &mut row);
+                    run = match run {
+                        Some((first, ri, rj, len)) if ri == i && rj + len as u32 == j => {
+                            Some((first, ri, rj, len + 1))
+                        }
+                        Some((first, ri, rj, len)) => {
+                            f(first, ri, rj, len);
+                            Some((slot, i, j, 1))
+                        }
+                        None => Some((slot, i, j, 1)),
+                    };
+                    slot += 1;
+                }
+                if let Some((first, i, j, len)) = run {
+                    f(first, i, j, len);
+                }
+            }
+        }
+    }
+}
+
+/// The pairs a plan's triples read, marked at their [`PairPositions`].
+struct PairMarks {
+    at: PairPositions,
+    /// One bit per position.
+    bits: Vec<u64>,
+}
+
+impl PairMarks {
+    fn new(at: PairPositions) -> Self {
+        let bits = vec![0u64; at.count().div_ceil(64)];
+        PairMarks { at, bits }
+    }
+
+    /// Marks the pairs of the triples `(i, j, k)`, `i < j`, for each `k`
+    /// of the ascending `ks` (all above `j`).
+    fn triples(&mut self, i: usize, j: usize, ks: &[u32]) {
+        self.row(i as u32, std::iter::once(j as u32).chain(ks.iter().copied()));
+        self.row(j as u32, ks.iter().copied());
+    }
+
+    /// Marks the pairs `(u, v)` for each `v` of the ascending `vs`.
+    fn row(&mut self, u: u32, vs: impl Iterator<Item = u32>) {
+        let PairMarks { at, bits } = self;
+        let mut hint = 0;
+        for v in vs {
+            let p = at.find(u, v, &mut hint);
+            let p = p.unwrap_or_else(|| panic!("pair ({u}, {v}) is not an edge of the plan"));
+            bits[p / 64] |= 1 << (p % 64);
+        }
+    }
+
+    fn finish(self) -> PairSet {
+        PairSet::marked(self.at, self.bits)
+    }
+}
+
+/// The first index of the ascending `row` holding a value `≥ v`,
+/// searched from `from` if `row[from] < v` — steps doubling, then
+/// halving, so a search costs the log of its distance — and from the
+/// start otherwise.
+fn gallop<T: Copy + Ord>(row: &[T], from: usize, v: T) -> usize {
+    if row.get(from).is_none_or(|&x| x >= v) {
+        return row[..from].partition_point(|&x| x < v);
+    }
+    // row[lo] < v throughout; the answer is in (lo, hi].
+    let (mut lo, mut step) = (from, 1);
+    while lo + step < row.len() && row[lo + step] < v {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(row.len());
+    lo + 1 + row[lo + 1..hi].partition_point(|&x| x < v)
+}
+
+/// The slot of row `i`'s first pair `(i, i + 1)` in an `n`-vertex cube.
+fn cube_row(n: usize, i: usize) -> usize {
+    i * (2 * n - i - 1) / 2
 }
 
 /// Appends one [`MgDraw`] per maximal contiguous run of `ks` for pair
@@ -792,19 +1176,23 @@ fn dense_pair_count(n: usize) -> u64 {
 /// stream-equivalence tests pin — chunk ids key the amortised OT
 /// offline sessions, so the two sparse plans must agree chunk for
 /// chunk.
-fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>, StreamIndex) {
+fn build_csr_chunks(csr: &Arc<CsrGraph>) -> (u64, Vec<PairChunk>, StreamIndex) {
     let mut weights = vec![0u32; pair_ordinals("CSR edges", csr.edge_count() as u64) as usize];
+    let positions = PairPositions::choose(csr.n(), Some(csr), 0);
+    let mut marks = PairMarks::new(positions.expect("a graph always gives positions"));
     csr.walk_upper_edges(
         (0, 0),
         0,
         &mut NeighborMarks::new(csr.n()),
         |_| true,
         // A k-list is a set of vertex ids, so its length fits u32.
-        |e, _, _, ks| {
+        |e, i, j, ks| {
             weights[e] = ks.len() as u32;
+            marks.triples(i, j, ks);
             true
         },
     );
+    let pairs = Some(Arc::new(marks.finish()));
     let total = weights.iter().map(|&w| w as u64).sum();
     let mut cut = ChunkCutter::new(total);
     let mut chunk_edge = Vec::new();
@@ -818,7 +1206,7 @@ fn build_csr_chunks(csr: &CsrGraph) -> (u64, Vec<PairChunk>, StreamIndex) {
             e += 1;
         }
     }
-    (total, cut.finish(), StreamIndex { weights, chunk_edge })
+    (total, cut.finish(), StreamIndex { weights, chunk_edge, pairs })
 }
 
 #[cfg(test)]
@@ -1298,6 +1686,112 @@ mod tests {
         let unsigned = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(6, &plus)));
         let plain = CountScheduler::with_plan(6, 1, 2, unsigned);
         assert!(plain.chunks().iter().all(|c| plain.chunk_signs(c).is_none()));
+    }
+
+    /// `set`'s runs over `range`, in order.
+    fn runs(set: &PairSet, range: Range<usize>) -> Vec<(usize, u32, u32, usize)> {
+        let mut out = Vec::new();
+        set.for_each_run(range, |slot, i, j, len| out.push((slot, i, j, len)));
+        out
+    }
+
+    #[test]
+    fn pair_sets_slot_and_run_the_sorted_pairs() {
+        // A graph's edges marked in the square, marked at their positions
+        // in the graph, and as the graph of a read list — and the cube,
+        // on the complete list — each give a pair its index in the
+        // sorted list as its slot, and cut every range into that list's
+        // row runs.
+        let sorted_runs = |pairs: &[(u32, u32)], range: Range<usize>| {
+            let mut out: Vec<(usize, u32, u32, usize)> = Vec::new();
+            for slot in range {
+                let (i, j) = pairs[slot];
+                match out.last_mut() {
+                    Some(run) if run.1 == i && run.2 + run.3 as u32 == j => run.3 += 1,
+                    _ => out.push((slot, i, j, 1)),
+                }
+            }
+            out
+        };
+        let complete: Vec<(u32, u32)> = (0..9).flat_map(|i| (i + 1..9).map(move |j| (i, j))).collect();
+        let mut sets = vec![("cube".to_string(), complete.clone(), PairSet(PairIndex::Cube { n: 9 }))];
+        for (name, g) in stream_families() {
+            let mut pairs: Vec<(u32, u32)> = g.edges().map(|(i, j)| (i as u32, j as u32)).collect();
+            pairs.sort_unstable();
+            let csr = Arc::new(CsrGraph::from_graph(&g));
+            for at in [PairPositions::Square { n: g.n() }, PairPositions::Csr(csr)] {
+                let kind = if matches!(at, PairPositions::Square { .. }) { "square" } else { "graph" };
+                let mut marks = PairMarks::new(at);
+                for &(i, j) in &pairs {
+                    marks.row(i, [j].into_iter());
+                }
+                sets.push((format!("{name} {kind}"), pairs.clone(), marks.finish()));
+            }
+            // Repeated and reversed reads collapse into the one pair.
+            let reads: Vec<_> = pairs.iter().flat_map(|&(i, j)| [(i, j), (j, i), (i, j)]).collect();
+            sets.push((format!("{name} reads"), pairs, PairSet::from_pairs(g.n(), &reads)));
+        }
+        for (name, pairs, set) in &sets {
+            assert_eq!(set.len(), pairs.len(), "{name}");
+            for (slot, &(i, j)) in pairs.iter().enumerate() {
+                assert_eq!(set.slot(i, j), slot, "{name} ({i}, {j})");
+            }
+            let len = pairs.len();
+            for range in [0..len, 0..len / 2, len / 3..len, len / 4..(len / 4 + 1).min(len), len..len] {
+                assert_eq!(runs(set, range.clone()), sorted_runs(pairs, range.clone()), "{name} {range:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_plan_over_a_graph_marks_the_pairs_of_its_triangles() {
+        // The same triangles' pair set three ways — marked by the
+        // streamed plan's index pass, marked by a walk of the eager
+        // plan, and built from an explicit triple list's reads — on
+        // each family, and on each family spread over 10⁵ vertices,
+        // where no square fits and the positions are a graph's; and a
+        // sampled cube's against the graph of its reads.
+        for (name, g) in stream_families() {
+            for n in [g.n(), 100_000] {
+                let mut b = GraphBuilder::new(n);
+                g.edges().for_each(|(i, j)| b.add_edge(i, j).unwrap());
+                let g = b.build();
+                let cs = CandidateSet::from_graph(&g);
+                let mut triples = Vec::new();
+                for idx in 0..cs.len() {
+                    let (i, j) = cs.pair(idx);
+                    triples.extend(cs.ks(idx).iter().map(|&k| (i, j, k)));
+                }
+                let plans = [
+                    SchedulePlan::CsrStream(Arc::new(CsrGraph::from_graph(&g))),
+                    SchedulePlan::CandidatePairs(Arc::new(cs)),
+                    SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(n, &triples))),
+                ];
+                let sets = plans.map(|plan| {
+                    let set = CountScheduler::with_plan(n, 1, 0, plan).pair_set();
+                    runs(&set, 0..set.len())
+                });
+                assert_eq!(sets[0], sets[1], "{name} n={n}");
+                assert_eq!(sets[0], sets[2], "{name} n={n}");
+            }
+        }
+        let sampled = CountScheduler::new(30, 1, 0).sampled(TripleSampler::new(5, 0.3));
+        let mut reads = Vec::new();
+        for chunk in sampled.chunks() {
+            sampled.for_each_pair(chunk, |i, j, ks| {
+                reads.push((i as u32, j as u32));
+                reads.extend(ks.unwrap().iter().flat_map(|&k| [(i as u32, k), (j as u32, k)]));
+            });
+        }
+        let set = sampled.pair_set();
+        let want = PairSet::from_pairs(30, &reads);
+        assert_eq!(runs(&set, 0..set.len()), runs(&want, 0..want.len()));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the plan's pair set")]
+    fn a_pair_outside_the_set_has_no_slot() {
+        PairSet::from_pairs(5, &[(0, 1), (1, 2)]).slot(0, 2);
     }
 
     #[test]

@@ -321,7 +321,7 @@ pub struct EpochCount {
     /// count).
     pub triples: u64,
     /// Modeled server↔server traffic of this epoch's one signed Count:
-    /// `Σ ⌈triples ÷ batch⌉` rounds over its plan's chunks.
+    /// `⌈pairs ÷ batch⌉` rounds over the pairs its plan reads.
     pub net: NetStats,
     /// Cumulative share `⟨T⟩₁` after the epoch.
     pub share1: Ring64,
@@ -618,10 +618,9 @@ mod tests {
         let calls_before = calls.get();
         let epoch = counter.apply_with(&batch, &mut eval).unwrap();
         assert_eq!(calls.get(), calls_before + 1, "one Count an epoch");
-        // Σ over the union plan's chunks of ⌈triples ÷ batch⌉ rounds.
+        // ⌈pairs ÷ batch⌉ rounds over the pairs the union plan reads.
         let sched = CountScheduler::with_plan(7, 1, 2, plan.count_plan().unwrap());
-        let rounds: u64 = sched.chunks().iter().map(|c| c.triples.div_ceil(2)).sum();
-        assert_eq!(epoch.net.rounds, rounds);
+        assert_eq!(epoch.net.rounds, (sched.pair_set().len() as u64).div_ceil(2));
         assert_eq!(epoch.triples, (plan.created().len() + plan.destroyed().len()) as u64);
         assert_eq!((epoch.share1 + epoch.share2).to_u64(), count_triangles(counter.graph()) as u64);
         assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix(), "settled on post");

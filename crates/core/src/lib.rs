@@ -76,7 +76,7 @@ pub use session::{
 };
 pub use count_sampled::{count_sampled, SampledCountResult};
 pub use count_sched::{
-    CandidateSet, CountScheduler, PairChunk, SchedulePlan, DEFAULT_COUNT_BATCH,
+    CandidateSet, CountScheduler, PairChunk, PairSet, SchedulePlan, DEFAULT_COUNT_BATCH,
 };
 pub use max_degree::{estimate_max_degree, MaxDegreeEstimate};
 pub use metrics::{l2_loss, peak_rss_bytes, relative_error};

@@ -26,9 +26,10 @@
 //!   drawn from the seeded public coin), so both parties compute them
 //!   identically with no communication, as both servers of the paper
 //!   hold `d'_max` and the users project their own rows.
-//! * **Count** — every `e, f, g` opening crosses the wire as a
-//!   [`cargo_mpc::OpeningMsg`] frame; in OT mode the whole
-//!   preprocessing dialogue does too.
+//! * **Count** — every pair opening (the `e, f, g` of the triples that
+//!   read the pair) crosses the wire in a [`cargo_mpc::PairOpeningMsg`]
+//!   frame, once per Count; in OT mode the whole preprocessing dialogue
+//!   does too.
 //! * **Perturb** — the users' noise-share uploads are replayed
 //!   deterministically ([`crate::aggregate_noise_shares`]); the final
 //!   noisy shares are opened with one [`FinalOpeningMsg`] each way,
@@ -387,7 +388,7 @@ mod tests {
             .cloned()
             .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
-        assert!(text.contains("peer slab size mismatch in the round at chunk 0"), "{text}");
+        assert!(text.contains("peer slab size mismatch in the round at pair round 0"), "{text}");
     }
 
     #[test]

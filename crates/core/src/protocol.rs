@@ -224,6 +224,7 @@ pub(crate) fn run_in_process(graph: &Graph, cfg: &CargoConfig, unit: DpUnit) -> 
         net: run.net,
         // Input shares plus one noise share to each server per user.
         upload_elements: run.count.upload_elements + 2 * graph.n() as u64,
+        triples: run.count.triples,
         ledger: run.ledger,
     }
 }
@@ -280,6 +281,8 @@ pub struct CargoOutput {
     pub net: NetStats,
     /// Ring elements uploaded by users (input shares + noise shares).
     pub upload_elements: u64,
+    /// Triples the Count evaluated (`C(n, 3)` on the dense cube).
+    pub triples: u64,
     /// The ε ledger: `(mechanism, ε)` entries summing to the budget.
     pub ledger: Vec<(String, f64)>,
 }

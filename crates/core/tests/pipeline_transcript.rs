@@ -2,14 +2,19 @@
 //! three entry points report — `CargoSystem::run` (edge DP),
 //! `run_node_dp` (node DP) and both reports of `run_party_local` — over
 //! the golden fixtures and one larger Barabási–Albert graph, folded into
-//! one digest and compared with a constant.
+//! two digests and compared with constants.
 //!
 //! The equivalence suites prove the entry points agree with each other;
-//! this pin also fixes *what* they agree on: the noisy release and the
-//! noisy max degree bit for bit, the projection's effect, the whole
-//! ledger (offline included), the users' uploads, the ε ledger's labels
+//! these pins also fix *what* they agree on. The **transcript** digest
+//! folds every reported word: the noisy release and the noisy max degree
+//! bit for bit, the projection's effect, the count shares, the whole
+//! ledger (online and offline), the users' uploads, the ε ledger's labels
 //! and values. A refactor of the pipeline must keep every folded word.
-//! Timings are left out.
+//! The **invariant** digest folds only what no change to the Count's
+//! masking may move: the releases, the projection, the triples
+//! evaluated, the uploads, the offline ledger and the ε ledger — not the
+//! shares, the online bytes or the online rounds. Timings are left out
+//! of both.
 
 use cargo_core::node_dp::run_node_dp;
 use cargo_core::{
@@ -20,6 +25,7 @@ use cargo_graph::generators::barabasi_albert;
 use cargo_graph::Graph;
 use cargo_mpc::{NetStats, OfflineLedger};
 use cargo_testutil::golden_fixtures;
+use std::sync::OnceLock;
 
 /// A word-by-word fold (SplitMix64's finaliser over a running state):
 /// independent of the library's own hashes, so the pin cannot move with
@@ -78,6 +84,44 @@ impl Fold {
         }
     }
 
+    fn offline(&mut self, offline: &OfflineLedger) {
+        let OfflineLedger { base_ots, extended_ots, bytes, rounds } = *offline;
+        for w in [base_ots, extended_ots, bytes, rounds] {
+            self.word(w);
+        }
+    }
+
+    /// The words of `out` that do not depend on how the Count masks its
+    /// inputs.
+    fn output_invariants(&mut self, out: &CargoOutput) {
+        self.word(out.noisy_count.to_bits());
+        self.word(out.true_count);
+        self.word(out.projected_count);
+        self.word(out.d_max_noisy.to_bits());
+        self.word(out.truncated_users as u64);
+        self.offline(&out.net.offline);
+        self.word(out.upload_elements);
+        self.word(out.ledger.len() as u64);
+        for (label, eps) in &out.ledger {
+            self.text(label);
+            self.word(eps.to_bits());
+        }
+    }
+
+    /// The words of `r` that do not depend on how the Count masks its
+    /// inputs.
+    fn report_invariants(&mut self, r: &PartyReport) {
+        self.word(r.role as u64);
+        self.word(r.noisy_count.to_bits());
+        self.word(r.d_max_noisy.to_bits());
+        self.word(r.truncated_users as u64);
+        self.word(r.projected_count);
+        self.offline(&r.net.offline);
+        self.word(r.triples);
+        self.word(r.pool.fills);
+        self.word(r.pool.drains);
+    }
+
     fn report(&mut self, r: &PartyReport) {
         self.word(r.role as u64);
         self.word(r.noisy_count.to_bits());
@@ -121,29 +165,53 @@ fn edge_configs(base: CargoConfig, n: usize) -> Vec<(&'static str, CargoConfig)>
     ]
 }
 
-/// Folds every run over every input, in a fixed order.
-fn pipeline_digest() -> u64 {
-    let mut fold = Fold::default();
-    for (name, graph) in inputs() {
-        fold.text(&name);
-        let base = CargoConfig::new(2.0).with_seed(0xCA60 ^ graph.n() as u64).with_threads(2);
-        for (label, cfg) in edge_configs(base, graph.n()) {
-            fold.text(label);
-            fold.output(&CargoSystem::new(cfg).run(&graph));
+/// Folds every run over every input, in a fixed order, into the
+/// transcript digest and the invariant digest. The runs are made once
+/// for both tests.
+fn pipeline_digests() -> (u64, u64) {
+    static DIGESTS: OnceLock<(u64, u64)> = OnceLock::new();
+    *DIGESTS.get_or_init(|| {
+        let (mut all, mut invariant) = (Fold::default(), Fold::default());
+        for (name, graph) in inputs() {
+            all.text(&name);
+            invariant.text(&name);
+            let base = CargoConfig::new(2.0).with_seed(0xCA60 ^ graph.n() as u64).with_threads(2);
+            let mut outputs = Vec::new();
+            for (label, cfg) in edge_configs(base, graph.n()) {
+                outputs.push((label, CargoSystem::new(cfg).run(&graph)));
+            }
+            for projection in [true, false] {
+                let label = if projection { "node-dp" } else { "node-dp-no-projection" };
+                outputs.push((label, run_node_dp(&CargoConfig { projection, ..base }, &graph)));
+            }
+            for (label, out) in &outputs {
+                all.text(label);
+                all.output(out);
+                invariant.text(label);
+                invariant.output_invariants(out);
+            }
+            all.text("party-local");
+            invariant.text("party-local");
+            let (r1, r2) = run_party_local(&graph, &base);
+            for r in [&r1, &r2] {
+                all.report(r);
+                invariant.report_invariants(r);
+            }
         }
-        for projection in [true, false] {
-            fold.text(if projection { "node-dp" } else { "node-dp-no-projection" });
-            fold.output(&run_node_dp(&CargoConfig { projection, ..base }, &graph));
-        }
-        fold.text("party-local");
-        let (r1, r2) = run_party_local(&graph, &base);
-        fold.report(&r1);
-        fold.report(&r2);
-    }
-    fold.0
+        (all.0, invariant.0)
+    })
 }
 
 #[test]
 fn the_one_shot_pipeline_transcript_is_pinned() {
-    assert_eq!(pipeline_digest(), 0xB2E6_4ECD_9BC5_217F);
+    let digest = pipeline_digests().0;
+    assert_eq!(digest, 0xE515_1AA6_DDD2_C831, "transcript digest {digest:#018x}");
+}
+
+#[test]
+fn the_one_shot_pipeline_invariants_are_pinned() {
+    // Captured before the Count's masks were keyed by pair: a change to
+    // the masking moves shares, online bytes and online rounds only.
+    let digest = pipeline_digests().1;
+    assert_eq!(digest, 0x1B2C_C4CF_04EC_0D0C, "invariant digest {digest:#018x}");
 }

@@ -93,36 +93,40 @@ type Anchor = (&'static str, f64, &'static str, bool, u64, u64, u64, u64, u64);
 
 /// What
 /// `count_sampled(m, rate, &CountJob { plan, offline, threads: 2, batch: 64, ..CountJob::new(0xA11C0) })`
-/// returned on the last commit that evaluated sampled chunks with their
-/// own hand-written workers (PR 16, `0a16d4e`). The anchors were
-/// recorded when 64 was the default batch, so the job names it: the
-/// `net.rounds` column is `Σ_chunks ⌈W_c/64⌉`.
+/// returns. The anchors were first recorded on the last commit that
+/// evaluated sampled chunks with their own hand-written workers (commit
+/// `0a16d4e`), when 64 was the default batch, so the job names it. They
+/// were re-recorded when the Count's masks were keyed by pair: every
+/// row's `share1 + share2` (wrapping), `evaluated` and offline bytes
+/// are the earlier recording's; the share split moved, and the
+/// `net.rounds` column became `⌈P/64⌉` over the `P` pairs the sampled
+/// triples read (it was `Σ_chunks ⌈W_c/64⌉`).
 #[rustfmt::skip]
 const GOLDEN_SAMPLED: [Anchor; 24] = [
-    ("er_64", 0.25, "dense", false, 0x439ddc4bcc7b8b58, 0xbc6223b4338474ba, 10330, 188, 0),
-    ("er_64", 0.25, "dense", true, 0x439ddc4bcc7b8b58, 0xbc6223b4338474ba, 10330, 188, 127282992),
-    ("er_64", 0.25, "support", false, 0x80815015686b2a92, 0x7f7eafea9794d580, 18, 1, 0),
-    ("er_64", 0.25, "support", true, 0x80815015686b2a92, 0x7f7eafea9794d580, 18, 1, 238160),
-    ("er_64", 0.25, "stream", false, 0x80815015686b2a92, 0x7f7eafea9794d580, 18, 1, 0),
-    ("er_64", 0.25, "stream", true, 0x80815015686b2a92, 0x7f7eafea9794d580, 18, 1, 238160),
-    ("er_64", 0.5, "dense", false, 0x8af1414aea5f73b0, 0x750ebeb515a08c73, 20875, 361, 0),
-    ("er_64", 0.5, "dense", true, 0x8af1414aea5f73b0, 0x750ebeb515a08c73, 20875, 361, 257197392),
-    ("er_64", 0.5, "support", false, 0x9bff1554f4126f58, 0x6400eaab0bed90cb, 35, 1, 0),
-    ("er_64", 0.5, "support", true, 0x9bff1554f4126f58, 0x6400eaab0bed90cb, 35, 1, 447600),
-    ("er_64", 0.5, "stream", false, 0x9bff1554f4126f58, 0x6400eaab0bed90cb, 35, 1, 0),
-    ("er_64", 0.5, "stream", true, 0x9bff1554f4126f58, 0x6400eaab0bed90cb, 35, 1, 447600),
-    ("ba_64", 0.25, "dense", false, 0xc9b92077ef4217c4, 0x3646df8810bde85f, 10330, 188, 0),
-    ("ba_64", 0.25, "dense", true, 0xc9b92077ef4217c4, 0x3646df8810bde85f, 10330, 188, 127282992),
-    ("ba_64", 0.25, "support", false, 0x037cd6a316a141ff, 0xfc83295ce95ebe24, 35, 1, 0),
-    ("ba_64", 0.25, "support", true, 0x037cd6a316a141ff, 0xfc83295ce95ebe24, 35, 1, 447600),
-    ("ba_64", 0.25, "stream", false, 0x037cd6a316a141ff, 0xfc83295ce95ebe24, 35, 1, 0),
-    ("ba_64", 0.25, "stream", true, 0x037cd6a316a141ff, 0xfc83295ce95ebe24, 35, 1, 447600),
-    ("ba_64", 0.5, "dense", false, 0x1ae5923433bc74d1, 0xe51a6dcbcc438b72, 20875, 361, 0),
-    ("ba_64", 0.5, "dense", true, 0x1ae5923433bc74d1, 0xe51a6dcbcc438b72, 20875, 361, 257197392),
-    ("ba_64", 0.5, "support", false, 0x4cf8b66b7b894840, 0xb30749948476b803, 67, 2, 0),
-    ("ba_64", 0.5, "support", true, 0x4cf8b66b7b894840, 0xb30749948476b803, 67, 2, 841840),
-    ("ba_64", 0.5, "stream", false, 0x4cf8b66b7b894840, 0xb30749948476b803, 67, 2, 0),
-    ("ba_64", 0.5, "stream", true, 0x4cf8b66b7b894840, 0xb30749948476b803, 67, 2, 841840),
+    ("er_64", 0.25, "dense", false, 0xa4a600af78a36e06, 0x5b59ff50875c920c, 10330, 32, 0),
+    ("er_64", 0.25, "dense", true, 0xa4a600af78a36e06, 0x5b59ff50875c920c, 10330, 32, 127282992),
+    ("er_64", 0.25, "support", false, 0x08267da63b4b56dc, 0xf7d98259c4b4a936, 18, 1, 0),
+    ("er_64", 0.25, "support", true, 0x08267da63b4b56dc, 0xf7d98259c4b4a936, 18, 1, 238160),
+    ("er_64", 0.25, "stream", false, 0x08267da63b4b56dc, 0xf7d98259c4b4a936, 18, 1, 0),
+    ("er_64", 0.25, "stream", true, 0x08267da63b4b56dc, 0xf7d98259c4b4a936, 18, 1, 238160),
+    ("er_64", 0.5, "dense", false, 0x7b5d23b9649d3f95, 0x84a2dc469b62c08e, 20875, 32, 0),
+    ("er_64", 0.5, "dense", true, 0x7b5d23b9649d3f95, 0x84a2dc469b62c08e, 20875, 32, 257197392),
+    ("er_64", 0.5, "support", false, 0xc01b57dead848b21, 0x3fe4a821527b7502, 35, 2, 0),
+    ("er_64", 0.5, "support", true, 0xc01b57dead848b21, 0x3fe4a821527b7502, 35, 2, 447600),
+    ("er_64", 0.5, "stream", false, 0xc01b57dead848b21, 0x3fe4a821527b7502, 35, 2, 0),
+    ("er_64", 0.5, "stream", true, 0xc01b57dead848b21, 0x3fe4a821527b7502, 35, 2, 447600),
+    ("ba_64", 0.25, "dense", false, 0xc9198dad256ac87a, 0x36e67252da9537a9, 10330, 32, 0),
+    ("ba_64", 0.25, "dense", true, 0xc9198dad256ac87a, 0x36e67252da9537a9, 10330, 32, 127282992),
+    ("ba_64", 0.25, "support", false, 0xfbe3c3d496292e46, 0x041c3c2b69d6d1dd, 35, 2, 0),
+    ("ba_64", 0.25, "support", true, 0xfbe3c3d496292e46, 0x041c3c2b69d6d1dd, 35, 2, 447600),
+    ("ba_64", 0.25, "stream", false, 0xfbe3c3d496292e46, 0x041c3c2b69d6d1dd, 35, 2, 0),
+    ("ba_64", 0.25, "stream", true, 0xfbe3c3d496292e46, 0x041c3c2b69d6d1dd, 35, 2, 447600),
+    ("ba_64", 0.5, "dense", false, 0x5846c05af23e0bf8, 0xa7b93fa50dc1f44b, 20875, 32, 0),
+    ("ba_64", 0.5, "dense", true, 0x5846c05af23e0bf8, 0xa7b93fa50dc1f44b, 20875, 32, 257197392),
+    ("ba_64", 0.5, "support", false, 0xe792e12ac1a8baad, 0x186d1ed53e574596, 67, 2, 0),
+    ("ba_64", 0.5, "support", true, 0xe792e12ac1a8baad, 0x186d1ed53e574596, 67, 2, 841840),
+    ("ba_64", 0.5, "stream", false, 0xe792e12ac1a8baad, 0x186d1ed53e574596, 67, 2, 0),
+    ("ba_64", 0.5, "stream", true, 0xe792e12ac1a8baad, 0x186d1ed53e574596, 67, 2, 841840),
 ];
 
 #[test]

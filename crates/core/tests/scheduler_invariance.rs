@@ -136,8 +136,8 @@ proptest! {
             for batch in [1usize, 7, 64, usize::MAX] {
                 let sched = CountScheduler::with_plan(n, 1, batch, plan.clone());
                 let b = sched.batch();
-                let mut cut = NetStats::new();
-                let mut closed = NetStats::new();
+                // The pairs the plan's triples read, brute force.
+                let mut read = Vec::new();
                 for chunk in sched.chunks() {
                     let draws = sched.chunk_plan(chunk);
                     // Expanding the rounds' segments group by group
@@ -153,7 +153,12 @@ proptest! {
                             pieces[seg.draw] += 1;
                         }
                         sizes.push(round.iter().map(|seg| seg.len).sum::<usize>());
-                        cut.exchange(3 * *sizes.last().expect("just pushed") as u64);
+                    }
+                    for d in &draws {
+                        for g in 0..d.groups as usize {
+                            let k = d.k_at(g) as u32;
+                            read.extend([(d.i, d.j), (d.i, k), (d.j, k)]);
+                        }
                     }
                     let want: Vec<(usize, usize)> = draws
                         .iter()
@@ -170,14 +175,20 @@ proptest! {
                     for (d, &count) in draws.iter().zip(&pieces) {
                         prop_assert!(count >= (d.groups as usize).div_ceil(b));
                     }
-                    closed.exchange_triples(chunk.triples, b as u64);
                 }
-                // rounds == Σ_chunks ⌈W_c/b⌉, on the cutter,
-                // the closed form and the executor alike.
-                let want_rounds: u64 =
-                    sched.chunks().iter().map(|c| c.triples.div_ceil(b as u64)).sum();
-                prop_assert_eq!(cut, closed);
-                prop_assert_eq!(cut.rounds, want_rounds);
+                // The online rounds open the plan's pair set — every
+                // pair its triples read, once — `b` pairs a round:
+                // rounds == ⌈P/b⌉, in closed form and on the executor.
+                read.sort_unstable();
+                read.dedup();
+                let pairs = sched.pair_set();
+                prop_assert_eq!(pairs.len(), read.len());
+                for (slot, &(i, j)) in read.iter().enumerate() {
+                    prop_assert_eq!(pairs.slot(i, j), slot);
+                }
+                let mut closed = NetStats::new();
+                closed.exchange_pairs(read.len() as u64, b as u64);
+                prop_assert_eq!(closed.rounds, (read.len() as u64).div_ceil(b as u64));
                 let job = CountJob { plan: plan.clone(), ..job(seed, 1, batch) };
                 prop_assert_eq!(count_local(&m, &job).net, closed);
             }

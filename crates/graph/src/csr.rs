@@ -18,7 +18,8 @@
 //!
 //! [`CsrGraph::count_triangles`] closes the wedges and cross-checks the
 //! crate's other counters. It is the orientation's only consumer — the
-//! secure Count reads `neighbors` / `upper_neighbors` / `edge_count` —
+//! secure Count reads `neighbors` / `upper_neighbors` / `edge_count` /
+//! `adjacency` —
 //! so a [`CsrGraph`] is its adjacency (copied from a [`Graph`], or
 //! counting-sorted from a sorted pair list or the loader's unsorted
 //! one), and the orientation is derived from it by whoever first asks
@@ -263,6 +264,15 @@ impl CsrGraph {
                 }
             }
         }
+    }
+
+    /// The adjacency arrays `(offsets, targets)`: `v`'s row is
+    /// `targets[offsets[v]..offsets[v + 1]]`. An index into `targets` —
+    /// a **position** — names one orientation of one edge, and the
+    /// positions of the upper edges `(u, v > u)` ascend in the
+    /// lexicographic order of the pairs.
+    pub fn adjacency(&self) -> (&[usize], &[u32]) {
+        (&self.offsets, &self.targets)
     }
 
     /// `v`'s neighbors above it **by id** (`j > v`), ascending — the

@@ -107,15 +107,13 @@ pub struct NetStats {
     /// Bytes on the wire (8 bytes per ring element).
     pub bytes: u64,
     /// Communication rounds (a batch of parallel exchanges = 1 round).
-    /// The Count phase opens `b` triples a round across draw and pair
-    /// boundaries, so a scheduler chunk of `W` triples costs `⌈W/b⌉`
-    /// rounds and a run `Σ_chunks ⌈W_c/b⌉` — on the wire executors,
-    /// exactly the opening frames each server sends.
+    /// The Count phase opens the `P` pairs its plan reads `b` a round,
+    /// so a Count costs `⌈P/b⌉` rounds — on the wire executors, exactly
+    /// the opening frames each server sends.
     pub rounds: u64,
     /// Largest single batch (elements each way) seen so far — the peak
-    /// per-message buffer a deployment would need: `3·b` for a Count
-    /// with a chunk of at least `b` triples, `3·W` for one whose
-    /// heaviest chunk is lighter.
+    /// per-message buffer a deployment would need: `b` for a Count over
+    /// at least `b` pairs, `P` for one over fewer.
     pub peak_batch: u64,
     /// Bytes a byte transport carries for the online openings, both
     /// directions. On the purely modeled path (the fast kernel) this
@@ -164,21 +162,20 @@ impl NetStats {
         self.peak_batch = self.peak_batch.max(elements_each_way);
     }
 
-    /// Records the online rounds of a scheduler chunk in closed form:
-    /// `triples` three-value multiplications (three openings each way
-    /// per triple) opened `batch` at a time are `⌊triples/batch⌋` full
-    /// rounds of `3·batch` elements plus one tail round for the rest —
-    /// the cut [`crate::plan_rounds`] makes on the wire, which is why
-    /// the in-process executors' ledgers equal the wire executors'
-    /// field for field.
+    /// Records a Count's pair openings in closed form: `pairs` openings
+    /// (one element each way per pair) `batch` at a time are
+    /// `⌊pairs/batch⌋` full rounds of `batch` elements plus one tail
+    /// round for the rest — the rounds the wire parties cut over the
+    /// plan's pair set, which is why the in-process executors' ledgers
+    /// equal the wire executors' field for field.
     ///
     /// # Panics
     /// Panics if `batch` is zero.
     #[inline]
-    pub fn exchange_triples(&mut self, triples: u64, batch: u64) {
-        self.exchange_rounds(triples / batch, 3 * batch);
-        if !triples.is_multiple_of(batch) {
-            self.exchange(3 * (triples % batch));
+    pub fn exchange_pairs(&mut self, pairs: u64, batch: u64) {
+        self.exchange_rounds(pairs / batch, batch);
+        if !pairs.is_multiple_of(batch) {
+            self.exchange(pairs % batch);
         }
     }
 
@@ -392,18 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn exchange_triples_is_full_rounds_plus_one_tail() {
-        for (triples, batch) in [(0u64, 64u64), (1, 64), (64, 64), (130, 64), (130, 1), (5, 7)] {
+    fn exchange_pairs_is_full_rounds_plus_one_tail() {
+        for (pairs, batch) in [(0u64, 64u64), (1, 64), (64, 64), (130, 64), (130, 1), (5, 7)] {
             let mut closed = NetStats::new();
-            closed.exchange_triples(triples, batch);
+            closed.exchange_pairs(pairs, batch);
             let mut scalar = NetStats::new();
-            let mut left = triples;
+            let mut left = pairs;
             while left > 0 {
-                scalar.exchange(3 * left.min(batch));
+                scalar.exchange(left.min(batch));
                 left -= left.min(batch);
             }
-            assert_eq!(closed, scalar, "{triples} triples at batch {batch}");
-            assert_eq!(closed.rounds, triples.div_ceil(batch));
+            assert_eq!(closed, scalar, "{pairs} pairs at batch {batch}");
+            assert_eq!(closed.rounds, pairs.div_ceil(batch));
+            assert_eq!(closed.bytes, 16 * pairs, "one word each way per pair");
         }
     }
 

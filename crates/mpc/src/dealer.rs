@@ -20,7 +20,9 @@ use crate::prg::SplitMix64;
 use crate::ring::Ring64;
 use crate::share::{share_with, SharePair};
 use crate::simd::SimdTier;
-use crate::triple_mul::{count_round, MulGroupShare, RoundLanes};
+use crate::share::mask_prf;
+use crate::triple_mul::{count_round, mask_round, pair_key, MulGroupShare, PairTable, RoundLanes};
+use crate::ServerId;
 
 /// A trusted dealer producing correlated randomness for the two servers.
 #[derive(Debug, Clone)]
@@ -112,10 +114,16 @@ impl Dealer {
     }
 }
 
-/// Dealer words consumed per Multiplication Group by the streaming
-/// form: `x₁ x₂ y₁ y₂ z₁ z₂ o₁ p₁ q₁ w₁` (the second shares of the
-/// derived values `o, p, q, w` are differences, not fresh draws).
-pub const MG_WORDS: usize = 10;
+/// Dealer words per Multiplication Group of a pair stream: S₁'s
+/// product shares `o₁ p₁ q₁ w₁`. The masks are not stream words — they
+/// are keyed by pair ([`crate::mask_prf`]) — and S₂'s product shares
+/// are differences, not fresh draws ([`split_mg_words`]).
+pub const GROUP_WORDS: usize = 4;
+
+/// Pinned by the benchmark's trace probes, which size a dealer block
+/// with it; it is [`GROUP_WORDS`].
+#[doc(hidden)]
+pub const MG_WORDS: usize = GROUP_WORDS;
 
 /// A dealer stream *split per outer `(i, j)` pair* of the Count phase.
 ///
@@ -124,11 +132,19 @@ pub const MG_WORDS: usize = 10;
 /// itself (rather than by worker or chunk) makes the servers' share
 /// pairs bit-identical for **every** thread count and batch size — the
 /// partition only decides *who* consumes a stream, never *what* the
-/// stream contains. Every Count executor (fast kernel — sampled or
-/// not — and message-passing runtime) draws from these streams.
+/// stream contains. Group `k − j − 1` of pair `(i, j)`'s stream holds
+/// the product words of triple `(i, j, k)`; its masks `x = λ_ij`,
+/// `y = λ_ik`, `z = λ_jk` are the pairs' own ([`crate::mask_prf`]).
+/// Every Count executor draws from these streams.
 #[derive(Debug, Clone)]
 pub struct PairDealer {
     rng: SplitMix64,
+    /// The Count seed and pair the stream is keyed by, and the stream
+    /// words drawn so far: what [`Self::next_group_pair`] and
+    /// [`Self::count_block`] need to name the triple of the next group.
+    root: u64,
+    pair: (u32, u32),
+    words: u64,
 }
 
 impl PairDealer {
@@ -152,6 +168,9 @@ impl PairDealer {
             SplitMix64::new(root ^ pair.wrapping_mul(0xD1B54A32D192ED03) ^ 0x8CB92BA72F3D8DD7);
         PairDealer {
             rng: SplitMix64::new(mixer.next_u64()),
+            root,
+            pair: (i, j),
+            words: 0,
         }
     }
 
@@ -164,13 +183,14 @@ impl PairDealer {
     }
 
     /// Block-expands the next `out.len()` raw dealer words (see
-    /// [`MG_WORDS`] for the per-group layout) at the best
+    /// [`GROUP_WORDS`] for the per-group layout) at the best
     /// [`SimdTier`] of this CPU ([`SplitMix64::fill_block_tier`]).
     /// Stream-equivalent to scalar draws at every tier; the OT flights
     /// fill one slab at a time.
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
         self.rng.fill_block_tier(SimdTier::detect(), out);
+        self.words += out.len() as u64;
     }
 
     /// Advances the stream past `groups` Multiplication Groups without
@@ -183,35 +203,55 @@ impl PairDealer {
     /// schedule.
     #[inline]
     pub fn skip_groups(&mut self, groups: usize) {
-        self.rng.skip(MG_WORDS * groups);
+        self.rng.skip(GROUP_WORDS * groups);
+        self.words += (GROUP_WORDS * groups) as u64;
     }
 
-    /// Evaluates one `k`-block of Multiplication-Group protocols, both
-    /// servers at once, against this stream's next `L = b.len()` groups
-    /// — one segment through [`crate::count_round`] — and advances the
-    /// stream past them. `a` is the plaintext first secret of every
-    /// lane, `b` and `c` the second and third per lane. Returns the
-    /// wrapping partial sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)`, bit-identical to
-    /// [`Self::fill_words`] + [`crate::mul3_batch`].
+    /// The `k` of the triple whose group the stream draws next.
+    fn next_k(&self) -> u32 {
+        self.pair.1 + 1 + (self.words / GROUP_WORDS as u64) as u32
+    }
+
+    /// Evaluates the next `L = b.len()` groups' triples `(i, j, k)`,
+    /// both servers at once, and advances the stream past them: `a` is
+    /// the first secret (`a_ij`), `b` and `c` the second and third per
+    /// triple, each opened under its pair's mask. Returns the wrapping
+    /// partial sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)`, whose sum is `Σ a·bₜ·cₜ`.
+    ///
+    /// Pinned by the benchmark's trace probes: it builds a pair table
+    /// of its `2L + 1` pairs on every call, which the Count never does,
+    /// before one [`crate::count_round`] pass.
     ///
     /// # Panics
     /// Panics if `b` and `c` differ in length.
+    #[doc(hidden)]
     pub fn count_block(&mut self, a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
         assert_eq!(b.len(), c.len(), "b/c slab lengths");
-        let mut lanes = RoundLanes::fused(0);
-        if let Some([lane_b, lane_c]) = lanes.push_lanes(self.rng.state_raw(), [0; 2], b.len(), a)
-        {
-            lane_b.copy_from_slice(b);
-            lane_c.copy_from_slice(c);
+        let ((i, j), k0, len) = (self.pair, self.next_k(), b.len());
+        let mut keys = vec![pair_key(i, j)];
+        keys.extend((0..len as u32).map(|t| pair_key(i, k0 + t)));
+        keys.extend((0..len as u32).map(|t| pair_key(j, k0 + t)));
+        let bits = [&[a][..], b, c].concat();
+        let mut table = PairTable::new(self.root, None, false);
+        let mut opened = vec![0; keys.len()];
+        mask_round(&table, &keys, &bits, &mut opened);
+        table.push(&opened);
+        let mut lanes = RoundLanes::new(&table, len);
+        let (state, keys) = (self.rng.state_raw(), [pair_key(i, k0), pair_key(j, k0)]);
+        let x = [mask_prf(self.root, ServerId::S1, i, j), 0];
+        if let Some([a_ij, b_ik, c_jk]) = lanes.push_lanes(&table, state, [0, 1, 1 + len], keys, x, len) {
+            a_ij.fill(a);
+            b_ik.copy_from_slice(b);
+            c_jk.copy_from_slice(c);
         }
-        self.skip_groups(b.len());
-        count_round(&lanes, None)
+        self.skip_groups(len);
+        count_round(&lanes)
     }
 
     /// The counter state at which group `offset` of `draw` starts —
     /// [`Self::for_draw`] + [`Self::skip_groups`] in closed form. A
     /// round's lane table ([`crate::RoundLanes`]) keys each lane's
-    /// group by it, its words being this state's next [`MG_WORDS`]
+    /// group by it, its words being this state's next [`GROUP_WORDS`]
     /// outputs.
     pub(crate) fn group_state(root: u64, draw: &crate::MgDraw, offset: usize) -> u64 {
         let mut d = Self::for_draw(root, draw);
@@ -219,30 +259,33 @@ impl PairDealer {
         d.rng.state_raw()
     }
 
-    /// Draws one Multiplication Group as the two servers' share
-    /// structs — the protocol-object form of the same stream: consumes
-    /// exactly [`MG_WORDS`] words in the canonical order, so a runtime
-    /// driving share structs stays word-for-word aligned with a kernel
-    /// consuming [`Self::fill_words`].
+    /// Draws the next Multiplication Group as the two servers' share
+    /// structs: the pairs' mask shares ([`crate::mask_prf`]) and
+    /// exactly [`GROUP_WORDS`] stream words, so a runtime driving share
+    /// structs stays word-for-word aligned with a kernel reading the
+    /// stream.
     pub fn next_group_pair(&mut self) -> (MulGroupShare, MulGroupShare) {
-        let mut w = [0u64; MG_WORDS];
+        let ((i, j), k) = (self.pair, self.next_k());
+        let masks = [(i, j), (i, k), (j, k)]
+            .map(|(u, v)| [ServerId::S1, ServerId::S2].map(|s| mask_prf(self.root, s, u, v)));
+        let mut w = [0u64; GROUP_WORDS];
         self.fill_words(&mut w);
-        let (g1, g2) = split_mg_words(&w);
-        (g1, g2)
+        split_mg_words(masks, &w)
     }
 }
 
-/// Expands [`MG_WORDS`] raw dealer words into the two servers'
-/// Multiplication-Group shares (shared by [`PairDealer`] and the
-/// Count kernels so the arithmetic lives in one place).
+/// Assembles one Multiplication Group's two share structs from the
+/// mask shares `[[x₁, x₂], [y₁, y₂], [z₁, z₂]]` of its three pairs and
+/// its [`GROUP_WORDS`] stream words `o₁ p₁ q₁ w₁`: S₂'s product shares
+/// are the products less S₁'s (shared by [`PairDealer`] and the offline
+/// phase so the arithmetic lives in one place).
 #[inline]
-pub fn split_mg_words(w: &[u64]) -> (MulGroupShare, MulGroupShare) {
-    let &[x1, x2, y1, y2, z1, z2, o1, p1, q1, w1] = &w[..MG_WORDS] else {
-        panic!("split_mg_words needs {MG_WORDS} words");
+pub fn split_mg_words(masks: [[u64; 2]; 3], w: &[u64]) -> (MulGroupShare, MulGroupShare) {
+    let &[o1, p1, q1, w1] = &w[..GROUP_WORDS] else {
+        panic!("split_mg_words needs {GROUP_WORDS} words");
     };
-    let x = x1.wrapping_add(x2);
-    let y = y1.wrapping_add(y2);
-    let z = z1.wrapping_add(z2);
+    let [[x1, x2], [y1, y2], [z1, z2]] = masks;
+    let (x, y, z) = (x1.wrapping_add(x2), y1.wrapping_add(y2), z1.wrapping_add(z2));
     let o = x.wrapping_mul(y);
     let p = x.wrapping_mul(z);
     let q = y.wrapping_mul(z);
@@ -339,13 +382,16 @@ mod tests {
     #[test]
     fn group_pair_consumes_exactly_mg_words_of_the_stream() {
         // The struct form and the raw-word form must stay aligned so a
-        // runtime can interleave with a kernel on the same stream.
+        // runtime can interleave with a kernel on the same stream: the
+        // first group is triple (0, 1, 2), its masks the pairs'.
         let mut via_groups = PairDealer::for_pair(11, 0, 1);
         let mut via_words = PairDealer::for_pair(11, 0, 1);
         let g = via_groups.next_group_pair();
         let mut w = [0u64; MG_WORDS];
         via_words.fill_words(&mut w);
-        assert_eq!(g, split_mg_words(&w));
+        let masks = [(0, 1), (0, 2), (1, 2)]
+            .map(|(i, j)| [ServerId::S1, ServerId::S2].map(|s| mask_prf(11, s, i, j)));
+        assert_eq!(g, split_mg_words(masks, &w));
         // Both streams are now at the same offset.
         assert_eq!(via_groups.next_group_pair(), via_words.next_group_pair());
     }
@@ -356,7 +402,7 @@ mod tests {
         // scalar draws, must produce the same words and leave the stream
         // at the same position — for lengths around the lane width and
         // a whole round.
-        let lens = [0usize, 1, 7, 8, 9, MG_WORDS, 63, 64, 65, MG_WORDS * 1024 + 3];
+        let lens = [0usize, 1, 7, 8, 9, GROUP_WORDS, 63, 64, 65, GROUP_WORDS * 1024 + 3];
         for len in lens {
             let mut dealer = PairDealer::for_pair(5, 2, 9);
             let mut got = vec![0u64; len];

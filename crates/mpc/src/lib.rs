@@ -12,7 +12,8 @@
 //! * [`triple_mul`] — the paper's novel protocol for multiplying
 //!   *three* shared values at once using **Multiplication Groups**
 //!   `(x, y, z, w = xyz, o = xy, p = xz, q = yz)` — Algorithm 4's inner
-//!   kernel and Theorem 1.
+//!   kernel and Theorem 1 — with the Count's masks keyed by pair, so
+//!   each adjacency pair is opened once per Count ([`PairTable`]).
 //! * [`dealer`] — a streaming trusted dealer producing the offline
 //!   correlated randomness from seeds, so that `O(n³)` groups never
 //!   need to be materialised. The paper precomputes MGs with oblivious
@@ -40,7 +41,7 @@
 //!   carries the bytes a real transport measured.
 //! * [`wire`] — the wire codec: a versioned, length-prefixed frame
 //!   format with explicit little-endian serialization for every
-//!   party↔party message ([`OpeningMsg`], the offline flight dialogue,
+//!   party↔party message ([`PairOpeningMsg`], the offline flight dialogue,
 //!   the final noisy-count opening, the serve-mode commit).
 //! * [`transport`] — pluggable byte transports carrying those frames:
 //!   the [`Transport`] trait with in-memory ([`InMemoryTransport`])
@@ -70,7 +71,7 @@ pub mod wire;
 
 pub use beaver::{beaver_mul, BeaverShare};
 pub use channel::{NetStats, OfflineLedger, RecvError};
-pub use dealer::{split_mg_words, Dealer, PairDealer, MG_WORDS};
+pub use dealer::{split_mg_words, Dealer, PairDealer, GROUP_WORDS, MG_WORDS};
 pub use offline::{
     chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
     plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine,
@@ -82,8 +83,8 @@ pub use transport::{
     DEFAULT_RECV_TIMEOUT,
 };
 pub use wire::{
-    CommitMsg, FinalOpeningMsg, Frame, IntoFrame, OfflineMsg, OpeningMsg, Payload, WireError,
-    WireMessage, FRAME_HEADER_BYTES, WIRE_VERSION,
+    CommitMsg, FinalOpeningMsg, Frame, IntoFrame, OfflineMsg, OpeningMsg, PairOpeningMsg, Payload,
+    WireError, WireMessage, FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 pub use ot::{
     cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch, cr_hash_scalar,
@@ -92,11 +93,13 @@ pub use ot::{
 pub use pool::{Backpressure, PoolError, PoolPolicy, PoolStats, TriplePool, DEFAULT_POOL_DEPTH};
 pub use prg::SplitMix64;
 pub use ring::Ring64;
-pub use share::{reconstruct, reconstruct_vec, share_prf, share_with, share_vec_with, SharePair};
+pub use share::{
+    mask_prf, reconstruct, reconstruct_vec, share_prf, share_with, share_vec_with, SharePair,
+};
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
-    combine_round, count_round, expand_input_shares, mask_round, mul3, mul3_batch, mul3_combine,
-    mul3_combine_batch, mul3_mask_batch, mul3_open_batch, Mul3Opening, MulGroupShare, RoundLanes,
+    combine_round, count_round, expand_input_shares, mask_round, mul3, mul3_combine, pair_key,
+    Mul3Opening, MulGroupShare, PairTable, RoundLanes, PAIR_KEY_STEP,
 };
 
 /// Identifies one of the two non-colluding servers.

@@ -20,13 +20,14 @@
 //! Both modes emit **bit-identical** shares, so every equivalence and
 //! golden-fixture suite passes unchanged in either mode. The trick is
 //! standard *derandomisation*: each server expands its own additive
-//! mask shares `x_i, y_i, z_i` from its pair-keyed PRG stream (the
-//! same [`PairDealer`] words the dealer mode uses), the product shares
-//! `o = xy, p = xz, q = yz, w = oz` are computed with Gilboa
-//! multiplication over correlated OTs, and S₁ then shifts each raw
-//! product share pair onto its canonical stream word by sending the
-//! public offset `c = raw₁ − canonical₁` (S₂ adds `c` to its raw
-//! share). The offset is one-time-padded by the COT's fresh
+//! mask shares `x_i, y_i, z_i` of each group — its shares of the masks
+//! of the triple's three pairs, `λ_ij, λ_ik, λ_jk` ([`crate::mask_prf`],
+//! the same masks the dealer mode and the online pair openings use) —
+//! the product shares `o = xy, p = xz, q = yz, w = oz` are computed with
+//! Gilboa multiplication over correlated OTs, and S₁ then shifts each
+//! raw product share pair onto its canonical [`PairDealer`] stream word
+//! by sending the public offset `c = raw₁ − canonical₁` (S₂ adds `c` to
+//! its raw share). The offset is one-time-padded by the COT's fresh
 //! randomness, so it leaks nothing — and S₂'s resulting share equals
 //! the dealer's **only if** every OT multiplication was correct, which
 //! is exactly what the cross-mode equivalence suites verify.
@@ -74,8 +75,9 @@
 //! choice word), and the one-pass extension ([`crate::ot`]) reduces
 //! each unit to sums as it goes, so no per-OT hash, row or pad
 //! outlives the step that computed it. Per flight of `g` groups a
-//! machine keeps, besides its `10g` canonical stream words and the
-//! messages it builds (in [`WordBuffers`]):
+//! machine keeps, besides its `3g` mask shares (S₁ also its `4g`
+//! canonical stream words) and the messages it builds (in
+//! [`WordBuffers`]):
 //!
 //! * its receiver direction's `4g` choice words and one
 //!   `Σ_j H(j, t_j)` per choice word (from `ucols` until the
@@ -97,12 +99,13 @@
 //! rounds; plus one global base-OT setup ([`ot_setup_ledger`]).
 
 use crate::channel::OfflineLedger;
-use crate::dealer::{split_mg_words, PairDealer, MG_WORDS};
+use crate::dealer::{PairDealer, GROUP_WORDS};
 use crate::ot::{
     cot_correct_held, cot_finish, simulated_base_ots, transcript_digest, CotReceiver, CotSender,
     UnitSplit, BASE_OT_BYTES, BASE_OT_ROUNDS, OT_KAPPA,
 };
 use crate::prg::SplitMix64;
+use crate::share::mask_prf;
 use crate::simd::SimdTier;
 use crate::transport::{recv_msg, send_msg, Transport};
 use crate::triple_mul::MulGroupShare;
@@ -297,26 +300,28 @@ fn plan_offsets(plan: &[MgDraw]) -> Vec<usize> {
     offsets
 }
 
-/// One piece of an online round: `len` consecutive groups of plan draw
-/// `draw`, starting `offset` groups into it — i.e. the triples
-/// `k = j + 1 + start + offset ..` of that draw's pair `(i, j)`.
+/// One piece of a round of a chunk's triples: `len` consecutive groups
+/// of plan draw `draw`, starting `offset` groups into it — i.e. the
+/// triples `k = j + 1 + start + offset ..` of that draw's pair `(i, j)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundSegment {
     /// Index of the draw in the chunk plan.
     pub draw: usize,
-    /// Groups of the draw that earlier rounds already opened.
+    /// Groups of the draw that earlier rounds already took.
     pub offset: usize,
-    /// Groups of the draw this round opens (≥ 1).
+    /// Groups of the draw this round takes (≥ 1).
     pub len: usize,
 }
 
-/// Cuts a chunk plan into **online rounds**: every round takes the
-/// next `batch` groups in plan order, across draw and pair boundaries,
-/// so only the chunk's last round is short and a chunk of `W` groups
-/// costs exactly `⌈W/batch⌉` rounds ([`crate::NetStats::exchange_triples`]
-/// is the same cut in closed form). A pure function of `(plan, batch)`
-/// — both public — which is what lets S₁, S₂ and the dealer derive
-/// identical rounds with no negotiation.
+/// Cuts a chunk plan into **rounds** of its triples, the blocks a
+/// Count evaluates one lane table at a time ([`crate::RoundLanes`]):
+/// every round takes the next `batch` groups in plan order, across draw
+/// and pair boundaries, so only the chunk's last round is short and a
+/// chunk of `W` groups is `⌈W/batch⌉` rounds. A pure function of
+/// `(plan, batch)` — both public — so every executor cuts the same
+/// rounds; since the Count's masks are keyed by pair, a round sends
+/// nothing (the pair openings are their own rounds,
+/// [`crate::NetStats::exchange_pairs`]).
 ///
 /// The rounds are lent one at a time ([`PlanRounds::next_round`]) out
 /// of a buffer the cutter reuses.
@@ -324,7 +329,7 @@ pub struct RoundSegment {
 /// # Panics
 /// Panics if `batch` is zero.
 pub fn plan_rounds(plan: &[MgDraw], batch: usize) -> PlanRounds<'_> {
-    assert!(batch > 0, "a round opens at least one triple");
+    assert!(batch > 0, "a round takes at least one triple");
     PlanRounds { plan, batch, draw: 0, offset: 0, round: Vec::new() }
 }
 
@@ -389,17 +394,16 @@ fn chunk_ot_seeds(root: u64, session: u64) -> (u64, u64) {
     (mixer.next_u64(), mixer.next_u64())
 }
 
-/// Per-MG canonical-word offsets (see [`crate::dealer::MG_WORDS`]).
-const X1: usize = 0;
-const X2: usize = 1;
-const Y1: usize = 2;
-const Y2: usize = 3;
-const Z1: usize = 4;
-const Z2: usize = 5;
-const O1: usize = 6;
-const P1: usize = 7;
-const Q1: usize = 8;
-const W1: usize = 9;
+/// Per-MG offsets of a machine's mask shares `x, y, z` (its shares of
+/// `λ_ij, λ_ik, λ_jk`) …
+const X: usize = 0;
+const Y: usize = 1;
+const Z: usize = 2;
+/// … and of S₁'s canonical stream words (see [`GROUP_WORDS`]).
+const O1: usize = 0;
+const P1: usize = 1;
+const Q1: usize = 2;
+const W1: usize = 3;
 
 /// Protocol-stage guard shared by both party machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,32 +420,51 @@ fn advance(stage: &mut Stage, want: Stage, next: Stage) {
     *stage = next;
 }
 
-/// Draws the canonical dealer words for one flight into `words`:
-/// each [`MgDraw`]'s groups from its own pair stream — seeked to the
-/// draw's canonical `start` offset — concatenated in plan order. Both
-/// party machines call this with the same plan, so both hold the same
-/// canonical buffer (each uses only its own share columns of it).
-fn draw_flight_words(root: u64, flight: &[MgDraw], words: &mut Vec<u64>) -> usize {
+/// Draws `server`'s mask shares `x, y, z` of every group of one flight
+/// into `masks`, three words per group in plan order: group `g` of
+/// draw `(i, j)` is triple `(i, j, k)` with `k = draw.k_at(g)`, its
+/// masks those of pairs `(i, j)`, `(i, k)` and `(j, k)`. Returns the
+/// flight's groups.
+fn draw_flight_masks(
+    root: u64,
+    server: ServerId,
+    flight: &[MgDraw],
+    masks: &mut Vec<u64>,
+) -> usize {
     let total: usize = flight.iter().map(|d| d.groups as usize).sum();
     assert!(total > 0, "empty offline flight");
-    words.resize(MG_WORDS * total, 0);
-    let mut off = 0usize;
+    masks.clear();
     for d in flight {
-        let span = MG_WORDS * d.groups as usize;
-        let mut dealer = PairDealer::for_pair(root, d.i, d.j);
-        dealer.skip_groups(d.start as usize);
-        dealer.fill_words(&mut words[off..off + span]);
-        off += span;
+        let x = mask_prf(root, server, d.i, d.j);
+        for g in 0..d.groups as usize {
+            let k = d.k_at(g) as u32;
+            masks.extend([x, mask_prf(root, server, d.i, k), mask_prf(root, server, d.j, k)]);
+        }
     }
     total
 }
 
+/// Draws S₁'s canonical stream words `o₁ p₁ q₁ w₁` for one flight into
+/// `words`: each [`MgDraw`]'s groups from its own pair stream — seeked
+/// to the draw's canonical `start` offset — concatenated in plan order.
+fn draw_flight_words(root: u64, flight: &[MgDraw], words: &mut Vec<u64>) {
+    let total: usize = flight.iter().map(|d| d.groups as usize).sum();
+    words.resize(GROUP_WORDS * total, 0);
+    let mut off = 0usize;
+    for d in flight {
+        let span = GROUP_WORDS * d.groups as usize;
+        PairDealer::for_draw(root, d).fill_words(&mut words[off..off + span]);
+        off += span;
+    }
+}
+
 /// Server S₁'s half of the chunk-amortised MG offline session.
 ///
-/// S₁ is the *canonical* side: its mask shares and product shares are
-/// its [`PairDealer`] stream words, and it derandomises every product
-/// onto them. One machine serves a whole scheduler chunk; drive the
-/// methods strictly in the order [`ucols`](Self::ucols) →
+/// S₁ is the *canonical* side: its product shares are its
+/// [`PairDealer`] stream words, and it derandomises every product onto
+/// them; its mask shares are its shares of the triples' pair masks.
+/// One machine serves a whole scheduler chunk; drive the methods
+/// strictly in the order [`ucols`](Self::ucols) →
 /// [`corrections`](Self::corrections) →
 /// [`derand_opq`](Self::derand_opq) → [`derand_w`](Self::derand_w) →
 /// [`groups`](Self::groups) per flight; any other order panics.
@@ -452,6 +475,9 @@ pub struct MgOfflineS1 {
     receiver: CotReceiver,
     stage: Stage,
     block: usize,
+    /// The flight's mask shares `x₁ y₁ z₁`, three per MG.
+    masks: Vec<u64>,
+    /// The flight's canonical stream words `o₁ p₁ q₁ w₁`, four per MG.
     words: Vec<u64>,
     /// Direction B's choice words, `y₁, z₁, z₁, z₁` per MG (one unit
     /// of 64 OTs each).
@@ -482,6 +508,7 @@ impl MgOfflineS1 {
             receiver,
             stage: Stage::Idle,
             block: 0,
+            masks: Vec::new(),
             words: Vec::new(),
             choice: Vec::new(),
             recv_sums: Vec::new(),
@@ -492,16 +519,17 @@ impl MgOfflineS1 {
         }
     }
 
-    /// Step 1: draws the flight's canonical words (every draw's groups
-    /// from its pair stream) and returns S₁'s extension columns for
-    /// its receiver role (direction B, choice bits `y₁, z₁, z₁, z₁`
-    /// per MG).
+    /// Step 1: draws the flight's mask shares and canonical words
+    /// (every draw's groups from its pair stream) and returns S₁'s
+    /// extension columns for its receiver role (direction B, choice
+    /// bits `y₁, z₁, z₁, z₁` per MG).
     pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
         advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
-        self.block = draw_flight_words(self.root, flight, &mut self.words);
+        self.block = draw_flight_masks(self.root, ServerId::S1, flight, &mut self.masks);
+        draw_flight_words(self.root, flight, &mut self.words);
         self.choice.clear();
-        for w in self.words.chunks_exact(MG_WORDS) {
-            self.choice.extend_from_slice(&[w[Y1], w[Z1], w[Z1], w[Z1]]);
+        for m in self.masks.chunks_exact(3) {
+            self.choice.extend_from_slice(&[m[Y], m[Z], m[Z], m[Z]]);
         }
         let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
         resize(&mut self.recv_sums, self.choice.len());
@@ -517,8 +545,8 @@ impl MgOfflineS1 {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
         let units = MG_MULTS_PER_DIR * self.block;
         self.a.clear();
-        for w in self.words.chunks_exact(MG_WORDS) {
-            self.a.extend_from_slice(&[w[X1], w[X1], w[Y1], w[O1]]);
+        for (m, w) in self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS)) {
+            self.a.extend_from_slice(&[m[X], m[X], m[Y], w[O1]]);
         }
         let mut msg = self.spare.take_len(2, 64 * units + 1);
         resize(&mut self.m0_sums, units);
@@ -545,11 +573,12 @@ impl MgOfflineS1 {
             "offline transcript diverged (consistency hash mismatch)"
         );
         let mut msg = self.spare.take(3, 3 * block);
-        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
+        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
+        for (g, (m, w)) in groups.enumerate() {
             let local = [
-                w[X1].wrapping_mul(w[Y1]),
-                w[X1].wrapping_mul(w[Z1]),
-                w[Y1].wrapping_mul(w[Z1]),
+                m[X].wrapping_mul(m[Y]),
+                m[X].wrapping_mul(m[Z]),
+                m[Y].wrapping_mul(m[Z]),
             ];
             let canonical = [w[O1], w[P1], w[Q1]];
             for (mult, (local, canonical)) in local.into_iter().zip(canonical).enumerate() {
@@ -571,11 +600,12 @@ impl MgOfflineS1 {
         let block = self.block;
         assert_eq!(d_b4.len(), 64 * block, "B₄ corrections");
         let mut msg = self.spare.take(4, block);
-        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
+        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
+        for (g, (m, w)) in groups.enumerate() {
             let unit = g * MG_MULTS_PER_DIR + 3;
             let d = &d_b4[64 * g..][..64];
             let w_raw1 = w[O1]
-                .wrapping_mul(w[Z1])
+                .wrapping_mul(m[Z])
                 .wrapping_add(cot_finish(self.recv_sums[unit], self.choice[unit], d))
                 .wrapping_sub(self.m0_sums[unit]);
             msg.push(w_raw1.wrapping_sub(w[W1]));
@@ -584,15 +614,12 @@ impl MgOfflineS1 {
     }
 
     /// Step 5: S₁'s Multiplication-Group shares for the flight — by
-    /// construction the canonical stream words, in plan order.
+    /// construction its mask shares and the canonical stream words, in
+    /// plan order.
     pub fn groups(&mut self) -> Vec<MulGroupShare> {
         advance(&mut self.stage, Stage::Finishing, Stage::Idle);
-        (0..self.block)
-            .map(|g| {
-                let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-                split_mg_words(w).0
-            })
-            .collect()
+        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
+        groups.map(|(m, w)| group_share(m, [w[W1], w[O1], w[P1], w[Q1]])).collect()
     }
 }
 
@@ -610,7 +637,8 @@ pub struct MgOfflineS2 {
     receiver: CotReceiver,
     stage: Stage,
     block: usize,
-    words: Vec<u64>,
+    /// The flight's mask shares `x₂ y₂ z₂`, three per MG.
+    masks: Vec<u64>,
     /// Direction A's choice words, `y₂, z₂, z₂, z₂` per MG.
     choice: Vec<u64>,
     /// Direction A's receiver sums `Σ_j H(j, t_j)`, one per choice word.
@@ -646,7 +674,7 @@ impl MgOfflineS2 {
             receiver,
             stage: Stage::Idle,
             block: 0,
-            words: Vec::new(),
+            masks: Vec::new(),
             choice: Vec::new(),
             recv_sums: Vec::new(),
             sent_ucols_digest: 0,
@@ -660,15 +688,15 @@ impl MgOfflineS2 {
         }
     }
 
-    /// Step 1: draws the flight's stream words (S₂ uses only its own
-    /// mask shares `x₂, y₂, z₂`) and returns its extension columns for
-    /// direction A (choice bits `y₂, z₂, z₂, z₂` per MG).
+    /// Step 1: draws the flight's mask shares `x₂, y₂, z₂` (S₂ reads
+    /// no stream word) and returns its extension columns for direction A
+    /// (choice bits `y₂, z₂, z₂, z₂` per MG).
     pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
         advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
-        self.block = draw_flight_words(self.root, flight, &mut self.words);
+        self.block = draw_flight_masks(self.root, ServerId::S2, flight, &mut self.masks);
         self.choice.clear();
-        for w in self.words.chunks_exact(MG_WORDS) {
-            self.choice.extend_from_slice(&[w[Y2], w[Z2], w[Z2], w[Z2]]);
+        for m in self.masks.chunks_exact(3) {
+            self.choice.extend_from_slice(&[m[Y], m[Z], m[Z], m[Z]]);
         }
         let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
         resize(&mut self.recv_sums, self.choice.len());
@@ -686,8 +714,8 @@ impl MgOfflineS2 {
         advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
         let block = self.block;
         self.a.clear();
-        for w in self.words.chunks_exact(MG_WORDS) {
-            self.a.extend_from_slice(&[w[X2], w[X2], w[Y2], 0]);
+        for m in self.masks.chunks_exact(3) {
+            self.a.extend_from_slice(&[m[X], m[X], m[Y], 0]);
         }
         let mut msg = self.spare.take_len(2, 3 * 64 * block + 1);
         resize(&mut self.m0_sums, MG_MULTS_PER_DIR * block);
@@ -736,11 +764,11 @@ impl MgOfflineS2 {
         self.opq2.clear();
         self.w_raw2.clear();
         let mut msg = self.spare.take(3, 64 * block);
-        for (g, w) in self.words.chunks_exact(MG_WORDS).enumerate() {
+        for (g, m) in self.masks.chunks_exact(3).enumerate() {
             let local = [
-                w[X2].wrapping_mul(w[Y2]),
-                w[X2].wrapping_mul(w[Z2]),
-                w[Y2].wrapping_mul(w[Z2]),
+                m[X].wrapping_mul(m[Y]),
+                m[X].wrapping_mul(m[Z]),
+                m[Y].wrapping_mul(m[Z]),
             ];
             for (mult, local) in local.into_iter().enumerate() {
                 let unit = g * MG_MULTS_PER_DIR + mult;
@@ -751,7 +779,7 @@ impl MgOfflineS2 {
             cot_correct_held(&self.held[64 * g..][..64], o2, &mut msg);
             let unit = g * MG_MULTS_PER_DIR + 3;
             self.w_raw2.push(
-                o2.wrapping_mul(w[Z2])
+                o2.wrapping_mul(m[Z])
                     .wrapping_add(self.r_a[unit])
                     .wrapping_sub(self.m0_sums[unit]),
             );
@@ -767,18 +795,26 @@ impl MgOfflineS2 {
         assert_eq!(c_w.len(), block, "c_w per MG");
         (0..block)
             .map(|g| {
-                let w = &self.words[MG_WORDS * g..MG_WORDS * (g + 1)];
-                MulGroupShare {
-                    x: crate::Ring64(w[X2]),
-                    y: crate::Ring64(w[Y2]),
-                    z: crate::Ring64(w[Z2]),
-                    w: crate::Ring64(self.w_raw2[g].wrapping_add(c_w[g])),
-                    o: crate::Ring64(self.opq2[g * 3]),
-                    p: crate::Ring64(self.opq2[g * 3 + 1]),
-                    q: crate::Ring64(self.opq2[g * 3 + 2]),
-                }
+                let w = self.w_raw2[g].wrapping_add(c_w[g]);
+                let [o, p, q] = [0, 1, 2].map(|f| self.opq2[g * 3 + f]);
+                group_share(&self.masks[3 * g..3 * g + 3], [w, o, p, q])
             })
             .collect()
+    }
+}
+
+/// One server's Multiplication-Group share from its mask shares
+/// `[x, y, z]` and product shares `[w, o, p, q]`.
+fn group_share(masks: &[u64], [w, o, p, q]: [u64; 4]) -> MulGroupShare {
+    let ring = crate::Ring64;
+    MulGroupShare {
+        x: ring(masks[X]),
+        y: ring(masks[Y]),
+        z: ring(masks[Z]),
+        w: ring(w),
+        o: ring(o),
+        p: ring(p),
+        q: ring(q),
     }
 }
 

@@ -58,7 +58,7 @@ impl SplitMix64 {
     /// state advances by a fixed gamma, so output `k` depends only on
     /// `state + (k+1)·gamma`). The batched Count kernel expands a whole
     /// Multiplication-Group block this way instead of making
-    /// 10-per-triple scalar calls, which lets the compiler unroll and
+    /// scalar calls per triple, which lets the compiler unroll and
     /// vectorise the mixing function — properly so inside a
     /// `target_feature` caller ([`Self::fill_block_tier`]), where the
     /// 64-bit multiplies are one vector instruction each.

@@ -81,6 +81,33 @@ pub fn share_prf(seed: u64, i: u32, j: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed tweaks of the two servers' mask streams ([`mask_prf`]): the
+/// first 64 bits of SHA-512's first two initial hash words, so the
+/// three streams keyed by the Count seed — input shares and the two
+/// mask-share streams — are domain-separated.
+pub(crate) const MASK_TWEAK: [u64; 2] = [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B];
+
+/// PRF expanding server `server`'s share of pair `(i, j)`'s mask
+/// `λ_ij = λ_ij⁽¹⁾ + λ_ij⁽²⁾` — the mask the Count opens the pair's bit
+/// under (`e_ij = a_ij − λ_ij`) and the `x`, `y` or `z` of every
+/// Multiplication Group whose triple reads the pair
+/// ([`crate::triple_mul`]). Uniform in `Z_{2^64}`, keyed by
+/// `(seed, i, j, server)` like [`share_prf`] and domain-separated from
+/// it.
+///
+/// ```
+/// use cargo_mpc::{mask_prf, share_prf, ServerId};
+/// // Each server's mask share is its own stream, and neither is the
+/// // input share of the same pair.
+/// let (l1, l2) = (mask_prf(7, ServerId::S1, 0, 1), mask_prf(7, ServerId::S2, 0, 1));
+/// assert_ne!(l1, l2);
+/// assert_ne!(l1, share_prf(7, 0, 1));
+/// ```
+#[inline(always)]
+pub fn mask_prf(seed: u64, server: crate::ServerId, i: u32, j: u32) -> u64 {
+    share_prf(seed ^ MASK_TWEAK[server.index() as usize], i, j)
+}
+
 /// Reconstructs a vector of secrets from the two share vectors.
 ///
 /// # Panics

@@ -5,8 +5,9 @@
 //! scalar at a time the compiler has little room to schedule; done over
 //! a structure-of-arrays batch it can keep several independent lanes in
 //! flight (and, where the target supports 64-bit vector multiplies,
-//! auto-vectorise outright). This module provides the lane type that
-//! batch kernel ([`crate::triple_mul::mul3_batch`]) is written in:
+//! auto-vectorise outright). This module provides the lane type those
+//! batch kernels ([`crate::count_round`], [`crate::combine_round`]) are
+//! written in:
 //! a plain fixed-width array of `u64` with wrapping lane-wise
 //! arithmetic — **no nightly features, no intrinsics, no `unsafe`** —
 //! unrolled ×4 or ×8 through the [`U64x4`]/[`U64x8`] aliases.
@@ -132,21 +133,6 @@ impl<const N: usize> U64xN<N> {
     pub fn load(src: &[u64]) -> Self {
         let mut out = [0u64; N];
         out.copy_from_slice(&src[..N]);
-        U64xN(out)
-    }
-
-    /// Strided gather: lane `l` is `src[offset + l·STRIDE]` — how the
-    /// kernel de-interleaves one field from AoS dealer words
-    /// (`STRIDE = `[`crate::MG_WORDS`]).
-    ///
-    /// # Panics
-    /// Panics if the last lane's index is out of bounds.
-    #[inline(always)]
-    pub fn gather<const STRIDE: usize>(src: &[u64], offset: usize) -> Self {
-        let mut out = [0u64; N];
-        for (l, slot) in out.iter_mut().enumerate() {
-            *slot = src[offset + l * STRIDE];
-        }
         U64xN(out)
     }
 
@@ -287,13 +273,6 @@ mod tests {
         assert_eq!((a + b).0, [1; 8]);
         assert_eq!((b - a).0, [3; 8]);
         assert_eq!((a * b).0, [u64::MAX.wrapping_mul(2); 8]);
-    }
-
-    #[test]
-    fn gather_follows_the_stride() {
-        let src: Vec<u64> = (0..40).collect();
-        let v = U64x4::gather::<10>(&src, 3);
-        assert_eq!(v.0, [3, 13, 23, 33]);
     }
 
     #[test]

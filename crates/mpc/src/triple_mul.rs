@@ -17,12 +17,30 @@
 //!
 //! Correctness (Theorem 1): summing the two output shares telescopes to
 //! `w + xyg + xzf + yze + xfg + yeg + zef + efg = (x+e)(y+f)(z+g) = abc`.
+//!
+//! ## Masks keyed by pair
+//!
+//! A Count's three secrets are *pair* bits, `a_ij`, `a_ik` and `a_jk`,
+//! and every pair bit enters up to `n − 2` triples. The Count therefore
+//! keys each Multiplication Group's masks by pair — `x = λ_ij`,
+//! `y = λ_ik`, `z = λ_jk`, each server's share of `λ` a PRF of
+//! `(seed, i, j, server)` ([`crate::mask_prf`]) — and only the products
+//! `o, p, q, w` per triple (ABY2.0's input-independent masking, Patra
+//! et al., USENIX Security 2021, applied to the three-value MG). Step 2
+//! then opens `e_ij = a_ij − λ_ij` **once per pair** and every triple
+//! that reads the pair reuses it; step 3 is unchanged. A Count is a few
+//! rounds of pair openings ([`mask_round`] into a [`PairTable`]) and a
+//! local sum: [`combine_round`] per server, [`count_round`] for both
+//! servers at once, over lane tables ([`RoundLanes`]) that read `e, f,
+//! g` and `x, y, z` per pair. [`mul3`] stays the one-triple protocol
+//! object with free masks.
 
 use crate::channel::NetStats;
-use crate::dealer::{PairDealer, MG_WORDS};
+use crate::dealer::{PairDealer, GROUP_WORDS};
 use crate::offline::MgDraw;
 use crate::prg::{mix_lanes, SM_GAMMA};
 use crate::ring::Ring64;
+use crate::share::MASK_TWEAK;
 use crate::simd::{lane_steps, SimdTier, U64x8, U64xN, LANES};
 use crate::ServerId;
 
@@ -106,112 +124,6 @@ pub fn mul3(
     let d1 = mul3_combine((a.0, b.0, c.0), &mg1, opening, Ring64::ZERO);
     let d2 = mul3_combine((a.1, b.1, c.1), &mg2, opening, efg);
     (d1, d2)
-}
-
-/// Batched, fused form of [`mul3`] over raw dealer words — the
-/// array-of-structures reference of [`count_round`].
-///
-/// Evaluates `L` consecutive Multiplication-Group protocols in
-/// structure-of-arrays passes of [`LANES`] lanes: `words` holds the
-/// `L·`[`MG_WORDS`] AoS dealer words exactly as
-/// [`crate::PairDealer::fill_words`] emits them, `a` is the
-/// reconstructed first secret (fixed across the batch — `a_ij` in the
-/// Count phase), and `b`/`c` hold the reconstructed second/third
-/// secrets per lane. Returns the wrapping partial sums
-/// `(Σ⟨d⟩₁, Σ⟨d⟩₂)` over the batch.
-///
-/// Like [`count_round`] it evaluates both servers' arithmetic in one
-/// loop, so the opened maskings collapse algebraically
-/// (`f = ⟨f⟩₁+⟨f⟩₂ = b − y`) and the per-share PRF terms cancel, while
-/// every produced share stays **bit-identical** to the two-party
-/// transcription (wrapping sums are order-independent). The proptests
-/// pin it against [`mul3`] per triple.
-///
-/// # Panics
-/// Panics if the slab lengths disagree (`words.len() ≠ MG_WORDS·L`).
-pub fn mul3_batch(words: &[u64], a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-    let l = b.len();
-    assert_eq!(words.len(), MG_WORDS * l, "AoS word slab length");
-    assert_eq!(c.len(), l, "b/c slab lengths");
-    let av = U64x8::splat(a);
-    let mut acc1 = U64x8::ZERO;
-    let mut acc2 = U64x8::ZERO;
-    let full = l / LANES;
-    for lane0 in (0..full * LANES).step_by(LANES) {
-        let base = MG_WORDS * lane0;
-        let x1 = U64x8::gather::<MG_WORDS>(words, base);
-        let x2 = U64x8::gather::<MG_WORDS>(words, base + 1);
-        let y1 = U64x8::gather::<MG_WORDS>(words, base + 2);
-        let y2 = U64x8::gather::<MG_WORDS>(words, base + 3);
-        let z1 = U64x8::gather::<MG_WORDS>(words, base + 4);
-        let z2 = U64x8::gather::<MG_WORDS>(words, base + 5);
-        let o1 = U64x8::gather::<MG_WORDS>(words, base + 6);
-        let p1 = U64x8::gather::<MG_WORDS>(words, base + 7);
-        let q1 = U64x8::gather::<MG_WORDS>(words, base + 8);
-        let w1 = U64x8::gather::<MG_WORDS>(words, base + 9);
-        let x = x1 + x2;
-        let y = y1 + y2;
-        let z = z1 + z2;
-        let o = x * y;
-        let p = x * z;
-        let q = y * z;
-        let wv = o * z;
-        let e = av - x;
-        let f = U64x8::load(&b[lane0..]) - y;
-        let g = U64x8::load(&c[lane0..]) - z;
-        let fg = f * g;
-        let eg = e * g;
-        let ef = e * f;
-        acc1 = acc1 + w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef;
-        acc2 = acc2
-            + (wv - w1)
-            + (o - o1) * g
-            + (p - p1) * f
-            + (q - q1) * e
-            + x2 * fg
-            + y2 * eg
-            + z2 * ef
-            + ef * g;
-    }
-    let mut t1 = acc1.hsum();
-    let mut t2 = acc2.hsum();
-    // Scalar tail (< LANES lanes), same formulas.
-    for lane in full * LANES..l {
-        let w = &words[MG_WORDS * lane..MG_WORDS * (lane + 1)];
-        let (x1, x2, y1, y2, z1, z2, o1, p1, q1, w1) =
-            (w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8], w[9]);
-        let x = x1.wrapping_add(x2);
-        let y = y1.wrapping_add(y2);
-        let z = z1.wrapping_add(z2);
-        let o = x.wrapping_mul(y);
-        let p = x.wrapping_mul(z);
-        let q = y.wrapping_mul(z);
-        let wv = o.wrapping_mul(z);
-        let e = a.wrapping_sub(x);
-        let f = b[lane].wrapping_sub(y);
-        let g = c[lane].wrapping_sub(z);
-        let fg = f.wrapping_mul(g);
-        let eg = e.wrapping_mul(g);
-        let ef = e.wrapping_mul(f);
-        t1 = t1
-            .wrapping_add(w1)
-            .wrapping_add(o1.wrapping_mul(g))
-            .wrapping_add(p1.wrapping_mul(f))
-            .wrapping_add(q1.wrapping_mul(e))
-            .wrapping_add(x1.wrapping_mul(fg))
-            .wrapping_add(y1.wrapping_mul(eg))
-            .wrapping_add(z1.wrapping_mul(ef));
-        t2 = t2
-            .wrapping_add(wv.wrapping_sub(w1))
-            .wrapping_add(o.wrapping_sub(o1).wrapping_mul(g))
-            .wrapping_add(p.wrapping_sub(p1).wrapping_mul(f))
-            .wrapping_add(q.wrapping_sub(q1).wrapping_mul(e))
-            .wrapping_add(x2.wrapping_mul(fg))
-            .wrapping_add(y2.wrapping_mul(eg))
-            .wrapping_add(z2.wrapping_mul(ef))
-            .wrapping_add(ef.wrapping_mul(g));
-    }
-    (t1, t2)
 }
 
 /// The key [`share_prf`](crate::share_prf) mixes for entry
@@ -324,128 +236,392 @@ fn expand_input_shares_tier(
     }
 }
 
-/// One online round cut into lanes — one lane per triple, in
-/// structure-of-arrays form. A server's table ([`RoundLanes::new`]) is
-/// what [`mask_round`] and [`combine_round`] each evaluate in one pass;
-/// a fused table ([`RoundLanes::fused`]) holds both servers' round for
-/// [`count_round`]. Either way one pass covers the round, whatever
-/// `k`-runs it is cut from.
+/// The [`share_prf`](crate::share_prf) key of pair `(i, j)`: the key
+/// [`mask_round`] and the lane passes mix a pair's input and mask
+/// shares from. Consecutive columns of a row are keys [`PAIR_KEY_STEP`]
+/// apart, so a row's run of pairs `(i, j₀ + t)` is
+/// `pair_key(i, j₀) + t·PAIR_KEY_STEP`.
+#[inline(always)]
+pub fn pair_key(i: u32, j: u32) -> u64 {
+    prf_key(i, j as u64)
+}
+
+/// The key step between consecutive columns of a row ([`pair_key`]).
+pub const PAIR_KEY_STEP: u64 = SM_GAMMA;
+
+/// `N` lanes of server `s`'s (0 or 1) mask shares
+/// ([`crate::mask_prf`]) of the pairs keyed `keys`.
+#[inline(always)]
+fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
+    prf_keyed(seed ^ MASK_TWEAK[s], keys)
+}
+
+/// One party's pair table — or, fused, both parties' — over a Count
+/// plan's **pair set**: the opened `e = a − λ` of every pair, in the
+/// plan's canonical pair order.
+///
+/// Every Multiplication Group of the Count is keyed by pair: triple
+/// `(i, j, k)`'s masks are `x = λ_ij, y = λ_ik, z = λ_jk`
+/// ([`crate::mask_prf`]), so its openings `e, f, g` are the openings of
+/// its three pairs — opened once per Count however many triples read
+/// them — and a server's mask shares are its PRF of the pair, derived
+/// where a lane needs them ([`RoundLanes`]). What the combine makes of
+/// them depends on whose table it is and where the groups come from:
+///
+/// * S₁ combines its own product shares with `λ⁽¹⁾`.
+/// * S₂ combines its own with `λ⁽²⁾`, plus `efg`. With preprocessed
+///   material those are its groups' words. With dealer material they
+///   are the full masks' products less S₁'s words
+///   ([`crate::split_mg_words`]: `o₂ = xy − o₁`, …, with
+///   `x = λ⁽¹⁾ + λ⁽²⁾`), and substituted into the combination they
+///   telescope to `⟨d⟩₂ = (x + e)(y + f)(z + g) − ⟨d⟩₁`, which is how S₂
+///   evaluates it: from both servers' mask shares, S₁'s words and the
+///   openings, never from a plaintext bit.
+/// * A fused table does both servers' combinations at once: with
+///   preprocessed material each server's own, and with dealer material
+///   `⟨d⟩₁` and `a·b·c − ⟨d⟩₁` — the value Theorem 1 gives S₂'s
+///   combination once the openings are right, which the in-process
+///   Count, holding every opening it makes, may take directly.
+#[derive(Debug, Clone)]
+pub struct PairTable {
+    seed: u64,
+    /// Whose table: one server's, or both servers' (`None`).
+    server: Option<ServerId>,
+    /// Whether the groups come from preprocessed material
+    /// ([`RoundLanes::set_groups`]) rather than the dealer streams.
+    preprocessed: bool,
+    /// Each pair's opened `e = a − λ`.
+    e: Vec<u64>,
+}
+
+impl PairTable {
+    /// An empty table for `server` (`None`: both servers, fused) under
+    /// the Count seed `seed`, whose groups come from the dealer streams
+    /// or, `preprocessed`, from preprocessed material.
+    pub fn new(seed: u64, server: Option<ServerId>, preprocessed: bool) -> Self {
+        PairTable { seed, server, preprocessed, e: Vec::new() }
+    }
+
+    /// Pairs in the table.
+    pub fn len(&self) -> usize {
+        self.e.len()
+    }
+
+    /// Whether the table holds no pair yet.
+    pub fn is_empty(&self) -> bool {
+        self.e.is_empty()
+    }
+
+    /// Appends a round of pairs' openings `e` — on a wire party the sum
+    /// of both servers' [`mask_round`] slabs, on a fused table
+    /// [`mask_round`]'s output itself.
+    pub fn push(&mut self, opened: &[u64]) {
+        self.e.extend_from_slice(opened);
+    }
+
+    /// Whether the combine reads the plaintext `a, b, c` of each triple
+    /// (a fused table with dealer material).
+    fn plain(&self) -> bool {
+        self.server.is_none() && !self.preprocessed
+    }
+}
+
+/// `N` lanes from `lane0` of the pair maskings [`mask_round`] writes for
+/// `WHO` (0: S₁, 1: S₂, 2: both servers of a fused table). S₁ reads no
+/// bit.
+#[inline(always)]
+fn pair_mask_lanes<const WHO: u8, const N: usize>(
+    seed: u64,
+    keys: &[u64],
+    bits: &[u64],
+    lane0: usize,
+) -> U64xN<N> {
+    let k = U64xN::load(&keys[lane0..]);
+    match WHO {
+        0 => prf_keyed(seed, k) - mask_lanes(seed, 0, k),
+        1 => U64xN::load(&bits[lane0..]) - prf_keyed(seed, k) - mask_lanes(seed, 1, k),
+        _ => U64xN::load(&bits[lane0..]) - mask_lanes(seed, 0, k) - mask_lanes(seed, 1, k),
+    }
+}
+
+/// [`mask_body`] for one owner.
+#[inline(always)]
+fn mask_pass<const WHO: u8>(seed: u64, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+    let full = keys.len() / LANES * LANES;
+    for lane0 in Blocks::below(full) {
+        pair_mask_lanes::<WHO, LANES>(seed, keys, bits, lane0).store(&mut out[lane0..]);
+    }
+    for (t, word) in out.iter_mut().enumerate().skip(full) {
+        *word = pair_mask_lanes::<WHO, 1>(seed, keys, bits, t).0[0];
+    }
+}
+
+/// The first lanes of a round's full blocks of [`LANES`], in the order
+/// `k ← (k + 5) mod span` over block numbers (`span` the power of two at
+/// or above the block count, numbers past the count skipped) — every
+/// block once. LLVM cannot count that loop, so its loop vectorizer
+/// leaves it alone; over a counted loop it unrolled each block's lanes
+/// into scalar chains and turned the loop inside out into strided
+/// gathers across blocks (DESIGN.md §8.1). The passes' sums are wrapping
+/// additions and their stores per block, so the order is free.
+struct Blocks {
+    /// The next block number to visit, or `None` once every one was.
+    next: Option<usize>,
+    blocks: usize,
+    mask: usize,
+}
+
+impl Blocks {
+    /// The blocks of the `full` lanes (a multiple of [`LANES`]).
+    #[inline(always)]
+    fn below(full: usize) -> Self {
+        let blocks = full / LANES;
+        Blocks { next: (blocks > 0).then_some(0), blocks, mask: blocks.next_power_of_two() - 1 }
+    }
+}
+
+impl Iterator for Blocks {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            let k = self.next?;
+            let after = (k + 5) & self.mask;
+            self.next = (after != 0).then_some(after);
+            if k < self.blocks {
+                return Some(k * LANES);
+            }
+        }
+    }
+}
+
+/// [`mask_round`]'s body, compiled once per ISA tier.
+#[inline(always)]
+fn mask_body(seed: u64, server: Option<ServerId>, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+    match server {
+        Some(ServerId::S1) => mask_pass::<0>(seed, keys, bits, out),
+        Some(ServerId::S2) => mask_pass::<1>(seed, keys, bits, out),
+        None => mask_pass::<2>(seed, keys, bits, out),
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mask_avx512(
+    seed: u64,
+    server: Option<ServerId>,
+    keys: &[u64],
+    bits: &[u64],
+    out: &mut [u64],
+) {
+    mask_body(seed, server, keys, bits, out)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mask_avx2(
+    seed: u64,
+    server: Option<ServerId>,
+    keys: &[u64],
+    bits: &[u64],
+    out: &mut [u64],
+) {
+    mask_body(seed, server, keys, bits, out)
+}
+
+/// Masks a round of pairs for `table`'s owner, lane-parallel, from the
+/// pairs' [`pair_key`]s: one server's masking
+/// `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` — S₁'s input share is
+/// [`share_prf`](crate::share_prf), S₂'s the plaintext bit less it — or,
+/// on a fused table, the opening `e = a − λ` itself. `bits` holds the
+/// pairs' plaintext bits on S₂ and a fused table; S₁ reads none (pass
+/// an empty slice). Bit-identical to the scalar PRFs at every
+/// [`SimdTier`].
+///
+/// # Panics
+/// Panics if `out` (or, where read, `bits`) is not `keys.len()` long.
+pub fn mask_round(table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+    mask_round_tier(SimdTier::detect(), table, keys, bits, out)
+}
+
+fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+    let (seed, server) = (table.seed, table.server);
+    assert_eq!(out.len(), keys.len(), "one masking per pair");
+    if server != Some(ServerId::S1) {
+        assert_eq!(bits.len(), keys.len(), "one plaintext bit per pair");
+    }
+    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { mask_avx512(seed, server, keys, bits, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { mask_avx2(seed, server, keys, bits, out) },
+        _ => mask_body(seed, server, keys, bits, out),
+    }
+}
+
+/// A round of a chunk's triples cut into lanes — one lane per triple, in
+/// structure-of-arrays form — for one server's [`combine_round`] or, in
+/// a fused table, both servers' [`count_round`]. Either way one pass
+/// covers the round, whatever `k`-runs it is cut from, and reads no
+/// message: every opening it needs is already in the [`PairTable`].
 ///
 /// A segment `(draw, offset, len)` of the round ([`crate::plan_rounds`])
 /// adds `len` lanes ([`RoundLanes::push_run`]). Lane `t` of it, triple
-/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the first secret
-/// `a_ij` (a server's share of it, or the plaintext bit in a fused
-/// table) and the dealer-stream counter its group starts at (the draw's
-/// [`crate::PairDealer`] sought `offset + t` groups on). A server's
-/// table adds the [`share_prf`](crate::share_prf) keys of `(i, k)` and
-/// `(j, k)`; S₂'s and a fused table add the plaintext bits of `(i, k)`
-/// and `(j, k)`. Lanes are in plan order, so a round's lanes also line
-/// up with the next `len` groups of a plan-ordered slab of preprocessed
-/// material.
+/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the openings of
+/// its three pairs — `(i, j)`'s in every lane of the segment, `(i, k)`'s
+/// and `(j, k)`'s copied as contiguous runs of the table, because a
+/// `k`-run's pairs of one row are consecutive in the pair order — the
+/// mask share of `(i, j)` and the [`pair_key`]s of `(i, k)` and `(j, k)`
+/// (their mask shares are mixed in the lane pass) and, with dealer
+/// material, the dealer-stream counter its group starts at (the draw's
+/// [`crate::PairDealer`] sought `offset + t` groups on). Where the table
+/// combines the plaintext (a fused table with dealer material) the
+/// caller writes each lane's `a, b, c` into the slices
+/// [`RoundLanes::push_run`] returns; with preprocessed material the
+/// round's groups are set once the round is pushed
+/// ([`RoundLanes::set_groups`]). Lanes are in plan order, so a round's
+/// lanes line up with the next `len` groups of a plan-ordered slab of
+/// preprocessed material.
 ///
 /// A lane's product enters the round's sum with a public sign, `+` unless
 /// [`RoundLanes::set_signs`] marks it `−`: a signed plan subtracts some
 /// triples in the same round that adds others. [`combine_round`] and
 /// [`count_round`] apply the sign as a conditional negate of each lane's
-/// `⟨d⟩` share; [`mask_round`] never reads it.
+/// `⟨d⟩` share.
 ///
 /// ```
 /// use cargo_mpc::{
-///     combine_round, count_round, mask_round, share_prf, MgDraw, RoundLanes, ServerId,
+///     combine_round, count_round, mask_round, pair_key, MgDraw, PairTable, RoundLanes,
+///     ServerId,
 /// };
-/// // One round of five triples cut from two k-runs, (0, 1, k) for
-/// // k = 2, 3, 4 and (0, 2, k) for k = 3, 4, every adjacency bit 1.
+/// // Triples (0, 1, k) for k = 2, 3, 4, every adjacency bit 1. Their
+/// // pairs, in order: (0, 1); (0, 2), (0, 3), (0, 4); (1, 2), (1, 3), (1, 4).
 /// let seed = 7;
-/// let runs = [MgDraw::dense(0, 1, 3), MgDraw::dense(0, 2, 2)];
-/// let (mut tables, mut slabs) = (Vec::new(), Vec::new());
-/// for server in [ServerId::S1, ServerId::S2] {
-///     let mut lanes = RoundLanes::new(seed, server);
-///     for run in &runs {
-///         let prf = share_prf(seed, run.i, run.j);
-///         let a = if server == ServerId::S1 { prf } else { 1u64.wrapping_sub(prf) };
-///         if let Some([b, c]) = lanes.push_run(run, 0, run.groups as usize, a) {
-///             b.fill(1);
-///             c.fill(1);
-///         }
-///     }
-///     let mut efg = vec![0; 3 * lanes.len()];
-///     mask_round(&lanes, None, &mut efg);
-///     tables.push(lanes);
-///     slabs.push(efg);
+/// let pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)];
+/// let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
+/// let bits = vec![1; pairs.len()];
+/// let draw = MgDraw::dense(0, 1, 3);
+/// // Each server masks every pair once; the sums are the openings.
+/// let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, Some(s), false));
+/// let mut slabs = [vec![0; 7], vec![0; 7]];
+/// for (table, slab) in tables.iter().zip(&mut slabs) {
+///     mask_round(table, &keys, &bits, slab);
 /// }
-/// let d1 = combine_round(&tables[0], None, &slabs[0], &slabs[1]);
-/// let d2 = combine_round(&tables[1], None, &slabs[1], &slabs[0]);
-/// assert_eq!(d1.wrapping_add(d2), 5);
-/// // Both servers in one pass: the same two shares.
-/// let mut fused = RoundLanes::fused(seed);
-/// for run in &runs {
-///     if let Some([b, c]) = fused.push_run(run, 0, run.groups as usize, 1) {
-///         b.fill(1);
-///         c.fill(1);
-///     }
+/// let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+/// let d: Vec<u64> = tables
+///     .iter_mut()
+///     .map(|table| {
+///         table.push(&opened);
+///         let mut lanes = RoundLanes::new(table, 3);
+///         // A wire server's table reads no plaintext bit.
+///         assert!(lanes.push_run(table, &draw, 0, 3, [0, 1, 4]).is_none());
+///         combine_round(&lanes)
+///     })
+///     .collect();
+/// assert_eq!(d[0].wrapping_add(d[1]), 3);
+/// // Both servers in one pass: the same two shares; with dealer material
+/// // the fused table reads the plaintext bits.
+/// let mut fused = PairTable::new(seed, None, false);
+/// let mut e = vec![0; 7];
+/// mask_round(&fused, &keys, &bits, &mut e);
+/// fused.push(&e);
+/// let mut lanes = RoundLanes::new(&fused, 3);
+/// if let Some(abc) = lanes.push_run(&fused, &draw, 0, 3, [0, 1, 4]) {
+///     abc.into_iter().for_each(|bits| bits.fill(1));
 /// }
-/// assert_eq!(count_round(&fused, None), (d1, d2));
+/// assert_eq!(count_round(&lanes), (d[0], d[1]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoundLanes {
     seed: u64,
     /// Whose round: one server's, or both servers' (`None`).
     server: Option<ServerId>,
+    /// Whether the groups come from [`RoundLanes::set_groups`].
+    preprocessed: bool,
+    /// Whether the combine reads each lane's plaintext `a, b, c`.
+    plain: bool,
     /// Lanes in the round. The columns below keep the length of the
     /// longest round met, so a round writes them in place.
     len: usize,
-    /// Each lane's `a_ij`: this server's share of it, or in a fused
-    /// table the plaintext bit.
-    a: Vec<u64>,
-    /// A server's table only: each lane's [`prf_key`]s of `(i, k)` and
-    /// `(j, k)`.
+    /// Each lane's `e, f, g`: the table's openings of `(i, j)`, `(i, k)`
+    /// and `(j, k)`.
+    open: [Vec<u64>; 3],
+    /// Each lane's mask shares `x` of `(i, j)` ([`RoundLanes::x_masks`]):
+    /// S₁'s, except S₂'s on an S₂ table over preprocessed material; S₂'s
+    /// besides S₁'s on an S₂ table over dealer material and a fused
+    /// table over preprocessed material.
+    x: [Vec<u64>; 2],
+    /// Each lane's [`pair_key`]s of `(i, k)` and `(j, k)`, whose mask
+    /// shares are the lane's `y` and `z`.
     keys: [Vec<u64>; 2],
-    /// The dealer-stream counter each lane's group starts at.
+    /// A fused table over dealer material: each lane's `a, b, c`.
+    abc: [Vec<u64>; 3],
+    /// Dealer material only: the dealer-stream counter each lane's group
+    /// starts at.
     state: Vec<u64>,
-    /// S₂'s and a fused table only: each lane's plaintext bits of
-    /// `(i, k)` and `(j, k)`.
-    bits: [Vec<u64>; 2],
+    /// Preprocessed material only: each lane's `w, o, p, q` shares, per
+    /// server the table evaluates (S₁'s first in a fused table).
+    products: [[Vec<u64>; 4]; 2],
     /// Each lane's sign mask, `0` (add) or `!0` (subtract); read only
     /// while `signed`.
     negate: Vec<u64>,
     /// Whether [`RoundLanes::set_signs`] gave this round signs.
     signed: bool,
+    /// Whether [`RoundLanes::set_groups`] gave this round its groups.
+    grouped: bool,
 }
 
 impl RoundLanes {
-    /// An empty table for `server` under the Count seed `seed`, which
-    /// keys both the input-share PRF and the dealer streams.
-    pub fn new(seed: u64, server: ServerId) -> Self {
-        Self::holding(seed, Some(server))
-    }
-
-    /// An empty table of both servers' round under the Count seed
-    /// `seed`, for [`count_round`]: it holds the plaintext inputs of
-    /// each lane and no PRF key, since the input shares cancel in the
-    /// openings.
-    pub fn fused(seed: u64) -> Self {
-        Self::holding(seed, None)
-    }
-
-    fn holding(seed: u64, server: Option<ServerId>) -> Self {
-        RoundLanes {
-            seed,
-            server,
+    /// An empty lane table over `table`'s pairs — the same owner, Count
+    /// seed and material source — with room for rounds of `lanes`
+    /// lanes (a longer round grows it).
+    pub fn new(table: &PairTable, lanes: usize) -> Self {
+        let mut round = RoundLanes {
+            seed: table.seed,
+            server: table.server,
+            preprocessed: table.preprocessed,
+            plain: table.plain(),
             len: 0,
-            a: Vec::new(),
-            keys: [Vec::new(), Vec::new()],
+            open: Default::default(),
+            x: Default::default(),
+            keys: Default::default(),
+            abc: Default::default(),
             state: Vec::new(),
-            bits: [Vec::new(), Vec::new()],
+            products: Default::default(),
             negate: Vec::new(),
             signed: false,
+            grouped: false,
+        };
+        round.grow(lanes);
+        round
+    }
+
+    /// Sizes the lane columns for `lanes` lanes and the slack of a
+    /// segment's last block.
+    fn grow(&mut self, lanes: usize) {
+        let abc = self.abc.iter_mut().filter(|_| self.plain);
+        let columns = self.open.iter_mut().chain(&mut self.x).chain(&mut self.keys);
+        for column in columns.chain(abc).chain([&mut self.state]) {
+            column.resize(lanes + FILL_BLOCK, 0);
         }
     }
 
     /// Empties the table for the next round, keeping its buffers; the
-    /// next round's lanes are all `+` until [`Self::set_signs`].
+    /// next round's lanes are all `+` until [`Self::set_signs`], and a
+    /// preprocessed round has no groups until [`Self::set_groups`].
     pub fn clear(&mut self) {
         self.len = 0;
         self.signed = false;
+        self.grouped = false;
     }
 
     /// Signs the round's lanes: lane `t`'s product is subtracted from
@@ -467,6 +643,35 @@ impl RoundLanes {
         self.signed.then(|| &self.negate[..self.len])
     }
 
+    /// Sets the round's preprocessed groups, one per lane in lane order:
+    /// this server's column, or in a fused table both servers', S₁'s
+    /// first. Call once the round's segments are pushed. The groups'
+    /// mask shares are the pairs' ([`crate::mask_prf`]); only their
+    /// product shares are read.
+    ///
+    /// # Panics
+    /// Panics on a dealer table, or unless `groups` holds one column per
+    /// server the table evaluates, each of one group per lane.
+    pub fn set_groups(&mut self, groups: &[&[MulGroupShare]]) {
+        assert!(self.preprocessed, "a dealer table draws its groups from the streams");
+        let servers = if self.server.is_some() { 1 } else { 2 };
+        assert_eq!(groups.len(), servers, "one material column per server evaluated");
+        for (products, column) in self.products.iter_mut().zip(groups) {
+            assert_eq!(column.len(), self.len, "one preprocessed group per lane");
+            let [w, o, p, q] = products;
+            for words in [&mut *w, &mut *o, &mut *p, &mut *q] {
+                words.clear();
+            }
+            for g in column.iter() {
+                w.push(g.w.0);
+                o.push(g.o.0);
+                p.push(g.p.0);
+                q.push(g.q.0);
+            }
+        }
+        self.grouped = true;
+    }
+
     /// Lanes (triples) in the round so far.
     pub fn len(&self) -> usize {
         self.len
@@ -477,53 +682,97 @@ impl RoundLanes {
         self.len == 0
     }
 
-    /// Appends the round segment `(draw, offset, len)`: `len` lanes, the
-    /// triples `(i, j, draw.k_at(offset) + t)`, whose first secret is
-    /// `a_ij` and `a` this server's share of it (in a fused table,
-    /// `a_ij` itself). On S₂ and in a fused table returns the new lanes'
-    /// bit slices of rows `i` and `j`, columns `draw.k_at(offset) ..`,
-    /// for the caller to overwrite with the users' plaintext bits; S₁
-    /// reads no bit and gets `None`.
+    /// Appends the round segment `(draw, offset, len)` of `table`'s
+    /// plan: `len` lanes, the triples `(i, j, draw.k_at(offset) + t)`.
+    /// `slots` are the table positions of pair `(i, j)` and of the
+    /// segment's first `(i, k)` and `(j, k)`; lane `t` reads `(i, k)` and
+    /// `(j, k)` `t` positions on. Where the table combines the plaintext
+    /// (a fused table with dealer material) returns the new lanes'
+    /// `a, b, c` slices for the caller to write the users' bits of
+    /// `(i, j)`, `(i, k)` and `(j, k)` into; otherwise `None`.
+    ///
+    /// # Panics
+    /// Panics if a slot run leaves the table.
     pub fn push_run(
         &mut self,
+        table: &PairTable,
         draw: &MgDraw,
         offset: usize,
         len: usize,
-        a: u64,
-    ) -> Option<[&mut [u64]; 2]> {
-        let k = draw.k_at(offset) as u64;
-        let keys = [prf_key(draw.i, k), prf_key(draw.j, k)];
-        self.push_lanes(PairDealer::group_state(self.seed, draw, offset), keys, len, a)
+        slots: [usize; 3],
+    ) -> Option<[&mut [u64]; 3]> {
+        let state =
+            if self.preprocessed { 0 } else { PairDealer::group_state(self.seed, draw, offset) };
+        let k = draw.k_at(offset) as u32;
+        let keys = [pair_key(draw.i, k), pair_key(draw.j, k)];
+        let key = U64xN([pair_key(draw.i, draw.j)]);
+        let (s2_own, both) = self.x_masks();
+        let lambda = |s: usize| mask_lanes(self.seed, s, key).0[0];
+        let x = [lambda(usize::from(s2_own)), if both { lambda(1) } else { 0 }];
+        self.push_lanes(table, state, slots, keys, x, len)
+    }
+
+    /// Which of S₂'s mask shares of `(i, j)` the table reads: its own
+    /// alone in the first `x` column (an S₂ table over preprocessed
+    /// material), or in the second beside S₁'s in the first (an S₂ table
+    /// over dealer material, a fused table over preprocessed material).
+    fn x_masks(&self) -> (bool, bool) {
+        match (self.server, self.preprocessed) {
+            (Some(ServerId::S2), true) => (true, false),
+            (Some(ServerId::S2), false) | (None, true) => (false, true),
+            _ => (false, false),
+        }
     }
 
     /// [`Self::push_run`] from the dealer-stream counter `state` of the
-    /// segment's first group and the PRF `keys` of its first lane.
+    /// segment's first group, the keys of its first `(i, k)` and
+    /// `(j, k)`, and the mask shares `x` of `(i, j)` the table reads
+    /// ([`Self::x_masks`]: S₁'s or S₂'s own first, S₂'s second beside
+    /// S₁'s).
     pub(crate) fn push_lanes(
         &mut self,
+        table: &PairTable,
         state: u64,
+        [ij, ik, jk]: [usize; 3],
         keys: [u64; 2],
+        x: [u64; 2],
         len: usize,
-        a: u64,
-    ) -> Option<[&mut [u64]; 2]> {
-        let (keyed, with_bits) = (self.server.is_some(), self.server != Some(ServerId::S1));
+    ) -> Option<[&mut [u64]; 3]> {
         let (at, end) = (self.len, self.len + len);
-        if self.a.len() < end + FILL_BLOCK {
-            let key_columns = self.keys.iter_mut().filter(|_| keyed);
-            let bit_columns = self.bits.iter_mut().filter(|_| with_bits);
-            let columns = [&mut self.a, &mut self.state].into_iter().chain(key_columns);
-            for column in columns.chain(bit_columns) {
-                column.resize(end + FILL_BLOCK, 0);
-            }
+        if self.state.len() < end + FILL_BLOCK {
+            self.grow(end.next_power_of_two());
         }
         self.len = end;
-        fill_steps(&mut self.a, at..end, a, 0);
-        if keyed {
+        let (x2, dealer) = (self.x_masks().1, !self.preprocessed);
+        if len == 1 {
+            // A sparse plan's k-runs are mostly one long: one store a
+            // column.
+            let [e, f, g] = &mut self.open;
+            (e[at], f[at], g[at]) = (table.e[ij], table.e[ik], table.e[jk]);
+            (self.x[0][at], self.keys[0][at], self.keys[1][at]) = (x[0], keys[0], keys[1]);
+            if x2 {
+                self.x[1][at] = x[1];
+            }
+            if dealer {
+                self.state[at] = state;
+            }
+        } else {
+            fill_steps(&mut self.open[0], at..end, table.e[ij], 0);
+            self.open[1][at..end].copy_from_slice(&table.e[ik..ik + len]);
+            self.open[2][at..end].copy_from_slice(&table.e[jk..jk + len]);
+            fill_steps(&mut self.x[0], at..end, x[0], 0);
+            if x2 {
+                fill_steps(&mut self.x[1], at..end, x[1], 0);
+            }
             for (column, key) in self.keys.iter_mut().zip(keys) {
-                fill_steps(column, at..end, key, SM_GAMMA);
+                fill_steps(column, at..end, key, PAIR_KEY_STEP);
+            }
+            if dealer {
+                let step = SM_GAMMA.wrapping_mul(GROUP_WORDS as u64);
+                fill_steps(&mut self.state, at..end, state, step);
             }
         }
-        fill_steps(&mut self.state, at..end, state, SM_GAMMA.wrapping_mul(MG_WORDS as u64));
-        with_bits.then(|| self.bits.each_mut().map(|bits| &mut bits[at..end]))
+        self.plain.then(|| self.abc.each_mut().map(|column| &mut column[at..end]))
     }
 }
 
@@ -548,207 +797,71 @@ fn fill_steps(column: &mut [u64], lanes: std::ops::Range<usize>, first: u64, ste
 // The round kernels below are written like the input-share kernel
 // above — generic over the lane count, so a round's scalar tail (at
 // most `LANES − 1` lanes) runs the vector loop's formula — and also
-// generic over where the round's groups come from.
+// generic over where a round's product shares come from. Every step is
+// an `#[inline(always)]` function, never a closure with a body of its
+// own: a tier's wrapper vectorises only what is inlined into it, and
+// LLVM may leave a large closure out-of-line (and scalar).
 
-/// Where a round's Multiplication Groups come from, lane by lane.
-trait LaneGroups: Copy {
-    /// `N` lanes from `lane0` of this server's mask shares `x, y, z`.
-    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3];
-    /// `N` lanes from `lane0` of this server's `⟨d⟩` shares from the
-    /// opened `e, f, g`.
-    fn d<const S2: bool, const N: usize>(self, lane0: usize, efg: [U64xN<N>; 3]) -> U64xN<N>;
-}
-
-/// Dealer material: each lane's group drawn from its own counter
-/// ([`RoundLanes`]' `state`), in closed form.
-#[derive(Clone, Copy)]
-struct DealerLanes<'a>(&'a [u64]);
-
-impl DealerLanes<'_> {
-    /// Field `f` (see [`MG_WORDS`] for the order) of the groups of
-    /// lanes `lane0 .. lane0 + N`.
-    #[inline(always)]
-    fn field<const N: usize>(self, lane0: usize, f: u64) -> U64xN<N> {
-        mix_lanes(U64xN::load(&self.0[lane0..]) + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
-    }
-}
-
-impl LaneGroups for DealerLanes<'_> {
-    /// Server `s`'s (0 or 1) words `x_s, y_s, z_s` are fields `s`,
-    /// `2 + s`, `4 + s` of each group.
-    #[inline(always)]
-    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3] {
-        let s = S2 as u64;
-        [self.field(lane0, s), self.field(lane0, 2 + s), self.field(lane0, 4 + s)]
-    }
-
-    /// S₁ re-derives its seven words `x₁ y₁ z₁ o₁ p₁ q₁ w₁` and forms no
-    /// mask products; S₂ re-derives all ten and forms `o, p, q, w` to
-    /// difference its shares out of them, exactly as
-    /// [`crate::split_mg_words`] does.
-    #[inline(always)]
-    fn d<const S2: bool, const N: usize>(self, lane0: usize, [e, f, g]: [U64xN<N>; 3]) -> U64xN<N> {
-        let (fg, eg, ef) = (f * g, e * g, e * f);
-        let (x1, y1, z1) = (self.field(lane0, 0), self.field(lane0, 2), self.field(lane0, 4));
-        let (o1, p1, q1) = (self.field(lane0, 6), self.field(lane0, 7), self.field(lane0, 8));
-        let w1 = self.field(lane0, 9);
-        if S2 {
-            let (x2, y2, z2) = (self.field(lane0, 1), self.field(lane0, 3), self.field(lane0, 5));
-            let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
-            let o = x * y;
-            (o * z - w1)
-                + (o - o1) * g
-                + (x * z - p1) * f
-                + (y * z - q1) * e
-                + x2 * fg
-                + y2 * eg
-                + z2 * ef
-                + ef * g
-        } else {
-            w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
-        }
-    }
-}
-
-/// Preprocessed material (OT extension or the pool): this server's
-/// share structs, one per lane.
-#[derive(Clone, Copy)]
-struct ShareLanes<'a>(&'a [MulGroupShare]);
-
-impl ShareLanes<'_> {
-    /// Lanes `lane0 .. lane0 + N` of the seven shares, in
-    /// `x y z w o p q` order.
-    #[inline(always)]
-    fn fields<const N: usize>(self, lane0: usize) -> [U64xN<N>; 7] {
-        let mut out = [U64xN::ZERO; 7];
-        for (t, mg) in self.0[lane0..lane0 + N].iter().enumerate() {
-            for (field, share) in out.iter_mut().zip([mg.x, mg.y, mg.z, mg.w, mg.o, mg.p, mg.q]) {
-                field.0[t] = share.0;
-            }
-        }
-        out
-    }
-}
-
-impl LaneGroups for ShareLanes<'_> {
-    #[inline(always)]
-    fn xyz<const S2: bool, const N: usize>(self, lane0: usize) -> [U64xN<N>; 3] {
-        let [x, y, z, ..] = self.fields(lane0);
-        [x, y, z]
-    }
-
-    /// [`mul3_combine_batch`]'s term, lane-wise.
-    #[inline(always)]
-    fn d<const S2: bool, const N: usize>(self, lane0: usize, [e, f, g]: [U64xN<N>; 3]) -> U64xN<N> {
-        let [x, y, z, w, o, p, q] = self.fields(lane0);
-        let (fg, eg, ef) = (f * g, e * g, e * f);
-        let d = w + o * g + p * f + q * e + x * fg + y * eg + z * ef;
-        if S2 {
-            d + ef * g
-        } else {
-            d
-        }
-    }
-}
-
-/// Where both servers' Multiplication Groups of a fused round come
-/// from, lane by lane.
-trait BothGroups: Copy {
-    /// `N` lanes from `lane0` of both servers' `⟨d⟩` shares of the
-    /// triples whose plaintext inputs are `a, b, c`: opens
-    /// `e = a − x, f = b − y, g = c − z` directly, the two servers'
-    /// maskings summed.
-    fn d_both<const N: usize>(self, lane0: usize, abc: [U64xN<N>; 3]) -> [U64xN<N>; 2];
-}
-
-impl BothGroups for DealerLanes<'_> {
-    /// Each of the group's ten words is mixed once. S₂'s share is the
-    /// product less S₁'s: the dealer differences S₂'s `o, p, q, w`
-    /// shares out of the products ([`crate::split_mg_words`]), so the
-    /// group is consistent by construction and Theorem 1 gives
-    /// `⟨d⟩₂ = abc − ⟨d⟩₁` exactly — the value S₂'s own combination
-    /// yields, for 14 multiplications fewer. Preprocessed material gets
-    /// no such shortcut: there S₂'s arithmetic is what checks S₂'s
-    /// groups.
-    #[inline(always)]
-    fn d_both<const N: usize>(self, lane0: usize, [a, b, c]: [U64xN<N>; 3]) -> [U64xN<N>; 2] {
-        let (x1, x2, y1) = (self.field(lane0, 0), self.field(lane0, 1), self.field(lane0, 2));
-        let (y2, z1, z2) = (self.field(lane0, 3), self.field(lane0, 4), self.field(lane0, 5));
-        let (o1, p1, q1) = (self.field(lane0, 6), self.field(lane0, 7), self.field(lane0, 8));
-        let w1 = self.field(lane0, 9);
-        let (x, y, z) = (x1 + x2, y1 + y2, z1 + z2);
-        let (e, f, g) = (a - x, b - y, c - z);
-        let (fg, eg, ef) = (f * g, e * g, e * f);
-        let d1 = w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef;
-        [d1, a * b * c - d1]
-    }
-}
-
-/// Both servers' columns of one material source, S₁'s first.
-impl<G: LaneGroups> BothGroups for [G; 2] {
-    #[inline(always)]
-    fn d_both<const N: usize>(self, lane0: usize, [a, b, c]: [U64xN<N>; 3]) -> [U64xN<N>; 2] {
-        let [x1, y1, z1] = self[0].xyz::<false, N>(lane0);
-        let [x2, y2, z2] = self[1].xyz::<true, N>(lane0);
-        let efg = [a - (x1 + x2), b - (y1 + y2), c - (z1 + z2)];
-        [self[0].d::<false, N>(lane0, efg), self[1].d::<true, N>(lane0, efg)]
-    }
-}
-
-/// `N` lanes from `lane0` of one server's input shares of entry `r`
-/// (0: `(i, k)`, 1: `(j, k)`): S₁'s are the PRF, S₂'s the plaintext
-/// bits minus it.
+/// `N` lanes from `lane0` of three lane columns.
 #[inline(always)]
-fn lane_inputs<const S2: bool, const N: usize>(
-    lanes: &RoundLanes,
-    r: usize,
-    lane0: usize,
+fn load3<const N: usize>(columns: &[Vec<u64>; 3], lane0: usize) -> [U64xN<N>; 3] {
+    let [a, b, c] = columns;
+    [U64xN::load(&a[lane0..]), U64xN::load(&b[lane0..]), U64xN::load(&c[lane0..])]
+}
+
+/// One server's `⟨d⟩ = ⟨w⟩ + ⟨o⟩g + ⟨p⟩f + ⟨q⟩e + ⟨x⟩fg + ⟨y⟩eg + ⟨z⟩ef`
+/// (without S₂'s `efg`), from its product shares `[w, o, p, q]`, the
+/// openings and its mask shares.
+#[inline(always)]
+fn d_share<const N: usize>(
+    [w, o, p, q]: [U64xN<N>; 4],
+    [e, f, g]: [U64xN<N>; 3],
+    [x, y, z]: [U64xN<N>; 3],
 ) -> U64xN<N> {
-    let s1 = prf_keyed(lanes.seed, U64xN::load(&lanes.keys[r][lane0..]));
-    if S2 {
-        U64xN::load(&lanes.bits[r][lane0..]) - s1
-    } else {
-        s1
+    w + o * g + p * f + q * e + x * (f * g) + y * (e * g) + z * (e * f)
+}
+
+/// Where a round's product shares `w, o, p, q` come from, lane by lane.
+trait Products: Copy {
+    /// `N` lanes from `lane0` of `[w, o, p, q]`.
+    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4];
+}
+
+/// Dealer material: S₁'s words `o₁ p₁ q₁ w₁` of each lane's group,
+/// mixed from its counter ([`RoundLanes`]' `state`) in closed form.
+#[derive(Clone, Copy)]
+struct DealerWords<'a>(&'a [u64]);
+
+impl DealerWords<'_> {
+    /// Word `f` (`o₁ p₁ q₁ w₁` in order) of the groups whose counters are
+    /// `state`.
+    #[inline(always)]
+    fn word<const N: usize>(state: U64xN<N>, f: u64) -> U64xN<N> {
+        mix_lanes(state + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
     }
 }
 
-/// `N` lanes from `lane0` of one server's maskings
-/// `⟨e⟩ = a − x, ⟨f⟩ = b − y, ⟨g⟩ = c − z`.
-#[inline(always)]
-fn mask_lanes<const S2: bool, const N: usize, G: LaneGroups>(
-    lanes: &RoundLanes,
-    groups: G,
-    lane0: usize,
-) -> [U64xN<N>; 3] {
-    let [x, y, z] = groups.xyz::<S2, N>(lane0);
-    [
-        U64xN::load(&lanes.a[lane0..]) - x,
-        lane_inputs::<S2, N>(lanes, 0, lane0) - y,
-        lane_inputs::<S2, N>(lanes, 1, lane0) - z,
-    ]
-}
-
-/// [`mask_round`]'s pass for one server and one material source.
-#[inline(always)]
-fn mask_pass<const S2: bool, G: LaneGroups>(lanes: &RoundLanes, groups: G, out: &mut [u64]) {
-    let l = lanes.len();
-    let full = l / LANES * LANES;
-    for lane0 in (0..full).step_by(LANES) {
-        for (slab, v) in mask_lanes::<S2, LANES, G>(lanes, groups, lane0).into_iter().enumerate() {
-            v.store(&mut out[slab * l + lane0..]);
-        }
-    }
-    for t in full..l {
-        for (slab, v) in mask_lanes::<S2, 1, G>(lanes, groups, t).into_iter().enumerate() {
-            out[slab * l + t] = v.0[0];
-        }
+impl Products for DealerWords<'_> {
+    #[inline(always)]
+    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4] {
+        let state = U64xN::load(&self.0[lane0..]);
+        let (o, p, q) = (Self::word(state, 0), Self::word(state, 1), Self::word(state, 2));
+        [Self::word(state, 3), o, p, q]
     }
 }
 
-/// Lanes `at .. at + N` of the opened slab `mine + theirs`.
-#[inline(always)]
-fn open_lanes<const N: usize>(mine: &[u64], theirs: &[u64], at: usize) -> U64xN<N> {
-    U64xN::load(&mine[at..]) + U64xN::load(&theirs[at..])
+/// Preprocessed material: one server's columns of the round's groups
+/// ([`RoundLanes::set_groups`]).
+#[derive(Clone, Copy)]
+struct Preprocessed<'a>(&'a [Vec<u64>; 4]);
+
+impl Products for Preprocessed<'_> {
+    #[inline(always)]
+    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4] {
+        let [w, o, p, q] = self.0;
+        let (w, o) = (U64xN::load(&w[lane0..]), U64xN::load(&o[lane0..]));
+        [w, o, U64xN::load(&p[lane0..]), U64xN::load(&q[lane0..])]
+    }
 }
 
 /// `N` lanes from `lane0` of `d` under the round's signs: `(d ^ m) − m`
@@ -769,113 +882,137 @@ fn signed<const SIGNED: bool, const N: usize>(
     }
 }
 
+/// `N` lanes from `lane0` of server `S`'s (0 or 1) mask shares
+/// `x, y, z` of the lanes' three pairs: `x` from lane column `X`, `y`
+/// and `z` mixed from the pairs' keys.
+#[inline(always)]
+fn lane_masks<const S: usize, const X: usize, const N: usize>(
+    lanes: &RoundLanes,
+    lane0: usize,
+) -> [U64xN<N>; 3] {
+    let [ik, jk] = &lanes.keys;
+    let x = U64xN::load(&lanes.x[X][lane0..]);
+    let y = mask_lanes(lanes.seed, S, U64xN::load(&ik[lane0..]));
+    [x, y, mask_lanes(lanes.seed, S, U64xN::load(&jk[lane0..]))]
+}
+
+/// `N` lanes from `lane0` of one server's `⟨d⟩`: [`d_share`] with S₁'s
+/// mask shares — then, with `S2_DEALER` (S₂ with dealer material), S₂'s
+/// own combination, telescoped to `(x + e)(y + f)(z + g)` less it
+/// ([`PairTable`]) — or, with `EFG` (S₂ with preprocessed material),
+/// with S₂'s mask shares, plus `efg`.
+#[inline(always)]
+fn party_d<const S2_DEALER: bool, const EFG: bool, const N: usize, P: Products>(
+    lanes: &RoundLanes,
+    products: P,
+    lane0: usize,
+) -> U64xN<N> {
+    let efg = load3(&lanes.open, lane0);
+    let xyz = if EFG { lane_masks::<1, 0, N>(lanes, lane0) } else { lane_masks::<0, 0, N>(lanes, lane0) };
+    let d = d_share(products.wopq(lane0), efg, xyz);
+    if S2_DEALER {
+        let [x2, y2, z2] = lane_masks::<1, 1, N>(lanes, lane0);
+        let [x1, y1, z1] = xyz;
+        let [e, f, g] = efg;
+        (x1 + x2 + e) * (y1 + y2 + f) * (z1 + z2 + g) - d
+    } else if EFG {
+        d + efg[0] * efg[1] * efg[2]
+    } else {
+        d
+    }
+}
+
 /// [`combine_round`]'s pass for one server and one material source.
 #[inline(always)]
-fn combine_pass<const S2: bool, const SIGNED: bool, G: LaneGroups>(
-    groups: G,
+fn combine_pass<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool, P: Products>(
+    lanes: &RoundLanes,
     signs: &[u64],
-    mine: &[u64],
-    theirs: &[u64],
+    products: P,
 ) -> u64 {
-    let l = mine.len() / 3;
+    let l = lanes.len();
     let full = l / LANES * LANES;
     let mut acc = U64x8::ZERO;
-    for lane0 in (0..full).step_by(LANES) {
-        let efg = [lane0, l + lane0, 2 * l + lane0].map(|at| open_lanes::<LANES>(mine, theirs, at));
-        acc = acc + signed::<SIGNED, LANES>(signs, lane0, groups.d::<S2, LANES>(lane0, efg));
+    for lane0 in Blocks::below(full) {
+        let d = party_d::<S2_DEALER, EFG, LANES, P>(lanes, products, lane0);
+        acc = acc + signed::<SIGNED, LANES>(signs, lane0, d);
     }
     let mut total = acc.hsum();
     for t in full..l {
-        let efg = [t, l + t, 2 * l + t].map(|at| open_lanes::<1>(mine, theirs, at));
-        total = total.wrapping_add(signed::<SIGNED, 1>(signs, t, groups.d::<S2, 1>(t, efg)).0[0]);
+        let d = party_d::<S2_DEALER, EFG, 1, P>(lanes, products, t);
+        total = total.wrapping_add(signed::<SIGNED, 1>(signs, t, d).0[0]);
     }
     total
 }
 
-/// `N` lanes from `lane0` of a fused table's plaintext inputs
-/// `a_ij, a_ik, a_jk`.
+/// `N` lanes from `lane0` of both servers' `⟨d⟩` in a fused table: with
+/// dealer material `⟨d⟩₁` and `a·b·c − ⟨d⟩₁`, with preprocessed
+/// material each server's own combination.
 #[inline(always)]
-fn plain_lanes<const N: usize>(lanes: &RoundLanes, lane0: usize) -> [U64xN<N>; 3] {
-    [&lanes.a, &lanes.bits[0], &lanes.bits[1]].map(|column| U64xN::load(&column[lane0..]))
+fn fused_d<const DEALER: bool, const N: usize>(lanes: &RoundLanes, lane0: usize) -> [U64xN<N>; 2] {
+    let efg = load3(&lanes.open, lane0);
+    let xyz = lane_masks::<0, 0, N>(lanes, lane0);
+    if DEALER {
+        let d1 = d_share(DealerWords(&lanes.state).wopq(lane0), efg, xyz);
+        let [a, b, c] = load3(&lanes.abc, lane0);
+        [d1, a * b * c - d1]
+    } else {
+        let [p1, p2] = &lanes.products;
+        let (p1, p2) = (Preprocessed(p1).wopq(lane0), Preprocessed(p2).wopq(lane0));
+        let d1 = d_share(p1, efg, xyz);
+        let d2 = d_share(p2, efg, lane_masks::<1, 1, N>(lanes, lane0));
+        [d1, d2 + efg[0] * efg[1] * efg[2]]
+    }
 }
 
 /// [`count_round`]'s pass for one material source.
 #[inline(always)]
-fn count_pass<const SIGNED: bool, G: BothGroups>(
-    lanes: &RoundLanes,
-    signs: &[u64],
-    groups: G,
-) -> (u64, u64) {
+fn count_pass<const SIGNED: bool, const DEALER: bool>(lanes: &RoundLanes, signs: &[u64]) -> (u64, u64) {
     let l = lanes.len();
     let full = l / LANES * LANES;
     let (mut acc1, mut acc2) = (U64x8::ZERO, U64x8::ZERO);
-    for lane0 in (0..full).step_by(LANES) {
-        let [d1, d2] = groups.d_both::<LANES>(lane0, plain_lanes(lanes, lane0));
+    for lane0 in Blocks::below(full) {
+        let [d1, d2] = fused_d::<DEALER, LANES>(lanes, lane0);
         acc1 = acc1 + signed::<SIGNED, LANES>(signs, lane0, d1);
         acc2 = acc2 + signed::<SIGNED, LANES>(signs, lane0, d2);
     }
     let (mut t1, mut t2) = (acc1.hsum(), acc2.hsum());
     for t in full..l {
-        let [d1, d2] = groups.d_both::<1>(t, plain_lanes(lanes, t));
+        let [d1, d2] = fused_d::<DEALER, 1>(lanes, t);
         let (d1, d2) = (signed::<SIGNED, 1>(signs, t, d1), signed::<SIGNED, 1>(signs, t, d2));
         (t1, t2) = (t1.wrapping_add(d1.0[0]), t2.wrapping_add(d2.0[0]));
     }
     (t1, t2)
 }
 
-/// [`mask_round`]'s body, compiled once per ISA tier.
-#[inline(always)]
-fn mask_body(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
-    let dealer = DealerLanes(&lanes.state);
-    match (lanes.server == Some(ServerId::S2), groups) {
-        (false, None) => mask_pass::<false, _>(lanes, dealer, out),
-        (true, None) => mask_pass::<true, _>(lanes, dealer, out),
-        (false, Some(g)) => mask_pass::<false, _>(lanes, ShareLanes(g), out),
-        (true, Some(g)) => mask_pass::<true, _>(lanes, ShareLanes(g), out),
-    }
-}
-
 /// [`combine_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
-fn combine_body(
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
+fn combine_body(lanes: &RoundLanes) -> u64 {
     match lanes.signs() {
-        None => combine_material::<false>(lanes, groups, &[], mine, theirs),
-        Some(signs) => combine_material::<true>(lanes, groups, signs, mine, theirs),
+        None => combine_material::<false>(lanes, &[]),
+        Some(signs) => combine_material::<true>(lanes, signs),
     }
 }
 
 /// [`combine_body`] for signed or unsigned rounds.
 #[inline(always)]
-fn combine_material<const SIGNED: bool>(
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    signs: &[u64],
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    let dealer = DealerLanes(&lanes.state);
-    match (lanes.server == Some(ServerId::S2), groups) {
-        (false, None) => combine_pass::<false, SIGNED, _>(dealer, signs, mine, theirs),
-        (true, None) => combine_pass::<true, SIGNED, _>(dealer, signs, mine, theirs),
-        (false, Some(g)) => combine_pass::<false, SIGNED, _>(ShareLanes(g), signs, mine, theirs),
-        (true, Some(g)) => combine_pass::<true, SIGNED, _>(ShareLanes(g), signs, mine, theirs),
+fn combine_material<const SIGNED: bool>(lanes: &RoundLanes, signs: &[u64]) -> u64 {
+    let (dealer, pre) = (DealerWords(&lanes.state), Preprocessed(&lanes.products[0]));
+    match (lanes.server == Some(ServerId::S2), lanes.preprocessed) {
+        (false, false) => combine_pass::<SIGNED, false, false, _>(lanes, signs, dealer),
+        (false, true) => combine_pass::<SIGNED, false, false, _>(lanes, signs, pre),
+        (true, false) => combine_pass::<SIGNED, true, false, _>(lanes, signs, dealer),
+        (true, true) => combine_pass::<SIGNED, false, true, _>(lanes, signs, pre),
     }
 }
 
 /// [`count_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
-fn count_body(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
-    let dealer = DealerLanes(&lanes.state);
-    match (lanes.signs(), groups) {
-        (None, None) => count_pass::<false, _>(lanes, &[], dealer),
-        (Some(signs), None) => count_pass::<true, _>(lanes, signs, dealer),
-        (None, Some(c)) => count_pass::<false, _>(lanes, &[], c.map(ShareLanes)),
-        (Some(signs), Some(c)) => count_pass::<true, _>(lanes, signs, c.map(ShareLanes)),
+fn count_body(lanes: &RoundLanes) -> (u64, u64) {
+    match (lanes.signs(), lanes.preprocessed) {
+        (None, false) => count_pass::<false, true>(lanes, &[]),
+        (Some(signs), false) => count_pass::<true, true>(lanes, signs),
+        (None, true) => count_pass::<false, false>(lanes, &[]),
+        (Some(signs), true) => count_pass::<true, false>(lanes, signs),
     }
 }
 
@@ -883,287 +1020,115 @@ fn count_body(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64
 /// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mask_avx512(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
-    mask_body(lanes, groups, out)
+unsafe fn combine_avx512(lanes: &RoundLanes) -> u64 {
+    combine_body(lanes)
 }
 
 /// # Safety
 /// The CPU must support `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mask_avx2(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
-    mask_body(lanes, groups, out)
+unsafe fn combine_avx2(lanes: &RoundLanes) -> u64 {
+    combine_body(lanes)
 }
 
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn combine_avx512(
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    combine_body(lanes, groups, mine, theirs)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn combine_avx2(
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    combine_body(lanes, groups, mine, theirs)
-}
-
-/// One server's step 1 over a whole round, in one pass over its
-/// [`RoundLanes`]: each lane's input shares of `(i, k)` and `(j, k)`
-/// (the PRF, minus S₂'s plaintext bits) and its maskings
-/// `⟨e⟩ = a − ⟨x⟩, ⟨f⟩ = b − ⟨y⟩, ⟨g⟩ = c − ⟨z⟩`, written into `out`
-/// as the round-wide slab `[e(L) | f(L) | g(L)]` — [`mul3_mask_batch`]'s
-/// layout over all `L` lanes, whatever segments they come from.
-///
-/// `groups` is the round's material: `None` draws this server's words
-/// from each lane's dealer counter inside the lane loop (the other
-/// server's column is never expanded); `Some` reads this server's
-/// preprocessed groups, one per lane in lane order. Bit-identical, lane
-/// for lane, to [`crate::share_prf`] and, per segment,
-/// `PairDealer::for_draw` + [`crate::PairDealer::fill_words`] +
-/// [`crate::split_mg_words`] + [`mul3_mask_batch`] on the server's
-/// column, at every [`SimdTier`] — which the per-party proptests pin.
+/// One server's step 3 over a whole round, in one pass over its
+/// [`RoundLanes`]: returns the wrapping sum `Σ sₜ·⟨d⟩ₜ` of this server's
+/// `⟨d⟩` shares under the lanes' signs ([`RoundLanes::set_signs`]; all
+/// `+` by default). The openings are the pair table's, so the round
+/// sends nothing. With dealer material S₁ mixes each lane's four words
+/// `o₁ p₁ q₁ w₁`, and S₂ mixes the same words: the dealer differences
+/// S₂'s product shares out of the full masks' products, so its own
+/// combination is `(x + e)(y + f)(z + g) − ⟨d⟩₁` ([`PairTable`]); with
+/// preprocessed material each server combines its own groups. On an
+/// all-`+` round, bit-identical to [`mul3_combine`] per triple over the
+/// groups [`crate::PairDealer::next_group_pair`] draws — which the
+/// per-party proptests pin at every [`SimdTier`].
 ///
 /// # Panics
-/// Panics if `out.len() ≠ 3·L` or `groups` does not hold `L` groups.
-pub fn mask_round(lanes: &RoundLanes, groups: Option<&[MulGroupShare]>, out: &mut [u64]) {
-    mask_round_tier(SimdTier::detect(), lanes, groups, out)
+/// Panics if `lanes` is a fused table, or a preprocessed table whose
+/// groups were not set for this round.
+pub fn combine_round(lanes: &RoundLanes) -> u64 {
+    combine_round_tier(SimdTier::detect(), lanes)
 }
 
-fn mask_round_tier(
-    tier: SimdTier,
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    out: &mut [u64],
-) {
-    let l = lanes.len();
-    assert!(lanes.server.is_some(), "mask_round takes one server's table");
-    assert_eq!(out.len(), 3 * l, "efg slab length");
-    assert!(groups.is_none_or(|g| g.len() == l), "one preprocessed group per lane");
-    assert!(
-        tier.supported(),
-        "SIMD tier {tier} not supported on this CPU"
-    );
-    match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { mask_avx512(lanes, groups, out) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { mask_avx2(lanes, groups, out) },
-        _ => mask_body(lanes, groups, out),
-    }
-}
-
-/// One server's steps 2–3 over the round [`mask_round`] masked from
-/// the same lanes and material: opens `mine + theirs` lane by lane and
-/// returns the wrapping sum `Σ sₜ·⟨d⟩ₜ` of this server's `⟨d⟩` shares
-/// under the lanes' signs ([`RoundLanes::set_signs`]; all `+` by
-/// default) — in dealer mode re-deriving the words it needs from each
-/// lane's counter (S₁ seven, S₂ all ten). On an all-`+` round,
-/// bit-identical to [`mul3_open_batch`] + [`mul3_combine_batch`] over
-/// the round's groups of this server's column.
-///
-/// # Panics
-/// Panics if `mine` or `theirs` is not `3·L` long, or `groups` does not
-/// hold `L` groups.
-pub fn combine_round(
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    combine_round_tier(SimdTier::detect(), lanes, groups, mine, theirs)
-}
-
-fn combine_round_tier(
-    tier: SimdTier,
-    lanes: &RoundLanes,
-    groups: Option<&[MulGroupShare]>,
-    mine: &[u64],
-    theirs: &[u64],
-) -> u64 {
-    let l = lanes.len();
+fn combine_round_tier(tier: SimdTier, lanes: &RoundLanes) -> u64 {
     assert!(lanes.server.is_some(), "combine_round takes one server's table");
-    assert!(
-        mine.len() == 3 * l && theirs.len() == 3 * l,
-        "opened efg slab lengths"
-    );
-    assert!(groups.is_none_or(|g| g.len() == l), "one preprocessed group per lane");
-    assert!(
-        tier.supported(),
-        "SIMD tier {tier} not supported on this CPU"
-    );
-    match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { combine_avx512(lanes, groups, mine, theirs) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { combine_avx2(lanes, groups, mine, theirs) },
-        _ => combine_body(lanes, groups, mine, theirs),
-    }
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn count_avx512(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
-    count_body(lanes, groups)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_avx2(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
-    count_body(lanes, groups)
-}
-
-/// Both servers' steps 1–3 over a whole round, in one pass over a fused
-/// [`RoundLanes`] table ([`RoundLanes::fused`]): returns the wrapping
-/// sums `(Σ sₜ·⟨d⟩₁, Σ sₜ·⟨d⟩₂)` of the round's triples under the lanes'
-/// signs ([`RoundLanes::set_signs`]; all `+` by default). Each lane opens
-/// `e = a − x, f = b − y, g = c − z` from its plaintext inputs directly
-/// — the two servers' input shares cancel in the openings, so the
-/// input-share PRF is never evaluated. In dealer mode it mixes each of
-/// its group's ten words once and takes S₂'s share as `abc − ⟨d⟩₁`,
-/// exact for the dealer's consistent groups (Theorem 1).
-///
-/// `groups` is the round's material: `None` draws each lane's group
-/// from its dealer counter; `Some([s1, s2])` reads both servers'
-/// preprocessed groups, one per lane in lane order. Bit-identical,
-/// share for share, to the two servers' [`mask_round`]s followed by
-/// their [`combine_round`]s over the same round and material, at every
-/// [`SimdTier`] — which the per-party proptests pin.
-///
-/// # Panics
-/// Panics if `lanes` is one server's table, or a column of `groups`
-/// does not hold `L` groups.
-pub fn count_round(lanes: &RoundLanes, groups: Option<[&[MulGroupShare]; 2]>) -> (u64, u64) {
-    count_round_tier(SimdTier::detect(), lanes, groups)
-}
-
-fn count_round_tier(
-    tier: SimdTier,
-    lanes: &RoundLanes,
-    groups: Option<[&[MulGroupShare]; 2]>,
-) -> (u64, u64) {
-    let l = lanes.len();
-    assert!(lanes.server.is_none(), "count_round takes a fused table");
-    assert!(
-        groups.is_none_or(|g| g.iter().all(|g| g.len() == l)),
-        "one preprocessed group per lane"
-    );
+    check_groups(lanes);
     assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
     match tier {
         // SAFETY: `supported()` just confirmed the CPU features the
         // callee is compiled for.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { count_avx512(lanes, groups) },
+        SimdTier::Avx512 => unsafe { combine_avx512(lanes) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { count_avx2(lanes, groups) },
-        _ => count_body(lanes, groups),
+        SimdTier::Avx2 => unsafe { combine_avx2(lanes) },
+        _ => combine_body(lanes),
     }
 }
 
-/// One server's batched step 1 (local maskings) over `L` triples:
-/// writes its `⟨e⟩, ⟨f⟩, ⟨g⟩` shares into `out` as three contiguous
-/// slabs `[e₀..e_{L−1} | f₀.. | g₀..]` — the flat layout the sharded
-/// runtime ships as one slab-opening message per round.
-///
-/// `a` is this server's share of the fixed first secret; `b`/`c` its
-/// per-triple shares of the second/third, as [`expand_input_shares`]
-/// writes them.
-///
-/// # Panics
-/// Panics if the slab lengths disagree (`out.len() ≠ 3·L`).
-pub fn mul3_mask_batch(a: u64, b: &[u64], c: &[u64], groups: &[MulGroupShare], out: &mut [u64]) {
-    let l = groups.len();
-    assert_eq!(b.len(), l, "b slab length");
-    assert_eq!(c.len(), l, "c slab length");
-    assert_eq!(out.len(), 3 * l, "efg slab length");
-    let (e_out, rest) = out.split_at_mut(l);
-    let (f_out, g_out) = rest.split_at_mut(l);
-    for lane in 0..l {
-        let mg = &groups[lane];
-        e_out[lane] = a.wrapping_sub(mg.x.0);
-        f_out[lane] = b[lane].wrapping_sub(mg.y.0);
-        g_out[lane] = c[lane].wrapping_sub(mg.z.0);
-    }
+/// Refuses a preprocessed round whose groups were not set.
+fn check_groups(lanes: &RoundLanes) {
+    assert!(!lanes.preprocessed || lanes.grouped, "one preprocessed group per lane");
 }
 
-/// Lane-wise reconstruction of a slab-opening round:
-/// `opened[i] = mine[i] + theirs[i]` (wrapping).
-///
-/// # Panics
-/// Panics if the three slabs differ in length.
-pub fn mul3_open_batch(mine: &[u64], theirs: &[u64], opened: &mut [u64]) {
-    assert_eq!(mine.len(), theirs.len(), "peer slab length");
-    assert_eq!(mine.len(), opened.len(), "output slab length");
-    for ((o, m), t) in opened.iter_mut().zip(mine).zip(theirs) {
-        *o = m.wrapping_add(*t);
-    }
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn count_avx512(lanes: &RoundLanes) -> (u64, u64) {
+    count_body(lanes)
 }
 
-/// One server's batched step 3 over an opened `[e|f|g]` slab: the sum
-/// of its `⟨d⟩` shares for the batch (only S₂ adds the `efg` terms).
-/// Lane-for-lane identical to [`mul3_combine`]; the slab layout
-/// matches [`mul3_mask_batch`].
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn count_avx2(lanes: &RoundLanes) -> (u64, u64) {
+    count_body(lanes)
+}
+
+/// Both servers' step 3 over a whole round, in one pass over a fused
+/// [`RoundLanes`] table (over a fused [`PairTable`]): returns the
+/// wrapping sums `(Σ sₜ·⟨d⟩₁, Σ sₜ·⟨d⟩₂)` of the round's triples under
+/// the lanes' signs ([`RoundLanes::set_signs`]; all `+` by default).
+/// With dealer material it mixes each lane's four words once and takes
+/// S₂'s share as `a·b·c − ⟨d⟩₁`, exact for the dealer's consistent
+/// groups (Theorem 1); with preprocessed material both servers combine
+/// their own groups. Bit-identical, share for share, to the two
+/// servers' [`combine_round`]s over the same round and material, at
+/// every [`SimdTier`] — which the per-party proptests pin.
 ///
 /// # Panics
-/// Panics if `opened.len() ≠ 3·groups.len()`.
-pub fn mul3_combine_batch(groups: &[MulGroupShare], opened: &[u64], server: ServerId) -> Ring64 {
-    let l = groups.len();
-    assert_eq!(opened.len(), 3 * l, "opened efg slab length");
-    let (e_s, rest) = opened.split_at(l);
-    let (f_s, g_s) = rest.split_at(l);
-    let mut acc = 0u64;
-    for lane in 0..l {
-        let mg = &groups[lane];
-        let (e, f, g) = (e_s[lane], f_s[lane], g_s[lane]);
-        let fg = f.wrapping_mul(g);
-        let eg = e.wrapping_mul(g);
-        let ef = e.wrapping_mul(f);
-        let mut u = mg
-            .w
-            .0
-            .wrapping_add(mg.o.0.wrapping_mul(g))
-            .wrapping_add(mg.p.0.wrapping_mul(f))
-            .wrapping_add(mg.q.0.wrapping_mul(e))
-            .wrapping_add(mg.x.0.wrapping_mul(fg))
-            .wrapping_add(mg.y.0.wrapping_mul(eg))
-            .wrapping_add(mg.z.0.wrapping_mul(ef));
-        if server == ServerId::S2 {
-            u = u.wrapping_add(ef.wrapping_mul(g));
-        }
-        acc = acc.wrapping_add(u);
+/// Panics if `lanes` is one server's table, or a preprocessed table
+/// whose groups were not set for this round.
+pub fn count_round(lanes: &RoundLanes) -> (u64, u64) {
+    count_round_tier(SimdTier::detect(), lanes)
+}
+
+fn count_round_tier(tier: SimdTier, lanes: &RoundLanes) -> (u64, u64) {
+    assert!(lanes.server.is_none(), "count_round takes a fused table");
+    check_groups(lanes);
+    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { count_avx512(lanes) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { count_avx2(lanes) },
+        _ => count_body(lanes),
     }
-    Ring64(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dealer::Dealer;
-    use crate::share::{reconstruct, share_with};
+    use crate::dealer::{split_mg_words, Dealer};
+    use crate::prg::SplitMix64;
+    use crate::share::{mask_prf, reconstruct, share_prf, share_with};
     use proptest::prelude::*;
 
     fn run(a: u64, b: u64, c: u64, seed: u64) -> (Ring64, NetStats) {
@@ -1226,144 +1191,24 @@ mod tests {
         }
     }
 
-    use crate::dealer::{split_mg_words, PairDealer};
-    use crate::prg::SplitMix64;
-    use crate::share::share_prf;
-
-    /// Scalar reference for the batch kernels: per triple, drive the
-    /// protocol objects ([`mul3`]) on arbitrary share splits of the
-    /// same secrets over the same dealer words.
-    fn scalar_reference(words: &[u64], a: u64, b: &[u64], c: &[u64]) -> (u64, u64) {
-        let mut rng = SplitMix64::new(0xA5A5);
-        let mut t1 = Ring64::ZERO;
-        let mut t2 = Ring64::ZERO;
-        for (lane, w) in words.chunks(MG_WORDS).enumerate() {
-            let mut split = |v: u64| {
-                let r = rng.next_u64();
-                (Ring64(r), Ring64(v.wrapping_sub(r)))
-            };
-            let mut net = NetStats::new();
-            let (d1, d2) = mul3(
-                split(a),
-                split(b[lane]),
-                split(c[lane]),
-                split_mg_words(w),
-                &mut net,
-            );
-            t1 += d1;
-            t2 += d2;
-        }
-        (t1.0, t2.0)
+    /// A round cut from random segments `(draw, offset, len)` — `k`-runs
+    /// of lengths around the lane width and a full round, some resuming
+    /// their draw — with a pair table laid out segment by segment: pair
+    /// `(i, j)`, then the run's `(i, k)`, then its `(j, k)`, each holding
+    /// an arbitrary ring value as its "bit".
+    struct Round {
+        seed: u64,
+        segs: Vec<(MgDraw, usize, usize)>,
+        keys: Vec<u64>,
+        bits: Vec<u64>,
+        /// Each segment's table slots of `(i, j)`, `(i, k₀)`, `(j, k₀)`.
+        slots: Vec<[usize; 3]>,
+        /// Each lane's sign mask.
+        negate: Vec<u64>,
     }
 
-    proptest! {
-        #[test]
-        fn batch_kernel_matches_protocol_objects(seed: u64, a: u64, len in 0usize..40) {
-            // Arbitrary batch length covers the ×8 lanes AND the
-            // scalar tail; secrets are arbitrary ring values, not just
-            // bits, so the kernel is pinned on the full domain.
-            let mut dealer = PairDealer::for_pair(seed, 1, 2);
-            let mut words = vec![0u64; MG_WORDS * len];
-            dealer.fill_words(&mut words);
-            let mut rng = SplitMix64::new(seed ^ 0xBEEF);
-            let b: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let (t1, t2) = mul3_batch(&words, a, &b, &c);
-            let (r1, r2) = scalar_reference(&words, a, &b, &c);
-            prop_assert_eq!(t1, r1);
-            prop_assert_eq!(t2, r2);
-            // And the reconstruction telescopes to Σ a·b·c.
-            let want: u64 = (0..len).fold(0u64, |acc, l| {
-                acc.wrapping_add(a.wrapping_mul(b[l]).wrapping_mul(c[l]))
-            });
-            prop_assert_eq!(t1.wrapping_add(t2), want);
-        }
-
-        #[test]
-        fn fused_stream_kernel_matches_fill_plus_batch(seed: u64, a: u64, len in 0usize..40) {
-            // The fused PRG+arithmetic kernel must consume and mix the
-            // stream exactly like fill_words + mul3_batch — including
-            // the state it leaves behind.
-            let mut rng = SplitMix64::new(seed ^ 0xCAFE);
-            let b: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let mut via_fill = PairDealer::for_pair(seed, 4, 9);
-            let mut words = vec![0u64; MG_WORDS * len];
-            via_fill.fill_words(&mut words);
-            let want = mul3_batch(&words, a, &b, &c);
-            let mut via_fused = PairDealer::for_pair(seed, 4, 9);
-            let got = via_fused.count_block(a, &b, &c);
-            prop_assert_eq!(got, want);
-            // Both streams advanced identically: next draws coincide.
-            prop_assert_eq!(via_fused.next_group_pair(), via_fill.next_group_pair());
-        }
-
-        #[test]
-        fn mask_open_combine_batch_matches_mul3(seed: u64, len in 1usize..24) {
-            // The per-server slab helpers, driven like the sharded
-            // runtime drives them, must reproduce mul3 exactly.
-            let mut dealer = PairDealer::for_pair(seed, 3, 4);
-            let mut rng = SplitMix64::new(seed ^ 0xD15C);
-            let mut g1s = Vec::new();
-            let mut g2s = Vec::new();
-            for _ in 0..len {
-                let (g1, g2) = dealer.next_group_pair();
-                g1s.push(g1);
-                g2s.push(g2);
-            }
-            let a = rng.next_u64();
-            let a1 = rng.next_u64();
-            let a2 = a.wrapping_sub(a1);
-            let secrets: Vec<(u64, u64)> = (0..len)
-                .map(|_| (rng.next_u64(), rng.next_u64()))
-                .collect();
-            let b1: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let c1: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let b2: Vec<u64> = (0..len).map(|l| secrets[l].0.wrapping_sub(b1[l])).collect();
-            let c2: Vec<u64> = (0..len).map(|l| secrets[l].1.wrapping_sub(c1[l])).collect();
-            let mut mine = vec![0u64; 3 * len];
-            let mut theirs = vec![0u64; 3 * len];
-            let mut opened = vec![0u64; 3 * len];
-            mul3_mask_batch(a1, &b1, &c1, &g1s, &mut mine);
-            mul3_mask_batch(a2, &b2, &c2, &g2s, &mut theirs);
-            mul3_open_batch(&mine, &theirs, &mut opened);
-            let t1 = mul3_combine_batch(&g1s, &opened, ServerId::S1);
-            let t2 = mul3_combine_batch(&g2s, &opened, ServerId::S2);
-            // Reference: one mul3 protocol object per triple.
-            let mut r1 = Ring64::ZERO;
-            let mut r2 = Ring64::ZERO;
-            let mut net = NetStats::new();
-            for l in 0..len {
-                let (d1, d2) = mul3(
-                    (Ring64(a1), Ring64(a2)),
-                    (Ring64(b1[l]), Ring64(b2[l])),
-                    (Ring64(c1[l]), Ring64(c2[l])),
-                    (g1s[l], g2s[l]),
-                    &mut net,
-                );
-                r1 += d1;
-                r2 += d2;
-            }
-            prop_assert_eq!(t1, r1);
-            prop_assert_eq!(t2, r2);
-        }
-
-        #[test]
-        fn per_party_kernels_match_split_words_at_every_tier(
-            seed: u64,
-            mix: u64,
-            runs in 1usize..8,
-        ) {
-            // One server's round-wide mask and combine over lanes cut
-            // from a random mix of segments — k-runs of lengths around
-            // the lane width and a full round, some resuming their draw
-            // (offset > 0) — against the protocol-object path, segment by
-            // segment: the draw's stream sought to the segment, AoS words,
-            // split_mg_words, the per-server slab helpers. Per server, per
-            // tier, from the dealer counters and from the same groups
-            // preprocessed; and both servers' fused pass over the same
-            // round, which must equal the two combines share for share.
-            let servers = [ServerId::S1, ServerId::S2];
+    impl Round {
+        fn new(seed: u64, mix: u64, runs: usize) -> Self {
             let mut rng = SplitMix64::new(mix);
             let mut below = |bound: u64| rng.next_u64() % bound;
             let lens = [1usize, 3, 7, 8, 9, 64, 1024];
@@ -1377,124 +1222,282 @@ mod tests {
                     (MgDraw { i, j, start: below(1 << 10) as u32, groups }, offset, len)
                 })
                 .collect();
+            let (mut keys, mut slots) = (Vec::new(), Vec::new());
+            for &(draw, offset, len) in &segs {
+                let k0 = draw.k_at(offset) as u32;
+                let at = keys.len();
+                slots.push([at, at + 1, at + 1 + len]);
+                keys.push(pair_key(draw.i, draw.j));
+                keys.extend((0..len as u32).map(|t| pair_key(draw.i, k0 + t)));
+                keys.extend((0..len as u32).map(|t| pair_key(draw.j, k0 + t)));
+            }
+            let mut values = SplitMix64::new(seed ^ mix);
+            let bits = keys.iter().map(|_| values.next_u64()).collect();
             let total: usize = segs.iter().map(|seg| seg.2).sum();
-            let mut secrets = SplitMix64::new(seed ^ mix);
-            let a: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
-            let a1: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
-            let a2 = a.iter().zip(&a1).map(|(a, a1)| a.wrapping_sub(*a1)).collect();
-            let a_share = [a1, a2];
-            let b: Vec<u64> = (0..total).map(|_| secrets.next_u64()).collect();
-            let c: Vec<u64> = (0..total).map(|_| secrets.next_u64()).collect();
-            let input = |server: ServerId, row: u32, k: u32, v: &[u64]| -> Vec<u64> {
-                v.iter()
-                    .enumerate()
-                    .map(|(t, &bit)| {
-                        let s1 = share_prf(seed, row, k + t as u32);
-                        if server == ServerId::S1 { s1 } else { bit.wrapping_sub(s1) }
-                    })
-                    .collect()
-            };
-            let mut want_efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
+            let negate = (0..total).map(|_| 0u64.wrapping_sub(values.next_u64() & 1)).collect();
+            Round { seed, segs, keys, bits, slots, negate }
+        }
+
+        /// Each server's groups of the round's lanes, in lane order,
+        /// from the protocol objects; and `Σ sₜ·⟨d⟩ₜ` per server by
+        /// `mul3_combine` per triple, under `signs` (or all `+`).
+        fn reference(&self, signs: bool) -> ([Vec<MulGroupShare>; 2], (u64, u64)) {
             let mut columns: [Vec<MulGroupShare>; 2] = [Vec::new(), Vec::new()];
-            let mut fused = [0u64; 2];
-            let mut lane = 0usize;
-            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
-                let k = draw.k_at(offset) as u32;
-                let mut dealer = PairDealer::for_draw(seed, &draw);
+            let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
+            let lambda = |key: usize, s| {
+                let (i, j) = unkey(&self.segs, &self.slots, key);
+                mask_prf(self.seed, s, i, j)
+            };
+            let open = |slot: usize| {
+                let l = lambda(slot, ServerId::S1).wrapping_add(lambda(slot, ServerId::S2));
+                Ring64(self.bits[slot].wrapping_sub(l))
+            };
+            let mut lane = 0;
+            for (&(draw, offset, len), &[ij, ik, jk]) in self.segs.iter().zip(&self.slots) {
+                let mut dealer = PairDealer::for_draw(self.seed, &draw);
                 dealer.skip_groups(offset);
-                let (bv, cv) = (&b[lane..lane + len], &c[lane..lane + len]);
-                let both = dealer.clone().count_block(a[n], bv, cv);
-                fused = [fused[0].wrapping_add(both.0), fused[1].wrapping_add(both.1)];
-                let mut words = vec![0u64; MG_WORDS * len];
-                dealer.fill_words(&mut words);
-                // The count_block shim is fill_words + mul3_batch.
-                prop_assert_eq!(both, mul3_batch(&words, a[n], bv, cv));
-                let groups: Vec<_> = words.chunks_exact(MG_WORDS).map(split_mg_words).collect();
-                for (s, &server) in servers.iter().enumerate() {
-                    let column: Vec<_> =
-                        groups.iter().map(|g| if s == 0 { g.0 } else { g.1 }).collect();
-                    let mut seg_efg = vec![0u64; 3 * len];
-                    mul3_mask_batch(
-                        a_share[s][n],
-                        &input(server, draw.i, k, bv),
-                        &input(server, draw.j, k, cv),
-                        &column,
-                        &mut seg_efg,
+                for t in 0..len {
+                    let (g1, g2) = dealer.next_group_pair();
+                    let opening = Mul3Opening { e: open(ij), f: open(ik + t), g: open(jk + t) };
+                    let efg = opening.e * opening.f * opening.g;
+                    let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
+                    let (u1, u2) = (
+                        mul3_combine(zero, &g1, opening, Ring64::ZERO),
+                        mul3_combine(zero, &g2, opening, efg),
                     );
-                    // The segment's [e|f|g] lands in the round-wide slab.
-                    for (part, words) in seg_efg.chunks_exact(len).enumerate() {
-                        want_efg[s][part * total + lane..][..len].copy_from_slice(words);
-                    }
-                    columns[s].extend(column);
+                    let minus = signs && self.negate[lane] != 0;
+                    d1 += if minus { -u1 } else { u1 };
+                    d2 += if minus { -u2 } else { u2 };
+                    columns[0].push(g1);
+                    columns[1].push(g2);
+                    lane += 1;
                 }
-                lane += len;
             }
-            let mut opened = vec![0u64; 3 * total];
-            mul3_open_batch(&want_efg[0], &want_efg[1], &mut opened);
-            let want_d = [
-                mul3_combine_batch(&columns[0], &opened, ServerId::S1).0,
-                mul3_combine_batch(&columns[1], &opened, ServerId::S2).0,
-            ];
-            // S₁ + S₂, share for share, is the in-process kernel.
-            prop_assert_eq!(want_d, fused);
-            // The fused table: plaintext a_ij, both rows' bits.
-            let mut both = RoundLanes::fused(seed);
-            let mut lane = 0usize;
-            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
-                if let Some([bits_b, bits_c]) = both.push_run(&draw, offset, len, a[n]) {
-                    bits_b.copy_from_slice(&b[lane..lane + len]);
-                    bits_c.copy_from_slice(&c[lane..lane + len]);
+            (columns, (d1.0, d2.0))
+        }
+
+        /// `table`'s owner's lane table of the whole round, after the
+        /// pair phase: each server's maskings summed (a fused table's
+        /// opened directly) and pushed at `tier`.
+        fn lanes(&self, tier: SimdTier, table: &mut PairTable) -> RoundLanes {
+            let opened = match table.server {
+                None => {
+                    let mut e = vec![0; self.keys.len()];
+                    mask_round_tier(tier, table, &self.keys, &self.bits, &mut e);
+                    e
                 }
-                lane += len;
+                Some(_) => {
+                    let slabs = [ServerId::S1, ServerId::S2].map(|s| {
+                        let mut slab = vec![0; self.keys.len()];
+                        let peer = PairTable::new(self.seed, Some(s), false);
+                        mask_round_tier(tier, &peer, &self.keys, &self.bits, &mut slab);
+                        slab
+                    });
+                    slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect()
+                }
+            };
+            table.push(&opened);
+            let mut lanes = RoundLanes::new(table, 0);
+            for (&(draw, offset, len), &slots) in self.segs.iter().zip(&self.slots) {
+                if let Some([a, b, c]) = lanes.push_run(table, &draw, offset, len, slots) {
+                    let [ij, ik, jk] = slots;
+                    a.fill(self.bits[ij]);
+                    b.copy_from_slice(&self.bits[ik..ik + len]);
+                    c.copy_from_slice(&self.bits[jk..jk + len]);
+                }
             }
-            prop_assert_eq!(both.len(), total);
+            lanes
+        }
+    }
+
+    #[test]
+    fn both_wire_servers_combine_against_the_openings() {
+        // An opening both servers receive wrong moves the wire Count:
+        // S₂ combines its own shares against the openings, as S₁ does,
+        // rather than taking a·b·c − ⟨d⟩₁ (which only a fused table does).
+        let round = Round::new(3, 5, 2);
+        let (_, (d1, d2)) = round.reference(false);
+        let tier = SimdTier::detect();
+        let shares = [ServerId::S1, ServerId::S2].map(|s| {
+            let mut right = PairTable::new(3, Some(s), false);
+            round.lanes(tier, &mut right);
+            let mut e = right.e.clone();
+            let ij = round.slots[0][0];
+            e[ij] = e[ij].wrapping_add(1);
+            let mut table = PairTable::new(3, Some(s), false);
+            table.push(&e);
+            let mut lanes = RoundLanes::new(&table, 0);
+            for (&(draw, offset, len), &slots) in round.segs.iter().zip(&round.slots) {
+                assert!(lanes.push_run(&table, &draw, offset, len, slots).is_none());
+            }
+            combine_round_tier(tier, &lanes)
+        });
+        assert_ne!(shares[0].wrapping_add(shares[1]), d1.wrapping_add(d2));
+    }
+
+    /// The pair at table slot `slot` of a [`Round`]'s layout.
+    fn unkey(segs: &[(MgDraw, usize, usize)], slots: &[[usize; 3]], slot: usize) -> (u32, u32) {
+        for (&(draw, offset, len), &[ij, ik, jk]) in segs.iter().zip(slots) {
+            let k0 = draw.k_at(offset) as u32;
+            if slot == ij {
+                return (draw.i, draw.j);
+            } else if (ik..ik + len).contains(&slot) {
+                return (draw.i, k0 + (slot - ik) as u32);
+            } else if (jk..jk + len).contains(&slot) {
+                return (draw.j, k0 + (slot - jk) as u32);
+            }
+        }
+        unreachable!("slot {slot} is in no segment")
+    }
+
+    proptest! {
+        #[test]
+        fn batch_kernel_matches_protocol_objects(seed: u64, mix: u64, runs in 1usize..6) {
+            // The fused round kernel, over a dealer table and over the
+            // same groups preprocessed, against one mul3_combine per
+            // triple on the groups the pair streams draw — over arbitrary
+            // ring values, not just bits, so the kernel is pinned on the
+            // full domain; and the shares sum to Σ a·b·c.
+            let round = Round::new(seed, mix, runs);
+            let (columns, want) = round.reference(false);
             for tier in SimdTier::available() {
-                let mut tables = Vec::new();
-                for (s, &server) in servers.iter().enumerate() {
-                    let mut lanes = RoundLanes::new(seed, server);
-                    let mut lane = 0usize;
-                    for (n, &(draw, offset, len)) in segs.iter().enumerate() {
-                        // count_local's row-wise input shares agree too.
-                        let k = draw.k_at(offset) as u32;
-                        let (bv, cv) = (&b[lane..lane + len], &c[lane..lane + len]);
-                        for (row, v) in [(draw.i, bv), (draw.j, cv)] {
-                            let mut shares = v.to_vec();
-                            expand_input_shares_tier(tier, seed, server, row, k, &mut shares);
-                            let want = input(server, row, k, v);
-                            prop_assert!(shares == want, "{tier} {server:?}: shares");
-                        }
-                        let a = a_share[s][n];
-                        if let Some([bits_b, bits_c]) = lanes.push_run(&draw, offset, len, a) {
-                            bits_b.copy_from_slice(&b[lane..lane + len]);
-                            bits_c.copy_from_slice(&c[lane..lane + len]);
-                        }
-                        lane += len;
+                let lanes = round.lanes(tier, &mut PairTable::new(seed, None, false));
+                prop_assert!(count_round_tier(tier, &lanes) == want, "{} dealer", tier);
+                let mut lanes = round.lanes(tier, &mut PairTable::new(seed, None, true));
+                lanes.set_groups(&[&columns[0], &columns[1]]);
+                prop_assert!(count_round_tier(tier, &lanes) == want, "{} preprocessed", tier);
+            }
+            let mut abc = 0u64;
+            for (&(_, _, len), &[ij, ik, jk]) in round.segs.iter().zip(&round.slots) {
+                for t in 0..len {
+                    let product = round.bits[ij].wrapping_mul(round.bits[ik + t]);
+                    abc = abc.wrapping_add(product.wrapping_mul(round.bits[jk + t]));
+                }
+            }
+            prop_assert_eq!(want.0.wrapping_add(want.1), abc);
+        }
+
+        #[test]
+        fn count_block_matches_the_protocol_objects(seed: u64, a: u64, len in 0usize..40) {
+            // The benchmark's fused-stream shim evaluates the stream's
+            // next groups' triples (0, 1, k) and advances it past them.
+            let mut rng = SplitMix64::new(seed ^ 0xCAFE);
+            let b: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let mut fused = PairDealer::for_pair(seed, 4, 9);
+            fused.skip_groups(3);
+            let got = fused.count_block(a, &b, &c);
+            let mut objects = PairDealer::for_pair(seed, 4, 9);
+            objects.skip_groups(3);
+            let lambda = |i, k| {
+                mask_prf(seed, ServerId::S1, i, k).wrapping_add(mask_prf(seed, ServerId::S2, i, k))
+            };
+            let mut want = (Ring64::ZERO, Ring64::ZERO);
+            for t in 0..len {
+                let k = 13 + t as u32;
+                let (g1, g2) = objects.next_group_pair();
+                let opening = Mul3Opening {
+                    e: Ring64(a.wrapping_sub(lambda(4, 9))),
+                    f: Ring64(b[t].wrapping_sub(lambda(4, k))),
+                    g: Ring64(c[t].wrapping_sub(lambda(9, k))),
+                };
+                let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
+                want.0 += mul3_combine(zero, &g1, opening, Ring64::ZERO);
+                want.1 += mul3_combine(zero, &g2, opening, opening.e * opening.f * opening.g);
+            }
+            prop_assert_eq!(got, (want.0 .0, want.1 .0));
+            prop_assert_eq!(fused.next_group_pair(), objects.next_group_pair());
+        }
+
+        #[test]
+        fn mask_open_combine_batch_matches_mul3(seed: u64, len in 1usize..24) {
+            // The wire parties' steps, driven like the runtime drives
+            // them — each server masks every pair once, the slabs are
+            // summed, each combines — against mul3 on the protocol
+            // objects per triple: input shares from share_prf, groups
+            // from the pair stream.
+            let draw = MgDraw::dense(2, 5, len as u32);
+            let mut pairs = vec![(2, 5)];
+            pairs.extend((0..len as u32).map(|t| (2, 6 + t)));
+            pairs.extend((0..len as u32).map(|t| (5, 6 + t)));
+            let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
+            let mut rng = SplitMix64::new(seed ^ 0xD15C);
+            let bits: Vec<u64> = pairs.iter().map(|_| rng.next_u64() & 1).collect();
+            let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, Some(s), false));
+            let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
+            for (table, slab) in tables.iter().zip(&mut slabs) {
+                mask_round(table, &keys, &bits, slab);
+            }
+            let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+            let d: Vec<u64> = tables
+                .iter_mut()
+                .map(|table| {
+                    table.push(&opened);
+                    let mut lanes = RoundLanes::new(table, len);
+                    if let Some([a, b, c]) = lanes.push_run(table, &draw, 0, len, [0, 1, 1 + len]) {
+                        a.fill(bits[0]);
+                        b.copy_from_slice(&bits[1..1 + len]);
+                        c.copy_from_slice(&bits[1 + len..]);
                     }
-                    prop_assert_eq!(lanes.len(), total);
-                    tables.push(lanes);
+                    combine_round(&lanes)
+                })
+                .collect();
+            let share = |slot: usize| {
+                let (i, j) = pairs[slot];
+                let s1 = share_prf(seed, i, j);
+                (Ring64(s1), Ring64(bits[slot].wrapping_sub(s1)))
+            };
+            let mut dealer = PairDealer::for_pair(seed, 2, 5);
+            let (mut r1, mut r2) = (Ring64::ZERO, Ring64::ZERO);
+            let mut net = NetStats::new();
+            for t in 0..len {
+                let mg = dealer.next_group_pair();
+                let (u1, u2) = mul3(share(0), share(1 + t), share(1 + len + t), mg, &mut net);
+                r1 += u1;
+                r2 += u2;
+            }
+            prop_assert_eq!((d[0], d[1]), (r1.0, r2.0));
+        }
+
+        #[test]
+        fn per_party_kernels_match_split_words_at_every_tier(seed: u64, mix: u64, runs in 1usize..8) {
+            // One server's pair masking and round-wide combine, from the
+            // dealer counters and from the same groups preprocessed, per
+            // tier, against the reference groups split_mg_words builds
+            // from the pairs' mask shares and the stream words; and the
+            // two combines equal the fused pass share for share. The
+            // maskings are each server's PRFs, and their sum the
+            // openings the fused table computes directly.
+            let round = Round::new(seed, mix, runs);
+            let (columns, want) = round.reference(false);
+            let mut words = vec![0; GROUP_WORDS];
+            let (draw, offset, _) = round.segs[0];
+            let mut dealer = PairDealer::for_draw(seed, &draw);
+            dealer.skip_groups(offset);
+            dealer.fill_words(&mut words);
+            let k = draw.k_at(offset) as u32;
+            let masks = [(draw.i, draw.j), (draw.i, k), (draw.j, k)]
+                .map(|(u, v)| [ServerId::S1, ServerId::S2].map(|s| mask_prf(seed, s, u, v)));
+            prop_assert_eq!(split_mg_words(masks, &words), (columns[0][0], columns[1][0]));
+            for tier in SimdTier::available() {
+                for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
+                    let at = format!("{tier} {server:?}");
+                    let table = PairTable::new(seed, Some(server), false);
+                    let mut slab = vec![0; round.keys.len()];
+                    mask_round_tier(tier, &table, &round.keys, &round.bits, &mut slab);
+                    for (slot, &got) in slab.iter().enumerate() {
+                        let (i, j) = unkey(&round.segs, &round.slots, slot);
+                        let input = share_prf(seed, i, j);
+                        let input = if s == 0 { input } else { round.bits[slot].wrapping_sub(input) };
+                        prop_assert!(got == input.wrapping_sub(mask_prf(seed, server, i, j)), "{at}: mask");
+                    }
+                    let want_s = [want.0, want.1][s];
+                    let lanes = round.lanes(tier, &mut PairTable::new(seed, Some(server), false));
+                    prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: dealer combine");
+                    let mut lanes = round.lanes(tier, &mut PairTable::new(seed, Some(server), true));
+                    lanes.set_groups(&[&columns[s]]);
+                    prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: preprocessed combine");
                 }
-                let mut efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
-                for (s, &server) in servers.iter().enumerate() {
-                    let at = format!("{tier} {server:?} lanes {total}");
-                    mask_round_tier(tier, &tables[s], None, &mut efg[s]);
-                    prop_assert!(efg[s] == want_efg[s], "{at}: dealer mask");
-                    let mut pre = vec![0u64; 3 * total];
-                    mask_round_tier(tier, &tables[s], Some(&columns[s]), &mut pre);
-                    prop_assert!(pre == want_efg[s], "{at}: preprocessed mask");
-                }
-                for (s, &server) in servers.iter().enumerate() {
-                    let at = format!("{tier} {server:?} lanes {total}");
-                    let (mine, theirs) = (&efg[s], &efg[1 - s]);
-                    let d = combine_round_tier(tier, &tables[s], None, mine, theirs);
-                    prop_assert!(d == want_d[s], "{at}: dealer combine");
-                    let d = combine_round_tier(tier, &tables[s], Some(&columns[s]), mine, theirs);
-                    prop_assert!(d == want_d[s], "{at}: preprocessed combine");
-                }
-                let at = format!("{tier} fused lanes {total}");
-                let d = count_round_tier(tier, &both, None);
-                prop_assert!(d == (want_d[0], want_d[1]), "{at}: dealer count");
-                let d = count_round_tier(tier, &both, Some([&columns[0], &columns[1]]));
-                prop_assert!(d == (want_d[0], want_d[1]), "{at}: preprocessed count");
             }
         }
 
@@ -1506,112 +1509,38 @@ mod tests {
         ) {
             // A round whose lanes carry random public signs: at every
             // tier, both servers' combines and the fused count return
-            // Σ sₜ·⟨d⟩ₜ of the protocol objects' per-triple shares (one
-            // mul3 per lane, the group at the lane's stream position),
-            // from dealer counters and from the same groups
-            // preprocessed; and all-`+` signs change no bit of the
-            // unsigned round.
-            let servers = [ServerId::S1, ServerId::S2];
-            let mut rng = SplitMix64::new(mix);
-            let mut below = |bound: u64| rng.next_u64() % bound;
-            let lens = [1usize, 3, 7, 8, 9, 64, 1024];
-            let segs: Vec<(MgDraw, usize, usize)> = (0..runs)
-                .map(|_| {
-                    let len = lens[below(lens.len() as u64) as usize];
-                    let offset = below(3) as usize;
-                    let i = below(1 << 20) as u32;
-                    let j = i + 1 + below(1 << 20) as u32;
-                    let groups = (offset + len) as u32;
-                    (MgDraw { i, j, start: below(1 << 10) as u32, groups }, offset, len)
-                })
-                .collect();
-            let total: usize = segs.iter().map(|seg| seg.2).sum();
-            let negate: Vec<u64> = (0..total).map(|_| 0u64.wrapping_sub(below(2))).collect();
-            let mut secrets = SplitMix64::new(seed ^ mix);
-            let a: Vec<u64> = segs.iter().map(|_| secrets.next_u64() & 1).collect();
-            let a1: Vec<u64> = segs.iter().map(|_| secrets.next_u64()).collect();
-            let bc: Vec<[u64; 2]> =
-                (0..total).map(|_| [secrets.next_u64() & 1, secrets.next_u64() & 1]).collect();
-            // The scalar reference, lane by lane.
-            let share = |row: u32, k: u32, bit: u64| {
-                let s1 = share_prf(seed, row, k);
-                (Ring64(s1), Ring64(bit.wrapping_sub(s1)))
-            };
-            let mut columns: [Vec<MulGroupShare>; 2] = [Vec::new(), Vec::new()];
-            let (mut want, mut unsigned) = ([Ring64::ZERO; 2], [Ring64::ZERO; 2]);
-            let mut lane = 0usize;
-            for (n, &(draw, offset, len)) in segs.iter().enumerate() {
-                let mut dealer = PairDealer::for_draw(seed, &draw);
-                dealer.skip_groups(offset);
-                for t in 0..len {
-                    let k = draw.k_at(offset + t) as u32;
-                    let mg = dealer.next_group_pair();
-                    columns[0].push(mg.0);
-                    columns[1].push(mg.1);
-                    let a_ij = (Ring64(a1[n]), Ring64(a[n].wrapping_sub(a1[n])));
-                    let [b, c] = bc[lane + t];
-                    let (b, c) = (share(draw.i, k, b), share(draw.j, k, c));
-                    let d = mul3(a_ij, b, c, mg, &mut NetStats::new());
-                    for (s, d) in [d.0, d.1].into_iter().enumerate() {
-                        unsigned[s] += d;
-                        want[s] += if negate[lane + t] == 0 { d } else { -d };
-                    }
-                }
-                lane += len;
-            }
-            let want = (want[0].0, want[1].0);
-            let unsigned = (unsigned[0].0, unsigned[1].0);
-            // The tables: each server's, and the fused one.
-            let table = |server: Option<ServerId>| {
-                let mut lanes = match server {
-                    Some(server) => RoundLanes::new(seed, server),
-                    None => RoundLanes::fused(seed),
-                };
-                let mut lane = 0usize;
-                for (n, &(draw, offset, len)) in segs.iter().enumerate() {
-                    let a = match server {
-                        Some(ServerId::S1) => a1[n],
-                        Some(ServerId::S2) => a[n].wrapping_sub(a1[n]),
-                        None => a[n],
-                    };
-                    if let Some([b, c]) = lanes.push_run(&draw, offset, len, a) {
-                        for (t, [bit_b, bit_c]) in bc[lane..lane + len].iter().enumerate() {
-                            (b[t], c[t]) = (*bit_b, *bit_c);
-                        }
-                    }
-                    lane += len;
-                }
-                lanes
-            };
-            let plus = vec![0u64; total];
+            // Σ sₜ·⟨d⟩ₜ of the protocol objects' per-triple shares, from
+            // dealer counters and from the same groups preprocessed;
+            // all-`+` signs change no bit of the unsigned round.
+            let round = Round::new(seed, mix, runs);
+            let (columns, want) = round.reference(true);
+            let (_, unsigned) = round.reference(false);
+            let plus = vec![0u64; round.negate.len()];
             for tier in SimdTier::available() {
-                for (signs, want, what) in [(&negate, want, "signed"), (&plus, unsigned, "all +")] {
-                    let at = format!("{tier} {what} lanes {total}");
-                    let mut tables = servers.map(|server| table(Some(server)));
-                    let mut efg = [vec![0u64; 3 * total], vec![0u64; 3 * total]];
-                    for s in 0..2 {
-                        mask_round_tier(tier, &tables[s], None, &mut efg[s]);
-                        tables[s].set_signs(signs);
-                    }
-                    for material in [None, Some(&columns)] {
-                        let d: Vec<u64> = (0..2)
-                            .map(|s| {
-                                let groups = material.map(|c| c[s].as_slice());
-                                combine_round_tier(tier, &tables[s], groups, &efg[s], &efg[1 - s])
-                            })
-                            .collect();
-                        let preprocessed = material.is_some();
+                for (signs, want, what) in [(&round.negate, want, "signed"), (&plus, unsigned, "all +")] {
+                    let at = format!("{tier} {what}");
+                    for preprocessed in [false, true] {
+                        let mut d = [0u64; 2];
+                        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
+                            let mut table = PairTable::new(seed, Some(server), preprocessed);
+                            let mut lanes = round.lanes(tier, &mut table);
+                            if preprocessed {
+                                lanes.set_groups(&[&columns[s]]);
+                            }
+                            lanes.set_signs(signs);
+                            d[s] = combine_round_tier(tier, &lanes);
+                        }
                         prop_assert!((d[0], d[1]) == want, "{at}: combine, {preprocessed}");
+                        let mut lanes = round.lanes(tier, &mut PairTable::new(seed, None, preprocessed));
+                        if preprocessed {
+                            lanes.set_groups(&[&columns[0], &columns[1]]);
+                        }
+                        lanes.set_signs(signs);
+                        prop_assert!(count_round_tier(tier, &lanes) == want, "{at}: count, {preprocessed}");
+                        // A cleared table forgets its signs and groups.
+                        lanes.clear();
+                        prop_assert!(lanes.signs().is_none() && !lanes.grouped, "{at}: clear");
                     }
-                    let mut fused = table(None);
-                    fused.set_signs(signs);
-                    let d = count_round_tier(tier, &fused, None);
-                    prop_assert!(d == want, "{at}: dealer count");
-                    let d = count_round_tier(tier, &fused, Some([&columns[0], &columns[1]]));
-                    prop_assert!(d == want, "{at}: preprocessed count");
-                    // A cleared table forgets its signs.
-                    fused.clear();
-                    prop_assert!(fused.signs().is_none(), "{at}: clear resets the signs");
                 }
             }
         }

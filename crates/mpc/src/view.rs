@@ -11,7 +11,11 @@
 //! captures exactly the messages S₁ receives during a three-value
 //! multiplication, [`simulate_mul3_view`] emits the simulator's version,
 //! and the tests compare the two distributions with a chi-square
-//! statistic over value buckets. It is not a proof (the code cannot
+//! statistic over value buckets. A Count keys its masks by pair, so its
+//! online view is one opening per pair, not three per triple:
+//! [`record_pair_view`] is what S₁ receives over a Count's pair rounds
+//! and [`simulate_pair_view`] its simulator — one uniform word per
+//! pair, however many triples read the pair. It is not a proof (the code cannot
 //! prove indistinguishability) but it pins the implementation to the
 //! structure the proof relies on: received messages carry no input
 //! dependence.
@@ -19,6 +23,8 @@
 use crate::dealer::Dealer;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
+use crate::triple_mul::{mask_round, pair_key, PairTable};
+use crate::ServerId;
 
 /// The messages server S₁ receives while multiplying three shared
 /// secrets: its MG share arrival is offline; online it receives S₂'s
@@ -55,6 +61,24 @@ pub fn simulate_mul3_view(rng: &mut SplitMix64) -> Mul3View {
         f2: rng.next_ring(),
         g2: rng.next_ring(),
     }
+}
+
+/// What server S₁ receives over a Count's pair rounds under the Count
+/// seed `seed`: S₂'s masking `⟨e⟩₂ = ⟨a⟩₂ − λ⁽²⁾` of every pair, one
+/// word per pair, computed by the Count's own [`mask_round`]. `pairs`
+/// lists the pair set with each pair's adjacency bit.
+pub fn record_pair_view(seed: u64, pairs: &[((u32, u32), u64)]) -> Vec<Ring64> {
+    let keys: Vec<u64> = pairs.iter().map(|&((i, j), _)| pair_key(i, j)).collect();
+    let bits: Vec<u64> = pairs.iter().map(|&(_, bit)| bit).collect();
+    let mut words = vec![0; pairs.len()];
+    mask_round(&PairTable::new(seed, Some(ServerId::S2), false), &keys, &bits, &mut words);
+    words.into_iter().map(Ring64).collect()
+}
+
+/// The pair-phase simulator: knows only the number of pairs (public —
+/// the plan is), outputs one fresh uniform ring element per pair.
+pub fn simulate_pair_view(pairs: usize, rng: &mut SplitMix64) -> Vec<Ring64> {
+    (0..pairs).map(|_| rng.next_ring()).collect()
 }
 
 /// Chi-square statistic comparing two samples of `u64` values bucketed
@@ -134,6 +158,44 @@ mod tests {
             stat < dof as f64 + 60.0,
             "view distribution leaked the inputs: chi-square {stat}"
         );
+    }
+
+    /// The pairs of a 90-vertex cube, each with the bit `bit(i, j)`.
+    fn cube_pairs(bit: impl Fn(u32, u32) -> u64) -> Vec<((u32, u32), u64)> {
+        (0..90u32).flat_map(|i| (i + 1..90).map(move |j| (i, j))).map(|(i, j)| ((i, j), bit(i, j))).collect()
+    }
+
+    fn words(view: Vec<Ring64>) -> Vec<u64> {
+        view.into_iter().map(Ring64::to_u64).collect()
+    }
+
+    #[test]
+    fn a_count_s_pair_view_is_one_uniform_word_per_pair() {
+        // 4 005 pairs, every bit 1: the words S₁ receives against the
+        // simulator's, which knows nothing but the pair count.
+        let pairs = cube_pairs(|_, _| 1);
+        let real = words(record_pair_view(0xFEED, &pairs));
+        assert_eq!(real.len(), pairs.len(), "one opening per pair");
+        let sim = words(simulate_pair_view(pairs.len(), &mut SplitMix64::new(0xBEEF)));
+        let (stat, dof) = chi_square_top_bits(&real, &sim, 6);
+        assert!(stat < dof as f64 + 60.0, "chi-square {stat} too large for dof {dof}");
+    }
+
+    #[test]
+    fn pair_views_do_not_depend_on_the_bits() {
+        // An empty graph and a complete one, under the same seed: the
+        // same distribution of received words.
+        let zeros = words(record_pair_view(0xFEED, &cube_pairs(|_, _| 0)));
+        let ones = words(record_pair_view(0xFEED, &cube_pairs(|_, _| 1)));
+        let (stat, dof) = chi_square_top_bits(&zeros, &ones, 6);
+        assert!(stat < dof as f64 + 60.0, "pair view leaked the bits: chi-square {stat}");
+        // And a pair's word moves with its bit by exactly that bit: the
+        // mask, not the input, is what the peer sees.
+        let mixed = words(record_pair_view(0xFEED, &cube_pairs(|i, j| u64::from((i + j) % 3 == 0))));
+        for (t, ((i, j), _)) in cube_pairs(|_, _| 0).into_iter().enumerate() {
+            let bit = u64::from((i + j) % 3 == 0);
+            assert_eq!(mixed[t], zeros[t].wrapping_add(bit), "pair ({i}, {j})");
+        }
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! ```text
 //! offset size field
 //! 0      1    version        (= WIRE_VERSION)
-//! 1      1    msg_type       (OpeningMsg = 1, OfflineMsg = 3,
-//!                             FinalOpeningMsg = 4, CommitMsg = 5;
-//!                             2 is retired — see below)
+//! 1      1    msg_type       (PairOpeningMsg = 6, OfflineMsg = 3,
+//!                             FinalOpeningMsg = 4, CommitMsg = 5,
+//!                             OpeningMsg = 1 (no longer sent by a
+//!                             Count); 2 is retired — see below)
 //! 2      2    step           (OfflineMsg step; 0 otherwise)
-//! 4      4    tag            (chunk id — the demux key)
+//! 4      4    tag            (pair round | chunk id — the demux key)
 //! 8      4    a              (pair.i | flight | 0)
 //! 12     4    b              (pair.j | 0)
 //! 16     4    c              (k0 | 0)
@@ -546,13 +547,58 @@ pub trait WireMessage: IntoFrame + Clone {
 }
 
 /// One online round's message between the servers: this side's
-/// `⟨e⟩, ⟨f⟩, ⟨g⟩` maskings for the round's `block` triples as one
-/// round-wide `[e(block) | f(block) | g(block)]` slab
-/// ([`crate::mask_round`]), each third in the round's triple order —
-/// plan order across the segments of the round ([`crate::plan_rounds`]),
-/// which both servers derive from the public plan. The payload is
-/// exactly the `3·block` slab words, so its byte length is the modeled
-/// per-round cost (`8 · 3·block` per direction).
+/// maskings of a Count's pairs — `⟨e⟩ = ⟨a⟩ − λ⁽ⁱ⁾` per pair
+/// ([`crate::mask_round`]) — for the round's pairs of the plan's pair
+/// set, in its canonical order, which both servers derive from the
+/// public plan. The payload is exactly one word per pair, so its byte
+/// length is the modeled per-round cost (`8` bytes per pair per
+/// direction).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairOpeningMsg {
+    /// The round's index in the Count's pair phase — the tag the
+    /// multiplexed link routes by.
+    pub round: u32,
+    /// The round's first pair, for lockstep sanity checking.
+    pub pair: (u32, u32),
+    /// This server's maskings of the round's pairs.
+    pub words: Vec<u64>,
+}
+
+impl IntoFrame for PairOpeningMsg {
+    fn into_frame(self) -> Frame {
+        Frame {
+            msg_type: Self::MSG_TYPE,
+            step: 0,
+            tag: self.round,
+            a: self.pair.0,
+            b: self.pair.1,
+            c: 0,
+            payload: Payload::from_words(self.words),
+        }
+    }
+}
+
+impl WireMessage for PairOpeningMsg {
+    const MSG_TYPE: u8 = 6;
+
+    fn tag(&self) -> u32 {
+        self.round
+    }
+
+    fn from_frame(frame: Frame) -> Result<Self, WireError> {
+        Ok(PairOpeningMsg {
+            round: frame.tag,
+            pair: (frame.a, frame.b),
+            words: frame.payload.into_words(),
+        })
+    }
+}
+
+/// The per-triple opening a Count round sent before the Count's masks
+/// were keyed by pair: a `[e | f | g]` slab of `3·block` words. No
+/// Count sends it; it is pinned by the benchmark's trace probes, which
+/// time the codec and the link on a frame of it.
+#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningMsg {
     /// Which pair-space shard this round belongs to — the tag the
@@ -751,11 +797,11 @@ impl WireMessage for CommitMsg {
 }
 
 /// True when `msg_type` belongs to the *online* phase of the cost
-/// model (the `e, f, g` openings and the final noisy-count opening) —
-/// the classification [`crate::transport::WireStats`] buckets payload
-/// bytes by.
+/// model (the pair openings and the final noisy-count opening; the
+/// retired per-triple slab too) — the classification
+/// [`crate::transport::WireStats`] buckets payload bytes by.
 pub fn is_online_msg(msg_type: u8) -> bool {
-    msg_type == OpeningMsg::MSG_TYPE || msg_type == FinalOpeningMsg::MSG_TYPE
+    [PairOpeningMsg::MSG_TYPE, OpeningMsg::MSG_TYPE, FinalOpeningMsg::MSG_TYPE].contains(&msg_type)
 }
 
 /// True when `msg_type` belongs to the offline (preprocessing) phase.
@@ -915,6 +961,7 @@ mod tests {
             assert_eq!(Frame::decode(&bytes), Ok(frame), "the frame layer carries any type");
             let refused = Err(WireError::BadMsgType(2));
             assert_eq!(OpeningMsg::decode(&bytes).map(|_| ()), refused);
+            assert_eq!(PairOpeningMsg::decode(&bytes).map(|_| ()), refused);
             assert_eq!(OfflineMsg::decode(&bytes).map(|_| ()), refused);
             assert_eq!(FinalOpeningMsg::decode(&bytes).map(|_| ()), refused);
             assert_eq!(CommitMsg::decode(&bytes).map(|_| ()), refused);
@@ -923,7 +970,20 @@ mod tests {
     }
 
     #[test]
+    fn pair_opening_round_trips() {
+        let m = PairOpeningMsg { round: 3, pair: (4, 17), words: vec![1, u64::MAX, 5, 0, 9] };
+        let bytes = m.encode();
+        assert_eq!(bytes.len(), FRAME_HEADER_BYTES + 8 * m.words.len());
+        assert_eq!(PairOpeningMsg::decode(&bytes).unwrap(), m);
+        assert_eq!(m.tag(), 3);
+        let empty = PairOpeningMsg { round: 0, pair: (0, 1), words: Vec::new() };
+        assert_eq!(PairOpeningMsg::decode(&empty.encode()).unwrap(), empty);
+        assert_eq!(OpeningMsg::decode(&bytes), Err(WireError::BadMsgType(PairOpeningMsg::MSG_TYPE)));
+    }
+
+    #[test]
     fn message_class_split_is_total_over_known_types() {
+        assert!(is_online_msg(PairOpeningMsg::MSG_TYPE));
         assert!(is_online_msg(OpeningMsg::MSG_TYPE));
         assert!(is_online_msg(FinalOpeningMsg::MSG_TYPE));
         assert!(is_offline_msg(OfflineMsg::MSG_TYPE));

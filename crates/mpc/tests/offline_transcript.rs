@@ -90,5 +90,5 @@ fn offline_transcript_is_pinned() {
     assert_eq!(sizes, vec![507, 113, 409]);
     let tiny = [MgDraw { i: 0, j: 1, start: 11, groups: 1 }];
     assert_eq!(run_session(77, 2, &tiny, &mut fold), vec![1]);
-    assert_eq!(fold.0, 0x2e70_0194_1f48_d17e, "offline transcript digest {:#018x}", fold.0);
+    assert_eq!(fold.0, 0x73bd_17fc_ce41_82d1, "offline transcript digest {:#018x}", fold.0);
 }

@@ -107,9 +107,11 @@ fn upload_and_communication_scale_as_documented() {
     let g = erdos_renyi(n, 0.3, 2);
     let res = count_local(&g.to_bit_matrix(), &CountJob::new(5));
     let triples = (n * (n - 1) * (n - 2) / 6) as u64;
+    let pairs = (n * (n - 1) / 2) as u64;
     assert_eq!(res.triples, triples);
-    assert_eq!(res.net.elements, 6 * triples);
-    assert_eq!(res.net.bytes, 48 * triples);
+    // One opening each way per pair (PROTOCOL.md §8), not per triple.
+    assert_eq!(res.net.elements, 2 * pairs);
+    assert_eq!(res.net.bytes, 16 * pairs);
     assert_eq!(res.upload_elements, 2 * (n * n) as u64);
 }
 
