@@ -30,7 +30,7 @@ use cargo_mpc::ot::{simulated_base_ots, transcript_digest, UnitSplit, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
-    count_round, cr_hash_batch, cr_hash_scalar, mask_round, mul3, pair_key, plan_flights,
+    cr_hash_batch, cr_hash_scalar, mask_round, mul3, pair_key, plan_flights,
     plan_rounds, Dealer, Frame, IntoFrame, MgDraw, MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg,
     PairDealer, PairTable, Ring64, RoundLanes, RoundSegment, ServerId, SimdTier, SplitMix64,
     WireMessage, GROUP_WORDS, MAX_FLIGHT_GROUPS,
@@ -260,8 +260,9 @@ fn main() {
     // triple: its lane table (each lane's three pairs' columns copied
     // from the pair table) and the combine pass (the dealer words and
     // mask shares drawn in-lane; S₂ draws both servers' mask shares).
-    // Then `local/*`, the same round as `count_local` evaluates it: one
-    // fused table and one count_round pass for both servers. Last fill_words, the expansion of a group's four stream
+    // Then `local/*`, the same round as `count_local` evaluates it: each
+    // server's lane table and combine pass in turn, per triple for both
+    // servers. Last fill_words, the expansion of a group's four stream
     // words, per group. DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
@@ -293,8 +294,7 @@ fn main() {
             let bits = vec![1u64; keys.len()];
             // The slots are looked up as the Count's rounds look them up:
             // a pair's own once, its runs' pairs in rows i and j from where
-            // the last lookup in the row stopped. The fused table writes
-            // its bits as a memset.
+            // the last lookup in the row stopped.
             let push = |lanes: &mut RoundLanes, table: &PairTable| {
                 lanes.clear();
                 let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
@@ -307,15 +307,13 @@ fn main() {
                     let k = draw.k_at(seg.offset) as u32;
                     let (ik, jk) =
                         (pairs.slot_near(draw.i, k, &mut rows[0]), pairs.slot_near(draw.j, k, &mut rows[1]));
-                    if let Some(abc) = lanes.push_run(table, draw, seg.offset, seg.len, [ij.1, ik, jk]) {
-                        abc.into_iter().for_each(|bits| bits.fill(1));
-                    }
+                    lanes.push_run(table, draw, seg.offset, seg.len, [ij.1, ik, jk]);
                 }
             };
             let servers = [ServerId::S1, ServerId::S2];
             let mut slabs = [vec![0u64; keys.len()], vec![0u64; keys.len()]];
             for (s, server) in servers.into_iter().enumerate() {
-                let table = PairTable::new(7, Some(server), false);
+                let table = PairTable::new(7, server, false);
                 let ns = measure_median_iqr_ns(12, budget, || {
                     mask_round(&table, &keys, &bits, &mut slabs[s]);
                     black_box(slabs[s][keys.len() - 1])
@@ -324,26 +322,27 @@ fn main() {
             }
             let opened: Vec<u64> =
                 slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-            for server in servers {
-                let mut table = PairTable::new(7, Some(server), false);
+            let tables = servers.map(|server| {
+                let mut table = PairTable::new(7, server, false);
                 table.push(&opened);
-                let mut lanes = RoundLanes::new(&table, triples);
+                table
+            });
+            let mut lanes = tables.each_ref().map(|table| RoundLanes::new(table, triples));
+            for ((server, table), lanes) in servers.into_iter().zip(&tables).zip(&mut lanes) {
                 let ns = measure_median_iqr_ns(12, budget, || {
-                    push(&mut lanes, &table);
+                    push(lanes, table);
                     black_box(lanes.len())
                 });
                 row(&format!("wire/lanes/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
-                let ns = measure_median_iqr_ns(12, budget, || black_box(combine_round(&lanes)));
+                let ns = measure_median_iqr_ns(12, budget, || black_box(combine_round(lanes)));
                 row(&format!("wire/combine/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
             }
-            let mut fused = PairTable::new(7, None, false);
-            let mut e = vec![0u64; keys.len()];
-            mask_round(&fused, &keys, &bits, &mut e);
-            fused.push(&e);
-            let mut lanes = RoundLanes::new(&fused, triples);
             let ns = measure_median_iqr_ns(12, budget, || {
-                push(&mut lanes, &fused);
-                black_box(count_round(&lanes))
+                let [d1, d2] = [0, 1].map(|s| {
+                    push(&mut lanes[s], &tables[s]);
+                    combine_round(&lanes[s])
+                });
+                black_box((d1, d2))
             });
             row(&format!("local/{shape}"), triples, triples as u64, ns, 0.0);
         }

@@ -22,7 +22,7 @@
 //!
 //! | Executor | Shape |
 //! |---|---|
-//! | [`count_local`] | both servers' arithmetic in one loop (this module) — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
+//! | [`count_local`] | both servers in one process (this module): the wire party's steps with the link cut out — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
 //! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
 //! | [`crate::count_runtime::count_two_party`] | two [`count_party`](crate::count_runtime::count_party)s, one per end of a caller-made link pair |
 //! | [`crate::count_sampled::count_sampled`] | [`count_local`] over a plan thinned by a public coin — the triple-sampling estimator |
@@ -43,17 +43,19 @@
 //!   shared [`CountScheduler`]; dealer randomness is keyed *per pair*
 //!   ([`cargo_mpc::PairDealer`]), so the share pairs are bit-identical
 //!   for every thread count and batch size.
-//! * **One kernel.** The pair set is opened into a [`PairTable`]
-//!   ([`cargo_mpc::mask_round`]: here both servers' openings at once, on
-//!   the wire each server's masking, summed with the peer's). A chunk's
-//!   draw plan is then cut into blocks of `batch` triples
-//!   ([`cargo_mpc::plan_rounds`]), each block becomes one lane table,
-//!   one lane per triple ([`RoundLanes`], reading its three pairs'
-//!   columns of the table), and one lane-parallel pass evaluates it,
-//!   whatever `k`-runs it is cut from and whatever the material source:
-//!   [`cargo_mpc::count_round`] here, both servers at once;
-//!   [`cargo_mpc::combine_round`] per server on the wire. The segments
-//!   become lanes in one place (`push_round`).
+//! * **One kernel per server.** Each server masks every round of the
+//!   pair set ([`cargo_mpc::mask_round`]) and sums its slab with the
+//!   other server's into its own [`PairTable`] — on the wire the slabs
+//!   cross the link, here they are summed in place. A chunk's draw plan
+//!   is then cut into blocks of `batch` triples
+//!   ([`cargo_mpc::plan_rounds`]), each block becomes one lane table per
+//!   server, one lane per triple ([`RoundLanes`], reading its three
+//!   pairs' columns of the table), and that server's lane-parallel
+//!   [`cargo_mpc::combine_round`] pass evaluates it, whatever `k`-runs it
+//!   is cut from and whatever the material source. Every executor runs
+//!   the one chunk loop (`combine_chunk`) per server, so a plaintext
+//!   adjacency bit is read in one place only: S₂'s pair masking
+//!   (`pair_round`).
 //! * **Communication accounting.** The pair openings are mutually
 //!   independent, so they travel `batch` pairs a round
 //!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
@@ -67,10 +69,10 @@ use crate::config::CargoConfig;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    count_round, mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, plan_rounds,
-    share_prf, MgDraw, Mul3Opening, NetStats, OfflineMode, OtMgEngine, PairDealer, PairTable,
-    PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, ServerId, TriplePool, LANES,
-    PAIR_KEY_STEP,
+    combine_round, mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, plan_rounds,
+    share_prf, MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer,
+    PairTable, PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, ServerId, TriplePool,
+    LANES, PAIR_KEY_STEP,
 };
 use std::sync::Arc;
 
@@ -251,15 +253,16 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
     }
 }
 
-/// Runs `job` in-process, both servers' arithmetic in one pass per
-/// round — the fast simulation every other executor is pinned to, and
-/// itself pinned share for share to [`secure_count_reference`]. It cuts
-/// the rounds the wire parties cut and evaluates each with
-/// [`count_round`], so it differs from
+/// Runs `job` in-process, both servers in one process — the simulation
+/// every other executor is pinned to, and itself pinned share for share
+/// to [`secure_count_reference`]. It runs each server's steps as a wire
+/// party runs them — the same pair rounds, the same chunk loop and
+/// [`combine_round`] — so it differs from
 /// [`count_two_party`](crate::count_runtime::count_two_party) in the
-/// link only. Input kind, plan, offline mode and pool are orthogonal: a
-/// CSR input in OT mode over the eager sparse plan is as valid as the
-/// dense matrix cube.
+/// link only: the pair slabs are summed in place, and each chunk is
+/// combined once per server. Input kind, plan, offline mode and pool
+/// are orthogonal: a CSR input in OT mode over the eager sparse plan is
+/// as valid as the dense matrix cube.
 ///
 /// # Panics
 /// Panics if a fail-fast pool is drained.
@@ -281,10 +284,9 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
 ) -> SecureCountResult {
     let pool = job.spawn_pool(sched);
     let pairs = sched.pair_set();
-    let table = open_pairs(bits, job, sched, &pairs);
-    let opened = (&*pairs, &table);
-    let parts =
-        sched.run_chunks(|chunk| chunk_part(bits, job, sched, opened, chunk, pool.as_ref()));
+    let tables = open_pairs(bits, job, sched, &pairs);
+    let opened = (&*pairs, &tables);
+    let parts = sched.run_chunks(|chunk| chunk_part(job, sched, opened, chunk, pool.as_ref()));
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let mut online = NetStats::new();
     online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
@@ -292,30 +294,38 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     finish(sched, job.offline, parts.into_iter().chain([online]), pool)
 }
 
-/// The pair phase in-process: both servers' openings of `pairs` at
-/// once, `e = a − λ` ([`mask_round`] over a fused table), in rounds of
-/// the scheduler's batch — the rounds the wire parties exchange.
+/// The pair phase in-process: the wire parties' pair rounds with the
+/// link cut out. Each round's pairs are read once ([`pair_round`]),
+/// each server masks them ([`mask_round`]), and the two slabs are
+/// summed into both servers' tables instead of being exchanged.
 fn open_pairs<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,
     sched: &CountScheduler,
     pairs: &PairSet,
-) -> PairTable {
-    let mut table = PairTable::new(job.seed, None, job.offline == OfflineMode::OtExtension);
-    let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
+) -> [PairTable; 2] {
+    let preprocessed = job.offline == OfflineMode::OtExtension;
+    let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(job.seed, s, preprocessed));
+    let (mut keys, mut plain, mut slabs) = (Vec::new(), Vec::new(), [Vec::new(), Vec::new()]);
     for start in (0..pairs.len()).step_by(sched.batch()) {
         let range = start..(start + sched.batch()).min(pairs.len());
         pair_round(pairs, range, Some(bits), &mut keys, &mut plain);
-        opened.resize(keys.len(), 0);
-        mask_round(&table, &keys, &plain, &mut opened);
-        table.push(&opened);
+        for (table, slab) in tables.iter().zip(&mut slabs) {
+            slab.resize(keys.len(), 0);
+            mask_round(table, &keys, &plain, slab);
+        }
+        let [opened, theirs] = &mut slabs;
+        opened.iter_mut().zip(&*theirs).for_each(|(e, w)| *e = e.wrapping_add(*w));
+        tables.iter_mut().for_each(|table| table.push(opened));
     }
-    table
+    tables
 }
 
 /// Fills `keys` with the [`pair_key`]s of `pairs`' slots `range` and,
 /// where `bits` is given, `plain` with their plaintext bits, row run by
-/// row run; returns the range's first pair — the round's header.
+/// row run; returns the range's first pair — the round's header. The
+/// one place a Count reads a plaintext adjacency bit: S₂'s input to its
+/// pair masking (S₁ passes no bits).
 pub(crate) fn pair_round<B: AdjacencyBits>(
     pairs: &PairSet,
     range: std::ops::Range<usize>,
@@ -385,11 +395,10 @@ pub(crate) fn finish(
     SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples, pool }
 }
 
-/// Adjacency-bit source of the pair phase and of the lane tables that
-/// combine the plaintext: the one interface that lets the same code read
-/// a dense [`BitMatrix`] or a [`CsrGraph`] with no `n × n` storage. Both
-/// report `{0, 1}` as `u64` words, the shape [`mask_round`] and a
-/// [`RoundLanes`] bit column read.
+/// Adjacency-bit source of the pair phase: the one interface that lets
+/// the same code read a dense [`BitMatrix`] or a [`CsrGraph`] with no
+/// `n × n` storage. Both report `{0, 1}` as `u64` words, the shape
+/// [`mask_round`] reads.
 pub(crate) trait AdjacencyBits: Sync {
     /// Fills `out[t] = A[u][k0 + t]` for every `t`.
     fn fill_bits(&self, u: usize, k0: usize, out: &mut [u64]);
@@ -431,17 +440,12 @@ impl AdjacencyBits for CsrGraph {
 
 /// Appends `round`, a cut of `plan`, to the emptied `lanes`: one
 /// [`RoundLanes::push_run`] per segment, reading its pairs' openings in
-/// `table` at their `pairs` slots and — where the table combines the
-/// plaintext (a fused table with dealer material, which [`count_local`]
-/// passes its `bits` for) — rows `i` and `j` of `bits` over the
-/// segment's columns. A wire party passes no bits. A signed plan's `signs`
-/// are the sign masks of the chunk's triples from the round's first on
-/// ([`CountScheduler::chunk_signs`]). The one place a round's segments
-/// become lanes, for [`count_local`] and the wire party alike.
-pub(crate) fn push_round<B: AdjacencyBits>(
+/// `table` at their `pairs` slots. A signed plan's `signs` are the sign
+/// masks of the chunk's triples from the round's first on
+/// ([`CountScheduler::chunk_signs`]).
+fn push_round(
     lanes: &mut RoundLanes,
     (pairs, table): (&PairSet, &PairTable),
-    bits: Option<&B>,
     plan: &[MgDraw],
     round: &[RoundSegment],
     signs: Option<&[u64]>,
@@ -460,39 +464,60 @@ pub(crate) fn push_round<B: AdjacencyBits>(
         let k = d.k_at(seg.offset) as u32;
         let slots =
             [ij.1, pairs.slot_near(d.i, k, &mut rows[0]), pairs.slot_near(d.j, k, &mut rows[1])];
-        if let Some([a, b, c]) = lanes.push_run(table, d, seg.offset, seg.len, slots) {
-            let bits = bits.expect("a fused dealer table combines the plaintext bits");
-            bits.fill_bits(d.i as usize, d.j as usize, &mut a[..1]);
-            let a_ij = a[0];
-            a.fill(a_ij);
-            bits.fill_bits(d.i as usize, k as usize, b);
-            bits.fill_bits(d.j as usize, k as usize, c);
-        }
+        lanes.push_run(table, d, seg.offset, seg.len, slots);
     }
     if let Some(signs) = signs {
         lanes.set_signs(&signs[..lanes.len()]);
     }
 }
 
-/// Evaluates every triple of one pair-space chunk, both servers at
-/// once, from the opened pair table. The chunk's **draw plan** — one
+/// One server's evaluation of `chunk` from its opened pair table — the
+/// one chunk loop, which [`count_local`] runs once per server and a
+/// wire party once. The chunk's **draw plan** `plan` — one
 /// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream offset
-/// — is cut into blocks of `batch` triples by [`plan_rounds`], each
-/// block filled into one fused [`RoundLanes`] table ([`push_round`])
-/// and evaluated by one [`count_round`] pass.
+/// — is cut into rounds of `batch` triples by [`plan_rounds`], each
+/// round filled into `lanes` ([`push_round`]), given its preprocessed
+/// groups — the next `len` of the plan-ordered `groups`, in OT and pool
+/// mode; dealer rounds mix theirs from each lane's counter — and summed
+/// by one [`combine_round`] pass. Returns the server's share of the
+/// chunk's sum and the triples evaluated.
+pub(crate) fn combine_chunk(
+    lanes: &mut RoundLanes,
+    opened: (&PairSet, &PairTable),
+    sched: &CountScheduler,
+    chunk: &PairChunk,
+    plan: &[MgDraw],
+    groups: Option<&[MulGroupShare]>,
+) -> (Ring64, usize) {
+    let signs = sched.chunk_signs(chunk);
+    let (mut total, mut done) = (0u64, 0usize);
+    let mut rounds = plan_rounds(plan, sched.batch());
+    while let Some(round) = rounds.next_round() {
+        push_round(lanes, opened, plan, round, signs.map(|s| &s[done..]));
+        let len = lanes.len();
+        if let Some(groups) = groups {
+            lanes.set_groups(&groups[done..done + len]);
+        }
+        total = total.wrapping_add(combine_round(lanes));
+        done += len;
+    }
+    (Ring64(total), done)
+}
+
+/// Evaluates every triple of one pair-space chunk, each server in turn
+/// over its own opened pair table ([`combine_chunk`]).
 ///
-/// The block's groups come from each lane's dealer counter, or in OT
-/// mode from the chunk's slab of both servers' preprocessed groups, the
-/// block's `len` of them at the groups already evaluated: one
+/// The chunk's material is resolved once: each lane's dealer counter,
+/// or in OT mode a slab of both servers' preprocessed groups — one
 /// chunk-amortised [`OtMgEngine`] session run inline, or the background
 /// `pool`'s entry for `chunk.id`, which holds the bits the inline
-/// session would have produced. Its ledger lands in the chunk's
-/// [`NetStats::offline`]; a chunk has no online traffic.
-fn chunk_part<B: AdjacencyBits>(
-    bits: &B,
+/// session would have produced — each server reading its own column.
+/// Its ledger lands in the chunk's [`NetStats::offline`]; a chunk has no
+/// online traffic.
+fn chunk_part(
     job: &CountJob,
     sched: &CountScheduler,
-    opened: (&PairSet, &PairTable),
+    (pairs, tables): (&PairSet, &[PairTable; 2]),
     chunk: &PairChunk,
     pool: Option<&TriplePool>,
 ) -> CountPart {
@@ -514,22 +539,13 @@ fn chunk_part<B: AdjacencyBits>(
             Some(material)
         }
     };
-    let (mut t1, mut t2) = (0u64, 0u64);
-    let mut lanes = RoundLanes::new(opened.1, sched.batch().min(chunk.triples as usize));
-    let signs = sched.chunk_signs(chunk);
-    let mut done = 0usize;
-    let mut rounds = plan_rounds(&plan, sched.batch());
-    while let Some(round) = rounds.next_round() {
-        push_round(&mut lanes, opened, Some(bits), &plan, round, signs.map(|s| &s[done..]));
-        let len = lanes.len();
-        if let Some(material) = &material {
-            lanes.set_groups(&material.columns().map(|c| &c[done..done + len]));
-        }
-        let (u1, u2) = count_round(&lanes);
-        (t1, t2) = (t1.wrapping_add(u1), t2.wrapping_add(u2));
-        done += len;
-    }
-    (Ring64(t1), Ring64(t2), net, done as u64)
+    let lanes = sched.batch().min(chunk.triples as usize);
+    let [(t1, triples), (t2, _)] = [0, 1].map(|s| {
+        let table = &tables[s];
+        let groups = material.as_ref().map(|m| m.columns()[s]);
+        combine_chunk(&mut RoundLanes::new(table, lanes), (pairs, table), sched, chunk, &plan, groups)
+    });
+    (t1, t2, net, triples as u64)
 }
 
 /// Reference implementation: drives the *protocol objects* of

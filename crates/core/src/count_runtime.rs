@@ -1,8 +1,9 @@
 //! A *distributed-systems-faithful* runtime for Algorithm 4.
 //!
-//! [`crate::count::count_local`] is the fast simulation: it evaluates
-//! both servers' arithmetic in one loop. This module runs the same
-//! [`CountJob`] the way a deployment would be shaped:
+//! [`crate::count::count_local`] runs both servers' steps in one
+//! process with the link cut out. This module runs the same steps —
+//! the same pair rounds and the same chunk loop, one kernel per
+//! server — the way a deployment would be shaped:
 //!
 //! * **separate OS threads (or processes)** — [`count_party`] runs
 //!   exactly one server, which is what the `party` binary's two
@@ -18,7 +19,7 @@
 //!   state, and S₁ never reads a plaintext adjacency bit; S₂ reads its
 //!   users' bits only to expand its own shares in the pair phase — its
 //!   chunks combine openings, masks and product shares alone
-//!   ([`PairTable`]);
+//!   ([`PairTable`]), as `count_local`'s do;
 //! * **a pair phase, then local chunks** — a Count's masks are keyed
 //!   by pair, so its online phase opens the plan's pair set
 //!   ([`CountScheduler::pair_set`]) once, in canonical order, `batch`
@@ -38,18 +39,19 @@
 //!   its frames tagged by the chunk id;
 //! * **one server's arithmetic at kernel speed** — the pair phase masks
 //!   a round of pairs in one lane-parallel pass ([`mask_round`]; S₁
-//!   never reads the matrix), and a chunk's triples are evaluated in
+//!   never reads the input), and a chunk's triples are evaluated in
 //!   blocks of `batch`, each a table of lanes, one per triple
 //!   ([`RoundLanes`]: its three pairs' openings, copied from the pair
 //!   table, the keys its mask shares are mixed from, and the
 //!   dealer-stream counter of its group), by one lane-parallel pass
-//!   ([`combine_round`]: in dealer mode each lane mixes four words of
-//!   its group and two mask shares, S₂ four — its own and S₁'s, which
-//!   the simulated dealer's predistribution hands it, as it does S₁'s
-//!   words). No dealer word is buffered and the
-//!   other server's column is never expanded. OT and pool mode run the
-//!   same pass over the block's next `len` preprocessed groups instead
-//!   of the counters.
+//!   ([`cargo_mpc::combine_round`]: in dealer mode each lane mixes four
+//!   words of its group and two mask shares, S₂ four — its own and
+//!   S₁'s, which the simulated dealer's predistribution hands it, as it
+//!   does S₁'s words). No dealer word is buffered and the other
+//!   server's column is never expanded. OT and pool mode run the same
+//!   pass over the block's next `len` preprocessed groups instead of
+//!   the counters. The chunk loop is `count_local`'s, which runs it
+//!   once per server.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -57,22 +59,22 @@
 //! construction, so every test that compares whole `NetStats` structs
 //! across paths pins measured == modeled exactly (DESIGN.md §8).
 //!
-//! The test suite pins this runtime's output to the fast path, which
-//! is the strongest fidelity evidence the repo offers: an optimised
-//! single-loop kernel and a strict two-party message-passing execution
-//! compute identical share pairs — for every worker count, batch
-//! size, and transport backend, because both key their randomness per
-//! `(i, j)` pair.
+//! The test suite pins this runtime's output to `count_local`: the same
+//! per-server steps with and without a link between them compute
+//! identical share pairs — for every worker count, batch size, and
+//! transport backend, because both key their randomness per `(i, j)`
+//! pair.
 
 use crate::count::{
-    finish, pair_round, push_round, AdjacencyBits, CountJob, CountPart, SecureCountResult,
+    combine_chunk, finish, pair_round, AdjacencyBits, CountInput, CountJob, CountPart,
+    SecureCountResult,
 };
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    combine_round, expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger,
-    plan_rounds, recv_msg, send_msg, NetStats, OfflineMode, PairOpeningMsg, PairTable,
-    PoolPolicy, Ring64, RoundLanes, ServerId, Transport, TriplePool, WordBuffers,
+    expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger, recv_msg, send_msg,
+    NetStats, OfflineMode, PairOpeningMsg, PairTable, PoolPolicy, Ring64, RoundLanes, ServerId,
+    Transport, TriplePool, WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -82,24 +84,24 @@ use std::thread::ScopedJoinHandle;
 /// maskings of the round's pairs ([`mask_round`]) sent as one
 /// [`PairOpeningMsg`], the peer's received, checked against this
 /// server's own cut and summed into the returned table. S₂ reads its
-/// users' bits of the round's pairs from `matrix`; S₁ reads none. Each
+/// users' bits of the round's pairs from `bits`; S₁ reads none. Each
 /// round is tallied into `net`.
 ///
 /// # Panics
 /// Panics if the peer hangs up, stalls past the link's receive
 /// timeout, or sends a round off this server's cut — naming the round.
-fn open_pairs<T: Transport>(
+fn open_pairs<B: AdjacencyBits, T: Transport>(
     id: ServerId,
     job: &CountJob,
     sched: &CountScheduler,
     pairs: &PairSet,
-    matrix: &BitMatrix,
+    bits: &B,
     peer: &T,
     net: &mut NetStats,
 ) -> PairTable {
     let batch = sched.batch();
-    let mut table = PairTable::new(job.seed, Some(id), job.offline == OfflineMode::OtExtension);
-    let bits = (id == ServerId::S2).then_some(matrix);
+    let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension);
+    let bits = (id == ServerId::S2).then_some(bits);
     let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
     let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::with_capacity(batch) };
     for (round, start) in (0..pairs.len()).step_by(batch).enumerate() {
@@ -192,7 +194,6 @@ impl<'env, T: Transport> Server<'env, T> {
         spare: &mut WordBuffers,
     ) -> Ring64 {
         let seed = self.job.seed;
-        let mut t_share = Ring64::ZERO;
         // The chunk's draw plan — a pure function of the chunk id and
         // the public schedule: one full-range draw per pair on the
         // dense cube, one draw per surviving k-run on a sparse
@@ -204,7 +205,7 @@ impl<'env, T: Transport> Server<'env, T> {
         // chunk's entry from the background pool — into one slab of
         // this server's groups in plan order; in dealer mode the
         // server expands its own column of the seeded pair streams
-        // block by block below, as if predistributed.
+        // round by round in the chunk loop, as if predistributed.
         let material = match (self.pool, self.job.offline) {
             (Some(pool), _) => {
                 let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
@@ -228,23 +229,10 @@ impl<'env, T: Transport> Server<'env, T> {
             let want: usize = plan.iter().map(|d| d.groups as usize).sum();
             assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
         }
-        let signs = self.sched.chunk_signs(chunk);
-        // Groups of the chunk already evaluated — in OT mode a block's
-        // material is the next `len` groups of the plan-ordered slab.
-        let mut done = 0usize;
-        let mut rounds = plan_rounds(&plan, self.sched.batch());
-        while let Some(round) = rounds.next_round() {
-            let signs = signs.map(|s| &s[done..]);
-            push_round::<BitMatrix>(lanes, self.opened, None, &plan, round, signs);
-            let len = lanes.len();
-            if let Some(groups) = &material {
-                lanes.set_groups(&[&groups[done..done + len]]);
-            }
-            t_share += Ring64(combine_round(lanes));
-            done += len;
-        }
+        let groups = material.as_deref();
+        let (share, done) = combine_chunk(lanes, self.opened, self.sched, chunk, &plan, groups);
         *triples += done as u64;
-        t_share
+        share
     }
 }
 
@@ -276,7 +264,9 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
 
 /// Runs ONE server's worker pool of `job` against a live peer on the
 /// other end of `link` — the executor of the `party` binaries (via
-/// [`crate::party`]) and of the serve sessions.
+/// [`crate::party`]) and of the serve sessions. The input is a
+/// [`BitMatrix`] or a [`CsrGraph`](cargo_graph::CsrGraph), as for
+/// [`crate::count::count_local`]; only S₂ reads it, in the pair phase.
 ///
 /// The party tallies the full bidirectional modeled ledger itself
 /// (both processes report identical `NetStats`), expands dealer
@@ -293,21 +283,34 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
 /// Both parties must be handed the same job (or the lockstep asserts
 /// fire). The other share lives in the peer process: the result
 /// carries ours in the slot matching `id` and zero in the other.
-pub fn count_party<T: Transport>(
-    matrix: &BitMatrix,
+pub fn count_party<'a, T: Transport>(
+    input: impl Into<CountInput<'a>>,
     job: &CountJob,
     id: ServerId,
     link: &Arc<T>,
 ) -> SecureCountResult {
-    let sched = job.scheduler(matrix.n());
-    let pool = job.spawn_pool(&sched);
+    match input.into() {
+        CountInput::Matrix(m) => party_scheduled(m, &job.scheduler(m.n()), job, id, link),
+        CountInput::Csr(g) => party_scheduled(g, &job.scheduler(g.n()), job, id, link),
+    }
+}
+
+/// [`count_party`] past scheduler construction.
+fn party_scheduled<B: AdjacencyBits, T: Transport>(
+    bits: &B,
+    sched: &CountScheduler,
+    job: &CountJob,
+    id: ServerId,
+    link: &Arc<T>,
+) -> SecureCountResult {
+    let pool = job.spawn_pool(sched);
     let pairs = sched.pair_set();
     let mut online = NetStats::new();
-    let table = open_pairs(id, job, &sched, &pairs, matrix, &**link, &mut online);
+    let table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
     let server = Server {
         id,
         job,
-        sched: &sched,
+        sched,
         opened: (&*pairs, &table),
         peer: &**link,
         pool: pool.as_ref(),
@@ -315,7 +318,7 @@ pub fn count_party<T: Transport>(
     let parts = server.run_workers();
     let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
-    let mut result = finish(&sched, job.offline, parts.into_iter().chain([online]), pool);
+    let mut result = finish(sched, job.offline, parts.into_iter().chain([online]), pool);
     result.net.wire_bytes = link.stats().online_payload_both();
     result
 }
@@ -346,22 +349,24 @@ pub fn run_party_count_planned<T: Transport>(
 /// …). Nothing but what two `party` processes exchange crosses it.
 ///
 /// Shares, the online [`NetStats`] and the offline ledger are
-/// bit-identical to [`crate::count::count_local`] on the same job;
+/// bit-identical to [`crate::count::count_local`] on the same input and
+/// job;
 /// `wire_bytes` is what `end1` actually measured, and the factory
 /// counters are S₁'s (S₂'s pool saw the same fills and drains).
 ///
 /// # Panics
 /// Re-raises a party's panic as is; panics if the two parties' ledgers
 /// or triple counts disagree.
-pub fn count_two_party<T: Transport>(
-    matrix: &BitMatrix,
+pub fn count_two_party<'a, T: Transport>(
+    input: impl Into<CountInput<'a>>,
     job: &CountJob,
     end1: &Arc<T>,
     end2: &Arc<T>,
 ) -> SecureCountResult {
+    let input = input.into();
     let (r1, r2) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| count_party(matrix, job, ServerId::S1, end1));
-        let h2 = scope.spawn(|| count_party(matrix, job, ServerId::S2, end2));
+        let h1 = scope.spawn(|| count_party(input, job, ServerId::S1, end1));
+        let h2 = scope.spawn(|| count_party(input, job, ServerId::S2, end2));
         (join(h1), join(h2))
     });
     assert_eq!(r1.net, r2.net, "the parties' ledgers (modeled and measured) disagree");
@@ -389,7 +394,7 @@ mod tests {
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
     use crate::count_sched::CandidateSet;
     use cargo_graph::{count_triangles_matrix, CsrGraph, Graph};
-    use cargo_mpc::{TcpConfig, TcpTransport};
+    use cargo_mpc::{plan_rounds, TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
 
     fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
@@ -594,6 +599,28 @@ mod tests {
             }
         }
         assert!(resumes_a_draw, "no round starts mid-draw");
+    }
+
+    #[test]
+    fn a_wire_count_over_a_csr_matches_the_local_count_over_it() {
+        // A wire party reads its input only in the pair phase, so it
+        // takes a CSR as count_local does: over the graph's own streamed
+        // plan, both match share for share and ledger for ledger.
+        let csr = Arc::new(CsrGraph::from_graph(&barabasi_albert(90, 4, 3)));
+        let plan = SchedulePlan::CsrStream(Arc::clone(&csr));
+        for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+            for (threads, batch) in [(1usize, 0usize), (2, 7)] {
+                let wire = CountJob { offline: mode, plan: plan.clone(), ..job(41, threads, batch) };
+                let local = count_local(&*csr, &wire);
+                let (end1, end2) = cargo_mpc::memory_pair();
+                let res = count_two_party(&*csr, &wire, &Arc::new(end1), &Arc::new(end2));
+                let at = format!("{mode:?}, threads {threads}, batch {batch}");
+                assert!(local.triples > 0, "{at}");
+                assert_eq!((res.share1, res.share2), (local.share1, local.share2), "{at}");
+                assert_eq!(res.triples, local.triples, "{at}");
+                assert_eq!(res.net, local.net, "{at}");
+            }
+        }
     }
 
     #[test]

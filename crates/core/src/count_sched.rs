@@ -55,6 +55,7 @@
 //!   (`crates/core/tests/scheduler_invariance.rs`) pins this.
 
 use crate::config::ScheduleKind;
+use crate::count_runtime::join;
 use crate::count_sampled::TripleSampler;
 use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder, NeighborMarks};
 use cargo_mpc::MgDraw;
@@ -744,9 +745,8 @@ impl CountScheduler {
                     })
                 })
                 .collect();
-            for h in handles {
-                h.join().expect("count worker panicked");
-            }
+            // A worker's panic (a drained pool, say) is re-raised as is.
+            handles.into_iter().for_each(join);
         });
         let mut collected = slots.into_inner().expect("result lock poisoned");
         collected.sort_by_key(|(idx, _)| *idx);
@@ -1285,6 +1285,28 @@ mod tests {
         let ids = sched.run_chunks(|c| c.id);
         let want: Vec<u32> = (0..sched.chunks().len() as u32).collect();
         assert_eq!(ids, want);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_message() {
+        // With two workers a chunk's panic — a drained pool names its
+        // chunk — must surface as that message, not as "a worker
+        // panicked".
+        let sched = CountScheduler::new(40, 2, 0);
+        assert!(sched.chunks().len() > 1 && sched.workers() > 1);
+        let outcome = std::panic::catch_unwind(|| {
+            sched.run_chunks(|c| {
+                assert_ne!(c.id, 1, "offline triple pool failed on chunk 1: drained");
+                c.id
+            })
+        });
+        let payload = outcome.expect_err("the chunk's panic reaches the caller");
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|t| t.to_string()))
+            .unwrap_or_default();
+        assert!(text.contains("offline triple pool failed on chunk 1: drained"), "{text}");
     }
 
     // ------------------------------------------------------ sparse --

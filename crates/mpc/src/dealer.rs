@@ -21,7 +21,7 @@ use crate::ring::Ring64;
 use crate::share::{share_with, SharePair};
 use crate::simd::SimdTier;
 use crate::share::mask_prf;
-use crate::triple_mul::{count_round, mask_round, pair_key, MulGroupShare, PairTable, RoundLanes};
+use crate::triple_mul::{combine_round, mask_round, pair_key, MulGroupShare, PairTable, RoundLanes};
 use crate::ServerId;
 
 /// A trusted dealer producing correlated randomness for the two servers.
@@ -213,14 +213,14 @@ impl PairDealer {
     }
 
     /// Evaluates the next `L = b.len()` groups' triples `(i, j, k)`,
-    /// both servers at once, and advances the stream past them: `a` is
+    /// both servers in turn, and advances the stream past them: `a` is
     /// the first secret (`a_ij`), `b` and `c` the second and third per
     /// triple, each opened under its pair's mask. Returns the wrapping
     /// partial sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)`, whose sum is `Σ a·bₜ·cₜ`.
     ///
-    /// Pinned by the benchmark's trace probes: it builds a pair table
-    /// of its `2L + 1` pairs on every call, which the Count never does,
-    /// before one [`crate::count_round`] pass.
+    /// Pinned by the benchmark's trace probes: it builds each server's
+    /// pair table of its `2L + 1` pairs on every call, which the Count
+    /// never does, before that server's [`crate::combine_round`] pass.
     ///
     /// # Panics
     /// Panics if `b` and `c` differ in length.
@@ -232,20 +232,24 @@ impl PairDealer {
         keys.extend((0..len as u32).map(|t| pair_key(i, k0 + t)));
         keys.extend((0..len as u32).map(|t| pair_key(j, k0 + t)));
         let bits = [&[a][..], b, c].concat();
-        let mut table = PairTable::new(self.root, None, false);
-        let mut opened = vec![0; keys.len()];
-        mask_round(&table, &keys, &bits, &mut opened);
-        table.push(&opened);
-        let mut lanes = RoundLanes::new(&table, len);
+        let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(self.root, s, false));
+        let slabs = tables.each_ref().map(|table| {
+            let mut slab = vec![0; keys.len()];
+            mask_round(table, &keys, &bits, &mut slab);
+            slab
+        });
+        let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
         let (state, keys) = (self.rng.state_raw(), [pair_key(i, k0), pair_key(j, k0)]);
-        let x = [mask_prf(self.root, ServerId::S1, i, j), 0];
-        if let Some([a_ij, b_ik, c_jk]) = lanes.push_lanes(&table, state, [0, 1, 1 + len], keys, x, len) {
-            a_ij.fill(a);
-            b_ik.copy_from_slice(b);
-            c_jk.copy_from_slice(c);
-        }
+        // A dealer S₂ table reads both servers' mask shares of (i, j).
+        let x = [ServerId::S1, ServerId::S2].map(|s| mask_prf(self.root, s, i, j));
+        let [d1, d2] = tables.each_mut().map(|table| {
+            table.push(&opened);
+            let mut lanes = RoundLanes::new(table, len);
+            lanes.push_lanes(table, state, [0, 1, 1 + len], keys, x, len);
+            combine_round(&lanes)
+        });
         self.skip_groups(len);
-        count_round(&lanes)
+        (d1, d2)
     }
 
     /// The counter state at which group `offset` of `draw` starts —

@@ -98,7 +98,7 @@ pub use share::{
 };
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
-    combine_round, count_round, expand_input_shares, mask_round, mul3, mul3_combine, pair_key,
+    combine_round, expand_input_shares, mask_round, mul3, mul3_combine, pair_key,
     Mul3Opening, MulGroupShare, PairTable, RoundLanes, PAIR_KEY_STEP,
 };
 

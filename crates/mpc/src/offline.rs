@@ -998,9 +998,10 @@ impl MgChunkMaterial {
 
 /// In-process driver of the chunk-amortised MG offline session: runs
 /// both party machines back to back flight by flight, checks the
-/// transcript digests, and tallies the offline ledger. The fast Count
-/// kernel uses this; the message-passing runtime drives the same
-/// machines over its multiplexed links instead.
+/// transcript digests, and tallies the offline ledger. The in-process
+/// Count uses this, each server combining its own column of the
+/// material; the message-passing runtime drives the same machines over
+/// its multiplexed links instead.
 #[derive(Debug, Clone)]
 pub struct OtMgEngine {
     s1: MgOfflineS1,

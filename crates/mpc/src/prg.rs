@@ -15,7 +15,7 @@ use crate::ring::Ring64;
 use crate::simd::{SimdTier, U64xN};
 
 /// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the round
-/// kernels ([`crate::count_round`] and the per-server passes) re-derive
+/// kernels (each server's [`crate::combine_round`] pass) re-derive
 /// this stream in closed counter form and must share these exact
 /// constants.
 pub(crate) const SM_GAMMA: u64 = 0x9E3779B97F4A7C15;

@@ -6,7 +6,7 @@
 //! a structure-of-arrays batch it can keep several independent lanes in
 //! flight (and, where the target supports 64-bit vector multiplies,
 //! auto-vectorise outright). This module provides the lane type those
-//! batch kernels ([`crate::count_round`], [`crate::combine_round`]) are
+//! batch kernels ([`crate::mask_round`], [`crate::combine_round`]) are
 //! written in:
 //! a plain fixed-width array of `u64` with wrapping lane-wise
 //! arithmetic — **no nightly features, no intrinsics, no `unsafe`** —

@@ -29,11 +29,13 @@
 //! et al., USENIX Security 2021, applied to the three-value MG). Step 2
 //! then opens `e_ij = a_ij − λ_ij` **once per pair** and every triple
 //! that reads the pair reuses it; step 3 is unchanged. A Count is a few
-//! rounds of pair openings ([`mask_round`] into a [`PairTable`]) and a
-//! local sum: [`combine_round`] per server, [`count_round`] for both
-//! servers at once, over lane tables ([`RoundLanes`]) that read `e, f,
-//! g` and `x, y, z` per pair. [`mul3`] stays the one-triple protocol
-//! object with free masks.
+//! rounds of pair openings ([`mask_round`] into each server's
+//! [`PairTable`]) and a local sum: each server's [`combine_round`] over
+//! its lane tables ([`RoundLanes`]), which read `e, f, g` and `x, y, z`
+//! per pair. Every executor runs these per-server kernels — the
+//! in-process Count runs both servers' in turn — so a plaintext bit
+//! enters only S₂'s pair masking. [`mul3`] stays the one-triple
+//! protocol object with free masks.
 
 use crate::channel::NetStats;
 use crate::dealer::{PairDealer, GROUP_WORDS};
@@ -256,9 +258,9 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
     prf_keyed(seed ^ MASK_TWEAK[s], keys)
 }
 
-/// One party's pair table — or, fused, both parties' — over a Count
-/// plan's **pair set**: the opened `e = a − λ` of every pair, in the
-/// plan's canonical pair order.
+/// One server's pair table over a Count plan's **pair set**: the
+/// opened `e = a − λ` of every pair, in the plan's canonical pair
+/// order.
 ///
 /// Every Multiplication Group of the Count is keyed by pair: triple
 /// `(i, j, k)`'s masks are `x = λ_ij, y = λ_ik, z = λ_jk`
@@ -266,7 +268,8 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
 /// its three pairs — opened once per Count however many triples read
 /// them — and a server's mask shares are its PRF of the pair, derived
 /// where a lane needs them ([`RoundLanes`]). What the combine makes of
-/// them depends on whose table it is and where the groups come from:
+/// them depends on whose table it is and where the groups come from —
+/// never on a plaintext bit:
 ///
 /// * S₁ combines its own product shares with `λ⁽¹⁾`.
 /// * S₂ combines its own with `λ⁽²⁾`, plus `efg`. With preprocessed
@@ -276,17 +279,12 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
 ///   `x = λ⁽¹⁾ + λ⁽²⁾`), and substituted into the combination they
 ///   telescope to `⟨d⟩₂ = (x + e)(y + f)(z + g) − ⟨d⟩₁`, which is how S₂
 ///   evaluates it: from both servers' mask shares, S₁'s words and the
-///   openings, never from a plaintext bit.
-/// * A fused table does both servers' combinations at once: with
-///   preprocessed material each server's own, and with dealer material
-///   `⟨d⟩₁` and `a·b·c − ⟨d⟩₁` — the value Theorem 1 gives S₂'s
-///   combination once the openings are right, which the in-process
-///   Count, holding every opening it makes, may take directly.
+///   openings.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     seed: u64,
-    /// Whose table: one server's, or both servers' (`None`).
-    server: Option<ServerId>,
+    /// Whose table.
+    server: ServerId,
     /// Whether the groups come from preprocessed material
     /// ([`RoundLanes::set_groups`]) rather than the dealer streams.
     preprocessed: bool,
@@ -295,10 +293,10 @@ pub struct PairTable {
 }
 
 impl PairTable {
-    /// An empty table for `server` (`None`: both servers, fused) under
-    /// the Count seed `seed`, whose groups come from the dealer streams
-    /// or, `preprocessed`, from preprocessed material.
-    pub fn new(seed: u64, server: Option<ServerId>, preprocessed: bool) -> Self {
+    /// An empty table for `server` under the Count seed `seed`, whose
+    /// groups come from the dealer streams or, `preprocessed`, from
+    /// preprocessed material.
+    pub fn new(seed: u64, server: ServerId, preprocessed: bool) -> Self {
         PairTable { seed, server, preprocessed, e: Vec::new() }
     }
 
@@ -312,47 +310,39 @@ impl PairTable {
         self.e.is_empty()
     }
 
-    /// Appends a round of pairs' openings `e` — on a wire party the sum
-    /// of both servers' [`mask_round`] slabs, on a fused table
-    /// [`mask_round`]'s output itself.
+    /// Appends a round of pairs' openings `e`: the sum of both servers'
+    /// [`mask_round`] slabs.
     pub fn push(&mut self, opened: &[u64]) {
         self.e.extend_from_slice(opened);
-    }
-
-    /// Whether the combine reads the plaintext `a, b, c` of each triple
-    /// (a fused table with dealer material).
-    fn plain(&self) -> bool {
-        self.server.is_none() && !self.preprocessed
     }
 }
 
 /// `N` lanes from `lane0` of the pair maskings [`mask_round`] writes for
-/// `WHO` (0: S₁, 1: S₂, 2: both servers of a fused table). S₁ reads no
-/// bit.
+/// S₁ or, `S2`, for S₂. S₁ reads no bit.
 #[inline(always)]
-fn pair_mask_lanes<const WHO: u8, const N: usize>(
+fn pair_mask_lanes<const S2: bool, const N: usize>(
     seed: u64,
     keys: &[u64],
     bits: &[u64],
     lane0: usize,
 ) -> U64xN<N> {
     let k = U64xN::load(&keys[lane0..]);
-    match WHO {
-        0 => prf_keyed(seed, k) - mask_lanes(seed, 0, k),
-        1 => U64xN::load(&bits[lane0..]) - prf_keyed(seed, k) - mask_lanes(seed, 1, k),
-        _ => U64xN::load(&bits[lane0..]) - mask_lanes(seed, 0, k) - mask_lanes(seed, 1, k),
+    if S2 {
+        U64xN::load(&bits[lane0..]) - prf_keyed(seed, k) - mask_lanes(seed, 1, k)
+    } else {
+        prf_keyed(seed, k) - mask_lanes(seed, 0, k)
     }
 }
 
-/// [`mask_body`] for one owner.
+/// [`mask_body`] for one server.
 #[inline(always)]
-fn mask_pass<const WHO: u8>(seed: u64, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+fn mask_pass<const S2: bool>(seed: u64, keys: &[u64], bits: &[u64], out: &mut [u64]) {
     let full = keys.len() / LANES * LANES;
     for lane0 in Blocks::below(full) {
-        pair_mask_lanes::<WHO, LANES>(seed, keys, bits, lane0).store(&mut out[lane0..]);
+        pair_mask_lanes::<S2, LANES>(seed, keys, bits, lane0).store(&mut out[lane0..]);
     }
     for (t, word) in out.iter_mut().enumerate().skip(full) {
-        *word = pair_mask_lanes::<WHO, 1>(seed, keys, bits, t).0[0];
+        *word = pair_mask_lanes::<S2, 1>(seed, keys, bits, t).0[0];
     }
 }
 
@@ -398,11 +388,10 @@ impl Iterator for Blocks {
 
 /// [`mask_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
-fn mask_body(seed: u64, server: Option<ServerId>, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+fn mask_body(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
     match server {
-        Some(ServerId::S1) => mask_pass::<0>(seed, keys, bits, out),
-        Some(ServerId::S2) => mask_pass::<1>(seed, keys, bits, out),
-        None => mask_pass::<2>(seed, keys, bits, out),
+        ServerId::S1 => mask_pass::<false>(seed, keys, bits, out),
+        ServerId::S2 => mask_pass::<true>(seed, keys, bits, out),
     }
 }
 
@@ -410,13 +399,7 @@ fn mask_body(seed: u64, server: Option<ServerId>, keys: &[u64], bits: &[u64], ou
 /// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mask_avx512(
-    seed: u64,
-    server: Option<ServerId>,
-    keys: &[u64],
-    bits: &[u64],
-    out: &mut [u64],
-) {
+unsafe fn mask_avx512(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
     mask_body(seed, server, keys, bits, out)
 }
 
@@ -424,24 +407,16 @@ unsafe fn mask_avx512(
 /// The CPU must support `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mask_avx2(
-    seed: u64,
-    server: Option<ServerId>,
-    keys: &[u64],
-    bits: &[u64],
-    out: &mut [u64],
-) {
+unsafe fn mask_avx2(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
     mask_body(seed, server, keys, bits, out)
 }
 
 /// Masks a round of pairs for `table`'s owner, lane-parallel, from the
-/// pairs' [`pair_key`]s: one server's masking
-/// `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` — S₁'s input share is
-/// [`share_prf`](crate::share_prf), S₂'s the plaintext bit less it — or,
-/// on a fused table, the opening `e = a − λ` itself. `bits` holds the
-/// pairs' plaintext bits on S₂ and a fused table; S₁ reads none (pass
-/// an empty slice). Bit-identical to the scalar PRFs at every
-/// [`SimdTier`].
+/// pairs' [`pair_key`]s: the server's masking `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` —
+/// S₁'s input share is [`share_prf`](crate::share_prf), S₂'s the
+/// plaintext bit less it. `bits` holds the pairs' plaintext bits on S₂;
+/// S₁ reads none (pass an empty slice). Bit-identical to the scalar
+/// PRFs at every [`SimdTier`].
 ///
 /// # Panics
 /// Panics if `out` (or, where read, `bits`) is not `keys.len()` long.
@@ -452,7 +427,7 @@ pub fn mask_round(table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]
 fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
     let (seed, server) = (table.seed, table.server);
     assert_eq!(out.len(), keys.len(), "one masking per pair");
-    if server != Some(ServerId::S1) {
+    if server == ServerId::S2 {
         assert_eq!(bits.len(), keys.len(), "one plaintext bit per pair");
     }
     assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
@@ -469,10 +444,10 @@ fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64]
 }
 
 /// A round of a chunk's triples cut into lanes — one lane per triple, in
-/// structure-of-arrays form — for one server's [`combine_round`] or, in
-/// a fused table, both servers' [`count_round`]. Either way one pass
-/// covers the round, whatever `k`-runs it is cut from, and reads no
-/// message: every opening it needs is already in the [`PairTable`].
+/// structure-of-arrays form — for one server's [`combine_round`]. One
+/// pass covers the round, whatever `k`-runs it is cut from, and reads no
+/// message: every opening it needs is already in the server's
+/// [`PairTable`].
 ///
 /// A segment `(draw, offset, len)` of the round ([`crate::plan_rounds`])
 /// adds `len` lanes ([`RoundLanes::push_run`]). Lane `t` of it, triple
@@ -483,26 +458,19 @@ fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64]
 /// mask share of `(i, j)` and the [`pair_key`]s of `(i, k)` and `(j, k)`
 /// (their mask shares are mixed in the lane pass) and, with dealer
 /// material, the dealer-stream counter its group starts at (the draw's
-/// [`crate::PairDealer`] sought `offset + t` groups on). Where the table
-/// combines the plaintext (a fused table with dealer material) the
-/// caller writes each lane's `a, b, c` into the slices
-/// [`RoundLanes::push_run`] returns; with preprocessed material the
-/// round's groups are set once the round is pushed
-/// ([`RoundLanes::set_groups`]). Lanes are in plan order, so a round's
-/// lanes line up with the next `len` groups of a plan-ordered slab of
-/// preprocessed material.
+/// [`crate::PairDealer`] sought `offset + t` groups on). No lane holds a
+/// plaintext bit. With preprocessed material the round's groups are set
+/// once the round is pushed ([`RoundLanes::set_groups`]). Lanes are in
+/// plan order, so a round's lanes line up with the next `len` groups of
+/// a plan-ordered slab of preprocessed material.
 ///
 /// A lane's product enters the round's sum with a public sign, `+` unless
 /// [`RoundLanes::set_signs`] marks it `−`: a signed plan subtracts some
-/// triples in the same round that adds others. [`combine_round`] and
-/// [`count_round`] apply the sign as a conditional negate of each lane's
-/// `⟨d⟩` share.
+/// triples in the same round that adds others. [`combine_round`] applies
+/// the sign as a conditional negate of each lane's `⟨d⟩` share.
 ///
 /// ```
-/// use cargo_mpc::{
-///     combine_round, count_round, mask_round, pair_key, MgDraw, PairTable, RoundLanes,
-///     ServerId,
-/// };
+/// use cargo_mpc::{combine_round, mask_round, pair_key, MgDraw, PairTable, RoundLanes, ServerId};
 /// // Triples (0, 1, k) for k = 2, 3, 4, every adjacency bit 1. Their
 /// // pairs, in order: (0, 1); (0, 2), (0, 3), (0, 4); (1, 2), (1, 3), (1, 4).
 /// let seed = 7;
@@ -511,7 +479,7 @@ fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64]
 /// let bits = vec![1; pairs.len()];
 /// let draw = MgDraw::dense(0, 1, 3);
 /// // Each server masks every pair once; the sums are the openings.
-/// let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, Some(s), false));
+/// let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, false));
 /// let mut slabs = [vec![0; 7], vec![0; 7]];
 /// for (table, slab) in tables.iter().zip(&mut slabs) {
 ///     mask_round(table, &keys, &bits, slab);
@@ -522,33 +490,19 @@ fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64]
 ///     .map(|table| {
 ///         table.push(&opened);
 ///         let mut lanes = RoundLanes::new(table, 3);
-///         // A wire server's table reads no plaintext bit.
-///         assert!(lanes.push_run(table, &draw, 0, 3, [0, 1, 4]).is_none());
+///         lanes.push_run(table, &draw, 0, 3, [0, 1, 4]);
 ///         combine_round(&lanes)
 ///     })
 ///     .collect();
 /// assert_eq!(d[0].wrapping_add(d[1]), 3);
-/// // Both servers in one pass: the same two shares; with dealer material
-/// // the fused table reads the plaintext bits.
-/// let mut fused = PairTable::new(seed, None, false);
-/// let mut e = vec![0; 7];
-/// mask_round(&fused, &keys, &bits, &mut e);
-/// fused.push(&e);
-/// let mut lanes = RoundLanes::new(&fused, 3);
-/// if let Some(abc) = lanes.push_run(&fused, &draw, 0, 3, [0, 1, 4]) {
-///     abc.into_iter().for_each(|bits| bits.fill(1));
-/// }
-/// assert_eq!(count_round(&lanes), (d[0], d[1]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoundLanes {
     seed: u64,
-    /// Whose round: one server's, or both servers' (`None`).
-    server: Option<ServerId>,
+    /// Whose round.
+    server: ServerId,
     /// Whether the groups come from [`RoundLanes::set_groups`].
     preprocessed: bool,
-    /// Whether the combine reads each lane's plaintext `a, b, c`.
-    plain: bool,
     /// Lanes in the round. The columns below keep the length of the
     /// longest round met, so a round writes them in place.
     len: usize,
@@ -557,20 +511,16 @@ pub struct RoundLanes {
     open: [Vec<u64>; 3],
     /// Each lane's mask shares `x` of `(i, j)` ([`RoundLanes::x_masks`]):
     /// S₁'s, except S₂'s on an S₂ table over preprocessed material; S₂'s
-    /// besides S₁'s on an S₂ table over dealer material and a fused
-    /// table over preprocessed material.
+    /// besides S₁'s on an S₂ table over dealer material.
     x: [Vec<u64>; 2],
     /// Each lane's [`pair_key`]s of `(i, k)` and `(j, k)`, whose mask
     /// shares are the lane's `y` and `z`.
     keys: [Vec<u64>; 2],
-    /// A fused table over dealer material: each lane's `a, b, c`.
-    abc: [Vec<u64>; 3],
     /// Dealer material only: the dealer-stream counter each lane's group
     /// starts at.
     state: Vec<u64>,
-    /// Preprocessed material only: each lane's `w, o, p, q` shares, per
-    /// server the table evaluates (S₁'s first in a fused table).
-    products: [[Vec<u64>; 4]; 2],
+    /// Preprocessed material only: each lane's `w, o, p, q` shares.
+    products: [Vec<u64>; 4],
     /// Each lane's sign mask, `0` (add) or `!0` (subtract); read only
     /// while `signed`.
     negate: Vec<u64>,
@@ -589,12 +539,10 @@ impl RoundLanes {
             seed: table.seed,
             server: table.server,
             preprocessed: table.preprocessed,
-            plain: table.plain(),
             len: 0,
             open: Default::default(),
             x: Default::default(),
             keys: Default::default(),
-            abc: Default::default(),
             state: Vec::new(),
             products: Default::default(),
             negate: Vec::new(),
@@ -608,9 +556,8 @@ impl RoundLanes {
     /// Sizes the lane columns for `lanes` lanes and the slack of a
     /// segment's last block.
     fn grow(&mut self, lanes: usize) {
-        let abc = self.abc.iter_mut().filter(|_| self.plain);
         let columns = self.open.iter_mut().chain(&mut self.x).chain(&mut self.keys);
-        for column in columns.chain(abc).chain([&mut self.state]) {
+        for column in columns.chain([&mut self.state]) {
             column.resize(lanes + FILL_BLOCK, 0);
         }
     }
@@ -643,31 +590,26 @@ impl RoundLanes {
         self.signed.then(|| &self.negate[..self.len])
     }
 
-    /// Sets the round's preprocessed groups, one per lane in lane order:
-    /// this server's column, or in a fused table both servers', S₁'s
-    /// first. Call once the round's segments are pushed. The groups'
-    /// mask shares are the pairs' ([`crate::mask_prf`]); only their
-    /// product shares are read.
+    /// Sets the round's preprocessed groups — this server's, one per
+    /// lane in lane order. Call once the round's segments are pushed.
+    /// The groups' mask shares are the pairs' ([`crate::mask_prf`]);
+    /// only their product shares are read.
     ///
     /// # Panics
-    /// Panics on a dealer table, or unless `groups` holds one column per
-    /// server the table evaluates, each of one group per lane.
-    pub fn set_groups(&mut self, groups: &[&[MulGroupShare]]) {
+    /// Panics on a dealer table, or unless `groups` holds one group per
+    /// lane.
+    pub fn set_groups(&mut self, groups: &[MulGroupShare]) {
         assert!(self.preprocessed, "a dealer table draws its groups from the streams");
-        let servers = if self.server.is_some() { 1 } else { 2 };
-        assert_eq!(groups.len(), servers, "one material column per server evaluated");
-        for (products, column) in self.products.iter_mut().zip(groups) {
-            assert_eq!(column.len(), self.len, "one preprocessed group per lane");
-            let [w, o, p, q] = products;
-            for words in [&mut *w, &mut *o, &mut *p, &mut *q] {
-                words.clear();
-            }
-            for g in column.iter() {
-                w.push(g.w.0);
-                o.push(g.o.0);
-                p.push(g.p.0);
-                q.push(g.q.0);
-            }
+        assert_eq!(groups.len(), self.len, "one preprocessed group per lane");
+        let [w, o, p, q] = &mut self.products;
+        for words in [&mut *w, &mut *o, &mut *p, &mut *q] {
+            words.clear();
+        }
+        for g in groups {
+            w.push(g.w.0);
+            o.push(g.o.0);
+            p.push(g.p.0);
+            q.push(g.q.0);
         }
         self.grouped = true;
     }
@@ -686,10 +628,7 @@ impl RoundLanes {
     /// plan: `len` lanes, the triples `(i, j, draw.k_at(offset) + t)`.
     /// `slots` are the table positions of pair `(i, j)` and of the
     /// segment's first `(i, k)` and `(j, k)`; lane `t` reads `(i, k)` and
-    /// `(j, k)` `t` positions on. Where the table combines the plaintext
-    /// (a fused table with dealer material) returns the new lanes'
-    /// `a, b, c` slices for the caller to write the users' bits of
-    /// `(i, j)`, `(i, k)` and `(j, k)` into; otherwise `None`.
+    /// `(j, k)` `t` positions on.
     ///
     /// # Panics
     /// Panics if a slot run leaves the table.
@@ -700,7 +639,7 @@ impl RoundLanes {
         offset: usize,
         len: usize,
         slots: [usize; 3],
-    ) -> Option<[&mut [u64]; 3]> {
+    ) {
         let state =
             if self.preprocessed { 0 } else { PairDealer::group_state(self.seed, draw, offset) };
         let k = draw.k_at(offset) as u32;
@@ -715,12 +654,11 @@ impl RoundLanes {
     /// Which of S₂'s mask shares of `(i, j)` the table reads: its own
     /// alone in the first `x` column (an S₂ table over preprocessed
     /// material), or in the second beside S₁'s in the first (an S₂ table
-    /// over dealer material, a fused table over preprocessed material).
+    /// over dealer material).
     fn x_masks(&self) -> (bool, bool) {
         match (self.server, self.preprocessed) {
-            (Some(ServerId::S2), true) => (true, false),
-            (Some(ServerId::S2), false) | (None, true) => (false, true),
-            _ => (false, false),
+            (ServerId::S1, _) => (false, false),
+            (ServerId::S2, preprocessed) => (preprocessed, !preprocessed),
         }
     }
 
@@ -737,7 +675,7 @@ impl RoundLanes {
         keys: [u64; 2],
         x: [u64; 2],
         len: usize,
-    ) -> Option<[&mut [u64]; 3]> {
+    ) {
         let (at, end) = (self.len, self.len + len);
         if self.state.len() < end + FILL_BLOCK {
             self.grow(end.next_power_of_two());
@@ -772,7 +710,6 @@ impl RoundLanes {
                 fill_steps(&mut self.state, at..end, state, step);
             }
         }
-        self.plain.then(|| self.abc.each_mut().map(|column| &mut column[at..end]))
     }
 }
 
@@ -944,46 +881,6 @@ fn combine_pass<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool, P: P
     total
 }
 
-/// `N` lanes from `lane0` of both servers' `⟨d⟩` in a fused table: with
-/// dealer material `⟨d⟩₁` and `a·b·c − ⟨d⟩₁`, with preprocessed
-/// material each server's own combination.
-#[inline(always)]
-fn fused_d<const DEALER: bool, const N: usize>(lanes: &RoundLanes, lane0: usize) -> [U64xN<N>; 2] {
-    let efg = load3(&lanes.open, lane0);
-    let xyz = lane_masks::<0, 0, N>(lanes, lane0);
-    if DEALER {
-        let d1 = d_share(DealerWords(&lanes.state).wopq(lane0), efg, xyz);
-        let [a, b, c] = load3(&lanes.abc, lane0);
-        [d1, a * b * c - d1]
-    } else {
-        let [p1, p2] = &lanes.products;
-        let (p1, p2) = (Preprocessed(p1).wopq(lane0), Preprocessed(p2).wopq(lane0));
-        let d1 = d_share(p1, efg, xyz);
-        let d2 = d_share(p2, efg, lane_masks::<1, 1, N>(lanes, lane0));
-        [d1, d2 + efg[0] * efg[1] * efg[2]]
-    }
-}
-
-/// [`count_round`]'s pass for one material source.
-#[inline(always)]
-fn count_pass<const SIGNED: bool, const DEALER: bool>(lanes: &RoundLanes, signs: &[u64]) -> (u64, u64) {
-    let l = lanes.len();
-    let full = l / LANES * LANES;
-    let (mut acc1, mut acc2) = (U64x8::ZERO, U64x8::ZERO);
-    for lane0 in Blocks::below(full) {
-        let [d1, d2] = fused_d::<DEALER, LANES>(lanes, lane0);
-        acc1 = acc1 + signed::<SIGNED, LANES>(signs, lane0, d1);
-        acc2 = acc2 + signed::<SIGNED, LANES>(signs, lane0, d2);
-    }
-    let (mut t1, mut t2) = (acc1.hsum(), acc2.hsum());
-    for t in full..l {
-        let [d1, d2] = fused_d::<DEALER, 1>(lanes, t);
-        let (d1, d2) = (signed::<SIGNED, 1>(signs, t, d1), signed::<SIGNED, 1>(signs, t, d2));
-        (t1, t2) = (t1.wrapping_add(d1.0[0]), t2.wrapping_add(d2.0[0]));
-    }
-    (t1, t2)
-}
-
 /// [`combine_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
 fn combine_body(lanes: &RoundLanes) -> u64 {
@@ -996,23 +893,12 @@ fn combine_body(lanes: &RoundLanes) -> u64 {
 /// [`combine_body`] for signed or unsigned rounds.
 #[inline(always)]
 fn combine_material<const SIGNED: bool>(lanes: &RoundLanes, signs: &[u64]) -> u64 {
-    let (dealer, pre) = (DealerWords(&lanes.state), Preprocessed(&lanes.products[0]));
-    match (lanes.server == Some(ServerId::S2), lanes.preprocessed) {
+    let (dealer, pre) = (DealerWords(&lanes.state), Preprocessed(&lanes.products));
+    match (lanes.server == ServerId::S2, lanes.preprocessed) {
         (false, false) => combine_pass::<SIGNED, false, false, _>(lanes, signs, dealer),
         (false, true) => combine_pass::<SIGNED, false, false, _>(lanes, signs, pre),
         (true, false) => combine_pass::<SIGNED, true, false, _>(lanes, signs, dealer),
         (true, true) => combine_pass::<SIGNED, false, true, _>(lanes, signs, pre),
-    }
-}
-
-/// [`count_round`]'s body, compiled once per ISA tier.
-#[inline(always)]
-fn count_body(lanes: &RoundLanes) -> (u64, u64) {
-    match (lanes.signs(), lanes.preprocessed) {
-        (None, false) => count_pass::<false, true>(lanes, &[]),
-        (Some(signs), false) => count_pass::<true, true>(lanes, signs),
-        (None, true) => count_pass::<false, false>(lanes, &[]),
-        (Some(signs), true) => count_pass::<true, false>(lanes, signs),
     }
 }
 
@@ -1046,15 +932,14 @@ unsafe fn combine_avx2(lanes: &RoundLanes) -> u64 {
 /// per-party proptests pin at every [`SimdTier`].
 ///
 /// # Panics
-/// Panics if `lanes` is a fused table, or a preprocessed table whose
-/// groups were not set for this round.
+/// Panics if `lanes` is a preprocessed table whose groups were not set
+/// for this round.
 pub fn combine_round(lanes: &RoundLanes) -> u64 {
     combine_round_tier(SimdTier::detect(), lanes)
 }
 
 fn combine_round_tier(tier: SimdTier, lanes: &RoundLanes) -> u64 {
-    assert!(lanes.server.is_some(), "combine_round takes one server's table");
-    check_groups(lanes);
+    assert!(!lanes.preprocessed || lanes.grouped, "one preprocessed group per lane");
     assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
     match tier {
         // SAFETY: `supported()` just confirmed the CPU features the
@@ -1065,61 +950,6 @@ fn combine_round_tier(tier: SimdTier, lanes: &RoundLanes) -> u64 {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe { combine_avx2(lanes) },
         _ => combine_body(lanes),
-    }
-}
-
-/// Refuses a preprocessed round whose groups were not set.
-fn check_groups(lanes: &RoundLanes) {
-    assert!(!lanes.preprocessed || lanes.grouped, "one preprocessed group per lane");
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn count_avx512(lanes: &RoundLanes) -> (u64, u64) {
-    count_body(lanes)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_avx2(lanes: &RoundLanes) -> (u64, u64) {
-    count_body(lanes)
-}
-
-/// Both servers' step 3 over a whole round, in one pass over a fused
-/// [`RoundLanes`] table (over a fused [`PairTable`]): returns the
-/// wrapping sums `(Σ sₜ·⟨d⟩₁, Σ sₜ·⟨d⟩₂)` of the round's triples under
-/// the lanes' signs ([`RoundLanes::set_signs`]; all `+` by default).
-/// With dealer material it mixes each lane's four words once and takes
-/// S₂'s share as `a·b·c − ⟨d⟩₁`, exact for the dealer's consistent
-/// groups (Theorem 1); with preprocessed material both servers combine
-/// their own groups. Bit-identical, share for share, to the two
-/// servers' [`combine_round`]s over the same round and material, at
-/// every [`SimdTier`] — which the per-party proptests pin.
-///
-/// # Panics
-/// Panics if `lanes` is one server's table, or a preprocessed table
-/// whose groups were not set for this round.
-pub fn count_round(lanes: &RoundLanes) -> (u64, u64) {
-    count_round_tier(SimdTier::detect(), lanes)
-}
-
-fn count_round_tier(tier: SimdTier, lanes: &RoundLanes) -> (u64, u64) {
-    assert!(lanes.server.is_none(), "count_round takes a fused table");
-    check_groups(lanes);
-    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
-    match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { count_avx512(lanes) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { count_avx2(lanes) },
-        _ => count_body(lanes),
     }
 }
 
@@ -1277,34 +1107,20 @@ mod tests {
         }
 
         /// `table`'s owner's lane table of the whole round, after the
-        /// pair phase: each server's maskings summed (a fused table's
-        /// opened directly) and pushed at `tier`.
+        /// pair phase: each server's maskings summed and pushed at `tier`.
         fn lanes(&self, tier: SimdTier, table: &mut PairTable) -> RoundLanes {
-            let opened = match table.server {
-                None => {
-                    let mut e = vec![0; self.keys.len()];
-                    mask_round_tier(tier, table, &self.keys, &self.bits, &mut e);
-                    e
-                }
-                Some(_) => {
-                    let slabs = [ServerId::S1, ServerId::S2].map(|s| {
-                        let mut slab = vec![0; self.keys.len()];
-                        let peer = PairTable::new(self.seed, Some(s), false);
-                        mask_round_tier(tier, &peer, &self.keys, &self.bits, &mut slab);
-                        slab
-                    });
-                    slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect()
-                }
-            };
+            let slabs = [ServerId::S1, ServerId::S2].map(|s| {
+                let mut slab = vec![0; self.keys.len()];
+                let peer = PairTable::new(self.seed, s, false);
+                mask_round_tier(tier, &peer, &self.keys, &self.bits, &mut slab);
+                slab
+            });
+            let opened: Vec<u64> =
+                slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
             table.push(&opened);
             let mut lanes = RoundLanes::new(table, 0);
             for (&(draw, offset, len), &slots) in self.segs.iter().zip(&self.slots) {
-                if let Some([a, b, c]) = lanes.push_run(table, &draw, offset, len, slots) {
-                    let [ij, ik, jk] = slots;
-                    a.fill(self.bits[ij]);
-                    b.copy_from_slice(&self.bits[ik..ik + len]);
-                    c.copy_from_slice(&self.bits[jk..jk + len]);
-                }
+                lanes.push_run(table, &draw, offset, len, slots);
             }
             lanes
         }
@@ -1314,21 +1130,21 @@ mod tests {
     fn both_wire_servers_combine_against_the_openings() {
         // An opening both servers receive wrong moves the wire Count:
         // S₂ combines its own shares against the openings, as S₁ does,
-        // rather than taking a·b·c − ⟨d⟩₁ (which only a fused table does).
+        // rather than taking a·b·c − ⟨d⟩₁ from the plaintext bits.
         let round = Round::new(3, 5, 2);
         let (_, (d1, d2)) = round.reference(false);
         let tier = SimdTier::detect();
         let shares = [ServerId::S1, ServerId::S2].map(|s| {
-            let mut right = PairTable::new(3, Some(s), false);
+            let mut right = PairTable::new(3, s, false);
             round.lanes(tier, &mut right);
             let mut e = right.e.clone();
             let ij = round.slots[0][0];
             e[ij] = e[ij].wrapping_add(1);
-            let mut table = PairTable::new(3, Some(s), false);
+            let mut table = PairTable::new(3, s, false);
             table.push(&e);
             let mut lanes = RoundLanes::new(&table, 0);
             for (&(draw, offset, len), &slots) in round.segs.iter().zip(&round.slots) {
-                assert!(lanes.push_run(&table, &draw, offset, len, slots).is_none());
+                lanes.push_run(&table, &draw, offset, len, slots);
             }
             combine_round_tier(tier, &lanes)
         });
@@ -1353,20 +1169,11 @@ mod tests {
     proptest! {
         #[test]
         fn batch_kernel_matches_protocol_objects(seed: u64, mix: u64, runs in 1usize..6) {
-            // The fused round kernel, over a dealer table and over the
-            // same groups preprocessed, against one mul3_combine per
-            // triple on the groups the pair streams draw — over arbitrary
-            // ring values, not just bits, so the kernel is pinned on the
-            // full domain; and the shares sum to Σ a·b·c.
+            // The protocol objects' shares — one mul3_combine per triple
+            // on the groups the pair streams draw, over arbitrary ring
+            // values, not just bits — sum to Σ a·b·c.
             let round = Round::new(seed, mix, runs);
-            let (columns, want) = round.reference(false);
-            for tier in SimdTier::available() {
-                let lanes = round.lanes(tier, &mut PairTable::new(seed, None, false));
-                prop_assert!(count_round_tier(tier, &lanes) == want, "{} dealer", tier);
-                let mut lanes = round.lanes(tier, &mut PairTable::new(seed, None, true));
-                lanes.set_groups(&[&columns[0], &columns[1]]);
-                prop_assert!(count_round_tier(tier, &lanes) == want, "{} preprocessed", tier);
-            }
+            let (_, want) = round.reference(false);
             let mut abc = 0u64;
             for (&(_, _, len), &[ij, ik, jk]) in round.segs.iter().zip(&round.slots) {
                 for t in 0..len {
@@ -1423,7 +1230,7 @@ mod tests {
             let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
             let mut rng = SplitMix64::new(seed ^ 0xD15C);
             let bits: Vec<u64> = pairs.iter().map(|_| rng.next_u64() & 1).collect();
-            let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, Some(s), false));
+            let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, false));
             let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
             for (table, slab) in tables.iter().zip(&mut slabs) {
                 mask_round(table, &keys, &bits, slab);
@@ -1434,11 +1241,7 @@ mod tests {
                 .map(|table| {
                     table.push(&opened);
                     let mut lanes = RoundLanes::new(table, len);
-                    if let Some([a, b, c]) = lanes.push_run(table, &draw, 0, len, [0, 1, 1 + len]) {
-                        a.fill(bits[0]);
-                        b.copy_from_slice(&bits[1..1 + len]);
-                        c.copy_from_slice(&bits[1 + len..]);
-                    }
+                    lanes.push_run(table, &draw, 0, len, [0, 1, 1 + len]);
                     combine_round(&lanes)
                 })
                 .collect();
@@ -1464,10 +1267,8 @@ mod tests {
             // One server's pair masking and round-wide combine, from the
             // dealer counters and from the same groups preprocessed, per
             // tier, against the reference groups split_mg_words builds
-            // from the pairs' mask shares and the stream words; and the
-            // two combines equal the fused pass share for share. The
-            // maskings are each server's PRFs, and their sum the
-            // openings the fused table computes directly.
+            // from the pairs' mask shares and the stream words. The
+            // maskings are each server's PRFs of the pairs.
             let round = Round::new(seed, mix, runs);
             let (columns, want) = round.reference(false);
             let mut words = vec![0; GROUP_WORDS];
@@ -1482,7 +1283,7 @@ mod tests {
             for tier in SimdTier::available() {
                 for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
                     let at = format!("{tier} {server:?}");
-                    let table = PairTable::new(seed, Some(server), false);
+                    let table = PairTable::new(seed, server, false);
                     let mut slab = vec![0; round.keys.len()];
                     mask_round_tier(tier, &table, &round.keys, &round.bits, &mut slab);
                     for (slot, &got) in slab.iter().enumerate() {
@@ -1492,10 +1293,10 @@ mod tests {
                         prop_assert!(got == input.wrapping_sub(mask_prf(seed, server, i, j)), "{at}: mask");
                     }
                     let want_s = [want.0, want.1][s];
-                    let lanes = round.lanes(tier, &mut PairTable::new(seed, Some(server), false));
+                    let lanes = round.lanes(tier, &mut PairTable::new(seed, server, false));
                     prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: dealer combine");
-                    let mut lanes = round.lanes(tier, &mut PairTable::new(seed, Some(server), true));
-                    lanes.set_groups(&[&columns[s]]);
+                    let mut lanes = round.lanes(tier, &mut PairTable::new(seed, server, true));
+                    lanes.set_groups(&columns[s]);
                     prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: preprocessed combine");
                 }
             }
@@ -1508,10 +1309,10 @@ mod tests {
             runs in 1usize..6,
         ) {
             // A round whose lanes carry random public signs: at every
-            // tier, both servers' combines and the fused count return
-            // Σ sₜ·⟨d⟩ₜ of the protocol objects' per-triple shares, from
-            // dealer counters and from the same groups preprocessed;
-            // all-`+` signs change no bit of the unsigned round.
+            // tier, both servers' combines return Σ sₜ·⟨d⟩ₜ of the
+            // protocol objects' per-triple shares, from dealer counters
+            // and from the same groups preprocessed; all-`+` signs change
+            // no bit of the unsigned round.
             let round = Round::new(seed, mix, runs);
             let (columns, want) = round.reference(true);
             let (_, unsigned) = round.reference(false);
@@ -1522,24 +1323,18 @@ mod tests {
                     for preprocessed in [false, true] {
                         let mut d = [0u64; 2];
                         for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-                            let mut table = PairTable::new(seed, Some(server), preprocessed);
+                            let mut table = PairTable::new(seed, server, preprocessed);
                             let mut lanes = round.lanes(tier, &mut table);
                             if preprocessed {
-                                lanes.set_groups(&[&columns[s]]);
+                                lanes.set_groups(&columns[s]);
                             }
                             lanes.set_signs(signs);
                             d[s] = combine_round_tier(tier, &lanes);
+                            // A cleared table forgets its signs and groups.
+                            lanes.clear();
+                            prop_assert!(lanes.signs().is_none() && !lanes.grouped, "{at}: clear");
                         }
                         prop_assert!((d[0], d[1]) == want, "{at}: combine, {preprocessed}");
-                        let mut lanes = round.lanes(tier, &mut PairTable::new(seed, None, preprocessed));
-                        if preprocessed {
-                            lanes.set_groups(&[&columns[0], &columns[1]]);
-                        }
-                        lanes.set_signs(signs);
-                        prop_assert!(count_round_tier(tier, &lanes) == want, "{at}: count, {preprocessed}");
-                        // A cleared table forgets its signs and groups.
-                        lanes.clear();
-                        prop_assert!(lanes.signs().is_none() && !lanes.grouped, "{at}: clear");
                     }
                 }
             }

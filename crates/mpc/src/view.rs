@@ -71,7 +71,7 @@ pub fn record_pair_view(seed: u64, pairs: &[((u32, u32), u64)]) -> Vec<Ring64> {
     let keys: Vec<u64> = pairs.iter().map(|&((i, j), _)| pair_key(i, j)).collect();
     let bits: Vec<u64> = pairs.iter().map(|&(_, bit)| bit).collect();
     let mut words = vec![0; pairs.len()];
-    mask_round(&PairTable::new(seed, Some(ServerId::S2), false), &keys, &bits, &mut words);
+    mask_round(&PairTable::new(seed, ServerId::S2, false), &keys, &bits, &mut words);
     words.into_iter().map(Ring64).collect()
 }
 
