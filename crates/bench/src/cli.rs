@@ -65,8 +65,7 @@ const OWN: [Flag; 5] = [
 impl Options {
     /// The pipeline configuration of an experiment at budget
     /// `epsilon`: the command line's config with that ε. `0` knobs
-    /// (`--threads`, `--batch`, `--pool-depth`) stay `0`: the config
-    /// resolves them.
+    /// (`--threads`, `--batch`) stay `0`: the config resolves them.
     pub fn config(&self, epsilon: f64) -> CargoConfig {
         CargoConfig {
             epsilon,
@@ -111,7 +110,7 @@ impl Options {
 mod tests {
     use super::*;
     use cargo_core::{ScheduleKind, TransportKind};
-    use cargo_mpc::{Backpressure, OfflineMode, DEFAULT_POOL_DEPTH, DEFAULT_RECV_TIMEOUT};
+    use cargo_mpc::{OfflineMode, DEFAULT_RECV_TIMEOUT};
     use std::time::Duration;
 
     fn parse(v: &[&str]) -> Result<(Options, Vec<String>), String> {
@@ -167,29 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_knobs_parse() {
-        let (o, _) = parse(&[
-            "--factory-threads",
-            "2",
-            "--pool-depth",
-            "8",
-            "--pool-backpressure",
-            "fail-fast",
-            "table2",
-        ])
-        .unwrap();
-        assert_eq!(o.factory_threads, 2);
-        assert_eq!(o.pool_depth, 8);
-        assert_eq!(o.pool_backpressure, Backpressure::FailFast);
-        assert_eq!(o.config(2.0).pool_policy().depth, 8);
-        let (o, _) = parse(&["table2"]).unwrap();
-        assert_eq!(o.factory_threads, 0, "inline by default");
-        assert!(!o.config(2.0).pool_policy().enabled());
-        assert_eq!(o.config(2.0).pool_policy().depth, DEFAULT_POOL_DEPTH, "0 = default");
-        assert!(parse(&["--pool-backpressure", "wat"]).is_err());
-    }
-
-    #[test]
     fn schedule_parses() {
         let (o, _) = parse(&["--schedule", "sparse", "table2"]).unwrap();
         assert_eq!(o.schedule, ScheduleKind::Sparse);
@@ -239,8 +215,7 @@ mod tests {
         assert_eq!(
             names.join(" "),
             "--n --trials --out-dir --data-dir --quick --seed --threads --batch --offline-mode \
-             --transport --factory-threads --pool-depth --pool-backpressure --schedule \
-             --recv-timeout"
+             --transport --schedule --recv-timeout"
         );
         let (o, _) = parse(&["--out-dir", "o", "table2"]).unwrap();
         assert_eq!(o.out_dir, PathBuf::from("o"));

@@ -8,10 +8,16 @@
 
 use crate::count_sched::{DEFAULT_COUNT_BATCH, MAX_COUNT_BATCH};
 use cargo_dp::{Composition, EpsilonSplit, PrivacyBudget};
-use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy, DEFAULT_POOL_DEPTH};
+use cargo_mpc::OfflineMode;
 use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 use std::time::Duration;
+
+/// What [`CargoConfig::pool_policy`] returns: nothing. Pinned by the
+/// benchmark trace, which passes it to [`crate::run_party_count_planned`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolPolicy;
 
 /// Selects the wire the Count phase's openings travel over.
 ///
@@ -175,18 +181,6 @@ pub struct CargoConfig {
     /// bit-identical either way; TCP additionally *measures* the byte
     /// ledger on a real wire.
     pub transport: TransportKind,
-    /// Background offline triple-factory threads (OT mode only):
-    /// `0` (the default) preprocesses inline on the query path; `>= 1`
-    /// decouples generation onto a [`cargo_mpc::TriplePool`]. Shares
-    /// are bit-identical at every setting.
-    pub factory_threads: usize,
-    /// Bounded triple-pool depth in chunks
-    /// (0 = [`cargo_mpc::DEFAULT_POOL_DEPTH`]). Ignored when
-    /// `factory_threads == 0`.
-    pub pool_depth: usize,
-    /// What a drained pool does to the query path: block until the
-    /// chunk is ready (default) or fail fast with a loud error.
-    pub pool_backpressure: Backpressure,
     /// Which triples the Count phase schedules: the fully-oblivious
     /// dense cube (default) or the candidate-driven sparse walk over
     /// the public support. Shares of surviving triples are
@@ -219,9 +213,6 @@ impl CargoConfig {
             projection: true,
             offline: OfflineMode::TrustedDealer,
             transport: TransportKind::Memory,
-            factory_threads: 0,
-            pool_depth: 0,
-            pool_backpressure: Backpressure::Block,
             schedule: ScheduleKind::Dense,
             horizon: 16,
             composition: Composition::Fixed,
@@ -277,20 +268,11 @@ impl CargoConfig {
         self
     }
 
-    /// The resolved [`PoolPolicy`] of this config: disabled (inline)
-    /// when `factory_threads == 0`, otherwise the configured factory
-    /// width, depth (0 ⇒ [`cargo_mpc::DEFAULT_POOL_DEPTH`]) and
-    /// backpressure.
+    /// Pinned by `benchmark/src/bin/trace/pipeline.rs`, which passes
+    /// the result to [`crate::run_party_count_planned`]; a placeholder.
+    #[doc(hidden)]
     pub fn pool_policy(&self) -> PoolPolicy {
-        PoolPolicy {
-            factory_threads: self.factory_threads,
-            depth: if self.pool_depth == 0 {
-                cargo_mpc::DEFAULT_POOL_DEPTH
-            } else {
-                self.pool_depth
-            },
-            backpressure: self.pool_backpressure,
-        }
+        PoolPolicy
     }
 
     /// The validated budget split `(ε₁, ε₂)`.
@@ -362,9 +344,6 @@ config_flags! {
     Batch => "--batch", "b", "pairs per Count round (the shares never change)";
     OfflineMode => "--offline-mode", "dealer|ot", "Count preprocessing: trusted dealer or OT";
     Transport => "--transport", "memory|tcp", "the Count's wire: in process or loopback TCP";
-    FactoryThreads => "--factory-threads", "f", "background OT triple factories";
-    PoolDepth => "--pool-depth", "d", "triple-pool depth in chunks";
-    PoolBackpressure => "--pool-backpressure", "block|fail-fast", "what a drained pool does";
     Schedule => "--schedule", "dense|sparse|sparse-stream", "the triples the Count walks";
     NoProjection => "--no-projection", "", "skip the projection (the sensitivity becomes n)";
     Horizon => "--horizon", "epochs", "continuous release: delta epochs the budget covers";
@@ -397,9 +376,6 @@ impl ConfigFlag {
             }
             OfflineMode => cfg.offline = parse_value(flag, value)?,
             Transport => cfg.transport = parse_value(flag, value)?,
-            FactoryThreads => cfg.factory_threads = parse_value(flag, value)?,
-            PoolDepth => cfg.pool_depth = parse_value(flag, value)?,
-            PoolBackpressure => cfg.pool_backpressure = parse_value(flag, value)?,
             Schedule => cfg.schedule = parse_value(flag, value)?,
             NoProjection => cfg.projection = false,
             Horizon => cfg.horizon = parse_value(flag, value)?,
@@ -432,9 +408,6 @@ impl ConfigFlag {
             Batch => zero_means(cfg.batch, &format!("default {DEFAULT_COUNT_BATCH}")),
             OfflineMode => cfg.offline.to_string(),
             Transport => cfg.transport.to_string(),
-            FactoryThreads => zero_means(cfg.factory_threads, "inline"),
-            PoolDepth => zero_means(cfg.pool_depth, &format!("default {DEFAULT_POOL_DEPTH}")),
-            PoolBackpressure => cfg.pool_backpressure.to_string(),
             Schedule => cfg.schedule.to_string(),
             NoProjection => (!cfg.projection).to_string(),
             Horizon => cfg.horizon.to_string(),
@@ -654,7 +627,7 @@ mod tests {
         let base = CargoConfig::new(2.0);
         // Each accepted value, and what it sets on the base config.
         type Sets = fn(&mut CargoConfig);
-        let accepted: [(&[&str], Sets); 15] = [
+        let accepted: [(&[&str], Sets); 12] = [
             (&["--epsilon", "0.5"], |c| c.epsilon = 0.5),
             (&["--seed", "9"], |c| c.seed = 9),
             (&["--threads", "4"], |c| c.threads = 4),
@@ -666,11 +639,6 @@ mod tests {
             }),
             (&["--transport", "tcp"], |c| {
                 c.transport = TransportKind::Tcp
-            }),
-            (&["--factory-threads", "2"], |c| c.factory_threads = 2),
-            (&["--pool-depth", "8"], |c| c.pool_depth = 8),
-            (&["--pool-backpressure", "fail-fast"], |c| {
-                c.pool_backpressure = Backpressure::FailFast
             }),
             (&["--schedule", "sparse"], |c| {
                 c.schedule = ScheduleKind::Sparse
@@ -714,9 +682,6 @@ mod tests {
             ),
             (["--offline-mode", "wat"], "--offline-mode: "),
             (["--transport", "udp"], "--transport: "),
-            (["--factory-threads", "-2"], "--factory-threads: "),
-            (["--pool-depth", "deep"], "--pool-depth: "),
-            (["--pool-backpressure", "wat"], "--pool-backpressure: "),
             (["--schedule", "wat"], "--schedule: "),
             (["--horizon", "forever"], "--horizon: "),
             (["--composition", "wat"], "--composition: "),
@@ -730,16 +695,14 @@ mod tests {
                 ["--recv-timeout", "1e20"],
                 "--recv-timeout: must be a positive number",
             ),
+            // The retired triple-pool knobs are no flags at all.
+            (["--factory-threads", "2"], "unknown flag --factory-threads"),
+            (["--pool-depth", "2"], "unknown flag --pool-depth"),
+            (["--pool-backpressure", "block"], "unknown flag --pool-backpressure"),
         ] {
             let message = apply(&argv).expect_err(argv[1]);
             assert!(message.starts_with(refusal), "{argv:?}: {message}");
         }
-        // The pool knobs resolve through the policy: 0 means the default.
-        let pooled = apply(&["--factory-threads", "1", "--pool-depth", "8"]).unwrap();
-        assert!(pooled.pool_policy().enabled());
-        assert_eq!(pooled.pool_policy().depth, 8);
-        assert!(!base.pool_policy().enabled());
-        assert_eq!(base.pool_policy().depth, DEFAULT_POOL_DEPTH);
         assert_eq!(base.recv_timeout, cargo_mpc::DEFAULT_RECV_TIMEOUT);
     }
 
@@ -794,7 +757,6 @@ mod tests {
             "--epsilon <e=2> ",
             "--threads <w=1> ",
             "--batch <b=0 (default 1024)> ",
-            "--pool-depth <d=0 (default 4)> ",
             "--no-projection ",
             "--recv-timeout <seconds=120> ",
             "--schedule <dense|sparse|sparse-stream=dense> ",
@@ -804,7 +766,7 @@ mod tests {
         let run = apply(&["--batch", "16", "--no-projection"]).unwrap();
         let shown = ConfigFlag::ALL.map(|c| c.show(&run));
         assert_eq!(shown[1..4], ["0", "0 (all cores)", "16"]);
-        assert_eq!(shown[10], "true", "--no-projection given");
+        assert_eq!(shown[7], "true", "--no-projection given");
     }
 
     proptest::proptest! {

@@ -71,8 +71,7 @@ use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
     combine_round, mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, plan_rounds,
     share_prf, MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer,
-    PairTable, PoolPolicy, PoolStats, Ring64, RoundLanes, RoundSegment, ServerId, TriplePool,
-    LANES, PAIR_KEY_STEP,
+    PairTable, Ring64, RoundLanes, RoundSegment, ServerId, LANES, PAIR_KEY_STEP,
 };
 use std::sync::Arc;
 
@@ -101,10 +100,6 @@ pub struct SecureCountResult {
     pub upload_elements: u64,
     /// Number of triples evaluated (`C(n, 3)` on the dense cube).
     pub triples: u64,
-    /// Triple-pool counters (all zero when preprocessing ran inline;
-    /// see [`cargo_mpc::PoolStats`] for why `peak_depth` is excluded
-    /// from equality).
-    pub pool: PoolStats,
 }
 
 impl SecureCountResult {
@@ -148,20 +143,11 @@ pub struct CountJob {
     /// Where the Multiplication Groups come from: the seeded trusted
     /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
     /// phase ([`cargo_mpc::OtMgEngine`]) — one extension session per
-    /// scheduler chunk, its cost in [`NetStats::offline`] (per-flight
-    /// traffic plus one global base-OT setup). Shares and the online
-    /// ledger are bit-identical either way.
+    /// scheduler chunk, run inline by the worker that owns the chunk,
+    /// its cost in [`NetStats::offline`] (per-flight traffic plus one
+    /// global base-OT setup). Shares and the online ledger are
+    /// bit-identical either way.
     pub offline: OfflineMode,
-    /// Background triple factory for the OT offline phase: when
-    /// enabled, chunk material is drawn from a [`TriplePool`] keyed by
-    /// chunk id instead of being preprocessed on the query path.
-    /// Material is a pure function of `(seed, chunk, plan)`, so shares
-    /// and the modeled ledger equal the inline run's at every
-    /// `factory_threads × depth`; a drained fail-fast pool panics
-    /// loudly instead of deadlocking. Ignored under
-    /// [`OfflineMode::TrustedDealer`], which has no offline phase to
-    /// pool.
-    pub pool: PoolPolicy,
     /// Which triples are evaluated. Every surviving triple's
     /// Multiplication Group is drawn at its **canonical** dealer-stream
     /// position, so its share pair is the one the dense cube produces
@@ -173,14 +159,13 @@ pub struct CountJob {
 
 impl CountJob {
     /// The default job under `seed`: one worker, default batch, trusted
-    /// dealer, inline preprocessing, dense cube.
+    /// dealer, dense cube.
     pub fn new(seed: u64) -> Self {
         CountJob {
             seed,
             threads: 1,
             batch: 0,
             offline: OfflineMode::TrustedDealer,
-            pool: PoolPolicy::INLINE,
             plan: SchedulePlan::DenseCube,
         }
     }
@@ -193,7 +178,6 @@ impl CountJob {
             threads: cfg.effective_threads(),
             batch: cfg.effective_batch(),
             offline: cfg.offline,
-            pool: cfg.pool_policy(),
             plan,
             ..CountJob::new(cfg.seed ^ COUNT_SEED_TWEAK)
         }
@@ -210,19 +194,6 @@ impl CountJob {
     pub(crate) fn local_scheduler(&self, n: usize) -> CountScheduler {
         let threads = if n < 64 { 1 } else { self.threads };
         CountScheduler::with_plan(n, threads, self.batch, self.plan.clone())
-    }
-
-    /// Starts the background triple factory when the job asks for one
-    /// and there is an offline phase to pool.
-    pub(crate) fn spawn_pool(&self, sched: &CountScheduler) -> Option<TriplePool> {
-        if !self.pool.enabled()
-            || self.offline != OfflineMode::OtExtension
-            || sched.chunks().is_empty()
-        {
-            return None;
-        }
-        let plans = sched.chunks().iter().map(|c| sched.chunk_plan(c)).collect();
-        Some(TriplePool::new(self.seed, plans, self.pool))
     }
 }
 
@@ -260,12 +231,9 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 /// [`combine_round`] — so it differs from
 /// [`count_two_party`](crate::count_runtime::count_two_party) in the
 /// link only: the pair slabs are summed in place, and each chunk is
-/// combined once per server. Input kind, plan, offline mode and pool
-/// are orthogonal: a CSR input in OT mode over the eager sparse plan is
-/// as valid as the dense matrix cube.
-///
-/// # Panics
-/// Panics if a fail-fast pool is drained.
+/// combined once per server. Input kind, plan and offline mode are
+/// orthogonal: a CSR input in OT mode over the eager sparse plan is as
+/// valid as the dense matrix cube.
 pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
     match input.into() {
         CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n())),
@@ -282,16 +250,14 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     job: &CountJob,
     sched: &CountScheduler,
 ) -> SecureCountResult {
-    let pool = job.spawn_pool(sched);
     let pairs = sched.pair_set();
     let tables = open_pairs(bits, job, sched, &pairs);
     let opened = (&*pairs, &tables);
-    let parts = sched.run_chunks(|chunk| chunk_part(job, sched, opened, chunk, pool.as_ref()));
-    let pool = pool.map(|p| p.stats()).unwrap_or_default();
+    let parts = sched.run_chunks(|chunk| chunk_part(job, sched, opened, chunk));
     let mut online = NetStats::new();
     online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
     let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
-    finish(sched, job.offline, parts.into_iter().chain([online]), pool)
+    finish(sched, job.offline, parts.into_iter().chain([online]))
 }
 
 /// The pair phase in-process: the wire parties' pair rounds with the
@@ -376,7 +342,6 @@ pub(crate) fn finish(
     sched: &CountScheduler,
     offline: OfflineMode,
     parts: impl IntoIterator<Item = CountPart>,
-    pool: PoolStats,
 ) -> SecureCountResult {
     let mut share1 = Ring64::ZERO;
     let mut share2 = Ring64::ZERO;
@@ -392,7 +357,7 @@ pub(crate) fn finish(
         net.offline.merge(&ot_setup_ledger());
     }
     let n = sched.n() as u64;
-    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples, pool }
+    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples }
 }
 
 /// Adjacency-bit source of the pair phase: the one interface that lets
@@ -477,8 +442,8 @@ fn push_round(
 /// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream offset
 /// — is cut into rounds of `batch` triples by [`plan_rounds`], each
 /// round filled into `lanes` ([`push_round`]), given its preprocessed
-/// groups — the next `len` of the plan-ordered `groups`, in OT and pool
-/// mode; dealer rounds mix theirs from each lane's counter — and summed
+/// groups — the next `len` of the plan-ordered `groups`, in OT mode;
+/// dealer rounds mix theirs from each lane's counter — and summed
 /// by one [`combine_round`] pass. Returns the server's share of the
 /// chunk's sum and the triples evaluated.
 pub(crate) fn combine_chunk(
@@ -509,30 +474,20 @@ pub(crate) fn combine_chunk(
 ///
 /// The chunk's material is resolved once: each lane's dealer counter,
 /// or in OT mode a slab of both servers' preprocessed groups — one
-/// chunk-amortised [`OtMgEngine`] session run inline, or the background
-/// `pool`'s entry for `chunk.id`, which holds the bits the inline
-/// session would have produced — each server reading its own column.
-/// Its ledger lands in the chunk's [`NetStats::offline`]; a chunk has no
-/// online traffic.
+/// chunk-amortised [`OtMgEngine`] session run inline — each server
+/// reading its own column. Its ledger lands in the chunk's
+/// [`NetStats::offline`]; a chunk has no online traffic.
 fn chunk_part(
     job: &CountJob,
     sched: &CountScheduler,
     (pairs, tables): (&PairSet, &[PairTable; 2]),
     chunk: &PairChunk,
-    pool: Option<&TriplePool>,
 ) -> CountPart {
     let plan = sched.chunk_plan(chunk);
     let mut net = NetStats::new();
-    let material = match (pool, job.offline) {
-        (Some(pool), _) => {
-            let (material, ledger) = pool
-                .take(chunk.id)
-                .unwrap_or_else(|e| panic!("offline triple pool failed on chunk {}: {e}", chunk.id));
-            net.offline.merge(&ledger);
-            Some(material)
-        }
-        (None, OfflineMode::TrustedDealer) => None,
-        (None, OfflineMode::OtExtension) => {
+    let material = match job.offline {
+        OfflineMode::TrustedDealer => None,
+        OfflineMode::OtExtension => {
             let mut engine = OtMgEngine::for_chunk(job.seed, chunk.id as u64);
             let material = engine.preprocess(&plan);
             net.offline.merge(&engine.ledger());
@@ -598,14 +553,7 @@ pub fn secure_count_reference(matrix: &BitMatrix, seed: u64) -> SecureCountResul
             }
         }
     }
-    SecureCountResult {
-        share1,
-        share2,
-        net,
-        upload_elements: 2 * (n as u64) * (n as u64),
-        triples,
-        pool: PoolStats::default(),
-    }
+    SecureCountResult { share1, share2, net, upload_elements: 2 * (n as u64) * (n as u64), triples }
 }
 
 #[cfg(test)]

@@ -48,10 +48,11 @@
 //!   words of its group and two mask shares, S₂ four — its own and
 //!   S₁'s, which the simulated dealer's predistribution hands it, as it
 //!   does S₁'s words). No dealer word is buffered and the other
-//!   server's column is never expanded. OT and pool mode run the same
-//!   pass over the block's next `len` preprocessed groups instead of
-//!   the counters. The chunk loop is `count_local`'s, which runs it
-//!   once per server.
+//!   server's column is never expanded. OT mode runs the same pass
+//!   over the block's next `len` preprocessed groups instead of the
+//!   counters, each chunk's groups made inline over the link just
+//!   before the chunk is combined ([`mg_offline_over_wire`]). The chunk
+//!   loop is `count_local`'s, which runs it once per server.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -69,12 +70,13 @@ use crate::count::{
     combine_chunk, finish, pair_round, AdjacencyBits, CountInput, CountJob, CountPart,
     SecureCountResult,
 };
+use crate::config::PoolPolicy;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger, recv_msg, send_msg,
-    NetStats, OfflineMode, PairOpeningMsg, PairTable, PoolPolicy, Ring64, RoundLanes, ServerId,
-    Transport, TriplePool, WordBuffers,
+    NetStats, OfflineMode, PairOpeningMsg, PairTable, Ring64, RoundLanes, ServerId, Transport,
+    WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -137,14 +139,6 @@ struct Server<'a, T: Transport> {
     opened: (&'a PairSet, &'a PairTable),
     /// The server↔server wire (the offline dialogue).
     peer: &'a T,
-    /// Background triple factory (OT mode only): when set, chunk
-    /// material is *drawn* from this server's private pool keyed by the
-    /// chunk id instead of being preprocessed inline on the peer link —
-    /// the predistribution stance of the local dealer, but with the
-    /// generation cost still modeled via the pooled per-chunk ledger.
-    /// The factory derives both share columns of each chunk locally
-    /// and the worker keeps only its own side.
-    pool: Option<&'a TriplePool>,
 }
 
 impl<'env, T: Transport> Server<'env, T> {
@@ -200,22 +194,14 @@ impl<'env, T: Transport> Server<'env, T> {
         // candidate schedule. Both servers and every offline source
         // walk this same list in the same order.
         let plan = self.sched.chunk_plan(chunk);
-        // OT mode preprocesses the whole chunk up front — inline in
-        // one amortised session over the peer link, or by drawing the
-        // chunk's entry from the background pool — into one slab of
-        // this server's groups in plan order; in dealer mode the
-        // server expands its own column of the seeded pair streams
-        // round by round in the chunk loop, as if predistributed.
-        let material = match (self.pool, self.job.offline) {
-            (Some(pool), _) => {
-                let (mat, ledger) = pool.take(chunk.id).unwrap_or_else(|e| {
-                    panic!("offline triple pool failed on chunk {}: {e}", chunk.id)
-                });
-                net.offline.merge(&ledger);
-                Some(mat.columns()[self.id.index() as usize].to_vec())
-            }
-            (None, OfflineMode::TrustedDealer) => None,
-            (None, OfflineMode::OtExtension) => Some(mg_offline_over_wire(
+        // OT mode preprocesses the whole chunk up front, in one
+        // amortised session over the peer link, into one slab of this
+        // server's groups in plan order; in dealer mode the server
+        // expands its own column of the seeded pair streams round by
+        // round in the chunk loop, as if predistributed.
+        let material = match self.job.offline {
+            OfflineMode::TrustedDealer => None,
+            OfflineMode::OtExtension => Some(mg_offline_over_wire(
                 self.peer,
                 self.id,
                 seed,
@@ -270,15 +256,11 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
 ///
 /// The party tallies the full bidirectional modeled ledger itself
 /// (both processes report identical `NetStats`), expands dealer
-/// material locally in trusted-dealer mode, and in OT mode either runs
-/// the preprocessing dialogue over `link` or — with [`CountJob::pool`]
-/// enabled — draws chunk material from a private background
-/// [`TriplePool`], the generation cost still tallied from the pooled
-/// per-chunk ledgers (so the modeled [`NetStats`] equals the inline OT
-/// party's; fill/drain counters land in [`SecureCountResult::pool`]).
-/// Finally it overwrites [`NetStats::wire_bytes`] with the online
-/// payload bytes the transport measured — which the equivalence suites
-/// pin equal to the modeled `bytes`.
+/// material locally in trusted-dealer mode, and in OT mode runs the
+/// preprocessing dialogue over `link`, one session per chunk. Finally
+/// it overwrites [`NetStats::wire_bytes`] with the online payload bytes
+/// the transport measured — which the equivalence suites pin equal to
+/// the modeled `bytes`.
 ///
 /// Both parties must be handed the same job (or the lockstep asserts
 /// fire). The other share lives in the peer process: the result
@@ -303,28 +285,20 @@ fn party_scheduled<B: AdjacencyBits, T: Transport>(
     id: ServerId,
     link: &Arc<T>,
 ) -> SecureCountResult {
-    let pool = job.spawn_pool(sched);
     let pairs = sched.pair_set();
     let mut online = NetStats::new();
     let table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
-    let server = Server {
-        id,
-        job,
-        sched,
-        opened: (&*pairs, &table),
-        peer: &**link,
-        pool: pool.as_ref(),
-    };
+    let server = Server { id, job, sched, opened: (&*pairs, &table), peer: &**link };
     let parts = server.run_workers();
-    let pool = pool.map(|p| p.stats()).unwrap_or_default();
     let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
-    let mut result = finish(sched, job.offline, parts.into_iter().chain([online]), pool);
+    let mut result = finish(sched, job.offline, parts.into_iter().chain([online]));
     result.net.wire_bytes = link.stats().online_payload_both();
     result
 }
 
 /// Pinned by `benchmark/src/bin/trace/pipeline.rs`, which calls it
-/// positionally.
+/// positionally; `_pool` is the placeholder `CargoConfig::pool_policy`
+/// returns, and is ignored.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn run_party_count_planned<T: Transport>(
@@ -335,10 +309,10 @@ pub fn run_party_count_planned<T: Transport>(
     offline: OfflineMode,
     id: ServerId,
     link: &Arc<T>,
-    pool: PoolPolicy,
+    _pool: PoolPolicy,
     plan: SchedulePlan,
 ) -> SecureCountResult {
-    let job = CountJob { threads, batch, offline, pool, plan, ..CountJob::new(seed) };
+    let job = CountJob { threads, batch, offline, plan, ..CountJob::new(seed) };
     count_party(matrix, &job, id, link)
 }
 
@@ -351,12 +325,12 @@ pub fn run_party_count_planned<T: Transport>(
 /// Shares, the online [`NetStats`] and the offline ledger are
 /// bit-identical to [`crate::count::count_local`] on the same input and
 /// job;
-/// `wire_bytes` is what `end1` actually measured, and the factory
-/// counters are S₁'s (S₂'s pool saw the same fills and drains).
+/// `wire_bytes` is what `end1` actually measured.
 ///
 /// # Panics
 /// Re-raises a party's panic as is; panics if the two parties' ledgers
-/// or triple counts disagree.
+/// or triple counts disagree, or if the offline payload `end1`
+/// measured is not the modeled flight ledger.
 pub fn count_two_party<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
@@ -373,16 +347,17 @@ pub fn count_two_party<'a, T: Transport>(
     assert_eq!(r1.triples, r2.triples, "the parties evaluated different triple counts");
     // Measured-vs-modeled: the offline payload that actually crossed
     // the wire must equal the modeled flight ledger (the base-OT setup
-    // is a per-run constant that never crosses this link). In pooled
-    // mode the material is predistributed locally: zero offline bytes
-    // cross the link while the modeled ledger still carries the
-    // generation cost, so the pin only applies inline.
-    let flights = if job.pool.enabled() || r1.net.offline.is_empty() {
+    // is a per-run constant that never crosses this link).
+    let flights = if r1.net.offline.is_empty() {
         0
     } else {
         r1.net.offline.bytes - ot_setup_ledger().bytes
     };
-    debug_assert_eq!(end1.stats().offline_payload_both(), flights);
+    assert_eq!(
+        end1.stats().offline_payload_both(),
+        flights,
+        "the offline payload on the link is not the modeled flight ledger"
+    );
     SecureCountResult { share2: r2.share2, ..r1 }
 }
 
@@ -561,15 +536,14 @@ mod tests {
     fn sparse_rounds_of_short_runs_match_the_fast_path_in_every_mode() {
         // On a sparse candidate schedule a round's lanes come from many
         // draws, most of them k-runs shorter than a vector, and a round
-        // may resume a draw the previous round cut. Dealer, inline-OT
-        // and pool material, over memory and TCP, must reproduce the
-        // fast path share for share.
+        // may resume a draw the previous round cut. Dealer and OT
+        // material, over memory and TCP, must reproduce the fast path
+        // share for share.
         let g = erdos_renyi(90, 0.15, 4);
         let m = g.to_bit_matrix();
         let plan = SchedulePlan::CsrStream(Arc::new(CsrGraph::from_graph(&g)));
         let ot = CountJob { offline: OfflineMode::OtExtension, ..job(23, 2, 0) };
-        let pool = PoolPolicy { factory_threads: 1, ..PoolPolicy::INLINE };
-        let modes = [job(23, 2, 0), ot.clone(), CountJob { pool, ..ot }];
+        let modes = [job(23, 2, 0), ot];
         let mut resumes_a_draw = false;
         for batch in [7usize, DEFAULT_COUNT_BATCH] {
             let sched = CountJob { plan: plan.clone(), ..job(23, 2, batch) }.scheduler(m.n());
@@ -590,8 +564,7 @@ mod tests {
                 assert!(fast.triples > 0);
                 let runs = [("memory", over_memory(&m, &wire)), ("tcp", over_tcp(&m, &wire))];
                 for (link, res) in runs {
-                    let (mode, pooled) = (wire.offline, wire.pool.enabled());
-                    let at = format!("{link}, batch {batch}, {mode:?}, pool {pooled}");
+                    let at = format!("{link}, batch {batch}, {:?}", wire.offline);
                     assert_eq!((res.share1, res.share2), (fast.share1, fast.share2), "{at}");
                     assert_eq!(res.net, fast.net, "{at}");
                     assert_eq!(res.triples, fast.triples, "{at}");
@@ -670,21 +643,18 @@ mod tests {
 
     #[test]
     fn two_party_report_is_party_one_with_party_two_s_share() {
-        // Pooled OT mode, where the report carries factory counters:
-        // count_two_party is S₁'s count_party result plus S₂'s share.
+        // OT mode: count_two_party is S₁'s count_party result plus
+        // S₂'s share.
         let m = erdos_renyi(24, 0.3, 5).to_bit_matrix();
-        let pool = PoolPolicy { factory_threads: 2, ..PoolPolicy::INLINE };
-        let pooled = CountJob { pool, ..ot_job(8, 2, 16) };
-        let both = over_memory(&m, &pooled);
+        let ot = ot_job(8, 2, 16);
+        let both = over_memory(&m, &ot);
         let (end1, end2) = cargo_mpc::memory_pair();
         let (end1, end2) = (Arc::new(end1), Arc::new(end2));
         let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| count_party(&m, &pooled, ServerId::S1, &end1));
-            let h2 = scope.spawn(|| count_party(&m, &pooled, ServerId::S2, &end2));
+            let h1 = scope.spawn(|| count_party(&m, &ot, ServerId::S1, &end1));
+            let h2 = scope.spawn(|| count_party(&m, &ot, ServerId::S2, &end2));
             (h1.join().unwrap(), h2.join().unwrap())
         });
-        assert!(r1.pool.fills > 0, "the factory ran");
-        assert_eq!(both.pool, r1.pool);
         assert_eq!((both.share1, both.share2), (r1.share1, r2.share2));
         assert_eq!((both.net, both.triples), (r1.net, r1.triples));
     }

@@ -20,7 +20,7 @@
 //! pair's public `k`-list is thinned by the pair's coin stream, the
 //! survivors keep their canonical dealer offsets `k − j − 1`, and the
 //! very workers of [`crate::count::count_local`] run over the thinned
-//! plan. Thread count, batch, offline mode and pool therefore behave
+//! plan. Thread count, batch and offline mode therefore behave
 //! exactly as they do for the exact count, and at `rate = 1` the plan —
 //! hence the share pair and the ledger — *is* the exact count's.
 //!
@@ -152,8 +152,7 @@ pub(crate) fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
 /// it would in the exact count under any plan that schedules it, OT
 /// mode preprocesses exactly the sampled Multiplication Groups in the
 /// chunk-amortised sessions, and the estimate, the share pair and the
-/// ledger are invariant across `threads × batch`, offline modes and
-/// pool policies.
+/// ledger are invariant across `threads × batch` and offline modes.
 ///
 /// `evaluated` counts the triples that survived; `total_triples` is
 /// the unfiltered schedule's.
@@ -280,21 +279,6 @@ mod tests {
             );
             assert_eq!(ot.net.offline.base_ots, 256);
         }
-    }
-
-    #[test]
-    fn pool_does_not_change_the_estimate() {
-        // The pool never reached the estimator while it had workers of
-        // its own; under the plan filter it means what it means for the
-        // exact count — scheduling only.
-        let m = erdos_renyi(40, 0.2, 6).to_bit_matrix();
-        let ot = CountJob { offline: OfflineMode::OtExtension, ..job(7, 1, 8) };
-        let pool = cargo_mpc::PoolPolicy { factory_threads: 2, depth: 2, ..Default::default() };
-        assert_eq!(
-            count_sampled(&m, 0.3, &CountJob { pool, ..ot.clone() }),
-            count_sampled(&m, 0.3, &ot),
-            "pooled sessions preprocess the filtered chunk plans"
-        );
     }
 
     #[test]

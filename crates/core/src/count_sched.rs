@@ -745,7 +745,7 @@ impl CountScheduler {
                     })
                 })
                 .collect();
-            // A worker's panic (a drained pool, say) is re-raised as is.
+            // A worker's panic is re-raised as is, its message intact.
             handles.into_iter().for_each(join);
         });
         let mut collected = slots.into_inner().expect("result lock poisoned");

@@ -15,7 +15,7 @@
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
 //! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (two of those over a link pair) or [`count_sampled()`] |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
-//! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation |
+//! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation, one OT session per chunk run inline by the Count |
 //! | Deployment shape | [`party`] + [`count_runtime`] | [`EpochParty`]: both servers in process ([`party::InProcess`]) or one per process over a real [`cargo_mpc::transport::Transport`] ([`party::Wire`]), for the one-shot pipeline and serve mode alike |
 //! | Continuous release | [`delta`] + [`session`] | Edge-delta epochs, incremental Count, per-epoch DP budgeting |
 //! | Crash recovery | [`recovery`] | Committed-epoch journal, deterministic replay, resumable serve |
@@ -61,7 +61,7 @@ pub mod session;
 pub mod protocol;
 pub mod theory;
 
-pub use cargo_mpc::{Backpressure, OfflineMode, PoolPolicy, PoolStats};
+pub use cargo_mpc::OfflineMode;
 pub use config::{CargoConfig, ScheduleKind, TransportKind};
 pub use count::{
     count_local, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,

@@ -228,9 +228,6 @@ pub struct PartyReport {
     pub net: NetStats,
     /// Triples the count evaluated.
     pub triples: u64,
-    /// Offline triple-factory counters (zero when preprocessing ran
-    /// inline); both parties' pools fill and drain identically.
-    pub pool: cargo_mpc::PoolStats,
 }
 
 /// Runs the full pipeline as server `role` against a live peer over
@@ -252,7 +249,6 @@ pub fn run_party<T: Transport>(
         projected_count: run.projected_count,
         net: run.net,
         triples: run.count.triples,
-        pool: run.count.pool,
     }
 }
 
@@ -330,29 +326,6 @@ mod tests {
         assert_eq!(r1.net, mono.net, "offline ledger included");
         assert_eq!(r2.net, mono.net);
         assert!(!r1.net.offline.is_empty());
-    }
-
-    #[test]
-    fn pooled_party_pipeline_matches_the_inline_ot_run() {
-        use cargo_mpc::OfflineMode;
-        let g = erdos_renyi(30, 0.3, 5);
-        let base = CargoConfig::new(2.0)
-            .with_seed(4)
-            .with_threads(2)
-            .with_offline(OfflineMode::OtExtension);
-        let (i1, _) = run_party_local(&g, &base);
-        let pooled_cfg = CargoConfig {
-            factory_threads: 2,
-            pool_depth: 1,
-            ..base
-        };
-        let (p1, p2) = run_party_local(&g, &pooled_cfg);
-        assert_eq!(p1.noisy_count, i1.noisy_count);
-        assert_eq!(p1.count_share, i1.count_share, "bit-identical shares");
-        assert_eq!(p1.net, i1.net, "modeled ledger unchanged by pooling");
-        assert!(p1.pool.fills > 0, "the factory actually ran");
-        assert_eq!(p1.pool, p2.pool, "both parties' pools fill identically");
-        assert_eq!(i1.pool, cargo_mpc::PoolStats::default());
     }
 
     #[test]

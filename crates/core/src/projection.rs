@@ -15,7 +15,7 @@
 //! so the projected matrix may be asymmetric. That is exactly what
 //! Algorithm 4 consumes (the row owner contributes each bit's shares).
 
-use cargo_graph::{BitMatrix, BitVec, Graph};
+use cargo_graph::{BitMatrix, BitVec};
 
 /// Outcome of projecting a full adjacency matrix.
 #[derive(Debug, Clone)]
@@ -98,24 +98,20 @@ pub fn project_matrix(
     }
 }
 
-/// Convenience: projects a plaintext [`Graph`] and reports the triangle
-/// count surviving projection — the "projection loss" experiments of
-/// Figs. 9/10 compare this across projection algorithms.
-///
-/// The surviving count is computed exactly as the secure protocol would
-/// see it: triple products over the asymmetric matrix.
-pub fn projection_loss(g: &Graph, noisy_degrees: &[f64], theta: usize) -> (u64, u64) {
-    let t_before = cargo_graph::count_triangles(g);
-    let res = project_matrix(&g.to_bit_matrix(), &g.degrees(), noisy_degrees, theta);
-    let t_after = cargo_graph::count_triangles_matrix(&res.matrix);
-    (t_before, t_after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cargo_graph::generators::barabasi_albert;
-    use cargo_graph::{count_triangles, count_triangles_matrix};
+    use cargo_graph::{count_triangles, count_triangles_matrix, Graph};
+
+    /// Projects `g` and reports its triangle count before and after —
+    /// the "projection loss" of Figs. 9/10. The surviving count is
+    /// computed as the secure protocol sees it: triple products over
+    /// the asymmetric matrix.
+    fn projection_loss(g: &Graph, noisy_degrees: &[f64], theta: usize) -> (u64, u64) {
+        let res = project_matrix(&g.to_bit_matrix(), &g.degrees(), noisy_degrees, theta);
+        (count_triangles(g), count_triangles_matrix(&res.matrix))
+    }
 
     /// A wheel-ish graph: hub 0 connected to everyone; rim nodes form
     /// triangles with the hub.

@@ -30,7 +30,7 @@ use crate::perturb::aggregate_noise_shares;
 use crate::projection::project_matrix;
 use cargo_dp::{FixedPointCodec, PrivacyAccountant, PrivacyBudget};
 use cargo_graph::{count_triangles_matrix, Graph};
-use cargo_mpc::{NetStats, OfflineMode};
+use cargo_mpc::NetStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -157,12 +157,6 @@ pub(crate) fn algorithm1<P: EpochParty>(
     // function of shared public state, never a message) ----
     let t0 = Instant::now();
     let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &matrix));
-    if job.pool.enabled() && job.offline != OfflineMode::OtExtension {
-        eprintln!(
-            "warning: --factory-threads only applies to --offline-mode ot \
-             (the trusted dealer has no offline phase to pool); running inline"
-        );
-    }
     let count = party.count(&matrix, &job);
     let t_count = t0.elapsed();
 
@@ -399,27 +393,6 @@ mod tests {
         assert!(ot.net.offline.bytes > 0, "offline phase is costed");
         assert!(ot.net.offline.rounds > 0);
         assert_eq!(ot.net.offline.base_ots, 256);
-    }
-
-    #[test]
-    fn pooled_factory_changes_nothing_but_the_counters() {
-        use cargo_mpc::OfflineMode;
-        let g = erdos_renyi(40, 0.2, 7);
-        let base = CargoConfig::new(2.0)
-            .with_seed(13)
-            .with_offline(OfflineMode::OtExtension);
-        let inline = CargoSystem::new(base).run(&g);
-        let pooled = CargoSystem::new(CargoConfig {
-            factory_threads: 2,
-            pool_depth: 2,
-            ..base
-        })
-        .run(&g);
-        // Same output, same full ledger (offline included) — the pool
-        // only moves *where* preprocessing runs.
-        assert_eq!(pooled.noisy_count, inline.noisy_count);
-        assert_eq!(pooled.projected_count, inline.projected_count);
-        assert_eq!(pooled.net, inline.net, "modeled ledger unchanged");
     }
 
     #[test]

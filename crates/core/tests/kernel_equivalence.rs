@@ -8,14 +8,13 @@
 //! (input shares from `share_prf`, groups from each pair's dealer
 //! stream). For arbitrary (asymmetric!) bit matrices, `count_local`
 //! must reproduce its share pair, triple count and element/byte ledger
-//! exactly — across `threads × batch`, with dealer, inline-OT and pooled
-//! material, on the exact count, on the sampled estimator at rate 1,
+//! exactly — across `threads × batch`, with dealer and OT material, on
+//! the exact count, on the sampled estimator at rate 1,
 //! and on the golden fixtures. Rounds are not compared: the reference
 //! opens one triple a round.
 
 use cargo_core::{
-    count_local, count_sampled, secure_count_reference, CountJob, OfflineMode, PoolPolicy,
-    SecureCountResult,
+    count_local, count_sampled, secure_count_reference, CountJob, OfflineMode, SecureCountResult,
 };
 use cargo_graph::BitMatrix;
 use cargo_mpc::SplitMix64;
@@ -79,18 +78,13 @@ proptest! {
         seed: u64,
         batch in 1usize..10,
     ) {
-        // Small n: OT mode pays 512 extended OTs per triple. Inline and
-        // pooled sessions preprocess the groups the dealer streams hold.
+        // Small n: OT mode pays 512 extended OTs per triple. The inline
+        // sessions preprocess the groups the dealer streams hold.
         let want = oracle_view(&secure_count_reference(&m, seed));
-        let ot = job(seed, 1, batch, OfflineMode::OtExtension);
-        let pool = PoolPolicy { factory_threads: 2, ..PoolPolicy::INLINE };
-        let pooled = CountJob { pool, ..ot.clone() };
-        for material in [ot, pooled] {
-            let local = count_local(&m, &material);
-            let (got, pooled) = (oracle_view(&local), material.pool.enabled());
-            prop_assert!(got == want, "pool {pooled}: {got:?} ≠ {want:?}");
-            prop_assert!(!local.net.offline.is_empty());
-        }
+        let local = count_local(&m, &job(seed, 1, batch, OfflineMode::OtExtension));
+        let got = oracle_view(&local);
+        prop_assert!(got == want, "{got:?} ≠ {want:?}");
+        prop_assert!(!local.net.offline.is_empty());
     }
 
     #[test]

@@ -23,9 +23,7 @@ use cargo_core::{
     OfflineMode, SchedulePlan,
 };
 use cargo_graph::BitMatrix;
-use cargo_mpc::{
-    chunk_offline_ledger, memory_pair, Backpressure, OfflineLedger, PoolPolicy, SplitMix64,
-};
+use cargo_mpc::{chunk_offline_ledger, memory_pair, OfflineLedger, SplitMix64};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -203,11 +201,5 @@ proptest! {
         prop_assert_eq!(ot.net.offline, expected_offline(&sched));
         // Payload OTs are per admitted triple, not per cube triple.
         prop_assert_eq!(ot.net.offline.extended_ots, 512 * sched.total_triples());
-        // Background triple pool: a scheduling change only.
-        let pool = PoolPolicy { factory_threads: 1, depth: 2, backpressure: Backpressure::Block };
-        let pooled = count_local(&m, &CountJob { pool, ..ot_job });
-        prop_assert_eq!(pooled.share1, dealer.share1);
-        prop_assert_eq!(pooled.share2, dealer.share2);
-        prop_assert_eq!(pooled.net, ot.net);
     }
 }

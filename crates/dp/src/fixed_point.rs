@@ -35,7 +35,7 @@ impl FixedPointCodec {
 
     /// The scale factor `2^frac_bits` as a ring element (multiply an
     /// integer-valued share by this to align denominators).
-    pub fn scale_ring(&self) -> Ring64 {
+    fn scale_ring(&self) -> Ring64 {
         Ring64(1u64 << self.frac_bits)
     }
 

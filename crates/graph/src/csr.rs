@@ -12,7 +12,7 @@
 //!   in the total order `(degree, id)`, which bounds every vertex's
 //!   forward degree by `O(√m)` on any graph and makes wedge
 //!   enumeration near-linear in practice, and
-//! * a [`Wedges`] iterator over the oriented two-paths `u ← v → w`
+//! * a `Wedges` iterator over the oriented two-paths `u ← v → w`
 //!   (`rank(v) < rank(u) < rank(w)`), each of which is the unique
 //!   candidate spot for one triangle.
 //!
@@ -39,7 +39,7 @@ use std::sync::OnceLock;
 /// Compressed-sparse-row adjacency, plus a degree-ordered forward
 /// orientation that is **built on first use**: only the plaintext
 /// reference ([`Self::count_triangles`], through [`Self::rank`],
-/// [`Self::forward_neighbors`] and [`Self::wedges`]) reads it, so the
+/// [`Self::forward_neighbors`] and its wedges) reads it, so the
 /// secure Count's ingest and planning never pay for it.
 ///
 /// Equality is over the adjacency `(n, offsets, targets)`, of which the
@@ -363,7 +363,7 @@ impl CsrGraph {
     /// `rank(u) < rank(w)`. Every triangle of the graph closes exactly
     /// one wedge (at its lowest-ranked corner), so the stream's length
     /// is the graph's candidate-triangle count.
-    pub fn wedges(&self) -> Wedges<'_> {
+    pub(crate) fn wedges(&self) -> Wedges<'_> {
         Wedges {
             g: self,
             v: 0,
@@ -467,9 +467,9 @@ impl NeighborMarks {
     }
 }
 
-/// Iterator over degree-ordered wedges — see [`CsrGraph::wedges`].
+/// Iterator over degree-ordered wedges — see `CsrGraph::wedges`.
 #[derive(Debug, Clone)]
-pub struct Wedges<'a> {
+pub(crate) struct Wedges<'a> {
     g: &'a CsrGraph,
     v: usize,
     a: usize,

@@ -77,7 +77,8 @@ impl DegreeStats {
 }
 
 /// Histogram of degrees: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
+#[cfg(test)]
+fn degree_histogram(g: &Graph) -> Vec<usize> {
     let mut hist = vec![0usize; g.max_degree() + 1];
     for d in g.degrees() {
         hist[d] += 1;

@@ -150,7 +150,8 @@ pub fn local_triangle_counts(g: &Graph) -> Vec<u64> {
 /// Number of triangles each *edge* participates in. Relevant because
 /// the Edge-DP sensitivity of the triangle query is the maximum of this
 /// quantity + 1 over non-edges / edges, bounded by `d_max - 1`.
-pub fn edge_triangle_counts(g: &Graph) -> Vec<((usize, usize), u64)> {
+#[cfg(test)]
+fn edge_triangle_counts(g: &Graph) -> Vec<((usize, usize), u64)> {
     g.edges()
         .map(|(u, v)| {
             let c = sorted_intersection_count(g.neighbors(u), g.neighbors(v));

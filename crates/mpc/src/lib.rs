@@ -28,12 +28,9 @@
 //! * [`offline`] — the offline phase itself: [`OfflineMode`] selects
 //!   the trusted dealer or the OT-extension engines that generate the
 //!   same MG material bit for bit while paying (and recording)
-//!   the real preprocessing cost.
-//! * [`pool`] — the offline *triple factory*: a bounded, background
-//!   [`TriplePool`] whose factory threads run [`OtMgEngine`] chunk
-//!   sessions ahead of the online phase, decoupling preprocessing from
-//!   the query path while keeping shares bit-identical to inline
-//!   generation.
+//!   the real preprocessing cost — one chunk-amortised session per
+//!   scheduler chunk, run inline on the Count's workers
+//!   ([`OtMgEngine`] in process, [`mg_offline_over_wire`] on a link).
 //! * [`channel`] — communication accounting: every reconstruction in
 //!   the online phase is tallied in a [`NetStats`] so experiments can
 //!   report message/byte/round counts; the [`OfflineLedger`] inside it
@@ -59,7 +56,6 @@ pub mod channel;
 pub mod dealer;
 pub mod offline;
 pub mod ot;
-pub mod pool;
 pub mod prg;
 pub mod ring;
 pub mod share;
@@ -90,7 +86,6 @@ pub use ot::{
     cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch, cr_hash_scalar,
     transpose64,
 };
-pub use pool::{Backpressure, PoolError, PoolPolicy, PoolStats, TriplePool, DEFAULT_POOL_DEPTH};
 pub use prg::SplitMix64;
 pub use ring::Ring64;
 pub use share::{

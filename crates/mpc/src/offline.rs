@@ -44,7 +44,11 @@
 //! memory cap, split only at pair boundaries), and each flight is one
 //! five-message dialogue. Since the scheduler cuts chunks by `n`
 //! alone (never by worker count), the offline ledger stays invariant
-//! across `threads × batch` like everything else.
+//! across `threads × batch` like everything else. Each chunk's session
+//! runs inline, on the Count worker that owns the chunk, just before
+//! the chunk is combined: [`OtMgEngine`] drives both machines in one
+//! process, [`mg_offline_over_wire`] one machine per party over the
+//! link.
 //!
 //! Before this amortisation the engine ran one session per pair and
 //! one five-round dialogue per online `k`-block — `5·Σ⌈len/b⌉` rounds
@@ -95,8 +99,8 @@
 //! Cost per MG (formula pinned by `ledger` tests and the golden fixture
 //! of `crates/core/tests/offline_equivalence.rs`): 512 extended OTs,
 //! [`MG_OFFLINE_BYTES_PER_GROUP`] bytes; per flight,
-//! [`MG_FLIGHT_DIGEST_BYTES`] digest bytes and [`MG_FLIGHT_ROUNDS`]
-//! rounds; plus one global base-OT setup ([`ot_setup_ledger`]).
+//! [`MG_FLIGHT_DIGEST_BYTES`] digest bytes and five rounds; plus one
+//! global base-OT setup ([`ot_setup_ledger`]).
 
 use crate::channel::OfflineLedger;
 use crate::dealer::{PairDealer, GROUP_WORDS};
@@ -177,7 +181,7 @@ pub const MG_OFFLINE_BYTES_PER_GROUP: u64 = MG_EXT_OTS_PER_GROUP * (16 + 8) + 4 
 pub const MG_FLIGHT_DIGEST_BYTES: u64 = 16;
 
 /// Offline rounds per flight (see the module-level message flow).
-pub const MG_FLIGHT_ROUNDS: u64 = 5;
+const MG_FLIGHT_ROUNDS: u64 = 5;
 
 /// Groups-per-flight cap of the chunk-amortised session: bounds the
 /// per-message buffers (a flight of `g` groups carries `4g` 64-bit
@@ -282,22 +286,6 @@ pub fn plan_flights(plan: &[MgDraw]) -> Vec<std::ops::Range<usize>> {
         flights.push(start..plan.len());
     }
     flights
-}
-
-/// Prefix offsets of a chunk plan: draw `idx` owns groups
-/// `offsets[idx]..offsets[idx+1]` of the material produced in plan
-/// order — how [`MgChunkMaterial`] finds a draw's slice. (The wire
-/// runtime needs no offsets: an online round is the next `batch` groups
-/// of that same plan-ordered material.)
-fn plan_offsets(plan: &[MgDraw]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(plan.len() + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for d in plan {
-        acc += d.groups as usize;
-        offsets.push(acc);
-    }
-    offsets
 }
 
 /// One piece of a round of a chunk's triples: `len` consecutive groups
@@ -963,13 +951,11 @@ pub fn mg_offline_over_wire<T: Transport>(
 }
 
 /// The preprocessed Multiplication-Group material of one chunk: both
-/// servers' share vectors in plan order, sliceable per pair.
+/// servers' share vectors in plan order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgChunkMaterial {
     g1: Vec<MulGroupShare>,
     g2: Vec<MulGroupShare>,
-    /// Prefix offsets: draw `idx` owns groups `offsets[idx]..offsets[idx+1]`.
-    offsets: Vec<usize>,
 }
 
 impl MgChunkMaterial {
@@ -987,12 +973,6 @@ impl MgChunkMaterial {
     /// column first.
     pub fn columns(&self) -> [&[MulGroupShare]; 2] {
         [&self.g1, &self.g2]
-    }
-
-    /// Both servers' group slices for plan entry `idx`.
-    pub fn pair(&self, idx: usize) -> (&[MulGroupShare], &[MulGroupShare]) {
-        let range = self.offsets[idx]..self.offsets[idx + 1];
-        (&self.g1[range.clone()], &self.g2[range])
     }
 }
 
@@ -1052,9 +1032,7 @@ impl OtMgEngine {
             g1.extend(f1);
             g2.extend(f2);
         }
-        let offsets = plan_offsets(plan);
-        debug_assert_eq!(*offsets.last().expect("non-empty"), g1.len());
-        MgChunkMaterial { g1, g2, offsets }
+        MgChunkMaterial { g1, g2 }
     }
 
     /// The offline traffic this engine has generated so far (excludes
@@ -1068,6 +1046,21 @@ impl OtMgEngine {
 mod tests {
     use super::*;
     use crate::share::reconstruct;
+
+    /// Each draw's slice of both columns of `material`, in plan order.
+    fn per_draw<'m>(
+        material: &'m MgChunkMaterial,
+        plan: &[MgDraw],
+    ) -> Vec<[&'m [MulGroupShare]; 2]> {
+        let mut at = 0;
+        plan.iter()
+            .map(|d| {
+                let range = at..at + d.groups as usize;
+                at = range.end;
+                material.columns().map(|column| &column[range.clone()])
+            })
+            .collect()
+    }
 
     #[test]
     fn ot_groups_are_bit_identical_to_the_dealer_streams() {
@@ -1085,8 +1078,7 @@ mod tests {
         let material = engine.preprocess(&plan);
         assert_eq!(material.len(), 12);
         assert!(!material.is_empty());
-        for (idx, d) in plan.iter().enumerate() {
-            let (g1s, g2s) = material.pair(idx);
+        for (d, [g1s, g2s]) in plan.iter().zip(per_draw(&material, &plan)) {
             let mut dealer = PairDealer::for_pair(42, d.i, d.j);
             for (k, (g1, g2)) in g1s.iter().zip(g2s).enumerate() {
                 let (d1, d2) = dealer.next_group_pair();
@@ -1111,10 +1103,9 @@ mod tests {
         ];
         let mut engine = OtMgEngine::for_chunk(99, 3);
         let material = engine.preprocess(&plan);
-        for (idx, d) in plan.iter().enumerate() {
+        for (d, [g1s, g2s]) in plan.iter().zip(per_draw(&material, &plan)) {
             let mut dealer = PairDealer::for_pair(99, d.i, d.j);
             dealer.skip_groups(d.start as usize);
-            let (g1s, g2s) = material.pair(idx);
             assert_eq!(g1s.len(), d.groups as usize);
             for (k, (g1, g2)) in g1s.iter().zip(g2s).enumerate() {
                 let (d1, d2) = dealer.next_group_pair();
@@ -1141,7 +1132,7 @@ mod tests {
         let plan = [MgDraw::dense(2, 5, 4)];
         let a = OtMgEngine::for_chunk(7, 0).preprocess(&plan);
         let b = OtMgEngine::for_chunk(7, 31).preprocess(&plan);
-        assert_eq!(a.pair(0), b.pair(0));
+        assert_eq!(a.columns(), b.columns());
     }
 
     #[test]
@@ -1149,7 +1140,7 @@ mod tests {
         let plan = [MgDraw::dense(1, 2, 16)];
         let mut engine = OtMgEngine::for_chunk(7, 0);
         let material = engine.preprocess(&plan);
-        let (g1s, g2s) = material.pair(0);
+        let [g1s, g2s] = material.columns();
         for (m1, m2) in g1s.iter().zip(g2s) {
             let x = reconstruct(m1.x, m2.x);
             let y = reconstruct(m1.y, m2.y);
@@ -1213,9 +1204,8 @@ mod tests {
         let mut engine = OtMgEngine::for_chunk(5, 2);
         let material = engine.preprocess(&big);
         assert_eq!(engine.ledger().rounds, 2 * MG_FLIGHT_ROUNDS, "two flights");
-        for (idx, d) in big.iter().enumerate() {
+        for (d, [g1s, g2s]) in big.iter().zip(per_draw(&material, &big)) {
             let mut dealer = PairDealer::for_pair(5, d.i, d.j);
-            let (g1s, g2s) = material.pair(idx);
             assert_eq!(g1s.len(), 1500);
             for (g1, g2) in g1s.iter().zip(g2s) {
                 let (d1, d2) = dealer.next_group_pair();
@@ -1307,12 +1297,7 @@ mod tests {
         });
         let mut engine = OtMgEngine::for_chunk(11, 5);
         let material = engine.preprocess(&plan);
-        for (idx, d) in plan.iter().enumerate() {
-            let (e1, e2) = material.pair(idx);
-            let base = plan_offsets(&plan)[idx];
-            assert_eq!(&g1[base..base + d.groups as usize], e1);
-            assert_eq!(&g2[base..base + d.groups as usize], e2);
-        }
+        assert_eq!(material.columns(), [&g1[..], &g2[..]]);
         assert_eq!(l1, engine.ledger(), "wire dialogue tallies the same ledger");
         assert_eq!(
             end1.stats().offline_payload_both(),

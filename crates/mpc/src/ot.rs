@@ -97,13 +97,6 @@ pub const BASE_OT_BYTES: u64 = 64;
 /// ciphertexts back — all κ base OTs run in parallel).
 pub const BASE_OT_ROUNDS: u64 = 2;
 
-/// Extension-receiver bytes per extended OT: κ = 128 column bits.
-pub const EXT_COLUMN_BYTES_PER_OT: u64 = (OT_KAPPA as u64) / 8;
-
-/// Extension-sender bytes per extended correlated OT: one 8-byte
-/// correction word.
-pub const EXT_CORRECTION_BYTES_PER_OT: u64 = 8;
-
 /// Multiplier mixed into the hash tweak (the SplitMix64 γ constant).
 const CRH_GAMMA: u64 = 0x9E3779B97F4A7C15;
 /// First avalanche multiplier of the modeled hash.

@@ -51,9 +51,10 @@ impl Ring64 {
         self.0
     }
 
-    /// Wrapping exponentiation by squaring (used in tests and by the
-    /// fixed-point codec's power-of-two scales).
-    pub fn pow(self, mut e: u32) -> Ring64 {
+    /// Wrapping exponentiation by squaring (test-only: no protocol
+    /// path raises a ring element to a power).
+    #[cfg(test)]
+    fn pow(self, mut e: u32) -> Ring64 {
         let mut base = self;
         let mut acc = Ring64::ONE;
         while e > 0 {

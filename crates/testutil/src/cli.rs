@@ -9,7 +9,8 @@ use std::process::Command;
 /// value (`valued_flag`) — while an unknown flag alone stays a parse
 /// error: usage on stderr, exit 2, nothing on stdout. A refused flag
 /// value is a parse error too (exit 2, nothing on stdout), never a
-/// panic, and stderr names the flag.
+/// panic, and stderr names the flag. The retired triple-pool knobs are
+/// neither listed nor taken: each is an unknown flag.
 pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     for argv in [&["--help"][..], &["-h"], &["--wat", "--help"], &[valued_flag, "-h"]] {
         let out = Command::new(exe).args(argv).output().expect("spawn");
@@ -23,6 +24,15 @@ pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     assert!(out.stdout.is_empty(), "{name} --wat");
     let stderr = String::from_utf8(out.stderr).expect("utf-8 error");
     assert!(stderr.contains("usage: "), "{name} --wat: {stderr}");
+    let help = Command::new(exe).arg("--help").output().expect("spawn");
+    let help = String::from_utf8(help.stdout).expect("utf-8 usage");
+    for retired in ["--factory-threads", "--pool-depth", "--pool-backpressure"] {
+        assert!(!help.contains(retired), "{name} --help lists {retired}");
+        let out = Command::new(exe).args([retired, "2"]).output().expect("spawn");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 error");
+        assert_eq!(out.status.code(), Some(2), "{name} {retired}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {retired}")), "{name}: {stderr}");
+    }
     // The refused value comes last, after the flag it belongs to.
     let refused = match name {
         "party" => "--role local --recv-timeout 1e20",

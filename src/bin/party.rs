@@ -322,24 +322,12 @@ fn print_result(report: &PartyReport, schedule: ScheduleKind) {
 }
 
 /// Reports this process's peak resident set size (stderr: VmHWM is a
-/// per-process, allocator- and timing-dependent number, so like the
-/// pool counters it must stay out of the role-diffed RESULT
-/// transcript). Prints nothing off-Linux rather than a misleading 0.
+/// per-process, allocator- and timing-dependent number, so it must
+/// stay out of the role-diffed RESULT transcript). Prints nothing
+/// off-Linux rather than a misleading 0.
 fn print_peak_rss() {
     if let Some(bytes) = cargo_core::peak_rss_bytes() {
         eprintln!("[party] STAT peak_rss_mb={:.1}", bytes as f64 / 1e6);
-    }
-}
-
-/// Reports the offline triple factory's counters (stderr: peak depth
-/// is timing-dependent, so it must stay out of the diffable RESULT
-/// transcript).
-fn print_pool(report: &PartyReport) {
-    if report.pool.fills > 0 {
-        eprintln!(
-            "[party] triple pool: fills={} drains={} peak_depth={}",
-            report.pool.fills, report.pool.drains, report.pool.peak_depth
-        );
     }
 }
 
@@ -582,7 +570,6 @@ fn main() {
         None => {
             let (r1, _r2) = run_party_local(&graph, &cfg);
             eprintln!("[party local] both in-process parties agree");
-            print_pool(&r1);
             print_peak_rss();
             print_result(&r1, args.schedule);
         }
@@ -596,7 +583,6 @@ fn main() {
                 report.net.wire_bytes,
                 link.stats().total_bytes(),
             );
-            print_pool(&report);
             print_peak_rss();
             print_result(&report, args.schedule);
         }
@@ -696,8 +682,7 @@ mod tests {
             names.join(" "),
             "--role --listen --connect --dataset --n --data-dir --mode --deltas --journal \
              --resume --fault-plan --epsilon --seed --threads --batch --offline-mode \
-             --factory-threads --pool-depth --pool-backpressure --schedule --no-projection \
-             --horizon --composition --recv-timeout"
+             --schedule --no-projection --horizon --composition --recv-timeout"
         );
         // Every own flag is handled; the config keeps party's defaults.
         let every = "--role s1 --listen a --connect b --dataset wiki --n 7 --data-dir d --mode \
