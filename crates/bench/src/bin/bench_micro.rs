@@ -10,7 +10,8 @@
 //! `decode`, which no transport takes) on the same messages. The
 //! other `wire/*` rows attribute a wire party's Count the same way, per
 //! pair or triple and per server, and the `local/*` rows the in-process
-//! Count on the same rounds, per triple for both servers.
+//! Count's weighted passes on the same runs, per triple for both
+//! servers.
 //!
 //! ```text
 //! usage: bench_micro [--measure-ms 400] [--quick]
@@ -29,11 +30,10 @@ use cargo_graph::CsrGraph;
 use cargo_mpc::ot::{simulated_base_ots, transcript_digest, UnitSplit, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
-    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, combine_round,
-    cr_hash_batch, cr_hash_scalar, mask_round, mul3, pair_key, plan_flights,
-    plan_rounds, Dealer, Frame, IntoFrame, MgDraw, MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg,
-    PairDealer, PairTable, Ring64, RoundLanes, RoundSegment, ServerId, SimdTier, SplitMix64,
-    WireMessage, GROUP_WORDS, MAX_FLIGHT_GROUPS,
+    beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
+    cr_hash_scalar, mask_round, mul3, pair_key, plan_flights, weighted_pass, Dealer, Frame,
+    IntoFrame, MgDraw, MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg, PairDealer, PairRun,
+    PairTable, Ring64, ServerId, SimdTier, SplitMix64, WireMessage, GROUP_WORDS, MAX_FLIGHT_GROUPS,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -250,101 +250,63 @@ fn main() {
         row("mul3", 1, 1, ns, probe_net.bytes as f64);
     }
 
-    // wire/*: one party of the wire Count over one default round of
-    // triples in two shapes: `run`, one k-run of 1 024 triples, and
-    // `mix`, the round with the median number of runs of `sparse-tcp`'s
-    // plan (the Facebook preset's 120-user prefix at seed 1 on the
-    // streamed sparse schedule: 271 runs, 3.8 triples each; the whole
-    // plan averages 3.65). First the pair phase's mask pass over the
-    // shape's pair set, per pair; then the round's two local steps, per
-    // triple: its lane table (each lane's three pairs' columns copied
-    // from the pair table) and the combine pass (the dealer words and
-    // mask shares drawn in-lane; S₂ draws both servers' mask shares).
-    // Then `local/*`, the same round as `count_local` evaluates it: each
-    // server's lane table and combine pass in turn, per triple for both
-    // servers. Last fill_words, the expansion of a group's four stream
-    // words, per group. DESIGN.md §8.1 reads these rows.
+    // wire/*: one party of the wire Count in two shapes: `run`, one
+    // k-run of 1 024 triples, and `mix`, the middle chunk of
+    // `sparse-tcp`'s plan (the Facebook preset's 120-user prefix at
+    // seed 1 on the streamed sparse schedule, whose runs average 3.65
+    // triples). First the pair phase's mask pass over the shape's pair
+    // set, per pair; then the weighted pass over the shape's runs, per
+    // triple (the runs listed over the pair table beforehand, as the
+    // Count lists a chunk's). Then `local/*`, the same runs as
+    // `count_local` evaluates them: each server's pass in turn, per
+    // triple for both servers. Last fill_words, the expansion of a
+    // group's four stream words (the OT phase's target), per group.
+    // DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
-        let run = vec![RoundSegment { draw: 0, offset: 0, len }];
         let run_plan = vec![MgDraw::dense(3, 5, len as u32)];
         let run_pairs = CountScheduler::new(len + 6, 1, len).pair_set();
         let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 1);
         let csr = Arc::new(CsrGraph::from_graph(&full.induced_prefix(120)));
         let sched = CountScheduler::with_plan(120, 1, len, SchedulePlan::CsrStream(csr));
-        let mix_plan: Vec<MgDraw> =
-            sched.chunks().iter().flat_map(|c| sched.chunk_plan(c)).collect();
-        // The full round with the median number of runs.
-        let mut rounds = Vec::new();
-        let mut cut = plan_rounds(&mix_plan, len);
-        while let Some(round) = cut.next_round() {
-            if round.iter().map(|seg| seg.len).sum::<usize>() == len {
-                rounds.push(round.to_vec());
-            }
-        }
-        rounds.sort_by_key(|round| round.len());
-        let mix = rounds.swap_remove(rounds.len() / 2);
-        let shapes = [("run", &run_plan, run, run_pairs), ("mix", &mix_plan, mix, sched.pair_set())];
-        for (shape, plan, round, pairs) in shapes {
-            let triples: usize = round.iter().map(|seg| seg.len).sum();
+        let mix = sched.chunk_plan(&sched.chunks()[sched.chunks().len() / 2]);
+        for (shape, plan, pairs) in [("run", run_plan, run_pairs), ("mix", mix, sched.pair_set())] {
             let mut keys = Vec::new();
             pairs.for_each_run(0..pairs.len(), |_, i, j, run| {
                 keys.extend((0..run as u32).map(|t| pair_key(i, j + t)));
             });
             let bits = vec![1u64; keys.len()];
-            // The slots are looked up as the Count's rounds look them up:
-            // a pair's own once, its runs' pairs in rows i and j from where
-            // the last lookup in the row stopped.
-            let push = |lanes: &mut RoundLanes, table: &PairTable| {
-                lanes.clear();
-                let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
-                for seg in &round {
-                    let draw = &plan[seg.draw];
-                    if ij.0 != (draw.i, draw.j) {
-                        rows = [0, 0];
-                        ij = ((draw.i, draw.j), pairs.slot_near(draw.i, draw.j, &mut rows[0]));
-                    }
-                    let k = draw.k_at(seg.offset) as u32;
-                    let (ik, jk) =
-                        (pairs.slot_near(draw.i, k, &mut rows[0]), pairs.slot_near(draw.j, k, &mut rows[1]));
-                    lanes.push_run(table, draw, seg.offset, seg.len, [ij.1, ik, jk]);
-                }
-            };
+            let mut runs = Vec::new();
+            let mut at = 0;
+            for d in &plan {
+                let k = d.k_at(0) as u32;
+                let slots = [pairs.slot(d.i, d.j), pairs.slot(d.i, k), pairs.slot(d.j, k)];
+                runs.push(PairRun { slots, len: d.groups as usize, at });
+                at += d.groups as usize;
+            }
             let servers = [ServerId::S1, ServerId::S2];
+            let mut tables = servers.map(|server| PairTable::new(7, server, false));
             let mut slabs = [vec![0u64; keys.len()], vec![0u64; keys.len()]];
             for (s, server) in servers.into_iter().enumerate() {
-                let table = PairTable::new(7, server, false);
                 let ns = measure_median_iqr_ns(12, budget, || {
-                    mask_round(&table, &keys, &bits, &mut slabs[s]);
+                    mask_round(&mut tables[s], &keys, &bits, &mut slabs[s]);
                     black_box(slabs[s][keys.len() - 1])
                 });
                 row(&format!("wire/mask/{shape}/{server:?}"), keys.len(), keys.len() as u64, ns, 8.0);
             }
             let opened: Vec<u64> =
                 slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-            let tables = servers.map(|server| {
-                let mut table = PairTable::new(7, server, false);
-                table.push(&opened);
-                table
-            });
-            let mut lanes = tables.each_ref().map(|table| RoundLanes::new(table, triples));
-            for ((server, table), lanes) in servers.into_iter().zip(&tables).zip(&mut lanes) {
+            tables.iter_mut().for_each(|table| table.push(&opened));
+            for (server, table) in servers.into_iter().zip(&tables) {
                 let ns = measure_median_iqr_ns(12, budget, || {
-                    push(lanes, table);
-                    black_box(lanes.len())
+                    black_box(weighted_pass(table, &runs, None, None))
                 });
-                row(&format!("wire/lanes/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
-                let ns = measure_median_iqr_ns(12, budget, || black_box(combine_round(lanes)));
-                row(&format!("wire/combine/{shape}/{server:?}"), triples, triples as u64, ns, 0.0);
+                row(&format!("wire/pass/{shape}/{server:?}"), at, at as u64, ns, 0.0);
             }
             let ns = measure_median_iqr_ns(12, budget, || {
-                let [d1, d2] = [0, 1].map(|s| {
-                    push(&mut lanes[s], &tables[s]);
-                    combine_round(&lanes[s])
-                });
-                black_box((d1, d2))
+                black_box(tables.each_ref().map(|table| weighted_pass(table, &runs, None, None)))
             });
-            row(&format!("local/{shape}"), triples, triples as u64, ns, 0.0);
+            row(&format!("local/{shape}"), at, at as u64, ns, 0.0);
         }
         let mut words = vec![0u64; GROUP_WORDS * len];
         let mut dealer = PairDealer::for_pair(7, 3, 5);

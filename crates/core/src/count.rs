@@ -44,18 +44,19 @@
 //!   ([`cargo_mpc::PairDealer`]), so the share pairs are bit-identical
 //!   for every thread count and batch size.
 //! * **One kernel per server.** Each server masks every round of the
-//!   pair set ([`cargo_mpc::mask_round`]) and sums its slab with the
-//!   other server's into its own [`PairTable`] — on the wire the slabs
-//!   cross the link, here they are summed in place. A chunk's draw plan
-//!   is then cut into blocks of `batch` triples
-//!   ([`cargo_mpc::plan_rounds`]), each block becomes one lane table per
-//!   server, one lane per triple ([`RoundLanes`], reading its three
-//!   pairs' columns of the table), and that server's lane-parallel
-//!   [`cargo_mpc::combine_round`] pass evaluates it, whatever `k`-runs it
-//!   is cut from and whatever the material source. Every executor runs
-//!   the one chunk loop (`combine_chunk`) per server, so a plaintext
-//!   adjacency bit is read in one place only: S₂'s pair masking
-//!   (`pair_round`).
+//!   pair set ([`cargo_mpc::mask_round`], which also keeps the round's
+//!   mask shares in its table) and sums its slab with the other
+//!   server's into its own [`PairTable`] — on the wire the slabs cross
+//!   the link, here they are summed in place. A chunk's draw plan is
+//!   then listed as `k`-runs over the table's slots (`plan_runs`; long
+//!   runs in cache blocks of `ROW_BLOCK` `i` rows, so each `j` row is
+//!   read once a block rather than once a row) and each server's
+//!   [`weighted_pass`] sums its share over them: a few dot products of
+//!   contiguous table rows per run, whatever the plan and the material
+//!   source. Each server adds its table's Count term once
+//!   ([`PairTable::count_term`]). Every executor runs the one chunk
+//!   loop (`combine_chunk`) per server, so a plaintext adjacency bit is
+//!   read in one place only: S₂'s pair masking (`pair_round`).
 //! * **Communication accounting.** The pair openings are mutually
 //!   independent, so they travel `batch` pairs a round
 //!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
@@ -69,9 +70,9 @@ use crate::config::CargoConfig;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    combine_round, mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, plan_rounds,
-    share_prf, MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer,
-    PairTable, Ring64, RoundLanes, RoundSegment, ServerId, LANES, PAIR_KEY_STEP,
+    mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, share_prf, weighted_pass,
+    MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer, PairRun,
+    PairTable, Ring64, ServerId, SimdTier, LANES, PAIR_KEY_STEP,
 };
 use std::sync::Arc;
 
@@ -125,7 +126,8 @@ impl SecureCountResult {
 /// let m = erdos_renyi(30, 0.3, 1).to_bit_matrix();
 /// let dealer = count_local(&m, &CountJob::new(7));
 /// let ot = count_local(&m, &CountJob { offline: OfflineMode::OtExtension, ..CountJob::new(7) });
-/// assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2));
+/// assert_eq!(ot.reconstruct(), dealer.reconstruct());
+/// assert_eq!(ot.net.online(), dealer.net);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountJob {
@@ -134,11 +136,11 @@ pub struct CountJob {
     /// Worker threads (per server on the wire executors); `0` ⇒ all
     /// cores. The result is identical for every thread count.
     pub threads: usize,
-    /// Pairs per communication round, and triples per lane table;
-    /// `0` ⇒ [`crate::count_sched::DEFAULT_COUNT_BATCH`]. A Count over a
-    /// plan reading `P` pairs costs `⌈P/batch⌉` rounds. Shares and
-    /// element counts are identical for every batch; only wall-clock
-    /// and round granularity change.
+    /// Pairs per communication round; `0` ⇒
+    /// [`crate::count_sched::DEFAULT_COUNT_BATCH`]. A Count over a plan
+    /// reading `P` pairs costs `⌈P/batch⌉` rounds. Shares and element
+    /// counts are identical for every batch; only wall-clock and round
+    /// granularity change.
     pub batch: usize,
     /// Where the Multiplication Groups come from: the seeded trusted
     /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
@@ -225,39 +227,44 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 }
 
 /// Runs `job` in-process, both servers in one process — the simulation
-/// every other executor is pinned to, and itself pinned share for share
-/// to [`secure_count_reference`]. It runs each server's steps as a wire
-/// party runs them — the same pair rounds, the same chunk loop and
-/// [`combine_round`] — so it differs from
+/// every other executor is pinned to, and itself pinned to
+/// [`secure_count_reference`]: share for share in OT mode, at the
+/// opened count with dealer material. It runs each server's steps as a
+/// wire party runs them — the same pair rounds, the same chunk loop and
+/// [`weighted_pass`] — so it differs from
 /// [`count_two_party`](crate::count_runtime::count_two_party) in the
 /// link only: the pair slabs are summed in place, and each chunk is
 /// combined once per server. Input kind, plan and offline mode are
 /// orthogonal: a CSR input in OT mode over the eager sparse plan is as
 /// valid as the dense matrix cube.
 pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
+    let tier = SimdTier::detect();
     match input.into() {
-        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n())),
-        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n())),
+        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n()), tier),
+        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n()), tier),
     }
 }
 
 /// [`count_local`] past scheduler construction: runs `job`'s workers
-/// over `sched`'s chunks and sums the parts. `sched` is the job's own
-/// [`CountJob::local_scheduler`], or that scheduler under the sampled
-/// estimator's plan filter — the workers only ever see a draw plan.
+/// over `sched`'s chunks, the kernels at `tier`, and sums the parts —
+/// each server's Count term ([`PairTable::count_term`]) with the pair
+/// phase's. `sched` is the job's own [`CountJob::local_scheduler`], or
+/// that scheduler under the sampled estimator's plan filter — the
+/// workers only ever see a draw plan.
 pub(crate) fn run_scheduled<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,
     sched: &CountScheduler,
+    tier: SimdTier,
 ) -> SecureCountResult {
     let pairs = sched.pair_set();
-    let tables = open_pairs(bits, job, sched, &pairs);
+    let tables = open_pairs(bits, job, sched, &pairs, tier);
     let opened = (&*pairs, &tables);
     let parts = sched.run_chunks(|chunk| chunk_part(job, sched, opened, chunk));
     let mut online = NetStats::new();
     online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
-    let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
-    finish(sched, job.offline, parts.into_iter().chain([online]))
+    let [t1, t2] = tables.each_ref().map(|table| Ring64(table.count_term()));
+    finish(sched, job.offline, parts.into_iter().chain([(t1, t2, online, 0)]))
 }
 
 /// The pair phase in-process: the wire parties' pair rounds with the
@@ -269,14 +276,19 @@ fn open_pairs<B: AdjacencyBits>(
     job: &CountJob,
     sched: &CountScheduler,
     pairs: &PairSet,
+    tier: SimdTier,
 ) -> [PairTable; 2] {
     let preprocessed = job.offline == OfflineMode::OtExtension;
-    let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(job.seed, s, preprocessed));
+    let mut tables = [ServerId::S1, ServerId::S2].map(|s| {
+        let mut table = PairTable::new(job.seed, s, preprocessed).at_tier(tier);
+        table.reserve(pairs.len());
+        table
+    });
     let (mut keys, mut plain, mut slabs) = (Vec::new(), Vec::new(), [Vec::new(), Vec::new()]);
     for start in (0..pairs.len()).step_by(sched.batch()) {
         let range = start..(start + sched.batch()).min(pairs.len());
         pair_round(pairs, range, Some(bits), &mut keys, &mut plain);
-        for (table, slab) in tables.iter().zip(&mut slabs) {
+        for (table, slab) in tables.iter_mut().zip(&mut slabs) {
             slab.resize(keys.len(), 0);
             mask_round(table, &keys, &plain, slab);
         }
@@ -403,79 +415,101 @@ impl AdjacencyBits for CsrGraph {
     }
 }
 
-/// Appends `round`, a cut of `plan`, to the emptied `lanes`: one
-/// [`RoundLanes::push_run`] per segment, reading its pairs' openings in
-/// `table` at their `pairs` slots. A signed plan's `signs` are the sign
-/// masks of the chunk's triples from the round's first on
-/// ([`CountScheduler::chunk_signs`]).
-fn push_round(
-    lanes: &mut RoundLanes,
-    (pairs, table): (&PairSet, &PairTable),
-    plan: &[MgDraw],
-    round: &[RoundSegment],
-    signs: Option<&[u64]>,
-) {
-    lanes.clear();
+/// Rows `i` a slice of a chunk's runs is walked in at a time
+/// ([`plan_runs`]): the block's rows read every `j` row they share
+/// while it is in cache. Eight rows of three table columns at
+/// n = 4 000 are ≈ 0.8 MB, within a 2 MB L2.
+const ROW_BLOCK: u32 = 8;
+
+/// Draws a slice of a chunk's plan takes at least ([`combine_chunk`])
+/// before it ends, at the end of a block of [`ROW_BLOCK`] rows: the
+/// bound on the runs a worker lists at a time.
+const SLICE_DRAWS: usize = 1024;
+
+/// The mean run length from which a slice's runs are walked in cache
+/// blocks ([`plan_runs`]): shorter runs read too little of a row for
+/// the block order to pay for its sort.
+const BLOCKED_RUN: usize = 32;
+
+/// Lists `plan`'s `k`-runs into `runs` as the weighted pass reads them
+/// ([`PairRun`]): their pairs' slots in `pairs`, and each run's
+/// position in plan order — where its signs and preprocessed groups
+/// start. Where the runs are long (a mean of [`BLOCKED_RUN`] triples)
+/// they are walked in cache blocks: by block of [`ROW_BLOCK`] rows `i`,
+/// then by `j`, so a block's runs that share a `j` row read it in turn.
+/// The pass's sums are wrapping additions, so the order is free.
+/// Returns the plan's triples.
+fn plan_runs(pairs: &PairSet, plan: &[MgDraw], runs: &mut Vec<PairRun>) -> usize {
+    runs.clear();
+    let mut at = 0;
     // A pair's k-runs are consecutive draws: its own slot is looked up
     // once, and its runs' pairs in rows i and j from where the last
     // lookup in the row stopped (their k ascend).
     let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
-    for seg in round {
-        let d = &plan[seg.draw];
+    for d in plan {
         if ij.0 != (d.i, d.j) {
             rows = [0, 0];
             ij = ((d.i, d.j), pairs.slot_near(d.i, d.j, &mut rows[0]));
         }
-        let k = d.k_at(seg.offset) as u32;
+        let k = d.k_at(0) as u32;
         let slots =
             [ij.1, pairs.slot_near(d.i, k, &mut rows[0]), pairs.slot_near(d.j, k, &mut rows[1])];
-        lanes.push_run(table, d, seg.offset, seg.len, slots);
+        runs.push(PairRun { slots, len: d.groups as usize, at });
+        at += d.groups as usize;
     }
-    if let Some(signs) = signs {
-        lanes.set_signs(&signs[..lanes.len()]);
+    if at >= BLOCKED_RUN * runs.len() {
+        let keys = plan.iter().map(|d| (d.i / ROW_BLOCK, d.j));
+        let mut blocked: Vec<_> = keys.zip(runs.iter()).map(|(key, &run)| (key, run)).collect();
+        blocked.sort_unstable_by_key(|&(key, run)| (key, run.at));
+        runs.clear();
+        runs.extend(blocked.into_iter().map(|(_, run)| run));
     }
+    at
 }
 
-/// One server's evaluation of `chunk` from its opened pair table — the
-/// one chunk loop, which [`count_local`] runs once per server and a
-/// wire party once. The chunk's **draw plan** `plan` — one
+/// One chunk's evaluation by each server of `tables` in turn — the one
+/// chunk loop, which [`count_local`] runs for both servers and a wire
+/// party for its own. The chunk's **draw plan** `plan` — one
 /// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream offset
-/// — is cut into rounds of `batch` triples by [`plan_rounds`], each
-/// round filled into `lanes` ([`push_round`]), given its preprocessed
-/// groups — the next `len` of the plan-ordered `groups`, in OT mode;
-/// dealer rounds mix theirs from each lane's counter — and summed
-/// by one [`combine_round`] pass. Returns the server's share of the
-/// chunk's sum and the triples evaluated.
-pub(crate) fn combine_chunk(
-    lanes: &mut RoundLanes,
-    opened: (&PairSet, &PairTable),
+/// — is walked in slices of at least [`SLICE_DRAWS`] draws, cut at row
+/// blocks. Each slice is listed as runs over the pair set once
+/// ([`plan_runs`], into the scratch `runs`), and each server's
+/// [`weighted_pass`] sums its share over them under the slice's signs;
+/// in OT mode server `s`'s pass reads `groups[s]`, its preprocessed
+/// groups in plan order. Returns each server's share of the chunk's sum
+/// and the triples evaluated.
+pub(crate) fn combine_chunk<const S: usize>(
+    runs: &mut Vec<PairRun>,
+    (pairs, tables): (&PairSet, [&PairTable; S]),
     sched: &CountScheduler,
     chunk: &PairChunk,
     plan: &[MgDraw],
-    groups: Option<&[MulGroupShare]>,
-) -> (Ring64, usize) {
+    groups: [Option<&[MulGroupShare]>; S],
+) -> ([Ring64; S], usize) {
     let signs = sched.chunk_signs(chunk);
-    let (mut total, mut done) = (0u64, 0usize);
-    let mut rounds = plan_rounds(plan, sched.batch());
-    while let Some(round) = rounds.next_round() {
-        push_round(lanes, opened, plan, round, signs.map(|s| &s[done..]));
-        let len = lanes.len();
-        if let Some(groups) = groups {
-            lanes.set_groups(&groups[done..done + len]);
+    let (mut shares, mut done, mut rest) = ([Ring64::ZERO; S], 0, plan);
+    while !rest.is_empty() {
+        let first = SLICE_DRAWS.min(rest.len());
+        let block = rest[first - 1].i / ROW_BLOCK;
+        let end = first + rest[first..].iter().take_while(|d| d.i / ROW_BLOCK == block).count();
+        let (slice, after) = rest.split_at(end);
+        let triples = plan_runs(pairs, slice, runs);
+        for (share, (table, groups)) in shares.iter_mut().zip(tables.iter().zip(groups)) {
+            let signs = signs.map(|s| &s[done..]);
+            *share += Ring64(weighted_pass(table, runs, signs, groups.map(|g| &g[done..])));
         }
-        total = total.wrapping_add(combine_round(lanes));
-        done += len;
+        (done, rest) = (done + triples, after);
     }
-    (Ring64(total), done)
+    (shares, done)
 }
 
-/// Evaluates every triple of one pair-space chunk, each server in turn
-/// over its own opened pair table ([`combine_chunk`]).
+/// Evaluates every triple of one pair-space chunk, each server over its
+/// own opened pair table ([`combine_chunk`]).
 ///
-/// The chunk's material is resolved once: each lane's dealer counter,
-/// or in OT mode a slab of both servers' preprocessed groups — one
-/// chunk-amortised [`OtMgEngine`] session run inline — each server
-/// reading its own column. Its ledger lands in the chunk's
+/// The chunk's material is resolved once: dealer material is in each
+/// table, and in OT mode a slab of both servers' preprocessed groups —
+/// one chunk-amortised [`OtMgEngine`] session run inline — has each
+/// server read its own column. Its ledger lands in the chunk's
 /// [`NetStats::offline`]; a chunk has no online traffic.
 fn chunk_part(
     job: &CountJob,
@@ -494,12 +528,9 @@ fn chunk_part(
             Some(material)
         }
     };
-    let lanes = sched.batch().min(chunk.triples as usize);
-    let [(t1, triples), (t2, _)] = [0, 1].map(|s| {
-        let table = &tables[s];
-        let groups = material.as_ref().map(|m| m.columns()[s]);
-        combine_chunk(&mut RoundLanes::new(table, lanes), (pairs, table), sched, chunk, &plan, groups)
-    });
+    let groups = [0, 1].map(|s| material.as_ref().map(|m| m.columns()[s]));
+    let opened = (pairs, [&tables[0], &tables[1]]);
+    let ([t1, t2], triples) = combine_chunk(&mut Vec::new(), opened, sched, chunk, &plan, groups);
     (t1, t2, net, triples as u64)
 }
 
@@ -585,11 +616,14 @@ mod tests {
     fn secure_count_matches_reference_protocol() {
         let g = erdos_renyi(24, 0.3, 5);
         let m = g.to_bit_matrix();
-        let fast = count_local(&m, &CountJob::new(7));
         let slow = secure_count_reference(&m, 7);
-        // The same canonical streams ⇒ the same shares, not just the
-        // same reconstruction.
-        assert_eq!((fast.share1, fast.share2), (slow.share1, slow.share2));
+        // OT mode preprocesses the reference's canonical groups ⇒ the
+        // same shares, not just the same reconstruction. Dealer material
+        // is per pair, so it opens the same count.
+        let ot = count_local(&m, &ot_job(7, 1, 0));
+        assert_eq!((ot.share1, ot.share2), (slow.share1, slow.share2));
+        let fast = count_local(&m, &CountJob::new(7));
+        assert_eq!(fast.reconstruct(), slow.reconstruct());
         assert_eq!(fast.reconstruct(), Ring64(count_triangles_matrix(&m)));
         assert_eq!(fast.triples, slow.triples);
         assert_eq!((fast.net.elements, fast.net.bytes), (slow.net.elements, slow.net.bytes));
@@ -631,15 +665,16 @@ mod tests {
 
     #[test]
     fn ot_offline_mode_matches_dealer_mode_bit_for_bit() {
-        // The tentpole acceptance at kernel level: identical share
-        // pair, identical ONLINE ledger, nonzero offline ledger.
+        // The offline modes at kernel level: the identical opened count
+        // and ONLINE ledger, a nonzero offline ledger. (The share pairs
+        // differ: dealer words are per pair, OT groups per triple; the
+        // aggregated oracle below pins each mode's.)
         let g = erdos_renyi(40, 0.3, 2);
         let m = g.to_bit_matrix();
         for batch in [1usize, 7, 0] {
             let dealer = count_local(&m, &job(5, 1, batch));
             let ot = count_local(&m, &ot_job(5, 1, batch));
-            assert_eq!(ot.share1, dealer.share1, "batch {batch}");
-            assert_eq!(ot.share2, dealer.share2, "batch {batch}");
+            assert_eq!(ot.reconstruct(), dealer.reconstruct(), "batch {batch}");
             assert_eq!(ot.triples, dealer.triples);
             assert_eq!(ot.net.online(), dealer.net, "online ledgers equal");
             assert!(dealer.net.offline.is_empty(), "dealer pays no offline");
@@ -663,6 +698,122 @@ mod tests {
         let one = count_local(&m, &ot_job(3, 1, 64));
         let four = count_local(&m, &ot_job(3, 4, 64));
         assert_eq!(one, four, "full equality including the offline ledger");
+    }
+
+    /// The test-only oracle of each server's aggregated share: a naive
+    /// loop over `job`'s plan, triple by triple in chunk order, from the
+    /// scalar PRFs. With dealer material S₁'s share is its Count word,
+    /// `Σ_p e_p·⟨M_p⟩₁` over the pair set and `Σₜ sₜ·(x₁fg + y₁eg + z₁ef)`,
+    /// and S₂'s is `Σₜ sₜ·abc` less it; in OT mode each triple adds
+    /// [`mul3_combine`] over its canonical [`PairDealer`] groups.
+    fn aggregated_oracle<B: AdjacencyBits>(bits: &B, n: usize, job: &CountJob) -> (Ring64, Ring64) {
+        let (sched, seed) = (job.local_scheduler(n), job.seed);
+        let bit = |i: u32, j: u32| {
+            let mut out = [0];
+            bits.fill_bits(i as usize, j as usize, &mut out);
+            Ring64(out[0])
+        };
+        let lambda = |s, (i, j)| Ring64(mask_prf(seed, s, i, j));
+        let open = |p: (u32, u32)| bit(p.0, p.1) - lambda(ServerId::S1, p) - lambda(ServerId::S2, p);
+        let ot = job.offline == OfflineMode::OtExtension;
+        let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
+        if !ot {
+            let pairs = sched.pair_set();
+            let mut term = Ring64(PairDealer::count_word(seed));
+            pairs.for_each_run(0..pairs.len(), |_, i, j, len| {
+                for j in j..j + len as u32 {
+                    term += open((i, j)) * Ring64(PairDealer::pair_word(seed, i, j));
+                }
+            });
+            (d1, d2) = (term, -term);
+        }
+        for chunk in sched.chunks() {
+            let signs = sched.chunk_signs(chunk);
+            let mut t = 0;
+            for d in sched.chunk_plan(chunk) {
+                let mut dealer = PairDealer::for_draw(seed, &d);
+                for g in 0..d.groups as usize {
+                    let k = d.k_at(g) as u32;
+                    let (g1, g2) = dealer.next_group_pair();
+                    let pairs = [(d.i, d.j), (d.i, k), (d.j, k)];
+                    let [e, f, g] = pairs.map(open);
+                    let (u1, u2) = if ot {
+                        let opening = Mul3Opening { e, f, g };
+                        let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
+                        let u1 = mul3_combine(zero, &g1, opening, Ring64::ZERO);
+                        (u1, mul3_combine(zero, &g2, opening, e * f * g))
+                    } else {
+                        let [x1, y1, z1] = pairs.map(|p| lambda(ServerId::S1, p));
+                        let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
+                        let [a, b, c] = pairs.map(|p| bit(p.0, p.1));
+                        (s1, a * b * c - s1)
+                    };
+                    let minus = signs.is_some_and(|s| s[t] != 0);
+                    d1 += if minus { -u1 } else { u1 };
+                    d2 += if minus { -u2 } else { u2 };
+                    t += 1;
+                }
+            }
+        }
+        (d1, d2)
+    }
+
+    #[test]
+    fn count_local_is_the_aggregated_oracle_share_for_share_at_every_tier() {
+        // Every plan kind — the dense cube, an asymmetric projected
+        // matrix's cube, the eager sparse plan, the CSR-streamed plan
+        // over a matrix and over the CSR itself, a signed (serve) plan —
+        // in both offline modes, at every SIMD tier and across threads
+        // and batches: count_local's share pair is the naive loop's. In
+        // OT mode that is the per-triple MG protocol over the canonical
+        // PairDealer groups, so every OT multiplication stays checked
+        // bit for bit.
+        let g = barabasi_albert(22, 4, 9);
+        let m = g.to_bit_matrix();
+        let mut projected = erdos_renyi(18, 0.5, 3).to_bit_matrix();
+        for (i, j) in [(0usize, 1usize), (2, 9), (4, 5), (7, 12)] {
+            projected.set(i, j, false);
+        }
+        let csr = Arc::new(CsrGraph::from_graph(&g));
+        let eager = Arc::new(crate::count_sched::CandidateSet::from_graph(&g));
+        let triangles: Vec<(u32, u32, u32)> = (0..eager.len())
+            .flat_map(|p| {
+                let (i, j) = eager.pair(p);
+                eager.ks(p).iter().map(move |&k| (i, j, k)).collect::<Vec<_>>()
+            })
+            .collect();
+        let (plus, minus): (Vec<_>, Vec<_>) = triangles.iter().partition(|t| (t.0 + t.2) % 3 != 0);
+        let signed = crate::count_sched::CandidateSet::signed(22, &plus, &minus);
+        let plans = [
+            ("dense", &m, SchedulePlan::DenseCube),
+            ("projected", &projected, SchedulePlan::DenseCube),
+            ("eager", &m, SchedulePlan::CandidatePairs(eager)),
+            ("streamed", &m, SchedulePlan::CsrStream(Arc::clone(&csr))),
+            ("signed", &m, SchedulePlan::CandidatePairs(Arc::new(signed))),
+        ];
+        let want = |name| match name {
+            "signed" => Ring64(plus.len() as u64) - Ring64(minus.len() as u64),
+            "projected" => Ring64(count_triangles_matrix(&projected)),
+            _ => Ring64(count_triangles_matrix(&m)),
+        };
+        for tier in SimdTier::available() {
+            for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+                for (name, matrix, plan) in &plans {
+                    for (threads, batch) in [(1usize, 0usize), (2, 7)] {
+                        let job = CountJob { offline, plan: plan.clone(), ..job(29, threads, batch) };
+                        let at = format!("{tier} {offline:?} {name} threads {threads} batch {batch}");
+                        let oracle = aggregated_oracle(*matrix, matrix.n(), &job);
+                        let got = run_scheduled(*matrix, &job, &job.local_scheduler(matrix.n()), tier);
+                        assert_eq!((got.share1, got.share2), oracle, "{at}");
+                        assert_eq!(got.reconstruct(), want(name), "{at}");
+                    }
+                }
+                let job = CountJob { offline, plan: SchedulePlan::CsrStream(Arc::clone(&csr)), ..job(29, 2, 7) };
+                let got = run_scheduled(&*csr, &job, &job.local_scheduler(csr.n()), tier);
+                let at = format!("{tier} {offline:?} CSR input");
+                assert_eq!((got.share1, got.share2), aggregated_oracle(&*csr, csr.n(), &job), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -39,20 +39,17 @@
 //!   its frames tagged by the chunk id;
 //! * **one server's arithmetic at kernel speed** — the pair phase masks
 //!   a round of pairs in one lane-parallel pass ([`mask_round`]; S₁
-//!   never reads the input), and a chunk's triples are evaluated in
-//!   blocks of `batch`, each a table of lanes, one per triple
-//!   ([`RoundLanes`]: its three pairs' openings, copied from the pair
-//!   table, the keys its mask shares are mixed from, and the
-//!   dealer-stream counter of its group), by one lane-parallel pass
-//!   ([`cargo_mpc::combine_round`]: in dealer mode each lane mixes four
-//!   words of its group and two mask shares, S₂ four — its own and
-//!   S₁'s, which the simulated dealer's predistribution hands it, as it
-//!   does S₁'s words). No dealer word is buffered and the other
-//!   server's column is never expanded. OT mode runs the same pass
-//!   over the block's next `len` preprocessed groups instead of the
-//!   counters, each chunk's groups made inline over the link just
-//!   before the chunk is combined ([`mg_offline_over_wire`]). The chunk
-//!   loop is `count_local`'s, which runs it once per server.
+//!   never reads the input), which also keeps the round's mask shares
+//!   in the table, and a chunk's triples are evaluated by one weighted
+//!   pass over its `k`-runs ([`cargo_mpc::weighted_pass`]: a few dot
+//!   products of contiguous table rows per run; with dealer material S₂
+//!   also holds S₁'s mask shares and words, which the simulated
+//!   dealer's predistribution hands it). No dealer word is buffered
+//!   beyond a round's and the other server's column is never expanded.
+//!   OT mode runs the same pass over the chunk's preprocessed groups,
+//!   made inline over the link just before the chunk is combined
+//!   ([`mg_offline_over_wire`]). The chunk loop is `count_local`'s,
+//!   which runs it once per server.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -75,7 +72,7 @@ use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger, recv_msg, send_msg,
-    NetStats, OfflineMode, PairOpeningMsg, PairTable, Ring64, RoundLanes, ServerId, Transport,
+    NetStats, OfflineMode, PairOpeningMsg, PairRun, PairTable, Ring64, ServerId, Transport,
     WordBuffers,
 };
 use std::sync::Arc;
@@ -103,6 +100,7 @@ fn open_pairs<B: AdjacencyBits, T: Transport>(
 ) -> PairTable {
     let batch = sched.batch();
     let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension);
+    table.reserve(pairs.len());
     let bits = (id == ServerId::S2).then_some(bits);
     let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
     let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::with_capacity(batch) };
@@ -113,7 +111,7 @@ fn open_pairs<B: AdjacencyBits, T: Transport>(
         let at = format_args!("pair round {round}, first pair {pair:?}");
         (mine.round, mine.pair) = (round as u32, pair);
         mine.words.resize(len, 0);
-        mask_round(&table, &keys, &plain, &mut mine.words);
+        mask_round(&mut table, &keys, &plain, &mut mine.words);
         net.exchange(len as u64);
         send_msg(peer, &mine).expect("peer hung up");
         let theirs: PairOpeningMsg = recv_msg(peer, mine.round, Some(peer.recv_timeout()))
@@ -167,11 +165,10 @@ impl<'env, T: Transport> Server<'env, T> {
         // OT mode: the offline dialogue's message buffers, circulating
         // between the parties across all of this worker's chunks.
         let mut spare = WordBuffers::default();
-        // The blocks' lanes, one per triple, rebuilt every block in the
-        // same buffers.
-        let mut lanes = RoundLanes::new(self.opened.1, self.sched.batch());
+        // The chunks' runs, rebuilt every chunk in the same buffer.
+        let mut runs = Vec::new();
         for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
-            t_share += self.run_chunk(chunk, &mut lanes, &mut net, &mut triples, &mut spare);
+            t_share += self.run_chunk(chunk, &mut runs, &mut net, &mut triples, &mut spare);
         }
         match self.id {
             ServerId::S1 => (t_share, Ring64::ZERO, net, triples),
@@ -182,7 +179,7 @@ impl<'env, T: Transport> Server<'env, T> {
     fn run_chunk(
         &self,
         chunk: &PairChunk,
-        lanes: &mut RoundLanes,
+        runs: &mut Vec<PairRun>,
         net: &mut NetStats,
         triples: &mut u64,
         spare: &mut WordBuffers,
@@ -196,9 +193,8 @@ impl<'env, T: Transport> Server<'env, T> {
         let plan = self.sched.chunk_plan(chunk);
         // OT mode preprocesses the whole chunk up front, in one
         // amortised session over the peer link, into one slab of this
-        // server's groups in plan order; in dealer mode the server
-        // expands its own column of the seeded pair streams round by
-        // round in the chunk loop, as if predistributed.
+        // server's groups in plan order; in dealer mode the server's
+        // words are in its pair table, as if predistributed.
         let material = match self.job.offline {
             OfflineMode::TrustedDealer => None,
             OfflineMode::OtExtension => Some(mg_offline_over_wire(
@@ -215,8 +211,9 @@ impl<'env, T: Transport> Server<'env, T> {
             let want: usize = plan.iter().map(|d| d.groups as usize).sum();
             assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
         }
-        let groups = material.as_deref();
-        let (share, done) = combine_chunk(lanes, self.opened, self.sched, chunk, &plan, groups);
+        let (pairs, table) = self.opened;
+        let groups = [material.as_deref()];
+        let ([share], done) = combine_chunk(runs, (pairs, [table]), self.sched, chunk, &plan, groups);
         *triples += done as u64;
         share
     }
@@ -290,7 +287,11 @@ fn party_scheduled<B: AdjacencyBits, T: Transport>(
     let table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
     let server = Server { id, job, sched, opened: (&*pairs, &table), peer: &**link };
     let parts = server.run_workers();
-    let online = (Ring64::ZERO, Ring64::ZERO, online, 0);
+    let term = Ring64(table.count_term());
+    let online = match id {
+        ServerId::S1 => (term, Ring64::ZERO, online, 0),
+        ServerId::S2 => (Ring64::ZERO, term, online, 0),
+    };
     let mut result = finish(sched, job.offline, parts.into_iter().chain([online]));
     result.net.wire_bytes = link.stats().online_payload_both();
     result
@@ -369,7 +370,7 @@ mod tests {
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
     use crate::count_sched::CandidateSet;
     use cargo_graph::{count_triangles_matrix, CsrGraph, Graph};
-    use cargo_mpc::{plan_rounds, TcpConfig, TcpTransport};
+    use cargo_mpc::{TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
 
     fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
@@ -498,30 +499,30 @@ mod tests {
         }
     }
 
+    /// Whether some pair round of `batch` pairs ends inside a row's run
+    /// of the pair set, so that a `k`-run's pairs open over two rounds.
+    fn a_round_cuts_a_row(pairs: &PairSet, batch: usize) -> bool {
+        let mut cut = false;
+        pairs.for_each_run(0..pairs.len(), |slot, _, _, len| {
+            cut |= (slot + 1..slot + len).any(|s| s % batch == 0);
+        });
+        cut
+    }
+
     #[test]
     fn rounds_that_cut_a_draw_mid_run_match_the_fast_path_over_memory_and_tcp() {
-        // A round that ends inside a draw leaves the rest of its k-run
-        // to the next round, which resumes the draw's stream where the
-        // mask stopped; each segment's combine re-derives its words from
-        // the stream position its own mask started at. Batches 1 and 7
-        // cut almost every draw of n = 30; at n = 120 the dense cube's
-        // chunks (≈ 4 400 triples) take several rounds of the default
-        // batch.
+        // A pair round that ends inside a row leaves the rest of a
+        // k-run's pairs to the next round; each chunk's pass reads the
+        // run's pairs from the table wherever they were opened. Batches
+        // 1 and 7 cut almost every row of n = 30; at n = 120 the default
+        // batch cuts rows of the cube's 7 140 pairs.
         for (n, batch) in [(30usize, 1usize), (30, 7), (120, DEFAULT_COUNT_BATCH)] {
             let m = erdos_renyi(n, 0.3, 12).to_bit_matrix();
             let wire = job(31, 2, batch);
             let sched = wire.scheduler(n);
             assert_eq!(sched.batch(), batch, "n = {n}: a chunk outweighs the batch");
-            let resumes_a_draw = sched.chunks().iter().any(|chunk| {
-                let plan = sched.chunk_plan(chunk);
-                let mut rounds = plan_rounds(&plan, batch);
-                let mut resumed = false;
-                while let Some(round) = rounds.next_round() {
-                    resumed |= round.iter().any(|seg| seg.offset > 0);
-                }
-                resumed
-            });
-            assert!(resumes_a_draw, "n = {n}, batch {batch}: no round starts mid-draw");
+            let cut = a_round_cuts_a_row(&sched.pair_set(), batch);
+            assert!(cut, "n = {n}, batch {batch}: no pair round ends inside a row");
             let fast = count_local(&m, &job(31, 1, batch));
             for (link, res) in [("memory", over_memory(&m, &wire)), ("tcp", over_tcp(&m, &wire))] {
                 let at = format!("{link}, n = {n}, batch {batch}");
@@ -534,17 +535,17 @@ mod tests {
 
     #[test]
     fn sparse_rounds_of_short_runs_match_the_fast_path_in_every_mode() {
-        // On a sparse candidate schedule a round's lanes come from many
-        // draws, most of them k-runs shorter than a vector, and a round
-        // may resume a draw the previous round cut. Dealer and OT
-        // material, over memory and TCP, must reproduce the fast path
+        // On a sparse candidate schedule a chunk's runs are mostly
+        // shorter than a vector, so the pass runs most triples in its
+        // scalar tails, and a pair round may end inside a row. Dealer and
+        // OT material, over memory and TCP, must reproduce the fast path
         // share for share.
         let g = erdos_renyi(90, 0.15, 4);
         let m = g.to_bit_matrix();
         let plan = SchedulePlan::CsrStream(Arc::new(CsrGraph::from_graph(&g)));
         let ot = CountJob { offline: OfflineMode::OtExtension, ..job(23, 2, 0) };
         let modes = [job(23, 2, 0), ot];
-        let mut resumes_a_draw = false;
+        let mut cuts_a_row = false;
         for batch in [7usize, DEFAULT_COUNT_BATCH] {
             let sched = CountJob { plan: plan.clone(), ..job(23, 2, batch) }.scheduler(m.n());
             let (mut draws, mut short) = (0usize, 0usize);
@@ -552,11 +553,8 @@ mod tests {
                 let plan = sched.chunk_plan(chunk);
                 draws += plan.len();
                 short += plan.iter().filter(|d| d.groups < 8).count();
-                let mut rounds = plan_rounds(&plan, sched.batch());
-                while let Some(round) = rounds.next_round() {
-                    resumes_a_draw |= round.iter().any(|seg| seg.offset > 0);
-                }
             }
+            cuts_a_row |= a_round_cuts_a_row(&sched.pair_set(), sched.batch());
             assert!(4 * short > 3 * draws, "batch {batch}: {short} of {draws} runs are short");
             for mode in &modes {
                 let wire = CountJob { plan: plan.clone(), batch, ..mode.clone() };
@@ -571,7 +569,7 @@ mod tests {
                 }
             }
         }
-        assert!(resumes_a_draw, "no round starts mid-draw");
+        assert!(cuts_a_row, "no pair round ends inside a row");
     }
 
     #[test]
@@ -810,12 +808,15 @@ mod tests {
 
     #[test]
     fn ot_runtime_matches_dealer_runtime_shares() {
+        // The same opened count and online ledger; the share pairs
+        // differ by design (dealer words per pair, OT groups per
+        // triple), and each runtime's is count_local's, pinned above.
         let g = erdos_renyi(30, 0.25, 4);
         let m = g.to_bit_matrix();
         let dealer = over_memory(&m, &job(9, 2, 8));
         let ot = over_memory(&m, &ot_job(9, 2, 8));
-        assert_eq!(ot.share1, dealer.share1);
-        assert_eq!(ot.share2, dealer.share2);
+        assert_eq!(ot.reconstruct(), dealer.reconstruct());
+        assert_eq!(ot.reconstruct(), Ring64(count_triangles_matrix(&m)));
         assert_eq!(ot.net.online(), dealer.net, "online ledgers coincide");
         assert!(dealer.net.offline.is_empty());
         assert!(!ot.net.offline.is_empty());

@@ -43,9 +43,9 @@
 //!   once, [`CountScheduler::batch`] pairs a round in canonical order:
 //!   a plan reading `P` pairs costs `⌈P/batch⌉` rounds, however many
 //!   triples read a pair. A chunk's triples are then evaluated locally,
-//!   `batch` at a time **in plan order, across draw and pair
-//!   boundaries** ([`cargo_mpc::plan_rounds`]), which never reaches the
-//!   wire. Both cuts are pure functions of the public plan and `batch`.
+//!   one weighted pass per server over its `k`-runs
+//!   ([`cargo_mpc::weighted_pass`]), which never reaches the wire. The
+//!   cut is a pure function of the public plan and `batch`.
 //! * **Determinism by construction.** Randomness is keyed per pair
 //!   ([`cargo_mpc::PairDealer`], [`cargo_mpc::share_prf`],
 //!   [`cargo_mpc::mask_prf`]), never per worker or per chunk, so the

@@ -491,6 +491,7 @@ mod tests {
     use super::*;
     use crate::count_sched::CountScheduler;
     use cargo_graph::{count_triangles, generators, GraphBuilder};
+    use cargo_mpc::OfflineMode;
 
     fn k4() -> Graph {
         let mut b = GraphBuilder::new(4);
@@ -568,29 +569,35 @@ mod tests {
 
     #[test]
     fn incremental_counter_matches_scratch_and_true_count() {
-        let g = generators::erdos_renyi(30, 0.3, 7);
-        let mut eval = inline_evaluator(CountJob::new(0xFEED));
-        let mut counter = IncrementalCounter::new_with(g, &mut eval);
-        let epoch = counter
-            .apply_with(
-                &[EdgeDelta::Add(0, 1), EdgeDelta::Remove(2, 3), EdgeDelta::Add(4, 5)],
-                &mut eval,
-            )
-            .unwrap();
-        // Shares reconstruct to the live graph's true triangle count…
-        assert_eq!(
-            (epoch.share1 + epoch.share2).to_u64(),
-            count_triangles(counter.graph()) as u64
-        );
-        // …and match a from-scratch sparse run bit-for-bit.
-        let scratch = eval(
-            &counter.graph().to_bit_matrix(),
-            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(counter.graph()))),
-        );
-        assert_eq!(epoch.share1, scratch.share1);
-        assert_eq!(epoch.share2, scratch.share2);
-        // The matrix was maintained in lock-step.
-        assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix());
+        for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+            let g = generators::erdos_renyi(30, 0.3, 7);
+            let mut eval = inline_evaluator(CountJob { offline, ..CountJob::new(0xFEED) });
+            let mut counter = IncrementalCounter::new_with(g, &mut eval);
+            let epoch = counter
+                .apply_with(
+                    &[EdgeDelta::Add(0, 1), EdgeDelta::Remove(2, 3), EdgeDelta::Add(4, 5)],
+                    &mut eval,
+                )
+                .unwrap();
+            // Shares reconstruct to the live graph's true triangle count…
+            assert_eq!(
+                (epoch.share1 + epoch.share2).to_u64(),
+                count_triangles(counter.graph()) as u64
+            );
+            // …and match a from-scratch sparse run: bit-for-bit with OT
+            // groups, which are per triple; at the opened count with
+            // dealer words, which are per pair and per Count.
+            let scratch = eval(
+                &counter.graph().to_bit_matrix(),
+                SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(counter.graph()))),
+            );
+            assert_eq!(epoch.share1 + epoch.share2, scratch.reconstruct(), "{offline:?}");
+            if offline == OfflineMode::OtExtension {
+                assert_eq!((epoch.share1, epoch.share2), (scratch.share1, scratch.share2));
+            }
+            // The matrix was maintained in lock-step.
+            assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix());
+        }
     }
 
     #[test]

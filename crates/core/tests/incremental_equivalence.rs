@@ -4,19 +4,24 @@
 //! The pins, for random graphs and random delta sequences:
 //!
 //! 1. **Bit-identical shares.** After every epoch, the incremental
-//!    counter's `(⟨T⟩₁, ⟨T⟩₂)` equal a from-scratch sparse run on the
-//!    updated graph — not approximately, not post-reconstruction:
-//!    share for share in `Z_{2^64}`. This works because each triple's
-//!    contribution is a pure function of the root seed and its
-//!    canonical dealer-stream offset, so the share sum decomposes
-//!    over the triangle set no matter which schedule produced it.
+//!    counter's `(⟨T⟩₁, ⟨T⟩₂)` open to a from-scratch sparse run's count
+//!    on the updated graph, and with OT material equal its shares —
+//!    not approximately, not post-reconstruction: share for share in
+//!    `Z_{2^64}`. That works because each triple's OT-made group is a
+//!    pure function of the root seed and its canonical dealer-stream
+//!    offset, so the share sum decomposes over the triangle set no
+//!    matter which schedule produced it. Dealer words are per pair and
+//!    per Count (`cargo_mpc::PairTable::count_term`), so a dealer share
+//!    pair does not decompose; its opening does.
 //! 2. **Knob invariance.** Epoch outcomes don't change across
-//!    `threads × batch × offline-mode`: shares are identical
-//!    everywhere; the online `NetStats` is identical at fixed batch
-//!    and keeps identical element/byte totals when the batch changes.
+//!    `threads × batch × offline-mode`: shares are identical across
+//!    threads and batches, openings across offline modes; the online
+//!    `NetStats` is identical at fixed batch and keeps identical
+//!    element/byte totals when the batch changes.
 //! 3. **Reversibility.** Removing edges and re-adding them restores
-//!    the *exact* original share state — the algebraic cancellation
-//!    `+u(T) − u(T) = 0` really happens in the ring.
+//!    the original opening and, with OT material, the *exact* share
+//!    state — the algebraic cancellation `+u(T) − u(T) = 0` really
+//!    happens in the ring.
 //! 4. **Budget refusal.** A session whose schedule allots `k` epochs
 //!    serves exactly `k` and refuses the `(k+1)`-th via the
 //!    accountant (an error value, nothing mutated).
@@ -101,18 +106,23 @@ proptest! {
     ) {
         let g = random_graph(n, tenths, seed);
         let epochs = random_epochs(n as u32, seed, 3, 6);
-        let job = CountJob::new(seed ^ 0xC0DE);
-        let mut eval = inline_evaluator(job.clone());
-        let mut counter = IncrementalCounter::new_with(g, &mut eval);
-        for batch in &epochs {
-            let ec = counter.apply_with(batch, &mut eval).unwrap();
-            let (s1, s2) = scratch(counter.graph(), &job);
-            prop_assert_eq!(ec.share1, s1);
-            prop_assert_eq!(ec.share2, s2);
-            prop_assert_eq!(
-                (ec.share1 + ec.share2).to_u64(),
-                count_triangles(counter.graph()) as u64
-            );
+        for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+            let job = CountJob { offline, ..CountJob::new(seed ^ 0xC0DE) };
+            let mut eval = inline_evaluator(job.clone());
+            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+            for batch in &epochs {
+                let ec = counter.apply_with(batch, &mut eval).unwrap();
+                let (s1, s2) = scratch(counter.graph(), &job);
+                prop_assert_eq!(ec.share1 + ec.share2, s1 + s2);
+                if offline == OfflineMode::OtExtension {
+                    prop_assert_eq!(ec.share1, s1);
+                    prop_assert_eq!(ec.share2, s2);
+                }
+                prop_assert_eq!(
+                    (ec.share1 + ec.share2).to_u64(),
+                    count_triangles(counter.graph()) as u64
+                );
+            }
         }
     }
 
@@ -128,12 +138,16 @@ proptest! {
         let base = replay(&g, &epochs, job.clone());
 
         // Same batch: the whole online NetStats must match, along with
-        // the shares, for every thread count and offline mode.
+        // the shares for every thread count and the opening for every
+        // offline mode.
         for (threads, offline) in [(2usize, OfflineMode::TrustedDealer), (3, OfflineMode::OtExtension)] {
             let other = replay(&g, &epochs, CountJob { threads, offline, ..job.clone() });
             for (b, o) in base.iter().zip(&other) {
-                prop_assert_eq!(b.share1, o.share1);
-                prop_assert_eq!(b.share2, o.share2);
+                prop_assert_eq!(b.share1 + b.share2, o.share1 + o.share2);
+                if offline == OfflineMode::TrustedDealer {
+                    prop_assert_eq!(b.share1, o.share1);
+                    prop_assert_eq!(b.share2, o.share2);
+                }
                 prop_assert_eq!(b.triples, o.triples);
                 prop_assert_eq!(b.net.online(), o.net.online());
             }
@@ -165,15 +179,20 @@ proptest! {
         }
         prop_assume!(!edges.is_empty());
         edges.truncate(5);
-        let mut eval = inline_evaluator(CountJob::new(seed ^ 0xC0DE));
-        let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
-        let baseline = counter.shares();
         let removes: Vec<_> = edges.iter().map(|&(u, v)| EdgeDelta::Remove(u, v)).collect();
         let adds: Vec<_> = edges.iter().map(|&(u, v)| EdgeDelta::Add(u, v)).collect();
-        counter.apply_with(&removes, &mut eval).unwrap();
-        let restored = counter.apply_with(&adds, &mut eval).unwrap();
-        prop_assert_eq!(counter.graph(), &g);
-        prop_assert_eq!((restored.share1, restored.share2), baseline);
+        for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+            let mut eval = inline_evaluator(CountJob { offline, ..CountJob::new(seed ^ 0xC0DE) });
+            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+            let baseline = counter.shares();
+            counter.apply_with(&removes, &mut eval).unwrap();
+            let restored = counter.apply_with(&adds, &mut eval).unwrap();
+            prop_assert_eq!(counter.graph(), &g);
+            prop_assert_eq!(restored.share1 + restored.share2, baseline.0 + baseline.1);
+            if offline == OfflineMode::OtExtension {
+                prop_assert_eq!((restored.share1, restored.share2), baseline);
+            }
+        }
     }
 }
 

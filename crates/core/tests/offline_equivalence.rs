@@ -2,20 +2,23 @@
 //! must be a *cost* change, never a *value* change.
 //!
 //! For arbitrary (asymmetric) bit matrices, `OfflineMode::OtExtension`
-//! and `OfflineMode::TrustedDealer` must produce identical share
-//! pairs, identical reconstructions, and identical **online**
-//! `NetStats` ledgers on every Count path — while the OT mode's
-//! offline ledger follows the pinned chunk-amortised formula exactly:
-//! one extension session per scheduler chunk, one five-round dialogue
-//! and digest pair per flight ([`cargo_mpc::plan_flights`]), payload
-//! bytes linear in the Multiplication Groups. Because S₂'s shares are
-//! assembled from OT outputs plus public derandomisation offsets (see
-//! `cargo_mpc::offline`), share equality here is a genuine end-to-end
-//! check of the IKNP extension and the Gilboa multiplications, not a
-//! tautology.
+//! and `OfflineMode::TrustedDealer` must produce identical
+//! reconstructions and identical **online** `NetStats` ledgers on every
+//! Count path — while the OT mode's offline ledger follows the pinned
+//! chunk-amortised formula exactly: one extension session per scheduler
+//! chunk, one five-round dialogue and digest pair per flight
+//! ([`cargo_mpc::plan_flights`]), payload bytes linear in the
+//! Multiplication Groups. The share pairs differ by design — dealer
+//! words are per pair, OT groups per triple — so OT mode's share pair is
+//! pinned to `secure_count_reference`, the per-triple MG protocol over
+//! the same canonical groups. Because S₂'s shares are assembled from OT
+//! outputs plus public derandomisation offsets (see `cargo_mpc::offline`),
+//! that share equality is a genuine end-to-end check of the IKNP
+//! extension and the Gilboa multiplications, not a tautology.
 
 use cargo_core::{
-    count_local, count_sampled, count_two_party, CountJob, CountScheduler, OfflineMode,
+    count_local, count_sampled, count_two_party, secure_count_reference, CountJob, CountScheduler,
+    OfflineMode,
 };
 use cargo_graph::BitMatrix;
 use cargo_mpc::offline::{MG_EXT_OTS_PER_GROUP, MG_OFFLINE_BYTES_PER_GROUP};
@@ -137,9 +140,10 @@ proptest! {
     ) {
         let dealer = count_local(&m, &job(seed, 1, batch, OfflineMode::TrustedDealer));
         let ot = count_local(&m, &job(seed, 1, batch, OfflineMode::OtExtension));
-        // Identical openings: the share pair itself, not just the sum.
-        prop_assert_eq!(ot.share1, dealer.share1);
-        prop_assert_eq!(ot.share2, dealer.share2);
+        // Identical openings; OT mode's share pair itself is the
+        // per-triple reference's.
+        let reference = secure_count_reference(&m, seed);
+        prop_assert_eq!((ot.share1, ot.share2), (reference.share1, reference.share2));
         prop_assert_eq!(ot.reconstruct(), dealer.reconstruct());
         prop_assert_eq!(ot.triples, dealer.triples);
         // Identical ONLINE ledgers; the offline ledger follows the
@@ -174,8 +178,7 @@ proptest! {
         let rate = rate_tenths as f64 / 10.0;
         let dealer = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::TrustedDealer));
         let ot = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::OtExtension));
-        prop_assert_eq!(ot.share1, dealer.share1);
-        prop_assert_eq!(ot.share2, dealer.share2);
+        prop_assert_eq!(ot.reconstruct_raw(), dealer.reconstruct_raw());
         prop_assert_eq!(ot.evaluated, dealer.evaluated);
         prop_assert_eq!(ot.net.online(), dealer.net.online());
         // Payload OTs are per sampled triple; rounds amortise per

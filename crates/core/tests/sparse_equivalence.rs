@@ -191,8 +191,10 @@ proptest! {
         let dealer = count_local(&m, &job(seed, 1, batch, plan.clone()));
         let ot_job = CountJob { offline: OfflineMode::OtExtension, ..job(seed, 1, batch, plan.clone()) };
         let ot = count_local(&m, &ot_job);
-        prop_assert_eq!(ot.share1, dealer.share1);
-        prop_assert_eq!(ot.share2, dealer.share2);
+        // The same opening; the share pairs differ by design (dealer
+        // words per pair, OT groups per triple).
+        prop_assert_eq!(ot.reconstruct(), dealer.reconstruct());
+        prop_assert_eq!(ot.triples, dealer.triples);
         prop_assert_eq!(ot.net.online(), dealer.net.online());
         prop_assert!(dealer.net.offline.is_empty());
         // The sparse offline ledger follows the same chunk-amortised

@@ -18,10 +18,9 @@
 use crate::beaver::BeaverShare;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
-use crate::share::{share_with, SharePair};
+use crate::share::{mask_prf, share_prf, share_with, SharePair};
 use crate::simd::SimdTier;
-use crate::share::mask_prf;
-use crate::triple_mul::{combine_round, mask_round, pair_key, MulGroupShare, PairTable, RoundLanes};
+use crate::triple_mul::{mask_round, pair_key, weighted_pass, MulGroupShare, PairRun, PairTable};
 use crate::ServerId;
 
 /// A trusted dealer producing correlated randomness for the two servers.
@@ -115,15 +114,26 @@ impl Dealer {
 }
 
 /// Dealer words per Multiplication Group of a pair stream: S₁'s
-/// product shares `o₁ p₁ q₁ w₁`. The masks are not stream words — they
-/// are keyed by pair ([`crate::mask_prf`]) — and S₂'s product shares
-/// are differences, not fresh draws ([`split_mg_words`]).
+/// product shares `o₁ p₁ q₁ w₁` of one triple. The masks are not stream
+/// words — they are keyed by pair ([`crate::mask_prf`]) — and S₂'s
+/// product shares are differences, not fresh draws ([`split_mg_words`]).
+/// Only the OT offline phase reads these streams: they are the target it
+/// derandomises each group onto. A dealer-mode Count's product shares
+/// are per pair, not per triple ([`PairDealer::pair_word`],
+/// [`PairDealer::count_word`]).
 pub const GROUP_WORDS: usize = 4;
 
 /// Pinned by the benchmark's trace probes, which size a dealer block
 /// with it; it is [`GROUP_WORDS`].
 #[doc(hidden)]
 pub const MG_WORDS: usize = GROUP_WORDS;
+
+/// Seed tweaks of S₁'s dealer words in a dealer-mode Count — per pair
+/// and per Count — the third and fourth of SHA-512's initial hash words
+/// (the two mask streams take the first two), so they are
+/// domain-separated from the input shares and the masks.
+pub(crate) const PAIR_WORD_TWEAK: u64 = 0x3C6E_F372_FE94_F82B;
+const COUNT_WORD_TWEAK: u64 = 0xA54F_F53A_5F1D_36F1;
 
 /// A dealer stream *split per outer `(i, j)` pair* of the Count phase.
 ///
@@ -135,7 +145,9 @@ pub const MG_WORDS: usize = GROUP_WORDS;
 /// stream contains. Group `k − j − 1` of pair `(i, j)`'s stream holds
 /// the product words of triple `(i, j, k)`; its masks `x = λ_ij`,
 /// `y = λ_ik`, `z = λ_jk` are the pairs' own ([`crate::mask_prf`]).
-/// Every Count executor draws from these streams.
+/// The OT offline phase makes exactly these groups, and the per-triple
+/// reference Count draws them; a dealer-mode Count reads the pair and
+/// Count words instead ([`Self::pair_word`], [`Self::count_word`]).
 #[derive(Debug, Clone)]
 pub struct PairDealer {
     rng: SplitMix64,
@@ -212,15 +224,37 @@ impl PairDealer {
         self.pair.1 + 1 + (self.words / GROUP_WORDS as u64) as u32
     }
 
+    /// S₁'s dealer word of pair `(i, j)` in a dealer-mode Count under
+    /// `root`: its share `⟨M_ij⟩₁` of the pair's aggregated mask product
+    /// `M_ij`, the sign-weighted sum, over the plan's triples that read
+    /// the pair, of their other two pairs' masks' product. One word a
+    /// pair, where the per-triple streams hold four a triple: the
+    /// Count's `o p q` terms all multiply the pair's opening `e_ij`, so
+    /// they merge. S₂'s share `M_ij − ⟨M_ij⟩₁` is never formed — its pass
+    /// telescopes against S₁'s ([`crate::PairTable`]). [`mask_round`]
+    /// draws it lane-parallel beside the pair's mask shares.
+    pub fn pair_word(root: u64, i: u32, j: u32) -> u64 {
+        share_prf(root ^ PAIR_WORD_TWEAK, i, j)
+    }
+
+    /// S₁'s dealer word of a dealer-mode Count under `root`: its share
+    /// of `Σₜ sₜ·λ_ij·λ_ik·λ_jk` over the plan's triples, the Count's
+    /// one `w` word ([`crate::PairTable::count_term`]).
+    pub fn count_word(root: u64) -> u64 {
+        share_prf(root ^ COUNT_WORD_TWEAK, u32::MAX, u32::MAX)
+    }
+
     /// Evaluates the next `L = b.len()` groups' triples `(i, j, k)`,
-    /// both servers in turn, and advances the stream past them: `a` is
-    /// the first secret (`a_ij`), `b` and `c` the second and third per
-    /// triple, each opened under its pair's mask. Returns the wrapping
-    /// partial sums `(Σ⟨d⟩₁, Σ⟨d⟩₂)`, whose sum is `Σ a·bₜ·cₜ`.
+    /// both servers in turn, as a dealer-mode Count of the one `k`-run,
+    /// and advances the stream past them: `a` is the first secret
+    /// (`a_ij`), `b` and `c` the second and third per triple, each opened
+    /// under its pair's mask. Returns the servers' shares
+    /// `(⟨Σd⟩₁, ⟨Σd⟩₂)` — each its [`weighted_pass`] plus its Count
+    /// term — whose sum is `Σ a·bₜ·cₜ`.
     ///
     /// Pinned by the benchmark's trace probes: it builds each server's
     /// pair table of its `2L + 1` pairs on every call, which the Count
-    /// never does, before that server's [`crate::combine_round`] pass.
+    /// never does, before that server's pass.
     ///
     /// # Panics
     /// Panics if `b` and `c` differ in length.
@@ -233,34 +267,19 @@ impl PairDealer {
         keys.extend((0..len as u32).map(|t| pair_key(j, k0 + t)));
         let bits = [&[a][..], b, c].concat();
         let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(self.root, s, false));
-        let slabs = tables.each_ref().map(|table| {
+        let slabs = tables.each_mut().map(|table| {
             let mut slab = vec![0; keys.len()];
             mask_round(table, &keys, &bits, &mut slab);
             slab
         });
         let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-        let (state, keys) = (self.rng.state_raw(), [pair_key(i, k0), pair_key(j, k0)]);
-        // A dealer S₂ table reads both servers' mask shares of (i, j).
-        let x = [ServerId::S1, ServerId::S2].map(|s| mask_prf(self.root, s, i, j));
+        let run = [PairRun { slots: [0, 1, 1 + len], len, at: 0 }];
         let [d1, d2] = tables.each_mut().map(|table| {
             table.push(&opened);
-            let mut lanes = RoundLanes::new(table, len);
-            lanes.push_lanes(table, state, [0, 1, 1 + len], keys, x, len);
-            combine_round(&lanes)
+            weighted_pass(table, &run, None, None).wrapping_add(table.count_term())
         });
         self.skip_groups(len);
         (d1, d2)
-    }
-
-    /// The counter state at which group `offset` of `draw` starts —
-    /// [`Self::for_draw`] + [`Self::skip_groups`] in closed form. A
-    /// round's lane table ([`crate::RoundLanes`]) keys each lane's
-    /// group by it, its words being this state's next [`GROUP_WORDS`]
-    /// outputs.
-    pub(crate) fn group_state(root: u64, draw: &crate::MgDraw, offset: usize) -> u64 {
-        let mut d = Self::for_draw(root, draw);
-        d.skip_groups(offset);
-        d.rng.state_raw()
     }
 
     /// Draws the next Multiplication Group as the two servers' share

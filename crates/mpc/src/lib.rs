@@ -20,7 +20,7 @@
 //!   transfer \[42, 43\]; both options exist here behind
 //!   [`OfflineMode`] — the dealer as the zero-cost baseline
 //!   (DESIGN.md §4 item 6), the OT extension below as the costed real
-//!   thing, emitting bit-identical shares.
+//!   thing, opening the same counts.
 //! * [`ot`] — IKNP-style correlated-OT extension (simulated base OTs,
 //!   column-wise extension, correlation-robust hashing, transcript
 //!   consistency digests): the machinery the paper's offline phase
@@ -70,8 +70,8 @@ pub use channel::{NetStats, OfflineLedger, RecvError};
 pub use dealer::{split_mg_words, Dealer, PairDealer, GROUP_WORDS, MG_WORDS};
 pub use offline::{
     chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
-    plan_rounds, MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine,
-    PlanRounds, RoundSegment, WordBuffers, MAX_FLIGHT_GROUPS,
+    MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine, WordBuffers,
+    MAX_FLIGHT_GROUPS,
 };
 pub use transport::{
     memory_pair, memory_pair_with_timeout, recv_msg, send_msg, FaultKind, FaultPlan,
@@ -93,8 +93,8 @@ pub use share::{
 };
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
-    combine_round, expand_input_shares, mask_round, mul3, mul3_combine, pair_key,
-    Mul3Opening, MulGroupShare, PairTable, RoundLanes, PAIR_KEY_STEP,
+    expand_input_shares, mask_round, mul3, mul3_combine, pair_key, weighted_pass, Mul3Opening,
+    MulGroupShare, PairRun, PairTable, PAIR_KEY_STEP,
 };
 
 /// Identifies one of the two non-colluding servers.

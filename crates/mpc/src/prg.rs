@@ -14,10 +14,9 @@
 use crate::ring::Ring64;
 use crate::simd::{SimdTier, U64xN};
 
-/// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the round
-/// kernels (each server's [`crate::combine_round`] pass) re-derive
-/// this stream in closed counter form and must share these exact
-/// constants.
+/// The SplitMix64 counter increment ("gamma"). `pub(crate)`: the pair
+/// kernels ([`crate::mask_round`]) mix the PRF's keys in closed counter
+/// form and must share these exact constants.
 pub(crate) const SM_GAMMA: u64 = 0x9E3779B97F4A7C15;
 /// First finaliser multiplier of the SplitMix64 mix.
 pub(crate) const SM_M1: u64 = 0xBF58476D1CE4E5B9;

@@ -1,12 +1,12 @@
 //! Portable fixed-width `u64` lane helpers for the batched MG kernel.
 //!
-//! The hot Count kernel evaluates one Multiplication Group per triple
-//! — ~20 wrapping `u64` multiplications and as many additions. Done one
-//! scalar at a time the compiler has little room to schedule; done over
-//! a structure-of-arrays batch it can keep several independent lanes in
-//! flight (and, where the target supports 64-bit vector multiplies,
-//! auto-vectorise outright). This module provides the lane type those
-//! batch kernels ([`crate::mask_round`], [`crate::combine_round`]) are
+//! The hot Count kernels mix a PRF per pair and dot rows of a pair
+//! table per triple — a few wrapping `u64` multiplications and
+//! additions each. Done one scalar at a time the compiler has little
+//! room to schedule; done over contiguous lanes it can keep several
+//! independent lanes in flight (and, where the target supports 64-bit
+//! vector multiplies, auto-vectorise outright). This module provides the lane type those
+//! batch kernels ([`crate::mask_round`], [`crate::weighted_pass`]) are
 //! written in:
 //! a plain fixed-width array of `u64` with wrapping lane-wise
 //! arithmetic — **no nightly features, no intrinsics, no `unsafe`** —

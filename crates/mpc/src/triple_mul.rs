@@ -26,20 +26,35 @@
 //! `y = λ_ik`, `z = λ_jk`, each server's share of `λ` a PRF of
 //! `(seed, i, j, server)` ([`crate::mask_prf`]) — and only the products
 //! `o, p, q, w` per triple (ABY2.0's input-independent masking, Patra
-//! et al., USENIX Security 2021, applied to the three-value MG). Step 2
-//! then opens `e_ij = a_ij − λ_ij` **once per pair** and every triple
-//! that reads the pair reuses it; step 3 is unchanged. A Count is a few
-//! rounds of pair openings ([`mask_round`] into each server's
-//! [`PairTable`]) and a local sum: each server's [`combine_round`] over
-//! its lane tables ([`RoundLanes`]), which read `e, f, g` and `x, y, z`
-//! per pair. Every executor runs these per-server kernels — the
-//! in-process Count runs both servers' in turn — so a plaintext bit
-//! enters only S₂'s pair masking. [`mul3`] stays the one-triple
-//! protocol object with free masks.
+//! et al., USENIX Security 2021, <https://eprint.iacr.org/2020/1225>,
+//! applied to the three-value MG). Step 2 then opens `e_ij = a_ij − λ_ij`
+//! **once per pair** and every triple that reads the pair reuses it: a
+//! Count is a few rounds of pair openings ([`mask_round`] into each
+//! server's [`PairTable`]) and a local sum.
+//!
+//! Step 3's sum over a plan's triples `t`, each with a public sign
+//! `sₜ`, regroups exactly by pair: each server's share of `Σₜ sₜ·dₜ` is
+//!
+//! ```text
+//! ⟨Σ sₜ·w⟩ + Σ_p e_p·⟨M_p⟩ + Σ_p ⟨λ_p⟩·W_p   (+ Σ sₜ·efg on S₂)
+//! ```
+//!
+//! where `W_p` is the sign-weighted sum, over the triples that read
+//! pair `p`, of the other two pairs' openings' product, and `M_p` the
+//! same over their masks — SecureML's aggregated correlations (Mohassel
+//! & Zhang, S&P 2017, <https://eprint.iacr.org/2017/396>) over the pair
+//! masks. Each server evaluates it in one [`weighted_pass`] over a
+//! chunk's `k`-runs ([`PairRun`]): a few dot products of contiguous
+//! rows of its table per run. With dealer material `⟨M_p⟩₁` is one
+//! dealer word a pair and `⟨Σ w⟩₁` one a Count
+//! ([`PairTable::count_term`]); with preprocessed material each
+//! triple's `o p q w` fold into the run's dot products. Every executor
+//! runs these per-server kernels — the in-process Count runs both
+//! servers' in turn — so a plaintext bit enters only S₂'s pair masking.
+//! [`mul3`] stays the one-triple protocol object with free masks.
 
 use crate::channel::NetStats;
-use crate::dealer::{PairDealer, GROUP_WORDS};
-use crate::offline::MgDraw;
+use crate::dealer::{PairDealer, PAIR_WORD_TWEAK};
 use crate::prg::{mix_lanes, SM_GAMMA};
 use crate::ring::Ring64;
 use crate::share::MASK_TWEAK;
@@ -239,8 +254,8 @@ fn expand_input_shares_tier(
 }
 
 /// The [`share_prf`](crate::share_prf) key of pair `(i, j)`: the key
-/// [`mask_round`] and the lane passes mix a pair's input and mask
-/// shares from. Consecutive columns of a row are keys [`PAIR_KEY_STEP`]
+/// [`mask_round`] mixes a pair's input share, mask shares and dealer
+/// word from. Consecutive columns of a row are keys [`PAIR_KEY_STEP`]
 /// apart, so a row's run of pairs `(i, j₀ + t)` is
 /// `pair_key(i, j₀) + t·PAIR_KEY_STEP`.
 #[inline(always)]
@@ -258,46 +273,92 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
     prf_keyed(seed ^ MASK_TWEAK[s], keys)
 }
 
-/// One server's pair table over a Count plan's **pair set**: the
-/// opened `e = a − λ` of every pair, in the plan's canonical pair
-/// order.
+/// One server's pair table over a Count plan's **pair set**: in the
+/// plan's canonical pair order, the opened `e = a − λ` of every pair
+/// beside the mask shares this server's [`weighted_pass`] dots with the
+/// openings, stored as [`mask_round`] computes them.
 ///
 /// Every Multiplication Group of the Count is keyed by pair: triple
 /// `(i, j, k)`'s masks are `x = λ_ij, y = λ_ik, z = λ_jk`
 /// ([`crate::mask_prf`]), so its openings `e, f, g` are the openings of
 /// its three pairs — opened once per Count however many triples read
-/// them — and a server's mask shares are its PRF of the pair, derived
-/// where a lane needs them ([`RoundLanes`]). What the combine makes of
-/// them depends on whose table it is and where the groups come from —
-/// never on a plaintext bit:
+/// them. What the pass makes of them depends on whose table it is and
+/// where the groups come from — never on a plaintext bit:
 ///
-/// * S₁ combines its own product shares with `λ⁽¹⁾`.
-/// * S₂ combines its own with `λ⁽²⁾`, plus `efg`. With preprocessed
-///   material those are its groups' words. With dealer material they
-///   are the full masks' products less S₁'s words
-///   ([`crate::split_mg_words`]: `o₂ = xy − o₁`, …, with
-///   `x = λ⁽¹⁾ + λ⁽²⁾`), and substituted into the combination they
-///   telescope to `⟨d⟩₂ = (x + e)(y + f)(z + g) − ⟨d⟩₁`, which is how S₂
-///   evaluates it: from both servers' mask shares, S₁'s words and the
-///   openings.
+/// * S₁ dots its own mask shares `λ⁽¹⁾` with the openings; with dealer
+///   material its product shares are one dealer word a pair and one a
+///   Count ([`PairDealer::pair_word`], [`PairDealer::count_word`]),
+///   summed into [`PairTable::count_term`].
+/// * S₂ with preprocessed material dots its own `λ⁽²⁾`, plus `efg`, and
+///   folds its groups' product shares into the same dot products.
+/// * S₂ with dealer material holds S₁'s mask shares and the full masks
+///   `λ = λ⁽¹⁾ + λ⁽²⁾` beside the openings: the dealer differences S₂'s
+///   product shares out of the full masks' products less S₁'s words
+///   ([`crate::split_mg_words`] is the per-triple form), and substituted
+///   into the combination they telescope to
+///   `⟨d⟩₂ = (λ_ij + e)(λ_ik + f)(λ_jk + g) − ⟨d⟩₁`, which is how S₂
+///   evaluates it.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     seed: u64,
     /// Whose table.
     server: ServerId,
-    /// Whether the groups come from preprocessed material
-    /// ([`RoundLanes::set_groups`]) rather than the dealer streams.
+    /// Whether the groups come from preprocessed material rather than
+    /// the dealer.
     preprocessed: bool,
+    /// The ISA tier [`mask_round`] and [`weighted_pass`] run at.
+    tier: SimdTier,
     /// Each pair's opened `e = a − λ`.
     e: Vec<u64>,
+    /// Each pair's mask share the pass reads: the owner's, except S₁'s
+    /// on a dealer S₂ table. A round's are written by [`mask_round`]
+    /// before its openings are pushed.
+    lam: Vec<u64>,
+    /// Dealer S₂ tables only: each pair's full mask `λ⁽¹⁾ + λ⁽²⁾`.
+    full: Vec<u64>,
+    /// Dealer tables only: S₁'s dealer words of the round masked last.
+    words: Vec<u64>,
+    /// Dealer tables only: `Σ_p e_p·⟨M_p⟩₁` over the pushed pairs.
+    word_sum: u64,
 }
 
 impl PairTable {
     /// An empty table for `server` under the Count seed `seed`, whose
-    /// groups come from the dealer streams or, `preprocessed`, from
-    /// preprocessed material.
+    /// groups come from the dealer or, `preprocessed`, from preprocessed
+    /// material.
     pub fn new(seed: u64, server: ServerId, preprocessed: bool) -> Self {
-        PairTable { seed, server, preprocessed, e: Vec::new() }
+        PairTable {
+            seed,
+            server,
+            preprocessed,
+            tier: SimdTier::detect(),
+            e: Vec::new(),
+            lam: Vec::new(),
+            full: Vec::new(),
+            words: Vec::new(),
+            word_sum: 0,
+        }
+    }
+
+    /// The same table run at `tier` — for the suites that pin every
+    /// tier to the scalar formula.
+    ///
+    /// # Panics
+    /// Panics if this CPU does not support `tier`.
+    #[doc(hidden)]
+    pub fn at_tier(self, tier: SimdTier) -> Self {
+        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+        PairTable { tier, ..self }
+    }
+
+    /// Makes room for `pairs` more pairs in every column the table
+    /// keeps, so a Count that knows its pair set grows them once.
+    pub fn reserve(&mut self, pairs: usize) {
+        self.e.reserve_exact(pairs);
+        self.lam.reserve_exact(pairs);
+        if !self.preprocessed && self.server == ServerId::S2 {
+            self.full.reserve_exact(pairs);
+        }
     }
 
     /// Pairs in the table.
@@ -310,43 +371,94 @@ impl PairTable {
         self.e.is_empty()
     }
 
-    /// Appends a round of pairs' openings `e`: the sum of both servers'
-    /// [`mask_round`] slabs.
+    /// Appends the openings `e` of the round [`mask_round`] masked last:
+    /// the sum of both servers' slabs.
+    ///
+    /// # Panics
+    /// Panics unless `opened` holds one opening per pair of that round.
     pub fn push(&mut self, opened: &[u64]) {
+        assert_eq!(opened.len(), self.lam.len() - self.e.len(), "one opening per pair masked");
         self.e.extend_from_slice(opened);
+        let words = opened.iter().zip(&self.words);
+        self.word_sum = words.fold(self.word_sum, |sum, (e, m)| sum.wrapping_add(e.wrapping_mul(*m)));
     }
+
+    /// This server's Count-level share, added once per Count beside its
+    /// passes' sums: with dealer material S₁'s Count word plus
+    /// `Σ_p e_p·⟨M_p⟩₁` over the table's pairs, and on S₂ its negation
+    /// (S₂'s pass telescopes against S₁'s share); zero with preprocessed
+    /// material, whose product shares are all in the passes.
+    pub fn count_term(&self) -> u64 {
+        if self.preprocessed {
+            return 0;
+        }
+        let s1 = PairDealer::count_word(self.seed).wrapping_add(self.word_sum);
+        match self.server {
+            ServerId::S1 => s1,
+            ServerId::S2 => s1.wrapping_neg(),
+        }
+    }
+}
+
+/// The columns [`mask_round`] writes for a round of pairs: the
+/// maskings, the mask shares the table keeps and, with dealer material,
+/// the full masks (S₂) and S₁'s pair words.
+struct MaskColumns<'a> {
+    out: &'a mut [u64],
+    lam: &'a mut [u64],
+    full: &'a mut [u64],
+    words: &'a mut [u64],
 }
 
 /// `N` lanes from `lane0` of the pair maskings [`mask_round`] writes for
-/// S₁ or, `S2`, for S₂. S₁ reads no bit.
+/// S₁ or, `S2`, for S₂, and the table columns beside them. S₁ reads no
+/// bit.
 #[inline(always)]
-fn pair_mask_lanes<const S2: bool, const N: usize>(
+fn pair_mask_lanes<const S2: bool, const DEALER: bool, const N: usize>(
     seed: u64,
     keys: &[u64],
     bits: &[u64],
+    cols: &mut MaskColumns,
     lane0: usize,
-) -> U64xN<N> {
-    let k = U64xN::load(&keys[lane0..]);
-    if S2 {
-        U64xN::load(&bits[lane0..]) - prf_keyed(seed, k) - mask_lanes(seed, 1, k)
+) {
+    let k = U64xN::<N>::load(&keys[lane0..]);
+    let own = mask_lanes(seed, usize::from(S2), k);
+    let masked = if S2 {
+        U64xN::load(&bits[lane0..]) - prf_keyed(seed, k) - own
     } else {
-        prf_keyed(seed, k) - mask_lanes(seed, 0, k)
+        prf_keyed(seed, k) - own
+    };
+    masked.store(&mut cols.out[lane0..]);
+    if S2 && DEALER {
+        let peer = mask_lanes(seed, 0, k);
+        peer.store(&mut cols.lam[lane0..]);
+        (peer + own).store(&mut cols.full[lane0..]);
+    } else {
+        own.store(&mut cols.lam[lane0..]);
+    }
+    if DEALER {
+        prf_keyed(seed ^ PAIR_WORD_TWEAK, k).store(&mut cols.words[lane0..]);
     }
 }
 
-/// [`mask_body`] for one server.
+/// [`mask_body`] for one server and material source.
 #[inline(always)]
-fn mask_pass<const S2: bool>(seed: u64, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+fn mask_pass<const S2: bool, const DEALER: bool>(
+    seed: u64,
+    keys: &[u64],
+    bits: &[u64],
+    cols: &mut MaskColumns,
+) {
     let full = keys.len() / LANES * LANES;
-    for lane0 in Blocks::below(full) {
-        pair_mask_lanes::<S2, LANES>(seed, keys, bits, lane0).store(&mut out[lane0..]);
+    for b in Blocks::below(full / LANES) {
+        pair_mask_lanes::<S2, DEALER, LANES>(seed, keys, bits, cols, b * LANES);
     }
-    for (t, word) in out.iter_mut().enumerate().skip(full) {
-        *word = pair_mask_lanes::<S2, 1>(seed, keys, bits, t).0[0];
+    for t in full..keys.len() {
+        pair_mask_lanes::<S2, DEALER, 1>(seed, keys, bits, cols, t);
     }
 }
 
-/// The first lanes of a round's full blocks of [`LANES`], in the order
+/// The numbers of a pass's full blocks of [`LANES`], in the order
 /// `k ← (k + 5) mod span` over block numbers (`span` the power of two at
 /// or above the block count, numbers past the count skipped) — every
 /// block once. LLVM cannot count that loop, so its loop vectorizer
@@ -362,10 +474,9 @@ struct Blocks {
 }
 
 impl Blocks {
-    /// The blocks of the `full` lanes (a multiple of [`LANES`]).
+    /// Block numbers below `blocks`.
     #[inline(always)]
-    fn below(full: usize) -> Self {
-        let blocks = full / LANES;
+    fn below(blocks: usize) -> Self {
         Blocks { next: (blocks > 0).then_some(0), blocks, mask: blocks.next_power_of_two() - 1 }
     }
 }
@@ -380,7 +491,7 @@ impl Iterator for Blocks {
             let after = (k + 5) & self.mask;
             self.next = (after != 0).then_some(after);
             if k < self.blocks {
-                return Some(k * LANES);
+                return Some(k);
             }
         }
     }
@@ -388,10 +499,12 @@ impl Iterator for Blocks {
 
 /// [`mask_round`]'s body, compiled once per ISA tier.
 #[inline(always)]
-fn mask_body(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
-    match server {
-        ServerId::S1 => mask_pass::<false>(seed, keys, bits, out),
-        ServerId::S2 => mask_pass::<true>(seed, keys, bits, out),
+fn mask_body(seed: u64, kind: (ServerId, bool), keys: &[u64], bits: &[u64], mut cols: MaskColumns) {
+    match kind {
+        (ServerId::S1, false) => mask_pass::<false, true>(seed, keys, bits, &mut cols),
+        (ServerId::S1, true) => mask_pass::<false, false>(seed, keys, bits, &mut cols),
+        (ServerId::S2, false) => mask_pass::<true, true>(seed, keys, bits, &mut cols),
+        (ServerId::S2, true) => mask_pass::<true, false>(seed, keys, bits, &mut cols),
     }
 }
 
@@ -399,564 +512,432 @@ fn mask_body(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut 
 /// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn mask_avx512(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
-    mask_body(seed, server, keys, bits, out)
+unsafe fn mask_avx512(seed: u64, kind: (ServerId, bool), keys: &[u64], bits: &[u64], cols: MaskColumns) {
+    mask_body(seed, kind, keys, bits, cols)
 }
 
 /// # Safety
 /// The CPU must support `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mask_avx2(seed: u64, server: ServerId, keys: &[u64], bits: &[u64], out: &mut [u64]) {
-    mask_body(seed, server, keys, bits, out)
+unsafe fn mask_avx2(seed: u64, kind: (ServerId, bool), keys: &[u64], bits: &[u64], cols: MaskColumns) {
+    mask_body(seed, kind, keys, bits, cols)
 }
 
 /// Masks a round of pairs for `table`'s owner, lane-parallel, from the
-/// pairs' [`pair_key`]s: the server's masking `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` —
-/// S₁'s input share is [`share_prf`](crate::share_prf), S₂'s the
-/// plaintext bit less it. `bits` holds the pairs' plaintext bits on S₂;
-/// S₁ reads none (pass an empty slice). Bit-identical to the scalar
-/// PRFs at every [`SimdTier`].
+/// pairs' [`pair_key`]s: the server's masking `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` into
+/// `out` — S₁'s input share is [`share_prf`](crate::share_prf), S₂'s the
+/// plaintext bit less it — and, into `table`, the round's mask shares
+/// its pass reads and, with dealer material, S₁'s pair words
+/// ([`PairDealer::pair_word`]); [`PairTable::push`] then appends the
+/// round's openings. `bits` holds the pairs' plaintext bits on S₂; S₁
+/// reads none (pass an empty slice). Bit-identical to the scalar PRFs at
+/// every [`SimdTier`].
+///
+/// A round masked but not yet pushed is replaced.
 ///
 /// # Panics
 /// Panics if `out` (or, where read, `bits`) is not `keys.len()` long.
-pub fn mask_round(table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
-    mask_round_tier(SimdTier::detect(), table, keys, bits, out)
-}
-
-fn mask_round_tier(tier: SimdTier, table: &PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
-    let (seed, server) = (table.seed, table.server);
+pub fn mask_round(table: &mut PairTable, keys: &[u64], bits: &[u64], out: &mut [u64]) {
+    let (seed, server, tier) = (table.seed, table.server, table.tier);
     assert_eq!(out.len(), keys.len(), "one masking per pair");
     if server == ServerId::S2 {
         assert_eq!(bits.len(), keys.len(), "one plaintext bit per pair");
     }
-    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    let (at, dealer) = (table.e.len(), !table.preprocessed);
+    table.lam.resize(at + keys.len(), 0);
+    if dealer && server == ServerId::S2 {
+        table.full.resize(at + keys.len(), 0);
+    }
+    table.words.resize(if dealer { keys.len() } else { 0 }, 0);
+    let full_at = at.min(table.full.len());
+    let cols = MaskColumns {
+        out,
+        lam: &mut table.lam[at..],
+        full: &mut table.full[full_at..],
+        words: &mut table.words,
+    };
+    let kind = (server, table.preprocessed);
     match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
+        // SAFETY: the table's tier is supported (`at_tier` checks it).
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { mask_avx512(seed, server, keys, bits, out) },
+        SimdTier::Avx512 => unsafe { mask_avx512(seed, kind, keys, bits, cols) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { mask_avx2(seed, server, keys, bits, out) },
-        _ => mask_body(seed, server, keys, bits, out),
+        SimdTier::Avx2 => unsafe { mask_avx2(seed, kind, keys, bits, cols) },
+        _ => mask_body(seed, kind, keys, bits, cols),
     }
 }
 
-/// A round of a chunk's triples cut into lanes — one lane per triple, in
-/// structure-of-arrays form — for one server's [`combine_round`]. One
-/// pass covers the round, whatever `k`-runs it is cut from, and reads no
-/// message: every opening it needs is already in the server's
-/// [`PairTable`].
+/// One `k`-run of a chunk's plan as [`weighted_pass`] reads it: the
+/// triples `(i, j, k₀ + t)` for `t < len`, whose pairs `(i, k₀ + t)` and
+/// `(j, k₀ + t)` are consecutive slots of the pair table, because a
+/// run's `k`s are consecutive and every pair of the run is in the set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRun {
+    /// The table slots of `(i, j)` and of the run's first `(i, k₀)` and
+    /// `(j, k₀)`.
+    pub slots: [usize; 3],
+    /// Triples in the run.
+    pub len: usize,
+    /// The position of the run's first triple in the chunk's plan order:
+    /// where its signs and preprocessed groups start.
+    pub at: usize,
+}
+
+// The weighted pass below is written like the mask pass above —
+// generic over the lane count, so a run's scalar tail (at most
+// `LANES − 1` triples) runs the vector loop's formula — and also
+// generic over the server, the material source and the signs. Every
+// step is an `#[inline(always)]` function, never a closure with more
+// than a line of body: a tier's wrapper vectorises only what is
+// inlined into it, and LLVM may leave a large closure out-of-line (and
+// scalar).
+
+/// The slices one server's pass reads: its table's columns, the plan's
+/// sign masks (signed passes only) and its preprocessed `w o p q`
+/// columns (preprocessed passes only).
+#[derive(Clone, Copy)]
+struct PassColumns<'a> {
+    e: &'a [u64],
+    lam: &'a [u64],
+    full: &'a [u64],
+    signs: &'a [u64],
+    wopq: [&'a [u64]; 4],
+}
+
+/// One run's words, from its first triple on and cut at its length —
+/// as `u64`s, or as blocks of [`LANES`] for the vector loop: the
+/// `(i, k)` row's openings `f` and mask shares `y`, the `(j, k)` row's
+/// `g` and `z`, on a dealer S₂ table the two rows' full masks `bl` and
+/// `cl`, and the run's sign masks `m` and product shares `w o p q`.
+/// Columns a pass does not read are empty.
+#[derive(Clone, Copy)]
+struct RunRows<'a, T> {
+    f: &'a [T],
+    g: &'a [T],
+    y: &'a [T],
+    z: &'a [T],
+    bl: &'a [T],
+    cl: &'a [T],
+    m: &'a [T],
+    wopq: [&'a [T]; 4],
+}
+
+/// `N` triples' words of a run ([`RunRows`]), the columns a pass does
+/// not read zero.
+struct Lanes<const N: usize> {
+    f: U64xN<N>,
+    g: U64xN<N>,
+    y: U64xN<N>,
+    z: U64xN<N>,
+    bl: U64xN<N>,
+    cl: U64xN<N>,
+    m: U64xN<N>,
+    wopq: [U64xN<N>; 4],
+}
+
+impl<'a> RunRows<'a, u64> {
+    /// `run`'s rows of `c`: the columns a pass of this kind reads.
+    #[inline(always)]
+    fn of<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(
+        c: &PassColumns<'a>,
+        run: &PairRun,
+    ) -> Self {
+        let [_, ik, jk] = run.slots;
+        let (len, at) = (run.len, run.at);
+        let cut = |column: &'a [u64], from: usize, used: bool| -> &'a [u64] {
+            if used {
+                &column[from..from + len]
+            } else {
+                &[]
+            }
+        };
+        let [w, o, p, q] = c.wopq;
+        RunRows {
+            f: cut(c.e, ik, true),
+            g: cut(c.e, jk, true),
+            y: cut(c.lam, ik, true),
+            z: cut(c.lam, jk, true),
+            bl: cut(c.full, ik, S2_DEALER),
+            cl: cut(c.full, jk, S2_DEALER),
+            m: cut(c.signs, at, SIGNED),
+            wopq: [cut(w, at, PRE), cut(o, at, PRE), cut(p, at, PRE), cut(q, at, PRE)],
+        }
+    }
+
+    /// The rows' full blocks of [`LANES`].
+    #[inline(always)]
+    fn blocks(&self) -> RunRows<'a, [u64; LANES]> {
+        let blocks = |column: &'a [u64]| column.as_chunks::<LANES>().0;
+        let [w, o, p, q] = self.wopq;
+        RunRows {
+            f: blocks(self.f),
+            g: blocks(self.g),
+            y: blocks(self.y),
+            z: blocks(self.z),
+            bl: blocks(self.bl),
+            cl: blocks(self.cl),
+            m: blocks(self.m),
+            wopq: [blocks(w), blocks(o), blocks(p), blocks(q)],
+        }
+    }
+
+    /// Triple `t`'s words, for the scalar tail.
+    #[inline(always)]
+    fn lane<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(&self, t: usize) -> Lanes<1> {
+        let word = |column: &[u64], used: bool| U64xN([if used { column[t] } else { 0 }]);
+        let [w, o, p, q] = self.wopq;
+        Lanes {
+            f: word(self.f, true),
+            g: word(self.g, true),
+            y: word(self.y, true),
+            z: word(self.z, true),
+            bl: word(self.bl, S2_DEALER),
+            cl: word(self.cl, S2_DEALER),
+            m: word(self.m, SIGNED),
+            wopq: [word(w, PRE), word(o, PRE), word(p, PRE), word(q, PRE)],
+        }
+    }
+}
+
+impl RunRows<'_, [u64; LANES]> {
+    /// Block `b`'s words.
+    #[inline(always)]
+    fn lanes<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(&self, b: usize) -> Lanes<LANES> {
+        let block = |column: &[[u64; LANES]], used: bool| U64xN(if used { column[b] } else { [0; LANES] });
+        let [w, o, p, q] = self.wopq;
+        Lanes {
+            f: block(self.f, true),
+            g: block(self.g, true),
+            y: block(self.y, true),
+            z: block(self.z, true),
+            bl: block(self.bl, S2_DEALER),
+            cl: block(self.cl, S2_DEALER),
+            m: block(self.m, SIGNED),
+            wopq: [block(w, PRE), block(o, PRE), block(p, PRE), block(q, PRE)],
+        }
+    }
+}
+
+/// `(v ^ m) − m`: `v` where the sign mask `m` is `0` and `−v` where it
+/// is `!0`. An unsigned pass is compiled with `SIGNED = false`, so it
+/// reads no sign and runs exactly the unsigned code.
+#[inline(always)]
+fn signed<const SIGNED: bool, const N: usize>(m: U64xN<N>, v: U64xN<N>) -> U64xN<N> {
+    if SIGNED {
+        (v ^ m) - m
+    } else {
+        v
+    }
+}
+
+/// A run's accumulators: `Σ s·f·g`, `Σ s·(⟨y⟩·g + f·⟨z⟩ [+ ⟨q⟩])`, S₂'s
+/// telescoped `Σ s·(λ_ik + f)(λ_jk + g)` with dealer material, and
+/// `Σ s·(⟨w⟩ + ⟨o⟩·g + ⟨p⟩·f)` with preprocessed material.
+type RunSums<const N: usize> = [U64xN<N>; 4];
+
+/// Adds `N` triples of a run into its sums. Signs negate the `(j, k)`
+/// row's words, so every product with one is signed, and the product
+/// shares that meet none.
+#[inline(always)]
+fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, const N: usize>(
+    l: Lanes<N>,
+    sums: &mut RunSums<N>,
+) {
+    let (f, g) = (l.f, signed::<SIGNED, N>(l.m, l.g));
+    let (y, z) = (l.y, signed::<SIGNED, N>(l.m, l.z));
+    sums[0] = sums[0] + f * g;
+    sums[1] = sums[1] + y * g + f * z;
+    if S2_DEALER {
+        let (b, c) = (f + l.bl, g + signed::<SIGNED, N>(l.m, l.cl));
+        sums[2] = sums[2] + b * c;
+    }
+    if PRE {
+        let [w, o, p, q] = l.wopq;
+        sums[1] = sums[1] + signed::<SIGNED, N>(l.m, q);
+        sums[3] = sums[3] + signed::<SIGNED, N>(l.m, w + p * f) + o * g;
+    }
+}
+
+/// A run's share from its sums and the table's words of its pair
+/// `(i, j)` — opening `e`, mask share `x` and, on a dealer S₂ table,
+/// full mask `λ`: `x·Σfg + e·Σ(yg + fz + q) + Σ(w + og + pf)`, with
+/// `x + e` for `x` on S₂ with preprocessed material (its `efg`), and on
+/// S₂ with dealer material `(λ + e)·Σbc` less S₁'s share.
+#[inline(always)]
+fn run_share<const S2_DEALER: bool, const EFG: bool, const N: usize>(
+    [e, x, full]: [u64; 3],
+    [fg, cross, bc, own]: RunSums<N>,
+) -> U64xN<N> {
+    let x = if EFG { x.wrapping_add(e) } else { x };
+    let share = U64xN::splat(x) * fg + U64xN::splat(e) * cross;
+    if S2_DEALER {
+        U64xN::splat(full.wrapping_add(e)) * bc - share
+    } else {
+        share + own
+    }
+}
+
+/// [`weighted_pass`]'s pass for one server, material source and sign
+/// mode: each run's full blocks into vector sums, its tail into scalar
+/// ones, each folded into the pass's total with the run's pair words.
+#[inline(always)]
+fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, const EFG: bool>(
+    c: &PassColumns,
+    runs: &[PairRun],
+) -> u64 {
+    let (mut wide, mut narrow) = (U64x8::ZERO, U64xN::<1>::ZERO);
+    for run in runs {
+        let ij = run.slots[0];
+        let pair_ij = [c.e[ij], c.lam[ij], if S2_DEALER { c.full[ij] } else { 0 }];
+        let rows = RunRows::of::<SIGNED, S2_DEALER, PRE>(c, run);
+        let blocks = rows.blocks();
+        if !blocks.f.is_empty() {
+            let mut sums = [U64x8::ZERO; 4];
+            for b in Blocks::below(blocks.f.len()) {
+                accumulate::<SIGNED, S2_DEALER, PRE, LANES>(blocks.lanes::<SIGNED, S2_DEALER, PRE>(b), &mut sums);
+            }
+            wide = wide + run_share::<S2_DEALER, EFG, LANES>(pair_ij, sums);
+        }
+        let full = blocks.f.len() * LANES;
+        if full < run.len {
+            let mut sums = [U64xN::<1>::ZERO; 4];
+            for t in full..run.len {
+                accumulate::<SIGNED, S2_DEALER, PRE, 1>(rows.lane::<SIGNED, S2_DEALER, PRE>(t), &mut sums);
+            }
+            narrow = narrow + run_share::<S2_DEALER, EFG, 1>(pair_ij, sums);
+        }
+    }
+    wide.hsum().wrapping_add(narrow.0[0])
+}
+
+/// [`weighted_pass`]'s body, compiled once per ISA tier: `kind` is the
+/// table's owner and material source, and whether the plan is signed.
+#[inline(always)]
+fn weighted_body(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
+    match kind {
+        (ServerId::S1, false, false) => weighted_runs::<false, false, false, false>(c, runs),
+        (ServerId::S1, true, false) => weighted_runs::<false, false, true, false>(c, runs),
+        (ServerId::S1, false, true) => weighted_runs::<true, false, false, false>(c, runs),
+        (ServerId::S1, true, true) => weighted_runs::<true, false, true, false>(c, runs),
+        (ServerId::S2, false, false) => weighted_runs::<false, true, false, false>(c, runs),
+        (ServerId::S2, true, false) => weighted_runs::<false, false, true, true>(c, runs),
+        (ServerId::S2, false, true) => weighted_runs::<true, true, false, false>(c, runs),
+        (ServerId::S2, true, true) => weighted_runs::<true, false, true, true>(c, runs),
+    }
+}
+
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn weighted_avx512(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
+    weighted_body(c, runs, kind)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
+    weighted_body(c, runs, kind)
+}
+
+/// One server's local sum over a chunk's `k`-runs, in one weighted pass
+/// over its opened [`PairTable`]: returns its share of `Σₜ sₜ·dₜ` over
+/// the runs' triples `t`, less the Count-level terms
+/// ([`PairTable::count_term`]). `signs` are the plan's sign masks (`0`
+/// adds a triple, `!0` subtracts it) and `groups` this server's
+/// preprocessed groups, both in plan order ([`PairRun::at`]); a dealer
+/// table takes no groups.
 ///
-/// A segment `(draw, offset, len)` of the round ([`crate::plan_rounds`])
-/// adds `len` lanes ([`RoundLanes::push_run`]). Lane `t` of it, triple
-/// `(i, j, k)` with `k = draw.k_at(offset) + t`, holds the openings of
-/// its three pairs — `(i, j)`'s in every lane of the segment, `(i, k)`'s
-/// and `(j, k)`'s copied as contiguous runs of the table, because a
-/// `k`-run's pairs of one row are consecutive in the pair order — the
-/// mask share of `(i, j)` and the [`pair_key`]s of `(i, k)` and `(j, k)`
-/// (their mask shares are mixed in the lane pass) and, with dealer
-/// material, the dealer-stream counter its group starts at (the draw's
-/// [`crate::PairDealer`] sought `offset + t` groups on). No lane holds a
-/// plaintext bit. With preprocessed material the round's groups are set
-/// once the round is pushed ([`RoundLanes::set_groups`]). Lanes are in
-/// plan order, so a round's lanes line up with the next `len` groups of
-/// a plan-ordered slab of preprocessed material.
-///
-/// A lane's product enters the round's sum with a public sign, `+` unless
-/// [`RoundLanes::set_signs`] marks it `−`: a signed plan subtracts some
-/// triples in the same round that adds others. [`combine_round`] applies
-/// the sign as a conditional negate of each lane's `⟨d⟩` share.
+/// The masks are keyed by pair, so the sum regroups exactly by pair:
+/// `Σ⟨w⟩ + Σ_p e_p·⟨M_p⟩ + Σ_p ⟨λ_p⟩·W_p (+ Σ efg on S₂)`, where `W_p`
+/// is the sign-weighted sum, over the triples that read pair `p`, of the
+/// other two pairs' openings' product and `M_p` the same over their
+/// masks. Per run of outer pair `(i, j)` that is a few dot products of
+/// the table's row slices `e_i·, e_j·, λ_i·, λ_j·` — contiguous loads
+/// only — weighted by the words of `(i, j)`. With preprocessed material
+/// each triple's `o p q w` fold into the same dot products, so the pass
+/// equals [`mul3_combine`] summed per triple over the groups; with
+/// dealer material `M_p` and `Σ w` are [`PairTable::count_term`]'s and
+/// the pass holds the rest.
 ///
 /// ```
-/// use cargo_mpc::{combine_round, mask_round, pair_key, MgDraw, PairTable, RoundLanes, ServerId};
+/// use cargo_mpc::{mask_round, pair_key, weighted_pass, PairRun, PairTable, ServerId};
 /// // Triples (0, 1, k) for k = 2, 3, 4, every adjacency bit 1. Their
 /// // pairs, in order: (0, 1); (0, 2), (0, 3), (0, 4); (1, 2), (1, 3), (1, 4).
-/// let seed = 7;
 /// let pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)];
 /// let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
 /// let bits = vec![1; pairs.len()];
-/// let draw = MgDraw::dense(0, 1, 3);
 /// // Each server masks every pair once; the sums are the openings.
-/// let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, false));
+/// let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(7, s, false));
 /// let mut slabs = [vec![0; 7], vec![0; 7]];
-/// for (table, slab) in tables.iter().zip(&mut slabs) {
+/// for (table, slab) in tables.iter_mut().zip(&mut slabs) {
 ///     mask_round(table, &keys, &bits, slab);
 /// }
 /// let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+/// let run = [PairRun { slots: [0, 1, 4], len: 3, at: 0 }];
 /// let d: Vec<u64> = tables
 ///     .iter_mut()
 ///     .map(|table| {
 ///         table.push(&opened);
-///         let mut lanes = RoundLanes::new(table, 3);
-///         lanes.push_run(table, &draw, 0, 3, [0, 1, 4]);
-///         combine_round(&lanes)
+///         weighted_pass(table, &run, None, None).wrapping_add(table.count_term())
 ///     })
 ///     .collect();
 /// assert_eq!(d[0].wrapping_add(d[1]), 3);
 /// ```
-#[derive(Debug, Clone)]
-pub struct RoundLanes {
-    seed: u64,
-    /// Whose round.
-    server: ServerId,
-    /// Whether the groups come from [`RoundLanes::set_groups`].
-    preprocessed: bool,
-    /// Lanes in the round. The columns below keep the length of the
-    /// longest round met, so a round writes them in place.
-    len: usize,
-    /// Each lane's `e, f, g`: the table's openings of `(i, j)`, `(i, k)`
-    /// and `(j, k)`.
-    open: [Vec<u64>; 3],
-    /// Each lane's mask shares `x` of `(i, j)` ([`RoundLanes::x_masks`]):
-    /// S₁'s, except S₂'s on an S₂ table over preprocessed material; S₂'s
-    /// besides S₁'s on an S₂ table over dealer material.
-    x: [Vec<u64>; 2],
-    /// Each lane's [`pair_key`]s of `(i, k)` and `(j, k)`, whose mask
-    /// shares are the lane's `y` and `z`.
-    keys: [Vec<u64>; 2],
-    /// Dealer material only: the dealer-stream counter each lane's group
-    /// starts at.
-    state: Vec<u64>,
-    /// Preprocessed material only: each lane's `w, o, p, q` shares.
-    products: [Vec<u64>; 4],
-    /// Each lane's sign mask, `0` (add) or `!0` (subtract); read only
-    /// while `signed`.
-    negate: Vec<u64>,
-    /// Whether [`RoundLanes::set_signs`] gave this round signs.
-    signed: bool,
-    /// Whether [`RoundLanes::set_groups`] gave this round its groups.
-    grouped: bool,
-}
-
-impl RoundLanes {
-    /// An empty lane table over `table`'s pairs — the same owner, Count
-    /// seed and material source — with room for rounds of `lanes`
-    /// lanes (a longer round grows it).
-    pub fn new(table: &PairTable, lanes: usize) -> Self {
-        let mut round = RoundLanes {
-            seed: table.seed,
-            server: table.server,
-            preprocessed: table.preprocessed,
-            len: 0,
-            open: Default::default(),
-            x: Default::default(),
-            keys: Default::default(),
-            state: Vec::new(),
-            products: Default::default(),
-            negate: Vec::new(),
-            signed: false,
-            grouped: false,
-        };
-        round.grow(lanes);
-        round
-    }
-
-    /// Sizes the lane columns for `lanes` lanes and the slack of a
-    /// segment's last block.
-    fn grow(&mut self, lanes: usize) {
-        let columns = self.open.iter_mut().chain(&mut self.x).chain(&mut self.keys);
-        for column in columns.chain([&mut self.state]) {
-            column.resize(lanes + FILL_BLOCK, 0);
-        }
-    }
-
-    /// Empties the table for the next round, keeping its buffers; the
-    /// next round's lanes are all `+` until [`Self::set_signs`], and a
-    /// preprocessed round has no groups until [`Self::set_groups`].
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.signed = false;
-        self.grouped = false;
-    }
-
-    /// Signs the round's lanes: lane `t`'s product is subtracted from
-    /// the round's sum where `negate[t]` is `!0` and added where it is
-    /// `0`. Call once the round's segments are pushed.
-    ///
-    /// # Panics
-    /// Panics unless `negate` holds one mask per lane, each `0` or `!0`.
-    pub fn set_signs(&mut self, negate: &[u64]) {
-        assert_eq!(negate.len(), self.len, "one sign mask per lane");
-        assert!(negate.iter().all(|&m| m == 0 || m == !0), "sign masks are 0 or !0");
-        self.negate.clear();
-        self.negate.extend_from_slice(negate);
-        self.signed = true;
-    }
-
-    /// The round's sign masks, if it has any `−` lane to apply.
-    fn signs(&self) -> Option<&[u64]> {
-        self.signed.then(|| &self.negate[..self.len])
-    }
-
-    /// Sets the round's preprocessed groups — this server's, one per
-    /// lane in lane order. Call once the round's segments are pushed.
-    /// The groups' mask shares are the pairs' ([`crate::mask_prf`]);
-    /// only their product shares are read.
-    ///
-    /// # Panics
-    /// Panics on a dealer table, or unless `groups` holds one group per
-    /// lane.
-    pub fn set_groups(&mut self, groups: &[MulGroupShare]) {
-        assert!(self.preprocessed, "a dealer table draws its groups from the streams");
-        assert_eq!(groups.len(), self.len, "one preprocessed group per lane");
-        let [w, o, p, q] = &mut self.products;
-        for words in [&mut *w, &mut *o, &mut *p, &mut *q] {
-            words.clear();
-        }
-        for g in groups {
+///
+/// # Panics
+/// Panics if a preprocessed table gets no groups or a dealer table
+/// some, or if a run leaves the table, the signs or the groups.
+pub fn weighted_pass(
+    table: &PairTable,
+    runs: &[PairRun],
+    signs: Option<&[u64]>,
+    groups: Option<&[MulGroupShare]>,
+) -> u64 {
+    assert_eq!(groups.is_some(), table.preprocessed, "groups iff preprocessed material");
+    let triples = runs.iter().map(|run| run.at + run.len).max().unwrap_or(0);
+    let mut wopq: [Vec<u64>; 4] = Default::default();
+    if let Some(groups) = groups {
+        assert!(groups.len() >= triples, "one preprocessed group per triple");
+        let [w, o, p, q] = &mut wopq;
+        for g in &groups[..triples] {
             w.push(g.w.0);
             o.push(g.o.0);
             p.push(g.p.0);
             q.push(g.q.0);
         }
-        self.grouped = true;
     }
-
-    /// Lanes (triples) in the round so far.
-    pub fn len(&self) -> usize {
-        self.len
+    if let Some(signs) = signs {
+        assert!(signs.len() >= triples, "one sign mask per triple");
     }
-
-    /// Whether the round has no lane yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends the round segment `(draw, offset, len)` of `table`'s
-    /// plan: `len` lanes, the triples `(i, j, draw.k_at(offset) + t)`.
-    /// `slots` are the table positions of pair `(i, j)` and of the
-    /// segment's first `(i, k)` and `(j, k)`; lane `t` reads `(i, k)` and
-    /// `(j, k)` `t` positions on.
-    ///
-    /// # Panics
-    /// Panics if a slot run leaves the table.
-    pub fn push_run(
-        &mut self,
-        table: &PairTable,
-        draw: &MgDraw,
-        offset: usize,
-        len: usize,
-        slots: [usize; 3],
-    ) {
-        let state =
-            if self.preprocessed { 0 } else { PairDealer::group_state(self.seed, draw, offset) };
-        let k = draw.k_at(offset) as u32;
-        let keys = [pair_key(draw.i, k), pair_key(draw.j, k)];
-        let key = U64xN([pair_key(draw.i, draw.j)]);
-        let (s2_own, both) = self.x_masks();
-        let lambda = |s: usize| mask_lanes(self.seed, s, key).0[0];
-        let x = [lambda(usize::from(s2_own)), if both { lambda(1) } else { 0 }];
-        self.push_lanes(table, state, slots, keys, x, len)
-    }
-
-    /// Which of S₂'s mask shares of `(i, j)` the table reads: its own
-    /// alone in the first `x` column (an S₂ table over preprocessed
-    /// material), or in the second beside S₁'s in the first (an S₂ table
-    /// over dealer material).
-    fn x_masks(&self) -> (bool, bool) {
-        match (self.server, self.preprocessed) {
-            (ServerId::S1, _) => (false, false),
-            (ServerId::S2, preprocessed) => (preprocessed, !preprocessed),
-        }
-    }
-
-    /// [`Self::push_run`] from the dealer-stream counter `state` of the
-    /// segment's first group, the keys of its first `(i, k)` and
-    /// `(j, k)`, and the mask shares `x` of `(i, j)` the table reads
-    /// ([`Self::x_masks`]: S₁'s or S₂'s own first, S₂'s second beside
-    /// S₁'s).
-    pub(crate) fn push_lanes(
-        &mut self,
-        table: &PairTable,
-        state: u64,
-        [ij, ik, jk]: [usize; 3],
-        keys: [u64; 2],
-        x: [u64; 2],
-        len: usize,
-    ) {
-        let (at, end) = (self.len, self.len + len);
-        if self.state.len() < end + FILL_BLOCK {
-            self.grow(end.next_power_of_two());
-        }
-        self.len = end;
-        let (x2, dealer) = (self.x_masks().1, !self.preprocessed);
-        if len == 1 {
-            // A sparse plan's k-runs are mostly one long: one store a
-            // column.
-            let [e, f, g] = &mut self.open;
-            (e[at], f[at], g[at]) = (table.e[ij], table.e[ik], table.e[jk]);
-            (self.x[0][at], self.keys[0][at], self.keys[1][at]) = (x[0], keys[0], keys[1]);
-            if x2 {
-                self.x[1][at] = x[1];
-            }
-            if dealer {
-                self.state[at] = state;
-            }
-        } else {
-            fill_steps(&mut self.open[0], at..end, table.e[ij], 0);
-            self.open[1][at..end].copy_from_slice(&table.e[ik..ik + len]);
-            self.open[2][at..end].copy_from_slice(&table.e[jk..jk + len]);
-            fill_steps(&mut self.x[0], at..end, x[0], 0);
-            if x2 {
-                fill_steps(&mut self.x[1], at..end, x[1], 0);
-            }
-            for (column, key) in self.keys.iter_mut().zip(keys) {
-                fill_steps(column, at..end, key, PAIR_KEY_STEP);
-            }
-            if dealer {
-                let step = SM_GAMMA.wrapping_mul(GROUP_WORDS as u64);
-                fill_steps(&mut self.state, at..end, state, step);
-            }
-        }
-    }
-}
-
-/// Lanes of a [`RoundLanes`] column written at a time: the last block
-/// of a segment runs past it into lanes the next segment overwrites (a
-/// column keeps `FILL_BLOCK` lanes of slack), so each short `k`-run of
-/// a sparse round costs one block store per column, not a loop's set-up.
-const FILL_BLOCK: usize = 4;
-
-/// `column[at + t] = first + t·step` (wrapping) for each lane `at + t`
-/// of `lanes`, written in blocks of [`FILL_BLOCK`].
-#[inline(always)]
-fn fill_steps(column: &mut [u64], lanes: std::ops::Range<usize>, first: u64, step: u64) {
-    let mut v = U64xN::<FILL_BLOCK>::splat(first) + lane_steps(step);
-    let jump = U64xN::splat(step.wrapping_mul(FILL_BLOCK as u64));
-    for block in lanes.step_by(FILL_BLOCK) {
-        v.store(&mut column[block..]);
-        v = v + jump;
-    }
-}
-
-// The round kernels below are written like the input-share kernel
-// above — generic over the lane count, so a round's scalar tail (at
-// most `LANES − 1` lanes) runs the vector loop's formula — and also
-// generic over where a round's product shares come from. Every step is
-// an `#[inline(always)]` function, never a closure with a body of its
-// own: a tier's wrapper vectorises only what is inlined into it, and
-// LLVM may leave a large closure out-of-line (and scalar).
-
-/// `N` lanes from `lane0` of three lane columns.
-#[inline(always)]
-fn load3<const N: usize>(columns: &[Vec<u64>; 3], lane0: usize) -> [U64xN<N>; 3] {
-    let [a, b, c] = columns;
-    [U64xN::load(&a[lane0..]), U64xN::load(&b[lane0..]), U64xN::load(&c[lane0..])]
-}
-
-/// One server's `⟨d⟩ = ⟨w⟩ + ⟨o⟩g + ⟨p⟩f + ⟨q⟩e + ⟨x⟩fg + ⟨y⟩eg + ⟨z⟩ef`
-/// (without S₂'s `efg`), from its product shares `[w, o, p, q]`, the
-/// openings and its mask shares.
-#[inline(always)]
-fn d_share<const N: usize>(
-    [w, o, p, q]: [U64xN<N>; 4],
-    [e, f, g]: [U64xN<N>; 3],
-    [x, y, z]: [U64xN<N>; 3],
-) -> U64xN<N> {
-    w + o * g + p * f + q * e + x * (f * g) + y * (e * g) + z * (e * f)
-}
-
-/// Where a round's product shares `w, o, p, q` come from, lane by lane.
-trait Products: Copy {
-    /// `N` lanes from `lane0` of `[w, o, p, q]`.
-    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4];
-}
-
-/// Dealer material: S₁'s words `o₁ p₁ q₁ w₁` of each lane's group,
-/// mixed from its counter ([`RoundLanes`]' `state`) in closed form.
-#[derive(Clone, Copy)]
-struct DealerWords<'a>(&'a [u64]);
-
-impl DealerWords<'_> {
-    /// Word `f` (`o₁ p₁ q₁ w₁` in order) of the groups whose counters are
-    /// `state`.
-    #[inline(always)]
-    fn word<const N: usize>(state: U64xN<N>, f: u64) -> U64xN<N> {
-        mix_lanes(state + U64xN::splat(SM_GAMMA.wrapping_mul(f + 1)))
-    }
-}
-
-impl Products for DealerWords<'_> {
-    #[inline(always)]
-    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4] {
-        let state = U64xN::load(&self.0[lane0..]);
-        let (o, p, q) = (Self::word(state, 0), Self::word(state, 1), Self::word(state, 2));
-        [Self::word(state, 3), o, p, q]
-    }
-}
-
-/// Preprocessed material: one server's columns of the round's groups
-/// ([`RoundLanes::set_groups`]).
-#[derive(Clone, Copy)]
-struct Preprocessed<'a>(&'a [Vec<u64>; 4]);
-
-impl Products for Preprocessed<'_> {
-    #[inline(always)]
-    fn wopq<const N: usize>(self, lane0: usize) -> [U64xN<N>; 4] {
-        let [w, o, p, q] = self.0;
-        let (w, o) = (U64xN::load(&w[lane0..]), U64xN::load(&o[lane0..]));
-        [w, o, U64xN::load(&p[lane0..]), U64xN::load(&q[lane0..])]
-    }
-}
-
-/// `N` lanes from `lane0` of `d` under the round's signs: `(d ^ m) − m`
-/// is `d` where the mask `m` is `0` and `−d` where it is `!0`. A pass
-/// over an unsigned round is compiled with `SIGNED = false`, so it reads
-/// no sign and runs exactly the unsigned code.
-#[inline(always)]
-fn signed<const SIGNED: bool, const N: usize>(
-    signs: &[u64],
-    lane0: usize,
-    d: U64xN<N>,
-) -> U64xN<N> {
-    if SIGNED {
-        let m = U64xN::load(&signs[lane0..]);
-        (d ^ m) - m
-    } else {
-        d
-    }
-}
-
-/// `N` lanes from `lane0` of server `S`'s (0 or 1) mask shares
-/// `x, y, z` of the lanes' three pairs: `x` from lane column `X`, `y`
-/// and `z` mixed from the pairs' keys.
-#[inline(always)]
-fn lane_masks<const S: usize, const X: usize, const N: usize>(
-    lanes: &RoundLanes,
-    lane0: usize,
-) -> [U64xN<N>; 3] {
-    let [ik, jk] = &lanes.keys;
-    let x = U64xN::load(&lanes.x[X][lane0..]);
-    let y = mask_lanes(lanes.seed, S, U64xN::load(&ik[lane0..]));
-    [x, y, mask_lanes(lanes.seed, S, U64xN::load(&jk[lane0..]))]
-}
-
-/// `N` lanes from `lane0` of one server's `⟨d⟩`: [`d_share`] with S₁'s
-/// mask shares — then, with `S2_DEALER` (S₂ with dealer material), S₂'s
-/// own combination, telescoped to `(x + e)(y + f)(z + g)` less it
-/// ([`PairTable`]) — or, with `EFG` (S₂ with preprocessed material),
-/// with S₂'s mask shares, plus `efg`.
-#[inline(always)]
-fn party_d<const S2_DEALER: bool, const EFG: bool, const N: usize, P: Products>(
-    lanes: &RoundLanes,
-    products: P,
-    lane0: usize,
-) -> U64xN<N> {
-    let efg = load3(&lanes.open, lane0);
-    let xyz = if EFG { lane_masks::<1, 0, N>(lanes, lane0) } else { lane_masks::<0, 0, N>(lanes, lane0) };
-    let d = d_share(products.wopq(lane0), efg, xyz);
-    if S2_DEALER {
-        let [x2, y2, z2] = lane_masks::<1, 1, N>(lanes, lane0);
-        let [x1, y1, z1] = xyz;
-        let [e, f, g] = efg;
-        (x1 + x2 + e) * (y1 + y2 + f) * (z1 + z2 + g) - d
-    } else if EFG {
-        d + efg[0] * efg[1] * efg[2]
-    } else {
-        d
-    }
-}
-
-/// [`combine_round`]'s pass for one server and one material source.
-#[inline(always)]
-fn combine_pass<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool, P: Products>(
-    lanes: &RoundLanes,
-    signs: &[u64],
-    products: P,
-) -> u64 {
-    let l = lanes.len();
-    let full = l / LANES * LANES;
-    let mut acc = U64x8::ZERO;
-    for lane0 in Blocks::below(full) {
-        let d = party_d::<S2_DEALER, EFG, LANES, P>(lanes, products, lane0);
-        acc = acc + signed::<SIGNED, LANES>(signs, lane0, d);
-    }
-    let mut total = acc.hsum();
-    for t in full..l {
-        let d = party_d::<S2_DEALER, EFG, 1, P>(lanes, products, t);
-        total = total.wrapping_add(signed::<SIGNED, 1>(signs, t, d).0[0]);
-    }
-    total
-}
-
-/// [`combine_round`]'s body, compiled once per ISA tier.
-#[inline(always)]
-fn combine_body(lanes: &RoundLanes) -> u64 {
-    match lanes.signs() {
-        None => combine_material::<false>(lanes, &[]),
-        Some(signs) => combine_material::<true>(lanes, signs),
-    }
-}
-
-/// [`combine_body`] for signed or unsigned rounds.
-#[inline(always)]
-fn combine_material<const SIGNED: bool>(lanes: &RoundLanes, signs: &[u64]) -> u64 {
-    let (dealer, pre) = (DealerWords(&lanes.state), Preprocessed(&lanes.products));
-    match (lanes.server == ServerId::S2, lanes.preprocessed) {
-        (false, false) => combine_pass::<SIGNED, false, false, _>(lanes, signs, dealer),
-        (false, true) => combine_pass::<SIGNED, false, false, _>(lanes, signs, pre),
-        (true, false) => combine_pass::<SIGNED, true, false, _>(lanes, signs, dealer),
-        (true, true) => combine_pass::<SIGNED, false, true, _>(lanes, signs, pre),
-    }
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn combine_avx512(lanes: &RoundLanes) -> u64 {
-    combine_body(lanes)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn combine_avx2(lanes: &RoundLanes) -> u64 {
-    combine_body(lanes)
-}
-
-/// One server's step 3 over a whole round, in one pass over its
-/// [`RoundLanes`]: returns the wrapping sum `Σ sₜ·⟨d⟩ₜ` of this server's
-/// `⟨d⟩` shares under the lanes' signs ([`RoundLanes::set_signs`]; all
-/// `+` by default). The openings are the pair table's, so the round
-/// sends nothing. With dealer material S₁ mixes each lane's four words
-/// `o₁ p₁ q₁ w₁`, and S₂ mixes the same words: the dealer differences
-/// S₂'s product shares out of the full masks' products, so its own
-/// combination is `(x + e)(y + f)(z + g) − ⟨d⟩₁` ([`PairTable`]); with
-/// preprocessed material each server combines its own groups. On an
-/// all-`+` round, bit-identical to [`mul3_combine`] per triple over the
-/// groups [`crate::PairDealer::next_group_pair`] draws — which the
-/// per-party proptests pin at every [`SimdTier`].
-///
-/// # Panics
-/// Panics if `lanes` is a preprocessed table whose groups were not set
-/// for this round.
-pub fn combine_round(lanes: &RoundLanes) -> u64 {
-    combine_round_tier(SimdTier::detect(), lanes)
-}
-
-fn combine_round_tier(tier: SimdTier, lanes: &RoundLanes) -> u64 {
-    assert!(!lanes.preprocessed || lanes.grouped, "one preprocessed group per lane");
-    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
-    match tier {
-        // SAFETY: `supported()` just confirmed the CPU features the
-        // callee is compiled for.
+    let c = PassColumns {
+        e: &table.e,
+        lam: &table.lam[..table.e.len()],
+        full: &table.full[..table.full.len().min(table.e.len())],
+        signs: signs.unwrap_or_default(),
+        wopq: [&wopq[0], &wopq[1], &wopq[2], &wopq[3]],
+    };
+    let kind = (table.server, table.preprocessed, signs.is_some());
+    match table.tier {
+        // SAFETY: the table's tier is supported (`at_tier` checks it).
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { combine_avx512(lanes) },
+        SimdTier::Avx512 => unsafe { weighted_avx512(&c, runs, kind) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { combine_avx2(lanes) },
-        _ => combine_body(lanes),
+        SimdTier::Avx2 => unsafe { weighted_avx2(&c, runs, kind) },
+        _ => weighted_body(&c, runs, kind),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dealer::{split_mg_words, Dealer};
+    use crate::dealer::{split_mg_words, Dealer, GROUP_WORDS};
+    use crate::offline::MgDraw;
     use crate::prg::SplitMix64;
     use crate::share::{mask_prf, reconstruct, share_prf, share_with};
     use proptest::prelude::*;
@@ -1021,108 +1002,135 @@ mod tests {
         }
     }
 
-    /// A round cut from random segments `(draw, offset, len)` — `k`-runs
-    /// of lengths around the lane width and a full round, some resuming
-    /// their draw — with a pair table laid out segment by segment: pair
-    /// `(i, j)`, then the run's `(i, k)`, then its `(j, k)`, each holding
-    /// an arbitrary ring value as its "bit".
-    struct Round {
+    /// Random `k`-runs — lengths around the lane width and a full batch,
+    /// at random canonical offsets of their pairs' streams — over a pair
+    /// table laid out run by run: pair `(i, j)`, then the run's `(i, k)`,
+    /// then its `(j, k)`, each holding an arbitrary ring value as its
+    /// "bit"; each triple with a random public sign.
+    struct Runs {
         seed: u64,
-        segs: Vec<(MgDraw, usize, usize)>,
-        keys: Vec<u64>,
+        draws: Vec<MgDraw>,
+        pairs: Vec<(u32, u32)>,
         bits: Vec<u64>,
-        /// Each segment's table slots of `(i, j)`, `(i, k₀)`, `(j, k₀)`.
-        slots: Vec<[usize; 3]>,
-        /// Each lane's sign mask.
+        runs: Vec<PairRun>,
         negate: Vec<u64>,
     }
 
-    impl Round {
-        fn new(seed: u64, mix: u64, runs: usize) -> Self {
+    impl Runs {
+        fn new(seed: u64, mix: u64, count: usize) -> Self {
             let mut rng = SplitMix64::new(mix);
             let mut below = |bound: u64| rng.next_u64() % bound;
-            let lens = [1usize, 3, 7, 8, 9, 64, 1024];
-            let segs: Vec<(MgDraw, usize, usize)> = (0..runs)
-                .map(|_| {
-                    let len = lens[below(lens.len() as u64) as usize];
-                    let offset = if below(2) == 0 { 0 } else { 1 + below(100) as usize };
-                    let i = below(1 << 20) as u32;
-                    let j = i + 1 + below(1 << 20) as u32;
-                    let groups = (offset + len) as u32 + below(4) as u32;
-                    (MgDraw { i, j, start: below(1 << 10) as u32, groups }, offset, len)
-                })
-                .collect();
-            let (mut keys, mut slots) = (Vec::new(), Vec::new());
-            for &(draw, offset, len) in &segs {
-                let k0 = draw.k_at(offset) as u32;
-                let at = keys.len();
-                slots.push([at, at + 1, at + 1 + len]);
-                keys.push(pair_key(draw.i, draw.j));
-                keys.extend((0..len as u32).map(|t| pair_key(draw.i, k0 + t)));
-                keys.extend((0..len as u32).map(|t| pair_key(draw.j, k0 + t)));
+            let lens = [1u32, 3, 7, 8, 9, 64, 1024];
+            let (mut draws, mut pairs, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+            let mut at = 0;
+            for _ in 0..count {
+                let len = lens[below(lens.len() as u64) as usize];
+                let i = below(1 << 20) as u32;
+                let j = i + 1 + below(1 << 20) as u32;
+                let draw = MgDraw { i, j, start: below(1 << 10) as u32, groups: len };
+                let k0 = draw.k_at(0) as u32;
+                let slot = pairs.len();
+                runs.push(PairRun { slots: [slot, slot + 1, slot + 1 + len as usize], len: len as usize, at });
+                pairs.push((i, j));
+                pairs.extend((0..len).map(|t| (i, k0 + t)));
+                pairs.extend((0..len).map(|t| (j, k0 + t)));
+                draws.push(draw);
+                at += len as usize;
             }
             let mut values = SplitMix64::new(seed ^ mix);
-            let bits = keys.iter().map(|_| values.next_u64()).collect();
-            let total: usize = segs.iter().map(|seg| seg.2).sum();
-            let negate = (0..total).map(|_| 0u64.wrapping_sub(values.next_u64() & 1)).collect();
-            Round { seed, segs, keys, bits, slots, negate }
+            let bits = pairs.iter().map(|_| values.next_u64()).collect();
+            let negate = (0..at).map(|_| 0u64.wrapping_sub(values.next_u64() & 1)).collect();
+            Runs { seed, draws, pairs, bits, runs, negate }
         }
 
-        /// Each server's groups of the round's lanes, in lane order,
-        /// from the protocol objects; and `Σ sₜ·⟨d⟩ₜ` per server by
-        /// `mul3_combine` per triple, under `signs` (or all `+`).
-        fn reference(&self, signs: bool) -> ([Vec<MulGroupShare>; 2], (u64, u64)) {
-            let mut columns: [Vec<MulGroupShare>; 2] = [Vec::new(), Vec::new()];
-            let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
-            let lambda = |key: usize, s| {
-                let (i, j) = unkey(&self.segs, &self.slots, key);
-                mask_prf(self.seed, s, i, j)
-            };
-            let open = |slot: usize| {
-                let l = lambda(slot, ServerId::S1).wrapping_add(lambda(slot, ServerId::S2));
-                Ring64(self.bits[slot].wrapping_sub(l))
-            };
-            let mut lane = 0;
-            for (&(draw, offset, len), &[ij, ik, jk]) in self.segs.iter().zip(&self.slots) {
-                let mut dealer = PairDealer::for_draw(self.seed, &draw);
-                dealer.skip_groups(offset);
-                for t in 0..len {
+        fn keys(&self) -> Vec<u64> {
+            self.pairs.iter().map(|&(i, j)| pair_key(i, j)).collect()
+        }
+
+        /// Each triple's pair slots, in plan order.
+        fn triples(&self) -> impl Iterator<Item = [usize; 3]> + '_ {
+            self.runs.iter().flat_map(|r| (0..r.len).map(move |t| [r.slots[0], r.slots[1] + t, r.slots[2] + t]))
+        }
+
+        /// Each server's groups of the triples, in plan order, from the
+        /// pairs' streams at the triples' canonical positions.
+        fn groups(&self) -> [Vec<MulGroupShare>; 2] {
+            let mut columns = [Vec::new(), Vec::new()];
+            for draw in &self.draws {
+                let mut dealer = PairDealer::for_draw(self.seed, draw);
+                for _ in 0..draw.groups {
                     let (g1, g2) = dealer.next_group_pair();
-                    let opening = Mul3Opening { e: open(ij), f: open(ik + t), g: open(jk + t) };
-                    let efg = opening.e * opening.f * opening.g;
-                    let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
-                    let (u1, u2) = (
-                        mul3_combine(zero, &g1, opening, Ring64::ZERO),
-                        mul3_combine(zero, &g2, opening, efg),
-                    );
-                    let minus = signs && self.negate[lane] != 0;
-                    d1 += if minus { -u1 } else { u1 };
-                    d2 += if minus { -u2 } else { u2 };
                     columns[0].push(g1);
                     columns[1].push(g2);
-                    lane += 1;
                 }
             }
-            (columns, (d1.0, d2.0))
+            columns
         }
 
-        /// `table`'s owner's lane table of the whole round, after the
-        /// pair phase: each server's maskings summed and pushed at `tier`.
-        fn lanes(&self, tier: SimdTier, table: &mut PairTable) -> RoundLanes {
-            let slabs = [ServerId::S1, ServerId::S2].map(|s| {
-                let mut slab = vec![0; self.keys.len()];
-                let peer = PairTable::new(self.seed, s, false);
-                mask_round_tier(tier, &peer, &self.keys, &self.bits, &mut slab);
-                slab
-            });
+        fn lambda(&self, slot: usize, server: ServerId) -> Ring64 {
+            let (i, j) = self.pairs[slot];
+            Ring64(mask_prf(self.seed, server, i, j))
+        }
+
+        /// The scalar oracle: each server's share of `Σ sₜ·dₜ` by the
+        /// naive triple loop, without the Count terms. With
+        /// preprocessed material, `mul3_combine` on each triple's
+        /// groups; with dealer material, S₁'s `x₁·fg + y₁·eg + z₁·ef`
+        /// and S₂'s `(x + e)(y + f)(z + g)` less it.
+        fn oracle(&self, preprocessed: bool, signs: bool) -> [u64; 2] {
+            let groups = self.groups();
+            let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
+            for (t, slots) in self.triples().enumerate() {
+                let masks = slots.map(|s| [ServerId::S1, ServerId::S2].map(|server| self.lambda(s, server)));
+                let [e, f, g] = [0, 1, 2].map(|r| Ring64(self.bits[slots[r]]) - masks[r][0] - masks[r][1]);
+                let opening = Mul3Opening { e, f, g };
+                let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
+                let (u1, u2) = if preprocessed {
+                    (
+                        mul3_combine(zero, &groups[0][t], opening, Ring64::ZERO),
+                        mul3_combine(zero, &groups[1][t], opening, e * f * g),
+                    )
+                } else {
+                    let [[x1, x2], [y1, y2], [z1, z2]] = masks;
+                    let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
+                    (s1, (x1 + x2 + e) * (y1 + y2 + f) * (z1 + z2 + g) - s1)
+                };
+                let minus = signs && self.negate[t] != 0;
+                d1 += if minus { -u1 } else { u1 };
+                d2 += if minus { -u2 } else { u2 };
+            }
+            [d1.0, d2.0]
+        }
+
+        /// `Σ sₜ·aₜ·bₜ·cₜ` over the triples' "bits".
+        fn product_sum(&self, signs: bool) -> u64 {
+            let mut sum = Ring64::ZERO;
+            for (t, [ij, ik, jk]) in self.triples().enumerate() {
+                let abc = Ring64(self.bits[ij]) * Ring64(self.bits[ik]) * Ring64(self.bits[jk]);
+                sum += if signs && self.negate[t] != 0 { -abc } else { abc };
+            }
+            sum.0
+        }
+
+        /// Both servers' tables at `tier` after the pair phase: each
+        /// server's round masked, the slabs summed and pushed.
+        fn tables(&self, tier: SimdTier, preprocessed: bool) -> [PairTable; 2] {
+            let keys = self.keys();
+            let mut tables = [ServerId::S1, ServerId::S2]
+                .map(|s| PairTable::new(self.seed, s, preprocessed).at_tier(tier));
+            let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
+            for (table, slab) in tables.iter_mut().zip(&mut slabs) {
+                mask_round(table, &keys, &self.bits, slab);
+            }
             let opened: Vec<u64> =
                 slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-            table.push(&opened);
-            let mut lanes = RoundLanes::new(table, 0);
-            for (&(draw, offset, len), &slots) in self.segs.iter().zip(&self.slots) {
-                lanes.push_run(table, &draw, offset, len, slots);
-            }
-            lanes
+            tables.iter_mut().for_each(|table| table.push(&opened));
+            tables
+        }
+
+        /// `table`'s pass over the runs, under the plan's signs or none.
+        fn pass(&self, table: &PairTable, groups: Option<&[MulGroupShare]>, signs: bool) -> u64 {
+            weighted_pass(table, &self.runs, signs.then_some(&self.negate[..]), groups)
         }
     }
 
@@ -1131,57 +1139,42 @@ mod tests {
         // An opening both servers receive wrong moves the wire Count:
         // S₂ combines its own shares against the openings, as S₁ does,
         // rather than taking a·b·c − ⟨d⟩₁ from the plaintext bits.
-        let round = Round::new(3, 5, 2);
-        let (_, (d1, d2)) = round.reference(false);
-        let tier = SimdTier::detect();
-        let shares = [ServerId::S1, ServerId::S2].map(|s| {
-            let mut right = PairTable::new(3, s, false);
-            round.lanes(tier, &mut right);
-            let mut e = right.e.clone();
-            let ij = round.slots[0][0];
-            e[ij] = e[ij].wrapping_add(1);
-            let mut table = PairTable::new(3, s, false);
-            table.push(&e);
-            let mut lanes = RoundLanes::new(&table, 0);
-            for (&(draw, offset, len), &slots) in round.segs.iter().zip(&round.slots) {
-                lanes.push_run(&table, &draw, offset, len, slots);
+        let runs = Runs::new(3, 5, 2);
+        let want = runs.product_sum(false);
+        for preprocessed in [false, true] {
+            let groups = runs.groups();
+            let keys = runs.keys();
+            let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(3, s, preprocessed));
+            let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
+            for (table, slab) in tables.iter_mut().zip(&mut slabs) {
+                mask_round(table, &keys, &runs.bits, slab);
             }
-            combine_round_tier(tier, &lanes)
-        });
-        assert_ne!(shares[0].wrapping_add(shares[1]), d1.wrapping_add(d2));
-    }
-
-    /// The pair at table slot `slot` of a [`Round`]'s layout.
-    fn unkey(segs: &[(MgDraw, usize, usize)], slots: &[[usize; 3]], slot: usize) -> (u32, u32) {
-        for (&(draw, offset, len), &[ij, ik, jk]) in segs.iter().zip(slots) {
-            let k0 = draw.k_at(offset) as u32;
-            if slot == ij {
-                return (draw.i, draw.j);
-            } else if (ik..ik + len).contains(&slot) {
-                return (draw.i, k0 + (slot - ik) as u32);
-            } else if (jk..jk + len).contains(&slot) {
-                return (draw.j, k0 + (slot - jk) as u32);
-            }
+            let mut opened: Vec<u64> =
+                slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+            opened[runs.runs[0].slots[0]] ^= 1;
+            let got = tables.each_mut().map(|table| {
+                table.push(&opened);
+                let own = preprocessed.then_some(&groups[(table.server == ServerId::S2) as usize][..]);
+                runs.pass(table, own, false).wrapping_add(table.count_term())
+            });
+            assert_ne!(got[0].wrapping_add(got[1]), want, "preprocessed {preprocessed}");
         }
-        unreachable!("slot {slot} is in no segment")
     }
 
     proptest! {
         #[test]
-        fn batch_kernel_matches_protocol_objects(seed: u64, mix: u64, runs in 1usize..6) {
-            // The protocol objects' shares — one mul3_combine per triple
-            // on the groups the pair streams draw, over arbitrary ring
-            // values, not just bits — sum to Σ a·b·c.
-            let round = Round::new(seed, mix, runs);
-            let (_, want) = round.reference(false);
-            let mut abc = 0u64;
-            for (&(_, _, len), &[ij, ik, jk]) in round.segs.iter().zip(&round.slots) {
-                for t in 0..len {
-                    let product = round.bits[ij].wrapping_mul(round.bits[ik + t]);
-                    abc = abc.wrapping_add(product.wrapping_mul(round.bits[jk + t]));
+        fn batch_kernel_matches_protocol_objects(seed: u64, mix: u64, count in 1usize..6) {
+            // The naive per-triple oracle, from either material source
+            // and under signs or none, sums to Σ sₜ·a·b·c over arbitrary
+            // ring values, not just bits (the dealer's Count terms are
+            // ±the same word, so they cancel).
+            let runs = Runs::new(seed, mix, count);
+            for signs in [false, true] {
+                for preprocessed in [false, true] {
+                    let [d1, d2] = runs.oracle(preprocessed, signs);
+                    prop_assert_eq!(d1.wrapping_add(d2), runs.product_sum(signs));
                 }
             }
-            prop_assert_eq!(want.0.wrapping_add(want.1), abc);
         }
 
         #[test]
@@ -1193,26 +1186,11 @@ mod tests {
             let c: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
             let mut fused = PairDealer::for_pair(seed, 4, 9);
             fused.skip_groups(3);
-            let got = fused.count_block(a, &b, &c);
+            let (d1, d2) = fused.count_block(a, &b, &c);
+            let abc = (0..len).fold(0u64, |sum, t| sum.wrapping_add(a.wrapping_mul(b[t]).wrapping_mul(c[t])));
+            prop_assert_eq!(d1.wrapping_add(d2), abc);
             let mut objects = PairDealer::for_pair(seed, 4, 9);
-            objects.skip_groups(3);
-            let lambda = |i, k| {
-                mask_prf(seed, ServerId::S1, i, k).wrapping_add(mask_prf(seed, ServerId::S2, i, k))
-            };
-            let mut want = (Ring64::ZERO, Ring64::ZERO);
-            for t in 0..len {
-                let k = 13 + t as u32;
-                let (g1, g2) = objects.next_group_pair();
-                let opening = Mul3Opening {
-                    e: Ring64(a.wrapping_sub(lambda(4, 9))),
-                    f: Ring64(b[t].wrapping_sub(lambda(4, k))),
-                    g: Ring64(c[t].wrapping_sub(lambda(9, k))),
-                };
-                let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
-                want.0 += mul3_combine(zero, &g1, opening, Ring64::ZERO);
-                want.1 += mul3_combine(zero, &g2, opening, opening.e * opening.f * opening.g);
-            }
-            prop_assert_eq!(got, (want.0 .0, want.1 .0));
+            objects.skip_groups(3 + len);
             prop_assert_eq!(fused.next_group_pair(), objects.next_group_pair());
         }
 
@@ -1220,9 +1198,10 @@ mod tests {
         fn mask_open_combine_batch_matches_mul3(seed: u64, len in 1usize..24) {
             // The wire parties' steps, driven like the runtime drives
             // them — each server masks every pair once, the slabs are
-            // summed, each combines — against mul3 on the protocol
-            // objects per triple: input shares from share_prf, groups
-            // from the pair stream.
+            // summed, each passes — against mul3 on the protocol objects
+            // per triple: input shares from share_prf, groups from the
+            // pair stream. Over those groups the shares are mul3's; with
+            // dealer material the reconstruction is.
             let draw = MgDraw::dense(2, 5, len as u32);
             let mut pairs = vec![(2, 5)];
             pairs.extend((0..len as u32).map(|t| (2, 6 + t)));
@@ -1230,74 +1209,91 @@ mod tests {
             let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
             let mut rng = SplitMix64::new(seed ^ 0xD15C);
             let bits: Vec<u64> = pairs.iter().map(|_| rng.next_u64() & 1).collect();
-            let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, false));
-            let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
-            for (table, slab) in tables.iter().zip(&mut slabs) {
-                mask_round(table, &keys, &bits, slab);
-            }
-            let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-            let d: Vec<u64> = tables
-                .iter_mut()
-                .map(|table| {
-                    table.push(&opened);
-                    let mut lanes = RoundLanes::new(table, len);
-                    lanes.push_run(table, &draw, 0, len, [0, 1, 1 + len]);
-                    combine_round(&lanes)
-                })
-                .collect();
             let share = |slot: usize| {
                 let (i, j) = pairs[slot];
                 let s1 = share_prf(seed, i, j);
                 (Ring64(s1), Ring64(bits[slot].wrapping_sub(s1)))
             };
-            let mut dealer = PairDealer::for_pair(seed, 2, 5);
+            let mut dealer = PairDealer::for_draw(seed, &draw);
             let (mut r1, mut r2) = (Ring64::ZERO, Ring64::ZERO);
+            let mut groups = [Vec::new(), Vec::new()];
             let mut net = NetStats::new();
             for t in 0..len {
                 let mg = dealer.next_group_pair();
+                groups[0].push(mg.0);
+                groups[1].push(mg.1);
                 let (u1, u2) = mul3(share(0), share(1 + t), share(1 + len + t), mg, &mut net);
                 r1 += u1;
                 r2 += u2;
             }
-            prop_assert_eq!((d[0], d[1]), (r1.0, r2.0));
+            let run = [PairRun { slots: [0, 1, 1 + len], len, at: 0 }];
+            for preprocessed in [false, true] {
+                let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, preprocessed));
+                let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
+                for (table, slab) in tables.iter_mut().zip(&mut slabs) {
+                    mask_round(table, &keys, &bits, slab);
+                }
+                let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
+                let [d1, d2] = [0, 1].map(|s| {
+                    tables[s].push(&opened);
+                    let own = preprocessed.then_some(&groups[s][..]);
+                    weighted_pass(&tables[s], &run, None, own).wrapping_add(tables[s].count_term())
+                });
+                if preprocessed {
+                    prop_assert_eq!((d1, d2), (r1.0, r2.0));
+                } else {
+                    prop_assert_eq!(d1.wrapping_add(d2), (r1 + r2).0);
+                }
+            }
         }
 
         #[test]
-        fn per_party_kernels_match_split_words_at_every_tier(seed: u64, mix: u64, runs in 1usize..8) {
-            // One server's pair masking and round-wide combine, from the
-            // dealer counters and from the same groups preprocessed, per
-            // tier, against the reference groups split_mg_words builds
-            // from the pairs' mask shares and the stream words. The
-            // maskings are each server's PRFs of the pairs.
-            let round = Round::new(seed, mix, runs);
-            let (columns, want) = round.reference(false);
+        fn per_party_kernels_match_split_words_at_every_tier(seed: u64, mix: u64, count in 1usize..8) {
+            // Per tier and server, from the dealer and from the pair
+            // streams' groups preprocessed: the table the pair phase
+            // leaves — openings, the mask shares and, on a dealer S₂,
+            // the full masks — and the weighted pass, share for share
+            // against the naive triple loop. The dealer's Count terms
+            // are S₁'s words, ±. The stream groups are split_mg_words
+            // of the pairs' mask shares and the stream words.
+            let runs = Runs::new(seed, mix, count);
+            let groups = runs.groups();
+            let draw = runs.draws[0];
             let mut words = vec![0; GROUP_WORDS];
-            let (draw, offset, _) = round.segs[0];
-            let mut dealer = PairDealer::for_draw(seed, &draw);
-            dealer.skip_groups(offset);
-            dealer.fill_words(&mut words);
-            let k = draw.k_at(offset) as u32;
+            PairDealer::for_draw(seed, &draw).fill_words(&mut words);
+            let k = draw.k_at(0) as u32;
             let masks = [(draw.i, draw.j), (draw.i, k), (draw.j, k)]
                 .map(|(u, v)| [ServerId::S1, ServerId::S2].map(|s| mask_prf(seed, s, u, v)));
-            prop_assert_eq!(split_mg_words(masks, &words), (columns[0][0], columns[1][0]));
+            prop_assert_eq!(split_mg_words(masks, &words), (groups[0][0], groups[1][0]));
             for tier in SimdTier::available() {
-                for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-                    let at = format!("{tier} {server:?}");
-                    let table = PairTable::new(seed, server, false);
-                    let mut slab = vec![0; round.keys.len()];
-                    mask_round_tier(tier, &table, &round.keys, &round.bits, &mut slab);
-                    for (slot, &got) in slab.iter().enumerate() {
-                        let (i, j) = unkey(&round.segs, &round.slots, slot);
-                        let input = share_prf(seed, i, j);
-                        let input = if s == 0 { input } else { round.bits[slot].wrapping_sub(input) };
-                        prop_assert!(got == input.wrapping_sub(mask_prf(seed, server, i, j)), "{at}: mask");
+                for preprocessed in [false, true] {
+                    let tables = runs.tables(tier, preprocessed);
+                    for (s, table) in tables.iter().enumerate() {
+                        let at = format!("{tier} {:?} preprocessed {preprocessed}", table.server);
+                        let dealer_s2 = s == 1 && !preprocessed;
+                        let mut word_sum = PairDealer::count_word(seed);
+                        for (slot, &(i, j)) in runs.pairs.iter().enumerate() {
+                            let [l1, l2] = [ServerId::S1, ServerId::S2].map(|s| mask_prf(seed, s, i, j));
+                            let opened = runs.bits[slot].wrapping_sub(l1).wrapping_sub(l2);
+                            prop_assert!(table.e[slot] == opened, "{at}: opening");
+                            let lam = if s == 0 || dealer_s2 { l1 } else { l2 };
+                            prop_assert!(table.lam[slot] == lam, "{at}: mask share");
+                            if dealer_s2 {
+                                prop_assert!(table.full[slot] == l1.wrapping_add(l2), "{at}: full mask");
+                            }
+                            let word = PairDealer::pair_word(seed, i, j);
+                            word_sum = word_sum.wrapping_add(opened.wrapping_mul(word));
+                        }
+                        let term = match (preprocessed, s) {
+                            (true, _) => 0,
+                            (false, 0) => word_sum,
+                            (false, _) => word_sum.wrapping_neg(),
+                        };
+                        prop_assert!(table.count_term() == term, "{at}: count term");
+                        let own = preprocessed.then_some(&groups[s][..]);
+                        let want = runs.oracle(preprocessed, false)[s];
+                        prop_assert!(runs.pass(table, own, false) == want, "{at}: pass");
                     }
-                    let want_s = [want.0, want.1][s];
-                    let lanes = round.lanes(tier, &mut PairTable::new(seed, server, false));
-                    prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: dealer combine");
-                    let mut lanes = round.lanes(tier, &mut PairTable::new(seed, server, true));
-                    lanes.set_groups(&columns[s]);
-                    prop_assert!(combine_round_tier(tier, &lanes) == want_s, "{at}: preprocessed combine");
                 }
             }
         }
@@ -1306,35 +1302,56 @@ mod tests {
         fn signed_rounds_match_the_scalar_reference_at_every_tier(
             seed: u64,
             mix: u64,
-            runs in 1usize..6,
+            count in 1usize..6,
         ) {
-            // A round whose lanes carry random public signs: at every
-            // tier, both servers' combines return Σ sₜ·⟨d⟩ₜ of the
-            // protocol objects' per-triple shares, from dealer counters
-            // and from the same groups preprocessed; all-`+` signs change
-            // no bit of the unsigned round.
-            let round = Round::new(seed, mix, runs);
-            let (columns, want) = round.reference(true);
-            let (_, unsigned) = round.reference(false);
-            let plus = vec![0u64; round.negate.len()];
+            // Runs whose triples carry random public signs: at every
+            // tier, both servers' passes return the naive loop's
+            // Σ sₜ·⟨d⟩ₜ, from the dealer and from the same groups
+            // preprocessed; all-`+` signs change no bit of the unsigned
+            // pass.
+            let runs = Runs::new(seed, mix, count);
+            let groups = runs.groups();
+            let plus = vec![0u64; runs.negate.len()];
             for tier in SimdTier::available() {
-                for (signs, want, what) in [(&round.negate, want, "signed"), (&plus, unsigned, "all +")] {
-                    let at = format!("{tier} {what}");
-                    for preprocessed in [false, true] {
-                        let mut d = [0u64; 2];
-                        for (s, server) in [ServerId::S1, ServerId::S2].into_iter().enumerate() {
-                            let mut table = PairTable::new(seed, server, preprocessed);
-                            let mut lanes = round.lanes(tier, &mut table);
-                            if preprocessed {
-                                lanes.set_groups(&columns[s]);
+                for preprocessed in [false, true] {
+                    let want = runs.oracle(preprocessed, true);
+                    let tables = runs.tables(tier, preprocessed);
+                    for (s, table) in tables.iter().enumerate() {
+                        let at = format!("{tier} {:?} preprocessed {preprocessed}", table.server);
+                        let own = preprocessed.then_some(&groups[s][..]);
+                        prop_assert!(runs.pass(table, own, true) == want[s], "{at}: signed");
+                        let all_plus = weighted_pass(table, &runs.runs, Some(&plus), own);
+                        prop_assert!(all_plus == runs.pass(table, own, false), "{at}: all +");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn masked_slabs_are_each_server_s_prfs_at_every_tier(seed: u64, mix: u64, count in 1usize..6) {
+            // The slab a server sends is its input share less its mask
+            // share, at every tier and from either material source.
+            let runs = Runs::new(seed, mix, count);
+            let keys = runs.keys();
+            for tier in SimdTier::available() {
+                for preprocessed in [false, true] {
+                    for server in [ServerId::S1, ServerId::S2] {
+                        let mut table = PairTable::new(seed, server, preprocessed).at_tier(tier);
+                        let mut slab = vec![0; keys.len()];
+                        mask_round(&mut table, &keys, &runs.bits, &mut slab);
+                        for (slot, &(i, j)) in runs.pairs.iter().enumerate() {
+                            let input = share_prf(seed, i, j);
+                            let input = match server {
+                                ServerId::S1 => input,
+                                ServerId::S2 => runs.bits[slot].wrapping_sub(input),
+                            };
+                            let want = input.wrapping_sub(mask_prf(seed, server, i, j));
+                            prop_assert!(slab[slot] == want, "{tier} {server:?}: mask");
+                            if !preprocessed {
+                                let word = PairDealer::pair_word(seed, i, j);
+                                prop_assert!(table.words[slot] == word, "{tier} {server:?}: pair word");
                             }
-                            lanes.set_signs(signs);
-                            d[s] = combine_round_tier(tier, &lanes);
-                            // A cleared table forgets its signs and groups.
-                            lanes.clear();
-                            prop_assert!(lanes.signs().is_none() && !lanes.grouped, "{at}: clear");
                         }
-                        prop_assert!((d[0], d[1]) == want, "{at}: combine, {preprocessed}");
                     }
                 }
             }
