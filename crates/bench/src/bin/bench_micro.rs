@@ -3,9 +3,9 @@
 //! operation, and the deterministic wire bytes per operation (zero for
 //! the local-only ones). `n` is the input size.
 //!
-//! The `mg/*` rows answer where an OT-mode Multiplication Group's time
-//! goes (DESIGN.md §8.1): an operation there is one MG, both parties
-//! summed — on a one-core host that sum *is* the wall time;
+//! The `mg/*` rows answer where an OT-mode Count's offline time goes
+//! (DESIGN.md §8.1): an operation there is one triple of the Count,
+//! both parties summed — on a one-core host that sum *is* the wall time;
 //! `wire/byte_codec` beside them is the byte codec (`encode` /
 //! `decode`, which no transport takes) on the same messages. The
 //! other `wire/*` rows attribute a wire party's Count the same way, per
@@ -27,13 +27,14 @@ use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::io::scan_edge_list;
 use cargo_graph::CsrGraph;
-use cargo_mpc::ot::{simulated_base_ots, transcript_digest, UnitSplit, OT_KAPPA};
+use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
-    cr_hash_scalar, mask_round, mul3, pair_key, plan_flights, weighted_pass, Dealer, Frame,
-    IntoFrame, MgDraw, MgOfflineS1, MgOfflineS2, NetStats, OfflineMsg, PairDealer, PairRun,
-    PairTable, Ring64, ServerId, SimdTier, SplitMix64, WireMessage, GROUP_WORDS, MAX_FLIGHT_GROUPS,
+    cr_hash_scalar, mask_round, mul3, pair_key, push_triples, weighted_pass, Dealer, Frame,
+    IntoFrame, MgDraw, NetStats, OfflineMsg, OfflineS1, OfflineS2, PairDealer, PairRun, PairTable,
+    Ring64, ServerId, SimdTier, SlotTriple, SplitMix64, WireMessage, GROUP_WORDS,
+    MAX_FLIGHT_TRIPLES,
 };
 use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
@@ -83,19 +84,12 @@ fn row(name: &str, n: usize, ops: u64, timing: (f64, f64), bytes_per_op: f64) {
     );
 }
 
-/// The steps of the OT offline dialogue, in the order it runs them;
-/// the last is every message's trip through the codec as a party makes
-/// it: `into_frame` → `header` → `from_parts` → `from_frame`.
-const STEPS: [&str; 7] = [
-    "ucols",
-    "corrections",
-    "derand_opq",
-    "absorb_corrections",
-    "corrections_w",
-    "derand_w",
-    "codec",
-];
-const CODEC: usize = 6;
+/// The steps of the OT offline dialogue, in the order it runs them
+/// (`local` is both parties' products of their own mask shares); the
+/// last is every message's trip through the codec as a party makes it:
+/// `into_frame` → `header` → `from_parts` → `from_frame`.
+const STEPS: [&str; 8] = ["local", "keys", "absorb", "corrections", "receive", "tail", "finish", "codec"];
+const CODEC: usize = 7;
 /// Passes of the whole dialogue the `mg/*` step rows take the median of.
 const MG_PASSES: usize = 9;
 
@@ -107,43 +101,65 @@ fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// One pass of the offline dialogue over `plan` with a clock around
+/// Both servers' opened tables over the pairs of the cube of `n` users
+/// (every opening zero: the dialogue reads none) and the cube's
+/// triples over them, as a Count in OT mode lists them.
+fn cube_count(n: u32) -> ([PairTable; 2], Vec<SlotTriple>) {
+    let pairs: Vec<(u32, u32)> = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
+    let slot = |p: (u32, u32)| pairs.binary_search(&p).expect("a cube pair");
+    let (mut runs, mut at) = (Vec::new(), 0);
+    for (i, j) in pairs.iter().copied().filter(|&(_, j)| j + 1 < n) {
+        let slots = [slot((i, j)), slot((i, j + 1)), slot((j, j + 1))];
+        runs.push(PairRun { slots, len: (n - j - 1) as usize, at });
+        at += (n - j - 1) as usize;
+    }
+    let mut triples = Vec::new();
+    push_triples(&runs, None, &mut triples);
+    let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
+    let zeros = vec![0u64; keys.len()];
+    let tables = [ServerId::S1, ServerId::S2].map(|server| {
+        let mut table = PairTable::new(1, server, true);
+        mask_round(&mut table, &keys, &zeros, &mut zeros.clone());
+        table.push(&zeros);
+        table
+    });
+    (tables, triples)
+}
+
+/// One pass of the offline dialogue over `count` with a clock around
 /// each step of both machines; every message crosses the codec exactly
-/// as `mg_offline_over_wire` sends and receives it (typed message →
+/// as `pair_offline_over_wire` sends and receives it (typed message →
 /// header + payload → checked frame → typed message). The second value
 /// is the byte codec (`encode` / `decode`, header ‖ payload bytes) on a
 /// copy of the same messages, timed apart and not part of the dialogue.
-fn timed_dialogue(plan: &[MgDraw]) -> ([Duration; STEPS.len()], Duration) {
+fn timed_dialogue((tables, triples): &([PairTable; 2], Vec<SlotTriple>)) -> ([Duration; STEPS.len()], Duration) {
     let mut all = [Duration::ZERO; STEPS.len()];
     let mut byte_codec = Duration::ZERO;
     let (t, codec) = all.split_at_mut(CODEC);
-    let mut s1 = MgOfflineS1::for_chunk(1, 0);
-    let mut s2 = MgOfflineS2::for_chunk(1, 0);
-    for (f, range) in plan_flights(plan).into_iter().enumerate() {
-        let flight = &plan[range];
-        let mut wire = |step: u8, words: Vec<u64>| {
-            let msg = OfflineMsg { chunk: 0, flight: f as u32, step, words };
-            let copy = msg.clone();
-            timed(&mut byte_codec, || {
-                black_box(OfflineMsg::decode(&copy.encode()).expect("round trip"))
-            });
-            timed(&mut codec[0], || {
-                let frame = msg.into_frame();
-                let header = frame.header().expect("a flight fits a frame");
-                let frame = Frame::from_parts(&header, frame.payload).expect("intact");
-                OfflineMsg::from_frame(frame).expect("an offline frame").words
-            })
-        };
-        let u1 = wire(1, timed(&mut t[0], || s1.ucols(flight)));
-        let u2 = wire(1, timed(&mut t[0], || s2.ucols(flight)));
-        let d_a = wire(2, timed(&mut t[1], || s1.corrections(&u2)));
-        let d_b = wire(2, timed(&mut t[1], || s2.corrections(&u1)));
-        let c_opq = wire(3, timed(&mut t[2], || s1.derand_opq(&d_b)));
-        timed(&mut t[3], || s2.absorb_corrections(&d_a));
-        let d_b4 = wire(3, timed(&mut t[4], || s2.corrections_w(&c_opq)));
-        let c_w = wire(4, timed(&mut t[5], || s1.derand_w(&d_b4)));
-        black_box((s1.groups(), s2.groups(&c_w)));
+    let tier = SimdTier::detect();
+    let mut wire = |step: u8, flight: usize, words: Vec<u64>| {
+        let msg = OfflineMsg { chunk: 0, flight: flight as u32, step, words };
+        let copy = msg.clone();
+        timed(&mut byte_codec, || black_box(OfflineMsg::decode(&copy.encode()).expect("round trip")));
+        timed(&mut codec[0], || {
+            let frame = msg.into_frame();
+            let header = frame.header().expect("a flight fits a frame");
+            let frame = Frame::from_parts(&header, frame.payload).expect("intact");
+            OfflineMsg::from_frame(frame).expect("an offline frame").words
+        })
+    };
+    let (mut s1, mut s2) = timed(&mut t[0], || (OfflineS1::new(&tables[0], triples), OfflineS2::new(&tables[1], triples)));
+    for (f, u) in timed(&mut t[1], || s2.keys(tier)).into_iter().enumerate() {
+        let u = wire(1, f, u);
+        timed(&mut t[2], || s1.absorb_keys(tier, &u));
     }
+    for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
+        let d = wire(2, f, timed(&mut t[3], || s1.corrections(tier, flight)));
+        timed(&mut t[4], || s2.receive(tier, flight, &d));
+    }
+    let tail = timed(&mut t[5], || s1.tail(tier));
+    let tail: Vec<_> = tail.into_iter().enumerate().map(|(f, msg)| wire(3, f, msg)).collect();
+    black_box(timed(&mut t[6], || s2.finish(tier, &tail)));
     (all, byte_codec)
 }
 
@@ -172,52 +188,29 @@ fn main() {
     let budget = Duration::from_millis(measure_ms);
 
     // mg/*: the public step machines run the offline dialogue over the
-    // dense cube of n = 32 users (the `ot-mem` plan), then the three
-    // kernels inside the steps run on their own over one flight: an MG
-    // costs 2 extends, 2 absorbs (one per direction: the one-pass
-    // extension kernels, sums and corrections included) and 4 digests
-    // (each party digests both `u` messages). These rows come first so
-    // the dialogue's megabyte messages meet the fresh heap a party
-    // meets; after the rows below the allocator recycles them and the
-    // steps read cheaper than in a real run.
+    // dense cube of n = 32 users (the `ot-mem` Count), per triple, then
+    // the transcript digest each party takes of the key columns, per
+    // OT. These rows come first so the dialogue's megabyte messages meet
+    // the fresh heap a party meets; after the rows below the allocator
+    // recycles them and the steps read cheaper than in a real run.
     {
         let n = 32u32;
-        let plan: Vec<MgDraw> = (0..n)
-            .flat_map(|i| (i + 1..n - 1).map(move |j| MgDraw::dense(i, j, n - 1 - j)))
-            .collect();
-        let groups: u64 = plan.iter().map(|d| d.groups as u64).sum();
-        let passes: Vec<_> = (0..MG_PASSES).map(|_| timed_dialogue(&plan)).collect();
+        let count = cube_count(n);
+        let triples = count.1.len() as u64;
+        let passes: Vec<_> = (0..MG_PASSES).map(|_| timed_dialogue(&count)).collect();
         for (s, name) in STEPS.iter().enumerate() {
             let step = median_iqr(passes.iter().map(|p| p.0[s]).collect());
-            row(&format!("mg/{name}"), n as usize, groups, step, 0.0);
+            row(&format!("mg/{name}"), n as usize, triples, step, 0.0);
         }
         let total = median_iqr(passes.iter().map(|p| p.0.iter().sum()).collect());
-        row("mg/sum", n as usize, groups, total, 0.0);
+        row("mg/sum", n as usize, triples, total, 0.0);
         let bytes = median_iqr(passes.iter().map(|p| p.1).collect());
-        row("wire/byte_codec", n as usize, groups, bytes, 0.0);
-
-        let flight_groups = MAX_FLIGHT_GROUPS.min(groups);
-        let choice: Vec<u64> = (0..4 * flight_groups)
+        row("wire/byte_codec", n as usize, triples, bytes, 0.0);
+        let u: Vec<u64> = (0..OT_KAPPA as u64 * 992)
             .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let a: Vec<u64> = choice.iter().map(|w| w.rotate_left(17)).collect();
-        let words = choice.len();
-        let tier = SimdTier::detect();
-        let (mut sender, mut receiver) = simulated_base_ots(1);
-        let (mut u, mut sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
-        let ns = measure_median_iqr_ns(12, budget, || {
-            receiver.extend(tier, &choice, &mut u, &mut sums);
-            black_box(sums[words - 1])
-        });
-        row("mg/extend", n as usize, flight_groups / 2, ns, 0.0);
-        let mut d = vec![0u64; 64 * words];
-        let ns = measure_median_iqr_ns(12, budget, || {
-            sender.absorb(tier, &u, &a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut sums);
-            black_box(sums[words - 1])
-        });
-        row("mg/absorb", n as usize, flight_groups / 2, ns, 0.0);
         let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(&u)));
-        row("mg/digest", n as usize, flight_groups / 4, ns, 0.0);
+        row("mg/digest", n as usize, 64 * 992, ns, 0.0);
     }
 
     // mul3: the protocol-object three-value multiplication, including
@@ -260,7 +253,8 @@ fn main() {
     // Count lists a chunk's). Then `local/*`, the same runs as
     // `count_local` evaluates them: each server's pass in turn, per
     // triple for both servers. Last fill_words, the expansion of a
-    // group's four stream words (the OT phase's target), per group.
+    // group's four stream words (the reference Count's per-triple
+    // groups), per group.
     // DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
@@ -299,12 +293,12 @@ fn main() {
             tables.iter_mut().for_each(|table| table.push(&opened));
             for (server, table) in servers.into_iter().zip(&tables) {
                 let ns = measure_median_iqr_ns(12, budget, || {
-                    black_box(weighted_pass(table, &runs, None, None))
+                    black_box(weighted_pass(table, &runs, None))
                 });
                 row(&format!("wire/pass/{shape}/{server:?}"), at, at as u64, ns, 0.0);
             }
             let ns = measure_median_iqr_ns(12, budget, || {
-                black_box(tables.each_ref().map(|table| weighted_pass(table, &runs, None, None)))
+                black_box(tables.each_ref().map(|table| weighted_pass(table, &runs, None)))
             });
             row(&format!("local/{shape}"), at, at as u64, ns, 0.0);
         }

@@ -70,9 +70,10 @@ use crate::config::CargoConfig;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    mask_prf, mask_round, mul3_combine, ot_setup_ledger, pair_key, share_prf, weighted_pass,
-    MgDraw, Mul3Opening, MulGroupShare, NetStats, OfflineMode, OtMgEngine, PairDealer, PairRun,
-    PairTable, Ring64, ServerId, SimdTier, LANES, PAIR_KEY_STEP,
+    count_offline_ledger, mask_prf, mask_round, mul3_combine, ot_setup_ledger,
+    pair_offline_in_process, pair_key, push_triples, share_prf, weighted_pass, MgDraw,
+    Mul3Opening, NetStats, OfflineMode, PairDealer, PairRun, PairTable, Ring64, ServerId,
+    SimdTier, SlotTriple, LANES, PAIR_KEY_STEP,
 };
 use std::sync::Arc;
 
@@ -142,20 +143,17 @@ pub struct CountJob {
     /// counts are identical for every batch; only wall-clock and round
     /// granularity change.
     pub batch: usize,
-    /// Where the Multiplication Groups come from: the seeded trusted
-    /// dealer, or the chunk-amortised IKNP/Gilboa OT-extension offline
-    /// phase ([`cargo_mpc::OtMgEngine`]) — one extension session per
-    /// scheduler chunk, run inline by the worker that owns the chunk,
-    /// its cost in [`NetStats::offline`] (per-flight traffic plus one
-    /// global base-OT setup). Shares and the online ledger are
-    /// bit-identical either way.
+    /// Where the correlated randomness comes from: the seeded trusted
+    /// dealer, or the IKNP/Gilboa OT-extension offline phase
+    /// ([`cargo_mpc::pair_offline_over_wire`]) — one vector-OLE key per
+    /// pair, extended once per Count after the pair rounds, its cost in
+    /// [`NetStats::offline`] (the Count's dialogue plus one base-OT
+    /// setup). Shares and the online ledger are bit-identical either
+    /// way.
     pub offline: OfflineMode,
-    /// Which triples are evaluated. Every surviving triple's
-    /// Multiplication Group is drawn at its **canonical** dealer-stream
-    /// position, so its share pair is the one the dense cube produces
-    /// for that triple; the execution's shape (chunking, rounds,
-    /// offline ledger) is a pure function of the public plan. Both
-    /// wire parties must be handed the same plan.
+    /// Which triples are evaluated. The execution's shape (pair set,
+    /// chunking, rounds, offline ledger) is a pure function of the
+    /// public plan. Both wire parties must be handed the same plan.
     pub plan: SchedulePlan,
 }
 
@@ -228,10 +226,10 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 
 /// Runs `job` in-process, both servers in one process — the simulation
 /// every other executor is pinned to, and itself pinned to
-/// [`secure_count_reference`]: share for share in OT mode, at the
-/// opened count with dealer material. It runs each server's steps as a
-/// wire party runs them — the same pair rounds, the same chunk loop and
-/// [`weighted_pass`] — so it differs from
+/// [`secure_count_reference`] at the opened count. It runs each
+/// server's steps as a wire party runs them — the same pair rounds, the
+/// same offline dialogue, the same chunk loop and [`weighted_pass`] —
+/// so it differs from
 /// [`count_two_party`](crate::count_runtime::count_two_party) in the
 /// link only: the pair slabs are summed in place, and each chunk is
 /// combined once per server. Input kind, plan and offline mode are
@@ -245,12 +243,13 @@ pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> Secu
     }
 }
 
-/// [`count_local`] past scheduler construction: runs `job`'s workers
-/// over `sched`'s chunks, the kernels at `tier`, and sums the parts —
-/// each server's Count term ([`PairTable::count_term`]) with the pair
-/// phase's. `sched` is the job's own [`CountJob::local_scheduler`], or
-/// that scheduler under the sampled estimator's plan filter — the
-/// workers only ever see a draw plan.
+/// [`count_local`] past scheduler construction: opens the pairs, runs
+/// the offline dialogue in OT mode, runs `job`'s workers over `sched`'s
+/// chunks, the kernels at `tier`, and sums the parts — each server's
+/// Count term ([`PairTable::count_term`]) with the pair phase's.
+/// `sched` is the job's own [`CountJob::local_scheduler`], or that
+/// scheduler under the sampled estimator's plan filter — the workers
+/// only ever see a draw plan.
 pub(crate) fn run_scheduled<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,
@@ -258,13 +257,48 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     tier: SimdTier,
 ) -> SecureCountResult {
     let pairs = sched.pair_set();
-    let tables = open_pairs(bits, job, sched, &pairs, tier);
+    let mut tables = open_pairs(bits, job, sched, &pairs, tier);
+    if runs_offline(job, sched) {
+        pair_offline_in_process(&mut tables, &plan_triples(&pairs, sched));
+    }
     let opened = (&*pairs, &tables);
-    let parts = sched.run_chunks(|chunk| chunk_part(job, sched, opened, chunk));
+    let parts = sched.run_chunks(|chunk| chunk_part(sched, opened, chunk));
     let mut online = NetStats::new();
     online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
-    let [t1, t2] = tables.each_ref().map(|table| Ring64(table.count_term()));
-    finish(sched, job.offline, parts.into_iter().chain([(t1, t2, online, 0)]))
+    let [t1, t2] = tables.each_ref().map(|table| count_term(sched, table));
+    finish(sched, job.offline, pairs.len(), parts.into_iter().chain([(t1, t2, online, 0)]))
+}
+
+/// `table`'s Count term ([`PairTable::count_term`]) in a Count over
+/// `sched`: none for a plan with no triples, which has no words to
+/// derandomise onto, so an empty Count's shares are `(0, 0)` in either
+/// offline mode.
+pub(crate) fn count_term(sched: &CountScheduler, table: &PairTable) -> Ring64 {
+    if sched.chunks().is_empty() {
+        Ring64::ZERO
+    } else {
+        Ring64(table.count_term())
+    }
+}
+
+/// Whether `job` over `sched` runs the OT offline dialogue: in OT mode,
+/// for a plan with triples.
+pub(crate) fn runs_offline(job: &CountJob, sched: &CountScheduler) -> bool {
+    job.offline == OfflineMode::OtExtension && !sched.chunks().is_empty()
+}
+
+/// The plan's triples as the offline dialogue reads them: chunk by
+/// chunk, in the order the chunk loop's passes walk them
+/// ([`walk_slices`]), with their signs.
+pub(crate) fn plan_triples(pairs: &PairSet, sched: &CountScheduler) -> Vec<SlotTriple> {
+    let (mut runs, mut triples) = (Vec::new(), Vec::new());
+    for chunk in sched.chunks() {
+        let signs = sched.chunk_signs(chunk);
+        walk_slices(&mut runs, pairs, &sched.chunk_plan(chunk), |runs, done| {
+            push_triples(runs, signs.map(|s| &s[done..]), &mut triples)
+        });
+    }
+    triples
 }
 
 /// The pair phase in-process: the wire parties' pair rounds with the
@@ -346,13 +380,14 @@ pub fn secure_triangle_count_streamed(
 /// `(⟨T⟩₁ part, ⟨T⟩₂ part, ledger part, triples evaluated)`.
 pub(crate) type CountPart = (Ring64, Ring64, NetStats, u64);
 
-/// Sums the parts of a run over `sched` into its result — the one
-/// reduction every executor ends with. In OT mode a non-empty run also
-/// pays the single base-OT setup (per-chunk extension sessions are
-/// derived locally from it).
+/// Sums the parts of a run over `sched`, reading `pairs` pairs, into its
+/// result — the one reduction every executor ends with. In OT mode a
+/// non-empty run also pays the base-OT setup and its offline dialogue
+/// ([`count_offline_ledger`]).
 pub(crate) fn finish(
     sched: &CountScheduler,
     offline: OfflineMode,
+    pairs: usize,
     parts: impl IntoIterator<Item = CountPart>,
 ) -> SecureCountResult {
     let mut share1 = Ring64::ZERO;
@@ -367,6 +402,7 @@ pub(crate) fn finish(
     }
     if offline == OfflineMode::OtExtension && !sched.chunks().is_empty() {
         net.offline.merge(&ot_setup_ledger());
+        net.offline.merge(&count_offline_ledger(pairs as u64, triples));
     }
     let n = sched.n() as u64;
     SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples }
@@ -433,8 +469,7 @@ const BLOCKED_RUN: usize = 32;
 
 /// Lists `plan`'s `k`-runs into `runs` as the weighted pass reads them
 /// ([`PairRun`]): their pairs' slots in `pairs`, and each run's
-/// position in plan order — where its signs and preprocessed groups
-/// start. Where the runs are long (a mean of [`BLOCKED_RUN`] triples)
+/// position in plan order — where its signs start. Where the runs are long (a mean of [`BLOCKED_RUN`] triples)
 /// they are walked in cache blocks: by block of [`ROW_BLOCK`] rows `i`,
 /// then by `j`, so a block's runs that share a `j` row read it in turn.
 /// The pass's sums are wrapping additions, so the order is free.
@@ -467,85 +502,79 @@ fn plan_runs(pairs: &PairSet, plan: &[MgDraw], runs: &mut Vec<PairRun>) -> usize
     at
 }
 
-/// One chunk's evaluation by each server of `tables` in turn — the one
-/// chunk loop, which [`count_local`] runs for both servers and a wire
-/// party for its own. The chunk's **draw plan** `plan` — one
-/// `(pair, k-run)` per [`MgDraw`], at the run's canonical stream offset
-/// — is walked in slices of at least [`SLICE_DRAWS`] draws, cut at row
-/// blocks. Each slice is listed as runs over the pair set once
-/// ([`plan_runs`], into the scratch `runs`), and each server's
-/// [`weighted_pass`] sums its share over them under the slice's signs;
-/// in OT mode server `s`'s pass reads `groups[s]`, its preprocessed
-/// groups in plan order. Returns each server's share of the chunk's sum
-/// and the triples evaluated.
-pub(crate) fn combine_chunk<const S: usize>(
+/// Walks a chunk's **draw plan** `plan` — one `(pair, k-run)` per
+/// [`MgDraw`] — in slices of at least [`SLICE_DRAWS`] draws, cut at row
+/// blocks: lists each slice as runs over the pair set once
+/// ([`plan_runs`], into the scratch `runs`) and calls `f` with them and
+/// the triples before the slice. Returns the plan's triples.
+fn walk_slices(
     runs: &mut Vec<PairRun>,
-    (pairs, tables): (&PairSet, [&PairTable; S]),
-    sched: &CountScheduler,
-    chunk: &PairChunk,
+    pairs: &PairSet,
     plan: &[MgDraw],
-    groups: [Option<&[MulGroupShare]>; S],
-) -> ([Ring64; S], usize) {
-    let signs = sched.chunk_signs(chunk);
-    let (mut shares, mut done, mut rest) = ([Ring64::ZERO; S], 0, plan);
+    mut f: impl FnMut(&[PairRun], usize),
+) -> usize {
+    let (mut done, mut rest) = (0, plan);
     while !rest.is_empty() {
         let first = SLICE_DRAWS.min(rest.len());
         let block = rest[first - 1].i / ROW_BLOCK;
         let end = first + rest[first..].iter().take_while(|d| d.i / ROW_BLOCK == block).count();
         let (slice, after) = rest.split_at(end);
         let triples = plan_runs(pairs, slice, runs);
-        for (share, (table, groups)) in shares.iter_mut().zip(tables.iter().zip(groups)) {
-            let signs = signs.map(|s| &s[done..]);
-            *share += Ring64(weighted_pass(table, runs, signs, groups.map(|g| &g[done..])));
-        }
+        f(runs, done);
         (done, rest) = (done + triples, after);
     }
+    done
+}
+
+/// One chunk's evaluation by each server of `tables` in turn — the one
+/// chunk loop, which [`count_local`] runs for both servers and a wire
+/// party for its own: each server's [`weighted_pass`] sums its share
+/// over each slice's runs ([`walk_slices`]) under the slice's signs.
+/// Returns each server's share of the chunk's sum and the triples
+/// evaluated.
+pub(crate) fn combine_chunk<const S: usize>(
+    runs: &mut Vec<PairRun>,
+    (pairs, tables): (&PairSet, [&PairTable; S]),
+    sched: &CountScheduler,
+    chunk: &PairChunk,
+) -> ([Ring64; S], usize) {
+    let signs = sched.chunk_signs(chunk);
+    let mut shares = [Ring64::ZERO; S];
+    let done = walk_slices(runs, pairs, &sched.chunk_plan(chunk), |runs, done| {
+        for (share, table) in shares.iter_mut().zip(tables) {
+            *share += Ring64(weighted_pass(table, runs, signs.map(|s| &s[done..])));
+        }
+    });
     (shares, done)
 }
 
 /// Evaluates every triple of one pair-space chunk, each server over its
-/// own opened pair table ([`combine_chunk`]).
-///
-/// The chunk's material is resolved once: dealer material is in each
-/// table, and in OT mode a slab of both servers' preprocessed groups —
-/// one chunk-amortised [`OtMgEngine`] session run inline — has each
-/// server read its own column. Its ledger lands in the chunk's
-/// [`NetStats::offline`]; a chunk has no online traffic.
+/// own opened pair table ([`combine_chunk`]); a chunk has no traffic.
 fn chunk_part(
-    job: &CountJob,
     sched: &CountScheduler,
     (pairs, tables): (&PairSet, &[PairTable; 2]),
     chunk: &PairChunk,
 ) -> CountPart {
-    let plan = sched.chunk_plan(chunk);
-    let mut net = NetStats::new();
-    let material = match job.offline {
-        OfflineMode::TrustedDealer => None,
-        OfflineMode::OtExtension => {
-            let mut engine = OtMgEngine::for_chunk(job.seed, chunk.id as u64);
-            let material = engine.preprocess(&plan);
-            net.offline.merge(&engine.ledger());
-            Some(material)
-        }
-    };
-    let groups = [0, 1].map(|s| material.as_ref().map(|m| m.columns()[s]));
     let opened = (pairs, [&tables[0], &tables[1]]);
-    let ([t1, t2], triples) = combine_chunk(&mut Vec::new(), opened, sched, chunk, &plan, groups);
-    (t1, t2, net, triples as u64)
+    let ([t1, t2], triples) = combine_chunk(&mut Vec::new(), opened, sched, chunk);
+    (t1, t2, NetStats::new(), triples as u64)
 }
 
 /// Reference implementation: drives the *protocol objects* of
-/// `cargo-mpc` with no rounds, lanes or inlining over the dense cube.
+/// `cargo-mpc` with no rounds, lanes, inlining or aggregation over the
+/// dense cube — the paper's per-triple Multiplication Groups.
 /// It opens each pair once, one opening a round — `e_ij = a_ij − λ_ij`
 /// from each server's input share ([`share_prf`]: `⟨a⟩₁ = PRF`,
 /// `⟨a⟩₂ = a − PRF`) less its mask share ([`mask_prf`]) — and then calls
 /// [`mul3_combine`] once per triple with its three pairs' openings and
 /// the Multiplication Group at the triple's canonical position of its
 /// pair's stream ([`PairDealer::for_pair`],
-/// [`PairDealer::next_group_pair`]). It is the share-level oracle:
-/// [`count_local`] reproduces its share pair, triple count and element
+/// [`PairDealer::next_group_pair`]). It is the oracle of the opening:
+/// [`count_local`] reproduces its opened count, triple count and element
 /// and byte ledger exactly, for every plan that schedules the cube (its
-/// rounds differ: the reference opens one pair a round).
+/// shares differ — its product shares are per triple, the Count's per
+/// pair and per Count — and so do its rounds: it opens one pair a
+/// round).
 pub fn secure_count_reference(matrix: &BitMatrix, seed: u64) -> SecureCountResult {
     let n = matrix.n();
     let shares = |i: usize, j: usize| {
@@ -617,12 +646,12 @@ mod tests {
         let g = erdos_renyi(24, 0.3, 5);
         let m = g.to_bit_matrix();
         let slow = secure_count_reference(&m, 7);
-        // OT mode preprocesses the reference's canonical groups ⇒ the
-        // same shares, not just the same reconstruction. Dealer material
-        // is per pair, so it opens the same count.
+        // Both materials are per pair and per Count, where the
+        // reference's groups are per triple: the same count opens, and
+        // OT mode derandomises onto the dealer's shares.
         let ot = count_local(&m, &ot_job(7, 1, 0));
-        assert_eq!((ot.share1, ot.share2), (slow.share1, slow.share2));
         let fast = count_local(&m, &CountJob::new(7));
+        assert_eq!((ot.share1, ot.share2), (fast.share1, fast.share2));
         assert_eq!(fast.reconstruct(), slow.reconstruct());
         assert_eq!(fast.reconstruct(), Ring64(count_triangles_matrix(&m)));
         assert_eq!(fast.triples, slow.triples);
@@ -665,27 +694,23 @@ mod tests {
 
     #[test]
     fn ot_offline_mode_matches_dealer_mode_bit_for_bit() {
-        // The offline modes at kernel level: the identical opened count
-        // and ONLINE ledger, a nonzero offline ledger. (The share pairs
-        // differ: dealer words are per pair, OT groups per triple; the
-        // aggregated oracle below pins each mode's.)
+        // The offline modes at kernel level: the identical share pair
+        // and ONLINE ledger, a nonzero offline ledger of 128 extended
+        // OTs a pair.
         let g = erdos_renyi(40, 0.3, 2);
         let m = g.to_bit_matrix();
+        let pairs = (40 * 39 / 2) as u64;
         for batch in [1usize, 7, 0] {
             let dealer = count_local(&m, &job(5, 1, batch));
             let ot = count_local(&m, &ot_job(5, 1, batch));
-            assert_eq!(ot.reconstruct(), dealer.reconstruct(), "batch {batch}");
+            assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2), "batch {batch}");
             assert_eq!(ot.triples, dealer.triples);
             assert_eq!(ot.net.online(), dealer.net, "online ledgers equal");
             assert!(dealer.net.offline.is_empty(), "dealer pays no offline");
-            assert_eq!(ot.net.offline.base_ots, 256, "one base-OT setup");
-            assert_eq!(
-                ot.net.offline.extended_ots,
-                512 * dealer.triples,
-                "512 extended OTs per MG"
-            );
+            assert_eq!(ot.net.offline.base_ots, 128, "one base-OT setup, one direction");
+            assert_eq!(ot.net.offline.extended_ots, 128 * pairs, "two keys a pair");
             assert!(ot.net.offline.bytes > 0);
-            assert!(ot.net.offline.rounds > 0);
+            assert_eq!(ot.net.offline.rounds, 2 + 2, "base OTs and the Count's dialogue");
         }
     }
 
@@ -702,10 +727,10 @@ mod tests {
 
     /// The test-only oracle of each server's aggregated share: a naive
     /// loop over `job`'s plan, triple by triple in chunk order, from the
-    /// scalar PRFs. With dealer material S₁'s share is its Count word,
-    /// `Σ_p e_p·⟨M_p⟩₁` over the pair set and `Σₜ sₜ·(x₁fg + y₁eg + z₁ef)`,
-    /// and S₂'s is `Σₜ sₜ·abc` less it; in OT mode each triple adds
-    /// [`mul3_combine`] over its canonical [`PairDealer`] groups.
+    /// scalar PRFs. S₁'s share is its Count word, `Σ_p e_p·⟨M_p⟩₁` over
+    /// the pair set and `Σₜ sₜ·(x₁fg + y₁eg + z₁ef)`, and S₂'s is
+    /// `Σₜ sₜ·abc` less it — in OT mode too, whose S₂ words come from the
+    /// OT products, so a wrong product fails it.
     fn aggregated_oracle<B: AdjacencyBits>(bits: &B, n: usize, job: &CountJob) -> (Ring64, Ring64) {
         let (sched, seed) = (job.local_scheduler(n), job.seed);
         let bit = |i: u32, j: u32| {
@@ -715,39 +740,26 @@ mod tests {
         };
         let lambda = |s, (i, j)| Ring64(mask_prf(seed, s, i, j));
         let open = |p: (u32, u32)| bit(p.0, p.1) - lambda(ServerId::S1, p) - lambda(ServerId::S2, p);
-        let ot = job.offline == OfflineMode::OtExtension;
-        let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
-        if !ot {
-            let pairs = sched.pair_set();
-            let mut term = Ring64(PairDealer::count_word(seed));
-            pairs.for_each_run(0..pairs.len(), |_, i, j, len| {
-                for j in j..j + len as u32 {
-                    term += open((i, j)) * Ring64(PairDealer::pair_word(seed, i, j));
-                }
-            });
-            (d1, d2) = (term, -term);
-        }
+        let pairs = sched.pair_set();
+        let mut term = Ring64(PairDealer::count_word(seed));
+        pairs.for_each_run(0..pairs.len(), |_, i, j, len| {
+            for j in j..j + len as u32 {
+                term += open((i, j)) * Ring64(PairDealer::pair_word(seed, i, j));
+            }
+        });
+        let (mut d1, mut d2) = (term, -term);
         for chunk in sched.chunks() {
             let signs = sched.chunk_signs(chunk);
             let mut t = 0;
             for d in sched.chunk_plan(chunk) {
-                let mut dealer = PairDealer::for_draw(seed, &d);
                 for g in 0..d.groups as usize {
                     let k = d.k_at(g) as u32;
-                    let (g1, g2) = dealer.next_group_pair();
                     let pairs = [(d.i, d.j), (d.i, k), (d.j, k)];
                     let [e, f, g] = pairs.map(open);
-                    let (u1, u2) = if ot {
-                        let opening = Mul3Opening { e, f, g };
-                        let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
-                        let u1 = mul3_combine(zero, &g1, opening, Ring64::ZERO);
-                        (u1, mul3_combine(zero, &g2, opening, e * f * g))
-                    } else {
-                        let [x1, y1, z1] = pairs.map(|p| lambda(ServerId::S1, p));
-                        let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
-                        let [a, b, c] = pairs.map(|p| bit(p.0, p.1));
-                        (s1, a * b * c - s1)
-                    };
+                    let [x1, y1, z1] = pairs.map(|p| lambda(ServerId::S1, p));
+                    let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
+                    let [a, b, c] = pairs.map(|p| bit(p.0, p.1));
+                    let (u1, u2) = (s1, a * b * c - s1);
                     let minus = signs.is_some_and(|s| s[t] != 0);
                     d1 += if minus { -u1 } else { u1 };
                     d2 += if minus { -u2 } else { u2 };
@@ -764,10 +776,9 @@ mod tests {
         // matrix's cube, the eager sparse plan, the CSR-streamed plan
         // over a matrix and over the CSR itself, a signed (serve) plan —
         // in both offline modes, at every SIMD tier and across threads
-        // and batches: count_local's share pair is the naive loop's. In
-        // OT mode that is the per-triple MG protocol over the canonical
-        // PairDealer groups, so every OT multiplication stays checked
-        // bit for bit.
+        // and batches: count_local's share pair is the naive loop's —
+        // the dealer's, so in OT mode every OT product stays checked bit
+        // for bit.
         let g = barabasi_albert(22, 4, 9);
         let m = g.to_bit_matrix();
         let mut projected = erdos_renyi(18, 0.5, 3).to_bit_matrix();

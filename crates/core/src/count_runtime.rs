@@ -31,12 +31,11 @@
 //!   from the public plan and `batch` alone, and three lockstep checks
 //!   (round, first pair, slab length) stop a peer that cut differently
 //!   inside the first disagreeing round. The pair phase runs before any
-//!   worker; then the shared [`CountScheduler`] partitions the `(i, j)`
-//!   pair space into chunks and each server worker owns the chunks
-//!   congruent to its index, combining them **locally**: no chunk
-//!   sends an online frame. In OT mode each chunk's amortised offline
-//!   session runs on the same link ([`cargo_mpc::mg_offline_over_wire`]),
-//!   its frames tagged by the chunk id;
+//!   worker — and in OT mode the Count's offline dialogue after it, on
+//!   the same link ([`cargo_mpc::pair_offline_over_wire`]); then the
+//!   shared [`CountScheduler`] partitions the `(i, j)` pair space into
+//!   chunks and each server worker owns the chunks congruent to its
+//!   index, combining them **locally**: no chunk sends a frame;
 //! * **one server's arithmetic at kernel speed** — the pair phase masks
 //!   a round of pairs in one lane-parallel pass ([`mask_round`]; S₁
 //!   never reads the input), which also keeps the round's mask shares
@@ -46,10 +45,9 @@
 //!   also holds S₁'s mask shares and words, which the simulated
 //!   dealer's predistribution hands it). No dealer word is buffered
 //!   beyond a round's and the other server's column is never expanded.
-//!   OT mode runs the same pass over the chunk's preprocessed groups,
-//!   made inline over the link just before the chunk is combined
-//!   ([`mg_offline_over_wire`]). The chunk loop is `count_local`'s,
-//!   which runs it once per server.
+//!   OT mode runs S₁'s pass shape on both servers, S₂'s words installed
+//!   by the offline dialogue. The chunk loop is `count_local`'s, which
+//!   runs it once per server.
 //!
 //! Every frame is byte-counted by the transport, and the runtime
 //! **overwrites** [`NetStats::wire_bytes`] with the measured online
@@ -64,16 +62,15 @@
 //! pair.
 
 use crate::count::{
-    combine_chunk, finish, pair_round, AdjacencyBits, CountInput, CountJob, CountPart,
-    SecureCountResult,
+    combine_chunk, count_term, finish, pair_round, plan_triples, runs_offline, AdjacencyBits,
+    CountInput, CountJob, CountPart, SecureCountResult,
 };
 use crate::config::PoolPolicy;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    expand_input_shares, mask_round, mg_offline_over_wire, ot_setup_ledger, recv_msg, send_msg,
+    expand_input_shares, mask_round, ot_setup_ledger, pair_offline_over_wire, recv_msg, send_msg,
     NetStats, OfflineMode, PairOpeningMsg, PairRun, PairTable, Ring64, ServerId, Transport,
-    WordBuffers,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -129,17 +126,14 @@ fn open_pairs<B: AdjacencyBits, T: Transport>(
 /// One server of the sharded runtime — the state its worker pool
 /// shares once the pair phase is done. Worker `w` of `workers` owns the
 /// chunks with `id ≡ w (mod workers)`.
-struct Server<'a, T: Transport> {
+struct Server<'a> {
     id: ServerId,
-    job: &'a CountJob,
     sched: &'a CountScheduler,
     /// The plan's pair set and this server's table of its openings.
     opened: (&'a PairSet, &'a PairTable),
-    /// The server↔server wire (the offline dialogue).
-    peer: &'a T,
 }
 
-impl<'env, T: Transport> Server<'env, T> {
+impl Server<'_> {
     /// Runs this server's worker pool — no more workers than there are
     /// chunks to own — and returns each worker's part. Worker 0 runs on
     /// the calling thread, so a pool of one starts no thread: a Count
@@ -157,63 +151,26 @@ impl<'env, T: Transport> Server<'env, T> {
     }
 
     /// Runs worker `w`'s share of the protocol: its partial `⟨T⟩` (in
-    /// this server's slot), offline tally and triple count.
+    /// this server's slot) and triple count.
     fn run(&self, w: usize, workers: usize) -> CountPart {
-        let mut t_share = Ring64::ZERO;
-        let mut net = NetStats::new();
-        let mut triples = 0u64;
-        // OT mode: the offline dialogue's message buffers, circulating
-        // between the parties across all of this worker's chunks.
-        let mut spare = WordBuffers::default();
+        let (mut t_share, mut triples) = (Ring64::ZERO, 0u64);
         // The chunks' runs, rebuilt every chunk in the same buffer.
         let mut runs = Vec::new();
         for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
-            t_share += self.run_chunk(chunk, &mut runs, &mut net, &mut triples, &mut spare);
+            t_share += self.run_chunk(chunk, &mut runs, &mut triples);
         }
         match self.id {
-            ServerId::S1 => (t_share, Ring64::ZERO, net, triples),
-            ServerId::S2 => (Ring64::ZERO, t_share, net, triples),
+            ServerId::S1 => (t_share, Ring64::ZERO, NetStats::new(), triples),
+            ServerId::S2 => (Ring64::ZERO, t_share, NetStats::new(), triples),
         }
     }
 
-    fn run_chunk(
-        &self,
-        chunk: &PairChunk,
-        runs: &mut Vec<PairRun>,
-        net: &mut NetStats,
-        triples: &mut u64,
-        spare: &mut WordBuffers,
-    ) -> Ring64 {
-        let seed = self.job.seed;
-        // The chunk's draw plan — a pure function of the chunk id and
-        // the public schedule: one full-range draw per pair on the
-        // dense cube, one draw per surviving k-run on a sparse
-        // candidate schedule. Both servers and every offline source
-        // walk this same list in the same order.
-        let plan = self.sched.chunk_plan(chunk);
-        // OT mode preprocesses the whole chunk up front, in one
-        // amortised session over the peer link, into one slab of this
-        // server's groups in plan order; in dealer mode the server's
-        // words are in its pair table, as if predistributed.
-        let material = match self.job.offline {
-            OfflineMode::TrustedDealer => None,
-            OfflineMode::OtExtension => Some(mg_offline_over_wire(
-                self.peer,
-                self.id,
-                seed,
-                chunk.id,
-                &plan,
-                &mut net.offline,
-                spare,
-            )),
-        };
-        if let Some(groups) = &material {
-            let want: usize = plan.iter().map(|d| d.groups as usize).sum();
-            assert_eq!(groups.len(), want, "offline material size mismatch on chunk {}", chunk.id);
-        }
+    /// Combines one chunk over this server's table: its words are in
+    /// the table — the dealer's, as if predistributed, or installed by
+    /// the offline dialogue.
+    fn run_chunk(&self, chunk: &PairChunk, runs: &mut Vec<PairRun>, triples: &mut u64) -> Ring64 {
         let (pairs, table) = self.opened;
-        let groups = [material.as_deref()];
-        let ([share], done) = combine_chunk(runs, (pairs, [table]), self.sched, chunk, &plan, groups);
+        let ([share], done) = combine_chunk(runs, (pairs, [table]), self.sched, chunk);
         *triples += done as u64;
         share
     }
@@ -254,7 +211,7 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
 /// The party tallies the full bidirectional modeled ledger itself
 /// (both processes report identical `NetStats`), expands dealer
 /// material locally in trusted-dealer mode, and in OT mode runs the
-/// preprocessing dialogue over `link`, one session per chunk. Finally
+/// Count's offline dialogue over `link` after the pair rounds. Finally
 /// it overwrites [`NetStats::wire_bytes`] with the online payload bytes
 /// the transport measured — which the equivalence suites pin equal to
 /// the modeled `bytes`.
@@ -284,15 +241,18 @@ fn party_scheduled<B: AdjacencyBits, T: Transport>(
 ) -> SecureCountResult {
     let pairs = sched.pair_set();
     let mut online = NetStats::new();
-    let table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
-    let server = Server { id, job, sched, opened: (&*pairs, &table), peer: &**link };
+    let mut table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
+    if runs_offline(job, sched) {
+        pair_offline_over_wire(&**link, &mut table, &plan_triples(&pairs, sched));
+    }
+    let server = Server { id, sched, opened: (&*pairs, &table) };
     let parts = server.run_workers();
-    let term = Ring64(table.count_term());
+    let term = count_term(sched, &table);
     let online = match id {
         ServerId::S1 => (term, Ring64::ZERO, online, 0),
         ServerId::S2 => (Ring64::ZERO, term, online, 0),
     };
-    let mut result = finish(sched, job.offline, parts.into_iter().chain([online]));
+    let mut result = finish(sched, job.offline, pairs.len(), parts.into_iter().chain([online]));
     result.net.wire_bytes = link.stats().online_payload_both();
     result
 }
@@ -347,7 +307,7 @@ pub fn count_two_party<'a, T: Transport>(
     assert_eq!(r1.net, r2.net, "the parties' ledgers (modeled and measured) disagree");
     assert_eq!(r1.triples, r2.triples, "the parties evaluated different triple counts");
     // Measured-vs-modeled: the offline payload that actually crossed
-    // the wire must equal the modeled flight ledger (the base-OT setup
+    // the wire must equal the modeled dialogue ledger (the base-OT setup
     // is a per-run constant that never crosses this link).
     let flights = if r1.net.offline.is_empty() {
         0
@@ -808,14 +768,13 @@ mod tests {
 
     #[test]
     fn ot_runtime_matches_dealer_runtime_shares() {
-        // The same opened count and online ledger; the share pairs
-        // differ by design (dealer words per pair, OT groups per
-        // triple), and each runtime's is count_local's, pinned above.
+        // The same share pair and online ledger: the OT dialogue over
+        // the link derandomises onto the dealer's words.
         let g = erdos_renyi(30, 0.25, 4);
         let m = g.to_bit_matrix();
         let dealer = over_memory(&m, &job(9, 2, 8));
         let ot = over_memory(&m, &ot_job(9, 2, 8));
-        assert_eq!(ot.reconstruct(), dealer.reconstruct());
+        assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2));
         assert_eq!(ot.reconstruct(), Ring64(count_triangles_matrix(&m)));
         assert_eq!(ot.net.online(), dealer.net, "online ledgers coincide");
         assert!(dealer.net.offline.is_empty());

@@ -150,9 +150,9 @@ pub(crate) fn pair_coin(seed: u64, i: u32, j: u32) -> SplitMix64 {
 /// servers). It is [`crate::count::count_local`] over the filtered
 /// plan: a triple surviving the coin contributes the same share pair
 /// it would in the exact count under any plan that schedules it, OT
-/// mode preprocesses exactly the sampled Multiplication Groups in the
-/// chunk-amortised sessions, and the estimate, the share pair and the
-/// ledger are invariant across `threads × batch` and offline modes.
+/// mode's offline dialogue covers exactly the sampled triples' pairs,
+/// and the estimate, the share pair and the ledger are invariant across
+/// `threads × batch` and offline modes.
 ///
 /// `evaluated` counts the triples that survived; `total_triples` is
 /// the unfiltered schedule's.
@@ -268,17 +268,14 @@ mod tests {
                 rate,
                 &CountJob { offline: OfflineMode::OtExtension, ..job(7, 1, 8) },
             );
-            // One opened estimate; the share pairs differ by design
-            // (dealer words per pair, OT groups per triple).
-            assert_eq!(ot.reconstruct_raw(), dealer.reconstruct_raw(), "rate {rate}");
+            // One share pair: OT derandomises onto the dealer's words.
+            assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2), "rate {rate}");
             assert_eq!(ot.evaluated, dealer.evaluated);
             assert_eq!(ot.net.online(), dealer.net, "online ledgers equal");
-            assert_eq!(
-                ot.net.offline.extended_ots,
-                512 * dealer.evaluated,
-                "one block per sampled triple"
-            );
-            assert_eq!(ot.net.offline.base_ots, 256);
+            let sampled = job(7, 1, 8).local_scheduler(40).sampled(TripleSampler::new(7, rate));
+            let pairs = sampled.pair_set().len() as u64;
+            assert_eq!(ot.net.offline.extended_ots, 128 * pairs, "two keys per sampled pair");
+            assert_eq!(ot.net.offline.base_ots, 128);
         }
     }
 

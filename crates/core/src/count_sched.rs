@@ -18,11 +18,8 @@
 //!   graph, regenerated chunk by chunk instead of stored. The secret
 //!   stays what it always was (edge existence between scheduled pairs).
 //!   All three are walked in exactly one place — the pair + `k`-list
-//!   walk under [`CountScheduler::chunk_plan`] — and every
-//!   scheduled triple's Multiplication Group is drawn at its
-//!   **canonical** stream position (`k − j − 1` into pair `(i, j)`'s
-//!   dealer stream), so its share pair is bit-identical under every
-//!   plan that schedules it.
+//!   walk under [`CountScheduler::chunk_plan`] — as `k`-runs of each
+//!   pair `(i, j)`, each named by its offset `k − j − 1`.
 //! * **One filter seam.** That walk optionally passes each pair's
 //!   `k`-list through a crate-private public-coin filter (the
 //!   triple-sampling estimator's [`mod@crate::count_sampled`] coin): pairs
@@ -34,9 +31,9 @@
 //!   [`PairChunk`]s of roughly equal *triple* weight. The partition
 //!   depends on the schedule's public inputs **only** — `n` for the
 //!   dense cube, the candidate list for a sparse plan — never on
-//!   worker count or machine, because chunk ids key the amortised OT
-//!   offline sessions and the offline ledger must stay
-//!   schedule-invariant. Workers pull chunks from an atomic queue.
+//!   worker count or machine, because the chunk order is the order the
+//!   OT offline dialogue lists a Count's triples in, which both servers
+//!   must agree on. Workers pull chunks from an atomic queue.
 //! * **One pair set, batched rounds.** The Count's masks are keyed by
 //!   pair, so its online phase opens the plan's **pair set**
 //!   ([`CountScheduler::pair_set`]: every pair a scheduled triple reads)
@@ -86,11 +83,11 @@ pub(crate) const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
 /// deliberately **not** scaled by the worker count — so the chunk list
-/// is a function of the schedule's public inputs alone: the
-/// chunk-amortised OT offline sessions are keyed by chunk id, and a
-/// machine-dependent partition would make the offline ledger depend on
-/// core count. 64 parts oversubscribes any worker pool this side of a
-/// rack while keeping per-chunk state (one OT session, one batch
+/// is a function of the schedule's public inputs alone: the chunk
+/// loop's slices — the order the OT offline dialogue lists the triples
+/// in — follow the chunks, and a machine-dependent partition would make
+/// that order depend on core count. 64 parts oversubscribes any worker
+/// pool this side of a rack while keeping per-chunk state (one batch
 /// scratch) coarse.
 const CHUNK_PARTS: u64 = 64;
 
@@ -108,11 +105,11 @@ const MIN_CHUNK_TRIPLES: u64 = 512;
 /// admits as triangles.
 ///
 /// Only pairs with a **non-empty** `k`-list are stored (a pair without
-/// closing candidates contributes no triple and would produce a
-/// zero-group offline draw). The schedule — chunk partition, offline
-/// plans, chunk ids — is a pure function of this list, which is why a
-/// sparse run's OT sessions and [`cargo_mpc::OfflineLedger`] are
-/// reproducible from public information alone.
+/// closing candidates contributes no triple and would produce an empty
+/// draw). The schedule — chunk partition, draw plans, chunk ids — is a
+/// pure function of this list, which is why a sparse run's OT dialogue
+/// and [`cargo_mpc::OfflineLedger`] are reproducible from public
+/// information alone.
 ///
 /// Privacy: using a candidate set *reveals* it (that is the point —
 /// see `PROTOCOL.md`'s leakage analysis). The canonical instantiation
@@ -231,10 +228,9 @@ impl CandidateSet {
     /// Builds the candidate structure from an explicit triple list —
     /// `(i, j, k)` with `i < j < k < n`, **sorted lexicographically
     /// and unique**. The structure admits exactly the listed triples,
-    /// each at its canonical dealer-stream offset (`k − j − 1` within
-    /// pair `(i, j)`'s stream), so a planned count over it draws the
-    /// very same MG words a full sparse run would for those triples.
-    /// Every triple adds; [`Self::signed`] lists triples that subtract.
+    /// each at its canonical offset (`k − j − 1` within pair `(i, j)`'s
+    /// `k` range). Every triple adds; [`Self::signed`] lists triples
+    /// that subtract.
     ///
     /// Panics on unsorted, duplicate, degenerate, or out-of-range
     /// input — the delta layer produces canonical lists by
@@ -572,15 +568,14 @@ impl CountScheduler {
         &self.plan
     }
 
-    /// The chunk's offline preprocessing plan: one [`MgDraw`] per pair
-    /// and maximal contiguous `k`-run, **at the run's canonical stream
-    /// offset** (`k₀ − j − 1`). For the dense cube every pair is one
-    /// full-range draw starting at offset 0; a sparse plan draws each
-    /// surviving run exactly where the dense cube would have, skipping
-    /// (for free — the dealer PRG seeks in `O(1)`) everything between.
-    /// Single source of truth for every consumer of the chunk-keyed OT
-    /// sessions (fast kernel, sharded runtime, ledger fixtures) — and,
-    /// under a sampler, the sampled estimator's sparser plan.
+    /// The chunk's draw plan: one [`MgDraw`] per pair and maximal
+    /// contiguous `k`-run, **at the run's canonical offset**
+    /// (`k₀ − j − 1`). For the dense cube every pair is one full-range
+    /// draw starting at offset 0; a sparse plan names each surviving
+    /// run where the dense cube has it. Single source of truth for the
+    /// chunk loop and the offline dialogue's triple list in every
+    /// executor — and, under a sampler, the sampled estimator's sparser
+    /// plan.
     pub fn chunk_plan(&self, chunk: &PairChunk) -> Vec<MgDraw> {
         let mut draws = Vec::new();
         self.for_each_pair(chunk, |i, j, ks| match ks {

@@ -569,6 +569,7 @@ mod tests {
 
     #[test]
     fn incremental_counter_matches_scratch_and_true_count() {
+        let mut epochs = Vec::new();
         for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
             let g = generators::erdos_renyi(30, 0.3, 7);
             let mut eval = inline_evaluator(CountJob { offline, ..CountJob::new(0xFEED) });
@@ -584,20 +585,19 @@ mod tests {
                 (epoch.share1 + epoch.share2).to_u64(),
                 count_triangles(counter.graph()) as u64
             );
-            // …and match a from-scratch sparse run: bit-for-bit with OT
-            // groups, which are per triple; at the opened count with
-            // dealer words, which are per pair and per Count.
+            // …and match a from-scratch sparse run at the opened count:
+            // the words are per pair and per Count, so the shares are the
+            // epoch plan's.
             let scratch = eval(
                 &counter.graph().to_bit_matrix(),
                 SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(counter.graph()))),
             );
             assert_eq!(epoch.share1 + epoch.share2, scratch.reconstruct(), "{offline:?}");
-            if offline == OfflineMode::OtExtension {
-                assert_eq!((epoch.share1, epoch.share2), (scratch.share1, scratch.share2));
-            }
             // The matrix was maintained in lock-step.
             assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix());
+            epochs.push((epoch.share1, epoch.share2));
         }
+        assert_eq!(epochs[0], epochs[1], "OT mode derandomises onto the dealer's shares");
     }
 
     #[test]

@@ -392,7 +392,7 @@ mod tests {
         assert!(dealer.net.offline.is_empty());
         assert!(ot.net.offline.bytes > 0, "offline phase is costed");
         assert!(ot.net.offline.rounds > 0);
-        assert_eq!(ot.net.offline.base_ots, 256);
+        assert_eq!(ot.net.offline.base_ots, 128, "one base-OT direction");
     }
 
     #[test]

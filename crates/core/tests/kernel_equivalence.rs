@@ -10,11 +10,10 @@
 //! must reproduce its opened count, triple count and element/byte
 //! ledger exactly — across `threads × batch`, with dealer and OT
 //! material, on the exact count, on the sampled estimator at rate 1,
-//! and on the golden fixtures. With OT material it reproduces the
-//! reference's share pair too: the groups are the same per-triple
-//! ones. Dealer words are per pair and per Count, so a dealer share
-//! pair is pinned to the aggregated oracle (`count.rs`'s unit tests)
-//! and here to itself across the knobs. Rounds are not compared: the
+//! and on the golden fixtures. Both materials are per pair and per
+//! Count, so a share pair is pinned to the aggregated oracle
+//! (`count.rs`'s unit tests), here to itself across the knobs, and the
+//! OT mode's to the dealer's bit for bit. Rounds are not compared: the
 //! reference opens one pair a round.
 
 use cargo_core::{
@@ -31,14 +30,7 @@ fn job(seed: u64, threads: usize, batch: usize, offline: OfflineMode) -> CountJo
     CountJob { threads, batch, offline, ..CountJob::new(seed) }
 }
 
-/// What `count_local` shares with the reference in OT mode: both
-/// shares, the triple count, and the elements and bytes the openings
-/// move.
-fn oracle_view(r: &SecureCountResult) -> (u64, u64, u64, u64, u64) {
-    (r.share1.0, r.share2.0, r.triples, r.net.elements, r.net.bytes)
-}
-
-/// What it shares with the reference in dealer mode: the opened count,
+/// What `count_local` shares with the reference: the opened count,
 /// the triple count, and the elements and bytes the openings move.
 fn opened_view(r: &SecureCountResult) -> (u64, u64, u64, u64) {
     (r.reconstruct().0, r.triples, r.net.elements, r.net.bytes)
@@ -91,12 +83,14 @@ proptest! {
         seed: u64,
         batch in 1usize..10,
     ) {
-        // Small n: OT mode pays 512 extended OTs per triple. The inline
-        // sessions preprocess the groups the dealer streams hold.
-        let want = oracle_view(&secure_count_reference(&m, seed));
+        // The offline dialogue derandomises onto the dealer's words: the
+        // reference's opening, the dealer's share pair.
+        let want = opened_view(&secure_count_reference(&m, seed));
         let local = count_local(&m, &job(seed, 1, batch, OfflineMode::OtExtension));
-        let got = oracle_view(&local);
+        let got = opened_view(&local);
         prop_assert!(got == want, "{got:?} ≠ {want:?}");
+        let dealer = count_local(&m, &job(seed, 1, batch, OfflineMode::TrustedDealer));
+        prop_assert_eq!((local.share1, local.share2), (dealer.share1, dealer.share2));
         prop_assert!(!local.net.offline.is_empty());
     }
 
@@ -107,23 +101,23 @@ proptest! {
         rate_tenths in 1u32..10,
         batch in 1usize..12,
     ) {
-        // At rate 1 the sampled plan is the cube, so the estimator is
-        // the reference's share pair; at any rate the material source
-        // cannot move a share or the online ledger.
-        let want = oracle_view(&secure_count_reference(&m, seed));
+        // At rate 1 the sampled plan is the cube, so the estimator opens
+        // the reference's count; at any rate the material source cannot
+        // move a share or the online ledger.
+        let want = opened_view(&secure_count_reference(&m, seed));
         let rate = rate_tenths as f64 / 10.0;
         let dealer = job(seed, 1, batch, OfflineMode::TrustedDealer);
         let ot = job(seed, 1, batch, OfflineMode::OtExtension);
         for r in [1.0, rate] {
             let by_dealer = count_sampled(&m, r, &dealer);
             let by_ot = count_sampled(&m, r, &ot);
-            prop_assert_eq!(by_ot.reconstruct_raw(), by_dealer.reconstruct_raw());
+            prop_assert_eq!((by_ot.share1, by_ot.share2), (by_dealer.share1, by_dealer.share2));
             prop_assert_eq!(by_ot.evaluated, by_dealer.evaluated);
             prop_assert_eq!(by_ot.net.online(), by_dealer.net);
             if r == 1.0 {
-                let got = (by_ot.share1.0, by_ot.share2.0, by_ot.evaluated);
-                prop_assert_eq!(got, (want.0, want.1, want.2));
-                prop_assert_eq!((by_dealer.net.elements, by_dealer.net.bytes), (want.3, want.4));
+                let got = (by_ot.reconstruct_raw().0, by_ot.evaluated);
+                prop_assert_eq!(got, (want.0, want.1));
+                prop_assert_eq!((by_dealer.net.elements, by_dealer.net.bytes), (want.2, want.3));
             }
         }
     }
@@ -132,18 +126,16 @@ proptest! {
 #[test]
 fn kernels_agree_on_golden_fixtures() {
     // Deterministic anchor alongside the property tests: every golden
-    // graph against the reference — at the opening with dealer words,
-    // share for share with the OT mode's per-triple groups.
+    // graph against the reference at the opening, in both modes, and
+    // OT share for share with the dealer.
     for f in cargo_testutil::golden_fixtures() {
         let m = f.graph.to_bit_matrix();
         let local = count_local(&m, &job(0xCA60, 2, 0, OfflineMode::TrustedDealer));
         let reference = secure_count_reference(&m, 0xCA60);
         assert_eq!(opened_view(&local), opened_view(&reference), "{}", f.name);
         assert_eq!(local.reconstruct(), cargo_mpc::Ring64(f.triangles), "{}", f.name);
-        if m.n() < 16 {
-            // The micro graphs: OT mode pays 512 OTs a triple.
-            let ot = count_local(&m, &job(0xCA60, 2, 0, OfflineMode::OtExtension));
-            assert_eq!(oracle_view(&ot), oracle_view(&reference), "{} OT", f.name);
-        }
+        let ot = count_local(&m, &job(0xCA60, 2, 0, OfflineMode::OtExtension));
+        assert_eq!(opened_view(&ot), opened_view(&reference), "{} OT", f.name);
+        assert_eq!((ot.share1, ot.share2), (local.share1, local.share2), "{} OT", f.name);
     }
 }

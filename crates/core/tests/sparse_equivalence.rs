@@ -15,15 +15,15 @@
 //!    triangle count — under every `threads × batch × offline-mode`
 //!    combination and on the message-passing runtime.
 //! 3. **Ledger** — a sparse OT-extension run's offline ledger follows
-//!    the same chunk-amortised closed form as the dense one:
-//!    `Σ_chunks chunk_offline_ledger(chunk_plan) + ot_setup_ledger`.
+//!    the same closed form as the dense one, over the plan's pair set
+//!    and triples: `count_offline_ledger(P, T) + ot_setup_ledger`.
 
 use cargo_core::{
     count_local, count_two_party, CandidateSet, CountJob, CountScheduler,
     OfflineMode, SchedulePlan,
 };
 use cargo_graph::BitMatrix;
-use cargo_mpc::{chunk_offline_ledger, memory_pair, OfflineLedger, SplitMix64};
+use cargo_mpc::{count_offline_ledger, memory_pair, OfflineLedger, SplitMix64};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -72,14 +72,12 @@ fn job(seed: u64, threads: usize, batch: usize, plan: SchedulePlan) -> CountJob 
     CountJob { threads, batch, plan, ..CountJob::new(seed) }
 }
 
-/// The chunk-amortised offline closed form for an arbitrary schedule
-/// (the dense analogue is pinned in `offline_equivalence.rs`).
+/// The offline closed form for an arbitrary schedule (the dense
+/// analogue is pinned in `offline_equivalence.rs`).
 fn expected_offline(sched: &CountScheduler) -> OfflineLedger {
     let mut ledger = OfflineLedger::new();
-    for chunk in sched.chunks() {
-        ledger.merge(&chunk_offline_ledger(&sched.chunk_plan(chunk)));
-    }
     if !sched.chunks().is_empty() {
+        ledger.merge(&count_offline_ledger(sched.pair_set().len() as u64, sched.total_triples()));
         ledger.merge(&cargo_mpc::ot_setup_ledger());
     }
     ledger
@@ -177,8 +175,8 @@ proptest! {
 }
 
 proptest! {
-    // OT extension pays 512 extended OTs per admitted triple — fewer
-    // cases, smaller matrices.
+    // OT extension pays 128 extended OTs per pair read and 6 Gilboa
+    // products per admitted triple — fewer cases, smaller matrices.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -191,17 +189,16 @@ proptest! {
         let dealer = count_local(&m, &job(seed, 1, batch, plan.clone()));
         let ot_job = CountJob { offline: OfflineMode::OtExtension, ..job(seed, 1, batch, plan.clone()) };
         let ot = count_local(&m, &ot_job);
-        // The same opening; the share pairs differ by design (dealer
-        // words per pair, OT groups per triple).
-        prop_assert_eq!(ot.reconstruct(), dealer.reconstruct());
+        // The same share pair: OT derandomises onto the dealer's words.
+        prop_assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2));
         prop_assert_eq!(ot.triples, dealer.triples);
         prop_assert_eq!(ot.net.online(), dealer.net.online());
         prop_assert!(dealer.net.offline.is_empty());
-        // The sparse offline ledger follows the same chunk-amortised
-        // closed form as the dense one, over the sparse chunk plans.
+        // The sparse offline ledger follows the same closed form as the
+        // dense one, over the sparse plan's pairs and triples.
         let sched = CountScheduler::with_plan(m.n(), 1, batch, plan.clone());
         prop_assert_eq!(ot.net.offline, expected_offline(&sched));
-        // Payload OTs are per admitted triple, not per cube triple.
-        prop_assert_eq!(ot.net.offline.extended_ots, 512 * sched.total_triples());
+        // Extended OTs are per pair read, not per cube pair.
+        prop_assert_eq!(ot.net.offline.extended_ots, 128 * sched.pair_set().len() as u64);
     }
 }

@@ -162,7 +162,7 @@ fn csr_native_streamed_count_equals_the_matrix_run() {
             }
         }
         if n <= 30 {
-            // OT mode pays 512 extended OTs per triple: smallest graph only.
+            // OT mode pays 6 Gilboa products per triple: smallest graph only.
             let ot = |plan| CountJob { offline: OfflineMode::OtExtension, ..job(seed, 2, 8, plan) };
             let eager = count_local(&m, &ot(eager_plan.clone()));
             let streamed = count_local(&*csr, &ot(stream_plan.clone()));

@@ -37,7 +37,7 @@ fn over_memory(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
 }
 
 /// An arbitrary (possibly asymmetric) bit matrix, sized for the OT
-/// grid (512 extended OTs per triple).
+/// grid (6 Gilboa products per triple).
 fn arb_bit_matrix(max_n: usize) -> impl Strategy<Value = BitMatrix> {
     (3usize..max_n, 1u32..10, any::<u64>()).prop_map(|(n, tenths, seed)| {
         let mut rng = SplitMix64::new(seed);

@@ -117,9 +117,9 @@ impl Dealer {
 /// product shares `o₁ p₁ q₁ w₁` of one triple. The masks are not stream
 /// words — they are keyed by pair ([`crate::mask_prf`]) — and S₂'s
 /// product shares are differences, not fresh draws ([`split_mg_words`]).
-/// Only the OT offline phase reads these streams: they are the target it
-/// derandomises each group onto. A dealer-mode Count's product shares
-/// are per pair, not per triple ([`PairDealer::pair_word`],
+/// Only [`crate::mul3`]'s callers and the per-triple reference Count read
+/// these streams. A Count's product shares are per pair and per Count,
+/// in either offline mode ([`PairDealer::pair_word`],
 /// [`PairDealer::count_word`]).
 pub const GROUP_WORDS: usize = 4;
 
@@ -145,9 +145,9 @@ const COUNT_WORD_TWEAK: u64 = 0xA54F_F53A_5F1D_36F1;
 /// stream contains. Group `k − j − 1` of pair `(i, j)`'s stream holds
 /// the product words of triple `(i, j, k)`; its masks `x = λ_ij`,
 /// `y = λ_ik`, `z = λ_jk` are the pairs' own ([`crate::mask_prf`]).
-/// The OT offline phase makes exactly these groups, and the per-triple
-/// reference Count draws them; a dealer-mode Count reads the pair and
-/// Count words instead ([`Self::pair_word`], [`Self::count_word`]).
+/// The per-triple reference Count draws these groups; a Count reads the
+/// pair and Count words instead ([`Self::pair_word`],
+/// [`Self::count_word`]), which the OT offline phase makes too.
 #[derive(Debug, Clone)]
 pub struct PairDealer {
     rng: SplitMix64,
@@ -186,19 +186,10 @@ impl PairDealer {
         }
     }
 
-    /// Creates the stream for `draw`'s pair, already sought to the
-    /// draw's canonical group offset.
-    pub fn for_draw(root: u64, draw: &crate::MgDraw) -> Self {
-        let mut d = Self::for_pair(root, draw.i, draw.j);
-        d.skip_groups(draw.start as usize);
-        d
-    }
-
     /// Block-expands the next `out.len()` raw dealer words (see
     /// [`GROUP_WORDS`] for the per-group layout) at the best
     /// [`SimdTier`] of this CPU ([`SplitMix64::fill_block_tier`]).
-    /// Stream-equivalent to scalar draws at every tier; the OT flights
-    /// fill one slab at a time.
+    /// Stream-equivalent to scalar draws at every tier.
     #[inline]
     pub fn fill_words(&mut self, out: &mut [u64]) {
         self.rng.fill_block_tier(SimdTier::detect(), out);
@@ -207,12 +198,9 @@ impl PairDealer {
 
     /// Advances the stream past `groups` Multiplication Groups without
     /// computing them — O(1) in `groups`, because SplitMix64 is a
-    /// counter PRG. This is what lets a *sparse* Count schedule draw a
-    /// pair's group for triple `(i, j, k)` at its **canonical** stream
-    /// position `k − j − 1` (the offset the dense cube would use)
-    /// while paying nothing for the skipped, non-candidate `k`s — so a
-    /// surviving triple's material is bit-identical under every
-    /// schedule.
+    /// counter PRG: the group of triple `(i, j, k)` sits at its
+    /// **canonical** stream position `k − j − 1` whichever `k`s before
+    /// it are drawn.
     #[inline]
     pub fn skip_groups(&mut self, groups: usize) {
         self.rng.skip(GROUP_WORDS * groups);
@@ -276,7 +264,7 @@ impl PairDealer {
         let run = [PairRun { slots: [0, 1, 1 + len], len, at: 0 }];
         let [d1, d2] = tables.each_mut().map(|table| {
             table.push(&opened);
-            weighted_pass(table, &run, None, None).wrapping_add(table.count_term())
+            weighted_pass(table, &run, None).wrapping_add(table.count_term())
         });
         self.skip_groups(len);
         (d1, d2)

@@ -26,11 +26,11 @@
 //!   consistency digests): the machinery the paper's offline phase
 //!   \[42, 43\] is built from.
 //! * [`offline`] — the offline phase itself: [`OfflineMode`] selects
-//!   the trusted dealer or the OT-extension engines that generate the
-//!   same MG material bit for bit while paying (and recording)
-//!   the real preprocessing cost — one chunk-amortised session per
-//!   scheduler chunk, run inline on the Count's workers
-//!   ([`OtMgEngine`] in process, [`mg_offline_over_wire`] on a link).
+//!   the trusted dealer or the OT-extension dialogue that makes the
+//!   dealer's `P + 1` words a Count bit for bit while paying (and
+//!   recording) the real preprocessing cost — one vector-OLE key per
+//!   pair, extended once per Count ([`pair_offline_in_process`],
+//!   [`pair_offline_over_wire`] on a link).
 //! * [`channel`] — communication accounting: every reconstruction in
 //!   the online phase is tallied in a [`NetStats`] so experiments can
 //!   report message/byte/round counts; the [`OfflineLedger`] inside it
@@ -38,7 +38,7 @@
 //!   carries the bytes a real transport measured.
 //! * [`wire`] — the wire codec: a versioned, length-prefixed frame
 //!   format with explicit little-endian serialization for every
-//!   party↔party message ([`PairOpeningMsg`], the offline flight dialogue,
+//!   party↔party message ([`PairOpeningMsg`], the offline dialogue,
 //!   the final noisy-count opening, the serve-mode commit).
 //! * [`transport`] — pluggable byte transports carrying those frames:
 //!   the [`Transport`] trait with in-memory ([`InMemoryTransport`])
@@ -69,9 +69,9 @@ pub use beaver::{beaver_mul, BeaverShare};
 pub use channel::{NetStats, OfflineLedger, RecvError};
 pub use dealer::{split_mg_words, Dealer, PairDealer, GROUP_WORDS, MG_WORDS};
 pub use offline::{
-    chunk_offline_ledger, mg_flight_ledger, mg_offline_over_wire, ot_setup_ledger, plan_flights,
-    MgChunkMaterial, MgDraw, MgOfflineS1, MgOfflineS2, OfflineMode, OtMgEngine, WordBuffers,
-    MAX_FLIGHT_GROUPS,
+    count_offline_ledger, ot_setup_ledger, pair_flights, pair_offline_in_process,
+    pair_offline_over_wire, push_triples, MgDraw, OfflineMode, OfflineS1, OfflineS2, OtMgEngine,
+    SlotTriple, MAX_FLIGHT_PAIRS, MAX_FLIGHT_TRIPLES,
 };
 pub use transport::{
     memory_pair, memory_pair_with_timeout, recv_msg, send_msg, FaultKind, FaultPlan,

@@ -1,5 +1,5 @@
-//! The offline (preprocessing) phase: OT-extension generation of
-//! Multiplication-Group material.
+//! The offline (preprocessing) phase: a Count's correlated randomness
+//! made by OT extension, with no trusted dealer.
 //!
 //! The paper's protocol splits into an offline phase that precomputes
 //! correlated randomness via oblivious transfer \[42, 43\] and an
@@ -7,112 +7,85 @@
 //! phase on top of [`crate::ot`] so a run can select either source
 //! through [`OfflineMode`]:
 //!
-//! * **[`OfflineMode::TrustedDealer`]** — the seeded streaming dealer
+//! * **[`OfflineMode::TrustedDealer`]** — the seeded dealer
 //!   ([`crate::dealer`]): zero offline traffic, the modeling shortcut
 //!   documented in DESIGN.md §4 item 6.
 //! * **[`OfflineMode::OtExtension`]** — the two servers run IKNP
-//!   correlated-OT extension and Gilboa share multiplication to build
-//!   the same material, paying (and recording, via
-//!   [`crate::OfflineLedger`]) the real offline bytes and rounds.
+//!   correlated-OT extension and Gilboa vector OLE to make the same
+//!   material, paying (and recording, via [`crate::OfflineLedger`]) the
+//!   real offline bytes and rounds.
 //!
-//! ## Bit-identical material, honestly earned
+//! ## The material: `P + 1` words a Count
 //!
-//! Both modes emit **bit-identical** shares, so every equivalence and
-//! golden-fixture suite passes unchanged in either mode. The trick is
-//! standard *derandomisation*: each server expands its own additive
-//! mask shares `x_i, y_i, z_i` of each group — its shares of the masks
-//! of the triple's three pairs, `λ_ij, λ_ik, λ_jk` ([`crate::mask_prf`],
-//! the same masks the dealer mode and the online pair openings use) —
-//! the product shares `o = xy, p = xz, q = yz, w = oz` are computed with
-//! Gilboa multiplication over correlated OTs, and S₁ then shifts each
-//! raw product share pair onto its canonical [`PairDealer`] stream word
-//! by sending the public offset `c = raw₁ − canonical₁` (S₂ adds `c` to
-//! its raw share). The offset is one-time-padded by the COT's fresh
-//! randomness, so it leaks nothing — and S₂'s resulting share equals
-//! the dealer's **only if** every OT multiplication was correct, which
-//! is exactly what the cross-mode equivalence suites verify.
+//! A Count's masks are keyed by pair, so each server's share of
+//! `Σₜ sₜ·dₜ` regroups by pair ([`crate::triple_mul`]): besides its own
+//! mask shares it needs `⟨M_p⟩` for every pair `p` of the plan, where
+//! `M_p = Σ_{t∋p} sₜ·λ_a·λ_b` over the other two pairs `a, b` of each
+//! triple `t` through `p`, and `⟨W⟩` once, `W = Σₜ sₜ·λ_a·λ_b·λ_c`
+//! (SecureML's aggregated correlations, <https://eprint.iacr.org/2017/396>,
+//! over ABY2.0's pair masks, <https://eprint.iacr.org/2020/1225>).
+//! With `λ = λ⁽¹⁾ + λ⁽²⁾` every term a server cannot compute alone is a
+//! product of an S₁ value and an S₂ value, and every S₂ factor is one of
+//! two **keys** per pair:
 //!
-//! ## Chunk-amortised sessions
+//! * `M_p`'s cross part `Σ sₜ·(λ⁽¹⁾_a·λ⁽²⁾_b + λ⁽²⁾_a·λ⁽¹⁾_b)`: six
+//!   *elements* per triple, `sₜ·λ⁽¹⁾_a` under key `λ⁽²⁾_b`, each landing
+//!   on the `M` of the triple's third pair;
+//! * `W`'s mixed part `Σ_q λ⁽²⁾_q·Y⁽¹⁾_q + Σ_q λ⁽¹⁾_q·Y⁽²⁾_q`, where
+//!   `Y⁽ˢ⁾_q = Σ_{t∋q} sₜ·λ⁽ˢ⁾·λ⁽ˢ⁾` over the other two pairs — computed
+//!   by each server alone — is two elements per pair: `Y⁽¹⁾_q` under key
+//!   `λ⁽²⁾_q` and `λ⁽¹⁾_q` under the second key `Y⁽²⁾_q`.
 //!
-//! Extension is amortised across the Count scheduler's pair-space
-//! **chunks**, not per pair: one OT session (seeded from the global
-//! base-OT setup, keyed by the chunk id) preprocesses every
-//! Multiplication Group of every pair in the chunk. A chunk's plan —
-//! one [`MgDraw`] per pair, stating how many groups that pair's
-//! canonical stream contributes — is split by [`plan_flights`] into
-//! *flights* of at most [`MAX_FLIGHT_GROUPS`] groups (a message-size /
-//! memory cap, split only at pair boundaries), and each flight is one
-//! five-message dialogue. Since the scheduler cuts chunks by `n`
-//! alone (never by worker count), the offline ledger stays invariant
-//! across `threads × batch` like everything else. Each chunk's session
-//! runs inline, on the Count worker that owns the chunk, just before
-//! the chunk is combined: [`OtMgEngine`] drives both machines in one
-//! process, [`mg_offline_over_wire`] one machine per party over the
-//! link.
+//! So S₂ is the only extension receiver: its choice words are its `2P`
+//! keys, one *unit* of 64 correlated OTs each, extended **once per
+//! Count**. Every element is one Gilboa product over its key's unit
+//! ([`crate::ot::CotSender::correct`]), hashed under its own tweak —
+//! its key unit and the pair it lands on ([`OfflineS1`]) — so any number
+//! of elements share a unit and any flight of elements can be corrected
+//! on its own. S₁ then shifts its raw shares onto the dealer's
+//! ([`PairDealer::pair_word`], [`PairDealer::count_word`]) by sending
+//! the `P + 1` offsets `raw₁ − dealer₁`, one-time-padded by its Gilboa
+//! randomness. S₂ adds them to its raw shares and holds `M_p − ⟨M_p⟩₁`
+//! per pair and `W − ⟨W⟩₁`: both servers' shares are then **bit-identical**
+//! to dealer mode's — which holds only if every OT product was right,
+//! what the equivalence suites check at every fixture.
 //!
-//! Before this amortisation the engine ran one session per pair and
-//! one five-round dialogue per online `k`-block — `5·Σ⌈len/b⌉` rounds
-//! and a digest pair per block. Now a whole chunk costs
-//! `5·⌈G/512⌉`-ish rounds, the per-pair base-OT re-derivation is
-//! gone, and only the per-group payload bytes remain linear.
+//! ## Message flow
 //!
-//! ## Message flow per flight
-//!
-//! Four Gilboa multiplications per direction per MG (cross terms of
-//! `o, p, q, w`; `w`'s second cross term needs S₂'s derandomised `o₂`,
-//! which forces the two-step tail):
+//! The dialogue reads no input bit. It runs once per Count, after the
+//! pair rounds, so each server reads its mask shares (and S₁ its dealer
+//! words) from its [`PairTable`]:
 //!
 //! ```text
-//!   S₁                                           S₂
-//!   ── u-columns (dir B: choice bits y₁,z₁) ──▶
-//!   ◀── u-columns (dir A: choice bits y₂,z₂) ──     round 1
-//!   ── corrections A₁..A₄ (+digest) ──────────▶
-//!   ◀── corrections B₁..B₃ (+digest) ──────────     round 2
-//!   ── derandomise c_o, c_p, c_q ─────────────▶     round 3
-//!   ◀── corrections B₄ (a = o₂) ───────────────     round 4
-//!   ── derandomise c_w ───────────────────────▶     round 5
+//!   S₁                                               S₂
+//!   ◀── key columns u (κ × 2 words a pair)  ────────    round 1
+//!   ── corrections (64 words an element) ──────────▶
+//!   ── W corrections, P + 1 offsets, digest ───────▶    round 2
 //! ```
 //!
-//! ## What a machine keeps between steps
+//! Each message is cut into flights so no frame outgrows a few
+//! megabytes: key columns and the tail by [`MAX_FLIGHT_PAIRS`] pairs,
+//! corrections by [`MAX_FLIGHT_TRIPLES`] triples. The tail's last word is
+//! S₁'s digest of the key columns it absorbed; S₂ compares it with its
+//! own, so a corrupted or desynchronised transcript fails loudly.
 //!
-//! Every Gilboa multiplication is one *unit* of 64 correlated OTs (one
-//! choice word), and the one-pass extension ([`crate::ot`]) reduces
-//! each unit to sums as it goes, so no per-OT hash, row or pad
-//! outlives the step that computed it. Per flight of `g` groups a
-//! machine keeps, besides its `3g` mask shares (S₁ also its `4g`
-//! canonical stream words) and the messages it builds (in
-//! [`WordBuffers`]):
-//!
-//! * its receiver direction's `4g` choice words and one
-//!   `Σ_j H(j, t_j)` per choice word (from `ucols` until the
-//!   corrections are finished);
-//! * its sender direction's `4g` correlations and one `Σ m⁰` per unit
-//!   (from `corrections` to the derandomisation);
-//! * S₂ only: B₄'s `64g` words `m⁰_j − H(j, q_j ⊕ s)`, a quarter of a
-//!   direction, held from `corrections` until `o₂` is known in
-//!   `corrections_w`; then its finished direction-A sums and
-//!   `o₂, p₂, q₂, w` raw shares (`4g` + `3g` + `g` words) until `groups`.
-//!
-//! These vectors live in the machine and are resized, not reallocated,
-//! from flight to flight.
-//!
-//! Cost per MG (formula pinned by `ledger` tests and the golden fixture
-//! of `crates/core/tests/offline_equivalence.rs`): 512 extended OTs,
-//! [`MG_OFFLINE_BYTES_PER_GROUP`] bytes; per flight,
-//! [`MG_FLIGHT_DIGEST_BYTES`] digest bytes and five rounds; plus one
-//! global base-OT setup ([`ot_setup_ledger`]).
+//! Cost per Count of `P` pairs and `T` triples (pinned by
+//! [`count_offline_ledger`], the golden fixture of
+//! `crates/core/tests/offline_equivalence.rs` and measured == modeled on
+//! every link): `2·64·P` extended OTs and
+//! `16·(2·64·P) + 8·64·(6T + 2P) + 8·(P + 1) + 8` bytes in two rounds,
+//! plus one base-OT setup in one direction ([`ot_setup_ledger`]).
 
 use crate::channel::OfflineLedger;
-use crate::dealer::{PairDealer, GROUP_WORDS};
+use crate::dealer::PairDealer;
 use crate::ot::{
-    cot_correct_held, cot_finish, simulated_base_ots, transcript_digest, CotReceiver, CotSender,
-    UnitSplit, BASE_OT_BYTES, BASE_OT_ROUNDS, OT_KAPPA,
+    simulated_base_ots, transcript_digest, CotReceiver, CotSender, OleElement, BASE_OT_BYTES,
+    BASE_OT_ROUNDS, OT_KAPPA,
 };
 use crate::prg::SplitMix64;
-use crate::share::mask_prf;
 use crate::simd::SimdTier;
 use crate::transport::{recv_msg, send_msg, Transport};
-use crate::triple_mul::MulGroupShare;
+use crate::triple_mul::{mask_round, pair_key, PairRun, PairTable};
 use crate::wire::OfflineMsg;
 use crate::ServerId;
 
@@ -164,85 +137,82 @@ impl std::fmt::Display for OfflineMode {
     }
 }
 
-/// Gilboa multiplications per Multiplication Group per direction
-/// (cross terms of `o, p, q, w`).
-pub const MG_MULTS_PER_DIR: usize = 4;
 
-/// Extended correlated OTs per Multiplication Group
-/// (2 directions × 4 multiplications × 64 bits).
-pub const MG_EXT_OTS_PER_GROUP: u64 = 2 * (MG_MULTS_PER_DIR as u64) * 64;
+/// Pairs per key-column and tail flight: a key flight carries
+/// `κ · 2 · 1 024` words (2 MiB), a tail flight `129 · 1 024`.
+pub const MAX_FLIGHT_PAIRS: usize = 1024;
 
-/// Offline wire bytes per Multiplication Group: 512 OTs × (16 B of
-/// extension columns + 8 B of correction) + 4 derandomisation words.
-pub const MG_OFFLINE_BYTES_PER_GROUP: u64 = MG_EXT_OTS_PER_GROUP * (16 + 8) + 4 * 8;
+/// Triples per correction flight: `6 · 64 · 512` words (1.5 MiB).
+pub const MAX_FLIGHT_TRIPLES: usize = 512;
 
-/// Fixed per-flight overhead: the two transcript digests riding on the
-/// correction messages.
-pub const MG_FLIGHT_DIGEST_BYTES: u64 = 16;
+/// Key units per pair: S₂'s `λ⁽²⁾_p` is unit `2p`, its `Y⁽²⁾_p` unit
+/// `2p + 1`.
+const UNITS_PER_PAIR: usize = 2;
 
-/// Offline rounds per flight (see the module-level message flow).
-const MG_FLIGHT_ROUNDS: u64 = 5;
+/// The elements of a triple `[a, b, c]`, as indices into its slots:
+/// (the S₂ key's pair, S₁'s factor's pair, the pair whose `M` it lands
+/// on).
+const TRIPLE_ELEMENTS: [(usize, usize, usize); 6] =
+    [(1, 0, 2), (0, 1, 2), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 2, 0)];
 
-/// Groups-per-flight cap of the chunk-amortised session: bounds the
-/// per-message buffers (a flight of `g` groups carries `4g` 64-bit
-/// choice words → `512·g` extension-column words per direction, ~2 MB
-/// at the cap); the extension passes themselves work eight choice
-/// words at a time whatever the flight size. Flights split only at
-/// pair boundaries; a single pair larger than the cap gets one
-/// oversized flight of its own.
-pub const MAX_FLIGHT_GROUPS: u64 = 512;
-
-/// The one-time setup cost of OT-extension mode: κ base OTs per
-/// extension direction, paid once per protocol execution (per-chunk
-/// session keys are then derived locally, as real deployments derive
-/// sub-sessions from one extension setup).
+/// The one-time setup cost of OT-extension mode: κ base OTs for the one
+/// extension direction (S₂ receives), paid once per protocol execution.
 pub fn ot_setup_ledger() -> OfflineLedger {
     OfflineLedger {
-        base_ots: 2 * OT_KAPPA as u64,
+        base_ots: OT_KAPPA as u64,
         extended_ots: 0,
-        bytes: 2 * OT_KAPPA as u64 * BASE_OT_BYTES,
+        bytes: OT_KAPPA as u64 * BASE_OT_BYTES,
         rounds: BASE_OT_ROUNDS,
     }
 }
 
-/// The offline cost of one flight of `groups` Multiplication Groups —
-/// the formula every OT-mode Count path tallies per flight, pinned by
-/// the byte-count fixtures.
-pub fn mg_flight_ledger(groups: u64) -> OfflineLedger {
+/// The offline cost of one Count's dialogue over `pairs` pairs and
+/// `triples` triples — the formula every OT-mode Count path tallies,
+/// pinned by the byte-count fixtures: `2·64·P` extended OTs, their key
+/// columns (16 B an OT), 64 correction words for each of the `6T + 2P`
+/// elements, `P + 1` offsets and one digest word, in two rounds.
+pub fn count_offline_ledger(pairs: u64, triples: u64) -> OfflineLedger {
+    let ots = UNITS_PER_PAIR as u64 * 64 * pairs;
+    let elements = 6 * triples + UNITS_PER_PAIR as u64 * pairs;
     OfflineLedger {
         base_ots: 0,
-        extended_ots: MG_EXT_OTS_PER_GROUP * groups,
-        bytes: MG_OFFLINE_BYTES_PER_GROUP * groups + MG_FLIGHT_DIGEST_BYTES,
-        rounds: MG_FLIGHT_ROUNDS,
+        extended_ots: ots,
+        bytes: 16 * ots + 8 * 64 * elements + 8 * (pairs + 1) + 8,
+        rounds: 2,
     }
 }
 
-/// One pair's contribution to a chunk's preprocessing plan: draw
-/// `groups` Multiplication Groups from pair `(i, j)`'s canonical
-/// [`PairDealer`] stream, starting `start` groups into it.
-///
-/// The dense cube and the full `k`-range of the exact count use
-/// `start = 0`; a sparse or sampled schedule emits one draw per
-/// *contiguous run* of surviving `k`s, with `start = k₀ − j − 1` —
-/// the canonical position the dense cube would have used — so the
-/// material of a surviving triple is bit-identical under every
-/// schedule (the stream seek is O(1), see
-/// [`PairDealer::skip_groups`]).
+/// The key-column and tail flights of a Count over `pairs` pairs: runs
+/// of at most [`MAX_FLIGHT_PAIRS`] slots, and one empty run if there
+/// are none (the tail still carries the Count word and the digest).
+pub fn pair_flights(pairs: usize) -> Vec<std::ops::Range<usize>> {
+    let mut flights: Vec<_> =
+        (0..pairs).step_by(MAX_FLIGHT_PAIRS).map(|p| p..(p + MAX_FLIGHT_PAIRS).min(pairs)).collect();
+    if flights.is_empty() {
+        flights.push(0..0);
+    }
+    flights
+}
+
+/// One pair's contribution to a chunk's plan: the triples
+/// `(i, j, k)` for `groups` consecutive `k`, starting `start` past
+/// `j + 1` — the dense cube's whole `k`-range, or one contiguous run of
+/// surviving `k`s of a sparse plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MgDraw {
     /// Outer pair index `i`.
     pub i: u32,
     /// Outer pair index `j`.
     pub j: u32,
-    /// Canonical group offset into the pair's stream at which this
-    /// draw begins (`0` for the dense cube).
+    /// Offset of the run's first `k` past `j + 1` (`0` for the dense
+    /// cube).
     pub start: u32,
-    /// Multiplication Groups to draw from this pair's stream.
+    /// Triples in the run.
     pub groups: u32,
 }
 
 impl MgDraw {
-    /// A draw of a pair's first `groups` canonical groups — the dense
+    /// A draw of a pair's first `groups` triples — the dense
     /// full-`k`-range shape.
     pub fn dense(i: u32, j: u32, groups: u32) -> Self {
         MgDraw {
@@ -253,720 +223,439 @@ impl MgDraw {
         }
     }
 
-    /// The `k` of the draw's group number `offset`: canonical stream
-    /// position `start + offset` of pair `(i, j)` is triple
+    /// The `k` of the draw's triple number `offset`:
     /// `(i, j, j + 1 + start + offset)`.
     pub fn k_at(&self, offset: usize) -> usize {
         self.j as usize + 1 + self.start as usize + offset
     }
 }
 
-/// Splits a chunk plan into flights of at most [`MAX_FLIGHT_GROUPS`]
-/// groups, cutting only at pair boundaries (an oversized single draw
-/// becomes its own flight). Deterministic in the plan alone, so every
-/// Count path — and the ledger fixtures — derive the same flight
-/// structure.
-///
-/// # Panics
-/// Panics if any draw contributes zero groups (callers filter those).
-pub fn plan_flights(plan: &[MgDraw]) -> Vec<std::ops::Range<usize>> {
-    let mut flights = Vec::new();
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for (idx, d) in plan.iter().enumerate() {
-        assert!(d.groups > 0, "empty draw in offline plan");
-        if acc > 0 && acc + d.groups as u64 > MAX_FLIGHT_GROUPS {
-            flights.push(start..idx);
-            start = idx;
-            acc = 0;
-        }
-        acc += d.groups as u64;
-    }
-    if acc > 0 {
-        flights.push(start..plan.len());
-    }
-    flights
-}
-
-/// The closed-form offline cost of preprocessing one chunk plan:
-/// [`mg_flight_ledger`] summed over [`plan_flights`]. What
-/// [`OtMgEngine::preprocess`] (and the sharded runtime's offline
-/// dialogue) actually tallies; exported so the equivalence suites can
-/// pin the ledger without re-running the OTs.
-pub fn chunk_offline_ledger(plan: &[MgDraw]) -> OfflineLedger {
-    let mut ledger = OfflineLedger::new();
-    for flight in plan_flights(plan) {
-        let groups: u64 = plan[flight].iter().map(|d| d.groups as u64).sum();
-        ledger.merge(&mg_flight_ledger(groups));
-    }
-    ledger
-}
-
-/// Derives the two per-chunk extension session seeds (direction A:
-/// S₁ sends, S₂ receives; direction B: the reverse) from the global
-/// base-OT setup. Both servers derive the same seeds, domain-separated
-/// from every pair stream.
-fn chunk_ot_seeds(root: u64, session: u64) -> (u64, u64) {
-    let mut mixer =
-        SplitMix64::new(root ^ session.wrapping_mul(0x9FB21C651E98DF25) ^ 0x165667B19E3779F9);
-    (mixer.next_u64(), mixer.next_u64())
-}
-
-/// Per-MG offsets of a machine's mask shares `x, y, z` (its shares of
-/// `λ_ij, λ_ik, λ_jk`) …
-const X: usize = 0;
-const Y: usize = 1;
-const Z: usize = 2;
-/// … and of S₁'s canonical stream words (see [`GROUP_WORDS`]).
-const O1: usize = 0;
-const P1: usize = 1;
-const Q1: usize = 2;
-const W1: usize = 3;
-
-/// Protocol-stage guard shared by both party machines.
+/// One triple of a Count's plan as the offline phase reads it: the pair
+/// table slots of its pairs `(i, j)`, `(i, k)`, `(j, k)` and its sign
+/// mask (`0` adds the triple, `!0` subtracts it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Idle,
-    SentColumns,
-    SentCorrections,
-    SentDerandOpq,
-    Finishing,
+pub struct SlotTriple {
+    /// The slots of `(i, j)`, `(i, k)` and `(j, k)`.
+    pub slots: [usize; 3],
+    /// The sign mask.
+    pub minus: u64,
 }
 
-fn advance(stage: &mut Stage, want: Stage, next: Stage) {
-    assert_eq!(*stage, want, "offline protocol out of lockstep");
-    *stage = next;
-}
-
-/// Draws `server`'s mask shares `x, y, z` of every group of one flight
-/// into `masks`, three words per group in plan order: group `g` of
-/// draw `(i, j)` is triple `(i, j, k)` with `k = draw.k_at(g)`, its
-/// masks those of pairs `(i, j)`, `(i, k)` and `(j, k)`. Returns the
-/// flight's groups.
-fn draw_flight_masks(
-    root: u64,
-    server: ServerId,
-    flight: &[MgDraw],
-    masks: &mut Vec<u64>,
-) -> usize {
-    let total: usize = flight.iter().map(|d| d.groups as usize).sum();
-    assert!(total > 0, "empty offline flight");
-    masks.clear();
-    for d in flight {
-        let x = mask_prf(root, server, d.i, d.j);
-        for g in 0..d.groups as usize {
-            let k = d.k_at(g) as u32;
-            masks.extend([x, mask_prf(root, server, d.i, k), mask_prf(root, server, d.j, k)]);
-        }
-    }
-    total
-}
-
-/// Draws S₁'s canonical stream words `o₁ p₁ q₁ w₁` for one flight into
-/// `words`: each [`MgDraw`]'s groups from its own pair stream — seeked
-/// to the draw's canonical `start` offset — concatenated in plan order.
-fn draw_flight_words(root: u64, flight: &[MgDraw], words: &mut Vec<u64>) {
-    let total: usize = flight.iter().map(|d| d.groups as usize).sum();
-    words.resize(GROUP_WORDS * total, 0);
-    let mut off = 0usize;
-    for d in flight {
-        let span = GROUP_WORDS * d.groups as usize;
-        PairDealer::for_draw(root, d).fill_words(&mut words[off..off + span]);
-        off += span;
+/// Appends the triples of `runs` to `out` in run order, each with its
+/// sign from `signs` (plan order, [`PairRun::at`]); none means every
+/// triple adds.
+pub fn push_triples(runs: &[PairRun], signs: Option<&[u64]>, out: &mut Vec<SlotTriple>) {
+    for run in runs {
+        let [ij, ik, jk] = run.slots;
+        out.extend((0..run.len).map(|t| SlotTriple {
+            slots: [ij, ik + t, jk + t],
+            minus: signs.map_or(0, |s| s[run.at + t]),
+        }));
     }
 }
 
-/// Server S₁'s half of the chunk-amortised MG offline session.
-///
-/// S₁ is the *canonical* side: its product shares are its
-/// [`PairDealer`] stream words, and it derandomises every product onto
-/// them; its mask shares are its shares of the triples' pair masks.
-/// One machine serves a whole scheduler chunk; drive the methods
-/// strictly in the order [`ucols`](Self::ucols) →
-/// [`corrections`](Self::corrections) →
-/// [`derand_opq`](Self::derand_opq) → [`derand_w`](Self::derand_w) →
-/// [`groups`](Self::groups) per flight; any other order panics.
+/// `v` under the sign mask `minus`.
+#[inline]
+fn signed(minus: u64, v: u64) -> u64 {
+    (v ^ minus).wrapping_sub(minus)
+}
+
+/// What one server computes alone: its mask shares `λ⁽ˢ⁾` by slot,
+/// `Y⁽ˢ⁾_p = Σ_{t∋p} sₜ·λ⁽ˢ⁾·λ⁽ˢ⁾` over the other two pairs of each
+/// triple through `p` — its own part of `M_p` — and its own part of
+/// `W`, `Σₜ sₜ·λ⁽ˢ⁾_a·λ⁽ˢ⁾_b·λ⁽ˢ⁾_c`.
 #[derive(Debug, Clone)]
-pub struct MgOfflineS1 {
-    root: u64,
-    sender: CotSender,
-    receiver: CotReceiver,
-    stage: Stage,
-    block: usize,
-    /// The flight's mask shares `x₁ y₁ z₁`, three per MG.
-    masks: Vec<u64>,
-    /// The flight's canonical stream words `o₁ p₁ q₁ w₁`, four per MG.
-    words: Vec<u64>,
-    /// Direction B's choice words, `y₁, z₁, z₁, z₁` per MG (one unit
-    /// of 64 OTs each).
-    choice: Vec<u64>,
-    /// Direction B's receiver sums `Σ_j H(j, t_j)`, one per choice word.
-    recv_sums: Vec<u64>,
-    sent_ucols_digest: u64,
-    /// Direction A's correlations, `x₁, x₁, y₁, o₁` per MG.
-    a: Vec<u64>,
-    /// Direction A's sender sums `Σ m⁰`, one per unit.
-    m0_sums: Vec<u64>,
-    /// Buffers for the messages this machine builds.
-    spare: WordBuffers,
+struct Local {
+    lam: Vec<u64>,
+    y: Vec<u64>,
+    w: u64,
 }
 
-impl MgOfflineS1 {
-    /// Creates S₁'s endpoint for the chunk session `session` under
-    /// `root` (the Count seed). The session seeds stand in for the
-    /// sub-keys a deployment would derive from the one global base-OT
-    /// setup ([`ot_setup_ledger`]).
-    pub fn for_chunk(root: u64, session: u64) -> Self {
-        let (seed_a, seed_b) = chunk_ot_seeds(root, session);
-        let (sender, _) = simulated_base_ots(seed_a);
-        let (_, receiver) = simulated_base_ots(seed_b);
-        MgOfflineS1 {
-            root,
-            sender,
-            receiver,
-            stage: Stage::Idle,
-            block: 0,
-            masks: Vec::new(),
-            words: Vec::new(),
-            choice: Vec::new(),
-            recv_sums: Vec::new(),
-            sent_ucols_digest: 0,
-            a: Vec::new(),
-            m0_sums: Vec::new(),
-            spare: WordBuffers::default(),
+impl Local {
+    fn new(table: &PairTable, triples: &[SlotTriple]) -> Self {
+        let lam = table.mask_shares().to_vec();
+        let mut local = Local { y: vec![0; lam.len()], lam, w: 0 };
+        for t in triples {
+            let [a, b, c] = t.slots;
+            let [la, lb, lc] = t.slots.map(|s| local.lam[s]);
+            for (p, product) in [(a, lb.wrapping_mul(lc)), (b, la.wrapping_mul(lc)), (c, la.wrapping_mul(lb))] {
+                local.y[p] = local.y[p].wrapping_add(signed(t.minus, product));
+            }
+            local.w = local.w.wrapping_add(signed(t.minus, la.wrapping_mul(lb).wrapping_mul(lc)));
         }
+        local
     }
 
-    /// Step 1: draws the flight's mask shares and canonical words
-    /// (every draw's groups from its pair stream) and returns S₁'s
-    /// extension columns for its receiver role (direction B, choice
-    /// bits `y₁, z₁, z₁, z₁` per MG).
-    pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
-        self.block = draw_flight_masks(self.root, ServerId::S1, flight, &mut self.masks);
-        draw_flight_words(self.root, flight, &mut self.words);
-        self.choice.clear();
-        for m in self.masks.chunks_exact(3) {
-            self.choice.extend_from_slice(&[m[Y], m[Z], m[Z], m[Z]]);
-        }
-        let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
-        resize(&mut self.recv_sums, self.choice.len());
-        self.receiver.extend(SimdTier::detect(), &self.choice, &mut u, &mut self.recv_sums);
-        self.sent_ucols_digest = transcript_digest(&u);
-        u
+    fn pairs(&self) -> usize {
+        self.lam.len()
     }
 
-    /// Step 2: absorbs S₂'s columns and returns the corrections for
-    /// all four direction-A multiplications (`a = x₁, x₁, y₁, o₁`),
-    /// with a transcript digest of the absorbed columns appended.
-    pub fn corrections(&mut self, u_from_s2: &[u64]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
-        let units = MG_MULTS_PER_DIR * self.block;
-        self.a.clear();
-        for (m, w) in self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS)) {
-            self.a.extend_from_slice(&[m[X], m[X], m[Y], w[O1]]);
-        }
-        let mut msg = self.spare.take_len(2, 64 * units + 1);
-        resize(&mut self.m0_sums, units);
-        let (d, digest) = msg.split_at_mut(64 * units);
-        let (tier, split) = (SimdTier::detect(), UnitSplit::ALL_SENT);
-        self.sender.absorb(tier, u_from_s2, &self.a, split, d, &mut [], &mut self.m0_sums);
-        digest[0] = transcript_digest(u_from_s2);
-        msg
+    /// The hash tweak of the element under key unit `unit` landing on
+    /// slot `dest` (`P` for `W`): unique per element, whichever flight or
+    /// worker corrects it.
+    fn tweak(&self, unit: usize, dest: usize) -> u64 {
+        (unit as u64).wrapping_mul(self.pairs() as u64 + 1).wrapping_add(dest as u64) << 6
     }
 
-    /// Step 3: absorbs S₂'s corrections for B₁..B₃ (digest last) and
-    /// returns the derandomisation offsets `c_o, c_p, c_q` per MG.
-    pub fn derand_opq(&mut self, d_from_s2: &[u64]) -> Vec<u64> {
-        advance(
-            &mut self.stage,
-            Stage::SentCorrections,
-            Stage::SentDerandOpq,
-        );
-        let block = self.block;
-        assert_eq!(d_from_s2.len(), 3 * 64 * block + 1, "B₁..B₃ corrections");
-        let (digest, d) = d_from_s2.split_last().expect("non-empty");
-        assert_eq!(
-            *digest, self.sent_ucols_digest,
-            "offline transcript diverged (consistency hash mismatch)"
-        );
-        let mut msg = self.spare.take(3, 3 * block);
-        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
-        for (g, (m, w)) in groups.enumerate() {
-            let local = [
-                m[X].wrapping_mul(m[Y]),
-                m[X].wrapping_mul(m[Z]),
-                m[Y].wrapping_mul(m[Z]),
-            ];
-            let canonical = [w[O1], w[P1], w[Q1]];
-            for (mult, (local, canonical)) in local.into_iter().zip(canonical).enumerate() {
-                let unit = g * MG_MULTS_PER_DIR + mult;
-                let d = &d[64 * (g * 3 + mult)..][..64];
-                let raw = local
-                    .wrapping_add(cot_finish(self.recv_sums[unit], self.choice[unit], d))
-                    .wrapping_sub(self.m0_sums[unit]);
-                msg.push(raw.wrapping_sub(canonical));
+    /// The `M` elements of `triples` in order, with the slot each lands
+    /// on; S₁'s correlations into `a` when given.
+    fn m_elements(&self, triples: &[SlotTriple], mut a: Option<&mut Vec<u64>>) -> (Vec<OleElement>, Vec<usize>) {
+        let n = 6 * triples.len();
+        let (mut elements, mut dests) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for t in triples {
+            for (key, factor, dest) in TRIPLE_ELEMENTS {
+                let unit = UNITS_PER_PAIR * t.slots[key];
+                elements.push(OleElement { unit: unit as u32, tweak: self.tweak(unit, t.slots[dest]) });
+                dests.push(t.slots[dest]);
+                if let Some(a) = a.as_deref_mut() {
+                    a.push(signed(t.minus, self.lam[t.slots[factor]]));
+                }
             }
         }
-        msg
+        (elements, dests)
     }
 
-    /// Step 4: absorbs S₂'s B₄ corrections (`a = o₂`) and returns the
-    /// final derandomisation offset `c_w` per MG.
-    pub fn derand_w(&mut self, d_b4: &[u64]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::SentDerandOpq, Stage::Finishing);
-        let block = self.block;
-        assert_eq!(d_b4.len(), 64 * block, "B₄ corrections");
-        let mut msg = self.spare.take(4, block);
-        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
-        for (g, (m, w)) in groups.enumerate() {
-            let unit = g * MG_MULTS_PER_DIR + 3;
-            let d = &d_b4[64 * g..][..64];
-            let w_raw1 = w[O1]
-                .wrapping_mul(m[Z])
-                .wrapping_add(cot_finish(self.recv_sums[unit], self.choice[unit], d))
-                .wrapping_sub(self.m0_sums[unit]);
-            msg.push(w_raw1.wrapping_sub(w[W1]));
-        }
-        msg
-    }
-
-    /// Step 5: S₁'s Multiplication-Group shares for the flight — by
-    /// construction its mask shares and the canonical stream words, in
-    /// plan order.
-    pub fn groups(&mut self) -> Vec<MulGroupShare> {
-        advance(&mut self.stage, Stage::Finishing, Stage::Idle);
-        let groups = self.masks.chunks_exact(3).zip(self.words.chunks_exact(GROUP_WORDS));
-        groups.map(|(m, w)| group_share(m, [w[W1], w[O1], w[P1], w[Q1]])).collect()
-    }
-}
-
-/// Server S₂'s half of the chunk-amortised MG offline session.
-///
-/// Drive strictly [`ucols`](Self::ucols) →
-/// [`corrections`](Self::corrections) →
-/// [`absorb_corrections`](Self::absorb_corrections) →
-/// [`corrections_w`](Self::corrections_w) → [`groups`](Self::groups)
-/// per flight.
-#[derive(Debug, Clone)]
-pub struct MgOfflineS2 {
-    root: u64,
-    sender: CotSender,
-    receiver: CotReceiver,
-    stage: Stage,
-    block: usize,
-    /// The flight's mask shares `x₂ y₂ z₂`, three per MG.
-    masks: Vec<u64>,
-    /// Direction A's choice words, `y₂, z₂, z₂, z₂` per MG.
-    choice: Vec<u64>,
-    /// Direction A's receiver sums `Σ_j H(j, t_j)`, one per choice word.
-    recv_sums: Vec<u64>,
-    sent_ucols_digest: u64,
-    /// Direction B's correlations, `x₂, x₂, y₂` and a held `0` per MG.
-    a: Vec<u64>,
-    /// Direction B's sender sums `Σ m⁰`, one per unit.
-    m0_sums: Vec<u64>,
-    /// B₄'s `m⁰_j − H(j, q_j ⊕ s)` per OT, 64 per MG, until `o₂` is
-    /// known.
-    held: Vec<u64>,
-    /// Direction A's finished receiver sums, one per unit.
-    r_a: Vec<u64>,
-    /// Derandomised `o₂, p₂, q₂` per MG.
-    opq2: Vec<u64>,
-    /// `w` raw share per MG (awaiting `c_w`).
-    w_raw2: Vec<u64>,
-    /// Buffers for the messages this machine builds.
-    spare: WordBuffers,
-}
-
-impl MgOfflineS2 {
-    /// Creates S₂'s endpoint for the chunk session `session` under
-    /// `root`.
-    pub fn for_chunk(root: u64, session: u64) -> Self {
-        let (seed_a, seed_b) = chunk_ot_seeds(root, session);
-        let (_, receiver) = simulated_base_ots(seed_a);
-        let (sender, _) = simulated_base_ots(seed_b);
-        MgOfflineS2 {
-            root,
-            sender,
-            receiver,
-            stage: Stage::Idle,
-            block: 0,
-            masks: Vec::new(),
-            choice: Vec::new(),
-            recv_sums: Vec::new(),
-            sent_ucols_digest: 0,
-            a: Vec::new(),
-            m0_sums: Vec::new(),
-            held: Vec::new(),
-            r_a: Vec::new(),
-            opq2: Vec::new(),
-            w_raw2: Vec::new(),
-            spare: WordBuffers::default(),
-        }
-    }
-
-    /// Step 1: draws the flight's mask shares `x₂, y₂, z₂` (S₂ reads
-    /// no stream word) and returns its extension columns for direction A
-    /// (choice bits `y₂, z₂, z₂, z₂` per MG).
-    pub fn ucols(&mut self, flight: &[MgDraw]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::Idle, Stage::SentColumns);
-        self.block = draw_flight_masks(self.root, ServerId::S2, flight, &mut self.masks);
-        self.choice.clear();
-        for m in self.masks.chunks_exact(3) {
-            self.choice.extend_from_slice(&[m[Y], m[Z], m[Z], m[Z]]);
-        }
-        let mut u = self.spare.take_len(1, OT_KAPPA * self.choice.len());
-        resize(&mut self.recv_sums, self.choice.len());
-        self.receiver.extend(SimdTier::detect(), &self.choice, &mut u, &mut self.recv_sums);
-        self.sent_ucols_digest = transcript_digest(&u);
-        u
-    }
-
-    /// Step 2: absorbs S₁'s columns and returns the corrections for
-    /// B₁..B₃ (`a = x₂, x₂, y₂`), with a transcript digest of the
-    /// absorbed columns appended. B₄'s correlation (`a = o₂`) is not
-    /// known yet: its words are held for
-    /// [`corrections_w`](Self::corrections_w).
-    pub fn corrections(&mut self, u_from_s1: &[u64]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::SentColumns, Stage::SentCorrections);
-        let block = self.block;
-        self.a.clear();
-        for m in self.masks.chunks_exact(3) {
-            self.a.extend_from_slice(&[m[X], m[X], m[Y], 0]);
-        }
-        let mut msg = self.spare.take_len(2, 3 * 64 * block + 1);
-        resize(&mut self.m0_sums, MG_MULTS_PER_DIR * block);
-        resize(&mut self.held, 64 * block);
-        let (d, digest) = msg.split_at_mut(3 * 64 * block);
-        let split = UnitSplit { period: MG_MULTS_PER_DIR, sent: 3 };
-        let tier = SimdTier::detect();
-        self.sender.absorb(tier, u_from_s1, &self.a, split, d, &mut self.held, &mut self.m0_sums);
-        digest[0] = transcript_digest(u_from_s1);
-        msg
-    }
-
-    /// Step 3: absorbs S₁'s direction-A corrections (digest last),
-    /// computing S₂'s receiver shares of all four multiplications.
-    pub fn absorb_corrections(&mut self, d_from_s1: &[u64]) {
-        advance(
-            &mut self.stage,
-            Stage::SentCorrections,
-            Stage::SentDerandOpq,
-        );
-        let block = self.block;
-        assert_eq!(
-            d_from_s1.len(),
-            MG_MULTS_PER_DIR * 64 * block + 1,
-            "A₁..A₄ corrections"
-        );
-        let (digest, d) = d_from_s1.split_last().expect("non-empty");
-        assert_eq!(
-            *digest, self.sent_ucols_digest,
-            "offline transcript diverged (consistency hash mismatch)"
-        );
-        self.r_a.clear();
-        let units = self.recv_sums.iter().zip(&self.choice).zip(d.chunks_exact(64));
-        for ((&sum, &choice), d) in units {
-            self.r_a.push(cot_finish(sum, choice, d));
-        }
-    }
-
-    /// Step 4: absorbs S₁'s derandomisation offsets `c_o, c_p, c_q`,
-    /// fixing `o₂, p₂, q₂`, and returns the B₄ corrections
-    /// (`a = o₂`).
-    pub fn corrections_w(&mut self, c_opq: &[u64]) -> Vec<u64> {
-        advance(&mut self.stage, Stage::SentDerandOpq, Stage::Finishing);
-        let block = self.block;
-        assert_eq!(c_opq.len(), 3 * block, "c_o, c_p, c_q per MG");
-        self.opq2.clear();
-        self.w_raw2.clear();
-        let mut msg = self.spare.take(3, 64 * block);
-        for (g, m) in self.masks.chunks_exact(3).enumerate() {
-            let local = [
-                m[X].wrapping_mul(m[Y]),
-                m[X].wrapping_mul(m[Z]),
-                m[Y].wrapping_mul(m[Z]),
-            ];
-            for (mult, local) in local.into_iter().enumerate() {
-                let unit = g * MG_MULTS_PER_DIR + mult;
-                let raw = local.wrapping_add(self.r_a[unit]).wrapping_sub(self.m0_sums[unit]);
-                self.opq2.push(raw.wrapping_add(c_opq[g * 3 + mult]));
-            }
-            let o2 = self.opq2[g * 3];
-            cot_correct_held(&self.held[64 * g..][..64], o2, &mut msg);
-            let unit = g * MG_MULTS_PER_DIR + 3;
-            self.w_raw2.push(
-                o2.wrapping_mul(m[Z])
-                    .wrapping_add(self.r_a[unit])
-                    .wrapping_sub(self.m0_sums[unit]),
-            );
-        }
-        msg
-    }
-
-    /// Step 5: absorbs S₁'s final offset `c_w` and returns S₂'s
-    /// Multiplication-Group shares for the flight, in plan order.
-    pub fn groups(&mut self, c_w: &[u64]) -> Vec<MulGroupShare> {
-        advance(&mut self.stage, Stage::Finishing, Stage::Idle);
-        let block = self.block;
-        assert_eq!(c_w.len(), block, "c_w per MG");
-        (0..block)
-            .map(|g| {
-                let w = self.w_raw2[g].wrapping_add(c_w[g]);
-                let [o, p, q] = [0, 1, 2].map(|f| self.opq2[g * 3 + f]);
-                group_share(&self.masks[3 * g..3 * g + 3], [w, o, p, q])
-            })
+    /// The two `W` elements of each pair of `range`: key units `2q`
+    /// and `2q + 1`.
+    fn w_elements(&self, range: std::ops::Range<usize>) -> Vec<OleElement> {
+        let w = self.pairs();
+        range
+            .flat_map(|q| [UNITS_PER_PAIR * q, UNITS_PER_PAIR * q + 1])
+            .map(|unit| OleElement { unit: unit as u32, tweak: self.tweak(unit, w) })
             .collect()
     }
 }
 
-/// One server's Multiplication-Group share from its mask shares
-/// `[x, y, z]` and product shares `[w, o, p, q]`.
-fn group_share(masks: &[u64], [w, o, p, q]: [u64; 4]) -> MulGroupShare {
-    let ring = crate::Ring64;
-    MulGroupShare {
-        x: ring(masks[X]),
-        y: ring(masks[Y]),
-        z: ring(masks[Z]),
-        w: ring(w),
-        o: ring(o),
-        p: ring(p),
-        q: ring(q),
-    }
+/// The single extension direction's base-OT seed of a Count under
+/// `root`, domain-separated from every pair stream.
+fn base_ot_seed(root: u64) -> u64 {
+    SplitMix64::new(root ^ 0x165667B19E3779F9).next_u64()
 }
 
-/// Empties a per-flight vector and zero-fills it to `len` words (it is
-/// kept across flights, so only growth allocates).
-fn resize(words: &mut Vec<u64>, len: usize) {
-    words.clear();
-    words.resize(len, 0);
+/// Folds one key flight into a running transcript digest.
+fn fold_digest(digest: u64, u: &[u64]) -> u64 {
+    transcript_digest(&[digest, transcript_digest(u)])
 }
 
-/// The buffers one party of the offline dialogue builds its messages
-/// in, one per dialogue step, kept for a worker's whole session (pass
-/// the same value to every [`mg_offline_over_wire`] call of a worker).
+/// Server S₁'s half of a Count's offline dialogue: the OT sender.
 ///
-/// The wire moves a payload's vector to the receiver, so once a party
-/// has consumed the peer's step-`s` message it owns that buffer, and it
-/// builds its own next step-`s` message in it. Both directions of a step
-/// carry messages of about one size, so after a flight or two every
-/// buffer fits both and the dialogue's megabyte payloads circulate
-/// between the parties with no allocation at all — instead of being
-/// allocated, page-faulted and freed once per message, churn that let
-/// the allocator hand tens of megabytes a release back to the kernel,
-/// to be faulted in again, on some runs and not others.
-#[derive(Debug, Clone, Default)]
-pub struct WordBuffers([Vec<u64>; 4]);
-
-impl WordBuffers {
-    /// The step-`step` buffer, emptied, with room for `len` words.
-    fn take(&mut self, step: u8, len: usize) -> Vec<u64> {
-        let mut words = std::mem::take(&mut self.0[usize::from(step) - 1]);
-        words.clear();
-        words.reserve(len);
-        words
-    }
-
-    /// The step-`step` buffer holding `len` words, for a message whose
-    /// every word the caller overwrites: the recycled words are not
-    /// zeroed again, only growth is.
-    fn take_len(&mut self, step: u8, len: usize) -> Vec<u64> {
-        let mut words = std::mem::take(&mut self.0[usize::from(step) - 1]);
-        words.truncate(len);
-        words.resize(len, 0);
-        words
-    }
-
-    /// Keeps a consumed step-`step` message's vector for this party's
-    /// next step-`step` message.
-    fn give(&mut self, step: u8, words: Vec<u64>) {
-        self.0[usize::from(step) - 1] = words;
-    }
+/// Build it from S₁'s opened [`PairTable`] (its mask shares and dealer
+/// words) and the plan's triples, then drive
+/// [`absorb_keys`](Self::absorb_keys) once per key flight,
+/// [`corrections`](Self::corrections) once per correction flight, and
+/// [`tail`](Self::tail); out of order, it panics.
+#[derive(Debug, Clone)]
+pub struct OfflineS1 {
+    root: u64,
+    local: Local,
+    /// S₁'s dealer words `⟨M_p⟩₁` by slot: the derandomisation targets.
+    words: Vec<u64>,
+    sender: CotSender,
+    /// Key flights absorbed so far, and the digest of their columns.
+    keys: usize,
+    digest: u64,
+    /// `Σ −Σm⁰` per slot over the `M` elements corrected so far.
+    raw: Vec<u64>,
 }
 
-/// Sends one offline-phase message under the chunk's tag; `words` move
-/// into the frame uncopied.
-fn send_off<T: Transport>(link: &T, chunk: u32, flight: u32, step: u8, words: Vec<u64>) {
-    send_msg(
-        link,
-        OfflineMsg {
-            chunk,
-            flight,
-            step,
+impl OfflineS1 {
+    /// S₁'s endpoint over `table` (S₁'s, preprocessed, every pair
+    /// opened) and the plan's `triples`.
+    ///
+    /// # Panics
+    /// Panics unless `table` is such a table.
+    pub fn new(table: &PairTable, triples: &[SlotTriple]) -> Self {
+        let words = table.pair_words().to_vec();
+        assert_eq!(words.len(), table.len(), "S₁'s preprocessed table keeps every pair word");
+        let local = Local::new(table, triples);
+        OfflineS1 {
+            root: table.seed(),
+            sender: simulated_base_ots(base_ot_seed(table.seed())).0,
+            keys: 0,
+            digest: 0,
+            raw: vec![0; local.pairs()],
+            local,
             words,
-        },
-    )
-    .expect("peer hung up (offline)");
+        }
+    }
+
+    /// Step 1: absorbs S₂'s next key flight.
+    pub fn absorb_keys(&mut self, tier: SimdTier, u: &[u64]) {
+        let flights = pair_flights(self.local.pairs());
+        let flight = flights.get(self.keys).expect("offline protocol out of lockstep: a key flight too many");
+        assert_eq!(u.len(), OT_KAPPA * UNITS_PER_PAIR * flight.len(), "key flight {} size", self.keys);
+        self.sender.absorb(tier, u);
+        self.digest = fold_digest(self.digest, u);
+        self.keys += 1;
+    }
+
+    /// Step 2: the corrections of one flight of triples (64 words per
+    /// element, six elements a triple, in order), each element's share
+    /// added to the `M` it lands on.
+    pub fn corrections(&mut self, tier: SimdTier, triples: &[SlotTriple]) -> Vec<u64> {
+        assert_eq!(self.keys, pair_flights(self.local.pairs()).len(), "offline protocol out of lockstep");
+        let mut a = Vec::with_capacity(6 * triples.len());
+        let (elements, dests) = self.local.m_elements(triples, Some(&mut a));
+        let (mut d, mut sums) = (vec![0; 64 * elements.len()], vec![0; elements.len()]);
+        self.sender.correct(tier, &elements, &a, &mut d, &mut sums);
+        for (dest, m0) in dests.into_iter().zip(sums) {
+            self.raw[dest] = self.raw[dest].wrapping_sub(m0);
+        }
+        d
+    }
+
+    /// Step 3: the tail flights — per pair the corrections of its two
+    /// `W` elements, then per pair its offset `raw₁ − ⟨M_p⟩₁`; the last
+    /// flight ends with the `W` offset and the key columns' digest.
+    pub fn tail(&self, tier: SimdTier) -> Vec<Vec<u64>> {
+        assert_eq!(self.keys, pair_flights(self.local.pairs()).len(), "offline protocol out of lockstep");
+        let Local { lam, y, w, .. } = &self.local;
+        let mut w_raw = *w;
+        let mut flights = Vec::new();
+        for range in pair_flights(self.local.pairs()) {
+            let a: Vec<u64> = range.clone().flat_map(|q| [y[q], lam[q]]).collect();
+            let elements = self.local.w_elements(range.clone());
+            let mut msg = vec![0; 64 * elements.len()];
+            let mut sums = vec![0; elements.len()];
+            self.sender.correct(tier, &elements, &a, &mut msg, &mut sums);
+            w_raw = sums.into_iter().fold(w_raw, u64::wrapping_sub);
+            msg.extend(range.map(|p| y[p].wrapping_add(self.raw[p]).wrapping_sub(self.words[p])));
+            flights.push(msg);
+        }
+        let last = flights.last_mut().expect("at least one tail flight");
+        last.extend([w_raw.wrapping_sub(PairDealer::count_word(self.root)), self.digest]);
+        flights
+    }
 }
 
-/// Receives the peer's next offline message for the chunk, asserting
-/// protocol lockstep.
-fn recv_off<T: Transport>(link: &T, chunk: u32, flight: u32, step: u8) -> Vec<u64> {
-    let m: OfflineMsg = recv_msg(link, chunk, Some(link.recv_timeout()))
+/// Server S₂'s half of a Count's offline dialogue: the OT receiver.
+///
+/// Build it from S₂'s opened [`PairTable`] and the plan's triples, then
+/// drive [`keys`](Self::keys), [`receive`](Self::receive) once per
+/// correction flight and [`finish`](Self::finish).
+#[derive(Debug, Clone)]
+pub struct OfflineS2 {
+    local: Local,
+    receiver: CotReceiver,
+    extended: bool,
+    digest: u64,
+    /// `Σ` finished sums per slot over the `M` elements received so far.
+    raw: Vec<u64>,
+}
+
+impl OfflineS2 {
+    /// S₂'s endpoint over its opened `table` and the plan's `triples`.
+    pub fn new(table: &PairTable, triples: &[SlotTriple]) -> Self {
+        let local = Local::new(table, triples);
+        OfflineS2 {
+            receiver: simulated_base_ots(base_ot_seed(table.seed())).1,
+            extended: false,
+            digest: 0,
+            raw: vec![0; local.pairs()],
+            local,
+        }
+    }
+
+    /// Step 1: extends one unit per key — `λ⁽²⁾_p` and `Y⁽²⁾_p` of every
+    /// pair — and returns the key flights' columns.
+    pub fn keys(&mut self, tier: SimdTier) -> Vec<Vec<u64>> {
+        assert!(!self.extended, "offline protocol out of lockstep: keys extended twice");
+        self.extended = true;
+        let Local { lam, y, .. } = &self.local;
+        let mut flights = Vec::new();
+        for range in pair_flights(lam.len()) {
+            let choice: Vec<u64> = range.flat_map(|q| [lam[q], y[q]]).collect();
+            let mut u = vec![0; OT_KAPPA * choice.len()];
+            self.receiver.extend(tier, &choice, &mut u);
+            self.digest = fold_digest(self.digest, &u);
+            flights.push(u);
+        }
+        flights
+    }
+
+    /// Step 2: finishes one flight of triples against S₁'s corrections
+    /// `d`, each element's share added to the `M` it lands on.
+    ///
+    /// # Panics
+    /// Panics if `d` is not 64 words per element of the flight.
+    pub fn receive(&mut self, tier: SimdTier, triples: &[SlotTriple], d: &[u64]) {
+        assert!(self.extended, "offline protocol out of lockstep");
+        let (elements, dests) = self.local.m_elements(triples, None);
+        assert_eq!(d.len(), 64 * elements.len(), "offline correction flight size mismatch");
+        let mut sums = vec![0; elements.len()];
+        self.receiver.receive(tier, &elements, d, &mut sums);
+        for (dest, sum) in dests.into_iter().zip(sums) {
+            self.raw[dest] = self.raw[dest].wrapping_add(sum);
+        }
+    }
+
+    /// Step 3: absorbs S₁'s tail flights and returns S₂'s material:
+    /// `M_p − ⟨M_p⟩₁` by slot and `W − ⟨W⟩₁`.
+    ///
+    /// # Panics
+    /// Panics if the tail is off the flight structure or its digest
+    /// disagrees with the key columns S₂ sent.
+    pub fn finish(&self, tier: SimdTier, tail: &[Vec<u64>]) -> (Vec<u64>, u64) {
+        let flights = pair_flights(self.local.pairs());
+        assert_eq!(tail.len(), flights.len(), "offline tail flights");
+        let Local { y, w, .. } = &self.local;
+        let (mut words, mut w_raw) = (Vec::with_capacity(self.local.pairs()), *w);
+        for (f, (range, msg)) in flights.into_iter().zip(tail).enumerate() {
+            let elements = self.local.w_elements(range.clone());
+            let last = if f + 1 == tail.len() { 2 } else { 0 };
+            assert_eq!(msg.len(), 64 * elements.len() + range.len() + last, "offline tail flight {f} size");
+            let (d, offsets) = msg.split_at(64 * elements.len());
+            let mut sums = vec![0; elements.len()];
+            self.receiver.receive(tier, &elements, d, &mut sums);
+            w_raw = sums.into_iter().fold(w_raw, u64::wrapping_add);
+            words.extend(range.zip(offsets).map(|(p, c)| y[p].wrapping_add(self.raw[p]).wrapping_add(*c)));
+        }
+        let end = tail.last().expect("at least one tail flight");
+        let &[c_w, digest] = &end[end.len() - 2..] else { unreachable!() };
+        assert_eq!(digest, self.digest, "offline transcript diverged (consistency hash mismatch)");
+        (words, w_raw.wrapping_add(c_w))
+    }
+}
+
+/// Sends one offline-phase message; `words` move into the frame
+/// uncopied.
+fn send_off<T: Transport>(link: &T, flight: usize, step: u8, words: Vec<u64>) {
+    let msg = OfflineMsg { chunk: 0, flight: flight as u32, step, words };
+    send_msg(link, msg).expect("peer hung up (offline)");
+}
+
+/// Receives the peer's next offline message, asserting lockstep.
+fn recv_off<T: Transport>(link: &T, flight: usize, step: u8) -> Vec<u64> {
+    let m: OfflineMsg = recv_msg(link, 0, Some(link.recv_timeout()))
         .unwrap_or_else(|e| panic!("peer lost during offline dialogue: {e}"));
-    assert_eq!(m.chunk, chunk, "demux routed a foreign chunk");
-    assert_eq!(m.flight, flight, "offline flight out of lockstep");
-    assert_eq!(m.step, step, "offline step out of lockstep");
+    assert_eq!((m.flight, m.step), (flight as u32, step), "offline flight out of lockstep");
     m.words
 }
 
-/// Drives one server's half of the chunk-amortised MG offline session
-/// against the peer over `link` — the five-message dialogue per
-/// flight ([`plan_flights`]) documented at the top of this module —
-/// and returns this server's Multiplication-Group shares in plan
-/// order. Each flight's [`mg_flight_ledger`] — the full bidirectional
-/// cost — is merged into `ledger` on either side, so both parties
-/// report the same ledger. Messages are built in, and consumed ones
-/// returned to, `spare`.
-pub fn mg_offline_over_wire<T: Transport>(
-    link: &T,
-    id: ServerId,
-    root: u64,
-    chunk: u32,
-    plan: &[MgDraw],
-    ledger: &mut OfflineLedger,
-    spare: &mut WordBuffers,
-) -> Vec<MulGroupShare> {
-    let total: usize = plan.iter().map(|d| d.groups as usize).sum();
-    let mut groups = Vec::with_capacity(total);
-    match id {
+/// Runs `table`'s server's half of the Count's offline dialogue against
+/// the peer over `link`, after the pair rounds, over the plan's
+/// `triples` (both servers list them alike), and installs the material
+/// in `table` ([`PairTable::count_term`]). Tally
+/// [`count_offline_ledger`] beside it: the payload it moves is exactly
+/// that.
+pub fn pair_offline_over_wire<T: Transport>(link: &T, table: &mut PairTable, triples: &[SlotTriple]) {
+    let tier = SimdTier::detect();
+    match table.server() {
         ServerId::S1 => {
-            let mut s1 = MgOfflineS1::for_chunk(root, chunk as u64);
-            s1.spare = std::mem::take(spare);
-            for (f, range) in plan_flights(plan).into_iter().enumerate() {
-                let flight = &plan[range];
-                let weight: u64 = flight.iter().map(|d| d.groups as u64).sum();
-                let f = f as u32;
-                send_off(link, chunk, f, 1, s1.ucols(flight));
-                let u2 = recv_off(link, chunk, f, 1);
-                send_off(link, chunk, f, 2, s1.corrections(&u2));
-                s1.spare.give(1, u2);
-                let d_b = recv_off(link, chunk, f, 2);
-                send_off(link, chunk, f, 3, s1.derand_opq(&d_b));
-                s1.spare.give(2, d_b);
-                let d_b4 = recv_off(link, chunk, f, 3);
-                send_off(link, chunk, f, 4, s1.derand_w(&d_b4));
-                s1.spare.give(3, d_b4);
-                ledger.merge(&mg_flight_ledger(weight));
-                groups.extend(s1.groups());
+            let mut s1 = OfflineS1::new(table, triples);
+            for f in 0..pair_flights(table.len()).len() {
+                s1.absorb_keys(tier, &recv_off(link, f, 1));
             }
-            *spare = s1.spare;
+            for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
+                send_off(link, f, 2, s1.corrections(tier, flight));
+            }
+            for (f, msg) in s1.tail(tier).into_iter().enumerate() {
+                send_off(link, f, 3, msg);
+            }
+            table.install(None);
         }
         ServerId::S2 => {
-            let mut s2 = MgOfflineS2::for_chunk(root, chunk as u64);
-            s2.spare = std::mem::take(spare);
-            for (f, range) in plan_flights(plan).into_iter().enumerate() {
-                let flight = &plan[range];
-                let weight: u64 = flight.iter().map(|d| d.groups as u64).sum();
-                let f = f as u32;
-                send_off(link, chunk, f, 1, s2.ucols(flight));
-                let u1 = recv_off(link, chunk, f, 1);
-                send_off(link, chunk, f, 2, s2.corrections(&u1));
-                s2.spare.give(1, u1);
-                let d_a = recv_off(link, chunk, f, 2);
-                s2.absorb_corrections(&d_a);
-                s2.spare.give(2, d_a);
-                let c_opq = recv_off(link, chunk, f, 3);
-                send_off(link, chunk, f, 3, s2.corrections_w(&c_opq));
-                s2.spare.give(3, c_opq);
-                let c_w = recv_off(link, chunk, f, 4);
-                ledger.merge(&mg_flight_ledger(weight));
-                groups.extend(s2.groups(&c_w));
+            let mut s2 = OfflineS2::new(table, triples);
+            for (f, u) in s2.keys(tier).into_iter().enumerate() {
+                send_off(link, f, 1, u);
             }
-            *spare = s2.spare;
+            for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
+                s2.receive(tier, flight, &recv_off(link, f, 2));
+            }
+            let tail: Vec<_> = (0..pair_flights(table.len()).len()).map(|f| recv_off(link, f, 3)).collect();
+            let (words, count) = s2.finish(tier, &tail);
+            table.install(Some((&words, count)));
         }
     }
-    groups
 }
 
-/// The preprocessed Multiplication-Group material of one chunk: both
-/// servers' share vectors in plan order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MgChunkMaterial {
-    g1: Vec<MulGroupShare>,
-    g2: Vec<MulGroupShare>,
+/// Both servers' halves of the offline dialogue in one process, over
+/// their opened `tables` and the plan's `triples`: the wire dialogue
+/// with the link cut out. Installs each server's material and returns
+/// S₂'s.
+pub fn pair_offline_in_process(tables: &mut [PairTable; 2], triples: &[SlotTriple]) -> (Vec<u64>, u64) {
+    let tier = SimdTier::detect();
+    let mut s1 = OfflineS1::new(&tables[0], triples);
+    let mut s2 = OfflineS2::new(&tables[1], triples);
+    for u in s2.keys(tier) {
+        s1.absorb_keys(tier, &u);
+    }
+    for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
+        let d = s1.corrections(tier, flight);
+        s2.receive(tier, flight, &d);
+    }
+    let (words, count) = s2.finish(tier, &s1.tail(tier));
+    tables[0].install(None);
+    tables[1].install(Some((&words, count)));
+    (words, count)
 }
 
-impl MgChunkMaterial {
-    /// Total Multiplication Groups in the chunk.
-    pub fn len(&self) -> usize {
-        self.g1.len()
+/// Both servers' opened pair tables over the pairs `draws` read, and
+/// the draws' triples over them: the Count a plan of draws is, slot
+/// `p` opened to `p · step` (the offline phase reads no opening).
+pub(crate) fn draw_tables(root: u64, draws: &[MgDraw], step: u64) -> ([PairTable; 2], Vec<SlotTriple>) {
+    let mut pairs: Vec<(u32, u32)> = draws
+        .iter()
+        .flat_map(|d| (0..d.groups as usize).flat_map(move |g| {
+            let k = d.k_at(g) as u32;
+            [(d.i, d.j), (d.i, k), (d.j, k)]
+        }))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let slot = |p: (u32, u32)| pairs.binary_search(&p).expect("a pair of the plan");
+    let (mut runs, mut at) = (Vec::new(), 0);
+    for d in draws {
+        assert!(d.groups > 0, "empty draw in offline plan");
+        let k = d.k_at(0) as u32;
+        runs.push(PairRun { slots: [slot((d.i, d.j)), slot((d.i, k)), slot((d.j, k))], len: d.groups as usize, at });
+        at += d.groups as usize;
     }
-
-    /// True when the chunk preprocessed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.g1.is_empty()
-    }
-
-    /// Both servers' groups of the whole chunk in plan order, S₁'s
-    /// column first.
-    pub fn columns(&self) -> [&[MulGroupShare]; 2] {
-        [&self.g1, &self.g2]
-    }
+    let mut triples = Vec::new();
+    push_triples(&runs, None, &mut triples);
+    let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
+    let opened: Vec<u64> = (0..keys.len() as u64).map(|p| p.wrapping_mul(step)).collect();
+    let tables = [ServerId::S1, ServerId::S2].map(|s| {
+        let mut table = PairTable::new(root, s, true);
+        mask_round(&mut table, &keys, &opened, &mut vec![0; keys.len()]);
+        table.push(&opened);
+        table
+    });
+    (tables, triples)
 }
 
-/// In-process driver of the chunk-amortised MG offline session: runs
-/// both party machines back to back flight by flight, checks the
-/// transcript digests, and tallies the offline ledger. The in-process
-/// Count uses this, each server combining its own column of the
-/// material; the message-passing runtime drives the same machines over
-/// its multiplexed links instead.
+/// In-process driver of the offline dialogue over a plan of draws: the
+/// Count those draws are, both servers in turn
+/// ([`pair_offline_in_process`]), its ledger tallied.
+///
+/// Pinned by the benchmark's trace probes, which call
+/// [`Self::for_chunk`], [`Self::preprocess`] and [`Self::ledger`] on a
+/// chunk's draws.
 #[derive(Debug, Clone)]
 pub struct OtMgEngine {
-    s1: MgOfflineS1,
-    s2: MgOfflineS2,
+    root: u64,
     ledger: OfflineLedger,
 }
 
 impl OtMgEngine {
-    /// Creates the engine for the chunk session `session` under
-    /// `root` (the Count paths key sessions by scheduler chunk id).
-    pub fn for_chunk(root: u64, session: u64) -> Self {
-        OtMgEngine {
-            s1: MgOfflineS1::for_chunk(root, session),
-            s2: MgOfflineS2::for_chunk(root, session),
-            ledger: OfflineLedger::new(),
-        }
+    /// The engine for Counts under `root`; `_session` is ignored (a
+    /// Count extends its keys once, whatever its chunks).
+    pub fn for_chunk(root: u64, _session: u64) -> Self {
+        OtMgEngine { root, ledger: OfflineLedger::new() }
     }
 
-    /// Preprocesses a whole chunk plan in one amortised session —
-    /// [`plan_flights`] flights of the five-message dialogue — and
-    /// returns both servers' material, bit-identical to the same draws
-    /// from the pairs' [`PairDealer`] streams.
-    pub fn preprocess(&mut self, plan: &[MgDraw]) -> MgChunkMaterial {
-        let mut g1 = Vec::new();
-        let mut g2 = Vec::new();
-        for flight in plan_flights(plan) {
-            let flight = &plan[flight];
-            let u1 = self.s1.ucols(flight);
-            let u2 = self.s2.ucols(flight);
-            let d_a = self.s1.corrections(&u2);
-            let d_b123 = self.s2.corrections(&u1);
-            let c_opq = self.s1.derand_opq(&d_b123);
-            self.s2.absorb_corrections(&d_a);
-            let d_b4 = self.s2.corrections_w(&c_opq);
-            let c_w = self.s1.derand_w(&d_b4);
-            let f2 = self.s2.groups(&c_w);
-            let f1 = self.s1.groups();
-            let wire_words = u1.len()
-                + u2.len()
-                + d_a.len()
-                + d_b123.len()
-                + c_opq.len()
-                + d_b4.len()
-                + c_w.len();
-            let tally = mg_flight_ledger(f1.len() as u64);
-            debug_assert_eq!(8 * wire_words as u64, tally.bytes, "ledger formula drifted");
-            self.ledger.merge(&tally);
-            g1.extend(f1);
-            g2.extend(f2);
-        }
-        MgChunkMaterial { g1, g2 }
+    /// Runs the dialogue over the Count of `plan`'s triples and returns
+    /// S₂'s material: `M_p − ⟨M_p⟩₁` by pair (pairs in sorted order) and
+    /// `W − ⟨W⟩₁`.
+    pub fn preprocess(&mut self, plan: &[MgDraw]) -> (Vec<u64>, u64) {
+        let (mut tables, triples) = draw_tables(self.root, plan, 0);
+        let material = pair_offline_in_process(&mut tables, &triples);
+        self.ledger.merge(&count_offline_ledger(tables[0].len() as u64, triples.len() as u64));
+        material
     }
 
     /// The offline traffic this engine has generated so far (excludes
-    /// the global base-OT setup, which is tallied once per run).
+    /// the base-OT setup, which is tallied once per run).
     pub fn ledger(&self) -> OfflineLedger {
         self.ledger
     }
@@ -975,344 +664,216 @@ impl OtMgEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::share::reconstruct;
+    use crate::share::mask_prf;
+    use crate::transport::memory_pair;
 
-    /// Each draw's slice of both columns of `material`, in plan order.
-    fn per_draw<'m>(
-        material: &'m MgChunkMaterial,
-        plan: &[MgDraw],
-    ) -> Vec<[&'m [MulGroupShare]; 2]> {
-        let mut at = 0;
-        plan.iter()
-            .map(|d| {
-                let range = at..at + d.groups as usize;
-                at = range.end;
-                material.columns().map(|column| &column[range.clone()])
-            })
-            .collect()
+    /// The material a plan of draws must derandomise onto, by the naive
+    /// triple loop over the full masks: `M_p − ⟨M_p⟩₁` by sorted pair and
+    /// `W − ⟨W⟩₁`.
+    fn naive_material(root: u64, draws: &[MgDraw]) -> (Vec<u64>, u64) {
+        let triples: Vec<[(u32, u32); 3]> = draws
+            .iter()
+            .flat_map(|d| (0..d.groups as usize).map(move |g| {
+                let k = d.k_at(g) as u32;
+                [(d.i, d.j), (d.i, k), (d.j, k)]
+            }))
+            .collect();
+        let mut pairs: Vec<(u32, u32)> = triples.iter().flatten().copied().collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let lambda = |(i, j): (u32, u32)| {
+            mask_prf(root, ServerId::S1, i, j).wrapping_add(mask_prf(root, ServerId::S2, i, j))
+        };
+        let mut m = vec![0u64; pairs.len()];
+        let mut w = 0u64;
+        for t in &triples {
+            let [a, b, c] = t.map(lambda);
+            for (p, product) in [(t[0], b.wrapping_mul(c)), (t[1], a.wrapping_mul(c)), (t[2], a.wrapping_mul(b))] {
+                let slot = pairs.binary_search(&p).unwrap();
+                m[slot] = m[slot].wrapping_add(product);
+            }
+            w = w.wrapping_add(a.wrapping_mul(b).wrapping_mul(c));
+        }
+        let words = pairs.iter().zip(m).map(|(&(i, j), m)| m.wrapping_sub(PairDealer::pair_word(root, i, j)));
+        (words.collect(), w.wrapping_sub(PairDealer::count_word(root)))
     }
 
     #[test]
     fn ot_groups_are_bit_identical_to_the_dealer_streams() {
-        // The headline property: the chunk engine reproduces the
-        // trusted dealer's share pairs exactly for every pair in the
-        // plan — which requires every Gilboa multiplication to be
-        // correct (S₂'s shares are built from OT outputs, not from the
-        // stream).
-        let plan = [
-            MgDraw::dense(0, 1, 3),
-            MgDraw::dense(3, 7, 1),
-            MgDraw::dense(100, 2, 8),
-        ];
-        let mut engine = OtMgEngine::for_chunk(42, 9);
-        let material = engine.preprocess(&plan);
-        assert_eq!(material.len(), 12);
-        assert!(!material.is_empty());
-        for (d, [g1s, g2s]) in plan.iter().zip(per_draw(&material, &plan)) {
-            let mut dealer = PairDealer::for_pair(42, d.i, d.j);
-            for (k, (g1, g2)) in g1s.iter().zip(g2s).enumerate() {
-                let (d1, d2) = dealer.next_group_pair();
-                assert_eq!(*g1, d1, "S1 pair ({},{}) group {k}", d.i, d.j);
-                assert_eq!(*g2, d2, "S2 pair ({},{}) group {k}", d.i, d.j);
-            }
-        }
+        // The headline property: S₂'s words are M_p less S₁'s dealer
+        // word for every pair of the plan, and W less its Count word —
+        // which requires every Gilboa product to be right (S₂'s words
+        // are built from OT outputs, not from the dealer's words).
+        let plan = [MgDraw::dense(0, 1, 3), MgDraw::dense(3, 7, 1), MgDraw::dense(100, 102, 8)];
+        let material = OtMgEngine::for_chunk(42, 9).preprocess(&plan);
+        assert_eq!(material.0.len(), 7 + 3 + 17, "one word per pair read");
+        assert_eq!(material, naive_material(42, &plan));
     }
 
     #[test]
     fn start_offset_draws_land_on_the_canonical_stream_positions() {
-        // A sparse schedule draws a pair's groups at their *canonical*
-        // offsets (k − j − 1), not packed from zero. A draw with
-        // `start: s` must therefore equal the dealer stream skipped
-        // past s groups — byte-for-byte, on both shares — and mixing
-        // offset draws with dense ones in one flight must not disturb
-        // either.
+        // A sparse plan's run starts `start` past `j + 1`: its triples
+        // are (i, j, j + 1 + start + g), whatever the draws beside it.
         let plan = [
             MgDraw { i: 4, j: 9, start: 17, groups: 3 },
             MgDraw::dense(4, 9, 2),
             MgDraw { i: 8, j: 1, start: 1, groups: 5 },
         ];
-        let mut engine = OtMgEngine::for_chunk(99, 3);
-        let material = engine.preprocess(&plan);
-        for (d, [g1s, g2s]) in plan.iter().zip(per_draw(&material, &plan)) {
-            let mut dealer = PairDealer::for_pair(99, d.i, d.j);
-            dealer.skip_groups(d.start as usize);
-            assert_eq!(g1s.len(), d.groups as usize);
-            for (k, (g1, g2)) in g1s.iter().zip(g2s).enumerate() {
-                let (d1, d2) = dealer.next_group_pair();
-                assert_eq!(*g1, d1, "S1 pair ({},{}) offset {}", d.i, d.j, d.start as usize + k);
-                assert_eq!(*g2, d2, "S2 pair ({},{}) offset {}", d.i, d.j, d.start as usize + k);
-            }
-        }
-        // skip_groups(s) then draw == draw s+g then discard the prefix.
-        let mut skipped = PairDealer::for_pair(99, 4, 9);
-        skipped.skip_groups(17);
-        let mut walked = PairDealer::for_pair(99, 4, 9);
-        for _ in 0..17 {
-            walked.next_group_pair();
-        }
-        assert_eq!(skipped.next_group_pair(), walked.next_group_pair());
+        assert_eq!(OtMgEngine::for_chunk(99, 3).preprocess(&plan), naive_material(99, &plan));
+        assert_eq!(plan[0].k_at(0), 27);
     }
 
     #[test]
     fn session_keying_does_not_leak_into_the_shares() {
-        // Different session ids (as different chunk partitions would
-        // produce) must still derandomise onto the same canonical
-        // streams — the reason the offline ledger can amortise by
-        // chunk while the shares stay schedule-invariant.
+        // The engine's session id keys nothing: a Count extends its keys
+        // once, whatever its chunks.
         let plan = [MgDraw::dense(2, 5, 4)];
         let a = OtMgEngine::for_chunk(7, 0).preprocess(&plan);
         let b = OtMgEngine::for_chunk(7, 31).preprocess(&plan);
-        assert_eq!(a.columns(), b.columns());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn ot_groups_satisfy_all_product_relations() {
-        let plan = [MgDraw::dense(1, 2, 16)];
-        let mut engine = OtMgEngine::for_chunk(7, 0);
-        let material = engine.preprocess(&plan);
-        let [g1s, g2s] = material.columns();
-        for (m1, m2) in g1s.iter().zip(g2s) {
-            let x = reconstruct(m1.x, m2.x);
-            let y = reconstruct(m1.y, m2.y);
-            let z = reconstruct(m1.z, m2.z);
-            assert_eq!(reconstruct(m1.o, m2.o), x * y, "o = xy");
-            assert_eq!(reconstruct(m1.p, m2.p), x * z, "p = xz");
-            assert_eq!(reconstruct(m1.q, m2.q), y * z, "q = yz");
-            assert_eq!(reconstruct(m1.w, m2.w), x * y * z, "w = xyz");
-        }
+        // With openings that are not zero, both servers' Count terms sum
+        // to the Count-level part of Σ d: W + Σ_p e_p·M_p.
+        let plan = [MgDraw::dense(1, 2, 16), MgDraw::dense(2, 3, 5)];
+        let step = 0x9E37_79B9;
+        let (mut tables, triples) = draw_tables(7, &plan, step);
+        let opened: Vec<u64> = (0..tables[0].len() as u64).map(|p| p.wrapping_mul(step)).collect();
+        pair_offline_in_process(&mut tables, &triples);
+        let (words, count) = naive_material(7, &plan);
+        let s1_words = tables[0].pair_words().to_vec();
+        let want = opened.iter().zip(words.iter().zip(&s1_words)).fold(
+            count.wrapping_add(PairDealer::count_word(7)),
+            |sum, (e, (m2, m1))| sum.wrapping_add(e.wrapping_mul(m2.wrapping_add(*m1))),
+        );
+        assert_eq!(tables[0].count_term().wrapping_add(tables[1].count_term()), want);
     }
 
     #[test]
     fn ledger_matches_the_pinned_formula() {
-        // 5 groups across 2 pairs fit one flight: ONE digest pair, ONE
-        // five-round dialogue — the amortisation the per-pair engine
-        // could not offer.
-        let plan = [
-            MgDraw::dense(0, 1, 4),
-            MgDraw::dense(0, 2, 1),
-        ];
+        // 5 triples over 11 pairs: 128 OTs a pair, 6 elements a triple
+        // and 2 a pair, 11 + 1 offsets and one digest, two rounds.
+        let plan = [MgDraw::dense(0, 1, 4), MgDraw::dense(0, 2, 1)];
         let mut engine = OtMgEngine::for_chunk(1, 0);
-        engine.preprocess(&plan);
+        let (words, _) = engine.preprocess(&plan);
+        assert_eq!(words.len(), 10);
         let l = engine.ledger();
-        assert_eq!(l.extended_ots, 512 * 5);
-        assert_eq!(l.bytes, MG_OFFLINE_BYTES_PER_GROUP * 5 + MG_FLIGHT_DIGEST_BYTES);
-        assert_eq!(l.rounds, MG_FLIGHT_ROUNDS);
+        assert_eq!(l.extended_ots, 128 * 10);
+        assert_eq!(l.bytes, 2048 * 10 + 512 * (6 * 5 + 2 * 10) + 8 * 11 + 8);
+        assert_eq!(l.rounds, 2);
         assert_eq!(l.base_ots, 0, "base OTs are a per-run setup cost");
-        assert_eq!(l, chunk_offline_ledger(&plan), "closed form agrees");
+        assert_eq!(l, count_offline_ledger(10, 5), "closed form agrees");
         let setup = ot_setup_ledger();
-        assert_eq!(setup.base_ots, 256);
-        assert_eq!(setup.bytes, 256 * BASE_OT_BYTES);
+        assert_eq!(setup.base_ots, 128);
+        assert_eq!(setup.bytes, 128 * BASE_OT_BYTES);
     }
 
     #[test]
     fn oversized_plans_split_into_flights_at_pair_boundaries() {
-        let plan = [
-            MgDraw::dense(0, 1, 300),
-            MgDraw::dense(0, 2, 200),
-            MgDraw::dense(0, 3, 600), // alone over the cap
-            MgDraw::dense(0, 4, 5),
-        ];
-        let flights = plan_flights(&plan);
-        assert_eq!(flights, vec![0..2, 2..3, 3..4]);
-        let ledger = chunk_offline_ledger(&plan);
-        assert_eq!(ledger.rounds, 3 * MG_FLIGHT_ROUNDS);
-        assert_eq!(
-            ledger.bytes,
-            MG_OFFLINE_BYTES_PER_GROUP * 1105 + 3 * MG_FLIGHT_DIGEST_BYTES
-        );
-        assert_eq!(ledger.extended_ots, 512 * 1105);
+        assert_eq!(pair_flights(2500), vec![0..1024, 1024..2048, 2048..2500]);
+        assert_eq!(pair_flights(1024), vec![0..1024]);
+        assert_eq!(pair_flights(0), vec![0..0], "the tail always flies");
     }
 
     #[test]
     fn flight_split_does_not_change_the_material() {
-        // A plan big enough to split must yield the same shares as the
-        // same draws in separate small sessions.
-        let big = [
-            MgDraw::dense(1, 2, 1500),
-            MgDraw::dense(1, 3, 1500),
-        ];
+        // 1 500 triples through (0, 1): 3 001 pairs, so three key and
+        // tail flights and three correction flights.
+        let plan = [MgDraw::dense(0, 1, 1500)];
         let mut engine = OtMgEngine::for_chunk(5, 2);
-        let material = engine.preprocess(&big);
-        assert_eq!(engine.ledger().rounds, 2 * MG_FLIGHT_ROUNDS, "two flights");
-        for (d, [g1s, g2s]) in big.iter().zip(per_draw(&material, &big)) {
-            let mut dealer = PairDealer::for_pair(5, d.i, d.j);
-            assert_eq!(g1s.len(), 1500);
-            for (g1, g2) in g1s.iter().zip(g2s) {
-                let (d1, d2) = dealer.next_group_pair();
-                assert_eq!(*g1, d1);
-                assert_eq!(*g2, d2);
-            }
+        let material = engine.preprocess(&plan);
+        assert_eq!(pair_flights(material.0.len()).len(), 3);
+        assert_eq!(1500usize.div_ceil(MAX_FLIGHT_TRIPLES), 3);
+        assert_eq!(material, naive_material(5, &plan));
+    }
+
+    /// Both machines of one Count over `plan`, every message through an
+    /// explicit "wire" Vec, `tamper` applied to the key columns on the
+    /// way; S₂'s material.
+    fn explicit_wire(root: u64, plan: &[MgDraw], tamper: impl Fn(&mut Vec<u64>)) -> (Vec<u64>, u64) {
+        let (tables, triples) = draw_tables(root, plan, 0);
+        let tier = SimdTier::detect();
+        let mut s1 = OfflineS1::new(&tables[0], &triples);
+        let mut s2 = OfflineS2::new(&tables[1], &triples);
+        for mut wire_u in s2.keys(tier) {
+            tamper(&mut wire_u);
+            s1.absorb_keys(tier, &wire_u);
         }
+        for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
+            let wire_d: Vec<u64> = s1.corrections(tier, flight);
+            s2.receive(tier, flight, &wire_d);
+        }
+        let wire_tail: Vec<Vec<u64>> = s1.tail(tier);
+        s2.finish(tier, &wire_tail)
     }
 
     #[test]
     fn party_machines_over_an_explicit_wire_match_the_dealer() {
-        // Simulate the runtime's message-passing shape: every value
-        // that crosses between the machines goes through an explicit
-        // "wire" Vec, proving the API carries everything each side
-        // needs — across consecutive flights of one session.
-        let root = 0xFEED;
-        let mut s1 = MgOfflineS1::for_chunk(root, 3);
-        let mut s2 = MgOfflineS2::for_chunk(root, 3);
-        let flights = [
-            vec![MgDraw::dense(2, 9, 2)],
-            vec![
-                MgDraw::dense(2, 10, 3),
-                MgDraw::dense(2, 11, 2),
-            ],
-        ];
-        for flight in &flights {
-            let wire_u1: Vec<u64> = s1.ucols(flight);
-            let wire_u2: Vec<u64> = s2.ucols(flight);
-            let wire_da: Vec<u64> = s1.corrections(&wire_u2);
-            let wire_db: Vec<u64> = s2.corrections(&wire_u1);
-            let wire_copq: Vec<u64> = s1.derand_opq(&wire_db);
-            s2.absorb_corrections(&wire_da);
-            let wire_db4: Vec<u64> = s2.corrections_w(&wire_copq);
-            let wire_cw: Vec<u64> = s1.derand_w(&wire_db4);
-            let g2 = s2.groups(&wire_cw);
-            let g1 = s1.groups();
-            let mut at = 0usize;
-            for d in flight {
-                let mut dealer = PairDealer::for_pair(root, d.i, d.j);
-                for k in 0..d.groups as usize {
-                    let (d1, d2) = dealer.next_group_pair();
-                    assert_eq!(g1[at], d1, "pair ({},{}) group {k}", d.i, d.j);
-                    assert_eq!(g2[at], d2, "pair ({},{}) group {k}", d.i, d.j);
-                    at += 1;
-                }
-            }
-        }
+        // Every value that crosses between the machines goes through an
+        // explicit wire Vec: the API carries everything each side needs.
+        let plan = [MgDraw::dense(2, 9, 2), MgDraw::dense(2, 10, 3), MgDraw::dense(2, 11, 2)];
+        assert_eq!(explicit_wire(0xFEED, &plan, |_| {}), naive_material(0xFEED, &plan));
     }
 
     #[test]
     fn offline_dialogue_over_a_real_transport_matches_the_dealer() {
-        // The transport-generic driver must reproduce the in-process
-        // engine exactly: same groups, same per-flight ledger, and the
-        // measured offline payload bytes equal the modeled ledger.
-        use crate::transport::{memory_pair, Transport};
-        let plan = [
-            MgDraw::dense(0, 1, 3),
-            MgDraw::dense(4, 7, 5),
-        ];
+        // The transport driver must reproduce the in-process dialogue
+        // exactly — same Count terms — and the measured offline payload
+        // is the modeled ledger.
+        let plan = [MgDraw::dense(0, 1, 3), MgDraw::dense(4, 7, 5)];
+        let (mut local, triples) = draw_tables(11, &plan, 0);
+        pair_offline_in_process(&mut local, &triples);
         let (end1, end2) = memory_pair();
-        let (g1, g2, l1) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| {
-                let mut ledger = OfflineLedger::new();
-                let g = mg_offline_over_wire(
-                    &end1,
-                    ServerId::S1,
-                    11,
-                    5,
-                    &plan,
-                    &mut ledger,
-                    &mut WordBuffers::default(),
-                );
-                (g, ledger)
-            });
-            let h2 = scope.spawn(|| {
-                let mut ledger = OfflineLedger::new();
-                mg_offline_over_wire(
-                    &end2,
-                    ServerId::S2,
-                    11,
-                    5,
-                    &plan,
-                    &mut ledger,
-                    &mut WordBuffers::default(),
-                )
-            });
-            let (g1, l1) = h1.join().unwrap();
-            (g1, h2.join().unwrap(), l1)
+        let [mut t1, mut t2] = draw_tables(11, &plan, 0).0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| pair_offline_over_wire(&end1, &mut t1, &triples));
+            scope.spawn(|| pair_offline_over_wire(&end2, &mut t2, &triples));
         });
-        let mut engine = OtMgEngine::for_chunk(11, 5);
-        let material = engine.preprocess(&plan);
-        assert_eq!(material.columns(), [&g1[..], &g2[..]]);
-        assert_eq!(l1, engine.ledger(), "wire dialogue tallies the same ledger");
-        assert_eq!(
-            end1.stats().offline_payload_both(),
-            l1.bytes,
-            "measured offline payload == modeled ledger"
-        );
+        assert_eq!([t1.count_term(), t2.count_term()], local.each_ref().map(|t| t.count_term()));
+        let modeled = count_offline_ledger(local[0].len() as u64, triples.len() as u64);
+        assert_eq!(end1.stats().offline_payload_both(), modeled.bytes, "measured offline payload == modeled ledger");
     }
 
     #[test]
     #[should_panic(expected = "out of lockstep")]
     fn out_of_order_calls_panic() {
-        let mut s1 = MgOfflineS1::for_chunk(1, 0);
-        s1.corrections(&[0u64; OT_KAPPA * 4]);
+        let (tables, triples) = draw_tables(1, &[MgDraw::dense(0, 1, 1)], 0);
+        let mut s1 = OfflineS1::new(&tables[0], &triples);
+        s1.corrections(SimdTier::detect(), &triples);
     }
 
     #[test]
     #[should_panic(expected = "consistency hash")]
     fn tampered_transcript_is_detected() {
-        let flight = [MgDraw::dense(0, 1, 1)];
-        let mut s1 = MgOfflineS1::for_chunk(3, 0);
-        let mut s2 = MgOfflineS2::for_chunk(3, 0);
-        let u1 = s1.ucols(&flight);
-        let u2 = s2.ucols(&flight);
-        let _ = s1.corrections(&u2);
-        let mut tampered = u1.clone();
-        tampered[0] ^= 1;
-        let db = s2.corrections(&tampered);
-        let _ = s1.derand_opq(&db); // digest of tampered ≠ digest of sent
+        explicit_wire(3, &[MgDraw::dense(0, 1, 1)], |u| u[0] ^= 1);
     }
 
     #[test]
     fn a_bit_flipped_in_transit_anywhere_in_a_u_message_kills_the_flight() {
-        // The lane digest end to end: whichever direction's columns
-        // lose a bit on the way — first word, a lane deep inside a
-        // later row, last word — the party that sent them sees its
-        // peer's digest disagree when the corrections come back.
-        let flight = [MgDraw::dense(0, 1, 2), MgDraw::dense(0, 2, 1)];
-        let u_words = OT_KAPPA * MG_MULTS_PER_DIR * 3;
-        for tamper_s1 in [true, false] {
-            for (word, bit) in [(0, 0), (5 * 32 + 17, 63), (u_words - 1, 31)] {
-                let died = std::panic::catch_unwind(|| {
-                    let mut s1 = MgOfflineS1::for_chunk(3, 0);
-                    let mut s2 = MgOfflineS2::for_chunk(3, 0);
-                    let mut u1 = s1.ucols(&flight);
-                    let mut u2 = s2.ucols(&flight);
-                    assert_eq!(u1.len(), u_words);
-                    let hit = if tamper_s1 { &mut u1 } else { &mut u2 };
-                    hit[word] ^= 1 << bit;
-                    let d_a = s1.corrections(&u2);
-                    let d_b = s2.corrections(&u1);
-                    if tamper_s1 {
-                        s1.derand_opq(&d_b);
-                    } else {
-                        s2.absorb_corrections(&d_a);
-                    }
+        // The digest end to end: whichever word of the key columns
+        // loses a bit on the way — first word, one deep inside, last
+        // word — S₂ sees S₁'s digest disagree when the tail comes back.
+        let plan = [MgDraw::dense(0, 1, 2), MgDraw::dense(0, 2, 1)];
+        let u_words = OT_KAPPA * UNITS_PER_PAIR * 6;
+        for (word, bit) in [(0, 0), (5 * 32 + 17, 63), (u_words - 1, 31)] {
+            let died = std::panic::catch_unwind(|| {
+                explicit_wire(3, &plan, |u| {
+                    assert_eq!(u.len(), u_words);
+                    u[word] ^= 1 << bit;
                 })
-                .expect_err("a corrupted transcript must not be absorbed");
-                let msg = died.downcast_ref::<String>().expect("assert message");
-                assert!(
-                    msg.contains("offline transcript diverged (consistency hash mismatch)"),
-                    "S{} word {word} bit {bit}: {msg}",
-                    if tamper_s1 { 1 } else { 2 }
-                );
-            }
+            })
+            .expect_err("a corrupted transcript must not be absorbed");
+            let msg = died.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("offline transcript diverged (consistency hash mismatch)"), "word {word} bit {bit}: {msg}");
         }
-    }
-
-    #[test]
-    fn a_consumed_message_carries_the_next_one_of_its_step() {
-        let mut spare = WordBuffers::default();
-        let received = vec![7u64; 64];
-        let at = received.as_ptr();
-        spare.give(2, received);
-        assert!(spare.take(3, 8).is_empty(), "another step's buffer");
-        let next = spare.take(2, 48);
-        assert_eq!(next.as_ptr(), at, "the peer's allocation, reused");
-        assert!(next.is_empty() && next.capacity() >= 48);
-        let grown = spare.take(2, 100);
-        assert!(grown.is_empty() && grown.capacity() >= 100, "taken twice: a fresh buffer");
     }
 
     #[test]
     #[should_panic(expected = "empty draw")]
     fn zero_group_draws_are_rejected() {
-        plan_flights(&[MgDraw::dense(0, 1, 0)]);
+        OtMgEngine::for_chunk(1, 0).preprocess(&[MgDraw::dense(0, 1, 0)]);
     }
 
     #[test]

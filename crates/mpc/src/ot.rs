@@ -23,32 +23,32 @@
 //!    and sends `u^i = t^i ⊕ G(k¹_i) ⊕ r` (`r` = its `m` choice
 //!    bits); the sender reconstructs `q^i = (s_i · u^i) ⊕ G(k_{s_i})`,
 //!    so row-wise `q_j = t_j ⊕ (r_j · s)`. The 128 × m bit matrix is
-//!    transposed with a word-level 64×64 kernel ([`transpose64`]).
-//! 3. **Correlation, summed per unit** ([`cot_finish`]): hashing rows
-//!    breaks the correlation — the sender's OT-j messages are
-//!    `m⁰_j = H(j, q_j)` and `m¹_j = m⁰_j + c_j`; one correction word
-//!    `d_j = m⁰_j + c_j − H(j, q_j ⊕ s)` per OT lets the receiver
-//!    finish with `m^{r_j}_j = H(j, t_j) + r_j·d_j`. Gilboa-style share
-//!    multiplication ([`crate::offline`]) consumes these 64 at a time:
-//!    one choice word `r` is one *unit*, correlated by
-//!    `c_j = a ≪ j`, and only the unit's sums matter — the sender's
-//!    `Σ_j m⁰_j` and the receiver's `Σ_j m^{r_j}_j`, which differ by
-//!    `a · r` in `Z_{2^64}`. So neither role keeps a per-OT value:
-//!    the receiver keeps `Σ_j H(j, t_j)` per unit and adds the
-//!    corrections its choice bits select when they arrive; the sender
-//!    writes each correction straight into its outgoing message and
-//!    keeps `Σ_j m⁰_j` per unit. A unit whose `a` is not yet known is
-//!    *held* as `m⁰_j − H(j, q_j ⊕ s)` and corrected later
-//!    ([`UnitSplit`], [`cot_correct_held`]).
-//! 4. **Consistency hashing** ([`transcript_digest`]): each
-//!    correction message carries a digest of the extension columns it
-//!    answers — 32 position-tweaked chains of the modeled hash run
-//!    side by side, so the check costs multiplier throughput rather
-//!    than multiply latency — and both parties recompute and compare,
-//!    so a desynchronised or corrupted transcript fails loudly instead
-//!    of silently producing garbage shares. (This is an engineering
-//!    integrity check, *not* the malicious-security consistency check
-//!    of KOS15 — the threat model stays semi-honest, Definition 6.)
+//!    transposed with a word-level 64×64 kernel ([`transpose64`]), and
+//!    both roles keep their rows: 64 per choice word, a *unit*.
+//! 3. **Vector OLE over the units** ([`CotSender::correct`] /
+//!    [`CotReceiver::receive`]): hashing rows breaks the correlation,
+//!    and the hash tweak picks which correlation. An *element* is one
+//!    Gilboa product over one unit under its own tweak `τ`: the
+//!    sender's OT-`j` messages are `m⁰_j = H(τ + j, q_j)` and
+//!    `m¹_j = m⁰_j + (a ≪ j)`; one correction word
+//!    `d_j = m⁰_j + (a ≪ j) − H(τ + j, q_j ⊕ s)` per OT lets the
+//!    receiver finish with `H(τ + j, t_j) + r_j·d_j = m^{r_j}_j`. Summed
+//!    over the unit, the receiver holds `Σ m⁰_j + a·r` and the sender
+//!    `Σ m⁰_j`: additive shares of `a · r` in `Z_{2^64}`. So one unit —
+//!    one key word of the receiver — multiplies any number of sender
+//!    values, each under a tweak no other element of the unit uses
+//!    ([`crate::offline`] gives each element its key's unit and the pair
+//!    it lands on).
+//! 4. **Consistency hashing** ([`transcript_digest`]): the offline
+//!    dialogue's tail carries a digest of the extension columns the
+//!    sender absorbed — 32 position-tweaked chains of the modeled hash
+//!    run side by side, so the check costs multiplier throughput rather
+//!    than multiply latency — and the receiver compares it with its
+//!    own, so a desynchronised or corrupted transcript fails loudly
+//!    instead of silently producing garbage shares. (This is an
+//!    engineering integrity check, *not* the malicious-security
+//!    consistency check of KOS15 — the threat model stays semi-honest,
+//!    Definition 6.)
 //!
 //! Like [`crate::prg`], the hash here ([`cr_hash_scalar`]) is a
 //! statistical stand-in, NOT cryptographic — the simulation models
@@ -57,32 +57,25 @@
 //!
 //! # Vectorisation
 //!
-//! Each role makes **one pass** over its batch, [`LANES`] choice words
-//! (512 OTs) at a time, one word per lane, compiled per [`SimdTier`]
-//! (AVX-512/AVX2/portable, like [`crate::triple_mul`]): it expands the
-//! 128 column words of those eight units in-lane from the seed
-//! streams' counter states (SplitMix64 output `k` is a pure function
-//! of `state + (k+1)·γ`), writes `u` (receiver) or xors it in
-//! (sender), runs the 64×64 transpose on all eight blocks at once
-//! (`transpose64_lanes`: one block per lane, so no lane
-//! de-interleave), hashes lane-wise with lane `l` at tweak
-//! `64(b+l) + j`, and reduces straight into the per-unit sums. A
-//! batch whose length is not a multiple of eight runs its last block
-//! with the missing lanes computed and dropped. What such a pass
-//! stores is the wire message, one sum per unit and (sender) the held
-//! units; the rows, hashes and pads live only in the block's working
-//! set.
+//! The extension expands each column with the block PRG
+//! ([`SplitMix64::fill_block_tier`]) and transposes a batch with the
+//! lane-parallel transpose ([`cols_to_rows_simd_into`]: eight 64×64
+//! blocks at once, one block per lane). The vector-OLE pass is compiled
+//! per [`SimdTier`] (AVX-512/AVX2/portable, like [`crate::triple_mul`]):
+//! per element it hashes its unit's 64 rows as eight blocks of
+//! [`LANES`] consecutive rows — contiguous loads, lane `l` at tweak
+//! `τ + 8b + l` — and reduces straight into the element's sum, so no
+//! hash or pad outlives the element.
 //!
-//! The standalone kernels — the batched transpose
-//! ([`cols_to_rows_simd_into`]) and batch hash ([`cr_hash_batch`]) on
-//! the same dispatch, and the scalar references ([`transpose64`],
+//! The standalone kernels — the batch hash ([`cr_hash_batch`]) on the
+//! same dispatch, and the scalar references ([`transpose64`],
 //! [`cols_to_rows_scalar`], [`cr_hash_scalar`]) — are kept as A/B
 //! references and probes; the `ot_simd_equivalence` suite pins every
-//! tier bit-exactly against the references and the passes' Gilboa
-//! products at every tier. Digesting every `u` message twice takes the
-//! same dispatch ([`transcript_digest_tier`]).
+//! tier bit-exactly against the references and the OLE products at
+//! every tier. Digesting every `u` message twice takes the same
+//! dispatch ([`transcript_digest_tier`]).
 
-use crate::prg::{mix_lanes, SplitMix64, SM_GAMMA};
+use crate::prg::SplitMix64;
 use crate::simd::{lane_steps, SimdTier, U64xN, LANES};
 
 /// OT-extension security parameter: base-OT count = column count.
@@ -515,8 +508,36 @@ pub fn cols_to_rows_simd(tier: SimdTier, cols: &[u64], words: usize) -> (Vec<u64
     (lo, hi)
 }
 
+/// Rows of one role's correlated OTs, 64 per key word (unit) in
+/// structure-of-arrays form: row `64·u + j` — OT `j` of unit `u` — is
+/// `[lo[64u + j], hi[64u + j]]`.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+}
+
+impl Rows {
+    /// Transposes `OT_KAPPA` columns of `words` words each onto the end
+    /// of the rows.
+    fn append(&mut self, tier: SimdTier, cols: &[u64], words: usize) {
+        let at = self.lo.len();
+        self.lo.resize(at + 64 * words, 0);
+        self.hi.resize(at + 64 * words, 0);
+        cols_to_rows_simd_into(tier, cols, words, &mut self.lo[at..], &mut self.hi[at..]);
+    }
+
+    /// Unit `u`'s 64 rows.
+    #[inline(always)]
+    fn unit(&self, u: u32) -> (&[u64], &[u64]) {
+        let at = 64 * u as usize;
+        (&self.lo[at..at + 64], &self.hi[at..at + 64])
+    }
+}
+
 /// The extension sender's long-lived state: the secret choice vector
-/// `s` and the κ base-OT seeds `k_{s_i}` it received.
+/// `s`, the κ base-OT seeds `k_{s_i}` it received, and the rows
+/// `q_j = t_j ⊕ r_j·s` of every unit extended so far.
 ///
 /// "Sender" is the *extension* role (it will hold both messages of
 /// every extended OT); in the base OTs it acted as receiver.
@@ -526,17 +547,18 @@ pub struct CotSender {
     delta: [u64; 2],
     /// The chosen seed of each base OT, as a PRG stream.
     seeds: Vec<SplitMix64>,
-    /// Monotone per-OT hash tweak, kept in lockstep with the receiver.
-    tweak: u64,
+    rows: Rows,
 }
 
 /// The extension receiver's long-lived state: both base-OT seeds per
-/// column (it acted as base-OT *sender*).
+/// column (it acted as base-OT *sender*), and the choice word and rows
+/// `t_j` of every unit extended so far.
 #[derive(Debug, Clone)]
 pub struct CotReceiver {
     seeds0: Vec<SplitMix64>,
     seeds1: Vec<SplitMix64>,
-    tweak: u64,
+    choice: Vec<u64>,
+    rows: Rows,
 }
 
 /// Simulates the κ base OTs of one extension direction from a seed:
@@ -544,8 +566,7 @@ pub struct CotReceiver {
 /// secret `s` and the matching seed stream per column.
 ///
 /// Costs are **not** tallied here — callers account one base-OT batch
-/// per direction per protocol execution (see
-/// [`crate::offline::ot_setup_ledger`]).
+/// per protocol execution (see [`crate::offline::ot_setup_ledger`]).
 pub fn simulated_base_ots(seed: u64) -> (CotSender, CotReceiver) {
     let mut root = SplitMix64::new(seed ^ 0x0B45E07E0B45E07E);
     let delta = [root.next_u64(), root.next_u64()];
@@ -561,453 +582,221 @@ pub fn simulated_base_ots(seed: u64) -> (CotSender, CotReceiver) {
         seeds1.push(SplitMix64::new(k1));
     }
     (
-        CotSender { delta, seeds: chosen, tweak: 0 },
-        CotReceiver { seeds0, seeds1, tweak: 0 },
+        CotSender { delta, seeds: chosen, rows: Rows::default() },
+        CotReceiver { seeds0, seeds1, choice: Vec::new(), rows: Rows::default() },
     )
 }
 
-/// The counter states of κ seed streams, each then advanced past the
-/// `words` outputs a pass expands from it in closed counter form.
-fn take_states(seeds: &mut [SplitMix64], words: usize) -> [u64; OT_KAPPA] {
-    let mut states = [0u64; OT_KAPPA];
-    for (state, seed) in states.iter_mut().zip(seeds) {
-        *state = seed.state_raw();
-        seed.skip(words);
-    }
-    states
-}
-
-/// The first `valid` lanes from the front of `src`, the rest zero — a
-/// block's load when fewer than `N` choice words are left.
-#[inline(always)]
-fn load_part<const N: usize>(src: &[u64], valid: usize) -> U64xN<N> {
-    if valid == N {
-        U64xN::load(src)
-    } else {
-        let mut out = [0u64; N];
-        out[..valid].copy_from_slice(&src[..valid]);
-        U64xN(out)
-    }
-}
-
-/// Stores the first `valid` lanes of `v` to the front of `dst`.
-#[inline(always)]
-fn store_part<const N: usize>(v: U64xN<N>, dst: &mut [u64], valid: usize) {
-    if valid == N {
-        v.store(dst)
-    } else {
-        dst[..valid].copy_from_slice(&v.0[..valid]);
-    }
-}
-
-/// Column word `b + l` of the stream whose counter state is `state`,
-/// in lane `l`: `ctr` holds `(b + l + 1)·γ` per lane.
-#[inline(always)]
-fn column_lanes<const N: usize>(state: u64, ctr: U64xN<N>) -> U64xN<N> {
-    mix_lanes(U64xN::splat(state) + ctr)
-}
-
-/// `(b + l + 1)·γ` in lane `l`: the counter offsets of choice words
-/// `b .. b + N` in every seed stream.
-#[inline(always)]
-fn block_counters<const N: usize>(b: usize) -> U64xN<N> {
-    U64xN::splat(SM_GAMMA.wrapping_mul(b as u64 + 1)) + lane_steps(SM_GAMMA)
-}
-
-/// The receiver's pass over choice words `b .. b + valid` (lane `l` is
-/// word `b + l`): expands `t` and `G(k¹)` in-lane, writes
-/// `u = t ⊕ G(k¹) ⊕ r` to each column, transposes `t` into `rows` and
-/// returns `Σ_j H(64(b+l) + j, t_j)` per lane.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn extend_block<const N: usize>(
-    states0: &[u64; OT_KAPPA],
-    states1: &[u64; OT_KAPPA],
-    tweak: u64,
-    choice: &[u64],
-    b: usize,
-    valid: usize,
-    u_cols: &mut [u64],
-    rows: &mut [[U64xN<N>; 64]; 2],
-) -> U64xN<N> {
-    let words = choice.len();
-    let ctr = block_counters::<N>(b);
-    let r = load_part::<N>(&choice[b..], valid);
-    for (half, block) in rows.iter_mut().enumerate() {
-        for (c, slot) in block.iter_mut().enumerate() {
-            let i = half * 64 + c;
-            let t = column_lanes(states0[i], ctr);
-            let g1 = column_lanes(states1[i], ctr);
-            store_part(t ^ g1 ^ r, &mut u_cols[i * words + b..], valid);
-            *slot = t;
-        }
-        transpose64_lanes(block);
-    }
-    let lane_tweaks = lane_steps::<N>(64);
-    let first = tweak.wrapping_add(64 * b as u64);
-    let mut sum = U64xN::ZERO;
-    // Rows in the order j ← (j + 5) mod 64, uncounted like the
-    // transpose's passes, so the hash stays lane-parallel.
-    let mut j = 0;
-    loop {
-        let tw = first.wrapping_add(j as u64);
-        sum = sum + cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], [0, 0]);
-        j = (j + 5) & 63;
-        if j == 0 {
-            break;
-        }
-    }
-    sum
-}
-
-/// Body of [`CotReceiver::extend`], compiled once per dispatch tier:
-/// [`extend_block`] over every `N` choice words, the last block's
-/// missing lanes computed and dropped. (The full blocks pass `valid`
-/// as the constant `N`, so their loads and stores are whole vectors.)
-#[inline(always)]
-fn extend_body<const N: usize>(
-    states0: &[u64; OT_KAPPA],
-    states1: &[u64; OT_KAPPA],
-    tweak: u64,
-    choice: &[u64],
-    u_cols: &mut [u64],
-    sums: &mut [u64],
-) {
-    let words = choice.len();
-    let full = words - words % N;
-    let mut rows = [[U64xN::<N>::ZERO; 64]; 2];
-    for b in (0..full).step_by(N) {
-        let sum = extend_block::<N>(states0, states1, tweak, choice, b, N, u_cols, &mut rows);
-        sum.store(&mut sums[b..]);
-    }
-    if full < words {
-        let valid = words - full;
-        let sum =
-            extend_block::<N>(states0, states1, tweak, choice, full, valid, u_cols, &mut rows);
-        store_part(sum, &mut sums[full..], valid);
-    }
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn extend_avx512(
-    states0: &[u64; OT_KAPPA],
-    states1: &[u64; OT_KAPPA],
-    tweak: u64,
-    choice: &[u64],
-    u_cols: &mut [u64],
-    sums: &mut [u64],
-) {
-    extend_body::<LANES>(states0, states1, tweak, choice, u_cols, sums)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn extend_avx2(
-    states0: &[u64; OT_KAPPA],
-    states1: &[u64; OT_KAPPA],
-    tweak: u64,
-    choice: &[u64],
-    u_cols: &mut [u64],
-    sums: &mut [u64],
-) {
-    extend_body::<LANES>(states0, states1, tweak, choice, u_cols, sums)
-}
-
 impl CotReceiver {
-    /// Runs one extension batch over the packed `choice` bits in one
-    /// pass (`m = 64 · choice.len()` extended OTs, one *unit* of 64 per
-    /// choice word): writes the column message `u` to send into
-    /// `u_cols` (column-major, `OT_KAPPA · choice.len()` words) and,
-    /// per unit `b`, the sum of its 64 hashed rows
-    /// `Σ_j H(64b + j, t_j)` into `sums[b]` — all a Gilboa
-    /// multiplication needs of the receiver's side before the
-    /// corrections arrive ([`cot_finish`]). No row or hash is stored.
+    /// Extends `64 · choice.len()` correlated OTs, one *unit* of 64 per
+    /// choice word, appended to the units extended before: writes the
+    /// column message `u^i = G(k⁰_i) ⊕ G(k¹_i) ⊕ r` to send into
+    /// `u_cols` (column-major, `OT_KAPPA · choice.len()` words) and keeps
+    /// the units' choice words and rows `t_j` (columns `G(k⁰_i)`,
+    /// transposed) for [`Self::receive`].
     ///
     /// # Panics
-    /// Panics if the tier is unsupported on this CPU, `u_cols` is not
-    /// `OT_KAPPA · choice.len()` words or `sums` not `choice.len()`.
-    pub fn extend(&mut self, tier: SimdTier, choice: &[u64], u_cols: &mut [u64], sums: &mut [u64]) {
-        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    /// Panics if the tier is unsupported on this CPU or `u_cols` is not
+    /// `OT_KAPPA · choice.len()` words.
+    pub fn extend(&mut self, tier: SimdTier, choice: &[u64], u_cols: &mut [u64]) {
         let words = choice.len();
         assert_eq!(u_cols.len(), OT_KAPPA * words, "κ columns of one word per unit");
-        assert_eq!(sums.len(), words, "one sum per unit");
-        let states0 = take_states(&mut self.seeds0, words);
-        let states1 = take_states(&mut self.seeds1, words);
-        let tweak = self.tweak;
-        self.tweak += (64 * words) as u64;
-        match tier {
-            // SAFETY: `supported()` just confirmed the CPU features the
-            // callee is compiled for.
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => unsafe {
-                extend_avx512(&states0, &states1, tweak, choice, u_cols, sums)
-            },
-            // SAFETY: as above.
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe { extend_avx2(&states0, &states1, tweak, choice, u_cols, sums) },
-            _ => extend_body::<LANES>(&states0, &states1, tweak, choice, u_cols, sums),
+        if words == 0 {
+            return;
         }
-    }
-}
-
-/// The receiver's finished Gilboa sum over one unit of 64 OTs with
-/// choice word `choice`: `Σ_j m^{r_j}_j = sum + Σ_{r_j = 1} d_j`, where
-/// `sum` is the unit's [`CotReceiver::extend`] output and `d` its 64
-/// correction words. Under corrections for correlation `a` (see
-/// [`CotSender::absorb`]) this is `Σ_j m⁰_j + a · choice` in `Z_{2^64}`.
-///
-/// # Panics
-/// Panics if `d` is not 64 words.
-#[inline]
-pub fn cot_finish(sum: u64, choice: u64, d: &[u64]) -> u64 {
-    assert_eq!(d.len(), 64, "one correction per OT of the unit");
-    let mut acc = sum;
-    for (j, &d_j) in d.iter().enumerate() {
-        acc = acc.wrapping_add(d_j & 0u64.wrapping_sub((choice >> j) & 1));
-    }
-    acc
-}
-
-/// Where a sender pass puts each unit's 64 words: units come in
-/// periods of `period` (one Multiplication Group's multiplications of
-/// a direction); the first `sent` units of a period are corrections
-/// for the outgoing message, the rest are *held* as `m⁰_j − H(j, q_j ⊕ s)`
-/// until their correlation is known ([`cot_correct_held`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitSplit {
-    /// Units per period (≥ 1).
-    pub period: usize,
-    /// Units per period that go to the message (≤ `period`).
-    pub sent: usize,
-}
-
-impl UnitSplit {
-    /// Every unit's corrections go to the message.
-    pub const ALL_SENT: UnitSplit = UnitSplit { period: 1, sent: 1 };
-
-    /// Words of `units` units that go to the message, and that are held.
-    fn words(self, units: usize) -> (usize, usize) {
-        assert!(self.period > 0 && self.sent <= self.period, "invalid unit split {self:?}");
-        assert_eq!(units % self.period, 0, "whole periods of units");
-        let periods = units / self.period;
-        (64 * self.sent * periods, 64 * (self.period - self.sent) * periods)
-    }
-}
-
-/// The two output slices of a sender pass, routed per unit by a
-/// [`UnitSplit`].
-struct SenderOut<'a> {
-    split: UnitSplit,
-    sent: &'a mut [u64],
-    held: &'a mut [u64],
-}
-
-impl SenderOut<'_> {
-    /// The 64 output words of unit `v`.
-    #[inline(always)]
-    fn unit(&mut self, v: usize) -> &mut [u64] {
-        let UnitSplit { period, sent } = self.split;
-        let (p, m) = (v / period, v % period);
-        if m < sent {
-            &mut self.sent[64 * (p * sent + m)..][..64]
-        } else {
-            &mut self.held[64 * (p * (period - sent) + m - sent)..][..64]
+        let mut t = vec![0u64; OT_KAPPA * words];
+        for (i, (t, u)) in t.chunks_exact_mut(words).zip(u_cols.chunks_exact_mut(words)).enumerate() {
+            self.seeds0[i].fill_block_tier(tier, t);
+            self.seeds1[i].fill_block_tier(tier, u);
+            for ((u, t), r) in u.iter_mut().zip(&*t).zip(choice) {
+                *u ^= t ^ r;
+            }
         }
+        self.choice.extend_from_slice(choice);
+        self.rows.append(tier, &t, words);
     }
-}
 
-/// A sender block's working set: its transposed rows and its
-/// corrections, lane `l` being unit `b + l`.
-struct SenderBlock<const N: usize> {
-    rows: [[U64xN<N>; 64]; 2],
-    d: [U64xN<N>; 64],
-}
-
-/// The sender's pass over units `b .. b + valid` (lane `l` is unit
-/// `b + l`): rebuilds `q = G(k_s) ⊕ s·u` in-lane, transposes it into
-/// rows, hashes both branches, writes
-/// `d_j = m⁰_j + (a_l ≪ j) − H(j, q_j ⊕ s)` to each unit's slot in
-/// `out` and returns `Σ_j m⁰_j` per lane.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn absorb_block<const N: usize>(
-    states: &[u64; OT_KAPPA],
-    delta: [u64; 2],
-    tweak: u64,
-    u_cols: &[u64],
-    a: &[u64],
-    b: usize,
-    valid: usize,
-    out: &mut SenderOut<'_>,
-    work: &mut SenderBlock<N>,
-) -> U64xN<N> {
-    let words = a.len();
-    let ctr = block_counters::<N>(b);
-    let SenderBlock { rows, d } = work;
-    for (half, block) in rows.iter_mut().enumerate() {
-        for (c, slot) in block.iter_mut().enumerate() {
-            let i = half * 64 + c;
-            let s_i = U64xN::splat(0u64.wrapping_sub((delta[half] >> c) & 1));
-            let u = load_part::<N>(&u_cols[i * words + b..], valid);
-            *slot = column_lanes(states[i], ctr) ^ (u & s_i);
-        }
-        transpose64_lanes(block);
+    /// Finishes a batch of Gilboa products against the sender's
+    /// corrections `d` (64 words per element, see
+    /// [`CotSender::correct`]): `sums[e] = Σ_j H(τₑ + j, t_j) + Σ_{r_j = 1} d_j`
+    /// over element `e`'s unit, which is `Σ_j m⁰_j + aₑ · r` in `Z_{2^64}`
+    /// — the sender's sum plus the product of its correlation and the
+    /// unit's choice word.
+    ///
+    /// # Panics
+    /// Panics if the tier is unsupported, an element names a unit not
+    /// extended yet, or `d` / `sums` are not 64 / 1 words per element.
+    pub fn receive(&self, tier: SimdTier, elements: &[OleElement], d: &[u64], sums: &mut [u64]) {
+        assert_eq!(d.len(), 64 * elements.len(), "64 corrections per element");
+        let pass = OlePass::Receive { choice: &self.choice, d };
+        ole_tier(tier, &self.rows, elements, pass, sums);
     }
-    let a = load_part::<N>(&a[b..], valid);
-    let lane_tweaks = lane_steps::<N>(64);
-    let first = tweak.wrapping_add(64 * b as u64);
-    let mut sum = U64xN::ZERO;
-    // Rows in the uncounted order of `extend_block`.
-    let mut j = 0;
-    loop {
-        let tw = first.wrapping_add(j as u64);
-        let m0 = cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], [0, 0]);
-        let pad1 = cr_hash_lanes(tw, lane_tweaks, rows[0][j], rows[1][j], delta);
-        sum = sum + m0;
-        d[j] = m0 + (a << j as u32) - pad1;
-        j = (j + 5) & 63;
-        if j == 0 {
-            break;
-        }
-    }
-    for l in 0..valid {
-        for (slot, d_j) in out.unit(b + l).iter_mut().zip(d.iter()) {
-            *slot = d_j.0[l];
-        }
-    }
-    sum
-}
-
-/// Body of [`CotSender::absorb`], compiled once per dispatch tier.
-#[inline(always)]
-fn absorb_body<const N: usize>(
-    states: &[u64; OT_KAPPA],
-    delta: [u64; 2],
-    tweak: u64,
-    u_cols: &[u64],
-    a: &[u64],
-    out: &mut SenderOut<'_>,
-    sums: &mut [u64],
-) {
-    let words = a.len();
-    let full = words - words % N;
-    let mut work = SenderBlock { rows: [[U64xN::ZERO; 64]; 2], d: [U64xN::ZERO; 64] };
-    for b in (0..full).step_by(N) {
-        let sum = absorb_block::<N>(states, delta, tweak, u_cols, a, b, N, out, &mut work);
-        sum.store(&mut sums[b..]);
-    }
-    if full < words {
-        let valid = words - full;
-        let sum =
-            absorb_block::<N>(states, delta, tweak, u_cols, a, full, valid, out, &mut work);
-        store_part(sum, &mut sums[full..], valid);
-    }
-}
-
-/// # Safety
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn absorb_avx512(
-    states: &[u64; OT_KAPPA],
-    delta: [u64; 2],
-    tweak: u64,
-    u_cols: &[u64],
-    a: &[u64],
-    out: &mut SenderOut<'_>,
-    sums: &mut [u64],
-) {
-    absorb_body::<LANES>(states, delta, tweak, u_cols, a, out, sums)
-}
-
-/// # Safety
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn absorb_avx2(
-    states: &[u64; OT_KAPPA],
-    delta: [u64; 2],
-    tweak: u64,
-    u_cols: &[u64],
-    a: &[u64],
-    out: &mut SenderOut<'_>,
-    sums: &mut [u64],
-) {
-    absorb_body::<LANES>(states, delta, tweak, u_cols, a, out, sums)
 }
 
 impl CotSender {
-    /// Absorbs the receiver's column message for a batch of
-    /// `m = 64 · a.len()` extended OTs in one pass, correlating unit
-    /// `b`'s OT `j` with `c_j = a[b] ≪ j` (a Gilboa multiplication by
-    /// `a[b]`): writes the correction words
-    /// `d_j = m⁰_j + c_j − H(j, q_j ⊕ s)` of each unit to `sent` or
-    /// `held` as `split` routes it (a held unit's `a` should be 0; see
-    /// [`cot_correct_held`]) and `Σ_j m⁰_j` per unit into `sums`. The
-    /// receiver's [`cot_finish`] of a unit minus this sum is
-    /// `a[b] · r_b`. No row, hash or pad is stored.
+    /// Absorbs the receiver's column message of one [`CotReceiver::extend`]
+    /// batch: rebuilds its columns `q^i = G(k_{s_i}) ⊕ s_i·u^i` and keeps
+    /// their rows, so row-wise `q_j = t_j ⊕ (r_j · s)`.
     ///
     /// # Panics
-    /// Panics if the tier is unsupported on this CPU, `u_cols` is not
-    /// `OT_KAPPA` columns of `a.len()` words, `sums` is not `a.len()`
-    /// words, `a.len()` is not whole periods of `split`, or `sent` /
-    /// `held` are not 64 words per sent / held unit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn absorb(
-        &mut self,
-        tier: SimdTier,
-        u_cols: &[u64],
-        a: &[u64],
-        split: UnitSplit,
-        sent: &mut [u64],
-        held: &mut [u64],
-        sums: &mut [u64],
-    ) {
-        assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
-        let words = a.len();
-        assert_eq!(
-            u_cols.len(),
-            OT_KAPPA * words,
-            "u message must be κ columns of one word per unit"
-        );
-        assert_eq!(sums.len(), words, "one sum per unit");
-        let (sent_words, held_words) = split.words(words);
-        assert_eq!(sent.len(), sent_words, "sent corrections");
-        assert_eq!(held.len(), held_words, "held corrections");
-        let states = take_states(&mut self.seeds, words);
-        let tweak = self.tweak;
-        self.tweak += (64 * words) as u64;
-        let delta = self.delta;
-        let mut out = SenderOut { split, sent, held };
-        match tier {
-            // SAFETY: `supported()` just confirmed the CPU features the
-            // callee is compiled for.
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => unsafe {
-                absorb_avx512(&states, delta, tweak, u_cols, a, &mut out, sums)
-            },
-            // SAFETY: as above.
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe { absorb_avx2(&states, delta, tweak, u_cols, a, &mut out, sums) },
-            _ => absorb_body::<LANES>(&states, delta, tweak, u_cols, a, &mut out, sums),
+    /// Panics if the tier is unsupported on this CPU or `u_cols` is not
+    /// whole `OT_KAPPA` columns.
+    pub fn absorb(&mut self, tier: SimdTier, u_cols: &[u64]) {
+        assert_eq!(u_cols.len() % OT_KAPPA, 0, "u message must be κ columns of one word per unit");
+        let words = u_cols.len() / OT_KAPPA;
+        if words == 0 {
+            return;
+        }
+        let mut q = vec![0u64; u_cols.len()];
+        for (i, (q, u)) in q.chunks_exact_mut(words).zip(u_cols.chunks_exact(words)).enumerate() {
+            self.seeds[i].fill_block_tier(tier, q);
+            let s_i = 0u64.wrapping_sub((self.delta[i / 64] >> (i % 64)) & 1);
+            for (q, u) in q.iter_mut().zip(u) {
+                *q ^= u & s_i;
+            }
+        }
+        self.rows.append(tier, &q, words);
+    }
+
+    /// Gilboa-multiplies a batch of elements by the receiver's choice
+    /// words: element `e` correlates OT `j` of its unit with
+    /// `aₑ ≪ j` under its own hash tweak `τₑ + j`, so units are reused by
+    /// any number of elements, and writes `d_j = m⁰_j + (aₑ ≪ j) − m¹'_j`
+    /// to `d[64e..]`, where `m⁰_j = H(τₑ + j, q_j)` and
+    /// `m¹'_j = H(τₑ + j, q_j ⊕ s)`, and `Σ_j m⁰_j` to `sums[e]`. The
+    /// receiver's [`CotReceiver::receive`] of the element minus this sum
+    /// is `aₑ · r`. No row, hash or pad outlives the element.
+    ///
+    /// # Panics
+    /// Panics if the tier is unsupported, an element names a unit not
+    /// absorbed yet, or `a` / `d` / `sums` are not 1 / 64 / 1 words per
+    /// element.
+    pub fn correct(&self, tier: SimdTier, elements: &[OleElement], a: &[u64], d: &mut [u64], sums: &mut [u64]) {
+        assert_eq!(a.len(), elements.len(), "one correlation per element");
+        assert_eq!(d.len(), 64 * elements.len(), "64 corrections per element");
+        let pass = OlePass::Send { delta: self.delta, a, d };
+        ole_tier(tier, &self.rows, elements, pass, sums);
+    }
+}
+
+/// One Gilboa product of a vector OLE: the unit (choice word) it
+/// multiplies by and the base of its hash tweaks. Elements that share a
+/// unit must have distinct tweaks `τ`, `τ + 63` apart at least.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OleElement {
+    /// The unit: the ordinal of its choice word among those extended.
+    pub unit: u32,
+    /// Its OT `j` hashes under tweak `tweak + j`.
+    pub tweak: u64,
+}
+
+/// The role an [`ole_body`] pass plays.
+enum OlePass<'a> {
+    /// The sender: correlations in, corrections out.
+    Send { delta: [u64; 2], a: &'a [u64], d: &'a mut [u64] },
+    /// The receiver: every unit's choice word, the corrections in.
+    Receive { choice: &'a [u64], d: &'a [u64] },
+}
+
+/// `1 ≪ l` in lane `l`: turns a word shifted by `8b` into lane `l`'s
+/// shift by `8b + l`, and isolates bit `8b + l` of a choice word.
+const LANE_BIT: U64xN<LANES> = U64xN([1, 2, 4, 8, 16, 32, 64, 128]);
+/// `1 ≪ (63 − l)` in lane `l`: moves a lane's isolated bit to the top.
+const LANE_TOP: U64xN<LANES> = U64xN([1 << 63, 1 << 62, 1 << 61, 1 << 60, 1 << 59, 1 << 58, 1 << 57, 1 << 56]);
+
+/// One element's OTs `8b .. 8b + 8`, one per lane, of the sender: its
+/// corrections stored to `d`, `m⁰` returned.
+#[inline(always)]
+fn send_block(rows: (&[u64], &[u64]), delta: [u64; 2], tweak: u64, a: u64, b: usize, d: &mut [u64]) -> U64xN<LANES> {
+    let (lo, hi) = (U64xN::load(&rows.0[8 * b..]), U64xN::load(&rows.1[8 * b..]));
+    let tw = tweak.wrapping_add(8 * b as u64);
+    let m0 = cr_hash_lanes(tw, lane_steps(1), lo, hi, [0, 0]);
+    let m1 = cr_hash_lanes(tw, lane_steps(1), lo, hi, delta);
+    (m0 + U64xN::splat(a << (8 * b)) * LANE_BIT - m1).store(&mut d[8 * b..]);
+    m0
+}
+
+/// One element's OTs `8b .. 8b + 8` of the receiver: `H(t_j)` plus the
+/// corrections its choice bits select.
+#[inline(always)]
+fn receive_block(rows: (&[u64], &[u64]), choice: u64, tweak: u64, b: usize, d: &[u64]) -> U64xN<LANES> {
+    let (lo, hi) = (U64xN::load(&rows.0[8 * b..]), U64xN::load(&rows.1[8 * b..]));
+    let tw = tweak.wrapping_add(8 * b as u64);
+    let bit = ((U64xN::splat(choice >> (8 * b)) & LANE_BIT) * LANE_TOP) >> 63;
+    cr_hash_lanes(tw, lane_steps(1), lo, hi, [0, 0]) + (U64xN::load(&d[8 * b..]) & (U64xN::ZERO - bit))
+}
+
+/// Body of the vector-OLE passes, compiled once per dispatch tier: per
+/// element, its 64 OTs as eight blocks of [`LANES`] consecutive rows of
+/// its unit, in the order `b ← (b + 5) mod 8` — uncounted, like the
+/// transpose's passes, so LLVM's loop vectorizer does not turn the
+/// element loop into gathers of rows across units.
+#[inline(always)]
+fn ole_body(rows: &Rows, elements: &[OleElement], pass: OlePass, sums: &mut [u64]) {
+    match pass {
+        OlePass::Send { delta, a, d } => {
+            for (e, ((el, &a), d)) in elements.iter().zip(a).zip(d.chunks_exact_mut(64)).enumerate() {
+                let unit = rows.unit(el.unit);
+                let (mut sum, mut b) = (U64xN::ZERO, 0);
+                loop {
+                    sum = sum + send_block(unit, delta, el.tweak, a, b, d);
+                    b = (b + 5) & 7;
+                    if b == 0 {
+                        break;
+                    }
+                }
+                sums[e] = sum.hsum();
+            }
+        }
+        OlePass::Receive { choice, d } => {
+            for (e, (el, d)) in elements.iter().zip(d.chunks_exact(64)).enumerate() {
+                let (unit, r) = (rows.unit(el.unit), choice[el.unit as usize]);
+                let (mut sum, mut b) = (U64xN::ZERO, 0);
+                loop {
+                    sum = sum + receive_block(unit, r, el.tweak, b, d);
+                    b = (b + 5) & 7;
+                    if b == 0 {
+                        break;
+                    }
+                }
+                sums[e] = sum.hsum();
+            }
         }
     }
 }
 
-/// Finishes a held unit once its correlation `a` is known: appends
-/// `held_j + (a ≪ j)` — the unit's correction words — to `msg`.
-///
-/// # Panics
-/// Panics if `held` is not 64 words.
-#[inline]
-pub fn cot_correct_held(held: &[u64], a: u64, msg: &mut Vec<u64>) {
-    assert_eq!(held.len(), 64, "one held word per OT of the unit");
-    msg.extend(held.iter().enumerate().map(|(j, &h)| h.wrapping_add(a.wrapping_shl(j as u32))));
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn ole_avx512(rows: &Rows, elements: &[OleElement], pass: OlePass, sums: &mut [u64]) {
+    ole_body(rows, elements, pass, sums)
+}
+
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn ole_avx2(rows: &Rows, elements: &[OleElement], pass: OlePass, sums: &mut [u64]) {
+    ole_body(rows, elements, pass, sums)
+}
+
+/// Runs one vector-OLE pass at `tier`.
+fn ole_tier(tier: SimdTier, rows: &Rows, elements: &[OleElement], pass: OlePass, sums: &mut [u64]) {
+    assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
+    assert_eq!(sums.len(), elements.len(), "one sum per element");
+    let units = rows.lo.len() / 64;
+    assert!(elements.iter().all(|e| (e.unit as usize) < units), "element of a unit not extended");
+    match tier {
+        // SAFETY: `supported()` just confirmed the CPU features the
+        // callee is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { ole_avx512(rows, elements, pass, sums) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { ole_avx2(rows, elements, pass, sums) },
+        _ => ole_body(rows, elements, pass, sums),
+    }
 }
 
 #[cfg(test)]
@@ -1089,9 +878,9 @@ mod tests {
         }
     }
 
-    /// One extension batch in both roles at `tier`, every unit's
-    /// corrections sent: the receiver's per-unit sums, the `u` message,
-    /// the corrections and the sender's per-unit `Σ m⁰`.
+    /// One extension batch in both roles at `tier`, then one element
+    /// per unit correlated by `a`: the `u` message, the corrections, the
+    /// receiver's sums and the sender's `Σ m⁰`.
     fn run_batch(
         tier: SimdTier,
         sender: &mut CotSender,
@@ -1099,29 +888,28 @@ mod tests {
         choice: &[u64],
         a: &[u64],
     ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
-        let words = choice.len();
-        let (mut u, mut recv_sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
-        receiver.extend(tier, choice, &mut u, &mut recv_sums);
+        let (words, first) = (choice.len(), receiver.choice.len() as u32);
+        let mut u = vec![0u64; OT_KAPPA * words];
+        receiver.extend(tier, choice, &mut u);
+        sender.absorb(tier, &u);
+        let elements: Vec<OleElement> =
+            (0..words as u32).map(|b| OleElement { unit: first + b, tweak: 64 * (first + b) as u64 }).collect();
         let (mut d, mut m0_sums) = (vec![0u64; 64 * words], vec![0u64; words]);
-        sender.absorb(tier, &u, a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut m0_sums);
+        sender.correct(tier, &elements, a, &mut d, &mut m0_sums);
+        let mut recv_sums = vec![0u64; words];
+        receiver.receive(tier, &elements, &d, &mut recv_sums);
         (recv_sums, u, d, m0_sums)
     }
 
-    /// The Gilboa product of every unit: the receiver's finished sum
-    /// minus the sender's `Σ m⁰`.
-    fn products(choice: &[u64], recv_sums: &[u64], d: &[u64], m0_sums: &[u64]) -> Vec<u64> {
-        (0..choice.len())
-            .map(|b| {
-                let finished = cot_finish(recv_sums[b], choice[b], &d[64 * b..][..64]);
-                finished.wrapping_sub(m0_sums[b])
-            })
-            .collect()
+    /// The Gilboa product of every element: the receiver's sum minus the
+    /// sender's `Σ m⁰`.
+    fn products(recv_sums: &[u64], m0_sums: &[u64]) -> Vec<u64> {
+        recv_sums.iter().zip(m0_sums).map(|(r, m)| r.wrapping_sub(*m)).collect()
     }
 
-    /// The heart of IKNP: after extension, `q_j = t_j ⊕ (r_j · s)`, so
-    /// under the zero correlation the receiver's outputs are the
-    /// sender's `m⁰_j` whatever its choice bits — per unit, its
-    /// finished sum is `Σ m⁰`.
+    /// The heart of IKNP: after extension, `q_j = t_j ⊕ (r_j · s)` row
+    /// by row — and so, under the zero correlation, the receiver's sums
+    /// are the sender's `Σ m⁰` whatever its choice bits.
     #[test]
     fn extension_rows_satisfy_the_iknp_invariant() {
         let (mut sender, mut receiver) = simulated_base_ots(7);
@@ -1130,8 +918,13 @@ mod tests {
             (0..3).map(|_| g.next_u64()).collect()
         };
         let tier = SimdTier::detect();
-        let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 3]);
-        assert_eq!(products(&choice, &recv_sums, &d, &m0_sums), vec![0; 3]);
+        let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 3]);
+        assert_eq!(products(&recv_sums, &m0_sums), vec![0; 3]);
+        for (row, (q, t)) in sender.rows.lo.iter().zip(&sender.rows.hi).zip(receiver.rows.lo.iter().zip(&receiver.rows.hi)).enumerate() {
+            let r = (choice[row / 64] >> (row % 64)) & 1;
+            let s = [sender.delta[0] & 0u64.wrapping_sub(r), sender.delta[1] & 0u64.wrapping_sub(r)];
+            assert_eq!([q.0 ^ s[0], q.1 ^ s[1]], [*t.0, *t.1], "row {row}");
+        }
     }
 
     #[test]
@@ -1142,26 +935,32 @@ mod tests {
         let choice = [1u64, 1 << 5, 1 << 63, 0xF0F0_F0F0_F0F0_F0F0, 0];
         let a = [1000u64, 1001, 1002, 1003, 1004];
         let tier = SimdTier::detect();
-        let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
+        let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
         assert_eq!(
-            products(&choice, &recv_sums, &d, &m0_sums),
+            products(&recv_sums, &m0_sums),
             vec![1000, 1001 << 5, 1002 << 63, 1003u64.wrapping_mul(0xF0F0_F0F0_F0F0_F0F0), 0]
         );
     }
 
     #[test]
     fn batches_stay_in_lockstep_across_calls() {
-        // Consecutive batches must keep the seed streams and hash
-        // tweaks aligned: every batch's products stay exact.
+        // Consecutive batches must keep the seed streams aligned and
+        // append their units: every batch's products stay exact, and a
+        // unit of the first batch still multiplies after the third.
         let (mut sender, mut receiver) = simulated_base_ots(21);
         for round in 0..3u64 {
             let choice = vec![round.wrapping_mul(0x9E3779B97F4A7C15); 2 + round as usize];
             let a = vec![7u64; choice.len()];
             let tier = SimdTier::detect();
-            let (recv_sums, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
+            let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
             let want: Vec<u64> = choice.iter().map(|r| r.wrapping_mul(7)).collect();
-            assert_eq!(products(&choice, &recv_sums, &d, &m0_sums), want, "round {round}");
+            assert_eq!(products(&recv_sums, &m0_sums), want, "round {round}");
         }
+        let reused = [OleElement { unit: 0, tweak: 1 << 40 }];
+        let (mut d, mut m0, mut got) = (vec![0u64; 64], [0u64], [0u64]);
+        sender.correct(SimdTier::detect(), &reused, &[3], &mut d, &mut m0);
+        receiver.receive(SimdTier::detect(), &reused, &d, &mut got);
+        assert_eq!(got[0].wrapping_sub(m0[0]), 0, "unit 0 chose the zero word");
     }
 
     #[test]
@@ -1175,36 +974,6 @@ mod tests {
         let mean = pop as f64 / d.len() as f64;
         assert!((mean - 32.0).abs() < 2.0, "correction popcount mean {mean}");
         assert!(m0_sums.iter().all(|&s| s != 0));
-    }
-
-    #[test]
-    fn held_units_finish_to_the_sent_corrections() {
-        // Routing a unit to the held buffer and correcting it later
-        // gives the words the pass would have sent.
-        let choice: Vec<u64> = (1..=12u64).map(|w| w.wrapping_mul(0x9E3779B97F4A7C15)).collect();
-        let a: Vec<u64> = (0..12u64).map(|b| if b % 4 == 3 { 0 } else { b + 100 }).collect();
-        let late: Vec<u64> = (0..3u64).map(|p| p.wrapping_mul(0xDEAD_BEEF) + 1).collect();
-        let (mut sender, mut receiver) = simulated_base_ots(31);
-        let mut all_a = a.clone();
-        for (p, &o) in late.iter().enumerate() {
-            all_a[4 * p + 3] = o;
-        }
-        let tier = SimdTier::detect();
-        let (_, u, d_all, sums_all) = run_batch(tier, &mut sender, &mut receiver, &choice, &all_a);
-        let (mut split_sender, _) = simulated_base_ots(31);
-        let split = UnitSplit { period: 4, sent: 3 };
-        let (mut sent, mut held) = (vec![0u64; 64 * 9], vec![0u64; 64 * 3]);
-        let mut sums = vec![0u64; 12];
-        split_sender.absorb(tier, &u, &a, split, &mut sent, &mut held, &mut sums);
-        assert_eq!(sums, sums_all);
-        for p in 0..3 {
-            for m in 0..3 {
-                assert_eq!(sent[64 * (3 * p + m)..][..64], d_all[64 * (4 * p + m)..][..64]);
-            }
-            let mut finished = Vec::new();
-            cot_correct_held(&held[64 * p..][..64], late[p], &mut finished);
-            assert_eq!(finished, d_all[64 * (4 * p + 3)..][..64], "period {p}");
-        }
     }
 
     #[test]
@@ -1296,7 +1065,6 @@ mod tests {
     #[should_panic(expected = "κ columns")]
     fn absorb_rejects_ragged_messages() {
         let (mut sender, _) = simulated_base_ots(3);
-        let (mut d, split) = ([0u64; 64], UnitSplit::ALL_SENT);
-        sender.absorb(SimdTier::Portable, &[0u64; 100], &[0], split, &mut d, &mut [], &mut [0]);
+        sender.absorb(SimdTier::Portable, &[0u64; 100]);
     }
 }

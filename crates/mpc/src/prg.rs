@@ -73,12 +73,11 @@ impl SplitMix64 {
         self.skip(out.len());
     }
 
-    /// [`Self::fill_block`] compiled for `tier` — the form the OT
-    /// column expansion calls once per 64-word slab column, where the
-    /// PRG was the largest single term (6 words per extended OT at
-    /// 2 ns/word: without wide multiplies LLVM emulates them on 32-bit
-    /// SSE2 lanes; under AVX-512 the same loop runs at ≈ 0.4).
-    /// Bit-identical at every tier.
+    /// [`Self::fill_block`] compiled for `tier` — the form the OT key
+    /// extension calls once per column of a key flight and the dealer
+    /// streams per block (without wide multiplies LLVM emulates them on
+    /// 32-bit SSE2 lanes at 2 ns/word; under AVX-512 the same loop runs
+    /// at ≈ 0.4). Bit-identical at every tier.
     ///
     /// # Panics
     /// Panics if the tier is unsupported on this CPU.
@@ -96,15 +95,6 @@ impl SplitMix64 {
         }
     }
 
-    /// The raw counter state, for kernels that expand the stream in
-    /// closed counter form (output `k` is a pure function of
-    /// `state + (k+1)·gamma` — see [`Self::fill_block`]). Pair with
-    /// [`Self::skip`] to advance past the words so produced.
-    #[inline]
-    pub(crate) fn state_raw(&self) -> u64 {
-        self.state
-    }
-
     /// Advances the stream past `words` outputs without computing
     /// them — exactly the state [`Self::fill_block`] would leave
     /// behind for a buffer of that length.
@@ -116,7 +106,7 @@ impl SplitMix64 {
 
 /// Lane-wise SplitMix64 finaliser: `mix_lanes(s)` equals
 /// [`SplitMix64::next_u64`]'s output for counter value `s`, per lane —
-/// how the round kernels and the OT extension passes expand a stream in
+/// how the round kernels expand a stream in
 /// closed counter form.
 #[inline(always)]
 pub(crate) fn mix_lanes<const N: usize>(s: U64xN<N>) -> U64xN<N> {

@@ -102,7 +102,7 @@ impl WireStats {
     }
 
     /// Offline payload bytes, both directions (equals the modeled
-    /// flight ledger; the base-OT setup never crosses this wire).
+    /// dialogue ledger; the base-OT setup never crosses this wire).
     pub fn offline_payload_both(&self) -> u64 {
         self.offline_payload_sent + self.offline_payload_recv
     }
@@ -966,8 +966,8 @@ mod tests {
         assert_eq!(a.stats().online_payload_sent, 48);
     }
 
-    /// A frame one word past the decoder's bound: what a single-pair
-    /// offline flight of > 16 384 groups would lower to.
+    /// A frame one word past the decoder's bound: what an offline key
+    /// flight of 32 769 pairs would lower to.
     fn oversized_frame() -> Frame {
         Frame {
             payload: Payload::from_words(vec![0; crate::wire::MAX_FRAME_PAYLOAD_BYTES / 8 + 1]),

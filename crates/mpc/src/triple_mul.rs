@@ -45,10 +45,10 @@
 //! & Zhang, S&P 2017, <https://eprint.iacr.org/2017/396>) over the pair
 //! masks. Each server evaluates it in one [`weighted_pass`] over a
 //! chunk's `k`-runs ([`PairRun`]): a few dot products of contiguous
-//! rows of its table per run. With dealer material `⟨M_p⟩₁` is one
-//! dealer word a pair and `⟨Σ w⟩₁` one a Count
-//! ([`PairTable::count_term`]); with preprocessed material each
-//! triple's `o p q w` fold into the run's dot products. Every executor
+//! rows of its table per run. `⟨M_p⟩₁` is one dealer word a pair and
+//! `⟨Σ w⟩₁` one a Count ([`PairTable::count_term`]); with preprocessed
+//! material the offline phase ([`crate::offline`]) makes S₂'s words to
+//! match them. Every executor
 //! runs these per-server kernels — the in-process Count runs both
 //! servers' in turn — so a plaintext bit enters only S₂'s pair masking.
 //! [`mul3`] stays the one-triple protocol object with free masks.
@@ -285,12 +285,15 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
 /// them. What the pass makes of them depends on whose table it is and
 /// where the groups come from — never on a plaintext bit:
 ///
-/// * S₁ dots its own mask shares `λ⁽¹⁾` with the openings; with dealer
-///   material its product shares are one dealer word a pair and one a
-///   Count ([`PairDealer::pair_word`], [`PairDealer::count_word`]),
-///   summed into [`PairTable::count_term`].
-/// * S₂ with preprocessed material dots its own `λ⁽²⁾`, plus `efg`, and
-///   folds its groups' product shares into the same dot products.
+/// * S₁ dots its own mask shares `λ⁽¹⁾` with the openings; its product
+///   shares are one dealer word a pair and one a Count
+///   ([`PairDealer::pair_word`], [`PairDealer::count_word`]), summed into
+///   [`PairTable::count_term`] — in OT mode too, where the offline phase
+///   derandomises onto them ([`crate::offline`]).
+/// * S₂ with preprocessed material runs S₁'s pass shape over its own
+///   `λ⁽²⁾`, plus `efg`; the offline phase installs its words
+///   `M_p − ⟨M_p⟩₁` and `W − ⟨W⟩₁` ([`crate::pair_offline_over_wire`]),
+///   which [`PairTable::count_term`] sums like S₁'s.
 /// * S₂ with dealer material holds S₁'s mask shares and the full masks
 ///   `λ = λ⁽¹⁾ + λ⁽²⁾` beside the openings: the dealer differences S₂'s
 ///   product shares out of the full masks' products less S₁'s words
@@ -303,8 +306,8 @@ pub struct PairTable {
     seed: u64,
     /// Whose table.
     server: ServerId,
-    /// Whether the groups come from preprocessed material rather than
-    /// the dealer.
+    /// Whether the Count's words come from the offline phase rather
+    /// than the dealer.
     preprocessed: bool,
     /// The ISA tier [`mask_round`] and [`weighted_pass`] run at.
     tier: SimdTier,
@@ -316,16 +319,22 @@ pub struct PairTable {
     lam: Vec<u64>,
     /// Dealer S₂ tables only: each pair's full mask `λ⁽¹⁾ + λ⁽²⁾`.
     full: Vec<u64>,
-    /// Dealer tables only: S₁'s dealer words of the round masked last.
+    /// Dealer and S₁ tables: S₁'s dealer words of the round masked last
+    /// — of every pair on a preprocessed S₁ table, whose offline phase
+    /// derandomises onto them.
     words: Vec<u64>,
-    /// Dealer tables only: `Σ_p e_p·⟨M_p⟩₁` over the pushed pairs.
+    /// `Σ_p e_p·⟨M_p⟩` over the pushed pairs: S₁'s words, or the words a
+    /// preprocessed S₂ table was installed with.
     word_sum: u64,
+    /// The Count's word `⟨W⟩`: S₁'s dealer word, or what a preprocessed
+    /// table's offline phase installed (zero until it runs).
+    count_word: u64,
 }
 
 impl PairTable {
     /// An empty table for `server` under the Count seed `seed`, whose
-    /// groups come from the dealer or, `preprocessed`, from preprocessed
-    /// material.
+    /// words come from the dealer or, `preprocessed`, from the offline
+    /// phase.
     pub fn new(seed: u64, server: ServerId, preprocessed: bool) -> Self {
         PairTable {
             seed,
@@ -337,6 +346,7 @@ impl PairTable {
             full: Vec::new(),
             words: Vec::new(),
             word_sum: 0,
+            count_word: if preprocessed { 0 } else { PairDealer::count_word(seed) },
         }
     }
 
@@ -359,6 +369,54 @@ impl PairTable {
         if !self.preprocessed && self.server == ServerId::S2 {
             self.full.reserve_exact(pairs);
         }
+        if self.keeps_words() {
+            self.words.reserve_exact(pairs);
+        }
+    }
+
+    /// Whether the table keeps every pair's dealer word, not a round's:
+    /// a preprocessed S₁ table.
+    fn keeps_words(&self) -> bool {
+        self.preprocessed && self.server == ServerId::S1
+    }
+
+    /// The Count seed.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Whose table.
+    pub(crate) fn server(&self) -> ServerId {
+        self.server
+    }
+
+    /// The owner's mask shares of the opened pairs, by slot.
+    pub(crate) fn mask_shares(&self) -> &[u64] {
+        &self.lam[..self.e.len()]
+    }
+
+    /// The dealer words the table keeps ([`Self::keeps_words`]).
+    pub(crate) fn pair_words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Installs a preprocessed table's offline material once every pair
+    /// is pushed: S₂'s words `M_p − ⟨M_p⟩₁` by slot and `W − ⟨W⟩₁`, or on
+    /// S₁ (`None`) its own dealer words.
+    ///
+    /// # Panics
+    /// Panics on a dealer table, or unless S₂'s words are one a pair.
+    pub(crate) fn install(&mut self, material: Option<(&[u64], u64)>) {
+        assert!(self.preprocessed, "dealer tables hold their words already");
+        match material {
+            None => self.count_word = PairDealer::count_word(self.seed),
+            Some((words, count)) => {
+                assert_eq!(words.len(), self.e.len(), "one offline word per opened pair");
+                let products = self.e.iter().zip(words).map(|(e, m)| e.wrapping_mul(*m));
+                self.word_sum = products.fold(0, u64::wrapping_add);
+                self.count_word = count;
+            }
+        }
     }
 
     /// Pairs in the table.
@@ -379,23 +437,23 @@ impl PairTable {
     pub fn push(&mut self, opened: &[u64]) {
         assert_eq!(opened.len(), self.lam.len() - self.e.len(), "one opening per pair masked");
         self.e.extend_from_slice(opened);
-        let words = opened.iter().zip(&self.words);
+        let round = &self.words[self.words.len().saturating_sub(opened.len())..];
+        let words = opened.iter().zip(round);
         self.word_sum = words.fold(self.word_sum, |sum, (e, m)| sum.wrapping_add(e.wrapping_mul(*m)));
     }
 
     /// This server's Count-level share, added once per Count beside its
-    /// passes' sums: with dealer material S₁'s Count word plus
-    /// `Σ_p e_p·⟨M_p⟩₁` over the table's pairs, and on S₂ its negation
-    /// (S₂'s pass telescopes against S₁'s share); zero with preprocessed
-    /// material, whose product shares are all in the passes.
+    /// passes' sums: its Count word plus `Σ_p e_p·⟨M_p⟩` over the
+    /// table's pairs — S₁'s dealer words, or S₂'s installed offline words
+    /// — and with dealer material on S₂ the negation of S₁'s (S₂'s pass
+    /// telescopes against S₁'s share). A preprocessed table whose offline
+    /// phase has not run adds nothing.
     pub fn count_term(&self) -> u64 {
-        if self.preprocessed {
-            return 0;
-        }
-        let s1 = PairDealer::count_word(self.seed).wrapping_add(self.word_sum);
-        match self.server {
-            ServerId::S1 => s1,
-            ServerId::S2 => s1.wrapping_neg(),
+        let own = self.count_word.wrapping_add(self.word_sum);
+        if self.server == ServerId::S2 && !self.preprocessed {
+            own.wrapping_neg()
+        } else {
+            own
         }
     }
 }
@@ -501,8 +559,7 @@ impl Iterator for Blocks {
 #[inline(always)]
 fn mask_body(seed: u64, kind: (ServerId, bool), keys: &[u64], bits: &[u64], mut cols: MaskColumns) {
     match kind {
-        (ServerId::S1, false) => mask_pass::<false, true>(seed, keys, bits, &mut cols),
-        (ServerId::S1, true) => mask_pass::<false, false>(seed, keys, bits, &mut cols),
+        (ServerId::S1, _) => mask_pass::<false, true>(seed, keys, bits, &mut cols),
         (ServerId::S2, false) => mask_pass::<true, true>(seed, keys, bits, &mut cols),
         (ServerId::S2, true) => mask_pass::<true, false>(seed, keys, bits, &mut cols),
     }
@@ -528,7 +585,7 @@ unsafe fn mask_avx2(seed: u64, kind: (ServerId, bool), keys: &[u64], bits: &[u64
 /// pairs' [`pair_key`]s: the server's masking `⟨e⟩ᵢ = ⟨a⟩ᵢ − λ⁽ⁱ⁾` into
 /// `out` — S₁'s input share is [`share_prf`](crate::share_prf), S₂'s the
 /// plaintext bit less it — and, into `table`, the round's mask shares
-/// its pass reads and, with dealer material, S₁'s pair words
+/// its pass reads and, on S₁ or with dealer material, S₁'s pair words
 /// ([`PairDealer::pair_word`]); [`PairTable::push`] then appends the
 /// round's openings. `bits` holds the pairs' plaintext bits on S₂; S₁
 /// reads none (pass an empty slice). Bit-identical to the scalar PRFs at
@@ -549,13 +606,15 @@ pub fn mask_round(table: &mut PairTable, keys: &[u64], bits: &[u64], out: &mut [
     if dealer && server == ServerId::S2 {
         table.full.resize(at + keys.len(), 0);
     }
-    table.words.resize(if dealer { keys.len() } else { 0 }, 0);
+    let words_at = if table.keeps_words() { at } else { 0 };
+    let words = if dealer || server == ServerId::S1 { keys.len() } else { 0 };
+    table.words.resize(words_at + words, 0);
     let full_at = at.min(table.full.len());
     let cols = MaskColumns {
         out,
         lam: &mut table.lam[at..],
         full: &mut table.full[full_at..],
-        words: &mut table.words,
+        words: &mut table.words[words_at..],
     };
     let kind = (server, table.preprocessed);
     match tier {
@@ -581,37 +640,35 @@ pub struct PairRun {
     /// Triples in the run.
     pub len: usize,
     /// The position of the run's first triple in the chunk's plan order:
-    /// where its signs and preprocessed groups start.
+    /// where its signs start.
     pub at: usize,
 }
 
 // The weighted pass below is written like the mask pass above —
 // generic over the lane count, so a run's scalar tail (at most
 // `LANES − 1` triples) runs the vector loop's formula — and also
-// generic over the server, the material source and the signs. Every
+// generic over the server's shape and the signs. Every
 // step is an `#[inline(always)]` function, never a closure with more
 // than a line of body: a tier's wrapper vectorises only what is
 // inlined into it, and LLVM may leave a large closure out-of-line (and
 // scalar).
 
-/// The slices one server's pass reads: its table's columns, the plan's
-/// sign masks (signed passes only) and its preprocessed `w o p q`
-/// columns (preprocessed passes only).
+/// The slices one server's pass reads: its table's columns and the
+/// plan's sign masks (signed passes only).
 #[derive(Clone, Copy)]
 struct PassColumns<'a> {
     e: &'a [u64],
     lam: &'a [u64],
     full: &'a [u64],
     signs: &'a [u64],
-    wopq: [&'a [u64]; 4],
 }
 
 /// One run's words, from its first triple on and cut at its length —
 /// as `u64`s, or as blocks of [`LANES`] for the vector loop: the
 /// `(i, k)` row's openings `f` and mask shares `y`, the `(j, k)` row's
 /// `g` and `z`, on a dealer S₂ table the two rows' full masks `bl` and
-/// `cl`, and the run's sign masks `m` and product shares `w o p q`.
-/// Columns a pass does not read are empty.
+/// `cl`, and the run's sign masks `m`. Columns a pass does not read are
+/// empty.
 #[derive(Clone, Copy)]
 struct RunRows<'a, T> {
     f: &'a [T],
@@ -621,7 +678,6 @@ struct RunRows<'a, T> {
     bl: &'a [T],
     cl: &'a [T],
     m: &'a [T],
-    wopq: [&'a [T]; 4],
 }
 
 /// `N` triples' words of a run ([`RunRows`]), the columns a pass does
@@ -634,16 +690,12 @@ struct Lanes<const N: usize> {
     bl: U64xN<N>,
     cl: U64xN<N>,
     m: U64xN<N>,
-    wopq: [U64xN<N>; 4],
 }
 
 impl<'a> RunRows<'a, u64> {
     /// `run`'s rows of `c`: the columns a pass of this kind reads.
     #[inline(always)]
-    fn of<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(
-        c: &PassColumns<'a>,
-        run: &PairRun,
-    ) -> Self {
+    fn of<const SIGNED: bool, const S2_DEALER: bool>(c: &PassColumns<'a>, run: &PairRun) -> Self {
         let [_, ik, jk] = run.slots;
         let (len, at) = (run.len, run.at);
         let cut = |column: &'a [u64], from: usize, used: bool| -> &'a [u64] {
@@ -653,7 +705,6 @@ impl<'a> RunRows<'a, u64> {
                 &[]
             }
         };
-        let [w, o, p, q] = c.wopq;
         RunRows {
             f: cut(c.e, ik, true),
             g: cut(c.e, jk, true),
@@ -662,7 +713,6 @@ impl<'a> RunRows<'a, u64> {
             bl: cut(c.full, ik, S2_DEALER),
             cl: cut(c.full, jk, S2_DEALER),
             m: cut(c.signs, at, SIGNED),
-            wopq: [cut(w, at, PRE), cut(o, at, PRE), cut(p, at, PRE), cut(q, at, PRE)],
         }
     }
 
@@ -670,7 +720,6 @@ impl<'a> RunRows<'a, u64> {
     #[inline(always)]
     fn blocks(&self) -> RunRows<'a, [u64; LANES]> {
         let blocks = |column: &'a [u64]| column.as_chunks::<LANES>().0;
-        let [w, o, p, q] = self.wopq;
         RunRows {
             f: blocks(self.f),
             g: blocks(self.g),
@@ -679,15 +728,13 @@ impl<'a> RunRows<'a, u64> {
             bl: blocks(self.bl),
             cl: blocks(self.cl),
             m: blocks(self.m),
-            wopq: [blocks(w), blocks(o), blocks(p), blocks(q)],
         }
     }
 
     /// Triple `t`'s words, for the scalar tail.
     #[inline(always)]
-    fn lane<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(&self, t: usize) -> Lanes<1> {
+    fn lane<const SIGNED: bool, const S2_DEALER: bool>(&self, t: usize) -> Lanes<1> {
         let word = |column: &[u64], used: bool| U64xN([if used { column[t] } else { 0 }]);
-        let [w, o, p, q] = self.wopq;
         Lanes {
             f: word(self.f, true),
             g: word(self.g, true),
@@ -696,7 +743,6 @@ impl<'a> RunRows<'a, u64> {
             bl: word(self.bl, S2_DEALER),
             cl: word(self.cl, S2_DEALER),
             m: word(self.m, SIGNED),
-            wopq: [word(w, PRE), word(o, PRE), word(p, PRE), word(q, PRE)],
         }
     }
 }
@@ -704,9 +750,8 @@ impl<'a> RunRows<'a, u64> {
 impl RunRows<'_, [u64; LANES]> {
     /// Block `b`'s words.
     #[inline(always)]
-    fn lanes<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool>(&self, b: usize) -> Lanes<LANES> {
+    fn lanes<const SIGNED: bool, const S2_DEALER: bool>(&self, b: usize) -> Lanes<LANES> {
         let block = |column: &[[u64; LANES]], used: bool| U64xN(if used { column[b] } else { [0; LANES] });
-        let [w, o, p, q] = self.wopq;
         Lanes {
             f: block(self.f, true),
             g: block(self.g, true),
@@ -715,7 +760,6 @@ impl RunRows<'_, [u64; LANES]> {
             bl: block(self.bl, S2_DEALER),
             cl: block(self.cl, S2_DEALER),
             m: block(self.m, SIGNED),
-            wopq: [block(w, PRE), block(o, PRE), block(p, PRE), block(q, PRE)],
         }
     }
 }
@@ -732,19 +776,14 @@ fn signed<const SIGNED: bool, const N: usize>(m: U64xN<N>, v: U64xN<N>) -> U64xN
     }
 }
 
-/// A run's accumulators: `Σ s·f·g`, `Σ s·(⟨y⟩·g + f·⟨z⟩ [+ ⟨q⟩])`, S₂'s
-/// telescoped `Σ s·(λ_ik + f)(λ_jk + g)` with dealer material, and
-/// `Σ s·(⟨w⟩ + ⟨o⟩·g + ⟨p⟩·f)` with preprocessed material.
-type RunSums<const N: usize> = [U64xN<N>; 4];
+/// A run's accumulators: `Σ s·f·g`, `Σ s·(⟨y⟩·g + f·⟨z⟩)` and S₂'s
+/// telescoped `Σ s·(λ_ik + f)(λ_jk + g)` with dealer material.
+type RunSums<const N: usize> = [U64xN<N>; 3];
 
 /// Adds `N` triples of a run into its sums. Signs negate the `(j, k)`
-/// row's words, so every product with one is signed, and the product
-/// shares that meet none.
+/// row's words, so every product with one is signed.
 #[inline(always)]
-fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, const N: usize>(
-    l: Lanes<N>,
-    sums: &mut RunSums<N>,
-) {
+fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const N: usize>(l: Lanes<N>, sums: &mut RunSums<N>) {
     let (f, g) = (l.f, signed::<SIGNED, N>(l.m, l.g));
     let (y, z) = (l.y, signed::<SIGNED, N>(l.m, l.z));
     sums[0] = sums[0] + f * g;
@@ -753,37 +792,32 @@ fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, const 
         let (b, c) = (f + l.bl, g + signed::<SIGNED, N>(l.m, l.cl));
         sums[2] = sums[2] + b * c;
     }
-    if PRE {
-        let [w, o, p, q] = l.wopq;
-        sums[1] = sums[1] + signed::<SIGNED, N>(l.m, q);
-        sums[3] = sums[3] + signed::<SIGNED, N>(l.m, w + p * f) + o * g;
-    }
 }
 
 /// A run's share from its sums and the table's words of its pair
 /// `(i, j)` — opening `e`, mask share `x` and, on a dealer S₂ table,
-/// full mask `λ`: `x·Σfg + e·Σ(yg + fz + q) + Σ(w + og + pf)`, with
-/// `x + e` for `x` on S₂ with preprocessed material (its `efg`), and on
-/// S₂ with dealer material `(λ + e)·Σbc` less S₁'s share.
+/// full mask `λ`: `x·Σfg + e·Σ(yg + fz)`, with `x + e` for `x` on S₂
+/// with preprocessed material (its `efg`), and on S₂ with dealer
+/// material `(λ + e)·Σbc` less S₁'s share.
 #[inline(always)]
 fn run_share<const S2_DEALER: bool, const EFG: bool, const N: usize>(
     [e, x, full]: [u64; 3],
-    [fg, cross, bc, own]: RunSums<N>,
+    [fg, cross, bc]: RunSums<N>,
 ) -> U64xN<N> {
     let x = if EFG { x.wrapping_add(e) } else { x };
     let share = U64xN::splat(x) * fg + U64xN::splat(e) * cross;
     if S2_DEALER {
         U64xN::splat(full.wrapping_add(e)) * bc - share
     } else {
-        share + own
+        share
     }
 }
 
-/// [`weighted_pass`]'s pass for one server, material source and sign
-/// mode: each run's full blocks into vector sums, its tail into scalar
-/// ones, each folded into the pass's total with the run's pair words.
+/// [`weighted_pass`]'s pass for one server shape and sign mode: each
+/// run's full blocks into vector sums, its tail into scalar ones, each
+/// folded into the pass's total with the run's pair words.
 #[inline(always)]
-fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, const EFG: bool>(
+fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool>(
     c: &PassColumns,
     runs: &[PairRun],
 ) -> u64 {
@@ -791,20 +825,20 @@ fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, con
     for run in runs {
         let ij = run.slots[0];
         let pair_ij = [c.e[ij], c.lam[ij], if S2_DEALER { c.full[ij] } else { 0 }];
-        let rows = RunRows::of::<SIGNED, S2_DEALER, PRE>(c, run);
+        let rows = RunRows::of::<SIGNED, S2_DEALER>(c, run);
         let blocks = rows.blocks();
         if !blocks.f.is_empty() {
-            let mut sums = [U64x8::ZERO; 4];
+            let mut sums = [U64x8::ZERO; 3];
             for b in Blocks::below(blocks.f.len()) {
-                accumulate::<SIGNED, S2_DEALER, PRE, LANES>(blocks.lanes::<SIGNED, S2_DEALER, PRE>(b), &mut sums);
+                accumulate::<SIGNED, S2_DEALER, LANES>(blocks.lanes::<SIGNED, S2_DEALER>(b), &mut sums);
             }
             wide = wide + run_share::<S2_DEALER, EFG, LANES>(pair_ij, sums);
         }
         let full = blocks.f.len() * LANES;
         if full < run.len {
-            let mut sums = [U64xN::<1>::ZERO; 4];
+            let mut sums = [U64xN::<1>::ZERO; 3];
             for t in full..run.len {
-                accumulate::<SIGNED, S2_DEALER, PRE, 1>(rows.lane::<SIGNED, S2_DEALER, PRE>(t), &mut sums);
+                accumulate::<SIGNED, S2_DEALER, 1>(rows.lane::<SIGNED, S2_DEALER>(t), &mut sums);
             }
             narrow = narrow + run_share::<S2_DEALER, EFG, 1>(pair_ij, sums);
         }
@@ -817,14 +851,12 @@ fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const PRE: bool, con
 #[inline(always)]
 fn weighted_body(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
     match kind {
-        (ServerId::S1, false, false) => weighted_runs::<false, false, false, false>(c, runs),
-        (ServerId::S1, true, false) => weighted_runs::<false, false, true, false>(c, runs),
-        (ServerId::S1, false, true) => weighted_runs::<true, false, false, false>(c, runs),
-        (ServerId::S1, true, true) => weighted_runs::<true, false, true, false>(c, runs),
-        (ServerId::S2, false, false) => weighted_runs::<false, true, false, false>(c, runs),
-        (ServerId::S2, true, false) => weighted_runs::<false, false, true, true>(c, runs),
-        (ServerId::S2, false, true) => weighted_runs::<true, true, false, false>(c, runs),
-        (ServerId::S2, true, true) => weighted_runs::<true, false, true, true>(c, runs),
+        (ServerId::S1, _, false) => weighted_runs::<false, false, false>(c, runs),
+        (ServerId::S1, _, true) => weighted_runs::<true, false, false>(c, runs),
+        (ServerId::S2, false, false) => weighted_runs::<false, true, false>(c, runs),
+        (ServerId::S2, true, false) => weighted_runs::<false, false, true>(c, runs),
+        (ServerId::S2, false, true) => weighted_runs::<true, true, false>(c, runs),
+        (ServerId::S2, true, true) => weighted_runs::<true, false, true>(c, runs),
     }
 }
 
@@ -848,9 +880,7 @@ unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool
 /// over its opened [`PairTable`]: returns its share of `Σₜ sₜ·dₜ` over
 /// the runs' triples `t`, less the Count-level terms
 /// ([`PairTable::count_term`]). `signs` are the plan's sign masks (`0`
-/// adds a triple, `!0` subtracts it) and `groups` this server's
-/// preprocessed groups, both in plan order ([`PairRun::at`]); a dealer
-/// table takes no groups.
+/// adds a triple, `!0` subtracts it) in plan order ([`PairRun::at`]).
 ///
 /// The masks are keyed by pair, so the sum regroups exactly by pair:
 /// `Σ⟨w⟩ + Σ_p e_p·⟨M_p⟩ + Σ_p ⟨λ_p⟩·W_p (+ Σ efg on S₂)`, where `W_p`
@@ -858,11 +888,9 @@ unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool
 /// other two pairs' openings' product and `M_p` the same over their
 /// masks. Per run of outer pair `(i, j)` that is a few dot products of
 /// the table's row slices `e_i·, e_j·, λ_i·, λ_j·` — contiguous loads
-/// only — weighted by the words of `(i, j)`. With preprocessed material
-/// each triple's `o p q w` fold into the same dot products, so the pass
-/// equals [`mul3_combine`] summed per triple over the groups; with
-/// dealer material `M_p` and `Σ w` are [`PairTable::count_term`]'s and
-/// the pass holds the rest.
+/// only — weighted by the words of `(i, j)`. `M_p` and `Σ w` are
+/// [`PairTable::count_term`]'s, whichever the material source, and the
+/// pass holds the rest.
 ///
 /// ```
 /// use cargo_mpc::{mask_round, pair_key, weighted_pass, PairRun, PairTable, ServerId};
@@ -883,34 +911,16 @@ unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool
 ///     .iter_mut()
 ///     .map(|table| {
 ///         table.push(&opened);
-///         weighted_pass(table, &run, None, None).wrapping_add(table.count_term())
+///         weighted_pass(table, &run, None).wrapping_add(table.count_term())
 ///     })
 ///     .collect();
 /// assert_eq!(d[0].wrapping_add(d[1]), 3);
 /// ```
 ///
 /// # Panics
-/// Panics if a preprocessed table gets no groups or a dealer table
-/// some, or if a run leaves the table, the signs or the groups.
-pub fn weighted_pass(
-    table: &PairTable,
-    runs: &[PairRun],
-    signs: Option<&[u64]>,
-    groups: Option<&[MulGroupShare]>,
-) -> u64 {
-    assert_eq!(groups.is_some(), table.preprocessed, "groups iff preprocessed material");
+/// Panics if a run leaves the table or the signs.
+pub fn weighted_pass(table: &PairTable, runs: &[PairRun], signs: Option<&[u64]>) -> u64 {
     let triples = runs.iter().map(|run| run.at + run.len).max().unwrap_or(0);
-    let mut wopq: [Vec<u64>; 4] = Default::default();
-    if let Some(groups) = groups {
-        assert!(groups.len() >= triples, "one preprocessed group per triple");
-        let [w, o, p, q] = &mut wopq;
-        for g in &groups[..triples] {
-            w.push(g.w.0);
-            o.push(g.o.0);
-            p.push(g.p.0);
-            q.push(g.q.0);
-        }
-    }
     if let Some(signs) = signs {
         assert!(signs.len() >= triples, "one sign mask per triple");
     }
@@ -919,7 +929,6 @@ pub fn weighted_pass(
         lam: &table.lam[..table.e.len()],
         full: &table.full[..table.full.len().min(table.e.len())],
         signs: signs.unwrap_or_default(),
-        wopq: [&wopq[0], &wopq[1], &wopq[2], &wopq[3]],
     };
     let kind = (table.server, table.preprocessed, signs.is_some());
     match table.tier {
@@ -937,10 +946,17 @@ pub fn weighted_pass(
 mod tests {
     use super::*;
     use crate::dealer::{split_mg_words, Dealer, GROUP_WORDS};
-    use crate::offline::MgDraw;
+    use crate::offline::{pair_offline_in_process, push_triples, MgDraw, SlotTriple};
     use crate::prg::SplitMix64;
     use crate::share::{mask_prf, reconstruct, share_prf, share_with};
     use proptest::prelude::*;
+
+    /// `draw`'s pair stream, sought to the draw's first group.
+    fn draw_stream(seed: u64, draw: &MgDraw) -> PairDealer {
+        let mut dealer = PairDealer::for_pair(seed, draw.i, draw.j);
+        dealer.skip_groups(draw.start as usize);
+        dealer
+    }
 
     fn run(a: u64, b: u64, c: u64, seed: u64) -> (Ring64, NetStats) {
         let mut dealer = Dealer::new(seed);
@@ -1057,7 +1073,7 @@ mod tests {
         fn groups(&self) -> [Vec<MulGroupShare>; 2] {
             let mut columns = [Vec::new(), Vec::new()];
             for draw in &self.draws {
-                let mut dealer = PairDealer::for_draw(self.seed, draw);
+                let mut dealer = draw_stream(self.seed, draw);
                 for _ in 0..draw.groups {
                     let (g1, g2) = dealer.next_group_pair();
                     columns[0].push(g1);
@@ -1073,26 +1089,20 @@ mod tests {
         }
 
         /// The scalar oracle: each server's share of `Σ sₜ·dₜ` by the
-        /// naive triple loop, without the Count terms. With
-        /// preprocessed material, `mul3_combine` on each triple's
-        /// groups; with dealer material, S₁'s `x₁·fg + y₁·eg + z₁·ef`
-        /// and S₂'s `(x + e)(y + f)(z + g)` less it.
+        /// naive triple loop, without the Count terms: S₁'s
+        /// `x₁·fg + y₁·eg + z₁·ef`; with preprocessed material S₂'s
+        /// `x₂·fg + y₂·eg + z₂·ef + efg`, with dealer material
+        /// `(x + e)(y + f)(z + g)` less S₁'s.
         fn oracle(&self, preprocessed: bool, signs: bool) -> [u64; 2] {
-            let groups = self.groups();
             let (mut d1, mut d2) = (Ring64::ZERO, Ring64::ZERO);
             for (t, slots) in self.triples().enumerate() {
                 let masks = slots.map(|s| [ServerId::S1, ServerId::S2].map(|server| self.lambda(s, server)));
                 let [e, f, g] = [0, 1, 2].map(|r| Ring64(self.bits[slots[r]]) - masks[r][0] - masks[r][1]);
-                let opening = Mul3Opening { e, f, g };
-                let zero = (Ring64::ZERO, Ring64::ZERO, Ring64::ZERO);
+                let [[x1, x2], [y1, y2], [z1, z2]] = masks;
+                let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
                 let (u1, u2) = if preprocessed {
-                    (
-                        mul3_combine(zero, &groups[0][t], opening, Ring64::ZERO),
-                        mul3_combine(zero, &groups[1][t], opening, e * f * g),
-                    )
+                    (s1, x2 * f * g + y2 * e * g + z2 * e * f + e * f * g)
                 } else {
-                    let [[x1, x2], [y1, y2], [z1, z2]] = masks;
-                    let s1 = x1 * f * g + y1 * e * g + z1 * e * f;
                     (s1, (x1 + x2 + e) * (y1 + y2 + f) * (z1 + z2 + g) - s1)
                 };
                 let minus = signs && self.negate[t] != 0;
@@ -1100,6 +1110,27 @@ mod tests {
                 d2 += if minus { -u2 } else { u2 };
             }
             [d1.0, d2.0]
+        }
+
+        /// The Count-level terms both servers' words share:
+        /// `Σ sₜ·(λλλ + λλ·g + λλ·f + λλ·e)` over the full masks.
+        fn count_terms(&self, signs: bool) -> u64 {
+            let mut sum = Ring64::ZERO;
+            for (t, slots) in self.triples().enumerate() {
+                let full = slots.map(|s| self.lambda(s, ServerId::S1) + self.lambda(s, ServerId::S2));
+                let [e, f, g] = [0, 1, 2].map(|r| Ring64(self.bits[slots[r]]) - full[r]);
+                let [x, y, z] = full;
+                let term = x * y * z + x * y * g + x * z * f + y * z * e;
+                sum += if signs && self.negate[t] != 0 { -term } else { term };
+            }
+            sum.0
+        }
+
+        /// The plan's triples as the offline phase reads them.
+        fn slot_triples(&self, signs: bool) -> Vec<SlotTriple> {
+            let mut triples = Vec::new();
+            push_triples(&self.runs, signs.then_some(&self.negate[..]), &mut triples);
+            triples
         }
 
         /// `Σ sₜ·aₜ·bₜ·cₜ` over the triples' "bits".
@@ -1129,8 +1160,8 @@ mod tests {
         }
 
         /// `table`'s pass over the runs, under the plan's signs or none.
-        fn pass(&self, table: &PairTable, groups: Option<&[MulGroupShare]>, signs: bool) -> u64 {
-            weighted_pass(table, &self.runs, signs.then_some(&self.negate[..]), groups)
+        fn pass(&self, table: &PairTable, signs: bool) -> u64 {
+            weighted_pass(table, &self.runs, signs.then_some(&self.negate[..]))
         }
     }
 
@@ -1142,7 +1173,6 @@ mod tests {
         let runs = Runs::new(3, 5, 2);
         let want = runs.product_sum(false);
         for preprocessed in [false, true] {
-            let groups = runs.groups();
             let keys = runs.keys();
             let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(3, s, preprocessed));
             let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
@@ -1152,11 +1182,11 @@ mod tests {
             let mut opened: Vec<u64> =
                 slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
             opened[runs.runs[0].slots[0]] ^= 1;
-            let got = tables.each_mut().map(|table| {
-                table.push(&opened);
-                let own = preprocessed.then_some(&groups[(table.server == ServerId::S2) as usize][..]);
-                runs.pass(table, own, false).wrapping_add(table.count_term())
-            });
+            tables.iter_mut().for_each(|table| table.push(&opened));
+            if preprocessed {
+                pair_offline_in_process(&mut tables, &runs.slot_triples(false));
+            }
+            let got = tables.each_ref().map(|table| runs.pass(table, false).wrapping_add(table.count_term()));
             assert_ne!(got[0].wrapping_add(got[1]), want, "preprocessed {preprocessed}");
         }
     }
@@ -1166,14 +1196,16 @@ mod tests {
         fn batch_kernel_matches_protocol_objects(seed: u64, mix: u64, count in 1usize..6) {
             // The naive per-triple oracle, from either material source
             // and under signs or none, sums to Σ sₜ·a·b·c over arbitrary
-            // ring values, not just bits (the dealer's Count terms are
-            // ±the same word, so they cancel).
+            // ring values, not just bits: the dealer's Count terms are
+            // ±the same word, so they cancel, and the preprocessed
+            // material's are shares of the Count-level terms.
             let runs = Runs::new(seed, mix, count);
             for signs in [false, true] {
-                for preprocessed in [false, true] {
-                    let [d1, d2] = runs.oracle(preprocessed, signs);
-                    prop_assert_eq!(d1.wrapping_add(d2), runs.product_sum(signs));
-                }
+                let [d1, d2] = runs.oracle(false, signs);
+                prop_assert_eq!(d1.wrapping_add(d2), runs.product_sum(signs));
+                let [d1, d2] = runs.oracle(true, signs);
+                let terms = runs.count_terms(signs);
+                prop_assert_eq!(d1.wrapping_add(d2).wrapping_add(terms), runs.product_sum(signs));
             }
         }
 
@@ -1200,8 +1232,8 @@ mod tests {
             // them — each server masks every pair once, the slabs are
             // summed, each passes — against mul3 on the protocol objects
             // per triple: input shares from share_prf, groups from the
-            // pair stream. Over those groups the shares are mul3's; with
-            // dealer material the reconstruction is.
+            // pair stream. The reconstruction is mul3's, and the
+            // preprocessed material's shares are the dealer's.
             let draw = MgDraw::dense(2, 5, len as u32);
             let mut pairs = vec![(2, 5)];
             pairs.extend((0..len as u32).map(|t| (2, 6 + t)));
@@ -1214,53 +1246,50 @@ mod tests {
                 let s1 = share_prf(seed, i, j);
                 (Ring64(s1), Ring64(bits[slot].wrapping_sub(s1)))
             };
-            let mut dealer = PairDealer::for_draw(seed, &draw);
+            let mut dealer = draw_stream(seed, &draw);
             let (mut r1, mut r2) = (Ring64::ZERO, Ring64::ZERO);
-            let mut groups = [Vec::new(), Vec::new()];
             let mut net = NetStats::new();
             for t in 0..len {
                 let mg = dealer.next_group_pair();
-                groups[0].push(mg.0);
-                groups[1].push(mg.1);
                 let (u1, u2) = mul3(share(0), share(1 + t), share(1 + len + t), mg, &mut net);
                 r1 += u1;
                 r2 += u2;
             }
             let run = [PairRun { slots: [0, 1, 1 + len], len, at: 0 }];
-            for preprocessed in [false, true] {
+            let mut triples = Vec::new();
+            push_triples(&run, None, &mut triples);
+            let shares = [false, true].map(|preprocessed| {
                 let mut tables = [ServerId::S1, ServerId::S2].map(|s| PairTable::new(seed, s, preprocessed));
                 let mut slabs = [vec![0; keys.len()], vec![0; keys.len()]];
                 for (table, slab) in tables.iter_mut().zip(&mut slabs) {
                     mask_round(table, &keys, &bits, slab);
                 }
                 let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
-                let [d1, d2] = [0, 1].map(|s| {
-                    tables[s].push(&opened);
-                    let own = preprocessed.then_some(&groups[s][..]);
-                    weighted_pass(&tables[s], &run, None, own).wrapping_add(tables[s].count_term())
-                });
+                tables.iter_mut().for_each(|table| table.push(&opened));
                 if preprocessed {
-                    prop_assert_eq!((d1, d2), (r1.0, r2.0));
-                } else {
-                    prop_assert_eq!(d1.wrapping_add(d2), (r1 + r2).0);
+                    pair_offline_in_process(&mut tables, &triples);
                 }
-            }
+                tables.each_ref().map(|table| weighted_pass(table, &run, None).wrapping_add(table.count_term()))
+            });
+            prop_assert_eq!(shares[0][0].wrapping_add(shares[0][1]), (r1 + r2).0);
+            prop_assert_eq!(shares[1], shares[0]);
         }
 
         #[test]
         fn per_party_kernels_match_split_words_at_every_tier(seed: u64, mix: u64, count in 1usize..8) {
-            // Per tier and server, from the dealer and from the pair
-            // streams' groups preprocessed: the table the pair phase
-            // leaves — openings, the mask shares and, on a dealer S₂,
-            // the full masks — and the weighted pass, share for share
-            // against the naive triple loop. The dealer's Count terms
-            // are S₁'s words, ±. The stream groups are split_mg_words
-            // of the pairs' mask shares and the stream words.
+            // Per tier and server, from the dealer and preprocessed: the
+            // table the pair phase leaves — openings, the mask shares
+            // and, on a dealer S₂, the full masks — and the weighted
+            // pass, share for share against the naive triple loop. The
+            // dealer's Count terms are S₁'s words, ±; a preprocessed
+            // table's hold S₁'s pair words only until its offline phase
+            // installs the rest. The stream groups are split_mg_words of
+            // the pairs' mask shares and the stream words.
             let runs = Runs::new(seed, mix, count);
             let groups = runs.groups();
             let draw = runs.draws[0];
             let mut words = vec![0; GROUP_WORDS];
-            PairDealer::for_draw(seed, &draw).fill_words(&mut words);
+            draw_stream(seed, &draw).fill_words(&mut words);
             let k = draw.k_at(0) as u32;
             let masks = [(draw.i, draw.j), (draw.i, k), (draw.j, k)]
                 .map(|(u, v)| [ServerId::S1, ServerId::S2].map(|s| mask_prf(seed, s, u, v)));
@@ -1285,14 +1314,14 @@ mod tests {
                             word_sum = word_sum.wrapping_add(opened.wrapping_mul(word));
                         }
                         let term = match (preprocessed, s) {
+                            (true, 0) => word_sum.wrapping_sub(PairDealer::count_word(seed)),
                             (true, _) => 0,
                             (false, 0) => word_sum,
                             (false, _) => word_sum.wrapping_neg(),
                         };
                         prop_assert!(table.count_term() == term, "{at}: count term");
-                        let own = preprocessed.then_some(&groups[s][..]);
                         let want = runs.oracle(preprocessed, false)[s];
-                        prop_assert!(runs.pass(table, own, false) == want, "{at}: pass");
+                        prop_assert!(runs.pass(table, false) == want, "{at}: pass");
                     }
                 }
             }
@@ -1306,11 +1335,9 @@ mod tests {
         ) {
             // Runs whose triples carry random public signs: at every
             // tier, both servers' passes return the naive loop's
-            // Σ sₜ·⟨d⟩ₜ, from the dealer and from the same groups
-            // preprocessed; all-`+` signs change no bit of the unsigned
-            // pass.
+            // Σ sₜ·⟨d⟩ₜ, from the dealer and preprocessed; all-`+`
+            // signs change no bit of the unsigned pass.
             let runs = Runs::new(seed, mix, count);
-            let groups = runs.groups();
             let plus = vec![0u64; runs.negate.len()];
             for tier in SimdTier::available() {
                 for preprocessed in [false, true] {
@@ -1318,10 +1345,9 @@ mod tests {
                     let tables = runs.tables(tier, preprocessed);
                     for (s, table) in tables.iter().enumerate() {
                         let at = format!("{tier} {:?} preprocessed {preprocessed}", table.server);
-                        let own = preprocessed.then_some(&groups[s][..]);
-                        prop_assert!(runs.pass(table, own, true) == want[s], "{at}: signed");
-                        let all_plus = weighted_pass(table, &runs.runs, Some(&plus), own);
-                        prop_assert!(all_plus == runs.pass(table, own, false), "{at}: all +");
+                        prop_assert!(runs.pass(table, true) == want[s], "{at}: signed");
+                        let all_plus = weighted_pass(table, &runs.runs, Some(&plus));
+                        prop_assert!(all_plus == runs.pass(table, false), "{at}: all +");
                     }
                 }
             }
@@ -1347,7 +1373,7 @@ mod tests {
                             };
                             let want = input.wrapping_sub(mask_prf(seed, server, i, j));
                             prop_assert!(slab[slot] == want, "{tier} {server:?}: mask");
-                            if !preprocessed {
+                            if !preprocessed || server == ServerId::S1 {
                                 let word = PairDealer::pair_word(seed, i, j);
                                 prop_assert!(table.words[slot] == word, "{tier} {server:?}: pair word");
                             }

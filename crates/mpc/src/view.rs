@@ -15,12 +15,17 @@
 //! online view is one opening per pair, not three per triple:
 //! [`record_pair_view`] is what S₁ receives over a Count's pair rounds
 //! and [`simulate_pair_view`] its simulator — one uniform word per
-//! pair, however many triples read the pair. It is not a proof (the code cannot
+//! pair, however many triples read the pair. [`record_offline_view`] is
+//! what each server receives in OT mode's offline dialogue — S₁ the key
+//! columns, S₂ the corrections and the derandomisation offsets — each
+//! one-time-padded by the peer's PRG outputs or hashes. It is not a proof (the code cannot
 //! prove indistinguishability) but it pins the implementation to the
 //! structure the proof relies on: received messages carry no input
 //! dependence.
 
 use crate::dealer::Dealer;
+use crate::offline::{draw_tables, MgDraw, OfflineS1, OfflineS2, MAX_FLIGHT_TRIPLES};
+use crate::simd::SimdTier;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
 use crate::triple_mul::{mask_round, pair_key, PairTable};
@@ -79,6 +84,52 @@ pub fn record_pair_view(seed: u64, pairs: &[((u32, u32), u64)]) -> Vec<Ring64> {
 /// the plan is), outputs one fresh uniform ring element per pair.
 pub fn simulate_pair_view(pairs: usize, rng: &mut SplitMix64) -> Vec<Ring64> {
     (0..pairs).map(|_| rng.next_ring()).collect()
+}
+
+/// What each server receives in the offline dialogue of a Count in OT
+/// mode ([`crate::offline`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OfflineView {
+    /// S₁: S₂'s key columns `u`, every flight.
+    pub key_columns: Vec<u64>,
+    /// S₂: S₁'s correction words, the `M` elements' and the `W`
+    /// elements'.
+    pub corrections: Vec<u64>,
+    /// S₂: S₁'s `P + 1` derandomisation offsets.
+    pub offsets: Vec<u64>,
+}
+
+/// Runs the offline dialogue of the dense cube of `n` users under the
+/// Count seed `seed` — both machines, messages passed between them — and
+/// returns what each server receives.
+pub fn record_offline_view(seed: u64, n: u32) -> OfflineView {
+    let draws: Vec<MgDraw> = (0..n).flat_map(|i| (i + 1..n - 1).map(move |j| MgDraw::dense(i, j, n - 1 - j))).collect();
+    let (tables, triples) = draw_tables(seed, &draws, 0);
+    let tier = SimdTier::detect();
+    let mut s1 = OfflineS1::new(&tables[0], &triples);
+    let mut s2 = OfflineS2::new(&tables[1], &triples);
+    let mut view = OfflineView { key_columns: Vec::new(), corrections: Vec::new(), offsets: Vec::new() };
+    for u in s2.keys(tier) {
+        s1.absorb_keys(tier, &u);
+        view.key_columns.extend(u);
+    }
+    for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
+        let d = s1.corrections(tier, flight);
+        s2.receive(tier, flight, &d);
+        view.corrections.extend(d);
+    }
+    let tail = s1.tail(tier);
+    s2.finish(tier, &tail);
+    let pairs = tables[0].len();
+    let flights = tail.len();
+    for (f, msg) in tail.into_iter().enumerate() {
+        let span = (pairs - f * crate::MAX_FLIGHT_PAIRS).min(crate::MAX_FLIGHT_PAIRS);
+        let (d, rest) = msg.split_at(128 * span);
+        view.corrections.extend_from_slice(d);
+        let offsets = if f + 1 == flights { &rest[..rest.len() - 1] } else { rest };
+        view.offsets.extend_from_slice(offsets);
+    }
+    view
 }
 
 /// Chi-square statistic comparing two samples of `u64` values bucketed
@@ -195,6 +246,31 @@ mod tests {
         for (t, ((i, j), _)) in cube_pairs(|_, _| 0).into_iter().enumerate() {
             let bit = u64::from((i + j) % 3 == 0);
             assert_eq!(mixed[t], zeros[t].wrapping_add(bit), "pair ({i}, {j})");
+        }
+    }
+
+    #[test]
+    fn the_offline_dialogue_s_views_are_uniform_words() {
+        // Over several seeds, each message stream a server receives in
+        // the offline dialogue against the simulator's uniform words of
+        // the same length: the key columns S₁ sees, the corrections and
+        // the P + 1 offsets S₂ sees.
+        let mut views: Vec<OfflineView> = (0..6).map(|s| record_offline_view(0xFEED + s, 14)).collect();
+        let pairs = 14 * 13 / 2;
+        assert!(views.iter().all(|v| v.offsets.len() == pairs + 1), "one offset a pair and the Count's");
+        let streams: [fn(&mut OfflineView) -> Vec<u64>; 3] = [
+            |v| std::mem::take(&mut v.key_columns),
+            |v| std::mem::take(&mut v.corrections),
+            |v| std::mem::take(&mut v.offsets),
+        ];
+        let mut sim = SplitMix64::new(0xBEEF);
+        for (what, stream) in ["key columns", "corrections", "offsets"].into_iter().zip(streams) {
+            let real: Vec<u64> = views.iter_mut().flat_map(stream).collect();
+            let uniform: Vec<u64> = (0..real.len()).map(|_| sim.next_u64()).collect();
+            let bits = if real.len() < 4000 { 4 } else { 6 };
+            let (stat, dof) = chi_square_top_bits(&real, &uniform, bits);
+            let bound = dof as f64 + 5.0 * (2.0 * dof as f64).sqrt();
+            assert!(stat < bound, "{what}: chi-square {stat} for dof {dof} over {} words", real.len());
         }
     }
 

@@ -105,8 +105,8 @@ pub const FRAME_HEADER_BYTES: usize = 32;
 const CHECKSUM_OFFSET: usize = 24;
 
 /// Upper bound on a frame's payload (64 MiB). The largest legitimate
-/// frame is an offline flight's extension-column message (~4 MB at
-/// [`crate::MAX_FLIGHT_GROUPS`]); anything bigger means a desynced or
+/// frame is an offline key flight's extension columns (2 MiB at
+/// [`crate::MAX_FLIGHT_PAIRS`]); anything bigger means a desynced or
 /// hostile stream, and the bound is enforced *before* any allocation
 /// so a corrupt 4-byte length field can never drive a multi-gigabyte
 /// zero-fill.
@@ -649,20 +649,20 @@ impl WireMessage for OpeningMsg {
     }
 }
 
-/// One message of the OT-extension offline dialogue (the five-message
-/// flight flow documented in [`crate::offline`]): extension columns,
-/// correction words, or derandomisation offsets, with lockstep
-/// metadata in the header. `step` numbers the message within a
-/// flight's flow *per direction*. The payload words are exactly what
-/// the offline ledger formula counts, so measured offline payload
-/// bytes equal [`crate::mg_flight_ledger`] exactly.
+/// One message of the OT-extension offline dialogue (the flow
+/// documented in [`crate::offline`]): key columns, correction words, or
+/// the tail of `W` corrections, offsets and digest, with lockstep
+/// metadata in the header. `step` numbers the message kind (1, 2, 3)
+/// and `flight` the flight within it. The payload words are exactly
+/// what the offline ledger formula counts, so measured offline payload
+/// bytes equal [`crate::count_offline_ledger`] exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OfflineMsg {
-    /// Chunk whose amortised session this message belongs to.
+    /// The demux tag: 0 for a Count's one dialogue.
     pub chunk: u32,
-    /// Flight index within the chunk session (lockstep checking).
+    /// Flight index within the step (lockstep checking).
     pub flight: u32,
-    /// Step within the flight's flow, per direction.
+    /// Message kind: 1 key columns, 2 corrections, 3 tail.
     pub step: u8,
     /// The message body (columns / corrections / offsets; digests ride
     /// as trailing words where the protocol says so).

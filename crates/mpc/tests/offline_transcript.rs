@@ -1,18 +1,19 @@
 //! Pins the OT offline dialogue's transcript: every word of every
-//! message both party machines exchange, every message length, and both
-//! parties' Multiplication Groups, folded into one digest and compared
-//! with a constant.
+//! message both party machines exchange, every message length, and S₂'s
+//! material, folded into one digest and compared with a constant.
 //!
-//! The equivalence suites prove the *groups* match the dealer; this pin
-//! also covers the wire words (extension columns, corrections,
-//! derandomisation offsets, digests), so a rewrite of the extension or
-//! of the Gilboa steps must keep every byte a peer sees identical. The
-//! plans cover several flights of one session, draws at non-zero
-//! canonical offsets, flights whose choice-word count is not a multiple
-//! of the 8-word lane block (odd group counts), one larger than a
-//! 64-word slab, and a one-group flight of 4 words (tail only).
+//! The equivalence suites prove the *material* matches the dealer; this
+//! pin also covers the wire words (key columns, corrections, tail
+//! offsets, the digest), so a rewrite of the extension or of the Gilboa
+//! products must keep every byte a peer sees identical. The plan covers
+//! several key, correction and tail flights, runs at non-zero `k` offsets, flights of
+//! a triple count that is not a multiple of the lane width, and a
+//! one-triple Count.
 
-use cargo_mpc::{plan_flights, MgDraw, MgOfflineS1, MgOfflineS2, MulGroupShare};
+use cargo_mpc::{
+    mask_round, pair_key, push_triples, MgDraw, OfflineS1, OfflineS2, PairRun, PairTable,
+    ServerId, SimdTier, MAX_FLIGHT_TRIPLES,
+};
 
 /// A word-by-word fold (SplitMix64's finaliser over a running state):
 /// independent of the library's own hashes, so the pin cannot move with
@@ -34,43 +35,57 @@ impl Fold {
             self.word(w);
         }
     }
-
-    fn groups(&mut self, groups: &[MulGroupShare]) {
-        self.word(groups.len() as u64);
-        for g in groups {
-            for v in [g.x, g.y, g.z, g.o, g.p, g.q, g.w] {
-                self.word(v.0);
-            }
-        }
-    }
 }
 
-/// Drives both machines of one session over `plan`, flight by flight,
-/// in the order `mg_offline_over_wire` interleaves them, folding every
-/// message and both parties' groups into `fold`. Returns the flight
-/// sizes in groups.
-fn run_session(root: u64, session: u64, plan: &[MgDraw], fold: &mut Fold) -> Vec<u64> {
-    let mut s1 = MgOfflineS1::for_chunk(root, session);
-    let mut s2 = MgOfflineS2::for_chunk(root, session);
-    let mut sizes = Vec::new();
-    for range in plan_flights(plan) {
-        let flight = &plan[range];
-        sizes.push(flight.iter().map(|d| u64::from(d.groups)).sum());
-        let u1 = s1.ucols(flight);
-        let u2 = s2.ucols(flight);
-        let d_a = s1.corrections(&u2);
-        let d_b = s2.corrections(&u1);
-        let c_opq = s1.derand_opq(&d_b);
-        s2.absorb_corrections(&d_a);
-        let d_b4 = s2.corrections_w(&c_opq);
-        let c_w = s1.derand_w(&d_b4);
-        for msg in [&u1, &u2, &d_a, &d_b, &c_opq, &d_b4, &c_w] {
-            fold.message(msg);
-        }
-        fold.groups(&s1.groups());
-        fold.groups(&s2.groups(&c_w));
+/// Drives both machines of one Count over the triples of `plan`, in the
+/// order `pair_offline_over_wire` interleaves them, folding every
+/// message and S₂'s material into `fold`. Returns the pairs, the
+/// triples and the correction flights.
+fn run_count(root: u64, plan: &[MgDraw], fold: &mut Fold) -> (usize, usize, usize) {
+    let mut pairs: Vec<(u32, u32)> = plan
+        .iter()
+        .flat_map(|d| (0..d.groups as usize).flat_map(move |g| {
+            let k = d.k_at(g) as u32;
+            [(d.i, d.j), (d.i, k), (d.j, k)]
+        }))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let slot = |p| pairs.binary_search(&p).unwrap();
+    let (mut runs, mut at) = (Vec::new(), 0);
+    for d in plan {
+        let k = d.k_at(0) as u32;
+        runs.push(PairRun { slots: [slot((d.i, d.j)), slot((d.i, k)), slot((d.j, k))], len: d.groups as usize, at });
+        at += d.groups as usize;
     }
-    sizes
+    let mut triples = Vec::new();
+    push_triples(&runs, None, &mut triples);
+    let keys: Vec<u64> = pairs.iter().map(|&(i, j)| pair_key(i, j)).collect();
+    let opened: Vec<u64> = (0..keys.len() as u64).map(|w| w.wrapping_mul(0xD1B5_4A32_D192_ED03)).collect();
+    let tables = [ServerId::S1, ServerId::S2].map(|s| {
+        let mut table = PairTable::new(root, s, true);
+        mask_round(&mut table, &keys, &opened, &mut vec![0; keys.len()]);
+        table.push(&opened);
+        table
+    });
+    let tier = SimdTier::detect();
+    let mut s1 = OfflineS1::new(&tables[0], &triples);
+    let mut s2 = OfflineS2::new(&tables[1], &triples);
+    for u in s2.keys(tier) {
+        fold.message(&u);
+        s1.absorb_keys(tier, &u);
+    }
+    for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
+        let d = s1.corrections(tier, flight);
+        fold.message(&d);
+        s2.receive(tier, flight, &d);
+    }
+    let tail = s1.tail(tier);
+    tail.iter().for_each(|msg| fold.message(msg));
+    let (words, count) = s2.finish(tier, &tail);
+    fold.message(&words);
+    fold.word(count);
+    (pairs.len(), triples.len(), triples.len().div_ceil(MAX_FLIGHT_TRIPLES))
 }
 
 #[test]
@@ -84,11 +99,10 @@ fn offline_transcript_is_pinned() {
         MgDraw { i: 6, j: 7, start: 1, groups: 406 },
         MgDraw { i: 6, j: 9, start: 2, groups: 3 },
     ];
-    let sizes = run_session(0x0FF1_1E5E, 5, &plan, &mut fold);
-    // Three flights, each an odd number of groups (4·g choice words,
-    // not a multiple of 8), the first spanning several 64-word slabs.
-    assert_eq!(sizes, vec![507, 113, 409]);
+    // Three key and tail flights of pairs, three correction flights,
+    // the last of an odd number of triples.
+    assert_eq!(run_count(0x0FF1_1E5E, &plan, &mut fold), (2057, 1029, 3));
     let tiny = [MgDraw { i: 0, j: 1, start: 11, groups: 1 }];
-    assert_eq!(run_session(77, 2, &tiny, &mut fold), vec![1]);
-    assert_eq!(fold.0, 0x73bd_17fc_ce41_82d1, "offline transcript digest {:#018x}", fold.0);
+    assert_eq!(run_count(77, &tiny, &mut fold), (3, 1, 1));
+    assert_eq!(fold.0, 0x82f4_db18_7721_3c52, "offline transcript digest {:#018x}", fold.0);
 }

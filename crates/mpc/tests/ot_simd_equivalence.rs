@@ -9,11 +9,13 @@
 //! force-portable generic body always included
 //! ([`SimdTier::available`] ends with [`SimdTier::Portable`]), so the
 //! property holds even on machines with no vector units at all. A
-//! final end-to-end property checks the one-pass extension
-//! (`extend`/`absorb`) at every tier: each unit of 64 OTs yields the
-//! Gilboa product `a · r`, and every tier sends the same words.
+//! final end-to-end property checks the key extension
+//! (`extend`/`absorb`) and the vector OLE (`correct`/`receive`) at
+//! every tier: each element yields the Gilboa product of its
+//! correlation and its unit's choice word, and every tier sends the
+//! same words.
 
-use cargo_mpc::ot::{cot_finish, simulated_base_ots, UnitSplit, OT_KAPPA};
+use cargo_mpc::ot::{simulated_base_ots, OleElement, OT_KAPPA};
 use cargo_mpc::{
     cols_to_rows_scalar, cols_to_rows_simd, cr_hash_batch, cr_hash_scalar, SimdTier, SplitMix64,
 };
@@ -78,12 +80,13 @@ proptest! {
         }
     }
 
-    /// End to end: the one-pass extension at every tier turns each
-    /// unit of 64 OTs into a Gilboa product — the sender's `−Σ m⁰`
-    /// plus the receiver's finished sum is `a · r` in `Z_{2^64}` — for
-    /// arbitrary seeds, correlations and choice words, over batch
-    /// lengths below, at and above the 8-word lane block (tail lanes),
-    /// and every tier produces the same `u`, corrections and sums.
+    /// End to end: the extension and the vector OLE at every tier turn
+    /// each element into a Gilboa product — the sender's `−Σ m⁰` plus
+    /// the receiver's sum is `a · r` in `Z_{2^64}` — for arbitrary
+    /// seeds, correlations and choice words, with every unit reused by
+    /// three elements under distinct tweaks, over batch lengths below,
+    /// at and above the 8-word transpose block, and every tier produces
+    /// the same `u`, corrections and sums.
     #[test]
     fn extension_flow_stays_correlated(
         seed in any::<u64>(),
@@ -97,20 +100,28 @@ proptest! {
     }
 }
 
-/// The property of `extension_flow_stays_correlated` for one batch.
+/// The property of `extension_flow_stays_correlated` for one batch:
+/// three elements per unit, element `e` correlated by `a[e / 3]` shifted
+/// by `e % 3`.
 fn check_gilboa_products(seed: u64, choice: &[u64], a: &[u64]) -> Result<(), TestCaseError> {
     let words = choice.len();
+    let elements: Vec<OleElement> =
+        (0..3 * words).map(|e| OleElement { unit: (e / 3) as u32, tweak: 64 * e as u64 + 7 }).collect();
+    let corr: Vec<u64> = (0..3 * words).map(|e| a[e / 3] << (e % 3)).collect();
     let mut first = None;
     for tier in SimdTier::available() {
         let (mut sender, mut receiver) = simulated_base_ots(seed);
-        let (mut u, mut recv_sums) = (vec![0u64; OT_KAPPA * words], vec![0u64; words]);
-        receiver.extend(tier, choice, &mut u, &mut recv_sums);
-        let (mut d, mut m0_sums) = (vec![0u64; 64 * words], vec![0u64; words]);
-        sender.absorb(tier, &u, a, UnitSplit::ALL_SENT, &mut d, &mut [], &mut m0_sums);
-        for b in 0..words {
-            let got = cot_finish(recv_sums[b], choice[b], &d[64 * b..][..64]).wrapping_sub(m0_sums[b]);
-            let want = a[b].wrapping_mul(choice[b]);
-            prop_assert!(got == want, "tier {tier}, unit {b}: {got:#x} != {want:#x}");
+        let mut u = vec![0u64; OT_KAPPA * words];
+        receiver.extend(tier, choice, &mut u);
+        sender.absorb(tier, &u);
+        let (mut d, mut m0_sums) = (vec![0u64; 64 * elements.len()], vec![0u64; elements.len()]);
+        sender.correct(tier, &elements, &corr, &mut d, &mut m0_sums);
+        let mut recv_sums = vec![0u64; elements.len()];
+        receiver.receive(tier, &elements, &d, &mut recv_sums);
+        for (e, (r, m)) in recv_sums.iter().zip(&m0_sums).enumerate() {
+            let got = r.wrapping_sub(*m);
+            let want = corr[e].wrapping_mul(choice[e / 3]);
+            prop_assert!(got == want, "tier {tier}, element {e}: {got:#x} != {want:#x}");
         }
         let words_sent = (u, d, recv_sums, m0_sums);
         match &first {
@@ -121,10 +132,9 @@ fn check_gilboa_products(seed: u64, choice: &[u64], a: &[u64]) -> Result<(), Tes
     Ok(())
 }
 
-/// Non-property pin: a 130-word batch (sixteen full 8-word blocks and a
-/// ragged tail, more than the old 64-word slab) keeps every product
-/// exact at every tier — guards against per-block tweak or counter
-/// bases drifting.
+/// Non-property pin: a 130-word batch (sixteen full 8-word transpose
+/// blocks and a ragged tail) keeps every product exact at every tier —
+/// guards against per-block tweak or counter bases drifting.
 #[test]
 fn extension_spanning_multiple_slabs_stays_correlated() {
     let choice: Vec<u64> = (0..130u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
