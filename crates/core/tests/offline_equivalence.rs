@@ -23,6 +23,7 @@ use cargo_mpc::{
     OfflineMsg, RecvError, SplitMix64, TcpConfig, TcpTransport, Transport, WireMessage, WireStats,
     MAX_FLIGHT_PAIRS, MAX_FLIGHT_TRIPLES,
 };
+use cargo_mpc::ot::CORRECTION_BYTES;
 use cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,10 +70,11 @@ fn offline_cost_formula_is_pinned() {
     // Golden fixture for the cost model: n = 10, P = 45 pairs,
     // T = C(10,3) = 120 triples.
     //   key columns  16 · 128 · 45            =  92 160
-    //   corrections  8 · 64 · (6·120 + 2·45)   = 414 720
+    //   corrections  260 · (6·120 + 2·45)      = 210 600
     //   offsets      8 · 46, digest 8          =     376
     //   base OTs     128 · 64                  =   8 192
-    //   bytes = 515 448 in 2 + 2 rounds.
+    //   bytes = 311 328 in 2 + 2 rounds.
+    // (Full-word corrections, 512 B an element, paid 515 448.)
     // (The per-triple Multiplication Groups paid 512 extended OTs and
     // 12 320 bytes a triple: 1 494 800 bytes and 7 rounds here.)
     let m = BitMatrix::zeros(10);
@@ -85,14 +87,14 @@ fn offline_cost_formula_is_pinned() {
         assert_eq!(off, expected_offline(&CountScheduler::new(10, 1, batch)), "batch {batch}");
         // Absolute numbers, hard-coded so any formula change must be
         // a deliberate, reviewed edit:
-        assert_eq!(off.bytes, 515_448);
+        assert_eq!(off.bytes, 311_328);
         assert_eq!(off.rounds, 2 + 2);
     }
 }
 
 #[test]
 fn offline_rounds_follow_the_chunk_flight_structure() {
-    // n = 30: C(30,3) = 4 060 triples over several chunks and eight
+    // n = 30: C(30,3) = 4 060 triples over several chunks and four
     // correction flights — the rounds stay the dialogue's two, whatever
     // the chunks and flights, and the bytes follow the pairs and
     // triples alone.
@@ -101,12 +103,13 @@ fn offline_rounds_follow_the_chunk_flight_structure() {
     assert_eq!(res.triples, 4060);
     let sched = CountScheduler::new(30, 1, 0);
     assert!(sched.chunks().len() > 1);
-    assert_eq!(4060usize.div_ceil(MAX_FLIGHT_TRIPLES), 8);
+    assert_eq!(4060usize.div_ceil(MAX_FLIGHT_TRIPLES), 4);
     let off = res.net.offline;
     assert_eq!(off, expected_offline(&sched));
     assert_eq!(off.extended_ots, 128 * 435);
     assert_eq!(off.rounds, 2 + 2);
-    assert_eq!(off.bytes, 2048 * 435 + 512 * (6 * 4060 + 2 * 435) + 8 * 436 + 8 + 8192);
+    assert_eq!(off.bytes, 2048 * 435 + 260 * (6 * 4060 + 2 * 435) + 8 * 436 + 8 + 8192);
+    assert_eq!(off.bytes, 7_462_368);
 }
 
 #[test]
@@ -195,11 +198,13 @@ fn the_offline_ledger_is_invariant_and_measured_over_memory_and_tcp_on_every_pla
 }
 
 /// An in-memory link end that records the largest offline frame it
-/// sends and how many it sends.
+/// sends, the largest correction frame (step 2) and how many offline
+/// frames it sends.
 struct Recording {
     inner: InMemoryTransport,
     offline_frames: AtomicUsize,
     largest: AtomicUsize,
+    largest_correction: AtomicUsize,
 }
 
 impl Transport for Recording {
@@ -207,6 +212,9 @@ impl Transport for Recording {
         if frame.msg_type == OfflineMsg::MSG_TYPE {
             self.offline_frames.fetch_add(1, Ordering::Relaxed);
             self.largest.fetch_max(frame.payload.len(), Ordering::Relaxed);
+            if frame.step == 2 {
+                self.largest_correction.fetch_max(frame.payload.len(), Ordering::Relaxed);
+            }
         }
         self.inner.send(frame)
     }
@@ -226,23 +234,28 @@ impl Transport for Recording {
 
 #[test]
 fn a_wide_plan_splits_its_key_columns_into_flights_under_the_frame_cap() {
-    // 400 disjoint triangles: a sparse plan of 1 200 pairs — more than
-    // one key flight — and only 400 triples.
+    // 1 100 disjoint triangles: a sparse plan of 3 300 pairs — four
+    // key flights — and 1 100 triples, one full correction flight and
+    // a short one.
     let edges: Vec<(usize, usize)> =
-        (0..400).flat_map(|t| [(3 * t, 3 * t + 1), (3 * t + 1, 3 * t + 2), (3 * t, 3 * t + 2)]).collect();
-    let g = Graph::from_edges(1200, &edges).unwrap();
+        (0..1100).flat_map(|t| [(3 * t, 3 * t + 1), (3 * t + 1, 3 * t + 2), (3 * t, 3 * t + 2)]).collect();
+    let g = Graph::from_edges(3300, &edges).unwrap();
     let plan = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(&g)));
     let wide = CountJob { plan, ..job(9, 2, 0, OfflineMode::OtExtension) };
     let m = g.to_bit_matrix();
     let [end1, end2] = {
         let (a, b) = memory_pair();
-        [a, b].map(|inner| Arc::new(Recording { inner, offline_frames: AtomicUsize::new(0), largest: AtomicUsize::new(0) }))
+        [a, b].map(|inner| {
+            let [offline_frames, largest, largest_correction] = [0; 3].map(AtomicUsize::new);
+            Arc::new(Recording { inner, offline_frames, largest, largest_correction })
+        })
     };
     let res = count_two_party(&m, &wide, &end1, &end2);
-    assert_eq!(res.reconstruct().to_u64(), 400);
-    let (pairs, triples) = (1200usize, 400usize);
+    assert_eq!(res.reconstruct().to_u64(), 1100);
+    let (pairs, triples) = (3300usize, 1100usize);
     let key_flights = pairs.div_ceil(MAX_FLIGHT_PAIRS);
-    assert_eq!(key_flights, 2, "the key columns overflow one flight");
+    assert_eq!(key_flights, 4, "the key columns overflow one flight");
+    assert_eq!(triples.div_ceil(MAX_FLIGHT_TRIPLES), 2, "the corrections overflow one flight");
     assert_eq!(end2.offline_frames.load(Ordering::Relaxed), key_flights, "S₂ sends the key flights");
     assert_eq!(
         end1.offline_frames.load(Ordering::Relaxed),
@@ -252,6 +265,9 @@ fn a_wide_plan_splits_its_key_columns_into_flights_under_the_frame_cap() {
     let largest = end1.largest.load(Ordering::Relaxed).max(end2.largest.load(Ordering::Relaxed));
     assert_eq!(largest, 8 * 128 * 2 * MAX_FLIGHT_PAIRS, "a full key flight is the largest frame");
     assert!(largest <= MAX_FRAME_PAYLOAD_BYTES);
+    let correction = end1.largest_correction.load(Ordering::Relaxed);
+    assert_eq!(correction, 6 * MAX_FLIGHT_TRIPLES * CORRECTION_BYTES, "a full correction flight, 260 B an element");
+    assert!(correction <= MAX_FRAME_PAYLOAD_BYTES, "a correction flight fits a frame");
     let dealer = count_local(&m, &CountJob { offline: OfflineMode::TrustedDealer, ..wide.clone() });
     assert_eq!((res.share1, res.share2), (dealer.share1, dealer.share2));
 }

@@ -212,8 +212,12 @@ fn the_one_shot_pipeline_transcript_is_pinned() {
     // dealer runs' shares moved, and nothing the invariants fold did.
     // Re-captured again when OT mode made the dealer's words: the OT
     // runs' shares became the dealer's and their offline ledger moved.
+    // Re-captured when the Gilboa corrections were packed to their live
+    // width (0xC8EE_C811_33AE_B520 before): only the offline bytes
+    // moved — with that word left out the fold is 0xAD5C_53F2_751C_EF05
+    // on both sides of the change.
     let digest = pipeline_digests().0;
-    assert_eq!(digest, 0xC8EE_C811_33AE_B520, "transcript digest {digest:#018x}");
+    assert_eq!(digest, 0x49F7_107D_CDE8_2611, "transcript digest {digest:#018x}");
 }
 
 #[test]
@@ -224,6 +228,9 @@ fn the_one_shot_pipeline_invariants_are_pinned() {
     // to one vector-OLE key per pair: the offline ledger it folds moved
     // (0x1B2C_C4CF_04EC_0D0C before); with the offline words left out the
     // fold is 0xCEAE_B7DA_E3C4_AF19 on both sides of that change.
+    // Re-captured when the Gilboa corrections were packed to their live
+    // width (0xA6A2_C6BD_A831_8906 before): with the offline bytes left
+    // out the fold is 0x711A_39A9_5977_58F0 on both sides of the change.
     let digest = pipeline_digests().1;
-    assert_eq!(digest, 0xA6A2_C6BD_A831_8906, "invariant digest {digest:#018x}");
+    assert_eq!(digest, 0x89A6_1D05_7B0A_E60F, "invariant digest {digest:#018x}");
 }

@@ -107,33 +107,36 @@ type Anchor = (&'static str, f64, &'static str, bool, u64, u64, u64, u64, u64);
 /// were re-recorded when OT mode made the dealer's words: each row's
 /// shares became its dealer row's, its offline bytes the dialogue's
 /// (e.g. `er_64` dense at 0.25: 127 282 992 → 37 951 248), and its
-/// `evaluated` and rounds stayed.
+/// `evaluated` and rounds stayed. Their offline bytes were re-recorded
+/// once more when the Gilboa corrections were packed to 260 bytes an
+/// element (`er_64` dense at 0.25: 37 951 248 → 21 316 224); no share,
+/// `evaluated` or rounds column moved.
 #[rustfmt::skip]
 const GOLDEN_SAMPLED: [Anchor; 24] = [
     ("er_64", 0.25, "dense", false, 0x06b2255f2d7f7a9c, 0xf94ddaa0d2808576, 10330, 32, 0),
-    ("er_64", 0.25, "dense", true, 0x06b2255f2d7f7a9c, 0xf94ddaa0d2808576, 10330, 32, 37951248),
+    ("er_64", 0.25, "dense", true, 0x06b2255f2d7f7a9c, 0xf94ddaa0d2808576, 10330, 32, 21316224),
     ("er_64", 0.25, "support", false, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 0),
-    ("er_64", 0.25, "support", true, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 211344),
+    ("er_64", 0.25, "support", true, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 159936),
     ("er_64", 0.25, "stream", false, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 0),
-    ("er_64", 0.25, "stream", true, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 211344),
+    ("er_64", 0.25, "stream", true, 0xdebd1e0691ff4078, 0x2142e1f96e00bf9a, 18, 1, 159936),
     ("er_64", 0.5, "dense", false, 0xd42b23bb59391e75, 0x2bd4dc44a6c6e1ae, 20875, 32, 0),
-    ("er_64", 0.5, "dense", true, 0xd42b23bb59391e75, 0x2bd4dc44a6c6e1ae, 20875, 32, 70345488),
+    ("er_64", 0.5, "dense", true, 0xd42b23bb59391e75, 0x2bd4dc44a6c6e1ae, 20875, 32, 37766424),
     ("er_64", 0.5, "support", false, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 0),
-    ("er_64", 0.5, "support", true, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 386768),
+    ("er_64", 0.5, "support", true, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 289496),
     ("er_64", 0.5, "stream", false, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 0),
-    ("er_64", 0.5, "stream", true, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 386768),
+    ("er_64", 0.5, "stream", true, 0x11a8843dbcfa91e2, 0xee577bc243056e41, 35, 2, 289496),
     ("ba_64", 0.25, "dense", false, 0x5c64fbe8c98fef9d, 0xa39b041736701086, 10330, 32, 0),
-    ("ba_64", 0.25, "dense", true, 0x5c64fbe8c98fef9d, 0xa39b041736701086, 10330, 32, 37951248),
+    ("ba_64", 0.25, "dense", true, 0x5c64fbe8c98fef9d, 0xa39b041736701086, 10330, 32, 21316224),
     ("ba_64", 0.25, "support", false, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 0),
-    ("ba_64", 0.25, "support", true, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 355968),
+    ("ba_64", 0.25, "support", true, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 263736),
     ("ba_64", 0.25, "stream", false, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 0),
-    ("ba_64", 0.25, "stream", true, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 355968),
+    ("ba_64", 0.25, "stream", true, 0xfd03b076dcf682cc, 0x02fc4f8923097d57, 35, 2, 263736),
     ("ba_64", 0.5, "dense", false, 0x1592dca56c275db8, 0xea6d235a93d8a28b, 20875, 32, 0),
-    ("ba_64", 0.5, "dense", true, 0x1592dca56c275db8, 0xea6d235a93d8a28b, 20875, 32, 70345488),
+    ("ba_64", 0.5, "dense", true, 0x1592dca56c275db8, 0xea6d235a93d8a28b, 20875, 32, 37766424),
     ("ba_64", 0.5, "support", false, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 0),
-    ("ba_64", 0.5, "support", true, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 574392),
+    ("ba_64", 0.5, "support", true, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 414120),
     ("ba_64", 0.5, "stream", false, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 0),
-    ("ba_64", 0.5, "stream", true, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 574392),
+    ("ba_64", 0.5, "stream", true, 0xc9376bb1d2b1a624, 0x36c8944e2d4e5a1f, 67, 2, 414120),
 ];
 
 #[test]

@@ -39,7 +39,9 @@
 //! So S₂ is the only extension receiver: its choice words are its `2P`
 //! keys, one *unit* of 64 correlated OTs each, extended **once per
 //! Count**. Every element is one Gilboa product over its key's unit
-//! ([`crate::ot::CotSender::correct`]), hashed under its own tweak —
+//! ([`crate::ot::CotSender::correct`]) whose OT `j` is an `(64 − j)`-bit
+//! correlated OT, so its corrections pack into [`CORRECTION_BYTES`] =
+//! 260 bytes; it is hashed under its own tweak —
 //! its key unit and the pair it lands on ([`OfflineS1`]) — so any number
 //! of elements share a unit and any flight of elements can be corrected
 //! on its own. S₁ then shifts its raw shares onto the dealer's
@@ -59,7 +61,7 @@
 //! ```text
 //!   S₁                                               S₂
 //!   ◀── key columns u (κ × 2 words a pair)  ────────    round 1
-//!   ── corrections (64 words an element) ──────────▶
+//!   ── corrections (260 B an element) ─────────────▶
 //!   ── W corrections, P + 1 offsets, digest ───────▶    round 2
 //! ```
 //!
@@ -73,14 +75,14 @@
 //! [`count_offline_ledger`], the golden fixture of
 //! `crates/core/tests/offline_equivalence.rs` and measured == modeled on
 //! every link): `2·64·P` extended OTs and
-//! `16·(2·64·P) + 8·64·(6T + 2P) + 8·(P + 1) + 8` bytes in two rounds,
+//! `16·(2·64·P) + 260·(6T + 2P) + 8·(P + 1) + 8` bytes in two rounds,
 //! plus one base-OT setup in one direction ([`ot_setup_ledger`]).
 
 use crate::channel::OfflineLedger;
 use crate::dealer::PairDealer;
 use crate::ot::{
-    simulated_base_ots, transcript_digest, CotReceiver, CotSender, OleElement, BASE_OT_BYTES,
-    BASE_OT_ROUNDS, OT_KAPPA,
+    packed_words, simulated_base_ots, transcript_digest, CotReceiver, CotSender, OleElement,
+    BASE_OT_BYTES, BASE_OT_ROUNDS, CORRECTION_BYTES, OT_KAPPA,
 };
 use crate::prg::SplitMix64;
 use crate::simd::SimdTier;
@@ -142,12 +144,13 @@ impl std::fmt::Display for OfflineMode {
 /// `κ · 2 · 1 024` words (2 MiB), a tail flight `129 · 1 024`.
 pub const MAX_FLIGHT_PAIRS: usize = 1024;
 
-/// Triples per correction flight: `6 · 64 · 512` words (1.5 MiB).
-pub const MAX_FLIGHT_TRIPLES: usize = 512;
+/// Triples per correction flight: `6 · 1 024` elements of 260 bytes
+/// (1.6 MB, under 2 MiB).
+pub const MAX_FLIGHT_TRIPLES: usize = 1024;
 
 /// Key units per pair: S₂'s `λ⁽²⁾_p` is unit `2p`, its `Y⁽²⁾_p` unit
 /// `2p + 1`.
-const UNITS_PER_PAIR: usize = 2;
+pub(crate) const UNITS_PER_PAIR: usize = 2;
 
 /// The elements of a triple `[a, b, c]`, as indices into its slots:
 /// (the S₂ key's pair, S₁'s factor's pair, the pair whose `M` it lands
@@ -169,15 +172,16 @@ pub fn ot_setup_ledger() -> OfflineLedger {
 /// The offline cost of one Count's dialogue over `pairs` pairs and
 /// `triples` triples — the formula every OT-mode Count path tallies,
 /// pinned by the byte-count fixtures: `2·64·P` extended OTs, their key
-/// columns (16 B an OT), 64 correction words for each of the `6T + 2P`
-/// elements, `P + 1` offsets and one digest word, in two rounds.
+/// columns (16 B an OT), [`CORRECTION_BYTES`] of packed corrections for
+/// each of the `6T + 2P` elements, `P + 1` offsets and one digest word,
+/// in two rounds.
 pub fn count_offline_ledger(pairs: u64, triples: u64) -> OfflineLedger {
     let ots = UNITS_PER_PAIR as u64 * 64 * pairs;
     let elements = 6 * triples + UNITS_PER_PAIR as u64 * pairs;
     OfflineLedger {
         base_ots: 0,
         extended_ots: ots,
-        bytes: 16 * ots + 8 * 64 * elements + 8 * (pairs + 1) + 8,
+        bytes: 16 * ots + CORRECTION_BYTES as u64 * elements + 8 * (pairs + 1) + 8,
         rounds: 2,
     }
 }
@@ -271,8 +275,23 @@ struct Local {
     w: u64,
 }
 
+/// Whether every element of a Count over `pairs` pairs gets its own
+/// tweaks: [`Local::tweak`] numbers `2P · (P + 1)` (unit, slot)
+/// couples in steps of 64 — one tweak an OT — so the last one's
+/// `+ 63` stays below `2^64` only while that count is at most `2^58`.
+/// Past it the tweaks wrap and two elements would share hash pads.
+fn tweaks_fit(pairs: u64) -> bool {
+    let units = pairs.checked_mul(UNITS_PER_PAIR as u64);
+    let couples = units.zip(pairs.checked_add(1)).and_then(|(units, slots)| units.checked_mul(slots));
+    couples.is_some_and(|c| c <= 1 << 58)
+}
+
 impl Local {
+    /// # Panics
+    /// Panics if the Count has too many pairs for distinct tweaks
+    /// ([`tweaks_fit`]).
     fn new(table: &PairTable, triples: &[SlotTriple]) -> Self {
+        assert!(tweaks_fit(table.len() as u64), "a Count of {} pairs overflows the OT tweak space", table.len());
         let lam = table.mask_shares().to_vec();
         let mut local = Local { y: vec![0; lam.len()], lam, w: 0 };
         for t in triples {
@@ -389,14 +408,14 @@ impl OfflineS1 {
         self.keys += 1;
     }
 
-    /// Step 2: the corrections of one flight of triples (64 words per
-    /// element, six elements a triple, in order), each element's share
-    /// added to the `M` it lands on.
+    /// Step 2: the packed corrections of one flight of triples (six
+    /// elements a triple, in order, [`CORRECTION_BYTES`] each), each
+    /// element's share added to the `M` it lands on.
     pub fn corrections(&mut self, tier: SimdTier, triples: &[SlotTriple]) -> Vec<u64> {
         assert_eq!(self.keys, pair_flights(self.local.pairs()).len(), "offline protocol out of lockstep");
         let mut a = Vec::with_capacity(6 * triples.len());
         let (elements, dests) = self.local.m_elements(triples, Some(&mut a));
-        let (mut d, mut sums) = (vec![0; 64 * elements.len()], vec![0; elements.len()]);
+        let (mut d, mut sums) = (vec![0; packed_words(elements.len())], vec![0; elements.len()]);
         self.sender.correct(tier, &elements, &a, &mut d, &mut sums);
         for (dest, m0) in dests.into_iter().zip(sums) {
             self.raw[dest] = self.raw[dest].wrapping_sub(m0);
@@ -415,7 +434,7 @@ impl OfflineS1 {
         for range in pair_flights(self.local.pairs()) {
             let a: Vec<u64> = range.clone().flat_map(|q| [y[q], lam[q]]).collect();
             let elements = self.local.w_elements(range.clone());
-            let mut msg = vec![0; 64 * elements.len()];
+            let mut msg = vec![0; packed_words(elements.len())];
             let mut sums = vec![0; elements.len()];
             self.sender.correct(tier, &elements, &a, &mut msg, &mut sums);
             w_raw = sums.into_iter().fold(w_raw, u64::wrapping_sub);
@@ -477,11 +496,11 @@ impl OfflineS2 {
     /// `d`, each element's share added to the `M` it lands on.
     ///
     /// # Panics
-    /// Panics if `d` is not 64 words per element of the flight.
+    /// Panics if `d` is not the flight's packed corrections.
     pub fn receive(&mut self, tier: SimdTier, triples: &[SlotTriple], d: &[u64]) {
         assert!(self.extended, "offline protocol out of lockstep");
         let (elements, dests) = self.local.m_elements(triples, None);
-        assert_eq!(d.len(), 64 * elements.len(), "offline correction flight size mismatch");
+        assert_eq!(d.len(), packed_words(elements.len()), "offline correction flight size mismatch");
         let mut sums = vec![0; elements.len()];
         self.receiver.receive(tier, &elements, d, &mut sums);
         for (dest, sum) in dests.into_iter().zip(sums) {
@@ -503,8 +522,9 @@ impl OfflineS2 {
         for (f, (range, msg)) in flights.into_iter().zip(tail).enumerate() {
             let elements = self.local.w_elements(range.clone());
             let last = if f + 1 == tail.len() { 2 } else { 0 };
-            assert_eq!(msg.len(), 64 * elements.len() + range.len() + last, "offline tail flight {f} size");
-            let (d, offsets) = msg.split_at(64 * elements.len());
+            let packed = packed_words(elements.len());
+            assert_eq!(msg.len(), packed + range.len() + last, "offline tail flight {f} size");
+            let (d, offsets) = msg.split_at(packed);
             let mut sums = vec![0; elements.len()];
             self.receiver.receive(tier, &elements, d, &mut sums);
             w_raw = sums.into_iter().fold(w_raw, u64::wrapping_add);
@@ -761,7 +781,7 @@ mod tests {
         assert_eq!(words.len(), 10);
         let l = engine.ledger();
         assert_eq!(l.extended_ots, 128 * 10);
-        assert_eq!(l.bytes, 2048 * 10 + 512 * (6 * 5 + 2 * 10) + 8 * 11 + 8);
+        assert_eq!(l.bytes, 2048 * 10 + 260 * (6 * 5 + 2 * 10) + 8 * 11 + 8);
         assert_eq!(l.rounds, 2);
         assert_eq!(l.base_ots, 0, "base OTs are a per-run setup cost");
         assert_eq!(l, count_offline_ledger(10, 5), "closed form agrees");
@@ -779,13 +799,13 @@ mod tests {
 
     #[test]
     fn flight_split_does_not_change_the_material() {
-        // 1 500 triples through (0, 1): 3 001 pairs, so three key and
+        // 2 500 triples through (0, 1): 5 001 pairs, so five key and
         // tail flights and three correction flights.
-        let plan = [MgDraw::dense(0, 1, 1500)];
+        let plan = [MgDraw::dense(0, 1, 2500)];
         let mut engine = OtMgEngine::for_chunk(5, 2);
         let material = engine.preprocess(&plan);
-        assert_eq!(pair_flights(material.0.len()).len(), 3);
-        assert_eq!(1500usize.div_ceil(MAX_FLIGHT_TRIPLES), 3);
+        assert_eq!(pair_flights(material.0.len()).len(), 5);
+        assert_eq!(2500usize.div_ceil(MAX_FLIGHT_TRIPLES), 3);
         assert_eq!(material, naive_material(5, &plan));
     }
 
@@ -868,6 +888,22 @@ mod tests {
             let msg = died.downcast_ref::<String>().expect("assert message");
             assert!(msg.contains("offline transcript diverged (consistency hash mismatch)"), "word {word} bit {bit}: {msg}");
         }
+    }
+
+    #[test]
+    fn the_tweak_space_bound_sits_where_the_tweaks_would_wrap() {
+        // 2P·(P + 1) ≤ 2^58 ⇔ P·(P + 1) ≤ 2^57: the largest such P is
+        // 379 625 061. There the last (unit, slot) couple's index still
+        // has its top six bits clear, so its tweak and + 63 fit a word;
+        // one pair more and they would not.
+        let last = 379_625_061u64;
+        let top_index = |p: u64| 2 * p * (p + 1) - 1;
+        assert_eq!(top_index(last) >> 58, 0);
+        assert_ne!(top_index(last + 1) >> 58, 0);
+        assert!(tweaks_fit(last));
+        assert!(!tweaks_fit(last + 1));
+        assert!(tweaks_fit(0) && tweaks_fit(1 << 20));
+        assert!(!tweaks_fit(u64::MAX), "no silent overflow in the bound itself");
     }
 
     #[test]

@@ -28,17 +28,22 @@
 //! 3. **Vector OLE over the units** ([`CotSender::correct`] /
 //!    [`CotReceiver::receive`]): hashing rows breaks the correlation,
 //!    and the hash tweak picks which correlation. An *element* is one
-//!    Gilboa product over one unit under its own tweak `τ`: the
+//!    Gilboa product over one unit under its own tweak `τ`, with OT `j`
+//!    an `(64 − j)`-bit correlated OT (ABY's `(ℓ − j)`-bit
+//!    multiplication, Demmler–Schneider–Zohner, NDSS 2015): the
 //!    sender's OT-`j` messages are `m⁰_j = H(τ + j, q_j)` and
-//!    `m¹_j = m⁰_j + (a ≪ j)`; one correction word
-//!    `d_j = m⁰_j + (a ≪ j) − H(τ + j, q_j ⊕ s)` per OT lets the
-//!    receiver finish with `H(τ + j, t_j) + r_j·d_j = m^{r_j}_j`. Summed
-//!    over the unit, the receiver holds `Σ m⁰_j + a·r` and the sender
-//!    `Σ m⁰_j`: additive shares of `a · r` in `Z_{2^64}`. So one unit —
-//!    one key word of the receiver — multiplies any number of sender
-//!    values, each under a tweak no other element of the unit uses
-//!    ([`crate::offline`] gives each element its key's unit and the pair
-//!    it lands on).
+//!    `m¹_j = m⁰_j + a`, both only ever used shifted by `j`; one
+//!    correction `d_j = m⁰_j + a − H(τ + j, q_j ⊕ s)` of `64 − j` bits
+//!    per OT lets the receiver finish with
+//!    `(H(τ + j, t_j) + r_j·d_j) ≪ j = m^{r_j}_j ≪ j`. Summed over the
+//!    unit, the receiver holds `Σ (m⁰_j ≪ j) + a·r` and the sender
+//!    `Σ (m⁰_j ≪ j)` — its `j = 0` term a full one-time pad: additive
+//!    shares of `a · r` in `Z_{2^64}`. The corrections travel packed,
+//!    [`CORRECTION_BYTES`] an element with no dead bit
+//!    ([`pack_corrections`]). So one unit — one key word of the
+//!    receiver — multiplies any number of sender values, each under a
+//!    tweak no other element of the unit uses ([`crate::offline`] gives
+//!    each element its key's unit and the pair it lands on).
 //! 4. **Consistency hashing** ([`transcript_digest`]): the offline
 //!    dialogue's tail carries a digest of the extension columns the
 //!    sender absorbed — 32 position-tweaked chains of the modeled hash
@@ -64,8 +69,10 @@
 //! per [`SimdTier`] (AVX-512/AVX2/portable, like [`crate::triple_mul`]):
 //! per element it hashes its unit's 64 rows as eight blocks of
 //! [`LANES`] consecutive rows — contiguous loads, lane `l` at tweak
-//! `τ + 8b + l` — and reduces straight into the element's sum, so no
-//! hash or pad outlives the element.
+//! `τ + 8b + l` — and reduces straight into the element's sum. The
+//! elements go in pairs, whose corrections the sender packs and the
+//! receiver unpacks in the same pass, so no hash or pad outlives its
+//! pair of elements.
 //!
 //! The standalone kernels — the batch hash ([`cr_hash_batch`]) on the
 //! same dispatch, and the scalar references ([`transpose64`],
@@ -616,18 +623,19 @@ impl CotReceiver {
         self.rows.append(tier, &t, words);
     }
 
-    /// Finishes a batch of Gilboa products against the sender's
-    /// corrections `d` (64 words per element, see
-    /// [`CotSender::correct`]): `sums[e] = Σ_j H(τₑ + j, t_j) + Σ_{r_j = 1} d_j`
-    /// over element `e`'s unit, which is `Σ_j m⁰_j + aₑ · r` in `Z_{2^64}`
-    /// — the sender's sum plus the product of its correlation and the
-    /// unit's choice word.
+    /// Finishes a batch of Gilboa products against the sender's packed
+    /// corrections `d` ([`packed_words`] of them, see
+    /// [`CotSender::correct`]): `sums[e] = Σ_j (H(τₑ + j, t_j) + r_j·d_j) ≪ j`
+    /// over element `e`'s unit, which is `Σ_j (m⁰_j ≪ j) + aₑ · r` in
+    /// `Z_{2^64}` — the sender's sum plus the product of its correlation
+    /// and the unit's choice word.
     ///
     /// # Panics
     /// Panics if the tier is unsupported, an element names a unit not
-    /// extended yet, or `d` / `sums` are not 64 / 1 words per element.
+    /// extended yet, the element count is odd, or `d` / `sums` are not
+    /// [`packed_words`] / one word per element.
     pub fn receive(&self, tier: SimdTier, elements: &[OleElement], d: &[u64], sums: &mut [u64]) {
-        assert_eq!(d.len(), 64 * elements.len(), "64 corrections per element");
+        assert_eq!(d.len(), packed_words(elements.len()), "packed corrections of every element");
         let pass = OlePass::Receive { choice: &self.choice, d };
         ole_tier(tier, &self.rows, elements, pass, sums);
     }
@@ -659,21 +667,24 @@ impl CotSender {
     }
 
     /// Gilboa-multiplies a batch of elements by the receiver's choice
-    /// words: element `e` correlates OT `j` of its unit with
-    /// `aₑ ≪ j` under its own hash tweak `τₑ + j`, so units are reused by
-    /// any number of elements, and writes `d_j = m⁰_j + (aₑ ≪ j) − m¹'_j`
-    /// to `d[64e..]`, where `m⁰_j = H(τₑ + j, q_j)` and
-    /// `m¹'_j = H(τₑ + j, q_j ⊕ s)`, and `Σ_j m⁰_j` to `sums[e]`. The
-    /// receiver's [`CotReceiver::receive`] of the element minus this sum
-    /// is `aₑ · r`. No row, hash or pad outlives the element.
+    /// words: element `e` correlates OT `j` of its unit with `aₑ` under
+    /// its own hash tweak `τₑ + j`, so units are reused by any number of
+    /// elements; OT `j` is an `(64 − j)`-bit correlated OT, its
+    /// correction `d_j = m⁰_j + aₑ − m¹'_j mod 2^(64−j)`, where
+    /// `m⁰_j = H(τₑ + j, q_j)` and `m¹'_j = H(τₑ + j, q_j ⊕ s)`. Writes
+    /// every element's corrections to `d`, packed two elements to
+    /// [`PACKED_PAIR_WORDS`] words ([`pack_corrections`]), and
+    /// `Σ_j (m⁰_j ≪ j)` to `sums[e]`. The receiver's
+    /// [`CotReceiver::receive`] of the element minus this sum is
+    /// `aₑ · r`. No row, hash or pad outlives its pair of elements.
     ///
     /// # Panics
     /// Panics if the tier is unsupported, an element names a unit not
-    /// absorbed yet, or `a` / `d` / `sums` are not 1 / 64 / 1 words per
-    /// element.
+    /// absorbed yet, the element count is odd, or `a` / `d` / `sums`
+    /// are not one / [`packed_words`] / one word per element.
     pub fn correct(&self, tier: SimdTier, elements: &[OleElement], a: &[u64], d: &mut [u64], sums: &mut [u64]) {
         assert_eq!(a.len(), elements.len(), "one correlation per element");
-        assert_eq!(d.len(), 64 * elements.len(), "64 corrections per element");
+        assert_eq!(d.len(), packed_words(elements.len()), "packed corrections of every element");
         let pass = OlePass::Send { delta: self.delta, a, d };
         ole_tier(tier, &self.rows, elements, pass, sums);
     }
@@ -681,7 +692,8 @@ impl CotSender {
 
 /// One Gilboa product of a vector OLE: the unit (choice word) it
 /// multiplies by and the base of its hash tweaks. Elements that share a
-/// unit must have distinct tweaks `τ`, `τ + 63` apart at least.
+/// unit must have distinct tweaks `τ`, at least 64 apart: OTs
+/// `0 ..= 63` hash under `τ ..= τ + 63`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OleElement {
     /// The unit: the ordinal of its choice word among those extended.
@@ -698,68 +710,183 @@ enum OlePass<'a> {
     Receive { choice: &'a [u64], d: &'a [u64] },
 }
 
-/// `1 ≪ l` in lane `l`: turns a word shifted by `8b` into lane `l`'s
-/// shift by `8b + l`, and isolates bit `8b + l` of a choice word.
+/// `1 ≪ l` in lane `l`: shifted left by `8b`, lane `l`'s multiplier
+/// `2^(8b + l)`; against a choice word shifted right by `8b`, its bit
+/// `8b + l`.
 const LANE_BIT: U64xN<LANES> = U64xN([1, 2, 4, 8, 16, 32, 64, 128]);
 /// `1 ≪ (63 − l)` in lane `l`: moves a lane's isolated bit to the top.
 const LANE_TOP: U64xN<LANES> = U64xN([1 << 63, 1 << 62, 1 << 61, 1 << 60, 1 << 59, 1 << 58, 1 << 57, 1 << 56]);
 
-/// One element's OTs `8b .. 8b + 8`, one per lane, of the sender: its
-/// corrections stored to `d`, `m⁰` returned.
+/// Bytes of one element's packed corrections: OT `j` of its unit
+/// carries `64 − j` live bits, `Σ_j (64 − j) = 2 080` bits in all.
+pub const CORRECTION_BYTES: usize = 260;
+
+/// Words of two elements' packed corrections, the packing's unit:
+/// `2 · 260 / 8 = 65`.
+pub const PACKED_PAIR_WORDS: usize = 2 * CORRECTION_BYTES / 8;
+
+/// Words of packed corrections for a batch of `elements` elements.
+///
+/// # Panics
+/// Panics if `elements` is odd: elements pack in pairs, and an odd
+/// batch is refused rather than padded with a dead half-word.
+pub fn packed_words(elements: usize) -> usize {
+    assert!(
+        elements.is_multiple_of(2),
+        "Gilboa corrections pack two elements at a time: a batch of {elements} elements is odd"
+    );
+    elements / 2 * PACKED_PAIR_WORDS
+}
+
+/// Packs two elements' corrections `d` (64 words each, `d[e][j]` OT
+/// `j`'s) into `w`'s [`PACKED_PAIR_WORDS`] words, keeping the low
+/// `64 − j` bits of each `d_j` and nothing else: element `e`'s words
+/// `32e .. 32e + 32` are `d_0`, then `lo_{64−j}(d_j) | d_{64−j} ≪ (64−j)`
+/// for `j = 1 ..= 31`; the last word is `lo_32(d_32)` of element 0 with
+/// element 1's `d_32` above it.
 #[inline(always)]
-fn send_block(rows: (&[u64], &[u64]), delta: [u64; 2], tweak: u64, a: u64, b: usize, d: &mut [u64]) -> U64xN<LANES> {
+fn pack_pair(d: &[[u64; 64]; 2], w: &mut [u64]) {
+    let w = &mut w[..PACKED_PAIR_WORDS];
+    for (d, w) in d.iter().zip(w.chunks_exact_mut(32)) {
+        w[0] = d[0];
+        for j in 1..32 {
+            w[j] = (d[j] & (!0 >> j)) | (d[64 - j] << (64 - j));
+        }
+    }
+    w[64] = (d[0][32] & 0xFFFF_FFFF) | (d[1][32] << 32);
+}
+
+/// Inverse of [`pack_pair`]: each `d_j` back to its low `64 − j` bits.
+#[inline(always)]
+fn unpack_pair(w: &[u64], d: &mut [[u64; 64]; 2]) {
+    let w = &w[..PACKED_PAIR_WORDS];
+    for (e, (d, v)) in d.iter_mut().zip(w.chunks_exact(32)).enumerate() {
+        d[0] = v[0];
+        for j in 1..32 {
+            d[j] = v[j] & (!0 >> j);
+            d[64 - j] = v[j] >> (64 - j);
+        }
+        d[32] = (w[64] >> (32 * e)) & 0xFFFF_FFFF;
+    }
+}
+
+/// Packs the corrections `d` of an even number of elements (64 words
+/// each, OT `j`'s at `d[64e + j]`) into [`packed_words`] words, two
+/// elements to [`PACKED_PAIR_WORDS`]: the low `64 − j` bits of each
+/// `d_j`, every bit of the output live. [`CotSender::correct`] emits
+/// this layout.
+///
+/// # Panics
+/// Panics if the element count is odd or `out` is not
+/// [`packed_words`] long.
+pub fn pack_corrections(d: &[u64], out: &mut [u64]) {
+    assert_eq!(d.len() % 64, 0, "64 corrections per element");
+    assert_eq!(out.len(), packed_words(d.len() / 64), "packed corrections of every element");
+    let mut pair = [[0u64; 64]; 2];
+    for (d, w) in d.chunks_exact(128).zip(out.chunks_exact_mut(PACKED_PAIR_WORDS)) {
+        pair[0].copy_from_slice(&d[..64]);
+        pair[1].copy_from_slice(&d[64..]);
+        pack_pair(&pair, w);
+    }
+}
+
+/// Unpacks [`pack_corrections`]' words into 64 words an element, OT
+/// `j`'s correction reduced to its low `64 − j` bits.
+///
+/// # Panics
+/// Panics if `packed` is not whole pairs of elements or `out` is not
+/// 64 words per element.
+pub fn unpack_corrections(packed: &[u64], out: &mut [u64]) {
+    assert_eq!(packed.len() % PACKED_PAIR_WORDS, 0, "whole pairs of packed elements");
+    assert_eq!(out.len(), 64 * 2 * (packed.len() / PACKED_PAIR_WORDS), "64 corrections per element");
+    let mut pair = [[0u64; 64]; 2];
+    for (w, d) in packed.chunks_exact(PACKED_PAIR_WORDS).zip(out.chunks_exact_mut(128)) {
+        unpack_pair(w, &mut pair);
+        d[..64].copy_from_slice(&pair[0]);
+        d[64..].copy_from_slice(&pair[1]);
+    }
+}
+
+/// One element's OTs `8b .. 8b + 8`, one per lane, of the sender: its
+/// corrections `m⁰_j + a − m¹'_j` stored to `d`, `m⁰_j ≪ j` returned.
+#[inline(always)]
+fn send_block(rows: (&[u64], &[u64]), delta: [u64; 2], tweak: u64, a: u64, b: usize, d: &mut [u64; 64]) -> U64xN<LANES> {
     let (lo, hi) = (U64xN::load(&rows.0[8 * b..]), U64xN::load(&rows.1[8 * b..]));
     let tw = tweak.wrapping_add(8 * b as u64);
     let m0 = cr_hash_lanes(tw, lane_steps(1), lo, hi, [0, 0]);
     let m1 = cr_hash_lanes(tw, lane_steps(1), lo, hi, delta);
-    (m0 + U64xN::splat(a << (8 * b)) * LANE_BIT - m1).store(&mut d[8 * b..]);
-    m0
+    (m0 + U64xN::splat(a) - m1).store(&mut d[8 * b..]);
+    m0 * (LANE_BIT << (8 * b as u32))
 }
 
-/// One element's OTs `8b .. 8b + 8` of the receiver: `H(t_j)` plus the
-/// corrections its choice bits select.
+/// One element's OTs `8b .. 8b + 8` of the receiver:
+/// `(H(τ + j, t_j) + r_j·d_j) ≪ j`. Only the low `64 − j` bits of `d_j`
+/// reach the result.
 #[inline(always)]
-fn receive_block(rows: (&[u64], &[u64]), choice: u64, tweak: u64, b: usize, d: &[u64]) -> U64xN<LANES> {
+fn receive_block(rows: (&[u64], &[u64]), choice: u64, tweak: u64, b: usize, d: &[u64; 64]) -> U64xN<LANES> {
     let (lo, hi) = (U64xN::load(&rows.0[8 * b..]), U64xN::load(&rows.1[8 * b..]));
     let tw = tweak.wrapping_add(8 * b as u64);
     let bit = ((U64xN::splat(choice >> (8 * b)) & LANE_BIT) * LANE_TOP) >> 63;
-    cr_hash_lanes(tw, lane_steps(1), lo, hi, [0, 0]) + (U64xN::load(&d[8 * b..]) & (U64xN::ZERO - bit))
+    let h = cr_hash_lanes(tw, lane_steps(1), lo, hi, [0, 0]);
+    (h + (U64xN::load(&d[8 * b..]) & (U64xN::ZERO - bit))) * (LANE_BIT << (8 * b as u32))
 }
 
-/// Body of the vector-OLE passes, compiled once per dispatch tier: per
-/// element, its 64 OTs as eight blocks of [`LANES`] consecutive rows of
-/// its unit, in the order `b ← (b + 5) mod 8` — uncounted, like the
-/// transpose's passes, so LLVM's loop vectorizer does not turn the
-/// element loop into gathers of rows across units.
+/// One element's 64 OTs of the sender, as eight blocks of [`LANES`]
+/// consecutive rows of its unit in the order `b ← (b + 5) mod 8` —
+/// uncounted, like the transpose's passes, so LLVM's loop vectorizer
+/// does not turn the element loop into gathers of rows across units.
+/// Writes its corrections to `d` and returns `Σ_j m⁰_j ≪ j`.
+#[inline(always)]
+fn send_element(rows: &Rows, delta: [u64; 2], el: OleElement, a: u64, d: &mut [u64; 64]) -> u64 {
+    let unit = rows.unit(el.unit);
+    let (mut sum, mut b) = (U64xN::ZERO, 0);
+    loop {
+        sum = sum + send_block(unit, delta, el.tweak, a, b, d);
+        b = (b + 5) & 7;
+        if b == 0 {
+            break;
+        }
+    }
+    sum.hsum()
+}
+
+/// One element's 64 OTs of the receiver, in [`send_element`]'s order,
+/// against its corrections `d`: `Σ_j (H(τ + j, t_j) + r_j·d_j) ≪ j`.
+#[inline(always)]
+fn receive_element(rows: &Rows, choice: &[u64], el: OleElement, d: &[u64; 64]) -> u64 {
+    let (unit, r) = (rows.unit(el.unit), choice[el.unit as usize]);
+    let (mut sum, mut b) = (U64xN::ZERO, 0);
+    loop {
+        sum = sum + receive_block(unit, r, el.tweak, b, d);
+        b = (b + 5) & 7;
+        if b == 0 {
+            break;
+        }
+    }
+    sum.hsum()
+}
+
+/// Body of the vector-OLE passes, compiled once per dispatch tier: the
+/// elements two at a time, whose corrections the sender packs
+/// ([`pack_pair`]) and the receiver unpacks ([`unpack_pair`]) on the
+/// stack.
 #[inline(always)]
 fn ole_body(rows: &Rows, elements: &[OleElement], pass: OlePass, sums: &mut [u64]) {
+    let mut pair = [[0u64; 64]; 2];
+    let els = elements.chunks_exact(2).zip(sums.chunks_exact_mut(2));
     match pass {
         OlePass::Send { delta, a, d } => {
-            for (e, ((el, &a), d)) in elements.iter().zip(a).zip(d.chunks_exact_mut(64)).enumerate() {
-                let unit = rows.unit(el.unit);
-                let (mut sum, mut b) = (U64xN::ZERO, 0);
-                loop {
-                    sum = sum + send_block(unit, delta, el.tweak, a, b, d);
-                    b = (b + 5) & 7;
-                    if b == 0 {
-                        break;
-                    }
-                }
-                sums[e] = sum.hsum();
+            for (((el, sums), a), w) in els.zip(a.chunks_exact(2)).zip(d.chunks_exact_mut(PACKED_PAIR_WORDS)) {
+                sums[0] = send_element(rows, delta, el[0], a[0], &mut pair[0]);
+                sums[1] = send_element(rows, delta, el[1], a[1], &mut pair[1]);
+                pack_pair(&pair, w);
             }
         }
         OlePass::Receive { choice, d } => {
-            for (e, (el, d)) in elements.iter().zip(d.chunks_exact(64)).enumerate() {
-                let (unit, r) = (rows.unit(el.unit), choice[el.unit as usize]);
-                let (mut sum, mut b) = (U64xN::ZERO, 0);
-                loop {
-                    sum = sum + receive_block(unit, r, el.tweak, b, d);
-                    b = (b + 5) & 7;
-                    if b == 0 {
-                        break;
-                    }
-                }
-                sums[e] = sum.hsum();
+            for ((el, sums), w) in els.zip(d.chunks_exact(PACKED_PAIR_WORDS)) {
+                unpack_pair(w, &mut pair);
+                sums[0] = receive_element(rows, choice, el[0], &pair[0]);
+                sums[1] = receive_element(rows, choice, el[1], &pair[1]);
             }
         }
     }
@@ -878,9 +1005,10 @@ mod tests {
         }
     }
 
-    /// One extension batch in both roles at `tier`, then one element
-    /// per unit correlated by `a`: the `u` message, the corrections, the
-    /// receiver's sums and the sender's `Σ m⁰`.
+    /// One extension batch in both roles at `tier`, then two elements
+    /// per unit, element `e` on unit `e / 2` correlated by `a[e]`: the
+    /// `u` message, the packed corrections, the receiver's sums and the
+    /// sender's `Σ m⁰_j ≪ j`.
     fn run_batch(
         tier: SimdTier,
         sender: &mut CotSender,
@@ -889,27 +1017,34 @@ mod tests {
         a: &[u64],
     ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
         let (words, first) = (choice.len(), receiver.choice.len() as u32);
+        assert_eq!(a.len(), 2 * words, "two elements per unit");
         let mut u = vec![0u64; OT_KAPPA * words];
         receiver.extend(tier, choice, &mut u);
         sender.absorb(tier, &u);
-        let elements: Vec<OleElement> =
-            (0..words as u32).map(|b| OleElement { unit: first + b, tweak: 64 * (first + b) as u64 }).collect();
-        let (mut d, mut m0_sums) = (vec![0u64; 64 * words], vec![0u64; words]);
+        let elements: Vec<OleElement> = (0..2 * words as u32)
+            .map(|e| OleElement { unit: first + e / 2, tweak: 64 * (2 * first + e) as u64 })
+            .collect();
+        let (mut d, mut m0_sums) = (vec![0u64; packed_words(a.len())], vec![0u64; a.len()]);
         sender.correct(tier, &elements, a, &mut d, &mut m0_sums);
-        let mut recv_sums = vec![0u64; words];
+        let mut recv_sums = vec![0u64; a.len()];
         receiver.receive(tier, &elements, &d, &mut recv_sums);
         (recv_sums, u, d, m0_sums)
     }
 
     /// The Gilboa product of every element: the receiver's sum minus the
-    /// sender's `Σ m⁰`.
+    /// sender's `Σ m⁰_j ≪ j`.
     fn products(recv_sums: &[u64], m0_sums: &[u64]) -> Vec<u64> {
         recv_sums.iter().zip(m0_sums).map(|(r, m)| r.wrapping_sub(*m)).collect()
     }
 
+    /// The products `run_batch` must yield: `a[e] · choice[e / 2]`.
+    fn want_products(choice: &[u64], a: &[u64]) -> Vec<u64> {
+        a.iter().enumerate().map(|(e, a)| a.wrapping_mul(choice[e / 2])).collect()
+    }
+
     /// The heart of IKNP: after extension, `q_j = t_j ⊕ (r_j · s)` row
     /// by row — and so, under the zero correlation, the receiver's sums
-    /// are the sender's `Σ m⁰` whatever its choice bits.
+    /// are the sender's `Σ m⁰_j ≪ j` whatever its choice bits.
     #[test]
     fn extension_rows_satisfy_the_iknp_invariant() {
         let (mut sender, mut receiver) = simulated_base_ots(7);
@@ -918,8 +1053,8 @@ mod tests {
             (0..3).map(|_| g.next_u64()).collect()
         };
         let tier = SimdTier::detect();
-        let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 3]);
-        assert_eq!(products(&recv_sums, &m0_sums), vec![0; 3]);
+        let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 6]);
+        assert_eq!(products(&recv_sums, &m0_sums), vec![0; 6]);
         for (row, (q, t)) in sender.rows.lo.iter().zip(&sender.rows.hi).zip(receiver.rows.lo.iter().zip(&receiver.rows.hi)).enumerate() {
             let r = (choice[row / 64] >> (row % 64)) & 1;
             let s = [sender.delta[0] & 0u64.wrapping_sub(r), sender.delta[1] & 0u64.wrapping_sub(r)];
@@ -933,13 +1068,12 @@ mod tests {
         // deliver `m⁰` and add nothing.
         let (mut sender, mut receiver) = simulated_base_ots(13);
         let choice = [1u64, 1 << 5, 1 << 63, 0xF0F0_F0F0_F0F0_F0F0, 0];
-        let a = [1000u64, 1001, 1002, 1003, 1004];
+        let a = [1000u64, 2000, 1001, 2001, 1002, 2002, 1003, 2003, 1004, 2004];
         let tier = SimdTier::detect();
         let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
-        assert_eq!(
-            products(&recv_sums, &m0_sums),
-            vec![1000, 1001 << 5, 1002 << 63, 1003u64.wrapping_mul(0xF0F0_F0F0_F0F0_F0F0), 0]
-        );
+        let got = products(&recv_sums, &m0_sums);
+        assert_eq!(got[..6], [1000, 2000, 1001 << 5, 2001 << 5, 1002 << 63, 0]);
+        assert_eq!(got, want_products(&choice, &a));
     }
 
     #[test]
@@ -950,30 +1084,115 @@ mod tests {
         let (mut sender, mut receiver) = simulated_base_ots(21);
         for round in 0..3u64 {
             let choice = vec![round.wrapping_mul(0x9E3779B97F4A7C15); 2 + round as usize];
-            let a = vec![7u64; choice.len()];
+            let a = vec![7u64; 2 * choice.len()];
             let tier = SimdTier::detect();
             let (recv_sums, _, _, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
-            let want: Vec<u64> = choice.iter().map(|r| r.wrapping_mul(7)).collect();
-            assert_eq!(products(&recv_sums, &m0_sums), want, "round {round}");
+            assert_eq!(products(&recv_sums, &m0_sums), want_products(&choice, &a), "round {round}");
         }
-        let reused = [OleElement { unit: 0, tweak: 1 << 40 }];
-        let (mut d, mut m0, mut got) = (vec![0u64; 64], [0u64], [0u64]);
-        sender.correct(SimdTier::detect(), &reused, &[3], &mut d, &mut m0);
+        let reused = [OleElement { unit: 0, tweak: 1 << 40 }, OleElement { unit: 0, tweak: (1 << 40) + 64 }];
+        let (mut d, mut m0, mut got) = (vec![0u64; PACKED_PAIR_WORDS], [0u64; 2], [0u64; 2]);
+        sender.correct(SimdTier::detect(), &reused, &[3, 5], &mut d, &mut m0);
         receiver.receive(SimdTier::detect(), &reused, &d, &mut got);
-        assert_eq!(got[0].wrapping_sub(m0[0]), 0, "unit 0 chose the zero word");
+        assert_eq!(products(&got, &m0), [0, 0], "unit 0 chose the zero word");
     }
 
     #[test]
     fn sender_messages_look_uniform() {
-        // What the receiver sees of the sender: its corrections.
+        // What the receiver sees of the sender: its packed corrections,
+        // every bit of them live.
         let (mut sender, mut receiver) = simulated_base_ots(5);
         let choice = vec![0u64; 4];
         let tier = SimdTier::detect();
-        let (_, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 4]);
+        let (_, _, d, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &[0; 8]);
+        assert_eq!(d.len(), 4 * PACKED_PAIR_WORDS);
         let pop: u32 = d.iter().map(|w| w.count_ones()).sum();
         let mean = pop as f64 / d.len() as f64;
         assert!((mean - 32.0).abs() < 2.0, "correction popcount mean {mean}");
         assert!(m0_sums.iter().all(|&s| s != 0));
+    }
+
+    /// Random corrections of `elements` elements, 64 words each.
+    fn random_corrections(seed: u64, elements: usize) -> Vec<u64> {
+        let mut g = SplitMix64::new(seed);
+        (0..64 * elements).map(|_| g.next_u64()).collect()
+    }
+
+    #[test]
+    fn packing_keeps_exactly_the_live_bits() {
+        // Every d_j keeps its low 64 − j bits through pack and unpack,
+        // and the packed words are 260 bytes an element.
+        for elements in [2usize, 6, 10] {
+            let d = random_corrections(elements as u64, elements);
+            let mut packed = vec![0u64; packed_words(elements)];
+            pack_corrections(&d, &mut packed);
+            assert_eq!(8 * packed.len(), CORRECTION_BYTES * elements);
+            let mut back = vec![0u64; d.len()];
+            unpack_corrections(&packed, &mut back);
+            for (i, (&got, &sent)) in back.iter().zip(&d).enumerate() {
+                let j = i % 64;
+                assert_eq!(got, sent & (!0 >> j), "element {}, OT {j}", i / 64);
+            }
+        }
+    }
+
+    #[test]
+    fn the_receiver_reads_only_the_low_64_minus_j_bits_of_d_j() {
+        // The receiver's element sum is unchanged when the top j bits of
+        // each d_j are randomised before the pass: the shift by j drops
+        // them, so the packing drops nothing the product needs.
+        let (mut sender, mut receiver) = simulated_base_ots(17);
+        let choice = [0xDEAD_BEEF_F00D_CAFEu64, !0];
+        let a = [u64::MAX, 1 << 63, 12345, 0x0123_4567_89AB_CDEF];
+        let tier = SimdTier::detect();
+        let (recv_sums, _, packed, m0_sums) = run_batch(tier, &mut sender, &mut receiver, &choice, &a);
+        assert_eq!(products(&recv_sums, &m0_sums), want_products(&choice, &a));
+        let mut d = vec![0u64; 64 * a.len()];
+        unpack_corrections(&packed, &mut d);
+        let mut g = SplitMix64::new(99);
+        let elements: Vec<OleElement> = (0..4).map(|e| OleElement { unit: e / 2, tweak: 64 * e as u64 }).collect();
+        for (e, el) in elements.into_iter().enumerate() {
+            let mut noisy = [0u64; 64];
+            for (j, w) in noisy.iter_mut().enumerate() {
+                *w = d[64 * e + j] | (g.next_u64() & !(!0 >> j));
+            }
+            assert_eq!(receive_element(&receiver.rows, &receiver.choice, el, &noisy), recv_sums[e], "element {e}");
+        }
+    }
+
+    #[test]
+    fn edge_values_multiply_exactly_at_every_tier() {
+        // a and r at 0, 1, 2^63 and !0: the top OT's one-bit correction
+        // and the full-width d_0 both carry their products.
+        let edges = [0u64, 1, 1 << 63, !0];
+        let a: Vec<u64> = edges.iter().flat_map(|_| edges).collect();
+        for tier in SimdTier::available() {
+            let (mut sender, mut receiver) = simulated_base_ots(31);
+            let (mut u, first) = (vec![0u64; OT_KAPPA * edges.len()], receiver.choice.len() as u32);
+            receiver.extend(tier, &edges, &mut u);
+            sender.absorb(tier, &u);
+            let elements: Vec<OleElement> =
+                (0..a.len() as u32).map(|e| OleElement { unit: first + e / 4, tweak: 64 * e as u64 }).collect();
+            let (mut d, mut m0) = (vec![0u64; packed_words(a.len())], vec![0u64; a.len()]);
+            sender.correct(tier, &elements, &a, &mut d, &mut m0);
+            let mut got = vec![0u64; a.len()];
+            receiver.receive(tier, &elements, &d, &mut got);
+            for (e, p) in products(&got, &m0).into_iter().enumerate() {
+                let (a, r) = (a[e], edges[e / 4]);
+                assert_eq!(p, a.wrapping_mul(r), "tier {tier}: a = {a:#x}, r = {r:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is odd")]
+    fn an_odd_batch_is_refused_not_padded() {
+        let (mut sender, mut receiver) = simulated_base_ots(3);
+        let mut u = vec![0u64; OT_KAPPA];
+        receiver.extend(SimdTier::Portable, &[5], &mut u);
+        sender.absorb(SimdTier::Portable, &u);
+        let odd = [0u64, 64, 128].map(|tweak| OleElement { unit: 0, tweak });
+        let (mut d, mut sums) = (vec![0u64; 2 * PACKED_PAIR_WORDS], [0u64; 3]);
+        sender.correct(SimdTier::Portable, &odd, &[1, 2, 3], &mut d, &mut sums);
     }
 
     #[test]
@@ -982,8 +1201,8 @@ mod tests {
         let (mut s2, mut r2) = simulated_base_ots(2);
         let choice = [0xABCDu64];
         let tier = SimdTier::detect();
-        let (sums1, u1, _, m1) = run_batch(tier, &mut s1, &mut r1, &choice, &[0]);
-        let (sums2, u2, _, m2) = run_batch(tier, &mut s2, &mut r2, &choice, &[0]);
+        let (sums1, u1, _, m1) = run_batch(tier, &mut s1, &mut r1, &choice, &[0, 0]);
+        let (sums2, u2, _, m2) = run_batch(tier, &mut s2, &mut r2, &choice, &[0, 0]);
         assert_ne!(u1, u2, "column messages differ");
         assert_ne!(sums1, sums2);
         assert_ne!(m1, m2);

@@ -24,7 +24,8 @@
 //! dependence.
 
 use crate::dealer::Dealer;
-use crate::offline::{draw_tables, MgDraw, OfflineS1, OfflineS2, MAX_FLIGHT_TRIPLES};
+use crate::offline::{draw_tables, MgDraw, OfflineS1, OfflineS2, MAX_FLIGHT_TRIPLES, UNITS_PER_PAIR};
+use crate::ot::packed_words;
 use crate::simd::SimdTier;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
@@ -92,8 +93,8 @@ pub fn simulate_pair_view(pairs: usize, rng: &mut SplitMix64) -> Vec<Ring64> {
 pub struct OfflineView {
     /// S₁: S₂'s key columns `u`, every flight.
     pub key_columns: Vec<u64>,
-    /// S₂: S₁'s correction words, the `M` elements' and the `W`
-    /// elements'.
+    /// S₂: S₁'s packed correction words, the `M` elements' and the
+    /// `W` elements'.
     pub corrections: Vec<u64>,
     /// S₂: S₁'s `P + 1` derandomisation offsets.
     pub offsets: Vec<u64>,
@@ -124,7 +125,7 @@ pub fn record_offline_view(seed: u64, n: u32) -> OfflineView {
     let flights = tail.len();
     for (f, msg) in tail.into_iter().enumerate() {
         let span = (pairs - f * crate::MAX_FLIGHT_PAIRS).min(crate::MAX_FLIGHT_PAIRS);
-        let (d, rest) = msg.split_at(128 * span);
+        let (d, rest) = msg.split_at(packed_words(UNITS_PER_PAIR * span));
         view.corrections.extend_from_slice(d);
         let offsets = if f + 1 == flights { &rest[..rest.len() - 1] } else { rest };
         view.offsets.extend_from_slice(offsets);
@@ -249,12 +250,29 @@ mod tests {
         }
     }
 
+    /// The bit position whose set fraction over `words` strays furthest
+    /// from ½, and by how many standard deviations of a fair coin.
+    fn worst_bit(words: &[u64]) -> (usize, f64) {
+        let mut ones = [0u64; 64];
+        for w in words {
+            for (b, n) in ones.iter_mut().enumerate() {
+                *n += (w >> b) & 1;
+            }
+        }
+        let n = words.len() as f64;
+        let z = |b: usize| (ones[b] as f64 - n / 2.0).abs() / (n.sqrt() / 2.0);
+        (0..64).map(|b| (b, z(b))).max_by(|x, y| x.1.total_cmp(&y.1)).expect("64 bits")
+    }
+
     #[test]
     fn the_offline_dialogue_s_views_are_uniform_words() {
         // Over several seeds, each message stream a server receives in
         // the offline dialogue against the simulator's uniform words of
-        // the same length: the key columns S₁ sees, the corrections and
-        // the P + 1 offsets S₂ sees.
+        // the same length: the key columns S₁ sees, the packed
+        // corrections and the P + 1 offsets S₂ sees. Besides the top
+        // bits, every one of the 64 bit positions must be set in about
+        // half the words of each stream: a dead bit anywhere in the
+        // packing would show there.
         let mut views: Vec<OfflineView> = (0..6).map(|s| record_offline_view(0xFEED + s, 14)).collect();
         let pairs = 14 * 13 / 2;
         assert!(views.iter().all(|v| v.offsets.len() == pairs + 1), "one offset a pair and the Count's");
@@ -271,7 +289,30 @@ mod tests {
             let (stat, dof) = chi_square_top_bits(&real, &uniform, bits);
             let bound = dof as f64 + 5.0 * (2.0 * dof as f64).sqrt();
             assert!(stat < bound, "{what}: chi-square {stat} for dof {dof} over {} words", real.len());
+            let (bit, z) = worst_bit(&real);
+            assert!(z < 5.0, "{what}: bit {bit} is {z:.1} σ off ½ over {} words", real.len());
         }
+    }
+
+    #[test]
+    fn the_per_bit_test_fails_a_zero_padded_correction_layout() {
+        // The same corrections laid out 33 words an element — d_32 alone
+        // in a word whose top 32 bits are zero — lose one word in 33 of
+        // every top bit: the per-bit test must refuse that layout.
+        let packed: Vec<u64> = (0..6).flat_map(|s| record_offline_view(0xFEED + s, 14).corrections).collect();
+        let mut d = vec![0u64; packed.len() / crate::ot::PACKED_PAIR_WORDS * 128];
+        crate::ot::unpack_corrections(&packed, &mut d);
+        let padded: Vec<u64> = d
+            .chunks_exact(64)
+            .flat_map(|d| {
+                let pairs = (1..32).map(move |j| d[j] | (d[64 - j] << (64 - j)));
+                std::iter::once(d[0]).chain(pairs).chain([d[32]])
+            })
+            .collect();
+        assert_eq!(padded.len(), 33 * d.len() / 64);
+        assert!(worst_bit(&packed).1 < 5.0, "the packed layout passes");
+        let (bit, z) = worst_bit(&padded);
+        assert!(bit >= 32 && z > 5.0, "the padded layout fails: bit {bit} only {z:.1} σ off");
     }
 
     #[test]
