@@ -3,7 +3,7 @@
 //! reference (the "crypto markup"). Trend-only timings: end-to-end
 //! numbers come from the `benchmark/` package at the repo root.
 
-use cargo_core::{count_local, count_sampled, CountJob};
+use cargo_core::{count_local, CountJob};
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::{count_triangles, count_triangles_matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -86,30 +86,12 @@ fn bench_plaintext_counters(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sampled_count(c: &mut Criterion) {
-    // The O(n^3)-cost knob: sampling rate q cuts evaluated triples to
-    // q-fraction (noise grows by 1/q; see count_sampled docs).
-    let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 0);
-    let m = full.induced_prefix(400).to_bit_matrix();
-    let mut g = c.benchmark_group("sampled_count_n400");
-    g.sample_size(10);
-    for rate in [1.0f64, 0.25, 0.05] {
-        g.bench_with_input(
-            BenchmarkId::new("rate", format!("{rate}")),
-            &rate,
-            |b, &rate| b.iter(|| black_box(count_sampled(&m, rate, &job(0, 0)))),
-        );
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_n_scaling,
     bench_thread_scaling,
     bench_batch_scaling,
     bench_thread_batch_grid,
-    bench_plaintext_counters,
-    bench_sampled_count
+    bench_plaintext_counters
 );
 criterion_main!(benches);

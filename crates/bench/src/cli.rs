@@ -46,11 +46,12 @@ impl Deref for Options {
 }
 
 /// The seed and the Count's knobs: ε, projection and the serve knobs
-/// are each experiment's to set.
+/// are each experiment's to set, and an experiment's Count crosses no
+/// link that a recv timeout could bound.
 fn config_flags() -> Vec<ConfigFlag> {
-    use ConfigFlag::{Composition, Epsilon, Horizon, NoProjection};
+    use ConfigFlag::{Composition, Epsilon, Horizon, NoProjection, RecvTimeout};
     let mut flags = ConfigFlag::ALL.to_vec();
-    flags.retain(|c| ![Epsilon, NoProjection, Horizon, Composition].contains(c));
+    flags.retain(|c| ![Epsilon, NoProjection, Horizon, Composition, RecvTimeout].contains(c));
     flags
 }
 
@@ -109,9 +110,8 @@ impl Options {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cargo_core::{ScheduleKind, TransportKind};
-    use cargo_mpc::{OfflineMode, DEFAULT_RECV_TIMEOUT};
-    use std::time::Duration;
+    use cargo_core::ScheduleKind;
+    use cargo_mpc::OfflineMode;
 
     fn parse(v: &[&str]) -> Result<(Options, Vec<String>), String> {
         let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
@@ -157,31 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn transport_parses() {
-        let (o, _) = parse(&["--transport", "tcp", "table2"]).unwrap();
-        assert_eq!(o.transport, TransportKind::Tcp);
-        let (o, _) = parse(&["table2"]).unwrap();
-        assert_eq!(o.transport, TransportKind::Memory, "memory is default");
-        assert!(parse(&["--transport", "udp"]).is_err());
-    }
-
-    #[test]
     fn schedule_parses() {
         let (o, _) = parse(&["--schedule", "sparse", "table2"]).unwrap();
         assert_eq!(o.schedule, ScheduleKind::Sparse);
         let (o, _) = parse(&["table2"]).unwrap();
         assert_eq!(o.schedule, ScheduleKind::Dense, "dense is default");
         assert!(parse(&["--schedule", "wat"]).is_err());
-    }
-
-    #[test]
-    fn recv_timeout_parses() {
-        let (o, _) = parse(&["--recv-timeout", "2.5", "table2"]).unwrap();
-        assert_eq!(o.recv_timeout, Duration::from_millis(2500));
-        let (o, _) = parse(&["table2"]).unwrap();
-        assert_eq!(o.recv_timeout, DEFAULT_RECV_TIMEOUT, "120 s default");
-        assert!(parse(&["--recv-timeout", "0"]).is_err());
-        assert!(parse(&["--recv-timeout", "wat"]).is_err());
     }
 
     #[test]
@@ -200,10 +181,10 @@ mod tests {
     #[test]
     fn unknown_flag_errors() {
         assert!(parse(&["--wat"]).is_err());
-        assert!(
-            parse(&["--kernel", "scalar", "table2"]).is_err(),
-            "retired knob"
-        );
+        for retired in [["--kernel", "scalar"], ["--transport", "tcp"], ["--recv-timeout", "5"]] {
+            let refusal = parse(&[retired[0], retired[1], "table2"]).unwrap_err();
+            assert_eq!(refusal, format!("unknown flag {}", retired[0]), "retired knob");
+        }
         assert!(parse(&["--n"]).is_err(), "missing value");
     }
 
@@ -215,7 +196,7 @@ mod tests {
         assert_eq!(
             names.join(" "),
             "--n --trials --out-dir --data-dir --quick --seed --threads --batch --offline-mode \
-             --transport --schedule --recv-timeout"
+             --schedule"
         );
         let (o, _) = parse(&["--out-dir", "o", "table2"]).unwrap();
         assert_eq!(o.out_dir, PathBuf::from("o"));

@@ -130,7 +130,7 @@ pub fn run_local2rounds(g: &Graph, epsilon: f64, trials: usize, seed: u64) -> Ut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cargo_core::{OfflineMode, ScheduleKind, TransportKind};
+    use cargo_core::{OfflineMode, ScheduleKind};
     use cargo_graph::generators::barabasi_albert;
 
     #[test]
@@ -145,15 +145,10 @@ mod tests {
             batch: 16,
             ..cfg.with_threads(2)
         };
-        let tcp = CargoConfig {
-            transport: TransportKind::Tcp,
-            ..cfg.with_threads(1)
-        };
         for point in [
             run_cargo_with(&g, 2, &cfg),
             run_cargo_with(&g, 2, &sharded),
             run_cargo_with(&small, 1, &cfg.with_threads(1).with_offline(OfflineMode::OtExtension)),
-            run_cargo_with(&small, 1, &tcp),
             run_cargo_with(&g, 2, &sharded.with_schedule(ScheduleKind::Sparse)),
             run_central(&g, 2.0, 2, 1),
             run_local2rounds(&g, 2.0, 2, 1),

@@ -19,59 +19,6 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolPolicy;
 
-/// Selects the wire the Count phase's openings travel over.
-///
-/// Results are **bit-identical** across transports (pinned by
-/// `crates/core/tests/transport_equivalence.rs`); only where the bytes
-/// physically live changes — and with [`TransportKind::Tcp`] the
-/// modeled byte ledger is *measured* against real sockets
-/// ([`cargo_mpc::NetStats::wire_bytes`]).
-///
-/// ```
-/// use cargo_core::TransportKind;
-/// assert_eq!("memory".parse::<TransportKind>(), Ok(TransportKind::Memory));
-/// assert_eq!("tcp".parse::<TransportKind>(), Ok(TransportKind::Tcp));
-/// assert_eq!(TransportKind::default(), TransportKind::Memory);
-/// assert_eq!(TransportKind::Tcp.to_string(), "tcp");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TransportKind {
-    /// The default in-process path: the fast kernel's openings stay in
-    /// memory and the wire is the modeled ledger (the message-passing
-    /// runtime over the in-memory *byte* transport is exercised by the
-    /// test suites and `party --role local`).
-    #[default]
-    Memory,
-    /// The Count phase runs on the sharded message-passing runtime
-    /// over **real loopback TCP sockets** — every opening crosses the
-    /// kernel network stack as an encoded frame and is byte-counted.
-    /// The two-OS-process deployment shape is the `party` binary.
-    Tcp,
-}
-
-impl std::str::FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "memory" | "mem" => Ok(TransportKind::Memory),
-            "tcp" => Ok(TransportKind::Tcp),
-            other => Err(format!(
-                "unknown transport {other:?} (expected \"memory\" or \"tcp\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TransportKind::Memory => "memory",
-            TransportKind::Tcp => "tcp",
-        })
-    }
-}
-
 /// Selects which triples the Count phase schedules.
 ///
 /// The dense cube is the paper's fully-oblivious `O(n³)` walk; the
@@ -158,10 +105,10 @@ pub struct CargoConfig {
     /// noise) — fixed seed ⇒ bit-identical run.
     pub seed: u64,
     /// Worker threads for the `O(n³)` secure count (0 = all cores).
-    /// Governs every Count executor: the fast kernel, the sharded
-    /// message-passing runtime, and the sampled estimator.
+    /// Governs every Count executor: the fast kernel and the sharded
+    /// message-passing runtime.
     pub threads: usize,
-    /// Pairs per Count communication round, and triples per lane table
+    /// Pairs per Count communication round
     /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). A Count opens
     /// the `P` pairs its plan reads in `⌈P/batch⌉` rounds. Shares are
     /// identical for every batch size; only rounds and wall-clock
@@ -176,11 +123,6 @@ pub struct CargoConfig {
     /// reported in [`cargo_mpc::NetStats::offline`]). Shares are
     /// bit-identical either way.
     pub offline: OfflineMode,
-    /// Wire the Count openings travel over: in-process memory
-    /// (default) or real loopback TCP sockets. Results are
-    /// bit-identical either way; TCP additionally *measures* the byte
-    /// ledger on a real wire.
-    pub transport: TransportKind,
     /// Which triples the Count phase schedules: the fully-oblivious
     /// dense cube (default) or the candidate-driven sparse walk over
     /// the public support. Shares of surviving triples are
@@ -212,7 +154,6 @@ impl CargoConfig {
             batch: 0,
             projection: true,
             offline: OfflineMode::TrustedDealer,
-            transport: TransportKind::Memory,
             schedule: ScheduleKind::Dense,
             horizon: 16,
             composition: Composition::Fixed,
@@ -343,7 +284,6 @@ config_flags! {
     Threads => "--threads", "w", "Count worker threads";
     Batch => "--batch", "b", "pairs per Count round (the shares never change)";
     OfflineMode => "--offline-mode", "dealer|ot", "Count preprocessing: trusted dealer or OT";
-    Transport => "--transport", "memory|tcp", "the Count's wire: in process or loopback TCP";
     Schedule => "--schedule", "dense|sparse|sparse-stream", "the triples the Count walks";
     NoProjection => "--no-projection", "", "skip the projection (the sensitivity becomes n)";
     Horizon => "--horizon", "epochs", "continuous release: delta epochs the budget covers";
@@ -369,13 +309,10 @@ impl ConfigFlag {
             Batch => {
                 cfg.batch = parse_value(flag, value)?;
                 if cfg.batch > MAX_COUNT_BATCH {
-                    return Err(format!(
-                        "{flag}: at most {MAX_COUNT_BATCH} triples per round"
-                    ));
+                    return Err(format!("{flag}: at most {MAX_COUNT_BATCH} pairs per round"));
                 }
             }
             OfflineMode => cfg.offline = parse_value(flag, value)?,
-            Transport => cfg.transport = parse_value(flag, value)?,
             Schedule => cfg.schedule = parse_value(flag, value)?,
             NoProjection => cfg.projection = false,
             Horizon => cfg.horizon = parse_value(flag, value)?,
@@ -407,7 +344,6 @@ impl ConfigFlag {
             Threads => zero_means(cfg.threads, "all cores"),
             Batch => zero_means(cfg.batch, &format!("default {DEFAULT_COUNT_BATCH}")),
             OfflineMode => cfg.offline.to_string(),
-            Transport => cfg.transport.to_string(),
             Schedule => cfg.schedule.to_string(),
             NoProjection => (!cfg.projection).to_string(),
             Horizon => cfg.horizon.to_string(),
@@ -596,15 +532,6 @@ mod tests {
         assert_eq!(ScheduleKind::Dense.to_string(), "dense");
     }
 
-    #[test]
-    fn transport_defaults_to_memory_and_parses() {
-        assert_eq!(CargoConfig::new(1.0).transport, TransportKind::Memory);
-        assert_eq!("tcp".parse::<TransportKind>(), Ok(TransportKind::Tcp));
-        assert_eq!("mem".parse::<TransportKind>(), Ok(TransportKind::Memory));
-        assert!("carrier-pigeon".parse::<TransportKind>().is_err());
-        assert_eq!(TransportKind::Memory.to_string(), "memory");
-    }
-
     fn strings(argv: &[&str]) -> Vec<String> {
         argv.iter().map(|s| s.to_string()).collect()
     }
@@ -627,7 +554,7 @@ mod tests {
         let base = CargoConfig::new(2.0);
         // Each accepted value, and what it sets on the base config.
         type Sets = fn(&mut CargoConfig);
-        let accepted: [(&[&str], Sets); 12] = [
+        let accepted: [(&[&str], Sets); 11] = [
             (&["--epsilon", "0.5"], |c| c.epsilon = 0.5),
             (&["--seed", "9"], |c| c.seed = 9),
             (&["--threads", "4"], |c| c.threads = 4),
@@ -636,9 +563,6 @@ mod tests {
             (&["--batch", "65536"], |c| c.batch = 1 << 16),
             (&["--offline-mode", "ot"], |c| {
                 c.offline = OfflineMode::OtExtension
-            }),
-            (&["--transport", "tcp"], |c| {
-                c.transport = TransportKind::Tcp
             }),
             (&["--schedule", "sparse"], |c| {
                 c.schedule = ScheduleKind::Sparse
@@ -678,10 +602,9 @@ mod tests {
             (["--threads", "many"], "--threads: "),
             (
                 ["--batch", "65537"],
-                "--batch: at most 65536 triples per round",
+                "--batch: at most 65536 pairs per round",
             ),
             (["--offline-mode", "wat"], "--offline-mode: "),
-            (["--transport", "udp"], "--transport: "),
             (["--schedule", "wat"], "--schedule: "),
             (["--horizon", "forever"], "--horizon: "),
             (["--composition", "wat"], "--composition: "),
@@ -695,7 +618,9 @@ mod tests {
                 ["--recv-timeout", "1e20"],
                 "--recv-timeout: must be a positive number",
             ),
-            // The retired triple-pool knobs are no flags at all.
+            // Retired knobs are no flags at all: the triple pool's, and
+            // the in-process Count's TCP fork.
+            (["--transport", "tcp"], "unknown flag --transport"),
             (["--factory-threads", "2"], "unknown flag --factory-threads"),
             (["--pool-depth", "2"], "unknown flag --pool-depth"),
             (["--pool-backpressure", "block"], "unknown flag --pool-backpressure"),
@@ -766,7 +691,7 @@ mod tests {
         let run = apply(&["--batch", "16", "--no-projection"]).unwrap();
         let shown = ConfigFlag::ALL.map(|c| c.show(&run));
         assert_eq!(shown[1..4], ["0", "0 (all cores)", "16"]);
-        assert_eq!(shown[7], "true", "--no-projection given");
+        assert_eq!(shown[6], "true", "--no-projection given");
     }
 
     proptest::proptest! {

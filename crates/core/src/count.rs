@@ -25,8 +25,7 @@
 //! | [`count_local`] | both servers in one process (this module): the wire party's steps with the link cut out — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
 //! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
 //! | [`crate::count_runtime::count_two_party`] | two [`count_party`](crate::count_runtime::count_party)s, one per end of a caller-made link pair |
-//! | [`crate::count_sampled::count_sampled`] | [`count_local`] over a plan thinned by a public coin — the triple-sampling estimator |
-//!
+//! //!
 //! All of them produce **bit-identical** share pairs and ledgers for
 //! the same job (the equivalence suites under `crates/core/tests/` pin
 //! this); [`secure_count_reference`] is the un-inlined protocol object
@@ -247,9 +246,7 @@ pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> Secu
 /// the offline dialogue in OT mode, runs `job`'s workers over `sched`'s
 /// chunks, the kernels at `tier`, and sums the parts — each server's
 /// Count term ([`PairTable::count_term`]) with the pair phase's.
-/// `sched` is the job's own [`CountJob::local_scheduler`], or that
-/// scheduler under the sampled estimator's plan filter — the workers
-/// only ever see a draw plan.
+/// `sched` is the job's own [`CountJob::local_scheduler`].
 pub(crate) fn run_scheduled<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,

@@ -2,9 +2,8 @@
 //!
 //! Algorithm 4 evaluates one Multiplication Group per triple
 //! `i < j < k`. Every executor in this crate — the fast kernel
-//! ([`crate::count`], which the sampled estimator of
-//! [`mod@crate::count_sampled`] also runs) and the message-passing
-//! runtime ([`crate::count_runtime`]) — iterates the same space: an
+//! ([`crate::count`]) and the message-passing runtime
+//! ([`crate::count_runtime`]) — iterates the same space: an
 //! outer walk over the `(i, j)` pairs with a non-empty `k` range, an
 //! inner batched `k` loop per pair. This module owns that shape once:
 //!
@@ -20,13 +19,6 @@
 //!   All three are walked in exactly one place — the pair + `k`-list
 //!   walk under [`CountScheduler::chunk_plan`] — as `k`-runs of each
 //!   pair `(i, j)`, each named by its offset `k − j − 1`.
-//! * **One filter seam.** That walk optionally passes each pair's
-//!   `k`-list through a crate-private public-coin filter (the
-//!   triple-sampling estimator's [`mod@crate::count_sampled`] coin): pairs
-//!   whose filtered list is empty are dropped and the survivors keep
-//!   their canonical offsets, so a sampled run is an ordinary run over
-//!   a sparser plan. Chunk list, chunk ids and batch stay those of the
-//!   unfiltered schedule.
 //! * **Pair-space partitioning.** The pair list is cut into contiguous
 //!   [`PairChunk`]s of roughly equal *triple* weight. The partition
 //!   depends on the schedule's public inputs **only** — `n` for the
@@ -53,7 +45,6 @@
 
 use crate::config::ScheduleKind;
 use crate::count_runtime::join;
-use crate::count_sampled::TripleSampler;
 use cargo_graph::{BitMatrix, CsrGraph, Graph, GraphBuilder, NeighborMarks};
 use cargo_mpc::MgDraw;
 use std::ops::Range;
@@ -61,7 +52,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default batch: 1 024 pairs per online round — an 8 kB opening frame
-/// each way — and 1 024 triples per lane table. Chosen by sweeping
+/// each way. Chosen by sweeping
 /// {256, 512, 1 024, 2 048} on the repo benchmark's five workloads
 /// (`CHANGES.md`) when a round opened triples: on one core a round costs
 /// a fixed hand-off (≈ 12 µs on the reference box) on top of its
@@ -74,11 +65,10 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_COUNT_BATCH: usize = 1024;
 
 /// Ceiling on the batch. A pair round is one frame each way — 8 B a
-/// pair — and every executor sizes its scratch by the batch (a lane
-/// table holds about a dozen words a triple), so an unchecked `--batch`
-/// must neither approach [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`]
-/// nor drive a multi-gigabyte allocation: 2¹⁶ pairs are a 512 kB
-/// frame.
+/// pair — and every executor sizes its scratch by the batch, so an
+/// unchecked `--batch` must neither approach
+/// [`cargo_mpc::wire::MAX_FRAME_PAYLOAD_BYTES`] nor drive a
+/// multi-gigabyte allocation: 2¹⁶ pairs are a 512 kB frame.
 pub(crate) const MAX_COUNT_BATCH: usize = 1 << 16;
 
 /// Target number of chunks the pair walk is cut into. Fixed —
@@ -417,18 +407,15 @@ pub struct CountScheduler {
     plan: SchedulePlan,
     chunks: Vec<PairChunk>,
     total_triples: u64,
-    /// Empty unless the plan is [`SchedulePlan::CsrStream`].
-    stream: StreamIndex,
-    /// The public-coin filter on the pair walk, if this is a sampled
-    /// run's schedule.
-    sampler: Option<TripleSampler>,
+    /// `Some` exactly when the plan is [`SchedulePlan::CsrStream`].
+    stream: Option<StreamIndex>,
 }
 
 /// What a [`SchedulePlan::CsrStream`] schedule remembers of its one
 /// intersection pass — 4 bytes per edge, a pure function of the public
 /// CSR. Lives beside the chunk list rather than in [`PairChunk`], which
 /// stays field-for-field equal to the eager plan's.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct StreamIndex {
     /// `weights[e]` is the `k`-list length of upper edge `e` (edges
     /// numbered in [`CsrGraph::walk_upper_edges`] order); non-zero
@@ -439,14 +426,14 @@ struct StreamIndex {
     chunk_edge: Vec<u32>,
     /// The plan's pair set ([`CountScheduler::pair_set`]), collected by
     /// the same pass.
-    pairs: Option<Arc<PairSet>>,
+    pairs: Arc<PairSet>,
 }
 
 impl CountScheduler {
     /// Builds the dense-cube schedule for an `n × n` matrix.
     ///
     /// * `threads` — worker threads; `0` means all cores.
-    /// * `batch` — triples per round; `0` means
+    /// * `batch` — pairs per round; `0` means
     ///   [`DEFAULT_COUNT_BATCH`]. Clamped to the heaviest chunk (no
     ///   round can be fuller than that) and to 2¹⁶.
     ///
@@ -487,12 +474,13 @@ impl CountScheduler {
                 } else {
                     (n as u64) * (n as u64 - 1) * (n as u64 - 2) / 6
                 };
-                (total, build_chunks(n, total), StreamIndex::default())
+                (total, build_chunks(n, total), None)
             }
-            SchedulePlan::CandidatePairs(cs) => {
-                (cs.total_triples(), build_sparse_chunks(cs), StreamIndex::default())
+            SchedulePlan::CandidatePairs(cs) => (cs.total_triples(), build_sparse_chunks(cs), None),
+            SchedulePlan::CsrStream(csr) => {
+                let (total, chunks, stream) = build_csr_chunks(csr);
+                (total, chunks, Some(stream))
             }
-            SchedulePlan::CsrStream(csr) => build_csr_chunks(csr),
         };
         // A pair round opens at most the plan's pairs and a lane round
         // evaluates at most one chunk's triples, so a batch above both
@@ -517,23 +505,7 @@ impl CountScheduler {
             chunks,
             total_triples,
             stream,
-            sampler: None,
         }
-    }
-
-    /// The same schedule — chunk list, chunk ids, batch — with every
-    /// pair's `k`-list passed through `sampler`'s public coins.
-    ///
-    /// # Panics
-    /// Panics on a signed plan, whose signs follow the unfiltered lists.
-    pub(crate) fn sampled(mut self, sampler: TripleSampler) -> Self {
-        assert!(
-            !matches!(&self.plan, SchedulePlan::CandidatePairs(cs) if !cs.negate.is_empty()),
-            "a signed plan cannot be sampled"
-        );
-        self.sampler = Some(sampler);
-        self.stream.pairs = None;
-        self
     }
 
     /// Matrix dimension.
@@ -574,8 +546,7 @@ impl CountScheduler {
     /// draw starting at offset 0; a sparse plan names each surviving
     /// run where the dense cube has it. Single source of truth for the
     /// chunk loop and the offline dialogue's triple list in every
-    /// executor — and, under a sampler, the sampled estimator's sparser
-    /// plan.
+    /// executor.
     pub fn chunk_plan(&self, chunk: &PairChunk) -> Vec<MgDraw> {
         let mut draws = Vec::new();
         self.for_each_pair(chunk, |i, j, ks| match ks {
@@ -600,35 +571,21 @@ impl CountScheduler {
 
     /// Calls `f(i, j, ks)` for each of `chunk`'s pairs in schedule
     /// order with the pair's public ascending `k`-list — `None` on the
-    /// unfiltered dense cube, where every `k > j` is scheduled. The one
-    /// place a plan kind is walked. A streamed plan regenerates exactly
-    /// this chunk's lists: the walk resumes at the chunk's edge ordinal,
+    /// dense cube, where every `k > j` is scheduled. The one place a
+    /// plan kind is walked. A streamed plan regenerates exactly this
+    /// chunk's lists: the walk resumes at the chunk's edge ordinal,
     /// re-intersects only the edges the index weighs non-zero, and the
     /// lists live only in the walker's scratch.
-    ///
-    /// Under a sampler each list is first thinned by the pair's public
-    /// coins and pairs left with nothing are skipped; without one the
-    /// seam costs an untaken branch per pair.
     pub(crate) fn for_each_pair(
         &self,
         chunk: &PairChunk,
         mut f: impl FnMut(usize, usize, Option<&[u32]>),
     ) {
-        let mut scratch = Vec::new();
-        let mut emit = |i: usize, j: usize, ks: Option<&[u32]>| match &self.sampler {
-            None => f(i, j, ks),
-            Some(sampler) => {
-                let kept = sampler.sample(i as u32, j as u32, self.n, ks, &mut scratch);
-                if !kept.is_empty() {
-                    f(i, j, Some(kept));
-                }
-            }
-        };
         match &self.plan {
             SchedulePlan::DenseCube => {
                 let (mut i, mut j) = (chunk.start.0 as usize, chunk.start.1 as usize);
                 for _ in 0..chunk.pairs {
-                    emit(i, j, None);
+                    f(i, j, None);
                     // Next pair with a non-empty k range (j ≤ n − 2).
                     if j + 2 < self.n {
                         j += 1;
@@ -641,19 +598,19 @@ impl CountScheduler {
             SchedulePlan::CandidatePairs(cs) => {
                 for idx in chunk.first as usize..chunk.first as usize + chunk.pairs as usize {
                     let (i, j) = cs.pair(idx);
-                    emit(i as usize, j as usize, Some(cs.ks(idx)));
+                    f(i as usize, j as usize, Some(cs.ks(idx)));
                 }
             }
             SchedulePlan::CsrStream(csr) => {
-                let weights = &self.stream.weights;
+                let stream = self.stream.as_ref().expect("a streamed plan has its index");
                 let mut left = chunk.pairs;
                 csr.walk_upper_edges(
                     chunk.start,
-                    self.stream.chunk_edge[chunk.id as usize] as usize,
+                    stream.chunk_edge[chunk.id as usize] as usize,
                     &mut NeighborMarks::new(csr.n()),
-                    |e| weights[e] > 0,
+                    |e| stream.weights[e] > 0,
                     |_, i, j, ks| {
-                        emit(i, j, Some(ks));
+                        f(i, j, Some(ks));
                         left -= 1;
                         left > 0
                     },
@@ -666,31 +623,28 @@ impl CountScheduler {
     /// scheduled triple reads as `(i, j)`, `(i, k)` or `(j, k)` — the
     /// pairs a Count opens, each once, before any chunk is evaluated. A
     /// pure function of the public plan, so both parties derive it
-    /// locally: in closed form on the (unsampled) cube, where every
-    /// pair is read, and otherwise by one walk of the chunks' plans
-    /// (marked in the `n × n` square, or at the pairs' positions in a graph
-    /// that holds them, whichever is smaller).
+    /// locally: in closed form on the cube, where every pair is read;
+    /// marked by the index pass on a streamed plan; and otherwise by one
+    /// walk of the chunks' plans (marked in the `n × n` square, or at the
+    /// pairs' positions in a graph that holds them, whichever is smaller).
     pub fn pair_set(&self) -> Arc<PairSet> {
-        match (&self.plan, &self.sampler, &self.stream.pairs) {
-            (SchedulePlan::DenseCube, None, _) => {
+        match &self.plan {
+            SchedulePlan::DenseCube => {
                 Arc::new(PairSet(PairIndex::Cube { n: if self.n < 3 { 0 } else { self.n } }))
             }
-            // The streamed plan's pairs are marked by its index pass.
-            (SchedulePlan::CsrStream(_), None, Some(pairs)) => Arc::clone(pairs),
-            (plan, _, _) => {
-                let graph = match plan {
-                    SchedulePlan::DenseCube => None,
-                    SchedulePlan::CandidatePairs(cs) => cs.graph.as_ref(),
-                    SchedulePlan::CsrStream(csr) => Some(csr),
-                };
+            SchedulePlan::CsrStream(_) => {
+                Arc::clone(&self.stream.as_ref().expect("a streamed plan has its index").pairs)
+            }
+            SchedulePlan::CandidatePairs(cs) => {
                 // Without a graph a plan reads at most three pairs a
                 // triple.
                 let reads = self.total_triples.saturating_mul(3);
-                let mut marks = PairPositions::choose(self.n, graph, reads).map(PairMarks::new);
+                let mut marks =
+                    PairPositions::choose(self.n, cs.graph.as_ref(), reads).map(PairMarks::new);
                 let mut reads = Vec::new();
                 for chunk in &self.chunks {
                     self.for_each_pair(chunk, |i, j, ks| {
-                        let ks = ks.expect("only the unsampled cube leaves its k ranges implicit");
+                        let ks = ks.expect("a candidate plan lists its k ranges");
                         match &mut marks {
                             Some(marks) => marks.triples(i, j, ks),
                             None => {
@@ -1187,7 +1141,7 @@ fn build_csr_chunks(csr: &Arc<CsrGraph>) -> (u64, Vec<PairChunk>, StreamIndex) {
             true
         },
     );
-    let pairs = Some(Arc::new(marks.finish()));
+    let pairs = Arc::new(marks.finish());
     let total = weights.iter().map(|&w| w as u64).sum();
     let mut cut = ChunkCutter::new(total);
     let mut chunk_edge = Vec::new();
@@ -1207,7 +1161,6 @@ fn build_csr_chunks(csr: &Arc<CsrGraph>) -> (u64, Vec<PairChunk>, StreamIndex) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_sampled::pair_coin;
     use cargo_graph::generators;
 
     #[test]
@@ -1420,24 +1373,9 @@ mod tests {
 
     /// The one plan-level property: whatever the plan kind, the
     /// schedule is the brute-force list of admitted triples in
-    /// lexicographic order, each at its canonical offset `k − j − 1` —
-    /// and under the sampling filter, exactly the sub-sequence a
-    /// brute-force replay of the public coins selects.
+    /// lexicographic order, each at its canonical offset `k − j − 1`.
     fn check_plan(name: &str, n: usize, plan: SchedulePlan, admitted: &[(u32, u32, u32)]) {
         let want: Vec<_> = admitted.iter().map(|&(i, j, k)| (i, j, k - j - 1)).collect();
-        // The coin of (i, j, k) is output k − j − 1 of the pair's
-        // stream, thresholded — a function of the triple alone, so the
-        // same `keeps` set serves every plan kind that admits it.
-        let (seed, rate) = (0xC01A, 0.3);
-        let threshold = (rate * u64::MAX as f64) as u64;
-        let want_sampled: Vec<_> = want
-            .iter()
-            .copied()
-            .filter(|&(i, j, off)| {
-                let mut coin = pair_coin(seed, i, j);
-                (0..=off).map(|_| coin.next_u64()).last() <= Some(threshold)
-            })
-            .collect();
         // Workers and batch never move the schedule (the proptest this
         // replaces drew them at random).
         for (workers, batch) in [(1usize, 0usize), (2, 1), (4, 7), (7, 79)] {
@@ -1463,18 +1401,6 @@ mod tests {
                     assert!((a.i, a.j) != (b.i, b.j) || a.start + a.groups < b.start, "{name}");
                 }
             }
-            // Rate 1 keeps every coin: the plan is unchanged, draw for
-            // draw (the dense cube's full ranges included).
-            let all = sched.clone().sampled(TripleSampler::new(seed, 1.0));
-            for c in sched.chunks() {
-                assert_eq!(all.chunk_plan(c), sched.chunk_plan(c), "{name} chunk {}", c.id);
-            }
-            // Rate q: the replayed sub-sequence, over the unfiltered
-            // chunk list.
-            let some = sched.clone().sampled(TripleSampler::new(seed, rate));
-            assert_eq!(some.chunks(), sched.chunks(), "{name}");
-            assert_eq!(some.total_triples(), sched.total_triples(), "{name}");
-            assert_eq!(expand(&some), want_sampled, "{name} w={workers} b={batch} q={rate}");
         }
     }
 
@@ -1486,7 +1412,7 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_kind_schedules_exactly_its_admitted_triples_filtered_or_not() {
+    fn every_plan_kind_schedules_exactly_the_triples_it_admits() {
         // Replaces the four tests that compared the deleted per-chunk
         // pair iterator to a pair list — `chunks_cover_the_pair_space_exactly_once`
         // (cube, n and workers below), the proptest
@@ -1600,8 +1526,9 @@ mod tests {
                 }
             }
             assert_eq!(idx, cs.len(), "{name}: every eager pair is an upper edge");
-            assert_eq!(sched.stream.weights, want, "{name}");
-            assert_eq!(sched.stream.chunk_edge.len(), sched.chunks().len(), "{name}");
+            let stream = sched.stream.as_ref().expect("a streamed plan has its index");
+            assert_eq!(stream.weights, want, "{name}");
+            assert_eq!(stream.chunk_edge.len(), sched.chunks().len(), "{name}");
         }
     }
 
@@ -1766,8 +1693,7 @@ mod tests {
         // streamed plan's index pass, marked by a walk of the eager
         // plan, and built from an explicit triple list's reads — on
         // each family, and on each family spread over 10⁵ vertices,
-        // where no square fits and the positions are a graph's; and a
-        // sampled cube's against the graph of its reads.
+        // where no square fits and the positions are a graph's.
         for (name, g) in stream_families() {
             for n in [g.n(), 100_000] {
                 let mut b = GraphBuilder::new(n);
@@ -1792,17 +1718,6 @@ mod tests {
                 assert_eq!(sets[0], sets[2], "{name} n={n}");
             }
         }
-        let sampled = CountScheduler::new(30, 1, 0).sampled(TripleSampler::new(5, 0.3));
-        let mut reads = Vec::new();
-        for chunk in sampled.chunks() {
-            sampled.for_each_pair(chunk, |i, j, ks| {
-                reads.push((i as u32, j as u32));
-                reads.extend(ks.unwrap().iter().flat_map(|&k| [(i as u32, k), (j as u32, k)]));
-            });
-        }
-        let set = sampled.pair_set();
-        let want = PairSet::from_pairs(30, &reads);
-        assert_eq!(runs(&set, 0..set.len()), runs(&want, 0..want.len()));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! epoch into the running share state: over the matrix raised to
 //! pre ∪ post (every bit either set reads is 1 there), a plan whose
 //! created triples add and destroyed ones subtract
-//! ([`DeltaPlan::count_plan`]). It also keeps the edge term of the
+//! (`DeltaPlan::count_plan`). It also keeps the edge term of the
 //! state digest from each epoch's changed edges, so
 //! [`IncrementalCounter::digest`] costs O(Δ), not O(m). The evaluator
 //! is a closure so the same engine drives both the in-process kernels
@@ -291,7 +291,7 @@ impl DeltaPlan {
     /// ([`CandidateSet::signed`]); `None` when no triangle was born or
     /// died (an empty plan would exchange no messages, but skipping it
     /// keeps the in-process and two-party paths trivially symmetric).
-    pub fn count_plan(&self) -> Option<SchedulePlan> {
+    pub(crate) fn count_plan(&self) -> Option<SchedulePlan> {
         (!self.created.is_empty() || !self.destroyed.is_empty()).then(|| {
             SchedulePlan::CandidatePairs(Arc::new(CandidateSet::signed(
                 self.n,
@@ -391,7 +391,7 @@ impl IncrementalCounter {
     /// destroyed triangle's product reads is 1 before the batch and every
     /// bit a created one's reads is 1 after it, so over the union each
     /// contributes exactly what it would over its own matrix. One Count
-    /// of the [`DeltaPlan::count_plan`] then adds the created triangles
+    /// of the epoch's `DeltaPlan::count_plan` then adds the created triangles
     /// and subtracts the destroyed ones, and the matrix settles on the
     /// post-batch graph. `eval` runs at most once: not at all when no
     /// triangle was born or died.

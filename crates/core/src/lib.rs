@@ -13,7 +13,7 @@
 //! | Algorithm 1 | [`protocol`] | One step sequence (Max → Project → Count → Perturb) over the [`EpochParty`] seam, with the DP unit (edge / node) as a value; [`CargoSystem::run`], [`node_dp::run_node_dp`], [`run_party`] and [`run_party_local`] are adapters onto it |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
-//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link), [`count_two_party`] (two of those over a link pair) or [`count_sampled()`] |
+//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link) or [`count_two_party`] (two of those over a link pair) |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
 //! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation, one OT session per chunk run inline by the Count |
 //! | Deployment shape | [`party`] + [`count_runtime`] | [`EpochParty`]: both servers in process ([`party::InProcess`]) or one per process over a real [`cargo_mpc::transport::Transport`] ([`party::Wire`]), for the one-shot pipeline and serve mode alike |
@@ -46,7 +46,6 @@
 pub mod config;
 pub mod count;
 pub mod count_runtime;
-pub mod count_sampled;
 pub mod count_sched;
 pub mod delta;
 pub mod max_degree;
@@ -62,7 +61,7 @@ pub mod protocol;
 pub mod theory;
 
 pub use cargo_mpc::OfflineMode;
-pub use config::{CargoConfig, ScheduleKind, TransportKind};
+pub use config::{CargoConfig, ScheduleKind};
 pub use count::{
     count_local, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
     SecureCountResult, DEFAULT_TILE_THRESHOLD,
@@ -74,7 +73,6 @@ pub use session::{
     parse_delta_script, DeltaBatches, EpochOutcome, PartySession, ServeSession, Session,
     SessionError,
 };
-pub use count_sampled::{count_sampled, SampledCountResult};
 pub use count_sched::{
     CandidateSet, CountScheduler, PairChunk, PairSet, SchedulePlan, DEFAULT_COUNT_BATCH,
 };

@@ -43,15 +43,15 @@
 //! diffs the two processes' transcripts against an in-memory
 //! reference run ([`run_party_local`]) line by line.
 
-use crate::config::{CargoConfig, TransportKind};
+use crate::config::CargoConfig;
 use crate::count::{count_local, CountJob, SecureCountResult};
-use crate::count_runtime::{count_party, count_two_party, join};
+use crate::count_runtime::{count_party, join};
 use crate::protocol::{algorithm1, DpUnit};
 use crate::session::SessionError;
 use cargo_graph::{BitMatrix, Graph};
 use cargo_mpc::{
     memory_pair, recv_msg, send_msg, CommitMsg, FinalOpeningMsg, IntoFrame, NetStats, Ring64,
-    ServerId, TcpConfig, TcpTransport, Transport, WireMessage,
+    ServerId, Transport, WireMessage,
 };
 use std::sync::Arc;
 
@@ -80,37 +80,15 @@ pub trait EpochParty {
     fn payload(&self) -> Option<u64>;
 }
 
-/// Both servers in one process: the Count fills both share slots and
-/// the release opens locally. (Public because [`crate::Session`] names
-/// it; the default is serve's in-memory Count.)
-#[derive(Debug, Default)]
-pub struct InProcess {
-    /// Run the two server pools' Count over a fresh loopback TCP pair
-    /// instead of [`count_local`] (shares and ledgers are bit-identical;
-    /// TCP measures the bytes).
-    tcp: Option<TcpConfig>,
-}
-
-impl InProcess {
-    /// The one-shot pipeline's: `cfg.transport` picks the Count's wire.
-    /// (Serve's in-process reference counts in memory.)
-    pub(crate) fn new(cfg: &CargoConfig) -> Self {
-        let tcp = (cfg.transport == TransportKind::Tcp)
-            .then(|| TcpConfig { recv_timeout: cfg.recv_timeout, ..TcpConfig::default() });
-        InProcess { tcp }
-    }
-}
+/// Both servers in one process: [`count_local`] fills both share slots
+/// and the release opens locally. (Public because [`crate::Session`]
+/// names it.)
+#[derive(Debug)]
+pub struct InProcess;
 
 impl EpochParty for InProcess {
     fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        match &self.tcp {
-            None => count_local(matrix, job),
-            Some(tcp) => {
-                let (end1, end2, _) =
-                    TcpTransport::loopback_pair(tcp).expect("loopback socket pair");
-                count_two_party(matrix, job, &Arc::new(end1), &Arc::new(end2))
-            }
-        }
+        count_local(matrix, job)
     }
 
     fn commit(&self, _: CommitMsg) -> Result<(), SessionError> {

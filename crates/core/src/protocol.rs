@@ -204,10 +204,9 @@ pub(crate) fn algorithm1<P: EpochParty>(
     }
 }
 
-/// [`algorithm1`] with both servers in this process — the in-process
-/// Count, or both server pools over loopback TCP per `cfg.transport`.
+/// [`algorithm1`] with both servers in this process.
 pub(crate) fn run_in_process(graph: &Graph, cfg: &CargoConfig, unit: DpUnit) -> CargoOutput {
-    let run = algorithm1(graph, cfg, unit, &InProcess::new(cfg));
+    let run = algorithm1(graph, cfg, unit, &InProcess);
     CargoOutput {
         noisy_count: run.noisy_count,
         true_count: cargo_graph::count_triangles(graph),
@@ -393,23 +392,6 @@ mod tests {
         assert!(ot.net.offline.bytes > 0, "offline phase is costed");
         assert!(ot.net.offline.rounds > 0);
         assert_eq!(ot.net.offline.base_ots, 128, "one base-OT direction");
-    }
-
-    #[test]
-    fn tcp_transport_changes_nothing_but_measures_the_wire() {
-        use crate::TransportKind;
-        let g = erdos_renyi(50, 0.25, 6);
-        let base = CargoConfig::new(2.0).with_seed(3).with_threads(2);
-        let mem = CargoSystem::new(base).run(&g);
-        let tcp = CargoSystem::new(CargoConfig {
-            transport: TransportKind::Tcp,
-            ..base
-        })
-        .run(&g);
-        assert_eq!(tcp.noisy_count, mem.noisy_count, "bit-identical output");
-        assert_eq!(tcp.projected_count, mem.projected_count);
-        assert_eq!(tcp.net, mem.net, "measured wire == modeled ledger");
-        assert_eq!(tcp.net.wire_bytes, tcp.net.online().bytes);
     }
 
     #[test]

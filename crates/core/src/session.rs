@@ -325,7 +325,7 @@ impl Session {
     /// Counts the base graph (baseline share state; nothing released)
     /// and arms the release schedule.
     pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
-        Self::start(graph, cfg, InProcess::default())
+        Self::start(graph, cfg, InProcess)
             .unwrap_or_else(|e| panic!("baseline count: {e}"))
     }
 }

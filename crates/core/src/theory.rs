@@ -13,7 +13,7 @@
 //! curves on the measured ones.
 
 /// Expected l2 loss of `CentralLap△`: variance of `Lap(d_max/ε)`.
-pub fn central_lap_expected_l2(d_max: f64, epsilon: f64) -> f64 {
+fn central_lap_expected_l2(d_max: f64, epsilon: f64) -> f64 {
     assert!(epsilon > 0.0);
     2.0 * (d_max / epsilon).powi(2)
 }
@@ -29,7 +29,7 @@ pub fn cargo_expected_l2(d_max_noisy: f64, epsilon2: f64) -> f64 {
 /// Upper bound on the expected l2 loss of `Local2Rounds△`
 /// (Imola et al., Table 2 of \[11\], as cited in the paper):
 /// `e^ε/(e^ε−1)² · (d³_max·n + e^ε/ε² · d²_max·n)`.
-pub fn local2rounds_expected_l2(d_max: f64, n: f64, epsilon: f64) -> f64 {
+fn local2rounds_expected_l2(d_max: f64, n: f64, epsilon: f64) -> f64 {
     assert!(epsilon > 0.0);
     let ee = epsilon.exp();
     let front = ee / ((ee - 1.0) * (ee - 1.0));

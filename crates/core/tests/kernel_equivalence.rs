@@ -9,16 +9,13 @@
 //! stream). For arbitrary (asymmetric!) bit matrices, `count_local`
 //! must reproduce its opened count, triple count and element/byte
 //! ledger exactly — across `threads × batch`, with dealer and OT
-//! material, on the exact count, on the sampled estimator at rate 1,
-//! and on the golden fixtures. Both materials are per pair and per
+//! material, and on the golden fixtures. Both materials are per pair and per
 //! Count, so a share pair is pinned to the aggregated oracle
 //! (`count.rs`'s unit tests), here to itself across the knobs, and the
 //! OT mode's to the dealer's bit for bit. Rounds are not compared: the
 //! reference opens one pair a round.
 
-use cargo_core::{
-    count_local, count_sampled, secure_count_reference, CountJob, OfflineMode, SecureCountResult,
-};
+use cargo_core::{count_local, secure_count_reference, CountJob, OfflineMode, SecureCountResult};
 use cargo_graph::BitMatrix;
 use cargo_mpc::SplitMix64;
 use proptest::prelude::*;
@@ -92,34 +89,6 @@ proptest! {
         let dealer = count_local(&m, &job(seed, 1, batch, OfflineMode::TrustedDealer));
         prop_assert_eq!((local.share1, local.share2), (dealer.share1, dealer.share2));
         prop_assert!(!local.net.offline.is_empty());
-    }
-
-    #[test]
-    fn kernels_agree_on_the_sampled_estimator(
-        m in arb_bit_matrix(30),
-        seed: u64,
-        rate_tenths in 1u32..10,
-        batch in 1usize..12,
-    ) {
-        // At rate 1 the sampled plan is the cube, so the estimator opens
-        // the reference's count; at any rate the material source cannot
-        // move a share or the online ledger.
-        let want = opened_view(&secure_count_reference(&m, seed));
-        let rate = rate_tenths as f64 / 10.0;
-        let dealer = job(seed, 1, batch, OfflineMode::TrustedDealer);
-        let ot = job(seed, 1, batch, OfflineMode::OtExtension);
-        for r in [1.0, rate] {
-            let by_dealer = count_sampled(&m, r, &dealer);
-            let by_ot = count_sampled(&m, r, &ot);
-            prop_assert_eq!((by_ot.share1, by_ot.share2), (by_dealer.share1, by_dealer.share2));
-            prop_assert_eq!(by_ot.evaluated, by_dealer.evaluated);
-            prop_assert_eq!(by_ot.net.online(), by_dealer.net);
-            if r == 1.0 {
-                let got = (by_ot.reconstruct_raw().0, by_ot.evaluated);
-                prop_assert_eq!(got, (want.0, want.1));
-                prop_assert_eq!((by_dealer.net.elements, by_dealer.net.bytes), (want.2, want.3));
-            }
-        }
     }
 }
 

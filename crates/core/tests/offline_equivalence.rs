@@ -14,7 +14,7 @@
 //! the same count.
 
 use cargo_core::{
-    count_local, count_sampled, count_two_party, secure_count_reference, CandidateSet, CountJob,
+    count_local, count_two_party, secure_count_reference, CandidateSet, CountJob,
     CountScheduler, OfflineMode, SchedulePlan,
 };
 use cargo_graph::{BitMatrix, CsrGraph, Graph};
@@ -180,21 +180,6 @@ fn the_offline_ledger_is_invariant_and_measured_over_memory_and_tcp_on_every_pla
             }
         }
     }
-    // The sampled estimator has no wire executor: its ledger is the
-    // closed form over the sampled plan, whatever the threads and batch.
-    let sampled: Vec<_> = [(1usize, 0usize), (2, 7), (3, 1)]
-        .map(|(threads, batch)| count_sampled(&m, 0.5, &job(0xB0, threads, batch, OfflineMode::OtExtension)))
-        .into_iter()
-        .collect();
-    let dealer = count_sampled(&m, 0.5, &job(0xB0, 1, 0, OfflineMode::TrustedDealer));
-    for res in &sampled {
-        assert_eq!((res.share1, res.share2), (dealer.share1, dealer.share2), "sampled shares");
-        assert_eq!(res.net.offline, sampled[0].net.offline, "sampled ledger");
-    }
-    let off = sampled[0].net.offline;
-    assert_eq!(off.extended_ots % 128, 0);
-    let pairs = off.extended_ots / 128;
-    assert_eq!(off, { let mut l = count_offline_ledger(pairs, dealer.evaluated); l.merge(&ot_setup_ledger()); l });
 }
 
 /// An in-memory link end that records the largest offline frame it
@@ -308,23 +293,5 @@ proptest! {
         prop_assert_eq!(rt.share2, fast.share2);
         // Full NetStats equality, offline ledger included.
         prop_assert_eq!(rt.net, fast.net);
-    }
-
-    #[test]
-    fn sampled_estimator_is_mode_invariant(
-        m in arb_bit_matrix(14),
-        seed: u64,
-        rate_tenths in 1u32..=10,
-    ) {
-        let rate = rate_tenths as f64 / 10.0;
-        let dealer = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::TrustedDealer));
-        let ot = count_sampled(&m, rate, &job(seed, 1, 6, OfflineMode::OtExtension));
-        prop_assert_eq!((ot.share1, ot.share2), (dealer.share1, dealer.share2));
-        prop_assert_eq!(ot.evaluated, dealer.evaluated);
-        prop_assert_eq!(ot.net.online(), dealer.net.online());
-        // Bytes follow the sampled triples; the dialogue's rounds are
-        // the exact count's.
-        prop_assert!(ot.net.offline.extended_ots <= expected_offline(&CountScheduler::new(m.n(), 1, 6)).extended_ots);
-        prop_assert!(ot.net.offline.rounds <= expected_offline(&CountScheduler::new(m.n(), 1, 6)).rounds);
     }
 }

@@ -15,7 +15,7 @@
 //! and the in-process ledger is that cut in closed form.
 
 use cargo_core::{
-    count_local, count_sampled, count_two_party, CandidateSet, CountJob, CountScheduler,
+    count_local, count_two_party, CandidateSet, CountJob, CountScheduler,
     SchedulePlan,
 };
 use cargo_graph::{generators::erdos_renyi, BitMatrix, CsrGraph};
@@ -87,25 +87,6 @@ proptest! {
             prop_assert_eq!(rt.share2, fast.share2);
             prop_assert_eq!(rt.triples, fast.triples);
             prop_assert_eq!(rt.net.elements, fast.net.elements);
-        }
-    }
-
-    #[test]
-    fn sampled_estimator_invariant_across_threads_and_batch(
-        m in arb_bit_matrix(20),
-        seed: u64,
-        rate_tenths in 1u32..=10,
-    ) {
-        let rate = rate_tenths as f64 / 10.0;
-        let base = count_sampled(&m, rate, &job(seed, 1, 1));
-        for threads in THREADS {
-            for batch in BATCHES {
-                let r = count_sampled(&m, rate, &job(seed, threads, batch));
-                prop_assert_eq!(r.share1, base.share1);
-                prop_assert_eq!(r.share2, base.share2);
-                prop_assert_eq!(r.evaluated, base.evaluated);
-                prop_assert_eq!(r.net.elements, base.net.elements);
-            }
         }
     }
 

@@ -15,14 +15,12 @@
 //! 3. **CSR-native input** — `count_local` over a `CsrGraph`, which
 //!    never materialises an `n × n` matrix, equals the matrix-shaped
 //!    run over `g.to_bit_matrix()` exactly, in dealer and OT mode.
-//! 4. **Sampled composition** — sampling over the streamed plan picks
-//!    the same coins and draws as over the eager plan.
 //!
 //! And the benchmark's entry point, `secure_triangle_count_streamed`,
 //! equals the eager run whatever tile threshold it is handed.
 
 use cargo_core::{
-    count_local, count_sampled, secure_triangle_count_streamed, CandidateSet, CountJob,
+    count_local, secure_triangle_count_streamed, CandidateSet, CountJob,
     OfflineMode, SchedulePlan, DEFAULT_TILE_THRESHOLD,
 };
 use cargo_graph::{generators, BitMatrix, CsrGraph, Graph};
@@ -103,22 +101,6 @@ proptest! {
                 let streamed = secure_triangle_count_streamed(&csr, seed, 2, batch, tile_threshold);
                 prop_assert_eq!(eager, streamed);
             }
-        }
-    }
-
-    /// Contract 4: the sampled estimator draws the same public coins
-    /// and canonical dealer offsets under either plan, so the raw
-    /// sampled shares (and the ledger) are identical.
-    #[test]
-    fn sampled_count_composes_with_the_streamed_plan(
-        m in arb_bit_matrix(24),
-        seed in any::<u64>(),
-    ) {
-        let (eager_plan, stream_plan) = both_plans(&m);
-        for (rate, batch) in [(0.5f64, 1usize), (0.25, 8), (1.0, 64)] {
-            let eager = count_sampled(&m, rate, &job(seed, 2, batch, eager_plan.clone()));
-            let streamed = count_sampled(&m, rate, &job(seed, 2, batch, stream_plan.clone()));
-            prop_assert_eq!(eager, streamed);
         }
     }
 }

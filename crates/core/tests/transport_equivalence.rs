@@ -14,13 +14,10 @@
 //!    directions); on modeled paths it tracks `bytes` by construction.
 //!    The equality is an invariant, not a tolerance (DESIGN.md §8):
 //!    a single byte of drift between the codec, the transports, and
-//!    the cost model fails these tests. The grid covers all three
-//!    Count paths — exact fast kernel, message-passing runtime, and
-//!    sampled estimator.
+//!    the cost model fails these tests. The grid covers both Count
+//!    paths — the fast kernel and the message-passing runtime.
 
-use cargo_core::{
-    count_local, count_sampled, count_two_party, CountJob, OfflineMode, SecureCountResult,
-};
+use cargo_core::{count_local, count_two_party, CountJob, OfflineMode, SecureCountResult};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{memory_pair, SplitMix64, TcpConfig, TcpTransport};
 use proptest::prelude::*;
@@ -76,7 +73,7 @@ proptest! {
         }
     }
 
-    /// Pin family 2 on all three Count paths: measured (or modeled)
+    /// Pin family 2 on both Count paths: measured (or modeled)
     /// wire_bytes equals the modeled online byte ledger exactly, for
     /// an n × batch grid.
     #[test]
@@ -92,10 +89,6 @@ proptest! {
             let rt = over_memory(&m, &job(seed, 2, batch, OfflineMode::TrustedDealer));
             prop_assert_eq!(rt.net.wire_bytes, rt.net.online().bytes);
             prop_assert_eq!(rt.net.wire_bytes, fast.net.wire_bytes);
-            // Path 3: the sampled estimator (modeled wire).
-            let sampled =
-                count_sampled(&m, 0.5, &job(seed, 1, batch, OfflineMode::TrustedDealer));
-            prop_assert_eq!(sampled.net.wire_bytes, sampled.net.online().bytes);
         }
     }
 }

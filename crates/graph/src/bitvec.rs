@@ -195,12 +195,6 @@ impl BitMatrix {
         &self.rows[i]
     }
 
-    /// Mutable row access (used by projection, which rewrites one user's
-    /// own row).
-    pub fn row_mut(&mut self, i: usize) -> &mut BitVec {
-        &mut self.rows[i]
-    }
-
     /// Replaces row `i` wholesale.
     ///
     /// # Panics

@@ -39,7 +39,7 @@ use std::sync::OnceLock;
 /// Compressed-sparse-row adjacency, plus a degree-ordered forward
 /// orientation that is **built on first use**: only the plaintext
 /// reference ([`Self::count_triangles`], through [`Self::rank`],
-/// [`Self::forward_neighbors`] and its wedges) reads it, so the
+/// the forward neighbor lists and their wedges) reads it, so the
 /// secure Count's ingest and planning never pay for it.
 ///
 /// Equality is over the adjacency `(n, offsets, targets)`, of which the
@@ -224,7 +224,7 @@ impl CsrGraph {
     /// `v`'s neighbors above it in the `(degree, id)` order, ascending
     /// by rank. Its length is `v`'s *forward degree* — `O(√m)` on any
     /// graph, which is what tames wedge enumeration.
-    pub fn forward_neighbors(&self, v: usize) -> &[u32] {
+    fn forward_neighbors(&self, v: usize) -> &[u32] {
         let o = self.orientation();
         &o.fwd_targets[o.fwd_offsets[v]..o.fwd_offsets[v + 1]]
     }
@@ -443,11 +443,6 @@ impl NeighborMarks {
         NeighborMarks { words: vec![0; n.div_ceil(64)] }
     }
 
-    /// Whether no bit is set — the state every walk leaves behind.
-    pub fn is_clear(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     fn set(&mut self, ks: &[u32]) {
         for &k in ks {
             self.words[k as usize >> 6] |= 1 << (k & 63);
@@ -625,7 +620,7 @@ mod tests {
             lists.push((e, i, j, ks.to_vec()));
             lists.len() < stop_after
         });
-        assert!(marks.is_clear(), "scratch dirty after a walk from {from:?}");
+        assert!(marks.words.iter().all(|&w| w == 0), "scratch dirty after a walk from {from:?}");
         lists
     }
 

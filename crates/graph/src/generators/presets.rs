@@ -77,14 +77,6 @@ impl SnapDataset {
         SnapDataset::Enron,
     ];
 
-    /// The five Table III datasets, in paper order.
-    pub const TABLE3: [SnapDataset; 5] = [
-        SnapDataset::CondMat,
-        SnapDataset::AstroPh,
-        SnapDataset::HepPh,
-        SnapDataset::HepTh,
-        SnapDataset::GrQc,
-    ];
 
     /// Canonical (file) name.
     pub fn name(&self) -> &'static str {
@@ -348,8 +340,8 @@ mod tests {
 
     #[test]
     fn table3_presets_cover_five_graphs() {
-        assert_eq!(SnapDataset::TABLE3.len(), 5);
-        for ds in SnapDataset::TABLE3 {
+        use SnapDataset::{AstroPh, CondMat, GrQc, HepPh, HepTh};
+        for ds in [CondMat, AstroPh, HepPh, HepTh, GrQc] {
             assert!(ds.stats().d_max > 0);
         }
     }

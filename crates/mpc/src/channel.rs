@@ -151,7 +151,7 @@ impl NetStats {
     /// tally update — the bulk form of [`Self::exchange`]. Field totals
     /// are identical to the per-round calls.
     #[inline]
-    pub fn exchange_rounds(&mut self, rounds: u64, elements_each_way: u64) {
+    fn exchange_rounds(&mut self, rounds: u64, elements_each_way: u64) {
         if rounds == 0 {
             return;
         }
@@ -176,16 +176,6 @@ impl NetStats {
         self.exchange_rounds(pairs / batch, batch);
         if !pairs.is_multiple_of(batch) {
             self.exchange(pairs % batch);
-        }
-    }
-
-    /// Mean elements per round each way — the effective batching the
-    /// schedule achieved (0 when no rounds were recorded).
-    pub fn elements_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.elements as f64 / (2.0 * self.rounds as f64)
         }
     }
 
@@ -415,15 +405,6 @@ mod tests {
         assert_eq!(a.elements, 14);
         assert_eq!(a.rounds, 2);
         assert_eq!(a.peak_batch, 5);
-    }
-
-    #[test]
-    fn elements_per_round_reflects_batching() {
-        let mut s = NetStats::new();
-        assert_eq!(s.elements_per_round(), 0.0);
-        s.exchange(64 * 3);
-        s.exchange(64 * 3);
-        assert_eq!(s.elements_per_round(), 192.0);
     }
 
     #[test]

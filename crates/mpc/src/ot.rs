@@ -80,7 +80,7 @@
 //! references and probes; the `ot_simd_equivalence` suite pins every
 //! tier bit-exactly against the references and the OLE products at
 //! every tier. Digesting every `u` message twice takes the same
-//! dispatch ([`transcript_digest_tier`]).
+//! dispatch.
 
 use crate::prg::SplitMix64;
 use crate::simd::{lane_steps, SimdTier, U64xN, LANES};
@@ -204,7 +204,7 @@ pub fn cr_hash_batch(
 /// multiply latency and only independent vectors hide it (8 lanes on
 /// AVX-512 measure 3.8 ns/word, 32 measure 0.8; scalar code is
 /// multiplier-bound at ≈ 1.8 either way).
-pub const DIGEST_LANES: usize = 32;
+const DIGEST_LANES: usize = 32;
 
 /// Body of [`transcript_digest`], compiled once per dispatch tier.
 #[inline(always)]
@@ -255,7 +255,7 @@ unsafe fn transcript_digest_avx2(words: &[u64]) -> u64 {
 ///
 /// # Panics
 /// Panics if the tier is unsupported on this CPU.
-pub fn transcript_digest_tier(tier: SimdTier, words: &[u64]) -> u64 {
+fn transcript_digest_tier(tier: SimdTier, words: &[u64]) -> u64 {
     assert!(tier.supported(), "SIMD tier {tier} not supported on this CPU");
     match tier {
         // SAFETY: `supported()` just confirmed the CPU features the
@@ -270,7 +270,7 @@ pub fn transcript_digest_tier(tier: SimdTier, words: &[u64]) -> u64 {
 }
 
 /// Digest of one protocol message (a word slice) for the transcript-
-/// consistency check: [`DIGEST_LANES`] running folds of the modeled
+/// consistency check: 32 running folds of the modeled
 /// correlation-robust hash, word `i` going to lane `i mod 32` under the
 /// position tweak `i`, folded in lane order with the message length.
 ///

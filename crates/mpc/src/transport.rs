@@ -480,8 +480,9 @@ impl TcpTransport {
     }
 
     /// Creates a connected loopback pair on an ephemeral `127.0.0.1`
-    /// port — real sockets, one process (the `--transport tcp`
-    /// in-process shape; the two-process shape is the `party` binary).
+    /// port — real sockets, one process (the test suites' two-party
+    /// harness and the benchmark's link; the two-process shape is the
+    /// `party` binary).
     pub fn loopback_pair(cfg: &TcpConfig) -> std::io::Result<(Self, Self, SocketAddr)> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;

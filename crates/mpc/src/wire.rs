@@ -40,7 +40,7 @@
 //! The checksum makes link corruption *loud*. The covered bytes — the
 //! 24 header bytes before the checksum field, then the payload — are
 //! read as little-endian `u64` words and dealt round-robin onto
-//! [`CHECKSUM_LANES`] independent lanes with distinct seeds (header
+//! eight independent lanes with distinct seeds (header
 //! word `i` → lane `i`, payload word `j` → lane `j mod 8`). A lane
 //! absorbs a word as `s ← rotl((s ⊕ w) · P, 29)`: xor with a constant,
 //! multiplication by an odd constant and a rotation are each
@@ -278,7 +278,7 @@ pub struct Frame {
 }
 
 /// Independent lanes of the frame checksum (see the module docs).
-pub const CHECKSUM_LANES: usize = 8;
+const CHECKSUM_LANES: usize = 8;
 
 /// Per-lane initial states: distinct, so moving a run of words from one
 /// lane to another changes what they hash to.
@@ -377,11 +377,8 @@ impl Frame {
         Ok(header)
     }
 
-    /// Serialises the frame into one buffer, header ‖ payload bytes —
-    /// the wire bytes, for tests, fault injection and fixtures (the
-    /// transports send the two parts as they are). Refuses what
-    /// [`Frame::header`] refuses.
-    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+    /// [`Frame::encode`], refusing what [`Frame::header`] refuses.
+    fn try_encode(&self) -> Result<Vec<u8>, WireError> {
         let header = self.header()?;
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
         out.extend_from_slice(&header);
@@ -389,7 +386,9 @@ impl Frame {
         Ok(out)
     }
 
-    /// [`Frame::try_encode`] for frames within the size cap.
+    /// Serialises the frame into one buffer, header ‖ payload bytes —
+    /// the wire bytes, for tests, fault injection and fixtures (the
+    /// transports send the two parts as they are).
     ///
     /// # Panics
     /// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD_BYTES`].

@@ -9,8 +9,10 @@ use std::process::Command;
 /// value (`valued_flag`) — while an unknown flag alone stays a parse
 /// error: usage on stderr, exit 2, nothing on stdout. A refused flag
 /// value is a parse error too (exit 2, nothing on stdout), never a
-/// panic, and stderr names the flag. The retired triple-pool knobs are
-/// neither listed nor taken: each is an unknown flag.
+/// panic, and stderr names the flag. Retired knobs — the triple pool's,
+/// `--transport`, and `--recv-timeout` where no link waits (the
+/// `experiments` binary) — are neither listed nor taken: each is an
+/// unknown flag.
 pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     for argv in [&["--help"][..], &["-h"], &["--wat", "--help"], &[valued_flag, "-h"]] {
         let out = Command::new(exe).args(argv).output().expect("spawn");
@@ -26,9 +28,18 @@ pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     assert!(stderr.contains("usage: "), "{name} --wat: {stderr}");
     let help = Command::new(exe).arg("--help").output().expect("spawn");
     let help = String::from_utf8(help.stdout).expect("utf-8 usage");
-    for retired in ["--factory-threads", "--pool-depth", "--pool-backpressure"] {
+    let mut retired = vec![
+        ("--factory-threads", "2"),
+        ("--pool-depth", "2"),
+        ("--pool-backpressure", "2"),
+        ("--transport", "tcp"),
+    ];
+    if name == "experiments" {
+        retired.push(("--recv-timeout", "5"));
+    }
+    for (retired, value) in retired {
         assert!(!help.contains(retired), "{name} --help lists {retired}");
-        let out = Command::new(exe).args([retired, "2"]).output().expect("spawn");
+        let out = Command::new(exe).args([retired, value]).output().expect("spawn");
         let stderr = String::from_utf8(out.stderr).expect("utf-8 error");
         assert_eq!(out.status.code(), Some(2), "{name} {retired}: {stderr}");
         assert!(stderr.contains(&format!("unknown flag {retired}")), "{name}: {stderr}");
@@ -36,7 +47,7 @@ pub fn assert_help_contract(name: &str, exe: &str, valued_flag: &str) {
     // The refused value comes last, after the flag it belongs to.
     let refused = match name {
         "party" => "--role local --recv-timeout 1e20",
-        "experiments" => "table2 --recv-timeout 1e20",
+        "experiments" => "table2 --batch 65537",
         "dp_triangles" => "--input toy.txt --epsilon nan",
         _ => "--measure-ms soon",
     };

@@ -46,7 +46,7 @@ pub fn two_triangles_sharing_an_edge() -> Graph {
 }
 
 /// The fixed seed every generator-backed fixture uses.
-pub const FIXTURE_SEED: u64 = 0xCA60;
+const FIXTURE_SEED: u64 = 0xCA60;
 
 /// The full golden fixture set: micro graphs (hand-counted) plus
 /// seeded generator outputs (locked-in regression values).

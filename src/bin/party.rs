@@ -117,13 +117,6 @@ impl Deref for Args {
     }
 }
 
-/// Every config flag but `--transport`: a party's wire is its role's.
-fn config_flags() -> Vec<ConfigFlag> {
-    let mut flags = ConfigFlag::ALL.to_vec();
-    flags.retain(|&c| c != ConfigFlag::Transport);
-    flags
-}
-
 const OWN: [Flag; 11] = [
     "--role <s1|s2|local>  which server this process plays (required)",
     "--listen <ADDR>  take the peer's connection on ADDR",
@@ -144,7 +137,7 @@ fn base_config() -> CargoConfig {
 
 fn usage() -> String {
     let head = "usage: party --role s1|s2|local [--listen ADDR | --connect ADDR] [flags]";
-    let flags = config::usage(head, &OWN, &config_flags(), &base_config());
+    let flags = config::usage(head, &OWN, &ConfigFlag::ALL, &base_config());
     format!(
         "{flags}\n\n\
          s1 listens, s2 connects (either may take --listen or --connect);\n\
@@ -197,7 +190,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         cfg: base_config(),
     };
     let unknown = |flag: &str| format!("unknown flag {flag}\n{}", usage());
-    let walked = match parse_argv(argv, &OWN, &config_flags(), &mut args.cfg) {
+    let walked = match parse_argv(argv, &OWN, &ConfigFlag::ALL, &mut args.cfg) {
         Ok(None) => return Ok(None),
         Ok(Some(walked)) => walked,
         Err(ArgvError::Unknown(flag)) => return Err(unknown(&flag)),
@@ -546,7 +539,7 @@ fn main() {
         .dataset
         .build(args.n, args.seed, args.data_dir.as_deref());
     let cfg = args.cfg;
-    let settings: Vec<String> = config_flags()
+    let settings: Vec<String> = ConfigFlag::ALL
         .iter()
         .map(|c| format!("{}={}", &c.spec().0[2..], c.show(&cfg)))
         .collect();
@@ -676,7 +669,7 @@ mod tests {
     #[test]
     fn takes_the_flags_it_always_took() {
         let own = OWN.map(|f| f.split(' ').next().unwrap());
-        let config = config_flags().into_iter().map(|c| c.spec().0);
+        let config = ConfigFlag::ALL.map(|c| c.spec().0);
         let names: Vec<&str> = own.into_iter().chain(config).collect();
         assert_eq!(
             names.join(" "),

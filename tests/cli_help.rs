@@ -22,3 +22,17 @@ fn dp_triangles_usage_lists_every_protocol_the_parser_accepts() {
     let usage = String::from_utf8(out.stdout).unwrap();
     assert!(usage.contains("cargo | central | local2rounds | localrr | exact | replay"), "{usage}");
 }
+
+#[test]
+fn party_keeps_the_recv_timeout_its_links_wait_with() {
+    // A party waits on a live peer, so it takes `--recv-timeout`;
+    // `experiments` runs no link and refuses it (the help contract).
+    let out = Command::new(PARTY).arg("--help").output().expect("spawn");
+    let usage = String::from_utf8(out.stdout).unwrap();
+    assert!(usage.contains("--recv-timeout <seconds=120>"), "{usage}");
+    let out = Command::new(PARTY)
+        .args(["--role", "local", "--n", "12", "--recv-timeout", "5"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
