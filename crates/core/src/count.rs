@@ -60,13 +60,17 @@
 //!   independent, so they travel `batch` pairs a round
 //!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
 //!   element each way per pair, one short round at the end: `16·P`
-//!   bytes in `⌈P/batch⌉` rounds for a plan reading `P` pairs. The
-//!   in-process executor tallies that in closed form
-//!   ([`NetStats::exchange_pairs`]); the wire executors send exactly
-//!   those rounds.
+//!   bytes in `⌈P/batch⌉` rounds for a plan reading `P` pairs. A serve
+//!   run keeps the openings its Counts exchanged ([`OpenedPairs`]), and
+//!   its Counts exchange only the `new` pairs no earlier one opened:
+//!   `16·new` bytes in `⌈new/batch⌉` rounds ([`count_local_reusing`],
+//!   [`crate::pair_phase`]). The in-process executor tallies that in
+//!   closed form ([`NetStats::exchange_pairs`]); the wire executors send
+//!   exactly those rounds.
 
 use crate::config::CargoConfig;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
+use crate::pair_phase::{OpenedPairs, PairPhase};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
     count_offline_ledger, mask_prf, mask_round, mul3_combine, ot_setup_ledger,
@@ -235,35 +239,56 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 /// orthogonal: a CSR input in OT mode over the eager sparse plan is as
 /// valid as the dense matrix cube.
 pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
+    count_local_reusing(input, job, None)
+}
+
+/// [`count_local`] through a run's kept openings, if the caller keeps
+/// any: the pair phase exchanges only the plan's pairs `opened` does
+/// not hold — the ledger tallies those alone — and checks every kept
+/// opening against the one it recomputes; `opened` then keeps the new
+/// pairs' openings. Shares and triples are [`count_local`]'s.
+///
+/// # Panics
+/// Panics if `opened` was kept under another Count seed, or if a kept
+/// opening differs from its recomputation (the pair's bit changed).
+pub fn count_local_reusing<'a>(
+    input: impl Into<CountInput<'a>>,
+    job: &CountJob,
+    opened: Option<&mut OpenedPairs>,
+) -> SecureCountResult {
     let tier = SimdTier::detect();
     match input.into() {
-        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n()), tier),
-        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n()), tier),
+        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n()), tier, opened),
+        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n()), tier, opened),
     }
 }
 
-/// [`count_local`] past scheduler construction: opens the pairs, runs
-/// the offline dialogue in OT mode, runs `job`'s workers over `sched`'s
-/// chunks, the kernels at `tier`, and sums the parts — each server's
-/// Count term ([`PairTable::count_term`]) with the pair phase's.
-/// `sched` is the job's own [`CountJob::local_scheduler`].
+/// [`count_local_reusing`] past scheduler construction: opens the
+/// pairs, runs the offline dialogue in OT mode, runs `job`'s workers
+/// over `sched`'s chunks, the kernels at `tier`, and sums the parts —
+/// each server's Count term ([`PairTable::count_term`]) with the pair
+/// phase's. `sched` is the job's own [`CountJob::local_scheduler`].
 pub(crate) fn run_scheduled<B: AdjacencyBits>(
     bits: &B,
     job: &CountJob,
     sched: &CountScheduler,
     tier: SimdTier,
+    opened: Option<&mut OpenedPairs>,
 ) -> SecureCountResult {
     let pairs = sched.pair_set();
-    let mut tables = open_pairs(bits, job, sched, &pairs, tier);
+    let mut phase = PairPhase::new((sched, &pairs), Some(bits), (job.seed, opened.as_deref()));
+    let mut tables = open_pairs(job, &mut phase, tier);
     if runs_offline(job, sched) {
         pair_offline_in_process(&mut tables, &plan_triples(&pairs, sched));
     }
-    let opened = (&*pairs, &tables);
-    let parts = sched.run_chunks(|chunk| chunk_part(sched, opened, chunk));
+    let parts = sched.run_chunks(|chunk| chunk_part(sched, (&*pairs, &tables), chunk));
     let mut online = NetStats::new();
-    online.exchange_pairs(pairs.len() as u64, sched.batch() as u64);
+    online.exchange_pairs(phase.exchanged(), sched.batch() as u64);
     let [t1, t2] = tables.each_ref().map(|table| count_term(sched, table));
-    finish(sched, job.offline, pairs.len(), parts.into_iter().chain([(t1, t2, online, 0)]))
+    let result =
+        finish(sched, job.offline, pairs.len(), parts.into_iter().chain([(t1, t2, online, 0)]));
+    phase.record(opened, tables[0].openings());
+    result
 }
 
 /// `table`'s Count term ([`PairTable::count_term`]) in a Count over
@@ -301,30 +326,29 @@ pub(crate) fn plan_triples(pairs: &PairSet, sched: &CountScheduler) -> Vec<SlotT
 /// The pair phase in-process: the wire parties' pair rounds with the
 /// link cut out. Each round's pairs are read once ([`pair_round`]),
 /// each server masks them ([`mask_round`]), and the two slabs are
-/// summed into both servers' tables instead of being exchanged.
+/// summed into both servers' tables instead of being exchanged — kept
+/// pairs too, whose sums must be their kept openings.
 fn open_pairs<B: AdjacencyBits>(
-    bits: &B,
     job: &CountJob,
-    sched: &CountScheduler,
-    pairs: &PairSet,
+    phase: &mut PairPhase<B>,
     tier: SimdTier,
 ) -> [PairTable; 2] {
     let preprocessed = job.offline == OfflineMode::OtExtension;
     let mut tables = [ServerId::S1, ServerId::S2].map(|s| {
         let mut table = PairTable::new(job.seed, s, preprocessed).at_tier(tier);
-        table.reserve(pairs.len());
+        table.reserve(phase.len());
         table
     });
-    let (mut keys, mut plain, mut slabs) = (Vec::new(), Vec::new(), [Vec::new(), Vec::new()]);
-    for start in (0..pairs.len()).step_by(sched.batch()) {
-        let range = start..(start + sched.batch()).min(pairs.len());
-        pair_round(pairs, range, Some(bits), &mut keys, &mut plain);
+    let mut slabs = [Vec::new(), Vec::new()];
+    for r in 0..phase.rounds() {
+        let (keys, plain) = phase.read(r);
         for (table, slab) in tables.iter_mut().zip(&mut slabs) {
             slab.resize(keys.len(), 0);
-            mask_round(table, &keys, &plain, slab);
+            mask_round(table, keys, plain, slab);
         }
         let [opened, theirs] = &mut slabs;
         opened.iter_mut().zip(&*theirs).for_each(|(e, w)| *e = e.wrapping_add(*w));
+        phase.check_kept(r, opened);
         tables.iter_mut().for_each(|table| table.push(opened));
     }
     tables
@@ -332,7 +356,8 @@ fn open_pairs<B: AdjacencyBits>(
 
 /// Fills `keys` with the [`pair_key`]s of `pairs`' slots `range` and,
 /// where `bits` is given, `plain` with their plaintext bits, row run by
-/// row run; returns the range's first pair — the round's header. The
+/// row run, handing each run — `(slot, i, j, len)` — and its bits (empty
+/// without `bits`) to `each_run`; returns the range's first pair. The
 /// one place a Count reads a plaintext adjacency bit: S₂'s input to its
 /// pair masking (S₁ passes no bits).
 pub(crate) fn pair_round<B: AdjacencyBits>(
@@ -341,19 +366,21 @@ pub(crate) fn pair_round<B: AdjacencyBits>(
     bits: Option<&B>,
     keys: &mut Vec<u64>,
     plain: &mut Vec<u64>,
+    mut each_run: impl FnMut((usize, u32, u32, usize), &[u64]),
 ) -> (u32, u32) {
     keys.clear();
     plain.clear();
     let mut first = None;
-    pairs.for_each_run(range, |_, i, j, len| {
+    pairs.for_each_run(range, |slot, i, j, len| {
         first.get_or_insert((i, j));
         let key = pair_key(i, j);
         keys.extend((0..len as u64).map(|t| key.wrapping_add(t.wrapping_mul(PAIR_KEY_STEP))));
+        let at = plain.len();
         if let Some(bits) = bits {
-            let at = plain.len();
             plain.resize(at + len, 0);
             bits.fill_bits(i as usize, j as usize, &mut plain[at..]);
         }
+        each_run((slot, i, j, len), &plain[at..]);
     });
     first.expect("a pair round is not empty")
 }
@@ -811,13 +838,13 @@ mod tests {
                         let job = CountJob { offline, plan: plan.clone(), ..job(29, threads, batch) };
                         let at = format!("{tier} {offline:?} {name} threads {threads} batch {batch}");
                         let oracle = aggregated_oracle(*matrix, matrix.n(), &job);
-                        let got = run_scheduled(*matrix, &job, &job.local_scheduler(matrix.n()), tier);
+                        let got = run_scheduled(*matrix, &job, &job.local_scheduler(matrix.n()), tier, None);
                         assert_eq!((got.share1, got.share2), oracle, "{at}");
                         assert_eq!(got.reconstruct(), want(name), "{at}");
                     }
                 }
                 let job = CountJob { offline, plan: SchedulePlan::CsrStream(Arc::clone(&csr)), ..job(29, 2, 7) };
-                let got = run_scheduled(&*csr, &job, &job.local_scheduler(csr.n()), tier);
+                let got = run_scheduled(&*csr, &job, &job.local_scheduler(csr.n()), tier, None);
                 let at = format!("{tier} {offline:?} CSR input");
                 assert_eq!((got.share1, got.share2), aggregated_oracle(&*csr, csr.n(), &job), "{at}");
             }

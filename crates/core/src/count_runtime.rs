@@ -30,7 +30,10 @@
 //!   and S₂ derive the pair set — and so every round's word order —
 //!   from the public plan and `batch` alone, and three lockstep checks
 //!   (round, first pair, slab length) stop a peer that cut differently
-//!   inside the first disagreeing round. The pair phase runs before any
+//!   inside the first disagreeing round. Handed a run's kept openings
+//!   (`count_party_reusing`), a party exchanges only the pairs no
+//!   earlier Count of the run opened, and a round's header names its
+//!   first new pair ([`crate::pair_phase`]). The pair phase runs before any
 //!   worker — and in OT mode the Count's offline dialogue after it, on
 //!   the same link ([`cargo_mpc::pair_offline_over_wire`]); then the
 //!   shared [`CountScheduler`] partitions the `(i, j)` pair space into
@@ -62,11 +65,12 @@
 //! pair.
 
 use crate::count::{
-    combine_chunk, count_term, finish, pair_round, plan_triples, runs_offline, AdjacencyBits,
+    combine_chunk, count_term, finish, plan_triples, runs_offline, AdjacencyBits,
     CountInput, CountJob, CountPart, SecureCountResult,
 };
 use crate::config::PoolPolicy;
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
+use crate::pair_phase::{OpenedPairs, PairPhase};
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
     expand_input_shares, mask_round, ot_setup_ledger, pair_offline_over_wire, recv_msg, send_msg,
@@ -75,49 +79,47 @@ use cargo_mpc::{
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
-/// Runs one server's pair phase of `sched`'s Count against the peer on
-/// `peer`: `pairs` in rounds of the batch, each round this server's
-/// maskings of the round's pairs ([`mask_round`]) sent as one
-/// [`PairOpeningMsg`], the peer's received, checked against this
-/// server's own cut and summed into the returned table. S₂ reads its
-/// users' bits of the round's pairs from `bits`; S₁ reads none. Each
-/// round is tallied into `net`.
+/// Runs one server's pair phase of a Count against the peer on `peer`:
+/// each round of `phase` this server's maskings of the round's pairs
+/// ([`mask_round`]) — of its new pairs where the run keeps openings —
+/// sent as one [`PairOpeningMsg`], the peer's received, checked against
+/// this server's own cut and summed into the returned table beside the
+/// kept openings. Each round that exchanges is tallied into `net`.
 ///
 /// # Panics
 /// Panics if the peer hangs up, stalls past the link's receive
 /// timeout, or sends a round off this server's cut — naming the round.
 fn open_pairs<B: AdjacencyBits, T: Transport>(
-    id: ServerId,
-    job: &CountJob,
-    sched: &CountScheduler,
-    pairs: &PairSet,
-    bits: &B,
+    (id, job): (ServerId, &CountJob),
+    phase: &mut PairPhase<B>,
     peer: &T,
     net: &mut NetStats,
 ) -> PairTable {
-    let batch = sched.batch();
     let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension);
-    table.reserve(pairs.len());
-    let bits = (id == ServerId::S2).then_some(bits);
-    let (mut keys, mut plain, mut opened) = (Vec::new(), Vec::new(), Vec::new());
-    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::with_capacity(batch) };
-    for (round, start) in (0..pairs.len()).step_by(batch).enumerate() {
-        let range = start..(start + batch).min(pairs.len());
-        let len = range.len();
-        let pair = pair_round(pairs, range, bits, &mut keys, &mut plain);
-        let at = format_args!("pair round {round}, first pair {pair:?}");
-        (mine.round, mine.pair) = (round as u32, pair);
-        mine.words.resize(len, 0);
-        mask_round(&mut table, &keys, &plain, &mut mine.words);
-        net.exchange(len as u64);
-        send_msg(peer, &mine).expect("peer hung up");
-        let theirs: PairOpeningMsg = recv_msg(peer, mine.round, Some(peer.recv_timeout()))
-            .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
-        assert_eq!(theirs.round, mine.round, "demux routed a foreign round ({at})");
-        assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
-        assert_eq!(theirs.words.len(), len, "peer slab size mismatch in the round at {at}");
-        opened.clear();
-        opened.extend(mine.words.iter().zip(&theirs.words).map(|(a, b)| a.wrapping_add(*b)));
+    table.reserve(phase.len());
+    let mut opened = Vec::new();
+    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::new() };
+    for r in 0..phase.rounds() {
+        let (keys, plain) = phase.read(r);
+        mine.words.resize(keys.len(), 0);
+        mask_round(&mut table, keys, plain, &mut mine.words);
+        phase.keep_new(r, &mut mine.words);
+        let theirs = match mine.words.len() {
+            0 => Vec::new(),
+            len => {
+                (mine.round, mine.pair) = (r as u32, phase.header(r));
+                let at = format_args!("pair round {r}, first pair {:?}", mine.pair);
+                net.exchange(len as u64);
+                send_msg(peer, &mine).expect("peer hung up");
+                let theirs: PairOpeningMsg = recv_msg(peer, mine.round, Some(peer.recv_timeout()))
+                    .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
+                assert_eq!(theirs.round, mine.round, "demux routed a foreign round ({at})");
+                assert_eq!(theirs.pair, mine.pair, "peer out of lockstep in the round at {at}");
+                assert_eq!(theirs.words.len(), len, "peer slab size mismatch in the round at {at}");
+                theirs.words
+            }
+        };
+        phase.openings(r, &mine.words, &theirs, &mut opened);
         table.push(&opened);
     }
     table
@@ -225,23 +227,46 @@ pub fn count_party<'a, T: Transport>(
     id: ServerId,
     link: &Arc<T>,
 ) -> SecureCountResult {
+    count_party_reusing(input, job, id, link, None)
+}
+
+/// [`count_party`] through a run's kept openings, if the caller keeps
+/// any: the pair rounds carry only the plan's pairs `opened` does not
+/// hold, cut into rounds of the batch, each headed by its first new
+/// pair; kept pairs are masked beside them and fill the table from
+/// `opened`, which then keeps the new pairs' openings. The peer must
+/// keep the same openings. Shares and triples are [`count_party`]'s;
+/// the ledger tallies the new pairs alone.
+///
+/// # Panics
+/// As [`count_party`]; also if `opened` was kept under another Count
+/// seed, and on S₂ if a kept pair's bit reads 0 — naming the pair.
+pub(crate) fn count_party_reusing<'a, T: Transport>(
+    input: impl Into<CountInput<'a>>,
+    job: &CountJob,
+    id: ServerId,
+    link: &Arc<T>,
+    opened: Option<&mut OpenedPairs>,
+) -> SecureCountResult {
     match input.into() {
-        CountInput::Matrix(m) => party_scheduled(m, &job.scheduler(m.n()), job, id, link),
-        CountInput::Csr(g) => party_scheduled(g, &job.scheduler(g.n()), job, id, link),
+        CountInput::Matrix(m) => party_scheduled(m, &job.scheduler(m.n()), job, (id, link), opened),
+        CountInput::Csr(g) => party_scheduled(g, &job.scheduler(g.n()), job, (id, link), opened),
     }
 }
 
-/// [`count_party`] past scheduler construction.
+/// [`count_party_reusing`] past scheduler construction.
 fn party_scheduled<B: AdjacencyBits, T: Transport>(
     bits: &B,
     sched: &CountScheduler,
     job: &CountJob,
-    id: ServerId,
-    link: &Arc<T>,
+    (id, link): (ServerId, &Arc<T>),
+    opened: Option<&mut OpenedPairs>,
 ) -> SecureCountResult {
     let pairs = sched.pair_set();
+    let bits = (id == ServerId::S2).then_some(bits);
+    let mut phase = PairPhase::new((sched, &pairs), bits, (job.seed, opened.as_deref()));
     let mut online = NetStats::new();
-    let mut table = open_pairs(id, job, sched, &pairs, bits, &**link, &mut online);
+    let mut table = open_pairs((id, job), &mut phase, &**link, &mut online);
     if runs_offline(job, sched) {
         pair_offline_over_wire(&**link, &mut table, &plan_triples(&pairs, sched));
     }
@@ -254,6 +279,7 @@ fn party_scheduled<B: AdjacencyBits, T: Transport>(
     };
     let mut result = finish(sched, job.offline, pairs.len(), parts.into_iter().chain([online]));
     result.net.wire_bytes = link.stats().online_payload_both();
+    phase.record(opened, table.openings());
     result
 }
 
@@ -325,7 +351,7 @@ pub fn count_two_party<'a, T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::count_local;
+    use crate::count::{count_local, count_local_reusing};
     use crate::DEFAULT_COUNT_BATCH;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
     use crate::count_sched::CandidateSet;
@@ -717,6 +743,128 @@ mod tests {
             assert_eq!(res.net.rounds, pairs.div_ceil(batch as u64));
             assert_eq!(res.reconstruct(), Ring64(count_triangles_matrix(&m)));
         }
+    }
+
+    /// Two Counts of one run over overlapping triangle plans of `m` —
+    /// the second reads pairs the first opened and pairs it did not.
+    fn overlapping_plans(m: &BitMatrix) -> [SchedulePlan; 2] {
+        let g = Graph::from_bit_matrix(m);
+        let cs = CandidateSet::from_graph(&g);
+        let triangles: Vec<_> = (0..cs.len())
+            .flat_map(|p| {
+                let (i, j) = cs.pair(p);
+                cs.ks(p).iter().map(move |&k| (i, j, k)).collect::<Vec<_>>()
+            })
+            .collect();
+        let (first, _) = triangles.split_at(triangles.len() / 2);
+        let (plus, minus) = triangles.split_at(triangles.len() / 3);
+        [
+            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_triples(m.n(), first))),
+            SchedulePlan::CandidatePairs(Arc::new(CandidateSet::signed(m.n(), plus, minus))),
+        ]
+    }
+
+    /// Runs `counts` in turn over `ends`, both parties keeping the
+    /// run's openings, and checks each against `local` — the same
+    /// Counts in process: shares, ledgers and, in dealer mode, one frame
+    /// a round. Returns what the two parties kept.
+    fn kept_run<T: Transport>(
+        m: &BitMatrix,
+        counts: &[CountJob],
+        local: &[SecureCountResult],
+        (end1, end2): (T, T),
+    ) -> [OpenedPairs; 2] {
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        let seed = counts[0].seed;
+        let [mut k1, mut k2] = [OpenedPairs::new(seed), OpenedPairs::new(seed)];
+        for (count, local) in counts.iter().zip(local) {
+            let before = end1.stats();
+            let (r1, r2) = std::thread::scope(|scope| {
+                let h1 = scope.spawn(|| count_party_reusing(m, count, ServerId::S1, &end1, Some(&mut k1)));
+                let h2 = scope.spawn(|| count_party_reusing(m, count, ServerId::S2, &end2, Some(&mut k2)));
+                (join(h1), join(h2))
+            });
+            let at = format!("{:?}, threads {}, batch {}", count.offline, count.threads, count.batch);
+            assert_eq!((r1.share1, r2.share2), (local.share1, local.share2), "{at}");
+            // The link's payload counts the whole run; this Count's share
+            // of it is its modeled bytes.
+            let measured = r1.net.wire_bytes - before.online_payload_both();
+            assert_eq!(NetStats { wire_bytes: measured, ..r1.net }, local.net, "{at}");
+            assert_eq!(r2.net, r1.net, "{at}");
+            if count.offline == OfflineMode::TrustedDealer {
+                let sent = end1.stats().frames_sent - before.frames_sent;
+                assert_eq!(sent, local.net.rounds, "{at}: one frame a round");
+            }
+        }
+        [k1, k2]
+    }
+
+    #[test]
+    fn wire_counts_through_kept_openings_match_the_local_counts_over_memory_and_tcp() {
+        // A run of two Counts, both parties keeping the openings: each
+        // Count's shares are the uncached Count's, its ledger the local
+        // cached Count's — only the new pairs cross, one frame a round
+        // each way — and both parties end up keeping what the local run
+        // keeps.
+        let m = erdos_renyi(40, 0.35, 8).to_bit_matrix();
+        for mode in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+            for (threads, batch) in [(1usize, 0usize), (2, 5)] {
+                let wire = CountJob { offline: mode, ..job(19, threads, batch) };
+                let counts = overlapping_plans(&m).map(|plan| CountJob { plan, ..wire.clone() });
+                let mut local_kept = OpenedPairs::new(wire.seed);
+                let mut local = Vec::new();
+                for count in &counts {
+                    let plain = count_local(&m, count);
+                    let before = local_kept.len() as u64;
+                    let res = count_local_reusing(&m, count, Some(&mut local_kept));
+                    let new = local_kept.len() as u64 - before;
+                    let pairs = count.scheduler(40).pair_set().len() as u64;
+                    assert!(new > 0 && (new < pairs) == (before > 0), "{new} of {pairs} new");
+                    assert_eq!((res.share1, res.share2), (plain.share1, plain.share2));
+                    assert_eq!(res.net.elements, 2 * new, "{mode:?}: the new pairs alone");
+                    let batch = count.scheduler(40).batch() as u64;
+                    assert_eq!(res.net.rounds, new.div_ceil(batch), "{mode:?}");
+                    local.push(res);
+                }
+                let (a, b, _) = TcpTransport::loopback_pair(&TcpConfig::default()).unwrap();
+                let runs = [
+                    ("memory", kept_run(&m, &counts, &local, cargo_mpc::memory_pair())),
+                    ("tcp", kept_run(&m, &counts, &local, (a, b))),
+                ];
+                for (name, [k1, k2]) in &runs {
+                    assert_eq!(k1.len(), local_kept.len(), "{name}");
+                    for (i, j) in (0..40u32).flat_map(|i| (i + 1..40).map(move |j| (i, j))) {
+                        let want = local_kept.get(i, j);
+                        assert_eq!((k1.get(i, j), k2.get(i, j)), (want, want), "{name}: ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn s2_refuses_a_kept_pair_whose_bit_reads_zero() {
+        // Kept openings are of the value 1: a Count that read a kept
+        // pair at 0 would count it at the wrong value. S₂ — the one
+        // party reading bits — stops before its first frame, naming
+        // the pair.
+        let complete = Graph::from_edges(6, &(0..6).flat_map(|u| (u + 1..6).map(move |v| (u, v))).collect::<Vec<_>>()).unwrap();
+        let mut m = complete.to_bit_matrix();
+        let plan = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(&complete)));
+        let count = CountJob { plan, ..job(3, 1, 4) };
+        let mut kept = OpenedPairs::new(count.seed);
+        count_local_reusing(&m, &count, Some(&mut kept));
+        assert_eq!(kept.len(), 15);
+        m.set(1, 3, false);
+        let (_, end2) = cargo_mpc::memory_pair();
+        let end2 = Arc::new(end2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            count_party_reusing(&m, &count, ServerId::S2, &end2, Some(&mut kept))
+        }));
+        let text = panic_text(refused);
+        assert!(text.contains("pair (1, 3) was opened at 1"), "{text}");
+        assert_eq!(end2.stats().frames_sent, 0, "refused before any frame");
+        assert_eq!(kept.len(), 15, "a failed Count keeps nothing new");
     }
 
     #[test]

@@ -434,8 +434,8 @@ impl CountScheduler {
     ///
     /// * `threads` — worker threads; `0` means all cores.
     /// * `batch` — pairs per round; `0` means
-    ///   [`DEFAULT_COUNT_BATCH`]. Clamped to the heaviest chunk (no
-    ///   round can be fuller than that) and to 2¹⁶.
+    ///   [`DEFAULT_COUNT_BATCH`]. Clamped to a bound on the plan's pairs
+    ///   (no round can be fuller than that) and to 2¹⁶.
     ///
     /// The share pairs produced under this schedule are identical for
     /// every `(threads, batch)` choice; only wall-clock and round
@@ -482,12 +482,10 @@ impl CountScheduler {
                 (total, chunks, Some(stream))
             }
         };
-        // A pair round opens at most the plan's pairs and a lane round
-        // evaluates at most one chunk's triples, so a batch above both
+        // A round opens at most the plan's pairs, so a batch above them
         // changes nothing but scratch sizes. The pair count is bounded
         // in closed form: every pair of the cube, at most three a triple
         // otherwise.
-        let heaviest = chunks.iter().map(|c| c.triples).max().unwrap_or(0);
         let cube_pairs = if n < 3 { 0 } else { dense_pair_count(n) + n as u64 - 1 };
         let pairs = match &plan {
             SchedulePlan::DenseCube => cube_pairs,
@@ -495,7 +493,7 @@ impl CountScheduler {
         };
         let batch = if batch == 0 { DEFAULT_COUNT_BATCH } else { batch }
             .min(MAX_COUNT_BATCH)
-            .min(usize::try_from(heaviest.max(pairs)).unwrap_or(usize::MAX))
+            .min(usize::try_from(pairs).unwrap_or(usize::MAX))
             .max(1);
         CountScheduler {
             n,
@@ -1203,18 +1201,24 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_is_clamped_to_the_heaviest_chunk() {
-        // A round never spans chunks, so nothing above the heaviest
-        // chunk's weight changes the rounds — it would only inflate the
-        // per-chunk scratch, and usize::MAX must not drive that
-        // allocation. C(10, 3) = 120 triples are one chunk.
-        assert_eq!(CountScheduler::new(10, 1, usize::MAX).batch(), 120);
+    fn oversized_batch_is_clamped_to_the_pair_bound() {
+        // A round opens at most the plan's pairs, so nothing above them
+        // changes the rounds — it would only inflate the round scratch,
+        // and usize::MAX must not drive that allocation. The cube of 10
+        // reads C(10, 2) = 45 pairs, all in one round.
+        let ten = CountScheduler::new(10, 1, usize::MAX);
+        assert_eq!(ten.batch(), 45);
+        assert_eq!(ten.pair_set().len(), 45);
         assert_eq!(CountScheduler::new(10, 1, 4).batch(), 4);
         assert_eq!(CountScheduler::new(0, 1, 0).batch(), 1);
         assert_eq!(CountScheduler::new(2, 1, 64).batch(), 1);
-        // Heavy chunks: the frame-size ceiling takes over.
+        // A sparse plan: at most three pairs a triple.
+        let triangle = Arc::new(CandidateSet::signed(10, &[(1, 4, 7)], &[]));
+        let sparse = CountScheduler::with_plan(10, 1, usize::MAX, SchedulePlan::CandidatePairs(triangle));
+        assert_eq!((sparse.batch(), sparse.pair_set().len()), (3, 3));
+        // Many pairs: the frame-size ceiling takes over.
         let big = CountScheduler::new(400, 1, usize::MAX);
-        assert!(big.chunks().iter().any(|c| c.triples > MAX_COUNT_BATCH as u64));
+        assert!(big.pair_set().len() > MAX_COUNT_BATCH);
         assert_eq!(big.batch(), MAX_COUNT_BATCH);
     }
 

@@ -4,20 +4,22 @@
 //! long-running service instead receives **edge deltas** (`+u v` /
 //! `-u v`) and must keep the secret-shared triangle count current
 //! without re-counting the whole graph. The key identity making that
-//! exact (not approximate) is that a planned sparse count is a plain
-//! ring sum of per-triple contributions, and each triple `(i, j, k)`'s
-//! contribution is a pure function of the root seed and the canonical
-//! dealer-stream offset `k − j − 1` within pair `(i, j)`'s stream —
-//! independent of which other triples the plan contains, of chunking,
-//! threads, batch, and offline mode (PRs 2–7 pin exactly this). So:
+//! exact (not approximate) is that a planned sparse count opens to a
+//! plain ring sum of per-triple products: a triple's masks are its
+//! pairs' and its product material is one word a pair and one a Count,
+//! so what triple `(i, j, k)` adds at the opening is `a_ij·a_ik·a_jk`
+//! alone — independent of which other triples the plan contains, of
+//! chunking, threads, batch, and offline mode. So:
 //!
 //! ```text
-//! share(G ∪ Δ) = share(G) + Σ_{T created} u(T) − Σ_{T destroyed} u(T)
+//! T(G ∪ Δ) = T(G) + Σ_{T created} 1 − Σ_{T destroyed} 1
 //! ```
 //!
-//! bit-for-bit in `Z_{2^64}`, where each triple's three bits are read
-//! from a matrix holding all three edges, as a from-scratch run that
-//! admits it reads them.
+//! exactly in `Z_{2^64}` at the opening, where each triple's three bits
+//! are read from a matrix holding all three edges, as a from-scratch run
+//! that admits it reads them. The share pairs split per Count — each
+//! epoch's words are its own — so the running shares open to the
+//! from-scratch count without being a from-scratch run's shares.
 //!
 //! [`DeltaPlan::apply`] turns a delta batch into exactly those two
 //! triple sets by **ordered derivatives**: each edge's deltas are netted
@@ -286,8 +288,7 @@ impl DeltaPlan {
     }
 
     /// The epoch's one signed Count plan: the created and destroyed
-    /// triangles, each at its canonical dealer-stream offset, created
-    /// ones adding and destroyed ones subtracting
+    /// triangles, created ones adding and destroyed ones subtracting
     /// ([`CandidateSet::signed`]); `None` when no triangle was born or
     /// died (an empty plan would exchange no messages, but skipping it
     /// keeps the in-process and two-party paths trivially symmetric).
@@ -321,7 +322,9 @@ pub struct EpochCount {
     /// count).
     pub triples: u64,
     /// Modeled server↔server traffic of this epoch's one signed Count:
-    /// `⌈pairs ÷ batch⌉` rounds over the pairs its plan reads.
+    /// `⌈pairs ÷ batch⌉` rounds over the pairs it exchanges — every pair
+    /// its plan reads, or through a serve session's kept openings only
+    /// those no earlier Count opened.
     pub net: NetStats,
     /// Cumulative share `⟨T⟩₁` after the epoch.
     pub share1: Ring64,

@@ -51,6 +51,7 @@ pub mod delta;
 pub mod max_degree;
 pub mod metrics;
 pub mod node_dp;
+pub mod pair_phase;
 pub mod party;
 pub mod perturb;
 pub mod projection;
@@ -63,11 +64,12 @@ pub mod theory;
 pub use cargo_mpc::OfflineMode;
 pub use config::{CargoConfig, ScheduleKind};
 pub use count::{
-    count_local, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
+    count_local, count_local_reusing, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
     SecureCountResult, DEFAULT_TILE_THRESHOLD,
 };
 pub use count_runtime::{count_party, count_two_party, party_input_shares, run_party_count_planned};
 pub use delta::{inline_evaluator, DeltaPlan, EdgeDelta, EpochCount, IncrementalCounter};
+pub use pair_phase::OpenedPairs;
 pub use party::{run_party, run_party_local, EpochParty, PartyReport};
 pub use session::{
     parse_delta_script, DeltaBatches, EpochOutcome, PartySession, ServeSession, Session,

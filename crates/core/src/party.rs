@@ -28,8 +28,9 @@
 //!   hold `d'_max` and the users project their own rows.
 //! * **Count** — every pair opening (the `e, f, g` of the triples that
 //!   read the pair) crosses the wire in a [`cargo_mpc::PairOpeningMsg`]
-//!   frame, once per Count; in OT mode the whole preprocessing dialogue
-//!   does too.
+//!   frame, once per Count — once per run in serve mode, whose Counts
+//!   keep the openings ([`OpenedPairs`]); in OT mode the whole
+//!   preprocessing dialogue does too.
 //! * **Perturb** — the users' noise-share uploads are replayed
 //!   deterministically ([`crate::aggregate_noise_shares`]); the final
 //!   noisy shares are opened with one [`FinalOpeningMsg`] each way,
@@ -44,8 +45,9 @@
 //! reference run ([`run_party_local`]) line by line.
 
 use crate::config::CargoConfig;
-use crate::count::{count_local, CountJob, SecureCountResult};
-use crate::count_runtime::{count_party, join};
+use crate::count::{count_local_reusing, CountJob, SecureCountResult};
+use crate::count_runtime::{count_party_reusing, join};
+use crate::pair_phase::OpenedPairs;
 use crate::protocol::{algorithm1, DpUnit};
 use crate::session::SessionError;
 use cargo_graph::{BitMatrix, Graph};
@@ -60,10 +62,17 @@ pub use crate::count_runtime::party_input_shares;
 /// How a pipeline runs its Count and opens its release — the one thing
 /// the in-process shapes and a wire role do differently.
 pub trait EpochParty {
-    /// One Count of `job` over `matrix`. Its `wire_bytes` are the
-    /// modeled bytes; the caller measures the wire through
+    /// One Count of `job` over `matrix`, through the run's kept
+    /// openings where the caller keeps them (a serve session does; a
+    /// one-shot run passes `None`). Its `wire_bytes` are the modeled
+    /// bytes; the caller measures the wire through
     /// [`payload`](Self::payload).
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult;
+    fn count(
+        &self,
+        matrix: &BitMatrix,
+        job: &CountJob,
+        opened: Option<&mut OpenedPairs>,
+    ) -> SecureCountResult;
 
     /// Agrees with the peer on `commit` (a serve epoch and its
     /// post-apply state digest) before the epoch opens its release.
@@ -80,15 +89,20 @@ pub trait EpochParty {
     fn payload(&self) -> Option<u64>;
 }
 
-/// Both servers in one process: [`count_local`] fills both share slots
-/// and the release opens locally. (Public because [`crate::Session`]
-/// names it.)
+/// Both servers in one process: [`count_local_reusing`] fills both
+/// share slots and the release opens locally. (Public because
+/// [`crate::Session`] names it.)
 #[derive(Debug)]
 pub struct InProcess;
 
 impl EpochParty for InProcess {
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        count_local(matrix, job)
+    fn count(
+        &self,
+        matrix: &BitMatrix,
+        job: &CountJob,
+        opened: Option<&mut OpenedPairs>,
+    ) -> SecureCountResult {
+        count_local_reusing(matrix, job, opened)
     }
 
     fn commit(&self, _: CommitMsg) -> Result<(), SessionError> {
@@ -104,9 +118,10 @@ impl EpochParty for InProcess {
     }
 }
 
-/// One server over a [`Transport`] link: [`count_party`] fills the own
-/// role's share slot (the other stays zero), and a release opens with
-/// one [`FinalOpeningMsg`] each way.
+/// One server over a [`Transport`] link: its Count — [`count_party`](crate::count_party),
+/// through the run's kept openings in serve mode — fills the own role's
+/// share slot (the other stays zero), and a release opens with one
+/// [`FinalOpeningMsg`] each way.
 pub struct Wire<T> {
     role: ServerId,
     link: Arc<T>,
@@ -129,10 +144,15 @@ impl<T: Transport> Wire<T> {
 }
 
 impl<T: Transport> EpochParty for Wire<T> {
-    fn count(&self, matrix: &BitMatrix, job: &CountJob) -> SecureCountResult {
-        // `count_party` reports the link's cumulative payload; restore
+    fn count(
+        &self,
+        matrix: &BitMatrix,
+        job: &CountJob,
+        opened: Option<&mut OpenedPairs>,
+    ) -> SecureCountResult {
+        // `count_party_reusing` reports the link's cumulative payload; restore
         // the modeled invariant (the caller measures the wire).
-        let mut r = count_party(matrix, job, self.role, &self.link);
+        let mut r = count_party_reusing(matrix, job, self.role, &self.link, opened);
         r.net.wire_bytes = r.net.bytes;
         r
     }

@@ -157,7 +157,7 @@ pub(crate) fn algorithm1<P: EpochParty>(
     // function of shared public state, never a message) ----
     let t0 = Instant::now();
     let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &matrix));
-    let count = party.count(&matrix, &job);
+    let count = party.count(&matrix, &job, None);
     let t_count = t0.elapsed();
 
     // ---- Step 3: distributed perturbation ----

@@ -9,11 +9,13 @@
 //! durably spent.
 //!
 //! Restart is pure recomputation, not state restore: because every
-//! triple draws its preprocessing material at a canonical dealer-stream
-//! offset and both parties build the full graph from the same public
+//! Count is a deterministic function of the seed and its public plan —
+//! its masks and product words are keyed by pair and by the Count seed
+//! — and both parties build the full graph from the same public
 //! deltas, [`replay_committed`] reruns the delta script *locally*
 //! (zero wire traffic) and lands bit-identically on the pre-crash
-//! session state — shares, accountant, and per-epoch outcomes. The
+//! session state — shares, kept pair openings, accountant, and
+//! per-epoch outcomes. The
 //! journal records are verified against the replay as it goes, so a
 //! journal that disagrees with the deterministic recomputation (edited
 //! script, wrong seed, different binary) fails typed instead of

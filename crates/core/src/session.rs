@@ -11,8 +11,10 @@
 //!    (budget or horizon exhausted) stops the epoch *before* any ε is
 //!    charged, any graph mutation, or any wire traffic;
 //! 2. apply the batch through [`IncrementalCounter`], which securely
-//!    evaluates only the created and destroyed triangles, at their
-//!    canonical dealer offsets, in one signed Count;
+//!    evaluates only the created and destroyed triangles in one signed
+//!    Count — through the session's kept pair openings
+//!    ([`OpenedPairs`]), so the Count exchanges only the pairs no
+//!    earlier Count of the run opened;
 //! 3. add the grant's node noises to the cumulative shares and open
 //!    one noisy total count.
 //!
@@ -43,6 +45,7 @@ use crate::config::CargoConfig;
 use crate::count::{CountJob, SecureCountResult};
 use crate::count_sched::SchedulePlan;
 use crate::delta::{check_batch, EdgeDelta, IncrementalCounter};
+use crate::pair_phase::OpenedPairs;
 use crate::party::{agree, EpochParty, InProcess, Wire};
 use crate::perturb::aggregate_noise_shares;
 use crate::protocol::NOISE_SEED_TWEAK;
@@ -229,6 +232,9 @@ impl ReleaseState {
 pub struct ServeSession<P> {
     party: P,
     job: CountJob,
+    /// Every pair opening the run's Counts have exchanged: each Count
+    /// exchanges only the pairs of its plan no earlier one opened.
+    opened: OpenedPairs,
     counter: IncrementalCounter,
     release: ReleaseState,
     poisoned: bool,
@@ -249,10 +255,11 @@ impl<P: EpochParty> ServeSession<P> {
     /// and arms the release schedule.
     fn start(graph: Graph, cfg: &CargoConfig, party: P) -> Result<Self, SessionError> {
         let job = CountJob::from_config(cfg, SchedulePlan::DenseCube);
-        let counter =
-            unwinding(|| Ok(IncrementalCounter::new_with(graph, evaluator(&party, &job))))?;
+        let mut opened = OpenedPairs::new(job.seed);
+        let eval = evaluator(&party, &job, &mut opened);
+        let counter = unwinding(|| Ok(IncrementalCounter::new_with(graph, eval)))?;
         let release = ReleaseState::new(cfg, counter.graph().n());
-        Ok(ServeSession { party, job, counter, release, poisoned: false })
+        Ok(ServeSession { party, job, opened, counter, release, poisoned: false })
     }
 
     /// The incremental engine (graph, shares, cumulative stats).
@@ -277,9 +284,9 @@ impl<P: EpochParty> ServeSession<P> {
         check_batch(self.counter.graph().n(), batch)?;
         let grant = self.release.schedule.next_release()?;
         let before = self.party.payload();
-        let ServeSession { party, job, counter, release, .. } = self;
+        let ServeSession { party, job, opened, counter, release, .. } = self;
         let stepped = unwinding(|| {
-            let ec = counter.apply_with(batch, evaluator(party, job))?;
+            let ec = counter.apply_with(batch, evaluator(party, job, opened))?;
             let digest = counter.digest();
             let (g1, g2) = release.gammas(&grant);
             let codec = release.codec;
@@ -353,9 +360,10 @@ impl<T: Transport> PartySession<T> {
     ///
     /// * each party announces `(next epoch, state digest)` once;
     /// * the party that is *behind* replays the missing epochs from
-    ///   `pending` **locally** (canonical dealer offsets make the
-    ///   recomputation bit-identical to the lost live epochs — zero
-    ///   counting traffic) and re-announces after each;
+    ///   `pending` **locally** (every Count is a deterministic function
+    ///   of the seed and its public plan, so the recomputation is
+    ///   bit-identical to the lost live epochs — zero counting traffic)
+    ///   and re-announces after each;
     /// * the party that is *ahead* keeps receiving announcements until
     ///   the frontiers meet;
     /// * at the meeting point the digests must agree, else the pair
@@ -402,18 +410,22 @@ impl<T: Transport> PartySession<T> {
                 break;
             }
         }
-        let ServeSession { job, counter, release, poisoned, .. } = session;
-        Ok((ServeSession { party: wire, job, counter, release, poisoned }, caught_up))
+        // The replay derived the same openings in process: the live
+        // session goes on from them, as an uninterrupted one would.
+        let ServeSession { job, opened, counter, release, poisoned, .. } = session;
+        Ok((ServeSession { party: wire, job, opened, counter, release, poisoned }, caught_up))
     }
 }
 
 /// `party`'s Count as the [`IncrementalCounter`] evaluator (each call's
-/// delta plan replaces the job's placeholder).
+/// delta plan replaces the job's placeholder), through the run's kept
+/// `opened` pairs.
 fn evaluator<'a, P: EpochParty>(
     party: &'a P,
     job: &'a CountJob,
+    opened: &'a mut OpenedPairs,
 ) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult + 'a {
-    move |matrix, plan| party.count(matrix, &CountJob { plan, ..job.clone() })
+    move |matrix, plan| party.count(matrix, &CountJob { plan, ..job.clone() }, Some(&mut *opened))
 }
 
 /// Runs `f`, turning a worker panic — how a Count reports its peer

@@ -3,25 +3,25 @@
 //!
 //! The pins, for random graphs and random delta sequences:
 //!
-//! 1. **Bit-identical shares.** After every epoch, the incremental
-//!    counter's `(⟨T⟩₁, ⟨T⟩₂)` open to a from-scratch sparse run's count
-//!    on the updated graph, and with OT material equal its shares —
-//!    not approximately, not post-reconstruction: share for share in
-//!    `Z_{2^64}`. That works because each triple's OT-made group is a
-//!    pure function of the root seed and its canonical dealer-stream
-//!    offset, so the share sum decomposes over the triangle set no
-//!    matter which schedule produced it. Dealer words are per pair and
-//!    per Count (`cargo_mpc::PairTable::count_term`), so a dealer share
-//!    pair does not decompose; its opening does.
+//! 1. **Incremental ≡ from-scratch at the opening.** After every epoch,
+//!    the incremental counter's `(⟨T⟩₁, ⟨T⟩₂)` open to a from-scratch
+//!    sparse run's count on the updated graph — exactly, in `Z_{2^64}`.
+//!    The shares are the epoch's own: a Count's product material is one
+//!    dealer word a pair and one a Count
+//!    (`cargo_mpc::PairTable::count_term`), so a share pair does not
+//!    decompose over the triangle set; its opening does. OT mode makes
+//!    the same words (its offline dialogue derandomises onto them), so
+//!    each epoch's share pair is bit for bit the same in both offline
+//!    modes.
 //! 2. **Knob invariance.** Epoch outcomes don't change across
 //!    `threads × batch × offline-mode`: shares are identical across
 //!    threads and batches, openings across offline modes; the online
 //!    `NetStats` is identical at fixed batch and keeps identical
 //!    element/byte totals when the batch changes.
 //! 3. **Reversibility.** Removing edges and re-adding them restores
-//!    the original opening and, with OT material, the *exact* share
-//!    state — the algebraic cancellation `+u(T) − u(T) = 0` really
-//!    happens in the ring.
+//!    the original opening — the cancellation `+T − T = 0` really
+//!    happens in the ring. The shares move, since each epoch's words are
+//!    its own Count's, bit for bit alike in both offline modes.
 //! 4. **Budget refusal.** A session whose schedule allots `k` epochs
 //!    serves exactly `k` and refuses the `(k+1)`-th via the
 //!    accountant (an error value, nothing mutated).

@@ -429,6 +429,11 @@ impl PairTable {
         self.e.is_empty()
     }
 
+    /// The pushed pairs' openings `e = a − λ`, by slot.
+    pub fn openings(&self) -> &[u64] {
+        &self.e
+    }
+
     /// Appends the openings `e` of the round [`mask_round`] masked last:
     /// the sum of both servers' slabs.
     ///
