@@ -55,7 +55,7 @@
 //!   source. Each server adds its table's Count term once
 //!   ([`PairTable::count_term`]). Every executor runs the one chunk
 //!   loop (`combine_chunk`) per server, so a plaintext adjacency bit is
-//!   read in one place only: S₂'s pair masking (`pair_round`).
+//!   read in one place only: S₂'s pair masking (`PairPhase::next_round`).
 //! * **Communication accounting.** The pair openings are mutually
 //!   independent, so they travel `batch` pairs a round
 //!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
@@ -74,9 +74,9 @@ use crate::pair_phase::{OpenedPairs, PairPhase};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
     count_offline_ledger, mask_prf, mask_round, mul3_combine, ot_setup_ledger,
-    pair_offline_in_process, pair_key, push_triples, share_prf, weighted_pass, MgDraw,
+    pair_offline_in_process, push_triples, share_prf, weighted_pass, MgDraw,
     Mul3Opening, NetStats, OfflineMode, PairDealer, PairRun, PairTable, Ring64, ServerId,
-    SimdTier, SlotTriple, LANES, PAIR_KEY_STEP,
+    SimdTier, SlotTriple, LANES,
 };
 use std::sync::Arc;
 
@@ -287,7 +287,10 @@ pub(crate) fn run_scheduled<B: AdjacencyBits>(
     let [t1, t2] = tables.each_ref().map(|table| count_term(sched, table));
     let result =
         finish(sched, job.offline, pairs.len(), parts.into_iter().chain([(t1, t2, online, 0)]));
-    phase.record(opened, tables[0].openings());
+    let fresh = phase.into_fresh();
+    if let Some(opened) = opened {
+        opened.record(&fresh, tables[0].openings());
+    }
     result
 }
 
@@ -324,7 +327,7 @@ pub(crate) fn plan_triples(pairs: &PairSet, sched: &CountScheduler) -> Vec<SlotT
 }
 
 /// The pair phase in-process: the wire parties' pair rounds with the
-/// link cut out. Each round's pairs are read once ([`pair_round`]),
+/// link cut out. Each round's pairs are read once ([`PairPhase::next_round`]),
 /// each server masks them ([`mask_round`]), and the two slabs are
 /// summed into both servers' tables instead of being exchanged — kept
 /// pairs too, whose sums must be their kept openings.
@@ -340,49 +343,18 @@ fn open_pairs<B: AdjacencyBits>(
         table
     });
     let mut slabs = [Vec::new(), Vec::new()];
-    for r in 0..phase.rounds() {
-        let (keys, plain) = phase.read(r);
+    while phase.next_round().is_some() {
+        let (keys, plain) = phase.read();
         for (table, slab) in tables.iter_mut().zip(&mut slabs) {
             slab.resize(keys.len(), 0);
             mask_round(table, keys, plain, slab);
         }
         let [opened, theirs] = &mut slabs;
         opened.iter_mut().zip(&*theirs).for_each(|(e, w)| *e = e.wrapping_add(*w));
-        phase.check_kept(r, opened);
+        phase.check_kept(opened);
         tables.iter_mut().for_each(|table| table.push(opened));
     }
     tables
-}
-
-/// Fills `keys` with the [`pair_key`]s of `pairs`' slots `range` and,
-/// where `bits` is given, `plain` with their plaintext bits, row run by
-/// row run, handing each run — `(slot, i, j, len)` — and its bits (empty
-/// without `bits`) to `each_run`; returns the range's first pair. The
-/// one place a Count reads a plaintext adjacency bit: S₂'s input to its
-/// pair masking (S₁ passes no bits).
-pub(crate) fn pair_round<B: AdjacencyBits>(
-    pairs: &PairSet,
-    range: std::ops::Range<usize>,
-    bits: Option<&B>,
-    keys: &mut Vec<u64>,
-    plain: &mut Vec<u64>,
-    mut each_run: impl FnMut((usize, u32, u32, usize), &[u64]),
-) -> (u32, u32) {
-    keys.clear();
-    plain.clear();
-    let mut first = None;
-    pairs.for_each_run(range, |slot, i, j, len| {
-        first.get_or_insert((i, j));
-        let key = pair_key(i, j);
-        keys.extend((0..len as u64).map(|t| key.wrapping_add(t.wrapping_mul(PAIR_KEY_STEP))));
-        let at = plain.len();
-        if let Some(bits) = bits {
-            plain.resize(at + len, 0);
-            bits.fill_bits(i as usize, j as usize, &mut plain[at..]);
-        }
-        each_run((slot, i, j, len), &plain[at..]);
-    });
-    first.expect("a pair round is not empty")
 }
 
 /// Pinned by `benchmark/src/sut.rs` and

@@ -28,12 +28,15 @@
 //!   one masking word per pair), summed into the party's
 //!   [`PairTable`]. The header names the round and its first pair; S₁
 //!   and S₂ derive the pair set — and so every round's word order —
-//!   from the public plan and `batch` alone, and three lockstep checks
+//!   from the public plan and `batch` alone, and the lockstep checks
 //!   (round, first pair, slab length) stop a peer that cut differently
 //!   inside the first disagreeing round. Handed a run's kept openings
 //!   (`count_party_reusing`), a party exchanges only the pairs no
-//!   earlier Count of the run opened, and a round's header names its
-//!   first new pair ([`crate::pair_phase`]). The pair phase runs before any
+//!   earlier Count of the run opened, which depend on the run's past
+//!   plans too: a round's header names its first new pair and folds
+//!   its new pairs' keys, and a fourth check on the fold stops two
+//!   parties whose kept openings differ anywhere in a round there
+//!   ([`crate::pair_phase`]). The pair phase runs before any
 //!   worker — and in OT mode the Count's offline dialogue after it, on
 //!   the same link ([`cargo_mpc::pair_offline_over_wire`]); then the
 //!   shared [`CountScheduler`] partitions the `(i, j)` pair space into
@@ -98,28 +101,31 @@ fn open_pairs<B: AdjacencyBits, T: Transport>(
     let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension);
     table.reserve(phase.len());
     let mut opened = Vec::new();
-    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), words: Vec::new() };
-    for r in 0..phase.rounds() {
-        let (keys, plain) = phase.read(r);
+    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), fold: 0, words: Vec::new() };
+    while let Some(round) = phase.next_round() {
+        let (keys, plain) = phase.read();
         mine.words.resize(keys.len(), 0);
         mask_round(&mut table, keys, plain, &mut mine.words);
-        phase.keep_new(r, &mut mine.words);
-        let theirs = match mine.words.len() {
-            0 => Vec::new(),
-            len => {
-                (mine.round, mine.pair) = (r as u32, phase.header(r));
-                let at = format_args!("pair round {r}, first pair {:?}", mine.pair);
+        phase.keep_new(&mut mine.words);
+        let theirs = match phase.header() {
+            None => Vec::new(),
+            Some((pair, fold)) => {
+                (mine.round, mine.pair, mine.fold) = (round, pair, fold);
+                let at = format_args!("pair round {round}, first pair {pair:?}");
+                let len = mine.words.len();
                 net.exchange(len as u64);
                 send_msg(peer, &mine).expect("peer hung up");
-                let theirs: PairOpeningMsg = recv_msg(peer, mine.round, Some(peer.recv_timeout()))
+                let theirs: PairOpeningMsg = recv_msg(peer, round, Some(peer.recv_timeout()))
                     .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
-                assert_eq!(theirs.round, mine.round, "demux routed a foreign round ({at})");
-                assert_eq!(theirs.pair, mine.pair, "peer out of lockstep in the round at {at}");
+                assert_eq!(theirs.round, round, "demux routed a foreign round ({at})");
+                assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
                 assert_eq!(theirs.words.len(), len, "peer slab size mismatch in the round at {at}");
+                let past = "peer out of lockstep past the first pair";
+                assert_eq!(theirs.fold, fold, "{past} of the round at {at}");
                 theirs.words
             }
         };
-        phase.openings(r, &mine.words, &theirs, &mut opened);
+        phase.openings(&mine.words, &theirs, &mut opened);
         table.push(&opened);
     }
     table
@@ -279,7 +285,10 @@ fn party_scheduled<B: AdjacencyBits, T: Transport>(
     };
     let mut result = finish(sched, job.offline, pairs.len(), parts.into_iter().chain([online]));
     result.net.wire_bytes = link.stats().online_payload_both();
-    phase.record(opened, table.openings());
+    let fresh = phase.into_fresh();
+    if let Some(opened) = opened {
+        opened.record(&fresh, table.openings());
+    }
     result
 }
 
@@ -687,7 +696,7 @@ mod tests {
         // one: the demux keys by round.)
         let m = erdos_renyi(12, 0.5, 3).to_bit_matrix();
         let s1_job = job(5, 1, 16);
-        let honest = PairOpeningMsg { round: 0, pair: (0, 1), words: vec![0; 16] };
+        let honest = PairOpeningMsg { round: 0, pair: (0, 1), fold: 0, words: vec![0; 16] };
         let cases = [
             (PairOpeningMsg { words: vec![0; 15], ..honest.clone() }, "peer slab size mismatch"),
             (PairOpeningMsg { pair: (0, 2), ..honest.clone() }, "peer out of lockstep"),
@@ -776,7 +785,7 @@ mod tests {
     ) -> [OpenedPairs; 2] {
         let (end1, end2) = (Arc::new(end1), Arc::new(end2));
         let seed = counts[0].seed;
-        let [mut k1, mut k2] = [OpenedPairs::new(seed), OpenedPairs::new(seed)];
+        let [mut k1, mut k2] = [OpenedPairs::new(seed, m.n()), OpenedPairs::new(seed, m.n())];
         for (count, local) in counts.iter().zip(local) {
             let before = end1.stats();
             let (r1, r2) = std::thread::scope(|scope| {
@@ -811,7 +820,7 @@ mod tests {
             for (threads, batch) in [(1usize, 0usize), (2, 5)] {
                 let wire = CountJob { offline: mode, ..job(19, threads, batch) };
                 let counts = overlapping_plans(&m).map(|plan| CountJob { plan, ..wire.clone() });
-                let mut local_kept = OpenedPairs::new(wire.seed);
+                let mut local_kept = OpenedPairs::new(wire.seed, m.n());
                 let mut local = Vec::new();
                 for count in &counts {
                     let plain = count_local(&m, count);
@@ -852,7 +861,7 @@ mod tests {
         let mut m = complete.to_bit_matrix();
         let plan = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(&complete)));
         let count = CountJob { plan, ..job(3, 1, 4) };
-        let mut kept = OpenedPairs::new(count.seed);
+        let mut kept = OpenedPairs::new(count.seed, m.n());
         count_local_reusing(&m, &count, Some(&mut kept));
         assert_eq!(kept.len(), 15);
         m.set(1, 3, false);
@@ -865,6 +874,38 @@ mod tests {
         assert!(text.contains("pair (1, 3) was opened at 1"), "{text}");
         assert_eq!(end2.stats().frames_sent, 0, "refused before any frame");
         assert_eq!(kept.len(), 15, "a failed Count keeps nothing new");
+    }
+
+    #[test]
+    fn parties_whose_kept_openings_differ_by_one_pair_fail_in_the_first_round() {
+        // S₁ keeps pair (0, 4) — slot 3 of K₈'s 28 — and S₂ keeps
+        // nothing. Both send 8 words in round 0 under the first pair
+        // (0, 1), S₁'s walked one slot further: only the fold of the
+        // round's new pair keys tells the two cuts apart, and it must
+        // stop both before either opens a word.
+        let complete = Graph::from_edges(8, &(0..8).flat_map(|u| (u + 1..8).map(move |v| (u, v))).collect::<Vec<_>>()).unwrap();
+        let m = complete.to_bit_matrix();
+        let plan = SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(&complete)));
+        let count = CountJob { plan, ..job(9, 1, 8) };
+        let [mut k1, mut k2] = [OpenedPairs::new(count.seed, 8), OpenedPairs::new(count.seed, 8)];
+        let [l1, l2] = [ServerId::S1, ServerId::S2].map(|s| cargo_mpc::mask_prf(count.seed, s, 0, 4));
+        k1.record(&[(0, cargo_mpc::pair_key(0, 4))], &[1u64.wrapping_sub(l1).wrapping_sub(l2)]);
+        let stall = std::time::Duration::from_secs(60);
+        let (end1, end2) = cargo_mpc::memory_pair_with_timeout(stall);
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        let started = std::time::Instant::now();
+        let (r1, r2) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| count_party_reusing(&m, &count, ServerId::S1, &end1, Some(&mut k1)));
+            let h2 = scope.spawn(|| count_party_reusing(&m, &count, ServerId::S2, &end2, Some(&mut k2)));
+            (h1.join(), h2.join())
+        });
+        assert!(started.elapsed() < stall / 2, "failed on a check, not on the timeout");
+        for text in [panic_text(r1), panic_text(r2)] {
+            assert!(text.contains("peer out of lockstep past the first pair"), "{text}");
+            assert!(text.contains("pair round 0, first pair (0, 1)"), "{text}");
+        }
+        assert_eq!((end1.stats().frames_sent, end2.stats().frames_sent), (1, 1), "stopped inside round 0");
+        assert_eq!((k1.len(), k2.len()), (1, 0), "a failed Count keeps nothing new");
     }
 
     #[test]

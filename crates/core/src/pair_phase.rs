@@ -2,8 +2,7 @@
 //! keeps across its Counts.
 //!
 //! Every Count opens the pairs its plan reads — `e_uv = a_uv − λ_uv`,
-//! PROTOCOL.md §5 — before any chunk combines. A one-shot Count
-//! exchanges all `P` of them, `batch` a round. A serve run's Counts
+//! PROTOCOL.md §5 — before any chunk combines. A serve run's Counts
 //! share one Count seed, so a pair's mask is the same in every Count
 //! that reads it, and every such Count reads the pair at 1
 //! (PROTOCOL.md §10.4): a pair's opening never changes over the run.
@@ -12,24 +11,23 @@
 //! opened. It still masks every pair of its plan, so its table, its
 //! share pair and its opening are what they are without the cache; only
 //! the words on the wire go.
+//!
+//! One cut serves every Count (`PairPhase`): a round walks the plan
+//! on from where the last one ended until it holds `batch` new pairs or
+//! the plan ends. A Count with no kept openings — every one-shot Count —
+//! finds every pair new, so its rounds are `batch` slots each.
 
-use crate::count::{pair_round, AdjacencyBits};
+use crate::count::AdjacencyBits;
 use crate::count_sched::{CountScheduler, PairSet};
+use cargo_mpc::{key_pair, pair_key, PAIR_KEY_STEP};
 use std::ops::Range;
 
-/// A new pair of a Count's plan: its slot and the pair.
-type Fresh = (usize, (u32, u32));
-
-/// A round's kept openings by slot (zero at a new pair) and its new
-/// pairs, where the run keeps openings.
-type Kept<'r> = Option<(&'r [u64], &'r [Fresh])>;
-
 /// The openings a run's Counts have exchanged, by pair, under one Count
-/// seed — what a serve session ([`crate::ServeSession`]) keeps from its
-/// baseline Count on, so each epoch's Count exchanges only the pairs no
-/// earlier Count opened, in process
-/// ([`count_local_reusing`](crate::count::count_local_reusing)) and on
-/// the wire alike.
+/// seed over one vertex set — what a serve session
+/// ([`crate::ServeSession`]) keeps from its baseline Count on, so each
+/// epoch's Count exchanges only the pairs no earlier Count opened, in
+/// process ([`count_local_reusing`](crate::count::count_local_reusing))
+/// and on the wire alike.
 ///
 /// Sound only while every Count of the run reads each pair at one value
 /// (PROTOCOL.md §10.4): a Count that reads a kept pair's bit — S₂, or
@@ -37,38 +35,45 @@ type Kept<'r> = Option<(&'r [u64], &'r [Fresh])>;
 /// in-process executor checks every kept opening against the one it
 /// recomputes.
 ///
-/// A Count walks its pairs in row runs, so the openings are kept by
-/// row: the kept pairs are marked in the `n × n` square, a bit a
-/// position with a rank word beside every 64 — twice the bits of the
-/// session's own adjacency matrix — and a row's openings sit in column
-/// order, found by the rank of their mark.
+/// Kept by row, as a Count walks its pairs: row `i` marks its kept
+/// columns, a bit a column, with beside each word of marks the row's
+/// kept pairs in the words before it; its openings sit in column order,
+/// found by the rank of their mark. An epoch reads pairs in runs along
+/// a few rows, so its lookups share the rows' marks and openings' cache
+/// lines. The marks take `12·n·⌈n ÷ 64⌉` bytes, one and a half times the
+/// session's adjacency matrix; the openings, 8 bytes a kept pair.
 #[derive(Debug, Clone)]
 pub struct OpenedPairs {
     seed: u64,
-    /// Words a row's marks span: `⌈n ÷ 64⌉` for the widest Count kept.
+    n: usize,
+    /// Words a row's marks span: `⌈n ÷ 64⌉`.
     width: usize,
     /// Row `i`'s word `w` at `i·width + w`: bit `b` marks column
-    /// `64·w + b` kept; beside it, the row's kept pairs in the words
-    /// before.
-    marks: Vec<[u64; 2]>,
+    /// `64·w + b` kept.
+    marks: Vec<u64>,
+    /// Beside each word of `marks`, the row's kept pairs in the words
+    /// before it.
+    ranks: Vec<u32>,
     /// Each row's kept openings, by column.
     open: Vec<Vec<u64>>,
     len: usize,
 }
 
-/// Row `i` of the kept pairs from column `j`'s word on: its marks from
-/// that word, its openings, and where in them column `j`'s is or goes.
-struct RowAt<'m> {
-    marks: &'m [[u64; 2]],
-    open: &'m [u64],
-    at: usize,
-}
-
 impl OpenedPairs {
     /// No opening yet, for the Counts of a run under the Count seed
-    /// `seed` ([`crate::CountJob::seed`]).
-    pub fn new(seed: u64) -> Self {
-        OpenedPairs { seed, width: 0, marks: Vec::new(), open: Vec::new(), len: 0 }
+    /// `seed` ([`crate::CountJob::seed`]) over `n` vertices.
+    pub fn new(seed: u64, n: usize) -> Self {
+        let width = n.div_ceil(64);
+        let (marks, ranks) = (vec![0; n * width], vec![0; n * width]);
+        OpenedPairs {
+            seed,
+            n,
+            width,
+            marks,
+            ranks,
+            open: vec![Vec::new(); n],
+            len: 0,
+        }
     }
 
     /// Pairs kept.
@@ -83,122 +88,89 @@ impl OpenedPairs {
 
     /// The kept opening of pair `(i, j)`, `i < j`, if a Count opened it.
     pub fn get(&self, i: u32, j: u32) -> Option<u64> {
-        let row = self.row_at(i, j)?;
-        (row.marks[0][0] >> (j % 64) & 1 == 1).then(|| row.open[row.at])
+        (i < j && (j as usize) < self.n)
+            .then(|| self.find(i, j))
+            .flatten()
     }
 
-    /// Row `i` from column `j`'s word on, or `None` past every kept
-    /// row and column.
+    /// The kept opening of pair `(i, j)` of the `n` vertices.
     #[inline]
-    fn row_at(&self, i: u32, j: u32) -> Option<RowAt<'_>> {
-        let (i, w) = (i as usize, (j / 64) as usize);
-        if i >= self.open.len() || w >= self.width {
-            return None;
-        }
-        let marks = &self.marks[i * self.width + w..(i + 1) * self.width];
-        let [bits, before] = marks[0];
-        let at = before as usize + (bits & ((1u64 << (j % 64)) - 1)).count_ones() as usize;
-        Some(RowAt { marks, open: &self.open[i], at })
+    fn find(&self, i: u32, j: u32) -> Option<u64> {
+        let (at, below) = self.mark(i, j);
+        let word = self.marks[at];
+        (word >> (j % 64) & 1 == 1).then(|| {
+            self.open[i as usize][self.ranks[at] as usize + (word & below).count_ones() as usize]
+        })
     }
 
-    /// Sorts the run of pairs `(i, j + t)` at slots `slot + t`, `t <
-    /// len`, into kept ones — their openings onto `reuse.kept` — and new
-    /// ones, onto `reuse.fresh` with a zero in `reuse.kept`. `bits` are
-    /// the run's bits, or empty where the caller reads none.
-    ///
-    /// # Panics
-    /// Panics naming the first kept pair whose bit reads 0.
+    /// Where pair `(i, j)`'s mark is: its word, and the bits of the
+    /// columns before it in the word.
     #[inline]
-    fn sort_run(&self, run: (usize, u32, u32, usize), bits: &[u64], reuse: &mut Reuse) {
-        let (slot, i, j, len) = run;
-        let Some(RowAt { marks, open, mut at }) = self.row_at(i, j) else {
-            reuse.kept.resize(reuse.kept.len() + len, 0);
-            reuse.fresh.extend((0..len).map(|t| (slot + t, (i, j + t as u32))));
-            return;
-        };
-        for t in 0..len {
-            let k = j + t as u32;
-            let word = marks.get((k / 64 - j / 64) as usize).map_or(0, |&[word, _]| word);
-            if word >> (k % 64) & 1 == 1 {
-                assert!(
-                    bits.get(t) != Some(&0),
-                    "pair ({i}, {k}) was opened at 1 by an earlier Count of the run and reads 0 \
-                     now: its kept opening would count the wrong value"
-                );
-                reuse.kept.push(open[at]);
-                at += 1;
-            } else {
-                reuse.kept.push(0);
-                reuse.fresh.push((slot + t, (i, k)));
-            }
-        }
+    fn mark(&self, i: u32, j: u32) -> (usize, u64) {
+        (
+            i as usize * self.width + j as usize / 64,
+            (1 << (j % 64)) - 1,
+        )
     }
 
-    /// Keeps the openings of `reuse`'s new pairs in a Count over `n`
-    /// vertices, read off its table by slot — once the Count has
-    /// returned. The first Count, or a wider one, lays the marks out
-    /// for its `n`.
-    fn record(&mut self, n: usize, reuse: &Reuse, openings: &[u64]) {
-        let width = n.div_ceil(64).max(self.width);
-        let rows = n.max(self.open.len());
-        if (width, rows) != (self.width, self.open.len()) {
-            let mut marks = vec![[0, 0]; rows * width];
-            for (i, row) in self.marks.chunks(self.width.max(1)).enumerate().take(self.open.len()) {
-                let total = self.open[i].len() as u64;
-                marks[i * width..(i + 1) * width].fill([0, total]);
-                marks[i * width..][..row.len()].copy_from_slice(row);
-            }
-            (self.width, self.marks) = (width, marks);
-            self.open.resize_with(rows, Vec::new);
+    /// Keeps the openings of a returned Count's `fresh` pairs — the new
+    /// ones its pair phase walked, by slot and key
+    /// ([`PairPhase::into_fresh`]) — read off its table's `openings` by
+    /// slot.
+    pub(crate) fn record(&mut self, fresh: &[(usize, u64)], openings: &[u64]) {
+        for &(slot, key) in fresh {
+            let (i, j) = key_pair(key);
+            let (at, below) = self.mark(i, j);
+            debug_assert_eq!(
+                self.marks[at] >> (j % 64) & 1,
+                0,
+                "pair ({i}, {j}) is kept already"
+            );
+            let rank = self.ranks[at] as usize + (self.marks[at] & below).count_ones() as usize;
+            self.open[i as usize].insert(rank, openings[slot]);
+            self.marks[at] |= below + 1;
+            let row_end = (i as usize + 1) * self.width;
+            self.ranks[at + 1..row_end]
+                .iter_mut()
+                .for_each(|rank| *rank += 1);
         }
-        for &(slot, (i, j)) in &reuse.fresh {
-            let (i, w, bit) = (i as usize, (j / 64) as usize, j % 64);
-            let row = &mut self.marks[i * width..(i + 1) * width];
-            let [bits, before] = row[w];
-            let at = before as usize + (bits & ((1u64 << bit) - 1)).count_ones() as usize;
-            self.open[i].insert(at, openings[slot]);
-            row[w][0] |= 1 << bit;
-            row[w + 1..].iter_mut().for_each(|[_, before]| *before += 1);
-        }
-        self.len += reuse.fresh.len();
+        self.len += fresh.len();
     }
-}
-
-/// A Count's view of a run's kept openings: each slot's kept opening
-/// (zero at a new pair) and the new pairs, slot-ascending.
-struct Reuse {
-    kept: Vec<u64>,
-    fresh: Vec<Fresh>,
 }
 
 /// A Count's pair phase: its plan's pairs in rounds, and what each
 /// round masks, sends and opens — the one cut both executors walk.
 ///
-/// Without kept openings every pair is new: round `r` masks and
-/// exchanges slots `r·batch ..`, walked when the round is read. With
-/// them the whole plan is walked once, up front, which sorts each pair
-/// into kept and new; round `r` exchanges new pairs `r·batch ..` and
-/// masks the slots from its predecessor's end through its last new
-/// pair — through the plan's last, for the last round — so kept pairs
-/// are masked beside the new ones but never sent. A plan with no new
-/// pair is one round that exchanges nothing. Either cut is a function of
-/// the public plan, `batch` and the run's past plans, which both servers
-/// hold.
+/// A round walks the plan on from where its predecessor ended, `batch`
+/// slots at a time, and ends at its `batch`-th new pair or at the end of
+/// the plan; it masks every pair it walked and sends the new pairs'
+/// words alone. Every round but the last sends `batch` words, so the
+/// rounds that send are `⌈new ÷ batch⌉`; a last round of kept pairs
+/// only is masked and sends nothing. The cut is a function of the public
+/// plan, `batch` and the run's past plans, which both servers hold.
 pub(crate) struct PairPhase<'a, B> {
-    /// The Count's vertices.
-    n: usize,
     pairs: &'a PairSet,
     bits: Option<&'a B>,
-    /// Each round's slots and, with kept openings, the span of `reuse`'s
-    /// new pairs it exchanges.
-    rounds: Vec<(Range<usize>, Range<usize>)>,
-    reuse: Option<Reuse>,
-    /// The keys and bits a round reads: walked when it is read, or the
-    /// whole plan's, walked once.
+    opened: Option<&'a OpenedPairs>,
+    batch: usize,
+    /// The slot the next round starts at.
+    next: usize,
+    /// Rounds walked.
+    rounds: u32,
+    /// The round walked last: its first slot, its pairs' keys and,
+    /// where this party reads them, bits — what
+    /// [`cargo_mpc::mask_round`] masks.
+    start: usize,
     keys: Vec<u64>,
     plain: Vec<u64>,
-    /// The first pair of the round read last, without kept openings.
-    first: (u32, u32),
+    /// Its kept pairs: their offsets in the round and their openings.
+    kept: Vec<(usize, u64)>,
+    /// The new pairs walked so far, by slot and key — where the run
+    /// keeps openings, to keep theirs once the Count returns — and
+    /// where the round walked last starts in them.
+    fresh: Vec<(usize, u64)>,
+    fresh_at: usize,
+    exchanged: u64,
 }
 
 impl<'a, B: AdjacencyBits> PairPhase<'a, B> {
@@ -208,57 +180,51 @@ impl<'a, B: AdjacencyBits> PairPhase<'a, B> {
     /// process) — `None` on S₁, which reads none.
     ///
     /// # Panics
-    /// Panics if `opened` was kept under another seed, or if a kept
-    /// pair's bit reads 0.
+    /// Panics if `opened` was kept under another seed or over another
+    /// vertex count.
     pub fn new(
         (sched, pairs): (&CountScheduler, &'a PairSet),
         bits: Option<&'a B>,
-        (seed, opened): (u64, Option<&OpenedPairs>),
+        (seed, opened): (u64, Option<&'a OpenedPairs>),
     ) -> Self {
-        let (n, batch, len) = (sched.n(), sched.batch(), pairs.len());
-        let mut phase = PairPhase {
-            n,
+        if let Some(opened) = opened {
+            assert_eq!(
+                opened.seed, seed,
+                "openings kept under Count seed {:#x} cannot serve a Count under {seed:#x}",
+                opened.seed
+            );
+            assert_eq!(
+                opened.n,
+                sched.n(),
+                "openings kept over {} vertices cannot serve a Count over {}",
+                opened.n,
+                sched.n()
+            );
+        }
+        // A serve epoch's first round usually walks its whole plan.
+        let (batch, scratch) = (
+            sched.batch(),
+            if opened.is_some() {
+                pairs.len()
+            } else {
+                sched.batch()
+            },
+        );
+        PairPhase {
             pairs,
             bits,
-            rounds: Vec::new(),
-            reuse: None,
-            keys: Vec::new(),
-            plain: Vec::new(),
-            first: (0, 0),
-        };
-        let Some(opened) = opened else {
-            let cut = (0..len).step_by(batch).map(|start| (start..(start + batch).min(len), 0..0));
-            phase.rounds = cut.collect();
-            return phase;
-        };
-        assert_eq!(
-            opened.seed, seed,
-            "openings kept under Count seed {:#x} cannot serve a Count under {seed:#x}",
-            opened.seed
-        );
-        let mut reuse = Reuse { kept: Vec::with_capacity(len), fresh: Vec::new() };
-        phase.keys.reserve(len);
-        phase.plain.reserve(if bits.is_some() { len } else { 0 });
-        if len > 0 {
-            let (keys, plain) = (&mut phase.keys, &mut phase.plain);
-            let sort = |run, bits: &[u64]| opened.sort_run(run, bits, &mut reuse);
-            pair_round(pairs, 0..len, bits, keys, plain, sort);
+            opened,
+            batch,
+            next: 0,
+            rounds: 0,
+            start: 0,
+            keys: Vec::with_capacity(scratch),
+            plain: Vec::with_capacity(if bits.is_some() { scratch } else { 0 }),
+            kept: Vec::with_capacity(if opened.is_some() { scratch } else { 0 }),
+            fresh: Vec::new(),
+            fresh_at: 0,
+            exchanged: 0,
         }
-        let new = reuse.fresh.len();
-        let mut start = 0;
-        phase.rounds = (0..new)
-            .step_by(batch)
-            .map(|from| {
-                let to = (from + batch).min(new);
-                let end = if to == new { len } else { reuse.fresh[to - 1].0 + 1 };
-                (std::mem::replace(&mut start, end)..end, from..to)
-            })
-            .collect();
-        if new == 0 && len > 0 {
-            phase.rounds.push((0..len, 0..0));
-        }
-        phase.reuse = Some(reuse);
-        phase
     }
 
     /// Pairs in the plan.
@@ -266,103 +232,205 @@ impl<'a, B: AdjacencyBits> PairPhase<'a, B> {
         self.pairs.len()
     }
 
-    /// Rounds of the phase.
-    pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Pairs the phase exchanges: the new ones.
+    /// New pairs walked so far: once every round is, the pairs the
+    /// phase exchanges.
     pub fn exchanged(&self) -> u64 {
-        self.reuse.as_ref().map_or(self.len(), |reuse| reuse.fresh.len()) as u64
+        self.exchanged
     }
 
-    /// Round `r`'s slots, and its kept openings and new pairs where the
-    /// run keeps openings.
-    fn round(&self, r: usize) -> (Range<usize>, Kept<'_>) {
-        let (range, fresh) = self.rounds[r].clone();
-        let kept = self.reuse.as_ref();
-        let kept = kept.map(|reuse| (&reuse.kept[range.clone()], &reuse.fresh[fresh]));
-        (range, kept)
-    }
-
-    /// Round `r`'s pair keys and, where this party reads them, plaintext
-    /// bits — what [`cargo_mpc::mask_round`] masks.
-    pub fn read(&mut self, r: usize) -> (&[u64], &[u64]) {
-        let range = self.rounds[r].0.clone();
-        if self.reuse.is_none() {
-            let (keys, plain) = (&mut self.keys, &mut self.plain);
-            self.first = pair_round(self.pairs, range, self.bits, keys, plain, |_, _| {});
-            return (&self.keys, &self.plain);
+    /// Walks the next round, reading its pairs' keys and bits and
+    /// looking up the kept ones; returns its index, or `None` past the
+    /// end of the plan.
+    ///
+    /// # Panics
+    /// Panics naming the first kept pair whose bit reads 0.
+    pub fn next_round(&mut self) -> Option<u32> {
+        let len = self.pairs.len();
+        if self.next == len {
+            return None;
         }
-        let plain = if self.plain.is_empty() { &[][..] } else { &self.plain[range.clone()] };
-        (&self.keys[range], plain)
-    }
-
-    /// Round `r`'s header pair, its first new pair — once it is read.
-    pub fn header(&self, r: usize) -> (u32, u32) {
-        match self.round(r) {
-            (_, Some((_, fresh))) => fresh[0].1,
-            (_, None) => self.first,
-        }
-    }
-
-    /// Cuts `masked`, this party's masking of round `r`'s slots, down to
-    /// the words the round sends: the new pairs', in slot order — all of
-    /// them where every pair is new.
-    pub fn keep_new(&self, r: usize, masked: &mut Vec<u64>) {
-        if let (range, Some((_, fresh))) = self.round(r) {
-            // New slots ascend, so each word moves down or stays.
-            for (t, &(slot, _)) in fresh.iter().enumerate() {
-                masked[t] = masked[slot - range.start];
-            }
-            masked.truncate(fresh.len());
-        }
-    }
-
-    /// Round `r`'s openings into `out`, by slot: the kept ones, and at
-    /// the new pairs the sums of the two servers' exchanged words.
-    pub fn openings(&self, r: usize, mine: &[u64], theirs: &[u64], out: &mut Vec<u64>) {
-        out.clear();
-        let sums = mine.iter().zip(theirs).map(|(a, b)| a.wrapping_add(*b));
-        match self.round(r) {
-            (_, None) => out.extend(sums),
-            (range, Some((kept, fresh))) => {
-                out.extend_from_slice(kept);
-                for (&(slot, _), e) in fresh.iter().zip(sums) {
-                    out[slot - range.start] = e;
+        let PairPhase {
+            pairs,
+            bits,
+            opened,
+            batch,
+            next,
+            start,
+            keys,
+            plain,
+            kept,
+            fresh,
+            ..
+        } = self;
+        (*start, self.fresh_at) = (*next, fresh.len());
+        keys.clear();
+        plain.clear();
+        kept.clear();
+        let mut need = *batch;
+        while need > 0 && *next < len {
+            let (from, kept_from, fresh_from) = (keys.len(), kept.len(), fresh.len());
+            let walk = *next..(*next + *batch).min(len);
+            *next = walk.end;
+            read_pairs(pairs, walk, *bits, keys, plain);
+            if let Some(opened) = opened {
+                for (t, &key) in keys.iter().enumerate().skip(from) {
+                    let (i, j) = key_pair(key);
+                    let Some(e) = opened.find(i, j) else {
+                        fresh.push((*start + t, key));
+                        continue;
+                    };
+                    assert!(
+                        plain.get(t) != Some(&0),
+                        "pair ({i}, {j}) was opened at 1 by an earlier Count of the run and reads \
+                         0 now: its kept opening would count the wrong value"
+                    );
+                    kept.push((t, e));
                 }
             }
+            let new = keys.len() - from - (kept.len() - kept_from);
+            if new < need {
+                need -= new;
+                continue;
+            }
+            // The round ends at this walk's `need`-th new pair: each kept
+            // pair before that one moves the end on.
+            let end = kept[kept_from..]
+                .iter()
+                .fold(from + need, |end, &(t, _)| end + usize::from(t < end));
+            keys.truncate(end);
+            plain.truncate(end);
+            kept.truncate(kept_from + kept[kept_from..].partition_point(|&(t, _)| t < end));
+            fresh.truncate(
+                fresh_from + fresh[fresh_from..].partition_point(|&(slot, _)| slot < *start + end),
+            );
+            (*next, need) = (*start + end, 0);
         }
+        self.exchanged += self.sends() as u64;
+        self.rounds += 1;
+        Some(self.rounds - 1)
     }
 
-    /// Checks the in-process opening of round `r`: every kept opening
+    /// The round's pair keys and, where this party reads them,
+    /// plaintext bits — what [`cargo_mpc::mask_round`] masks.
+    pub fn read(&self) -> (&[u64], &[u64]) {
+        (&self.keys, &self.plain)
+    }
+
+    /// The round's header: its first new pair and, where the run keeps
+    /// openings, a fold of its new pairs' keys, which a peer whose kept
+    /// openings differ cannot match — `None` where the round sends
+    /// nothing. Without kept openings the cut is the plan's and the
+    /// batch's alone, which the first pair and the slab length check.
+    pub fn header(&self) -> Option<((u32, u32), u32)> {
+        let lead = self
+            .kept
+            .iter()
+            .enumerate()
+            .take_while(|&(k, &(t, _))| k == t)
+            .count();
+        let first = *self.keys.get(lead)?;
+        let fold = self.fresh[self.fresh_at..]
+            .iter()
+            .fold(0u64, |sum, &(_, key)| sum.wrapping_add(mix64(key)));
+        Some((key_pair(first), (fold ^ fold >> 32) as u32))
+    }
+
+    /// Words the round walked last sends: its new pairs'.
+    fn sends(&self) -> usize {
+        self.keys.len() - self.kept.len()
+    }
+
+    /// Cuts `masked`, this party's masking of the round's pairs, down to
+    /// the words the round sends: the new pairs', in slot order. (Without
+    /// kept openings every pair is new, and `fresh` holds none of them.)
+    pub fn keep_new(&self, masked: &mut Vec<u64>) {
+        for (to, &(slot, _)) in self.fresh[self.fresh_at..].iter().enumerate() {
+            masked[to] = masked[slot - self.start];
+        }
+        masked.truncate(self.sends());
+    }
+
+    /// The round's openings into `out`, by slot: the kept ones, and at
+    /// the new pairs the sums of the two servers' exchanged words.
+    pub fn openings(&self, mine: &[u64], theirs: &[u64], out: &mut Vec<u64>) {
+        out.clear();
+        let mut sums = mine.iter().zip(theirs).map(|(a, b)| a.wrapping_add(*b));
+        let mut kept = &self.kept[..];
+        while let Some(&(at, _)) = kept.first() {
+            out.extend(sums.by_ref().take(at - out.len()));
+            // Kept pairs come in long runs of slots.
+            let run = kept
+                .iter()
+                .zip(at..)
+                .take_while(|&(&(t, _), slot)| t == slot)
+                .count();
+            out.extend(kept[..run].iter().map(|&(_, e)| e));
+            kept = &kept[run..];
+        }
+        out.extend(sums);
+    }
+
+    /// Checks the in-process opening of the round: every kept opening
     /// must be the one just recomputed, `m₁ + m₂`.
     ///
     /// # Panics
     /// Panics at the first kept pair opened at another value.
-    pub fn check_kept(&self, r: usize, opened: &[u64]) {
-        let (range, Some((kept, fresh))) = self.round(r) else { return };
-        let mut fresh = fresh.iter().map(|&(slot, _)| slot - range.start).peekable();
-        for (at, (e, k)) in opened.iter().zip(kept).enumerate() {
-            if fresh.next_if_eq(&at).is_none() {
-                assert_eq!(e, k, "the pair at slot {} reopens at another value", range.start + at);
-            }
+    pub fn check_kept(&self, opened: &[u64]) {
+        for &(at, e) in &self.kept {
+            assert_eq!(
+                opened[at],
+                e,
+                "the pair at slot {} reopens at another value",
+                self.start + at
+            );
         }
     }
 
-    /// Keeps the new pairs' openings in `opened` once the Count has
-    /// returned, from its table's `openings` by slot.
-    pub fn record(&self, opened: Option<&mut OpenedPairs>, openings: &[u64]) {
-        if let (Some(opened), Some(reuse)) = (opened, &self.reuse) {
-            opened.record(self.n, reuse, openings);
-        }
+    /// The new pairs the phase walked, by slot and key, where the run
+    /// keeps openings: what [`OpenedPairs::record`] keeps once the Count
+    /// has returned.
+    pub fn into_fresh(self) -> Vec<(usize, u64)> {
+        self.fresh
     }
+}
+
+/// Appends the [`pair_key`]s of `pairs`' slots `range` to `keys` and,
+/// where `bits` is given, their plaintext bits to `plain`, row run by
+/// row run. The one place a Count reads a plaintext adjacency bit: S₂'s
+/// input to its pair masking (S₁ passes no bits).
+fn read_pairs<B: AdjacencyBits>(
+    pairs: &PairSet,
+    range: Range<usize>,
+    bits: Option<&B>,
+    keys: &mut Vec<u64>,
+    plain: &mut Vec<u64>,
+) {
+    pairs.for_each_run(range, |_, i, j, len| {
+        let key = pair_key(i, j);
+        keys.extend((0..len as u64).map(|t| key.wrapping_add(t.wrapping_mul(PAIR_KEY_STEP))));
+        if let Some(bits) = bits {
+            let at = plain.len();
+            plain.resize(at + len, 0);
+            bits.fill_bits(i as usize, j as usize, &mut plain[at..]);
+        }
+    });
+}
+
+/// The SplitMix64 finaliser: a round's header folds its new pairs'
+/// keys through it, because keys along a row are evenly spaced and a
+/// plain sum of them would not tell two sets of one sum apart.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cargo_graph::BitMatrix;
+    use std::ops::Range;
     use std::sync::Arc;
 
     /// The cube of five in rounds of `batch`: slots 0 .. 10 are (0, 1)
@@ -373,111 +441,246 @@ mod tests {
         (sched, pairs)
     }
 
-    /// Keeps, under seed 1, the pairs `fresh` names at the openings
+    /// The cube's pairs at `slots` kept under seed 1, at the openings
     /// `100 + slot`.
-    fn keep(kept: &mut OpenedPairs, n: usize, fresh: Vec<Fresh>) {
-        kept.record(n, &Reuse { kept: Vec::new(), fresh }, &(100..100 + 2 * n as u64).collect::<Vec<_>>());
+    fn kept(slots: &[usize]) -> OpenedPairs {
+        let (sched, pairs) = cube5(1);
+        let mut at = Vec::new();
+        pairs.for_each_run(0..pairs.len(), |slot, i, j, len| {
+            at.extend((0..len).map(|t| (slot + t, pair_key(i, j + t as u32))));
+        });
+        let fresh: Vec<_> = slots.iter().map(|&slot| at[slot]).collect();
+        let mut kept = OpenedPairs::new(1, sched.n());
+        kept.record(&fresh, &(100..110).collect::<Vec<_>>());
+        kept
     }
 
     /// The cube's slots 0, 3, 4, 7 and 8 kept, so 1, 2, 5, 6 and 9 are
     /// new.
-    fn kept() -> OpenedPairs {
-        let mut kept = OpenedPairs::new(1);
-        keep(&mut kept, 5, vec![(0, (0, 1)), (3, (0, 4)), (4, (1, 2)), (7, (2, 3)), (8, (2, 4))]);
-        kept
+    const KEPT: [usize; 5] = [0, 3, 4, 7, 8];
+
+    /// Each round's slots, new pairs and header pair.
+    type Cut = Vec<(Range<usize>, u64, Option<(u32, u32)>)>;
+
+    fn cut<B: AdjacencyBits>(phase: &mut PairPhase<B>) -> Cut {
+        let mut rounds = Vec::new();
+        let mut exchanged = 0;
+        while let Some(r) = phase.next_round() {
+            assert_eq!(r as usize, rounds.len(), "rounds count on");
+            let new = phase.exchanged() - std::mem::replace(&mut exchanged, phase.exchanged());
+            let slots = phase.start..phase.start + phase.read().0.len();
+            rounds.push((slots, new, phase.header().map(|(pair, _)| pair)));
+        }
+        rounds
     }
 
-    fn cut<B: AdjacencyBits>(phase: &PairPhase<B>) -> Vec<(Range<usize>, usize)> {
-        phase.rounds.iter().map(|(range, fresh)| (range.clone(), fresh.len())).collect()
+    fn cube_cut(batch: usize, opened: Option<&OpenedPairs>) -> Cut {
+        let (sched, pairs) = cube5(batch);
+        cut(&mut PairPhase::<BitMatrix>::new(
+            (&sched, &pairs),
+            None,
+            (1, opened),
+        ))
     }
 
     #[test]
     fn without_kept_openings_every_batch_of_slots_is_a_round() {
+        let cube = cube_cut(4, None);
+        assert_eq!(
+            cube,
+            [
+                (0..4, 4, Some((0, 1))),
+                (4..8, 4, Some((1, 2))),
+                (8..10, 2, Some((2, 4)))
+            ]
+        );
+        // An empty cache cuts the same rounds.
+        assert_eq!(cube_cut(4, Some(&kept(&[]))), cube);
         let (sched, pairs) = cube5(4);
         let mut phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, None));
-        assert_eq!((phase.rounds(), phase.exchanged()), (3, 10));
-        let ranges: Vec<_> = phase.rounds.iter().map(|(range, _)| range.clone()).collect();
-        assert_eq!(ranges, [0..4, 4..8, 8..10]);
-        let (keys, plain) = phase.read(1);
-        assert_eq!((keys.len(), plain.len()), (4, 0), "S1 reads no bit");
-        assert_eq!(phase.header(1), (1, 2), "headed by the range's first pair");
+        phase.next_round();
+        assert_eq!(
+            (phase.read().0.len(), phase.read().1.len()),
+            (4, 0),
+            "S1 reads no bit"
+        );
         let mut words = vec![1, 2, 3, 4];
-        phase.keep_new(1, &mut words);
+        phase.keep_new(&mut words);
         assert_eq!(words, [1, 2, 3, 4], "every word is sent");
+        assert!(
+            phase.into_fresh().is_empty(),
+            "nothing to keep where the run keeps nothing"
+        );
     }
 
     #[test]
     fn with_kept_openings_a_round_ends_at_its_last_new_pair() {
-        let ((sched, pairs), kept) = (cube5(2), kept());
-        let phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
-        assert_eq!(cut(&phase), [(0..3, 2), (3..7, 2), (7..10, 1)]);
-        assert_eq!(phase.exchanged(), 5);
-        let headers: Vec<_> = (0..3).map(|r| phase.header(r)).collect();
-        assert_eq!(headers, [(0, 2), (1, 3), (3, 4)], "each round headed by its first new pair");
-        let (wide, _) = cube5(8);
-        assert_eq!(cut(&PairPhase::<BitMatrix>::new((&wide, &pairs), None, (1, Some(&kept)))), [(0..10, 5)]);
-        // Every pair kept: one round that exchanges nothing; no pair, no round.
-        let mut all = kept.clone();
-        keep(&mut all, 5, vec![(1, (0, 2)), (2, (0, 3)), (5, (1, 3)), (6, (1, 4)), (9, (3, 4))]);
-        assert_eq!(cut(&PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&all)))), [(0..10, 0)]);
+        let kept = kept(&KEPT);
+        let rounds = [
+            (0..3, 2, Some((0, 2))),
+            (3..7, 2, Some((1, 3))),
+            (7..10, 1, Some((3, 4))),
+        ];
+        assert_eq!(
+            cube_cut(2, Some(&kept)),
+            rounds,
+            "each round headed by its first new pair"
+        );
+        assert_eq!(cube_cut(8, Some(&kept)), [(0..10, 5, Some((0, 2)))]);
+        // A last round of kept pairs alone is masked and sends nothing.
+        let tail = [
+            (0..5, 4, Some((0, 2))),
+            (5..9, 4, Some((1, 3))),
+            (9..10, 0, None),
+        ];
+        assert_eq!(cube_cut(4, Some(&self::kept(&[0, 9]))), tail);
+        // Every pair kept: one round that sends nothing; no pair, no round.
+        let all = self::kept(&(0..10).collect::<Vec<_>>());
+        assert_eq!(cube_cut(2, Some(&all)), [(0..10, 0, None)]);
         let none = CountScheduler::new(2, 1, 0);
         let empty = none.pair_set();
-        assert_eq!(PairPhase::<BitMatrix>::new((&none, &empty), None, (1, Some(&all))).rounds(), 0);
+        let mut phase = PairPhase::<BitMatrix>::new((&none, &empty), None, (1, None));
+        assert_eq!(phase.next_round(), None);
     }
 
     #[test]
     fn a_round_sends_its_new_words_and_opens_the_kept_ones_from_the_cache() {
-        let ((sched, pairs), kept) = (cube5(2), kept());
+        let ((sched, pairs), mut kept) = (cube5(2), kept(&KEPT));
         let mut phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
-        assert_eq!(phase.read(1).0.len(), 4, "every slot of the range is masked");
+        phase.next_round();
+        phase.next_round();
+        assert_eq!(phase.read().0.len(), 4, "every slot of the round is masked");
         let mut masked = vec![13, 14, 15, 16];
-        phase.keep_new(1, &mut masked);
+        phase.keep_new(&mut masked);
         assert_eq!(masked, [15, 16]);
         let mut opened = Vec::new();
-        phase.openings(1, &masked, &[1, 2], &mut opened);
+        phase.openings(&masked, &[1, 2], &mut opened);
         assert_eq!(opened, [103, 104, 16, 18]);
-        phase.check_kept(1, &opened);
-        let mut record = kept.clone();
-        phase.record(Some(&mut record), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(record.len(), 10);
-        assert_eq!([(0, 1), (0, 2), (1, 3), (3, 4)].map(|(i, j)| record.get(i, j)), [100, 1, 5, 9].map(Some));
+        phase.check_kept(&opened);
+        while phase.next_round().is_some() {}
+        let fresh = phase.into_fresh();
+        let new: Vec<_> = fresh
+            .iter()
+            .map(|&(slot, key)| (slot, key_pair(key)))
+            .collect();
+        assert_eq!(
+            new,
+            [
+                (1, (0, 2)),
+                (2, (0, 3)),
+                (5, (1, 3)),
+                (6, (1, 4)),
+                (9, (3, 4))
+            ]
+        );
+        kept.record(&fresh, &(0..10).collect::<Vec<_>>());
+        assert_eq!(kept.len(), 10);
+        assert_eq!(
+            [(0, 1), (0, 2), (1, 3), (3, 4)].map(|(i, j)| kept.get(i, j)),
+            [100, 1, 5, 9].map(Some)
+        );
+    }
+
+    #[test]
+    fn a_peer_keeping_one_more_pair_folds_its_round_differently() {
+        // A party that keeps (0, 3) on top of the other's kept pairs
+        // walks one slot further for the same two new words under the
+        // same first pair: only the fold of the round's keys differs.
+        let headers = |kept: &OpenedPairs| {
+            let (sched, pairs) = cube5(2);
+            let mut phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(kept)));
+            phase.next_round();
+            phase.header().unwrap()
+        };
+        let ((pair, fold), (more_pair, more_fold)) =
+            (headers(&kept(&[0])), headers(&kept(&[0, 2])));
+        assert_eq!((pair, more_pair), ((0, 2), (0, 2)));
+        assert_ne!(fold, more_fold);
+        assert_eq!(headers(&kept(&[0])).1, fold, "one cut, one fold");
+        // Keys along a row are evenly spaced: {3, 6} and {4, 5} sum alike
+        // and must not fold alike.
+        let fold_of = |cols: [u32; 2]| {
+            cols.map(|j| mix64(pair_key(7, j)))
+                .iter()
+                .fold(0u64, |s, &m| s.wrapping_add(m))
+        };
+        assert_ne!(fold_of([3, 6]), fold_of([4, 5]));
     }
 
     #[test]
     #[should_panic(expected = "the pair at slot 4 reopens at another value")]
     fn a_kept_opening_that_reopens_differently_is_refused() {
-        let ((sched, pairs), kept) = (cube5(2), kept());
-        let phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
-        phase.check_kept(1, &[103, 105, 16, 18]);
+        let ((sched, pairs), kept) = (cube5(2), kept(&KEPT));
+        let mut phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
+        phase.next_round();
+        phase.next_round();
+        phase.check_kept(&[103, 105, 16, 18]);
     }
 
     #[test]
-    #[should_panic(expected = "pair (1, 2) was opened at 1 by an earlier Count of the run and reads 0")]
+    #[should_panic(
+        expected = "pair (1, 2) was opened at 1 by an earlier Count of the run and reads 0"
+    )]
     fn a_kept_pair_whose_bit_reads_zero_is_refused() {
-        let ((sched, pairs), kept) = (cube5(2), kept());
+        let ((sched, pairs), kept) = (cube5(2), kept(&KEPT));
         let mut m = BitMatrix::zeros(5);
         (0..5).for_each(|u| (0..5).filter(|&v| v != u).for_each(|v| m.set(u, v, true)));
         m.set(1, 2, false);
-        PairPhase::new((&sched, &pairs), Some(&m), (1, Some(&kept)));
+        let mut phase = PairPhase::new((&sched, &pairs), Some(&m), (1, Some(&kept)));
+        while phase.next_round().is_some() {}
     }
 
     #[test]
     #[should_panic(expected = "cannot serve a Count under 0x2")]
     fn openings_serve_only_their_own_count_seed() {
-        let (sched, pairs) = cube5(2);
-        PairPhase::<BitMatrix>::new((&sched, &pairs), None, (2, Some(&kept())));
+        let ((sched, pairs), kept) = (cube5(2), kept(&KEPT));
+        PairPhase::<BitMatrix>::new((&sched, &pairs), None, (2, Some(&kept)));
     }
 
     #[test]
-    fn pairs_kept_in_any_order_across_words_and_widths_are_found() {
-        // Rows and columns past what is kept hold nothing; a wider Count
-        // widens the marks and keeps every earlier opening.
-        let mut kept = OpenedPairs::new(1);
-        keep(&mut kept, 72, vec![(70, (3, 70)), (3, (3, 4)), (65, (3, 65)), (4, (0, 4))]);
-        keep(&mut kept, 140, vec![(130, (3, 130)), (5, (3, 5)), (131, (139, 131))]);
-        let held: Vec<_> = (0..140).filter_map(|j| kept.get(3, j).map(|e| (j, e))).collect();
-        assert_eq!(held, [(4, 103), (5, 105), (65, 165), (70, 170), (130, 230)]);
-        assert_eq!((kept.get(0, 4), kept.get(139, 131), kept.get(200, 1), kept.get(3, 900)), (Some(104), Some(231), None, None));
-        assert_eq!(kept.len(), 7);
+    #[should_panic(expected = "openings kept over 6 vertices cannot serve a Count over 5")]
+    fn openings_serve_only_their_own_vertex_count() {
+        let (sched, pairs) = cube5(2);
+        let kept = OpenedPairs::new(1, 6);
+        PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
+    }
+
+    #[test]
+    fn pairs_kept_in_any_order_across_words_are_found() {
+        let mut kept = OpenedPairs::new(1, 140);
+        let fresh = [
+            (70, (3, 70)),
+            (3, (3, 4)),
+            (65, (3, 65)),
+            (4, (0, 4)),
+            (130, (3, 130)),
+            (5, (3, 5)),
+        ];
+        let fresh = fresh.map(|(slot, (i, j))| (slot, pair_key(i, j)));
+        kept.record(&fresh, &(100..240).collect::<Vec<_>>());
+        kept.record(
+            &[(0, pair_key(131, 139)), (1, pair_key(3, 64))],
+            &[231, 164],
+        );
+        let held: Vec<_> = (0..140)
+            .filter_map(|j| kept.get(3, j).map(|e| (j, e)))
+            .collect();
+        assert_eq!(
+            held,
+            [
+                (4, 103),
+                (5, 105),
+                (64, 164),
+                (65, 165),
+                (70, 170),
+                (130, 230)
+            ]
+        );
+        let others = [(0, 4), (131, 139), (139, 131), (200, 1), (3, 900), (3, 3)];
+        assert_eq!(
+            others.map(|(i, j)| kept.get(i, j)),
+            [Some(104), Some(231), None, None, None, None]
+        );
+        assert_eq!(kept.len(), 8);
     }
 }

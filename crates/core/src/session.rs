@@ -255,7 +255,9 @@ impl<P: EpochParty> ServeSession<P> {
     /// and arms the release schedule.
     fn start(graph: Graph, cfg: &CargoConfig, party: P) -> Result<Self, SessionError> {
         let job = CountJob::from_config(cfg, SchedulePlan::DenseCube);
-        let mut opened = OpenedPairs::new(job.seed);
+        // A serve run's vertex set is its base graph's: a delta outside
+        // it is refused.
+        let mut opened = OpenedPairs::new(job.seed, graph.n());
         let eval = evaluator(&party, &job, &mut opened);
         let counter = unwinding(|| Ok(IncrementalCounter::new_with(graph, eval)))?;
         let release = ReleaseState::new(cfg, counter.graph().n());

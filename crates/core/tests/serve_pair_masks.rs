@@ -126,7 +126,7 @@ proptest! {
         rounds_of in 1usize..6,
     ) {
         let job = CountJob { batch: rounds_of, ..CountJob::new(seed) };
-        let mut kept = OpenedPairs::new(seed);
+        let mut kept = OpenedPairs::new(seed, n);
         let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
         let mut eval = |m: &BitMatrix, plan: SchedulePlan| {
             let pairs = plan_pairs(m.n(), &plan);

@@ -93,7 +93,7 @@ pub use share::{
 };
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
-    expand_input_shares, mask_round, mul3, mul3_combine, pair_key, weighted_pass, Mul3Opening,
+    expand_input_shares, mask_round, mul3, mul3_combine, key_pair, pair_key, weighted_pass, Mul3Opening,
     MulGroupShare, PairRun, PairTable, PAIR_KEY_STEP,
 };
 

@@ -266,6 +266,25 @@ pub fn pair_key(i: u32, j: u32) -> u64 {
 /// The key step between consecutive columns of a row ([`pair_key`]).
 pub const PAIR_KEY_STEP: u64 = SM_GAMMA;
 
+/// The pair whose [`pair_key`] is `key`: a key is the packed pair
+/// `i·2³² + j` times an odd constant, so it names its pair exactly.
+#[inline]
+pub fn key_pair(key: u64) -> (u32, u32) {
+    // The inverse of SM_GAMMA mod 2⁶⁴: each Newton step doubles the
+    // bits of x·γ ≡ 1 that hold, three from the start.
+    const INVERSE: u64 = {
+        let mut x = SM_GAMMA;
+        let mut steps = 0;
+        while steps < 5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(SM_GAMMA.wrapping_mul(x)));
+            steps += 1;
+        }
+        x
+    };
+    let pair = key.wrapping_mul(INVERSE);
+    ((pair >> 32) as u32, pair as u32)
+}
+
 /// `N` lanes of server `s`'s (0 or 1) mask shares
 /// ([`crate::mask_prf`]) of the pairs keyed `keys`.
 #[inline(always)]
@@ -950,6 +969,14 @@ pub fn weighted_pass(table: &PairTable, runs: &[PairRun], signs: Option<&[u64]>)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_pair_key_names_its_pair() {
+        for (i, j) in [(0, 1), (3, 70), (131, 139), (70_000, 1_000_000), (u32::MAX - 2, u32::MAX - 1)] {
+            assert_eq!(key_pair(pair_key(i, j)), (i, j));
+            assert_eq!(pair_key(i, j + 1), pair_key(i, j).wrapping_add(PAIR_KEY_STEP));
+        }
+    }
     use crate::dealer::{split_mg_words, Dealer, GROUP_WORDS};
     use crate::offline::{pair_offline_in_process, push_triples, MgDraw, SlotTriple};
     use crate::prg::SplitMix64;

@@ -22,7 +22,7 @@
 //! 4      4    tag            (pair round | chunk id — the demux key)
 //! 8      4    a              (pair.i | flight | 0)
 //! 12     4    b              (pair.j | 0)
-//! 16     4    c              (k0 | 0)
+//! 16     4    c              (k0 | new pair key fold | 0)
 //! 20     4    payload_len    (bytes; always a multiple of 8)
 //! 24     8    checksum       (8-lane xor-multiply fold over the words of
 //!                             bytes 0..24 ‖ payload — see below)
@@ -559,6 +559,10 @@ pub struct PairOpeningMsg {
     pub round: u32,
     /// The round's first pair, for lockstep sanity checking.
     pub pair: (u32, u32),
+    /// Where the Counts of a run keep their openings, a fold of the
+    /// round's new pair keys, for lockstep checking of the pairs after
+    /// the first; 0 otherwise.
+    pub fold: u32,
     /// This server's maskings of the round's pairs.
     pub words: Vec<u64>,
 }
@@ -571,7 +575,7 @@ impl IntoFrame for PairOpeningMsg {
             tag: self.round,
             a: self.pair.0,
             b: self.pair.1,
-            c: 0,
+            c: self.fold,
             payload: Payload::from_words(self.words),
         }
     }
@@ -588,6 +592,7 @@ impl WireMessage for PairOpeningMsg {
         Ok(PairOpeningMsg {
             round: frame.tag,
             pair: (frame.a, frame.b),
+            fold: frame.c,
             words: frame.payload.into_words(),
         })
     }
@@ -970,12 +975,12 @@ mod tests {
 
     #[test]
     fn pair_opening_round_trips() {
-        let m = PairOpeningMsg { round: 3, pair: (4, 17), words: vec![1, u64::MAX, 5, 0, 9] };
+        let m = PairOpeningMsg { round: 3, pair: (4, 17), fold: 0xF01D, words: vec![1, u64::MAX, 5, 0, 9] };
         let bytes = m.encode();
         assert_eq!(bytes.len(), FRAME_HEADER_BYTES + 8 * m.words.len());
         assert_eq!(PairOpeningMsg::decode(&bytes).unwrap(), m);
         assert_eq!(m.tag(), 3);
-        let empty = PairOpeningMsg { round: 0, pair: (0, 1), words: Vec::new() };
+        let empty = PairOpeningMsg { round: 0, pair: (0, 1), fold: 0, words: Vec::new() };
         assert_eq!(PairOpeningMsg::decode(&empty.encode()).unwrap(), empty);
         assert_eq!(OpeningMsg::decode(&bytes), Err(WireError::BadMsgType(PairOpeningMsg::MSG_TYPE)));
     }
