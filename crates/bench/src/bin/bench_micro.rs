@@ -128,7 +128,7 @@ fn cube_count(n: u32) -> ([PairTable; 2], Vec<SlotTriple>) {
 
 /// One pass of the offline dialogue over `count` with a clock around
 /// each step of both machines; every message crosses the codec exactly
-/// as `pair_offline_over_wire` sends and receives it (typed message →
+/// as a wire Count's driver sends and receives it (typed message →
 /// header + payload → checked frame → typed message). The second value
 /// is the byte codec (`encode` / `decode`, header ‖ payload bytes) on a
 /// copy of the same messages, timed apart and not part of the dialogue.
@@ -151,15 +151,15 @@ fn timed_dialogue((tables, triples): &([PairTable; 2], Vec<SlotTriple>)) -> ([Du
     let (mut s1, mut s2) = timed(&mut t[0], || (OfflineS1::new(&tables[0], triples), OfflineS2::new(&tables[1], triples)));
     for (f, u) in timed(&mut t[1], || s2.keys(tier)).into_iter().enumerate() {
         let u = wire(1, f, u);
-        timed(&mut t[2], || s1.absorb_keys(tier, &u));
+        timed(&mut t[2], || s1.absorb_keys(tier, &u)).expect("one plan");
     }
     for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
         let d = wire(2, f, timed(&mut t[3], || s1.corrections(tier, flight)));
-        timed(&mut t[4], || s2.receive(tier, flight, &d));
+        timed(&mut t[4], || s2.receive(tier, flight, &d)).expect("one plan");
     }
     let tail = timed(&mut t[5], || s1.tail(tier));
     let tail: Vec<_> = tail.into_iter().enumerate().map(|(f, msg)| wire(3, f, msg)).collect();
-    black_box(timed(&mut t[6], || s2.finish(tier, &tail)));
+    black_box(timed(&mut t[6], || s2.finish(tier, &tail)).expect("one plan"));
     (all, byte_codec)
 }
 

@@ -105,8 +105,8 @@ pub struct CargoConfig {
     /// noise) — fixed seed ⇒ bit-identical run.
     pub seed: u64,
     /// Worker threads for the `O(n³)` secure count (0 = all cores).
-    /// Governs every Count executor: the fast kernel and the sharded
-    /// message-passing runtime.
+    /// Governs the chunk loop of both Count drivers, in process and on
+    /// the wire.
     pub threads: usize,
     /// Pairs per Count communication round
     /// (0 = [`crate::count_sched::DEFAULT_COUNT_BATCH`]). A Count opens

@@ -8,76 +8,52 @@
 //! server learns anything: every opened value is one-time-padded, and
 //! the accumulated shares are uniform.
 //!
-//! The Multiplication Groups' masks are keyed by **pair**
-//! (`x = λ_ij, y = λ_ik, z = λ_jk`), so a Count runs in two steps: it
-//! opens every pair its plan reads once — `e_ij = a_ij − λ_ij`, the
-//! plan's pair set ([`CountScheduler::pair_set`]) in canonical order,
-//! `batch` pairs a round — and then every chunk combines its triples
-//! locally from those openings, exchanging nothing.
+//! The masks are keyed by **pair** (`x = λ_ij, y = λ_ik, z = λ_jk`), so
+//! a Count runs in two steps. First it opens every pair its plan reads
+//! once — `e_ij = a_ij − λ_ij`, the plan's pair set
+//! ([`CountScheduler::pair_set`]) in canonical order, `batch` pairs a
+//! round — and in OT mode runs the offline dialogue. Each server's side
+//! of that step is one machine with no I/O in it
+//! (`count_machine::ServerCount`), and two drivers run the machines:
 //!
-//! ## One request, one function per execution model
-//!
-//! A [`CountJob`] names every knob of a Count run; the executors differ
-//! only in *where* the two servers live:
-//!
-//! | Executor | Shape |
+//! | Driver | Shape |
 //! |---|---|
-//! | [`count_local`] | both servers in one process (this module): the wire party's steps with the link cut out — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
-//! | [`crate::count_runtime::count_party`] | one server over a live [`cargo_mpc::Transport`] link |
-//! | [`crate::count_runtime::count_two_party`] | two [`count_party`](crate::count_runtime::count_party)s, one per end of a caller-made link pair |
-//! //!
-//! All of them produce **bit-identical** share pairs and ledgers for
-//! the same job (the equivalence suites under `crates/core/tests/` pin
+//! | [`count_local`] | both servers' machines stepped in one thread, each message handed over unencoded — over a [`BitMatrix`] or, with no `n × n` storage, a [`CsrGraph`] |
+//! | [`crate::count_runtime::count_party`] | one server's machine against its peer over a live [`cargo_mpc::Transport`] link; [`crate::count_runtime::count_two_party`] runs two, one per end of a link pair |
+//!
+//! Then every chunk combines its triples locally, exchanging nothing: the
+//! one chunk loop (`combine_chunk` under [`CountScheduler::run_chunks`])
+//! runs each server's [`weighted_pass`] over `k`-runs of its
+//! [`PairTable`], in cache blocks of `ROW_BLOCK` rows (`plan_runs`). The
+//! drivers produce **bit-identical** share pairs and ledgers for the same
+//! [`CountJob`] (the equivalence suites under `crates/core/tests/` pin
 //! this); [`secure_count_reference`] is the un-inlined protocol object
 //! they are anchored to.
 //!
-//! ## Engineering notes
-//!
-//! * **Share expansion.** User bit shares are expanded from a PRF
-//!   (`⟨a_ij⟩₁ = PRF(seed, i, j)`, `⟨a_ij⟩₂ = a_ij − ⟨a_ij⟩₁`) instead of
-//!   materialising two `n × n` ring matrices; this mirrors how real
-//!   deployments compress input sharing with a PRG and keeps the memory
-//!   footprint at the bit matrix itself.
-//! * **Scheduling.** The `(i, j)` pair space is partitioned by the
-//!   shared [`CountScheduler`]; dealer randomness is keyed *per pair*
-//!   ([`cargo_mpc::PairDealer`]), so the share pairs are bit-identical
-//!   for every thread count and batch size.
-//! * **One kernel per server.** Each server masks every round of the
-//!   pair set ([`cargo_mpc::mask_round`], which also keeps the round's
-//!   mask shares in its table) and sums its slab with the other
-//!   server's into its own [`PairTable`] — on the wire the slabs cross
-//!   the link, here they are summed in place. A chunk's draw plan is
-//!   then listed as `k`-runs over the table's slots (`plan_runs`; long
-//!   runs in cache blocks of `ROW_BLOCK` `i` rows, so each `j` row is
-//!   read once a block rather than once a row) and each server's
-//!   [`weighted_pass`] sums its share over them: a few dot products of
-//!   contiguous table rows per run, whatever the plan and the material
-//!   source. Each server adds its table's Count term once
-//!   ([`PairTable::count_term`]). Every executor runs the one chunk
-//!   loop (`combine_chunk`) per server, so a plaintext adjacency bit is
-//!   read in one place only: S₂'s pair masking (`PairPhase::next_round`).
-//! * **Communication accounting.** The pair openings are mutually
-//!   independent, so they travel `batch` pairs a round
-//!   ([`crate::count_sched::DEFAULT_COUNT_BATCH`] by default) — one
-//!   element each way per pair, one short round at the end: `16·P`
-//!   bytes in `⌈P/batch⌉` rounds for a plan reading `P` pairs. A serve
-//!   run keeps the openings its Counts exchanged ([`OpenedPairs`]), and
-//!   its Counts exchange only the `new` pairs no earlier one opened:
-//!   `16·new` bytes in `⌈new/batch⌉` rounds ([`count_local_reusing`],
-//!   [`crate::pair_phase`]). The in-process executor tallies that in
-//!   closed form ([`NetStats::exchange_pairs`]); the wire executors send
-//!   exactly those rounds.
+//! * **Share expansion.** `⟨a_ij⟩₁ = PRF(seed, i, j)`, `⟨a_ij⟩₂ = a_ij −
+//!   ⟨a_ij⟩₁`: no ring matrix is materialised, and S₂'s pair masking is
+//!   the one place a plaintext bit is read. Dealer randomness is keyed
+//!   per pair ([`cargo_mpc::PairDealer`]), so the shares are
+//!   bit-identical for every thread count and batch size.
+//! * **Communication.** A plan reading `P` pairs costs `16·P` bytes in
+//!   `⌈P/batch⌉` rounds. A serve run keeps the openings its Counts
+//!   exchanged ([`OpenedPairs`]), and a Count exchanges only the `new`
+//!   pairs no earlier one opened: `16·new` bytes in `⌈new/batch⌉` rounds
+//!   ([`count_local_reusing`], [`crate::pair_phase`]). Both drivers tally
+//!   it in closed form ([`NetStats::exchange_pairs`]); on a link,
+//!   `wire_bytes` are what the Count's frames carried.
 
 use crate::config::CargoConfig;
+use crate::count_machine::{CountError, CountMsg, ServerCount, Step};
 use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
 use crate::pair_phase::{OpenedPairs, PairPhase};
 use cargo_graph::{BitMatrix, CsrGraph};
 use cargo_mpc::{
-    count_offline_ledger, mask_prf, mask_round, mul3_combine, ot_setup_ledger,
-    pair_offline_in_process, push_triples, share_prf, weighted_pass, MgDraw,
-    Mul3Opening, NetStats, OfflineMode, PairDealer, PairRun, PairTable, Ring64, ServerId,
-    SimdTier, SlotTriple, LANES,
+    count_offline_ledger, mask_prf, mul3_combine, ot_setup_ledger, push_triples, share_prf,
+    weighted_pass, MgDraw, Mul3Opening, NetStats, OfflineMode, PairDealer, PairRun, PairTable,
+    RecvError, Ring64, ServerId, SimdTier, SlotTriple, LANES,
 };
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Pinned by the benchmark harness, which passes it to
@@ -137,7 +113,7 @@ impl SecureCountResult {
 pub struct CountJob {
     /// Keys every random choice (input shares + dealer streams).
     pub seed: u64,
-    /// Worker threads (per server on the wire executors); `0` ⇒ all
+    /// Worker threads (per server on the wire); `0` ⇒ all
     /// cores. The result is identical for every thread count.
     pub threads: usize,
     /// Pairs per communication round; `0` ⇒
@@ -148,7 +124,7 @@ pub struct CountJob {
     pub batch: usize,
     /// Where the correlated randomness comes from: the seeded trusted
     /// dealer, or the IKNP/Gilboa OT-extension offline phase
-    /// ([`cargo_mpc::pair_offline_over_wire`]) — one vector-OLE key per
+    /// ([`cargo_mpc::offline`]) — one vector-OLE key per
     /// pair, extended once per Count after the pair rounds, its cost in
     /// [`NetStats::offline`] (the Count's dialogue plus one base-OT
     /// setup). Shares and the online ledger are bit-identical either
@@ -229,15 +205,13 @@ impl<'a> From<&'a CsrGraph> for CountInput<'a> {
 
 /// Runs `job` in-process, both servers in one process — the simulation
 /// every other executor is pinned to, and itself pinned to
-/// [`secure_count_reference`] at the opened count. It runs each
-/// server's steps as a wire party runs them — the same pair rounds, the
-/// same offline dialogue, the same chunk loop and [`weighted_pass`] —
-/// so it differs from
+/// [`secure_count_reference`] at the opened count. It steps both
+/// servers' machines, the ones a wire party steps one of, and runs the
+/// same chunk loop, so it differs from
 /// [`count_two_party`](crate::count_runtime::count_two_party) in the
-/// link only: the pair slabs are summed in place, and each chunk is
-/// combined once per server. Input kind, plan and offline mode are
-/// orthogonal: a CSR input in OT mode over the eager sparse plan is as
-/// valid as the dense matrix cube.
+/// link only. Input kind, plan and offline mode are orthogonal: a CSR
+/// input in OT mode over the eager sparse plan is as valid as the dense
+/// matrix cube.
 pub fn count_local<'a>(input: impl Into<CountInput<'a>>, job: &CountJob) -> SecureCountResult {
     count_local_reusing(input, job, None)
 }
@@ -256,60 +230,114 @@ pub fn count_local_reusing<'a>(
     job: &CountJob,
     opened: Option<&mut OpenedPairs>,
 ) -> SecureCountResult {
-    let tier = SimdTier::detect();
+    let both = ([ServerId::S1, ServerId::S2], SimdTier::detect());
     match input.into() {
-        CountInput::Matrix(m) => run_scheduled(m, job, &job.local_scheduler(m.n()), tier, opened),
-        CountInput::Csr(g) => run_scheduled(g, job, &job.local_scheduler(g.n()), tier, opened),
+        CountInput::Matrix(m) => run_count(m, (job, &job.local_scheduler(m.n())), both, opened, drive_local),
+        CountInput::Csr(g) => run_count(g, (job, &job.local_scheduler(g.n())), both, opened, drive_local),
     }
 }
 
-/// [`count_local_reusing`] past scheduler construction: opens the
-/// pairs, runs the offline dialogue in OT mode, runs `job`'s workers
-/// over `sched`'s chunks, the kernels at `tier`, and sums the parts —
-/// each server's Count term ([`PairTable::count_term`]) with the pair
-/// phase's. `sched` is the job's own [`CountJob::local_scheduler`].
-pub(crate) fn run_scheduled<B: AdjacencyBits>(
+/// Runs `job` over `sched` as `servers` — the one Count function,
+/// whichever driver plays them: builds each server's machine
+/// ([`ServerCount`], its table at `tier`), has `drive` poll them to their
+/// tables, runs the chunk loop over those ([`combine_chunk`] under
+/// [`CountScheduler::run_chunks`]) and adds each server's Count term.
+/// The ledger is the pair phase's in closed form, in OT mode with the
+/// offline dialogue's; its `wire_bytes` are what `drive` measured on a
+/// link, if it has one. `opened` then keeps the new pairs' openings.
+///
+/// # Panics
+/// Panics with a Count's error — a lost peer, a message off this
+/// server's cut — the one place one becomes a panic.
+pub(crate) fn run_count<B: AdjacencyBits, const S: usize>(
     bits: &B,
-    job: &CountJob,
-    sched: &CountScheduler,
-    tier: SimdTier,
+    (job, sched): (&CountJob, &CountScheduler),
+    (servers, tier): ([ServerId; S], SimdTier),
     opened: Option<&mut OpenedPairs>,
+    drive: impl FnOnce(&mut [ServerCount<'_, B>; S]) -> Result<Option<u64>, CountError>,
 ) -> SecureCountResult {
-    let pairs = sched.pair_set();
-    let mut phase = PairPhase::new((sched, &pairs), Some(bits), (job.seed, opened.as_deref()));
-    let mut tables = open_pairs(job, &mut phase, tier);
-    if runs_offline(job, sched) {
-        pair_offline_in_process(&mut tables, &plan_triples(&pairs, sched));
+    // A plan with no triples has no words to derandomise onto: no
+    // offline dialogue, no Count term, and shares (0, 0).
+    let (pairs, any) = (sched.pair_set(), !sched.chunks().is_empty());
+    let offline = any && job.offline == OfflineMode::OtExtension;
+    let triples = offline.then(|| plan_triples(&pairs, sched));
+    let mut machines = servers.map(|id| {
+        let bits = (id == ServerId::S2).then_some(bits);
+        let phase = PairPhase::new((sched, &pairs), bits, (job.seed, opened.as_deref()));
+        let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension).at_tier(tier);
+        table.reserve(pairs.len());
+        ServerCount::new(phase, table, triples.as_deref())
+    });
+    let measured = drive(&mut machines).unwrap_or_else(|e| panic!("{e}"));
+    let (mut exchanged, mut fresh) = (0, Vec::new());
+    let tables = machines.map(|machine| {
+        let table;
+        (table, exchanged, fresh) = machine.into_parts();
+        table
+    });
+    let parts = sched.run_chunks(|chunk| combine_chunk(&mut Vec::new(), (&*pairs, tables.each_ref()), sched, chunk));
+    let mut shares = [Ring64::ZERO; 2];
+    for (id, table) in servers.iter().zip(&tables).filter(|_| any) {
+        shares[*id as usize] += Ring64(table.count_term());
     }
-    let parts = sched.run_chunks(|chunk| chunk_part(sched, (&*pairs, &tables), chunk));
-    let mut online = NetStats::new();
-    online.exchange_pairs(phase.exchanged(), sched.batch() as u64);
-    let [t1, t2] = tables.each_ref().map(|table| count_term(sched, table));
-    let result =
-        finish(sched, job.offline, pairs.len(), parts.into_iter().chain([(t1, t2, online, 0)]));
-    let fresh = phase.into_fresh();
+    let mut triples_done = 0;
+    for (part, done) in parts {
+        servers.iter().zip(part).for_each(|(id, share)| shares[*id as usize] += share);
+        triples_done += done as u64;
+    }
+    let mut net = NetStats::new();
+    net.exchange_pairs(exchanged, sched.batch() as u64);
+    net.wire_bytes = measured.unwrap_or(net.bytes);
+    if offline {
+        net.offline.merge(&ot_setup_ledger());
+        net.offline.merge(&count_offline_ledger(pairs.len() as u64, triples_done));
+    }
     if let Some(opened) = opened {
         opened.record(&fresh, tables[0].openings());
     }
-    result
+    let n = sched.n() as u64;
+    let [share1, share2] = shares;
+    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples: triples_done }
 }
 
-/// `table`'s Count term ([`PairTable::count_term`]) in a Count over
-/// `sched`: none for a plan with no triples, which has no words to
-/// derandomise onto, so an empty Count's shares are `(0, 0)` in either
-/// offline mode.
-pub(crate) fn count_term(sched: &CountScheduler, table: &PairTable) -> Ring64 {
-    if sched.chunks().is_empty() {
-        Ring64::ZERO
-    } else {
-        Ring64(table.count_term())
+/// The local driver: both servers' machines polled in turn in this
+/// thread, each message handed to the other as it is, never encoded. In
+/// a turn each machine runs until it sends one message, awaits one not
+/// yet sent, or is done; each round's kept openings are rechecked
+/// ([`ServerCount::recheck_kept`]).
+fn drive_local<B: AdjacencyBits>(machines: &mut [ServerCount<'_, B>; 2]) -> Result<Option<u64>, CountError> {
+    let mut queues: [VecDeque<CountMsg>; 2] = Default::default();
+    let (mut done, mut checked) = ([false; 2], None);
+    while done != [true; 2] {
+        let (mut waiting, mut sent) = (None, false);
+        for s in 0..2 {
+            let mut inbox = None;
+            while !done[s] {
+                match machines[s].poll(inbox.take())? {
+                    Step::Send(msg) => {
+                        queues[1 - s].push_back(msg);
+                        sent = true;
+                        break;
+                    }
+                    Step::Await(awaited) => {
+                        inbox = queues[s].pop_front();
+                        if inbox.is_none() {
+                            waiting = waiting.or(Some(awaited));
+                            break;
+                        }
+                    }
+                    Step::Done => done[s] = true,
+                }
+            }
+        }
+        machines[0].recheck_kept(&machines[1], &mut checked);
+        // A machine awaits and neither sent: what it awaits will never
+        // come, as from a peer that hung up.
+        if let (Some(awaited), false) = (waiting, sent) {
+            return Err(CountError::Recv { awaited, error: RecvError::Disconnected });
+        }
     }
-}
-
-/// Whether `job` over `sched` runs the OT offline dialogue: in OT mode,
-/// for a plan with triples.
-pub(crate) fn runs_offline(job: &CountJob, sched: &CountScheduler) -> bool {
-    job.offline == OfflineMode::OtExtension && !sched.chunks().is_empty()
+    Ok(None)
 }
 
 /// The plan's triples as the offline dialogue reads them: chunk by
@@ -326,37 +354,6 @@ pub(crate) fn plan_triples(pairs: &PairSet, sched: &CountScheduler) -> Vec<SlotT
     triples
 }
 
-/// The pair phase in-process: the wire parties' pair rounds with the
-/// link cut out. Each round's pairs are read once ([`PairPhase::next_round`]),
-/// each server masks them ([`mask_round`]), and the two slabs are
-/// summed into both servers' tables instead of being exchanged — kept
-/// pairs too, whose sums must be their kept openings.
-fn open_pairs<B: AdjacencyBits>(
-    job: &CountJob,
-    phase: &mut PairPhase<B>,
-    tier: SimdTier,
-) -> [PairTable; 2] {
-    let preprocessed = job.offline == OfflineMode::OtExtension;
-    let mut tables = [ServerId::S1, ServerId::S2].map(|s| {
-        let mut table = PairTable::new(job.seed, s, preprocessed).at_tier(tier);
-        table.reserve(phase.len());
-        table
-    });
-    let mut slabs = [Vec::new(), Vec::new()];
-    while phase.next_round().is_some() {
-        let (keys, plain) = phase.read();
-        for (table, slab) in tables.iter_mut().zip(&mut slabs) {
-            slab.resize(keys.len(), 0);
-            mask_round(table, keys, plain, slab);
-        }
-        let [opened, theirs] = &mut slabs;
-        opened.iter_mut().zip(&*theirs).for_each(|(e, w)| *e = e.wrapping_add(*w));
-        phase.check_kept(opened);
-        tables.iter_mut().for_each(|table| table.push(opened));
-    }
-    tables
-}
-
 /// Pinned by `benchmark/src/sut.rs` and
 /// `benchmark/src/bin/trace/streamed.rs`, which call it positionally;
 /// `_tile_threshold` is ignored.
@@ -370,38 +367,6 @@ pub fn secure_triangle_count_streamed(
 ) -> SecureCountResult {
     let plan = SchedulePlan::CsrStream(Arc::clone(csr));
     count_local(&**csr, &CountJob { threads, batch, plan, ..CountJob::new(seed) })
-}
-
-/// One worker's (or one chunk's) contribution to a run:
-/// `(⟨T⟩₁ part, ⟨T⟩₂ part, ledger part, triples evaluated)`.
-pub(crate) type CountPart = (Ring64, Ring64, NetStats, u64);
-
-/// Sums the parts of a run over `sched`, reading `pairs` pairs, into its
-/// result — the one reduction every executor ends with. In OT mode a
-/// non-empty run also pays the base-OT setup and its offline dialogue
-/// ([`count_offline_ledger`]).
-pub(crate) fn finish(
-    sched: &CountScheduler,
-    offline: OfflineMode,
-    pairs: usize,
-    parts: impl IntoIterator<Item = CountPart>,
-) -> SecureCountResult {
-    let mut share1 = Ring64::ZERO;
-    let mut share2 = Ring64::ZERO;
-    let mut net = NetStats::new();
-    let mut triples = 0u64;
-    for (s1, s2, stats, t) in parts {
-        share1 += s1;
-        share2 += s2;
-        net.merge(&stats);
-        triples += t;
-    }
-    if offline == OfflineMode::OtExtension && !sched.chunks().is_empty() {
-        net.offline.merge(&ot_setup_ledger());
-        net.offline.merge(&count_offline_ledger(pairs as u64, triples));
-    }
-    let n = sched.n() as u64;
-    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples }
 }
 
 /// Adjacency-bit source of the pair phase: the one interface that lets
@@ -542,18 +507,6 @@ pub(crate) fn combine_chunk<const S: usize>(
         }
     });
     (shares, done)
-}
-
-/// Evaluates every triple of one pair-space chunk, each server over its
-/// own opened pair table ([`combine_chunk`]); a chunk has no traffic.
-fn chunk_part(
-    sched: &CountScheduler,
-    (pairs, tables): (&PairSet, &[PairTable; 2]),
-    chunk: &PairChunk,
-) -> CountPart {
-    let opened = (pairs, [&tables[0], &tables[1]]);
-    let ([t1, t2], triples) = combine_chunk(&mut Vec::new(), opened, sched, chunk);
-    (t1, t2, NetStats::new(), triples as u64)
 }
 
 /// Reference implementation: drives the *protocol objects* of
@@ -810,13 +763,16 @@ mod tests {
                         let job = CountJob { offline, plan: plan.clone(), ..job(29, threads, batch) };
                         let at = format!("{tier} {offline:?} {name} threads {threads} batch {batch}");
                         let oracle = aggregated_oracle(*matrix, matrix.n(), &job);
-                        let got = run_scheduled(*matrix, &job, &job.local_scheduler(matrix.n()), tier, None);
+                        let sched = job.local_scheduler(matrix.n());
+                        let both = ([ServerId::S1, ServerId::S2], tier);
+                        let got = run_count(*matrix, (&job, &sched), both, None, drive_local);
                         assert_eq!((got.share1, got.share2), oracle, "{at}");
                         assert_eq!(got.reconstruct(), want(name), "{at}");
                     }
                 }
                 let job = CountJob { offline, plan: SchedulePlan::CsrStream(Arc::clone(&csr)), ..job(29, 2, 7) };
-                let got = run_scheduled(&*csr, &job, &job.local_scheduler(csr.n()), tier, None);
+                let both = ([ServerId::S1, ServerId::S2], tier);
+                let got = run_count(&*csr, (&job, &job.local_scheduler(csr.n())), both, None, drive_local);
                 let at = format!("{tier} {offline:?} CSR input");
                 assert_eq!((got.share1, got.share2), aggregated_oracle(&*csr, csr.n(), &job), "{at}");
             }
@@ -880,6 +836,36 @@ mod tests {
         let res = count_local(&m, &CountJob::new(1));
         assert_eq!(res.reconstruct(), Ring64::ZERO);
         assert_eq!(res.triples, 0);
+    }
+
+    #[test]
+    fn count_local_refuses_a_kept_opening_that_reopens_differently() {
+        // K₆'s 15 pairs in rounds of 4, slot 0's kept opening off by
+        // one: refused when its round sends (the run keeps that pair
+        // alone) and when its round is a last round of kept pairs only,
+        // which sends nothing (the run keeps all 15).
+        let all: Vec<(u32, u32)> = (0..6).flat_map(|i| (i + 1..6).map(move |j| (i, j))).collect();
+        let edges: Vec<(usize, usize)> = all.iter().map(|&(i, j)| (i as usize, j as usize)).collect();
+        let complete = Graph::from_edges(6, &edges).unwrap();
+        let plan = SchedulePlan::CandidatePairs(Arc::new(crate::count_sched::CandidateSet::from_graph(&complete)));
+        let count = CountJob { plan, ..job(3, 1, 4) };
+        let at_one = |&(i, j): &(u32, u32)| {
+            [ServerId::S1, ServerId::S2].iter().fold(1u64, |e, &s| e.wrapping_sub(mask_prf(count.seed, s, i, j)))
+        };
+        for keep in [&all[..1], &all[..]] {
+            let mut kept = OpenedPairs::new(count.seed, 6);
+            let fresh: Vec<_> = keep.iter().enumerate().map(|(slot, &(i, j))| (slot, cargo_mpc::pair_key(i, j))).collect();
+            let mut openings: Vec<u64> = keep.iter().map(at_one).collect();
+            openings[0] = openings[0].wrapping_add(1);
+            kept.record(&fresh, &openings);
+            let m = complete.to_bit_matrix();
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                count_local_reusing(&m, &count, Some(&mut kept))
+            }));
+            let panic = refused.expect_err("a wrong kept opening must not count");
+            let text = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(text.contains("the pair at slot 0 reopens at another value"), "{} kept: {text}", keep.len());
+        }
     }
 
     #[test]

@@ -1,186 +1,62 @@
-//! A *distributed-systems-faithful* runtime for Algorithm 4.
+//! Algorithm 4 the way a deployment runs it: one server per party.
 //!
-//! [`crate::count::count_local`] runs both servers' steps in one
-//! process with the link cut out. This module runs the same steps —
-//! the same pair rounds and the same chunk loop, one kernel per
-//! server — the way a deployment would be shaped:
+//! [`count_party`] is the wire driver of a server's Count machine
+//! (`count_machine::ServerCount`, which [`crate::count::count_local`]
+//! steps both of in process): it runs one server, as each of the `party`
+//! binary's two OS processes does, against its peer on whatever
+//! [`Transport`] the caller hands in — `cargo_mpc::memory_pair()`,
+//! `TcpTransport::loopback_pair(..)` or a cross-machine socket.
+//! [`count_two_party`] runs two, one per end of a link pair. There is no
+//! third role: dealer material is a seeded stream each party expands its
+//! own column of, as if predistributed.
 //!
-//! * **separate OS threads (or processes)** — [`count_party`] runs
-//!   exactly one server, which is what the `party` binary's two
-//!   genuinely separate OS processes execute; [`count_two_party`] is
-//!   two of them in one process, one per end of a link pair. There is
-//!   no third role: trusted-dealer material is a seeded stream each
-//!   party expands its own column of, as if predistributed;
-//! * **real bytes on a real wire** — servers exchange masked openings
-//!   as [`cargo_mpc::wire`] frames over whatever [`Transport`]
-//!   the caller hands in: `cargo_mpc::memory_pair()` for the in-memory
-//!   byte transport, `TcpTransport::loopback_pair(..)` (or a
-//!   cross-machine socket) for TCP. Neither party can read the other's
-//!   state, and S₁ never reads a plaintext adjacency bit; S₂ reads its
-//!   users' bits only to expand its own shares in the pair phase — its
-//!   chunks combine openings, masks and product shares alone
-//!   ([`PairTable`]), as `count_local`'s do;
-//! * **a pair phase, then local chunks** — a Count's masks are keyed
-//!   by pair, so its online phase opens the plan's pair set
-//!   ([`CountScheduler::pair_set`]) once, in canonical order, `batch`
-//!   pairs a round ([`crate::DEFAULT_COUNT_BATCH`] = 1 024 by default):
-//!   each round is **one frame** each way ([`cargo_mpc::PairOpeningMsg`],
-//!   one masking word per pair), summed into the party's
-//!   [`PairTable`]. The header names the round and its first pair; S₁
-//!   and S₂ derive the pair set — and so every round's word order —
-//!   from the public plan and `batch` alone, and the lockstep checks
-//!   (round, first pair, slab length) stop a peer that cut differently
-//!   inside the first disagreeing round. Handed a run's kept openings
-//!   (`count_party_reusing`), a party exchanges only the pairs no
-//!   earlier Count of the run opened, which depend on the run's past
-//!   plans too: a round's header names its first new pair and folds
-//!   its new pairs' keys, and a fourth check on the fold stops two
-//!   parties whose kept openings differ anywhere in a round there
-//!   ([`crate::pair_phase`]). The pair phase runs before any
-//!   worker — and in OT mode the Count's offline dialogue after it, on
-//!   the same link ([`cargo_mpc::pair_offline_over_wire`]); then the
-//!   shared [`CountScheduler`] partitions the `(i, j)` pair space into
-//!   chunks and each server worker owns the chunks congruent to its
-//!   index, combining them **locally**: no chunk sends a frame;
-//! * **one server's arithmetic at kernel speed** — the pair phase masks
-//!   a round of pairs in one lane-parallel pass ([`mask_round`]; S₁
-//!   never reads the input), which also keeps the round's mask shares
-//!   in the table, and a chunk's triples are evaluated by one weighted
-//!   pass over its `k`-runs ([`cargo_mpc::weighted_pass`]: a few dot
-//!   products of contiguous table rows per run; with dealer material S₂
-//!   also holds S₁'s mask shares and words, which the simulated
-//!   dealer's predistribution hands it). No dealer word is buffered
-//!   beyond a round's and the other server's column is never expanded.
-//!   OT mode runs S₁'s pass shape on both servers, S₂'s words installed
-//!   by the offline dialogue. The chunk loop is `count_local`'s, which
-//!   runs it once per server.
-//!
-//! Every frame is byte-counted by the transport, and the runtime
-//! **overwrites** [`NetStats::wire_bytes`] with the measured online
-//! payload — the modeled paths keep `wire_bytes == bytes` by
-//! construction, so every test that compares whole `NetStats` structs
-//! across paths pins measured == modeled exactly (DESIGN.md §8).
-//!
-//! The test suite pins this runtime's output to `count_local`: the same
-//! per-server steps with and without a link between them compute
-//! identical share pairs — for every worker count, batch size, and
-//! transport backend, because both key their randomness per `(i, j)`
-//! pair.
+//! Each message the machine sends crosses as one frame: a pair round's
+//! words ([`cargo_mpc::PairOpeningMsg`], one masking word per new pair,
+//! under the round's tag) or an offline flight
+//! ([`cargo_mpc::OfflineMsg`]). Both parties derive every round's cut
+//! from the public plan, `batch` and the run's past plans; the machine's
+//! lockstep checks (round, first pair, slab length, fold of the new pair
+//! keys) stop a peer that cut differently in the first round it
+//! disagrees. S₁ never reads a plaintext bit. The chunks then combine
+//! locally under [`crate::CountScheduler::run_chunks`], sending nothing.
+//! The online payload the link carries over the Count is its
+//! `wire_bytes`, which the equivalence suites pin equal to the modeled
+//! bytes (DESIGN.md §8).
 
-use crate::count::{
-    combine_chunk, count_term, finish, plan_triples, runs_offline, AdjacencyBits,
-    CountInput, CountJob, CountPart, SecureCountResult,
-};
 use crate::config::PoolPolicy;
-use crate::count_sched::{CountScheduler, PairChunk, PairSet, SchedulePlan};
-use crate::pair_phase::{OpenedPairs, PairPhase};
+use crate::count::{run_count, AdjacencyBits, CountInput, CountJob, SecureCountResult};
+use crate::count_machine::{Awaited, CountError, CountMsg, ServerCount, Step};
+use crate::count_sched::SchedulePlan;
+use crate::pair_phase::OpenedPairs;
 use cargo_graph::BitMatrix;
 use cargo_mpc::{
-    expand_input_shares, mask_round, ot_setup_ledger, pair_offline_over_wire, recv_msg, send_msg,
-    NetStats, OfflineMode, PairOpeningMsg, PairRun, PairTable, Ring64, ServerId, Transport,
+    expand_input_shares, ot_setup_ledger, recv_msg, send_msg, OfflineMode, Ring64, ServerId,
+    SimdTier, Transport,
 };
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
-/// Runs one server's pair phase of a Count against the peer on `peer`:
-/// each round of `phase` this server's maskings of the round's pairs
-/// ([`mask_round`]) — of its new pairs where the run keeps openings —
-/// sent as one [`PairOpeningMsg`], the peer's received, checked against
-/// this server's own cut and summed into the returned table beside the
-/// kept openings. Each round that exchanges is tallied into `net`.
-///
-/// # Panics
-/// Panics if the peer hangs up, stalls past the link's receive
-/// timeout, or sends a round off this server's cut — naming the round.
-fn open_pairs<B: AdjacencyBits, T: Transport>(
-    (id, job): (ServerId, &CountJob),
-    phase: &mut PairPhase<B>,
-    peer: &T,
-    net: &mut NetStats,
-) -> PairTable {
-    let mut table = PairTable::new(job.seed, id, job.offline == OfflineMode::OtExtension);
-    table.reserve(phase.len());
-    let mut opened = Vec::new();
-    let mut mine = PairOpeningMsg { round: 0, pair: (0, 0), fold: 0, words: Vec::new() };
-    while let Some(round) = phase.next_round() {
-        let (keys, plain) = phase.read();
-        mine.words.resize(keys.len(), 0);
-        mask_round(&mut table, keys, plain, &mut mine.words);
-        phase.keep_new(&mut mine.words);
-        let theirs = match phase.header() {
-            None => Vec::new(),
-            Some((pair, fold)) => {
-                (mine.round, mine.pair, mine.fold) = (round, pair, fold);
-                let at = format_args!("pair round {round}, first pair {pair:?}");
-                let len = mine.words.len();
-                net.exchange(len as u64);
-                send_msg(peer, &mine).expect("peer hung up");
-                let theirs: PairOpeningMsg = recv_msg(peer, round, Some(peer.recv_timeout()))
-                    .unwrap_or_else(|e| panic!("peer lost in the online round at {at}: {e}"));
-                assert_eq!(theirs.round, round, "demux routed a foreign round ({at})");
-                assert_eq!(theirs.pair, pair, "peer out of lockstep in the round at {at}");
-                assert_eq!(theirs.words.len(), len, "peer slab size mismatch in the round at {at}");
-                let past = "peer out of lockstep past the first pair";
-                assert_eq!(theirs.fold, fold, "{past} of the round at {at}");
-                theirs.words
+/// The wire driver: one server's machine against its peer on `link`.
+/// A send goes out as its frame, an await waits for its frame under the
+/// link's receive timeout (a pair round's by its round tag); a failed
+/// send or receive is a [`CountError`]. Returns the online payload the
+/// link carried from the machine's first poll to its last.
+fn drive_wire<B: AdjacencyBits, T: Transport>(link: &T, [machine]: &mut [ServerCount<'_, B>; 1]) -> Result<Option<u64>, CountError> {
+    let (before, timeout) = (link.stats().online_payload_both(), Some(link.recv_timeout()));
+    let mut inbox = None;
+    loop {
+        match machine.poll(inbox.take())? {
+            Step::Send(CountMsg::Pair(msg)) => send_msg(link, msg).map_err(|error| CountError::Send { offline: false, error })?,
+            Step::Send(CountMsg::Offline(msg)) => send_msg(link, msg).map_err(|error| CountError::Send { offline: true, error })?,
+            Step::Await(awaited) => {
+                let got = match awaited {
+                    Awaited::Pair { round, .. } => recv_msg(link, round, timeout).map(CountMsg::Pair),
+                    Awaited::Offline { .. } => recv_msg(link, 0, timeout).map(CountMsg::Offline),
+                };
+                inbox = Some(got.map_err(|error| CountError::Recv { awaited, error })?);
             }
-        };
-        phase.openings(&mine.words, &theirs, &mut opened);
-        table.push(&opened);
-    }
-    table
-}
-
-/// One server of the sharded runtime — the state its worker pool
-/// shares once the pair phase is done. Worker `w` of `workers` owns the
-/// chunks with `id ≡ w (mod workers)`.
-struct Server<'a> {
-    id: ServerId,
-    sched: &'a CountScheduler,
-    /// The plan's pair set and this server's table of its openings.
-    opened: (&'a PairSet, &'a PairTable),
-}
-
-impl Server<'_> {
-    /// Runs this server's worker pool — no more workers than there are
-    /// chunks to own — and returns each worker's part. Worker 0 runs on
-    /// the calling thread, so a pool of one starts no thread: a Count
-    /// per serve epoch would otherwise start a thread per party per
-    /// epoch, and every fresh thread may land its round buffers in
-    /// another malloc arena.
-    fn run_workers(&self) -> Vec<CountPart> {
-        let workers = self.sched.workers().min(self.sched.chunks().len()).max(1);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (1..workers).map(|w| scope.spawn(move || self.run(w, workers))).collect();
-            let first = self.run(0, workers);
-            std::iter::once(first).chain(handles.into_iter().map(join)).collect()
-        })
-    }
-
-    /// Runs worker `w`'s share of the protocol: its partial `⟨T⟩` (in
-    /// this server's slot) and triple count.
-    fn run(&self, w: usize, workers: usize) -> CountPart {
-        let (mut t_share, mut triples) = (Ring64::ZERO, 0u64);
-        // The chunks' runs, rebuilt every chunk in the same buffer.
-        let mut runs = Vec::new();
-        for chunk in self.sched.chunks().iter().filter(|c| c.id as usize % workers == w) {
-            t_share += self.run_chunk(chunk, &mut runs, &mut triples);
+            Step::Done => return Ok(Some(link.stats().online_payload_both() - before)),
         }
-        match self.id {
-            ServerId::S1 => (t_share, Ring64::ZERO, NetStats::new(), triples),
-            ServerId::S2 => (Ring64::ZERO, t_share, NetStats::new(), triples),
-        }
-    }
-
-    /// Combines one chunk over this server's table: its words are in
-    /// the table — the dealer's, as if predistributed, or installed by
-    /// the offline dialogue.
-    fn run_chunk(&self, chunk: &PairChunk, runs: &mut Vec<PairRun>, triples: &mut u64) -> Ring64 {
-        let (pairs, table) = self.opened;
-        let ([share], done) = combine_chunk(runs, (pairs, [table]), self.sched, chunk);
-        *triples += done as u64;
-        share
     }
 }
 
@@ -210,23 +86,20 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
         .collect()
 }
 
-/// Runs ONE server's worker pool of `job` against a live peer on the
-/// other end of `link` — the executor of the `party` binaries (via
+/// Runs server `id`'s side of `job` against a live peer on the other
+/// end of `link` — the Count of the `party` binaries (via
 /// [`crate::party`]) and of the serve sessions. The input is a
 /// [`BitMatrix`] or a [`CsrGraph`](cargo_graph::CsrGraph), as for
 /// [`crate::count::count_local`]; only S₂ reads it, in the pair phase.
+/// The party tallies the full bidirectional ledger itself (both report
+/// identical ones); its `wire_bytes` are the online payload this
+/// Count's frames carried, both ways. The result carries this server's
+/// share in its slot and zero in the other.
 ///
-/// The party tallies the full bidirectional modeled ledger itself
-/// (both processes report identical `NetStats`), expands dealer
-/// material locally in trusted-dealer mode, and in OT mode runs the
-/// Count's offline dialogue over `link` after the pair rounds. Finally
-/// it overwrites [`NetStats::wire_bytes`] with the online payload bytes
-/// the transport measured — which the equivalence suites pin equal to
-/// the modeled `bytes`.
-///
-/// Both parties must be handed the same job (or the lockstep asserts
-/// fire). The other share lives in the peer process: the result
-/// carries ours in the slot matching `id` and zero in the other.
+/// # Panics
+/// Panics if the peer hangs up, stalls past the link's receive timeout
+/// or sends a message off this server's cut (a peer handed another
+/// job) — naming the round or flight.
 pub fn count_party<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
@@ -236,13 +109,8 @@ pub fn count_party<'a, T: Transport>(
     count_party_reusing(input, job, id, link, None)
 }
 
-/// [`count_party`] through a run's kept openings, if the caller keeps
-/// any: the pair rounds carry only the plan's pairs `opened` does not
-/// hold, cut into rounds of the batch, each headed by its first new
-/// pair; kept pairs are masked beside them and fill the table from
-/// `opened`, which then keeps the new pairs' openings. The peer must
-/// keep the same openings. Shares and triples are [`count_party`]'s;
-/// the ledger tallies the new pairs alone.
+/// [`count_party`] through a run's kept openings, as
+/// [`crate::count::count_local_reusing`]: the peer must keep the same.
 ///
 /// # Panics
 /// As [`count_party`]; also if `opened` was kept under another Count
@@ -254,42 +122,11 @@ pub(crate) fn count_party_reusing<'a, T: Transport>(
     link: &Arc<T>,
     opened: Option<&mut OpenedPairs>,
 ) -> SecureCountResult {
+    let (one, link) = (([id], SimdTier::detect()), &**link);
     match input.into() {
-        CountInput::Matrix(m) => party_scheduled(m, &job.scheduler(m.n()), job, (id, link), opened),
-        CountInput::Csr(g) => party_scheduled(g, &job.scheduler(g.n()), job, (id, link), opened),
+        CountInput::Matrix(m) => run_count(m, (job, &job.scheduler(m.n())), one, opened, |ms| drive_wire(link, ms)),
+        CountInput::Csr(g) => run_count(g, (job, &job.scheduler(g.n())), one, opened, |ms| drive_wire(link, ms)),
     }
-}
-
-/// [`count_party_reusing`] past scheduler construction.
-fn party_scheduled<B: AdjacencyBits, T: Transport>(
-    bits: &B,
-    sched: &CountScheduler,
-    job: &CountJob,
-    (id, link): (ServerId, &Arc<T>),
-    opened: Option<&mut OpenedPairs>,
-) -> SecureCountResult {
-    let pairs = sched.pair_set();
-    let bits = (id == ServerId::S2).then_some(bits);
-    let mut phase = PairPhase::new((sched, &pairs), bits, (job.seed, opened.as_deref()));
-    let mut online = NetStats::new();
-    let mut table = open_pairs((id, job), &mut phase, &**link, &mut online);
-    if runs_offline(job, sched) {
-        pair_offline_over_wire(&**link, &mut table, &plan_triples(&pairs, sched));
-    }
-    let server = Server { id, sched, opened: (&*pairs, &table) };
-    let parts = server.run_workers();
-    let term = count_term(sched, &table);
-    let online = match id {
-        ServerId::S1 => (term, Ring64::ZERO, online, 0),
-        ServerId::S2 => (Ring64::ZERO, term, online, 0),
-    };
-    let mut result = finish(sched, job.offline, pairs.len(), parts.into_iter().chain([online]));
-    result.net.wire_bytes = link.stats().online_payload_both();
-    let fresh = phase.into_fresh();
-    if let Some(opened) = opened {
-        opened.record(&fresh, table.openings());
-    }
-    result
 }
 
 /// Pinned by `benchmark/src/bin/trace/pipeline.rs`, which calls it
@@ -314,19 +151,14 @@ pub fn run_party_count_planned<T: Transport>(
 
 /// Runs `job` with **both** parties in this process: [`count_party`]
 /// as S₁ on `end1` and as S₂ on `end2`, the two ends of a link pair the
-/// caller made (`memory_pair()`, a `TcpTransport::loopback_pair` with
-/// whatever recv timeout the caller wants, a fault-injecting decorator,
-/// …). Nothing but what two `party` processes exchange crosses it.
-///
-/// Shares, the online [`NetStats`] and the offline ledger are
-/// bit-identical to [`crate::count::count_local`] on the same input and
-/// job;
-/// `wire_bytes` is what `end1` actually measured.
+/// caller made (`memory_pair()`, a `TcpTransport::loopback_pair`, a
+/// fault-injecting decorator, …). Shares and ledger are
+/// [`crate::count::count_local`]'s on the same input and job.
 ///
 /// # Panics
 /// Re-raises a party's panic as is; panics if the two parties' ledgers
-/// or triple counts disagree, or if the offline payload `end1`
-/// measured is not the modeled flight ledger.
+/// or triple counts disagree, or if the offline payload the Count moved
+/// on `end1` is not the modeled flight ledger.
 pub fn count_two_party<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
@@ -334,6 +166,7 @@ pub fn count_two_party<'a, T: Transport>(
     end2: &Arc<T>,
 ) -> SecureCountResult {
     let input = input.into();
+    let before = end1.stats().offline_payload_both();
     let (r1, r2) = std::thread::scope(|scope| {
         let h1 = scope.spawn(|| count_party(input, job, ServerId::S1, end1));
         let h2 = scope.spawn(|| count_party(input, job, ServerId::S2, end2));
@@ -350,7 +183,7 @@ pub fn count_two_party<'a, T: Transport>(
         r1.net.offline.bytes - ot_setup_ledger().bytes
     };
     assert_eq!(
-        end1.stats().offline_payload_both(),
+        end1.stats().offline_payload_both() - before,
         flights,
         "the offline payload on the link is not the modeled flight ledger"
     );
@@ -363,9 +196,9 @@ mod tests {
     use crate::count::{count_local, count_local_reusing};
     use crate::DEFAULT_COUNT_BATCH;
     use cargo_graph::generators::{barabasi_albert, erdos_renyi};
-    use crate::count_sched::CandidateSet;
+    use crate::count_sched::{CandidateSet, PairSet};
     use cargo_graph::{count_triangles_matrix, CsrGraph, Graph};
-    use cargo_mpc::{TcpConfig, TcpTransport};
+    use cargo_mpc::{PairOpeningMsg, TcpConfig, TcpTransport};
     use cargo_testutil::golden_fixtures;
 
     fn job(seed: u64, threads: usize, batch: usize) -> CountJob {
@@ -652,6 +485,20 @@ mod tests {
         assert_eq!((both.net, both.triples), (r1.net, r1.triples));
     }
 
+    #[test]
+    fn a_count_on_a_used_link_reports_its_own_payload() {
+        // Three Counts in turn on one link: each reports the payload its
+        // own frames carried, online and offline, not the link's totals.
+        let m = erdos_renyi(30, 0.3, 4).to_bit_matrix();
+        let (end1, end2) = cargo_mpc::memory_pair();
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        for count in [job(5, 1, 16), ot_job(6, 2, 7), ot_job(7, 1, 0)] {
+            let res = count_two_party(&m, &count, &end1, &end2);
+            assert_eq!(res.net.wire_bytes, res.net.bytes, "{count:?}");
+            assert_eq!(res.net, count_local(&m, &count).net, "{count:?}");
+        }
+    }
+
     /// The panic message of a party that must not have returned a
     /// count.
     fn panic_text(outcome: std::thread::Result<SecureCountResult>) -> String {
@@ -795,10 +642,7 @@ mod tests {
             });
             let at = format!("{:?}, threads {}, batch {}", count.offline, count.threads, count.batch);
             assert_eq!((r1.share1, r2.share2), (local.share1, local.share2), "{at}");
-            // The link's payload counts the whole run; this Count's share
-            // of it is its modeled bytes.
-            let measured = r1.net.wire_bytes - before.online_payload_both();
-            assert_eq!(NetStats { wire_bytes: measured, ..r1.net }, local.net, "{at}");
+            assert_eq!(r1.net, local.net, "{at}");
             assert_eq!(r2.net, r1.net, "{at}");
             if count.offline == OfflineMode::TrustedDealer {
                 let sent = end1.stats().frames_sent - before.frames_sent;

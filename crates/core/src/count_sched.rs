@@ -1,9 +1,9 @@
 //! The shared scheduler behind every Count implementation.
 //!
 //! Algorithm 4 evaluates one Multiplication Group per triple
-//! `i < j < k`. Every executor in this crate — the fast kernel
-//! ([`crate::count`]) and the message-passing runtime
-//! ([`crate::count_runtime`]) — iterates the same space: an
+//! `i < j < k`. Both Count drivers in this crate — in process
+//! ([`crate::count`]) and on the wire ([`crate::count_runtime`]) —
+//! iterate the same space: an
 //! outer walk over the `(i, j)` pairs with a non-empty `k` range, an
 //! inner batched `k` loop per pair. This module owns that shape once:
 //!
@@ -384,8 +384,7 @@ impl SchedulePlan {
 /// A contiguous run of `(i, j)` pairs in schedule order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairChunk {
-    /// Chunk index — the tag its messages travel under in the sharded
-    /// runtime.
+    /// Chunk index, in schedule order.
     pub id: u32,
     /// First pair of the run.
     start: (u32, u32),

@@ -13,9 +13,9 @@
 //! | Algorithm 1 | [`protocol`] | One step sequence (Max → Project → Count → Perturb) over the [`EpochParty`] seam, with the DP unit (edge / node) as a value; [`CargoSystem::run`], [`node_dp::run_node_dp`], [`run_party`] and [`run_party_local`] are adapters onto it |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
-//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], run by [`count_local`] (in-process), [`count_party`] (one server over a link) or [`count_two_party`] (two of those over a link pair) |
+//! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], one machine per server, driven by [`count_local`] (both in process), [`count_party`] (one server over a link) or [`count_two_party`] (two of those over a link pair) |
 //! | Algorithm 5 `Perturb` | [`mod@perturb`] | Distributed Laplace perturbation |
-//! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension MG precomputation, one OT session per chunk run inline by the Count |
+//! | Offline phase \[42, 43\] | [`cargo_mpc::offline`] via [`OfflineMode`] | Dealer or OT-extension material, the OT dialogue run once per Count by each server's machine |
 //! | Deployment shape | [`party`] + [`count_runtime`] | [`EpochParty`]: both servers in process ([`party::InProcess`]) or one per process over a real [`cargo_mpc::transport::Transport`] ([`party::Wire`]), for the one-shot pipeline and serve mode alike |
 //! | Continuous release | [`delta`] + [`session`] | Edge-delta epochs, incremental Count, per-epoch DP budgeting |
 //! | Crash recovery | [`recovery`] | Committed-epoch journal, deterministic replay, resumable serve |
@@ -46,6 +46,7 @@
 pub mod config;
 pub mod count;
 pub mod count_runtime;
+mod count_machine;
 pub mod count_sched;
 pub mod delta;
 pub mod max_degree;

@@ -30,10 +30,9 @@ use std::ops::Range;
 /// and on the wire alike.
 ///
 /// Sound only while every Count of the run reads each pair at one value
-/// (PROTOCOL.md §10.4): a Count that reads a kept pair's bit — S₂, or
-/// the in-process executor — refuses one that reads 0, and the
-/// in-process executor checks every kept opening against the one it
-/// recomputes.
+/// (PROTOCOL.md §10.4): S₂'s Count machine, the one that reads a kept
+/// pair's bit, refuses one that reads 0, and the in-process driver
+/// checks every kept opening against the one it recomputes.
 ///
 /// Kept by row, as a Count walks its pairs: row `i` marks its kept
 /// columns, a bit a column, with beside each word of marks the row's
@@ -139,7 +138,7 @@ impl OpenedPairs {
 }
 
 /// A Count's pair phase: its plan's pairs in rounds, and what each
-/// round masks, sends and opens — the one cut both executors walk.
+/// round masks, sends and opens — the one cut every Count machine walks.
 ///
 /// A round walks the plan on from where its predecessor ended, `batch`
 /// slots at a time, and ends at its `batch`-th new pair or at the end of
@@ -225,11 +224,6 @@ impl<'a, B: AdjacencyBits> PairPhase<'a, B> {
             fresh_at: 0,
             exchanged: 0,
         }
-    }
-
-    /// Pairs in the plan.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
     }
 
     /// New pairs walked so far: once every round is, the pairs the
@@ -340,45 +334,49 @@ impl<'a, B: AdjacencyBits> PairPhase<'a, B> {
         self.keys.len() - self.kept.len()
     }
 
-    /// Cuts `masked`, this party's masking of the round's pairs, down to
-    /// the words the round sends: the new pairs', in slot order. (Without
-    /// kept openings every pair is new, and `fresh` holds none of them.)
-    pub fn keep_new(&self, masked: &mut Vec<u64>) {
-        for (to, &(slot, _)) in self.fresh[self.fresh_at..].iter().enumerate() {
-            masked[to] = masked[slot - self.start];
+    /// The words the round sends, out of `masked`, this party's masking
+    /// of every pair of the round: the new pairs', in slot order.
+    /// (Without kept openings every pair is new, and `fresh` holds none
+    /// of them.)
+    pub fn new_words(&self, masked: &[u64]) -> Vec<u64> {
+        if self.kept.is_empty() {
+            return masked.to_vec();
         }
-        masked.truncate(self.sends());
+        let fresh = &self.fresh[self.fresh_at..];
+        fresh.iter().map(|&(slot, _)| masked[slot - self.start]).collect()
     }
 
     /// The round's openings into `out`, by slot: the kept ones, and at
-    /// the new pairs the sums of the two servers' exchanged words.
-    pub fn openings(&self, mine: &[u64], theirs: &[u64], out: &mut Vec<u64>) {
+    /// the new pairs the sums of this party's masking (`masked`, every
+    /// pair of the round) and the peer's sent words.
+    pub fn openings(&self, masked: &[u64], theirs: &[u64], out: &mut Vec<u64>) {
         out.clear();
-        let mut sums = mine.iter().zip(theirs).map(|(a, b)| a.wrapping_add(*b));
+        let mut theirs = theirs.iter();
+        let mut sums = |out: &mut Vec<u64>, end: usize| {
+            let new = masked[out.len()..end].iter().zip(theirs.by_ref());
+            out.extend(new.map(|(a, b)| a.wrapping_add(*b)));
+        };
         let mut kept = &self.kept[..];
         while let Some(&(at, _)) = kept.first() {
-            out.extend(sums.by_ref().take(at - out.len()));
+            sums(out, at);
             // Kept pairs come in long runs of slots.
-            let run = kept
-                .iter()
-                .zip(at..)
-                .take_while(|&(&(t, _), slot)| t == slot)
-                .count();
+            let run = kept.iter().zip(at..).take_while(|&(&(t, _), slot)| t == slot).count();
             out.extend(kept[..run].iter().map(|&(_, e)| e));
             kept = &kept[run..];
         }
-        out.extend(sums);
+        sums(out, masked.len());
     }
 
-    /// Checks the in-process opening of the round: every kept opening
-    /// must be the one just recomputed, `m₁ + m₂`.
+    /// Checks the in-process opening of the round from both servers'
+    /// maskings of every pair of it: every kept opening must be the one
+    /// they recompute, `m₁ + m₂`.
     ///
     /// # Panics
     /// Panics at the first kept pair opened at another value.
-    pub fn check_kept(&self, opened: &[u64]) {
+    pub fn check_kept(&self, [m1, m2]: [&[u64]; 2]) {
         for &(at, e) in &self.kept {
             assert_eq!(
-                opened[at],
+                m1[at].wrapping_add(m2[at]),
                 e,
                 "the pair at slot {} reopens at another value",
                 self.start + at
@@ -504,9 +502,7 @@ mod tests {
             (4, 0),
             "S1 reads no bit"
         );
-        let mut words = vec![1, 2, 3, 4];
-        phase.keep_new(&mut words);
-        assert_eq!(words, [1, 2, 3, 4], "every word is sent");
+        assert_eq!(phase.new_words(&[1, 2, 3, 4]), [1, 2, 3, 4], "every word is sent");
         assert!(
             phase.into_fresh().is_empty(),
             "nothing to keep where the run keeps nothing"
@@ -550,13 +546,12 @@ mod tests {
         phase.next_round();
         phase.next_round();
         assert_eq!(phase.read().0.len(), 4, "every slot of the round is masked");
-        let mut masked = vec![13, 14, 15, 16];
-        phase.keep_new(&mut masked);
-        assert_eq!(masked, [15, 16]);
+        let masked = [13, 14, 15, 16];
+        assert_eq!(phase.new_words(&masked), [15, 16]);
         let mut opened = Vec::new();
         phase.openings(&masked, &[1, 2], &mut opened);
         assert_eq!(opened, [103, 104, 16, 18]);
-        phase.check_kept(&opened);
+        phase.check_kept([&[100, 100, 15, 16], &[3, 4, 1, 2]]);
         while phase.next_round().is_some() {}
         let fresh = phase.into_fresh();
         let new: Vec<_> = fresh
@@ -614,7 +609,7 @@ mod tests {
         let mut phase = PairPhase::<BitMatrix>::new((&sched, &pairs), None, (1, Some(&kept)));
         phase.next_round();
         phase.next_round();
-        phase.check_kept(&[103, 105, 16, 18]);
+        phase.check_kept([&[100, 100, 15, 16], &[3, 5, 1, 2]]);
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub use crate::count_runtime::party_input_shares;
 pub trait EpochParty {
     /// One Count of `job` over `matrix`, through the run's kept
     /// openings where the caller keeps them (a serve session does; a
-    /// one-shot run passes `None`). Its `wire_bytes` are the modeled
-    /// bytes; the caller measures the wire through
+    /// one-shot run passes `None`). Its `wire_bytes` are the Count's
+    /// own: what its frames carried on a link, the modeled bytes in
+    /// process. The caller measures the wire past the Count through
     /// [`payload`](Self::payload).
     fn count(
         &self,
@@ -150,11 +151,7 @@ impl<T: Transport> EpochParty for Wire<T> {
         job: &CountJob,
         opened: Option<&mut OpenedPairs>,
     ) -> SecureCountResult {
-        // `count_party_reusing` reports the link's cumulative payload; restore
-        // the modeled invariant (the caller measures the wire).
-        let mut r = count_party_reusing(matrix, job, self.role, &self.link, opened);
-        r.net.wire_bytes = r.net.bytes;
-        r
+        count_party_reusing(matrix, job, self.role, &self.link, opened)
     }
 
     fn commit(&self, commit: CommitMsg) -> Result<(), SessionError> {

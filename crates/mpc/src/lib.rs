@@ -29,8 +29,9 @@
 //!   the trusted dealer or the OT-extension dialogue that makes the
 //!   dealer's `P + 1` words a Count bit for bit while paying (and
 //!   recording) the real preprocessing cost — one vector-OLE key per
-//!   pair, extended once per Count ([`pair_offline_in_process`],
-//!   [`pair_offline_over_wire`] on a link).
+//!   pair, extended once per Count: each server's half
+//!   ([`OfflineS1`], [`OfflineS2`]) is a step of its Count's machine
+//!   (`cargo_core`), and [`pair_offline_in_process`] runs both halves.
 //! * [`channel`] — communication accounting: every reconstruction in
 //!   the online phase is tallied in a [`NetStats`] so experiments can
 //!   report message/byte/round counts; the [`OfflineLedger`] inside it
@@ -69,8 +70,8 @@ pub use beaver::{beaver_mul, BeaverShare};
 pub use channel::{NetStats, OfflineLedger, RecvError};
 pub use dealer::{split_mg_words, Dealer, PairDealer, GROUP_WORDS, MG_WORDS};
 pub use offline::{
-    count_offline_ledger, ot_setup_ledger, pair_flights, pair_offline_in_process,
-    pair_offline_over_wire, push_triples, MgDraw, OfflineMode, OfflineS1, OfflineS2, OtMgEngine,
+    count_offline_ledger, ot_setup_ledger, pair_flights, pair_offline_in_process, push_triples,
+    Mismatch, MgDraw, OfflineError, OfflineMode, OfflineS1, OfflineS2, OtMgEngine,
     SlotTriple, MAX_FLIGHT_PAIRS, MAX_FLIGHT_TRIPLES,
 };
 pub use transport::{

@@ -86,10 +86,9 @@ use crate::ot::{
 };
 use crate::prg::SplitMix64;
 use crate::simd::SimdTier;
-use crate::transport::{recv_msg, send_msg, Transport};
 use crate::triple_mul::{mask_round, pair_key, PairRun, PairTable};
-use crate::wire::OfflineMsg;
 use crate::ServerId;
+use std::fmt;
 
 /// Selects how the offline phase produces correlated randomness.
 ///
@@ -139,6 +138,50 @@ impl std::fmt::Display for OfflineMode {
     }
 }
 
+/// Words a peer sent that do not fit the dialogue: a flight of `step`
+/// (1 key columns, 2 corrections, 3 tail) of another length than the
+/// plan's, or a tail whose digest of the key columns is not S₂'s (a word
+/// changed on the way). Its text is that of the check it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OfflineError {
+    /// `(step, flight, lengths)`.
+    FlightSize(u8, usize, Mismatch<usize>),
+    /// S₁'s digest, then S₂'s.
+    Digest(Mismatch<u64>),
+}
+
+impl fmt::Display for OfflineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OfflineError::FlightSize(1, flight, m) => m.write(f, format_args!("key flight {flight} size")),
+            OfflineError::FlightSize(2, _, m) => m.write(f, format_args!("offline correction flight size mismatch")),
+            OfflineError::FlightSize(_, flight, m) => m.write(f, format_args!("offline tail flight {flight} size")),
+            OfflineError::Digest(m) => m.write(f, format_args!("offline transcript diverged (consistency hash mismatch)")),
+        }
+    }
+}
+
+/// A value a peer sent that is not the one this server derived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mismatch<T> {
+    /// The peer's.
+    pub theirs: T,
+    /// This server's.
+    pub ours: T,
+}
+
+impl<T: fmt::Debug + PartialEq> Mismatch<T> {
+    /// `Err` of the two values unless they agree.
+    pub fn check(theirs: T, ours: T) -> Result<(), Self> {
+        if theirs == ours { Ok(()) } else { Err(Mismatch { theirs, ours }) }
+    }
+
+    /// Writes the failed check as the `assert_eq!` it stands for reads:
+    /// `what`, then the peer's value (left) and this server's (right).
+    pub fn write(&self, f: &mut fmt::Formatter<'_>, what: fmt::Arguments<'_>) -> fmt::Result {
+        write!(f, "assertion `left == right` failed: {what}\n  left: {:?}\n right: {:?}", self.theirs, self.ours)
+    }
+}
 
 /// Pairs per key-column and tail flight: a key flight carries
 /// `κ · 2 · 1 024` words (2 MiB), a tail flight `129 · 1 024`.
@@ -362,7 +405,7 @@ fn fold_digest(digest: u64, u: &[u64]) -> u64 {
 /// words) and the plan's triples, then drive
 /// [`absorb_keys`](Self::absorb_keys) once per key flight,
 /// [`corrections`](Self::corrections) once per correction flight, and
-/// [`tail`](Self::tail); out of order, it panics.
+/// [`tail`](Self::tail); called out of order, it panics.
 #[derive(Debug, Clone)]
 pub struct OfflineS1 {
     root: u64,
@@ -398,14 +441,20 @@ impl OfflineS1 {
         }
     }
 
-    /// Step 1: absorbs S₂'s next key flight.
-    pub fn absorb_keys(&mut self, tier: SimdTier, u: &[u64]) {
+    /// Step 1: absorbs S₂'s next key flight; refuses one of another
+    /// length than the plan's.
+    ///
+    /// # Panics
+    /// Panics past the plan's last key flight.
+    pub fn absorb_keys(&mut self, tier: SimdTier, u: &[u64]) -> Result<(), OfflineError> {
         let flights = pair_flights(self.local.pairs());
         let flight = flights.get(self.keys).expect("offline protocol out of lockstep: a key flight too many");
-        assert_eq!(u.len(), OT_KAPPA * UNITS_PER_PAIR * flight.len(), "key flight {} size", self.keys);
+        let size = Mismatch::check(u.len(), OT_KAPPA * UNITS_PER_PAIR * flight.len());
+        size.map_err(|m| OfflineError::FlightSize(1, self.keys, m))?;
         self.sender.absorb(tier, u);
         self.digest = fold_digest(self.digest, u);
         self.keys += 1;
+        Ok(())
     }
 
     /// Step 2: the packed corrections of one flight of triples (six
@@ -458,6 +507,8 @@ pub struct OfflineS2 {
     receiver: CotReceiver,
     extended: bool,
     digest: u64,
+    /// Correction flights received so far.
+    received: usize,
     /// `Σ` finished sums per slot over the `M` elements received so far.
     raw: Vec<u64>,
 }
@@ -470,6 +521,7 @@ impl OfflineS2 {
             receiver: simulated_base_ots(base_ot_seed(table.seed())).1,
             extended: false,
             digest: 0,
+            received: 0,
             raw: vec![0; local.pairs()],
             local,
         }
@@ -493,28 +545,33 @@ impl OfflineS2 {
     }
 
     /// Step 2: finishes one flight of triples against S₁'s corrections
-    /// `d`, each element's share added to the `M` it lands on.
+    /// `d`, each element's share added to the `M` it lands on; refuses a
+    /// `d` that is not the flight's packed corrections.
     ///
     /// # Panics
-    /// Panics if `d` is not the flight's packed corrections.
-    pub fn receive(&mut self, tier: SimdTier, triples: &[SlotTriple], d: &[u64]) {
+    /// Panics if the keys were not extended yet.
+    pub fn receive(&mut self, tier: SimdTier, triples: &[SlotTriple], d: &[u64]) -> Result<(), OfflineError> {
         assert!(self.extended, "offline protocol out of lockstep");
         let (elements, dests) = self.local.m_elements(triples, None);
-        assert_eq!(d.len(), packed_words(elements.len()), "offline correction flight size mismatch");
+        let size = Mismatch::check(d.len(), packed_words(elements.len()));
+        size.map_err(|m| OfflineError::FlightSize(2, self.received, m))?;
         let mut sums = vec![0; elements.len()];
         self.receiver.receive(tier, &elements, d, &mut sums);
         for (dest, sum) in dests.into_iter().zip(sums) {
             self.raw[dest] = self.raw[dest].wrapping_add(sum);
         }
+        self.received += 1;
+        Ok(())
     }
 
     /// Step 3: absorbs S₁'s tail flights and returns S₂'s material:
-    /// `M_p − ⟨M_p⟩₁` by slot and `W − ⟨W⟩₁`.
+    /// `M_p − ⟨M_p⟩₁` by slot and `W − ⟨W⟩₁`; refuses a flight off the
+    /// plan's size, or a digest that disagrees with the key columns S₂
+    /// sent.
     ///
     /// # Panics
-    /// Panics if the tail is off the flight structure or its digest
-    /// disagrees with the key columns S₂ sent.
-    pub fn finish(&self, tier: SimdTier, tail: &[Vec<u64>]) -> (Vec<u64>, u64) {
+    /// Panics unless `tail` holds the plan's number of flights.
+    pub fn finish(&self, tier: SimdTier, tail: &[Vec<u64>]) -> Result<(Vec<u64>, u64), OfflineError> {
         let flights = pair_flights(self.local.pairs());
         assert_eq!(tail.len(), flights.len(), "offline tail flights");
         let Local { y, w, .. } = &self.local;
@@ -523,88 +580,50 @@ impl OfflineS2 {
             let elements = self.local.w_elements(range.clone());
             let last = if f + 1 == tail.len() { 2 } else { 0 };
             let packed = packed_words(elements.len());
-            assert_eq!(msg.len(), packed + range.len() + last, "offline tail flight {f} size");
+            let size = Mismatch::check(msg.len(), packed + range.len() + last);
+            size.map_err(|m| OfflineError::FlightSize(3, f, m))?;
             let (d, offsets) = msg.split_at(packed);
             let mut sums = vec![0; elements.len()];
             self.receiver.receive(tier, &elements, d, &mut sums);
             w_raw = sums.into_iter().fold(w_raw, u64::wrapping_add);
             words.extend(range.zip(offsets).map(|(p, c)| y[p].wrapping_add(self.raw[p]).wrapping_add(*c)));
         }
-        let end = tail.last().expect("at least one tail flight");
-        let &[c_w, digest] = &end[end.len() - 2..] else { unreachable!() };
-        assert_eq!(digest, self.digest, "offline transcript diverged (consistency hash mismatch)");
-        (words, w_raw.wrapping_add(c_w))
-    }
-}
-
-/// Sends one offline-phase message; `words` move into the frame
-/// uncopied.
-fn send_off<T: Transport>(link: &T, flight: usize, step: u8, words: Vec<u64>) {
-    let msg = OfflineMsg { chunk: 0, flight: flight as u32, step, words };
-    send_msg(link, msg).expect("peer hung up (offline)");
-}
-
-/// Receives the peer's next offline message, asserting lockstep.
-fn recv_off<T: Transport>(link: &T, flight: usize, step: u8) -> Vec<u64> {
-    let m: OfflineMsg = recv_msg(link, 0, Some(link.recv_timeout()))
-        .unwrap_or_else(|e| panic!("peer lost during offline dialogue: {e}"));
-    assert_eq!((m.flight, m.step), (flight as u32, step), "offline flight out of lockstep");
-    m.words
-}
-
-/// Runs `table`'s server's half of the Count's offline dialogue against
-/// the peer over `link`, after the pair rounds, over the plan's
-/// `triples` (both servers list them alike), and installs the material
-/// in `table` ([`PairTable::count_term`]). Tally
-/// [`count_offline_ledger`] beside it: the payload it moves is exactly
-/// that.
-pub fn pair_offline_over_wire<T: Transport>(link: &T, table: &mut PairTable, triples: &[SlotTriple]) {
-    let tier = SimdTier::detect();
-    match table.server() {
-        ServerId::S1 => {
-            let mut s1 = OfflineS1::new(table, triples);
-            for f in 0..pair_flights(table.len()).len() {
-                s1.absorb_keys(tier, &recv_off(link, f, 1));
-            }
-            for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
-                send_off(link, f, 2, s1.corrections(tier, flight));
-            }
-            for (f, msg) in s1.tail(tier).into_iter().enumerate() {
-                send_off(link, f, 3, msg);
-            }
-            table.install(None);
-        }
-        ServerId::S2 => {
-            let mut s2 = OfflineS2::new(table, triples);
-            for (f, u) in s2.keys(tier).into_iter().enumerate() {
-                send_off(link, f, 1, u);
-            }
-            for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
-                s2.receive(tier, flight, &recv_off(link, f, 2));
-            }
-            let tail: Vec<_> = (0..pair_flights(table.len()).len()).map(|f| recv_off(link, f, 3)).collect();
-            let (words, count) = s2.finish(tier, &tail);
-            table.install(Some((&words, count)));
-        }
+        // The flights fit the plan's, so the last ends with S₁'s `W`
+        // offset and digest.
+        let end = &tail[tail.len() - 1];
+        let (c_w, digest) = (end[end.len() - 2], end[end.len() - 1]);
+        Mismatch::check(digest, self.digest).map_err(OfflineError::Digest)?;
+        Ok((words, w_raw.wrapping_add(c_w)))
     }
 }
 
 /// Both servers' halves of the offline dialogue in one process, over
-/// their opened `tables` and the plan's `triples`: the wire dialogue
-/// with the link cut out. Installs each server's material and returns
-/// S₂'s.
-pub fn pair_offline_in_process(tables: &mut [PairTable; 2], triples: &[SlotTriple]) -> (Vec<u64>, u64) {
+/// their opened `tables` and the plan's `triples`: each flight is shown
+/// to `tap` with its step (1 key columns, 2 corrections, 3 tail) and
+/// handed to the other half. Installs each server's material and
+/// returns S₂'s. A Count runs its dialogue through its own machines;
+/// this runs it alone, over a plan of draws ([`OtMgEngine`]) or for the
+/// servers' views ([`crate::view`]).
+pub fn pair_offline_in_process(tables: &mut [PairTable; 2], triples: &[SlotTriple], mut tap: impl FnMut(u8, &[u64])) -> (Vec<u64>, u64) {
     let tier = SimdTier::detect();
     let mut s1 = OfflineS1::new(&tables[0], triples);
     let mut s2 = OfflineS2::new(&tables[1], triples);
-    for u in s2.keys(tier) {
-        s1.absorb_keys(tier, &u);
-    }
-    for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
-        let d = s1.corrections(tier, flight);
-        s2.receive(tier, flight, &d);
-    }
-    let (words, count) = s2.finish(tier, &s1.tail(tier));
+    let mut dialogue = || {
+        for u in s2.keys(tier) {
+            tap(1, &u);
+            s1.absorb_keys(tier, &u)?;
+        }
+        for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
+            let d = s1.corrections(tier, flight);
+            tap(2, &d);
+            s2.receive(tier, flight, &d)?;
+        }
+        let tail = s1.tail(tier);
+        tail.iter().for_each(|msg| tap(3, msg));
+        s2.finish(tier, &tail)
+    };
+    // Both halves read one plan, so their flights fit each other.
+    let (words, count) = dialogue().unwrap_or_else(|e| panic!("{e}"));
     tables[0].install(None);
     tables[1].install(Some((&words, count)));
     (words, count)
@@ -669,7 +688,7 @@ impl OtMgEngine {
     /// `W − ⟨W⟩₁`.
     pub fn preprocess(&mut self, plan: &[MgDraw]) -> (Vec<u64>, u64) {
         let (mut tables, triples) = draw_tables(self.root, plan, 0);
-        let material = pair_offline_in_process(&mut tables, &triples);
+        let material = pair_offline_in_process(&mut tables, &triples, |_, _| {});
         self.ledger.merge(&count_offline_ledger(tables[0].len() as u64, triples.len() as u64));
         material
     }
@@ -685,7 +704,6 @@ impl OtMgEngine {
 mod tests {
     use super::*;
     use crate::share::mask_prf;
-    use crate::transport::memory_pair;
 
     /// The material a plan of draws must derandomise onto, by the naive
     /// triple loop over the full masks: `M_p − ⟨M_p⟩₁` by sorted pair and
@@ -761,7 +779,7 @@ mod tests {
         let step = 0x9E37_79B9;
         let (mut tables, triples) = draw_tables(7, &plan, step);
         let opened: Vec<u64> = (0..tables[0].len() as u64).map(|p| p.wrapping_mul(step)).collect();
-        pair_offline_in_process(&mut tables, &triples);
+        pair_offline_in_process(&mut tables, &triples, |_, _| {});
         let (words, count) = naive_material(7, &plan);
         let s1_words = tables[0].pair_words().to_vec();
         let want = opened.iter().zip(words.iter().zip(&s1_words)).fold(
@@ -819,14 +837,14 @@ mod tests {
         let mut s2 = OfflineS2::new(&tables[1], &triples);
         for mut wire_u in s2.keys(tier) {
             tamper(&mut wire_u);
-            s1.absorb_keys(tier, &wire_u);
+            s1.absorb_keys(tier, &wire_u).unwrap();
         }
         for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
             let wire_d: Vec<u64> = s1.corrections(tier, flight);
-            s2.receive(tier, flight, &wire_d);
+            s2.receive(tier, flight, &wire_d).unwrap();
         }
         let wire_tail: Vec<Vec<u64>> = s1.tail(tier);
-        s2.finish(tier, &wire_tail)
+        s2.finish(tier, &wire_tail).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
@@ -835,25 +853,6 @@ mod tests {
         // explicit wire Vec: the API carries everything each side needs.
         let plan = [MgDraw::dense(2, 9, 2), MgDraw::dense(2, 10, 3), MgDraw::dense(2, 11, 2)];
         assert_eq!(explicit_wire(0xFEED, &plan, |_| {}), naive_material(0xFEED, &plan));
-    }
-
-    #[test]
-    fn offline_dialogue_over_a_real_transport_matches_the_dealer() {
-        // The transport driver must reproduce the in-process dialogue
-        // exactly — same Count terms — and the measured offline payload
-        // is the modeled ledger.
-        let plan = [MgDraw::dense(0, 1, 3), MgDraw::dense(4, 7, 5)];
-        let (mut local, triples) = draw_tables(11, &plan, 0);
-        pair_offline_in_process(&mut local, &triples);
-        let (end1, end2) = memory_pair();
-        let [mut t1, mut t2] = draw_tables(11, &plan, 0).0;
-        std::thread::scope(|scope| {
-            scope.spawn(|| pair_offline_over_wire(&end1, &mut t1, &triples));
-            scope.spawn(|| pair_offline_over_wire(&end2, &mut t2, &triples));
-        });
-        assert_eq!([t1.count_term(), t2.count_term()], local.each_ref().map(|t| t.count_term()));
-        let modeled = count_offline_ledger(local[0].len() as u64, triples.len() as u64);
-        assert_eq!(end1.stats().offline_payload_both(), modeled.bytes, "measured offline payload == modeled ledger");
     }
 
     #[test]

@@ -311,7 +311,7 @@ fn mask_lanes<const N: usize>(seed: u64, s: usize, keys: U64xN<N>) -> U64xN<N> {
 ///   derandomises onto them ([`crate::offline`]).
 /// * S₂ with preprocessed material runs S₁'s pass shape over its own
 ///   `λ⁽²⁾`, plus `efg`; the offline phase installs its words
-///   `M_p − ⟨M_p⟩₁` and `W − ⟨W⟩₁` ([`crate::pair_offline_over_wire`]),
+///   `M_p − ⟨M_p⟩₁` and `W − ⟨W⟩₁` ([`crate::OfflineS2::finish`]),
 ///   which [`PairTable::count_term`] sums like S₁'s.
 /// * S₂ with dealer material holds S₁'s mask shares and the full masks
 ///   `λ = λ⁽¹⁾ + λ⁽²⁾` beside the openings: the dealer differences S₂'s
@@ -404,14 +404,14 @@ impl PairTable {
         self.seed
     }
 
-    /// Whose table.
-    pub(crate) fn server(&self) -> ServerId {
-        self.server
-    }
-
     /// The owner's mask shares of the opened pairs, by slot.
     pub(crate) fn mask_shares(&self) -> &[u64] {
         &self.lam[..self.e.len()]
+    }
+
+    /// Whose table.
+    pub fn server(&self) -> ServerId {
+        self.server
     }
 
     /// The dealer words the table keeps ([`Self::keeps_words`]).
@@ -425,7 +425,7 @@ impl PairTable {
     ///
     /// # Panics
     /// Panics on a dealer table, or unless S₂'s words are one a pair.
-    pub(crate) fn install(&mut self, material: Option<(&[u64], u64)>) {
+    pub fn install(&mut self, material: Option<(&[u64], u64)>) {
         assert!(self.preprocessed, "dealer tables hold their words already");
         match material {
             None => self.count_word = PairDealer::count_word(self.seed),
@@ -1216,7 +1216,7 @@ mod tests {
             opened[runs.runs[0].slots[0]] ^= 1;
             tables.iter_mut().for_each(|table| table.push(&opened));
             if preprocessed {
-                pair_offline_in_process(&mut tables, &runs.slot_triples(false));
+                pair_offline_in_process(&mut tables, &runs.slot_triples(false), |_, _| {});
             }
             let got = tables.each_ref().map(|table| runs.pass(table, false).wrapping_add(table.count_term()));
             assert_ne!(got[0].wrapping_add(got[1]), want, "preprocessed {preprocessed}");
@@ -1299,7 +1299,7 @@ mod tests {
                 let opened: Vec<u64> = slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
                 tables.iter_mut().for_each(|table| table.push(&opened));
                 if preprocessed {
-                    pair_offline_in_process(&mut tables, &triples);
+                    pair_offline_in_process(&mut tables, &triples, |_, _| {});
                 }
                 tables.each_ref().map(|table| weighted_pass(table, &run, None).wrapping_add(table.count_term()))
             });

@@ -24,9 +24,8 @@
 //! dependence.
 
 use crate::dealer::Dealer;
-use crate::offline::{draw_tables, MgDraw, OfflineS1, OfflineS2, MAX_FLIGHT_TRIPLES, UNITS_PER_PAIR};
+use crate::offline::{draw_tables, pair_offline_in_process, MgDraw, UNITS_PER_PAIR};
 use crate::ot::packed_words;
-use crate::simd::SimdTier;
 use crate::prg::SplitMix64;
 use crate::ring::Ring64;
 use crate::triple_mul::{mask_round, pair_key, PairTable};
@@ -105,22 +104,14 @@ pub struct OfflineView {
 /// returns what each server receives.
 pub fn record_offline_view(seed: u64, n: u32) -> OfflineView {
     let draws: Vec<MgDraw> = (0..n).flat_map(|i| (i + 1..n - 1).map(move |j| MgDraw::dense(i, j, n - 1 - j))).collect();
-    let (tables, triples) = draw_tables(seed, &draws, 0);
-    let tier = SimdTier::detect();
-    let mut s1 = OfflineS1::new(&tables[0], &triples);
-    let mut s2 = OfflineS2::new(&tables[1], &triples);
+    let (mut tables, triples) = draw_tables(seed, &draws, 0);
     let mut view = OfflineView { key_columns: Vec::new(), corrections: Vec::new(), offsets: Vec::new() };
-    for u in s2.keys(tier) {
-        s1.absorb_keys(tier, &u);
-        view.key_columns.extend(u);
-    }
-    for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
-        let d = s1.corrections(tier, flight);
-        s2.receive(tier, flight, &d);
-        view.corrections.extend(d);
-    }
-    let tail = s1.tail(tier);
-    s2.finish(tier, &tail);
+    let mut tail = Vec::new();
+    pair_offline_in_process(&mut tables, &triples, |step, words| match step {
+        1 => view.key_columns.extend_from_slice(words),
+        2 => view.corrections.extend_from_slice(words),
+        _ => tail.push(words.to_vec()),
+    });
     let pairs = tables[0].len();
     let flights = tail.len();
     for (f, msg) in tail.into_iter().enumerate() {

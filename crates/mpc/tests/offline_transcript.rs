@@ -38,7 +38,7 @@ impl Fold {
 }
 
 /// Drives both machines of one Count over the triples of `plan`, in the
-/// order `pair_offline_over_wire` interleaves them, folding every
+/// order a Count's machines exchange them, folding every
 /// message and S₂'s material into `fold`. Returns the pairs, the
 /// triples and the correction flights.
 fn run_count(root: u64, plan: &[MgDraw], fold: &mut Fold) -> (usize, usize, usize) {
@@ -73,16 +73,16 @@ fn run_count(root: u64, plan: &[MgDraw], fold: &mut Fold) -> (usize, usize, usiz
     let mut s2 = OfflineS2::new(&tables[1], &triples);
     for u in s2.keys(tier) {
         fold.message(&u);
-        s1.absorb_keys(tier, &u);
+        s1.absorb_keys(tier, &u).unwrap();
     }
     for flight in triples.chunks(MAX_FLIGHT_TRIPLES) {
         let d = s1.corrections(tier, flight);
         fold.message(&d);
-        s2.receive(tier, flight, &d);
+        s2.receive(tier, flight, &d).unwrap();
     }
     let tail = s1.tail(tier);
     tail.iter().for_each(|msg| fold.message(msg));
-    let (words, count) = s2.finish(tier, &tail);
+    let (words, count) = s2.finish(tier, &tail).unwrap();
     fold.message(&words);
     fold.word(count);
     (pairs.len(), triples.len(), triples.len().div_ceil(MAX_FLIGHT_TRIPLES))
