@@ -31,9 +31,9 @@ use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
     beaver_mul, cols_to_rows_scalar, cols_to_rows_simd, cols_to_rows_simd_into, cr_hash_batch,
-    cr_hash_scalar, mask_round, mul3, pair_key, push_triples, weighted_pass, Dealer, Frame,
-    IntoFrame, MgDraw, NetStats, OfflineMsg, OfflineS1, OfflineS2, PairDealer, PairRun, PairTable,
-    Ring64, ServerId, SimdTier, SlotTriple, SplitMix64, WireMessage, GROUP_WORDS,
+    cr_hash_scalar, mask_round, mul3, pair_flights, pair_key, push_triples, weighted_pass, Dealer,
+    Frame, IntoFrame, MgDraw, NetStats, OfflineMsg, OfflineS1, OfflineS2, PairDealer, PairRun,
+    PairTable, Ring64, ServerId, SimdTier, SlotTriple, SplitMix64, WireMessage, GROUP_WORDS,
     MAX_FLIGHT_TRIPLES,
 };
 use criterion::{black_box, measure_median_iqr_ns};
@@ -138,7 +138,7 @@ fn timed_dialogue((tables, triples): &([PairTable; 2], Vec<SlotTriple>)) -> ([Du
     let (t, codec) = all.split_at_mut(CODEC);
     let tier = SimdTier::detect();
     let mut wire = |step: u8, flight: usize, words: Vec<u64>| {
-        let msg = OfflineMsg { chunk: 0, flight: flight as u32, step, words };
+        let msg = OfflineMsg { flight: flight as u32, step, words };
         let copy = msg.clone();
         timed(&mut byte_codec, || black_box(OfflineMsg::decode(&copy.encode()).expect("round trip")));
         timed(&mut codec[0], || {
@@ -149,17 +149,19 @@ fn timed_dialogue((tables, triples): &([PairTable; 2], Vec<SlotTriple>)) -> ([Du
         })
     };
     let (mut s1, mut s2) = timed(&mut t[0], || (OfflineS1::new(&tables[0], triples), OfflineS2::new(&tables[1], triples)));
-    for (f, u) in timed(&mut t[1], || s2.keys(tier)).into_iter().enumerate() {
-        let u = wire(1, f, u);
+    for f in 0..pair_flights(tables[1].len()).len() {
+        let u = wire(1, f, timed(&mut t[1], || s2.keys(tier)));
         timed(&mut t[2], || s1.absorb_keys(tier, &u)).expect("one plan");
     }
     for (f, flight) in triples.chunks(MAX_FLIGHT_TRIPLES).enumerate() {
         let d = wire(2, f, timed(&mut t[3], || s1.corrections(tier, flight)));
         timed(&mut t[4], || s2.receive(tier, flight, &d)).expect("one plan");
     }
-    let tail = timed(&mut t[5], || s1.tail(tier));
-    let tail: Vec<_> = tail.into_iter().enumerate().map(|(f, msg)| wire(3, f, msg)).collect();
-    black_box(timed(&mut t[6], || s2.finish(tier, &tail)).expect("one plan"));
+    for f in 0..pair_flights(tables[1].len()).len() {
+        let msg = wire(3, f, timed(&mut t[5], || s1.tail(tier)));
+        timed(&mut t[6], || s2.absorb_tail(tier, &msg)).expect("one plan");
+    }
+    black_box(timed(&mut t[6], || s2.finish()));
     (all, byte_codec)
 }
 

@@ -72,14 +72,20 @@ impl fmt::Display for CountError {
         match self {
             CountError::Send { offline: false, error } => write!(f, "peer hung up: {error:?}"),
             CountError::Send { offline: true, error } => write!(f, "peer hung up (offline): {error:?}"),
-            CountError::Recv { awaited: Awaited::Pair { round, pair }, error } => {
-                write!(f, "peer lost in the online round at pair round {round}, first pair {pair:?}: {error}")
+            CountError::Recv { awaited, error } => {
+                // A frame that arrived out of step is a diverged peer, not a lost one.
+                let peer = if matches!(error, RecvError::Unexpected { .. }) { "peer out of lockstep" } else { "peer lost" };
+                match awaited {
+                    Awaited::Pair { round, pair } => {
+                        write!(f, "{peer} in the online round at pair round {round}, first pair {pair:?}: {error}")
+                    }
+                    Awaited::Offline { .. } => write!(f, "{peer} during offline dialogue: {error}"),
+                }
             }
-            CountError::Recv { error, .. } => write!(f, "peer lost during offline dialogue: {error}"),
             CountError::Round { round, pair, check } => {
                 let at = format_args!("pair round {round}, first pair {pair:?}");
                 match check {
-                    RoundCheck::Round(m) => m.write(f, format_args!("demux routed a foreign round ({at})")),
+                    RoundCheck::Round(m) => m.write(f, format_args!("peer answered with another round ({at})")),
                     RoundCheck::Pair(m) => m.write(f, format_args!("peer out of lockstep in the round at {at}")),
                     RoundCheck::Slab(m) => m.write(f, format_args!("peer slab size mismatch in the round at {at}")),
                     RoundCheck::Fold(m) => {
@@ -128,9 +134,6 @@ struct Offline<'a> {
     flights: [usize; 3],
     step: u8,
     flight: usize,
-    /// Flights made at once and sent one a poll — S₂'s key columns, S₁'s
-    /// tail — or the tail flights S₂ has taken.
-    held: Vec<Vec<u64>>,
 }
 
 enum Half {
@@ -227,20 +230,15 @@ impl<'a, B: AdjacencyBits> ServerCount<'a, B> {
 }
 
 impl<'a> Offline<'a> {
-    /// The half of `table`'s server; S₂ extends its keys at once.
+    /// The half of `table`'s server.
     fn new(table: &PairTable, triples: &'a [SlotTriple]) -> Self {
-        let tier = SimdTier::detect();
-        let (half, held) = match table.server() {
-            ServerId::S1 => (Half::S1(OfflineS1::new(table, triples)), Vec::new()),
-            ServerId::S2 => {
-                let mut s2 = OfflineS2::new(table, triples);
-                let keys = s2.keys(tier);
-                (Half::S2(s2), keys)
-            }
+        let half = match table.server() {
+            ServerId::S1 => Half::S1(OfflineS1::new(table, triples)),
+            ServerId::S2 => Half::S2(OfflineS2::new(table, triples)),
         };
         let keys = pair_flights(table.len()).len();
         let flights = [keys, triples.len().div_ceil(MAX_FLIGHT_TRIPLES), keys];
-        Offline { half, triples, tier, flights, step: 1, flight: 0, held }
+        Offline { half, triples, tier: SimdTier::detect(), flights, step: 1, flight: 0 }
     }
 
     /// The dialogue's next send or await, taking `inbox` where it awaits;
@@ -251,28 +249,25 @@ impl<'a> Offline<'a> {
             let (step, flight) = (self.step, self.flight);
             if flight == self.flights[step as usize - 1] {
                 if step == 3 {
-                    let material = match &self.half {
+                    let material = match &mut self.half {
                         Half::S1(_) => None,
-                        Half::S2(s2) => Some(s2.finish(self.tier, &self.held).map_err(CountError::Offline)?),
+                        Half::S2(s2) => Some(s2.finish()),
                     };
                     table.install(material.as_ref().map(|(words, count)| (&words[..], *count)));
                     return Ok(None);
                 }
                 (self.step, self.flight) = (step + 1, 0);
-                self.held = match &self.half {
-                    Half::S1(s1) if step == 2 => s1.tail(self.tier),
-                    _ => Vec::new(),
-                };
                 continue;
             }
             // S₁ takes the key columns, S₂ the rest.
             if matches!((&self.half, step), (Half::S1(_), 2 | 3) | (Half::S2(_), 1)) {
                 let words = match &mut self.half {
                     Half::S1(s1) if step == 2 => s1.corrections(self.tier, flight_triples(self.triples, flight)),
-                    _ => std::mem::take(&mut self.held[flight]),
+                    Half::S1(s1) => s1.tail(self.tier),
+                    Half::S2(s2) => s2.keys(self.tier),
                 };
                 self.flight += 1;
-                return Ok(Some(Step::Send(CountMsg::Offline(OfflineMsg { chunk: 0, flight: flight as u32, step, words }))));
+                return Ok(Some(Step::Send(CountMsg::Offline(OfflineMsg { flight: flight as u32, step, words }))));
             }
             let theirs = match inbox.take() {
                 None => return Ok(Some(Step::Await(Awaited::Offline { flight: flight as u32, step }))),
@@ -283,10 +278,7 @@ impl<'a> Offline<'a> {
             match &mut self.half {
                 Half::S1(s1) => s1.absorb_keys(self.tier, &theirs.words),
                 Half::S2(s2) if step == 2 => s2.receive(self.tier, flight_triples(self.triples, flight), &theirs.words),
-                Half::S2(_) => {
-                    self.held.push(theirs.words);
-                    Ok(())
-                }
+                Half::S2(s2) => s2.absorb_tail(self.tier, &theirs.words),
             }
             .map_err(CountError::Offline)?;
             self.flight += 1;
@@ -368,7 +360,7 @@ mod tests {
     /// the same error each time, never another send.
     fn stays_failed(machine: &mut ServerCount<'_, BitMatrix>, error: &CountError) {
         assert_eq!(machine.poll(None).unwrap_err(), *error);
-        let stray = CountMsg::Offline(OfflineMsg { chunk: 0, flight: 0, step: 1, words: Vec::new() });
+        let stray = CountMsg::Offline(OfflineMsg { flight: 0, step: 1, words: Vec::new() });
         assert_eq!(machine.poll(Some(stray)).unwrap_err(), *error);
     }
 

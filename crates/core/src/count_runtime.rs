@@ -538,15 +538,15 @@ mod tests {
     fn a_peer_off_the_round_cut_trips_the_lockstep_checks() {
         // A scripted S₂ answers the first pair round with a frame that
         // is off the cut in one way at a time: a slab one pair short,
-        // another first pair. S₁ must stop on the matching check, naming
-        // the round. (A frame of another round is never routed to this
-        // one: the demux keys by round.)
+        // another first pair, another round. S₁ must stop on the
+        // matching check, naming the round.
         let m = erdos_renyi(12, 0.5, 3).to_bit_matrix();
         let s1_job = job(5, 1, 16);
         let honest = PairOpeningMsg { round: 0, pair: (0, 1), fold: 0, words: vec![0; 16] };
         let cases = [
             (PairOpeningMsg { words: vec![0; 15], ..honest.clone() }, "peer slab size mismatch"),
             (PairOpeningMsg { pair: (0, 2), ..honest.clone() }, "peer out of lockstep"),
+            (PairOpeningMsg { round: 1, ..honest.clone() }, "got a pair opening (type 6, tag 1)"),
         ];
         for (frame, check) in cases {
             let stall = std::time::Duration::from_secs(60);
@@ -780,8 +780,8 @@ mod tests {
 
     #[test]
     fn ot_runtime_matches_ot_fast_path_ledger_included() {
-        // The two-party preprocessing dialogue over the multiplexed
-        // links must reproduce the in-process engine exactly: shares,
+        // The two-party preprocessing dialogue over the link must
+        // reproduce the in-process engine exactly: shares,
         // online ledger, AND the offline ledger.
         let g = erdos_renyi(28, 0.3, 11);
         let m = g.to_bit_matrix();

@@ -360,6 +360,37 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_offline_modes_stop_at_the_first_foreign_frame() {
+        // S₁ runs dealer mode, S₂ OT mode: their pair rounds agree, then
+        // S₁ sends its final opening while S₂ sends its first key
+        // flight. Each must refuse the other's frame as it arrives —
+        // long before the link's stall bound — and name its type.
+        use cargo_mpc::{memory_pair_with_timeout, OfflineMode};
+        let g = erdos_renyi(40, 0.3, 5);
+        let dealer = CargoConfig::new(2.0).with_seed(4);
+        let ot = dealer.with_offline(OfflineMode::OtExtension);
+        let stall = std::time::Duration::from_secs(60);
+        let (end1, end2) = memory_pair_with_timeout(stall);
+        let (end1, end2) = (Arc::new(end1), Arc::new(end2));
+        let started = std::time::Instant::now();
+        let (r1, r2) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| run_party(&g, &dealer, ServerId::S1, &end1));
+            let h2 = scope.spawn(|| run_party(&g, &ot, ServerId::S2, &end2));
+            (h1.join(), h2.join())
+        });
+        assert!(started.elapsed() < stall / 2, "failed on the first foreign frame, not on the timeout");
+        let text = |outcome: std::thread::Result<PartyReport>| {
+            let panic = outcome.expect_err("a mismatched pair must not open a count");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let (t1, t2) = (text(r1), text(r2));
+        assert!(t1.contains("got an offline flight (type 3, tag 0) where a final opening"), "{t1}");
+        assert!(t2.contains("got a final opening (type 4, tag 0) where an offline flight"), "{t2}");
+        assert!(t2.contains("peer out of lockstep during offline dialogue"), "{t2}");
+        assert!(!t2.contains("peer lost"), "a frame out of lockstep is no lost peer: {t2}");
+    }
+
+    #[test]
     fn reports_are_identical_except_the_secret_share() {
         let g = barabasi_albert(60, 3, 9);
         let cfg = CargoConfig::new(1.5).with_seed(2);

@@ -1,5 +1,5 @@
-//! Communication accounting for the two-server protocols, plus the
-//! demultiplexer the byte transports share.
+//! Communication accounting for the two-server protocols, and the
+//! error a link's receive fails with.
 //!
 //! The experiments report protocol *cost*; since both servers run
 //! in-process, an explicit [`NetStats`] tally stands in for the wire.
@@ -7,34 +7,20 @@
 //! protocols; the final noisy count) goes through [`NetStats::exchange`]
 //! so message counts, byte counts, and round counts are faithful to the
 //! protocol description even though no sockets exist.
-//!
-//! The sharded Count runtime additionally needs *multiplexed*
-//! connections: many workers per server share one logical link, and
-//! rounds belonging to different pair-space chunks interleave on it.
-//! The [`crate::transport`] backends provide that on top of the
-//! crate-private `KeyedDemux` defined here: every frame carries a
-//! `u32` tag (the chunk id) and the receiving side demultiplexes by
-//! `(message type, tag)`, so a worker blocked on chunk 7's round is
-//! unaffected by chunk 3's messages arriving first.
-
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a blocking receive came back without a message.
 ///
 /// Every [`crate::transport::Transport`] backend surfaces the same
-/// failure modes, so a dropped peer fails the protocol *loudly*
-/// (workers `expect` on this) instead of deadlocking a worker on a
-/// link that will never deliver.
+/// failure modes, so a dropped or diverged peer fails the protocol
+/// *loudly* — the caller gets a typed error — instead of deadlocking
+/// on a link that will never deliver what it awaits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
-    /// Every sending handle is gone and the queue for the requested
-    /// key is drained: the peer hung up.
+    /// Every sending handle is gone and every frame sent before is
+    /// taken: the peer hung up.
     Disconnected,
-    /// The deadline passed with no message for the requested key (the
-    /// peer may be alive but wedged — the caller decides).
+    /// The deadline passed with no frame (the peer may be alive but
+    /// wedged — the caller decides).
     Timeout,
     /// The link delivered bytes that do not decode to a valid frame:
     /// a bit-flip, truncation, or desync caught by the wire codec
@@ -43,6 +29,17 @@ pub enum RecvError {
     /// A *send* returns it, without touching the link, for a frame
     /// the peer's decoder would refuse.
     Corrupt(crate::wire::WireError),
+    /// The next frame on the link is not the one awaited: `got` is its
+    /// `(msg_type, tag)`, `want` the awaited one's. Frames arrive in
+    /// the order the peer sent them, so a peer that sends another frame
+    /// here runs another protocol step (other flags, another round).
+    /// The link is poisoned, as after [`RecvError::Corrupt`].
+    Unexpected {
+        /// The awaited frame's `(msg_type, tag)`.
+        want: (u8, u32),
+        /// The arrived frame's `(msg_type, tag)`.
+        got: (u8, u32),
+    },
 }
 
 impl std::fmt::Display for RecvError {
@@ -51,6 +48,12 @@ impl std::fmt::Display for RecvError {
             RecvError::Disconnected => f.write_str("peer disconnected"),
             RecvError::Timeout => f.write_str("receive timed out"),
             RecvError::Corrupt(e) => write!(f, "corrupt frame on the link: {e}"),
+            RecvError::Unexpected { want: (wt, wg), got: (gt, gg) } => write!(
+                f,
+                "unexpected frame: got {} (type {gt}, tag {gg}) where {} (type {wt}, tag {wg}) was awaited",
+                crate::wire::msg_name(*gt),
+                crate::wire::msg_name(*wt)
+            ),
         }
     }
 }
@@ -220,122 +223,6 @@ impl std::fmt::Display for NetStats {
         Ok(())
     }
 }
-
-struct DemuxState<K, T> {
-    queues: HashMap<K, VecDeque<T>>,
-    /// Whether some worker currently owns the underlying source.
-    pumping: bool,
-    /// Set once the source fails for good ([`RecvError::Disconnected`]
-    /// or [`RecvError::Corrupt`]) — the terminal error every drained
-    /// waiter then returns.
-    closed: Option<RecvError>,
-}
-
-/// The cooperative demultiplexer shared by every multiplexed link in
-/// the crate: both byte transports
-/// ([`crate::transport::InMemoryTransport`],
-/// [`crate::transport::TcpTransport`]) route through this one state
-/// machine, differing only in the `pull` closure that drains their
-/// underlying source (an `mpsc` receiver or a TCP socket).
-///
-/// Whichever worker finds its key's queue empty becomes the *pump*:
-/// it blocks on the source via `pull`, routes whatever arrives into
-/// the per-key queues, and wakes everyone — no dedicated router
-/// thread, and messages for a slow worker never block a fast one.
-pub(crate) struct KeyedDemux<K, T> {
-    state: Mutex<DemuxState<K, T>>,
-    cv: Condvar,
-}
-
-impl<K: Eq + Hash + Copy, T> KeyedDemux<K, T> {
-    pub(crate) fn new() -> Self {
-        KeyedDemux {
-            state: Mutex::new(DemuxState {
-                queues: HashMap::new(),
-                pumping: false,
-                closed: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a message routed to `key` is available.
-    ///
-    /// `pull` is invoked by whichever waiter becomes the pump. It must
-    /// block on the underlying source and return the next routed
-    /// message, `Err(Timeout)` if its own poll slice elapsed with
-    /// nothing (no progress — the demux re-checks deadlines and pumps
-    /// again), or `Err(Disconnected)` once the source is closed for
-    /// good. With `deadline = None` the call blocks until a message or
-    /// disconnection.
-    pub(crate) fn recv_with<F>(
-        &self,
-        key: K,
-        deadline: Option<Instant>,
-        pull: F,
-    ) -> Result<T, RecvError>
-    where
-        F: Fn() -> Result<(K, T), RecvError>,
-    {
-        loop {
-            let mut st = self.state.lock().expect("demux poisoned");
-            loop {
-                if let Some(m) = st.queues.get_mut(&key).and_then(VecDeque::pop_front) {
-                    return Ok(m);
-                }
-                if let Some(err) = st.closed {
-                    return Err(err);
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(RecvError::Timeout);
-                    }
-                }
-                if !st.pumping {
-                    st.pumping = true;
-                    break;
-                }
-                st = match deadline {
-                    None => self.cv.wait(st).expect("demux poisoned"),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Err(RecvError::Timeout);
-                        }
-                        self.cv
-                            .wait_timeout(st, d - now)
-                            .expect("demux poisoned")
-                            .0
-                    }
-                };
-            }
-            drop(st);
-            // This worker is now the unique pump: block on the source.
-            let received = pull();
-            let mut st = self.state.lock().expect("demux poisoned");
-            st.pumping = false;
-            match received {
-                Ok((k, m)) => st.queues.entry(k).or_default().push_back(m),
-                // Disconnection and corruption both end the link for
-                // good: record which, so every waiter (now and later)
-                // fails with the pump's typed error.
-                Err(e @ (RecvError::Disconnected | RecvError::Corrupt(_))) => {
-                    st.closed = Some(e);
-                }
-                // The pump's poll slice elapsed: no progress, no state
-                // change — loop around, re-check the deadline, re-pump.
-                Err(RecvError::Timeout) => {}
-            }
-            self.cv.notify_all();
-            drop(st);
-        }
-    }
-}
-
-/// Poll slice a pump blocks for when some waiter carries a deadline:
-/// long enough to cost nothing, short enough that deadlines are
-/// honoured promptly.
-pub(crate) const DEMUX_POLL: Duration = Duration::from_millis(200);
 
 #[cfg(test)]
 mod tests {

@@ -405,7 +405,8 @@ fn fold_digest(digest: u64, u: &[u64]) -> u64 {
 /// words) and the plan's triples, then drive
 /// [`absorb_keys`](Self::absorb_keys) once per key flight,
 /// [`corrections`](Self::corrections) once per correction flight, and
-/// [`tail`](Self::tail); called out of order, it panics.
+/// [`tail`](Self::tail) once per tail flight; called out of order, it
+/// panics.
 #[derive(Debug, Clone)]
 pub struct OfflineS1 {
     root: u64,
@@ -418,6 +419,9 @@ pub struct OfflineS1 {
     digest: u64,
     /// `Σ −Σm⁰` per slot over the `M` elements corrected so far.
     raw: Vec<u64>,
+    /// Tail flights made so far, and `W`'s raw share over them.
+    tails: usize,
+    w_raw: u64,
 }
 
 impl OfflineS1 {
@@ -436,6 +440,8 @@ impl OfflineS1 {
             keys: 0,
             digest: 0,
             raw: vec![0; local.pairs()],
+            tails: 0,
+            w_raw: local.w,
             local,
             words,
         }
@@ -472,45 +478,56 @@ impl OfflineS1 {
         d
     }
 
-    /// Step 3: the tail flights — per pair the corrections of its two
-    /// `W` elements, then per pair its offset `raw₁ − ⟨M_p⟩₁`; the last
-    /// flight ends with the `W` offset and the key columns' digest.
-    pub fn tail(&self, tier: SimdTier) -> Vec<Vec<u64>> {
-        assert_eq!(self.keys, pair_flights(self.local.pairs()).len(), "offline protocol out of lockstep");
-        let Local { lam, y, w, .. } = &self.local;
-        let mut w_raw = *w;
-        let mut flights = Vec::new();
-        for range in pair_flights(self.local.pairs()) {
-            let a: Vec<u64> = range.clone().flat_map(|q| [y[q], lam[q]]).collect();
-            let elements = self.local.w_elements(range.clone());
-            let mut msg = vec![0; packed_words(elements.len())];
-            let mut sums = vec![0; elements.len()];
-            self.sender.correct(tier, &elements, &a, &mut msg, &mut sums);
-            w_raw = sums.into_iter().fold(w_raw, u64::wrapping_sub);
-            msg.extend(range.map(|p| y[p].wrapping_add(self.raw[p]).wrapping_sub(self.words[p])));
-            flights.push(msg);
+    /// Step 3: the next tail flight — per pair of the flight the
+    /// corrections of its two `W` elements, then per pair its offset
+    /// `raw₁ − ⟨M_p⟩₁`; the last flight ends with the `W` offset and the
+    /// key columns' digest.
+    ///
+    /// # Panics
+    /// Panics before the last key flight and past the last tail flight.
+    pub fn tail(&mut self, tier: SimdTier) -> Vec<u64> {
+        let flights = pair_flights(self.local.pairs());
+        assert_eq!(self.keys, flights.len(), "offline protocol out of lockstep");
+        let range = flights.get(self.tails).expect("offline protocol out of lockstep: a tail flight too many");
+        let Local { lam, y, .. } = &self.local;
+        let a: Vec<u64> = range.clone().flat_map(|q| [y[q], lam[q]]).collect();
+        let elements = self.local.w_elements(range.clone());
+        let mut msg = vec![0; packed_words(elements.len())];
+        let mut sums = vec![0; elements.len()];
+        self.sender.correct(tier, &elements, &a, &mut msg, &mut sums);
+        self.w_raw = sums.into_iter().fold(self.w_raw, u64::wrapping_sub);
+        msg.extend(range.clone().map(|p| y[p].wrapping_add(self.raw[p]).wrapping_sub(self.words[p])));
+        self.tails += 1;
+        if self.tails == flights.len() {
+            msg.extend([self.w_raw.wrapping_sub(PairDealer::count_word(self.root)), self.digest]);
         }
-        let last = flights.last_mut().expect("at least one tail flight");
-        last.extend([w_raw.wrapping_sub(PairDealer::count_word(self.root)), self.digest]);
-        flights
+        msg
     }
 }
 
 /// Server S₂'s half of a Count's offline dialogue: the OT receiver.
 ///
 /// Build it from S₂'s opened [`PairTable`] and the plan's triples, then
-/// drive [`keys`](Self::keys), [`receive`](Self::receive) once per
-/// correction flight and [`finish`](Self::finish).
+/// drive [`keys`](Self::keys) once per key flight,
+/// [`receive`](Self::receive) once per correction flight,
+/// [`absorb_tail`](Self::absorb_tail) once per tail flight and
+/// [`finish`](Self::finish); called out of order, it panics.
 #[derive(Debug, Clone)]
 pub struct OfflineS2 {
     local: Local,
     receiver: CotReceiver,
-    extended: bool,
+    /// Key flights extended so far, and the digest of their columns.
+    keys: usize,
     digest: u64,
     /// Correction flights received so far.
     received: usize,
     /// `Σ` finished sums per slot over the `M` elements received so far.
     raw: Vec<u64>,
+    /// Tail flights absorbed so far, the material's words over them
+    /// (`M_p − ⟨M_p⟩₁` by slot) and `W`'s raw share.
+    tails: usize,
+    words: Vec<u64>,
+    w_raw: u64,
 }
 
 impl OfflineS2 {
@@ -519,29 +536,33 @@ impl OfflineS2 {
         let local = Local::new(table, triples);
         OfflineS2 {
             receiver: simulated_base_ots(base_ot_seed(table.seed())).1,
-            extended: false,
+            keys: 0,
             digest: 0,
             received: 0,
             raw: vec![0; local.pairs()],
+            tails: 0,
+            words: Vec::with_capacity(local.pairs()),
+            w_raw: local.w,
             local,
         }
     }
 
-    /// Step 1: extends one unit per key — `λ⁽²⁾_p` and `Y⁽²⁾_p` of every
-    /// pair — and returns the key flights' columns.
-    pub fn keys(&mut self, tier: SimdTier) -> Vec<Vec<u64>> {
-        assert!(!self.extended, "offline protocol out of lockstep: keys extended twice");
-        self.extended = true;
+    /// Step 1: extends the next key flight — one unit per key,
+    /// `λ⁽²⁾_p` and `Y⁽²⁾_p` of each of its pairs — and returns its
+    /// columns, so only one flight of them is held at a time.
+    ///
+    /// # Panics
+    /// Panics past the plan's last key flight.
+    pub fn keys(&mut self, tier: SimdTier) -> Vec<u64> {
+        let flights = pair_flights(self.local.pairs());
+        let range = flights.get(self.keys).expect("offline protocol out of lockstep: a key flight too many");
         let Local { lam, y, .. } = &self.local;
-        let mut flights = Vec::new();
-        for range in pair_flights(lam.len()) {
-            let choice: Vec<u64> = range.flat_map(|q| [lam[q], y[q]]).collect();
-            let mut u = vec![0; OT_KAPPA * choice.len()];
-            self.receiver.extend(tier, &choice, &mut u);
-            self.digest = fold_digest(self.digest, &u);
-            flights.push(u);
-        }
-        flights
+        let choice: Vec<u64> = range.clone().flat_map(|q| [lam[q], y[q]]).collect();
+        let mut u = vec![0; OT_KAPPA * choice.len()];
+        self.receiver.extend(tier, &choice, &mut u);
+        self.digest = fold_digest(self.digest, &u);
+        self.keys += 1;
+        u
     }
 
     /// Step 2: finishes one flight of triples against S₁'s corrections
@@ -549,9 +570,9 @@ impl OfflineS2 {
     /// `d` that is not the flight's packed corrections.
     ///
     /// # Panics
-    /// Panics if the keys were not extended yet.
+    /// Panics if the keys were not all extended yet.
     pub fn receive(&mut self, tier: SimdTier, triples: &[SlotTriple], d: &[u64]) -> Result<(), OfflineError> {
-        assert!(self.extended, "offline protocol out of lockstep");
+        assert_eq!(self.keys, pair_flights(self.local.pairs()).len(), "offline protocol out of lockstep");
         let (elements, dests) = self.local.m_elements(triples, None);
         let size = Mismatch::check(d.len(), packed_words(elements.len()));
         size.map_err(|m| OfflineError::FlightSize(2, self.received, m))?;
@@ -564,36 +585,45 @@ impl OfflineS2 {
         Ok(())
     }
 
-    /// Step 3: absorbs S₁'s tail flights and returns S₂'s material:
-    /// `M_p − ⟨M_p⟩₁` by slot and `W − ⟨W⟩₁`; refuses a flight off the
-    /// plan's size, or a digest that disagrees with the key columns S₂
-    /// sent.
+    /// Step 3: absorbs S₁'s next tail flight; refuses one off the
+    /// plan's size, or, in the last flight, a digest that disagrees
+    /// with the key columns S₂ sent.
     ///
     /// # Panics
-    /// Panics unless `tail` holds the plan's number of flights.
-    pub fn finish(&self, tier: SimdTier, tail: &[Vec<u64>]) -> Result<(Vec<u64>, u64), OfflineError> {
+    /// Panics past the plan's last tail flight.
+    pub fn absorb_tail(&mut self, tier: SimdTier, msg: &[u64]) -> Result<(), OfflineError> {
         let flights = pair_flights(self.local.pairs());
-        assert_eq!(tail.len(), flights.len(), "offline tail flights");
-        let Local { y, w, .. } = &self.local;
-        let (mut words, mut w_raw) = (Vec::with_capacity(self.local.pairs()), *w);
-        for (f, (range, msg)) in flights.into_iter().zip(tail).enumerate() {
-            let elements = self.local.w_elements(range.clone());
-            let last = if f + 1 == tail.len() { 2 } else { 0 };
-            let packed = packed_words(elements.len());
-            let size = Mismatch::check(msg.len(), packed + range.len() + last);
-            size.map_err(|m| OfflineError::FlightSize(3, f, m))?;
-            let (d, offsets) = msg.split_at(packed);
-            let mut sums = vec![0; elements.len()];
-            self.receiver.receive(tier, &elements, d, &mut sums);
-            w_raw = sums.into_iter().fold(w_raw, u64::wrapping_add);
-            words.extend(range.zip(offsets).map(|(p, c)| y[p].wrapping_add(self.raw[p]).wrapping_add(*c)));
+        let (f, last) = (self.tails, self.tails + 1 == flights.len());
+        let range = flights.get(f).expect("offline protocol out of lockstep: a tail flight too many");
+        let elements = self.local.w_elements(range.clone());
+        let packed = packed_words(elements.len());
+        let size = Mismatch::check(msg.len(), packed + range.len() + if last { 2 } else { 0 });
+        size.map_err(|m| OfflineError::FlightSize(3, f, m))?;
+        let (d, offsets) = msg.split_at(packed);
+        let mut sums = vec![0; elements.len()];
+        self.receiver.receive(tier, &elements, d, &mut sums);
+        self.w_raw = sums.into_iter().fold(self.w_raw, u64::wrapping_add);
+        let (y, raw) = (&self.local.y, &self.raw);
+        self.words.extend(range.clone().zip(offsets).map(|(p, c)| y[p].wrapping_add(raw[p]).wrapping_add(*c)));
+        self.tails += 1;
+        if last {
+            // The flight fits the plan's, so it ends with S₁'s `W`
+            // offset and digest.
+            let (c_w, digest) = (msg[msg.len() - 2], msg[msg.len() - 1]);
+            Mismatch::check(digest, self.digest).map_err(OfflineError::Digest)?;
+            self.w_raw = self.w_raw.wrapping_add(c_w);
         }
-        // The flights fit the plan's, so the last ends with S₁'s `W`
-        // offset and digest.
-        let end = &tail[tail.len() - 1];
-        let (c_w, digest) = (end[end.len() - 2], end[end.len() - 1]);
-        Mismatch::check(digest, self.digest).map_err(OfflineError::Digest)?;
-        Ok((words, w_raw.wrapping_add(c_w)))
+        Ok(())
+    }
+
+    /// S₂'s material, once every tail flight is absorbed: `M_p − ⟨M_p⟩₁`
+    /// by slot and `W − ⟨W⟩₁`.
+    ///
+    /// # Panics
+    /// Panics unless every tail flight was absorbed.
+    pub fn finish(&mut self) -> (Vec<u64>, u64) {
+        assert_eq!(self.tails, pair_flights(self.local.pairs()).len(), "offline tail flights");
+        (std::mem::take(&mut self.words), self.w_raw)
     }
 }
 
@@ -608,8 +638,10 @@ pub fn pair_offline_in_process(tables: &mut [PairTable; 2], triples: &[SlotTripl
     let tier = SimdTier::detect();
     let mut s1 = OfflineS1::new(&tables[0], triples);
     let mut s2 = OfflineS2::new(&tables[1], triples);
-    let mut dialogue = || {
-        for u in s2.keys(tier) {
+    let key_flights = pair_flights(tables[1].len()).len();
+    let mut dialogue = || -> Result<_, OfflineError> {
+        for _ in 0..key_flights {
+            let u = s2.keys(tier);
             tap(1, &u);
             s1.absorb_keys(tier, &u)?;
         }
@@ -618,9 +650,12 @@ pub fn pair_offline_in_process(tables: &mut [PairTable; 2], triples: &[SlotTripl
             tap(2, &d);
             s2.receive(tier, flight, &d)?;
         }
-        let tail = s1.tail(tier);
-        tail.iter().for_each(|msg| tap(3, msg));
-        s2.finish(tier, &tail)
+        for _ in 0..key_flights {
+            let msg = s1.tail(tier);
+            tap(3, &msg);
+            s2.absorb_tail(tier, &msg)?;
+        }
+        Ok(s2.finish())
     };
     // Both halves read one plan, so their flights fit each other.
     let (words, count) = dialogue().unwrap_or_else(|e| panic!("{e}"));
@@ -835,7 +870,8 @@ mod tests {
         let tier = SimdTier::detect();
         let mut s1 = OfflineS1::new(&tables[0], &triples);
         let mut s2 = OfflineS2::new(&tables[1], &triples);
-        for mut wire_u in s2.keys(tier) {
+        for _ in pair_flights(tables[1].len()) {
+            let mut wire_u = s2.keys(tier);
             tamper(&mut wire_u);
             s1.absorb_keys(tier, &wire_u).unwrap();
         }
@@ -843,8 +879,11 @@ mod tests {
             let wire_d: Vec<u64> = s1.corrections(tier, flight);
             s2.receive(tier, flight, &wire_d).unwrap();
         }
-        let wire_tail: Vec<Vec<u64>> = s1.tail(tier);
-        s2.finish(tier, &wire_tail).unwrap_or_else(|e| panic!("{e}"))
+        for _ in pair_flights(tables[1].len()) {
+            let wire_tail: Vec<u64> = s1.tail(tier);
+            s2.absorb_tail(tier, &wire_tail).unwrap_or_else(|e| panic!("{e}"));
+        }
+        s2.finish()
     }
 
     #[test]

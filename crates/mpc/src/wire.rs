@@ -19,7 +19,7 @@
 //!                             OpeningMsg = 1 (no longer sent by a
 //!                             Count); 2 is retired — see below)
 //! 2      2    step           (OfflineMsg step; 0 otherwise)
-//! 4      4    tag            (pair round | chunk id — the demux key)
+//! 4      4    tag            (PairOpeningMsg round | OpeningMsg chunk | 0)
 //! 8      4    a              (pair.i | flight | 0)
 //! 12     4    b              (pair.j | 0)
 //! 16     4    c              (k0 | new pair key fold | 0)
@@ -265,7 +265,9 @@ pub struct Frame {
     pub msg_type: u8,
     /// Offline-dialogue step; 0 for every other message.
     pub step: u16,
-    /// Chunk id — the key the transports demultiplex by.
+    /// The pair round of a [`PairOpeningMsg`]; 0 for every other
+    /// message a Count or release sends. A receive names the
+    /// `(msg_type, tag)` it awaits and refuses another.
     pub tag: u32,
     /// First metadata word (`pair.i`, flight index, or 0).
     pub a: u32,
@@ -516,10 +518,6 @@ pub trait WireMessage: IntoFrame + Clone {
     /// The frame type byte identifying this message on the wire.
     const MSG_TYPE: u8;
 
-    /// The demux tag this message's frame travels under (the chunk id;
-    /// 0 for the final opening).
-    fn tag(&self) -> u32;
-
     /// Lowers a copy of the message to its frame
     /// ([`IntoFrame::into_frame`] moves the words instead).
     fn to_frame(&self) -> Frame {
@@ -554,8 +552,9 @@ pub trait WireMessage: IntoFrame + Clone {
 /// direction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairOpeningMsg {
-    /// The round's index in the Count's pair phase — the tag the
-    /// multiplexed link routes by.
+    /// The round's index in the Count's pair phase, carried as the
+    /// frame's tag: a receive awaiting round `r` refuses a frame of
+    /// another round.
     pub round: u32,
     /// The round's first pair, for lockstep sanity checking.
     pub pair: (u32, u32),
@@ -584,10 +583,6 @@ impl IntoFrame for PairOpeningMsg {
 impl WireMessage for PairOpeningMsg {
     const MSG_TYPE: u8 = 6;
 
-    fn tag(&self) -> u32 {
-        self.round
-    }
-
     fn from_frame(frame: Frame) -> Result<Self, WireError> {
         Ok(PairOpeningMsg {
             round: frame.tag,
@@ -605,8 +600,8 @@ impl WireMessage for PairOpeningMsg {
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningMsg {
-    /// Which pair-space shard this round belongs to — the tag the
-    /// multiplexed link routes by.
+    /// Which pair-space shard this round belonged to, carried as the
+    /// frame's tag.
     pub chunk: u32,
     /// Pair of the round's first triple, for lockstep sanity checking.
     pub pair: (u32, u32),
@@ -633,10 +628,6 @@ impl IntoFrame for OpeningMsg {
 impl WireMessage for OpeningMsg {
     const MSG_TYPE: u8 = 1;
 
-    fn tag(&self) -> u32 {
-        self.chunk
-    }
-
     fn from_frame(frame: Frame) -> Result<Self, WireError> {
         if !frame.payload.words().len().is_multiple_of(3) {
             return Err(WireError::BadLength {
@@ -657,13 +648,12 @@ impl WireMessage for OpeningMsg {
 /// documented in [`crate::offline`]): key columns, correction words, or
 /// the tail of `W` corrections, offsets and digest, with lockstep
 /// metadata in the header. `step` numbers the message kind (1, 2, 3)
-/// and `flight` the flight within it. The payload words are exactly
-/// what the offline ledger formula counts, so measured offline payload
-/// bytes equal [`crate::count_offline_ledger`] exactly.
+/// and `flight` the flight within it; the frame's tag is 0. The
+/// payload words are exactly what the offline ledger formula counts, so
+/// measured offline payload bytes equal [`crate::count_offline_ledger`]
+/// exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OfflineMsg {
-    /// The demux tag: 0 for a Count's one dialogue.
-    pub chunk: u32,
     /// Flight index within the step (lockstep checking).
     pub flight: u32,
     /// Message kind: 1 key columns, 2 corrections, 3 tail.
@@ -678,7 +668,7 @@ impl IntoFrame for OfflineMsg {
         Frame {
             msg_type: Self::MSG_TYPE,
             step: self.step as u16,
-            tag: self.chunk,
+            tag: 0,
             a: self.flight,
             b: 0,
             c: 0,
@@ -690,10 +680,6 @@ impl IntoFrame for OfflineMsg {
 impl WireMessage for OfflineMsg {
     const MSG_TYPE: u8 = 3;
 
-    fn tag(&self) -> u32 {
-        self.chunk
-    }
-
     fn from_frame(frame: Frame) -> Result<Self, WireError> {
         if frame.step > u8::MAX as u16 {
             return Err(WireError::BadLength {
@@ -702,7 +688,6 @@ impl WireMessage for OfflineMsg {
             });
         }
         Ok(OfflineMsg {
-            chunk: frame.tag,
             flight: frame.a,
             step: frame.step as u8,
             words: frame.payload.into_words(),
@@ -735,10 +720,6 @@ impl IntoFrame for FinalOpeningMsg {
 
 impl WireMessage for FinalOpeningMsg {
     const MSG_TYPE: u8 = 4;
-
-    fn tag(&self) -> u32 {
-        0
-    }
 
     fn from_frame(frame: Frame) -> Result<Self, WireError> {
         let [share] = frame.payload.words()[..] else {
@@ -785,10 +766,6 @@ impl IntoFrame for CommitMsg {
 impl WireMessage for CommitMsg {
     const MSG_TYPE: u8 = 5;
 
-    fn tag(&self) -> u32 {
-        0
-    }
-
     fn from_frame(frame: Frame) -> Result<Self, WireError> {
         let [epoch, digest] = frame.payload.words()[..] else {
             return Err(WireError::BadLength {
@@ -813,6 +790,18 @@ pub fn is_offline_msg(msg_type: u8) -> bool {
     msg_type == OfflineMsg::MSG_TYPE
 }
 
+/// The message a frame of type `msg_type` carries, for error texts.
+pub fn msg_name(msg_type: u8) -> &'static str {
+    match msg_type {
+        PairOpeningMsg::MSG_TYPE => "a pair opening",
+        OfflineMsg::MSG_TYPE => "an offline flight",
+        FinalOpeningMsg::MSG_TYPE => "a final opening",
+        CommitMsg::MSG_TYPE => "a commit",
+        OpeningMsg::MSG_TYPE => "a per-triple opening",
+        _ => "an unknown message",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,13 +815,12 @@ mod tests {
             efg: vec![1, u64::MAX, 0x0123_4567_89AB_CDEF],
         };
         assert_eq!(OpeningMsg::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.tag(), 7);
+        assert_eq!(m.to_frame().tag, 7);
     }
 
     #[test]
     fn offline_round_trips() {
         let m = OfflineMsg {
-            chunk: 63,
             flight: 2,
             step: 4,
             words: (0..100u64).collect(),
@@ -846,7 +834,7 @@ mod tests {
             share: Ring64(0xDEAD_BEEF_CAFE_F00D),
         };
         assert_eq!(FinalOpeningMsg::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.tag(), 0);
+        assert_eq!(m.to_frame().tag, 0);
     }
 
     #[test]
@@ -856,7 +844,7 @@ mod tests {
             digest: 0xFACE_FEED_0123_4567,
         };
         assert_eq!(CommitMsg::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.tag(), 0);
+        assert_eq!(m.to_frame().tag, 0);
     }
 
     #[test]
@@ -888,7 +876,6 @@ mod tests {
         // full one.
         for words in 0..=9u64 {
             let bytes = OfflineMsg {
-                chunk: 3,
                 flight: 1,
                 step: 4,
                 words: (0..words).map(|w| w.wrapping_mul(0x0101_0101_0101_0101)).collect(),
@@ -923,7 +910,6 @@ mod tests {
     #[test]
     fn truncation_is_rejected_at_every_length() {
         let bytes = OfflineMsg {
-            chunk: 1,
             flight: 0,
             step: 1,
             words: vec![9, 8, 7],
@@ -979,7 +965,7 @@ mod tests {
         let bytes = m.encode();
         assert_eq!(bytes.len(), FRAME_HEADER_BYTES + 8 * m.words.len());
         assert_eq!(PairOpeningMsg::decode(&bytes).unwrap(), m);
-        assert_eq!(m.tag(), 3);
+        assert_eq!(m.to_frame().tag, 3);
         let empty = PairOpeningMsg { round: 0, pair: (0, 1), fold: 0, words: Vec::new() };
         assert_eq!(PairOpeningMsg::decode(&empty.encode()).unwrap(), empty);
         assert_eq!(OpeningMsg::decode(&bytes), Err(WireError::BadMsgType(PairOpeningMsg::MSG_TYPE)));

@@ -11,8 +11,8 @@
 //! one-triple Count.
 
 use cargo_mpc::{
-    mask_round, pair_key, push_triples, MgDraw, OfflineS1, OfflineS2, PairRun, PairTable,
-    ServerId, SimdTier, MAX_FLIGHT_TRIPLES,
+    mask_round, pair_flights, pair_key, push_triples, MgDraw, OfflineS1, OfflineS2, PairRun,
+    PairTable, ServerId, SimdTier, MAX_FLIGHT_TRIPLES,
 };
 
 /// A word-by-word fold (SplitMix64's finaliser over a running state):
@@ -71,7 +71,8 @@ fn run_count(root: u64, plan: &[MgDraw], fold: &mut Fold) -> (usize, usize, usiz
     let tier = SimdTier::detect();
     let mut s1 = OfflineS1::new(&tables[0], &triples);
     let mut s2 = OfflineS2::new(&tables[1], &triples);
-    for u in s2.keys(tier) {
+    for _ in pair_flights(pairs.len()) {
+        let u = s2.keys(tier);
         fold.message(&u);
         s1.absorb_keys(tier, &u).unwrap();
     }
@@ -80,9 +81,12 @@ fn run_count(root: u64, plan: &[MgDraw], fold: &mut Fold) -> (usize, usize, usiz
         fold.message(&d);
         s2.receive(tier, flight, &d).unwrap();
     }
-    let tail = s1.tail(tier);
-    tail.iter().for_each(|msg| fold.message(msg));
-    let (words, count) = s2.finish(tier, &tail).unwrap();
+    for _ in pair_flights(pairs.len()) {
+        let msg = s1.tail(tier);
+        fold.message(&msg);
+        s2.absorb_tail(tier, &msg).unwrap();
+    }
+    let (words, count) = s2.finish();
     fold.message(&words);
     fold.word(count);
     (pairs.len(), triples.len(), triples.len().div_ceil(MAX_FLIGHT_TRIPLES))

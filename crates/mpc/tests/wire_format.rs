@@ -41,12 +41,11 @@ proptest! {
 
     #[test]
     fn offline_round_trips(
-        chunk in any::<u32>(),
         flight in any::<u32>(),
         step in any::<u8>(),
         words in arb_words(200),
     ) {
-        let msg = OfflineMsg { chunk, flight, step, words };
+        let msg = OfflineMsg { flight, step, words };
         prop_assert_eq!(OfflineMsg::decode(&msg.encode()).unwrap(), msg);
     }
 
@@ -65,9 +64,8 @@ proptest! {
     #[test]
     fn truncated_frames_are_rejected_at_every_cut(
         words in arb_words(20),
-        chunk in any::<u32>(),
     ) {
-        let bytes = OfflineMsg { chunk, flight: 1, step: 2, words }.encode();
+        let bytes = OfflineMsg { flight: 1, step: 2, words }.encode();
         for cut in 0..bytes.len() {
             prop_assert!(matches!(
                 Frame::decode(&bytes[..cut]),
@@ -86,9 +84,9 @@ proptest! {
     }
 
     #[test]
-    fn type_confusion_is_rejected(chunk in any::<u32>(), words in arb_words(9)) {
+    fn type_confusion_is_rejected(words in arb_words(9)) {
         // A frame of one type never decodes as another.
-        let bytes = OfflineMsg { chunk, flight: 0, step: 1, words }.encode();
+        let bytes = OfflineMsg { flight: 0, step: 1, words }.encode();
         prop_assert_eq!(
             OpeningMsg::decode(&bytes),
             Err(WireError::BadMsgType(OfflineMsg::MSG_TYPE))
@@ -173,7 +171,6 @@ fn reference_checksum(bytes: &[u8]) -> u64 {
 /// An encoded [`OfflineMsg`] of `words` distinct payload words.
 fn offline_frame(words: usize) -> Vec<u8> {
     OfflineMsg {
-        chunk: 5,
         flight: 2,
         step: 1,
         words: (1..=words as u64).map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect(),
@@ -288,7 +285,6 @@ fn oversized_announced_payloads_are_rejected() {
 #[test]
 fn header_bytes_of_every_type_are_pinned() {
     let offline = OfflineMsg {
-        chunk: 9,
         flight: 2,
         step: 4,
         words: vec![],

@@ -70,12 +70,11 @@ proptest! {
 
     #[test]
     fn offline_mutations_are_rejected(
-        chunk in any::<u32>(),
         flight in any::<u32>(),
         step in any::<u8>(),
         words in proptest::collection::vec(any::<u64>(), 0..6),
     ) {
-        let bytes = OfflineMsg { chunk, flight, step, words }.encode();
+        let bytes = OfflineMsg { flight, step, words }.encode();
         assert_all_mutations_rejected(&bytes, "OfflineMsg");
     }
 

@@ -20,7 +20,7 @@ fn frame_of(kind: u8, meta: (u32, u32, u32, u32), words: Vec<u64>) -> Frame {
             let efg = words[..whole].to_vec();
             OpeningMsg { chunk, pair: (a, b), k0, efg }.into_frame()
         }
-        1 => OfflineMsg { chunk, flight: a, step: b as u8, words }.into_frame(),
+        1 => OfflineMsg { flight: a, step: b as u8, words }.into_frame(),
         2 => FinalOpeningMsg { share: Ring64(words.first().copied().unwrap_or(k0.into())) }
             .into_frame(),
         _ => CommitMsg { epoch: a.into(), digest: words.first().copied().unwrap_or(b.into()) }
