@@ -11,13 +11,15 @@
 //! other `wire/*` rows attribute a wire party's Count the same way, per
 //! pair or triple and per server, and the `local/*` rows the in-process
 //! Count's weighted passes on the same runs, per triple for both
-//! servers.
+//! servers; `plan/cube` is the Count's listing of the n = 200 cube's
+//! runs, per run.
 //!
 //! ```text
 //! usage: bench_micro [--measure-ms 400] [--quick]
 //! ```
 
 use cargo_core::config::{self, parse_argv, parse_value, Flag};
+use cargo_core::count::walk_slices;
 use cargo_core::{
     estimate_max_degree, project_matrix, CargoConfig, CountScheduler, SchedulePlan,
     DEFAULT_COUNT_BATCH,
@@ -78,7 +80,7 @@ fn parse_args(argv: &[String]) -> Result<Option<u64>, String> {
 fn row(name: &str, n: usize, ops: u64, timing: (f64, f64), bytes_per_op: f64) {
     let (median_ns, iqr_ns) = timing;
     println!(
-        "{name:<24} n={n:<7} {:>10.2} ns/op  iqr {:>8.2}  {bytes_per_op:>5.1} B/op",
+        "{name:<28} n={n:<7} {:>10.2} ns/op  iqr {:>8.2}  {bytes_per_op:>5.1} B/op",
         median_ns / ops as f64,
         iqr_ns / ops as f64
     );
@@ -245,40 +247,54 @@ fn main() {
         row("mul3", 1, 1, ns, probe_net.bytes as f64);
     }
 
-    // wire/*: one party of the wire Count in two shapes: `run`, one
-    // k-run of 1 024 triples, and `mix`, the middle chunk of
-    // `sparse-tcp`'s plan (the Facebook preset's 120-user prefix at
-    // seed 1 on the streamed sparse schedule, whose runs average 3.65
-    // triples). First the pair phase's mask pass over the shape's pair
-    // set, per pair; then the weighted pass over the shape's runs, per
-    // triple (the runs listed over the pair table beforehand, as the
-    // Count lists a chunk's). Then `local/*`, the same runs as
-    // `count_local` evaluates them: each server's pass in turn, per
+    // wire/*: one party of the wire Count in three shapes: `run`, one
+    // k-run of 1 024 triples; `mix`, the middle chunk of `sparse-tcp`'s
+    // plan (the Facebook preset's 120-user prefix at seed 1 on the
+    // streamed sparse schedule, whose runs average 3.65 triples); and
+    // `cube`, every chunk of `dense-mem`'s n = 200 cube. Each shape's
+    // runs are listed as the Count lists a chunk's — in row blocks where
+    // they are long, which is where the AVX-512 pass tiles them — and
+    // `plan/cube` times that listing of the cube, per run listed. First
+    // the pair phase's mask pass over the shape's pair set, per pair;
+    // then the weighted pass over the shape's runs, per triple, the
+    // cube's at every tier this CPU runs. Then `local/*`, the same runs
+    // as `count_local` evaluates them: each server's pass in turn, per
     // triple for both servers. Last fill_words, the expansion of a
     // group's four stream words (the reference Count's per-triple
     // groups), per group.
     // DESIGN.md §8.1 reads these rows.
     {
         let len = DEFAULT_COUNT_BATCH;
-        let run_plan = vec![MgDraw::dense(3, 5, len as u32)];
-        let run_pairs = CountScheduler::new(len + 6, 1, len).pair_set();
+        let run_sched = CountScheduler::new(len + 6, 1, len);
+        let run_plan = vec![vec![MgDraw::dense(3, 5, len as u32)]];
         let (full, _) = SnapDataset::Facebook.load_or_synthesize(None, 1);
         let csr = Arc::new(CsrGraph::from_graph(&full.induced_prefix(120)));
-        let sched = CountScheduler::with_plan(120, 1, len, SchedulePlan::CsrStream(csr));
-        let mix = sched.chunk_plan(&sched.chunks()[sched.chunks().len() / 2]);
-        for (shape, plan, pairs) in [("run", run_plan, run_pairs), ("mix", mix, sched.pair_set())] {
+        let mix_sched = CountScheduler::with_plan(120, 1, len, SchedulePlan::CsrStream(csr));
+        let mix_plan = vec![mix_sched.chunk_plan(&mix_sched.chunks()[mix_sched.chunks().len() / 2])];
+        let cube_sched = CountScheduler::new(200, 1, len);
+        let cube_plan: Vec<Vec<MgDraw>> = cube_sched.chunks().iter().map(|c| cube_sched.chunk_plan(c)).collect();
+        let shapes = [("run", run_plan, run_sched), ("mix", mix_plan, mix_sched), ("cube", cube_plan, cube_sched)];
+        for (shape, plans, sched) in shapes {
+            let pairs = sched.pair_set();
             let mut keys = Vec::new();
             pairs.for_each_run(0..pairs.len(), |_, i, j, run| {
                 keys.extend((0..run as u32).map(|t| pair_key(i, j + t)));
             });
             let bits = vec![1u64; keys.len()];
-            let mut runs = Vec::new();
+            let (mut runs, mut scratch) = (Vec::new(), Vec::new());
             let mut at = 0;
-            for d in &plan {
-                let k = d.k_at(0) as u32;
-                let slots = [pairs.slot(d.i, d.j), pairs.slot(d.i, k), pairs.slot(d.j, k)];
-                runs.push(PairRun { slots, len: d.groups as usize, at });
-                at += d.groups as usize;
+            for plan in &plans {
+                at += walk_slices(&mut scratch, &pairs, plan, |slice: &[PairRun], done| {
+                    runs.extend(slice.iter().map(|run| PairRun { at: at + done + run.at, ..*run }));
+                });
+            }
+            if shape == "cube" {
+                let ns = measure_median_iqr_ns(12, budget, || {
+                    for plan in &plans {
+                        black_box(walk_slices(&mut scratch, &pairs, plan, |_, _| {}));
+                    }
+                });
+                row("plan/cube", runs.len(), runs.len() as u64, ns, 0.0);
             }
             let servers = [ServerId::S1, ServerId::S2];
             let mut tables = servers.map(|server| PairTable::new(7, server, false));
@@ -293,11 +309,17 @@ fn main() {
             let opened: Vec<u64> =
                 slabs[0].iter().zip(&slabs[1]).map(|(a, b)| a.wrapping_add(*b)).collect();
             tables.iter_mut().for_each(|table| table.push(&opened));
-            for (server, table) in servers.into_iter().zip(&tables) {
-                let ns = measure_median_iqr_ns(12, budget, || {
-                    black_box(weighted_pass(table, &runs, None))
-                });
-                row(&format!("wire/pass/{shape}/{server:?}"), at, at as u64, ns, 0.0);
+            let detected = SimdTier::detect();
+            let tiers = if shape == "cube" { SimdTier::available() } else { vec![detected] };
+            for tier in tiers {
+                let label = if tier == detected { shape.to_string() } else { format!("{shape}/{tier}") };
+                for (server, table) in servers.into_iter().zip(&tables) {
+                    let table = table.clone().at_tier(tier);
+                    let ns = measure_median_iqr_ns(12, budget, || {
+                        black_box(weighted_pass(&table, &runs, None))
+                    });
+                    row(&format!("wire/pass/{label}/{server:?}"), at, at as u64, ns, 0.0);
+                }
             }
             let ns = measure_median_iqr_ns(12, budget, || {
                 black_box(tables.each_ref().map(|table| weighted_pass(table, &runs, None)))

@@ -425,50 +425,92 @@ const SLICE_DRAWS: usize = 1024;
 
 /// The mean run length from which a slice's runs are walked in cache
 /// blocks ([`plan_runs`]): shorter runs read too little of a row for
-/// the block order to pay for its sort.
+/// the block order to pay for itself.
 const BLOCKED_RUN: usize = 32;
 
 /// Lists `plan`'s `k`-runs into `runs` as the weighted pass reads them
 /// ([`PairRun`]): their pairs' slots in `pairs`, and each run's
-/// position in plan order — where its signs start. Where the runs are long (a mean of [`BLOCKED_RUN`] triples)
-/// they are walked in cache blocks: by block of [`ROW_BLOCK`] rows `i`,
-/// then by `j`, so a block's runs that share a `j` row read it in turn.
-/// The pass's sums are wrapping additions, so the order is free.
-/// Returns the plan's triples.
+/// position in plan order — where its signs start. Where the runs are
+/// long (a mean of [`BLOCKED_RUN`] triples) they are walked in cache
+/// blocks: by block of [`ROW_BLOCK`] rows `i`, then by `j`, then in plan
+/// order, so a block's runs that share a `(j, k)` row read it in turn —
+/// side by side, where the pass tiles them. The pass's sums are wrapping
+/// additions, so the order is free for the sum; the OT dialogue lists
+/// the triples in it ([`plan_triples`]).
+///
+/// Every plan lists its pairs in `(i, j)` order and a pair's runs in `k`
+/// order, so a block is contiguous and each of its rows ascends in `j`:
+/// the blocked order is a merge of the block's at most [`ROW_BLOCK`]
+/// rows, taken one `j` at a time with the rows in plan order — one
+/// linear pass, no sort. Returns the plan's triples.
 fn plan_runs(pairs: &PairSet, plan: &[MgDraw], runs: &mut Vec<PairRun>) -> usize {
     runs.clear();
-    let mut at = 0;
-    // A pair's k-runs are consecutive draws: its own slot is looked up
-    // once, and its runs' pairs in rows i and j from where the last
-    // lookup in the row stopped (their k ascend).
-    let (mut ij, mut rows) = (((u32::MAX, u32::MAX), 0), [0, 0]);
-    for d in plan {
-        if ij.0 != (d.i, d.j) {
-            rows = [0, 0];
-            ij = ((d.i, d.j), pairs.slot_near(d.i, d.j, &mut rows[0]));
+    let triples = plan.iter().map(|d| d.groups as usize).sum();
+    let mut slots = RunSlots { pairs, pair: None, slot: 0, rows: [0, 0] };
+    if triples < BLOCKED_RUN * plan.len() {
+        let mut at = 0;
+        for d in plan {
+            runs.push(slots.run(d, at));
+            at += d.groups as usize;
+        }
+        return triples;
+    }
+    // Each row of a block: its draws not yet listed, and where the
+    // first of them starts in plan order.
+    let (mut rows, mut at) = (Vec::with_capacity(ROW_BLOCK as usize), 0);
+    for block in plan.chunk_by(|a, b| a.i / ROW_BLOCK == b.i / ROW_BLOCK) {
+        rows.clear();
+        for row in block.chunk_by(|a, b| a.i == b.i) {
+            rows.push((row, at));
+            at += row.iter().map(|d| d.groups as usize).sum::<usize>();
+        }
+        while let Some(j) = rows.iter().filter_map(|(row, _)| Some(row.first()?.j)).min() {
+            for (row, at) in &mut rows {
+                while let Some((d, rest)) = row.split_first().filter(|(d, _)| d.j == j) {
+                    runs.push(slots.run(d, *at));
+                    (*row, *at) = (rest, *at + d.groups as usize);
+                }
+            }
+        }
+    }
+    triples
+}
+
+/// Looks up runs' slots for [`plan_runs`]: a pair's own slot once, and
+/// its runs' pairs in rows `i` and `j` from where its last lookup in the
+/// row stopped (a pair's runs come in ascending `k`, whichever order
+/// the pairs come in).
+struct RunSlots<'a> {
+    pairs: &'a PairSet,
+    /// The pair of the run listed last, and its slot.
+    pair: Option<(u32, u32)>,
+    slot: usize,
+    /// The lookup hints in rows `i` and `j`.
+    rows: [usize; 2],
+}
+
+impl RunSlots<'_> {
+    /// Draw `d` as a run starting at plan position `at`.
+    fn run(&mut self, d: &MgDraw, at: usize) -> PairRun {
+        if self.pair != Some((d.i, d.j)) {
+            self.rows = [0, 0];
+            self.pair = Some((d.i, d.j));
+            self.slot = self.pairs.slot_near(d.i, d.j, &mut self.rows[0]);
         }
         let k = d.k_at(0) as u32;
-        let slots =
-            [ij.1, pairs.slot_near(d.i, k, &mut rows[0]), pairs.slot_near(d.j, k, &mut rows[1])];
-        runs.push(PairRun { slots, len: d.groups as usize, at });
-        at += d.groups as usize;
+        let (ik, jk) = (self.pairs.slot_near(d.i, k, &mut self.rows[0]), self.pairs.slot_near(d.j, k, &mut self.rows[1]));
+        PairRun { slots: [self.slot, ik, jk], len: d.groups as usize, at }
     }
-    if at >= BLOCKED_RUN * runs.len() {
-        let keys = plan.iter().map(|d| (d.i / ROW_BLOCK, d.j));
-        let mut blocked: Vec<_> = keys.zip(runs.iter()).map(|(key, &run)| (key, run)).collect();
-        blocked.sort_unstable_by_key(|&(key, run)| (key, run.at));
-        runs.clear();
-        runs.extend(blocked.into_iter().map(|(_, run)| run));
-    }
-    at
 }
 
 /// Walks a chunk's **draw plan** `plan` — one `(pair, k-run)` per
 /// [`MgDraw`] — in slices of at least [`SLICE_DRAWS`] draws, cut at row
 /// blocks: lists each slice as runs over the pair set once
 /// ([`plan_runs`], into the scratch `runs`) and calls `f` with them and
-/// the triples before the slice. Returns the plan's triples.
-fn walk_slices(
+/// the triples before the slice. Returns the plan's triples. Public,
+/// hidden, for the micro-benchmarks' rows of the listing and the pass.
+#[doc(hidden)]
+pub fn walk_slices(
     runs: &mut Vec<PairRun>,
     pairs: &PairSet,
     plan: &[MgDraw],
@@ -878,5 +920,98 @@ mod tests {
         let c = count_local(&m, &job(12, 2, 0));
         assert_eq!(a.reconstruct(), c.reconstruct());
         assert_ne!(a.share1, c.share1, "different seed, different shares");
+    }
+
+    /// The blocked order by a comparison sort, as the listing took it
+    /// before it merged: the runs in plan order and, where they average
+    /// [`BLOCKED_RUN`] triples, sorted by `(i / ROW_BLOCK, j, at)`.
+    fn sorted_runs(pairs: &PairSet, plan: &[MgDraw]) -> Vec<PairRun> {
+        let mut at = 0;
+        let mut keyed: Vec<_> = plan
+            .iter()
+            .map(|d| {
+                let k = d.k_at(0) as u32;
+                let slots = [pairs.slot(d.i, d.j), pairs.slot(d.i, k), pairs.slot(d.j, k)];
+                at += d.groups as usize;
+                ((d.i / ROW_BLOCK, d.j), PairRun { slots, len: d.groups as usize, at: at - d.groups as usize })
+            })
+            .collect();
+        if at >= BLOCKED_RUN * keyed.len() {
+            keyed.sort_unstable_by_key(|&(key, run)| (key, run.at));
+        }
+        keyed.into_iter().map(|(_, run)| run).collect()
+    }
+
+    /// `plan_runs` over `plan`, checked against the sort; whether the
+    /// slice was blocked and its order differs from plan order.
+    fn check_listing(pairs: &PairSet, plan: &[MgDraw]) -> bool {
+        let mut runs = Vec::new();
+        let triples = plan_runs(pairs, plan, &mut runs);
+        let want = sorted_runs(pairs, plan);
+        assert_eq!(triples, plan.iter().map(|d| d.groups as usize).sum::<usize>());
+        assert_eq!(runs, want, "{} draws", plan.len());
+        runs.iter().zip(1..).any(|(run, next)| want.get(next).is_some_and(|after| after.at < run.at))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn blocked_listing_is_the_sorted_order(
+            n in 3u32..120,
+            pair_odds in 0.2f64..1.0,
+            k_odds in 0usize..4,
+            cut in (0.0f64..1.0, 0.0f64..1.0),
+            seed: u64,
+        ) {
+            // A random plan over the cube's pairs: some pairs, each with
+            // its kept `k`s as maximal runs (several a pair where `k`s
+            // drop out), listed as a plan lists them; then any slice of
+            // it, so the first and last blocks are partial. Dense `k`s
+            // at large `n` average far above BLOCKED_RUN, sparse ones
+            // far below.
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, k_odds): (u32, f64) = (n, [1.0, 0.97, 0.6, 0.15][k_odds]);
+            let mut plan = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n.saturating_sub(1) {
+                    let ks: Vec<u32> = (j + 1..n).filter(|_| rng.gen_bool(k_odds)).collect();
+                    if rng.gen_bool(pair_odds) && !ks.is_empty() {
+                        crate::count_sched::push_runs(&mut plan, i, j, &ks);
+                    }
+                }
+            }
+            let pairs = CountScheduler::new(n as usize, 1, 64).pair_set();
+            let [a, b] = [cut.0, cut.1].map(|f| (f * plan.len() as f64) as usize);
+            check_listing(&pairs, &plan[a.min(b)..a.max(b)]);
+        }
+    }
+
+    #[test]
+    fn every_slice_of_a_count_lists_its_runs_in_the_sorted_order() {
+        // The Count's own slices: the cube's chunks start at any pair, so
+        // their first blocks are partial; its early slices average far
+        // above BLOCKED_RUN and its last ones below, and every slice of
+        // a sparse plan, whose pairs hold several k-runs, below.
+        let g = erdos_renyi(150, 0.4, 2);
+        let sparse = SchedulePlan::CandidatePairs(Arc::new(crate::count_sched::CandidateSet::from_graph(&g)));
+        for (plan, dense) in [(SchedulePlan::DenseCube, true), (sparse, false)] {
+            let sched = CountScheduler::with_plan(150, 1, 64, plan);
+            let pairs = sched.pair_set();
+            let (mut blocked, mut slices) = (0, 0);
+            for chunk in sched.chunks() {
+                let plan = sched.chunk_plan(chunk);
+                // Each draw's first triple in plan order names its slice.
+                let starts: Vec<usize> = plan.iter().scan(0, |at, d| Some(std::mem::replace(at, *at + d.groups as usize))).collect();
+                walk_slices(&mut Vec::new(), &pairs, &plan, |runs, done| {
+                    let first = starts.partition_point(|&at| at < done);
+                    blocked += usize::from(check_listing(&pairs, &plan[first..first + runs.len()]));
+                    slices += 1;
+                });
+            }
+            assert!(slices > blocked, "some slices are listed in plan order");
+            assert_eq!(blocked > 0, dense, "the cube's long runs are blocked, the sparse plan's are not");
+        }
     }
 }

@@ -153,16 +153,13 @@ impl CandidateSet {
         let mut pairs = Vec::new();
         let mut k_offsets = vec![0usize];
         let mut ks = Vec::new();
-        for i in 0..n {
-            for &j in csr.neighbors(i).iter().filter(|&&j| (j as usize) > i) {
-                let before = ks.len();
-                csr.common_neighbors_above(i, j as usize, j as usize, &mut ks);
-                if ks.len() > before {
-                    pairs.push((i as u32, j));
-                    k_offsets.push(ks.len());
-                }
-            }
-        }
+        // The marked walk lists every upper edge with a non-empty k-list.
+        csr.walk_upper_edges((0, 0), 0, &mut NeighborMarks::new(n), |_| true, |_, i, j, list| {
+            pairs.push((i as u32, j as u32));
+            ks.extend_from_slice(list);
+            k_offsets.push(ks.len());
+            true
+        });
         CandidateSet {
             n,
             pairs,
@@ -1607,6 +1604,53 @@ mod tests {
         }
         assert_eq!(CandidateSet::from_triples(40, &triples), cs);
         assert!(CandidateSet::from_triples(40, &[]).is_empty());
+    }
+
+    /// `g`'s candidate set with each upper edge's `k`-list taken by a
+    /// sorted merge of its two neighbor lists above `j`.
+    fn merged_candidates(g: &Graph) -> CandidateSet {
+        let csr = CsrGraph::from_graph(g);
+        let (mut pairs, mut k_offsets, mut ks) = (Vec::new(), vec![0], Vec::new());
+        for i in 0..g.n() {
+            for &j in csr.upper_neighbors(i) {
+                let above = |v: usize| csr.neighbors(v).iter().copied().filter(move |&k| k > j);
+                let (mut a, mut b) = (above(i).peekable(), above(j as usize).peekable());
+                let before = ks.len();
+                while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+                    if x <= y {
+                        a.next();
+                    }
+                    if y <= x {
+                        b.next();
+                    }
+                    if x == y {
+                        ks.push(x);
+                    }
+                }
+                if ks.len() > before {
+                    pairs.push((i as u32, j));
+                    k_offsets.push(ks.len());
+                }
+            }
+        }
+        let graph = Some(Arc::new(csr));
+        CandidateSet { n: g.n(), pairs, k_offsets, ks, negate: Vec::new(), graph }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn from_graph_is_the_merged_candidate_set(n in 0usize..90, p in 0.0f64..0.6, seed: u64, hubs: bool) {
+            let g = if hubs {
+                generators::chung_lu(n + 30, 4 * n, n / 2 + 2, 2.2, seed)
+            } else {
+                generators::erdos_renyi(n, p, seed)
+            };
+            let (got, want) = (CandidateSet::from_graph(&g), merged_candidates(&g));
+            proptest::prop_assert_eq!((&got.pairs, &got.k_offsets, &got.ks), (&want.pairs, &want.k_offsets, &want.ks));
+            proptest::prop_assert_eq!((got.n, &got.negate, &got.graph), (want.n, &want.negate, &want.graph));
+        }
     }
 
     #[test]

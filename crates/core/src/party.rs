@@ -388,6 +388,9 @@ mod tests {
         assert!(t2.contains("got a final opening (type 4, tag 0) where an offline flight"), "{t2}");
         assert!(t2.contains("peer out of lockstep during offline dialogue"), "{t2}");
         assert!(!t2.contains("peer lost"), "a frame out of lockstep is no lost peer: {t2}");
+        for text in [&t1, &t2] {
+            assert!(!text.contains("mid-epoch"), "a one-shot run has no epoch: {text}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::node_dp::node_dp_count_sensitivity;
 use crate::party::{EpochParty, InProcess};
 use crate::perturb::aggregate_noise_shares;
 use crate::projection::project_matrix;
+use crate::session::SessionError;
 use cargo_dp::{FixedPointCodec, PrivacyAccountant, PrivacyBudget};
 use cargo_graph::{count_triangles_matrix, Graph};
 use cargo_mpc::NetStats;
@@ -175,7 +176,11 @@ pub(crate) fn algorithm1<P: EpochParty>(
         codec.lift_integer(count.share1) + gamma1,
         codec.lift_integer(count.share2) + gamma2,
     );
-    let opened = party.open(finals).unwrap_or_else(|e| panic!("{e}"));
+    let opened = party.open(finals).unwrap_or_else(|e| match e {
+        // A one-shot run has no epoch: name the step the peer failed at.
+        SessionError::Peer(msg) => panic!("peer failure at the final opening: {msg}"),
+        e => panic!("{e}"),
+    });
     accountant
         .spend(perturb_label, split.epsilon2)
         .expect("budget split cannot exceed the cap");

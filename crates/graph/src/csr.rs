@@ -23,14 +23,13 @@
 //! so a [`CsrGraph`] is its adjacency (copied from a [`Graph`], or
 //! counting-sorted from a sorted pair list or the loader's unsorted
 //! one), and the orientation is derived from it by whoever first asks
-//! for a rank, a forward list or a wedge. The candidate-pair schedulers
-//! build their public `k`-lists from two equivalent primitives:
-//! `common_neighbors_above` intersects one pair by a sorted merge (the
-//! eager plan, and the reference the tests compare against), and
-//! [`CsrGraph::walk_upper_edges`] streams every upper edge's list by
-//! *marking* the source's neighborhood once and validating the other
-//! side against it (the streamed plan) — the smaller relation proposes,
-//! the index validates, nothing merges through a hub's tail.
+//! for a rank, a forward list or a wedge. The candidate-pair schedulers,
+//! eager and streamed, build their public `k`-lists with
+//! [`CsrGraph::walk_upper_edges`], which streams every upper edge's list
+//! by *marking* the source's neighborhood once and validating the other
+//! side against it — the smaller relation proposes, the index
+//! validates, nothing merges through a hub's tail. A sorted merge of
+//! the two lists is the tests' reference.
 
 use crate::bitvec::BitMatrix;
 use crate::graph::Graph;
@@ -239,33 +238,6 @@ impl CsrGraph {
         self.neighbors(a).binary_search(&(b as u32)).is_ok()
     }
 
-    /// Appends to `out` the common neighbors `k` of `u` and `v` with
-    /// `k > floor`, ascending — a linear merge of two sorted adjacency
-    /// slices. This is the public `k`-list primitive of the sparse
-    /// Count schedule: for a candidate pair `(i, j)` it yields exactly
-    /// the `k` for which both `(i, k)` and `(j, k)` are candidate
-    /// pairs.
-    pub fn common_neighbors_above(&self, u: usize, v: usize, floor: usize, out: &mut Vec<u32>) {
-        let mut a = self.neighbors(u);
-        let mut b = self.neighbors(v);
-        // Skip the below-floor prefixes in O(log) rather than merging
-        // through them.
-        let fl = floor as u32;
-        a = &a[a.partition_point(|&x| x <= fl)..];
-        b = &b[b.partition_point(|&x| x <= fl)..];
-        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-            match x.cmp(&y) {
-                std::cmp::Ordering::Less => a = &a[1..],
-                std::cmp::Ordering::Greater => b = &b[1..],
-                std::cmp::Ordering::Equal => {
-                    out.push(x);
-                    a = &a[1..];
-                    b = &b[1..];
-                }
-            }
-        }
-    }
-
     /// The adjacency arrays `(offsets, targets)`: `v`'s row is
     /// `targets[offsets[v]..offsets[v + 1]]`. An index into `targets` —
     /// a **position** — names one orientation of one edge, and the
@@ -286,8 +258,8 @@ impl CsrGraph {
     /// edge `from` (inclusive) onwards — and calls
     /// `f(ordinal, i, j, ks)` for every edge that `want(ordinal)` and
     /// whose `k`-list `ks = {k > j : k ∈ N(i) ∩ N(j)}` is **non-empty**,
-    /// ascending exactly as [`Self::common_neighbors_above`]`(i, j, j)`
-    /// lists it. `ordinal` numbers the upper edges in walk order
+    /// ascending — exactly the list a sorted merge of `N(i)` and `N(j)`
+    /// above `j` gives. `ordinal` numbers the upper edges in walk order
     /// (`from_ordinal` is `from`'s own); `f` returning `false` stops
     /// the walk. An unwanted edge costs one `want` call — `N(j)` is
     /// never touched.
@@ -572,18 +544,43 @@ mod tests {
         );
     }
 
+    /// Appends to `out` the common neighbors `k` of `u` and `v` with
+    /// `k > floor`, ascending — a linear merge of two sorted adjacency
+    /// slices: the reference the marked walk's lists are checked
+    /// against.
+    fn common_neighbors_above(c: &CsrGraph, u: usize, v: usize, floor: usize, out: &mut Vec<u32>) {
+        let mut a = c.neighbors(u);
+        let mut b = c.neighbors(v);
+        // Skip the below-floor prefixes in O(log) rather than merging
+        // through them.
+        let fl = floor as u32;
+        a = &a[a.partition_point(|&x| x <= fl)..];
+        b = &b[b.partition_point(|&x| x <= fl)..];
+        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+            match x.cmp(&y) {
+                std::cmp::Ordering::Less => a = &a[1..],
+                std::cmp::Ordering::Greater => b = &b[1..],
+                std::cmp::Ordering::Equal => {
+                    out.push(x);
+                    a = &a[1..];
+                    b = &b[1..];
+                }
+            }
+        }
+    }
+
     #[test]
     fn common_neighbors_above_is_a_floored_intersection() {
         let g = diamond();
         let c = CsrGraph::from_graph(&g);
         let mut out = Vec::new();
-        c.common_neighbors_above(1, 2, 0, &mut out);
+        common_neighbors_above(&c, 1, 2, 0, &mut out);
         assert_eq!(out, vec![3], "N(1) ∩ N(2) above 0, excluding each other");
         out.clear();
-        c.common_neighbors_above(0, 1, 1, &mut out);
+        common_neighbors_above(&c, 0, 1, 1, &mut out);
         assert_eq!(out, vec![2]);
         out.clear();
-        c.common_neighbors_above(0, 1, 2, &mut out);
+        common_neighbors_above(&c, 0, 1, 2, &mut out);
         assert!(out.is_empty(), "floor excludes everything");
     }
 
@@ -595,7 +592,7 @@ mod tests {
         for i in 0..c.n() {
             for &j in c.upper_neighbors(i) {
                 let mut ks = Vec::new();
-                c.common_neighbors_above(i, j as usize, j as usize, &mut ks);
+                common_neighbors_above(c, i, j as usize, j as usize, &mut ks);
                 if !ks.is_empty() {
                     lists.push((ordinal, i, j as usize, ks));
                 }

@@ -8,9 +8,9 @@
 //!   datasets.
 //! * [`count_triangles_node_iterator`] — classic node-iterator over
 //!   wedge endpoints, used as an independent implementation for testing.
-//! * [`count_triangles_matrix`] — the `O(n³)` triple loop over the bit
-//!   matrix, mirroring the access pattern of the secure `Count`
-//!   (Algorithm 4): a triangle exists iff `a_ij · a_ik · a_jk = 1`.
+//! * [`count_triangles_matrix`] — Algorithm 4's sum over the bit
+//!   matrix, `Σ_{i<j<k} a_ij · a_ik · a_jk`, taken a word at a time: per
+//!   set `a_ij`, the popcount of row `i` ∧ row `j` above `j`, `O(n³/64)`.
 //!   Also the only counter defined on *asymmetric* (projected) matrices,
 //!   matching exactly what the secure protocol computes.
 //!
@@ -93,28 +93,26 @@ pub fn count_triangles_node_iterator(g: &Graph) -> u64 {
     t3 / 3
 }
 
-/// Exact triangle count over a bit matrix with the `O(n³)` triple loop
-/// of Algorithm 4: `T = Σ_{i<j<k} a_ij · a_ik · a_jk`.
+/// Exact triangle count over a bit matrix, Algorithm 4's
+/// `T = Σ_{i<j<k} a_ij · a_ik · a_jk`, as
+/// `Σ_i Σ_{j>i, a_ij} popcount(row_i ∧ row_j above j)`: for each set
+/// `a_ij`, the `k > j` with both `a_ik` (row `i`) and `a_jk` (row `j`)
+/// set, 64 at a time.
 ///
 /// Defined for asymmetric matrices too (the post-projection case): the
 /// bit consulted for pair `(x, y)` with `x < y` is always row `x`'s bit,
 /// exactly as in the secure protocol where user `x` (the lower index)
 /// contributes the share of `a_xy`.
 pub fn count_triangles_matrix(m: &BitMatrix) -> u64 {
-    let n = m.n();
     let mut t = 0u64;
-    for i in 0..n {
-        let row_i = m.row(i);
-        // Iterate only over j where a_ij = 1; a_ij = 0 kills the product.
-        let js: Vec<usize> = row_i.iter_ones().filter(|&j| j > i).collect();
-        for (a, &j) in js.iter().enumerate() {
-            let row_j = m.row(j);
-            for &k in &js[a + 1..] {
-                // a_ik is set by construction of `js`; check a_jk.
-                if row_j.get(k) {
-                    t += 1;
-                }
-            }
+    for i in 0..m.n() {
+        let row_i = m.row(i).words();
+        for j in m.row(i).iter_ones().filter(|&j| j > i) {
+            // Bits above j: from bit j + 1, in word (j + 1) / 64 on.
+            let (first, shift) = ((j + 1) / 64, (j + 1) % 64);
+            let both = row_i.iter().zip(m.row(j).words()).skip(first).map(|(a, b)| a & b);
+            let above = both.enumerate().map(|(w, x)| if w == 0 { x >> shift } else { x });
+            t += above.map(|x| u64::from(x.count_ones())).sum::<u64>();
         }
     }
     t
@@ -260,5 +258,44 @@ mod tests {
         let mut m2 = g.to_bit_matrix();
         m2.set(2, 1, false);
         assert_eq!(count_triangles_matrix(&m2), 1);
+    }
+
+    /// Algorithm 4's triple loop, bit by bit: the popcount's oracle.
+    fn triple_loop(m: &BitMatrix) -> u64 {
+        let n = m.n();
+        let mut t = 0u64;
+        for i in 0..n {
+            for j in i + 1..n {
+                for k in j + 1..n {
+                    t += u64::from(m.get(i, j) && m.get(i, k) && m.get(j, k));
+                }
+            }
+        }
+        t
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn popcount_recount_is_the_triple_loop_on_asymmetric_matrices(
+            n in 0usize..131,
+            density in 0.0f64..1.0,
+            seed: u64,
+        ) {
+            // Every off-diagonal bit drawn independently, so rows
+            // disagree with their mirrors, and the diagonal set, which
+            // no triple reads; word edges at 64 and 128 fall inside and
+            // at row ends.
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut m = BitMatrix::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    m.set(i, j, i == j || rng.gen_bool(density));
+                }
+            }
+            proptest::prop_assert_eq!(count_triangles_matrix(&m), triple_loop(&m));
+        }
     }
 }

@@ -706,6 +706,7 @@ struct RunRows<'a, T> {
 
 /// `N` triples' words of a run ([`RunRows`]), the columns a pass does
 /// not read zero.
+#[derive(Clone, Copy)]
 struct Lanes<const N: usize> {
     f: U64xN<N>,
     g: U64xN<N>,
@@ -786,6 +787,21 @@ impl RunRows<'_, [u64; LANES]> {
             m: block(self.m, SIGNED),
         }
     }
+
+    /// Block `b`'s words of a tile's run whose `(j, k)` row is
+    /// `shared`'s: its own `(i, k)` row's words and signs, beside the
+    /// shared row's `g`, `z` and `cl` as `shared` loaded them.
+    #[inline(always)]
+    fn beside<const SIGNED: bool, const S2_DEALER: bool>(&self, b: usize, shared: &Lanes<LANES>) -> Lanes<LANES> {
+        let block = |column: &[[u64; LANES]], used: bool| U64xN(if used { column[b] } else { [0; LANES] });
+        Lanes {
+            f: block(self.f, true),
+            y: block(self.y, true),
+            bl: block(self.bl, S2_DEALER),
+            m: block(self.m, SIGNED),
+            ..*shared
+        }
+    }
 }
 
 /// `(v ^ m) − m`: `v` where the sign mask `m` is `0` and `−v` where it
@@ -804,17 +820,91 @@ fn signed<const SIGNED: bool, const N: usize>(m: U64xN<N>, v: U64xN<N>) -> U64xN
 /// telescoped `Σ s·(λ_ik + f)(λ_jk + g)` with dealer material.
 type RunSums<const N: usize> = [U64xN<N>; 3];
 
+/// How a tier's pass adds a product of `N` lanes by `N` lanes into a
+/// sum: `sum + a·b`.
+trait LaneMul<const N: usize> {
+    fn mul_add(sum: U64xN<N>, a: U64xN<N>, b: U64xN<N>) -> U64xN<N>;
+}
+
+/// [`U64xN`]'s own `*` and `+`, as LLVM compiles them at the wrapper's
+/// ISA.
+struct Plain;
+
+impl<const N: usize> LaneMul<N> for Plain {
+    #[inline(always)]
+    fn mul_add(sum: U64xN<N>, a: U64xN<N>, b: U64xN<N>) -> U64xN<N> {
+        sum + a * b
+    }
+}
+
+/// AVX-512's lane product with its destination zeroed first, added into
+/// a sum held in a vector register ([`mul_add_zeroed`]).
+#[cfg(target_arch = "x86_64")]
+struct Zeroed;
+
+#[cfg(target_arch = "x86_64")]
+impl LaneMul<LANES> for Zeroed {
+    #[inline(always)]
+    fn mul_add(sum: U64x8, a: U64x8, b: U64x8) -> U64x8 {
+        // SAFETY: only `weighted_avx512` passes with `Zeroed`, and its
+        // callers check the CPU runs AVX-512 first.
+        unsafe { mul_add_zeroed(sum, a, b) }
+    }
+}
+
+/// `sum + a·b` by a `vpmullq` into a register a `vpxorq` zeroes first.
+/// On the reference Xeon `vpmullq` waits on the last write of its
+/// destination register — a false dependency LLVM does not break at a
+/// generic target, so a loop whose products land in a register an
+/// earlier product wrote chains them: a loop of one `vpmullq` an
+/// iteration ran at ≈ 8 ns an iteration plain and ≈ 1.5 ns with the
+/// zeroing (DESIGN.md §8.1). The sum stays in a vector register, so a
+/// tile's accumulators stay whole vectors.
+///
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+unsafe fn mul_add_zeroed(sum: U64x8, a: U64x8, b: U64x8) -> U64x8 {
+    use std::arch::x86_64::__m512i;
+    use std::mem::transmute;
+    // SAFETY: both types are 64 bytes of plain data, every bit pattern
+    // valid in either; the asm is register-only AVX-512 arithmetic,
+    // which the caller vouches the CPU has, and `out` keeps the
+    // product's register apart from the inputs, which the zeroing
+    // would clobber.
+    unsafe {
+        let mut sum = transmute::<U64x8, __m512i>(sum);
+        let (a, b) = (transmute::<U64x8, __m512i>(a), transmute::<U64x8, __m512i>(b));
+        std::arch::asm!(
+            "vpxorq {p}, {p}, {p}",
+            "vpmullq {p}, {a}, {b}",
+            "vpaddq {sum}, {sum}, {p}",
+            sum = inout(zmm_reg) sum,
+            p = out(zmm_reg) _,
+            a = in(zmm_reg) a,
+            b = in(zmm_reg) b,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+        transmute::<__m512i, U64x8>(sum)
+    }
+}
+
 /// Adds `N` triples of a run into its sums. Signs negate the `(j, k)`
 /// row's words, so every product with one is signed.
 #[inline(always)]
-fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const N: usize>(l: Lanes<N>, sums: &mut RunSums<N>) {
+fn accumulate<const SIGNED: bool, const S2_DEALER: bool, const N: usize, M: LaneMul<N>>(
+    l: Lanes<N>,
+    sums: &mut RunSums<N>,
+) {
     let (f, g) = (l.f, signed::<SIGNED, N>(l.m, l.g));
     let (y, z) = (l.y, signed::<SIGNED, N>(l.m, l.z));
-    sums[0] = sums[0] + f * g;
-    sums[1] = sums[1] + y * g + f * z;
+    sums[0] = M::mul_add(sums[0], f, g);
+    sums[1] = M::mul_add(M::mul_add(sums[1], y, g), f, z);
     if S2_DEALER {
         let (b, c) = (f + l.bl, g + signed::<SIGNED, N>(l.m, l.cl));
-        sums[2] = sums[2] + b * c;
+        sums[2] = M::mul_add(sums[2], b, c);
     }
 }
 
@@ -837,59 +927,131 @@ fn run_share<const S2_DEALER: bool, const EFG: bool, const N: usize>(
     }
 }
 
-/// [`weighted_pass`]'s pass for one server shape and sign mode: each
-/// run's full blocks into vector sums, its tail into scalar ones, each
-/// folded into the pass's total with the run's pair words.
+/// A pass's running total: its runs' vector shares and their scalar
+/// tails' shares.
+type PassTotal = (U64x8, U64xN<1>);
+
+/// Adds a tile of `T` runs that share their `(j, k)` row — equal
+/// `slots[2]` and `len` — into `total`: per full block of [`LANES`],
+/// the shared row's words are loaded once, beside each run's own
+/// ([`RunRows::beside`]), and each run keeps its own sums, folded
+/// through [`run_share`] with its own pair words; then each run's tail
+/// into scalar sums, multiplied [`Plain`]ly. A tile of one is a run on
+/// its own.
 #[inline(always)]
-fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool>(
+fn tile_pass<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool, const T: usize, M: LaneMul<LANES>>(
+    c: &PassColumns,
+    tile: &[PairRun; T],
+    total: &mut PassTotal,
+) {
+    // The runs' lengths are equal: every run's rows are cut at the
+    // first's, so a block or tail index of the first's is one of
+    // every run's. The arrays are filled by counted loops, not by
+    // closures a tier's wrapper might leave out of line.
+    let len = tile[0].len;
+    let mut rows = [RunRows::of::<SIGNED, S2_DEALER>(c, &tile[0]); T];
+    for t in 1..T {
+        rows[t] = RunRows::of::<SIGNED, S2_DEALER>(c, &PairRun { len, ..tile[t] });
+    }
+    let mut blocks = [rows[0].blocks(); T];
+    let mut pair_ij = [[0; 3]; T];
+    for t in 0..T {
+        blocks[t] = rows[t].blocks();
+        let ij = tile[t].slots[0];
+        pair_ij[t] = [c.e[ij], c.lam[ij], if S2_DEALER { c.full[ij] } else { 0 }];
+    }
+    let count = blocks[0].f.len();
+    if count > 0 {
+        let mut sums = [[U64x8::ZERO; 3]; T];
+        for b in Blocks::below(count) {
+            let shared = blocks[0].lanes::<SIGNED, S2_DEALER>(b);
+            accumulate::<SIGNED, S2_DEALER, LANES, M>(shared, &mut sums[0]);
+            for t in 1..T {
+                let lanes = blocks[t].beside::<SIGNED, S2_DEALER>(b, &shared);
+                accumulate::<SIGNED, S2_DEALER, LANES, M>(lanes, &mut sums[t]);
+            }
+        }
+        for t in 0..T {
+            total.0 = total.0 + run_share::<S2_DEALER, EFG, LANES>(pair_ij[t], sums[t]);
+        }
+    }
+    let full = count * LANES;
+    if full < len {
+        for t in 0..T {
+            let mut sums = [U64xN::<1>::ZERO; 3];
+            for k in full..len {
+                accumulate::<SIGNED, S2_DEALER, 1, Plain>(rows[t].lane::<SIGNED, S2_DEALER>(k), &mut sums);
+            }
+            total.1 = total.1 + run_share::<S2_DEALER, EFG, 1>(pair_ij[t], sums);
+        }
+    }
+}
+
+/// [`weighted_pass`]'s pass for one server shape and sign mode, in
+/// tiles of up to `R` runs ([`tile_pass`]): `R` consecutive runs that
+/// share their `(j, k)` row make a tile, any other run passes on its
+/// own. Passes of one-run tiles, signed passes and passes whose runs
+/// average under a block of [`LANES`] pass every run on its own, with
+/// no look for a tile.
+#[inline(always)]
+fn weighted_runs<const SIGNED: bool, const S2_DEALER: bool, const EFG: bool, const R: usize, M: LaneMul<LANES>>(
     c: &PassColumns,
     runs: &[PairRun],
 ) -> u64 {
-    let (mut wide, mut narrow) = (U64x8::ZERO, U64xN::<1>::ZERO);
-    for run in runs {
-        let ij = run.slots[0];
-        let pair_ij = [c.e[ij], c.lam[ij], if S2_DEALER { c.full[ij] } else { 0 }];
-        let rows = RunRows::of::<SIGNED, S2_DEALER>(c, run);
-        let blocks = rows.blocks();
-        if !blocks.f.is_empty() {
-            let mut sums = [U64x8::ZERO; 3];
-            for b in Blocks::below(blocks.f.len()) {
-                accumulate::<SIGNED, S2_DEALER, LANES>(blocks.lanes::<SIGNED, S2_DEALER>(b), &mut sums);
-            }
-            wide = wide + run_share::<S2_DEALER, EFG, LANES>(pair_ij, sums);
+    let mut total = (U64x8::ZERO, U64xN::<1>::ZERO);
+    let tiled = R > 1 && !SIGNED && runs.iter().map(|run| run.len).sum::<usize>() >= LANES * runs.len();
+    if !tiled {
+        for run in runs {
+            tile_pass::<SIGNED, S2_DEALER, EFG, 1, M>(c, std::array::from_ref(run), &mut total);
         }
-        let full = blocks.f.len() * LANES;
-        if full < run.len {
-            let mut sums = [U64xN::<1>::ZERO; 3];
-            for t in full..run.len {
-                accumulate::<SIGNED, S2_DEALER, 1>(rows.lane::<SIGNED, S2_DEALER>(t), &mut sums);
+    } else {
+        let mut rest = runs;
+        while let Some(first) = rest.first() {
+            let shares_row = |run: &PairRun| (run.slots[2], run.len) == (first.slots[2], first.len);
+            match rest.first_chunk::<R>() {
+                Some(tile) if tile.iter().all(shares_row) => {
+                    tile_pass::<SIGNED, S2_DEALER, EFG, R, M>(c, tile, &mut total);
+                    rest = &rest[R..];
+                }
+                _ => {
+                    tile_pass::<SIGNED, S2_DEALER, EFG, 1, M>(c, std::array::from_ref(first), &mut total);
+                    rest = &rest[1..];
+                }
             }
-            narrow = narrow + run_share::<S2_DEALER, EFG, 1>(pair_ij, sums);
         }
     }
-    wide.hsum().wrapping_add(narrow.0[0])
+    total.0.hsum().wrapping_add(total.1 .0[0])
 }
 
-/// [`weighted_pass`]'s body, compiled once per ISA tier: `kind` is the
-/// table's owner and material source, and whether the plan is signed.
+/// [`weighted_pass`]'s body, compiled once per ISA tier in tiles of up
+/// to `R` runs, multiplying by `M`: `kind` is the table's owner and
+/// material source, and whether the plan is signed.
 #[inline(always)]
-fn weighted_body(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
+fn weighted_body<const R: usize, M: LaneMul<LANES>>(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
     match kind {
-        (ServerId::S1, _, false) => weighted_runs::<false, false, false>(c, runs),
-        (ServerId::S1, _, true) => weighted_runs::<true, false, false>(c, runs),
-        (ServerId::S2, false, false) => weighted_runs::<false, true, false>(c, runs),
-        (ServerId::S2, true, false) => weighted_runs::<false, false, true>(c, runs),
-        (ServerId::S2, false, true) => weighted_runs::<true, true, false>(c, runs),
-        (ServerId::S2, true, true) => weighted_runs::<true, false, true>(c, runs),
+        (ServerId::S1, _, false) => weighted_runs::<false, false, false, R, M>(c, runs),
+        (ServerId::S1, _, true) => weighted_runs::<true, false, false, R, M>(c, runs),
+        (ServerId::S2, false, false) => weighted_runs::<false, true, false, R, M>(c, runs),
+        (ServerId::S2, true, false) => weighted_runs::<false, false, true, R, M>(c, runs),
+        (ServerId::S2, false, true) => weighted_runs::<true, true, false, R, M>(c, runs),
+        (ServerId::S2, true, true) => weighted_runs::<true, false, true, R, M>(c, runs),
     }
 }
+
+/// The runs an AVX-512 pass tiles ([`tile_pass`]): four runs' sums — up
+/// to twelve accumulators on a dealer S₂ — beside the shared row's
+/// words and each run's own fit the 32 vector registers; tiles of 2, 6
+/// and 8 runs measured within the box's spread of it (DESIGN.md §8.1).
+/// The AVX2 and portable passes keep one run a tile: their sixteen
+/// registers hold no more.
+const AVX512_TILE: usize = 4;
 
 /// # Safety
 /// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn weighted_avx512(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
-    weighted_body(c, runs, kind)
+    weighted_body::<AVX512_TILE, Zeroed>(c, runs, kind)
 }
 
 /// # Safety
@@ -897,7 +1059,7 @@ unsafe fn weighted_avx512(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bo
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool, bool)) -> u64 {
-    weighted_body(c, runs, kind)
+    weighted_body::<1, Plain>(c, runs, kind)
 }
 
 /// One server's local sum over a chunk's `k`-runs, in one weighted pass
@@ -915,6 +1077,16 @@ unsafe fn weighted_avx2(c: &PassColumns, runs: &[PairRun], kind: (ServerId, bool
 /// only — weighted by the words of `(i, j)`. `M_p` and `Σ w` are
 /// [`PairTable::count_term`]'s, whichever the material source, and the
 /// pass holds the rest.
+///
+/// Consecutive runs with equal `slots[2]` and `len` share their `(j, k)`
+/// row slice — on the cube, a row block's runs `(i, j, j+1..n)`, which
+/// the Count lists side by side. An unsigned AVX-512 pass whose runs
+/// average a block of [`LANES`] sums up to four such runs as one
+/// register tile: each block of the shared row is loaded once, beside
+/// each run's own `(i, k)` row, and each run keeps its own sums. The
+/// AVX2 and portable passes, signed passes and short runs go run by run.
+/// The sums are wrapping additions, so neither the tile nor the order of
+/// the runs moves a bit.
 ///
 /// ```
 /// use cargo_mpc::{mask_round, pair_key, weighted_pass, PairRun, PairTable, ServerId};
@@ -962,7 +1134,7 @@ pub fn weighted_pass(table: &PairTable, runs: &[PairRun], signs: Option<&[u64]>)
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe { weighted_avx2(&c, runs, kind) },
-        _ => weighted_body(&c, runs, kind),
+        _ => weighted_body::<1, Plain>(&c, runs, kind),
     }
 }
 
@@ -1085,9 +1257,43 @@ mod tests {
                 draws.push(draw);
                 at += len as usize;
             }
+            Self::valued(seed, mix, draws, pairs, runs)
+        }
+
+        /// Stretches of 1–9 runs that share their `(j, k)` row — one
+        /// `j`, one first `k` and one length of 0–40 — each run with its
+        /// own `(i, j)` and `(i, k)` rows, as the Count's blocked order
+        /// lists a row block's runs: the tiles of an AVX-512 pass, and
+        /// lone runs where a stretch is one run. No draws.
+        fn stretches(seed: u64, mix: u64, count: usize) -> Self {
+            let mut rng = SplitMix64::new(mix);
+            let mut below = |bound: u64| rng.next_u64() % bound;
+            let (mut pairs, mut runs, mut at) = (Vec::new(), Vec::new(), 0);
+            for _ in 0..count {
+                let (stretch, len) = (1 + below(9), below(41) as u32);
+                let j = (1 << 20) + below(1 << 20) as u32;
+                let k0 = j + 1 + below(1 << 10) as u32;
+                let shared = pairs.len();
+                pairs.extend((0..len).map(|t| (j, k0 + t)));
+                for _ in 0..stretch {
+                    let i = below(1 << 20) as u32;
+                    let slot = pairs.len();
+                    runs.push(PairRun { slots: [slot, slot + 1, shared], len: len as usize, at });
+                    pairs.push((i, j));
+                    pairs.extend((0..len).map(|t| (i, k0 + t)));
+                    at += len as usize;
+                }
+            }
+            Self::valued(seed, mix, Vec::new(), pairs, runs)
+        }
+
+        /// The runs over `pairs` with an arbitrary ring value as each
+        /// pair's "bit" and a random public sign for each triple.
+        fn valued(seed: u64, mix: u64, draws: Vec<MgDraw>, pairs: Vec<(u32, u32)>, runs: Vec<PairRun>) -> Self {
             let mut values = SplitMix64::new(seed ^ mix);
             let bits = pairs.iter().map(|_| values.next_u64()).collect();
-            let negate = (0..at).map(|_| 0u64.wrapping_sub(values.next_u64() & 1)).collect();
+            let triples = runs.iter().map(|run| run.len).sum();
+            let negate = (0..triples).map(|_| 0u64.wrapping_sub(values.next_u64() & 1)).collect();
             Runs { seed, draws, pairs, bits, runs, negate }
         }
 
@@ -1380,6 +1586,28 @@ mod tests {
                         prop_assert!(runs.pass(table, true) == want[s], "{at}: signed");
                         let all_plus = weighted_pass(table, &runs.runs, Some(&plus));
                         prop_assert!(all_plus == runs.pass(table, false), "{at}: all +");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn tiled_stretches_match_the_scalar_reference_at_every_tier(seed: u64, mix: u64, count in 1usize..8) {
+            // Stretches of runs that share their (j, k) row beside lone
+            // runs: every tier's pass — AVX-512's in tiles where the
+            // runs average a block, each other's run by run — returns
+            // the naive loop's share for S₁, a dealer S₂ and a
+            // preprocessed S₂, signed (never tiled) and unsigned.
+            let runs = Runs::stretches(seed, mix, count);
+            for tier in SimdTier::available() {
+                for preprocessed in [false, true] {
+                    let tables = runs.tables(tier, preprocessed);
+                    for signs in [false, true] {
+                        let want = runs.oracle(preprocessed, signs);
+                        for (s, table) in tables.iter().enumerate() {
+                            let at = format!("{tier} {:?} preprocessed {preprocessed} signs {signs}", table.server);
+                            prop_assert!(runs.pass(table, signs) == want[s], "{at}");
+                        }
                     }
                 }
             }
