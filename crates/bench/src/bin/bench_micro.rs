@@ -28,7 +28,7 @@ use cargo_dp::DistributedLaplace;
 use cargo_graph::generators::chung_lu;
 use cargo_graph::generators::presets::SnapDataset;
 use cargo_graph::io::scan_edge_list;
-use cargo_graph::CsrGraph;
+use cargo_graph::{CsrGraph, NeighborMarks};
 use cargo_mpc::ot::{transcript_digest, OT_KAPPA};
 use cargo_mpc::wire::frame_checksum;
 use cargo_mpc::{
@@ -454,15 +454,19 @@ fn main() {
         row("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
     }
 
-    // edge_list_parse / csr_build: the two halves of
-    // `read_edge_list_csr` (DESIGN.md §9), in ns per edge, on a
-    // 2¹⁸-edge power-law list at `stream-1m`'s density, written the way
-    // `write_edge_list` writes it and parsed from memory. The first is
-    // the tokenizer and the relabeller filling the pair list; the
-    // second turns that list, as parsed, into the adjacency.
+    // edge_list_parse / csr_build / index_walk: the two halves of
+    // `read_edge_list_csr` (DESIGN.md §9) and the streamed plan's index
+    // pass over what they build, in ns per edge, on a power-law list of
+    // `stream-1m`'s size and density (2²⁰ users: a 4 MB relabel table
+    // and 16 MB of targets, which miss a 2 MB L2 as `stream-1m` does),
+    // written the way `write_edge_list` writes it and parsed from
+    // memory. The first is the tokenizer and the relabeller filling the
+    // pair list; the second turns that list, as parsed, into the
+    // adjacency; the third is one `walk_upper_edges` over every upper
+    // edge, ns per upper edge.
     {
-        let n = 1usize << 17;
-        let g = chung_lu(n, 2 * n, 724, 2.5, 1);
+        let n = 1usize << 20;
+        let g = chung_lu(n, 2 * n, 2 * (n as f64).sqrt() as usize, 2.5, 1);
         let edges = g.edge_count();
         let mut text = String::from("# FromNodeId\tToNodeId\n");
         for (u, v) in g.edges() {
@@ -481,5 +485,17 @@ fn main() {
             black_box(CsrGraph::from_unsorted_pairs(nodes, black_box(&pairs)))
         });
         row("csr_build", edges, edges as u64, ns, 0.0);
+        let (csr, _) = CsrGraph::from_unsorted_pairs(nodes, &pairs);
+        drop(pairs);
+        let mut marks = NeighborMarks::new(csr.n());
+        let ns = measure_median_iqr_ns(12, budget, || {
+            let mut weight = 0usize;
+            csr.walk_upper_edges((0, 0), 0, &mut marks, |_| true, |_, _, _, ks| {
+                weight += ks.len();
+                true
+            });
+            black_box(weight)
+        });
+        row("index_walk", csr.edge_count(), csr.edge_count() as u64, ns, 0.0);
     }
 }

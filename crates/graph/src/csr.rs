@@ -270,6 +270,18 @@ impl CsrGraph {
     /// through both tails; a vertex with fewer than two upper neighbors
     /// closes nothing and costs `O(1)`. `marks` must span
     /// [`Self::n`] bits and is all-zero again when this returns.
+    ///
+    /// Each `N(j)` is a random read, likely a cache miss, so the walk
+    /// takes its sources in groups (16 sources or 32 upper edges,
+    /// whichever comes first) and makes three passes over a group: it
+    /// asks `want` about every edge and prefetches `offsets[j]` of the
+    /// wanted ones; then, those offsets having arrived, the first and
+    /// middle words of each wanted `N(j)`, which the binary searches
+    /// read first; then it handles the edges, whose misses have
+    /// overlapped instead of being waited on one by one.
+    /// `want` is still asked once per edge and in walk order, but a
+    /// group ahead — so also about edges past the one at which `f`
+    /// stops the walk.
     pub fn walk_upper_edges(
         &self,
         from: (u32, u32),
@@ -279,34 +291,71 @@ impl CsrGraph {
         mut f: impl FnMut(usize, usize, usize, &[u32]) -> bool,
     ) {
         assert!(marks.words.len() * 64 >= self.n, "mark scratch narrower than the graph");
+        // A group's sources' upper neighbors, and `want`'s answer for
+        // each of their upper edges in walk order — `false` for each
+        // source's last: `ks ⊆ N(i)` above `j`, so it has none and is
+        // not asked about.
+        let mut group: Vec<&[u32]> = Vec::with_capacity(WALK_GROUP_SOURCES);
+        let mut wanted: Vec<bool> = Vec::with_capacity(WALK_GROUP_EDGES);
         let mut ks = Vec::new();
         let mut ordinal = from_ordinal;
-        for i in from.0 as usize..self.n {
-            let mut up = self.upper_neighbors(i);
-            if i == from.0 as usize {
-                up = &up[up.partition_point(|&x| x < from.1)..];
+        let mut next = from.0 as usize;
+        while next < self.n {
+            let first = next;
+            group.clear();
+            wanted.clear();
+            let mut asked = ordinal;
+            while next < self.n
+                && group.len() < WALK_GROUP_SOURCES
+                && wanted.len() < WALK_GROUP_EDGES
+            {
+                let mut up = self.upper_neighbors(next);
+                if next == from.0 as usize {
+                    up = &up[up.partition_point(|&x| x < from.1)..];
+                }
+                for (p, &j) in up.iter().enumerate() {
+                    let w = p + 1 < up.len() && want(asked + p);
+                    if w {
+                        crate::prefetch(&self.offsets[j as usize]);
+                    }
+                    wanted.push(w);
+                }
+                asked += up.len();
+                group.push(up);
+                next += 1;
             }
-            // `ks ⊆ N(i)` above `j`: the last upper neighbor has none.
-            let mut marked = false;
-            for p in 0..up.len().saturating_sub(1) {
-                if !want(ordinal + p) {
-                    continue;
+            for (&j, &w) in group.iter().flat_map(|up| up.iter()).zip(&wanted) {
+                if w {
+                    // `j` neighbors its source, so its row is not empty.
+                    let row = self.neighbors(j as usize);
+                    crate::prefetch(&row[0]);
+                    crate::prefetch(&row[row.len() / 2]);
                 }
-                if !marked {
-                    marks.set(up);
-                    marked = true;
+            }
+            let mut at = 0;
+            for (i, up) in (first..next).zip(&group) {
+                let mut marked = false;
+                for (p, &j) in up.iter().enumerate() {
+                    if !wanted[at + p] {
+                        continue;
+                    }
+                    if !marked {
+                        marks.set(up);
+                        marked = true;
+                    }
+                    ks.clear();
+                    self.closing_above(j, &up[p + 1..], marks, &mut ks);
+                    if !ks.is_empty() && !f(ordinal + p, i, j as usize, &ks) {
+                        marks.clear(up);
+                        return;
+                    }
                 }
-                ks.clear();
-                self.closing_above(up[p], &up[p + 1..], marks, &mut ks);
-                if !ks.is_empty() && !f(ordinal + p, i, up[p] as usize, &ks) {
+                if marked {
                     marks.clear(up);
-                    return;
                 }
+                at += up.len();
+                ordinal += up.len();
             }
-            if marked {
-                marks.clear(up);
-            }
-            ordinal += up.len();
         }
     }
 
@@ -368,17 +417,43 @@ impl CsrGraph {
     }
 }
 
+/// A group of [`CsrGraph::walk_upper_edges`] ends at this many sources
+/// or this many upper edges, whichever comes first: enough edges to
+/// overlap their misses, few enough that the lines prefetched for them
+/// are still on chip when they are handled, and that a walk stopped
+/// early (a chunk of a few pairs) has asked and fetched little past it.
+const WALK_GROUP_SOURCES: usize = 16;
+const WALK_GROUP_EDGES: usize = 32;
+
+/// How many pairs ahead the scatter prefetches a pair's degree slots.
+const SLOTS_AHEAD: usize = 16;
+/// How many pairs ahead the scatter's write pass prefetches the target
+/// slots its cursors point at — nearer than [`SLOTS_AHEAD`], so that the
+/// cursors prefetched there have arrived.
+const TARGETS_AHEAD: usize = 8;
+
 /// The fill shared by the pair constructors: scatters pairs (`u ≠ v`,
 /// both `< n`; panics otherwise) into CSR rows by counting sort —
 /// degree count, prefix sum, one write per direction — and returns
 /// `(offsets, targets)`. Each row keeps its pairs' input order.
+///
+/// Both passes read and write slots at random rows, each a likely
+/// cache miss, so each prefetches the slots of a pair a few ahead:
+/// its degree slots, and in the write pass also the target slots its
+/// rows' cursors point at.
 fn scatter_pairs(n: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
     // Degrees are counted two slots up, so after the prefix sum
     // `offsets[x + 1]` is row `x`'s *start*; it then serves as the
     // row's write cursor and ends on the row's end — the next row's
     // start, which is what that slot must hold.
     let mut offsets = vec![0usize; n + 2];
-    for &(u, v) in pairs {
+    for (t, &(u, v)) in pairs.iter().enumerate() {
+        if let Some(&(a, b)) = pairs.get(t + SLOTS_AHEAD) {
+            // That pair is not checked yet, hence `get`.
+            for slot in [a, b].map(|x| offsets.get(x as usize + 2)).into_iter().flatten() {
+                crate::prefetch(slot);
+            }
+        }
         assert!(
             u != v && (u as usize) < n && (v as usize) < n,
             "pair ({u},{v}) is a self-loop or out of range for n={n}"
@@ -390,7 +465,21 @@ fn scatter_pairs(n: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
         offsets[x] += offsets[x - 1];
     }
     let mut targets = vec![0u32; 2 * pairs.len()];
-    for &(u, v) in pairs {
+    for (t, &(u, v)) in pairs.iter().enumerate() {
+        if let Some(&(a, b)) = pairs.get(t + SLOTS_AHEAD) {
+            crate::prefetch(&offsets[a as usize + 1]);
+            crate::prefetch(&offsets[b as usize + 1]);
+        }
+        if let Some(&(a, b)) = pairs.get(t + TARGETS_AHEAD) {
+            // A cursor is where its row's next write goes, and a row
+            // that pair `t + TARGETS_AHEAD` still writes is not full —
+            // but the read is a hint, so `get` rather than rely on it.
+            for cursor in [offsets[a as usize + 1], offsets[b as usize + 1]] {
+                if let Some(slot) = targets.get(cursor) {
+                    crate::prefetch(slot);
+                }
+            }
+        }
         targets[offsets[u as usize + 1]] = v;
         offsets[u as usize + 1] += 1;
         targets[offsets[v as usize + 1]] = u;
@@ -680,6 +769,18 @@ mod tests {
             let odd = walked_lists(&c, &mut marks, (0, 0), 0, |e| e % 2 == 1, usize::MAX);
             let want_odd: Vec<_> = want.iter().filter(|l| l.0 % 2 == 1).cloned().collect();
             prop_assert_eq!(odd, want_odd);
+            // `want` is asked once about every upper edge but each
+            // source's last, in walk order, whatever the lookahead.
+            let mut asked = Vec::new();
+            walked_lists(&c, &mut marks, (0, 0), 0, |e| { asked.push(e); true }, usize::MAX);
+            let mut probed = Vec::new();
+            let mut ordinal = 0;
+            for v in 0..c.n() {
+                let up = c.upper_neighbors(v).len();
+                probed.extend(ordinal..ordinal + up.saturating_sub(1));
+                ordinal += up;
+            }
+            prop_assert_eq!(asked, probed);
         }
     }
 

@@ -49,3 +49,22 @@ pub use io::{
 pub use triangles::{
     count_triangles, count_triangles_matrix, count_triangles_node_iterator, local_triangle_counts,
 };
+
+/// Asks the CPU to start loading `r`'s cache line now, so that a later
+/// read of it finds the line on chip: the relabeller, the CSR scatter
+/// and the index walk call it for items they reach a little later,
+/// and so overlap misses they would otherwise wait on one by one. A
+/// hint only — it changes no value, and a no-op off x86-64.
+#[inline(always)]
+pub(crate) fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` reads nothing the program can observe and
+    // cannot fault (SSE, part of the x86-64 baseline); its address
+    // comes from a live reference, so it is in bounds anyway.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}

@@ -1,6 +1,6 @@
-//! Both edge-list loaders at scale, in release — CI's
-//! `sparse-large-smoke` job runs this with `-- --ignored`; tier-1 does
-//! not (a debug-mode million-line parse is minutes, not seconds).
+//! Both edge-list loaders at scale: 800 k lines, ≈ 780 relabel batches
+//! at 200 k users. CI's `sparse-large-smoke` job also runs it in
+//! release with `--nocapture` for its ns/edge line.
 
 use cargo_graph::generators::chung_lu;
 use cargo_graph::{
@@ -9,7 +9,6 @@ use cargo_graph::{
 use std::time::Instant;
 
 #[test]
-#[ignore = "release-only: cargo test --release -p cargo-graph --test load_large -- --ignored"]
 fn both_loaders_agree_on_a_200k_node_power_law_list() {
     let generated = chung_lu(200_000, 800_000, 900, 2.5, 7);
     let path = std::env::temp_dir().join(format!("cargo_graph_load_large_{}.txt", std::process::id()));
