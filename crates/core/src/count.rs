@@ -54,6 +54,7 @@ use cargo_mpc::{
     RecvError, Ring64, ServerId, SimdTier, SlotTriple, LANES,
 };
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 /// Pinned by the benchmark harness, which passes it to
@@ -231,11 +232,26 @@ pub fn count_local_reusing<'a>(
     opened: Option<&mut OpenedPairs>,
 ) -> SecureCountResult {
     let both = ([ServerId::S1, ServerId::S2], SimdTier::detect());
-    match input.into() {
+    let local = match input.into() {
         CountInput::Matrix(m) => run_count(m, (job, &job.local_scheduler(m.n())), both, opened, drive_local),
         CountInput::Csr(g) => run_count(g, (job, &job.local_scheduler(g.n())), both, opened, drive_local),
+    };
+    local.expect("both machines of one thread follow one job, so neither can leave the other's cut")
+}
+
+/// Why a Count stopped: its link failed a send or a receive, or the
+/// peer's data is off this server's cut (another job, batch, offline
+/// mode or kept openings). Its text names the round or flight.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountFailure(CountError);
+
+impl fmt::Display for CountFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
+
+impl std::error::Error for CountFailure {}
 
 /// Runs `job` over `sched` as `servers` — the one Count function,
 /// whichever driver plays them: builds each server's machine
@@ -246,16 +262,16 @@ pub fn count_local_reusing<'a>(
 /// offline dialogue's; its `wire_bytes` are what `drive` measured on a
 /// link, if it has one. `opened` then keeps the new pairs' openings.
 ///
-/// # Panics
-/// Panics with a Count's error — a lost peer, a message off this
-/// server's cut — the one place one becomes a panic.
+/// # Errors
+/// A Count's error from `drive` — a lost peer, a message off this
+/// server's cut — before any chunk runs or any opening is kept.
 pub(crate) fn run_count<B: AdjacencyBits, const S: usize>(
     bits: &B,
     (job, sched): (&CountJob, &CountScheduler),
     (servers, tier): ([ServerId; S], SimdTier),
     opened: Option<&mut OpenedPairs>,
     drive: impl FnOnce(&mut [ServerCount<'_, B>; S]) -> Result<Option<u64>, CountError>,
-) -> SecureCountResult {
+) -> Result<SecureCountResult, CountFailure> {
     // A plan with no triples has no words to derandomise onto: no
     // offline dialogue, no Count term, and shares (0, 0).
     let (pairs, any) = (sched.pair_set(), !sched.chunks().is_empty());
@@ -268,7 +284,7 @@ pub(crate) fn run_count<B: AdjacencyBits, const S: usize>(
         table.reserve(pairs.len());
         ServerCount::new(phase, table, triples.as_deref())
     });
-    let measured = drive(&mut machines).unwrap_or_else(|e| panic!("{e}"));
+    let measured = drive(&mut machines).map_err(CountFailure)?;
     let (mut exchanged, mut fresh) = (0, Vec::new());
     let tables = machines.map(|machine| {
         let table;
@@ -297,7 +313,7 @@ pub(crate) fn run_count<B: AdjacencyBits, const S: usize>(
     }
     let n = sched.n() as u64;
     let [share1, share2] = shares;
-    SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples: triples_done }
+    Ok(SecureCountResult { share1, share2, net, upload_elements: 2 * n * n, triples: triples_done })
 }
 
 /// The local driver: both servers' machines polled in turn in this
@@ -807,14 +823,14 @@ mod tests {
                         let oracle = aggregated_oracle(*matrix, matrix.n(), &job);
                         let sched = job.local_scheduler(matrix.n());
                         let both = ([ServerId::S1, ServerId::S2], tier);
-                        let got = run_count(*matrix, (&job, &sched), both, None, drive_local);
+                        let got = run_count(*matrix, (&job, &sched), both, None, drive_local).unwrap();
                         assert_eq!((got.share1, got.share2), oracle, "{at}");
                         assert_eq!(got.reconstruct(), want(name), "{at}");
                     }
                 }
                 let job = CountJob { offline, plan: SchedulePlan::CsrStream(Arc::clone(&csr)), ..job(29, 2, 7) };
                 let both = ([ServerId::S1, ServerId::S2], tier);
-                let got = run_count(&*csr, (&job, &job.local_scheduler(csr.n())), both, None, drive_local);
+                let got = run_count(&*csr, (&job, &job.local_scheduler(csr.n())), both, None, drive_local).unwrap();
                 let at = format!("{tier} {offline:?} CSR input");
                 assert_eq!((got.share1, got.share2), aggregated_oracle(&*csr, csr.n(), &job), "{at}");
             }

@@ -24,7 +24,7 @@
 //! bytes (DESIGN.md §8).
 
 use crate::config::PoolPolicy;
-use crate::count::{run_count, AdjacencyBits, CountInput, CountJob, SecureCountResult};
+use crate::count::{run_count, AdjacencyBits, CountFailure, CountInput, CountJob, SecureCountResult};
 use crate::count_machine::{Awaited, CountError, CountMsg, ServerCount, Step};
 use crate::count_sched::SchedulePlan;
 use crate::pair_phase::OpenedPairs;
@@ -34,7 +34,6 @@ use cargo_mpc::{
     SimdTier, Transport,
 };
 use std::sync::Arc;
-use std::thread::ScopedJoinHandle;
 
 /// The wire driver: one server's machine against its peer on `link`.
 /// A send goes out as its frame, an await waits for its frame under the
@@ -58,13 +57,6 @@ fn drive_wire<B: AdjacencyBits, T: Transport>(link: &T, [machine]: &mut [ServerC
             Step::Done => return Ok(Some(link.stats().online_payload_both() - before)),
         }
     }
-}
-
-/// Joins a worker (or a whole party). Its panic — a lost peer, a
-/// lockstep check — is re-raised as is, so whoever catches it reads
-/// which round diverged rather than "a worker panicked".
-pub(crate) fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
-    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Expands the input share matrix one party holds: S₁'s shares come
@@ -96,32 +88,33 @@ pub fn party_input_shares(matrix: &BitMatrix, seed: u64, id: ServerId) -> Vec<Ve
 /// Count's frames carried, both ways. The result carries this server's
 /// share in its slot and zero in the other.
 ///
-/// # Panics
-/// Panics if the peer hangs up, stalls past the link's receive timeout
-/// or sends a message off this server's cut (a peer handed another
-/// job) — naming the round or flight.
+/// # Errors
+/// A [`CountFailure`] if the peer hangs up, stalls past the link's
+/// receive timeout or sends a message off this server's cut (a peer
+/// handed another job) — naming the round or flight.
 pub fn count_party<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
     id: ServerId,
     link: &Arc<T>,
-) -> SecureCountResult {
+) -> Result<SecureCountResult, CountFailure> {
     count_party_reusing(input, job, id, link, None)
 }
 
 /// [`count_party`] through a run's kept openings, as
 /// [`crate::count::count_local_reusing`]: the peer must keep the same.
+/// Fails as [`count_party`], keeping no new opening.
 ///
 /// # Panics
-/// As [`count_party`]; also if `opened` was kept under another Count
-/// seed, and on S₂ if a kept pair's bit reads 0 — naming the pair.
+/// Panics if `opened` was kept under another Count seed, and on S₂ if a
+/// kept pair's bit reads 0 — naming the pair.
 pub(crate) fn count_party_reusing<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
     id: ServerId,
     link: &Arc<T>,
     opened: Option<&mut OpenedPairs>,
-) -> SecureCountResult {
+) -> Result<SecureCountResult, CountFailure> {
     let (one, link) = (([id], SimdTier::detect()), &**link);
     match input.into() {
         CountInput::Matrix(m) => run_count(m, (job, &job.scheduler(m.n())), one, opened, |ms| drive_wire(link, ms)),
@@ -130,8 +123,9 @@ pub(crate) fn count_party_reusing<'a, T: Transport>(
 }
 
 /// Pinned by `benchmark/src/bin/trace/pipeline.rs`, which calls it
-/// positionally; `_pool` is the placeholder `CargoConfig::pool_policy`
-/// returns, and is ignored.
+/// positionally and reads its result: [`count_party`], panicking with
+/// the failure's text. `_pool` is the placeholder
+/// `CargoConfig::pool_policy` returns, and is ignored.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn run_party_count_planned<T: Transport>(
@@ -146,32 +140,34 @@ pub fn run_party_count_planned<T: Transport>(
     plan: SchedulePlan,
 ) -> SecureCountResult {
     let job = CountJob { threads, batch, offline, plan, ..CountJob::new(seed) };
-    count_party(matrix, &job, id, link)
+    count_party(matrix, &job, id, link).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs `job` with **both** parties in this process: [`count_party`]
 /// as S₁ on `end1` and as S₂ on `end2`, the two ends of a link pair the
 /// caller made (`memory_pair()`, a `TcpTransport::loopback_pair`, a
 /// fault-injecting decorator, …). Shares and ledger are
-/// [`crate::count::count_local`]'s on the same input and job.
+/// [`crate::count::count_local`]'s on the same input and job; S₁'s
+/// [`CountFailure`] if its Count failed, else S₂'s.
 ///
 /// # Panics
-/// Re-raises a party's panic as is; panics if the two parties' ledgers
-/// or triple counts disagree, or if the offline payload the Count moved
-/// on `end1` is not the modeled flight ledger.
+/// Panics if the two parties' ledgers or triple counts disagree, or if
+/// the offline payload the Count moved on `end1` is not the modeled
+/// flight ledger.
 pub fn count_two_party<'a, T: Transport>(
     input: impl Into<CountInput<'a>>,
     job: &CountJob,
     end1: &Arc<T>,
     end2: &Arc<T>,
-) -> SecureCountResult {
+) -> Result<SecureCountResult, CountFailure> {
     let input = input.into();
     let before = end1.stats().offline_payload_both();
-    let (r1, r2) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| count_party(input, job, ServerId::S1, end1));
-        let h2 = scope.spawn(|| count_party(input, job, ServerId::S2, end2));
-        (join(h1), join(h2))
+    let [r1, r2] = std::thread::scope(|scope| {
+        [(ServerId::S1, end1), (ServerId::S2, end2)]
+            .map(|(id, end)| scope.spawn(move || count_party(input, job, id, end)))
+            .map(|party| party.join().expect("a party's thread panicked"))
     });
+    let (r1, r2) = (r1?, r2?);
     assert_eq!(r1.net, r2.net, "the parties' ledgers (modeled and measured) disagree");
     assert_eq!(r1.triples, r2.triples, "the parties evaluated different triple counts");
     // Measured-vs-modeled: the offline payload that actually crossed
@@ -187,7 +183,7 @@ pub fn count_two_party<'a, T: Transport>(
         flights,
         "the offline payload on the link is not the modeled flight ledger"
     );
-    SecureCountResult { share2: r2.share2, ..r1 }
+    Ok(SecureCountResult { share2: r2.share2, ..r1 })
 }
 
 #[cfg(test)]
@@ -214,7 +210,7 @@ mod tests {
     /// to rounds: each party sent exactly one frame per modeled round.
     fn over_pair<T: Transport>(m: &BitMatrix, job: &CountJob, ends: (T, T)) -> SecureCountResult {
         let (end1, end2) = (Arc::new(ends.0), Arc::new(ends.1));
-        let res = count_two_party(m, job, &end1, &end2);
+        let res = count_two_party(m, job, &end1, &end2).expect("both parties follow one job");
         if job.offline == OfflineMode::TrustedDealer {
             assert_eq!(end1.stats().frames_sent, res.net.rounds, "one opening frame per round");
             assert_eq!(end1.stats().frames_recv, res.net.rounds, "and one back");
@@ -412,7 +408,7 @@ mod tests {
                 let wire = CountJob { offline: mode, plan: plan.clone(), ..job(41, threads, batch) };
                 let local = count_local(&*csr, &wire);
                 let (end1, end2) = cargo_mpc::memory_pair();
-                let res = count_two_party(&*csr, &wire, &Arc::new(end1), &Arc::new(end2));
+                let res = count_two_party(&*csr, &wire, &Arc::new(end1), &Arc::new(end2)).unwrap();
                 let at = format!("{mode:?}, threads {threads}, batch {batch}");
                 assert!(local.triples > 0, "{at}");
                 assert_eq!((res.share1, res.share2), (local.share1, local.share2), "{at}");
@@ -448,7 +444,7 @@ mod tests {
             let (r1, r2) = std::thread::scope(|scope| {
                 let h1 = scope.spawn(|| count_party(&m, &party, ServerId::S1, &end1));
                 let h2 = scope.spawn(|| count_party(&m, &party, ServerId::S2, &end2));
-                (h1.join().unwrap(), h2.join().unwrap())
+                (h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap())
             });
             assert_eq!(r1.share1, fast.share1, "{mode:?}");
             assert_eq!(r2.share2, fast.share2, "{mode:?}");
@@ -479,7 +475,7 @@ mod tests {
         let (r1, r2) = std::thread::scope(|scope| {
             let h1 = scope.spawn(|| count_party(&m, &ot, ServerId::S1, &end1));
             let h2 = scope.spawn(|| count_party(&m, &ot, ServerId::S2, &end2));
-            (h1.join().unwrap(), h2.join().unwrap())
+            (h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap())
         });
         assert_eq!((both.share1, both.share2), (r1.share1, r2.share2));
         assert_eq!((both.net, both.triples), (r1.net, r1.triples));
@@ -493,20 +489,15 @@ mod tests {
         let (end1, end2) = cargo_mpc::memory_pair();
         let (end1, end2) = (Arc::new(end1), Arc::new(end2));
         for count in [job(5, 1, 16), ot_job(6, 2, 7), ot_job(7, 1, 0)] {
-            let res = count_two_party(&m, &count, &end1, &end2);
+            let res = count_two_party(&m, &count, &end1, &end2).unwrap();
             assert_eq!(res.net.wire_bytes, res.net.bytes, "{count:?}");
             assert_eq!(res.net, count_local(&m, &count).net, "{count:?}");
         }
     }
 
-    /// The panic message of a party that must not have returned a
-    /// count.
-    fn panic_text(outcome: std::thread::Result<SecureCountResult>) -> String {
-        let payload = outcome.expect_err("a diverged party must fail, not return a count");
-        match payload.downcast::<String>() {
-            Ok(text) => *text,
-            Err(payload) => payload.downcast::<&str>().map(|t| t.to_string()).unwrap_or_default(),
-        }
+    /// The failure of a party that must not have returned a count.
+    fn failure(outcome: Result<SecureCountResult, CountFailure>) -> String {
+        outcome.expect_err("a diverged party must fail, not return a count").to_string()
     }
 
     #[test]
@@ -523,10 +514,10 @@ mod tests {
         let (r1, r2) = std::thread::scope(|scope| {
             let h1 = scope.spawn(|| count_party(&m, &job(17, 1, 16), ServerId::S1, &end1));
             let h2 = scope.spawn(|| count_party(&m, &job(17, 1, 24), ServerId::S2, &end2));
-            (h1.join(), h2.join())
+            (h1.join().unwrap(), h2.join().unwrap())
         });
         assert!(started.elapsed() < stall / 2, "failed on a check, not on the timeout");
-        for text in [panic_text(r1), panic_text(r2)] {
+        for text in [failure(r1), failure(r2)] {
             assert!(text.contains("peer slab size mismatch"), "{text}");
             assert!(text.contains("pair round 0, first pair (0, 1)"), "{text}");
         }
@@ -556,10 +547,10 @@ mod tests {
             let r1 = std::thread::scope(|scope| {
                 let h1 = scope.spawn(|| count_party(&m, &s1_job, ServerId::S1, &end1));
                 send_msg(&end2, &frame).expect("S1 is listening");
-                h1.join()
+                h1.join().unwrap()
             });
             assert!(started.elapsed() < stall / 2, "{check}: stopped by the timeout");
-            let text = panic_text(r1);
+            let text = failure(r1);
             assert!(text.contains(check), "{check}: {text}");
             assert!(text.contains("pair round 0, first pair (0, 1)"), "{check}: {text}");
         }
@@ -587,7 +578,7 @@ mod tests {
             assert_eq!(wire.scheduler(m.n()).pair_set().len() as u64, pairs);
             let (end1, end2) = cargo_mpc::memory_pair();
             let (end1, end2) = (Arc::new(end1), Arc::new(end2));
-            let res = count_two_party(&m, &wire, &end1, &end2);
+            let res = count_two_party(&m, &wire, &end1, &end2).unwrap();
             assert!(res.triples > pairs, "pairs are read by many triples");
             for end in [&end1, &end2] {
                 let stats = end.stats();
@@ -638,7 +629,7 @@ mod tests {
             let (r1, r2) = std::thread::scope(|scope| {
                 let h1 = scope.spawn(|| count_party_reusing(m, count, ServerId::S1, &end1, Some(&mut k1)));
                 let h2 = scope.spawn(|| count_party_reusing(m, count, ServerId::S2, &end2, Some(&mut k2)));
-                (join(h1), join(h2))
+                (h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap())
             });
             let at = format!("{:?}, threads {}, batch {}", count.offline, count.threads, count.batch);
             assert_eq!((r1.share1, r2.share2), (local.share1, local.share2), "{at}");
@@ -714,10 +705,38 @@ mod tests {
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             count_party_reusing(&m, &count, ServerId::S2, &end2, Some(&mut kept))
         }));
-        let text = panic_text(refused);
+        let panic = refused.expect_err("a kept pair read at 0 must not count");
+        let text = panic.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(text.contains("pair (1, 3) was opened at 1"), "{text}");
         assert_eq!(end2.stats().frames_sent, 0, "refused before any frame");
         assert_eq!(kept.len(), 15, "a failed Count keeps nothing new");
+    }
+
+    #[test]
+    fn a_count_against_a_dropped_peer_fails_and_keeps_nothing() {
+        // The run kept the first plan's openings; the second Count's
+        // first round goes out, then its peer drops its end. S₁ returns
+        // the lost peer as a value, keeps no opening of that Count and
+        // sends nothing more.
+        let m = erdos_renyi(40, 0.35, 8).to_bit_matrix();
+        let [first, second] = overlapping_plans(&m).map(|plan| CountJob { plan, ..job(19, 1, 4) });
+        let mut kept = OpenedPairs::new(first.seed, m.n());
+        count_local_reusing(&m, &first, Some(&mut kept));
+        let before = kept.len();
+        assert!(before > 0);
+        let (end1, end2) = cargo_mpc::memory_pair();
+        let end1 = Arc::new(end1);
+        let lost = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _: PairOpeningMsg = recv_msg(&end2, 0, None).expect("S1's first round");
+                drop(end2);
+            });
+            count_party_reusing(&m, &second, ServerId::S1, &end1, Some(&mut kept))
+        });
+        let text = failure(lost);
+        assert!(text.contains("peer lost in the online round at pair round 0"), "{text}");
+        assert_eq!(kept.len(), before, "a failed Count keeps nothing new");
+        assert_eq!(end1.stats().frames_sent, 1, "no frame after the failure");
     }
 
     #[test]
@@ -741,10 +760,10 @@ mod tests {
         let (r1, r2) = std::thread::scope(|scope| {
             let h1 = scope.spawn(|| count_party_reusing(&m, &count, ServerId::S1, &end1, Some(&mut k1)));
             let h2 = scope.spawn(|| count_party_reusing(&m, &count, ServerId::S2, &end2, Some(&mut k2)));
-            (h1.join(), h2.join())
+            (h1.join().unwrap(), h2.join().unwrap())
         });
         assert!(started.elapsed() < stall / 2, "failed on a check, not on the timeout");
-        for text in [panic_text(r1), panic_text(r2)] {
+        for text in [failure(r1), failure(r2)] {
             assert!(text.contains("peer out of lockstep past the first pair"), "{text}");
             assert!(text.contains("pair round 0, first pair (0, 1)"), "{text}");
         }

@@ -37,9 +37,10 @@
 //! is a closure so the same engine drives both the in-process kernels
 //! and the two-party wire runtime — see [`crate::session`].
 
-use crate::count::{count_local, CountJob, SecureCountResult};
+use crate::count::{count_local, CountFailure, CountJob, SecureCountResult};
 use crate::count_sched::{CandidateSet, SchedulePlan};
 use crate::recovery::{digest_of, edge_sum, edge_word};
+use crate::session::SessionError;
 use cargo_graph::{BitMatrix, Graph, GraphError};
 use cargo_mpc::{NetStats, Ring64};
 use std::fmt;
@@ -336,12 +337,13 @@ pub struct EpochCount {
 /// the running secret shares of its triangle count.
 ///
 /// Generic over the **evaluator** — any `FnMut(&BitMatrix,
-/// SchedulePlan) -> SecureCountResult` whose per-triple contributions
-/// follow the canonical seed/offset derivation. In-process callers
-/// pass a [`crate::count::count_local`] closure ([`inline_evaluator`]);
-/// the two-party session passes [`crate::count_runtime::count_party`], in
-/// which case only the own-role share slot is live (the other stays
-/// zero through every fold, so the same arithmetic serves both).
+/// SchedulePlan) -> Result<SecureCountResult, CountFailure>` whose
+/// per-triple contributions follow the canonical seed/offset
+/// derivation. In-process callers pass a [`crate::count::count_local`]
+/// closure ([`inline_evaluator`]); the two-party session passes
+/// [`crate::count_runtime::count_party`], in which case only the
+/// own-role share slot is live (the other stays zero through every
+/// fold, so the same arithmetic serves both).
 #[derive(Debug)]
 pub struct IncrementalCounter {
     graph: Graph,
@@ -359,11 +361,12 @@ pub struct IncrementalCounter {
 
 impl IncrementalCounter {
     /// Seeds the counter with a baseline sparse count of `graph`
-    /// (skipped, with zero shares, when the graph is triangle-free).
+    /// (skipped, with zero shares, when the graph is triangle-free), or
+    /// returns its [`CountFailure`].
     pub fn new_with(
         graph: Graph,
-        mut eval: impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult,
-    ) -> Self {
+        mut eval: impl FnMut(&BitMatrix, SchedulePlan) -> Result<SecureCountResult, CountFailure>,
+    ) -> Result<Self, CountFailure> {
         let matrix = graph.to_bit_matrix();
         let cs = CandidateSet::from_graph(&graph);
         let edge_sum = edge_sum(&graph);
@@ -379,14 +382,14 @@ impl IncrementalCounter {
             baseline: (0, NetStats::default()),
         };
         if !cs.is_empty() {
-            let r = eval(&c.matrix, SchedulePlan::CandidatePairs(Arc::new(cs)));
+            let r = eval(&c.matrix, SchedulePlan::CandidatePairs(Arc::new(cs)))?;
             c.share1 = r.share1;
             c.share2 = r.share2;
             c.triples = r.triples;
             c.net.merge(&r.net);
             c.baseline = (r.triples, c.net);
         }
-        c
+        Ok(c)
     }
 
     /// Applies one delta batch and folds its one signed Count into the
@@ -397,12 +400,13 @@ impl IncrementalCounter {
     /// of the epoch's `DeltaPlan::count_plan` then adds the created triangles
     /// and subtracts the destroyed ones, and the matrix settles on the
     /// post-batch graph. `eval` runs at most once: not at all when no
-    /// triangle was born or died.
+    /// triangle was born or died. A bad endpoint fails before any edit,
+    /// a failed Count ([`SessionError::Peer`]) before the fold.
     pub fn apply_with(
         &mut self,
         batch: &[EdgeDelta],
-        mut eval: impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult,
-    ) -> Result<EpochCount, GraphError> {
+        mut eval: impl FnMut(&BitMatrix, SchedulePlan) -> Result<SecureCountResult, CountFailure>,
+    ) -> Result<EpochCount, SessionError> {
         let plan = DeltaPlan::apply(&mut self.graph, batch)?;
         for &((u, v), present) in plan.edge_net() {
             let word = edge_word(u, v);
@@ -416,7 +420,7 @@ impl IncrementalCounter {
         let mut net = NetStats::default();
         let mut triples = 0u64;
         if let Some(p) = plan.count_plan() {
-            let r = eval(&self.matrix, p);
+            let r = eval(&self.matrix, p)?;
             self.share1 += r.share1;
             self.share2 += r.share2;
             triples = r.triples;
@@ -485,8 +489,8 @@ impl IncrementalCounter {
 /// Convenience evaluator over [`count_local`] — the closure shape
 /// [`IncrementalCounter`] expects, capturing the Count knobs once
 /// (`job.plan` is replaced by each call's delta plan).
-pub fn inline_evaluator(job: CountJob) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult {
-    move |matrix, plan| count_local(matrix, &CountJob { plan, ..job.clone() })
+pub fn inline_evaluator(job: CountJob) -> impl FnMut(&BitMatrix, SchedulePlan) -> Result<SecureCountResult, CountFailure> {
+    move |matrix, plan| Ok(count_local(matrix, &CountJob { plan, ..job.clone() }))
 }
 
 #[cfg(test)]
@@ -576,7 +580,7 @@ mod tests {
         for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
             let g = generators::erdos_renyi(30, 0.3, 7);
             let mut eval = inline_evaluator(CountJob { offline, ..CountJob::new(0xFEED) });
-            let mut counter = IncrementalCounter::new_with(g, &mut eval);
+            let mut counter = IncrementalCounter::new_with(g, &mut eval).unwrap();
             let epoch = counter
                 .apply_with(
                     &[EdgeDelta::Add(0, 1), EdgeDelta::Remove(2, 3), EdgeDelta::Add(4, 5)],
@@ -594,7 +598,8 @@ mod tests {
             let scratch = eval(
                 &counter.graph().to_bit_matrix(),
                 SchedulePlan::CandidatePairs(Arc::new(CandidateSet::from_graph(counter.graph()))),
-            );
+            )
+            .unwrap();
             assert_eq!(epoch.share1 + epoch.share2, scratch.reconstruct(), "{offline:?}");
             // The matrix was maintained in lock-step.
             assert_eq!(counter.matrix(), &counter.graph().to_bit_matrix());
@@ -619,9 +624,9 @@ mod tests {
         let calls = std::cell::Cell::new(0);
         let mut eval = |m: &BitMatrix, plan: SchedulePlan| {
             calls.set(calls.get() + 1);
-            count_local(m, &CountJob { plan, ..job.clone() })
+            Ok(count_local(m, &CountJob { plan, ..job.clone() }))
         };
-        let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+        let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval).unwrap();
         let mut planned = g.clone();
         let plan = DeltaPlan::apply(&mut planned, &batch).unwrap();
         assert!(!plan.created().is_empty() && !plan.destroyed().is_empty());

@@ -10,7 +10,7 @@
 //!
 //! | Paper | Module | What it does |
 //! |---|---|---|
-//! | Algorithm 1 | [`protocol`] | One step sequence (Max → Project → Count → Perturb) over the [`EpochParty`] seam, with the DP unit (edge / node) as a value; [`CargoSystem::run`], [`node_dp::run_node_dp`], [`run_party`] and [`run_party_local`] are adapters onto it |
+//! | Algorithm 1 | [`protocol`] | One step sequence (Max → Project → Count → Perturb) over the [`EpochParty`] seam, with the DP unit (edge / node) as a value; [`CargoSystem::run`], [`node_dp::run_node_dp`], [`try_run_party`] and [`run_party_local`] are adapters onto it |
 //! | Algorithm 2 `Max` | [`max_degree`] | ε₁-Edge-LDP estimate of `d_max` |
 //! | Algorithm 3 `Project` | [`projection`] | Similarity-based local projection |
 //! | Algorithm 4 `Count` | [`count`] | ASS-based secure exact count: one [`CountJob`], one machine per server, driven by [`count_local`] (both in process), [`count_party`] (one server over a link) or [`count_two_party`] (two of those over a link pair) |
@@ -65,13 +65,13 @@ pub mod theory;
 pub use cargo_mpc::OfflineMode;
 pub use config::{CargoConfig, ScheduleKind};
 pub use count::{
-    count_local, count_local_reusing, secure_count_reference, secure_triangle_count_streamed, CountInput, CountJob,
+    count_local, count_local_reusing, secure_count_reference, secure_triangle_count_streamed, CountFailure, CountInput, CountJob,
     SecureCountResult, DEFAULT_TILE_THRESHOLD,
 };
 pub use count_runtime::{count_party, count_two_party, party_input_shares, run_party_count_planned};
 pub use delta::{inline_evaluator, DeltaPlan, EdgeDelta, EpochCount, IncrementalCounter};
 pub use pair_phase::OpenedPairs;
-pub use party::{run_party, run_party_local, EpochParty, PartyReport};
+pub use party::{run_party, run_party_local, try_run_party, EpochParty, PartyError, PartyReport};
 pub use session::{
     parse_delta_script, DeltaBatches, EpochOutcome, PartySession, ServeSession, Session,
     SessionError,

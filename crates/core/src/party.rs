@@ -9,7 +9,7 @@
 //! pipeline, and [`crate::session::ServeSession`] for every serve
 //! epoch.
 //!
-//! [`run_party`] is that sequence over a [`Wire`] — max-degree
+//! [`try_run_party`] is that sequence over a [`Wire`] — max-degree
 //! estimation, projection, the sharded secure count and the distributed
 //! perturbation — and the `party` binary wraps it so the full pipeline
 //! runs as **two real OS processes over loopback (or cross-machine)
@@ -45,8 +45,8 @@
 //! reference run ([`run_party_local`]) line by line.
 
 use crate::config::CargoConfig;
-use crate::count::{count_local_reusing, CountJob, SecureCountResult};
-use crate::count_runtime::{count_party_reusing, join};
+use crate::count::{count_local_reusing, CountFailure, CountJob, SecureCountResult};
+use crate::count_runtime::count_party_reusing;
 use crate::pair_phase::OpenedPairs;
 use crate::protocol::{algorithm1, DpUnit};
 use crate::session::SessionError;
@@ -55,6 +55,7 @@ use cargo_mpc::{
     memory_pair, recv_msg, send_msg, CommitMsg, FinalOpeningMsg, IntoFrame, NetStats, Ring64,
     ServerId, Transport, WireMessage,
 };
+use std::fmt;
 use std::sync::Arc;
 
 pub use crate::count_runtime::party_input_shares;
@@ -67,13 +68,13 @@ pub trait EpochParty {
     /// one-shot run passes `None`). Its `wire_bytes` are the Count's
     /// own: what its frames carried on a link, the modeled bytes in
     /// process. The caller measures the wire past the Count through
-    /// [`payload`](Self::payload).
+    /// [`payload`](Self::payload). A wire Count fails with its peer.
     fn count(
         &self,
         matrix: &BitMatrix,
         job: &CountJob,
         opened: Option<&mut OpenedPairs>,
-    ) -> SecureCountResult;
+    ) -> Result<SecureCountResult, CountFailure>;
 
     /// Agrees with the peer on `commit` (a serve epoch and its
     /// post-apply state digest) before the epoch opens its release.
@@ -102,8 +103,8 @@ impl EpochParty for InProcess {
         matrix: &BitMatrix,
         job: &CountJob,
         opened: Option<&mut OpenedPairs>,
-    ) -> SecureCountResult {
-        count_local_reusing(matrix, job, opened)
+    ) -> Result<SecureCountResult, CountFailure> {
+        Ok(count_local_reusing(matrix, job, opened))
     }
 
     fn commit(&self, _: CommitMsg) -> Result<(), SessionError> {
@@ -150,7 +151,7 @@ impl<T: Transport> EpochParty for Wire<T> {
         matrix: &BitMatrix,
         job: &CountJob,
         opened: Option<&mut OpenedPairs>,
-    ) -> SecureCountResult {
+    ) -> Result<SecureCountResult, CountFailure> {
         count_party_reusing(matrix, job, self.role, &self.link, opened)
     }
 
@@ -225,17 +226,40 @@ pub struct PartyReport {
     pub triples: u64,
 }
 
+/// Why a one-shot run stopped before its release: its peer hung up,
+/// stalled past the link's receive timeout or went off this server's
+/// cut. Its text is `peer failure at the <step>: <cause>`, with no
+/// epoch in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartyError(String);
+
+impl PartyError {
+    /// `step` failed with a [`CountFailure`] or the link's [`SessionError::Peer`].
+    pub(crate) fn at(step: &str, e: impl Into<SessionError>) -> Self {
+        let cause = match e.into() { SessionError::Peer(cause) => cause, e => e.to_string() };
+        PartyError(format!("peer failure at the {step}: {cause}"))
+    }
+}
+
+impl fmt::Display for PartyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for PartyError {}
+
 /// Runs the full pipeline as server `role` against a live peer over
-/// `link`. Panics (loudly) if the peer disconnects or wedges past the
-/// link's [`Transport::recv_timeout`].
-pub fn run_party<T: Transport>(
+/// `link`; a [`PartyError`] if the peer disconnects, wedges past the
+/// link's [`Transport::recv_timeout`] or runs another job.
+pub fn try_run_party<T: Transport>(
     graph: &Graph,
     cfg: &CargoConfig,
     role: ServerId,
     link: &Arc<T>,
-) -> PartyReport {
-    let run = algorithm1(graph, cfg, DpUnit::Edge, &Wire::new(role, Arc::clone(link)));
-    PartyReport {
+) -> Result<PartyReport, PartyError> {
+    let run = algorithm1(graph, cfg, DpUnit::Edge, &Wire::new(role, Arc::clone(link)))?;
+    Ok(PartyReport {
         role,
         noisy_count: run.noisy_count,
         count_share: own_slot(role, (run.count.share1, run.count.share2)),
@@ -244,37 +268,41 @@ pub fn run_party<T: Transport>(
         projected_count: run.projected_count,
         net: run.net,
         triples: run.count.triples,
-    }
+    })
+}
+
+/// Pinned by `benchmark/src/sut.rs`, which calls it positionally and
+/// reads the report: [`try_run_party`], panicking with its error's text.
+#[doc(hidden)]
+pub fn run_party<T: Transport>(graph: &Graph, cfg: &CargoConfig, role: ServerId, link: &Arc<T>) -> PartyReport {
+    try_run_party(graph, cfg, role, link).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The in-process reference run: both parties over the two ends of an
-/// in-memory byte link, via the *same* [`run_party`] code path the TCP
-/// processes execute. Returns `(S₁'s report, S₂'s report)` after
-/// asserting the two parties opened the same noisy count. A party's
-/// own panic — a lost peer, a round out of lockstep — is re-raised as
-/// is, naming the round.
+/// in-memory byte link, via the *same* [`try_run_party`] code path the
+/// TCP processes execute. Returns `(S₁'s report, S₂'s report)` after
+/// asserting the two parties opened the same noisy count; S₁'s
+/// [`PartyError`] if its run failed, else S₂'s.
 ///
 /// `party --role local` prints this run in the same transcript format
 /// as `--role s1`/`--role s2`, so the CI smoke can diff a two-process
 /// loopback run against it byte for byte.
-pub fn run_party_local(graph: &Graph, cfg: &CargoConfig) -> (PartyReport, PartyReport) {
+pub fn run_party_local(graph: &Graph, cfg: &CargoConfig) -> Result<(PartyReport, PartyReport), PartyError> {
     run_pair(graph, [cfg, cfg])
 }
 
 /// [`run_party_local`] with a config per role (S₁'s, S₂'s).
-fn run_pair(graph: &Graph, [cfg1, cfg2]: [&CargoConfig; 2]) -> (PartyReport, PartyReport) {
+fn run_pair(graph: &Graph, cfgs: [&CargoConfig; 2]) -> Result<(PartyReport, PartyReport), PartyError> {
     let (end1, end2) = memory_pair();
-    let (end1, end2) = (Arc::new(end1), Arc::new(end2));
-    let (r1, r2) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| run_party(graph, cfg1, ServerId::S1, &end1));
-        let h2 = scope.spawn(|| run_party(graph, cfg2, ServerId::S2, &end2));
-        (join(h1), join(h2))
+    let ends = [Arc::new(end1), Arc::new(end2)];
+    let [r1, r2] = std::thread::scope(|scope| {
+        [(ServerId::S1, &ends[0], cfgs[0]), (ServerId::S2, &ends[1], cfgs[1])]
+            .map(|(id, end, cfg)| scope.spawn(move || try_run_party(graph, cfg, id, end)))
+            .map(|party| party.join().expect("a party's thread panicked"))
     });
-    assert_eq!(
-        r1.noisy_count, r2.noisy_count,
-        "the two parties opened different noisy counts"
-    );
-    (r1, r2)
+    let (r1, r2) = (r1?, r2?);
+    assert_eq!(r1.noisy_count, r2.noisy_count, "the two parties opened different noisy counts");
+    Ok((r1, r2))
 }
 
 #[cfg(test)]
@@ -296,7 +324,7 @@ mod tests {
                 ..CargoConfig::new(2.0).with_seed(11).with_threads(threads)
             };
             let mono = CargoSystem::new(cfg).run(&g);
-            let (r1, r2) = run_party_local(&g, &cfg);
+            let (r1, r2) = run_party_local(&g, &cfg).unwrap();
             assert_eq!(r1.noisy_count, mono.noisy_count, "t={threads} b={batch}");
             assert_eq!(r1.d_max_noisy, mono.d_max_noisy);
             assert_eq!(r1.truncated_users, mono.truncated_users);
@@ -316,7 +344,7 @@ mod tests {
             .with_seed(4)
             .with_offline(OfflineMode::OtExtension);
         let mono = CargoSystem::new(cfg).run(&g);
-        let (r1, r2) = run_party_local(&g, &cfg);
+        let (r1, r2) = run_party_local(&g, &cfg).unwrap();
         assert_eq!(r1.noisy_count, mono.noisy_count);
         assert_eq!(r1.net, mono.net, "offline ledger included");
         assert_eq!(r2.net, mono.net);
@@ -327,10 +355,10 @@ mod tests {
     fn sparse_party_pipeline_opens_the_dense_noisy_count() {
         let g = barabasi_albert(70, 4, 13);
         let base = CargoConfig::new(2.0).with_seed(6).with_threads(2);
-        let (d1, _) = run_party_local(&g, &base);
+        let (d1, _) = run_party_local(&g, &base).unwrap();
         let sparse_cfg = base.with_schedule(crate::ScheduleKind::Sparse);
         let mono = CargoSystem::new(sparse_cfg).run(&g);
-        let (s1, s2) = run_party_local(&g, &sparse_cfg);
+        let (s1, s2) = run_party_local(&g, &sparse_cfg).unwrap();
         // Same release as the dense schedule, same ledger as the
         // sparse monolithic run, far fewer evaluated triples.
         assert_eq!(s1.noisy_count, d1.noisy_count, "schedule-invariant release");
@@ -344,18 +372,12 @@ mod tests {
     #[test]
     fn a_diverged_peer_surfaces_its_round_through_the_local_run() {
         // Two parties handed different batches disagree from the first
-        // round on. The local run must re-raise the party's own panic,
-        // naming the round, not a generic "party panicked".
+        // round on. The local run must return the party's own failure,
+        // naming the round, not a generic "party failed".
         let g = erdos_renyi(30, 0.3, 21);
         let cfg = CargoConfig { batch: 16, ..CargoConfig::new(2.0).with_seed(17).with_threads(1) };
         let peer = CargoConfig { batch: 24, ..cfg };
-        let panic = std::panic::catch_unwind(|| run_pair(&g, [&cfg, &peer]))
-            .expect_err("a diverged pair must not open a count");
-        let text = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let text = run_pair(&g, [&cfg, &peer]).expect_err("a diverged pair must not open a count").to_string();
         assert!(text.contains("peer slab size mismatch in the round at pair round 0"), "{text}");
     }
 
@@ -374,14 +396,13 @@ mod tests {
         let (end1, end2) = (Arc::new(end1), Arc::new(end2));
         let started = std::time::Instant::now();
         let (r1, r2) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| run_party(&g, &dealer, ServerId::S1, &end1));
-            let h2 = scope.spawn(|| run_party(&g, &ot, ServerId::S2, &end2));
-            (h1.join(), h2.join())
+            let h1 = scope.spawn(|| try_run_party(&g, &dealer, ServerId::S1, &end1));
+            let h2 = scope.spawn(|| try_run_party(&g, &ot, ServerId::S2, &end2));
+            (h1.join().unwrap(), h2.join().unwrap())
         });
         assert!(started.elapsed() < stall / 2, "failed on the first foreign frame, not on the timeout");
-        let text = |outcome: std::thread::Result<PartyReport>| {
-            let panic = outcome.expect_err("a mismatched pair must not open a count");
-            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        let text = |outcome: Result<PartyReport, PartyError>| {
+            outcome.expect_err("a mismatched pair must not open a count").to_string()
         };
         let (t1, t2) = (text(r1), text(r2));
         assert!(t1.contains("got an offline flight (type 3, tag 0) where a final opening"), "{t1}");
@@ -397,7 +418,7 @@ mod tests {
     fn reports_are_identical_except_the_secret_share() {
         let g = barabasi_albert(60, 3, 9);
         let cfg = CargoConfig::new(1.5).with_seed(2);
-        let (r1, mut r2) = run_party_local(&g, &cfg);
+        let (r1, mut r2) = run_party_local(&g, &cfg).unwrap();
         assert_eq!(r1.role, ServerId::S1);
         assert_eq!(r2.role, ServerId::S2);
         // Erase the two fields that legitimately differ…

@@ -12,7 +12,7 @@
 //! The steps are written once: one private step sequence, generic over
 //! the party seam ([`EpochParty`]) and taking the DP unit (edge / node)
 //! as a value. [`CargoSystem::run`] and [`crate::node_dp::run_node_dp`]
-//! run it with both servers in this process, [`crate::party::run_party`]
+//! run it with both servers in this process, [`crate::party::try_run_party`]
 //! as one server over a link.
 //!
 //! [`CargoOutput`] also carries diagnostics a real deployment would
@@ -25,10 +25,9 @@ use crate::count::{CountJob, SecureCountResult};
 use crate::count_sched::SchedulePlan;
 use crate::max_degree::{noisy_max_degree, MaxDegreeEstimate};
 use crate::node_dp::node_dp_count_sensitivity;
-use crate::party::{EpochParty, InProcess};
+use crate::party::{EpochParty, InProcess, PartyError};
 use crate::perturb::aggregate_noise_shares;
 use crate::projection::project_matrix;
-use crate::session::SessionError;
 use cargo_dp::{FixedPointCodec, PrivacyAccountant, PrivacyBudget};
 use cargo_graph::{count_triangles_matrix, Graph};
 use cargo_mpc::NetStats;
@@ -46,7 +45,7 @@ pub(crate) const NOISE_SEED_TWEAK: u64 = 0xD00F;
 /// Algorithm 1 is the same.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DpUnit {
-    /// ε-Edge DDP ([`CargoSystem::run`], [`crate::party::run_party`]).
+    /// ε-Edge DDP ([`CargoSystem::run`], [`crate::party::try_run_party`]).
     Edge,
     /// ε-Node DDP ([`crate::node_dp::run_node_dp`]).
     Node,
@@ -121,15 +120,18 @@ pub(crate) struct Run {
 /// surviving-triple shares are bit-identical either way, so the release
 /// does not depend on this choice.
 ///
+/// # Errors
+/// A [`PartyError`] naming the step — the Count or the final opening —
+/// at which the peer was lost or went off this server's cut.
+///
 /// # Panics
-/// Panics if the graph has no nodes, the config is invalid, or the
-/// peer is lost.
+/// Panics if the graph has no nodes or the config is invalid.
 pub(crate) fn algorithm1<P: EpochParty>(
     graph: &Graph,
     cfg: &CargoConfig,
     unit: DpUnit,
     party: &P,
-) -> Run {
+) -> Result<Run, PartyError> {
     let split = cfg.epsilon_split();
     let (max_label, perturb_label) = unit.labels();
     let mut accountant = PrivacyAccountant::new(PrivacyBudget::new(cfg.epsilon));
@@ -158,7 +160,7 @@ pub(crate) fn algorithm1<P: EpochParty>(
     // function of shared public state, never a message) ----
     let t0 = Instant::now();
     let job = CountJob::from_config(cfg, SchedulePlan::for_support(cfg.schedule, &matrix));
-    let count = party.count(&matrix, &job, None);
+    let count = party.count(&matrix, &job, None).map_err(|e| PartyError::at("Count", e))?;
     let t_count = t0.elapsed();
 
     // ---- Step 3: distributed perturbation ----
@@ -176,11 +178,7 @@ pub(crate) fn algorithm1<P: EpochParty>(
         codec.lift_integer(count.share1) + gamma1,
         codec.lift_integer(count.share2) + gamma2,
     );
-    let opened = party.open(finals).unwrap_or_else(|e| match e {
-        // A one-shot run has no epoch: name the step the peer failed at.
-        SessionError::Peer(msg) => panic!("peer failure at the final opening: {msg}"),
-        e => panic!("{e}"),
-    });
+    let opened = party.open(finals).map_err(|e| PartyError::at("final opening", e))?;
     accountant
         .spend(perturb_label, split.epsilon2)
         .expect("budget split cannot exceed the cap");
@@ -192,7 +190,7 @@ pub(crate) fn algorithm1<P: EpochParty>(
         // Measured == modeled, the final opening included.
         net.wire_bytes = payload;
     }
-    Run {
+    Ok(Run {
         noisy_count: codec.decode(opened),
         d_max_noisy: max_est.d_max_noisy,
         truncated_users,
@@ -206,12 +204,12 @@ pub(crate) fn algorithm1<P: EpochParty>(
         },
         ledger: accountant.ledger().to_vec(),
         count,
-    }
+    })
 }
 
 /// [`algorithm1`] with both servers in this process.
 pub(crate) fn run_in_process(graph: &Graph, cfg: &CargoConfig, unit: DpUnit) -> CargoOutput {
-    let run = algorithm1(graph, cfg, unit, &InProcess);
+    let run = algorithm1(graph, cfg, unit, &InProcess).expect("an in-process run has no peer to lose");
     CargoOutput {
         noisy_count: run.noisy_count,
         true_count: cargo_graph::count_triangles(graph),

@@ -42,9 +42,9 @@
 //! transcript against the local one.
 
 use crate::config::CargoConfig;
-use crate::count::{CountJob, SecureCountResult};
+use crate::count::{CountFailure, CountJob, SecureCountResult};
 use crate::count_sched::SchedulePlan;
-use crate::delta::{check_batch, EdgeDelta, IncrementalCounter};
+use crate::delta::{check_batch, EdgeDelta, EpochCount, IncrementalCounter};
 use crate::pair_phase::OpenedPairs;
 use crate::party::{agree, EpochParty, InProcess, Wire};
 use crate::perturb::aggregate_noise_shares;
@@ -57,7 +57,6 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Lines};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 /// Everything one epoch publishes. Role-independent: both wire
 /// parties and the in-process reference produce identical outcomes
@@ -103,8 +102,10 @@ pub enum SessionError {
     Refused(ReleaseRefused),
     /// A delta referenced an invalid edge (out of range / self-loop).
     Graph(GraphError),
-    /// The peer died or the link failed mid-epoch. No release was
-    /// opened for the epoch; the session is poisoned.
+    /// The peer died, the link failed or the peer went off this
+    /// server's cut mid-epoch — in a Count ([`CountFailure`]'s text) or
+    /// a frame exchange. No release was opened for the epoch; the
+    /// session is poisoned.
     Peer(String),
     /// A malformed line in a delta script.
     Script {
@@ -133,14 +134,9 @@ impl fmt::Display for SessionError {
             SessionError::Refused(r) => write!(f, "{r}"),
             SessionError::Graph(e) => write!(f, "bad delta: {e}"),
             SessionError::Peer(msg) => write!(f, "peer failure mid-epoch: {msg}"),
-            SessionError::Script { line, message } => {
-                write!(f, "delta script line {line}: {message}")
-            }
+            SessionError::Script { line, message } => write!(f, "delta script line {line}: {message}"),
             SessionError::Desync { what, ours, theirs } => {
-                write!(
-                    f,
-                    "parties desynced on {what}: ours {ours:#x}, theirs {theirs:#x}"
-                )
+                write!(f, "parties desynced on {what}: ours {ours:#x}, theirs {theirs:#x}")
             }
         }
     }
@@ -157,6 +153,12 @@ impl From<ReleaseRefused> for SessionError {
 impl From<GraphError> for SessionError {
     fn from(e: GraphError) -> Self {
         SessionError::Graph(e)
+    }
+}
+
+impl From<CountFailure> for SessionError {
+    fn from(e: CountFailure) -> Self {
+        SessionError::Peer(e.to_string())
     }
 }
 
@@ -224,11 +226,12 @@ impl ReleaseState {
 /// count, the release schedule and the one epoch [`step`](Self::step).
 /// Used as [`Session`] or [`PartySession`].
 ///
-/// A failure after an epoch's grant — a peer lost mid-epoch (the worker
-/// `RecvError` path: disconnect immediately, timeout after the link's
-/// [`Transport::recv_timeout`]) or a commit handshake that finds the
-/// pair desynced ([`SessionError::Desync`]) — emits **no** release for
-/// the epoch, keeps its grant spent, and poisons the session.
+/// A failure after an epoch's grant — a peer lost mid-epoch (a
+/// [`CountFailure`] or a failed frame exchange: disconnect at once,
+/// timeout after the link's [`Transport::recv_timeout`]) or a commit
+/// handshake that finds the pair desynced ([`SessionError::Desync`]) —
+/// emits **no** release for the epoch, keeps its grant spent, and
+/// poisons the session.
 pub struct ServeSession<P> {
     party: P,
     job: CountJob,
@@ -258,8 +261,7 @@ impl<P: EpochParty> ServeSession<P> {
         // A serve run's vertex set is its base graph's: a delta outside
         // it is refused.
         let mut opened = OpenedPairs::new(job.seed, graph.n());
-        let eval = evaluator(&party, &job, &mut opened);
-        let counter = unwinding(|| Ok(IncrementalCounter::new_with(graph, eval)))?;
+        let counter = IncrementalCounter::new_with(graph, evaluator(&party, &job, &mut opened))?;
         let release = ReleaseState::new(cfg, counter.graph().n());
         Ok(ServeSession { party, job, opened, counter, release, poisoned: false })
     }
@@ -279,25 +281,12 @@ impl<P: EpochParty> ServeSession<P> {
     /// link; a later failure poisons the session.
     pub fn step(&mut self, batch: &[EdgeDelta]) -> Result<EpochOutcome, SessionError> {
         if self.poisoned {
-            return Err(SessionError::Peer(
-                "session poisoned by an earlier peer failure".into(),
-            ));
+            return Err(SessionError::Peer("session poisoned by an earlier peer failure".into()));
         }
         check_batch(self.counter.graph().n(), batch)?;
         let grant = self.release.schedule.next_release()?;
         let before = self.party.payload();
-        let ServeSession { party, job, opened, counter, release, .. } = self;
-        let stepped = unwinding(|| {
-            let ec = counter.apply_with(batch, evaluator(party, job, opened))?;
-            let digest = counter.digest();
-            let (g1, g2) = release.gammas(&grant);
-            let codec = release.codec;
-            let finals = (codec.lift_integer(ec.share1) + g1, codec.lift_integer(ec.share2) + g2);
-            party.commit(CommitMsg { epoch: grant.epoch, digest })?;
-            let opened = party.open(finals)?;
-            Ok((ec, digest, codec.decode(opened)))
-        });
-        let (ec, digest, noisy_count) = stepped.inspect_err(|_| self.poisoned = true)?;
+        let (ec, digest, noisy_count) = self.release_epoch(batch, &grant).inspect_err(|_| self.poisoned = true)?;
         let mut net = ec.net;
         net.exchange(1); // the final opening
         if let (Some(before), Some(now)) = (before, self.party.payload()) {
@@ -321,6 +310,20 @@ impl<P: EpochParty> ServeSession<P> {
         })
     }
 
+    /// The granted epoch's Count, commit and opening: its share state,
+    /// post-epoch digest and released value.
+    fn release_epoch(&mut self, batch: &[EdgeDelta], grant: &ReleaseGrant) -> Result<(EpochCount, u64, f64), SessionError> {
+        let ServeSession { party, job, opened, counter, release, .. } = self;
+        let ec = counter.apply_with(batch, evaluator(party, job, opened))?;
+        let digest = counter.digest();
+        let (g1, g2) = release.gammas(grant);
+        let codec = release.codec;
+        let finals = (codec.lift_integer(ec.share1) + g1, codec.lift_integer(ec.share2) + g2);
+        party.commit(CommitMsg { epoch: grant.epoch, digest })?;
+        let opened = party.open(finals)?;
+        Ok((ec, digest, codec.decode(opened)))
+    }
+
     /// The session's next epoch and current [`crate::state_digest`].
     fn announce(&self) -> CommitMsg {
         CommitMsg {
@@ -334,8 +337,7 @@ impl Session {
     /// Counts the base graph (baseline share state; nothing released)
     /// and arms the release schedule.
     pub fn new(graph: Graph, cfg: &CargoConfig) -> Self {
-        Self::start(graph, cfg, InProcess)
-            .unwrap_or_else(|e| panic!("baseline count: {e}"))
+        Self::start(graph, cfg, InProcess).expect("an in-process baseline has no peer to lose")
     }
 }
 
@@ -426,21 +428,8 @@ fn evaluator<'a, P: EpochParty>(
     party: &'a P,
     job: &'a CountJob,
     opened: &'a mut OpenedPairs,
-) -> impl FnMut(&BitMatrix, SchedulePlan) -> SecureCountResult + 'a {
+) -> impl FnMut(&BitMatrix, SchedulePlan) -> Result<SecureCountResult, CountFailure> + 'a {
     move |matrix, plan| party.count(matrix, &CountJob { plan, ..job.clone() }, Some(&mut *opened))
-}
-
-/// Runs `f`, turning a worker panic — how a Count reports its peer
-/// lost — into [`SessionError::Peer`].
-fn unwinding<R>(f: impl FnOnce() -> Result<R, SessionError>) -> Result<R, SessionError> {
-    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
-        Err(SessionError::Peer(
-            p.downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque worker panic".into()),
-        ))
-    })
 }
 
 /// Reads the serve wire syntax one epoch batch at a time — lazily, so

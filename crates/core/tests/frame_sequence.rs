@@ -81,7 +81,7 @@ fn digest(ends: &[Arc<Logged>; 2]) -> u64 {
 /// The digest of one Count of `job` over `input` on a logged pair.
 fn count_digest<'a>(input: impl Into<cargo_core::CountInput<'a>>, job: &CountJob) -> u64 {
     let (end1, end2) = logged_pair();
-    let res = count_two_party(input, job, &end1, &end2);
+    let res = count_two_party(input, job, &end1, &end2).expect("both parties follow one job");
     assert!(res.triples > 0);
     digest(&[end1, end2])
 }

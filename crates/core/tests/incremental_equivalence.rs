@@ -88,7 +88,7 @@ fn scratch(g: &Graph, job: &CountJob) -> (Ring64, Ring64) {
 /// given knobs, returning the per-epoch outcomes.
 fn replay(g: &Graph, epochs: &[Vec<EdgeDelta>], job: CountJob) -> Vec<EpochCount> {
     let mut eval = inline_evaluator(job);
-    let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+    let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval).expect("in process");
     epochs
         .iter()
         .map(|b| counter.apply_with(b, &mut eval).unwrap())
@@ -110,7 +110,7 @@ proptest! {
         for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
             let job = CountJob { offline, ..CountJob::new(seed ^ 0xC0DE) };
             let mut eval = inline_evaluator(job.clone());
-            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval).expect("in process");
             for batch in &epochs {
                 let ec = counter.apply_with(batch, &mut eval).unwrap();
                 let (s1, s2) = scratch(counter.graph(), &job);
@@ -185,7 +185,7 @@ proptest! {
         let mut states = Vec::new();
         for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
             let mut eval = inline_evaluator(CountJob { offline, ..CountJob::new(seed ^ 0xC0DE) });
-            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval);
+            let mut counter = IncrementalCounter::new_with(g.clone(), &mut eval).expect("in process");
             let baseline = counter.shares();
             counter.apply_with(&removes, &mut eval).unwrap();
             let restored = counter.apply_with(&adds, &mut eval).unwrap();

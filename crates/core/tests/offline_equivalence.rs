@@ -172,8 +172,8 @@ fn the_offline_ledger_is_invariant_and_measured_over_memory_and_tcp_on_every_pla
             assert_eq!(local.net.offline, expected_offline(&sched), "{}", at("ledger"));
             let (mem1, mem2) = memory_pair();
             let (tcp1, tcp2, _) = TcpTransport::loopback_pair(&TcpConfig::default()).expect("loopback pair");
-            let over_memory = count_two_party(&m, &ot(threads, batch), &Arc::new(mem1), &Arc::new(mem2));
-            let over_tcp = count_two_party(&m, &ot(threads, batch), &Arc::new(tcp1), &Arc::new(tcp2));
+            let over_memory = count_two_party(&m, &ot(threads, batch), &Arc::new(mem1), &Arc::new(mem2)).expect("both parties follow one job");
+            let over_tcp = count_two_party(&m, &ot(threads, batch), &Arc::new(tcp1), &Arc::new(tcp2)).expect("both parties follow one job");
             for res in [over_memory, over_tcp] {
                 assert_eq!((res.share1, res.share2), (local.share1, local.share2), "{}", at("wire shares"));
                 assert_eq!(res.net, local.net, "{}", at("wire ledger"));
@@ -235,7 +235,7 @@ fn a_wide_plan_splits_its_key_columns_into_flights_under_the_frame_cap() {
             Arc::new(Recording { inner, offline_frames, largest, largest_correction })
         })
     };
-    let res = count_two_party(&m, &wide, &end1, &end2);
+    let res = count_two_party(&m, &wide, &end1, &end2).expect("both parties follow one job");
     assert_eq!(res.reconstruct().to_u64(), 1100);
     let (pairs, triples) = (3300usize, 1100usize);
     let key_flights = pairs.div_ceil(MAX_FLIGHT_PAIRS);
@@ -288,7 +288,7 @@ proptest! {
         let fast = count_local(&m, &job(seed, 1, 4, OfflineMode::OtExtension));
         let (end1, end2) = memory_pair();
         let rt = count_two_party(
-            &m, &job(seed, 2, 4, OfflineMode::OtExtension), &Arc::new(end1), &Arc::new(end2));
+            &m, &job(seed, 2, 4, OfflineMode::OtExtension), &Arc::new(end1), &Arc::new(end2)).expect("both parties follow one job");
         prop_assert_eq!(rt.share1, fast.share1);
         prop_assert_eq!(rt.share2, fast.share2);
         // Full NetStats equality, offline ledger included.

@@ -195,7 +195,7 @@ fn pipeline_digests() -> (u64, u64) {
             }
             all.text("party-local");
             invariant.text("party-local");
-            let (r1, r2) = run_party_local(&graph, &base);
+            let (r1, r2) = run_party_local(&graph, &base).expect("both parties follow one job");
             for r in [&r1, &r2] {
                 all.report(r);
                 invariant.report_invariants(r);

@@ -82,7 +82,7 @@ proptest! {
         for (threads, batch) in [(1usize, 0usize), (2, 7), (2, 1), (4, 64)] {
             let (end1, end2) = memory_pair();
             let rt =
-                count_two_party(&m, &job(seed, threads, batch), &Arc::new(end1), &Arc::new(end2));
+                count_two_party(&m, &job(seed, threads, batch), &Arc::new(end1), &Arc::new(end2)).expect("both parties follow one job");
             prop_assert_eq!(rt.share1, fast.share1);
             prop_assert_eq!(rt.share2, fast.share2);
             prop_assert_eq!(rt.triples, fast.triples);

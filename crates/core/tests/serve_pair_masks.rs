@@ -106,9 +106,9 @@ proptest! {
                 }
             });
             counts += 1;
-            count_local(m, &CountJob { plan, ..job.clone() })
+            Ok(count_local(m, &CountJob { plan, ..job.clone() }))
         };
-        let mut counter = IncrementalCounter::new_with(random_graph(n, density, seed), &mut eval);
+        let mut counter = IncrementalCounter::new_with(random_graph(n, density, seed), &mut eval).expect("in process");
         for batch in random_epochs(n as u32, seed, epochs, batch) {
             counter.apply_with(&batch, &mut eval).expect("endpoints in range");
         }
@@ -145,9 +145,9 @@ proptest! {
                 assert_eq!(kept.get(p.0, p.1), Some(opening_at_one(seed, p)), "pair {p:?}");
             }
             assert_eq!(kept.len(), seen.len());
-            res
+            Ok(res)
         };
-        let mut counter = IncrementalCounter::new_with(random_graph(n, density, seed), &mut eval);
+        let mut counter = IncrementalCounter::new_with(random_graph(n, density, seed), &mut eval).expect("in process");
         for batch in random_epochs(n as u32, seed, epochs, batch) {
             counter.apply_with(&batch, &mut eval).expect("endpoints in range");
         }
@@ -160,9 +160,9 @@ fn new_pairs_per_epoch(base: &Graph, epochs: &[Vec<EdgeDelta>]) -> Vec<u64> {
     let (mut seen, new) = (BTreeSet::new(), Cell::new(0u64));
     let mut eval = |m: &BitMatrix, plan: SchedulePlan| {
         new.set(plan_pairs(m.n(), &plan).into_iter().filter(|&p| seen.insert(p)).count() as u64);
-        count_local(m, &CountJob { plan, ..CountJob::new(0) })
+        Ok(count_local(m, &CountJob { plan, ..CountJob::new(0) }))
     };
-    let mut counter = IncrementalCounter::new_with(base.clone(), &mut eval);
+    let mut counter = IncrementalCounter::new_with(base.clone(), &mut eval).expect("in process");
     let mut each = |batch: &Vec<EdgeDelta>| {
         new.set(0);
         counter.apply_with(batch, &mut eval).expect("endpoints in range");

@@ -166,7 +166,7 @@ proptest! {
             // path share for share, NetStats included.
             let (end1, end2) = memory_pair();
             let rt = count_two_party(
-                &m, &job(seed, threads, batch, plan.clone()), &Arc::new(end1), &Arc::new(end2));
+                &m, &job(seed, threads, batch, plan.clone()), &Arc::new(end1), &Arc::new(end2)).expect("both parties follow one job");
             prop_assert_eq!(rt.share1, base.share1);
             prop_assert_eq!(rt.share2, base.share2);
             prop_assert_eq!(rt.net.elements, base.net.elements);

@@ -30,7 +30,7 @@ fn job(seed: u64, threads: usize, batch: usize, offline: OfflineMode) -> CountJo
 /// Both server pools over the in-memory byte transport.
 fn over_memory(m: &BitMatrix, job: &CountJob) -> SecureCountResult {
     let (end1, end2) = memory_pair();
-    count_two_party(m, job, &Arc::new(end1), &Arc::new(end2))
+    count_two_party(m, job, &Arc::new(end1), &Arc::new(end2)).expect("both parties follow one job")
 }
 
 /// An arbitrary (possibly asymmetric) bit matrix, sized for the OT
@@ -120,7 +120,7 @@ fn tcp_transport_runtime_equals_fast_path_on_the_grid() {
                 &job(n as u64, threads, batch, mode),
                 &Arc::new(end1),
                 &Arc::new(end2),
-            );
+            ).expect("both parties follow one job");
             assert_eq!(tcp.share1, fast.share1, "n={n} t={threads} b={batch}");
             assert_eq!(tcp.share2, fast.share2, "n={n} t={threads} b={batch}");
             assert_eq!(tcp.net, fast.net, "n={n} {mode:?}: measured == modeled");

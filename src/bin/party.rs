@@ -22,7 +22,7 @@
 
 use cargo_core::config::{self, parse_argv, parse_value, ArgvError, ConfigFlag, Flag};
 use cargo_core::{
-    replay_committed, run_party, run_party_local, CargoConfig, DeltaBatches, EdgeDelta,
+    replay_committed, run_party_local, try_run_party, CargoConfig, DeltaBatches, EdgeDelta,
     EpochJournal, EpochOutcome, EpochParty, EpochRecord, IncrementalCounter, PartyReport,
     PartySession, ScheduleKind, ServeSession, Session, SessionError,
 };
@@ -154,7 +154,12 @@ fn usage() -> String {
          committed epoch bit-identically, re-prints its transcript,\n\
          reconnects with backoff, and continues without double-spending\n\
          epsilon. --fault-plan injects deterministic link faults at frame\n\
-         indices (testing; wire roles only)."
+         indices (testing; wire roles only).\n\
+         \n\
+         exit status: 0 on a release or a clean stop (serve: the schedule\n\
+         refused the next release), 1 on a failed run (a lost or diverged\n\
+         peer, a link, journal or delta failure; nothing is released),\n\
+         2 on bad flags."
     )
 }
 
@@ -559,27 +564,25 @@ fn main() {
         std::process::exit(code);
     }
 
-    match args.role.server() {
-        None => {
-            let (r1, _r2) = run_party_local(&graph, &cfg);
+    let run = match args.role.server() {
+        None => run_party_local(&graph, &cfg).map(|(r1, _r2)| {
             eprintln!("[party local] both in-process parties agree");
-            print_peak_rss();
-            print_result(&r1, args.schedule);
-        }
+            r1
+        }),
         Some(id) => {
             let link = open_link(&args, id);
-            let report = run_party(&graph, &cfg, id, &link);
-            eprintln!(
-                "[party {id:?}] done: T' = {} ({} online payload bytes measured, \
-                 {} total on the socket incl. headers)",
-                report.noisy_count,
-                report.net.wire_bytes,
-                link.stats().total_bytes(),
-            );
-            print_peak_rss();
-            print_result(&report, args.schedule);
+            try_run_party(&graph, &cfg, id, &link).inspect(|r| {
+                let (t, wire, total) = (r.noisy_count, r.net.wire_bytes, link.stats().total_bytes());
+                eprintln!("[party {id:?}] done: T' = {t} ({wire} online payload bytes measured, {total} total on the socket incl. headers)")
+            })
         }
-    }
+    };
+    print_peak_rss();
+    let report = run.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    });
+    print_result(&report, args.schedule);
 }
 
 #[cfg(test)]

@@ -36,3 +36,12 @@ fn party_keeps_the_recv_timeout_its_links_wait_with() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+#[test]
+fn party_usage_lists_its_exit_statuses() {
+    let out = Command::new(PARTY).arg("--help").output().expect("spawn");
+    let usage = String::from_utf8(out.stdout).unwrap();
+    assert!(usage.contains("exit status: 0 on a release or a clean stop"), "{usage}");
+    assert!(usage.contains("1 on a failed run"), "{usage}");
+    assert!(usage.contains("2 on bad flags"), "{usage}");
+}

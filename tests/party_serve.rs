@@ -174,3 +174,34 @@ fn resume_refuses_a_v1_journal_naming_both_versions() {
     assert!(stderr.contains("cargo-journal v2"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing is published");
 }
+
+#[test]
+fn a_one_shot_pair_with_mismatched_batches_exits_1_naming_the_round() {
+    // Two processes handed different batches diverge in the first pair
+    // round: each must stop on its own check as a value, print it and
+    // exit 1 — no panic, and long before the receive timeout.
+    let addr = {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    let party = |role: &[&str], batch: &str| {
+        let mut cmd = Command::new(PARTY);
+        cmd.args(role)
+            .args(["--n", "30", "--batch", batch, "--recv-timeout", "60"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
+        cmd
+    };
+    let started = std::time::Instant::now();
+    let s1 = party(&["--role", "s1", "--listen", &addr], "16").spawn().unwrap();
+    let s2 = party(&["--role", "s2", "--connect", &addr], "24").output().unwrap();
+    let s1 = s1.wait_with_output().unwrap();
+    assert!(started.elapsed() < std::time::Duration::from_secs(30), "stopped by the timeout");
+    for (role, out) in [("s1", s1), ("s2", s2)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{role}: {stderr}");
+        assert!(stderr.contains("pair round 0"), "{role}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{role}: {stderr}");
+        assert!(out.stdout.is_empty(), "{role}: nothing is released");
+    }
+}
