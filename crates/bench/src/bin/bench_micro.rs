@@ -38,10 +38,10 @@ use cargo_mpc::{
     PairTable, Ring64, ServerId, SimdTier, SlotTriple, SplitMix64, WireMessage, GROUP_WORDS,
     MAX_FLIGHT_TRIPLES,
 };
-use criterion::{black_box, measure_median_iqr_ns};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -167,13 +167,35 @@ fn timed_dialogue((tables, triples): &([PairTable; 2], Vec<SlotTriple>)) -> ([Du
     (all, byte_codec)
 }
 
-/// Median and interquartile range in ns, taken as the criterion shim
-/// takes them.
-fn median_iqr(mut samples: Vec<Duration>) -> (f64, f64) {
-    samples.sort_unstable();
-    let ns = |i: usize| samples[i].as_nanos() as f64;
-    let len = samples.len();
-    (ns(len / 2), ns(3 * len / 4) - ns(len / 4))
+/// Median and interquartile range (`Q3 − Q1`) of samples in ns.
+fn median_iqr(ns: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    let mut ns: Vec<f64> = ns.into_iter().collect();
+    ns.sort_unstable_by(f64::total_cmp);
+    let len = ns.len();
+    (ns[len / 2], ns[3 * len / 4] - ns[len / 4])
+}
+
+/// Median and IQR of `routine`'s ns per call: one warm-up call sizes a
+/// sample to ≈ 1 ms of calls (1 to 100 000), then samples are taken
+/// until there are `samples` of them or `budget` has passed (at least
+/// one).
+fn measure<O>(samples: usize, budget: Duration, mut routine: impl FnMut() -> O) -> (f64, f64) {
+    let t0 = Instant::now();
+    black_box(routine());
+    let once = t0.elapsed().as_nanos().max(1);
+    let calls = (1_000_000 / once).clamp(1, 100_000) as u32;
+    let mut ns = Vec::with_capacity(samples);
+    let start = Instant::now();
+    loop {
+        let t = Instant::now();
+        for _ in 0..calls {
+            black_box(routine());
+        }
+        ns.push(t.elapsed().as_nanos() as f64 / f64::from(calls));
+        if ns.len() >= samples || start.elapsed() >= budget {
+            return median_iqr(ns);
+        }
+    }
 }
 
 fn main() {
@@ -203,23 +225,23 @@ fn main() {
         let triples = count.1.len() as u64;
         let passes: Vec<_> = (0..MG_PASSES).map(|_| timed_dialogue(&count)).collect();
         for (s, name) in STEPS.iter().enumerate() {
-            let step = median_iqr(passes.iter().map(|p| p.0[s]).collect());
+            let step = median_iqr(passes.iter().map(|p| p.0[s].as_nanos() as f64));
             row(&format!("mg/{name}"), n as usize, triples, step, 0.0);
         }
-        let total = median_iqr(passes.iter().map(|p| p.0.iter().sum()).collect());
+        let sums = passes.iter().map(|p| p.0.iter().sum::<Duration>().as_nanos() as f64);
+        let total = median_iqr(sums);
         row("mg/sum", n as usize, triples, total, 0.0);
-        let bytes = median_iqr(passes.iter().map(|p| p.1).collect());
+        let bytes = median_iqr(passes.iter().map(|p| p.1.as_nanos() as f64));
         row("wire/byte_codec", n as usize, triples, bytes, 0.0);
         let u: Vec<u64> = (0..OT_KAPPA as u64 * 992)
             .map(|w| w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(&u)));
+        let ns = measure(12, budget, || black_box(transcript_digest(&u)));
         row("mg/digest", n as usize, 64 * 992, ns, 0.0);
     }
 
     // mul3: the protocol-object three-value multiplication, including
-    // the streaming dealer draw (the shape the mul3 criterion bench
-    // measures). One opening round: 6 elements, 48 bytes.
+    // the streaming dealer draw. One opening round: 6 elements, 48 bytes.
     {
         let mut dealer = Dealer::new(1);
         let sa = dealer.share(Ring64::ONE);
@@ -233,7 +255,7 @@ fn main() {
             dealer.mul_group(),
             &mut probe_net,
         );
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             let mg = dealer.mul_group();
             let mut net = NetStats::new();
             black_box(mul3(
@@ -289,7 +311,7 @@ fn main() {
                 });
             }
             if shape == "cube" {
-                let ns = measure_median_iqr_ns(12, budget, || {
+                let ns = measure(12, budget, || {
                     for plan in &plans {
                         black_box(walk_slices(&mut scratch, &pairs, plan, |_, _| {}));
                     }
@@ -300,7 +322,7 @@ fn main() {
             let mut tables = servers.map(|server| PairTable::new(7, server, false));
             let mut slabs = [vec![0u64; keys.len()], vec![0u64; keys.len()]];
             for (s, server) in servers.into_iter().enumerate() {
-                let ns = measure_median_iqr_ns(12, budget, || {
+                let ns = measure(12, budget, || {
                     mask_round(&mut tables[s], &keys, &bits, &mut slabs[s]);
                     black_box(slabs[s][keys.len() - 1])
                 });
@@ -315,20 +337,20 @@ fn main() {
                 let label = if tier == detected { shape.to_string() } else { format!("{shape}/{tier}") };
                 for (server, table) in servers.into_iter().zip(&tables) {
                     let table = table.clone().at_tier(tier);
-                    let ns = measure_median_iqr_ns(12, budget, || {
+                    let ns = measure(12, budget, || {
                         black_box(weighted_pass(&table, &runs, None))
                     });
                     row(&format!("wire/pass/{label}/{server:?}"), at, at as u64, ns, 0.0);
                 }
             }
-            let ns = measure_median_iqr_ns(12, budget, || {
+            let ns = measure(12, budget, || {
                 black_box(tables.each_ref().map(|table| weighted_pass(table, &runs, None)))
             });
             row(&format!("local/{shape}"), at, at as u64, ns, 0.0);
         }
         let mut words = vec![0u64; GROUP_WORDS * len];
         let mut dealer = PairDealer::for_pair(7, 3, 5);
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             dealer.fill_words(&mut words);
             black_box(words[GROUP_WORDS * len - 1])
         });
@@ -342,7 +364,7 @@ fn main() {
         let sb = dealer.share(Ring64::ONE);
         let mut probe_net = NetStats::new();
         beaver_mul((sa.s1, sa.s2), (sb.s1, sb.s2), dealer.beaver(), &mut probe_net);
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             let t = dealer.beaver();
             let mut net = NetStats::new();
             black_box(beaver_mul((sa.s1, sa.s2), (sb.s1, sb.s2), t, &mut net))
@@ -360,7 +382,7 @@ fn main() {
         let degrees = g.degrees();
         let mut rng = StdRng::seed_from_u64(1);
         let noisy = estimate_max_degree(&degrees, 0.2, &mut rng).noisy_degrees;
-        let ns = measure_median_iqr_ns(6, budget, || {
+        let ns = measure(6, budget, || {
             black_box(project_matrix(&matrix, &degrees, &noisy, 100))
         });
         row("projection", n, n as u64, ns, 0.0);
@@ -373,7 +395,7 @@ fn main() {
         let n = 2000usize;
         let dist = DistributedLaplace::new(n, 1000.0, 1.8);
         let mut rng = StdRng::seed_from_u64(5);
-        let ns = measure_median_iqr_ns(6, budget, || black_box(dist.sample_all(&mut rng)));
+        let ns = measure(6, budget, || black_box(dist.sample_all(&mut rng)));
         row("perturb_noise", n, n as u64, ns, 0.0);
     }
 
@@ -382,7 +404,7 @@ fn main() {
         let n = 2000usize;
         let degrees: Vec<usize> = (0..n).map(|i| i % 97).collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let ns = measure_median_iqr_ns(6, budget, || {
+        let ns = measure(6, budget, || {
             black_box(estimate_max_degree(&degrees, 0.2, &mut rng))
         });
         row("max_degree", n, n as u64, ns, 0.0);
@@ -406,12 +428,12 @@ fn main() {
             })
             .collect();
 
-        let ns = measure_median_iqr_ns(12, budget, || black_box(cols_to_rows_scalar(&cols, words)));
+        let ns = measure(12, budget, || black_box(cols_to_rows_scalar(&cols, words)));
         row("ot_transpose", rows, rows as u64, ns, 0.0);
         // The engine runs the into-form, reusing one buffer pair per
         // chunk — time that, not the allocating wrapper.
         let (mut lo, mut hi) = (vec![0u64; rows], vec![0u64; rows]);
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             cols_to_rows_simd_into(tier, &cols, words, &mut lo, &mut hi);
             black_box(lo[rows - 1])
         });
@@ -419,14 +441,14 @@ fn main() {
 
         let (lo, hi) = cols_to_rows_simd(tier, &cols, words);
         let mut out = vec![0u64; rows];
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             for j in 0..rows {
                 out[j] = cr_hash_scalar(j as u64, [lo[j], hi[j]]);
             }
             black_box(out[rows - 1])
         });
         row("ot_hash", rows, rows as u64, ns, 0.0);
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             cr_hash_batch(tier, 0, &lo, &hi, [0, 0], &mut out);
             black_box(out[rows - 1])
         });
@@ -443,14 +465,14 @@ fn main() {
         let header = [3u8; 24];
         for bytes in [1536usize, 2 << 20] {
             let payload: Vec<u64> = (0..bytes / 8).map(|_| prg.next_u64()).collect();
-            let ns = measure_median_iqr_ns(12, budget, || {
+            let ns = measure(12, budget, || {
                 black_box(frame_checksum(black_box(&header), black_box(&payload)))
             });
             row("frame_checksum", bytes, bytes as u64, ns, 0.0);
         }
         let mut u_msg = vec![0u64; 512 * 512];
         prg.fill_block(&mut u_msg);
-        let ns = measure_median_iqr_ns(12, budget, || black_box(transcript_digest(black_box(&u_msg))));
+        let ns = measure(12, budget, || black_box(transcript_digest(black_box(&u_msg))));
         row("transcript_digest", u_msg.len(), u_msg.len() as u64, ns, 0.0);
     }
 
@@ -478,17 +500,17 @@ fn main() {
                 .expect("a generated list parses");
             (scan.nodes, pairs)
         };
-        let ns = measure_median_iqr_ns(12, budget, parse);
+        let ns = measure(12, budget, parse);
         row("edge_list_parse", edges, edges as u64, ns, 0.0);
         let (nodes, pairs) = parse();
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             black_box(CsrGraph::from_unsorted_pairs(nodes, black_box(&pairs)))
         });
         row("csr_build", edges, edges as u64, ns, 0.0);
         let (csr, _) = CsrGraph::from_unsorted_pairs(nodes, &pairs);
         drop(pairs);
         let mut marks = NeighborMarks::new(csr.n());
-        let ns = measure_median_iqr_ns(12, budget, || {
+        let ns = measure(12, budget, || {
             let mut weight = 0usize;
             csr.walk_upper_edges((0, 0), 0, &mut marks, |_| true, |_, _, _, ks| {
                 weight += ks.len();

@@ -21,7 +21,6 @@ use crate::runners::trial_seed;
 use cargo_core::{CargoSystem, ScheduleKind};
 use cargo_graph::generators::chung_lu;
 use cargo_graph::Graph;
-use std::time::Instant;
 
 /// `C(n, 3)` — the dense cube's triple count.
 fn dense_cube(n: u64) -> u128 {
@@ -53,9 +52,7 @@ pub fn sparse_large(opts: &Options) -> Vec<Table> {
     );
     let mut row = |schedule: ScheduleKind, g: &Graph, seed: u64| {
         let cfg = opts.config(2.0).with_seed(seed).with_schedule(schedule);
-        let start = Instant::now();
         let out = CargoSystem::new(cfg).run(g);
-        let _ = start;
         let triples = out.triples;
         let cube = dense_cube(g.n() as u64);
         t.row(vec![

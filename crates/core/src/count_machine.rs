@@ -45,7 +45,7 @@ pub(crate) enum Step {
 /// offline flight) or a receive; the peer's data is off this server's
 /// cut — a pair round's, an offline flight of another `(flight, step)`,
 /// offline words that do not fit; or a machine was handed a message it
-/// did not await. Its text is that of the check it stands for.
+/// did not await. Its text is one line naming the check it stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CountError {
     Send { offline: bool, error: RecvError },
@@ -390,9 +390,9 @@ mod tests {
         let slab = CountError::Round { round, pair, check: RoundCheck::Slab(Mismatch { theirs: 15, ours: 16 }) };
         assert_eq!(
             slab.to_string(),
-            "assertion `left == right` failed: peer slab size mismatch in the round at pair round 0, \
-             first pair (0, 1)\n  left: 15\n right: 16",
-            "the text of the check it replaces"
+            "peer slab size mismatch in the round at pair round 0, first pair (0, 1): \
+             peer sent 15, this server expects 16",
+            "one line naming both values"
         );
         // A message answers an await; the honest answer then moves S₁ on
         // to round 1.

@@ -1397,6 +1397,20 @@ mod tests {
         }
     }
 
+    /// `g`'s triangles by brute force, lexicographic.
+    fn triangles_of(g: &Graph) -> Vec<(u32, u32, u32)> {
+        let mut triangles = Vec::new();
+        for (i, j) in g.edges() {
+            for k in j + 1..g.n() {
+                if g.has_edge(i, k) && g.has_edge(j, k) {
+                    triangles.push((i as u32, j as u32, k as u32));
+                }
+            }
+        }
+        triangles.sort_unstable();
+        triangles
+    }
+
     fn cube_triples(n: usize) -> Vec<(u32, u32, u32)> {
         let n = n as u32;
         (0..n)
@@ -1430,16 +1444,7 @@ mod tests {
         }
         for (name, g) in stream_families() {
             let n = g.n();
-            // Brute force: the support's triangles, lexicographic.
-            let mut triangles = Vec::new();
-            for (i, j) in g.edges() {
-                for k in j + 1..n {
-                    if g.has_edge(i, k) && g.has_edge(j, k) {
-                        triangles.push((i as u32, j as u32, k as u32));
-                    }
-                }
-            }
-            triangles.sort_unstable();
+            let triangles = triangles_of(&g);
             let eager = Arc::new(CandidateSet::from_graph(&g));
             check_plan(&format!("{name}/eager"), n, SchedulePlan::CandidatePairs(eager), &triangles);
             let csr = Arc::new(CsrGraph::from_graph(&g));
@@ -1450,6 +1455,44 @@ mod tests {
                 triangles.iter().copied().filter(|&(i, j, k)| (i + 2 * j + k) % 3 != 0).collect();
             let listed = Arc::new(CandidateSet::from_triples(n, &gappy));
             check_plan(&format!("{name}/listed"), n, SchedulePlan::CandidatePairs(listed), &gappy);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn a_candidate_superset_of_the_triangles_opens_the_dense_count(
+            n in 3usize..40, p in 0.0f64..0.5, seed: u64, extra in 0usize..64
+        ) {
+            // A listed triple that is no triangle adds a_ij·a_ik·a_jk = 0,
+            // so the support's triangles plus any others open the cube's
+            // count over the matrix, whichever offline mode masks them.
+            use crate::count::{count_local, CountJob};
+            use cargo_mpc::{OfflineMode, SplitMix64};
+            let g = generators::erdos_renyi(n, p, seed);
+            let m = g.to_bit_matrix();
+            let mut rng = SplitMix64::new(seed);
+            let mut triples = triangles_of(&g);
+            for _ in 0..extra {
+                let mut t = [0; 3].map(|_| (rng.next_u64() % n as u64) as u32);
+                t.sort_unstable();
+                if t[0] < t[1] && t[1] < t[2] {
+                    triples.push((t[0], t[1], t[2]));
+                }
+            }
+            triples.sort_unstable();
+            triples.dedup();
+            let listed = CandidateSet::from_triples(n, &triples);
+            let listed = SchedulePlan::CandidatePairs(Arc::new(listed));
+            for offline in [OfflineMode::TrustedDealer, OfflineMode::OtExtension] {
+                let dense = CountJob { offline, ..CountJob::new(seed) };
+                let superset = CountJob { plan: listed.clone(), ..dense.clone() };
+                let opened = count_local(&m, &superset).reconstruct();
+                let want = count_local(&m, &dense).reconstruct();
+                // The mode rides along so that a failure names it.
+                proptest::prop_assert_eq!((offline, opened), (offline, want));
+            }
         }
     }
 

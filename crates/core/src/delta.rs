@@ -400,8 +400,16 @@ impl IncrementalCounter {
     /// of the epoch's `DeltaPlan::count_plan` then adds the created triangles
     /// and subtracts the destroyed ones, and the matrix settles on the
     /// post-batch graph. `eval` runs at most once: not at all when no
-    /// triangle was born or died. A bad endpoint fails before any edit,
-    /// a failed Count ([`SessionError::Peer`]) before the fold.
+    /// triangle was born or died.
+    ///
+    /// # Errors
+    /// A bad endpoint fails before any edit, and the counter is as it
+    /// was. A failed Count ([`SessionError::Peer`]) fails before the
+    /// fold and leaves a counter that matches no epoch: its graph has
+    /// advanced past the batch, its matrix is unsettled (still pre ∪
+    /// post) and `epochs` has not counted the batch. Drop that counter.
+    /// A serve session already poisons itself on the error, and a resume
+    /// rebuilds the counter from the journal.
     pub fn apply_with(
         &mut self,
         batch: &[EdgeDelta],

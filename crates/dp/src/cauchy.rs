@@ -5,8 +5,7 @@
 //! (RS) mechanisms \[47, 48\], which draw noise from a *Cauchy*
 //! distribution: finite ε-DP guarantees, but **infinite variance** —
 //! the expected l2 loss does not even exist. This module provides the
-//! sampler so `cargo-core::sensitivity` can implement that mechanism
-//! and the benches can demonstrate the trade-off empirically.
+//! sampler so `cargo-core::sensitivity` can implement that mechanism.
 
 use rand::Rng;
 
@@ -21,18 +20,6 @@ pub fn sample_std_cauchy<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         }
     };
     (std::f64::consts::PI * (u - 0.5)).tan()
-}
-
-/// Samples `scale · Cauchy(0, 1)`.
-///
-/// # Panics
-/// Panics if `scale` is not finite and positive.
-pub fn sample_cauchy<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
-    assert!(
-        scale.is_finite() && scale > 0.0,
-        "Cauchy scale must be positive, got {scale}"
-    );
-    scale * sample_std_cauchy(rng)
 }
 
 #[cfg(test)]
@@ -65,23 +52,5 @@ mod tests {
             .count() as f64
             / n as f64;
         assert!((tail - 0.0634).abs() < 0.01, "tail {tail}");
-    }
-
-    #[test]
-    fn scale_multiplies_quartiles() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 100_000;
-        let inner = (0..n)
-            .filter(|_| sample_cauchy(&mut rng, 5.0).abs() < 5.0)
-            .count() as f64
-            / n as f64;
-        assert!((inner - 0.5).abs() < 0.02, "scaled quartile {inner}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_scale_panics() {
-        let mut rng = StdRng::seed_from_u64(4);
-        sample_cauchy(&mut rng, 0.0);
     }
 }

@@ -21,24 +21,6 @@ pub fn sample_laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
-/// The Laplace mechanism: `value + Lap(sensitivity / epsilon)`.
-///
-/// # Panics
-/// Panics if `epsilon <= 0` or `sensitivity <= 0`.
-pub fn laplace_mechanism<R: Rng + ?Sized>(
-    rng: &mut R,
-    value: f64,
-    sensitivity: f64,
-    epsilon: f64,
-) -> f64 {
-    assert!(epsilon > 0.0, "epsilon must be positive, got {epsilon}");
-    assert!(
-        sensitivity > 0.0,
-        "sensitivity must be positive, got {sensitivity}"
-    );
-    value + sample_laplace(rng, sensitivity / epsilon)
-}
-
 /// Variance of `Lap(scale)`: `2·scale²`. Exposed for the theoretical
 /// bounds of Table II.
 pub fn laplace_variance(scale: f64) -> f64 {
@@ -94,27 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_centers_on_value() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 50_000;
-        let sum: f64 = (0..n)
-            .map(|_| laplace_mechanism(&mut rng, 100.0, 2.0, 1.0))
-            .sum();
-        let mean = sum / n as f64;
-        assert!((mean - 100.0).abs() < 0.1, "mechanism mean {mean}");
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_scale_panics() {
         let mut rng = StdRng::seed_from_u64(6);
         sample_laplace(&mut rng, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn bad_epsilon_panics() {
-        let mut rng = StdRng::seed_from_u64(7);
-        laplace_mechanism(&mut rng, 0.0, 1.0, 0.0);
     }
 }

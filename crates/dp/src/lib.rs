@@ -15,15 +15,12 @@
 //!   noises is exactly `Lap(λ)`. This is the noise of Algorithm 5.
 //! * [`fixed_point`] — encodes real-valued noise into `Z_{2^64}` with a
 //!   configurable binary scale so it can ride inside additive shares.
-//! * [`discrete`] — a discrete-Laplace (two-sided geometric)
-//!   alternative used by the ablation benchmarks.
 //! * [`budget`] — ε bookkeeping: the paper's `ε = ε₁ + ε₂` split
 //!   (ε₁ = 0.1ε for `Max`, ε₂ = 0.9ε for `Perturb`) and sequential
 //!   composition accounting.
 
 pub mod budget;
 pub mod cauchy;
-pub mod discrete;
 pub mod distributed;
 pub mod fixed_point;
 pub mod gamma;
@@ -33,9 +30,8 @@ pub use budget::{
     BudgetExceeded, Composition, EpsilonSplit, PrivacyAccountant, PrivacyBudget, ReleaseGrant,
     ReleaseRefused, ReleaseSchedule, TreeNode,
 };
-pub use cauchy::{sample_cauchy, sample_std_cauchy};
-pub use discrete::{discrete_laplace_variance, sample_discrete_laplace};
+pub use cauchy::sample_std_cauchy;
 pub use distributed::{partial_noise, DistributedLaplace};
 pub use fixed_point::FixedPointCodec;
 pub use gamma::sample_gamma;
-pub use laplace::{laplace_mechanism, laplace_variance, sample_laplace};
+pub use laplace::{laplace_variance, sample_laplace};

@@ -1,13 +1,11 @@
-//! Connected components and subsampling utilities.
+//! Connected components.
 //!
 //! SNAP datasets are conventionally preprocessed to their largest
-//! connected component before analysis; experiment harnesses also
-//! subsample user sets. Both utilities live here so downstream users
-//! get the same preprocessing the paper's datasets received.
+//! connected component before analysis; the utility lives here so
+//! downstream users get the same preprocessing the paper's datasets
+//! received.
 
 use crate::graph::Graph;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// Labels each node with a component id (`0..k`, in order of first
 /// discovery) and returns `(labels, component_count)`.
@@ -58,23 +56,9 @@ pub fn largest_component(g: &Graph) -> (Graph, Vec<usize>) {
     (g.induced_subgraph(&nodes), nodes)
 }
 
-/// Uniformly samples `k` distinct nodes and returns the induced
-/// subgraph (an alternative to the paper's prefix subsampling, exposed
-/// for sensitivity analyses of the sampling choice).
-pub fn random_induced_subgraph<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mut R) -> Graph {
-    let k = k.min(g.n());
-    let mut nodes: Vec<usize> = (0..g.n()).collect();
-    nodes.shuffle(rng);
-    nodes.truncate(k);
-    nodes.sort_unstable();
-    g.induced_subgraph(&nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn two_triangles_and_isolate() -> Graph {
         // Component A: 0-1-2 triangle. Component B: 3-4-5 triangle.
@@ -116,17 +100,6 @@ mod tests {
         // All-isolated graph: every node its own component.
         let (_, k) = connected_components(&Graph::empty(5));
         assert_eq!(k, 5);
-    }
-
-    #[test]
-    fn random_subgraph_has_requested_size() {
-        let g = crate::generators::barabasi_albert(100, 3, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = random_induced_subgraph(&g, 40, &mut rng);
-        assert_eq!(s.n(), 40);
-        // Oversampling clamps.
-        let all = random_induced_subgraph(&g, 1000, &mut rng);
-        assert_eq!(all.n(), 100);
     }
 
     #[test]

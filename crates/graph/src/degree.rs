@@ -1,4 +1,4 @@
-//! Degree sequences and summary statistics.
+//! Degree summary statistics.
 //!
 //! Used to print Table IV (dataset details), to calibrate the synthetic
 //! presets against the published SNAP statistics, and by the projection
@@ -6,11 +6,6 @@
 
 use crate::graph::Graph;
 use crate::triangles::sorted_intersection_count;
-
-/// Returns the degree sequence of `g` in node order.
-pub fn degree_sequence(g: &Graph) -> Vec<usize> {
-    g.degrees()
-}
 
 /// Summary statistics of a degree sequence.
 #[derive(Debug, Clone, PartialEq)]

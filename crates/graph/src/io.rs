@@ -92,11 +92,6 @@ pub fn read_edge_list_stats(path: &Path) -> Result<(Graph, LoadStats), GraphErro
     read_edge_list_from_stats(BufReader::new(file))
 }
 
-/// Reads a SNAP-format edge list from any buffered reader.
-pub fn read_edge_list_from<R: BufRead>(reader: R) -> Result<Graph, GraphError> {
-    read_edge_list_from_stats(reader).map(|(g, _)| g)
-}
-
 /// Reads a SNAP-format edge list from any buffered reader, returning
 /// the graph together with the cleanup counts.
 pub fn read_edge_list_from_stats<R: BufRead>(
@@ -725,7 +720,7 @@ mod tests {
         for (text, big) in [("4000000000 1\n", 4_000_000_000), ("18446744073709551615 0\n", u64::MAX)] {
             let (csr, stats) = read_edge_list_csr_from_stats(Cursor::new(text)).unwrap();
             assert_eq!((csr.n(), csr.neighbors(0), stats.edges), (2, &[1u32][..], 1), "{text:?}");
-            let g = read_edge_list_from(Cursor::new(text)).unwrap();
+            let (g, _) = read_edge_list_from_stats(Cursor::new(text)).unwrap();
             assert!(g.n() == 2 && g.has_edge(0, 1), "{text:?}");
             let mut ids = Relabeller::default();
             assert_eq!(ids.label(big).unwrap(), 0);
@@ -781,7 +776,7 @@ mod tests {
     #[test]
     fn parses_snap_format_with_comments() {
         let text = "# Directed graph\n# Nodes: 4 Edges: 4\n0\t1\n1\t2\n2 3\n3\t0\n";
-        let g = read_edge_list_from(Cursor::new(text)).unwrap();
+        let (g, _) = read_edge_list_from_stats(Cursor::new(text)).unwrap();
         assert_eq!(g.n(), 4);
         assert_eq!(g.edge_count(), 4);
     }
@@ -789,14 +784,14 @@ mod tests {
     #[test]
     fn symmetrizes_and_dedups() {
         let text = "0 1\n1 0\n0 1\n";
-        let g = read_edge_list_from(Cursor::new(text)).unwrap();
+        let (g, _) = read_edge_list_from_stats(Cursor::new(text)).unwrap();
         assert_eq!(g.edge_count(), 1);
     }
 
     #[test]
     fn drops_self_loops() {
         let text = "0 0\n0 1\n";
-        let g = read_edge_list_from(Cursor::new(text)).unwrap();
+        let (g, _) = read_edge_list_from_stats(Cursor::new(text)).unwrap();
         assert_eq!(g.edge_count(), 1);
     }
 
@@ -829,7 +824,7 @@ mod tests {
     #[test]
     fn relabels_sparse_ids() {
         let text = "1000000 42\n42 7\n";
-        let g = read_edge_list_from(Cursor::new(text)).unwrap();
+        let (g, _) = read_edge_list_from_stats(Cursor::new(text)).unwrap();
         assert_eq!(g.n(), 3);
         assert_eq!(g.edge_count(), 2);
         // First-appearance order: 1000000 → 0, 42 → 1, 7 → 2.
@@ -840,14 +835,14 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         let text = "0 xyz\n";
-        let err = read_edge_list_from(Cursor::new(text)).unwrap_err();
+        let err = read_edge_list_from_stats(Cursor::new(text)).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
     }
 
     #[test]
     fn rejects_missing_column() {
         let text = "0\n";
-        assert!(read_edge_list_from(Cursor::new(text)).is_err());
+        assert!(read_edge_list_from_stats(Cursor::new(text)).is_err());
     }
 
     #[test]

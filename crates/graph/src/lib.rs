@@ -20,8 +20,8 @@
 //! * [`io`] — SNAP edge-list reader/writer so the real datasets drop in.
 //! * [`triangles`] — exact triangle counting (node-iterator,
 //!   edge-iterator, and adjacency-matrix algorithms) used for ground
-//!   truth `T` and for per-node/per-edge triangle statistics.
-//! * [`degree`] — degree sequences and summary statistics (Table IV).
+//!   truth `T`.
+//! * [`degree`] — degree summary statistics (Table IV).
 //!
 //! The crate is dependency-light (only `rand` for the generators) and
 //! deterministic: every generator takes an explicit seed.
@@ -37,18 +37,16 @@ pub mod io;
 pub mod triangles;
 
 pub use bitvec::{BitMatrix, BitVec};
-pub use components::{connected_components, largest_component, random_induced_subgraph};
+pub use components::{connected_components, largest_component};
 pub use csr::{CsrGraph, NeighborMarks};
-pub use degree::{degree_sequence, DegreeStats};
+pub use degree::DegreeStats;
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder};
 pub use io::{
-    read_edge_list, read_edge_list_csr, read_edge_list_csr_from_stats, read_edge_list_from,
-    read_edge_list_from_stats, read_edge_list_stats, write_edge_list, LoadStats,
+    read_edge_list, read_edge_list_csr, read_edge_list_csr_from_stats, read_edge_list_from_stats,
+    read_edge_list_stats, write_edge_list, LoadStats,
 };
-pub use triangles::{
-    count_triangles, count_triangles_matrix, count_triangles_node_iterator, local_triangle_counts,
-};
+pub use triangles::{count_triangles, count_triangles_matrix, count_triangles_node_iterator};
 
 /// Asks the CPU to start loading `r`'s cache line now, so that a later
 /// read of it finds the line on chip: the relabeller, the CSR scatter

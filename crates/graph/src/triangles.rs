@@ -14,8 +14,7 @@
 //!   Also the only counter defined on *asymmetric* (projected) matrices,
 //!   matching exactly what the secure protocol computes.
 //!
-//! Plus per-node and per-edge triangle statistics used by the examples
-//! (clustering coefficient) and by the projection analysis.
+//! Plus the global clustering coefficient, which an example reports.
 
 use crate::bitvec::BitMatrix;
 use crate::graph::Graph;
@@ -118,33 +117,6 @@ pub fn count_triangles_matrix(m: &BitMatrix) -> u64 {
     t
 }
 
-/// Per-node triangle participation: `t_v` = number of triangles
-/// containing `v`. `Σ t_v = 3T`.
-pub fn local_triangle_counts(g: &Graph) -> Vec<u64> {
-    let mut counts = vec![0u64; g.n()];
-    for (u, v) in g.edges() {
-        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
-        // Common neighbours w > v close a triangle {u, v, w}.
-        let mut i = nu.partition_point(|&x| x <= v as u32);
-        let mut j = nv.partition_point(|&x| x <= v as u32);
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let w = nu[i] as usize;
-                    counts[u] += 1;
-                    counts[v] += 1;
-                    counts[w] += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    counts
-}
-
 /// Number of triangles each *edge* participates in. Relevant because
 /// the Edge-DP sensitivity of the triangle query is the maximum of this
 /// quantity + 1 over non-edges / edges, bounded by `d_max - 1`.
@@ -201,7 +173,6 @@ mod tests {
     fn empty_graph() {
         let g = Graph::empty(10);
         assert_eq!(count_triangles(&g), 0);
-        assert_eq!(local_triangle_counts(&g), vec![0; 10]);
         assert_eq!(global_clustering_coefficient(&g), None);
     }
 
@@ -215,20 +186,6 @@ mod tests {
             assert_eq!(a, b, "seed {seed}");
             assert_eq!(a, c, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn local_counts_sum_to_three_t() {
-        let g = erdos_renyi(80, 0.1, 42);
-        let t = count_triangles(&g);
-        let local = local_triangle_counts(&g);
-        assert_eq!(local.iter().sum::<u64>(), 3 * t);
-    }
-
-    #[test]
-    fn local_counts_on_k4() {
-        // Every node of K4 is in exactly 3 triangles.
-        assert_eq!(local_triangle_counts(&k4()), vec![3, 3, 3, 3]);
     }
 
     #[test]

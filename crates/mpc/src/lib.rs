@@ -89,9 +89,7 @@ pub use ot::{
 };
 pub use prg::SplitMix64;
 pub use ring::Ring64;
-pub use share::{
-    mask_prf, reconstruct, reconstruct_vec, share_prf, share_with, share_vec_with, SharePair,
-};
+pub use share::{mask_prf, reconstruct, share_prf, share_with, SharePair};
 pub use simd::{SimdTier, U64x4, U64x8, U64xN, LANES};
 pub use triple_mul::{
     expand_input_shares, mask_round, mul3, mul3_combine, key_pair, pair_key, weighted_pass, Mul3Opening,

@@ -141,7 +141,8 @@ impl std::fmt::Display for OfflineMode {
 /// Words a peer sent that do not fit the dialogue: a flight of `step`
 /// (1 key columns, 2 corrections, 3 tail) of another length than the
 /// plan's, or a tail whose digest of the key columns is not S₂'s (a word
-/// changed on the way). Its text is that of the check it stands for.
+/// changed on the way). Its text is one line naming the check it stands
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OfflineError {
     /// `(step, flight, lengths)`.
@@ -176,10 +177,10 @@ impl<T: fmt::Debug + PartialEq> Mismatch<T> {
         if theirs == ours { Ok(()) } else { Err(Mismatch { theirs, ours }) }
     }
 
-    /// Writes the failed check as the `assert_eq!` it stands for reads:
-    /// `what`, then the peer's value (left) and this server's (right).
+    /// Writes the failed check on one line: `what`, then the peer's value
+    /// and this server's.
     pub fn write(&self, f: &mut fmt::Formatter<'_>, what: fmt::Arguments<'_>) -> fmt::Result {
-        write!(f, "assertion `left == right` failed: {what}\n  left: {:?}\n right: {:?}", self.theirs, self.ours)
+        write!(f, "{what}: peer sent {:?}, this server expects {:?}", self.theirs, self.ours)
     }
 }
 

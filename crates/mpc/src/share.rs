@@ -53,19 +53,6 @@ pub fn reconstruct(s1: Ring64, s2: Ring64) -> Ring64 {
     s1 + s2
 }
 
-/// Shares a vector element-wise, returning the two per-server share
-/// vectors (e.g. one user's adjacent bit vector destined for S₁/S₂).
-pub fn share_vec_with(xs: &[Ring64], rng: &mut SplitMix64) -> (Vec<Ring64>, Vec<Ring64>) {
-    let mut v1 = Vec::with_capacity(xs.len());
-    let mut v2 = Vec::with_capacity(xs.len());
-    for &x in xs {
-        let p = share_with(x, rng);
-        v1.push(p.s1);
-        v2.push(p.s2);
-    }
-    (v1, v2)
-}
-
 /// PRF expanding the users' adjacency-bit shares of the Count phase:
 /// uniform in `Z_{2^64}`, keyed by `(seed, i, j)`. Server S₁'s share of
 /// bit `a_ij` is `share_prf(seed, i, j)`; S₂'s is `a_ij − ⟨a_ij⟩₁`.
@@ -108,15 +95,6 @@ pub fn mask_prf(seed: u64, server: crate::ServerId, i: u32, j: u32) -> u64 {
     share_prf(seed ^ MASK_TWEAK[server.index() as usize], i, j)
 }
 
-/// Reconstructs a vector of secrets from the two share vectors.
-///
-/// # Panics
-/// Panics if the vectors have different lengths.
-pub fn reconstruct_vec(v1: &[Ring64], v2: &[Ring64]) -> Vec<Ring64> {
-    assert_eq!(v1.len(), v2.len(), "share vectors must align");
-    v1.iter().zip(v2).map(|(&a, &b)| a + b).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,20 +126,6 @@ mod tests {
         let a = share_with(Ring64(7), &mut rng);
         let k = Ring64(13);
         assert_eq!(reconstruct(a.s1 * k, a.s2 * k), Ring64(91));
-    }
-
-    #[test]
-    fn vector_roundtrip() {
-        let mut rng = SplitMix64::new(4);
-        let xs: Vec<Ring64> = (0..100).map(Ring64::new).collect();
-        let (v1, v2) = share_vec_with(&xs, &mut rng);
-        assert_eq!(reconstruct_vec(&v1, &v2), xs);
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn mismatched_vectors_panic() {
-        reconstruct_vec(&[Ring64::ZERO], &[]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod text;
 pub use graphs::{
     golden_fixtures, k4, path4, triangle, two_triangles_sharing_an_edge, GraphFixture,
 };
-pub use sharing::{assert_share_roundtrip, assert_share_vec_roundtrip, ring_test_values};
+pub use sharing::{assert_share_roundtrip, ring_test_values};
 pub use stats::{
     assert_mean_close, assert_sign_balanced, assert_variance_close, mean, sample_stats, variance,
 };

@@ -1,6 +1,6 @@
 //! Secret-sharing round-trip helpers.
 
-use cargo_mpc::{share_with, share_vec_with, Ring64, SplitMix64};
+use cargo_mpc::{share_with, Ring64, SplitMix64};
 
 /// Ring values every sharing test should survive: identities, sign
 /// boundaries, and the extremes of both unsigned and signed decoding.
@@ -39,22 +39,6 @@ pub fn assert_share_roundtrip(seed: u64, rounds: usize) {
     }
 }
 
-/// Vector variant: share a batch, reconstruct element-wise, compare.
-pub fn assert_share_vec_roundtrip(seed: u64, len: usize) {
-    let mut rng = SplitMix64::new(seed);
-    let xs: Vec<Ring64> = (0..len).map(|_| rng.next_ring()).collect();
-    let (s1, s2) = share_vec_with(&xs, &mut rng);
-    assert_eq!(s1.len(), len);
-    assert_eq!(s2.len(), len);
-    for (i, x) in xs.iter().enumerate() {
-        assert_eq!(
-            s1[i] + s2[i],
-            *x,
-            "vector share/reconstruct failed at index {i} (seed {seed})"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,7 +47,6 @@ mod tests {
     fn roundtrip_helpers_pass_on_many_seeds() {
         for seed in 0..16 {
             assert_share_roundtrip(seed, 64);
-            assert_share_vec_roundtrip(seed, 33);
         }
     }
 
